@@ -78,7 +78,7 @@ func main() {
 	traceRate := flag.Float64("trace-rate", -1, "per-lookup trace sampling rate 0..1 (negative = tracing off)")
 	traceDump := flag.Int("trace-dump", 0, "print the last N completed traces after the drive (implies tracing)")
 	traceLog := flag.Bool("trace-log", false, "emit one structured log line per finished trace (implies tracing)")
-	overloadDepth := flag.Int("overload-depth", 0, "bound each LC inbox to this many messages and shed on overflow (0 = legacy unbounded)")
+	overloadDepth := flag.Int("overload-depth", 0, "enable overload control with each LC inbox bounded to this many messages, shedding on overflow (0 = no policy: inboxes hold 1024 and callers wait for space)")
 	shedMode := flag.String("shed-mode", "drop-newest", "shed policy under overload: drop-newest|drop-remote-first|block")
 	churnRate := flag.Float64("churn-rate", 0, "stream BGP-style route updates at this rate (events/s) through ApplyUpdates while driving load (0 = off)")
 	corruptRate := flag.Float64("corrupt-rate", 0, "inject state corruption at this rate: engine verdict flips, wrong cache fills, dropped invalidations (0 = off)")

@@ -24,10 +24,21 @@ type CorruptConfig struct {
 	WrongFillRate float64
 	// DropInvalidateRate silently swallows InvalidateRange calls.
 	DropInvalidateRate float64
-	// MaxEvents caps the total corruptions injected (both kinds combined);
-	// 0 means unlimited. A finite cap lets tests assert that the system
-	// reaches a corruption-free steady state after the last repair.
+	// MaxEvents caps the corruptions injected per kind (wrong fills and
+	// dropped invalidations each get the full cap); 0 means unlimited. A
+	// finite cap lets tests assert that the system reaches a
+	// corruption-free steady state after the last repair.
 	MaxEvents int64
+}
+
+// corruptSite is one injection kind's schedule: its own draw counter and
+// its own event count, so whether (and when) a kind fires depends only on
+// the seed and on how often that kind's call site ran — never on how the
+// caller interleaved the other kind's calls.
+type corruptSite struct {
+	seed   uint64        // derived from CorruptConfig.Seed, distinct per kind
+	n      atomic.Uint64 // draw counter (schedule position)
+	events atomic.Int64  // corruptions injected so far
 }
 
 // CorruptStore wraps a Store with seeded fill/invalidate corruption.
@@ -35,15 +46,17 @@ type CorruptStore struct {
 	inner Store
 	cfg   CorruptConfig
 
-	n          atomic.Uint64 // draw counter (schedule position)
-	events     atomic.Int64  // corruptions injected so far
-	wrongFills atomic.Int64
-	droppedInv atomic.Int64
+	fills, invalidates corruptSite
 }
 
 // NewCorrupt wraps inner with the given corruption schedule.
 func NewCorrupt(inner Store, cfg CorruptConfig) *CorruptStore {
-	return &CorruptStore{inner: inner, cfg: cfg}
+	return &CorruptStore{
+		inner:       inner,
+		cfg:         cfg,
+		fills:       corruptSite{seed: cfg.Seed},
+		invalidates: corruptSite{seed: splitmix64(cfg.Seed)},
+	}
 }
 
 // splitmix64 is the standard SplitMix64 finalizer; one step turns a
@@ -57,40 +70,39 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// draw advances the schedule and reports whether an event with the given
-// rate fires, respecting the MaxEvents cap.
-func (s *CorruptStore) draw(rate float64) bool {
+// draw advances one kind's schedule and reports whether an event with the
+// given rate fires, respecting that kind's MaxEvents cap.
+func (s *CorruptStore) draw(site *corruptSite, rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
-	h := splitmix64(s.cfg.Seed ^ s.n.Add(1))
+	h := splitmix64(site.seed ^ site.n.Add(1))
 	if float64(h&0x1f_ffff)/float64(1<<21) >= rate {
 		return false
 	}
-	if s.cfg.MaxEvents > 0 && s.events.Add(1) > s.cfg.MaxEvents {
-		s.events.Add(-1)
+	if n := site.events.Add(1); s.cfg.MaxEvents > 0 && n > s.cfg.MaxEvents {
+		site.events.Add(-1)
 		return false
-	}
-	if s.cfg.MaxEvents == 0 {
-		s.events.Add(1)
 	}
 	return true
 }
 
 // WrongFills returns the number of fills stamped with a corrupted value.
-func (s *CorruptStore) WrongFills() int64 { return s.wrongFills.Load() }
+func (s *CorruptStore) WrongFills() int64 { return s.fills.events.Load() }
 
 // DroppedInvalidations returns the number of swallowed InvalidateRange
 // calls.
-func (s *CorruptStore) DroppedInvalidations() int64 { return s.droppedInv.Load() }
+func (s *CorruptStore) DroppedInvalidations() int64 { return s.invalidates.events.Load() }
 
 // Events returns the total corruptions injected.
-func (s *CorruptStore) Events() int64 { return s.events.Load() }
+func (s *CorruptStore) Events() int64 { return s.WrongFills() + s.DroppedInvalidations() }
 
-// Exhausted reports whether the MaxEvents cap has been reached (always
-// false for an uncapped store).
+// Exhausted reports whether every enabled kind (rate > 0) has spent its
+// MaxEvents cap (always false for an uncapped store).
 func (s *CorruptStore) Exhausted() bool {
-	return s.cfg.MaxEvents > 0 && s.events.Load() >= s.cfg.MaxEvents
+	return s.cfg.MaxEvents > 0 &&
+		(s.cfg.WrongFillRate <= 0 || s.WrongFills() >= s.cfg.MaxEvents) &&
+		(s.cfg.DropInvalidateRate <= 0 || s.DroppedInvalidations() >= s.cfg.MaxEvents)
 }
 
 // Inner returns the wrapped store.
@@ -109,8 +121,7 @@ func (s *CorruptStore) RecordMiss(a ip.Addr, origin Origin, waiter int64) bool {
 // the corruption poisons only what later probes will hit, which is
 // exactly the silent-wrong-verdict failure the scrubber exists for.
 func (s *CorruptStore) Fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64 {
-	if s.draw(s.cfg.WrongFillRate) {
-		s.wrongFills.Add(1)
+	if s.draw(&s.fills, s.cfg.WrongFillRate) {
 		nh ^= 1
 	}
 	return s.inner.Fill(a, nh, origin)
@@ -122,8 +133,7 @@ func (s *CorruptStore) Flush() []int64 { return s.inner.Flush() }
 // InvalidateRange implements Store, occasionally dropping the call so a
 // stale entry survives a route update.
 func (s *CorruptStore) InvalidateRange(lo, hi ip.Addr) int {
-	if s.draw(s.cfg.DropInvalidateRate) {
-		s.droppedInv.Add(1)
+	if s.draw(&s.invalidates, s.cfg.DropInvalidateRate) {
 		return 0
 	}
 	return s.inner.InvalidateRange(lo, hi)

@@ -79,9 +79,9 @@ func TestCorruptStoreDeterminism(t *testing.T) {
 	}
 }
 
-// TestCorruptStoreMaxEvents: the cap bounds total injected corruptions
-// across both kinds, Exhausted flips exactly at the cap, and post-cap
-// calls pass through uncorrupted.
+// TestCorruptStoreMaxEvents: each kind has its own cap, Exhausted flips
+// only once every enabled kind is dry, and post-cap calls pass through
+// uncorrupted.
 func TestCorruptStoreMaxEvents(t *testing.T) {
 	s := NewCorrupt(New(corruptTestConfig()), CorruptConfig{
 		Seed: 7, WrongFillRate: 1, DropInvalidateRate: 1, MaxEvents: 3,
@@ -90,18 +90,23 @@ func TestCorruptStoreMaxEvents(t *testing.T) {
 		t.Fatal("exhausted before any draw")
 	}
 	for i := 0; i < 10; i++ {
+		s.Fill(ip.Addr(0x0a000000+uint32(i)), 6, LOC)
+	}
+	if s.WrongFills() != 3 {
+		t.Fatalf("WrongFills = %d, want the cap 3", s.WrongFills())
+	}
+	if s.Exhausted() {
+		t.Fatal("Exhausted with the invalidation kind still armed")
+	}
+	for i := 0; i < 10; i++ {
 		a := ip.Addr(0x0a000000 + uint32(i))
-		s.Fill(a, 6, LOC)
 		s.InvalidateRange(a, a)
 	}
-	if s.Events() != 3 {
-		t.Fatalf("Events = %d, want the cap 3", s.Events())
+	if s.DroppedInvalidations() != 3 || s.Events() != 6 {
+		t.Fatalf("DroppedInvalidations=%d Events=%d, want 3 and 6", s.DroppedInvalidations(), s.Events())
 	}
 	if !s.Exhausted() {
-		t.Fatal("cap reached but not Exhausted")
-	}
-	if s.WrongFills()+s.DroppedInvalidations() != 3 {
-		t.Fatalf("per-kind counters %d+%d != cap 3", s.WrongFills(), s.DroppedInvalidations())
+		t.Fatal("both caps reached but not Exhausted")
 	}
 	// Past the cap every operation is faithful.
 	a := ip.Addr(0x0b000001)
@@ -111,6 +116,42 @@ func TestCorruptStoreMaxEvents(t *testing.T) {
 	}
 	if n := s.InvalidateRange(a, a); n != 1 {
 		t.Fatalf("post-cap InvalidateRange evicted %d, want 1", n)
+	}
+}
+
+// TestCorruptStoreKindsIndependent: which fills are corrupted depends only
+// on the seed and the fill count — interleaving InvalidateRange calls (whose
+// number the router's goroutine scheduling decides) must not move it, and
+// neither kind may spend the other's cap.
+func TestCorruptStoreKindsIndependent(t *testing.T) {
+	run := func(invalidatesPerFill int) []bool {
+		s := NewCorrupt(New(corruptTestConfig()), CorruptConfig{
+			Seed: 11, WrongFillRate: 0.3, DropInvalidateRate: 0.3, MaxEvents: 8,
+		})
+		fired := make([]bool, 200)
+		for i := range fired {
+			before := s.WrongFills()
+			s.Fill(ip.Addr(0x0a000000+uint32(i)), 6, LOC)
+			fired[i] = s.WrongFills() > before
+			for k := 0; k < invalidatesPerFill; k++ {
+				s.InvalidateRange(0x0b000000, 0x0b0000ff)
+			}
+		}
+		if s.WrongFills() != 8 {
+			t.Fatalf("%d invalidations per fill: WrongFills = %d, want the cap 8", invalidatesPerFill, s.WrongFills())
+		}
+		if want := int64(min(invalidatesPerFill, 1) * 8); s.DroppedInvalidations() != want {
+			t.Fatalf("%d invalidations per fill: DroppedInvalidations = %d, want %d", invalidatesPerFill, s.DroppedInvalidations(), want)
+		}
+		return fired
+	}
+	alone := run(0)
+	for _, k := range []int{1, 5} {
+		for i, f := range run(k) {
+			if f != alone[i] {
+				t.Fatalf("fill %d: corrupted=%v with %d interleaved invalidations, %v with none", i, f, k, alone[i])
+			}
+		}
 	}
 }
 

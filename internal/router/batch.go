@@ -174,8 +174,8 @@ func (r *Router) LookupBatch(lc int, addrs []ip.Addr) ([]Verdict, error) {
 }
 
 // LookupBatchInto is LookupBatchCtx writing into a caller-provided
-// verdict slice (len(out) >= len(addrs)); with BatchCoalescing on, the
-// steady-state cache-hit and local-home paths allocate nothing. On error
+// verdict slice (len(out) >= len(addrs)); the steady-state cache-hit and
+// local-home paths allocate nothing. On error
 // the contents of out are unspecified. The positional guarantee is the
 // same: on success out[i] answers addrs[i].
 func (r *Router) LookupBatchInto(ctx context.Context, lc int, addrs []ip.Addr, out []Verdict) error {
@@ -191,19 +191,10 @@ func (r *Router) LookupBatchInto(ctx context.Context, lc int, addrs []ip.Addr, o
 	if len(addrs) == 0 {
 		return nil
 	}
-	if !r.cfg.BatchCoalescing {
-		return r.lookupBatchSingles(ctx, lc, addrs, out)
-	}
 	bd := getBatchDesc(addrs)
-	m := message{kind: mBatch, bd: bd}
-	if r.ov.Enabled {
-		if err := r.admitBatch(lc, m); err != nil {
-			putBatchDesc(bd)
-			return err
-		}
-	} else if !r.send(lc, m) {
+	if err := r.admit(ctx, lc, message{kind: mBatch, bd: bd}); err != nil {
 		putBatchDesc(bd)
-		return ErrStopped
+		return err
 	}
 	select {
 	case <-bd.done:
@@ -217,29 +208,6 @@ func (r *Router) LookupBatchInto(ctx context.Context, lc int, addrs []ip.Addr, o
 		r.abandonBatch(bd)
 		return ErrStopped
 	}
-}
-
-// admitBatch is the admission layer for a whole batch: one inbox slot
-// carries the descriptor, and a full inbox refuses the entire batch (the
-// per-address shed verdicts only apply after admission).
-func (r *Router) admitBatch(lc int, m message) error {
-	if r.ov.Mode == ShedBlock {
-		select {
-		case r.inboxes[lc] <- m:
-			return nil
-		case <-r.quit:
-			return ErrStopped
-		}
-	}
-	select {
-	case r.inboxes[lc] <- m:
-		return nil
-	case <-r.quit:
-		return ErrStopped
-	default:
-	}
-	r.shedCount(lc, shedInboxFull)
-	return ErrOverloaded
 }
 
 // handleBatch classifies a batch at its arrival LC: inline cache hits,
@@ -503,7 +471,7 @@ func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 		lc.stats.BatchRepliesSent.Add(1)
 		// Batch replies carry no per-address FE timing (feNS stays 0) —
 		// the home-side split isn't measured on this path.
-		r.sendFabric(m.from, message{kind: mBatchReply, from: lc.id, epoch: m.epoch, gen: lc.gen, fb: rb, addr: rb.addrs[0]})
+		r.sendFabric(m.from, message{kind: mBatchReply, from: lc.id, epoch: m.epoch, gen: r.stampGen(lc, lc.gen), fb: rb, addr: rb.addrs[0]})
 	}
 }
 

@@ -184,25 +184,3 @@ func BenchmarkLookupBatchSameHomeBurst(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkLookupBatchSinglesSameHomeBurst: the same burst through the
-// legacy per-address batch plane (BatchCoalescing off) — pipelined but
-// one fabric message per address.
-func BenchmarkLookupBatchSinglesSameHomeBurst(b *testing.B) {
-	tbl := rtable.Small(2000, 7)
-	r := benchRouter(b, tbl, WithLCs(2), WithoutCache(), WithBatchCoalescing(false))
-	addrs := sameHomeBurst(b, r, tbl)
-	out := make([]Verdict, len(addrs))
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if err := r.LookupBatchInto(ctx, 0, addrs, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.LookupBatchInto(ctx, 0, addrs, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

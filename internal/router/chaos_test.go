@@ -358,7 +358,7 @@ func TestStaleRequestAfterRehomeForwarded(t *testing.T) {
 
 	// Replay the in-flight request: sent to the old home (LC 1) by LC 0
 	// before the update, i.e. with the pre-update epoch 0.
-	r.send(1, message{kind: mRequest, addr: addr, from: 0, epoch: 0})
+	r.inboxes[1] <- message{kind: mRequest, addr: addr, from: 0, epoch: 0}
 
 	// LC 1 must forward it to the new home (LC 0), which executes the FE
 	// and replies to the original requester; the requester drops the
@@ -377,7 +377,7 @@ func TestStaleRequestAfterRehomeForwarded(t *testing.T) {
 
 	// The old home's cache must not hold the address at all.
 	probeRes := make(chan cache.ProbeKind, 1)
-	r.send(1, message{kind: mExec, do: func(lc *lineCard) { probeRes <- lc.cache.Probe(addr).Kind }})
+	r.inboxes[1] <- message{kind: mExec, do: func(lc *lineCard) { probeRes <- lc.cache.Probe(addr).Kind }}
 	if k := <-probeRes; k != cache.Miss {
 		t.Errorf("old home cached the re-homed address (probe = %d), want miss", k)
 	}
@@ -428,11 +428,11 @@ func TestCacheBypassCoalescesSecondLookup(t *testing.T) {
 	var once sync.Once
 	unstall := func() { once.Do(func() { close(release) }) }
 	defer unstall()
-	r.send(1, message{kind: mExec, do: func(*lineCard) { <-release }})
+	r.inboxes[1] <- message{kind: mExec, do: func(*lineCard) { <-release }}
 
 	syncLC0 := func() {
 		done := make(chan struct{})
-		r.send(0, message{kind: mExec, do: func(*lineCard) { close(done) }})
+		r.inboxes[0] <- message{kind: mExec, do: func(*lineCard) { close(done) }}
 		<-done
 	}
 

@@ -47,7 +47,8 @@ type CorruptionPolicy struct {
 	// a route update.
 	DropInvalidateRate float64
 	// MaxCorruptions caps injections per site: the engine flipper as a
-	// whole, and each LC's cache store independently. 0 means unlimited.
+	// whole, and each kind (wrong fills, dropped invalidations) of each
+	// LC's cache store independently. 0 means unlimited.
 	// A finite cap lets tests wait for CorruptionExhausted and then
 	// assert zero wrong verdicts after the final repair.
 	MaxCorruptions int64

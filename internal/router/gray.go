@@ -160,7 +160,7 @@ func normalizeGray(p GrayPolicy) GrayPolicy {
 // browned-out home LCs. Pass DefaultGrayPolicy() for the defaults. See
 // gray.go.
 func WithGray(p GrayPolicy) Option {
-	return func(c *Config) { c.Gray = p }
+	return func(c *config) { c.Gray = p }
 }
 
 // lcRTT holds one home LC's fabric round-trip samples. observe is called
@@ -321,8 +321,8 @@ func (r *Router) maybeGrayLocked(now time.Time) {
 // ejectLocked steers cacheable traffic off a browned-out home LC by
 // reusing the quarantine generation pin: the router generation advances
 // and every *other* LC adopts it via an empty mApplyUpdates, while the
-// ejected LC's generation stays pinned (see handleApplyUpdates), so its
-// replies remain deliverable but never enter a peer cache. Dispatch-time
+// ejected LC stamps its replies with generation zero (see stampGen), so
+// they remain deliverable but never enter a peer cache. Dispatch-time
 // steering (the fallback answer for lookups homed on it) keys off the
 // ejected flag directly. r.mu must be held.
 func (r *Router) ejectLocked(i int) {
@@ -354,11 +354,11 @@ func (r *Router) ejectLocked(i int) {
 	}
 }
 
-// restoreEjectedLocked lifts an ejection: the flag clears first (so the
-// generation catch-up below is not refused by the pin), then the LC
-// adopts the current router generation via an empty mApplyUpdates —
-// after which its replies are cacheable again and dispatch stops
-// steering around it. r.mu must be held.
+// restoreEjectedLocked lifts an ejection: the flag clears (replies carry
+// the LC's real generation again), then the LC adopts the current router
+// generation via an empty mApplyUpdates — it never received the eject's
+// own bump — after which its replies are cacheable again and dispatch
+// stops steering around it. r.mu must be held.
 func (r *Router) restoreEjectedLocked(i int) {
 	r.gray[i].ejected.Store(false)
 	r.restores.Add(1)
@@ -375,11 +375,12 @@ func (r *Router) restoreEjectedLocked(i int) {
 	}
 }
 
-// genPinned reports whether LC id's table generation is pinned behind the
-// router's: quarantined (integrity) or ejected (gray failure). A pinned
-// LC's replies carry a trailing generation, which is exactly how peers
-// keep them out of their caches; pinned replies are also final — the
-// trailing state will not resolve by re-driving (see fillStaleRelease).
+// genPinned reports whether LC id is fenced behind the router's
+// generation: quarantined (integrity) or ejected (gray failure). A pinned
+// LC's replies leave stamped with generation zero (see stampGen), which is
+// exactly how peers keep them out of their caches; pinned replies are
+// also final — the fence will not lift by re-driving (see
+// fillStaleRelease).
 func (r *Router) genPinned(id int) bool {
 	if r.life[id].state.Load() == LCQuarantined {
 		return true

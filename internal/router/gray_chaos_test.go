@@ -29,7 +29,10 @@ import (
 // while 1→0 stays clean — the classic one-way fiber fault. Every lookup
 // must still resolve to the oracle verdict (retry → fallback, or a hedge
 // ahead of the lost primary), and because heartbeats ride the control
-// plane, neither endpoint may be demoted out of Healthy.
+// plane, neither endpoint may be demoted out of Healthy. The health
+// windows are set well above Go's 10 ms preemption quantum rather than
+// left at the 2 ms request timeout: the claim is about data-plane faults,
+// not about an LC goroutine never being descheduled for a few ms.
 func TestGrayAsymmetricPartition(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	oracle := lpm.NewReference(tbl)
@@ -40,6 +43,7 @@ func TestGrayAsymmetricPartition(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(),
 				WithFaultInjector(lf.Injector()),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(1),
+				WithHealthThresholds(50*time.Millisecond, 100*time.Millisecond),
 				WithGray(DefaultGrayPolicy()))
 			if err != nil {
 				t.Fatal(err)
@@ -408,6 +412,9 @@ func TestGrayEjectRestoreLifecycle(t *testing.T) {
 	r, err := New(tbl, WithLCs(4), WithoutCache(),
 		WithFaultInjector(lf.Injector()),
 		WithRequestTimeout(8*time.Millisecond),
+		// Above the scheduler's preemption quantum, as in
+		// TestGrayAsymmetricPartition: only a fault may demote an LC.
+		WithHealthThresholds(50*time.Millisecond, 100*time.Millisecond),
 		WithGray(gp))
 	if err != nil {
 		t.Fatal(err)

@@ -86,10 +86,11 @@ const (
 	LCDraining
 	// LCQuarantined: the integrity scrubber found the LC's forwarding
 	// state disagreeing with the canonical table (see scrub.go). The LC
-	// keeps its partition and keeps serving — but it holds a stale table
-	// generation, so the generation guard keeps every reply it sends out
-	// of peer caches. A rebuild (automatic under ScrubPolicy.AutoRepair),
-	// RestoreLC, or any full partitioning swap returns it to LCHealthy.
+	// keeps its partition and keeps serving — but its replies leave
+	// stamped with generation zero, so the generation guard keeps every
+	// one of them out of peer caches. A rebuild (automatic under
+	// ScrubPolicy.AutoRepair), RestoreLC, or any full partitioning swap
+	// returns it to LCHealthy.
 	LCQuarantined
 )
 
@@ -237,13 +238,13 @@ func (r *Router) rehomeLocked(dead int) {
 	l.exited = make(chan struct{})
 	l.lastBeat.Store(time.Now())
 	r.wg.Add(1)
-	go r.lcLoop(lc, r.outs[dead], r.ctrls[dead], l.die, l.exited)
+	go r.lcLoop(lc, r.inboxes[dead], r.ctrls[dead], l.die, l.exited)
 
 	// Replay the lookups that were parked at the dead LC: re-submitted at
-	// the reborn slot (FIFO-before the swap messages), they re-dispatch
-	// against the new homeOf. Remote waiters need no replay — their
-	// requesters hold their own deadline-armed waitlists, which the
-	// mRekey phase of the swap below re-drives.
+	// the reborn slot, they re-dispatch against the new homeOf. Remote
+	// waiters need no replay — their requesters hold their own
+	// deadline-armed waitlists, which the mRekey phase of the swap below
+	// re-drives.
 	replayed := 0
 	for addr, wl := range pend {
 		for _, w := range wl.locals {

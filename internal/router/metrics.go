@@ -89,12 +89,14 @@ const (
 	MetricReplayed      = "spal_router_replayed_lookups_total"
 	MetricDrains        = "spal_router_drains_total"
 	MetricDrainDuration = "spal_router_drain_duration_ns"
-	// Overload-control metrics (see overload.go). Only routers built
-	// WithOverload emit these, so snapshots of a default router are
-	// byte-identical to earlier releases.
+	// Inbox metrics (see overload.go). Every router reports its inbox
+	// depth and the fabric messages it shed on a full inbox (reasons
+	// remote_inbox_full, reply_inbox_full); the remaining shed reasons and
+	// the families below them are emitted only by routers built
+	// WithOverload.
 	MetricShed             = "spal_router_shed_total"
-	MetricWaitlistOverflow = "spal_router_waitlist_overflow_total"
 	MetricInboxDepth       = "spal_router_inbox_depth"
+	MetricWaitlistOverflow = "spal_router_waitlist_overflow_total"
 	MetricRetryBudget      = "spal_router_retry_budget"
 	MetricBudgetExhausted  = "spal_router_retry_budget_exhausted_total"
 	MetricBreakerState     = "spal_router_breaker_state"
@@ -237,15 +239,18 @@ func (r *Router) Metrics() *metrics.Snapshot {
 				degraded, lbl)
 		}
 
-		if r.ov.Enabled {
-			for why, name := range shedReasonNames {
-				s.Counter(MetricShed, "Messages/lookups shed by overload control, by reason.",
+		for why, name := range shedReasonNames {
+			// Without an overload policy only the fabric path can shed.
+			if r.ov.Enabled || why == int(shedRemoteFull) || why == int(shedReplyFull) {
+				s.Counter(MetricShed, "Messages/lookups shed on a full inbox or by overload control, by reason.",
 					float64(lc.ov.shed[why].Load()), lbl, metrics.L("reason", name))
 			}
+		}
+		s.Gauge(MetricInboxDepth, "Messages queued in this LC's bounded inbox.",
+			float64(len(r.inboxes[i])), lbl)
+		if r.ov.Enabled {
 			s.Counter(MetricWaitlistOverflow, "Waiters refused because the per-address waitlist hit its cap.",
 				float64(lc.ov.shed[shedWaitlistOverflow].Load()), lbl)
-			s.Gauge(MetricInboxDepth, "Messages queued in this LC's bounded inbox.",
-				float64(len(r.inboxes[i])), lbl)
 			s.Gauge(MetricRetryBudget, "Retry tokens currently available at this LC.",
 				float64(lc.ov.budgetMilli.Load())/1000, lbl)
 			s.Counter(MetricBudgetExhausted, "Retries refused for lack of budget (lookup went straight to fallback).",

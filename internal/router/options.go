@@ -10,18 +10,19 @@ import (
 // Option configures a router at construction time. Options are applied
 // in order over the defaults (one line card, reference engine, caches
 // off), so later options win.
-type Option func(*Config)
+type Option func(*config)
 
 // WithLCs sets ψ, the number of line cards.
 func WithLCs(n int) Option {
-	return func(c *Config) { c.NumLCs = n }
+	return func(c *config) { c.NumLCs = n }
 }
 
 // WithEngine sets the matching-structure builder every LC uses. Most
 // callers want WithEngineName, which resolves a registry name and is
-// validated at construction; WithEngine remains for custom Builders.
+// validated at construction; WithEngine is for custom Builders (tests
+// inject a fake slow engine through it).
 func WithEngine(b lpm.Builder) Option {
-	return func(c *Config) { c.Engine = b }
+	return func(c *config) { c.Engine = b }
 }
 
 // WithEngineName selects the per-LC engine by registry name ("flat",
@@ -29,12 +30,12 @@ func WithEngine(b lpm.Builder) Option {
 // error listing the valid names when the name is unknown. A non-empty
 // name takes precedence over WithEngine.
 func WithEngineName(name string) Option {
-	return func(c *Config) { c.EngineName = name }
+	return func(c *config) { c.EngineName = name }
 }
 
 // WithCache enables LR-caches with the given organization.
 func WithCache(cc cache.Config) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		c.Cache = cc
 		c.CacheEnabled = true
 	}
@@ -47,7 +48,7 @@ func WithDefaultCache() Option { return WithCache(cache.DefaultConfig()) }
 // WithoutCache disables LR-caches (every lookup reaches a forwarding
 // engine), the paper's baseline configuration.
 func WithoutCache() Option {
-	return func(c *Config) { c.CacheEnabled = false }
+	return func(c *config) { c.CacheEnabled = false }
 }
 
 // WithCacheShards splits each LC's LR-cache into n line-padded shards
@@ -56,15 +57,7 @@ func WithoutCache() Option {
 // that leaves the per-shard geometry valid — New validates and returns
 // an error otherwise. 0 and 1 mean unsharded.
 func WithCacheShards(n int) Option {
-	return func(c *Config) { c.CacheShards = n }
-}
-
-// WithBatchCoalescing toggles the pooled-descriptor batch data plane
-// (see batch.go). New defaults it on; pass false to force the legacy
-// per-address submission path for every batch call — the chaos
-// equivalence suite uses exactly that to prove the two planes agree.
-func WithBatchCoalescing(on bool) Option {
-	return func(c *Config) { c.BatchCoalescing = on }
+	return func(c *config) { c.CacheShards = n }
 }
 
 // WithRebalance enables the background partition rebalancer: when
@@ -74,7 +67,7 @@ func WithBatchCoalescing(on bool) Option {
 // two-phase swap. Pass DefaultRebalancePolicy() for the default
 // thresholds. See updates.go.
 func WithRebalance(p RebalancePolicy) Option {
-	return func(c *Config) { c.Rebalance = p }
+	return func(c *config) { c.Rebalance = p }
 }
 
 // WithFaultInjector installs a chaos hook on the inter-LC message path:
@@ -83,21 +76,21 @@ func WithRebalance(p RebalancePolicy) Option {
 // deadline/retry/fallback machinery guarantees every lookup still
 // terminates with a correct verdict.
 func WithFaultInjector(fi FaultInjector) Option {
-	return func(c *Config) { c.FaultInjector = fi }
+	return func(c *config) { c.FaultInjector = fi }
 }
 
 // WithRequestTimeout sets the per-attempt deadline on fabric lookup
 // requests (default 50ms). Expired requests are retried with exponential
 // backoff; see WithMaxRetries.
 func WithRequestTimeout(d time.Duration) Option {
-	return func(c *Config) { c.RequestTimeout = d }
+	return func(c *config) { c.RequestTimeout = d }
 }
 
 // WithMaxRetries bounds how many times a timed-out fabric request is
 // re-sent before the lookup degrades to the full-table fallback engine
 // (default 3; negative disables retries).
 func WithMaxRetries(n int) Option {
-	return func(c *Config) { c.MaxRetries = n }
+	return func(c *config) { c.MaxRetries = n }
 }
 
 // WithScrub enables the online integrity scrubber: per health-ticker
@@ -107,7 +100,7 @@ func WithMaxRetries(n int) Option {
 // engines disagree. Pass DefaultScrubPolicy() for the defaults. See
 // scrub.go.
 func WithScrub(p ScrubPolicy) Option {
-	return func(c *Config) { c.Scrub = p }
+	return func(c *config) { c.Scrub = p }
 }
 
 // WithCorruption installs the seeded state-corruption injector: engine
@@ -115,7 +108,7 @@ func WithScrub(p ScrubPolicy) Option {
 // invalidations, capped by MaxCorruptions. Chaos-test hook for the
 // scrubber; see corrupt.go.
 func WithCorruption(p CorruptionPolicy) Option {
-	return func(c *Config) { c.Corruption = p }
+	return func(c *config) { c.Corruption = p }
 }
 
 // WithHealthThresholds sets the LC lifecycle windows (see lifecycle.go):
@@ -124,7 +117,7 @@ func WithCorruption(p CorruptionPolicy) Option {
 // Defaults are 1× and 2× the request timeout; downAfter is raised to
 // suspectAfter when smaller.
 func WithHealthThresholds(suspectAfter, downAfter time.Duration) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		c.SuspectAfter = suspectAfter
 		c.DownAfter = downAfter
 	}

@@ -1,26 +1,26 @@
-// Overload control for the concurrent forwarding plane: bounded per-LC
-// inboxes with an explicit admission layer, load shedding, an adaptive
-// per-LC retry budget, and per-home-LC circuit breakers.
+// The per-LC inbox and its overload policy: admission, load shedding, an
+// adaptive per-LC retry budget, and per-home-LC circuit breakers.
 //
 // The paper sizes SPAL for line rate and treats the home LC's forwarding
 // engine as the contended resource; bit selection bounds *table*
-// imbalance but nothing bounds *traffic* imbalance. Without overload
-// control the router absorbs a hot home LC or a retry storm into
-// unbounded inter-LC queues — memory and tail latency grow without
-// limit and nothing tells the caller to back off. With WithOverload the
-// router defends itself at four points:
+// imbalance but nothing bounds *traffic* imbalance. Every router bounds
+// its memory with the inbox depth and keeps the fabric path
+// non-blocking; by default a hot home LC or a retry storm then simply
+// backs callers up behind full inboxes, and nothing tells them to back
+// off. With WithOverload the router defends itself at four points:
 //
-//   - Admission: each LC's inbox is a bounded channel. A locally
-//     submitted lookup that finds it full is refused immediately with
-//     ErrOverloaded (shed-at-arrival, mode ShedDropNewest), admitted
-//     only once space frees (ShedBlock), or admitted while *fabric*
-//     traffic sheds first (ShedDropRemoteFirst: remote requests are
-//     refused at 3/4 of the target's depth, reserving headroom for
-//     local arrivals).
-//   - Fabric: requests and replies are never allowed to block the
-//     sending LC — a full target inbox sheds the message and the
-//     requester's existing deadline/retry/fallback machinery keeps the
-//     lookup terminating. Mutually-full LCs therefore cannot deadlock.
+//   - Admission: a locally submitted lookup that finds the arrival LC's
+//     inbox full is refused immediately with ErrOverloaded
+//     (shed-at-arrival, mode ShedDropNewest), admitted only once space
+//     frees (ShedBlock — the only behaviour without WithOverload), or
+//     admitted while *fabric* traffic sheds first (ShedDropRemoteFirst:
+//     remote requests are refused at 3/4 of the target's depth,
+//     reserving headroom for local arrivals).
+//   - Fabric (every router, policy or not): requests and replies are
+//     never allowed to block the sending LC — a full target inbox sheds
+//     the message and the requester's existing deadline/retry/fallback
+//     machinery keeps the lookup terminating. Mutually-full LCs
+//     therefore cannot deadlock.
 //   - Retry budget: each LC holds a token bucket refilled by successful
 //     fabric replies (RetryBudgetRatio tokens per success, the
 //     client-side "retry budget" pattern). A deadline-driven retry
@@ -40,10 +40,12 @@
 // Metrics reads atomic mirrors. Control messages (cache flush, table
 // swap, stats collection) bypass admission entirely on a dedicated
 // per-LC control channel, so drain/kill/UpdateTable keep their
-// no-lost-lookup guarantees under full data inboxes.
+// no-lost-lookup guarantees under full data inboxes. Control and data
+// are therefore not FIFO with respect to each other.
 package router
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"time"
@@ -109,9 +111,9 @@ func ParseShedMode(s string) (ShedMode, error) {
 // value of every field selects a default, so WithOverload(OverloadPolicy{})
 // enables the subsystem with sane settings.
 type OverloadPolicy struct {
-	// Enabled turns the subsystem on; WithOverload sets it. When false
-	// (the default) the router keeps its original unbounded buffering
-	// goroutines and none of the machinery in this file runs.
+	// Enabled turns the policy on; WithOverload sets it. When false (the
+	// default) only QueueDepth's default is in force: callers block on a
+	// full inbox, and breakers, the retry budget and WaitlistCap are off.
 	Enabled bool
 	// QueueDepth bounds each LC's inbox (default 1024 messages).
 	QueueDepth int
@@ -138,7 +140,10 @@ type OverloadPolicy struct {
 	BreakerCooldown time.Duration
 }
 
-// Overload defaults.
+// Overload defaults. defaultQueueDepth is also the inbox depth of a router
+// without a policy: deep enough that no closed-loop caller in the
+// repository fills it (the widest async fan-out is a few hundred lookups),
+// shallow enough that ψ inboxes of it cost under a MiB at ψ=4.
 const (
 	defaultQueueDepth       = 1024
 	defaultWaitlistCap      = 256
@@ -148,13 +153,14 @@ const (
 	defaultBreakerCooldown  = 4 // × RequestTimeout
 )
 
-// normalizeOverload fills policy defaults; a no-op when disabled.
+// normalizeOverload fills policy defaults; a disabled policy only gets
+// its inbox depth.
 func normalizeOverload(p OverloadPolicy, timeout time.Duration) OverloadPolicy {
-	if !p.Enabled {
-		return p
-	}
 	if p.QueueDepth <= 0 {
 		p.QueueDepth = defaultQueueDepth
+	}
+	if !p.Enabled {
+		return p
 	}
 	if p.WaitlistCap <= 0 {
 		p.WaitlistCap = defaultWaitlistCap
@@ -177,7 +183,7 @@ func normalizeOverload(p OverloadPolicy, timeout time.Duration) OverloadPolicy {
 // WithOverload enables overload control with the given policy. Zero
 // policy fields select defaults; see OverloadPolicy.
 func WithOverload(p OverloadPolicy) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		p.Enabled = true
 		c.Overload = p
 	}
@@ -268,14 +274,19 @@ func (r *Router) shedCount(lc int, why shedReason) {
 	r.lcs[lc].ov.shed[why].Add(1)
 }
 
-// admitLookup is the admission layer: it delivers a locally submitted
-// lookup into the arrival LC's bounded inbox under the configured shed
-// mode. Only called when overload control is enabled.
-func (r *Router) admitLookup(lc int, m message) error {
-	if r.ov.Mode == ShedBlock {
+// admit is the admission layer: it delivers a locally submitted lookup
+// or batch descriptor (one inbox slot either way — a full inbox refuses
+// the whole batch) into the arrival LC's inbox. Without an overload
+// policy, and under ShedBlock, the caller waits for space, until ctx is
+// cancelled or the router stops; the drop modes refuse with ErrOverloaded
+// instead.
+func (r *Router) admit(ctx context.Context, lc int, m message) error {
+	if !r.ov.Enabled || r.ov.Mode == ShedBlock {
 		select {
 		case r.inboxes[lc] <- m:
 			return nil
+		case <-ctx.Done():
+			return ctx.Err()
 		case <-r.quit:
 			return ErrStopped
 		}
@@ -311,14 +322,18 @@ func (r *Router) shedLocal(lc int, m message, why shedReason) {
 }
 
 // replaySend re-submits a lookup parked at a crashed LC into the reborn
-// slot's inbox. It runs on the health monitor with r.mu held, so with
-// overload control on it must never block on a full data inbox: instead
-// the replay is shed and the parked caller receives a ServedByShed
-// verdict — every lookup still terminates, and the monitor stays free to
-// keep re-homing.
+// slot's inbox. It runs on the health monitor with r.mu held. Without an
+// overload policy it waits for space like any caller (the reborn LC is
+// already draining its inbox, and LCs never block on each other). With
+// one it must not stall the monitor behind a flood: the replay is shed and
+// the parked caller receives a ServedByShed verdict — every lookup still
+// terminates, and the monitor stays free to keep re-homing.
 func (r *Router) replaySend(lc int, m message) {
 	if !r.ov.Enabled {
-		r.send(lc, m)
+		select {
+		case r.inboxes[lc] <- m:
+		case <-r.quit:
+		}
 		return
 	}
 	select {
@@ -441,44 +456,37 @@ func (r *Router) BreakerStates(lc int) []int32 {
 	return out
 }
 
-// deliverData delivers a fabric message (request or reply) into a
-// bounded inbox without ever blocking the sender: a full target sheds
-// the message, and the requester-side deadline machinery keeps the
-// affected lookup terminating. Only called when overload control is
-// enabled; the unbounded path goes through Router.send.
-func (r *Router) deliverData(to int, m message) bool {
+// deliverData is the final hop of a fabric send: it delivers a request
+// or reply into the target's inbox without ever blocking the sending LC.
+// A full target sheds the message (counted), and the requester-side
+// deadline machinery keeps the affected lookup terminating.
+func (r *Router) deliverData(to int, m message) {
 	if (m.kind == mRequest || m.kind == mBatchRequest) && r.ov.Mode == ShedDropRemoteFirst {
 		// Soft limit: refuse remote work while headroom remains for
 		// local arrivals at the target.
 		if len(r.inboxes[to]) >= r.remoteLimit {
 			r.shedCount(to, shedRemotePressure)
-			return false
+			return
 		}
 	}
 	select {
 	case r.inboxes[to] <- m:
-		return true
 	case <-r.quit:
-		return false
 	default:
+		if m.kind == mReply || m.kind == mBatchReply {
+			r.shedCount(to, shedReplyFull)
+		} else {
+			r.shedCount(to, shedRemoteFull)
+		}
 	}
-	if m.kind == mReply || m.kind == mBatchReply {
-		r.shedCount(to, shedReplyFull)
-	} else {
-		r.shedCount(to, shedRemoteFull)
-	}
-	return false
 }
 
 // sendCtrl delivers a control message (flush, swap, rekey, exec) to an
-// LC. Control traffic bypasses admission: with overload control on it
-// rides a dedicated bounded channel sized for the control plane's
-// bounded rate, and the send blocks (never sheds) so lifecycle and
-// update invariants hold even when the data inbox is saturated.
+// LC. Control traffic bypasses admission: it rides a dedicated channel
+// sized for the control plane's bounded rate, and the send blocks (never
+// sheds) so lifecycle and update invariants hold even when the data inbox
+// is saturated.
 func (r *Router) sendCtrl(lc int, m message) bool {
-	if !r.ov.Enabled {
-		return r.send(lc, m)
-	}
 	select {
 	case r.ctrls[lc] <- m:
 		return true
@@ -494,9 +502,6 @@ func (r *Router) sendCtrl(lc int, m message) bool {
 // monitor that performs the rebirth. The caller's ack loop already
 // treats an exited LC as a skip. r.mu must be held.
 func (r *Router) sendCtrlSwap(lc int, m message) bool {
-	if !r.ov.Enabled {
-		return r.send(lc, m)
-	}
 	select {
 	case r.ctrls[lc] <- m:
 		return true

@@ -1,12 +1,13 @@
 // Overload-control tests: admission shedding, block mode, waitlist caps,
 // retry budgets, circuit breakers, Stop under full inboxes, and the
-// chaos/soak runs the CI overload job drives. The disabled-by-default
-// guarantee (a router without WithOverload behaves exactly as before) is
-// covered by every pre-existing test in this package.
+// chaos/soak runs the CI overload job drives. What a router without
+// WithOverload does with the same bounded inbox is covered in
+// inbox_test.go.
 package router
 
 import (
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -203,45 +204,54 @@ func TestWaitlistOverflowSheds(t *testing.T) {
 	}
 }
 
-// TestStopWithFullInboxes is the Stop-vs-overload regression: with every
-// inbox at capacity and callers blocked in ShedBlock admission, Stop
-// must return promptly and every pending caller must get a terminal
-// verdict or error.
+// TestStopWithFullInboxes is the Stop-vs-full-inbox regression: with the
+// inbox at capacity and callers blocked in admission (ShedBlock under a
+// policy, the only behaviour without one), Stop must return promptly and
+// every pending caller must get a terminal verdict or error.
 func TestStopWithFullInboxes(t *testing.T) {
-	tbl := rtable.Small(500, 3)
-	r, err := New(tbl, WithLCs(1), WithOverload(OverloadPolicy{QueueDepth: 1, Mode: ShedBlock}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gateLC(t, r, 0) // never released: quit unblocks the closure
-	rng := stats.NewRNG(13)
-	if _, err := r.LookupAsync(0, tbl.RandomMatchedAddr(rng)); err != nil {
-		t.Fatal(err)
-	}
-	const callers = 8
-	errs := make([]error, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = r.Lookup(0, tbl.RandomMatchedAddr(stats.NewRNG(uint64(i))))
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // let the callers reach admission
+	for name, opts := range map[string][]Option{
+		"block-mode": {WithOverload(OverloadPolicy{QueueDepth: 1, Mode: ShedBlock})},
+		"policy-off": nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			tbl := rtable.Small(500, 3)
+			r, err := New(tbl, append([]Option{WithLCs(1)}, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gateLC(t, r, 0) // never released: quit unblocks the closure
+			rng := stats.NewRNG(13)
+			for i := 0; i < cap(r.inboxes[0]); i++ {
+				if _, err := r.LookupAsync(0, tbl.RandomMatchedAddr(rng)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const callers = 8
+			errs := make([]error, callers)
+			var wg sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					_, errs[i] = r.Lookup(0, tbl.RandomMatchedAddr(stats.NewRNG(uint64(i))))
+				}(i)
+			}
+			time.Sleep(20 * time.Millisecond) // let the callers reach admission
 
-	done := make(chan struct{})
-	go func() { r.Stop(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop did not return promptly with full inboxes")
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != ErrStopped && err != ErrOverloaded {
-			t.Fatalf("caller %d: got (%v), want ErrStopped or ErrOverloaded", i, err)
-		}
+			done := make(chan struct{})
+			go func() { r.Stop(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Stop did not return promptly with full inboxes")
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != ErrStopped && err != ErrOverloaded {
+					t.Fatalf("caller %d: got (%v), want ErrStopped or ErrOverloaded", i, err)
+				}
+			}
+		})
 	}
 }
 
@@ -425,7 +435,21 @@ func TestChaosOverloadKillLC(t *testing.T) {
 				t.Fatalf("shed(%d)+served(%d) = %d, want attempts %d", shed.Load(), served.Load(), got, attempts.Load())
 			}
 
-			s := r.Metrics()
+			// The ticker keeps arming half-open probes after the load stops,
+			// so a breaker can move between reading its gauge and reading
+			// its state: take the snapshot between two equal state reads.
+			var s *metrics.Snapshot
+			var states [4][]int32
+			for try, stable := 0, false; !stable && try < 50; try++ {
+				for lc := range states {
+					states[lc] = r.BreakerStates(lc)
+				}
+				s = r.Metrics()
+				stable = true
+				for lc := range states {
+					stable = stable && slices.Equal(states[lc], r.BreakerStates(lc))
+				}
+			}
 			// Breaker reconciliation: every short-circuit left one
 			// EvBreaker trace event (sampling rate 0, but breaker traces
 			// are always captured late), the state gauge mirrors
@@ -440,9 +464,8 @@ func TestChaosOverloadKillLC(t *testing.T) {
 			}
 			for lc := 0; lc < 4; lc++ {
 				lbl := metrics.L("lc", strconv.Itoa(lc))
-				states := r.BreakerStates(lc)
 				nonClosed := 0.0
-				for home, st := range states {
+				for home, st := range states[lc] {
 					if home == lc {
 						continue
 					}

@@ -20,12 +20,16 @@
 //
 // Concurrency design, per the repository's Go guides: no shared mutable
 // state. Each LC goroutine exclusively owns its cache and engine; all
-// communication is message passing. By default inter-LC channels are
-// unbounded (a small buffering goroutine per LC) so LCs never deadlock
-// on mutual backpressure; WithOverload replaces them with bounded
-// inboxes plus an admission layer that sheds — never blocks — on the
-// fabric path, preserving the same deadlock freedom while bounding
-// memory and tail latency (see overload.go).
+// communication is message passing. Like the paper's line card behind its
+// finite fabric queues, every LC has exactly one way in: a bounded data
+// inbox, plus a small dedicated control channel so flushes, swaps and
+// stats collection land even when the data inbox is full. A caller
+// submitting a lookup blocks while the inbox is full; an LC sending to a
+// peer never does — a fabric message that finds the peer's inbox full is
+// shed (and counted), and the requester's deadline machinery below
+// recovers the lookup, so mutually-full LCs cannot deadlock. WithOverload
+// layers a policy on the same inbox: refuse rather than block at
+// admission, retry budgets, circuit breakers (see overload.go).
 //
 // Failure model: the paper assumes a lossless fabric; this package does
 // not. Every fabric request carries a deadline tracked by a coarse
@@ -74,23 +78,15 @@ type Verdict struct {
 	ServedBy ServedBy
 }
 
-// Config configures a concurrent router. Most callers should use New with
-// functional options instead of filling this struct directly; Config
-// remains exported for the legacy NewWithConfig path and for
-// introspection.
-type Config struct {
+// config is what the options passed to New fill in.
+type config struct {
 	// NumLCs is ψ.
 	NumLCs int
 	// Table is the routing table to partition.
 	Table *rtable.Table
-	// Engine builds each LC's matching structure; nil uses the hash-based
-	// reference engine.
-	//
-	// Deprecated: prefer EngineName, which resolves through the shared
-	// engine registry (internal/lpm/engines) and is validated at
-	// construction. Engine remains for callers supplying a custom Builder
-	// (the WithEngine option still populates it); a non-empty EngineName
-	// takes precedence over this field.
+	// Engine builds each LC's matching structure (WithEngine: a custom
+	// Builder, e.g. a test's fake engine). A non-empty EngineName replaces
+	// it; with neither set the hash-based reference engine is used.
 	Engine lpm.Builder
 	// EngineName selects the per-LC engine by registry name ("flat",
 	// "lulea", "stride24", ...). Empty falls back to Engine (or the
@@ -106,13 +102,6 @@ type Config struct {
 	// power of two that keeps the per-shard geometry valid; 0 and 1 mean
 	// unsharded. See WithCacheShards.
 	CacheShards int
-	// BatchCoalescing selects the pooled-descriptor batch data plane for
-	// LookupBatch / LookupBatchCtx / LookupBatchInto: one message per
-	// batch, same-home misses coalesced into one fabric message per
-	// destination LC, zero steady-state allocations. False keeps the
-	// legacy per-address submission path. Routers built with New default
-	// it on; the zero Config (legacy NewWithConfig callers) keeps it off.
-	BatchCoalescing bool
 	// FaultInjector, when non-nil, intercepts every fabric request and
 	// reply; see fault.go. Nil is a perfect fabric.
 	FaultInjector FaultInjector
@@ -151,11 +140,10 @@ type Config struct {
 	// TraceLogger, when non-nil, receives one structured record per
 	// completed trace.
 	TraceLogger *slog.Logger
-	// Overload configures the overload-control subsystem (bounded
-	// inboxes, load shedding, retry budgets, circuit breakers; see
-	// overload.go). The zero value keeps it disabled: the router runs its
-	// original unbounded buffering goroutines and never returns
-	// ErrOverloaded.
+	// Overload configures the overload-control policy (inbox depth,
+	// admission shedding, retry budgets, circuit breakers; see
+	// overload.go). The zero value keeps it off: callers block on a full
+	// inbox and the router never returns ErrOverloaded.
 	Overload OverloadPolicy
 	// Rebalance configures the background partition rebalancer that rides
 	// the health ticker: when incremental updates (ApplyUpdates) drift the
@@ -337,10 +325,10 @@ type lineCard struct {
 	waiters      atomic.Int64
 
 	// ov is the overload-control state (shed counters, retry bucket,
-	// per-home breakers; see overload.go). Always allocated, only
-	// exercised when the router's policy is enabled. Its counters are
-	// atomic; its token bucket and breaker bookkeeping follow the same
-	// ownership rule as pending above.
+	// per-home breakers; see overload.go). The fabric shed counters are
+	// live on every router, the rest only under an overload policy. Its
+	// counters are atomic; its token bucket and breaker bookkeeping follow
+	// the same ownership rule as pending above.
 	ov *lcOverload
 
 	// hedgeTokens is this LC's hedge budget (see gray.go): spent by
@@ -355,10 +343,9 @@ type fallbackEngine struct{ eng lpm.Engine }
 
 // Router is a running SPAL forwarding plane.
 type Router struct {
-	cfg     Config
-	inboxes []chan message
-	outs    []chan message // buffer → LC legs, kept for slot rebirth
-	ctrls   []chan message // control-plane legs (overload mode; nil entries otherwise)
+	cfg     config
+	inboxes []chan message // bounded data inboxes, one per LC
+	ctrls   []chan message // control-plane legs, one per LC
 	quit    chan struct{}
 	stopped atomic.Bool
 	wg      sync.WaitGroup
@@ -374,7 +361,8 @@ type Router struct {
 
 	// Overload control (see overload.go): the normalized policy and the
 	// ShedDropRemoteFirst soft limit (3/4 of QueueDepth). ov.Enabled
-	// false means every structure in overload.go stays inert.
+	// false leaves only the inbox depth in force: no admission shedding,
+	// breakers, retry budget or waitlist cap.
 	ov          OverloadPolicy
 	remoteLimit int
 
@@ -460,18 +448,10 @@ type Router struct {
 //
 //	router.New(tbl, router.WithLCs(16), router.WithDefaultCache())
 func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
-	cfg := Config{NumLCs: 1, Table: tbl, BatchCoalescing: true}
+	cfg := config{NumLCs: 1, Table: tbl}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return NewWithConfig(cfg)
-}
-
-// NewWithConfig builds and starts a router from an explicit Config.
-//
-// Deprecated: this is the compatibility constructor for pre-option
-// callers; new code should use New with functional options.
-func NewWithConfig(cfg Config) (*Router, error) {
 	if cfg.NumLCs < 1 {
 		return nil, fmt.Errorf("router: NumLCs must be >= 1, got %d", cfg.NumLCs)
 	}
@@ -525,10 +505,8 @@ func NewWithConfig(cfg Config) (*Router, error) {
 		})
 	}
 	r.ov = normalizeOverload(cfg.Overload, r.timeout)
-	if r.ov.Enabled {
-		if r.remoteLimit = r.ov.QueueDepth * 3 / 4; r.remoteLimit < 1 {
-			r.remoteLimit = 1
-		}
+	if r.remoteLimit = r.ov.QueueDepth * 3 / 4; r.remoteLimit < 1 {
+		r.remoteLimit = 1
 	}
 	// The fallback engine is deliberately never corruption-wrapped: it is
 	// the degraded-path and repair authority, and must stay correct no
@@ -552,7 +530,7 @@ func NewWithConfig(cfg Config) (*Router, error) {
 	r.baselineRepl = r.part.Stats().Replication
 	r.lastRebalance = time.Now()
 	// Build every per-LC structure before starting any goroutine: the LC
-	// loops index r.life/r.outs from their first tick, so the slices must
+	// loops index r.life from their first tick, so the slices must
 	// never be appended to (reallocated) once a goroutine is running.
 	now := time.Now()
 	for i := 0; i < cfg.NumLCs; i++ {
@@ -592,80 +570,23 @@ func NewWithConfig(cfg Config) (*Router, error) {
 		r.gray = append(r.gray, &lcGray{})
 		life := &lcLife{die: make(chan struct{}), exited: make(chan struct{})}
 		life.lastBeat.Store(now)
-		if r.ov.Enabled {
-			// Bounded mode: the inbox IS the LC's queue (no buffering
-			// goroutine; outs aliases it so slot rebirth stays uniform),
-			// and control traffic rides its own channel so lifecycle and
-			// update messages never contend with data admission.
-			in := make(chan message, r.ov.QueueDepth)
-			r.inboxes = append(r.inboxes, in)
-			r.outs = append(r.outs, in)
-			r.ctrls = append(r.ctrls, make(chan message, ctrlDepth))
-		} else {
-			r.inboxes = append(r.inboxes, make(chan message, 64))
-			r.outs = append(r.outs, make(chan message, 64))
-			r.ctrls = append(r.ctrls, nil)
-		}
+		// The inbox is the LC's queue, QueueDepth deep (that depth is the
+		// router's whole buffering budget); control traffic rides its own
+		// channel so lifecycle and update messages never contend with data
+		// admission.
+		r.inboxes = append(r.inboxes, make(chan message, r.ov.QueueDepth))
+		r.ctrls = append(r.ctrls, make(chan message, ctrlDepth))
 		r.lcs = append(r.lcs, lc)
 		r.stats = append(r.stats, lc.stats)
 		r.life = append(r.life, life)
 	}
 	for i := 0; i < cfg.NumLCs; i++ {
-		if r.ov.Enabled {
-			r.wg.Add(1)
-		} else {
-			r.wg.Add(2)
-			go r.buffer(r.inboxes[i], r.outs[i])
-		}
-		go r.lcLoop(r.lcs[i], r.outs[i], r.ctrls[i], r.life[i].die, r.life[i].exited)
+		r.wg.Add(1)
+		go r.lcLoop(r.lcs[i], r.inboxes[i], r.ctrls[i], r.life[i].die, r.life[i].exited)
 	}
 	r.wg.Add(1)
 	go r.healthLoop()
 	return r, nil
-}
-
-// buffer is the unbounded queue between senders and an LC: it never blocks
-// a sender, which rules out inter-LC deadlock by construction. The queue
-// is a grow-only slice drained by a cursor and rewound whenever it runs
-// empty, so steady-state traffic recycles the same backing array instead
-// of allocating on every append the way the old q = q[1:] loop did — a
-// requirement of the batch data plane's zero-allocation budget.
-func (r *Router) buffer(in <-chan message, out chan<- message) {
-	defer r.wg.Done()
-	var q []message
-	head := 0
-	for {
-		var send chan<- message
-		var first message
-		if head < len(q) {
-			send = out
-			first = q[head]
-		} else if len(q) > 0 {
-			q = q[:0]
-			head = 0
-		}
-		select {
-		case m := <-in:
-			q = append(q, m)
-		case send <- first:
-			// Zero the drained element: a parked message can hold a batch
-			// descriptor, trace, or reply channel the queue must not pin.
-			q[head] = message{}
-			head++
-		case <-r.quit:
-			return
-		}
-	}
-}
-
-// send delivers a message to an LC's unbounded inbox.
-func (r *Router) send(lc int, m message) bool {
-	select {
-	case r.inboxes[lc] <- m:
-		return true
-	case <-r.quit:
-		return false
-	}
 }
 
 // sendFabric delivers a request or reply across the (virtual) fabric,
@@ -677,7 +598,7 @@ func (r *Router) send(lc int, m message) bool {
 // per-address by the requesters' deadline machinery).
 func (r *Router) sendFabric(to int, m message) {
 	if r.injector == nil {
-		r.fabricDeliver(to, m)
+		r.deliverData(to, m)
 		return
 	}
 	d := r.injector(FabricMessage{Reply: m.kind == mReply || m.kind == mBatchReply, From: m.from, To: to, Addr: m.addr})
@@ -690,12 +611,12 @@ func (r *Router) sendFabric(to int, m message) {
 	}
 	for i := 0; i < copies; i++ {
 		if d.Delay <= 0 {
-			r.fabricDeliver(to, m)
+			r.deliverData(to, m)
 			continue
 		}
 		// Delayed copies ride a helper goroutine; Stop waits for these
-		// after the LC goroutines exit, and send itself bails out on
-		// quit, so a delayed message can never outlive the router.
+		// after the LC goroutines exit, and the helper bails out on quit,
+		// so a delayed message can never outlive the router.
 		r.delayWG.Add(1)
 		go func() {
 			defer r.delayWG.Done()
@@ -703,21 +624,10 @@ func (r *Router) sendFabric(to int, m message) {
 			defer t.Stop()
 			select {
 			case <-t.C:
-				r.fabricDeliver(to, m)
+				r.deliverData(to, m)
 			case <-r.quit:
 			}
 		}()
-	}
-}
-
-// fabricDeliver is the final hop of a fabric send: the unbounded inbox
-// when overload control is off, the shedding bounded path when it is on.
-// Either way the sending LC never blocks on a full peer.
-func (r *Router) fabricDeliver(to int, m message) {
-	if r.ov.Enabled {
-		r.deliverData(to, m)
-	} else {
-		r.send(to, m)
 	}
 }
 
@@ -730,8 +640,7 @@ func (r *Router) fabricDeliver(to int, m message) {
 // crash switch (KillLC); exited announces this incarnation's death to
 // the health monitor, which may then adopt the lineCard and start a
 // successor incarnation (see lifecycle.go). ctrl is the control-plane
-// leg when overload control is enabled (nil otherwise — a nil channel
-// case simply never fires).
+// leg.
 func (r *Router) lcLoop(lc *lineCard, inbox, ctrl <-chan message, die, exited chan struct{}) {
 	defer r.wg.Done()
 	defer close(exited)
@@ -1336,7 +1245,19 @@ func (r *Router) release(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool,
 // cache.
 func (r *Router) sendReply(lc *lineCard, rw remoteWaiter, addr ip.Addr, nh rtable.NextHop, ok bool, feNS int64, gen uint64) {
 	lc.stats.RepliesSent.Add(1)
-	r.sendFabric(rw.from, message{kind: mReply, addr: addr, nextHop: nh, ok: ok, from: lc.id, epoch: rw.epoch, hops: rw.hops, feNS: feNS, gen: gen})
+	r.sendFabric(rw.from, message{kind: mReply, addr: addr, nextHop: nh, ok: ok, from: lc.id, epoch: rw.epoch, hops: rw.hops, feNS: feNS, gen: r.stampGen(lc, gen)})
+}
+
+// stampGen is the generation a reply from lc leaves with. A pinned LC
+// (quarantined or ejected, see genPinned) stamps zero, older than any
+// generation a peer holds once the pin's own bump has reached it, so the
+// peer's guard delivers the value to its waiters and keeps it out of its
+// cache.
+func (r *Router) stampGen(lc *lineCard, gen uint64) uint64 {
+	if r.genPinned(lc.id) {
+		return 0
+	}
+	return gen
 }
 
 // Lookup submits a destination address at line card lc and waits for the
@@ -1368,7 +1289,7 @@ func (r *Router) LookupCtx(ctx context.Context, lc int, addr ip.Addr) (Verdict, 
 	if err := ctx.Err(); err != nil {
 		return Verdict{}, err
 	}
-	ch, err := r.LookupAsync(lc, addr)
+	ch, err := r.lookupAsync(ctx, lc, addr)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -1390,12 +1311,18 @@ func (r *Router) LookupCtx(ctx context.Context, lc int, addr ip.Addr) (Verdict, 
 // Use it to keep many lookups in flight from one caller — the pattern a
 // real ingress pipeline uses.
 //
-// On a router built WithOverload, admission happens here: a full inbox
+// Admission happens here. By default the call blocks while the arrival
+// LC's inbox is full. On a router built WithOverload a full inbox
 // returns ErrOverloaded synchronously (drop modes) or blocks until space
-// frees (ShedBlock). A lookup shed after admission — waitlist overflow,
-// replay shed — delivers a ServedByShed verdict on the channel; the
-// synchronous wrappers convert it to ErrOverloaded.
+// frees (ShedBlock), and a lookup shed after admission — waitlist
+// overflow, replay shed — delivers a ServedByShed verdict on the channel;
+// the synchronous wrappers convert it to ErrOverloaded.
 func (r *Router) LookupAsync(lc int, addr ip.Addr) (<-chan Verdict, error) {
+	return r.lookupAsync(context.Background(), lc, addr)
+}
+
+// lookupAsync is LookupAsync giving up on admission when ctx is cancelled.
+func (r *Router) lookupAsync(ctx context.Context, lc int, addr ip.Addr) (<-chan Verdict, error) {
 	if lc < 0 || lc >= r.cfg.NumLCs {
 		return nil, fmt.Errorf("router: no such LC %d", lc)
 	}
@@ -1407,15 +1334,8 @@ func (r *Router) LookupAsync(lc int, addr ip.Addr) (<-chan Verdict, error) {
 			tr.Record(tracing.EvArrival, int64(lc), 0)
 		}
 	}
-	m := message{kind: mLookup, addr: addr, resp: resp, start: start, tr: tr}
-	if r.ov.Enabled {
-		if err := r.admitLookup(lc, m); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	}
-	if !r.send(lc, m) {
-		return nil, ErrStopped
+	if err := r.admit(ctx, lc, message{kind: mLookup, addr: addr, resp: resp, start: start, tr: tr}); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }
@@ -1444,29 +1364,6 @@ func (r *Router) LookupBatchCtx(ctx context.Context, lc int, addrs []ip.Addr) ([
 		return nil, err
 	}
 	return out, nil
-}
-
-// lookupBatchSingles is the legacy batch path (BatchCoalescing off): N
-// independent submissions, N buffered reply channels, collected in order.
-func (r *Router) lookupBatchSingles(ctx context.Context, lc int, addrs []ip.Addr, out []Verdict) error {
-	chans := make([]<-chan Verdict, len(addrs))
-	for i, a := range addrs {
-		ch, err := r.LookupAsync(lc, a)
-		if err != nil {
-			return err
-		}
-		chans[i] = ch
-	}
-	for i, ch := range chans {
-		select {
-		case out[i] = <-ch:
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-r.quit:
-			return ErrStopped
-		}
-	}
-	return nil
 }
 
 // HomeLC exposes the partitioning decision for an address.

@@ -267,9 +267,6 @@ func TestInvalidConfigs(t *testing.T) {
 	if _, err := New(rtable.New(nil), WithLCs(2)); err == nil {
 		t.Error("empty table should fail")
 	}
-	if _, err := NewWithConfig(Config{NumLCs: 0, Table: tbl}); err == nil {
-		t.Error("legacy constructor: NumLCs 0 should fail")
-	}
 }
 
 func TestLookupInvalidLC(t *testing.T) {

@@ -266,10 +266,10 @@ func (r *Router) maybeScrubLocked(now time.Time) {
 // replies out of every peer cache: the router-wide generation advances
 // and every other LC adopts it via an empty mApplyUpdates (a pure
 // generation bump — no route changes, no invalidations, no flush), while
-// i keeps its old generation until rebuilt. From that point the
-// generation guard (m.gen < lc.gen, see updates.go) classifies every
-// reply i sends as stale at the receiver: delivered to parked lookups,
-// never cached. r.mu must be held.
+// i stamps its replies with generation zero until rebuilt (see stampGen).
+// From that point the generation guard (m.gen < lc.gen, see updates.go)
+// classifies every reply i sends as stale at the receiver: delivered to
+// parked lookups, never cached. r.mu must be held.
 func (r *Router) quarantineLocked(i int) {
 	r.life[i].state.Store(LCQuarantined)
 	r.quarantines.Add(1)

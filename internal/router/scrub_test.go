@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"spal/internal/cache"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/rtable"
@@ -278,6 +279,61 @@ func TestQuarantineManualRestore(t *testing.T) {
 		if !verdictMatches(v, oracle, a) {
 			t.Fatalf("wrong verdict for %s after manual restore", ip.FormatAddr(a))
 		}
+	}
+}
+
+// TestPinnedRequesterKeepsStaleGuard: a quarantined (or ejected) LC is
+// fenced as a *responder*, but as a requester it still runs every update
+// batch's invalidations, so its own stale-reply guard has to move with
+// them. A reply computed before a batch and delivered after the pinned LC
+// invalidated for it may answer the lookups that were in flight, and must
+// not stay behind as a cache entry. (It did: the pin froze the guard's
+// generation, which TestGrayBrownoutHeadline caught as one wrong verdict
+// on about a quarter of runs at GOMAXPROCS=1.)
+func TestPinnedRequesterKeepsStaleGuard(t *testing.T) {
+	tbl := rtable.Small(400, 7)
+	dropReplies := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: m.Reply} }
+	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"),
+		WithFaultInjector(dropReplies), WithRequestTimeout(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	addr := remoteAddrs(t, r, tbl, stats.NewRNG(21), 1, 1)[0]
+	route, ok := tbl.LongestMatch(addr)
+	if !ok {
+		t.Fatal("picked an unmatched address")
+	}
+
+	// The lookup parks at LC 0; the home's reply is lost.
+	parked, err := r.LookupAsync(0, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "home LC to answer the request", func() bool { return r.Stats()[1].RepliesSent.Load() == 1 })
+
+	r.mu.Lock()
+	r.life[0].state.Store(LCQuarantined)
+	oldGen := r.gen
+	r.mu.Unlock()
+	changed := route
+	changed.NextHop++
+	if err := r.ApplyUpdates([]rtable.Update{{Kind: rtable.Announce, Route: changed}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The lost reply, arriving late with the pre-batch value.
+	r.inboxes[0] <- message{kind: mReply, addr: addr, nextHop: route.NextHop, ok: true, from: 1, gen: oldGen}
+	if v := <-parked; v.NextHop != route.NextHop && v.NextHop != changed.NextHop {
+		t.Fatalf("in-flight lookup resolved %+v, want next hop %d or %d", v, route.NextHop, changed.NextHop)
+	}
+	if got := r.Stats()[0].StaleGenReplies.Load(); got != 1 {
+		t.Errorf("pinned requester classified %d replies as generationally stale, want 1", got)
+	}
+	probe := make(chan cache.ProbeResult, 1)
+	r.inboxes[0] <- message{kind: mExec, do: func(lc *lineCard) { probe <- lc.cache.Probe(addr) }}
+	if res := <-probe; res.Kind == cache.Hit && res.NextHop == route.NextHop {
+		t.Fatalf("pre-batch next hop %d survived the batch's invalidation in the pinned LC's cache", route.NextHop)
 	}
 }
 

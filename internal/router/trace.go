@@ -33,7 +33,7 @@ import (
 // counter increment; with tracing disabled entirely (no trace option
 // given), it pays the nil check alone.
 func WithTraceSampling(rate float64) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		c.TracingEnabled = true
 		c.TraceSampleRate = rate
 	}
@@ -44,7 +44,7 @@ func WithTraceSampling(rate float64) Option {
 // arrival_lc, served_by, ok, latency_ns, events, flags). Implies
 // tracing.
 func WithLogger(l *slog.Logger) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		c.TracingEnabled = true
 		c.TraceLogger = l
 	}
@@ -53,7 +53,7 @@ func WithLogger(l *slog.Logger) Option {
 // WithTraceJournal sizes the bounded ring of completed traces behind
 // Router.Traces (default 1024). Implies tracing.
 func WithTraceJournal(size int) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		c.TracingEnabled = true
 		c.TraceJournal = size
 	}

@@ -181,18 +181,13 @@ func (r *Router) handleApplyUpdates(lc *lineCard, m message) {
 		}
 		lc.stats.UpdatesApplied.Add(int64(len(m.updates)))
 	}
-	if !r.genPinned(lc.id) {
-		// The quarantine/ejection fence is the generation gap itself:
-		// peers keep a pinned LC's replies out of their caches because its
-		// gen trails theirs. Advancing it here would silently re-arm
-		// caching of a known-damaged (or browned-out — see gray.go)
-		// engine's verdicts on the next routine batch, so a pinned LC's
-		// gen stays put — the engine delta and cache invalidation still
-		// land, keeping served verdicts as fresh as possible — and catches
-		// up only through the rebuild swap (mSwapEngine) or the ejection
-		// restore's catch-up message.
-		lc.gen = m.gen
-	}
+	// Even a pinned (quarantined or ejected) LC records the generation: it
+	// has run this batch's invalidations, so its own stale-reply guard must
+	// move with them, or a pre-batch value still in flight toward it would
+	// be cached as fresh and outlive the invalidation. The fence that keeps
+	// a pinned LC's verdicts out of peer caches is applied where it sends
+	// them (see stampGen), not by holding this counter back.
+	lc.gen = m.gen
 	if lc.cache != nil {
 		for _, rg := range m.ranges {
 			lc.cache.InvalidateRange(rg.Lo, rg.Hi)

@@ -69,9 +69,6 @@ type (
 	SimResult = sim.Result
 	// Router is the concurrent forwarding plane.
 	Router = router.Router
-	// RouterConfig configures a concurrent router (legacy surface; prefer
-	// RouterOption with NewRouter).
-	RouterConfig = router.Config
 	// RouterOption is a functional option for NewRouter.
 	RouterOption = router.Option
 	// Verdict is a concurrent-router lookup outcome.
@@ -98,7 +95,7 @@ type (
 	// LCState is one line card's lifecycle state (see Router.LCStates,
 	// Router.KillLC, Router.DrainLC, Router.RestoreLC).
 	LCState = router.LCState
-	// OverloadPolicy configures overload control: bounded inboxes, load
+	// OverloadPolicy configures overload control: inbox depth, load
 	// shedding, retry budgets, circuit breakers (see WithRouterOverload).
 	OverloadPolicy = router.OverloadPolicy
 	// ShedMode selects what admission does with a full inbox
@@ -258,12 +255,6 @@ func NewRouter(tbl *Table, opts ...RouterOption) (*Router, error) {
 	return router.New(tbl, opts...)
 }
 
-// NewRouterFromConfig starts a router from an explicit RouterConfig.
-//
-// Deprecated: compatibility shim for the pre-option API; use NewRouter
-// with functional options.
-func NewRouterFromConfig(cfg RouterConfig) (*Router, error) { return router.NewWithConfig(cfg) }
-
 // WithLCs sets ψ, the number of line cards.
 func WithLCs(n int) RouterOption { return router.WithLCs(n) }
 
@@ -288,12 +279,6 @@ func WithRouterEngineName(name string) RouterOption { return router.WithEngineNa
 // unchanged. n must be a power of two that leaves the per-shard
 // geometry valid; 0 and 1 mean unsharded.
 func WithRouterCacheShards(n int) RouterOption { return router.WithCacheShards(n) }
-
-// WithRouterBatchCoalescing toggles the pooled-descriptor batch data
-// plane behind (*Router).LookupBatchInto: one fabric message per
-// destination LC per batch instead of one per address. NewRouter
-// defaults it on; pass false to force per-address submission.
-func WithRouterBatchCoalescing(on bool) RouterOption { return router.WithBatchCoalescing(on) }
 
 // WithRouterFaultInjector installs a chaos hook on the fabric message
 // path; see SeededFaults for a deterministic injector.
@@ -330,9 +315,9 @@ func WithRouterTraceLogger(l *slog.Logger) RouterOption { return router.WithLogg
 // (*Router).Traces (default 1024); implies tracing.
 func WithRouterTraceJournal(size int) RouterOption { return router.WithTraceJournal(size) }
 
-// WithRouterOverload enables overload control: bounded per-LC inboxes
-// with shed-at-arrival admission (Lookup returns ErrOverloaded instead
-// of queueing without limit), an adaptive retry budget, and per-home-LC
+// WithRouterOverload enables overload control: shed-at-arrival admission
+// on the bounded per-LC inboxes (Lookup returns ErrOverloaded instead of
+// blocking behind a full inbox), an adaptive retry budget, and per-home-LC
 // circuit breakers that short-circuit doomed fabric sends to the
 // fallback engine. Zero policy fields select defaults; see
 // OverloadPolicy.
