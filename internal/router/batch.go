@@ -370,7 +370,7 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 		sc.byHome[home] = nil
 		lc.stats.RequestsSent.Add(1)
 		lc.stats.BatchRequestsSent.Add(1)
-		r.sendFabric(home, message{kind: mBatchRequest, from: lc.id, epoch: lc.epoch, fb: fb, addr: fb.addrs[0]})
+		lc.post(home, message{kind: mBatchRequest, from: lc.id, epoch: lc.epoch, fb: fb, addr: fb.addrs[0], start: now})
 	}
 	sc.homes = sc.homes[:0]
 }
@@ -390,7 +390,7 @@ func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 			// forward hop consumed, preserving handleRequest's ping-pong
 			// cap via the individual-request path.
 			lc.stats.ForwardedRequests.Add(1)
-			r.sendFabric(home, message{kind: mRequest, addr: addr, from: m.from, epoch: m.epoch, hops: 1})
+			lc.post(home, message{kind: mRequest, addr: addr, from: m.from, epoch: m.epoch, hops: 1, start: m.start})
 			continue
 		}
 		rw := remoteWaiter{from: m.from, epoch: m.epoch, gen: lc.gen}
@@ -471,7 +471,7 @@ func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 		lc.stats.BatchRepliesSent.Add(1)
 		// Batch replies carry no per-address FE timing (feNS stays 0) —
 		// the home-side split isn't measured on this path.
-		r.sendFabric(m.from, message{kind: mBatchReply, from: lc.id, epoch: m.epoch, gen: r.stampGen(lc, lc.gen), fb: rb, addr: rb.addrs[0]})
+		lc.post(m.from, message{kind: mBatchReply, from: lc.id, epoch: m.epoch, gen: r.stampGen(lc, lc.gen), fb: rb, addr: rb.addrs[0]})
 	}
 }
 

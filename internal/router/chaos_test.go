@@ -316,6 +316,82 @@ func TestChaosUpdateHammer(t *testing.T) {
 	})
 }
 
+// TestStaleHomeCacheAcrossSwap is the deterministic form of the failure
+// TestChaosUpdateHammer hit a few times in a hundred: between the two
+// phases of UpdateTable a home LC that has installed the new engine (and
+// stamps its replies with the new generation) must not still answer from
+// LR-cache entries of the old table, or a requester that has already
+// rekeyed accepts the old value past both its epoch and its generation
+// guard and keeps it as a REM entry after UpdateTable has returned. The
+// phases are driven by hand: swap both LCs, rekey the requester only,
+// look up an address the home had cached, rekey the home.
+func TestStaleHomeCacheAcrossSwap(t *testing.T) {
+	t1 := rtable.Small(1500, 7)
+	t2 := rtable.Small(1500, 8)
+	o1, o2 := lpm.NewReference(t1), lpm.NewReference(t2)
+	p2 := partition.Partition(t2, 2)
+	r, err := New(t1, WithLCs(2), WithDefaultCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+
+	// An address both tables route, to different next hops, with the same
+	// home under both partitionings.
+	const home, req = 1, 0
+	var addr ip.Addr
+	found := false
+	rng := stats.NewRNG(23)
+	for i := 0; i < 100000 && !found; i++ {
+		a := t1.RandomMatchedAddr(rng)
+		nh1, _, _ := o1.Lookup(a)
+		nh2, _, ok2 := o2.Lookup(a)
+		if ok2 && nh1 != nh2 && r.HomeLC(a) == home && p2.HomeLC(a) == home {
+			addr, found = a, true
+		}
+	}
+	if !found {
+		t.Fatal("no address routed differently by both tables at a stable home")
+	}
+	// The home caches the old table's verdict as a LOC entry.
+	if v, err := r.Lookup(home, addr); err != nil || !verdictMatches(v, o1, addr) {
+		t.Fatalf("warm-up lookup: %+v, %v", v, err)
+	}
+
+	ctrl := func(lc int, m message) {
+		t.Helper()
+		done := make(chan struct{})
+		m.swapDone = done
+		if !r.sendCtrlSwap(lc, m) {
+			t.Fatal("router stopped")
+		}
+		<-done
+	}
+	r.mu.Lock()
+	r.fallback.Store(&fallbackEngine{eng: r.cfg.Engine(t2)})
+	r.gen++
+	for lc := 0; lc < 2; lc++ {
+		ctrl(lc, message{kind: mSwapEngine, engine: r.buildEngine(p2.Table(lc)), homeOf: p2.HomeLC, gen: r.gen})
+	}
+	ctrl(req, message{kind: mRekey})
+	v, err := r.Lookup(req, addr)
+	ctrl(home, message{kind: mRekey})
+	r.part = p2
+	r.mu.Unlock()
+
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !verdictMatches(v, o2, addr) {
+		t.Fatalf("requester rekeyed, home only swapped: verdict %+v (served by %s) is the old table's", v, v.ServedBy)
+	}
+	// And nothing of the old table survived in the requester's cache.
+	v, err = r.Lookup(req, addr)
+	if err != nil || !verdictMatches(v, o2, addr) {
+		t.Fatalf("after the swap completed: verdict %+v (served by %s), %v; want the new table's", v, v.ServedBy, err)
+	}
+}
+
 // TestStaleRequestAfterRehomeForwarded is the update-window poisoning
 // regression: a request still in flight when UpdateTable re-homes its
 // address must be forwarded to the new home, not resolved (and cached)
@@ -358,7 +434,7 @@ func TestStaleRequestAfterRehomeForwarded(t *testing.T) {
 
 	// Replay the in-flight request: sent to the old home (LC 1) by LC 0
 	// before the update, i.e. with the pre-update epoch 0.
-	r.inboxes[1] <- message{kind: mRequest, addr: addr, from: 0, epoch: 0}
+	r.push(1, message{kind: mRequest, addr: addr, from: 0, epoch: 0})
 
 	// LC 1 must forward it to the new home (LC 0), which executes the FE
 	// and replies to the original requester; the requester drops the
@@ -377,7 +453,7 @@ func TestStaleRequestAfterRehomeForwarded(t *testing.T) {
 
 	// The old home's cache must not hold the address at all.
 	probeRes := make(chan cache.ProbeKind, 1)
-	r.inboxes[1] <- message{kind: mExec, do: func(lc *lineCard) { probeRes <- lc.cache.Probe(addr).Kind }}
+	r.push(1, message{kind: mExec, do: func(lc *lineCard) { probeRes <- lc.cache.Probe(addr).Kind }})
 	if k := <-probeRes; k != cache.Miss {
 		t.Errorf("old home cached the re-homed address (probe = %d), want miss", k)
 	}
@@ -428,11 +504,11 @@ func TestCacheBypassCoalescesSecondLookup(t *testing.T) {
 	var once sync.Once
 	unstall := func() { once.Do(func() { close(release) }) }
 	defer unstall()
-	r.inboxes[1] <- message{kind: mExec, do: func(*lineCard) { <-release }}
+	r.push(1, message{kind: mExec, do: func(*lineCard) { <-release }})
 
 	syncLC0 := func() {
 		done := make(chan struct{})
-		r.inboxes[0] <- message{kind: mExec, do: func(*lineCard) { close(done) }}
+		r.push(0, message{kind: mExec, do: func(*lineCard) { close(done) }})
 		<-done
 	}
 

@@ -90,9 +90,9 @@ func (r *Router) wrapCache(i int, s cache.Store) cache.Store {
 
 // maybeInjectLocked is the health ticker's engine-flip hook: one draw per
 // serving LC per tick; a firing draw poisons one partition prefix in that
-// LC's live engine with the wrong verdict. The poison is applied on the
-// owning LC goroutine (the engine is goroutine-private) and the monitor
-// waits for it, so the flip counter is exact. r.mu must be held.
+// LC's live engine with the wrong verdict. The poison is applied by the
+// LC itself (a control closure, run under lineCard.mu like any handler)
+// and the monitor waits for it, so the flip counter is exact. r.mu must be held.
 func (r *Router) maybeInjectLocked() {
 	p := r.corruptPol
 	if !p.Enabled || p.EngineFlipRate <= 0 {

@@ -164,7 +164,7 @@ func WithGray(p GrayPolicy) Option {
 }
 
 // lcRTT holds one home LC's fabric round-trip samples. observe is called
-// by requester LC goroutines (any of them — the mutex is the arbitration
+// by requester LCs' reply handlers (any of them — the mutex is the arbitration
 // between ψ−1 writers and the monitor's reader); the quantile gauges are
 // atomics so Metrics reads them without the lock.
 type lcRTT struct {

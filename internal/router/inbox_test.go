@@ -153,8 +153,8 @@ func TestPolicyOffCallerBlocksOnFullInbox(t *testing.T) {
 // without an overload policy. The inbox is packed with data-plane closures
 // that each block until the test releases them, and the test releases one
 // only after the control calls have had a millisecond to finish without
-// it — so they finish after a handful of data messages (the LC's select
-// takes control and data with equal odds), or, if control queued behind
+// it — so they finish after a handful of data messages (the LC takes
+// pending control before each data message), or, if control queued behind
 // data, only once the whole inbox had drained.
 func TestControlLandsWhileDataInboxFull(t *testing.T) {
 	for name, opts := range map[string][]Option{
@@ -174,7 +174,7 @@ func TestControlLandsWhileDataInboxFull(t *testing.T) {
 			depth := cap(r.inboxes[0])
 			// depth+1: the LC takes one closure off the inbox and blocks in it.
 			for i := 0; i <= depth; i++ {
-				r.inboxes[0] <- message{kind: mExec, do: func(*lineCard) { <-step }}
+				r.push(0, message{kind: mExec, do: func(*lineCard) { <-step }})
 			}
 			ctrlDone := make(chan error, 1)
 			go func() {
@@ -229,4 +229,12 @@ func TestGoroutinesAtRest(t *testing.T) {
 	r.Stop()
 	// Stop waits for each goroutine's last deferred call, not its exit.
 	waitFor(t, "router goroutines to exit after Stop", func() bool { return routerGoroutines() == before })
+}
+
+// push queues m on LC i's data inbox the way every production sender
+// does — counted in the LC's backlog first, so nothing submitted after it
+// overtakes it by running inline.
+func (r *Router) push(i int, m message) {
+	r.lcs[i].backlog.Add(1)
+	r.inboxes[i] <- m
 }

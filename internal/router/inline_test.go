@@ -1,0 +1,479 @@
+// Tests for the run-to-completion hand-off (runInline): which goroutine
+// runs a handler is decided by the LC's observable state, and every state
+// that sends traffic back to the inbox keeps its old semantics. The
+// TestChaosInline names put these in the -race seed matrix and in the
+// GOMAXPROCS 1/2/8 interleaving matrix (CI jobs chaos and chaos-procs).
+package router
+
+import (
+	"runtime"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"spal/internal/ip"
+	"spal/internal/lpm"
+	"spal/internal/metrics"
+	"spal/internal/rtable"
+	"spal/internal/stats"
+)
+
+// handled sums the per-LC handler-run counters.
+func handled(r *Router) (inline, queued int64) {
+	for _, lc := range r.lcs {
+		inline += lc.handledInline.Load()
+		queued += lc.handledQueued.Load()
+	}
+	return
+}
+
+// TestChaosInlineKilledLCQueues: from the moment KillLC returns nothing is
+// served inline at the dead slot — not even a warmed cache hit, which the
+// corpse could answer — and the lookups submitted there before the
+// rebirth buffer in its inbox, are handled by the reborn incarnation, and
+// come back oracle-correct.
+func TestChaosInlineKilledLCQueues(t *testing.T) {
+	tbl := rtable.Small(2000, 7)
+	oracle := lpm.NewReference(tbl)
+	r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithRequestTimeout(20*time.Millisecond),
+		WithHealthThresholds(20*time.Millisecond, 200*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+
+	const dead = 2
+	rng := stats.NewRNG(11)
+	addrs := make([]ip.Addr, 64)
+	for i := range addrs {
+		addrs[i] = tbl.RandomMatchedAddr(rng)
+		if _, err := r.Lookup(dead, addrs[i]); err != nil { // warm the corpse-to-be
+			t.Fatal(err)
+		}
+	}
+	if in := r.lcs[dead].handledInline.Load(); in < int64(len(addrs)) {
+		t.Fatalf("warm-up ran %d handlers inline at an idle LC, want at least %d", in, len(addrs))
+	}
+
+	if err := r.KillLC(dead); err != nil {
+		t.Fatal(err)
+	}
+	inlineAtKill := r.lcs[dead].handledInline.Load()
+	chans := make([]<-chan Verdict, len(addrs))
+	for i, a := range addrs {
+		if chans[i], err = r.LookupAsync(dead, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Only meaningful while the slot has not been reborn; DownAfter puts
+	// that 200 ms away.
+	if r.LCStates()[dead] != LCDown {
+		if got := r.lcs[dead].handledInline.Load(); got != inlineAtKill {
+			t.Errorf("%d handlers ran inline at a killed LC", got-inlineAtKill)
+		}
+	}
+	for i, ch := range chans {
+		select {
+		case v := <-ch:
+			if !verdictMatches(v, oracle, addrs[i]) {
+				t.Errorf("lookup %d at the dead slot: wrong verdict %+v", i, v)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("lookup %d submitted at the dead slot never completed", i)
+		}
+	}
+	if r.LCStates()[dead] != LCDown {
+		t.Errorf("LC %d is %s after the lookups drained, want down (re-homed)", dead, r.LCStates()[dead])
+	}
+	// The reborn shell is live again: a lookup there runs inline.
+	waitFor(t, "the reborn slot to serve inline", func() bool {
+		before := r.lcs[dead].handledInline.Load()
+		v, err := r.Lookup(dead, addrs[0])
+		if err != nil || !verdictMatches(v, oracle, addrs[0]) {
+			t.Fatalf("lookup at the reborn slot: %+v, %v", v, err)
+		}
+		return r.lcs[dead].handledInline.Load() > before
+	})
+}
+
+// TestChaosInlineQueuesBehindBacklog: an LC with anything unhandled — a
+// control message, a data message, a running handler — is not idle, and a
+// caller queues behind it instead of running ahead of it.
+func TestChaosInlineQueuesBehindBacklog(t *testing.T) {
+	tbl := rtable.Small(2000, 7)
+	oracle := lpm.NewReference(tbl)
+	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithRequestTimeout(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+
+	var addr ip.Addr
+	for rng := stats.NewRNG(5); ; {
+		if addr = tbl.RandomMatchedAddr(rng); r.HomeLC(addr) == 0 {
+			break
+		}
+	}
+	lookup := func() Verdict {
+		t.Helper()
+		v, err := r.Lookup(0, addr)
+		if err != nil || !verdictMatches(v, oracle, addr) {
+			t.Fatalf("lookup: %+v, %v", v, err)
+		}
+		return v
+	}
+	lookup()
+	if v := lookup(); v.ServedBy != ServedByCache {
+		t.Fatalf("warmed lookup served by %s, want cache", v.ServedBy)
+	}
+
+	// The claim itself, on each condition alone.
+	lc := r.lcs[0]
+	lc.backlog.Add(1)
+	if r.enter(0) != nil {
+		t.Fatal("enter claimed an LC with an unhandled message")
+	}
+	lc.backlog.Add(-1)
+	lc.mu.Lock()
+	if r.enter(0) != nil {
+		t.Fatal("enter claimed an LC whose lock is held")
+	}
+	lc.mu.Unlock()
+	if got := r.enter(0); got != lc {
+		t.Fatal("enter refused an idle LC")
+	}
+	r.leave(lc, time.Time{})
+
+	// A pending control message: the caller's own FlushCaches is in force
+	// for its next Lookup, every time, although the flush is asynchronous.
+	for i := 0; i < 200; i++ {
+		r.FlushCaches()
+		if v := lookup(); v.ServedBy == ServedByCache {
+			t.Fatalf("round %d: a lookup overtook the flush submitted before it", i)
+		}
+	}
+
+	// A stalled LC: callers queue, in order, and nothing runs inline.
+	release := gateLC(t, r, 0)
+	inline0 := lc.handledInline.Load()
+	var chans []<-chan Verdict
+	for i := 0; i < 8; i++ {
+		ch, err := r.LookupAsync(0, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	if got := len(r.inboxes[0]); got != len(chans) {
+		t.Errorf("inbox holds %d messages behind the stalled LC, want %d", got, len(chans))
+	}
+	if got := lc.handledInline.Load(); got != inline0 {
+		t.Errorf("%d handlers ran inline at a stalled LC", got-inline0)
+	}
+	release()
+	for _, ch := range chans {
+		if v := <-ch; !verdictMatches(v, oracle, addr) {
+			t.Errorf("queued lookup: wrong verdict %+v", v)
+		}
+	}
+}
+
+// TestChaosInlineTicksWhileCallersHogP: with one P and callers that never
+// block, the LC goroutines run only when the scheduler preempts a caller,
+// so heartbeats and deadline sweeps must ride the callers' own inline runs
+// (tick-if-due in leave). Clean fabric: every LC stays Healthy. One link
+// dropping everything: the lookups crossing it still end in the fallback
+// engine, oracle-correct, while the other callers keep the P busy.
+func TestChaosInlineTicksWhileCallersHogP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tbl := rtable.Small(2000, 7)
+	oracle := lpm.NewReference(tbl)
+	const (
+		timeout      = 4 * time.Millisecond
+		suspectAfter = 20 * time.Millisecond
+	)
+	hog := func(t *testing.T, r *Router, d time.Duration, check func(lc int, a ip.Addr, v Verdict, took time.Duration)) {
+		var wg sync.WaitGroup
+		stop := time.Now().Add(d)
+		for lc := 0; lc < r.NumLCs(); lc++ {
+			wg.Add(1)
+			go func(lc int) {
+				defer wg.Done()
+				rng := stats.NewRNG(uint64(lc)*13 + 1)
+				for t0 := time.Now(); t0.Before(stop); {
+					a := tbl.RandomMatchedAddr(rng)
+					v, err := r.Lookup(lc, a)
+					if err != nil {
+						t.Errorf("lookup at LC %d: %v", lc, err)
+						return
+					}
+					t1 := time.Now()
+					if !verdictMatches(v, oracle, a) {
+						t.Errorf("wrong verdict at LC %d for %s: %+v", lc, ip.FormatAddr(a), v)
+						return
+					}
+					check(lc, a, v, t1.Sub(t0))
+					t0 = t1
+				}
+			}(lc)
+		}
+		wg.Wait()
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		r, err := New(tbl, WithLCs(4), WithoutCache(), WithRequestTimeout(timeout),
+			WithHealthThresholds(suspectAfter, 10*suspectAfter))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Stop()
+		hog(t, r, 3*suspectAfter, func(int, ip.Addr, Verdict, time.Duration) {})
+		if n := r.suspects.Load(); n != 0 {
+			t.Errorf("%d Healthy→Suspect demotions while callers hogged the P; states %v", n, r.LCStates())
+		}
+		inline, queued := handled(r)
+		if inline == 0 || queued > inline/10 {
+			t.Errorf("handlers: %d inline, %d queued — the callers were meant to run them", inline, queued)
+		}
+	})
+
+	t.Run("dead-link", func(t *testing.T) {
+		dropped := func(m FabricMessage) FaultDecision {
+			return FaultDecision{Drop: !m.Heartbeat && m.From == 0 && m.To == 1}
+		}
+		r, err := New(tbl, WithLCs(4), WithoutCache(), WithRequestTimeout(timeout), WithMaxRetries(1),
+			WithHealthThresholds(suspectAfter, 10*suspectAfter), WithFaultInjector(dropped))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Stop()
+		var crossed atomic.Int64
+		hog(t, r, 10*suspectAfter, func(lc int, a ip.Addr, v Verdict, took time.Duration) {
+			if lc != 0 || r.part.HomeLC(a) != 1 {
+				return
+			}
+			crossed.Add(1)
+			if v.ServedBy != ServedByFallback {
+				t.Errorf("lookup over the dead link served by %s, want fallback", v.ServedBy)
+			}
+			// Two deadlines (4 ms, then 8 ms of backoff) plus the tick that
+			// notices each; a second is what a starved sweep would blow.
+			if took > time.Second {
+				t.Errorf("lookup over the dead link took %v", took)
+			}
+		})
+		if crossed.Load() == 0 {
+			t.Error("no lookup crossed the dead link")
+		}
+		if n := r.suspects.Load(); n != 0 {
+			t.Errorf("%d Healthy→Suspect demotions; states %v", n, r.LCStates())
+		}
+	})
+}
+
+// TestChaosInlineRaceStress: single lookups at every LC — the inline path —
+// concurrent with everything that takes an LC away from its callers:
+// whole-table swaps, incremental updates, a kill/re-home/restore cycle.
+// Every verdict must match a table version live during its lookup.
+func TestChaosInlineRaceStress(t *testing.T) {
+	tbl := rtable.Small(1500, 71)
+	for _, seed := range chaosSeeds(t) {
+		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
+			r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName("bintrie"),
+				WithRequestTimeout(5*time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+
+			oracle := newVersionedOracle(tbl)
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			var wrong, served, updates atomic.Int64
+
+			// Writer: alternate incremental batches and whole-table swaps.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := stats.NewRNG(seed * 31)
+				cur := tbl
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					stream := churnStream(cur, rng.Uint64())
+					next := cur.ApplyAll(stream)
+					if len(stream) == 0 || next.Len() == 0 {
+						continue
+					}
+					oracle.announce(next)
+					if i%4 == 3 {
+						err = r.UpdateTable(next)
+					} else {
+						err = r.ApplyUpdates(stream)
+					}
+					if err != nil {
+						return // stopping
+					}
+					oracle.settle()
+					updates.Add(1)
+					cur = next
+				}
+			}()
+
+			// Chaos: kill LC 3, wait for the re-home, restore it, repeat.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					case <-time.After(20 * time.Millisecond):
+					}
+					if r.KillLC(3) != nil {
+						continue
+					}
+					for r.LCStates()[3] != LCDown {
+						select {
+						case <-stop:
+							return
+						case <-time.After(time.Millisecond):
+						}
+					}
+					_ = r.RestoreLC(3)
+				}
+			}()
+
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := stats.NewRNG(seed + 1000 + uint64(w)*17)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						a := tbl.RandomMatchedAddr(rng)
+						if rng.Intn(4) == 0 {
+							a = rng.Uint32()
+						}
+						lo, _ := oracle.window()
+						v, err := r.Lookup(w, a)
+						if err != nil {
+							return // stopping
+						}
+						_, hi := oracle.window()
+						served.Add(1)
+						if !oracle.matches(v, a, lo, hi) {
+							wrong.Add(1)
+						}
+					}
+				}(w)
+			}
+
+			time.Sleep(400 * time.Millisecond)
+			close(stop)
+			wg.Wait()
+
+			if w := wrong.Load(); w != 0 {
+				t.Fatalf("%d wrong verdicts among %d served", w, served.Load())
+			}
+			if served.Load() == 0 || updates.Load() == 0 {
+				t.Fatalf("served %d lookups over %d updates: the race was not run", served.Load(), updates.Load())
+			}
+			inline, queued := handled(r)
+			if inline == 0 || queued == 0 {
+				t.Errorf("handlers: %d inline, %d queued — both paths were meant to run", inline, queued)
+			}
+			t.Logf("served=%d updates=%d rehomes=%d inline=%d queued=%d", served.Load(), updates.Load(), r.rehomes.Load(), inline, queued)
+		})
+	}
+}
+
+// TestHandledMetric reconciles spal_router_handled_total with the messages
+// the router handled: every lookup, fabric request, fabric reply and
+// control closure is one handler run, inline or queued, and which of the
+// two follows from whether the LC was idle.
+func TestHandledMetric(t *testing.T) {
+	tbl := rtable.Small(2000, 7)
+	for _, tc := range []struct {
+		name  string
+		stall bool // LC 0 sits in a control closure while the lookups arrive
+	}{
+		{"idle single caller", false},
+		{"stalled arrival LC", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithRequestTimeout(time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+			var ctrl int64 // control closures sent so far (gate, Metrics)
+			release := func() {}
+			if tc.stall {
+				release = gateLC(t, r, 0)
+				ctrl++
+			}
+
+			const n = 200
+			rng := stats.NewRNG(9)
+			chans := make([]<-chan Verdict, n)
+			for i := range chans {
+				if chans[i], err = r.LookupAsync(0, tbl.RandomMatchedAddr(rng)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.stall {
+				if in := r.lcs[0].handledInline.Load(); in != 0 {
+					t.Errorf("%d handlers ran inline at the stalled LC", in)
+				}
+			} else if _, queued := handled(r); queued != 0 {
+				t.Errorf("%d handlers queued on an idle router with one caller", queued)
+			}
+			release()
+			for _, ch := range chans {
+				<-ch
+			}
+
+			s := r.Metrics()
+			ctrl += int64(r.NumLCs()) // the snapshot's own collection closures
+			var fabric int64
+			for _, st := range r.Stats() {
+				fabric += st.RequestsSent.Load() + st.RepliesSent.Load()
+			}
+			inline, queued := handled(r)
+			if inline+queued != n+fabric+ctrl {
+				t.Errorf("handled %d inline + %d queued = %d, want %d lookups + %d fabric messages + %d control closures",
+					inline, queued, inline+queued, n, fabric, ctrl)
+			}
+			if tc.stall {
+				if in := r.lcs[0].handledInline.Load(); in != 0 {
+					t.Errorf("the stalled LC ran %d handlers inline, want all %d lookups and their replies queued", in, n)
+				}
+			} else if queued != ctrl {
+				t.Errorf("queued = %d, want only the %d control closures", queued, ctrl)
+			}
+			for path, want := range map[string]int64{"inline": inline, "queued": queued} {
+				var got float64
+				for i := 0; i < r.NumLCs(); i++ {
+					v, ok := s.Value(MetricHandled, metrics.L("lc", strconv.Itoa(i)), metrics.L("path", path))
+					if !ok {
+						t.Errorf("%s{lc=%d,path=%q} missing from the snapshot", MetricHandled, i, path)
+					}
+					got += v
+				}
+				if int64(got) != want {
+					t.Errorf("%s{path=%q} sums to %v, want %d", MetricHandled, path, got, want)
+				}
+			}
+		})
+	}
+}

@@ -59,8 +59,8 @@ type atomicLCState struct{ v atomic.Int32 }
 func (a *atomicLCState) Load() LCState   { return LCState(a.v.Load()) }
 func (a *atomicLCState) Store(s LCState) { a.v.Store(int32(s)) }
 
-// atomicTime is a wall-clock instant behind an atomic (LC goroutines
-// write their heartbeat, the monitor reads).
+// atomicTime is a wall-clock instant behind an atomic (an LC's owner
+// writes its heartbeat, the monitor reads).
 type atomicTime struct{ v atomic.Int64 }
 
 func (a *atomicTime) Load() time.Time   { return time.Unix(0, a.v.Load()) }
@@ -199,8 +199,9 @@ func (r *Router) healthCheck(now time.Time) {
 // rehomeLocked declares LC dead, re-homes its partition onto the
 // survivors, reboots the slot as an empty forwarding shell, and replays
 // its parked lookups. r.mu must be held and the LC's goroutine must have
-// exited (close(exited) happens-before this call, which is what makes
-// adopting its goroutine-private state race-free).
+// exited, so the slot is not live: taking lc.mu waits out a handler some
+// caller may still be running inline from before the kill, and no new
+// one can start until the adoption below is complete.
 func (r *Router) rehomeLocked(dead int) {
 	l := r.life[dead]
 	l.state.Store(LCDown)
@@ -217,6 +218,8 @@ func (r *Router) rehomeLocked(dead int) {
 	// and bump the epoch so replies computed for the dead incarnation
 	// cannot fill the flushed cache.
 	lc := r.lcs[dead]
+	lc.mu.Lock()
+	r.discardStaleCtrl(lc)
 	lc.engine = r.buildEngine(part.Table(dead))
 	lc.homeOf = part.HomeLC
 	lc.epoch++
@@ -236,7 +239,11 @@ func (r *Router) rehomeLocked(dead int) {
 	// Stop's Wait.
 	l.die = make(chan struct{})
 	l.exited = make(chan struct{})
-	l.lastBeat.Store(time.Now())
+	now := time.Now()
+	l.lastBeat.Store(now)
+	lc.lastTick = now
+	lc.live.Store(true)
+	lc.mu.Unlock()
 	r.wg.Add(1)
 	go r.lcLoop(lc, r.inboxes[dead], r.ctrls[dead], l.die, l.exited)
 
@@ -249,9 +256,9 @@ func (r *Router) rehomeLocked(dead int) {
 	for addr, wl := range pend {
 		for _, w := range wl.locals {
 			// A re-homed lookup is always interesting: trace it even if
-			// head sampling skipped it. Safe off the LC goroutine — the
-			// corpse's exit happens-before this adoption, and the trace
-			// hands off to the reborn LC inside the replayed message.
+			// head sampling skipped it. The waiter came out of the corpse
+			// under lc.mu, and the trace hands off to the reborn LC inside
+			// the replayed message.
 			if w.tr == nil {
 				w.tr = r.lateTrace(dead, addr)
 			}
@@ -272,6 +279,31 @@ func (r *Router) rehomeLocked(dead int) {
 		return // stopping; the partial swap no longer matters
 	}
 	r.part = part
+}
+
+// discardStaleCtrl empties a crashed slot's control channel before its
+// adoption. A swap or update batch sent while the slot was dead may have
+// been buffered there rather than skipped (sendCtrlSwap takes whichever of
+// "room in ctrl" and "exited" it sees first), and its sender has long
+// stopped waiting. Applied by the reborn incarnation it would put an old
+// engine, or an old delta on top of the current one, under the current
+// generation stamp until the re-home's own swap lands — the adoption
+// installs the current table, so those are dropped, acked. Flushes and
+// closures are still run (a Metrics call may be waiting on one). r.mu and
+// lc.mu must be held and no incarnation may be running, which makes this
+// goroutine the channel's only receiver.
+func (r *Router) discardStaleCtrl(lc *lineCard) {
+	for ctrl := r.ctrls[lc.id]; len(ctrl) > 0; {
+		m := <-ctrl
+		lc.backlog.Add(-1)
+		switch m.kind {
+		case mSwapEngine, mRekey, mApplyUpdates:
+			close(m.swapDone)
+		default:
+			lc.handledQueued.Add(1)
+			r.handle(lc, m)
+		}
+	}
 }
 
 // aliveLCsLocked returns the LCs that currently own partitions (Healthy,
@@ -321,6 +353,9 @@ func (r *Router) KillLC(lc int) error {
 	select {
 	case <-l.die:
 	default:
+		// From here nothing runs inline at this slot: arrivals buffer in
+		// its inbox until the reborn incarnation drains them.
+		r.lcs[lc].live.Store(false)
 		close(l.die)
 	}
 	return nil
@@ -398,8 +433,8 @@ func (r *Router) DrainLC(lc int) error {
 }
 
 // pendingAddrs snapshots the set of addresses with parked lookups at an
-// LC, collected on the owning goroutine. Rides the control plane so the
-// snapshot lands even when the data inbox is at capacity.
+// LC, collected by its own goroutine under lc.mu. Rides the control plane
+// so the snapshot lands even when the data inbox is at capacity.
 func (r *Router) pendingAddrs(lc int) (map[ip.Addr]struct{}, error) {
 	out := make(chan map[ip.Addr]struct{}, 1)
 	ok := r.sendCtrl(lc, message{kind: mExec, do: func(lc *lineCard) {

@@ -450,7 +450,7 @@ func TestLookupBatchCtxCancel(t *testing.T) {
 	// A batch aimed at a stalled home LC cannot complete until released.
 	release := make(chan struct{})
 	defer close(release)
-	r.inboxes[1] <- message{kind: mExec, do: func(*lineCard) { <-release }}
+	r.push(1, message{kind: mExec, do: func(*lineCard) { <-release }})
 
 	rng := stats.NewRNG(5)
 	var addrs []ip.Addr
@@ -493,7 +493,7 @@ func TestWaitersGauge(t *testing.T) {
 	defer r.Stop()
 
 	release := make(chan struct{})
-	r.inboxes[1] <- message{kind: mExec, do: func(*lineCard) { <-release }}
+	r.push(1, message{kind: mExec, do: func(*lineCard) { <-release }})
 
 	rng := stats.NewRNG(41)
 	var addrs []ip.Addr

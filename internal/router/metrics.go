@@ -8,8 +8,8 @@ import (
 )
 
 // lcLatency is one line card's lookup-latency histograms, split by where
-// the result came from. The histograms are lock-free: the LC goroutine
-// records, Metrics reads concurrently.
+// the result came from. The histograms are lock-free: the LC's current
+// owner records, Metrics reads concurrently.
 type lcLatency struct {
 	cache, fe, remote, fallback, hedge metrics.Histogram
 }
@@ -94,8 +94,14 @@ const (
 	// remote_inbox_full, reply_inbox_full); the remaining shed reasons and
 	// the families below them are emitted only by routers built
 	// WithOverload.
-	MetricShed             = "spal_router_shed_total"
-	MetricInboxDepth       = "spal_router_inbox_depth"
+	MetricShed       = "spal_router_shed_total"
+	MetricInboxDepth = "spal_router_inbox_depth"
+	// MetricHandled splits an LC's handler runs by who ran them:
+	// path="inline" on the goroutine that held the message (the LC was
+	// idle), path="queued" on the LC's own goroutine via inbox or ctrl. A
+	// growing queued share means contention is pushing traffic off the
+	// run-to-completion path.
+	MetricHandled          = "spal_router_handled_total"
 	MetricWaitlistOverflow = "spal_router_waitlist_overflow_total"
 	MetricRetryBudget      = "spal_router_retry_budget"
 	MetricBudgetExhausted  = "spal_router_retry_budget_exhausted_total"
@@ -132,18 +138,18 @@ const (
 // per-LC event counters (labeled lc="<id>"), lookup-latency histograms in
 // nanoseconds (labeled lc and served_by="cache"|"fe"|"remote"), the live
 // waitlist depth, and — while the router is running — each LR-cache's
-// counters and per-origin occupancy, collected on the owning LC goroutine
-// so no lock is shared with the hot path.
+// counters and per-origin occupancy, collected by a control closure each
+// LC runs on itself, so Metrics never holds an LC's lock.
 //
 // Snapshots support Delta for interval rates and WritePrometheus for
 // export; see internal/metrics.
 func (r *Router) Metrics() *metrics.Snapshot {
 	s := metrics.NewSnapshot()
 
-	// LR-cache state is goroutine-private: collect it by running a closure
-	// on each LC. Send to all LCs first, then gather, so collection is
-	// parallel. A stopped router skips this (the cache views are frozen
-	// anyway) and still reports every atomic counter.
+	// LR-cache state belongs to the LC's lock holder: collect it by running
+	// a closure on each LC. Send to all LCs first, then gather, so
+	// collection is parallel. A stopped router skips this (the cache views
+	// are frozen anyway) and still reports every atomic counter.
 	views := make([]*metrics.Snapshot, r.cfg.NumLCs)
 	if !r.stopped.Load() {
 		dones := make([]chan struct{}, r.cfg.NumLCs)
@@ -248,6 +254,9 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		}
 		s.Gauge(MetricInboxDepth, "Messages queued in this LC's bounded inbox.",
 			float64(len(r.inboxes[i])), lbl)
+		handledHelp := "Messages handled at this LC, by who ran the handler: inline on the sender's goroutine, or queued through the LC's inbox/ctrl."
+		s.Counter(MetricHandled, handledHelp, float64(lc.handledInline.Load()), lbl, metrics.L("path", "inline"))
+		s.Counter(MetricHandled, handledHelp, float64(lc.handledQueued.Load()), lbl, metrics.L("path", "queued"))
 		if r.ov.Enabled {
 			s.Counter(MetricWaitlistOverflow, "Waiters refused because the per-address waitlist hit its cap.",
 				float64(lc.ov.shed[shedWaitlistOverflow].Load()), lbl)

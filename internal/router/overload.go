@@ -36,12 +36,14 @@
 //     (another expiry) closes or re-opens the breaker.
 //
 // Every structure here follows the package's ownership rules: token
-// buckets and breakers are mutated only on the owning LC goroutine;
-// Metrics reads atomic mirrors. Control messages (cache flush, table
-// swap, stats collection) bypass admission entirely on a dedicated
-// per-LC control channel, so drain/kill/UpdateTable keep their
-// no-lost-lookup guarantees under full data inboxes. Control and data
-// are therefore not FIFO with respect to each other.
+// buckets and breakers are mutated only by the LC's current owner (the
+// holder of lineCard.mu); Metrics reads atomic mirrors. Control messages
+// (cache flush, table swap, stats collection) bypass admission entirely
+// on a dedicated per-LC control channel, so drain/kill/UpdateTable keep
+// their no-lost-lookup guarantees under full data inboxes. Control may
+// therefore overtake data that was sent before it; data never overtakes
+// control sent before it (lcLoop takes pending control first, and a
+// pending control message keeps data off the inline path).
 package router
 
 import (
@@ -232,8 +234,8 @@ const (
 var breakerStateNames = [...]string{"closed", "open", "half_open"}
 
 // breaker is one (arrival LC, home LC) circuit. fails, openedAt and
-// probing are owned by the arrival LC goroutine (mutated from lcLoop's
-// handle/tick paths only); state is the atomic mirror Metrics and tests
+// probing belong to the arrival LC (mutated from its handle/tick paths
+// only, under lineCard.mu); state is the atomic mirror Metrics and tests
 // read.
 type breaker struct {
 	fails    int       // consecutive deadline expiries from this home
@@ -243,9 +245,9 @@ type breaker struct {
 }
 
 // lcOverload is one LC's overload-control state. The atomic counters are
-// written from whatever goroutine observes the event (admission runs on
-// caller goroutines, fabric sheds on the sending LC's goroutine);
-// tokens and breakers are goroutine-private to the owning lcLoop.
+// written from whatever goroutine observes the event (admission and
+// fabric sheds happen outside the target LC's lock); tokens and breakers
+// are guarded by the owning LC's lineCard.mu.
 type lcOverload struct {
 	shed            [numShedReasons]atomic.Int64
 	budgetExhausted atomic.Int64
@@ -274,18 +276,24 @@ func (r *Router) shedCount(lc int, why shedReason) {
 	r.lcs[lc].ov.shed[why].Add(1)
 }
 
-// admit is the admission layer: it delivers a locally submitted lookup
-// or batch descriptor (one inbox slot either way — a full inbox refuses
-// the whole batch) into the arrival LC's inbox. Without an overload
-// policy, and under ShedBlock, the caller waits for space, until ctx is
-// cancelled or the router stops; the drop modes refuse with ErrOverloaded
-// instead.
+// admit is the admission layer for a locally submitted lookup or batch
+// descriptor. An idle arrival LC runs it on the caller's goroutine
+// (runInline); otherwise it takes one inbox slot — a full inbox refuses
+// the whole batch. Without an overload policy, and under ShedBlock, the
+// caller waits for space, until ctx is cancelled or the router stops; the
+// drop modes refuse with ErrOverloaded instead.
 func (r *Router) admit(ctx context.Context, lc int, m message) error {
+	if r.runInline(lc, m) {
+		return nil
+	}
+	backlog := &r.lcs[lc].backlog
+	backlog.Add(1)
 	if !r.ov.Enabled || r.ov.Mode == ShedBlock {
 		select {
 		case r.inboxes[lc] <- m:
 			return nil
 		case <-ctx.Done():
+			backlog.Add(-1)
 			return ctx.Err()
 		case <-r.quit:
 			return ErrStopped
@@ -298,6 +306,7 @@ func (r *Router) admit(ctx context.Context, lc int, m message) error {
 		return ErrStopped
 	default:
 	}
+	backlog.Add(-1)
 	r.shedCount(lc, shedInboxFull)
 	if m.tr != nil {
 		m.tr.Record(tracing.EvShed, int64(shedInboxFull), int64(lc))
@@ -329,6 +338,8 @@ func (r *Router) shedLocal(lc int, m message, why shedReason) {
 // the parked caller receives a ServedByShed verdict — every lookup still
 // terminates, and the monitor stays free to keep re-homing.
 func (r *Router) replaySend(lc int, m message) {
+	backlog := &r.lcs[lc].backlog
+	backlog.Add(1)
 	if !r.ov.Enabled {
 		select {
 		case r.inboxes[lc] <- m:
@@ -340,6 +351,7 @@ func (r *Router) replaySend(lc int, m message) {
 	case r.inboxes[lc] <- m:
 	case <-r.quit:
 	default:
+		backlog.Add(-1)
 		r.shedLocal(lc, m, shedReplayDropped)
 	}
 }
@@ -351,7 +363,7 @@ func (r *Router) waitlistFull(wl *waitlist) bool {
 }
 
 // budgetRefill credits the retry bucket for a successful fabric reply.
-// LC goroutine only.
+// lc.mu must be held.
 func (r *Router) budgetRefill(lc *lineCard) {
 	ov := lc.ov
 	ov.tokens += r.ov.RetryBudgetRatio
@@ -363,7 +375,7 @@ func (r *Router) budgetRefill(lc *lineCard) {
 
 // budgetTake spends one retry token; false means the budget is exhausted
 // and the caller must degrade to the fallback engine instead of
-// retrying. LC goroutine only.
+// retrying. lc.mu must be held.
 func (r *Router) budgetTake(lc *lineCard) bool {
 	ov := lc.ov
 	if ov.tokens < 1 {
@@ -377,7 +389,7 @@ func (r *Router) budgetTake(lc *lineCard) bool {
 
 // breakerFailure records one deadline expiry from home; enough
 // consecutive failures (or any failure of a half-open probe) open the
-// breaker. LC goroutine only.
+// breaker. lc.mu must be held.
 func (r *Router) breakerFailure(lc *lineCard, home int, now time.Time) {
 	b := &lc.ov.breakers[home]
 	switch b.state.Load() {
@@ -400,7 +412,7 @@ func (r *Router) breakerFailure(lc *lineCard, home int, now time.Time) {
 }
 
 // breakerSuccess records a fabric reply from home: any success fully
-// closes the circuit. LC goroutine only.
+// closes the circuit. lc.mu must be held.
 func (r *Router) breakerSuccess(lc *lineCard, home int) {
 	b := &lc.ov.breakers[home]
 	b.fails = 0
@@ -413,7 +425,7 @@ func (r *Router) breakerSuccess(lc *lineCard, home int) {
 
 // breakerTick arms half-open probes: an open breaker whose cooldown has
 // elapsed transitions to half-open, allowing the next dispatch through
-// as the probe. Runs on the LC's deadline ticker. LC goroutine only.
+// as the probe. Runs on the LC's deadline ticker. lc.mu must be held.
 func (r *Router) breakerTick(lc *lineCard, now time.Time) {
 	for i := range lc.ov.breakers {
 		b := &lc.ov.breakers[i]
@@ -427,7 +439,7 @@ func (r *Router) breakerTick(lc *lineCard, now time.Time) {
 // breakerAllows reports whether a dispatch homed at home may cross the
 // fabric right now: closed always may; half-open admits exactly one
 // in-flight probe; open admits nothing until the ticker arms a probe.
-// LC goroutine only.
+// lc.mu must be held.
 func (r *Router) breakerAllows(lc *lineCard, home int) bool {
 	b := &lc.ov.breakers[home]
 	switch b.state.Load() {
@@ -456,9 +468,10 @@ func (r *Router) BreakerStates(lc int) []int32 {
 	return out
 }
 
-// deliverData is the final hop of a fabric send: it delivers a request
-// or reply into the target's inbox without ever blocking the sending LC.
-// A full target sheds the message (counted), and the requester-side
+// deliverData is the final hop of a fabric send: it hands a request or
+// reply to the target LC without ever blocking the sender. An idle target
+// runs it right here (runInline); a busy one gets it through its inbox,
+// and a full inbox sheds the message (counted) — the requester-side
 // deadline machinery keeps the affected lookup terminating.
 func (r *Router) deliverData(to int, m message) {
 	if (m.kind == mRequest || m.kind == mBatchRequest) && r.ov.Mode == ShedDropRemoteFirst {
@@ -469,10 +482,16 @@ func (r *Router) deliverData(to int, m message) {
 			return
 		}
 	}
+	if r.runInline(to, m) {
+		return
+	}
+	backlog := &r.lcs[to].backlog
+	backlog.Add(1)
 	select {
 	case r.inboxes[to] <- m:
 	case <-r.quit:
 	default:
+		backlog.Add(-1)
 		if m.kind == mReply || m.kind == mBatchReply {
 			r.shedCount(to, shedReplyFull)
 		} else {
@@ -485,8 +504,11 @@ func (r *Router) deliverData(to int, m message) {
 // LC. Control traffic bypasses admission: it rides a dedicated channel
 // sized for the control plane's bounded rate, and the send blocks (never
 // sheds) so lifecycle and update invariants hold even when the data inbox
-// is saturated.
+// is saturated. Control messages are never run inline; a pending one
+// counts in the LC's backlog, so data submitted after it queues behind it
+// rather than overtaking it on the caller's goroutine.
 func (r *Router) sendCtrl(lc int, m message) bool {
+	r.lcs[lc].backlog.Add(1)
 	select {
 	case r.ctrls[lc] <- m:
 		return true
@@ -502,10 +524,13 @@ func (r *Router) sendCtrl(lc int, m message) bool {
 // monitor that performs the rebirth. The caller's ack loop already
 // treats an exited LC as a skip. r.mu must be held.
 func (r *Router) sendCtrlSwap(lc int, m message) bool {
+	backlog := &r.lcs[lc].backlog
+	backlog.Add(1)
 	select {
 	case r.ctrls[lc] <- m:
 		return true
 	case <-r.life[lc].exited:
+		backlog.Add(-1)
 		return true // skip: rehoming will re-install on the reborn slot
 	case <-r.quit:
 		return false

@@ -18,14 +18,31 @@
 // them in the shared internal/metrics vocabulary, ready for Prometheus
 // export; see metrics.go.
 //
-// Concurrency design, per the repository's Go guides: no shared mutable
-// state. Each LC goroutine exclusively owns its cache and engine; all
-// communication is message passing. Like the paper's line card behind its
-// finite fabric queues, every LC has exactly one way in: a bounded data
-// inbox, plus a small dedicated control channel so flushes, swaps and
-// stats collection land even when the data inbox is full. A caller
-// submitting a lookup blocks while the inbox is full; an LC sending to a
-// peer never does — a fabric message that finds the peer's inbox full is
+// Concurrency design: run to completion. Each line card's cache, engine
+// and waitlists are single-owner state, and the owner is whoever holds
+// lineCard.mu — not a particular goroutine. A goroutine that holds a
+// message for an LC (a caller submitting a lookup, an LC handing a fabric
+// request or reply to a peer) runs that LC's handler itself when the LC
+// is idle: nothing sent to it is still unhandled, its lock is free, and
+// an incarnation owns the slot (see runInline). A cache hit is then one
+// TryLock, one probe and one Unlock on the caller's goroutine, and a
+// remote miss runs caller → arrival LC → home LC → arrival LC → caller
+// without a goroutine switch. Otherwise the message takes the LC's one
+// queued way in, exactly like the paper's line card behind its finite
+// fabric queues: a bounded data inbox, plus a small dedicated control
+// channel so flushes, swaps and stats collection land even when the data
+// inbox is full, both drained in FIFO order by the LC's own goroutine
+// (lcLoop), which takes the same lock around every handler. Which of the
+// two runs a handler is decided by observable state only, never by a
+// setting, and it is the same handler either way.
+//
+// Two rules keep this deadlock-free. Only TryLock is ever used across
+// LCs, so no goroutine waits for an LC's lock while holding another's;
+// and a handler never delivers a fabric message while holding its own
+// lock — it queues it on the LC's outbox, and whoever ran the handler
+// delivers the outbox after unlocking (see leave). A caller submitting a
+// lookup blocks while the inbox is full; an LC sending to a peer never
+// does — a fabric message that finds the peer busy and its inbox full is
 // shed (and counted), and the requester's deadline machinery below
 // recovers the lookup, so mutually-full LCs cannot deadlock. WithOverload
 // layers a policy on the same inbox: refuse rather than block at
@@ -33,8 +50,9 @@
 //
 // Failure model: the paper assumes a lossless fabric; this package does
 // not. Every fabric request carries a deadline tracked by a coarse
-// per-LC ticker (no extra locks — the deadline state lives in the LC's
-// own waitlists). A request unanswered by its deadline is retried with
+// per-LC tick (no extra locks — the deadline state lives in the LC's
+// own waitlists, and the tick runs under the LC's lock like any
+// handler). A request unanswered by its deadline is retried with
 // exponential backoff up to MaxRetries times; when retries are
 // exhausted the arrival LC resolves the address against a router-wide
 // read-only full-table engine and the verdict is marked
@@ -182,7 +200,7 @@ const (
 	mFlush
 	mSwapEngine   // phase 1 of UpdateTable: install engine + homeOf
 	mRekey        // phase 2: bump epoch, flush cache, re-drive pending
-	mExec         // run a closure on the LC goroutine (stats collection)
+	mExec         // run a closure as the LC's owner (stats collection)
 	mBatch        // one pooled batch descriptor of local lookups (batch.go)
 	mBatchRequest // coalesced fabric request: many addresses, one home LC
 	mBatchReply   // coalesced fabric reply, scattered back positionally
@@ -199,8 +217,8 @@ type message struct {
 	from     int // requester LC (mRequest)
 	epoch    uint32
 	feNS     int64                // mReply: home-side FE execution time (0 = not measured)
-	start    time.Time            // submission time (mLookup), for latency histograms
-	resp     chan<- Verdict       // mLookup
+	start    time.Time            // mLookup: submission time, for latency histograms; mRequest/mBatchRequest: send time. Also an inline run's tick-if-due clock (see leave)
+	resp     chan Verdict         // mLookup: made when the lookup first has to wait or queue (see handleLookup)
 	tr       *tracing.LookupTrace // mLookup: the trace riding this lookup, if sampled
 	bd       *batchDesc           // mBatch, or an mLookup riding a batch slot
 	slot     int32                // index into bd.out when bd != nil
@@ -261,7 +279,7 @@ type remoteWaiter struct {
 // destination is either a reply channel (single lookups) or a slot in a
 // batch descriptor's verdict array (bd non-nil); see Router.deliver.
 type localWaiter struct {
-	ch    chan<- Verdict
+	ch    chan Verdict
 	bd    *batchDesc
 	slot  int32
 	start time.Time
@@ -272,9 +290,9 @@ type localWaiter struct {
 type waitlist struct {
 	locals  []localWaiter
 	remotes []remoteWaiter
-	// Fabric-request bookkeeping, owned by the LC goroutine like the
-	// rest of the waitlist. deadline is zero while no fabric request is
-	// outstanding (the address resolved locally); attempts counts
+	// Fabric-request bookkeeping, owned with the rest of the waitlist by
+	// whoever holds the LC's lock. deadline is zero while no fabric request
+	// is outstanding (the address resolved locally); attempts counts
 	// requests sent so far, including the first.
 	attempts int
 	deadline time.Time
@@ -298,28 +316,67 @@ type waitlist struct {
 	hedged bool
 }
 
+// fabricSend is one fabric message a handler queued on its LC's outbox.
+type fabricSend struct {
+	to int
+	m  message
+}
+
 type lineCard struct {
-	id      int
+	id int
+
+	// mu is the ownership of everything down to outbox: whoever holds it —
+	// the slot's lcLoop incarnation, a goroutine running a handler inline
+	// (runInline), or the health monitor adopting a crashed slot — is the
+	// LC for that long. Lock order is Router.mu → lineCard.mu; no handler
+	// takes Router.mu, nothing blocks while holding mu, and across LCs only
+	// TryLock is used.
+	mu      sync.Mutex
 	engine  lpm.Engine
 	cache   cache.Store
 	pending map[ip.Addr]*waitlist
 	homeOf  func(ip.Addr) int
 	epoch   uint32
-	// gen is the table generation this LC's engine (and the targeted
-	// invalidations already run against its cache) reflect; assigned only
-	// from mSwapEngine / mApplyUpdates messages, which arrive in send
-	// order, so it is monotonic. Goroutine-private like pending.
+	// gen is the table generation this LC's engine, and everything in its
+	// cache, reflect: mSwapEngine installs the engine, flushes and sets it;
+	// mApplyUpdates applies the delta, invalidates and sets it. Both arrive
+	// over ctrl in send order, so it is monotonic.
 	gen   uint64
 	stats *LCStats
 	// scratch is this LC's reusable batch workspace (miss collection,
-	// batched FE results, per-home fabric accumulators); goroutine-private
-	// like pending, surviving across slot incarnations. See batch.go.
+	// batched FE results, per-home fabric accumulators), surviving across
+	// slot incarnations. See batch.go.
 	scratch *lcScratch
+	// hedgeTokens is this LC's hedge budget (see gray.go): spent by
+	// ticker hedges, refilled by successful fabric round trips.
+	hedgeTokens float64
+	// lastTick is when tick last ran here, from the lcLoop ticker or from
+	// an inline run that found it due (see leave).
+	lastTick time.Time
+	// outbox holds the fabric messages the running handler has produced.
+	// They must not be delivered under mu — the peer may run them inline
+	// and answer straight back here — so whoever ran the handler takes
+	// them before unlocking and delivers them afterwards (see leave). The
+	// backing array is reused.
+	outbox []fabricSend
 
-	// lat, pendingDepth and waiters are atomic and may be read from
-	// outside the LC goroutine (Metrics); everything above is
-	// goroutine-private (owned by the current lcLoop incarnation, or by
-	// the health monitor between a crash and the slot's rebirth).
+	// Everything below is atomic and may be touched without mu.
+
+	// live is true while an lcLoop incarnation owns the slot and has not
+	// been told to die; only a live LC runs handlers inline. KillLC clears
+	// it (without waiting for mu, which a wedged handler may hold), the
+	// incarnation clears it on exit, rehomeLocked sets it under mu once it
+	// has adopted the corpse.
+	live atomic.Bool
+	// backlog counts messages sent to this LC's inbox or ctrl channel and
+	// not yet handled. The channels' len() cannot stand in for it: a send
+	// to a parked lcLoop hands the message over directly and leaves both
+	// lengths zero while the message is still unhandled.
+	backlog atomic.Int32
+	// handledInline and handledQueued count handler runs by who ran them
+	// (spal_router_handled_total).
+	handledInline, handledQueued atomic.Int64
+
 	lat          lcLatency
 	pendingDepth atomic.Int64
 	waiters      atomic.Int64
@@ -327,14 +384,9 @@ type lineCard struct {
 	// ov is the overload-control state (shed counters, retry bucket,
 	// per-home breakers; see overload.go). The fabric shed counters are
 	// live on every router, the rest only under an overload policy. Its
-	// counters are atomic; its token bucket and breaker bookkeeping follow
-	// the same ownership rule as pending above.
+	// counters are atomic; its token bucket and breaker bookkeeping are
+	// guarded by mu like pending above.
 	ov *lcOverload
-
-	// hedgeTokens is this LC's hedge budget (see gray.go): spent by
-	// ticker hedges, refilled by successful fabric round trips.
-	// Goroutine-private like pending.
-	hedgeTokens float64
 }
 
 // fallbackEngine boxes the router-wide read-only full-table engine so it
@@ -350,6 +402,7 @@ type Router struct {
 	stopped atomic.Bool
 	wg      sync.WaitGroup
 	delayWG sync.WaitGroup // goroutines holding injector-delayed messages
+	delayMu sync.Mutex     // orders delayWG.Add against Stop's delayWG.Wait
 	lcs     []*lineCard
 	stats   []*LCStats
 
@@ -542,6 +595,8 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			stats:   &LCStats{},
 		}
 		lc.scratch = newLCScratch(cfg.NumLCs)
+		lc.lastTick = now
+		lc.live.Store(true)
 		if cfg.CacheEnabled {
 			// The error-returning constructors turn a mis-sized cache or
 			// shard geometry (an operator flag) into a construction error
@@ -616,8 +671,16 @@ func (r *Router) sendFabric(to int, m message) {
 		}
 		// Delayed copies ride a helper goroutine; Stop waits for these
 		// after the LC goroutines exit, and the helper bails out on quit,
-		// so a delayed message can never outlive the router.
+		// so a delayed message can never outlive the router. The sender may
+		// be a caller's goroutine finishing an inline run while Stop is in
+		// progress, so joining delayWG is serialized against Stop's wait.
+		r.delayMu.Lock()
+		if r.stopped.Load() {
+			r.delayMu.Unlock()
+			return
+		}
 		r.delayWG.Add(1)
+		r.delayMu.Unlock()
 		go func() {
 			defer r.delayWG.Done()
 			t := time.NewTimer(d.Delay)
@@ -631,39 +694,150 @@ func (r *Router) sendFabric(to int, m message) {
 	}
 }
 
-// lcLoop is one incarnation of one line card: the exclusive owner of
-// its engine and cache until it returns. The ticker is both the
-// deadline clock for this LC's outstanding fabric requests and its
-// heartbeat generator — coarse (a quarter of the request timeout) so
-// the idle cost is negligible, and entirely lock-free: all deadline
-// state lives in the waitlists this goroutine already owns. die is the
-// crash switch (KillLC); exited announces this incarnation's death to
-// the health monitor, which may then adopt the lineCard and start a
-// successor incarnation (see lifecycle.go). ctrl is the control-plane
-// leg.
+// lcLoop is one incarnation of one line card: the goroutine that drains
+// the slot's queues and, while nothing else does, drives its tick. It
+// takes lc.mu around every handler and every tick like any other owner
+// (see runInline). The tick is both the deadline clock for this LC's
+// outstanding fabric requests and its heartbeat — coarse (a quarter of
+// the request timeout) so the idle cost is negligible. die is the crash
+// switch (KillLC); exited announces this incarnation's death to the
+// health monitor, which may then adopt the lineCard and start a successor
+// incarnation (see lifecycle.go). ctrl is the control-plane leg.
 func (r *Router) lcLoop(lc *lineCard, inbox, ctrl <-chan message, die, exited chan struct{}) {
 	defer r.wg.Done()
 	defer close(exited)
+	defer lc.live.Store(false)
 	tick := time.NewTicker(r.tickEvery)
 	defer tick.Stop()
 	for {
 		select {
 		case m := <-inbox:
-			r.handle(lc, m)
-		case m := <-ctrl:
-			r.handle(lc, m)
-		case now := <-tick.C:
-			r.beat(lc.id, now)
-			if r.ov.Enabled {
-				r.breakerTick(lc, now)
+			// Control first: a control message sent before m is already in
+			// ctrl, and data must not overtake it here any more than it may
+			// inline (see lineCard.backlog) — a caller's FlushCaches is in
+			// force for its own next Lookup. This goroutine is ctrl's only
+			// receiver, so a non-zero length cannot block.
+			for len(ctrl) > 0 {
+				r.runQueued(lc, <-ctrl)
 			}
-			r.checkDeadlines(lc, now)
+			r.runQueued(lc, m)
+		case m := <-ctrl:
+			r.runQueued(lc, m)
+		case <-tick.C:
+			// Not the tick's own timestamp: that is when it fired, and this
+			// goroutine may have waited a preemption quantum or more for a
+			// P since. Recording a late beat as an old one would take the
+			// heartbeat back behind the beats inline owners have stored
+			// meanwhile.
+			lc.mu.Lock()
+			r.tick(lc, time.Now())
+			r.leave(lc, time.Time{})
 		case <-die:
 			return
 		case <-r.quit:
 			return
 		}
 	}
+}
+
+// runQueued handles one message taken off lc's inbox or ctrl channel.
+func (r *Router) runQueued(lc *lineCard, m message) {
+	lc.mu.Lock()
+	lc.handledQueued.Add(1)
+	r.handle(lc, m)
+	lc.backlog.Add(-1)
+	r.leave(lc, time.Time{})
+}
+
+// runInline is the run-to-completion hand-off, tried wherever a goroutine
+// holds a data message for LC i: when the LC is idle — everything sent to
+// it so far has been handled, its lock is free, an incarnation owns the
+// slot — the calling goroutine becomes the LC for the length of m's
+// handler and reports true. Otherwise it reports false and the caller
+// queues m, so a backlogged, control-pending, busy or killed LC sees its
+// traffic through the inbox in FIFO order. Only TryLock is used, so two
+// LCs handing messages to each other cannot deadlock.
+func (r *Router) runInline(i int, m message) bool {
+	lc := r.enter(i)
+	if lc == nil {
+		return false
+	}
+	r.handle(lc, m)
+	now := m.start
+	if m.bd != nil {
+		now = m.bd.start
+	}
+	r.leave(lc, now)
+	return true
+}
+
+// enter claims LC i for the calling goroutine if it is idle (see
+// runInline); nil otherwise. The claim ends with leave.
+func (r *Router) enter(i int) *lineCard {
+	lc := r.lcs[i]
+	if lc.backlog.Load() != 0 || !lc.mu.TryLock() {
+		return nil
+	}
+	if !lc.live.Load() {
+		// Killed or exited: the slot is a corpse awaiting adoption, and
+		// nothing is served from a corpse. Checked under the lock, which
+		// the adoption holds until the slot is live again.
+		lc.mu.Unlock()
+		return nil
+	}
+	lc.handledInline.Add(1)
+	return lc
+}
+
+// leave ends an ownership of lc (lc.mu held) that ran a handler or a
+// tick. Ticks are due work, not goroutine work: callers that never block
+// can keep a P from the LC goroutines for a whole preemption quantum, so
+// an inline owner that knows the time (now is its message's submission
+// time; zero means unknown) runs the tick itself when one is due. Then the
+// outbox is taken, the lock released, and only then the messages
+// delivered: the peer may run them inline and answer straight back to
+// this LC, which it could not do while we held the lock.
+func (r *Router) leave(lc *lineCard, now time.Time) {
+	if !now.IsZero() && now.Sub(lc.lastTick) >= r.tickEvery {
+		r.tick(lc, now)
+	}
+	if len(lc.outbox) == 0 {
+		lc.mu.Unlock()
+		return
+	}
+	r.unlockAndFlush(lc)
+}
+
+// unlockAndFlush is leave's send-after-unlock half. The messages move to
+// the flusher's stack so the outbox keeps its backing array for the LC's
+// next owner; more than a handful (a batch scattered over many homes)
+// spills to the heap.
+func (r *Router) unlockAndFlush(lc *lineCard) {
+	var buf [4]fabricSend
+	out := append(buf[:0], lc.outbox...)
+	clear(lc.outbox) // drop payload and trace pointers
+	lc.outbox = lc.outbox[:0]
+	lc.mu.Unlock()
+	for i := range out {
+		r.sendFabric(out[i].to, out[i].m)
+	}
+}
+
+// post queues a fabric message produced by the handler running on lc; it
+// crosses the fabric (sendFabric) once the handler's owner has unlocked.
+func (lc *lineCard) post(to int, m message) {
+	lc.outbox = append(lc.outbox, fabricSend{to, m})
+}
+
+// tick is an LC's periodic due work: heartbeat, breaker probes, and the
+// deadline sweep over its waitlists. lc.mu must be held.
+func (r *Router) tick(lc *lineCard, now time.Time) {
+	lc.lastTick = now
+	r.beat(lc.id, now)
+	if r.ov.Enabled {
+		r.breakerTick(lc, now)
+	}
+	r.checkDeadlines(lc, now)
 }
 
 // checkDeadlines retries or degrades every pending lookup whose fabric
@@ -762,7 +936,7 @@ func (r *Router) checkDeadlines(lc *lineCard, now time.Time) {
 			}
 			lc.stats.RequestsSent.Add(1)
 			wl.tr.Record(tracing.EvFabricSend, int64(home), int64(wl.attempts))
-			r.sendFabric(home, message{kind: mRequest, addr: addr, from: lc.id, epoch: lc.epoch})
+			lc.post(home, message{kind: mRequest, addr: addr, from: lc.id, epoch: lc.epoch, start: now})
 			continue
 		}
 		if wl.attempts > r.maxRetries {
@@ -788,7 +962,7 @@ func (r *Router) checkDeadlines(lc *lineCard, now time.Time) {
 func (r *Router) handle(lc *lineCard, m message) {
 	switch m.kind {
 	case mLookup:
-		r.handleLookup(lc, m)
+		r.handleLookup(lc, &m) // queued or re-submitted: it carries its destination
 	case mBatch:
 		r.handleBatch(lc, m)
 	case mBatchRequest:
@@ -864,6 +1038,15 @@ func (r *Router) handle(lc *lineCard, m message) {
 		lc.engine = m.engine
 		lc.homeOf = m.homeOf
 		lc.gen = m.gen
+		// Nothing in the cache may predate lc.gen: from here on this LC
+		// stamps its replies with the new generation, and an entry of the
+		// old table served under that stamp would pass both the epoch and
+		// the generation guard of a requester that has already rekeyed.
+		// Replies from homes that have not swapped yet now arrive with
+		// m.gen < lc.gen and take the fillStaleRelease path.
+		if lc.cache != nil {
+			lc.cache.Flush()
+		}
 		close(m.swapDone)
 	case mApplyUpdates:
 		r.handleApplyUpdates(lc, m)
@@ -881,7 +1064,7 @@ func (r *Router) handle(lc *lineCard, m message) {
 		for addr, wl := range pend {
 			for _, w := range wl.locals {
 				w.tr.Record(tracing.EvRedrive, int64(lc.id), 0)
-				r.handleLookup(lc, message{kind: mLookup, addr: addr, resp: w.ch, bd: w.bd, slot: w.slot, start: w.start, tr: w.tr})
+				r.handleLookup(lc, &message{kind: mLookup, addr: addr, resp: w.ch, bd: w.bd, slot: w.slot, start: w.start, tr: w.tr})
 			}
 			for _, rw := range wl.remotes {
 				r.handleRequest(lc, message{kind: mRequest, addr: addr, from: rw.from, epoch: rw.epoch, hops: rw.hops})
@@ -900,8 +1083,13 @@ func (r *Router) handle(lc *lineCard, m message) {
 	}
 }
 
-// handleLookup serves a locally submitted packet.
-func (r *Router) handleLookup(lc *lineCard, m message) {
+// handleLookup serves a locally submitted packet. A lookup normally
+// carries its destination — a reply channel or a batch slot — and the
+// verdict is delivered there. An inline caller (Router.lookup) submits it
+// with neither: a cache hit is then returned as (verdict, true) and never
+// needs a channel; on every other path m.resp is created here, the
+// moment the lookup has to wait, and the caller reads the verdict from it.
+func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 	lc.stats.Lookups.Add(1)
 	if lc.cache != nil {
 		switch res := lc.cache.Probe(m.addr); res.Kind {
@@ -915,20 +1103,25 @@ func (r *Router) handleLookup(lc *lineCard, m message) {
 				r.finishTrace(m.tr, ServedByCache, ok)
 			}
 			lc.lat.observe(ServedByCache, m.start, traceID(m.tr))
-			r.deliver(m, Verdict{Addr: m.addr, NextHop: res.NextHop, OK: ok, ServedBy: ServedByCache})
-			return
+			v := Verdict{Addr: m.addr, NextHop: res.NextHop, OK: ok, ServedBy: ServedByCache}
+			if m.resp == nil && m.bd == nil {
+				return v, true
+			}
+			r.deliver(*m, v)
+			return Verdict{}, false
 		case cache.HitWaiting:
+			m.needReply()
 			wl := r.park(lc, m.addr)
 			if wl.hedged {
 				// The waitlist was already answered by a hedge and only
 				// tracks the primary reply; parking here would strand this
 				// straggler, so answer it directly (see hedgeAnswerLocal).
-				r.hedgeAnswerLocal(lc, m)
-				return
+				r.hedgeAnswerLocal(lc, *m)
+				return Verdict{}, false
 			}
 			if r.waitlistFull(wl) {
-				r.shedLocal(lc.id, m, shedWaitlistOverflow)
-				return
+				r.shedLocal(lc.id, *m, shedWaitlistOverflow)
+				return Verdict{}, false
 			}
 			lc.stats.Coalesced.Add(1)
 			if m.tr != nil {
@@ -940,7 +1133,7 @@ func (r *Router) handleLookup(lc *lineCard, m message) {
 			}
 			wl.locals = append(wl.locals, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr, gen: lc.gen})
 			lc.waiters.Add(1)
-			return
+			return Verdict{}, false
 		default:
 			origin := cache.REM
 			if lc.homeOf(m.addr) == lc.id {
@@ -955,18 +1148,19 @@ func (r *Router) handleLookup(lc *lineCard, m message) {
 			}
 		}
 	}
+	m.needReply()
 	// Coalesce onto an in-flight miss. With caches on this is the bypass
 	// case: the set was fully waiting, so there is no W block to hit,
 	// but a dispatch for this address is already outstanding — a second
 	// dispatch would duplicate the FE execution and the fabric request.
 	if wl, ok := lc.pending[m.addr]; ok {
 		if wl.hedged {
-			r.hedgeAnswerLocal(lc, m)
-			return
+			r.hedgeAnswerLocal(lc, *m)
+			return Verdict{}, false
 		}
 		if r.waitlistFull(wl) {
-			r.shedLocal(lc.id, m, shedWaitlistOverflow)
-			return
+			r.shedLocal(lc.id, *m, shedWaitlistOverflow)
+			return Verdict{}, false
 		}
 		lc.stats.Coalesced.Add(1)
 		if m.tr != nil {
@@ -977,13 +1171,23 @@ func (r *Router) handleLookup(lc *lineCard, m message) {
 		}
 		wl.locals = append(wl.locals, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr, gen: lc.gen})
 		lc.waiters.Add(1)
-		return
+		return Verdict{}, false
 	}
 	wl := r.park(lc, m.addr)
 	wl.tr = m.tr
 	wl.locals = append(wl.locals, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr, gen: lc.gen})
 	lc.waiters.Add(1)
 	r.dispatch(lc, m.addr, wl)
+	return Verdict{}, false
+}
+
+// needReply gives a lookup that has to wait a destination if it has none
+// yet. A fresh channel every time, never a pooled one: a cancelled
+// LookupCtx or a replayed waiter may still deliver into an abandoned one.
+func (m *message) needReply() {
+	if m.resp == nil && m.bd == nil {
+		m.resp = make(chan Verdict, 1)
+	}
 }
 
 // maxForwardHops bounds how often a request may be re-forwarded inside a
@@ -1016,7 +1220,7 @@ func (r *Router) handleRequest(lc *lineCard, m message) {
 		}
 		m.hops++
 		lc.stats.ForwardedRequests.Add(1)
-		r.sendFabric(home, m)
+		lc.post(home, m)
 		return
 	}
 	rw := remoteWaiter{from: m.from, epoch: m.epoch, hops: m.hops, gen: lc.gen}
@@ -1120,7 +1324,7 @@ func (r *Router) dispatch(lc *lineCard, addr ip.Addr, wl *waitlist) {
 	wl.sentAt = time.Now()
 	wl.deadline = wl.sentAt.Add(r.timeout)
 	wl.tr.Record(tracing.EvFabricSend, int64(home), 1)
-	r.sendFabric(home, message{kind: mRequest, addr: addr, from: lc.id, epoch: lc.epoch})
+	lc.post(home, message{kind: mRequest, addr: addr, from: lc.id, epoch: lc.epoch, start: wl.sentAt})
 	if r.grayPol.Eject && r.gray[home].ejected.Load() {
 		// The home is ejected: answer the waiters from the fallback engine
 		// right now instead of paying its browned-out round trip. The
@@ -1208,7 +1412,7 @@ func (r *Router) release(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool,
 		defer func() {
 			for _, w := range redriveL {
 				w.tr.Record(tracing.EvRedrive, int64(lc.id), 0)
-				r.handleLookup(lc, message{kind: mLookup, addr: addr, resp: w.ch, bd: w.bd, slot: w.slot, start: w.start, tr: w.tr})
+				r.handleLookup(lc, &message{kind: mLookup, addr: addr, resp: w.ch, bd: w.bd, slot: w.slot, start: w.start, tr: w.tr})
 			}
 			for _, rw := range redriveR {
 				r.handleRequest(lc, message{kind: mRequest, addr: addr, from: rw.from, epoch: rw.epoch, hops: rw.hops})
@@ -1245,7 +1449,7 @@ func (r *Router) release(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool,
 // cache.
 func (r *Router) sendReply(lc *lineCard, rw remoteWaiter, addr ip.Addr, nh rtable.NextHop, ok bool, feNS int64, gen uint64) {
 	lc.stats.RepliesSent.Add(1)
-	r.sendFabric(rw.from, message{kind: mReply, addr: addr, nextHop: nh, ok: ok, from: lc.id, epoch: rw.epoch, hops: rw.hops, feNS: feNS, gen: r.stampGen(lc, gen)})
+	lc.post(rw.from, message{kind: mReply, addr: addr, nextHop: nh, ok: ok, from: lc.id, epoch: rw.epoch, hops: rw.hops, feNS: feNS, gen: r.stampGen(lc, gen)})
 }
 
 // stampGen is the generation a reply from lc leaves with. A pinned LC
@@ -1265,19 +1469,7 @@ func (r *Router) stampGen(lc *lineCard, gen uint64) uint64 {
 // the lookup is shed — refused at admission (full inbox) or abandoned
 // mid-flight (waitlist overflow, replay shed).
 func (r *Router) Lookup(lc int, addr ip.Addr) (Verdict, error) {
-	ch, err := r.LookupAsync(lc, addr)
-	if err != nil {
-		return Verdict{}, err
-	}
-	select {
-	case v := <-ch:
-		if v.ServedBy == ServedByShed {
-			return Verdict{}, ErrOverloaded
-		}
-		return v, nil
-	case <-r.quit:
-		return Verdict{}, ErrStopped
-	}
+	return r.lookup(context.Background(), lc, addr)
 }
 
 // LookupCtx is Lookup honoring a context: it returns ctx.Err() as soon as
@@ -1289,12 +1481,33 @@ func (r *Router) LookupCtx(ctx context.Context, lc int, addr ip.Addr) (Verdict, 
 	if err := ctx.Err(); err != nil {
 		return Verdict{}, err
 	}
-	ch, err := r.lookupAsync(ctx, lc, addr)
-	if err != nil {
-		return Verdict{}, err
+	return r.lookup(ctx, lc, addr)
+}
+
+// lookup is the synchronous lookup. When the arrival LC is idle the
+// caller runs the handler itself and a cache hit comes back as a return
+// value: no channel, no allocation, no goroutine switch. A lookup that has
+// to wait (a miss in flight) or to queue (a busy LC) gets its reply
+// channel at that moment.
+func (r *Router) lookup(ctx context.Context, i int, addr ip.Addr) (Verdict, error) {
+	if i < 0 || i >= r.cfg.NumLCs {
+		return Verdict{}, fmt.Errorf("router: no such LC %d", i)
+	}
+	m := r.newLookup(i, addr)
+	if lc := r.enter(i); lc != nil {
+		v, done := r.handleLookup(lc, &m)
+		r.leave(lc, m.start)
+		if done {
+			return v, nil
+		}
+	} else {
+		m.needReply()
+		if err := r.admit(ctx, i, m); err != nil {
+			return Verdict{}, err
+		}
 	}
 	select {
-	case v := <-ch:
+	case v := <-m.resp:
 		if v.ServedBy == ServedByShed {
 			return Verdict{}, ErrOverloaded
 		}
@@ -1304,6 +1517,18 @@ func (r *Router) LookupCtx(ctx context.Context, lc int, addr ip.Addr) (Verdict, 
 	case <-r.quit:
 		return Verdict{}, ErrStopped
 	}
+}
+
+// newLookup stamps one lookup submitted at LC i: its submission time and,
+// when it is sampled, its trace.
+func (r *Router) newLookup(i int, addr ip.Addr) message {
+	m := message{kind: mLookup, addr: addr, start: time.Now()}
+	if r.tracer != nil {
+		if m.tr = r.tracer.Sample(i, addr, m.start); m.tr != nil {
+			m.tr.Record(tracing.EvArrival, int64(i), 0)
+		}
+	}
+	return m
 }
 
 // LookupAsync submits a lookup and returns immediately with the channel
@@ -1318,26 +1543,15 @@ func (r *Router) LookupCtx(ctx context.Context, lc int, addr ip.Addr) (Verdict, 
 // overflow, replay shed — delivers a ServedByShed verdict on the channel;
 // the synchronous wrappers convert it to ErrOverloaded.
 func (r *Router) LookupAsync(lc int, addr ip.Addr) (<-chan Verdict, error) {
-	return r.lookupAsync(context.Background(), lc, addr)
-}
-
-// lookupAsync is LookupAsync giving up on admission when ctx is cancelled.
-func (r *Router) lookupAsync(ctx context.Context, lc int, addr ip.Addr) (<-chan Verdict, error) {
 	if lc < 0 || lc >= r.cfg.NumLCs {
 		return nil, fmt.Errorf("router: no such LC %d", lc)
 	}
-	resp := make(chan Verdict, 1)
-	start := time.Now()
-	var tr *tracing.LookupTrace
-	if r.tracer != nil {
-		if tr = r.tracer.Sample(lc, addr, start); tr != nil {
-			tr.Record(tracing.EvArrival, int64(lc), 0)
-		}
-	}
-	if err := r.admit(ctx, lc, message{kind: mLookup, addr: addr, resp: resp, start: start, tr: tr}); err != nil {
+	m := r.newLookup(lc, addr)
+	m.needReply()
+	if err := r.admit(context.Background(), lc, m); err != nil {
 		return nil, err
 	}
-	return resp, nil
+	return m.resp, nil
 }
 
 // LookupBatchCtx pipelines a whole slice of destinations at one line card
@@ -1507,15 +1721,15 @@ func (r *Router) swapPartitioning(part *partition.Partitioning) error {
 // In-flight and future Lookup/LookupCtx/LookupBatch/UpdateTable calls
 // return ErrStopped; Metrics keeps returning the final counter values.
 func (r *Router) Stop() {
-	if r.stopped.Swap(true) {
-		r.wg.Wait()
-		r.delayWG.Wait()
-		return
+	if !r.stopped.Swap(true) {
+		close(r.quit)
 	}
-	close(r.quit)
 	r.wg.Wait()
-	// Delayed fabric messages are only spawned from LC goroutines, all of
-	// which have exited by now, so this wait is race-free; the helpers
-	// bail out as soon as quit closes.
+	// A delayed fabric message joins delayWG under delayMu and only while
+	// stopped is false, so with the lock held no sender — LC goroutine or
+	// inline caller — can still Add; the helpers never take it and bail
+	// out as soon as quit closes.
+	r.delayMu.Lock()
 	r.delayWG.Wait()
+	r.delayMu.Unlock()
 }

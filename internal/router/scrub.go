@@ -113,7 +113,7 @@ func normalizeScrub(p ScrubPolicy, tick time.Duration) ScrubPolicy {
 }
 
 // lcScrub is one LC's integrity bookkeeping. The counters are atomic
-// (written on the LC goroutine inside the scrub closure, read by
+// (written by the LC inside the scrub closure, read by
 // Metrics/Integrity from anywhere); cursor is monitor-only under r.mu.
 type lcScrub struct {
 	cursor       int // next partition-prefix index the engine sweep samples

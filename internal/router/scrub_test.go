@@ -323,7 +323,7 @@ func TestPinnedRequesterKeepsStaleGuard(t *testing.T) {
 	}
 
 	// The lost reply, arriving late with the pre-batch value.
-	r.inboxes[0] <- message{kind: mReply, addr: addr, nextHop: route.NextHop, ok: true, from: 1, gen: oldGen}
+	r.push(0, message{kind: mReply, addr: addr, nextHop: route.NextHop, ok: true, from: 1, gen: oldGen})
 	if v := <-parked; v.NextHop != route.NextHop && v.NextHop != changed.NextHop {
 		t.Fatalf("in-flight lookup resolved %+v, want next hop %d or %d", v, route.NextHop, changed.NextHop)
 	}
@@ -331,7 +331,7 @@ func TestPinnedRequesterKeepsStaleGuard(t *testing.T) {
 		t.Errorf("pinned requester classified %d replies as generationally stale, want 1", got)
 	}
 	probe := make(chan cache.ProbeResult, 1)
-	r.inboxes[0] <- message{kind: mExec, do: func(lc *lineCard) { probe <- lc.cache.Probe(addr) }}
+	r.push(0, message{kind: mExec, do: func(lc *lineCard) { probe <- lc.cache.Probe(addr) }})
 	if res := <-probe; res.Kind == cache.Hit && res.NextHop == route.NextHop {
 		t.Fatalf("pre-batch next hop %d survived the batch's invalidation in the pinned LC's cache", route.NextHop)
 	}
@@ -513,6 +513,9 @@ func TestChaosScrubCorruption(t *testing.T) {
 func TestScrubDisabledZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the batch descriptor is pooled")
 	}
 	tbl := rtable.Small(2000, 7)
 	rng := stats.NewRNG(3)

@@ -3,10 +3,10 @@
 //
 // Ownership protocol (the reason tracing adds no locks): a LookupTrace
 // is created at the arrival LC and only ever appended to by whichever
-// goroutine currently owns the lookup's state — the LC goroutine holding
-// the message or waitlist, or the health monitor between a crash and the
-// slot's rebirth (the same happens-before edge that makes waitlist
-// adoption race-free, see lifecycle.go). Home-LC detail returns inside
+// goroutine currently owns the lookup's state — the holder of the
+// lineCard.mu of the LC whose message or waitlist carries it (its lcLoop,
+// an inline caller, or the health monitor adopting a crashed slot, see
+// lifecycle.go). Home-LC detail returns inside
 // the reply message as plain integers (hops, FE nanoseconds), never as a
 // shared pointer.
 //

@@ -163,7 +163,7 @@ func (r *Router) ApplyUpdates(batch []rtable.Update) error {
 	return nil
 }
 
-// handleApplyUpdates applies one update batch on the owning LC goroutine:
+// handleApplyUpdates applies one update batch at its LC:
 // engine delta (in place when the engine is dynamic, partition rebuild
 // otherwise), generation bump, targeted cache invalidation, ack.
 func (r *Router) handleApplyUpdates(lc *lineCard, m message) {
