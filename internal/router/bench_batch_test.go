@@ -39,7 +39,8 @@ func benchRouter(b *testing.B, tbl *rtable.Table, opts ...Option) *Router {
 }
 
 // BenchmarkLookupSingleCacheHit is the per-address baseline: one warmed
-// cache-hit lookup per iteration (allocates its reply channel every time).
+// cache-hit lookup per iteration, run by the caller on an idle LC. Must
+// report 0 allocs/op (CI gates on it).
 func BenchmarkLookupSingleCacheHit(b *testing.B) {
 	tbl := rtable.Small(2000, 7)
 	r := benchRouter(b, tbl, WithLCs(1), WithDefaultCache())
@@ -54,6 +55,31 @@ func BenchmarkLookupSingleCacheHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLookupSingleCacheHitContended is the same hit with the callers
+// of every P submitting at the one LC (run it with -cpu 2 or more) and
+// racing for its lock. queued/op is the share that lost, went through the
+// inbox and was served by the LC's own goroutine over a reply channel.
+func BenchmarkLookupSingleCacheHitContended(b *testing.B) {
+	tbl := rtable.Small(2000, 7)
+	r := benchRouter(b, tbl, WithLCs(1), WithDefaultCache())
+	addrs := benchAddrs(b, tbl, 3)
+	if _, err := r.LookupBatch(0, addrs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, err := r.Lookup(0, addrs[i%len(addrs)]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	in, q := r.lcs[0].handledInline.Load(), r.lcs[0].handledQueued.Load()
+	b.ReportMetric(float64(q)/float64(in+q), "queued/op")
 }
 
 // BenchmarkLookupBatchCacheHit: a 64-address batch served entirely from

@@ -8,6 +8,7 @@ package router
 import (
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/metrics"
+	"spal/internal/partition"
 	"spal/internal/rtable"
 	"spal/internal/stats"
 )
@@ -394,6 +396,182 @@ func TestChaosInlineRaceStress(t *testing.T) {
 			}
 			t.Logf("served=%d updates=%d rehomes=%d inline=%d queued=%d", served.Load(), updates.Load(), r.rehomes.Load(), inline, queued)
 		})
+	}
+}
+
+// TestChaosInlineStopUnderDelay: Stop while the injector is delaying fabric
+// messages and callers keep submitting. A delayed message's helper
+// goroutine runs handlers inline like any other sender, so its handler's
+// reply can itself be up for a delay while Stop is waiting for the helper;
+// Stop must not hold anything that send needs.
+func TestChaosInlineStopUnderDelay(t *testing.T) {
+	tbl := rtable.Small(2000, 7)
+	delayed := func(FabricMessage) FaultDecision { return FaultDecision{Delay: 20 * time.Microsecond} }
+	rounds := 150
+	if testing.Short() {
+		rounds = 50
+	}
+	for round := 0; round < rounds; round++ {
+		r, err := New(tbl, WithLCs(4), WithoutCache(), WithFaultInjector(delayed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for lc := 0; lc < r.NumLCs(); lc++ {
+			wg.Add(1)
+			go func(lc int) {
+				defer wg.Done()
+				rng := stats.NewRNG(uint64(round*4+lc) + 1)
+				for {
+					if _, err := r.LookupAsync(lc, tbl.RandomMatchedAddr(rng)); err != nil {
+						return // stopped
+					}
+				}
+			}(lc)
+		}
+		time.Sleep(time.Duration(50+round%8*50) * time.Microsecond)
+		stopped := make(chan struct{})
+		go func() {
+			r.Stop()
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(10 * time.Second):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("round %d: Stop did not return\n%s", round, buf[:runtime.Stack(buf, true)])
+		}
+		wg.Wait()
+	}
+}
+
+// inlineNesting counts the runInline frames on the calling goroutine's
+// stack. Called from a fault injector it sees the stack a fabric message is
+// sent from, which is the stack its handler would nest on.
+func inlineNesting() int {
+	pcs := make([]uintptr, 2048)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+	n := 0
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "(*Router).runInline") {
+			n++
+		}
+		if !more {
+			return n
+		}
+	}
+}
+
+// TestChaosInlineDepthBounded: inline runs nest on the sender's stack, and
+// the protocol has one open-ended exchange — a requester that has swapped
+// to a new table re-drives every reply from a home that has not, for as
+// long as that home's swap has not reached its ctrl channel. Held in that
+// state by hand, request and stale reply must go round through the inbox
+// every maxInlineDepth hand-offs instead of down one stack; and real
+// UpdateTable calls under load must stay inside the same bound.
+func TestChaosInlineDepthBounded(t *testing.T) {
+	t1 := rtable.Small(1500, 7)
+	t2 := rtable.Small(1500, 8)
+	o2 := lpm.NewReference(t2)
+	p2 := partition.Partition(t2, 2)
+	var deepest atomic.Int64
+	probe := func(FabricMessage) FaultDecision {
+		if n := int64(inlineNesting()); n > deepest.Load() {
+			deepest.Store(n) // racy max is fine: any excess trips the check
+		}
+		return FaultDecision{}
+	}
+	r, err := New(t1, WithLCs(2), WithDefaultCache(), WithFaultInjector(probe), WithRequestTimeout(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+
+	const home, req = 1, 0
+	var addr ip.Addr
+	for rng := stats.NewRNG(29); ; {
+		if addr = t2.RandomMatchedAddr(rng); r.HomeLC(addr) == home && p2.HomeLC(addr) == home {
+			break
+		}
+	}
+	ctrl := func(lc int, m message) {
+		t.Helper()
+		done := make(chan struct{})
+		m.swapDone = done
+		if !r.sendCtrlSwap(lc, m) {
+			t.Fatal("router stopped")
+		}
+		<-done
+	}
+	swap := func(lc int) {
+		ctrl(lc, message{kind: mSwapEngine, engine: r.buildEngine(p2.Table(lc)), homeOf: p2.HomeLC, gen: r.gen})
+	}
+
+	r.mu.Lock()
+	r.fallback.Store(&fallbackEngine{eng: r.cfg.Engine(t2)})
+	r.gen++
+	swap(req) // the requester is ahead; the home does not even have its swap queued
+	got := make(chan Verdict, 1)
+	go func() {
+		v, err := r.Lookup(req, addr)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- v
+	}()
+	stale := &r.stats[req].StaleGenReplies
+	waitFor(t, "the stale re-drive to go round a few thousand times", func() bool {
+		return stale.Load() >= 5000 || deepest.Load() > maxInlineDepth
+	})
+	swap(home)
+	ctrl(req, message{kind: mRekey})
+	ctrl(home, message{kind: mRekey})
+	r.part = p2
+	r.mu.Unlock()
+
+	select {
+	case v := <-got:
+		if !verdictMatches(v, o2, addr) {
+			t.Errorf("verdict %+v (served by %s) is not the new table's", v, v.ServedBy)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the re-driven lookup never completed")
+	}
+	if d := deepest.Load(); d > maxInlineDepth || d < 2 {
+		t.Fatalf("%d stale replies re-driven with inline runs nested %d deep, want 2..%d", stale.Load(), d, maxInlineDepth)
+	}
+
+	// The same bound with nobody holding the window open.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for lc := 0; lc < r.NumLCs(); lc++ {
+		wg.Add(1)
+		go func(lc int) {
+			defer wg.Done()
+			rng := stats.NewRNG(uint64(lc) + 41)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := r.Lookup(lc, t1.RandomMatchedAddr(rng)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(lc)
+	}
+	for i, tbl := range []*rtable.Table{t1, t2, t1, t2} {
+		if err := r.UpdateTable(tbl); err != nil {
+			t.Fatalf("UpdateTable %d: %v", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if d := deepest.Load(); d > maxInlineDepth {
+		t.Fatalf("inline runs nested %d deep across UpdateTable under load, want at most %d", d, maxInlineDepth)
 	}
 }
 

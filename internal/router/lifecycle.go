@@ -243,7 +243,7 @@ func (r *Router) rehomeLocked(dead int) {
 	l.lastBeat.Store(now)
 	lc.lastTick = now
 	lc.live.Store(true)
-	lc.mu.Unlock()
+	r.leave(lc, time.Time{}) // like any owner: a closure run above may have posted
 	r.wg.Add(1)
 	go r.lcLoop(lc, r.inboxes[dead], r.ctrls[dead], l.die, l.exited)
 
@@ -289,7 +289,8 @@ func (r *Router) rehomeLocked(dead int) {
 // engine, or an old delta on top of the current one, under the current
 // generation stamp until the re-home's own swap lands — the adoption
 // installs the current table, so those are dropped, acked. Flushes and
-// closures are still run (a Metrics call may be waiting on one). r.mu and
+// closures are still run (a Metrics call may be waiting on one); the
+// adoption ends in leave, so anything one posted is delivered. r.mu and
 // lc.mu must be held and no incarnation may be running, which makes this
 // goroutine the channel's only receiver.
 func (r *Router) discardStaleCtrl(lc *lineCard) {

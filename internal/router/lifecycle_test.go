@@ -14,6 +14,7 @@ import (
 
 	"spal/internal/ip"
 	"spal/internal/lpm"
+	"spal/internal/partition"
 	"spal/internal/rtable"
 	"spal/internal/stats"
 )
@@ -521,4 +522,86 @@ func TestWaitersGauge(t *testing.T) {
 		w0, w1 := r.lcs[0].waiters.Load(), r.lcs[1].waiters.Load()
 		return w0 == 0 && w1 == 0
 	})
+}
+
+// TestRebirthDiscardsStaleCtrl: a swap sent to a slot between its crash and
+// its adoption may sit buffered in its ctrl channel (sendCtrlSwap takes
+// "room in ctrl" or "exited", whichever it sees first), its sender long
+// gone. The adoption installs the current table; the reborn incarnation
+// must not then apply the buffered swap on top of it and serve an older
+// table until the re-home's own swap arrives. The window is held open by an
+// engine builder that blocks the re-home's swap, with a stale swap and a
+// control closure planted in the dead slot's ctrl channel by hand.
+func TestRebirthDiscardsStaleCtrl(t *testing.T) {
+	t1 := rtable.Small(1500, 7)
+	t2 := rtable.Small(1500, 8)
+	o1, o2 := lpm.NewReference(t1), lpm.NewReference(t2)
+	p1 := partition.Partition(t1, 2)
+
+	// Once armed, the builder lets one build through (the adoption's) and
+	// holds the rest (the re-home's swap) until released.
+	var armed atomic.Bool
+	var builds atomic.Int64
+	hold := make(chan struct{})
+	var release sync.Once
+	builder := func(tbl *rtable.Table) lpm.Engine {
+		if armed.Load() && builds.Add(1) > 1 {
+			<-hold
+		}
+		return lpm.NewReferenceEngine(tbl)
+	}
+	r, err := New(t1, WithLCs(2), WithEngine(builder), WithDefaultCache(),
+		WithHealthThresholds(5*time.Millisecond, 10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	defer release.Do(func() { close(hold) })
+	if err := r.UpdateTable(t2); err != nil {
+		t.Fatal(err)
+	}
+
+	// An address the old table homes at the slot and routes differently.
+	const dead = 1
+	var addr ip.Addr
+	for rng := stats.NewRNG(31); ; {
+		addr = t2.RandomMatchedAddr(rng)
+		nh1, _, ok1 := o1.Lookup(addr)
+		nh2, _, _ := o2.Lookup(addr)
+		if p1.HomeLC(addr) == dead && (!ok1 || nh1 != nh2) {
+			break
+		}
+	}
+
+	r.mu.Lock() // keeps the monitor off the corpse while the stage is set
+	r.lcs[dead].live.Store(false)
+	close(r.life[dead].die)
+	<-r.life[dead].exited
+	acked, ran := make(chan struct{}), make(chan struct{})
+	r.sendCtrl(dead, message{kind: mSwapEngine, engine: lpm.NewReferenceEngine(p1.Table(dead)),
+		homeOf: p1.HomeLC, gen: r.gen - 1, swapDone: acked})
+	r.sendCtrl(dead, message{kind: mExec, do: func(*lineCard) { close(ran) }})
+	armed.Store(true)
+	r.mu.Unlock()
+
+	waitFor(t, "the monitor to adopt the slot", func() bool {
+		return r.LCStates()[dead] == LCDown && r.lcs[dead].live.Load()
+	})
+	v, err := r.Lookup(dead, addr)
+	if err != nil || !verdictMatches(v, o2, addr) {
+		t.Errorf("lookup at the reborn slot before the re-home's swap: %+v (served by %s), %v; want the current table's verdict", v, v.ServedBy, err)
+	}
+	for what, ch := range map[string]chan struct{}{"stale swap was not acked": acked, "control closure did not run": ran} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Errorf("the buffered %s", what)
+		}
+	}
+	release.Do(func() { close(hold) })
+	r.mu.Lock() // held by the monitor until the re-home's swap is done
+	r.mu.Unlock()
+	if v, err := r.Lookup(dead, addr); err != nil || !verdictMatches(v, o2, addr) {
+		t.Errorf("lookup after the re-home: %+v, %v", v, err)
+	}
 }

@@ -211,6 +211,7 @@ const (
 type message struct {
 	kind     uint8
 	hops     uint8 // forwards survived (mRequest), echoed back on mReply
+	depth    uint8 // fabric messages: inline runs already nested above the one that would handle it (see lineCard.post)
 	addr     ip.Addr
 	nextHop  rtable.NextHop
 	ok       bool
@@ -359,6 +360,12 @@ type lineCard struct {
 	// them before unlocking and delivers them afterwards (see leave). The
 	// backing array is reused.
 	outbox []fabricSend
+	// depth is how many inline runs are nested on this owner's stack above
+	// the handler now running: zero for lcLoop and for a caller entering
+	// with its own lookup, the message's depth for runInline. post stamps
+	// depth+1 on what the handler sends, and runInline refuses past
+	// maxInlineDepth, which bounds the nesting whatever the protocol does.
+	depth uint8
 
 	// Everything below is atomic and may be touched without mu.
 
@@ -402,7 +409,7 @@ type Router struct {
 	stopped atomic.Bool
 	wg      sync.WaitGroup
 	delayWG sync.WaitGroup // goroutines holding injector-delayed messages
-	delayMu sync.Mutex     // orders delayWG.Add against Stop's delayWG.Wait
+	delayMu sync.Mutex     // orders delayWG.Add against Stop setting stopped
 	lcs     []*lineCard
 	stats   []*LCStats
 
@@ -672,8 +679,9 @@ func (r *Router) sendFabric(to int, m message) {
 		// Delayed copies ride a helper goroutine; Stop waits for these
 		// after the LC goroutines exit, and the helper bails out on quit,
 		// so a delayed message can never outlive the router. The sender may
-		// be a caller's goroutine finishing an inline run while Stop is in
-		// progress, so joining delayWG is serialized against Stop's wait.
+		// be a caller's goroutine (or another helper) finishing an inline run
+		// while Stop is in progress, so joining delayWG is ordered against
+		// Stop setting stopped; see there.
 		r.delayMu.Lock()
 		if r.stopped.Load() {
 			r.delayMu.Unlock()
@@ -757,11 +765,19 @@ func (r *Router) runQueued(lc *lineCard, m message) {
 // queues m, so a backlogged, control-pending, busy or killed LC sees its
 // traffic through the inbox in FIFO order. Only TryLock is used, so two
 // LCs handing messages to each other cannot deadlock.
+//
+// A message produced by an inline run is handled nested on that run's
+// stack, so one that is already maxInlineDepth hand-offs deep queues too:
+// the lcLoop that takes it starts again from an empty stack.
 func (r *Router) runInline(i int, m message) bool {
+	if m.depth > maxInlineDepth {
+		return false
+	}
 	lc := r.enter(i)
 	if lc == nil {
 		return false
 	}
+	lc.depth = m.depth
 	r.handle(lc, m)
 	now := m.start
 	if m.bd != nil {
@@ -801,6 +817,7 @@ func (r *Router) leave(lc *lineCard, now time.Time) {
 	if !now.IsZero() && now.Sub(lc.lastTick) >= r.tickEvery {
 		r.tick(lc, now)
 	}
+	lc.depth = 0 // the next owner starts from its own stack
 	if len(lc.outbox) == 0 {
 		lc.mu.Unlock()
 		return
@@ -826,6 +843,7 @@ func (r *Router) unlockAndFlush(lc *lineCard) {
 // post queues a fabric message produced by the handler running on lc; it
 // crosses the fabric (sendFabric) once the handler's owner has unlocked.
 func (lc *lineCard) post(to int, m message) {
+	m.depth = lc.depth + 1
 	lc.outbox = append(lc.outbox, fabricSend{to, m})
 }
 
@@ -1189,6 +1207,16 @@ func (m *message) needReply() {
 		m.resp = make(chan Verdict, 1)
 	}
 }
+
+// maxInlineDepth bounds how deep inline runs nest on one goroutine. A
+// remote miss nests two (request at the home, reply at the arrival LC)
+// plus one per forward, so every exchange the protocol intends still runs
+// without a switch. What the bound stops is open-ended: a requester that
+// has swapped to a new table re-drives every reply from a home that has
+// not (fillStaleRelease → release), and while that home's swap is not yet
+// in its ctrl channel it is idle, so request and stale reply would
+// otherwise chase each other down one stack until the swap arrives.
+const maxInlineDepth = maxForwardHops + 2
 
 // maxForwardHops bounds how often a request may be re-forwarded inside a
 // partitioning-swap window. Two LCs holding different homeOf functions
@@ -1686,8 +1714,17 @@ func (r *Router) swapPartitioning(part *partition.Partitioning) error {
 		return nil
 	}
 
+	// Every engine is built before the first LC is told to swap: the LCs
+	// disagree about the table from the first phase-1 message to the last,
+	// and requests that cross that line are answered stale and re-driven
+	// until the trailing home has its swap, so the window must not also
+	// contain ψ engine builds.
+	engines := make([]lpm.Engine, r.cfg.NumLCs)
+	for i := range engines {
+		engines[i] = r.buildEngine(part.Table(i))
+	}
 	if err := phase(func(i int) message {
-		return message{kind: mSwapEngine, engine: r.buildEngine(part.Table(i)), homeOf: part.HomeLC, gen: r.gen}
+		return message{kind: mSwapEngine, engine: engines[i], homeOf: part.HomeLC, gen: r.gen}
 	}); err != nil {
 		return err
 	}
@@ -1721,15 +1758,17 @@ func (r *Router) swapPartitioning(part *partition.Partitioning) error {
 // In-flight and future Lookup/LookupCtx/LookupBatch/UpdateTable calls
 // return ErrStopped; Metrics keeps returning the final counter values.
 func (r *Router) Stop() {
-	if !r.stopped.Swap(true) {
+	// stopped is set under delayMu: a delayed fabric message joins delayWG
+	// under the same lock and only while stopped is false, so every Add
+	// happens before the waits below. The lock is not held while waiting —
+	// a helper delivering its message may run handlers inline and be asked
+	// to delay a reply, which takes the lock to find out it must not.
+	r.delayMu.Lock()
+	first := !r.stopped.Swap(true)
+	r.delayMu.Unlock()
+	if first {
 		close(r.quit)
 	}
 	r.wg.Wait()
-	// A delayed fabric message joins delayWG under delayMu and only while
-	// stopped is false, so with the lock held no sender — LC goroutine or
-	// inline caller — can still Add; the helpers never take it and bail
-	// out as soon as quit closes.
-	r.delayMu.Lock()
 	r.delayWG.Wait()
-	r.delayMu.Unlock()
 }
