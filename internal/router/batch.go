@@ -15,20 +15,19 @@
 // coalesce onto the existing waitlist as batch waiters (a localWaiter
 // whose bd/slot point back into the descriptor); same-home misses are
 // collected and resolved with one batched engine sweep after the scan —
-// no waitlist, no RecordMiss, no allocation; remote misses park exactly
-// like single lookups (same deadline/retry/fallback/re-home machinery)
-// but their fabric requests accumulate into one fabricBatch per home LC,
-// sent as a single mBatchRequest when the scan ends. That turns the
-// fabric cost of a ψ-way scattered batch from O(addresses) messages into
-// O(ψ), which is the tentpole win: the per-message constant (channel
-// send, select wakeup, injector call) is paid once per home instead of
-// once per address.
+// no waitlist, no RecordMiss, no allocation; remote misses take the one
+// miss path (park, routeFor, then deadline/retry/fallback/re-home) and
+// only their fabric requests differ: they accumulate into one fabricBatch
+// per home LC, sent as a single mBatchRequest when the scan ends. That
+// turns the fabric cost of a ψ-way scattered batch from O(addresses)
+// messages into O(ψ): the per-message constant (channel send, select
+// wakeup, injector call) is paid once per home instead of once per
+// address.
 //
-// Cancellation: the old batch path leaked one buffered channel per
-// outstanding address when the caller's context fired. Here the caller
-// flips the descriptor's state to abandoned and walks away; the last
-// in-flight sub-lookup to land observes the state and returns the
-// descriptor to the pool itself (Router.batchRecycled counts these).
+// Cancellation: a caller whose context fires flips the descriptor's state
+// to abandoned and walks away; the last in-flight sub-lookup to land
+// observes the state and returns the descriptor to the pool itself
+// (Router.batchRecycled counts these).
 package router
 
 import (
@@ -245,29 +244,14 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 				continue
 			}
 		}
+		// From here the slot is a miss, and travels as the single lookup it
+		// would have been.
+		sub := message{kind: mLookup, addr: addr, bd: bd, slot: slot, start: bd.start, tr: tr}
 		// Coalesce onto an in-flight miss (covers both HitWaiting and the
-		// cache-bypass case, exactly like handleLookup).
+		// cache-bypass case).
 		if wl, ok := lc.pending[addr]; ok {
-			if wl.hedged {
-				// The waitlist was already answered by a hedge; parking here
-				// would strand this slot (see hedgeAnswerLocal).
-				r.hedgeAnswerLocal(lc, message{addr: addr, bd: bd, slot: slot, start: bd.start, tr: tr})
-				continue
-			}
-			if r.waitlistFull(wl) {
-				r.shedLocal(lc.id, message{addr: addr, bd: bd, slot: slot, tr: tr}, shedWaitlistOverflow)
-				continue
-			}
-			lc.stats.Coalesced.Add(1)
-			if tr != nil {
-				tr.Record(tracing.EvProbe, int64(probeKind), 0)
-				tr.Record(tracing.EvCoalesce, int64(len(wl.locals)+len(wl.remotes)), 0)
-				if wl.tr == nil {
-					wl.tr = tr
-				}
-			}
-			wl.locals = append(wl.locals, localWaiter{bd: bd, slot: slot, start: bd.start, tr: tr, gen: lc.gen})
-			lc.waiters.Add(1)
+			tr.Record(tracing.EvProbe, int64(probeKind), 0)
+			r.joinLocal(lc, wl, &sub)
 			continue
 		}
 		home := lc.homeOf(addr)
@@ -284,10 +268,10 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 			sc.trs = append(sc.trs, tr)
 			continue
 		}
-		// Remote miss: park a waitlist with the usual deadline/retry arming
-		// so the shared robustness machinery (checkDeadlines, re-homing,
-		// breakers) treats batch sub-lookups like any single lookup — only
-		// the fabric send is deferred into the per-home accumulator.
+		// Remote miss: park a waitlist and let routeFor decide and arm it, so
+		// the shared robustness machinery (checkDeadlines, re-homing,
+		// breakers, ejection) treats batch sub-lookups like any single lookup
+		// — only the fabric send is deferred into the per-home accumulator.
 		if lc.cache != nil {
 			recorded := lc.cache.RecordMiss(addr, cache.REM, 0)
 			if tr != nil {
@@ -299,24 +283,10 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 		}
 		wl := r.park(lc, addr)
 		wl.tr = tr
-		wl.locals = append(wl.locals, localWaiter{bd: bd, slot: slot, start: bd.start, tr: tr, gen: lc.gen})
-		lc.waiters.Add(1)
-		if r.ov.Enabled && !r.breakerAllows(lc, home) {
-			lc.ov.breakerShorts.Add(1)
-			lc.stats.Fallbacks.Add(1)
-			wl.tr.Record(tracing.EvBreaker, int64(home), int64(lc.ov.breakers[home].state.Load()))
-			wl.tr.Record(tracing.EvFallback, int64(lc.id), 0)
-			nh, _, ok := r.fallback.Load().eng.Lookup(addr)
-			if !ok {
-				nh = rtable.NoNextHop
-			}
-			r.fillAndRelease(lc, addr, nh, ok, cache.REM, ServedByFallback)
+		lc.addLocal(wl, &sub)
+		if !r.routeFor(lc, addr, home, wl, now) {
 			continue
 		}
-		wl.attempts = 1
-		wl.sentAt = now
-		wl.deadline = now.Add(r.timeout)
-		wl.tr.Record(tracing.EvFabricSend, int64(home), 1)
 		fb := sc.byHome[home]
 		if fb == nil {
 			fb = &fabricBatch{}
@@ -324,32 +294,12 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 			sc.homes = append(sc.homes, home)
 		}
 		fb.addrs = append(fb.addrs, addr)
-		if r.grayPol.Eject && r.gray[home].ejected.Load() {
-			// Ejected home: answer this slot from the fallback engine now
-			// (same contract as dispatch — the accumulated request still
-			// goes out and its reply lands as a suppressed hedged primary).
-			wl.tr.Record(tracing.EvEject, int64(home), 0)
-			r.ejectServed.Add(1)
-			r.hedgeResolve(lc, addr, wl)
-		}
 	}
-	// One engine sweep answers every same-home miss (BatchEngine engines
-	// run it level-synchronously; others fall back per key).
-	if n := len(sc.addrs); n > 0 {
-		lc.stats.FEExecs.Add(int64(n))
-		t0 := r.feTimer()
-		if cap(sc.res) < n {
-			sc.res = make([]lpm.Result, n)
-		}
-		res := sc.res[:n]
-		lpm.LookupAll(lc.engine, sc.addrs, res)
-		feNS := elapsedNS(t0) // batch-granular; per-address splits aren't measured
-		for k := 0; k < n; k++ {
-			addr, ok := sc.addrs[k], res[k].OK
-			nh := res[k].NextHop
-			if !ok {
-				nh = rtable.NoNextHop
-			}
+	// One engine sweep answers every same-home miss.
+	if len(sc.addrs) > 0 {
+		res, feNS := r.sweepFE(lc) // batch-granular; per-address splits aren't measured
+		for k, addr := range sc.addrs {
+			nh, ok := res[k].NextHop, res[k].OK
 			if lc.cache != nil {
 				lc.cache.Fill(addr, nh, cache.LOC)
 			}
@@ -375,94 +325,66 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 	sc.homes = sc.homes[:0]
 }
 
-// handleBatchRequest serves a coalesced request at the home LC: cache
-// hits and freshly computed results accumulate into one reply batch;
-// addresses already in flight coalesce as remote waiters and ride
-// individual replies instead (their resolution happens later, outside
-// this handler). Re-homed addresses are forwarded as individual requests
-// exactly like handleRequest would.
+// sweepFE runs this LC's engine over the addresses collected in its
+// scratch in one batched call (BatchEngine engines run it
+// level-synchronously; others fall back per key), misses normalised to
+// NoNextHop. feNS is the whole sweep's time, measured only while tracing.
+func (r *Router) sweepFE(lc *lineCard) (res []lpm.Result, feNS int64) {
+	sc := lc.scratch
+	n := len(sc.addrs)
+	lc.stats.FEExecs.Add(int64(n))
+	t0 := r.feTimer()
+	if cap(sc.res) < n {
+		sc.res = make([]lpm.Result, n)
+	}
+	res = sc.res[:n]
+	lpm.LookupAll(lc.engine, sc.addrs, res)
+	for k := range res {
+		if !res[k].OK {
+			res[k].NextHop = rtable.NoNextHop
+		}
+	}
+	return res, elapsedNS(t0)
+}
+
+// add appends one answered address to a reply batch, allocating it on
+// first use.
+func (fb *fabricBatch) add(addr ip.Addr, nh rtable.NextHop, ok bool) *fabricBatch {
+	if fb == nil {
+		fb = &fabricBatch{}
+	}
+	fb.addrs = append(fb.addrs, addr)
+	fb.nhs = append(fb.nhs, nh)
+	fb.oks = append(fb.oks, ok)
+	return fb
+}
+
+// handleBatchRequest serves a coalesced request at the home LC, address by
+// address like handleRequest (serveRequest), except that cache hits and
+// freshly computed results accumulate into one reply batch and the fresh
+// misses share one FE sweep. Addresses already in flight coalesce as
+// remote waiters and ride individual replies instead (their resolution
+// happens later, outside this handler); re-homed addresses are forwarded
+// as individual requests.
 func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 	sc := lc.scratch
 	var rb *fabricBatch
+	rw := remoteWaiter{from: m.from, epoch: m.epoch, gen: lc.gen}
 	for _, addr := range m.fb.addrs {
-		if home := lc.homeOf(addr); home != lc.id {
-			// Re-homed while in flight: hand off per address with one
-			// forward hop consumed, preserving handleRequest's ping-pong
-			// cap via the individual-request path.
-			lc.stats.ForwardedRequests.Add(1)
-			lc.post(home, message{kind: mRequest, addr: addr, from: m.from, epoch: m.epoch, hops: 1, start: m.start})
-			continue
+		hit, nh, fresh := r.serveRequest(lc, addr, rw, m.start)
+		switch {
+		case hit:
+			rb = rb.add(addr, nh, nh != rtable.NoNextHop)
+		case fresh != nil:
+			sc.addrs = append(sc.addrs, addr)
 		}
-		rw := remoteWaiter{from: m.from, epoch: m.epoch, gen: lc.gen}
-		if lc.cache != nil {
-			switch res := lc.cache.Probe(addr); res.Kind {
-			case cache.Hit, cache.HitVictim:
-				if rb == nil {
-					rb = &fabricBatch{}
-				}
-				rb.addrs = append(rb.addrs, addr)
-				rb.nhs = append(rb.nhs, res.NextHop)
-				rb.oks = append(rb.oks, res.NextHop != rtable.NoNextHop)
-				continue
-			case cache.HitWaiting:
-				wl := r.park(lc, addr)
-				if wl.hedged {
-					r.hedgeAnswerRemote(lc, rw, addr)
-					continue
-				}
-				if r.waitlistFull(wl) {
-					r.shedCount(lc.id, shedWaitlistOverflow)
-					continue
-				}
-				lc.stats.Coalesced.Add(1)
-				wl.remotes = append(wl.remotes, rw)
-				lc.waiters.Add(1)
-				continue
-			default:
-				lc.cache.RecordMiss(addr, cache.LOC, 0)
-			}
-		}
-		if wl, ok := lc.pending[addr]; ok {
-			if wl.hedged {
-				r.hedgeAnswerRemote(lc, rw, addr)
-				continue
-			}
-			if r.waitlistFull(wl) {
-				r.shedCount(lc.id, shedWaitlistOverflow)
-				continue
-			}
-			lc.stats.Coalesced.Add(1)
-			wl.remotes = append(wl.remotes, rw)
-			lc.waiters.Add(1)
-			continue
-		}
-		// Fresh miss: collect for the batched FE sweep. Park an empty
-		// waitlist so a duplicate of addr later in this same batch (or a
-		// W-block probe) coalesces instead of double-dispatching; the
-		// sweep's fillAndRelease clears it again.
-		r.park(lc, addr)
-		sc.addrs = append(sc.addrs, addr)
 	}
-	if n := len(sc.addrs); n > 0 {
-		lc.stats.FEExecs.Add(int64(n))
-		if cap(sc.res) < n {
-			sc.res = make([]lpm.Result, n)
-		}
-		res := sc.res[:n]
-		lpm.LookupAll(lc.engine, sc.addrs, res)
-		for k := 0; k < n; k++ {
-			addr, ok := sc.addrs[k], res[k].OK
-			nh := res[k].NextHop
-			if !ok {
-				nh = rtable.NoNextHop
-			}
-			r.fillAndRelease(lc, addr, nh, ok, cache.LOC, ServedByFE)
-			if rb == nil {
-				rb = &fabricBatch{}
-			}
-			rb.addrs = append(rb.addrs, addr)
-			rb.nhs = append(rb.nhs, nh)
-			rb.oks = append(rb.oks, ok)
+	if len(sc.addrs) > 0 {
+		res, _ := r.sweepFE(lc)
+		for k, addr := range sc.addrs {
+			// Answers whoever coalesced onto the parked waitlist meanwhile.
+			r.fillAndRelease(lc, addr, res[k].NextHop, res[k].OK, cache.LOC, ServedByFE)
+			rb = rb.add(addr, res[k].NextHop, res[k].OK)
 		}
 		sc.addrs = sc.addrs[:0]
 	}
@@ -476,54 +398,18 @@ func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 }
 
 // handleBatchReply scatters a coalesced reply back into the requester's
-// waitlists positionally. The epoch guard is per message: the whole
-// batch predates a table swap or none of it does.
+// waitlists positionally. The batch is one message on the wire: the epoch
+// guard, the round-trip sample and the breaker/budget credit are taken
+// once, and every address carries the one generation the home computed
+// the batch against.
 func (r *Router) handleBatchReply(lc *lineCard, m message) {
 	fb := m.fb
 	if m.epoch != lc.epoch {
 		lc.stats.StaleReplies.Add(int64(len(fb.addrs)))
 		return
 	}
-	if r.grayPol.Enabled && !r.gray[lc.id].degraded.Load() {
-		// One fabric message, one round-trip sample: the first address's
-		// waitlist carries the send timestamp for the whole batch. A
-		// degraded requester abstains — see the mirror site in router.go.
-		if wl, ok := lc.pending[fb.addrs[0]]; ok && wl.attempts == 1 && !wl.sentAt.IsZero() {
-			r.rtt[m.from].observe(time.Since(wl.sentAt).Nanoseconds())
-		}
-	}
-	if r.ov.Enabled {
-		// One successful fabric round trip, one breaker/budget credit —
-		// the batch is a single message on the wire.
-		r.breakerSuccess(lc, m.from)
-		r.budgetRefill(lc)
-	}
-	if r.grayPol.Hedge {
-		r.refillHedge(lc)
-	}
-	// The gen guard is per message too: the whole batch was computed
-	// against one table generation at the home LC. A quarantined (or
-	// ejected) responder never catches up until rebuilt or restored, so
-	// its stale replies are final — delivered, not re-driven (see
-	// fillStaleRelease).
-	stale := m.gen < lc.gen
-	final := stale && r.genPinned(m.from)
+	r.replyArrived(lc, m.from, fb.addrs[0])
 	for k, addr := range fb.addrs {
-		wl, parked := lc.pending[addr]
-		if parked && wl.hedged {
-			// A hedge (or eject dispatch) already answered this address;
-			// the batch carries its suppressed primary.
-			r.hedgePrimaryLate.Add(1)
-			r.dropHedged(lc, addr)
-			continue
-		}
-		if r.tracer != nil && parked && wl.tr != nil {
-			wl.tr.Record(tracing.EvFabricRecv, int64(m.from), 0)
-		}
-		if stale {
-			r.fillStaleRelease(lc, addr, fb.nhs[k], fb.oks[k], cache.REM, ServedByRemote, m.gen, final)
-		} else {
-			r.fillAndRelease(lc, addr, fb.nhs[k], fb.oks[k], cache.REM, ServedByRemote)
-		}
+		r.replyFor(lc, &m, addr, fb.nhs[k], fb.oks[k])
 	}
 }

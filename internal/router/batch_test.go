@@ -274,6 +274,45 @@ func TestLookupBatchSteadyStateAllocs(t *testing.T) {
 	})
 }
 
+// TestLookupMissAllocs is a ceiling, not a budget: the miss path's shared
+// helpers must not cost it an allocation, because the collector paces
+// churn_single (ROADMAP 2c). On a cache-less router every Lookup is a
+// miss; the ceilings are what the path allocated before it was shared (a
+// reply channel and a waitlist with its waiter array locally; the same at
+// the home LC plus two heap-moved fabric messages remotely). ROADMAP 2(c)
+// lowers both to 1, the reply channel.
+func TestLookupMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gates run in the non-race CI jobs")
+	}
+	tbl := rtable.Small(2000, 7)
+	// The long timeout quiets the deadline ticker and health monitor so
+	// AllocsPerRun sees only the lookup.
+	r, err := New(tbl, WithLCs(2), WithoutCache(), WithEngineName("lulea"), WithRequestTimeout(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	for _, tc := range []struct {
+		name    string
+		home    int
+		ceiling float64
+	}{{"remote-home", 1, 7}, {"local-home", 0, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := remoteAddrs(t, r, tbl, stats.NewRNG(3), tc.home, 1)[0]
+			n := testing.AllocsPerRun(2000, func() {
+				if _, err := r.Lookup(0, addr); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n > tc.ceiling {
+				t.Errorf("a %s Lookup miss allocates %.2f objects, ceiling %v", tc.name, n, tc.ceiling)
+			}
+			t.Logf("%.2f allocs per lookup", n)
+		})
+	}
+}
+
 // TestLookupBatchShedKeepsPositions: sub-lookups shed after admission
 // (waitlist overflow) must keep their batch positions as ServedByShed
 // verdicts while the rest of the batch resolves normally.

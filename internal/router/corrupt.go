@@ -123,23 +123,15 @@ func (r *Router) maybeInjectLocked() {
 		if rt, ok := tbl.LongestMatch(lo); ok {
 			nh = rt.NextHop ^ 1
 		}
-		done := make(chan struct{})
-		sent := r.sendCtrlSwap(i, message{kind: mExec, do: func(lc *lineCard) {
+		// An LC that crashes before the poison lands is skipped; the reborn
+		// slot gets a fresh engine anyway.
+		poison := message{kind: mExec, do: func(lc *lineCard) {
 			if c := lpm.AsCorrupt(lc.engine); c != nil {
 				c.Poison(lo, hi, nh)
 				r.engineFlips.Add(1)
 			}
-			close(done)
-		}})
-		if !sent {
-			return
-		}
-		select {
-		case <-done:
-		case <-r.life[i].exited:
-			// Crashed before the poison landed; the reborn slot gets a
-			// fresh engine anyway.
-		case <-r.quit:
+		}}
+		if _, ok := r.barrier([]int{i}, func(int) message { return poison }); !ok {
 			return
 		}
 	}

@@ -31,21 +31,21 @@
 //     (counted primary_late and suppressed — the duplicate-suppression
 //     rule the batch descriptors use: exactly one owner answers) or
 //     counted primary_lost when it never does. Hedges spend a per-LC
-//     token bucket refilled by successful fabric round trips, mirroring
-//     the retry budget: a fabric already in trouble cannot be melted by
-//     its own mitigation.
+//     tokenBucket refilled by successful fabric round trips — the retry
+//     budget's mechanism (overload.go) under its own sizing: a fabric
+//     already in trouble cannot be melted by its own mitigation.
 //
 //   - Ejection: when detection marks an LC degraded (and Eject is on),
 //     the router steers cacheable traffic off it using the machinery
-//     quarantine already proved: the router generation advances and every
-//     *other* LC adopts it, pinning the ejected LC's replies out of peer
-//     caches, while new remote lookups homed on it are answered from the
-//     fallback engine at dispatch time (the request is still sent, so
-//     round-trip samples keep flowing and recovery stays observable).
-//     When the LC's score recovers for RecoverAfter consecutive cycles it
-//     is restored: the flag clears and a generation catch-up message
-//     lifts the pin. No partition moves in either direction — ejection is
-//     deliberately cheaper and more reversible than re-homing.
+//     quarantine already proved: the generation fence (fenceLocked) pins
+//     the ejected LC's replies out of peer caches, while new remote
+//     lookups homed on it are answered from the fallback engine at
+//     dispatch time (routeFor; the request is still sent, so round-trip
+//     samples keep flowing and recovery stays observable). When the LC's
+//     score recovers for RecoverAfter consecutive cycles it is restored:
+//     the flag clears and a generation catch-up lifts the pin. No
+//     partition moves in either direction — ejection is deliberately
+//     cheaper and more reversible than re-homing.
 package router
 
 import (
@@ -58,7 +58,6 @@ import (
 
 	"spal/internal/cache"
 	"spal/internal/ip"
-	"spal/internal/rtable"
 	"spal/internal/tracing"
 )
 
@@ -319,60 +318,26 @@ func (r *Router) maybeGrayLocked(now time.Time) {
 }
 
 // ejectLocked steers cacheable traffic off a browned-out home LC by
-// reusing the quarantine generation pin: the router generation advances
-// and every *other* LC adopts it via an empty mApplyUpdates, while the
-// ejected LC stamps its replies with generation zero (see stampGen), so
-// they remain deliverable but never enter a peer cache. Dispatch-time
+// reusing the quarantine generation pin (fenceLocked): the ejected LC's
+// replies remain deliverable but never enter a peer cache. Dispatch-time
 // steering (the fallback answer for lookups homed on it) keys off the
-// ejected flag directly. r.mu must be held.
+// ejected flag directly, in routeFor. r.mu must be held.
 func (r *Router) ejectLocked(i int) {
 	r.gray[i].ejected.Store(true)
 	r.ejections.Add(1)
 	r.grayLog("eject", slog.Int("lc", i))
-	r.gen++
-	dones := make([]chan struct{}, r.cfg.NumLCs)
-	for j := 0; j < r.cfg.NumLCs; j++ {
-		if j == i {
-			continue
-		}
-		dones[j] = make(chan struct{})
-		if !r.sendCtrlSwap(j, message{kind: mApplyUpdates, gen: r.gen, swapDone: dones[j]}) {
-			return
-		}
-	}
-	for j, d := range dones {
-		if d == nil {
-			continue
-		}
-		select {
-		case <-d:
-		case <-r.life[j].exited:
-			// Crashed; the reborn slot adopts the current generation.
-		case <-r.quit:
-			return
-		}
-	}
+	r.fenceLocked(i)
 }
 
 // restoreEjectedLocked lifts an ejection: the flag clears (replies carry
-// the LC's real generation again), then the LC adopts the current router
-// generation via an empty mApplyUpdates — it never received the eject's
-// own bump — after which its replies are cacheable again and dispatch
+// the LC's real generation again), then the LC catches up with the router
+// generation, after which its replies are cacheable again and dispatch
 // stops steering around it. r.mu must be held.
 func (r *Router) restoreEjectedLocked(i int) {
 	r.gray[i].ejected.Store(false)
 	r.restores.Add(1)
 	r.grayLog("restore", slog.Int("lc", i))
-	done := make(chan struct{})
-	if !r.sendCtrlSwap(i, message{kind: mApplyUpdates, gen: r.gen, swapDone: done}) {
-		return
-	}
-	select {
-	case <-done:
-	case <-r.life[i].exited:
-		// Crashed; rehoming rebuilds the slot at the current generation.
-	case <-r.quit:
-	}
+	r.catchUpLocked(i)
 }
 
 // genPinned reports whether LC id is fenced behind the router's
@@ -394,58 +359,21 @@ func (r *Router) hedgeDelay() time.Duration {
 	return time.Duration(r.hedgeDelayNS.Load())
 }
 
-// takeHedgeToken spends one hedge token from the LC's private bucket.
-func (r *Router) takeHedgeToken(lc *lineCard) bool {
-	if lc.hedgeTokens < 1 {
-		return false
-	}
-	lc.hedgeTokens--
-	return true
-}
-
-// refillHedge credits the hedge bucket for one successful fabric round
-// trip, mirroring budgetRefill's evidence-based pacing.
-func (r *Router) refillHedge(lc *lineCard) {
-	if lc.hedgeTokens += r.grayPol.HedgeBudgetRatio; lc.hedgeTokens > r.grayPol.HedgeBudgetBurst {
-		lc.hedgeTokens = r.grayPol.HedgeBudgetBurst
-	}
-}
-
 // hedgeResolve answers every waiter parked on addr from the full-table
 // fallback engine and flips the waitlist to hedged: waiters are emptied
 // (each delivered a ServedByHedge verdict) but the entry stays pending
 // with its deadline armed, so the primary fabric reply is recognized and
 // suppressed when it lands — or counted lost when the deadline passes
-// first. The fallback engine always reflects the current generation
-// (UpdateTable and ApplyUpdates both refresh it before returning), so
-// the verdict is correct under churn.
+// first. The fallback engine always reflects the current generation (see
+// fallbackLookup), so the verdict is correct under churn.
 func (r *Router) hedgeResolve(lc *lineCard, addr ip.Addr, wl *waitlist) {
-	nh, _, ok := r.fallback.Load().eng.Lookup(addr)
-	if !ok {
-		nh = rtable.NoNextHop
-	}
+	nh, ok := r.fallbackLookup(addr)
 	if lc.cache != nil {
 		lc.cache.Fill(addr, nh, cache.REM)
 	}
 	lc.waiters.Add(-int64(len(wl.locals) + len(wl.remotes)))
 	wl.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByHedge))
-	v := Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByHedge}
-	for _, w := range wl.locals {
-		lc.lat.observe(ServedByHedge, w.start, traceID(w.tr))
-		r.finishTrace(w.tr, ServedByHedge, ok)
-		if w.bd != nil {
-			w.bd.out[w.slot] = v
-			r.bdResolve(w.bd)
-		} else {
-			w.ch <- v
-		}
-	}
-	if wl.trLate {
-		r.finishTrace(wl.tr, ServedByHedge, ok)
-	}
-	for _, rw := range wl.remotes {
-		r.sendReply(lc, rw, addr, nh, ok, 0, lc.gen)
-	}
+	r.answer(lc, wl, Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByHedge}, 0, lc.gen)
 	wl.locals = wl.locals[:0]
 	wl.remotes = wl.remotes[:0]
 	wl.tr = nil
@@ -460,31 +388,18 @@ func (r *Router) dropHedged(lc *lineCard, addr ip.Addr) {
 	lc.pendingDepth.Store(int64(len(lc.pending)))
 }
 
-// hedgeAnswerLocal serves a local lookup that coalesced onto a hedged
-// waitlist: the waiters were already answered and the entry only tracks
-// the primary reply, so parking here would strand the straggler — answer
-// it from the fallback engine immediately instead. Rare: the hedge fill
-// put the value in the cache, so stragglers normally hit there first.
-func (r *Router) hedgeAnswerLocal(lc *lineCard, m message) {
-	nh, _, ok := r.fallback.Load().eng.Lookup(m.addr)
-	if !ok {
-		nh = rtable.NoNextHop
-	}
+// hedgeAnswerLocal serves a local lookup that would have coalesced onto a
+// hedged waitlist (see joinLocal) from the fallback engine immediately.
+// Rare: the hedge fill put the value in the cache, so stragglers normally
+// hit there first.
+func (r *Router) hedgeAnswerLocal(lc *lineCard, m *message) {
+	nh, ok := r.fallbackLookup(m.addr)
 	if m.tr != nil {
 		m.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByHedge))
 		r.finishTrace(m.tr, ServedByHedge, ok)
 	}
 	lc.lat.observe(ServedByHedge, m.start, traceID(m.tr))
-	r.deliver(m, Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByHedge})
-}
-
-// hedgeAnswerRemote is hedgeAnswerLocal for a remote waiter.
-func (r *Router) hedgeAnswerRemote(lc *lineCard, rw remoteWaiter, addr ip.Addr) {
-	nh, _, ok := r.fallback.Load().eng.Lookup(addr)
-	if !ok {
-		nh = rtable.NoNextHop
-	}
-	r.sendReply(lc, rw, addr, nh, ok, 0, lc.gen)
+	r.deliver(*m, Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByHedge})
 }
 
 // grayLog emits a gray-failure lifecycle record through the tracing

@@ -405,6 +405,7 @@ func TestGrayGlobalOverloadNoFalsePositive(t *testing.T) {
 // recovering card is judged by its peers' samples of it).
 func TestGrayEjectRestoreLifecycle(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
+	oracle := lpm.NewReference(tbl)
 	seed := chaosSeeds(t)[0]
 	lf := NewLinkFaults(seed)
 	lf.SlowLC(1, 10)
@@ -421,34 +422,72 @@ func TestGrayEjectRestoreLifecycle(t *testing.T) {
 	}
 	defer r.Stop()
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for lc := 0; lc < 4; lc++ {
-		wg.Add(1)
-		go func(lc int) {
-			defer wg.Done()
-			rng := stats.NewRNG(seed + uint64(lc)*101)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+	// traffic drives every LC until the returned stop is called.
+	traffic := func() (stop func()) {
+		quit := make(chan struct{})
+		var wg sync.WaitGroup
+		for lc := 0; lc < 4; lc++ {
+			wg.Add(1)
+			go func(lc int) {
+				defer wg.Done()
+				rng := stats.NewRNG(seed + uint64(lc)*101)
+				for {
+					select {
+					case <-quit:
+						return
+					default:
+					}
+					if _, err := r.Lookup(lc, tbl.RandomMatchedAddr(rng)); err != nil {
+						return
+					}
 				}
-				if _, err := r.Lookup(lc, tbl.RandomMatchedAddr(rng)); err != nil {
-					return
-				}
-			}
-		}(lc)
+			}(lc)
+		}
+		return func() { close(quit); wg.Wait() }
 	}
 
+	stop := traffic()
 	waitFor(t, "LC 1 ejected", func() bool { return r.Gray().LCs[1].Ejected })
+	stop()
+
+	// Eject-served, by either entry point: a fresh lookup homed on the
+	// ejected LC is answered from the fallback engine at dispatch, once per
+	// address, while its request still crosses the fabric. The traffic is
+	// stopped and LC 0's hedged entries are waited out so that the counter
+	// moves for these addresses only (a straggler onto a hedged entry is
+	// answered too, but not counted as eject-served).
+	homed := remoteAddrs(t, r, tbl, stats.NewRNG(seed+5), 1, 2*8)
+	for k, ep := range entryPoints {
+		t.Run("eject-served/"+ep.name, func(t *testing.T) {
+			waitFor(t, "LC 0 to retire its hedged entries", func() bool { return r.lcs[0].pendingDepth.Load() == 0 })
+			addrs := homed[k*8 : (k+1)*8]
+			before := r.Gray()
+			sent := r.Stats()[0].RequestsSent.Load()
+			for i, v := range ep.lookup(t, r, 0, addrs) {
+				if v.ServedBy != ServedByHedge || !verdictMatches(v, oracle, addrs[i]) {
+					t.Errorf("lookup homed on the ejected LC: %+v, want a correct hedge verdict", v)
+				}
+			}
+			after := r.Gray()
+			if got := after.EjectServed - before.EjectServed; got != int64(len(addrs)) {
+				t.Errorf("eject-served counter moved by %d, want %d", got, len(addrs))
+			}
+			if after.Hedges != before.Hedges {
+				t.Errorf("eject-served lookups spent %d hedge tokens, want none", after.Hedges-before.Hedges)
+			}
+			if r.Stats()[0].RequestsSent.Load() == sent {
+				t.Error("no request crossed the fabric; an ejected home must still be sent to")
+			}
+		})
+	}
+
 	lf.SlowLC(1, 1) // brownout lifts
+	stop = traffic()
 	waitFor(t, "LC 1 restored", func() bool {
 		g := r.Gray()
 		return !g.LCs[1].Ejected && g.Restores > 0
 	})
-	close(stop)
-	wg.Wait()
+	stop()
 
 	g := r.Gray()
 	if g.Degrades == 0 || g.Recovers == 0 || g.Ejections == 0 || g.Restores == 0 {

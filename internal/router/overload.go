@@ -21,12 +21,13 @@
 //     the message and the requester's existing deadline/retry/fallback
 //     machinery keeps the lookup terminating. Mutually-full LCs
 //     therefore cannot deadlock.
-//   - Retry budget: each LC holds a token bucket refilled by successful
+//   - Retry budget: each LC holds a tokenBucket refilled by successful
 //     fabric replies (RetryBudgetRatio tokens per success, the
 //     client-side "retry budget" pattern). A deadline-driven retry
 //     spends one token; with the bucket empty the lookup goes straight
 //     to the full-table fallback engine, so retries cannot amplify an
-//     already-overloaded fabric.
+//     already-overloaded fabric. The hedge budget (gray.go) is the same
+//     mechanism with its own sizing.
 //   - Circuit breaker: each LC tracks one breaker per home LC, driven
 //     by the deadline ticker. Consecutive deadline expiries from one
 //     home open its breaker; while open, dispatches homed there
@@ -244,10 +245,36 @@ type breaker struct {
 	state    atomic.Int32
 }
 
+// tokenBucket is a budget for a mitigation that adds fabric load (a retry,
+// a hedge), paid for by evidence that the fabric still works: every
+// successful round trip refills it by ratio tokens up to burst, every use
+// takes one. It starts full. Guarded by the owning LC's lineCard.mu.
+type tokenBucket struct {
+	tokens, ratio, burst float64
+}
+
+func newTokenBucket(ratio, burst float64) tokenBucket {
+	return tokenBucket{tokens: burst, ratio: ratio, burst: burst}
+}
+
+// refill credits one successful fabric round trip.
+func (b *tokenBucket) refill() {
+	b.tokens = min(b.tokens+b.ratio, b.burst)
+}
+
+// take spends one token; false means the budget is exhausted.
+func (b *tokenBucket) take() bool {
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
+
 // lcOverload is one LC's overload-control state. The atomic counters are
 // written from whatever goroutine observes the event (admission and
-// fabric sheds happen outside the target LC's lock); tokens and breakers
-// are guarded by the owning LC's lineCard.mu.
+// fabric sheds happen outside the target LC's lock); the retry bucket and
+// the breakers are guarded by the owning LC's lineCard.mu.
 type lcOverload struct {
 	shed            [numShedReasons]atomic.Int64
 	budgetExhausted atomic.Int64
@@ -256,19 +283,25 @@ type lcOverload struct {
 	breakerCloses   atomic.Int64
 	budgetMilli     atomic.Int64 // retry tokens × 1000, for the gauge
 
-	tokens   float64
+	retry    tokenBucket
 	breakers []breaker
 }
 
-// newLCOverload builds the per-LC state: a seeded token bucket and one
+// newLCOverload builds the per-LC state: a full retry bucket and one
 // closed breaker per peer slot.
 func newLCOverload(p OverloadPolicy, numLCs int) *lcOverload {
 	ov := &lcOverload{breakers: make([]breaker, numLCs)}
 	if p.Enabled {
-		ov.tokens = p.RetryBudgetBurst
-		ov.budgetMilli.Store(int64(ov.tokens * 1000))
+		ov.retry = newTokenBucket(p.RetryBudgetRatio, p.RetryBudgetBurst)
+		ov.mirrorBudget()
 	}
 	return ov
+}
+
+// mirrorBudget publishes the retry bucket's level for Metrics. lc.mu must
+// be held.
+func (ov *lcOverload) mirrorBudget() {
+	ov.budgetMilli.Store(int64(ov.retry.tokens * 1000))
 }
 
 // shedCount increments one LC's shed counter for a reason.
@@ -360,31 +393,6 @@ func (r *Router) replaySend(lc int, m message) {
 // coalescing waitlist past the policy cap.
 func (r *Router) waitlistFull(wl *waitlist) bool {
 	return r.ov.Enabled && len(wl.locals)+len(wl.remotes) >= r.ov.WaitlistCap
-}
-
-// budgetRefill credits the retry bucket for a successful fabric reply.
-// lc.mu must be held.
-func (r *Router) budgetRefill(lc *lineCard) {
-	ov := lc.ov
-	ov.tokens += r.ov.RetryBudgetRatio
-	if ov.tokens > r.ov.RetryBudgetBurst {
-		ov.tokens = r.ov.RetryBudgetBurst
-	}
-	ov.budgetMilli.Store(int64(ov.tokens * 1000))
-}
-
-// budgetTake spends one retry token; false means the budget is exhausted
-// and the caller must degrade to the fallback engine instead of
-// retrying. lc.mu must be held.
-func (r *Router) budgetTake(lc *lineCard) bool {
-	ov := lc.ov
-	if ov.tokens < 1 {
-		ov.budgetExhausted.Add(1)
-		return false
-	}
-	ov.tokens--
-	ov.budgetMilli.Store(int64(ov.tokens * 1000))
-	return true
 }
 
 // breakerFailure records one deadline expiry from home; enough
@@ -517,12 +525,11 @@ func (r *Router) sendCtrl(lc int, m message) bool {
 	}
 }
 
-// sendCtrlSwap is sendCtrl for the two-phase partitioning swap, which
-// runs under r.mu: it additionally bails out when the target LC's
-// goroutine has exited (a crashed slot awaiting rebirth), because
-// blocking there while holding the mutex would also block the health
-// monitor that performs the rebirth. The caller's ack loop already
-// treats an exited LC as a skip. r.mu must be held.
+// sendCtrlSwap is sendCtrl for senders that hold r.mu (barrier): it
+// additionally bails out when the target LC's goroutine has exited (a
+// crashed slot awaiting rebirth), because blocking there while holding the
+// mutex would also block the health monitor that performs the rebirth.
+// barrier's ack loop treats an exited LC as a skip too. r.mu must be held.
 func (r *Router) sendCtrlSwap(lc int, m message) bool {
 	backlog := &r.lcs[lc].backlog
 	backlog.Add(1)
@@ -535,4 +542,47 @@ func (r *Router) sendCtrlSwap(lc int, m message) bool {
 	case <-r.quit:
 		return false
 	}
+}
+
+// barrier is the control plane's one synchronisation step: it sends mk(i)
+// to each LC in lcs (sendCtrlSwap, so a crashed slot is skipped, not
+// awaited) and waits until every one of them has been run and
+// acknowledged — the handlers of mSwapEngine, mRekey, mApplyUpdates and
+// mExec close the swapDone channel installed here. An LC that crashes
+// before acknowledging is skipped: its ack would never come, and the
+// adoption that follows (rehomeLocked) rebuilds the slot from the
+// then-current partitioning and generation, so the skip cannot leave stale
+// state serving. It reports how many LCs acknowledged; ok is false when the
+// router stopped first. r.mu must be held.
+func (r *Router) barrier(lcs []int, mk func(i int) message) (acks int, ok bool) {
+	dones := make([]chan struct{}, len(lcs))
+	for k, i := range lcs {
+		m := mk(i)
+		dones[k] = make(chan struct{})
+		m.swapDone = dones[k]
+		if !r.sendCtrlSwap(i, m) {
+			return 0, false
+		}
+	}
+	for k, i := range lcs {
+		select {
+		case <-dones[k]:
+			acks++
+		case <-r.life[i].exited:
+		case <-r.quit:
+			return acks, false
+		}
+	}
+	return acks, true
+}
+
+// lcsExcept lists every LC slot but skip (none when skip is negative).
+func (r *Router) lcsExcept(skip int) []int {
+	out := make([]int, 0, r.cfg.NumLCs)
+	for i := 0; i < r.cfg.NumLCs; i++ {
+		if i != skip {
+			out = append(out, i)
+		}
+	}
+	return out
 }

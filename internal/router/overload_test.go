@@ -6,6 +6,7 @@
 package router
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"strconv"
@@ -62,6 +63,39 @@ func remoteAddrs(t *testing.T, r *Router, tbl *rtable.Table, rng *stats.RNG, hom
 		t.Fatalf("could not find %d addresses homed at LC %d", n, home)
 	}
 	return out
+}
+
+// entryPoints are the router's two ways in, as a table input for the tests
+// of a protection plane: the verdict class and the counters a plane
+// produces must not depend on which of them a lookup took. lookup resolves
+// addrs at arrival LC lc and returns the verdicts in order; a lookup shed
+// after admission reports ServedByShed on either.
+var entryPoints = []struct {
+	name   string
+	lookup func(t *testing.T, r *Router, lc int, addrs []ip.Addr) []Verdict
+}{
+	{"Lookup", func(t *testing.T, r *Router, lc int, addrs []ip.Addr) []Verdict {
+		t.Helper()
+		out := make([]Verdict, len(addrs))
+		for i, a := range addrs {
+			v, err := r.Lookup(lc, a)
+			if err == ErrOverloaded {
+				v = Verdict{Addr: a, ServedBy: ServedByShed}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = v
+		}
+		return out
+	}},
+	{"LookupBatchInto", func(t *testing.T, r *Router, lc int, addrs []ip.Addr) []Verdict {
+		t.Helper()
+		out := make([]Verdict, len(addrs))
+		if err := r.LookupBatchInto(context.Background(), lc, addrs, out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}},
 }
 
 // TestOverloadAdmissionShed: with a gated LC and a tiny bounded inbox,
@@ -153,54 +187,72 @@ func TestOverloadBlockMode(t *testing.T) {
 // TestWaitlistOverflowSheds: a single-address storm over a dead fabric
 // may coalesce only up to WaitlistCap waiters; the overflow sheds with
 // ServedByShed/ErrOverloaded and the waitlist-overflow counter
-// reconciles exactly with the shed verdicts.
+// reconciles exactly with the shed verdicts. The storm is n lookups in
+// flight at once: n LookupAsync calls, or one batch of n.
 func TestWaitlistOverflowSheds(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
 	const cap, n = 4, 32
-	drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: !m.Heartbeat} }
-	r, err := New(tbl, WithLCs(2), WithFaultInjector(drop),
-		WithRequestTimeout(5*time.Millisecond), WithMaxRetries(-1),
-		WithOverload(OverloadPolicy{WaitlistCap: cap, BreakerThreshold: 1 << 20}))
-	if err != nil {
-		t.Fatal(err)
+	async := func(t *testing.T, r *Router, lc int, addrs []ip.Addr) []Verdict {
+		chans := make([]<-chan Verdict, len(addrs))
+		for i, a := range addrs {
+			ch, err := r.LookupAsync(lc, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chans[i] = ch
+		}
+		out := make([]Verdict, len(addrs))
+		for i, ch := range chans {
+			select {
+			case out[i] = <-ch:
+			case <-time.After(5 * time.Second):
+				t.Fatal("lookup never terminated")
+			}
+		}
+		return out
 	}
-	defer r.Stop()
+	for _, ep := range []struct {
+		name   string
+		lookup func(*testing.T, *Router, int, []ip.Addr) []Verdict
+	}{{"LookupAsync", async}, entryPoints[1]} {
+		t.Run(ep.name, func(t *testing.T) {
+			drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: !m.Heartbeat} }
+			r, err := New(tbl, WithLCs(2), WithFaultInjector(drop),
+				WithRequestTimeout(5*time.Millisecond), WithMaxRetries(-1),
+				WithOverload(OverloadPolicy{WaitlistCap: cap, BreakerThreshold: 1 << 20}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
 
-	addr := remoteAddrs(t, r, tbl, stats.NewRNG(11), 1, 1)[0]
-	chans := make([]<-chan Verdict, n)
-	for i := range chans {
-		ch, err := r.LookupAsync(0, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans[i] = ch
-	}
-	var shed, served int
-	for _, ch := range chans {
-		select {
-		case v := <-ch:
-			if v.ServedBy == ServedByShed {
-				shed++
-				continue
+			addr := remoteAddrs(t, r, tbl, stats.NewRNG(11), 1, 1)[0]
+			storm := make([]ip.Addr, n)
+			for i := range storm {
+				storm[i] = addr
 			}
-			served++
-			if !verdictMatches(v, oracle, addr) {
-				t.Fatalf("admitted lookup resolved wrong verdict %+v", v)
+			var shed, served int
+			for _, v := range ep.lookup(t, r, 0, storm) {
+				if v.ServedBy == ServedByShed {
+					shed++
+					continue
+				}
+				served++
+				if !verdictMatches(v, oracle, addr) {
+					t.Fatalf("admitted lookup resolved wrong verdict %+v", v)
+				}
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("lookup never terminated")
-		}
-	}
-	if shed == 0 || served == 0 {
-		t.Fatalf("shed=%d served=%d, want both nonzero (cap %d, %d submitted)", shed, served, cap, n)
-	}
-	if served > cap {
-		t.Fatalf("%d lookups were parked on one address, cap is %d", served, cap)
-	}
-	s := r.Metrics()
-	if got := s.Sum(MetricWaitlistOverflow); got != float64(shed) {
-		t.Fatalf("waitlist overflow counter = %v, want %d (the shed verdicts)", got, shed)
+			if shed == 0 || served == 0 {
+				t.Fatalf("shed=%d served=%d, want both nonzero (cap %d, %d submitted)", shed, served, cap, n)
+			}
+			if served > cap {
+				t.Fatalf("%d lookups were parked on one address, cap is %d", served, cap)
+			}
+			s := r.Metrics()
+			if got := s.Sum(MetricWaitlistOverflow); got != float64(shed) {
+				t.Fatalf("waitlist overflow counter = %v, want %d (the shed verdicts)", got, shed)
+			}
+		})
 	}
 }
 
@@ -262,35 +314,35 @@ func TestStopWithFullInboxes(t *testing.T) {
 func TestRetryBudgetExhaustion(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
-	drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: !m.Heartbeat && !m.Reply} }
-	r, err := New(tbl, WithLCs(2), WithFaultInjector(drop),
-		WithRequestTimeout(2*time.Millisecond), WithMaxRetries(100),
-		WithOverload(OverloadPolicy{RetryBudgetBurst: 2, BreakerThreshold: 1 << 20}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Stop()
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: !m.Heartbeat && !m.Reply} }
+			r, err := New(tbl, WithLCs(2), WithFaultInjector(drop),
+				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(100),
+				WithOverload(OverloadPolicy{RetryBudgetBurst: 2, BreakerThreshold: 1 << 20}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
 
-	addrs := remoteAddrs(t, r, tbl, stats.NewRNG(17), 1, 6)
-	for _, a := range addrs {
-		v, err := r.Lookup(0, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, a) {
-			t.Fatalf("dead-fabric lookup: got %+v, want correct fallback verdict", v)
-		}
-	}
-	s := r.Metrics()
-	lbl := metrics.L("lc", "0")
-	if got, _ := s.Value(MetricBudgetExhausted, lbl); got < float64(len(addrs)-2) {
-		t.Fatalf("budget exhausted counter = %v, want >= %d", got, len(addrs)-2)
-	}
-	if got, _ := s.Value(MetricRetryBudget, lbl); got >= 1 {
-		t.Fatalf("retry budget gauge = %v, want < 1 after exhaustion with no refills", got)
-	}
-	if got, _ := s.Value(MetricRetries, lbl); got != 2 {
-		t.Fatalf("retries = %v, want exactly the burst of 2", got)
+			addrs := remoteAddrs(t, r, tbl, stats.NewRNG(17), 1, 6)
+			for i, v := range ep.lookup(t, r, 0, addrs) {
+				if v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, addrs[i]) {
+					t.Fatalf("dead-fabric lookup: got %+v, want correct fallback verdict", v)
+				}
+			}
+			s := r.Metrics()
+			lbl := metrics.L("lc", "0")
+			if got, _ := s.Value(MetricBudgetExhausted, lbl); got < float64(len(addrs)-2) {
+				t.Fatalf("budget exhausted counter = %v, want >= %d", got, len(addrs)-2)
+			}
+			if got, _ := s.Value(MetricRetryBudget, lbl); got >= 1 {
+				t.Fatalf("retry budget gauge = %v, want < 1 after exhaustion with no refills", got)
+			}
+			if got, _ := s.Value(MetricRetries, lbl); got != 2 {
+				t.Fatalf("retries = %v, want exactly the burst of 2", got)
+			}
+		})
 	}
 }
 
@@ -302,72 +354,79 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
-	var failing atomic.Bool
-	failing.Store(true)
-	inj := func(m FabricMessage) FaultDecision {
-		return FaultDecision{Drop: failing.Load() && !m.Heartbeat && !m.Reply && m.To == 1}
-	}
-	r, err := New(tbl, WithLCs(2), WithFaultInjector(inj),
-		WithRequestTimeout(2*time.Millisecond), WithMaxRetries(-1),
-		WithTraceSampling(0),
-		WithOverload(OverloadPolicy{BreakerThreshold: 3, BreakerCooldown: 5 * time.Millisecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Stop()
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			var failing atomic.Bool
+			failing.Store(true)
+			inj := func(m FabricMessage) FaultDecision {
+				return FaultDecision{Drop: failing.Load() && !m.Heartbeat && !m.Reply && m.To == 1}
+			}
+			r, err := New(tbl, WithLCs(2), WithFaultInjector(inj),
+				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(-1),
+				WithTraceSampling(0),
+				WithOverload(OverloadPolicy{BreakerThreshold: 3, BreakerCooldown: 5 * time.Millisecond}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
 
-	addrs := remoteAddrs(t, r, tbl, stats.NewRNG(23), 1, 8)
-	// Three deadline expiries in a row open the breaker toward LC 1.
-	for _, a := range addrs[:3] {
-		if v, err := r.Lookup(0, a); err != nil || v.ServedBy != ServedByFallback {
-			t.Fatalf("dead-fabric lookup: v=%+v err=%v, want fallback", v, err)
-		}
-	}
-	if st := r.BreakerStates(0)[1]; st != breakerOpen {
-		t.Fatalf("breaker state after %d failures = %d, want open", 3, st)
-	}
-	// While open, a dispatch homed at LC 1 short-circuits: fallback
-	// verdict without the deadline wait, counted and traced.
-	start := time.Now()
-	v, err := r.Lookup(0, addrs[3])
-	if err != nil || v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, addrs[3]) {
-		t.Fatalf("short-circuit lookup: v=%+v err=%v", v, err)
-	}
-	if d := time.Since(start); d > 50*time.Millisecond {
-		t.Fatalf("short-circuit took %v, should not wait out a deadline", d)
-	}
-	s := r.Metrics()
-	lbl := metrics.L("lc", "0")
-	if got, _ := s.Value(MetricBreakerShorts, lbl); got < 1 {
-		t.Fatalf("breaker short-circuit counter = %v, want >= 1", got)
-	}
-	if got, _ := s.Value(MetricBreakerState, lbl, metrics.L("home", "1")); got != float64(breakerOpen) {
-		t.Fatalf("breaker state gauge = %v, want open", got)
-	}
-	if got, _ := s.Value(MetricBreakerOpens, lbl); got < 1 {
-		t.Fatalf("breaker opens counter = %v, want >= 1", got)
-	}
-	var shorts int
-	for _, tr := range r.Traces() {
-		shorts += tr.CountKind(tracing.EvBreaker)
-	}
-	if want, _ := s.Value(MetricBreakerShorts, lbl); float64(shorts) != want {
-		t.Fatalf("EvBreaker trace events = %d, counter = %v, want equal", shorts, want)
-	}
+			addrs := remoteAddrs(t, r, tbl, stats.NewRNG(23), 1, 8)
+			// Three deadline expiries in a row open the breaker toward LC 1.
+			for _, a := range addrs[:3] {
+				if v, err := r.Lookup(0, a); err != nil || v.ServedBy != ServedByFallback {
+					t.Fatalf("dead-fabric lookup: v=%+v err=%v, want fallback", v, err)
+				}
+			}
+			if st := r.BreakerStates(0)[1]; st != breakerOpen {
+				t.Fatalf("breaker state after %d failures = %d, want open", 3, st)
+			}
+			// While open, a dispatch homed at LC 1 short-circuits: fallback
+			// verdict without the deadline wait, counted and traced — each
+			// address of a batch like each single lookup.
+			shorted := addrs[3:7]
+			start := time.Now()
+			for i, v := range ep.lookup(t, r, 0, shorted) {
+				if v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, shorted[i]) {
+					t.Fatalf("short-circuit lookup: v=%+v", v)
+				}
+			}
+			if d := time.Since(start); d > 50*time.Millisecond {
+				t.Fatalf("short-circuit took %v, should not wait out a deadline", d)
+			}
+			s := r.Metrics()
+			lbl := metrics.L("lc", "0")
+			if got, _ := s.Value(MetricBreakerShorts, lbl); got < 1 {
+				t.Fatalf("breaker short-circuit counter = %v, want >= 1", got)
+			}
+			if got, _ := s.Value(MetricBreakerState, lbl, metrics.L("home", "1")); got != float64(breakerOpen) {
+				t.Fatalf("breaker state gauge = %v, want open", got)
+			}
+			if got, _ := s.Value(MetricBreakerOpens, lbl); got < 1 {
+				t.Fatalf("breaker opens counter = %v, want >= 1", got)
+			}
+			var shorts int
+			for _, tr := range r.Traces() {
+				shorts += tr.CountKind(tracing.EvBreaker)
+			}
+			if want, _ := s.Value(MetricBreakerShorts, lbl); float64(shorts) != want {
+				t.Fatalf("EvBreaker trace events = %d, counter = %v, want equal", shorts, want)
+			}
 
-	// Heal the fabric; the cooldown elapses, the ticker arms a half-open
-	// probe, and the next lookup's reply closes the breaker.
-	failing.Store(false)
-	waitFor(t, "breaker half-open", func() bool { return r.BreakerStates(0)[1] == breakerHalfOpen })
-	probe := addrs[4]
-	if v, err := r.Lookup(0, probe); err != nil || v.ServedBy != ServedByRemote || !verdictMatches(v, oracle, probe) {
-		t.Fatalf("probe lookup: v=%+v err=%v, want correct remote verdict", v, err)
-	}
-	if st := r.BreakerStates(0)[1]; st != breakerClosed {
-		t.Fatalf("breaker state after successful probe = %d, want closed", st)
-	}
-	if got, _ := r.Metrics().Value(MetricBreakerCloses, lbl); got < 1 {
-		t.Fatalf("breaker closes counter = %v, want >= 1", got)
+			// Heal the fabric; the cooldown elapses, the ticker arms a half-open
+			// probe, and the next lookup's reply closes the breaker.
+			failing.Store(false)
+			waitFor(t, "breaker half-open", func() bool { return r.BreakerStates(0)[1] == breakerHalfOpen })
+			probe := addrs[7]
+			if v := ep.lookup(t, r, 0, []ip.Addr{probe})[0]; v.ServedBy != ServedByRemote || !verdictMatches(v, oracle, probe) {
+				t.Fatalf("probe lookup: v=%+v, want correct remote verdict", v)
+			}
+			if st := r.BreakerStates(0)[1]; st != breakerClosed {
+				t.Fatalf("breaker state after successful probe = %d, want closed", st)
+			}
+			if got, _ := r.Metrics().Value(MetricBreakerCloses, lbl); got < 1 {
+				t.Fatalf("breaker closes counter = %v, want >= 1", got)
+			}
+		})
 	}
 }
 

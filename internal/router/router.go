@@ -226,7 +226,7 @@ type message struct {
 	fb       *fabricBatch         // mBatchRequest / mBatchReply payload
 	engine   lpm.Engine           // mSwap
 	homeOf   func(ip.Addr) int
-	swapDone chan<- struct{}
+	swapDone chan<- struct{} // control messages sent through barrier: closed once the message has been run
 	do       func(*lineCard) // mExec
 	// Incremental-update plumbing (see updates.go). gen rides every
 	// mSwapEngine / mApplyUpdates (the generation being installed) and
@@ -348,9 +348,9 @@ type lineCard struct {
 	// batched FE results, per-home fabric accumulators), surviving across
 	// slot incarnations. See batch.go.
 	scratch *lcScratch
-	// hedgeTokens is this LC's hedge budget (see gray.go): spent by
-	// ticker hedges, refilled by successful fabric round trips.
-	hedgeTokens float64
+	// hedge is this LC's hedge budget (see gray.go): spent by ticker
+	// hedges, refilled by successful fabric round trips.
+	hedge tokenBucket
 	// lastTick is when tick last ran here, from the lcLoop ticker or from
 	// an inline run that found it due (see leave).
 	lastTick time.Time
@@ -626,7 +626,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			}
 		}
 		lc.ov = newLCOverload(r.ov, cfg.NumLCs)
-		lc.hedgeTokens = r.grayPol.HedgeBudgetBurst
+		lc.hedge = newTokenBucket(r.grayPol.HedgeBudgetRatio, r.grayPol.HedgeBudgetBurst)
 		r.scrub = append(r.scrub, &lcScrub{})
 		r.rtt = append(r.rtt, &lcRTT{ring: make([]int64, max(r.grayPol.Window, 1))})
 		r.gray = append(r.gray, &lcGray{})
@@ -884,13 +884,10 @@ func (r *Router) checkDeadlines(lc *lineCard, now time.Time) {
 				// answer the waiters from the fallback engine now and keep
 				// tracking the primary — token-budgeted so hedges cannot
 				// melt a fabric that is merely overloaded.
-				if !r.takeHedgeToken(lc) {
+				if !lc.hedge.take() {
 					r.hedgeBudgetDenied.Add(1)
 				} else {
-					if wl.tr == nil && r.tracer != nil {
-						wl.tr = r.lateTrace(lc.id, addr)
-						wl.trLate = wl.tr != nil
-					}
+					r.lateTraceFor(lc, addr, wl)
 					wl.tr.Record(tracing.EvHedge, int64(home), int64(wl.attempts))
 					r.hedges.Add(1)
 					r.hedgeResolve(lc, addr, wl)
@@ -901,14 +898,10 @@ func (r *Router) checkDeadlines(lc *lineCard, now time.Time) {
 		if wl.deadline.IsZero() || now.Before(wl.deadline) {
 			continue
 		}
-		// A lookup that reaches the deadline sweep is "interesting": if
-		// tracing is on but nothing parked here was head-sampled, capture
-		// it late — this path is already cold, so the allocation is free
+		// A lookup that reaches the deadline sweep is "interesting"; this
+		// path is already cold, so a late trace's allocation is free
 		// relative to the timeout just paid.
-		if wl.tr == nil && r.tracer != nil {
-			wl.tr = r.lateTrace(lc.id, addr)
-			wl.trLate = wl.tr != nil
-		}
+		r.lateTraceFor(lc, addr, wl)
 		home := lc.homeOf(addr)
 		if r.ov.Enabled && home != lc.id {
 			// A deadline expiry is the breaker's failure signal for this
@@ -924,8 +917,12 @@ func (r *Router) checkDeadlines(lc *lineCard, now time.Time) {
 				retry = false
 				lc.ov.breakerShorts.Add(1)
 				wl.tr.Record(tracing.EvBreaker, int64(home), int64(breakerOpen))
-			} else if !r.budgetTake(lc) {
-				retry = false
+			} else {
+				if !lc.ov.retry.take() {
+					retry = false
+					lc.ov.budgetExhausted.Add(1)
+				}
+				lc.ov.mirrorBudget()
 			}
 		}
 		if retry {
@@ -941,15 +938,7 @@ func (r *Router) checkDeadlines(lc *lineCard, now time.Time) {
 			if home == lc.id {
 				// Re-homed onto this LC while the request was in
 				// flight: resolve locally against our own partition.
-				t0 := r.feTimer()
-				nh, _, ok := lc.engine.Lookup(addr)
-				lc.stats.FEExecs.Add(1)
-				if !ok {
-					nh = rtable.NoNextHop
-				}
-				wl.feNS = elapsedNS(t0)
-				wl.tr.Record(tracing.EvFEExec, wl.feNS, int64(lc.id))
-				r.fillAndRelease(lc, addr, nh, ok, cache.LOC, ServedByFE)
+				r.runFE(lc, addr, wl)
 				continue
 			}
 			lc.stats.RequestsSent.Add(1)
@@ -965,10 +954,7 @@ func (r *Router) checkDeadlines(lc *lineCard, now time.Time) {
 		}
 		lc.stats.Fallbacks.Add(1)
 		wl.tr.Record(tracing.EvFallback, int64(lc.id), 0)
-		nh, _, ok := r.fallback.Load().eng.Lookup(addr)
-		if !ok {
-			nh = rtable.NoNextHop
-		}
+		nh, ok := r.fallbackLookup(addr)
 		origin := cache.REM
 		if home == lc.id {
 			origin = cache.LOC
@@ -997,57 +983,8 @@ func (r *Router) handle(lc *lineCard, m message) {
 			lc.stats.StaleReplies.Add(1)
 			return
 		}
-		wl, pending := lc.pending[m.addr]
-		if r.grayPol.Enabled && pending && wl.attempts == 1 && !wl.sentAt.IsZero() &&
-			!r.gray[lc.id].degraded.Load() {
-			// Exactly one request went out, so this round trip is
-			// unambiguous: attribute it to the responding home LC. Sampled
-			// before the generation and hedge guards so an ejected LC's
-			// recovery stays observable. A requester that is itself marked
-			// degraded abstains: its round trips ride its own browned-out
-			// links, so charging them to the responding home would drag
-			// every clean ring toward the brownout and mask the true
-			// outlier (its recovery is judged by other requesters' samples
-			// of it, not by its own observations).
-			r.rtt[m.from].observe(time.Since(wl.sentAt).Nanoseconds())
-		}
-		if r.tracer != nil && pending && wl.tr != nil {
-			wl.tr.Record(tracing.EvFabricRecv, int64(m.from), int64(m.hops))
-			if m.feNS > 0 {
-				wl.tr.Record(tracing.EvFEExec, m.feNS, int64(m.from))
-			}
-		}
-		if r.ov.Enabled {
-			// A successful fabric round trip closes the responder's
-			// breaker and refills the retry bucket (RetryBudgetRatio
-			// tokens per success).
-			r.breakerSuccess(lc, m.from)
-			r.budgetRefill(lc)
-		}
-		if r.grayPol.Hedge {
-			r.refillHedge(lc)
-		}
-		if pending && wl.hedged {
-			// The hedge already answered every waiter; this primary is the
-			// suppressed duplicate (exactly one owner delivers a verdict —
-			// the batch-descriptor rule applied to hedging).
-			r.hedgePrimaryLate.Add(1)
-			r.dropHedged(lc, m.addr)
-			return
-		}
-		if m.gen < lc.gen {
-			// The responder computed this value before applying an update
-			// batch we have already applied (and invalidated for): the
-			// parked lookups may still observe it — they were in flight
-			// during the update window — but it must not survive as a
-			// cache entry. A quarantined (or ejected) responder stays
-			// behind until it is rebuilt or restored, so its replies are
-			// final: delivered to every waiter rather than re-driven back
-			// at it.
-			r.fillStaleRelease(lc, m.addr, m.nextHop, m.ok, cache.REM, ServedByRemote, m.gen, r.genPinned(m.from))
-			return
-		}
-		r.fillAndRelease(lc, m.addr, m.nextHop, m.ok, cache.REM, ServedByRemote)
+		r.replyArrived(lc, m.from, m.addr)
+		r.replyFor(lc, &m, m.addr, m.nextHop, m.ok)
 	case mFlush:
 		if lc.cache != nil {
 			lc.cache.Flush()
@@ -1080,13 +1017,7 @@ func (r *Router) handle(lc *lineCard, m message) {
 		lc.pendingDepth.Store(0)
 		lc.waiters.Store(0) // the re-drive below re-registers every waiter
 		for addr, wl := range pend {
-			for _, w := range wl.locals {
-				w.tr.Record(tracing.EvRedrive, int64(lc.id), 0)
-				r.handleLookup(lc, &message{kind: mLookup, addr: addr, resp: w.ch, bd: w.bd, slot: w.slot, start: w.start, tr: w.tr})
-			}
-			for _, rw := range wl.remotes {
-				r.handleRequest(lc, message{kind: mRequest, addr: addr, from: rw.from, epoch: rw.epoch, hops: rw.hops})
-			}
+			r.redrive(lc, addr, wl.locals, wl.remotes)
 			if wl.trLate {
 				// A late trace rides the waitlist, not a waiter; the
 				// re-drive builds fresh waitlists, so close it out here
@@ -1098,6 +1029,9 @@ func (r *Router) handle(lc *lineCard, m message) {
 		close(m.swapDone)
 	case mExec:
 		m.do(lc)
+		if m.swapDone != nil {
+			close(m.swapDone) // sent through barrier
+		}
 	}
 }
 
@@ -1128,30 +1062,7 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 			r.deliver(*m, v)
 			return Verdict{}, false
 		case cache.HitWaiting:
-			m.needReply()
-			wl := r.park(lc, m.addr)
-			if wl.hedged {
-				// The waitlist was already answered by a hedge and only
-				// tracks the primary reply; parking here would strand this
-				// straggler, so answer it directly (see hedgeAnswerLocal).
-				r.hedgeAnswerLocal(lc, *m)
-				return Verdict{}, false
-			}
-			if r.waitlistFull(wl) {
-				r.shedLocal(lc.id, *m, shedWaitlistOverflow)
-				return Verdict{}, false
-			}
-			lc.stats.Coalesced.Add(1)
-			if m.tr != nil {
-				m.tr.Record(tracing.EvProbe, int64(res.Kind), int64(res.Origin))
-				m.tr.Record(tracing.EvCoalesce, int64(len(wl.locals)+len(wl.remotes)), 0)
-				if wl.tr == nil {
-					wl.tr = m.tr
-				}
-			}
-			wl.locals = append(wl.locals, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr, gen: lc.gen})
-			lc.waiters.Add(1)
-			return Verdict{}, false
+			m.tr.Record(tracing.EvProbe, int64(res.Kind), int64(res.Origin))
 		default:
 			origin := cache.REM
 			if lc.homeOf(m.addr) == lc.id {
@@ -1167,35 +1078,25 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 		}
 	}
 	m.needReply()
-	// Coalesce onto an in-flight miss. With caches on this is the bypass
-	// case: the set was fully waiting, so there is no W block to hit,
-	// but a dispatch for this address is already outstanding — a second
+	// Coalesce onto an in-flight miss: the probe hit its W block, or — the
+	// bypass case — the set was fully waiting, so there is no W block to
+	// hit, but a dispatch for this address is already outstanding. A second
 	// dispatch would duplicate the FE execution and the fabric request.
 	if wl, ok := lc.pending[m.addr]; ok {
-		if wl.hedged {
-			r.hedgeAnswerLocal(lc, *m)
-			return Verdict{}, false
-		}
-		if r.waitlistFull(wl) {
-			r.shedLocal(lc.id, *m, shedWaitlistOverflow)
-			return Verdict{}, false
-		}
-		lc.stats.Coalesced.Add(1)
-		if m.tr != nil {
-			m.tr.Record(tracing.EvCoalesce, int64(len(wl.locals)+len(wl.remotes)), 0)
-			if wl.tr == nil {
-				wl.tr = m.tr
-			}
-		}
-		wl.locals = append(wl.locals, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr, gen: lc.gen})
-		lc.waiters.Add(1)
+		r.joinLocal(lc, wl, m)
 		return Verdict{}, false
 	}
+	// A fresh miss: an FE execution when this LC is home, otherwise
+	// whatever routeFor decides — normally one request over the fabric.
 	wl := r.park(lc, m.addr)
 	wl.tr = m.tr
-	wl.locals = append(wl.locals, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr, gen: lc.gen})
-	lc.waiters.Add(1)
-	r.dispatch(lc, m.addr, wl)
+	lc.addLocal(wl, m)
+	if home := lc.homeOf(m.addr); home == lc.id {
+		r.runFE(lc, m.addr, wl)
+	} else if now := time.Now(); r.routeFor(lc, m.addr, home, wl, now) {
+		lc.stats.RequestsSent.Add(1)
+		lc.post(home, message{kind: mRequest, addr: m.addr, from: lc.id, epoch: lc.epoch, start: now})
+	}
 	return Verdict{}, false
 }
 
@@ -1206,6 +1107,63 @@ func (m *message) needReply() {
 	if m.resp == nil && m.bd == nil {
 		m.resp = make(chan Verdict, 1)
 	}
+}
+
+// addLocal registers local lookup m (single or batch slot) as a waiter on
+// wl.
+func (lc *lineCard) addLocal(wl *waitlist, m *message) {
+	wl.locals = append(wl.locals, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr, gen: lc.gen})
+	lc.waiters.Add(1)
+}
+
+// addRemote registers a peer's request as a waiter on wl.
+func (lc *lineCard) addRemote(wl *waitlist, rw remoteWaiter) {
+	wl.remotes = append(wl.remotes, rw)
+	lc.waiters.Add(1)
+}
+
+// joinLocal coalesces local lookup m onto wl, the waitlist of a miss
+// already in flight for its address, so the address costs one FE execution
+// and one fabric request however many lookups want it. Two things keep it
+// out. A hedged waitlist has already answered its waiters and persists only
+// to recognize the primary reply; parking there would strand the lookup, so
+// it is answered directly (hedgeAnswerLocal). A waitlist at the overload
+// policy's cap sheds it.
+func (r *Router) joinLocal(lc *lineCard, wl *waitlist, m *message) {
+	if wl.hedged {
+		r.hedgeAnswerLocal(lc, m)
+		return
+	}
+	if r.waitlistFull(wl) {
+		r.shedLocal(lc.id, *m, shedWaitlistOverflow)
+		return
+	}
+	lc.stats.Coalesced.Add(1)
+	if m.tr != nil {
+		m.tr.Record(tracing.EvCoalesce, int64(len(wl.locals)+len(wl.remotes)), 0)
+		if wl.tr == nil {
+			wl.tr = m.tr
+		}
+	}
+	lc.addLocal(wl, m)
+}
+
+// joinRemote is joinLocal for a peer's request arriving at the home LC. An
+// overflowing remote waiter is dropped, not answered: the requester's
+// deadline machinery retries or degrades, so the lookup still terminates
+// without this waitlist growing.
+func (r *Router) joinRemote(lc *lineCard, wl *waitlist, rw remoteWaiter, addr ip.Addr) {
+	if wl.hedged {
+		nh, ok := r.fallbackLookup(addr)
+		r.sendReply(lc, rw, addr, nh, ok, 0, lc.gen)
+		return
+	}
+	if r.waitlistFull(wl) {
+		r.shedCount(lc.id, shedWaitlistOverflow)
+		return
+	}
+	lc.stats.Coalesced.Add(1)
+	lc.addRemote(wl, rw)
 }
 
 // maxInlineDepth bounds how deep inline runs nest on one goroutine. A
@@ -1226,78 +1184,64 @@ const maxInlineDepth = maxForwardHops + 2
 // engine, which is always current.
 const maxForwardHops = 4
 
-// handleRequest serves a lookup request from a remote arrival LC.
+// handleRequest serves a lookup request from a remote arrival LC: a hit is
+// answered with one reply, a fresh miss runs the FE now.
 func (r *Router) handleRequest(lc *lineCard, m message) {
-	if home := lc.homeOf(m.addr); home != lc.id {
+	rw := remoteWaiter{from: m.from, epoch: m.epoch, hops: m.hops, gen: lc.gen}
+	hit, nh, fresh := r.serveRequest(lc, m.addr, rw, m.start)
+	switch {
+	case hit:
+		r.sendReply(lc, rw, m.addr, nh, nh != rtable.NoNextHop, 0, lc.gen)
+	case fresh != nil:
+		lc.addRemote(fresh, rw)
+		r.runFE(lc, m.addr, fresh)
+	}
+}
+
+// serveRequest is the home LC's work for one requested address, up to the
+// two points where the single and the batch plane differ. A cache hit is
+// reported with its next hop, and the caller sends the answer (one reply,
+// or a row of the reply batch). A miss nobody has in flight is parked as an
+// empty waitlist and returned as fresh — so a duplicate or a W-block probe
+// arriving before the result coalesces instead of dispatching twice — and
+// the caller runs the FE (now, or in the batch sweep). Everything else is
+// finished here: a request for an in-flight address joins its waitlist,
+// and one for an address this LC is no longer home of moves on.
+func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw remoteWaiter, start time.Time) (hit bool, nh rtable.NextHop, fresh *waitlist) {
+	if home := lc.homeOf(addr); home != lc.id {
 		// The address was re-homed while this request was in flight (a
 		// table update swapped the partitioning under it). Running LPM
 		// here would consult the wrong partition and could cache a bogus
 		// verdict — e.g. NoNextHop — as a LOC entry that later local
 		// lookups hit. Forward to the current home instead; the reply
 		// still carries the original requester and epoch.
-		if m.hops >= maxForwardHops {
+		if rw.hops >= maxForwardHops {
 			lc.stats.Fallbacks.Add(1)
-			nh, _, ok := r.fallback.Load().eng.Lookup(m.addr)
-			if !ok {
-				nh = rtable.NoNextHop
-			}
+			fnh, ok := r.fallbackLookup(addr)
 			// Answer from here without caching: this LC is not home, so
 			// the result must not enter its LOC quota.
-			r.sendReply(lc, remoteWaiter{from: m.from, epoch: m.epoch, hops: m.hops}, m.addr, nh, ok, 0, lc.gen)
+			r.sendReply(lc, rw, addr, fnh, ok, 0, lc.gen)
 			return
 		}
-		m.hops++
 		lc.stats.ForwardedRequests.Add(1)
-		lc.post(home, m)
+		lc.post(home, message{kind: mRequest, addr: addr, from: rw.from, epoch: rw.epoch, hops: rw.hops + 1, start: start})
 		return
 	}
-	rw := remoteWaiter{from: m.from, epoch: m.epoch, hops: m.hops, gen: lc.gen}
 	if lc.cache != nil {
-		switch res := lc.cache.Probe(m.addr); res.Kind {
+		switch res := lc.cache.Probe(addr); res.Kind {
 		case cache.Hit, cache.HitVictim:
-			r.sendReply(lc, rw, m.addr, res.NextHop, res.NextHop != rtable.NoNextHop, 0, lc.gen)
-			return
-		case cache.HitWaiting:
-			wl := r.park(lc, m.addr)
-			if wl.hedged {
-				r.hedgeAnswerRemote(lc, rw, m.addr)
-				return
-			}
-			if r.waitlistFull(wl) {
-				// Drop the remote waiter: the requester's deadline
-				// machinery retries or degrades, so the lookup still
-				// terminates without this waitlist growing.
-				r.shedCount(lc.id, shedWaitlistOverflow)
-				return
-			}
-			lc.stats.Coalesced.Add(1)
-			wl.remotes = append(wl.remotes, rw)
-			lc.waiters.Add(1)
-			return
-		default:
-			lc.cache.RecordMiss(m.addr, cache.LOC, 0)
+			return true, res.NextHop, nil
+		case cache.Miss:
+			lc.cache.RecordMiss(addr, cache.LOC, 0)
 		}
 	}
-	// Same bypass coalescing as handleLookup: never dispatch twice for
-	// one in-flight address.
-	if wl, ok := lc.pending[m.addr]; ok {
-		if wl.hedged {
-			r.hedgeAnswerRemote(lc, rw, m.addr)
-			return
-		}
-		if r.waitlistFull(wl) {
-			r.shedCount(lc.id, shedWaitlistOverflow)
-			return
-		}
-		lc.stats.Coalesced.Add(1)
-		wl.remotes = append(wl.remotes, rw)
-		lc.waiters.Add(1)
+	// In flight (a W-block hit, or the bypass case of a fully waiting set):
+	// never dispatch twice for one address.
+	if wl, ok := lc.pending[addr]; ok {
+		r.joinRemote(lc, wl, rw, addr)
 		return
 	}
-	wl := r.park(lc, m.addr)
-	wl.remotes = append(wl.remotes, rw)
-	lc.waiters.Add(1)
-	r.dispatch(lc, m.addr, wl)
+	return false, 0, r.park(lc, addr)
 }
 
 // park returns (creating) the waitlist for addr.
@@ -1311,59 +1255,132 @@ func (r *Router) park(lc *lineCard, addr ip.Addr) *waitlist {
 	return wl
 }
 
-// dispatch resolves a miss: local FE execution when this LC is home,
-// otherwise a request over the fabric with a retry deadline armed on wl.
-func (r *Router) dispatch(lc *lineCard, addr ip.Addr, wl *waitlist) {
-	home := lc.homeOf(addr)
-	if home == lc.id {
-		t0 := r.feTimer()
-		nh, _, ok := lc.engine.Lookup(addr)
-		lc.stats.FEExecs.Add(1)
-		if !ok {
-			nh = rtable.NoNextHop
-		}
-		wl.feNS = elapsedNS(t0)
-		wl.tr.Record(tracing.EvFEExec, wl.feNS, int64(lc.id))
-		r.fillAndRelease(lc, addr, nh, ok, cache.LOC, ServedByFE)
-		return
+// runFE resolves addr against this LC's own partition and answers wl.
+func (r *Router) runFE(lc *lineCard, addr ip.Addr, wl *waitlist) {
+	t0 := r.feTimer()
+	nh, _, ok := lc.engine.Lookup(addr)
+	lc.stats.FEExecs.Add(1)
+	if !ok {
+		nh = rtable.NoNextHop
 	}
+	wl.feNS = elapsedNS(t0)
+	wl.tr.Record(tracing.EvFEExec, wl.feNS, int64(lc.id))
+	r.fillAndRelease(lc, addr, nh, ok, cache.LOC, ServedByFE)
+}
+
+// fallbackLookup resolves addr against the router-wide full-table engine,
+// the authority of every degraded path: it always reflects the current
+// table (UpdateTable and ApplyUpdates refresh it before they return).
+func (r *Router) fallbackLookup(addr ip.Addr) (rtable.NextHop, bool) {
+	nh, _, ok := r.fallback.Load().eng.Lookup(addr)
+	if !ok {
+		nh = rtable.NoNextHop
+	}
+	return nh, ok
+}
+
+// routeFor is the one place that decides whether a fresh miss parked on wl
+// may be sent to its remote home, consulting every protection plane once.
+// It reports whether the caller is to put the request on the fabric (one
+// mRequest, or a row of the batch's per-home accumulator), having armed
+// wl's deadline for it; the send itself is all that is left to the caller,
+// so nothing here knows which plane asked.
+//
+//   - Breaker open toward home (overload.go): the send is doomed, so the
+//     waiters are answered from the fallback engine without touching the
+//     fabric. Always interesting, so traced late if nobody was sampled.
+//   - Home ejected (gray.go): the waiters are answered from the fallback
+//     engine right now instead of paying its browned-out round trip, but
+//     the request still goes out — its reply keeps RTT samples flowing so
+//     recovery stays observable, and arrives as a suppressed hedged
+//     primary. No hedge token is spent: ejection is a scorer decision, not
+//     a per-lookup gamble.
+//
+// A retry is not a fresh miss: checkDeadlines has its own rule for those
+// and never claims a half-open probe.
+func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, now time.Time) bool {
 	if r.ov.Enabled && !r.breakerAllows(lc, home) {
-		// The breaker for this home is open: the fabric send is doomed,
-		// so short-circuit to the fallback engine without touching the
-		// fabric. Breaker short-circuits are always interesting — capture
-		// a late trace if nothing parked here was head-sampled.
 		lc.ov.breakerShorts.Add(1)
 		lc.stats.Fallbacks.Add(1)
-		if wl.tr == nil && r.tracer != nil {
-			wl.tr = r.lateTrace(lc.id, addr)
-			wl.trLate = wl.tr != nil
-		}
+		r.lateTraceFor(lc, addr, wl)
 		wl.tr.Record(tracing.EvBreaker, int64(home), int64(lc.ov.breakers[home].state.Load()))
 		wl.tr.Record(tracing.EvFallback, int64(lc.id), 0)
-		nh, _, ok := r.fallback.Load().eng.Lookup(addr)
-		if !ok {
-			nh = rtable.NoNextHop
-		}
+		nh, ok := r.fallbackLookup(addr)
 		r.fillAndRelease(lc, addr, nh, ok, cache.REM, ServedByFallback)
-		return
+		return false
 	}
-	lc.stats.RequestsSent.Add(1)
 	wl.attempts = 1
-	wl.sentAt = time.Now()
-	wl.deadline = wl.sentAt.Add(r.timeout)
+	wl.sentAt = now
+	wl.deadline = now.Add(r.timeout)
 	wl.tr.Record(tracing.EvFabricSend, int64(home), 1)
-	lc.post(home, message{kind: mRequest, addr: addr, from: lc.id, epoch: lc.epoch, start: wl.sentAt})
 	if r.grayPol.Eject && r.gray[home].ejected.Load() {
-		// The home is ejected: answer the waiters from the fallback engine
-		// right now instead of paying its browned-out round trip. The
-		// request above still went out — its reply keeps RTT samples
-		// flowing so recovery stays observable, and arrives as a suppressed
-		// hedged primary. No hedge token is spent: ejection is a scorer
-		// decision, not a per-lookup gamble.
 		wl.tr.Record(tracing.EvEject, int64(home), 0)
 		r.ejectServed.Add(1)
 		r.hedgeResolve(lc, addr, wl)
 	}
+	return true
+}
+
+// replyArrived is the per-message half of reply intake: one fabric reply
+// from home, single or batch, is one successful round trip. first is the
+// (first) address it answers, whose waitlist holds the send time.
+func (r *Router) replyArrived(lc *lineCard, from int, first ip.Addr) {
+	if r.grayPol.Enabled && !r.gray[lc.id].degraded.Load() {
+		// When exactly one request went out the round trip is unambiguous:
+		// attribute it to the responding home LC. Sampled before the
+		// generation and hedge guards so an ejected LC's recovery stays
+		// observable. A requester that is itself marked degraded abstains:
+		// its round trips ride its own browned-out links, so charging them
+		// to the responding home would drag every clean ring toward the
+		// brownout and mask the true outlier (its recovery is judged by
+		// other requesters' samples of it, not by its own observations).
+		if wl, ok := lc.pending[first]; ok && wl.attempts == 1 && !wl.sentAt.IsZero() {
+			r.rtt[from].observe(time.Since(wl.sentAt).Nanoseconds())
+		}
+	}
+	if r.ov.Enabled {
+		// It closes the responder's breaker and refills the retry bucket.
+		r.breakerSuccess(lc, from)
+		lc.ov.retry.refill()
+		lc.ov.mirrorBudget()
+	}
+	if r.grayPol.Hedge {
+		lc.hedge.refill()
+	}
+}
+
+// replyFor is the per-address half of reply intake: the value a fabric
+// reply m carries for addr answers whatever is parked on it here. The
+// epoch guard is per message and has already passed.
+func (r *Router) replyFor(lc *lineCard, m *message, addr ip.Addr, nh rtable.NextHop, ok bool) {
+	wl, pending := lc.pending[addr]
+	if pending && wl.hedged {
+		// A hedge (or an eject dispatch) already answered every waiter;
+		// this primary is the suppressed duplicate (exactly one owner
+		// delivers a verdict — the batch-descriptor rule applied to
+		// hedging).
+		r.hedgePrimaryLate.Add(1)
+		r.dropHedged(lc, addr)
+		return
+	}
+	if r.tracer != nil && pending && wl.tr != nil {
+		wl.tr.Record(tracing.EvFabricRecv, int64(m.from), int64(m.hops))
+		if m.feNS > 0 {
+			wl.tr.Record(tracing.EvFEExec, m.feNS, int64(m.from))
+		}
+	}
+	if m.gen < lc.gen {
+		// The responder computed this value before applying an update
+		// batch we have already applied (and invalidated for): the parked
+		// lookups may still observe it — they were in flight during the
+		// update window — but it must not survive as a cache entry. A
+		// pinned (quarantined or ejected) responder stays behind until it
+		// is rebuilt or restored, so its replies are final: delivered to
+		// every waiter rather than re-driven back at it.
+		r.fillStaleRelease(lc, addr, nh, ok, m.gen, r.genPinned(m.from))
+		return
+	}
+	r.fillAndRelease(lc, addr, nh, ok, cache.REM, ServedByRemote)
 }
 
 // fillAndRelease installs a result and answers everything parked on it.
@@ -1386,19 +1403,19 @@ func (r *Router) fillAndRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop, o
 // value's true generation, so the next hop applies the same rule.
 //
 // final marks staleness that will not resolve by waiting: the responder is
-// quarantined, pinned behind the current generation until it is rebuilt.
-// Re-driving such a lookup would park it, forward it to the same
-// quarantined home, and draw another stale reply — forever — so final
-// replies answer every waiter, new-generation ones included. That is the
-// documented quarantine contract: the damaged LC keeps serving, its
-// verdicts just never enter a cache.
-func (r *Router) fillStaleRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool, origin cache.Origin, servedBy ServedBy, valueGen uint64, final bool) {
+// pinned behind the current generation until it is rebuilt or restored.
+// Re-driving such a lookup would park it, forward it to the same pinned
+// home, and draw another stale reply — forever — so final replies answer
+// every waiter, new-generation ones included. That is the documented
+// quarantine contract: the damaged LC keeps serving, its verdicts just
+// never enter a cache.
+func (r *Router) fillStaleRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool, valueGen uint64, final bool) {
 	lc.stats.StaleGenReplies.Add(1)
 	if lc.cache != nil {
-		lc.cache.Fill(addr, nh, origin)
+		lc.cache.Fill(addr, nh, cache.REM)
 		lc.cache.InvalidateRange(addr, addr)
 	}
-	r.release(lc, addr, nh, ok, origin, servedBy, valueGen, final)
+	r.release(lc, addr, nh, ok, cache.REM, ServedByRemote, valueGen, final)
 }
 
 // release answers everything parked on addr with the verdict. valueGen is
@@ -1437,23 +1454,34 @@ func (r *Router) release(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool,
 			}
 		}
 		wl.locals, wl.remotes = keepL, keepR
-		defer func() {
-			for _, w := range redriveL {
-				w.tr.Record(tracing.EvRedrive, int64(lc.id), 0)
-				r.handleLookup(lc, &message{kind: mLookup, addr: addr, resp: w.ch, bd: w.bd, slot: w.slot, start: w.start, tr: w.tr})
-			}
-			for _, rw := range redriveR {
-				r.handleRequest(lc, message{kind: mRequest, addr: addr, from: rw.from, epoch: rw.epoch, hops: rw.hops})
-			}
-		}()
+		defer r.redrive(lc, addr, redriveL, redriveR)
 	}
 	wl.tr.Record(tracing.EvFill, int64(origin), int64(servedBy))
-	v := Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: servedBy}
+	r.answer(lc, wl, Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: servedBy}, wl.feNS, valueGen)
+}
+
+// redrive puts waiters taken off addr's waitlist through this LC's
+// handlers again, which park and dispatch them anew against the table it
+// holds now.
+func (r *Router) redrive(lc *lineCard, addr ip.Addr, locals []localWaiter, remotes []remoteWaiter) {
+	for _, w := range locals {
+		w.tr.Record(tracing.EvRedrive, int64(lc.id), 0)
+		r.handleLookup(lc, &message{kind: mLookup, addr: addr, resp: w.ch, bd: w.bd, slot: w.slot, start: w.start, tr: w.tr})
+	}
+	for _, rw := range remotes {
+		r.handleRequest(lc, message{kind: mRequest, addr: addr, from: rw.from, epoch: rw.epoch, hops: rw.hops})
+	}
+}
+
+// answer delivers v to every waiter on wl: each local lookup records its
+// own latency and finishes its own span, remote waiters get a reply
+// stamped with gen, the generation the value reflects.
+func (r *Router) answer(lc *lineCard, wl *waitlist, v Verdict, feNS int64, gen uint64) {
 	for _, w := range wl.locals {
-		lc.lat.observe(servedBy, w.start, traceID(w.tr))
+		lc.lat.observe(v.ServedBy, w.start, traceID(w.tr))
 		// Finish before delivering: a caller that waits on the verdict
 		// must find its trace already published.
-		r.finishTrace(w.tr, servedBy, ok)
+		r.finishTrace(w.tr, v.ServedBy, v.OK)
 		if w.bd != nil {
 			w.bd.out[w.slot] = v
 			r.bdResolve(w.bd)
@@ -1464,10 +1492,10 @@ func (r *Router) release(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool,
 	if wl.trLate {
 		// The late trace belongs to the address, not to any waiter;
 		// close it with the same verdict.
-		r.finishTrace(wl.tr, servedBy, ok)
+		r.finishTrace(wl.tr, v.ServedBy, v.OK)
 	}
 	for _, rw := range wl.remotes {
-		r.sendReply(lc, rw, addr, nh, ok, wl.feNS, valueGen)
+		r.sendReply(lc, rw, v.Addr, v.NextHop, v.OK, feNS, gen)
 	}
 }
 
@@ -1683,37 +1711,12 @@ func (r *Router) UpdateTable(tbl *rtable.Table) error {
 }
 
 // swapPartitioning runs the two-phase engine/homeOf + rekey swap against
-// every LC. r.mu must be held. A slot whose goroutine has exited (crashed
-// but not yet adopted by the health monitor) is skipped rather than
-// awaited — its barrier ack would never come; the adoption that follows
-// installs the then-current partitioning, so the skip cannot leave a
-// stale engine serving.
+// every LC, one barrier per phase (a crashed slot is skipped, see there).
+// r.mu must be held.
 func (r *Router) swapPartitioning(part *partition.Partitioning) error {
 	if r.stopped.Load() {
 		return ErrStopped
 	}
-	phase := func(mk func(i int) message) error {
-		dones := make([]chan struct{}, r.cfg.NumLCs)
-		for i := 0; i < r.cfg.NumLCs; i++ {
-			dones[i] = make(chan struct{})
-			m := mk(i)
-			m.swapDone = dones[i]
-			if !r.sendCtrlSwap(i, m) {
-				return ErrStopped
-			}
-		}
-		for i, d := range dones {
-			select {
-			case <-d:
-			case <-r.life[i].exited:
-				// Crashed mid-swap; rehomeLocked will re-install.
-			case <-r.quit:
-				return ErrStopped
-			}
-		}
-		return nil
-	}
-
 	// Every engine is built before the first LC is told to swap: the LCs
 	// disagree about the table from the first phase-1 message to the last,
 	// and requests that cross that line are answered stale and re-driven
@@ -1723,13 +1726,14 @@ func (r *Router) swapPartitioning(part *partition.Partitioning) error {
 	for i := range engines {
 		engines[i] = r.buildEngine(part.Table(i))
 	}
-	if err := phase(func(i int) message {
+	all := r.lcsExcept(-1)
+	if _, ok := r.barrier(all, func(i int) message {
 		return message{kind: mSwapEngine, engine: engines[i], homeOf: part.HomeLC, gen: r.gen}
-	}); err != nil {
-		return err
+	}); !ok {
+		return ErrStopped
 	}
-	if err := phase(func(int) message { return message{kind: mRekey} }); err != nil {
-		return err
+	if _, ok := r.barrier(all, func(int) message { return message{kind: mRekey} }); !ok {
+		return ErrStopped
 	}
 	// After Stop every exited channel is closed, so the phases above can
 	// degenerate to all-skips; never report such a swap as a success.

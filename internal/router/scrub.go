@@ -32,12 +32,9 @@
 // reuses the machinery this repo already trusts instead of inventing a
 // parallel path:
 //
-//   - Uncacheable replies, via the generation guard (updates.go): the
-//     router-wide generation advances and every *other* LC adopts it (a
-//     pure bump — no route changes, no invalidations), while the
-//     quarantined LC keeps its old generation. Every reply it sends now
-//     carries gen < the receiver's gen, so the PR-7 guard delivers the
-//     value to parked lookups but keeps it out of every peer cache.
+//   - Uncacheable replies, via the generation fence (fenceLocked in
+//     updates.go): every reply the quarantined LC sends is delivered to
+//     the lookups parked on it but kept out of every peer cache.
 //
 //   - Rebuild, via the crash-safe two-phase swap (router.go): phase 1
 //     installs a freshly built engine from the canonical partition table
@@ -143,9 +140,8 @@ func (r *Router) scrubAuthorityLocked(gen uint64) lpm.Engine {
 // LR-cache entry against the full-table authority, and quarantines (and,
 // under AutoRepair, rebuilds) any LC whose mismatch streak crossed the
 // threshold. Runs synchronously — the monitor waits for every LC's
-// verification closure (with the same exited/quit escapes the swap
-// barrier uses) so quarantine decisions see this cycle's counters. r.mu
-// must be held.
+// verification closure (barrier) so quarantine decisions see this cycle's
+// counters. r.mu must be held.
 func (r *Router) maybeScrubLocked(now time.Time) {
 	if !r.scrubPol.Enabled || now.Sub(r.lastScrub) < r.scrubPol.Interval {
 		return
@@ -154,16 +150,16 @@ func (r *Router) maybeScrubLocked(now time.Time) {
 	r.scrubCycles.Add(1)
 	gen := r.gen
 	auth := r.scrubAuthorityLocked(gen)
-	dones := make([]chan struct{}, r.cfg.NumLCs)
+	var lcs []int
 	for i := range r.lcs {
-		if st := r.life[i].state.Load(); st == LCDown || st == LCDraining || st == LCQuarantined {
-			continue
+		st := r.life[i].state.Load()
+		if st != LCDown && st != LCDraining && st != LCQuarantined && r.part.Table(i).Len() > 0 {
+			lcs = append(lcs, i)
 		}
+	}
+	_, ok := r.barrier(lcs, func(i int) message {
 		tbl := r.part.Table(i)
 		n := tbl.Len()
-		if n == 0 {
-			continue
-		}
 		k := r.scrubPol.SamplesPerLC
 		if k > n {
 			k = n
@@ -187,9 +183,7 @@ func (r *Router) maybeScrubLocked(now time.Time) {
 			}
 			want[j] = nh
 		}
-		done := make(chan struct{})
-		sent := r.sendCtrlSwap(i, message{kind: mExec, do: func(lc *lineCard) {
-			defer close(done)
+		return message{kind: mExec, do: func(lc *lineCard) {
 			if lc.gen != gen {
 				// The engine reflects another generation (crash/rebirth
 				// race); comparing would report phantom mismatches. The
@@ -229,23 +223,10 @@ func (r *Router) maybeScrubLocked(now time.Time) {
 					s.cacheRepairs.Add(int64(repaired))
 				}
 			}
-		}})
-		if !sent {
-			return
-		}
-		dones[i] = done
-	}
-	for i, d := range dones {
-		if d == nil {
-			continue
-		}
-		select {
-		case <-d:
-		case <-r.life[i].exited:
-			// Crashed mid-scrub; rehoming rebuilds the slot from scratch.
-		case <-r.quit:
-			return
-		}
+		}}
+	})
+	if !ok {
+		return
 	}
 	thr := int64(r.scrubPol.QuarantineThreshold)
 	for i := range r.lcs {
@@ -263,40 +244,13 @@ func (r *Router) maybeScrubLocked(now time.Time) {
 }
 
 // quarantineLocked flags LC i as integrity-compromised and fences its
-// replies out of every peer cache: the router-wide generation advances
-// and every other LC adopts it via an empty mApplyUpdates (a pure
-// generation bump — no route changes, no invalidations, no flush), while
-// i stamps its replies with generation zero until rebuilt (see stampGen).
-// From that point the generation guard (m.gen < lc.gen, see updates.go)
-// classifies every reply i sends as stale at the receiver: delivered to
-// parked lookups, never cached. r.mu must be held.
+// replies out of every peer cache until it is rebuilt (see fenceLocked).
+// r.mu must be held.
 func (r *Router) quarantineLocked(i int) {
 	r.life[i].state.Store(LCQuarantined)
 	r.quarantines.Add(1)
 	r.scrubLog("quarantine", slog.Int("lc", i), slog.Int64("engine_mismatches", r.scrub[i].streak.Load()))
-	r.gen++
-	dones := make([]chan struct{}, r.cfg.NumLCs)
-	for j := 0; j < r.cfg.NumLCs; j++ {
-		if j == i {
-			continue
-		}
-		dones[j] = make(chan struct{})
-		if !r.sendCtrlSwap(j, message{kind: mApplyUpdates, gen: r.gen, swapDone: dones[j]}) {
-			return
-		}
-	}
-	for j, d := range dones {
-		if d == nil {
-			continue
-		}
-		select {
-		case <-d:
-		case <-r.life[j].exited:
-			// Crashed; the reborn slot adopts the current generation.
-		case <-r.quit:
-			return
-		}
-	}
+	r.fenceLocked(i)
 }
 
 // rebuildLocked restores a quarantined LC: phase 1 installs a freshly
@@ -306,27 +260,15 @@ func (r *Router) quarantineLocked(i int) {
 // lookup replay — so no lookup is lost and no pre-rebuild reply can
 // fill the fresh cache. Only this LC pays the flush. r.mu must be held.
 func (r *Router) rebuildLocked(i int) {
+	// A phase the LC did not acknowledge ends the rebuild: it crashed, and
+	// rehomeLocked rebuilds the slot from scratch, an even stronger repair
+	// (or the router is stopping).
 	phase := func(m message) bool {
-		done := make(chan struct{})
-		m.swapDone = done
-		if !r.sendCtrlSwap(i, m) {
-			return false
-		}
-		select {
-		case <-done:
-			return true
-		case <-r.life[i].exited:
-			// Crashed mid-rebuild: rehomeLocked rebuilds the slot from
-			// scratch, an even stronger repair.
-			return false
-		case <-r.quit:
-			return false
-		}
+		acks, _ := r.barrier([]int{i}, func(int) message { return m })
+		return acks == 1
 	}
-	if !phase(message{kind: mSwapEngine, engine: r.buildEngine(r.part.Table(i)), homeOf: r.part.HomeLC, gen: r.gen}) {
-		return
-	}
-	if !phase(message{kind: mRekey}) {
+	if !phase(message{kind: mSwapEngine, engine: r.buildEngine(r.part.Table(i)), homeOf: r.part.HomeLC, gen: r.gen}) ||
+		!phase(message{kind: mRekey}) {
 		return
 	}
 	r.scrub[i].streak.Store(0)

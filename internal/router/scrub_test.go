@@ -251,19 +251,41 @@ func TestQuarantineManualRestore(t *testing.T) {
 
 	// The quarantined LC keeps serving, but its replies must not be
 	// cached by peers: the generation fence classifies them stale.
-	before := r.Metrics().Sum(MetricStaleGen)
 	rng := stats.NewRNG(55)
-	for i := 0; i < 4000; i++ {
-		lc := i % 4
-		if lc == quarantined {
-			continue
-		}
-		if _, err := r.Lookup(lc, tbl.RandomMatchedAddr(rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after := r.Metrics().Sum(MetricStaleGen); after <= before {
-		t.Fatalf("no stale-generation fences recorded (%v -> %v); quarantined replies were cacheable", before, after)
+	arrival := (quarantined + 1) % 4
+	homed := remoteAddrs(t, r, tbl, rng, quarantined, 2*8)
+	for k, ep := range entryPoints {
+		t.Run("fence/"+ep.name, func(t *testing.T) {
+			before := r.Metrics().Sum(MetricStaleGen)
+			for lc := 0; lc < 4; lc++ {
+				if lc == quarantined {
+					continue
+				}
+				addrs := make([]ip.Addr, 500)
+				for i := range addrs {
+					addrs[i] = tbl.RandomMatchedAddr(rng)
+				}
+				ep.lookup(t, r, lc, addrs)
+			}
+			if after := r.Metrics().Sum(MetricStaleGen); after <= before {
+				t.Fatalf("no stale-generation fences recorded (%v -> %v); quarantined replies were cacheable", before, after)
+			}
+			// Delivered but uncached, address by address: asked twice, an
+			// address homed on the quarantined LC crosses the fabric twice
+			// and is fenced twice.
+			addrs := homed[k*8 : (k+1)*8]
+			fenced := r.Stats()[arrival].StaleGenReplies.Load()
+			for round := 0; round < 2; round++ {
+				for _, v := range ep.lookup(t, r, arrival, addrs) {
+					if v.ServedBy != ServedByRemote {
+						t.Fatalf("round %d: %+v, want a reply from the quarantined home both times", round, v)
+					}
+				}
+			}
+			if got := r.Stats()[arrival].StaleGenReplies.Load() - fenced; got < int64(2*len(addrs)) {
+				t.Fatalf("%d replies fenced for %d addresses asked twice", got, len(addrs))
+			}
+		})
 	}
 
 	if err := r.RestoreLC(quarantined); err != nil {

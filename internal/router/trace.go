@@ -109,6 +109,16 @@ func (r *Router) lateTrace(lc int, addr ip.Addr) *tracing.LookupTrace {
 	return r.tracer.Late(lc, addr)
 }
 
+// lateTraceFor gives addr's waitlist a late trace when it has just turned
+// interesting and nothing parked on it was head-sampled. The trace belongs
+// to the address, not to a waiter (trLate), so answer finishes it.
+func (r *Router) lateTraceFor(lc *lineCard, addr ip.Addr, wl *waitlist) {
+	if wl.tr == nil && r.tracer != nil {
+		wl.tr = r.lateTrace(lc.id, addr)
+		wl.trLate = wl.tr != nil
+	}
+}
+
 // feTimer starts an FE-execution timer when tracing is on; zero
 // otherwise, which elapsedNS maps to 0 so untraced runs report no
 // timing.

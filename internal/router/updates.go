@@ -136,31 +136,47 @@ func (r *Router) ApplyUpdates(batch []rtable.Update) error {
 	// (a drained or distant LC still holds REM cache entries for the
 	// changed ranges) — acked individually, no cross-LC barrier: an LC
 	// resumes serving the moment its own delta is in.
-	dones := make([]chan struct{}, r.cfg.NumLCs)
-	for i := 0; i < r.cfg.NumLCs; i++ {
-		dones[i] = make(chan struct{})
-		m := message{kind: mApplyUpdates, gen: r.gen, updates: sub[i], ranges: ranges, swapDone: dones[i]}
+	// An LC that crashes mid-update is skipped; rehomeLocked rebuilds the
+	// reborn shell from r.part, which already reflects this batch.
+	_, ok := r.barrier(r.lcsExcept(-1), func(i int) message {
+		m := message{kind: mApplyUpdates, gen: r.gen, updates: sub[i], ranges: ranges}
 		if len(sub[i]) > 0 {
 			m.table = np.Table(i) // rebuild path for non-dynamic engines
 		}
-		if !r.sendCtrlSwap(i, m) {
-			return ErrStopped
-		}
-	}
-	for i, d := range dones {
-		select {
-		case <-d:
-		case <-r.life[i].exited:
-			// Crashed mid-update; rehomeLocked rebuilds the reborn shell
-			// from r.part, which already reflects this batch.
-		case <-r.quit:
-			return ErrStopped
-		}
-	}
-	if r.stopped.Load() {
+		return m
+	})
+	if !ok || r.stopped.Load() {
 		return ErrStopped
 	}
 	return nil
+}
+
+// fenceLocked pins LC i behind the router's generation, the one way a home
+// LC's verdicts are kept out of every peer cache while it keeps serving
+// (quarantine, ejection): the router-wide generation advances and every
+// *other* LC adopts it via an empty mApplyUpdates — a pure bump, no route
+// changes, no invalidations, no flush — while i, flagged by its caller so
+// that genPinned reports it, stamps its replies with generation zero (see
+// stampGen). From that point the generation guard (m.gen < lc.gen) classes
+// every reply i sends as stale at the receiver: delivered to parked
+// lookups, never cached, and final (see fillStaleRelease). A peer that
+// crashes instead of acknowledging is reborn at the current generation.
+// r.mu must be held.
+func (r *Router) fenceLocked(i int) {
+	r.gen++
+	r.barrier(r.lcsExcept(i), r.genBump)
+}
+
+// catchUpLocked is fenceLocked's inverse for an LC whose pin has just been
+// lifted without a rebuild: it never received the fence's own bump, so it
+// adopts the current router generation now. r.mu must be held.
+func (r *Router) catchUpLocked(i int) {
+	r.barrier([]int{i}, r.genBump)
+}
+
+// genBump is the empty update batch that carries the router generation.
+func (r *Router) genBump(int) message {
+	return message{kind: mApplyUpdates, gen: r.gen}
 }
 
 // handleApplyUpdates applies one update batch at its LC:
