@@ -324,38 +324,47 @@ func (c *Cache) chooseVictim(set []entry, class Origin) int {
 	return candidate(LOC, false)
 }
 
-// RecordMiss reserves a waiting block for addr ("early cache block
-// recording"): origin is the block's tentative class (LOC when the address
-// is homed locally, REM otherwise) and waiter is the packet that caused
-// the miss. It reports false — cache bypass — when no block is available
-// for the class: its γ allocation is zero, or every candidate block is
-// waiting. RecordMiss panics if addr is already present; callers must
+// Reserve records a waiting block for addr ("early cache block
+// recording") and no waiting list: the reservation of a caller that keeps
+// its parked packets itself, as the router does in its per-LC waitlists.
+// origin is the block's tentative class (LOC when the address is homed
+// locally, REM otherwise). It reports false — cache bypass — when no block
+// is available for the class: its γ allocation is zero, or every candidate
+// block is waiting. Reserve panics if addr is already present; callers must
 // Probe first.
+func (c *Cache) Reserve(a ip.Addr, origin Origin) bool {
+	return c.reserve(a, origin) != nil
+}
+
+// RecordMiss is Reserve plus the block's waiting list, opened with waiter,
+// the packet that caused the miss; Fill returns the list.
 func (c *Cache) RecordMiss(a ip.Addr, origin Origin, waiter int64) bool {
+	e := c.reserve(a, origin)
+	if e != nil {
+		e.waiters = []int64{waiter}
+	}
+	return e != nil
+}
+
+// reserve is the reservation itself; nil means bypass.
+func (c *Cache) reserve(a ip.Addr, origin Origin) *entry {
 	set := c.setOf(a)
 	for i := range set {
 		if set[i].valid && set[i].addr == a {
-			panic("cache: RecordMiss on a resident address")
+			panic("cache: reserving a resident address")
 		}
 	}
 	slot := c.chooseVictim(set, origin)
 	if slot < 0 {
 		c.stat.Bypasses++
-		return false
+		return nil
 	}
 	if set[slot].valid {
 		c.evictToVictim(set, slot)
 	}
-	set[slot] = entry{
-		valid:   true,
-		waiting: true,
-		origin:  origin,
-		addr:    a,
-		stamp:   c.tick(),
-		waiters: []int64{waiter},
-	}
+	set[slot] = entry{valid: true, waiting: true, origin: origin, addr: a, stamp: c.tick()}
 	c.stat.Recorded++
-	return true
+	return &set[slot]
 }
 
 // evictToVictim moves a complete block into the victim cache (LRU among

@@ -111,10 +111,8 @@ func (s *CorruptStore) Inner() Store { return s.inner }
 // Probe implements Store.
 func (s *CorruptStore) Probe(a ip.Addr) ProbeResult { return s.inner.Probe(a) }
 
-// RecordMiss implements Store.
-func (s *CorruptStore) RecordMiss(a ip.Addr, origin Origin, waiter int64) bool {
-	return s.inner.RecordMiss(a, origin, waiter)
-}
+// Reserve implements Store.
+func (s *CorruptStore) Reserve(a ip.Addr, origin Origin) bool { return s.inner.Reserve(a, origin) }
 
 // Fill implements Store, occasionally stamping the block with a wrong
 // next hop. Waiters still receive the correct value from the reply path —

@@ -22,7 +22,7 @@ import (
 // need. Both Cache and Sharded implement it.
 type Store interface {
 	Probe(a ip.Addr) ProbeResult
-	RecordMiss(a ip.Addr, origin Origin, waiter int64) bool
+	Reserve(a ip.Addr, origin Origin) bool
 	Fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64
 	Flush() []int64
 	InvalidateRange(lo, hi ip.Addr) int
@@ -110,7 +110,14 @@ func (s *Sharded) Probe(a ip.Addr) ProbeResult {
 	return c.Probe(sa)
 }
 
-// RecordMiss implements Store.
+// Reserve implements Store.
+func (s *Sharded) Reserve(a ip.Addr, origin Origin) bool {
+	c, sa := s.at(a)
+	return c.Reserve(sa, origin)
+}
+
+// RecordMiss is Reserve plus a waiting list, as on Cache; like there it is
+// not part of Store.
 func (s *Sharded) RecordMiss(a ip.Addr, origin Origin, waiter int64) bool {
 	c, sa := s.at(a)
 	return c.RecordMiss(sa, origin, waiter)

@@ -71,7 +71,7 @@ func TestShardedMatchesSingleCache(t *testing.T) {
 	for _, st := range []Store{single, shardedStore} {
 		for _, a := range addrs {
 			if st.Probe(a).Kind == Miss {
-				st.RecordMiss(a, REM, 0)
+				st.Reserve(a, REM)
 				st.Fill(a, rtable.NextHop(a&0xff), REM)
 			}
 		}

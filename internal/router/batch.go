@@ -7,18 +7,19 @@
 // arrival LC. The descriptor carries a verdict array indexed by
 // submission position and an atomic countdown of unresolved slots;
 // whoever resolves the last slot signals the (buffered) done channel.
-// Steady state this path allocates nothing: the descriptor, its arrays,
-// the LC's scratch space and the fabric queue's ring all recycle.
+// Steady state a batch allocates two fabric payloads per remote home it
+// reaches (request and reply, see fabricRow) and nothing else: descriptor,
+// arrays, LC scratch and waitlists all recycle.
 //
 // Inside the arrival LC, handleBatch classifies every address in one
 // pass: cache hits resolve inline; addresses with an in-flight miss
 // coalesce onto the existing waitlist as batch waiters (a localWaiter
 // whose bd/slot point back into the descriptor); same-home misses are
 // collected and resolved with one batched engine sweep after the scan —
-// no waitlist, no RecordMiss, no allocation; remote misses take the one
+// no waitlist, no W block, no allocation; remote misses take the one
 // miss path (park, routeFor, then deadline/retry/fallback/re-home) and
-// only their fabric requests differ: they accumulate into one fabricBatch
-// per home LC, sent as a single mBatchRequest when the scan ends. That
+// only their fabric requests differ: they accumulate per home LC and go
+// out as a single mBatchRequest each when the scan ends. That
 // turns the fabric cost of a ψ-way scattered batch from O(addresses)
 // messages into O(ψ): the per-message constant (channel send, select
 // wakeup, injector call) is paid once per home instead of once per
@@ -33,6 +34,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,31 +131,31 @@ func (r *Router) deliver(m message, v Verdict) {
 	m.resp <- v
 }
 
-// fabricBatch is a coalesced fabric payload: parallel arrays of
-// addresses and (on replies) their verdicts. It is allocated fresh per
-// send and never mutated afterwards, so an injector-duplicated message
-// can share it safely.
-type fabricBatch struct {
-	addrs []ip.Addr
-	nhs   []rtable.NextHop
-	oks   []bool
+// fabricRow is one address of a coalesced fabric payload and (on replies)
+// its verdict. A payload is a slice of rows: one allocation, made fresh per
+// send and never mutated afterwards, so that an injector-duplicated message
+// can share it safely — which is why payloads are not pooled.
+type fabricRow struct {
+	addr    ip.Addr
+	nextHop rtable.NextHop
+	ok      bool
 }
 
-// lcScratch is a line card's private batch workspace, reused across
-// batches so the steady-state path allocates nothing once warm: the
-// pending local-FE sweep (addrs/slots/trs/res) and the per-home fabric
-// accumulators (byHome, indexed by LC id; homes lists the active ones).
+// lcScratch is a line card's private batch workspace, allocated once and
+// reused across batches: the pending local-FE sweep (addrs/slots/trs/res)
+// and the per-home fabric accumulators (byHome, indexed by LC id; homes
+// lists the active ones), each copied into its payload at send.
 type lcScratch struct {
 	addrs  []ip.Addr
 	slots  []int32
 	trs    []*tracing.LookupTrace
 	res    []lpm.Result
-	byHome []*fabricBatch
+	byHome [][]fabricRow
 	homes  []int
 }
 
 func newLCScratch(numLCs int) *lcScratch {
-	return &lcScratch{byHome: make([]*fabricBatch, numLCs)}
+	return &lcScratch{byHome: make([][]fabricRow, numLCs)}
 }
 
 // resetSweep clears the local-FE collection arrays, dropping trace
@@ -172,11 +174,10 @@ func (r *Router) LookupBatch(lc int, addrs []ip.Addr) ([]Verdict, error) {
 	return r.LookupBatchCtx(context.Background(), lc, addrs)
 }
 
-// LookupBatchInto is LookupBatchCtx writing into a caller-provided
-// verdict slice (len(out) >= len(addrs)); the steady-state cache-hit and
-// local-home paths allocate nothing. On error
-// the contents of out are unspecified. The positional guarantee is the
-// same: on success out[i] answers addrs[i].
+// LookupBatchInto is LookupBatchCtx writing into a caller-provided verdict
+// slice (len(out) >= len(addrs)); warm, it allocates nothing but two fabric
+// payloads per remote home reached. On error the contents of out are
+// unspecified. The positional guarantee holds: out[i] answers addrs[i].
 func (r *Router) LookupBatchInto(ctx context.Context, lc int, addrs []ip.Addr, out []Verdict) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -256,7 +257,7 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 		}
 		home := lc.homeOf(addr)
 		if home == lc.id {
-			// Same-home miss: no park, no RecordMiss — the batched FE
+			// Same-home miss: no park, no W block — the batched FE
 			// sweep below answers it within this handler, so there is no
 			// in-flight window for anything to coalesce into. (Duplicates
 			// inside the batch simply run the engine twice.)
@@ -273,7 +274,7 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 		// breakers, ejection) treats batch sub-lookups like any single lookup
 		// — only the fabric send is deferred into the per-home accumulator.
 		if lc.cache != nil {
-			recorded := lc.cache.RecordMiss(addr, cache.REM, 0)
+			recorded := lc.cache.Reserve(addr, cache.REM)
 			if tr != nil {
 				tr.Record(tracing.EvProbe, int64(probeKind), int64(cache.REM))
 				if !recorded {
@@ -287,22 +288,17 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 		if !r.routeFor(lc, addr, home, wl, now) {
 			continue
 		}
-		fb := sc.byHome[home]
-		if fb == nil {
-			fb = &fabricBatch{}
-			sc.byHome[home] = fb
+		if len(sc.byHome[home]) == 0 {
 			sc.homes = append(sc.homes, home)
 		}
-		fb.addrs = append(fb.addrs, addr)
+		sc.byHome[home] = append(sc.byHome[home], fabricRow{addr: addr})
 	}
 	// One engine sweep answers every same-home miss.
 	if len(sc.addrs) > 0 {
 		res, feNS := r.sweepFE(lc) // batch-granular; per-address splits aren't measured
 		for k, addr := range sc.addrs {
 			nh, ok := res[k].NextHop, res[k].OK
-			if lc.cache != nil {
-				lc.cache.Fill(addr, nh, cache.LOC)
-			}
+			lc.fill(addr, nh, cache.LOC)
 			if tr := sc.trs[k]; tr != nil {
 				tr.Record(tracing.EvFEExec, feNS, int64(lc.id))
 				tr.Record(tracing.EvFill, int64(cache.LOC), int64(ServedByFE))
@@ -316,11 +312,11 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 	}
 	// One fabric message per remote home with misses in this batch.
 	for _, home := range sc.homes {
-		fb := sc.byHome[home]
-		sc.byHome[home] = nil
+		fb := slices.Clone(sc.byHome[home]) // the payload: one exact-size allocation
+		sc.byHome[home] = sc.byHome[home][:0]
 		lc.stats.RequestsSent.Add(1)
 		lc.stats.BatchRequestsSent.Add(1)
-		lc.post(home, message{kind: mBatchRequest, from: lc.id, epoch: lc.epoch, fb: fb, addr: fb.addrs[0], start: now})
+		lc.post(home, message{kind: mBatchRequest, from: lc.id, epoch: lc.epoch, fb: fb, addr: fb[0].addr, start: now})
 	}
 	sc.homes = sc.homes[:0]
 }
@@ -347,53 +343,40 @@ func (r *Router) sweepFE(lc *lineCard) (res []lpm.Result, feNS int64) {
 	return res, elapsedNS(t0)
 }
 
-// add appends one answered address to a reply batch, allocating it on
-// first use.
-func (fb *fabricBatch) add(addr ip.Addr, nh rtable.NextHop, ok bool) *fabricBatch {
-	if fb == nil {
-		fb = &fabricBatch{}
-	}
-	fb.addrs = append(fb.addrs, addr)
-	fb.nhs = append(fb.nhs, nh)
-	fb.oks = append(fb.oks, ok)
-	return fb
-}
-
 // handleBatchRequest serves a coalesced request at the home LC, address by
 // address like handleRequest (serveRequest), except that cache hits and
-// freshly computed results accumulate into one reply batch and the fresh
-// misses share one FE sweep. Addresses already in flight coalesce as
-// remote waiters and ride individual replies instead (their resolution
-// happens later, outside this handler); re-homed addresses are forwarded
-// as individual requests.
+// freshly computed results accumulate into one reply batch, sized from the
+// request, and the fresh misses share one FE sweep. Addresses already in
+// flight coalesce as remote waiters and ride individual replies instead
+// (their resolution happens later, outside this handler); re-homed
+// addresses are forwarded as individual requests.
 func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 	sc := lc.scratch
-	var rb *fabricBatch
+	rb := make([]fabricRow, 0, len(m.fb))
 	rw := remoteWaiter{from: m.from, epoch: m.epoch, gen: lc.gen}
-	for _, addr := range m.fb.addrs {
-		hit, nh, fresh := r.serveRequest(lc, addr, rw, m.start)
+	for _, row := range m.fb {
+		hit, nh, fresh := r.serveRequest(lc, row.addr, rw, m.start)
 		switch {
 		case hit:
-			rb = rb.add(addr, nh, nh != rtable.NoNextHop)
-		case fresh != nil:
-			sc.addrs = append(sc.addrs, addr)
+			rb = append(rb, fabricRow{row.addr, nh, nh != rtable.NoNextHop})
+		case fresh:
+			sc.addrs = append(sc.addrs, row.addr)
 		}
 	}
 	if len(sc.addrs) > 0 {
 		res, _ := r.sweepFE(lc)
 		for k, addr := range sc.addrs {
-			// Answers whoever coalesced onto the parked waitlist meanwhile.
-			r.fillAndRelease(lc, addr, res[k].NextHop, res[k].OK, cache.LOC, ServedByFE)
-			rb = rb.add(addr, res[k].NextHop, res[k].OK)
+			lc.fill(addr, res[k].NextHop, cache.LOC)
+			rb = append(rb, fabricRow{addr, res[k].NextHop, res[k].OK})
 		}
 		sc.addrs = sc.addrs[:0]
 	}
-	if rb != nil {
+	if len(rb) > 0 {
 		lc.stats.RepliesSent.Add(1)
 		lc.stats.BatchRepliesSent.Add(1)
 		// Batch replies carry no per-address FE timing (feNS stays 0) —
 		// the home-side split isn't measured on this path.
-		lc.post(m.from, message{kind: mBatchReply, from: lc.id, epoch: m.epoch, gen: r.stampGen(lc, lc.gen), fb: rb, addr: rb.addrs[0]})
+		lc.post(m.from, message{kind: mBatchReply, from: lc.id, epoch: m.epoch, gen: r.stampGen(lc, lc.gen), fb: rb, addr: rb[0].addr})
 	}
 }
 
@@ -403,13 +386,12 @@ func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 // once, and every address carries the one generation the home computed
 // the batch against.
 func (r *Router) handleBatchReply(lc *lineCard, m message) {
-	fb := m.fb
 	if m.epoch != lc.epoch {
-		lc.stats.StaleReplies.Add(int64(len(fb.addrs)))
+		lc.stats.StaleReplies.Add(int64(len(m.fb)))
 		return
 	}
-	r.replyArrived(lc, m.from, fb.addrs[0])
-	for k, addr := range fb.addrs {
-		r.replyFor(lc, &m, addr, fb.nhs[k], fb.oks[k])
+	r.replyArrived(lc, m.from, m.fb[0].addr)
+	for _, row := range m.fb {
+		r.replyFor(lc, &m, row.addr, row.nextHop, row.ok)
 	}
 }

@@ -47,6 +47,20 @@ func batchAddrs(tbl *rtable.Table, rng *stats.RNG, n int) []ip.Addr {
 	return addrs
 }
 
+// distinctAddrs draws n distinct matched addresses: looked up once each,
+// every one of them misses.
+func distinctAddrs(tbl *rtable.Table, rng *stats.RNG, n int) []ip.Addr {
+	seen := make(map[ip.Addr]bool, n)
+	addrs := make([]ip.Addr, 0, n)
+	for len(addrs) < n {
+		if a := tbl.RandomMatchedAddr(rng); !seen[a] {
+			seen[a] = true
+			addrs = append(addrs, a)
+		}
+	}
+	return addrs
+}
+
 // checkBatch asserts the positional guarantee and oracle correctness of
 // one batch result.
 func checkBatch(addrs []ip.Addr, out []Verdict, oracle *lpm.Reference) string {
@@ -225,91 +239,116 @@ func TestLookupBatchCancelRecyclesDescriptor(t *testing.T) {
 	})
 }
 
-// TestLookupBatchSteadyStateAllocs is the tentpole's budget: once warm,
+// TestLookupBatchSteadyStateAllocs is the batch plane's budget: once warm,
 // a batch served entirely from the LR-cache, and a batch resolved
-// entirely by the local home's batched FE sweep, must allocate nothing.
+// entirely by the local home's batched FE sweep, must allocate nothing,
+// and a batch of cold addresses scattered over every home allocates its
+// fabric payloads — one request and one reply per remote home — and
+// nothing per address.
 func TestLookupBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the zero-alloc gate runs in the non-race CI jobs")
 	}
 	tbl := rtable.Small(2000, 7)
-	rng := stats.NewRNG(3)
-	addrs := make([]ip.Addr, 64)
-	for i := range addrs {
-		addrs[i] = tbl.RandomMatchedAddr(rng)
-	}
-	out := make([]Verdict, len(addrs))
+	const batch, runs, warm = 64, 1000, 5
+	// Far more addresses than 4 LCs × 4096 blocks, for the cold row.
+	pool := distinctAddrs(tbl, stats.NewRNG(3), batch*(runs+warm+1))
+	out := make([]Verdict, batch)
 
-	measure := func(t *testing.T, opts ...Option) float64 {
+	// measure reports allocations per batch, every batch the next one of
+	// next's, on a warm router.
+	measure := func(t *testing.T, next func() []ip.Addr, opts ...Option) float64 {
 		t.Helper()
 		// The long timeout quiets the deadline ticker and health monitor
 		// so AllocsPerRun sees only the batch path.
-		base := []Option{WithLCs(1), WithRequestTimeout(time.Second)}
-		r, err := New(tbl, append(base, opts...)...)
+		r, err := New(tbl, append([]Option{WithRequestTimeout(time.Second)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Stop()
-		for i := 0; i < 5; i++ { // warm: pool, scratch, fabric ring, cache
-			if err := r.LookupBatchInto(context.Background(), 0, addrs, out); err != nil {
+		lookup := func() {
+			if err := r.LookupBatchInto(context.Background(), 0, next(), out); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return testing.AllocsPerRun(200, func() {
-			if err := r.LookupBatchInto(context.Background(), 0, addrs, out); err != nil {
-				t.Fatal(err)
-			}
-		})
+		for i := 0; i < warm; i++ { // pool, scratch, free list, outbox, cache
+			lookup()
+		}
+		return testing.AllocsPerRun(runs, lookup)
 	}
+	same := func() []ip.Addr { return pool[:batch] }
 
 	t.Run("cache-hit", func(t *testing.T) {
-		if n := measure(t, WithDefaultCache()); n != 0 {
+		if n := measure(t, same, WithLCs(1), WithDefaultCache()); n != 0 {
 			t.Errorf("warmed cache-hit batch allocates %.2f/op, want 0", n)
 		}
 	})
 	t.Run("local-home", func(t *testing.T) {
-		if n := measure(t, WithoutCache(), WithEngineName("flat")); n != 0 {
+		if n := measure(t, same, WithLCs(1), WithoutCache(), WithEngineName("flat")); n != 0 {
 			t.Errorf("local-home batch allocates %.2f/op, want 0", n)
 		}
 	})
+	t.Run("remote-home-cold", func(t *testing.T) {
+		const lcs = 4
+		at := 0
+		fresh := func() []ip.Addr { at += batch; return pool[at-batch : at] }
+		n := measure(t, fresh, WithLCs(lcs), WithDefaultCache(), WithEngineName("lulea"))
+		if n > 2*(lcs-1) {
+			t.Errorf("cold batch over %d remote homes allocates %.2f/op, ceiling 2 per remote home", lcs-1, n)
+		}
+		t.Logf("%.2f allocs per batch", n)
+	})
 }
 
-// TestLookupMissAllocs is a ceiling, not a budget: the miss path's shared
-// helpers must not cost it an allocation, because the collector paces
-// churn_single (ROADMAP 2c). On a cache-less router every Lookup is a
-// miss; the ceilings are what the path allocated before it was shared (a
-// reply channel and a waitlist with its waiter array locally; the same at
-// the home LC plus two heap-moved fabric messages remotely). ROADMAP 2(c)
-// lowers both to 1, the reply channel.
+// TestLookupMissAllocs is a ceiling on what one Lookup miss allocates: the
+// reply channel of a lookup that really waits — one homed at another LC —
+// and nothing for one the arrival LC answers itself, because the collector
+// paces churn_single and cold_batch. Without a cache every Lookup is a miss;
+// with one, every address is looked up once. The waitlist (recycled), the
+// W block (no waiter list) and the fabric messages (never moved to the
+// heap) must all stay off the list.
 func TestLookupMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the alloc gates run in the non-race CI jobs")
 	}
 	tbl := rtable.Small(2000, 7)
-	// The long timeout quiets the deadline ticker and health monitor so
-	// AllocsPerRun sees only the lookup.
-	r, err := New(tbl, WithLCs(2), WithoutCache(), WithEngineName("lulea"), WithRequestTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Stop()
-	for _, tc := range []struct {
-		name    string
-		home    int
-		ceiling float64
-	}{{"remote-home", 1, 7}, {"local-home", 0, 3}} {
-		t.Run(tc.name, func(t *testing.T) {
-			addr := remoteAddrs(t, r, tbl, stats.NewRNG(3), tc.home, 1)[0]
-			n := testing.AllocsPerRun(2000, func() {
-				if _, err := r.Lookup(0, addr); err != nil {
-					t.Fatal(err)
+	const runs = 2000
+	for _, cached := range []bool{false, true} {
+		cacheOpt, prefix := WithoutCache(), ""
+		if cached {
+			cacheOpt, prefix = WithDefaultCache(), "cache/"
+		}
+		// The long timeout quiets the deadline ticker and health monitor so
+		// AllocsPerRun sees only the lookup.
+		r, err := New(tbl, WithLCs(2), cacheOpt, WithEngineName("lulea"), WithRequestTimeout(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Stop)
+		for _, tc := range []struct {
+			name    string
+			home    int
+			ceiling float64
+		}{{"remote-home", 1, 1}, {"local-home", 0, 0}} {
+			t.Run(prefix+tc.name, func(t *testing.T) {
+				addrs := remoteAddrs(t, r, tbl, stats.NewRNG(3), tc.home, runs+1)
+				at := 0
+				n := testing.AllocsPerRun(runs, func() {
+					a := addrs[0]
+					if cached { // a new address every run, so it misses
+						a = addrs[at]
+						at++
+					}
+					if v, err := r.Lookup(0, a); err != nil || v.ServedBy == ServedByCache {
+						t.Fatalf("Lookup(%v) = %+v, %v; want a miss", a, v, err)
+					}
+				})
+				if n > tc.ceiling {
+					t.Errorf("a %s Lookup miss allocates %.2f objects, ceiling %v", tc.name, n, tc.ceiling)
 				}
+				t.Logf("%.2f allocs per lookup", n)
 			})
-			if n > tc.ceiling {
-				t.Errorf("a %s Lookup miss allocates %.2f objects, ceiling %v", tc.name, n, tc.ceiling)
-			}
-			t.Logf("%.2f allocs per lookup", n)
-		})
+		}
 	}
 }
 

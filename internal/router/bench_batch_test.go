@@ -210,3 +210,47 @@ func BenchmarkLookupBatchSameHomeBurst(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLookupMiss is ROADMAP 1(c)'s instrument: one Lookup miss on a
+// cache-less ψ = 2 lulea router, over one set of addresses homed either way
+// (all are homed at LC 1; "local" submits them there, "remote" at LC 0), so
+// that "why is a local-FE miss slower than a remote one" has a number that
+// does not pass through histogram buckets.
+func BenchmarkLookupMiss(b *testing.B) {
+	tbl := rtable.Small(2000, 7)
+	r := benchRouter(b, tbl, WithLCs(2), WithoutCache(), WithEngineName("lulea"))
+	addrs := sameHomeBurst(b, r, tbl)
+	for _, tc := range []struct {
+		name string
+		lc   int
+	}{{"local", 1}, {"remote", 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Lookup(tc.lc, addrs[i%len(addrs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLookupBatchColdRemote: 64-address batches that miss everywhere,
+// scattered over the homes of a ψ = 4 cached lulea router — the benchmark's
+// cold_batch in miniature. The pool is eight times the router's 4 × 4096
+// cache blocks, so an address is long evicted when its turn comes again.
+func BenchmarkLookupBatchColdRemote(b *testing.B) {
+	tbl := rtable.Small(2000, 7)
+	r := benchRouter(b, tbl, WithLCs(4), WithDefaultCache(), WithEngineName("lulea"))
+	pool := distinctAddrs(tbl, stats.NewRNG(3), 1<<17)
+	out := make([]Verdict, benchBatchLen)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := i * benchBatchLen % len(pool)
+		if err := r.LookupBatchInto(ctx, 0, pool[at:at+benchBatchLen], out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

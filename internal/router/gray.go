@@ -368,14 +368,11 @@ func (r *Router) hedgeDelay() time.Duration {
 // fallbackLookup), so the verdict is correct under churn.
 func (r *Router) hedgeResolve(lc *lineCard, addr ip.Addr, wl *waitlist) {
 	nh, ok := r.fallbackLookup(addr)
-	if lc.cache != nil {
-		lc.cache.Fill(addr, nh, cache.REM)
-	}
+	lc.fill(addr, nh, cache.REM)
 	lc.waiters.Add(-int64(len(wl.locals) + len(wl.remotes)))
 	wl.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByHedge))
 	r.answer(lc, wl, Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByHedge}, 0, lc.gen)
-	wl.locals = wl.locals[:0]
-	wl.remotes = wl.remotes[:0]
+	wl.dropWaiters() // the entry lingers; it must not pin whom it answered
 	wl.tr = nil
 	wl.trLate = false
 	wl.hedged = true
@@ -384,6 +381,7 @@ func (r *Router) hedgeResolve(lc *lineCard, addr ip.Addr, wl *waitlist) {
 // dropHedged retires a hedged pending entry once its primary reply
 // landed (suppressed) or its deadline passed (lost).
 func (r *Router) dropHedged(lc *lineCard, addr ip.Addr) {
+	lc.recycle(lc.pending[addr])
 	delete(lc.pending, addr)
 	lc.pendingDepth.Store(int64(len(lc.pending)))
 }

@@ -223,7 +223,7 @@ type message struct {
 	tr       *tracing.LookupTrace // mLookup: the trace riding this lookup, if sampled
 	bd       *batchDesc           // mBatch, or an mLookup riding a batch slot
 	slot     int32                // index into bd.out when bd != nil
-	fb       *fabricBatch         // mBatchRequest / mBatchReply payload
+	fb       []fabricRow          // mBatchRequest / mBatchReply payload
 	engine   lpm.Engine           // mSwap
 	homeOf   func(ip.Addr) int
 	swapDone chan<- struct{} // control messages sent through barrier: closed once the message has been run
@@ -292,9 +292,8 @@ type waitlist struct {
 	locals  []localWaiter
 	remotes []remoteWaiter
 	// Fabric-request bookkeeping, owned with the rest of the waitlist by
-	// whoever holds the LC's lock. deadline is zero while no fabric request
-	// is outstanding (the address resolved locally); attempts counts
-	// requests sent so far, including the first.
+	// whoever holds the LC's lock: attempts counts requests sent so far,
+	// including the first, and deadline is the latest one's.
 	attempts int
 	deadline time.Time
 	// tr is the per-address span owner: the earliest traced lookup
@@ -336,6 +335,7 @@ type lineCard struct {
 	engine  lpm.Engine
 	cache   cache.Store
 	pending map[ip.Addr]*waitlist
+	free    []*waitlist // released waitlists, reset, for park to reuse (see recycle)
 	homeOf  func(ip.Addr) int
 	epoch   uint32
 	// gen is the table generation this LC's engine, and everything in its
@@ -672,34 +672,39 @@ func (r *Router) sendFabric(to int, m message) {
 		copies = 2
 	}
 	for i := 0; i < copies; i++ {
-		if d.Delay <= 0 {
+		if d.Delay > 0 {
+			r.sendDelayed(to, m, d.Delay)
+		} else {
 			r.deliverData(to, m)
-			continue
 		}
-		// Delayed copies ride a helper goroutine; Stop waits for these
-		// after the LC goroutines exit, and the helper bails out on quit,
-		// so a delayed message can never outlive the router. The sender may
-		// be a caller's goroutine (or another helper) finishing an inline run
-		// while Stop is in progress, so joining delayWG is ordered against
-		// Stop setting stopped; see there.
-		r.delayMu.Lock()
-		if r.stopped.Load() {
-			r.delayMu.Unlock()
-			return
-		}
-		r.delayWG.Add(1)
-		r.delayMu.Unlock()
-		go func() {
-			defer r.delayWG.Done()
-			t := time.NewTimer(d.Delay)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				r.deliverData(to, m)
-			case <-r.quit:
-			}
-		}()
 	}
+}
+
+// sendDelayed holds an injector-delayed copy of m on a helper goroutine —
+// in a function of its own, so that the closure captures this m and does not
+// move sendFabric's, every fabric message there is, to the heap. Stop waits
+// for the helpers after the LC goroutines exit and a helper bails out on
+// quit, so a delayed message cannot outlive the router; the sender may be
+// finishing an inline run while Stop is in progress, so joining delayWG is
+// ordered against Stop setting stopped (see there).
+func (r *Router) sendDelayed(to int, m message, delay time.Duration) {
+	r.delayMu.Lock()
+	if r.stopped.Load() {
+		r.delayMu.Unlock()
+		return
+	}
+	r.delayWG.Add(1)
+	r.delayMu.Unlock()
+	go func() {
+		defer r.delayWG.Done()
+		t := time.NewTimer(delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+			r.deliverData(to, m)
+		case <-r.quit:
+		}
+	}()
 }
 
 // lcLoop is one incarnation of one line card: the goroutine that drains
@@ -1038,9 +1043,10 @@ func (r *Router) handle(lc *lineCard, m message) {
 // handleLookup serves a locally submitted packet. A lookup normally
 // carries its destination — a reply channel or a batch slot — and the
 // verdict is delivered there. An inline caller (Router.lookup) submits it
-// with neither: a cache hit is then returned as (verdict, true) and never
-// needs a channel; on every other path m.resp is created here, the
-// moment the lookup has to wait, and the caller reads the verdict from it.
+// with neither: a verdict this LC has on the spot — a cache hit, or a miss
+// it is home of — is then returned as (verdict, true) and never needs a
+// channel; on every other path m.resp is created here, the moment the
+// lookup has to wait, and the caller reads the verdict from it.
 func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 	lc.stats.Lookups.Add(1)
 	if lc.cache != nil {
@@ -1064,11 +1070,12 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 		case cache.HitWaiting:
 			m.tr.Record(tracing.EvProbe, int64(res.Kind), int64(res.Origin))
 		default:
-			origin := cache.REM
-			if lc.homeOf(m.addr) == lc.id {
-				origin = cache.LOC
+			// Only a miss that leaves this LC is ever in flight and has a W
+			// block to reserve; see the local-home arm below.
+			origin, recorded := cache.LOC, true
+			if lc.homeOf(m.addr) != lc.id {
+				origin, recorded = cache.REM, lc.cache.Reserve(m.addr, cache.REM)
 			}
-			recorded := lc.cache.RecordMiss(m.addr, origin, 0)
 			if m.tr != nil {
 				m.tr.Record(tracing.EvProbe, int64(res.Kind), int64(origin))
 				if !recorded {
@@ -1077,23 +1084,43 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 			}
 		}
 	}
-	m.needReply()
 	// Coalesce onto an in-flight miss: the probe hit its W block, or — the
 	// bypass case — the set was fully waiting, so there is no W block to
-	// hit, but a dispatch for this address is already outstanding. A second
-	// dispatch would duplicate the FE execution and the fabric request.
+	// hit, but a dispatch for this address is already outstanding (even for
+	// an address homed here: a hedged entry, or one parked before a swap). A
+	// second dispatch would duplicate the fabric request.
 	if wl, ok := lc.pending[m.addr]; ok {
+		m.needReply()
 		r.joinLocal(lc, wl, m)
 		return Verdict{}, false
 	}
-	// A fresh miss: an FE execution when this LC is home, otherwise
-	// whatever routeFor decides — normally one request over the fabric.
+	home := lc.homeOf(m.addr)
+	if home == lc.id {
+		// A fresh miss this LC resolves itself never parks: the FE runs now,
+		// under the lock, where no probe could observe a W block or waitlist
+		// opened for it, and an inline caller gets the verdict like a hit.
+		nh, ok, feNS := r.execFE(lc, m.addr)
+		lc.fill(m.addr, nh, cache.LOC)
+		if m.tr != nil {
+			m.tr.Record(tracing.EvFEExec, feNS, int64(lc.id))
+			m.tr.Record(tracing.EvFill, int64(cache.LOC), int64(ServedByFE))
+			r.finishTrace(m.tr, ServedByFE, ok)
+		}
+		lc.lat.observe(ServedByFE, m.start, traceID(m.tr))
+		v := Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByFE}
+		if m.resp == nil && m.bd == nil {
+			return v, true
+		}
+		r.deliver(*m, v)
+		return Verdict{}, false
+	}
+	// A fresh miss homed elsewhere parks and takes whatever routeFor
+	// decides — normally one request over the fabric.
+	m.needReply()
 	wl := r.park(lc, m.addr)
 	wl.tr = m.tr
 	lc.addLocal(wl, m)
-	if home := lc.homeOf(m.addr); home == lc.id {
-		r.runFE(lc, m.addr, wl)
-	} else if now := time.Now(); r.routeFor(lc, m.addr, home, wl, now) {
+	if now := time.Now(); r.routeFor(lc, m.addr, home, wl, now) {
 		lc.stats.RequestsSent.Add(1)
 		lc.post(home, message{kind: mRequest, addr: m.addr, from: lc.id, epoch: lc.epoch, start: now})
 	}
@@ -1113,12 +1140,6 @@ func (m *message) needReply() {
 // wl.
 func (lc *lineCard) addLocal(wl *waitlist, m *message) {
 	wl.locals = append(wl.locals, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr, gen: lc.gen})
-	lc.waiters.Add(1)
-}
-
-// addRemote registers a peer's request as a waiter on wl.
-func (lc *lineCard) addRemote(wl *waitlist, rw remoteWaiter) {
-	wl.remotes = append(wl.remotes, rw)
 	lc.waiters.Add(1)
 }
 
@@ -1163,7 +1184,8 @@ func (r *Router) joinRemote(lc *lineCard, wl *waitlist, rw remoteWaiter, addr ip
 		return
 	}
 	lc.stats.Coalesced.Add(1)
-	lc.addRemote(wl, rw)
+	wl.remotes = append(wl.remotes, rw)
+	lc.waiters.Add(1)
 }
 
 // maxInlineDepth bounds how deep inline runs nest on one goroutine. A
@@ -1184,30 +1206,31 @@ const maxInlineDepth = maxForwardHops + 2
 // engine, which is always current.
 const maxForwardHops = 4
 
-// handleRequest serves a lookup request from a remote arrival LC: a hit is
-// answered with one reply, a fresh miss runs the FE now.
+// handleRequest serves a lookup request from a remote arrival LC with one
+// reply: a hit from the cache, a fresh miss from an FE execution run now.
 func (r *Router) handleRequest(lc *lineCard, m message) {
 	rw := remoteWaiter{from: m.from, epoch: m.epoch, hops: m.hops, gen: lc.gen}
 	hit, nh, fresh := r.serveRequest(lc, m.addr, rw, m.start)
-	switch {
-	case hit:
-		r.sendReply(lc, rw, m.addr, nh, nh != rtable.NoNextHop, 0, lc.gen)
-	case fresh != nil:
-		lc.addRemote(fresh, rw)
-		r.runFE(lc, m.addr, fresh)
+	ok, feNS := nh != rtable.NoNextHop, int64(0)
+	if fresh {
+		nh, ok, feNS = r.execFE(lc, m.addr)
+		lc.fill(m.addr, nh, cache.LOC)
+	}
+	if hit || fresh {
+		r.sendReply(lc, rw, m.addr, nh, ok, feNS, lc.gen)
 	}
 }
 
 // serveRequest is the home LC's work for one requested address, up to the
 // two points where the single and the batch plane differ. A cache hit is
 // reported with its next hop, and the caller sends the answer (one reply,
-// or a row of the reply batch). A miss nobody has in flight is parked as an
-// empty waitlist and returned as fresh — so a duplicate or a W-block probe
-// arriving before the result coalesces instead of dispatching twice — and
-// the caller runs the FE (now, or in the batch sweep). Everything else is
-// finished here: a request for an in-flight address joins its waitlist,
-// and one for an address this LC is no longer home of moves on.
-func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw remoteWaiter, start time.Time) (hit bool, nh rtable.NextHop, fresh *waitlist) {
+// or a row of the reply batch). A miss nobody has in flight is reported as
+// fresh and the caller runs the FE (now, or in the batch sweep), fills LOC
+// and answers within its handler — nothing parks, and a duplicate request
+// finds the filled entry (cache-less, it runs the engine again). Everything
+// else is finished here: a request for an in-flight address joins its
+// waitlist, and one for an address this LC is no longer home of moves on.
+func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw remoteWaiter, start time.Time) (hit bool, nh rtable.NextHop, fresh bool) {
 	if home := lc.homeOf(addr); home != lc.id {
 		// The address was re-homed while this request was in flight (a
 		// table update swapped the partitioning under it). Running LPM
@@ -1228,42 +1251,73 @@ func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw remoteWaiter, start
 		return
 	}
 	if lc.cache != nil {
-		switch res := lc.cache.Probe(addr); res.Kind {
-		case cache.Hit, cache.HitVictim:
-			return true, res.NextHop, nil
-		case cache.Miss:
-			lc.cache.RecordMiss(addr, cache.LOC, 0)
+		if res := lc.cache.Probe(addr); res.Kind == cache.Hit || res.Kind == cache.HitVictim {
+			return true, res.NextHop, false
 		}
 	}
-	// In flight (a W-block hit, or the bypass case of a fully waiting set):
-	// never dispatch twice for one address.
+	// In flight here from before a swap made this LC the address's home, or
+	// hedged: never dispatch twice for one address.
 	if wl, ok := lc.pending[addr]; ok {
 		r.joinRemote(lc, wl, rw, addr)
 		return
 	}
-	return false, 0, r.park(lc, addr)
+	return false, 0, true
 }
 
-// park returns (creating) the waitlist for addr.
+// maxFreeWaitlists caps an LC's free list, so that a burst of in-flight
+// misses under a dead fabric does not become permanent heap.
+const maxFreeWaitlists = 256
+
+// park opens the waitlist of addr, which has none and is homed at another
+// LC, on a recycled waitlist when the free list has one.
 func (r *Router) park(lc *lineCard, addr ip.Addr) *waitlist {
-	wl, ok := lc.pending[addr]
-	if !ok {
+	var wl *waitlist
+	if n := len(lc.free); n > 0 {
+		wl, lc.free = lc.free[n-1], lc.free[:n-1]
+	} else {
 		wl = &waitlist{}
-		lc.pending[addr] = wl
-		lc.pendingDepth.Store(int64(len(lc.pending)))
 	}
+	lc.pending[addr] = wl
+	lc.pendingDepth.Store(int64(len(lc.pending)))
 	return wl
 }
 
-// runFE resolves addr against this LC's own partition and answers wl.
-func (r *Router) runFE(lc *lineCard, addr ip.Addr, wl *waitlist) {
+// dropWaiters empties wl's waiter lists. locals is cleared, not truncated,
+// to its capacity (release compacts it in place), so that a waitlist that
+// lingers — hedged, or on the free list — pins no reply channel, batchDesc
+// or trace; remote waiters hold no pointers.
+func (wl *waitlist) dropWaiters() {
+	clear(wl.locals[:cap(wl.locals)])
+	wl.locals, wl.remotes = wl.locals[:0], wl.remotes[:0]
+}
+
+// recycle puts a waitlist just taken out of lc.pending on the free list,
+// indistinguishable from a new one except for slice capacity.
+func (lc *lineCard) recycle(wl *waitlist) {
+	if len(lc.free) < maxFreeWaitlists {
+		wl.dropWaiters()
+		*wl = waitlist{locals: wl.locals, remotes: wl.remotes}
+		lc.free = append(lc.free, wl)
+	}
+}
+
+// execFE is one FE execution: addr against this LC's own partition, a miss
+// normalised to NoNextHop, timed (feNS) only while tracing.
+func (r *Router) execFE(lc *lineCard, addr ip.Addr) (nh rtable.NextHop, ok bool, feNS int64) {
 	t0 := r.feTimer()
-	nh, _, ok := lc.engine.Lookup(addr)
+	nh, _, ok = lc.engine.Lookup(addr)
 	lc.stats.FEExecs.Add(1)
 	if !ok {
 		nh = rtable.NoNextHop
 	}
-	wl.feNS = elapsedNS(t0)
+	return nh, ok, elapsedNS(t0)
+}
+
+// runFE answers wl, parked for a request in flight when the address was
+// re-homed onto this LC, from this LC's own FE.
+func (r *Router) runFE(lc *lineCard, addr ip.Addr, wl *waitlist) {
+	nh, ok, feNS := r.execFE(lc, addr)
+	wl.feNS = feNS
 	wl.tr.Record(tracing.EvFEExec, wl.feNS, int64(lc.id))
 	r.fillAndRelease(lc, addr, nh, ok, cache.LOC, ServedByFE)
 }
@@ -1383,11 +1437,16 @@ func (r *Router) replyFor(lc *lineCard, m *message, addr ip.Addr, nh rtable.Next
 	r.fillAndRelease(lc, addr, nh, ok, cache.REM, ServedByRemote)
 }
 
-// fillAndRelease installs a result and answers everything parked on it.
-func (r *Router) fillAndRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool, origin cache.Origin, servedBy ServedBy) {
+// fill installs a result in lc's cache, when it has one.
+func (lc *lineCard) fill(addr ip.Addr, nh rtable.NextHop, origin cache.Origin) {
 	if lc.cache != nil {
 		lc.cache.Fill(addr, nh, origin)
 	}
+}
+
+// fillAndRelease installs a result and answers everything parked on it.
+func (r *Router) fillAndRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool, origin cache.Origin, servedBy ServedBy) {
+	lc.fill(addr, nh, origin)
 	r.release(lc, addr, nh, ok, origin, servedBy, lc.gen, false)
 }
 
@@ -1458,6 +1517,7 @@ func (r *Router) release(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool,
 	}
 	wl.tr.Record(tracing.EvFill, int64(origin), int64(servedBy))
 	r.answer(lc, wl, Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: servedBy}, wl.feNS, valueGen)
+	lc.recycle(wl)
 }
 
 // redrive puts waiters taken off addr's waitlist through this LC's
