@@ -120,7 +120,8 @@ type Stats struct {
 	Probes, Hits, HitWaitings, HitVictims, Misses int64
 	Recorded, Bypasses, Evictions, Fills          int64
 	Flushes                                       int64
-	// Targeted invalidation: InvalidateRange calls and the complete
+	// Targeted invalidation: ranges invalidated (one per InvalidateRange
+	// call, one per range of an InvalidateRanges list) and the complete
 	// entries they dropped (waiting blocks are never invalidated).
 	RangeInvalidations, Invalidated int64
 	// Waiting-list pressure: packets parked on W blocks, and the largest
@@ -472,12 +473,29 @@ func (c *Cache) Flush() []int64 {
 // generation guard discards stale fills, so dropping the block would only
 // orphan its waiters. Returns the number of entries invalidated.
 func (c *Cache) InvalidateRange(lo, hi ip.Addr) int {
-	c.stat.RangeInvalidations++
+	return c.invalidate([]rtable.Range{{Lo: lo, Hi: hi}}, 0)
+}
+
+// InvalidateRanges is InvalidateRange over every range of rs — sorted and
+// disjoint, as rtable.UpdateRanges returns them — in one pass over the
+// cache instead of one per range, and counts as len(rs) calls of it.
+func (c *Cache) InvalidateRanges(rs []rtable.Range) int { return c.invalidate(rs, 0) }
+
+// invalidate is the scan behind both. Bounds are compared after a right
+// shift: Sharded's shards store shifted addresses and share one list.
+func (c *Cache) invalidate(rs []rtable.Range, shift uint) int {
+	c.stat.RangeInvalidations += int64(len(rs))
+	if len(rs) == 0 {
+		return 0
+	}
+	// Nothing outside the list's span [lo, hi] is covered, which spares a
+	// single range's scan the search for all but the entries it evicts.
+	lo, hi := rs[0].Lo>>shift, rs[len(rs)-1].Hi>>shift
 	n := 0
 	for _, set := range c.sets {
 		for i := range set {
 			e := &set[i]
-			if e.valid && !e.waiting && e.addr >= lo && e.addr <= hi {
+			if e.valid && !e.waiting && e.addr >= lo && e.addr <= hi && covered(rs, shift, e.addr) {
 				*e = entry{}
 				n++
 			}
@@ -485,13 +503,28 @@ func (c *Cache) InvalidateRange(lo, hi ip.Addr) int {
 	}
 	for i := range c.victim {
 		v := &c.victim[i]
-		if v.valid && v.addr >= lo && v.addr <= hi {
+		if v.valid && v.addr >= lo && v.addr <= hi && covered(rs, shift, v.addr) {
 			*v = entry{}
 			n++
 		}
 	}
 	c.stat.Invalidated += int64(n)
 	return n
+}
+
+// covered reports whether a lies in one of rs, bounds shifted right: the
+// last range that starts at or below a is the only candidate, because ends
+// ascend with starts (and still do, weakly, after the shift).
+func covered(rs []rtable.Range, shift uint, a ip.Addr) bool {
+	i, j := 0, len(rs)
+	for i < j {
+		if m := int(uint(i+j) >> 1); rs[m].Lo>>shift <= a {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i > 0 && a <= rs[i-1].Hi>>shift
 }
 
 // AuditEntries visits every complete (valid, non-waiting) entry in the

@@ -137,6 +137,18 @@ func (s *CorruptStore) InvalidateRange(lo, hi ip.Addr) int {
 	return s.inner.InvalidateRange(lo, hi)
 }
 
+// InvalidateRanges implements Store: one draw per range in list order, as
+// a loop of InvalidateRange would take; the survivors go on in one call.
+func (s *CorruptStore) InvalidateRanges(rs []rtable.Range) int {
+	kept := make([]rtable.Range, 0, len(rs))
+	for _, rg := range rs {
+		if !s.draw(&s.invalidates, s.cfg.DropInvalidateRate) {
+			kept = append(kept, rg)
+		}
+	}
+	return s.inner.InvalidateRanges(kept)
+}
+
 // AuditEntries implements Store; audits pass through uncorrupted (the
 // scrubber must see the cache as it really is).
 func (s *CorruptStore) AuditEntries(visit func(a ip.Addr, nh rtable.NextHop) bool) int {

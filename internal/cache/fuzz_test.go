@@ -1,6 +1,7 @@
 package cache_test
 
 import (
+	"sort"
 	"testing"
 
 	"spal/internal/cache"
@@ -13,7 +14,9 @@ import (
 // entries with lo <= addr <= hi are gone, everything else survives with
 // its value intact, and the return value counts the evictions. An
 // inverted range (lo > hi) must evict nothing. The seeds cover the
-// boundary cases: inverted, full-range, and single-address.
+// boundary cases: inverted, full-range, and single-address. It then holds
+// InvalidateRanges, over a list drawn from the same inputs, to the
+// per-range loop (see checkRangesMatchLoop).
 func FuzzInvalidateRange(f *testing.F) {
 	f.Add(uint32(0x0a000010), uint32(0x0a000001), uint64(1)) // lo > hi: no-op
 	f.Add(uint32(0), ^uint32(0), uint64(2))                  // full range: flush-equivalent
@@ -73,5 +76,146 @@ func FuzzInvalidateRange(f *testing.F) {
 				t.Fatalf("%s: %d entries after, want %d", name, len(after), len(before)-wantEvicted)
 			}
 		}
+
+		// A list around [lo, hi]: ranges of every width scattered by the
+		// seed, the narrow ones packed into the low addresses the fills
+		// below land on, so that neighbours meet inside one shard's shift.
+		rs := []rtable.Range{{Lo: lo, Hi: hi}}
+		x := seed
+		for i := 0; i < int(seed%24); i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			l := ip.Addr(x >> 32 >> (i % 28))
+			rs = append(rs, rtable.Range{Lo: l, Hi: l + ip.Addr(x&0xffff)>>(i%16)})
+		}
+		checkRangesMatchLoop(t, seed, disjoint(rs))
 	})
+}
+
+// disjoint sorts rs and merges the ranges that overlap, dropping inverted
+// ones. Ranges that merely touch stay apart: sorted and disjoint is all
+// InvalidateRanges asks for, and touching ranges are the ones whose shifted
+// images collide inside a shard.
+func disjoint(rs []rtable.Range) []rtable.Range {
+	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
+	var out []rtable.Range
+	for _, r := range rs {
+		switch last := len(out) - 1; {
+		case r.Lo > r.Hi:
+		case last >= 0 && r.Lo <= out[last].Hi:
+			out[last].Hi = max(out[last].Hi, r.Hi)
+		default:
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// checkRangesMatchLoop builds every store shape twice — single, sharded,
+// and each under a CorruptStore that drops invalidations on a fixed seed —
+// gives both copies the same fills and the same waiting blocks, then
+// invalidates rs through one InvalidateRanges call on one copy and through
+// a loop of InvalidateRange on the other. Everything observable must agree:
+// the resident entries, the waiting blocks left alone, the return total,
+// Stats, and the corrupt wrapper's drop count.
+func checkRangesMatchLoop(t *testing.T, seed uint64, rs []rtable.Range) {
+	t.Helper()
+	cfg := cache.Config{Blocks: 64, Assoc: 4, VictimBlocks: 4, MixPercent: 50, Policy: cache.LRU, Seed: seed}
+	drop := cache.CorruptConfig{Seed: seed | 1, DropInvalidateRate: 0.3}
+	shapes := map[string]func() cache.Store{
+		"single":          func() cache.Store { return cache.New(cfg) },
+		"sharded":         func() cache.Store { return cache.NewSharded(cfg, 4) },
+		"corrupt/single":  func() cache.Store { return cache.NewCorrupt(cache.New(cfg), drop) },
+		"corrupt/sharded": func() cache.Store { return cache.NewCorrupt(cache.NewSharded(cfg, 4), drop) },
+	}
+	type state struct {
+		resident             map[ip.Addr]rtable.NextHop
+		loc, rem, waiting, n int
+		stats                cache.Stats
+		dropped              int64
+	}
+	observe := func(s cache.Store, n int) state {
+		st := state{resident: map[ip.Addr]rtable.NextHop{}, n: n, stats: s.Stats()}
+		s.AuditEntries(func(a ip.Addr, nh rtable.NextHop) bool {
+			st.resident[a] = nh
+			return true
+		})
+		st.loc, st.rem, st.waiting = s.Occupancy()
+		if cs, ok := s.(*cache.CorruptStore); ok {
+			st.dropped = cs.DroppedInvalidations()
+		}
+		return st
+	}
+	for name, build := range shapes {
+		batch, loop := build(), build()
+		for _, s := range []cache.Store{batch, loop} {
+			// Low addresses, so neighbouring ranges find entries on both
+			// sides of a shard's shift; every sixth one a waiting block, in
+			// range as often as not, that no invalidation may touch.
+			x := seed
+			for i := 0; i < 96; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				a := ip.Addr(x >> 32 >> (i % 24))
+				switch {
+				case s.Probe(a).Kind != cache.Miss:
+				case i%6 == 5:
+					s.Reserve(a, cache.Origin(i%2))
+				default:
+					s.Fill(a, rtable.NextHop(i), cache.Origin(i%2))
+				}
+			}
+		}
+		before := observe(batch, 0)
+		if len(before.resident) == 0 || before.waiting == 0 {
+			t.Fatalf("%s: %d resident, %d waiting before invalidation; nothing to compare", name, len(before.resident), before.waiting)
+		}
+		got := observe(batch, batch.InvalidateRanges(rs))
+		n := 0
+		for _, rg := range rs {
+			n += loop.InvalidateRange(rg.Lo, rg.Hi)
+		}
+		want := observe(loop, n)
+		if len(got.resident) != len(want.resident) {
+			t.Fatalf("%s: %d ranges: %d entries resident after InvalidateRanges, %d after the loop", name, len(rs), len(got.resident), len(want.resident))
+		}
+		for a, nh := range want.resident {
+			if g, ok := got.resident[a]; !ok || g != nh {
+				t.Fatalf("%s: entry %v survives the loop with %d; after InvalidateRanges present=%v value=%d", name, a, nh, ok, g)
+			}
+		}
+		got.resident, want.resident = nil, nil
+		if got.n != want.n || got.stats != want.stats || got.dropped != want.dropped ||
+			got.loc != want.loc || got.rem != want.rem || got.waiting != want.waiting {
+			t.Fatalf("%s: %d ranges:\nInvalidateRanges %+v\nper-range loop   %+v", name, len(rs), got, want)
+		}
+		if got.waiting != before.waiting {
+			t.Fatalf("%s: %d waiting blocks before, %d after; invalidation must leave them", name, before.waiting, got.waiting)
+		}
+		if len(rs) == 0 && (got.n != 0 || got.stats != before.stats || got.loc != before.loc || got.rem != before.rem) {
+			t.Fatalf("%s: an empty list is not a no-op: %+v, before %+v", name, got, before)
+		}
+	}
+}
+
+// TestInvalidateRangesMatchesLoop runs the equivalence over the lists the
+// fuzz seeds do not pin down: none, everything, and ranges that touch
+// where four shards (two shift bits) fold them onto one shifted address.
+func TestInvalidateRangesMatchesLoop(t *testing.T) {
+	top := ^ip.Addr(0)
+	for name, rs := range map[string][]rtable.Range{
+		"empty":              nil,
+		"everything":         {{Lo: 0, Hi: top}},
+		"touching-in-shift":  {{Lo: 0x10, Hi: 0x11}, {Lo: 0x12, Hi: 0x13}, {Lo: 0x14, Hi: 0x14}, {Lo: 0x15, Hi: 0x1b}},
+		"split-mid-shift":    {{Lo: 0, Hi: 5}, {Lo: 7, Hi: 7}, {Lo: 9, Hi: 0x3e}, {Lo: 0x41, Hi: 0xfff}},
+		"single-addresses":   {{Lo: 0, Hi: 0}, {Lo: 1, Hi: 1}, {Lo: 2, Hi: 2}, {Lo: 3, Hi: 3}, {Lo: 4, Hi: 4}, {Lo: top, Hi: top}},
+		"halves":             {{Lo: 0, Hi: top >> 1}, {Lo: top>>1 + 1, Hi: top}},
+		"top-of-space":       {{Lo: top - 7, Hi: top - 4}, {Lo: top - 3, Hi: top}},
+		"low-then-the-rest":  {{Lo: 0, Hi: 0xff}, {Lo: 0x100, Hi: 0xffff}, {Lo: 0x1_0000, Hi: top}},
+		"gaps-between-every": {{Lo: 2, Hi: 3}, {Lo: 8, Hi: 11}, {Lo: 32, Hi: 47}, {Lo: 128, Hi: 191}, {Lo: 1 << 20, Hi: 1<<21 - 1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 8; seed++ {
+				checkRangesMatchLoop(t, seed, rs)
+			}
+		})
+	}
 }

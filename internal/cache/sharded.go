@@ -26,6 +26,7 @@ type Store interface {
 	Fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64
 	Flush() []int64
 	InvalidateRange(lo, hi ip.Addr) int
+	InvalidateRanges(rs []rtable.Range) int
 	AuditEntries(visit func(a ip.Addr, nh rtable.NextHop) bool) int
 	Stats() Stats
 	Occupancy() (loc, rem, waiting int)
@@ -139,15 +140,20 @@ func (s *Sharded) Flush() []int64 {
 }
 
 // InvalidateRange drops complete entries for [lo, hi] in every shard.
-// Addresses are stored right-shifted by shardBits, so each shard is asked
-// to invalidate the shifted range [lo>>k, hi>>k]; the boundary blocks that
-// shift into the range from a non-matching shard cost at most one extra
+func (s *Sharded) InvalidateRange(lo, hi ip.Addr) int {
+	return s.InvalidateRanges([]rtable.Range{{Lo: lo, Hi: hi}})
+}
+
+// InvalidateRanges drops complete entries for every range of rs, each shard
+// scanned once. Addresses are stored right-shifted by shardBits, so a shard
+// compares against the shifted bounds [lo>>k, hi>>k]; the boundary blocks
+// that shift into a range from a non-matching shard cost at most one extra
 // eviction per end per shard, which is safe (invalidation is always
 // conservative) and negligible against a whole-cache flush.
-func (s *Sharded) InvalidateRange(lo, hi ip.Addr) int {
+func (s *Sharded) InvalidateRanges(rs []rtable.Range) int {
 	n := 0
 	for i := range s.shards {
-		n += s.shards[i].c.InvalidateRange(lo>>s.shardBits, hi>>s.shardBits)
+		n += s.shards[i].c.invalidate(rs, s.shardBits)
 	}
 	return n
 }

@@ -130,15 +130,23 @@ func SubsetWithBits(t *rtable.Table, numLCs int, alive []int, bits []int) *Parti
 	for pat := 0; pat < numPatterns; pat++ {
 		p.patternToLC[pat] = alive[pat%len(alive)]
 	}
+	// Each LC takes a route once, however many of its patterns fold onto
+	// that LC, so its slice keeps t's order: sorted and unique already.
+	var pats []int
+	seen := make([]bool, numLCs)
 	for _, r := range t.Routes() {
-		for _, pat := range compatiblePatterns(r.Prefix, bits) {
-			lc := p.patternToLC[pat]
-			perLC[lc] = append(perLC[lc], r)
+		clear(seen)
+		pats = compatiblePatterns(pats[:0], r.Prefix, bits)
+		for _, pat := range pats {
+			if lc := p.patternToLC[pat]; !seen[lc] {
+				seen[lc] = true
+				perLC[lc] = append(perLC[lc], r)
+			}
 		}
 	}
 	p.tables = make([]*rtable.Table, numLCs)
 	for lc := range p.tables {
-		p.tables[lc] = rtable.New(perLC[lc])
+		p.tables[lc] = rtable.NewSorted(perLC[lc])
 	}
 	return p
 }
@@ -155,14 +163,13 @@ func SubsetWithBits(t *rtable.Table, numLCs int, alive []int, bits []int) *Parti
 // an empty sub-batch share the previous table snapshot.
 func (p *Partitioning) ApplyUpdates(batch []rtable.Update) (*Partitioning, [][]rtable.Update) {
 	perLC := make([][]rtable.Update, p.NumLCs)
+	var pats []int
 	seen := make([]bool, p.NumLCs)
 	for _, u := range batch {
-		for i := range seen {
-			seen[i] = false
-		}
-		for _, pat := range compatiblePatterns(u.Route.Prefix.Canon(), p.Bits) {
-			lc := p.patternToLC[pat]
-			if !seen[lc] {
+		clear(seen)
+		pats = compatiblePatterns(pats[:0], u.Route.Prefix.Canon(), p.Bits)
+		for _, pat := range pats {
+			if lc := p.patternToLC[pat]; !seen[lc] {
 				seen[lc] = true
 				perLC[lc] = append(perLC[lc], u)
 			}
@@ -185,24 +192,21 @@ func (p *Partitioning) ApplyUpdates(batch []rtable.Update) (*Partitioning, [][]r
 	return np, perLC
 }
 
-// compatiblePatterns returns every control-bit pattern the prefix must be
-// stored under: a concrete bit pins its pattern position, a "*" bit fans
-// out to both values.
-func compatiblePatterns(pr ip.Prefix, bits []int) []int {
-	pats := []int{0}
+// compatiblePatterns appends to pats, which the caller passes in empty,
+// every control-bit pattern the prefix must be stored under: a concrete bit
+// pins its pattern position, a "*" bit fans out to both values.
+func compatiblePatterns(pats []int, pr ip.Prefix, bits []int) []int {
+	pats = append(pats, 0)
 	for i, pos := range bits {
 		shift := len(bits) - 1 - i
-		b, known := pr.Bit(pos)
-		if known {
+		if b, known := pr.Bit(pos); known {
 			for j := range pats {
 				pats[j] |= int(b) << shift
 			}
 		} else {
-			out := make([]int, 0, 2*len(pats))
 			for _, p := range pats {
-				out = append(out, p, p|1<<shift)
+				pats = append(pats, p|1<<shift)
 			}
-			pats = out
 		}
 	}
 	return pats

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
 	"spal/internal/ip"
@@ -126,5 +127,44 @@ func TestSubsetValidation(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestSubsetTablesMatchDefinition rebuilds every LC's table from the
+// definition — a route belongs to every pattern that agrees with it on each
+// control bit it fixes, a pattern to the LC it folds onto, duplicates
+// resolved by rtable.New — and compares SubsetWithBits with it route for
+// route, on foldings where several of a route's patterns land on one LC
+// (ψ = 3, 5, and a chassis with dead slots) and ones where none do.
+func TestSubsetTablesMatchDefinition(t *testing.T) {
+	tbl := rtable.Small(3000, 19)
+	for _, tc := range []struct {
+		numLCs int
+		alive  []int
+	}{
+		{1, []int{0}}, {2, []int{0, 1}}, {3, []int{0, 1, 2}}, {4, []int{0, 1, 2, 3}},
+		{5, []int{0, 1, 2, 3, 4}}, {8, []int{1, 4, 6}}, {16, []int{0, 2, 3, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+	} {
+		p := Subset(tbl, tc.numLCs, tc.alive)
+		perLC := make([][]rtable.Route, tc.numLCs)
+		for _, r := range tbl.Routes() {
+			for pat := 0; pat < 1<<len(p.Bits); pat++ {
+				agrees := true
+				for i, pos := range p.Bits {
+					if b, known := r.Prefix.Bit(pos); known && int(b) != pat>>(len(p.Bits)-1-i)&1 {
+						agrees = false
+					}
+				}
+				if agrees {
+					lc := tc.alive[pat%len(tc.alive)]
+					perLC[lc] = append(perLC[lc], r)
+				}
+			}
+		}
+		for lc := range perLC {
+			if got, want := p.Table(lc).Routes(), rtable.New(perLC[lc]).Routes(); !slices.Equal(got, want) {
+				t.Errorf("ψ=%d alive=%v: LC %d holds %d routes, the definition gives %d", tc.numLCs, tc.alive, lc, len(got), len(want))
+			}
+		}
 	}
 }

@@ -108,3 +108,44 @@ func BenchmarkLookupUnderChurn(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkApplyUpdates is the cost of one Router.ApplyUpdates call with
+// nothing else running: ψ = 4 over RT2, default LR-caches warmed and then
+// left idle, the next batch-many events of one seeded stream per call
+// (wrapping after 32 k events, past which withdraws start to miss). ns/op
+// is one call; ns/update divides it by the batch. A dynamic engine's call
+// should follow the batch; lulea's is ψ + 1 rebuilds whatever the batch.
+func BenchmarkApplyUpdates(b *testing.B) {
+	const cycleNS = 5.0
+	tbl := rtable.RT2()
+	stream := rtable.GenerateUpdates(tbl, rtable.UpdateStreamConfig{
+		RatePerSecond: 1000, CycleNS: cycleNS, Duration: int64(32 * 1e9 / cycleNS),
+		WithdrawProb: 0.35, NewPrefixProb: 0.2, Seed: 1,
+	})
+	for _, engine := range []string{"dptrie", "bintrie", "lulea"} {
+		for _, batch := range []int{1, 32, 1000} {
+			b.Run(fmt.Sprintf("engine=%s/batch=%d", engine, batch), func(b *testing.B) {
+				r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName(engine))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer r.Stop()
+				rng := stats.NewRNG(3)
+				for i := 0; i < 4*8192; i++ {
+					if _, err := r.Lookup(i%4, tbl.RandomMatchedAddr(rng)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				calls := len(stream) / batch
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					off := i % calls * batch
+					if err := r.ApplyUpdates(stream[off : off+batch]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/update")
+			})
+		}
+	}
+}

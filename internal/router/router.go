@@ -396,9 +396,14 @@ type lineCard struct {
 	ov *lcOverload
 }
 
-// fallbackEngine boxes the router-wide read-only full-table engine so it
-// can sit behind an atomic.Pointer (lpm.Engine is an interface).
-type fallbackEngine struct{ eng lpm.Engine }
+// fallbackEngine boxes the router-wide full-table engine so it can sit
+// behind an atomic.Pointer (lpm.Engine is an interface). Lookups hold mu
+// shared; ApplyUpdates holds it exclusively while it writes a whole batch
+// into a dynamic engine in place, so no lookup sees part of one.
+type fallbackEngine struct {
+	mu  sync.RWMutex
+	eng lpm.Engine
+}
 
 // Router is a running SPAL forwarding plane.
 type Router struct {
@@ -448,7 +453,8 @@ type Router struct {
 
 	// fallback is the degraded slow path: a full-table engine every LC
 	// may consult read-only once fabric retries are exhausted. Swapped
-	// wholesale by UpdateTable.
+	// wholesale by UpdateTable; ApplyUpdates writes a dynamic engine in
+	// place and swaps any other.
 	fallback atomic.Pointer[fallbackEngine]
 
 	mu   sync.Mutex // guards part + lifecycle transitions, serializes swaps
@@ -1326,7 +1332,10 @@ func (r *Router) runFE(lc *lineCard, addr ip.Addr, wl *waitlist) {
 // the authority of every degraded path: it always reflects the current
 // table (UpdateTable and ApplyUpdates refresh it before they return).
 func (r *Router) fallbackLookup(addr ip.Addr) (rtable.NextHop, bool) {
-	nh, _, ok := r.fallback.Load().eng.Lookup(addr)
+	fb := r.fallback.Load()
+	fb.mu.RLock()
+	nh, _, ok := fb.eng.Lookup(addr)
+	fb.mu.RUnlock()
 	if !ok {
 		nh = rtable.NoNextHop
 	}

@@ -126,10 +126,17 @@ func (r *Router) ApplyUpdates(batch []rtable.Update) error {
 	r.gen++
 	r.updateBatches.Add(1)
 	r.updateEvents.Add(int64(len(batch)))
-	// Swap the degraded path first, mirroring UpdateTable: a fallback
-	// resolution may observe either table inside the window, and is
-	// guaranteed the new one once the call returns.
-	r.fallback.Store(&fallbackEngine{eng: r.cfg.Engine(np.Full())})
+	// Bring the degraded path up to date first, mirroring UpdateTable: a
+	// fallback resolution may observe either table inside the window, never
+	// part of the batch (the write lock spans it), and the new one once the
+	// call returns. Not lazily: the build would land on a degraded lookup.
+	fb := r.fallback.Load()
+	fb.mu.Lock()
+	inPlace := applyInPlace(fb.eng, batch)
+	fb.mu.Unlock()
+	if !inPlace {
+		r.fallback.Store(&fallbackEngine{eng: r.cfg.Engine(np.Full())})
+	}
 	r.part = np
 
 	// One control message per LC — including LCs with an empty sub-batch
@@ -179,20 +186,29 @@ func (r *Router) genBump(int) message {
 	return message{kind: mApplyUpdates, gen: r.gen}
 }
 
+// applyInPlace streams batch into eng when eng is dynamic; when it reports
+// false eng is untouched, and its owner rebuilds it from the table the
+// batch has already been applied to.
+func applyInPlace(eng lpm.Engine, batch []rtable.Update) bool {
+	de, ok := eng.(lpm.DynamicEngine)
+	if ok {
+		for _, u := range batch {
+			if u.Kind == rtable.Withdraw {
+				de.Delete(u.Route.Prefix)
+			} else {
+				de.Insert(u.Route.Prefix, u.Route.NextHop)
+			}
+		}
+	}
+	return ok
+}
+
 // handleApplyUpdates applies one update batch at its LC:
 // engine delta (in place when the engine is dynamic, partition rebuild
 // otherwise), generation bump, targeted cache invalidation, ack.
 func (r *Router) handleApplyUpdates(lc *lineCard, m message) {
 	if len(m.updates) > 0 {
-		if de, ok := lc.engine.(lpm.DynamicEngine); ok {
-			for _, u := range m.updates {
-				if u.Kind == rtable.Withdraw {
-					de.Delete(u.Route.Prefix)
-				} else {
-					de.Insert(u.Route.Prefix, u.Route.NextHop)
-				}
-			}
-		} else if m.table != nil {
+		if !applyInPlace(lc.engine, m.updates) {
 			lc.engine = r.buildEngine(m.table)
 		}
 		lc.stats.UpdatesApplied.Add(int64(len(m.updates)))
@@ -205,9 +221,7 @@ func (r *Router) handleApplyUpdates(lc *lineCard, m message) {
 	// them (see stampGen), not by holding this counter back.
 	lc.gen = m.gen
 	if lc.cache != nil {
-		for _, rg := range m.ranges {
-			lc.cache.InvalidateRange(rg.Lo, rg.Hi)
-		}
+		lc.cache.InvalidateRanges(m.ranges)
 	}
 	close(m.swapDone)
 }

@@ -13,10 +13,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"spal/internal/cache"
 	"spal/internal/ip"
 	"spal/internal/lpm"
+	"spal/internal/lpm/engines"
 	"spal/internal/rtable"
 	"spal/internal/stats"
 )
@@ -649,4 +651,337 @@ func TestUpdateSoak(t *testing.T) {
 	}
 	t.Logf("soak: %d batches / %v events, served=%d, heap mid=%dKB end=%dKB, staleGen=%v",
 		batches, s.Sum(MetricUpdateEvents), served.Load(), mid>>10, end>>10, s.Sum(MetricStaleGen))
+}
+
+// countingStore counts the two invalidation entry points of an LC's cache.
+type countingStore struct {
+	cache.Store
+	lists, singles int
+}
+
+func (c *countingStore) InvalidateRanges(rs []rtable.Range) int {
+	c.lists++
+	return c.Store.InvalidateRanges(rs)
+}
+
+func (c *countingStore) InvalidateRange(lo, hi ip.Addr) int {
+	c.singles++
+	return c.Store.InvalidateRange(lo, hi)
+}
+
+// TestApplyUpdatesInvalidatesOncePerLC: whatever the number of ranges in a
+// batch, every LC's cache — the LC whose sub-batch is empty included — sees
+// one InvalidateRanges call per ApplyUpdates and no InvalidateRange.
+func TestApplyUpdatesInvalidatesOncePerLC(t *testing.T) {
+	const numLCs = 4
+	tbl := rtable.Small(1500, 53)
+	r, err := New(tbl, WithLCs(numLCs), WithDefaultCache(), WithEngineName("bintrie"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	counts := make([]*countingStore, numLCs)
+	for i, lc := range r.lcs {
+		lc.mu.Lock()
+		counts[i] = &countingStore{Store: lc.cache}
+		lc.cache = counts[i]
+		lc.mu.Unlock()
+	}
+	// A /32 has every control bit concrete, so it lands in one partition
+	// and leaves the other three LCs an empty sub-batch.
+	one := []rtable.Update{{Kind: rtable.Announce, Route: rtable.Route{Prefix: mustPfx(t, "10.9.8.7/32"), NextHop: 3}}}
+	if _, sub := r.part.ApplyUpdates(one); len(sub[0])+len(sub[1])+len(sub[2])+len(sub[3]) != 1 {
+		t.Fatalf("the /32 reaches %v: no LC with an empty sub-batch would be exercised", sub)
+	}
+	batches := [][]rtable.Update{one}
+	rng := stats.NewRNG(11)
+	for cur := tbl; len(batches) < 6; {
+		stream := churnStream(cur, rng.Uint64())
+		if len(rtable.UpdateRanges(stream)) < 2 {
+			t.Fatalf("churn batch of %d events coalesced to under 2 ranges; the test would not tell a list call from a loop", len(stream))
+		}
+		cur = cur.ApplyAll(stream)
+		batches = append(batches, stream)
+	}
+	for _, b := range batches {
+		if err := r.ApplyUpdates(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, lc := range r.lcs {
+		lc.mu.Lock()
+		lists, singles := counts[i].lists, counts[i].singles
+		lc.mu.Unlock()
+		if lists != len(batches) || singles != 0 {
+			t.Errorf("LC %d: %d InvalidateRanges and %d InvalidateRange calls over %d batches, want %d and 0",
+				i, lists, singles, len(batches), len(batches))
+		}
+	}
+}
+
+// dropAll is a fabric that loses every message: with retries off, a lookup
+// homed on another LC waits one request timeout and is answered by the
+// fallback engine.
+func dropAll() []Option {
+	return []Option{
+		WithFaultInjector(SeededFaults(FaultConfig{Seed: 1, DropRate: 1})),
+		WithRequestTimeout(2 * time.Millisecond), WithMaxRetries(-1),
+	}
+}
+
+// TestFallbackFollowsUpdates: after a run of ApplyUpdates calls the fallback
+// engine — written in place when it is dynamic, rebuilt when it is not —
+// answers every address as LongestMatch does on the final table, through
+// the router's own degraded path; and a batch the router rejects because it
+// would empty the table has not reached it.
+func TestFallbackFollowsUpdates(t *testing.T) {
+	for _, engine := range []string{"dptrie", "bintrie", "lulea"} {
+		t.Run("engine="+engine, func(t *testing.T) {
+			tbl := rtable.Small(1200, 37)
+			r, err := New(tbl, append(dropAll(), WithLCs(4), WithEngineName(engine))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+			rng := stats.NewRNG(5)
+			cur := tbl
+			var addrs []ip.Addr
+			remote := func(a ip.Addr) {
+				if r.HomeLC(a) != 0 {
+					addrs = append(addrs, a)
+				}
+			}
+			for round := 0; round < 20; round++ {
+				stream := churnStream(cur, rng.Uint64())
+				if err := r.ApplyUpdates(stream); err != nil {
+					t.Fatal(err)
+				}
+				cur = cur.ApplyAll(stream)
+				for _, u := range stream {
+					remote(u.Route.Prefix.FirstAddr())
+					remote(u.Route.Prefix.LastAddr())
+				}
+			}
+			for i := 0; i < 400; i++ {
+				remote(cur.RandomMatchedAddr(rng))
+			}
+			check := func(when string) {
+				t.Helper()
+				for _, a := range addrs {
+					want, wantOK := cur.LongestMatch(a)
+					if nh, ok := r.fallbackLookup(a); ok != wantOK || nh != want.NextHop {
+						t.Fatalf("%s: fallback answers %s with %v/%d, the table with %v/%d",
+							when, ip.FormatAddr(a), ok, nh, wantOK, want.NextHop)
+					}
+				}
+			}
+			check("after churn")
+			out, err := r.LookupBatch(0, addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range out {
+				want, wantOK := cur.LongestMatch(addrs[i])
+				if v.ServedBy != ServedByFallback || v.OK != wantOK || v.NextHop != want.NextHop {
+					t.Fatalf("%s served by %s with %v/%d, want fallback with %v/%d",
+						ip.FormatAddr(addrs[i]), v.ServedBy, v.OK, v.NextHop, wantOK, want.NextHop)
+				}
+			}
+
+			var kill []rtable.Update
+			for _, rt := range cur.Routes() {
+				kill = append(kill, rtable.Update{Kind: rtable.Withdraw, Route: rt})
+			}
+			if err := r.ApplyUpdates(kill); err == nil {
+				t.Fatal("batch emptying the table was accepted")
+			}
+			check("after the rejected batch")
+		})
+	}
+}
+
+// TestFallbackBatchAtomic: a batch that moves P/24's addresses between one
+// /24 and its two /25 halves, same next hop A, passes through a state in
+// which neither is present and the covering /16's next hop B shows. The
+// batch is applied under the fallback's write lock (or to a fresh engine),
+// and to an LC's engine under that LC's lock, so no lookup, degraded or not,
+// may ever return B. CI runs this under -race.
+func TestFallbackBatchAtomic(t *testing.T) {
+	const A, B = 1, 2
+	whole := mustPfx(t, "10.1.2.0/24")
+	lo, hi := mustPfx(t, "10.1.2.0/25"), mustPfx(t, "10.1.2.128/25")
+	ann := func(p ip.Prefix) rtable.Update {
+		return rtable.Update{Kind: rtable.Announce, Route: rtable.Route{Prefix: p, NextHop: A}}
+	}
+	wd := func(p ip.Prefix) rtable.Update {
+		return rtable.Update{Kind: rtable.Withdraw, Route: rtable.Route{Prefix: p}}
+	}
+	split := []rtable.Update{wd(whole), ann(lo), ann(hi)}
+	join := []rtable.Update{wd(lo), wd(hi), ann(whole)}
+	tbl := rtable.New([]rtable.Route{
+		{Prefix: mustPfx(t, "10.1.0.0/16"), NextHop: B},
+		{Prefix: whole, NextHop: A},
+		{Prefix: mustPfx(t, "192.168.0.0/16"), NextHop: 3},
+		{Prefix: mustPfx(t, "172.16.0.0/12"), NextHop: 4},
+	})
+	for _, engine := range []string{"dptrie", "bintrie", "lulea"} {
+		t.Run("engine="+engine, func(t *testing.T) {
+			r, err := New(tbl, append(dropAll(), WithLCs(2), WithEngineName(engine))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			var reads atomic.Int64
+			reader := func(id int, lookup func(a ip.Addr) (rtable.NextHop, bool)) {
+				defer wg.Done()
+				for a := whole.FirstAddr() + ip.Addr(id); ; a = whole.FirstAddr() + (a+7)%256 {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if nh, ok := lookup(a); !ok || nh != A {
+						t.Errorf("reader %d: %s answered %v/%d mid-batch, want %d", id, ip.FormatAddr(a), ok, nh, A)
+						return
+					}
+					reads.Add(1)
+					runtime.Gosched() // let the LC goroutines acknowledge the writer
+				}
+			}
+			wg.Add(4)
+			go reader(0, r.fallbackLookup)
+			go reader(1, r.fallbackLookup)
+			for lc := 0; lc < 2; lc++ {
+				go reader(2+lc, func(a ip.Addr) (rtable.NextHop, bool) {
+					v, err := r.Lookup(lc, a)
+					if err != nil {
+						return 0, false
+					}
+					return v.NextHop, v.OK
+				})
+			}
+			for i := 0; i < 400; i++ {
+				batch := split
+				if i%2 == 1 {
+					batch = join
+				}
+				if err := r.ApplyUpdates(batch); err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if reads.Load() == 0 {
+				t.Fatal("no lookup completed beside the writer")
+			}
+		})
+	}
+}
+
+// TestApplyUpdatesEngineBuilds counts calls of the engine builder: ψ + 1 at
+// construction (one per LC, one for the fallback), and then none however
+// many batches a dynamic engine absorbs; an engine that cannot be written in
+// place is rebuilt for the fallback and for each LC whose table changed.
+func TestApplyUpdatesEngineBuilds(t *testing.T) {
+	const numLCs = 4
+	for _, tc := range []struct {
+		engine  string
+		dynamic bool
+	}{{"dptrie", true}, {"bintrie", true}, {"lulea", false}} {
+		t.Run("engine="+tc.engine, func(t *testing.T) {
+			build, err := engines.Lookup(tc.engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var builds atomic.Int64
+			tbl := rtable.Small(1200, 37)
+			r, err := New(tbl, WithLCs(numLCs), WithDefaultCache(), WithEngine(func(t *rtable.Table) lpm.Engine {
+				builds.Add(1)
+				return build(t)
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+			if got := builds.Load(); got != numLCs+1 {
+				t.Fatalf("New built %d engines, want %d", got, numLCs+1)
+			}
+			rng := stats.NewRNG(5)
+			cur := tbl
+			for call := 0; call < 10; call++ {
+				stream := churnStream(cur, rng.Uint64())
+				cur = cur.ApplyAll(stream)
+				want := int64(0)
+				if !tc.dynamic {
+					want = 1
+					_, sub := r.part.ApplyUpdates(stream)
+					for _, s := range sub {
+						if len(s) > 0 {
+							want++
+						}
+					}
+				}
+				before := builds.Load()
+				if err := r.ApplyUpdates(stream); err != nil {
+					t.Fatal(err)
+				}
+				if got := builds.Load() - before; got != want {
+					t.Fatalf("call %d: ApplyUpdates built %d engines, want %d", call, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestApplyUpdatesAllocCeiling holds the update plane's memory to what the
+// design says it is: one copy of each route slice the batch touches — the
+// full table and the touched partitions — and small change per update (trie
+// nodes, sub-batches, the sorted copy of the batch), with no table-sized map
+// or engine beside them. No clock is read.
+func TestApplyUpdatesAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	tbl := rtable.RT2()
+	r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName("dptrie"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	stream := rtable.GenerateUpdates(tbl, rtable.UpdateStreamConfig{
+		RatePerSecond: 1000, CycleNS: 5, Duration: 250_000_000,
+		WithdrawProb: 0.35, NewPrefixProb: 0.25, Seed: 17,
+	})
+	if len(stream) < 1000 {
+		t.Fatalf("update stream has %d events, want 1000", len(stream))
+	}
+	batch := stream[:1000]
+	np, sub := r.part.ApplyUpdates(batch)
+	routes := np.Full().Len()
+	for i, s := range sub {
+		if len(s) > 0 {
+			routes += np.Table(i).Len()
+		}
+	}
+	ceiling := uint64(routes) * uint64(unsafe.Sizeof(rtable.Route{})) * 3 / 2
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := r.ApplyUpdates(batch); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("1000 updates over %d routes (%d in the slices rewritten): %d bytes in %d allocations, ceiling %d bytes",
+		tbl.Len(), routes, bytes, mallocs, ceiling)
+	if bytes > ceiling {
+		t.Errorf("ApplyUpdates allocated %d bytes, more than 1.5 copies of the %d routes it rewrites (%d bytes)", bytes, routes, ceiling)
+	}
+	if mallocs > 20_000 {
+		t.Errorf("ApplyUpdates made %d allocations for 1000 updates, want at most 20000", mallocs)
+	}
 }

@@ -59,6 +59,20 @@ func New(routes []Route) *Table {
 	return &Table{routes: out}
 }
 
+// NewSorted is New for routes the caller believes to be canonical, unique
+// and in table order already — a subsequence of another table's Routes —
+// which its one copying pass verifies; input that is not goes through New.
+func NewSorted(routes []Route) *Table {
+	out := make([]Route, len(routes))
+	for i, r := range routes {
+		if r.Prefix != r.Prefix.Canon() || (i > 0 && !routes[i-1].Prefix.Less(r.Prefix)) {
+			return New(routes)
+		}
+		out[i] = r
+	}
+	return &Table{routes: out}
+}
+
 // Len returns the number of prefixes in the table.
 func (t *Table) Len() int { return len(t.routes) }
 

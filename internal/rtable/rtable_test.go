@@ -2,6 +2,8 @@ package rtable
 
 import (
 	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -323,5 +325,205 @@ func TestApplyAnnounceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// applyAllRebuild is ApplyAll as it was before it became a sorted merge —
+// every route into a map, the batch over it in order, the keys re-sorted —
+// kept as the oracle the merge is compared with route for route.
+func applyAllRebuild(t *Table, batch []Update) *Table {
+	byPrefix := make(map[ip.Prefix]NextHop, len(t.routes)+len(batch))
+	for _, r := range t.routes {
+		byPrefix[r.Prefix] = r.NextHop
+	}
+	for _, u := range batch {
+		p := u.Route.Prefix.Canon()
+		if u.Kind == Withdraw {
+			delete(byPrefix, p)
+		} else {
+			byPrefix[p] = u.Route.NextHop
+		}
+	}
+	ps := make([]ip.Prefix, 0, len(byPrefix))
+	for p := range byPrefix {
+		ps = append(ps, p)
+	}
+	ip.Sort(ps)
+	routes := make([]Route, len(ps))
+	for i, p := range ps {
+		routes[i] = Route{Prefix: p, NextHop: byPrefix[p]}
+	}
+	return &Table{routes: routes}
+}
+
+// checkApplyAll applies batch to base both ways and fails unless the merge
+// equals the rebuild route for route and left the caller's slice alone.
+func checkApplyAll(t *testing.T, base *Table, batch []Update) *Table {
+	t.Helper()
+	in := slices.Clone(batch)
+	got, want := base.ApplyAll(batch), applyAllRebuild(base, batch)
+	if !slices.Equal(batch, in) {
+		t.Fatal("ApplyAll reordered or rewrote the caller's batch")
+	}
+	if !slices.Equal(got.Routes(), want.Routes()) {
+		t.Fatalf("merge over %d routes, %d events: %d routes, rebuild has %d (first difference at %d)",
+			base.Len(), len(batch), got.Len(), want.Len(), firstDiff(got.Routes(), want.Routes()))
+	}
+	return got
+}
+
+// checkLongestMatch holds the binary-search oracle to the linear scan at a.
+func checkLongestMatch(t *testing.T, tbl *Table, a ip.Addr) {
+	t.Helper()
+	nh, ok := tbl.LookupLinear(a)
+	if r, ok2 := tbl.LongestMatch(a); ok != ok2 || r.NextHop != nh {
+		t.Fatalf("%s: LongestMatch %v/%d, LookupLinear %v/%d", ip.FormatAddr(a), ok2, r.NextHop, ok, nh)
+	}
+}
+
+func firstDiff(a, b []Route) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// TestApplyAllMatchesRebuild chains seeded update streams, cut into batches
+// of 1, 7 and 1000 events, through an evolving table, and checks every step
+// against the map-rebuild oracle and the end state against the linear scan.
+func TestApplyAllMatchesRebuild(t *testing.T) {
+	tables := map[string]*Table{"RT1": RT1()}
+	for _, s := range []uint64{1, 2, 3} {
+		tables["Small/"+strconv.FormatUint(s, 10)] = Small(2000, s)
+	}
+	for name, tbl := range tables {
+		t.Run(name, func(t *testing.T) {
+			stream := GenerateUpdates(tbl, UpdateStreamConfig{
+				RatePerSecond: 1000, CycleNS: 5, Duration: 450_000_000,
+				WithdrawProb: 0.35, NewPrefixProb: 0.3, Seed: uint64(tbl.Len()),
+			})
+			cur := tbl
+			for _, size := range []int{1, 7, 1000, 1, 7, 1000} {
+				if len(stream) < size {
+					t.Fatalf("stream ran out before a batch of %d", size)
+				}
+				cur = checkApplyAll(t, cur, stream[:size])
+				stream = stream[size:]
+			}
+			rng := stats.NewRNG(uint64(tbl.Len()))
+			for i := 0; i < 200; i++ {
+				a := ip.Addr(rng.Uint64())
+				if i%2 == 0 {
+					a = cur.RandomMatchedAddr(rng)
+				}
+				checkLongestMatch(t, cur, a)
+			}
+		})
+	}
+}
+
+// TestApplyAllHandBuilt covers the batch shapes a generated stream rarely
+// produces.
+func TestApplyAllHandBuilt(t *testing.T) {
+	base := Small(2000, 11)
+	first, last := base.Routes()[0], base.Routes()[base.Len()-1]
+	ann := func(s string, nh NextHop) Update {
+		return Update{Kind: Announce, Route: Route{Prefix: ip.MustPrefix(s), NextHop: nh}}
+	}
+	wd := func(p ip.Prefix) Update { return Update{Kind: Withdraw, Route: Route{Prefix: p}} }
+	raw := ip.Prefix{Value: 0x0a010203, Len: 8} // 10.1.2.3/8, not canonical
+	var all []Update
+	for _, r := range base.Routes() {
+		all = append(all, wd(r.Prefix))
+	}
+	for name, batch := range map[string][]Update{
+		"announce-withdraw-announce": {ann("172.16.0.0/12", 1), wd(ip.MustPrefix("172.16.0.0/12")), ann("172.16.0.0/12", 3)},
+		"withdraw-announce-withdraw": {wd(first.Prefix), {Kind: Announce, Route: first}, wd(first.Prefix)},
+		"non-canonical":              {{Kind: Announce, Route: Route{Prefix: raw, NextHop: 5}}, wd(raw), {Kind: Announce, Route: Route{Prefix: raw, NextHop: 6}}},
+		"withdraw-absent":            {wd(ip.MustPrefix("203.0.113.0/24")), wd(ip.MustPrefix("0.0.0.0/0"))},
+		"re-announce-present":        {{Kind: Announce, Route: Route{Prefix: first.Prefix, NextHop: first.NextHop + 1}}},
+		"before-first-after-last":    {ann("0.0.0.0/0", 7), ann("255.255.255.255/32", 8), wd(first.Prefix), wd(last.Prefix)},
+		"same-value-other-lengths":   {ann("10.0.0.0/7", 1), ann("10.0.0.0/9", 2), ann("10.0.0.0/8", 3), wd(ip.MustPrefix("10.0.0.0/9"))},
+		"empties-the-table":          all,
+		"empties-then-one":           append(slices.Clone(all), ann("192.0.2.0/24", 9)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			got := checkApplyAll(t, base, batch)
+			switch name {
+			case "empties-the-table":
+				if got.Len() != 0 {
+					t.Fatalf("%d routes left", got.Len())
+				}
+			case "non-canonical":
+				if r, ok := got.LongestMatch(0x0aff0000); !ok || r.Prefix != raw.Canon() || r.NextHop != 6 {
+					t.Fatalf("10.255.0.0 matched %v/%d, want 10.0.0.0/8 with the last next hop 6", r.Prefix, r.NextHop)
+				}
+			}
+			// A second batch over the result: an emptied table takes routes again.
+			checkApplyAll(t, got, []Update{ann("198.51.100.0/24", 4), wd(last.Prefix)})
+		})
+	}
+	if base.ApplyAll(nil) != base || base.ApplyAll([]Update{}) != base {
+		t.Fatal("an empty batch must return the table itself")
+	}
+}
+
+// FuzzApplyAll turns bytes into announce/withdraw events over a 64-route
+// table — four bytes an event: kind and next hop, then either an index into
+// the table's own prefixes or a length and two value bytes, deliberately not
+// canonical — and holds the merge to the map-rebuild oracle.
+func FuzzApplyAll(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0})       // announce, withdraw, announce of route 0
+	f.Add([]byte{0, 8, 10, 1, 1, 8, 10, 2, 4, 8, 10, 3})    // 10.x/8 three times, non-canonical
+	f.Add([]byte{1, 0, 0, 0, 0, 32, 255, 255, 0, 0, 0, 0})  // default route out, /32 at the top, /0 in
+	f.Add([]byte{3, 63, 0, 0, 3, 0, 0, 0, 0, 24, 255, 255}) // withdraw last and first, announce past the end
+	base := Small(64, 5)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var batch []Update
+		for ; len(data) >= 4; data = data[4:] {
+			u := Update{Kind: UpdateKind(data[0] & 1), Route: Route{NextHop: NextHop(data[0] >> 2)}}
+			if data[0]&2 != 0 {
+				u.Route.Prefix = base.Routes()[int(data[1])%base.Len()].Prefix
+			} else {
+				u.Route.Prefix = ip.Prefix{Value: uint32(data[2])<<24 | uint32(data[3])<<16 | uint32(data[3]), Len: data[1] % 33}
+			}
+			batch = append(batch, u)
+		}
+		got := checkApplyAll(t, base, batch)
+		for _, u := range batch {
+			checkLongestMatch(t, got, u.Route.Prefix.Canon().FirstAddr())
+		}
+	})
+}
+
+// TestNewSorted: input already in table order comes back as New would build
+// it, copied rather than kept; anything else — out of order, a duplicate, a
+// prefix with bits set past its length — is handed to New.
+func TestNewSorted(t *testing.T) {
+	base := Small(500, 13)
+	in := slices.Clone(base.Routes())
+	got := NewSorted(in)
+	if !slices.Equal(got.Routes(), base.Routes()) {
+		t.Fatal("sorted input changed on the way through")
+	}
+	in[0].NextHop++
+	if got.Routes()[0] == in[0] {
+		t.Fatal("NewSorted kept the caller's slice")
+	}
+	in[0].NextHop--
+	if NewSorted(nil).Len() != 0 {
+		t.Fatal("empty input")
+	}
+	for name, bad := range map[string][]Route{
+		"swapped":       append([]Route{in[1], in[0]}, in[2:]...),
+		"duplicate":     append([]Route{in[0], {Prefix: in[0].Prefix, NextHop: 99}}, in[1:]...),
+		"non-canonical": {{Prefix: ip.Prefix{Value: 0x0a010203, Len: 8}, NextHop: 1}, {Prefix: ip.MustPrefix("11.0.0.0/8"), NextHop: 2}},
+	} {
+		if !slices.Equal(NewSorted(bad).Routes(), New(bad).Routes()) {
+			t.Errorf("%s: NewSorted disagrees with New", name)
+		}
 	}
 }

@@ -125,36 +125,42 @@ func randomNewPrefix(rng *stats.RNG, idx map[ip.Prefix]int) ip.Prefix {
 	return p
 }
 
-// ApplyAll returns a new table with the whole batch applied in one pass,
-// in order. Withdrawing a missing prefix and re-announcing an existing one
-// are both no-fail operations, mirroring BGP semantics; duplicate canonical
+// ApplyAll returns a new table with the whole batch applied, in order.
+// Withdrawing a missing prefix and re-announcing an existing one are both
+// no-fail operations, mirroring BGP semantics; duplicate canonical
 // prefixes in the batch resolve to the last event.
+//
+// The batch is merged into the sorted route slice: O(batch · log table)
+// comparisons plus one copy of the routes, whatever the table's size.
 func (t *Table) ApplyAll(batch []Update) *Table {
 	if len(batch) == 0 {
 		return t
 	}
-	byPrefix := make(map[ip.Prefix]NextHop, len(t.routes)+len(batch))
-	for _, r := range t.routes {
-		byPrefix[r.Prefix] = r.NextHop
+	evs := make([]Update, len(batch))
+	for i, u := range batch {
+		u.Route.Prefix = u.Route.Prefix.Canon()
+		evs[i] = u
 	}
-	for _, u := range batch {
-		p := u.Route.Prefix.Canon()
-		if u.Kind == Withdraw {
-			delete(byPrefix, p)
-		} else {
-			byPrefix[p] = u.Route.NextHop
+	// Stable, so the last event of a run of equal prefixes is the last in
+	// batch order — the one that wins.
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Route.Prefix.Less(evs[j].Route.Prefix) })
+	rest := t.routes
+	routes := make([]Route, 0, len(rest)+len(evs))
+	for i, u := range evs {
+		p := u.Route.Prefix
+		if i+1 < len(evs) && evs[i+1].Route.Prefix == p {
+			continue
+		}
+		k := sort.Search(len(rest), func(k int) bool { return !rest[k].Prefix.Less(p) })
+		routes = append(routes, rest[:k]...)
+		if rest = rest[k:]; len(rest) > 0 && rest[0].Prefix == p {
+			rest = rest[1:]
+		}
+		if u.Kind != Withdraw {
+			routes = append(routes, u.Route)
 		}
 	}
-	ps := make([]ip.Prefix, 0, len(byPrefix))
-	for p := range byPrefix {
-		ps = append(ps, p)
-	}
-	ip.Sort(ps)
-	routes := make([]Route, len(ps))
-	for i, p := range ps {
-		routes[i] = Route{Prefix: p, NextHop: byPrefix[p]}
-	}
-	return &Table{routes: routes}
+	return &Table{routes: append(routes, rest...)}
 }
 
 // Apply returns a new table with the single update applied.
