@@ -24,10 +24,10 @@ const NumBuckets = 65
 
 // Histogram is a lock-free histogram with power-of-two bucket boundaries.
 // Observe is safe for any number of concurrent writers (one atomic add per
-// field); Snapshot is safe concurrently with writers and returns a
-// near-consistent view (each counter is monotonic, so a snapshot taken
-// mid-Observe is at most one sample torn — fine for monitoring, exact once
-// writers quiesce).
+// field, three per call); Snapshot is safe concurrently with writers and
+// returns a near-consistent view (each counter is monotonic, so a snapshot
+// taken mid-Observe is at most one call torn — fine for monitoring, exact
+// once writers quiesce).
 //
 // The unit is the caller's choice; the router records nanoseconds, the
 // simulator records 5 ns cycles.
@@ -47,13 +47,17 @@ type bucketExemplar struct{ id, val atomic.Uint64 }
 
 // Observe records one sample. Negative values clamp to zero (latencies
 // cannot be negative; clamping keeps the hot path branch-light).
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of the one value v for the price of one: the
+// histogram ends up exactly as after n calls of Observe(v).
+func (h *Histogram) ObserveN(v int64, n uint64) {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bits.Len64(uint64(v))].Add(1)
-	h.sum.Add(uint64(v))
-	h.count.Add(1)
+	h.buckets[bits.Len64(uint64(v))].Add(n)
+	h.sum.Add(uint64(v) * n)
+	h.count.Add(n)
 }
 
 // ObserveDuration records a duration in nanoseconds.

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/bits"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -191,5 +193,88 @@ func TestAddValueGrowsBuckets(t *testing.T) {
 	h.AddValue(5, 0) // zero count is a no-op
 	if h.Count != 3 {
 		t.Fatal("zero-count AddValue changed the snapshot")
+	}
+}
+
+// TestObserveNEqualsRepeatedObserve: ObserveN(v, n) leaves a histogram
+// exactly as n calls of Observe(v) do — counters, quantiles and rendered
+// text — over zero, negatives, every bucket edge and the largest value; a
+// weight of zero changes nothing, and no weight touches an exemplar.
+func TestObserveNEqualsRepeatedObserve(t *testing.T) {
+	values := []int64{0, -1, math.MinInt64, math.MaxInt64}
+	for k := 0; k < 63; k++ {
+		values = append(values, 1<<k-1, 1<<k)
+	}
+	rng := uint64(17)
+	var weighted, repeated Histogram
+	weighted.ObserveExemplar(5, 0xabc)
+	repeated.ObserveExemplar(5, 0xabc)
+	for i, v := range values {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		n := rng >> 61 // 0..7, zero included
+		if i == 0 {
+			n = 0
+		}
+		before := weighted.Snapshot()
+		weighted.ObserveN(v, n)
+		if n == 0 && !reflect.DeepEqual(weighted.Snapshot(), before) {
+			t.Fatalf("ObserveN(%d, 0) changed the histogram", v)
+		}
+		for j := uint64(0); j < n; j++ {
+			repeated.Observe(v)
+		}
+	}
+	got, want := weighted.Snapshot(), repeated.Snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ObserveN diverges from repeated Observe:\n got %+v\nwant %+v", got, want)
+	}
+	for _, p := range []float64{0.5, 0.99} {
+		if g, w := got.Quantile(p), want.Quantile(p); g != w {
+			t.Errorf("Quantile(%v) = %v, repeated Observe gives %v", p, g, w)
+		}
+	}
+	text := func(h HistogramSnapshot) string {
+		s := NewSnapshot()
+		s.Hist("h", "help", h)
+		return s.PrometheusText()
+	}
+	if g, w := text(got), text(want); g != w {
+		t.Errorf("Prometheus text differs:\n got %s\nwant %s", g, w)
+	}
+	if ex := got.Exemplars[bits.Len64(5)]; ex != (Exemplar{TraceID: 0xabc, Value: 5}) {
+		t.Errorf("ObserveN touched the exemplar: %+v", ex)
+	}
+}
+
+// TestObserveNConcurrent mixes weighted and single observations with
+// snapshots from many goroutines: clean under -race, and exact at the end.
+func TestObserveNConcurrent(t *testing.T) {
+	var h Histogram
+	const workers, perWorker, weight = 8, 5000, 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				h.ObserveN(int64(i%4096), weight)
+				h.Observe(int64(i % 512))
+				if i%500 == 0 {
+					_ = h.Snapshot()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s := h.Snapshot()
+	if want := uint64(workers * perWorker * (weight + 1)); s.Count != want {
+		t.Fatalf("count = %d, want %d", s.Count, want)
+	}
+	var total uint64
+	for _, c := range s.Buckets {
+		total += c
+	}
+	if total != s.Count {
+		t.Fatalf("bucket total = %d, count = %d", total, s.Count)
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"spal/internal/cache"
 	"spal/internal/ip"
@@ -62,7 +61,7 @@ type batchDesc struct {
 	pending atomic.Int32 // unresolved slots
 	state   atomic.Int32 // bdRunning / bdDone / bdAbandoned
 	done    chan struct{}
-	start   time.Time // submission time, shared by every slot's latency
+	start   int64 // submission stamp (Router.now), shared by every slot's latency
 }
 
 var batchPool = sync.Pool{New: func() any { return &batchDesc{done: make(chan struct{}, 1)} }}
@@ -70,7 +69,7 @@ var batchPool = sync.Pool{New: func() any { return &batchDesc{done: make(chan st
 // getBatchDesc draws a descriptor and loads it. The addresses are copied
 // (the caller may reuse its slice immediately); out is sized but not
 // cleared — every slot is written exactly once before it is read.
-func getBatchDesc(addrs []ip.Addr) *batchDesc {
+func (r *Router) getBatchDesc(addrs []ip.Addr) *batchDesc {
 	bd := batchPool.Get().(*batchDesc)
 	bd.addrs = append(bd.addrs[:0], addrs...)
 	if cap(bd.out) < len(addrs) {
@@ -80,7 +79,7 @@ func getBatchDesc(addrs []ip.Addr) *batchDesc {
 	}
 	bd.state.Store(bdRunning)
 	bd.pending.Store(int32(len(addrs)))
-	bd.start = time.Now()
+	bd.start = r.now()
 	return bd
 }
 
@@ -92,13 +91,17 @@ func putBatchDesc(bd *batchDesc) {
 	batchPool.Put(bd)
 }
 
-// bdResolve retires one slot of a batch. The goroutine that retires the
-// last slot either wakes the waiting caller or — when the caller
-// abandoned the batch — recycles the descriptor on its behalf. The
-// atomic countdown orders every slot write before the final signal, so
-// the caller reads a fully written out array.
-func (r *Router) bdResolve(bd *batchDesc) {
-	if bd.pending.Add(-1) != 0 {
+// bdResolve retires one slot of a batch.
+func (r *Router) bdResolve(bd *batchDesc) { r.bdResolveN(bd, 1) }
+
+// bdResolveN retires n slots of a batch whose verdicts the caller has
+// written. The goroutine that retires the last slot either wakes the
+// waiting caller or — when the caller abandoned the batch — recycles the
+// descriptor on its behalf. The atomic countdown orders every slot write
+// before the final signal, so the caller reads a fully written out array.
+// With nothing to retire the descriptor is not touched: it may be gone.
+func (r *Router) bdResolveN(bd *batchDesc, n int) {
+	if n == 0 || bd.pending.Add(int32(-n)) != 0 {
 		return
 	}
 	if bd.state.CompareAndSwap(bdRunning, bdDone) {
@@ -191,7 +194,7 @@ func (r *Router) LookupBatchInto(ctx context.Context, lc int, addrs []ip.Addr, o
 	if len(addrs) == 0 {
 		return nil
 	}
-	bd := getBatchDesc(addrs)
+	bd := r.getBatchDesc(addrs)
 	if err := r.admit(ctx, lc, message{kind: mBatch, bd: bd}); err != nil {
 		putBatchDesc(bd)
 		return err
@@ -218,12 +221,15 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 	sc := lc.scratch
 	lc.stats.Lookups.Add(int64(len(bd.addrs)))
 	lc.stats.Batches.Add(1)
-	now := time.Now()
+	now := r.now()
+	// Slots this run resolves itself — cache hits, then the same-home sweep —
+	// are counted here and published once, after the fabric posts.
+	hits := 0
 	for i, addr := range bd.addrs {
 		slot := int32(i)
 		var tr *tracing.LookupTrace
 		if r.tracer != nil {
-			if tr = r.tracer.Sample(lc.id, addr, bd.start); tr != nil {
+			if tr = r.tracer.Sample(lc.id, addr, r.at(bd.start)); tr != nil {
 				tr.Record(tracing.EvArrival, int64(lc.id), 0)
 			}
 		}
@@ -233,15 +239,14 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 			probeKind = res.Kind
 			switch res.Kind {
 			case cache.Hit, cache.HitVictim:
-				lc.stats.CacheHits.Add(1)
+				hits++
 				ok := res.NextHop != rtable.NoNextHop
 				if tr != nil {
 					tr.Record(tracing.EvProbe, int64(res.Kind), int64(res.Origin))
 					r.finishTrace(tr, ServedByCache, ok)
 				}
-				lc.lat.observe(ServedByCache, bd.start, traceID(tr))
+				r.finish(lc, ServedByCache, bd.start, traceID(tr))
 				bd.out[slot] = Verdict{Addr: addr, NextHop: res.NextHop, OK: ok, ServedBy: ServedByCache}
-				r.bdResolve(bd)
 				continue
 			}
 		}
@@ -294,7 +299,8 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 		sc.byHome[home] = append(sc.byHome[home], fabricRow{addr: addr})
 	}
 	// One engine sweep answers every same-home miss.
-	if len(sc.addrs) > 0 {
+	swept := len(sc.addrs)
+	if swept > 0 {
 		res, feNS := r.sweepFE(lc) // batch-granular; per-address splits aren't measured
 		for k, addr := range sc.addrs {
 			nh, ok := res[k].NextHop, res[k].OK
@@ -304,9 +310,8 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 				tr.Record(tracing.EvFill, int64(cache.LOC), int64(ServedByFE))
 				r.finishTrace(tr, ServedByFE, ok)
 			}
-			lc.lat.observe(ServedByFE, bd.start, traceID(sc.trs[k]))
+			r.finish(lc, ServedByFE, bd.start, traceID(sc.trs[k]))
 			bd.out[sc.slots[k]] = Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByFE}
-			r.bdResolve(bd)
 		}
 		sc.resetSweep()
 	}
@@ -319,6 +324,11 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 		lc.post(home, message{kind: mBatchRequest, from: lc.id, epoch: lc.epoch, fb: fb, addr: fb[0].addr, start: now})
 	}
 	sc.homes = sc.homes[:0]
+	// The slot writes above precede this one RMW on the countdown, and the
+	// run's own share is subtracted last, so the batch cannot complete —
+	// and bd cannot be recycled — while this handler still reads it.
+	lc.stats.CacheHits.Add(int64(hits))
+	r.bdResolveN(bd, hits+swept)
 }
 
 // sweepFE runs this LC's engine over the addresses collected in its
@@ -340,7 +350,7 @@ func (r *Router) sweepFE(lc *lineCard) (res []lpm.Result, feNS int64) {
 			res[k].NextHop = rtable.NoNextHop
 		}
 	}
-	return res, elapsedNS(t0)
+	return res, r.elapsedNS(t0)
 }
 
 // handleBatchRequest serves a coalesced request at the home LC, address by

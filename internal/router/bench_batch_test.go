@@ -38,6 +38,12 @@ func benchRouter(b *testing.B, tbl *rtable.Table, opts ...Option) *Router {
 	return r
 }
 
+// reportPerAddr adds ns/addr — the unit the data-plane claims are made in —
+// to a benchmark whose operation is one batch of n addresses.
+func reportPerAddr(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/addr")
+}
+
 // BenchmarkLookupSingleCacheHit is the per-address baseline: one warmed
 // cache-hit lookup per iteration, run by the caller on an idle LC. Must
 // report 0 allocs/op (CI gates on it).
@@ -102,6 +108,7 @@ func BenchmarkLookupBatchCacheHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportPerAddr(b, len(addrs))
 }
 
 // BenchmarkLookupBatchCacheHitGray: the same warmed cache-hit batch with
@@ -126,6 +133,7 @@ func BenchmarkLookupBatchCacheHitGray(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportPerAddr(b, len(addrs))
 }
 
 // BenchmarkLookupBatchLocalHome: a 64-address batch resolved by the
@@ -151,6 +159,7 @@ func BenchmarkLookupBatchLocalHome(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			reportPerAddr(b, len(addrs))
 		})
 	}
 }
@@ -253,4 +262,5 @@ func BenchmarkLookupBatchColdRemote(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportPerAddr(b, benchBatchLen)
 }

@@ -1,0 +1,105 @@
+package router
+
+import (
+	"context"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"spal/internal/ip"
+	"spal/internal/rtable"
+	"spal/internal/stats"
+)
+
+// TestLookupClockReads is the data plane's clock budget, counted, not
+// timed: a handler run reads the clock at submission and once when it
+// ends, however many addresses it answered. The router's real clock is
+// wrapped in a counter (real readings, so deadlines and health behave),
+// the hour-long request timeout keeps every ticker out of the count, and
+// the test's goroutine is the only caller, so every handler runs inline on
+// it. Tracing may add its FE timers — two readings an engine run — and
+// nothing else: a traced hit costs what an untraced one does.
+func TestLookupClockReads(t *testing.T) {
+	tbl := rtable.Small(2000, 7)
+	const lcs, batch = 4, 64
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		fe   int64 // clock readings per engine run
+	}{{"untraced", nil, 0}, {"traced", []Option{WithTraceSampling(1)}, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := New(tbl, append([]Option{WithLCs(lcs), WithDefaultCache(), WithEngineName("lulea"),
+				WithRequestTimeout(time.Hour)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+			var reads atomic.Int64
+			clock := r.clock
+			r.clock = func() int64 { reads.Add(1); return clock() }
+
+			single := func(a ip.Addr, want ServedBy) func() {
+				return func() {
+					if v, err := r.Lookup(0, a); err != nil || v.ServedBy != want {
+						t.Fatalf("Lookup = %+v, %v; want one served by %s", v, err, want)
+					}
+				}
+			}
+			out := make([]Verdict, batch)
+			batched := func(addrs []ip.Addr) func() {
+				return func() {
+					if err := r.LookupBatchInto(context.Background(), 0, addrs, out); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			local := remoteAddrs(t, r, tbl, stats.NewRNG(3), 0, 2)
+			remote := remoteAddrs(t, r, tbl, stats.NewRNG(5), 1, 1)
+			pool := distinctAddrs(tbl, stats.NewRNG(9), 4*batch)
+			hot, cold := pool[:batch], pool[batch:2*batch]
+			homes := map[int]bool{}
+			for _, a := range cold {
+				if h := r.HomeLC(a); h != 0 {
+					homes[h] = true
+				}
+			}
+			h := int64(len(homes))
+			if h != lcs-1 {
+				t.Fatalf("the cold batch reaches %d remote homes, want %d", h, lcs-1)
+			}
+			single(local[0], ServedByFE)()
+			batched(hot)()
+
+			for _, step := range []struct {
+				name    string
+				do      func()
+				ceiling int64
+				exact   bool
+			}{
+				{"single hit", single(local[0], ServedByCache), 2, true},
+				{"single local-home miss", single(local[1], ServedByFE), 2 + tc.fe, true},
+				{"single remote miss", single(remote[0], ServedByRemote), 3 + tc.fe, true},
+				{"all-hit batch", batched(hot), 3, true},
+				// Submission, the scan's send stamp and the arrival run's end,
+				// then one run's end per reply; an engine sweep here and one at
+				// every home.
+				{"cold batch", batched(cold), 3 + h + tc.fe*(h+1), false},
+			} {
+				before := reads.Load()
+				step.do()
+				got := reads.Load() - before
+				if got > step.ceiling || (step.exact && got != step.ceiling) {
+					t.Errorf("%s: %d clock reads, budget %d", step.name, got, step.ceiling)
+				}
+			}
+			for i, v := range out {
+				if v.Addr != cold[i] || v.ServedBy == ServedByCache {
+					t.Fatalf("cold batch slot %d: %+v", i, v)
+				}
+			}
+			if _, queued := handled(r); queued != 0 {
+				t.Errorf("%d handlers ran queued; the budgets are the inline path's", queued)
+			}
+		})
+	}
+}

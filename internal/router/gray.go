@@ -396,7 +396,7 @@ func (r *Router) hedgeAnswerLocal(lc *lineCard, m *message) {
 		m.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByHedge))
 		r.finishTrace(m.tr, ServedByHedge, ok)
 	}
-	lc.lat.observe(ServedByHedge, m.start, traceID(m.tr))
+	r.finish(lc, ServedByHedge, m.start, traceID(m.tr))
 	r.deliver(*m, Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByHedge})
 }
 

@@ -146,7 +146,7 @@ func TestChaosInlineQueuesBehindBacklog(t *testing.T) {
 	if got := r.enter(0); got != lc {
 		t.Fatal("enter refused an idle LC")
 	}
-	r.leave(lc, time.Time{})
+	r.leave(lc, 0)
 
 	// A pending control message: the caller's own FlushCaches is in force
 	// for its next Lookup, every time, although the flush is asynchronous.

@@ -239,11 +239,10 @@ func (r *Router) rehomeLocked(dead int) {
 	// Stop's Wait.
 	l.die = make(chan struct{})
 	l.exited = make(chan struct{})
-	now := time.Now()
-	l.lastBeat.Store(now)
-	lc.lastTick = now
+	lc.lastTick = r.now()
+	l.lastBeat.Store(r.at(lc.lastTick))
 	lc.live.Store(true)
-	r.leave(lc, time.Time{}) // like any owner: a closure run above may have posted
+	r.leave(lc, 0) // like any owner: a closure run above may have posted
 	r.wg.Add(1)
 	go r.lcLoop(lc, r.inboxes[dead], r.ctrls[dead], l.die, l.exited)
 

@@ -2,7 +2,6 @@ package router
 
 import (
 	"strconv"
-	"time"
 
 	"spal/internal/metrics"
 )
@@ -14,23 +13,57 @@ type lcLatency struct {
 	cache, fe, remote, fallback, hedge metrics.Histogram
 }
 
-// observe records one completed lookup. Zero start times (no submission
-// timestamp) are skipped. A non-zero traceID pins the sample's trace as
-// the histogram bucket's exemplar, linking /metrics to /debug/spal/traces.
-func (l *lcLatency) observe(s ServedBy, start time.Time, traceID uint64) {
-	if start.IsZero() {
+// finished is one group of local lookups a handler run answered: n of them,
+// submitted at start and answered by servedBy. A traced lookup is a group of
+// its own, so that its sample carries its exemplar.
+type finished struct {
+	start    int64
+	traceID  uint64
+	n        uint32
+	servedBy ServedBy
+}
+
+// maxFinished bounds lineCard.done, whatever a run answers (a re-drive can
+// release thousands of waiters): a full list is recorded on the spot.
+const maxFinished = 64
+
+// finish notes that lc's running handler answered a local lookup submitted
+// at start; leave records its latency when the run ends, with the one clock
+// reading that ends every lookup the run answered. Lookups that share start
+// and servedBy — a batch's hits, a batch's sweep — share both ends of the
+// interval, so they are one entry and one weighted observation: the weight
+// is exact, and the histogram's count stays the number of lookups. A zero
+// start (no submission stamp) is skipped. A non-zero traceID pins the
+// sample's trace as the histogram bucket's exemplar, linking /metrics to
+// /debug/spal/traces.
+func (r *Router) finish(lc *lineCard, s ServedBy, start int64, traceID uint64) {
+	if start == 0 {
 		return
 	}
-	h := l.hist(s)
-	if h == nil {
-		return
+	if n := len(lc.done); n > 0 && traceID == 0 {
+		if last := &lc.done[n-1]; last.servedBy == s && last.start == start && last.traceID == 0 {
+			last.n++
+			return
+		}
 	}
-	d := time.Since(start).Nanoseconds()
-	if traceID != 0 {
-		h.ObserveExemplar(d, traceID)
-		return
+	if len(lc.done) == maxFinished {
+		lc.observeDone(r.now())
 	}
-	h.Observe(d)
+	lc.done = append(lc.done, finished{start: start, traceID: traceID, n: 1, servedBy: s})
+}
+
+// observeDone records every lookup on lc.done as having ended at now.
+func (lc *lineCard) observeDone(now int64) {
+	for _, f := range lc.done {
+		switch h := lc.lat.hist(f.servedBy); {
+		case h == nil:
+		case f.traceID != 0:
+			h.ObserveExemplar(now-f.start, f.traceID)
+		default:
+			h.ObserveN(now-f.start, uint64(f.n))
+		}
+	}
+	lc.done = lc.done[:0]
 }
 
 func (l *lcLatency) hist(s ServedBy) *metrics.Histogram {

@@ -10,6 +10,7 @@ import (
 
 	"spal/internal/cache"
 	"spal/internal/metrics"
+	"spal/internal/rtable"
 	"spal/internal/stats"
 )
 
@@ -30,6 +31,15 @@ func TestMetricsReconcileWithLCStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Batches too, each with in-batch duplicates, hits, and misses homed
+	// here and elsewhere: a slot is a lookup and is observed like one.
+	const batches, batchLen = 40, 48
+	for i := 0; i < batches; i++ {
+		if _, err := r.LookupBatch(i%4, batchAddrs(tbl, rng, batchLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const total = 800 + batches*batchLen
 	after := r.Metrics()
 	delta := after.Delta(before)
 
@@ -59,13 +69,14 @@ func TestMetricsReconcileWithLCStats(t *testing.T) {
 			}
 		}
 	}
-	if got := delta.Sum(MetricLookups); got != 500 {
-		t.Errorf("delta lookups = %v, want 500", got)
+	if got := delta.Sum(MetricLookups); got != total-300 {
+		t.Errorf("delta lookups = %v, want %d", got, total-300)
 	}
-	if after.Sum(MetricLookups) != 800 {
-		t.Errorf("total lookups = %v, want 800", after.Sum(MetricLookups))
+	if after.Sum(MetricLookups) != total {
+		t.Errorf("total lookups = %v, want %d", after.Sum(MetricLookups), total)
 	}
-	// Latency histograms must account for every lookup exactly once.
+	// Latency histograms must account for every lookup exactly once, in
+	// the class that served it, weighted observations included.
 	var latCount uint64
 	for lc := 0; lc < 4; lc++ {
 		lbl := metrics.L("lc", strconv.Itoa(lc))
@@ -75,11 +86,105 @@ func TestMetricsReconcileWithLCStats(t *testing.T) {
 				t.Fatalf("missing latency histogram lc=%d served_by=%s", lc, class)
 			}
 			latCount += h.Count
+			var inBuckets uint64
+			for _, c := range h.Buckets {
+				inBuckets += c
+			}
+			if inBuckets != h.Count {
+				t.Errorf("lc=%d served_by=%s: buckets hold %d samples, _count (the +Inf bucket) says %d", lc, class, inBuckets, h.Count)
+			}
+			if hits := legacy[lc].CacheHits.Load(); class == "cache" && h.Count != uint64(hits) {
+				t.Errorf("lc=%d: %d cache-served latency samples, %d cache hits", lc, h.Count, hits)
+			}
 		}
 	}
-	if latCount != 800 {
-		t.Errorf("latency samples = %d, want 800 (one per lookup)", latCount)
+	if latCount != total {
+		t.Errorf("latency samples = %d, want %d (one per lookup)", latCount, total)
 	}
+}
+
+// TestBatchLatencyOneReadingOneWeight: a batch served from the cache on a
+// quiet router is timed by one clock reading and recorded as one weighted
+// observation — every slot in one bucket, the sum a multiple of the batch
+// size — yet traced slots keep a sample each, exemplar and all, and every
+// trace is finished by the time the verdicts can be read.
+func TestBatchLatencyOneReadingOneWeight(t *testing.T) {
+	tbl := rtable.Small(2000, 7)
+	// Longer than the list leave records from, so the traced run, one entry
+	// a slot, also fills it and is recorded in two goes.
+	const batch = maxFinished + 32
+	addrs := distinctAddrs(tbl, stats.NewRNG(3), batch)
+	hits := func(t *testing.T, opts ...Option) (*Router, metrics.HistogramSnapshot) {
+		t.Helper()
+		// One LC, so everything is homed where it arrives; the long timeout
+		// keeps the tickers out of the way.
+		r, err := New(tbl, append([]Option{WithLCs(1), WithDefaultCache(), WithRequestTimeout(time.Minute)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Stop)
+		cacheLat := func() metrics.HistogramSnapshot {
+			h, _ := r.Metrics().HistValue(MetricLatency, metrics.L("lc", "0"), metrics.L("served_by", "cache"))
+			return h
+		}
+		if _, err := r.LookupBatch(0, addrs); err != nil { // warm: all FE
+			t.Fatal(err)
+		}
+		before := cacheLat()
+		out, err := r.LookupBatch(0, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range out {
+			if v.ServedBy != ServedByCache {
+				t.Fatalf("warmed batch slot served by %s", v.ServedBy)
+			}
+		}
+		if r.tracer != nil { // finished before the verdicts were readable
+			if n := len(r.Traces()); n != 2*batch {
+				t.Fatalf("%d traces finished when the batch returned, want %d", n, 2*batch)
+			}
+		}
+		return r, cacheLat().Sub(before)
+	}
+
+	t.Run("untraced", func(t *testing.T) {
+		_, d := hits(t)
+		filled := 0
+		for _, c := range d.Buckets {
+			if c != 0 {
+				filled++
+			}
+		}
+		if d.Count != batch || filled != 1 || d.Sum == 0 || d.Sum%batch != 0 {
+			t.Errorf("all-hit batch of %d recorded as %+v; want one bucket, count %d, sum a multiple of it", batch, d, batch)
+		}
+	})
+	t.Run("traced", func(t *testing.T) {
+		r, d := hits(t, WithTraceSampling(1))
+		if d.Count != batch {
+			t.Fatalf("traced all-hit batch recorded %d samples, want %d", d.Count, batch)
+		}
+		traced := map[uint64]bool{}
+		for _, tr := range r.Traces()[batch:] {
+			if tr.ServedBy != ServedByCache.String() {
+				t.Fatalf("trace %d served by %s, want cache", tr.ID, tr.ServedBy)
+			}
+			traced[tr.ID] = true
+		}
+		pinned := 0
+		for i, ex := range d.Exemplars {
+			if d.Buckets[i] != 0 && !traced[ex.TraceID] {
+				t.Errorf("bucket %d holds %d samples of the batch and exemplar %d, not one of its traces", i, d.Buckets[i], ex.TraceID)
+			}
+			if ex.TraceID != 0 {
+				pinned++
+			}
+		}
+		if pinned == 0 {
+			t.Error("no sample of the traced batch carries an exemplar")
+		}
+	})
 }
 
 func TestMetricsIncludeCacheOccupancy(t *testing.T) {

@@ -218,7 +218,7 @@ type message struct {
 	from     int // requester LC (mRequest)
 	epoch    uint32
 	feNS     int64                // mReply: home-side FE execution time (0 = not measured)
-	start    time.Time            // mLookup: submission time, for latency histograms; mRequest/mBatchRequest: send time. Also an inline run's tick-if-due clock (see leave)
+	start    int64                // a reading of Router.now. mLookup: submission, for latency histograms; mRequest/mBatchRequest: send. Also tells an inline run that a tick may be due (see leave)
 	resp     chan Verdict         // mLookup: made when the lookup first has to wait or queue (see handleLookup)
 	tr       *tracing.LookupTrace // mLookup: the trace riding this lookup, if sampled
 	bd       *batchDesc           // mBatch, or an mLookup riding a batch slot
@@ -275,7 +275,7 @@ type remoteWaiter struct {
 }
 
 // localWaiter is one parked local lookup: its reply destination plus its
-// submission time, so coalesced lookups each record their own latency,
+// submission stamp, so coalesced lookups each record their own latency,
 // and its trace, so each traced lookup finishes its own span. The
 // destination is either a reply channel (single lookups) or a slot in a
 // batch descriptor's verdict array (bd non-nil); see Router.deliver.
@@ -283,7 +283,7 @@ type localWaiter struct {
 	ch    chan Verdict
 	bd    *batchDesc
 	slot  int32
-	start time.Time
+	start int64
 	tr    *tracing.LookupTrace
 	gen   uint64 // LC generation at park time; see remoteWaiter.gen
 }
@@ -293,9 +293,10 @@ type waitlist struct {
 	remotes []remoteWaiter
 	// Fabric-request bookkeeping, owned with the rest of the waitlist by
 	// whoever holds the LC's lock: attempts counts requests sent so far,
-	// including the first, and deadline is the latest one's.
+	// including the first, and deadline is the latest one's (a reading of
+	// Router.now, like sentAt below; zero means none).
 	attempts int
-	deadline time.Time
+	deadline int64
 	// tr is the per-address span owner: the earliest traced lookup
 	// parked here records the shared events (fabric send/recv, retry,
 	// deadline, fill). When no parked lookup was head-sampled and the
@@ -312,7 +313,7 @@ type waitlist struct {
 	// sampled via the attempts==1 guard). hedged means the waiters were
 	// already answered from the fallback engine and the entry only
 	// persists to recognize — and suppress — the primary reply.
-	sentAt time.Time
+	sentAt int64
 	hedged bool
 }
 
@@ -352,8 +353,11 @@ type lineCard struct {
 	// hedges, refilled by successful fabric round trips.
 	hedge tokenBucket
 	// lastTick is when tick last ran here, from the lcLoop ticker or from
-	// an inline run that found it due (see leave).
-	lastTick time.Time
+	// an owner that found it due on its way out (see leave).
+	lastTick int64
+	// done lists the local lookups answered since this ownership began, for
+	// leave to time with one clock reading (see finish).
+	done []finished
 	// outbox holds the fabric messages the running handler has produced.
 	// They must not be delivered under mu — the peer may run them inline
 	// and answer straight back here — so whoever ran the handler takes
@@ -417,6 +421,11 @@ type Router struct {
 	delayMu sync.Mutex     // orders delayWG.Add against Stop setting stopped
 	lcs     []*lineCard
 	stats   []*LCStats
+
+	// born is the epoch of the data plane's one clock and clock reads it
+	// (see now) — a field only so that a test can count the readings.
+	born  time.Time
+	clock func() int64
 
 	// Robustness knobs, fixed at construction.
 	injector   FaultInjector
@@ -538,6 +547,10 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 		return nil, fmt.Errorf("router: CacheShards must be a power of two, got %d", n)
 	}
 	r := &Router{cfg: cfg, quit: make(chan struct{})}
+	// A nanosecond in the past, so that no reading is 0: a zero stamp keeps
+	// meaning "none".
+	born := time.Now().Add(-time.Nanosecond)
+	r.born, r.clock = born, func() int64 { return int64(time.Since(born)) }
 	r.injector = cfg.FaultInjector
 	r.timeout = cfg.RequestTimeout
 	if r.timeout <= 0 {
@@ -598,7 +611,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	// Build every per-LC structure before starting any goroutine: the LC
 	// loops index r.life from their first tick, so the slices must
 	// never be appended to (reallocated) once a goroutine is running.
-	now := time.Now()
+	now := r.now()
 	for i := 0; i < cfg.NumLCs; i++ {
 		lc := &lineCard{
 			id:      i,
@@ -606,6 +619,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			pending: make(map[ip.Addr]*waitlist),
 			homeOf:  r.part.HomeLC,
 			stats:   &LCStats{},
+			done:    make([]finished, 0, maxFinished),
 		}
 		lc.scratch = newLCScratch(cfg.NumLCs)
 		lc.lastTick = now
@@ -637,7 +651,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 		r.rtt = append(r.rtt, &lcRTT{ring: make([]int64, max(r.grayPol.Window, 1))})
 		r.gray = append(r.gray, &lcGray{})
 		life := &lcLife{die: make(chan struct{}), exited: make(chan struct{})}
-		life.lastBeat.Store(now)
+		life.lastBeat.Store(r.at(now))
 		// The inbox is the LC's queue, QueueDepth deep (that depth is the
 		// router's whole buffering budget); control traffic rides its own
 		// channel so lifecycle and update messages never contend with data
@@ -749,8 +763,8 @@ func (r *Router) lcLoop(lc *lineCard, inbox, ctrl <-chan message, die, exited ch
 			// heartbeat back behind the beats inline owners have stored
 			// meanwhile.
 			lc.mu.Lock()
-			r.tick(lc, time.Now())
-			r.leave(lc, time.Time{})
+			r.tick(lc, r.now())
+			r.leave(lc, 0)
 		case <-die:
 			return
 		case <-r.quit:
@@ -765,7 +779,7 @@ func (r *Router) runQueued(lc *lineCard, m message) {
 	lc.handledQueued.Add(1)
 	r.handle(lc, m)
 	lc.backlog.Add(-1)
-	r.leave(lc, time.Time{})
+	r.leave(lc, 0)
 }
 
 // runInline is the run-to-completion hand-off, tried wherever a goroutine
@@ -798,6 +812,18 @@ func (r *Router) runInline(i int, m message) bool {
 	return true
 }
 
+// now reads the data plane's one clock: nanoseconds since New, monotonic
+// only (time.Since is one vDSO read where time.Now, which reads the wall
+// clock as well, is two), never 0. Every stamp a message, a waiter, a
+// waitlist or a line card carries is one of these readings, and a handler
+// run takes at most two of them however many addresses it answers: one
+// at submission, one in leave.
+func (r *Router) now() int64 { return r.clock() }
+
+// at is reading ns as a time.Time, for those that keep one: traces, and
+// the control plane's heartbeat and breaker state.
+func (r *Router) at(ns int64) time.Time { return r.born.Add(time.Duration(ns)) }
+
 // enter claims LC i for the calling goroutine if it is idle (see
 // runInline); nil otherwise. The claim ends with leave.
 func (r *Router) enter(i int) *lineCard {
@@ -817,16 +843,24 @@ func (r *Router) enter(i int) *lineCard {
 }
 
 // leave ends an ownership of lc (lc.mu held) that ran a handler or a
-// tick. Ticks are due work, not goroutine work: callers that never block
-// can keep a P from the LC goroutines for a whole preemption quantum, so
-// an inline owner that knows the time (now is its message's submission
-// time; zero means unknown) runs the tick itself when one is due. Then the
-// outbox is taken, the lock released, and only then the messages
+// tick, and takes the run's closing clock reading — when the run answered
+// local lookups (lc.done), or when now, a stamp the owner holds already
+// (its message's; zero for none), says a tick may be due. Ticks are due
+// work, not goroutine work: callers that never block can keep a P from the
+// LC goroutines for a whole preemption quantum, so an owner that knows the
+// time runs the tick itself when one is due. The same reading then ends
+// every lookup the run answered, the tick's sweep included, before the lock
+// goes: whoever holds it next (Metrics' closure, say) finds them recorded.
+// Then the outbox is taken, the lock released, and only then the messages
 // delivered: the peer may run them inline and answer straight back to
 // this LC, which it could not do while we held the lock.
-func (r *Router) leave(lc *lineCard, now time.Time) {
-	if !now.IsZero() && now.Sub(lc.lastTick) >= r.tickEvery {
-		r.tick(lc, now)
+func (r *Router) leave(lc *lineCard, now int64) {
+	if len(lc.done) > 0 || (now != 0 && now-lc.lastTick >= int64(r.tickEvery)) {
+		now = r.now()
+		if now-lc.lastTick >= int64(r.tickEvery) {
+			r.tick(lc, now)
+		}
+		lc.observeDone(now)
 	}
 	lc.depth = 0 // the next owner starts from its own stack
 	if len(lc.outbox) == 0 {
@@ -860,13 +894,14 @@ func (lc *lineCard) post(to int, m message) {
 
 // tick is an LC's periodic due work: heartbeat, breaker probes, and the
 // deadline sweep over its waitlists. lc.mu must be held.
-func (r *Router) tick(lc *lineCard, now time.Time) {
+func (r *Router) tick(lc *lineCard, now int64) {
 	lc.lastTick = now
-	r.beat(lc.id, now)
+	at := r.at(now)
+	r.beat(lc.id, at)
 	if r.ov.Enabled {
-		r.breakerTick(lc, now)
+		r.breakerTick(lc, at)
 	}
-	r.checkDeadlines(lc, now)
+	r.checkDeadlines(lc, at)
 }
 
 // checkDeadlines retries or degrades every pending lookup whose fabric
@@ -875,21 +910,22 @@ func (r *Router) tick(lc *lineCard, now time.Time) {
 // exponentially; once the retry budget is spent, the lookup is answered
 // from the router-wide full-table fallback engine so it terminates no
 // matter what the fabric lost.
-func (r *Router) checkDeadlines(lc *lineCard, now time.Time) {
+func (r *Router) checkDeadlines(lc *lineCard, at time.Time) {
+	now := int64(at.Sub(r.born)) // the reading at is; deadlines are readings
 	for addr, wl := range lc.pending {
 		if wl.hedged {
 			// The waiters were already answered by a hedge (or an eject
 			// dispatch); the entry only tracks the primary reply. Past the
 			// deadline the primary is declared lost and the entry retired —
 			// hedged lookups are never retried, that is the point of them.
-			if !wl.deadline.IsZero() && !now.Before(wl.deadline) {
+			if wl.deadline != 0 && now >= wl.deadline {
 				r.hedgePrimaryLost.Add(1)
 				r.dropHedged(lc, addr)
 			}
 			continue
 		}
-		if r.grayPol.Hedge && !wl.deadline.IsZero() && now.Before(wl.deadline) &&
-			wl.attempts >= 1 && !wl.sentAt.IsZero() && now.Sub(wl.sentAt) >= r.hedgeDelay() {
+		if r.grayPol.Hedge && wl.deadline != 0 && now < wl.deadline &&
+			wl.attempts >= 1 && wl.sentAt != 0 && now-wl.sentAt >= int64(r.hedgeDelay()) {
 			if home := lc.homeOf(addr); home != lc.id {
 				// The request has been in flight past the hedge delay:
 				// answer the waiters from the fallback engine now and keep
@@ -906,7 +942,7 @@ func (r *Router) checkDeadlines(lc *lineCard, now time.Time) {
 				continue
 			}
 		}
-		if wl.deadline.IsZero() || now.Before(wl.deadline) {
+		if wl.deadline == 0 || now < wl.deadline {
 			continue
 		}
 		// A lookup that reaches the deadline sweep is "interesting"; this
@@ -917,7 +953,7 @@ func (r *Router) checkDeadlines(lc *lineCard, now time.Time) {
 		if r.ov.Enabled && home != lc.id {
 			// A deadline expiry is the breaker's failure signal for this
 			// home; enough of them in a row open the circuit.
-			r.breakerFailure(lc, home, now)
+			r.breakerFailure(lc, home, at)
 		}
 		retry := wl.attempts <= r.maxRetries
 		if retry && r.ov.Enabled && home != lc.id {
@@ -944,7 +980,7 @@ func (r *Router) checkDeadlines(lc *lineCard, now time.Time) {
 			}
 			backoff := r.timeout << uint(shift)
 			wl.tr.Record(tracing.EvRetry, int64(wl.attempts), int64(backoff))
-			wl.deadline = now.Add(backoff)
+			wl.deadline = now + int64(backoff)
 			wl.attempts++
 			if home == lc.id {
 				// Re-homed onto this LC while the request was in
@@ -1066,7 +1102,7 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 				// waits on the reply always finds its trace published.
 				r.finishTrace(m.tr, ServedByCache, ok)
 			}
-			lc.lat.observe(ServedByCache, m.start, traceID(m.tr))
+			r.finish(lc, ServedByCache, m.start, traceID(m.tr))
 			v := Verdict{Addr: m.addr, NextHop: res.NextHop, OK: ok, ServedBy: ServedByCache}
 			if m.resp == nil && m.bd == nil {
 				return v, true
@@ -1112,7 +1148,7 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 			m.tr.Record(tracing.EvFill, int64(cache.LOC), int64(ServedByFE))
 			r.finishTrace(m.tr, ServedByFE, ok)
 		}
-		lc.lat.observe(ServedByFE, m.start, traceID(m.tr))
+		r.finish(lc, ServedByFE, m.start, traceID(m.tr))
 		v := Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByFE}
 		if m.resp == nil && m.bd == nil {
 			return v, true
@@ -1126,7 +1162,7 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 	wl := r.park(lc, m.addr)
 	wl.tr = m.tr
 	lc.addLocal(wl, m)
-	if now := time.Now(); r.routeFor(lc, m.addr, home, wl, now) {
+	if now := r.now(); r.routeFor(lc, m.addr, home, wl, now) {
 		lc.stats.RequestsSent.Add(1)
 		lc.post(home, message{kind: mRequest, addr: m.addr, from: lc.id, epoch: lc.epoch, start: now})
 	}
@@ -1236,7 +1272,7 @@ func (r *Router) handleRequest(lc *lineCard, m message) {
 // finds the filled entry (cache-less, it runs the engine again). Everything
 // else is finished here: a request for an in-flight address joins its
 // waitlist, and one for an address this LC is no longer home of moves on.
-func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw remoteWaiter, start time.Time) (hit bool, nh rtable.NextHop, fresh bool) {
+func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw remoteWaiter, start int64) (hit bool, nh rtable.NextHop, fresh bool) {
 	if home := lc.homeOf(addr); home != lc.id {
 		// The address was re-homed while this request was in flight (a
 		// table update swapped the partitioning under it). Running LPM
@@ -1316,7 +1352,7 @@ func (r *Router) execFE(lc *lineCard, addr ip.Addr) (nh rtable.NextHop, ok bool,
 	if !ok {
 		nh = rtable.NoNextHop
 	}
-	return nh, ok, elapsedNS(t0)
+	return nh, ok, r.elapsedNS(t0)
 }
 
 // runFE answers wl, parked for a request in flight when the address was
@@ -1361,7 +1397,7 @@ func (r *Router) fallbackLookup(addr ip.Addr) (rtable.NextHop, bool) {
 //
 // A retry is not a fresh miss: checkDeadlines has its own rule for those
 // and never claims a half-open probe.
-func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, now time.Time) bool {
+func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, now int64) bool {
 	if r.ov.Enabled && !r.breakerAllows(lc, home) {
 		lc.ov.breakerShorts.Add(1)
 		lc.stats.Fallbacks.Add(1)
@@ -1374,7 +1410,7 @@ func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, no
 	}
 	wl.attempts = 1
 	wl.sentAt = now
-	wl.deadline = now.Add(r.timeout)
+	wl.deadline = now + int64(r.timeout)
 	wl.tr.Record(tracing.EvFabricSend, int64(home), 1)
 	if r.grayPol.Eject && r.gray[home].ejected.Load() {
 		wl.tr.Record(tracing.EvEject, int64(home), 0)
@@ -1397,8 +1433,8 @@ func (r *Router) replyArrived(lc *lineCard, from int, first ip.Addr) {
 		// to the responding home would drag every clean ring toward the
 		// brownout and mask the true outlier (its recovery is judged by
 		// other requesters' samples of it, not by its own observations).
-		if wl, ok := lc.pending[first]; ok && wl.attempts == 1 && !wl.sentAt.IsZero() {
-			r.rtt[from].observe(time.Since(wl.sentAt).Nanoseconds())
+		if wl, ok := lc.pending[first]; ok && wl.attempts == 1 && wl.sentAt != 0 {
+			r.rtt[from].observe(r.now() - wl.sentAt)
 		}
 	}
 	if r.ov.Enabled {
@@ -1542,12 +1578,12 @@ func (r *Router) redrive(lc *lineCard, addr ip.Addr, locals []localWaiter, remot
 	}
 }
 
-// answer delivers v to every waiter on wl: each local lookup records its
-// own latency and finishes its own span, remote waiters get a reply
-// stamped with gen, the generation the value reflects.
+// answer delivers v to every waiter on wl: each local lookup is noted for
+// its own latency sample (finish) and finishes its own span, remote waiters
+// get a reply stamped with gen, the generation the value reflects.
 func (r *Router) answer(lc *lineCard, wl *waitlist, v Verdict, feNS int64, gen uint64) {
 	for _, w := range wl.locals {
-		lc.lat.observe(v.ServedBy, w.start, traceID(w.tr))
+		r.finish(lc, v.ServedBy, w.start, traceID(w.tr))
 		// Finish before delivering: a caller that waits on the verdict
 		// must find its trace already published.
 		r.finishTrace(w.tr, v.ServedBy, v.OK)
@@ -1647,9 +1683,9 @@ func (r *Router) lookup(ctx context.Context, i int, addr ip.Addr) (Verdict, erro
 // newLookup stamps one lookup submitted at LC i: its submission time and,
 // when it is sampled, its trace.
 func (r *Router) newLookup(i int, addr ip.Addr) message {
-	m := message{kind: mLookup, addr: addr, start: time.Now()}
+	m := message{kind: mLookup, addr: addr, start: r.now()}
 	if r.tracer != nil {
-		if m.tr = r.tracer.Sample(i, addr, m.start); m.tr != nil {
+		if m.tr = r.tracer.Sample(i, addr, r.at(m.start)); m.tr != nil {
 			m.tr.Record(tracing.EvArrival, int64(i), 0)
 		}
 	}

@@ -18,7 +18,6 @@ package router
 
 import (
 	"log/slog"
-	"time"
 
 	"spal/internal/ip"
 	"spal/internal/tracing"
@@ -122,22 +121,18 @@ func (r *Router) lateTraceFor(lc *lineCard, addr ip.Addr, wl *waitlist) {
 // feTimer starts an FE-execution timer when tracing is on; zero
 // otherwise, which elapsedNS maps to 0 so untraced runs report no
 // timing.
-func (r *Router) feTimer() time.Time {
+func (r *Router) feTimer() int64 {
 	if r.tracer == nil {
-		return time.Time{}
+		return 0
 	}
-	return time.Now()
+	return r.now()
 }
 
 // elapsedNS converts a feTimer start into nanoseconds (minimum 1 so a
 // measured execution is distinguishable from "not measured").
-func elapsedNS(t0 time.Time) int64 {
-	if t0.IsZero() {
+func (r *Router) elapsedNS(t0 int64) int64 {
+	if t0 == 0 {
 		return 0
 	}
-	d := time.Since(t0).Nanoseconds()
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return max(r.now()-t0, 1)
 }

@@ -25,7 +25,7 @@ import (
 func asLC(r *Router, i int, f func(lc *lineCard)) {
 	lc := r.lcs[i]
 	lc.mu.Lock()
-	defer r.leave(lc, time.Time{}) // deferred: f may end the test
+	defer r.leave(lc, 0) // deferred: f may end the test
 	f(lc)
 }
 
@@ -93,7 +93,7 @@ func TestHedgedWaitlistPinsNothing(t *testing.T) {
 	asLC(r, 0, func(lc *lineCard) {
 		r.checkDeadlines(lc, time.Now().Add(time.Second)) // past the hedge delay, short of the deadline
 		hedged = lc.pending[addr]
-		if hedged == nil || !hedged.hedged || hedged.deadline.IsZero() {
+		if hedged == nil || !hedged.hedged || hedged.deadline == 0 {
 			t.Fatalf("no hedged entry tracking the primary: %+v", hedged)
 		}
 		checkUnpinned(t, hedged)
@@ -136,7 +136,7 @@ func TestParkRecyclesBlankWaitlist(t *testing.T) {
 		used = lc.pending[addrs[0]]
 		used.feNS = 7 // as a retry re-homed onto this LC would have left it
 		r.checkDeadlines(lc, time.Now().Add(2*time.Minute))
-		if used.attempts != 2 || used.deadline.IsZero() || used.sentAt.IsZero() || !used.trLate || used.tr == nil || len(used.locals) != 1 {
+		if used.attempts != 2 || used.deadline == 0 || used.sentAt == 0 || !used.trLate || used.tr == nil || len(used.locals) != 1 {
 			t.Fatalf("the retry left the waitlist at %+v", *used)
 		}
 	}) // leaving delivers the retry
