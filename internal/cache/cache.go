@@ -86,14 +86,21 @@ func DefaultConfig() Config {
 	return Config{Blocks: 4096, Assoc: 4, VictimBlocks: 8, MixPercent: 50, Policy: LRU}
 }
 
+// Block states.
+const (
+	invalid uint8 = iota
+	complete
+	waiting // W bit set: reserved, result in flight
+)
+
+// entry is one block: 16 bytes, so the paper's 4-way set is one 64-byte
+// cache line.
 type entry struct {
-	valid   bool
-	waiting bool // W bit
-	origin  Origin
+	stamp   uint64 // LRU: touch time; FIFO: fill time
 	addr    ip.Addr
 	nextHop rtable.NextHop
-	stamp   uint64  // LRU: touch time; FIFO: fill time
-	waiters []int64 // packets parked on this waiting block
+	state   uint8
+	origin  Origin
 }
 
 // ProbeKind classifies a Probe outcome.
@@ -133,8 +140,15 @@ type Stats struct {
 // both the cycle simulator and the concurrent router each LC goroutine
 // owns its cache exclusively, mirroring the single cache port of Fig. 2.
 type Cache struct {
-	cfg    Config
-	sets   [][]entry
+	cfg     Config
+	blocks  []entry // set s is blocks[s*Assoc : (s+1)*Assoc]
+	setMask int
+	// wait[i] is the list of packets parked on waiting block i, allocated
+	// by the first RecordMiss or AddWaiter (a caller that only Reserves
+	// never pays for it). Keeping the lists out of line is sound because a
+	// waiting block never moves: chooseVictim — and so promote, reserve and
+	// Fill's insert — invalidate and AuditEntries all skip W blocks.
+	wait   [][]int64
 	victim []entry
 	clock  uint64
 	rng    *stats.RNG
@@ -166,20 +180,22 @@ func NewErr(cfg Config) (*Cache, error) {
 	if cfg.MixPercent < 0 || cfg.MixPercent > 100 {
 		return nil, fmt.Errorf("cache: MixPercent %d out of range [0,100]", cfg.MixPercent)
 	}
-	c := &Cache{cfg: cfg, rng: stats.NewRNG(cfg.Seed ^ 0xcafe)}
-	c.sets = make([][]entry, numSets)
-	for i := range c.sets {
-		c.sets[i] = make([]entry, cfg.Assoc)
-	}
-	c.victim = make([]entry, cfg.VictimBlocks)
-	return c, nil
+	return &Cache{
+		cfg:     cfg,
+		blocks:  make([]entry, cfg.Blocks),
+		setMask: numSets - 1,
+		victim:  make([]entry, cfg.VictimBlocks),
+		rng:     stats.NewRNG(cfg.Seed ^ 0xcafe),
+	}, nil
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setOf(a ip.Addr) []entry {
-	return c.sets[int(a)&(len(c.sets)-1)]
+// setOf returns a's set and the index of its first block.
+func (c *Cache) setOf(a ip.Addr) ([]entry, int) {
+	base := (int(a) & c.setMask) * c.cfg.Assoc
+	return c.blocks[base : base+c.cfg.Assoc], base
 }
 
 func (c *Cache) tick() uint64 {
@@ -191,11 +207,11 @@ func (c *Cache) tick() uint64 {
 // access per Fig. 2). A victim hit promotes the block back into its set.
 func (c *Cache) Probe(a ip.Addr) ProbeResult {
 	c.stat.Probes++
-	set := c.setOf(a)
+	set, _ := c.setOf(a)
 	for i := range set {
 		e := &set[i]
-		if e.valid && e.addr == a {
-			if e.waiting {
+		if e.state != invalid && e.addr == a {
+			if e.state == waiting {
 				c.stat.HitWaitings++
 				return ProbeResult{Kind: HitWaiting}
 			}
@@ -208,7 +224,7 @@ func (c *Cache) Probe(a ip.Addr) ProbeResult {
 	}
 	for i := range c.victim {
 		v := &c.victim[i]
-		if v.valid && v.addr == a {
+		if v.state != invalid && v.addr == a {
 			c.stat.HitVictims++
 			res := ProbeResult{Kind: HitVictim, NextHop: v.nextHop, Origin: v.origin}
 			c.promote(i)
@@ -223,7 +239,7 @@ func (c *Cache) Probe(a ip.Addr) ProbeResult {
 // set's replacement choice into the victim slot.
 func (c *Cache) promote(vi int) {
 	v := c.victim[vi]
-	set := c.setOf(v.addr)
+	set, _ := c.setOf(v.addr)
 	slot := c.chooseVictim(set, v.origin)
 	if slot < 0 {
 		// No slot for this class (zero quota or all waiting): leave the
@@ -234,7 +250,7 @@ func (c *Cache) promote(vi int) {
 	evicted := set[slot]
 	v.stamp = c.tick()
 	set[slot] = v
-	if evicted.valid {
+	if evicted.state != invalid {
 		evicted.stamp = c.tick()
 		c.victim[vi] = evicted
 	} else {
@@ -246,7 +262,7 @@ func (c *Cache) promote(vi int) {
 // their tentative class (the caller declared the origin at RecordMiss).
 func classCounts(set []entry) (loc, rem int) {
 	for i := range set {
-		if !set[i].valid {
+		if set[i].state == invalid {
 			continue
 		}
 		if set[i].origin == LOC {
@@ -273,7 +289,7 @@ func (c *Cache) chooseVictim(set []entry, class Origin) int {
 		best, seen := -1, 0
 		for i := range set {
 			e := &set[i]
-			if !e.valid || e.waiting || (restrict && e.origin != class) {
+			if e.state != complete || (restrict && e.origin != class) {
 				continue
 			}
 			seen++
@@ -306,7 +322,7 @@ func (c *Cache) chooseVictim(set []entry, class Origin) int {
 		return candidate(LOC, true)
 	}
 	for i := range set {
-		if !set[i].valid {
+		if set[i].state == invalid {
 			return i
 		}
 	}
@@ -334,38 +350,48 @@ func (c *Cache) chooseVictim(set []entry, class Origin) int {
 // block is waiting. Reserve panics if addr is already present; callers must
 // Probe first.
 func (c *Cache) Reserve(a ip.Addr, origin Origin) bool {
-	return c.reserve(a, origin) != nil
+	return c.reserve(a, origin) >= 0
 }
 
 // RecordMiss is Reserve plus the block's waiting list, opened with waiter,
 // the packet that caused the miss; Fill returns the list.
 func (c *Cache) RecordMiss(a ip.Addr, origin Origin, waiter int64) bool {
-	e := c.reserve(a, origin)
-	if e != nil {
-		e.waiters = []int64{waiter}
+	i := c.reserve(a, origin)
+	if i >= 0 {
+		*c.waitList(i) = []int64{waiter}
 	}
-	return e != nil
+	return i >= 0
 }
 
-// reserve is the reservation itself; nil means bypass.
-func (c *Cache) reserve(a ip.Addr, origin Origin) *entry {
-	set := c.setOf(a)
+// waitList returns block i's waiting list, allocating the table of lists
+// on first use.
+func (c *Cache) waitList(i int) *[]int64 {
+	if c.wait == nil {
+		c.wait = make([][]int64, len(c.blocks))
+	}
+	return &c.wait[i]
+}
+
+// reserve is the reservation itself and returns the block's index; -1
+// means bypass.
+func (c *Cache) reserve(a ip.Addr, origin Origin) int {
+	set, base := c.setOf(a)
 	for i := range set {
-		if set[i].valid && set[i].addr == a {
+		if set[i].state != invalid && set[i].addr == a {
 			panic("cache: reserving a resident address")
 		}
 	}
 	slot := c.chooseVictim(set, origin)
 	if slot < 0 {
 		c.stat.Bypasses++
-		return nil
+		return -1
 	}
-	if set[slot].valid {
+	if set[slot].state != invalid {
 		c.evictToVictim(set, slot)
 	}
-	set[slot] = entry{valid: true, waiting: true, origin: origin, addr: a, stamp: c.tick()}
+	set[slot] = entry{state: waiting, origin: origin, addr: a, stamp: c.tick()}
 	c.stat.Recorded++
-	return &set[slot]
+	return base + slot
 }
 
 // evictToVictim moves a complete block into the victim cache (LRU among
@@ -377,7 +403,7 @@ func (c *Cache) evictToVictim(set []entry, slot int) {
 	}
 	vslot := 0
 	for i := range c.victim {
-		if !c.victim[i].valid {
+		if c.victim[i].state == invalid {
 			vslot = i
 			break
 		}
@@ -393,12 +419,13 @@ func (c *Cache) evictToVictim(set []entry, slot int) {
 // AddWaiter parks a packet on addr's waiting block (after Probe returned
 // HitWaiting). It panics when no waiting block for addr exists.
 func (c *Cache) AddWaiter(a ip.Addr, waiter int64) {
-	set := c.setOf(a)
+	set, base := c.setOf(a)
 	for i := range set {
-		if set[i].valid && set[i].addr == a && set[i].waiting {
-			set[i].waiters = append(set[i].waiters, waiter)
+		if set[i].state == waiting && set[i].addr == a {
+			w := c.waitList(base + i)
+			*w = append(*w, waiter)
 			c.stat.Parked++
-			if n := int64(len(set[i].waiters)); n > c.stat.MaxWaitList {
+			if n := int64(len(*w)); n > c.stat.MaxWaitList {
 				c.stat.MaxWaitList = n
 			}
 			return
@@ -415,35 +442,31 @@ func (c *Cache) AddWaiter(a ip.Addr, waiter int64) {
 // possible, and no waiters are returned.
 func (c *Cache) Fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64 {
 	c.stat.Fills++
-	set := c.setOf(a)
+	set, base := c.setOf(a)
 	for i := range set {
 		e := &set[i]
-		if e.valid && e.addr == a {
-			if !e.waiting {
-				// Duplicate fill (e.g. two LCs resolved the same address);
-				// refresh the result and the replacement stamp — without
-				// the stamp touch, LRU would treat a just-refreshed entry
-				// as the oldest in its set and evict it first.
-				e.nextHop = nh
-				e.origin = origin
-				e.stamp = c.tick()
+		if e.state != invalid && e.addr == a {
+			// On a complete block this is a duplicate fill (e.g. two LCs
+			// resolved the same address): refresh the result and the
+			// replacement stamp — without the stamp touch, LRU would treat
+			// a just-refreshed entry as the oldest in its set and evict it
+			// first.
+			wasWaiting := e.state == waiting
+			*e = entry{state: complete, origin: origin, addr: a, nextHop: nh, stamp: c.tick()}
+			if !wasWaiting || c.wait == nil {
 				return nil
 			}
-			w := e.waiters
-			e.waiting = false
-			e.waiters = nil
-			e.nextHop = nh
-			e.origin = origin
-			e.stamp = c.tick()
+			w := c.wait[base+i]
+			c.wait[base+i] = nil
 			return w
 		}
 	}
 	// No reserved block: best-effort insert.
 	if slot := c.chooseVictim(set, origin); slot >= 0 {
-		if set[slot].valid {
+		if set[slot].state != invalid {
 			c.evictToVictim(set, slot)
 		}
-		set[slot] = entry{valid: true, origin: origin, addr: a, nextHop: nh, stamp: c.tick()}
+		set[slot] = entry{state: complete, origin: origin, addr: a, nextHop: nh, stamp: c.tick()}
 	}
 	return nil
 }
@@ -453,15 +476,12 @@ func (c *Cache) Fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64 {
 func (c *Cache) Flush() []int64 {
 	c.stat.Flushes++
 	var orphans []int64
-	for _, set := range c.sets {
-		for i := range set {
-			orphans = append(orphans, set[i].waiters...)
-			set[i] = entry{}
-		}
+	for _, w := range c.wait { // block order, which is set-major
+		orphans = append(orphans, w...)
 	}
-	for i := range c.victim {
-		c.victim[i] = entry{}
-	}
+	clear(c.wait)
+	clear(c.blocks)
+	clear(c.victim)
 	return orphans
 }
 
@@ -492,20 +512,13 @@ func (c *Cache) invalidate(rs []rtable.Range, shift uint) int {
 	// single range's scan the search for all but the entries it evicts.
 	lo, hi := rs[0].Lo>>shift, rs[len(rs)-1].Hi>>shift
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			e := &set[i]
-			if e.valid && !e.waiting && e.addr >= lo && e.addr <= hi && covered(rs, shift, e.addr) {
+	for _, es := range [2][]entry{c.blocks, c.victim} {
+		for i := range es {
+			e := &es[i]
+			if e.state == complete && e.addr >= lo && e.addr <= hi && covered(rs, shift, e.addr) {
 				*e = entry{}
 				n++
 			}
-		}
-	}
-	for i := range c.victim {
-		v := &c.victim[i]
-		if v.valid && v.addr >= lo && v.addr <= hi && covered(rs, shift, v.addr) {
-			*v = entry{}
-			n++
 		}
 	}
 	c.stat.Invalidated += int64(n)
@@ -535,20 +548,13 @@ func covered(rs []rtable.Range, shift uint, a ip.Addr) bool {
 // number of entries evicted.
 func (c *Cache) AuditEntries(visit func(a ip.Addr, nh rtable.NextHop) bool) int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			e := &set[i]
-			if e.valid && !e.waiting && !visit(e.addr, e.nextHop) {
+	for _, es := range [2][]entry{c.blocks, c.victim} {
+		for i := range es {
+			e := &es[i]
+			if e.state == complete && !visit(e.addr, e.nextHop) {
 				*e = entry{}
 				n++
 			}
-		}
-	}
-	for i := range c.victim {
-		v := &c.victim[i]
-		if v.valid && !visit(v.addr, v.nextHop) {
-			*v = entry{}
-			n++
 		}
 	}
 	return n
@@ -623,20 +629,15 @@ func metricsInto(sn *metrics.Snapshot, s Stats, loc, rem, waiting int, labels ..
 // Occupancy reports the number of valid blocks per class, for mix-policy
 // diagnostics.
 func (c *Cache) Occupancy() (loc, rem, waiting int) {
-	for _, set := range c.sets {
-		for i := range set {
-			if !set[i].valid {
-				continue
-			}
-			if set[i].waiting {
-				waiting++
-				continue
-			}
-			if set[i].origin == LOC {
-				loc++
-			} else {
-				rem++
-			}
+	for i := range c.blocks {
+		switch e := &c.blocks[i]; {
+		case e.state == invalid:
+		case e.state != complete: // W bit set; the result shadows the state's name
+			waiting++
+		case e.origin == LOC:
+			loc++
+		default:
+			rem++
 		}
 	}
 	return loc, rem, waiting

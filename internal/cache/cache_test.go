@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"spal/internal/ip"
 	"spal/internal/rtable"
@@ -311,9 +313,19 @@ func TestFlushReturnsOrphans(t *testing.T) {
 	c.AddWaiter(a, 11)
 	c.RecordMiss(b, REM, 20)
 	c.Fill(b, 1, REM)
+	// Orphans come back set-major, blocks in slot order within a set — the
+	// order the simulator reissues them in: set 0 holds b (complete) and
+	// then d, set 1 holds a and then e, whatever order they were parked in.
+	d, e := ip.Addr(4), ip.Addr(3)
+	c.RecordMiss(e, REM, 40)
+	c.RecordMiss(d, LOC, 30)
+	c.AddWaiter(d, 31)
 	orphans := c.Flush()
-	if len(orphans) != 2 {
-		t.Fatalf("orphans = %v", orphans)
+	if want := []int64{30, 31, 10, 11, 40}; !slices.Equal(orphans, want) {
+		t.Fatalf("orphans = %v, want %v", orphans, want)
+	}
+	if again := c.Flush(); len(again) != 0 {
+		t.Fatalf("second flush returned %v", again)
 	}
 	if c.Probe(a).Kind != Miss || c.Probe(b).Kind != Miss {
 		t.Error("flush must invalidate everything")
@@ -475,5 +487,50 @@ func TestDuplicateFillRefreshesLRUStamp(t *testing.T) {
 	}
 	if r := c.Probe(b); r.Kind != Miss {
 		t.Fatalf("LRU entry survived: %+v", r)
+	}
+}
+
+// TestBlockLayout holds the LR-cache at the size the paper counts it: a
+// block is 16 bytes and the block array starts on a cache line, so a 4-way
+// set is exactly one 64-byte line.
+func TestBlockLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(entry{}); sz != 16 {
+		t.Fatalf("entry is %d bytes, want 16", sz)
+	}
+	for _, blocks := range []int{64, 1 << 10, 4 << 10, 8 << 10} {
+		c := New(Config{Blocks: blocks, Assoc: 4, VictimBlocks: 8, MixPercent: 50})
+		if p := uintptr(unsafe.Pointer(&c.blocks[0])); p%64 != 0 {
+			t.Errorf("β = %d: blocks start at %#x, not on a 64-byte line", blocks, p)
+		}
+	}
+}
+
+// TestReserveNeverAllocatesWaitLists drives a cache with the router's calls
+// only — Probe, Reserve, Fill, InvalidateRanges — leaving some blocks
+// waiting, and requires that the out-of-line waiting lists were never made.
+func TestReserveNeverAllocatesWaitLists(t *testing.T) {
+	c := New(DefaultConfig())
+	rng := stats.NewRNG(3)
+	for i := 0; i < 100000; i++ {
+		a := ip.Addr(rng.Intn(1 << 14))
+		switch c.Probe(a).Kind {
+		case Miss:
+			if o := Origin(rng.Intn(2)); c.Reserve(a, o) && rng.Bool(0.9) {
+				c.Fill(a, 1, o)
+			}
+		case HitWaiting:
+			if w := c.Fill(a, 2, REM); w != nil {
+				t.Fatalf("Fill of a reserved block returned waiters %v", w)
+			}
+		}
+		if i%10000 == 0 {
+			c.InvalidateRanges([]rtable.Range{{Lo: 0, Hi: 99}, {Lo: 4096, Hi: 5000}})
+		}
+	}
+	if _, _, waiting := c.Occupancy(); waiting == 0 {
+		t.Fatal("no block left waiting; the run proves nothing")
+	}
+	if c.wait != nil {
+		t.Fatal("a cache that only reserves allocated its waiting lists")
 	}
 }

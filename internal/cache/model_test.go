@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"spal/internal/ip"
@@ -214,11 +215,16 @@ func (m *model) fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64 {
 	return nil
 }
 
-func (m *model) flush() {
+func (m *model) flush() []int64 {
+	var orphans []int64
 	for i := range m.sets {
+		for _, e := range m.sets[i] {
+			orphans = append(orphans, e.waiters...)
+		}
 		m.sets[i] = map[ip.Addr]*mEntry{}
 	}
 	m.victim = nil
+	return orphans
 }
 
 // TestModelEquivalence drives Cache and the naive model with the same
@@ -236,8 +242,15 @@ func TestModelEquivalence(t *testing.T) {
 				switch rng.Intn(10) {
 				case 9:
 					if rng.Intn(50) == 0 { // occasional flush
-						c.Flush()
-						m.flush()
+						// The same parked packets, as a multiset: the
+						// model's maps have no block order
+						// (TestFlushReturnsOrphans pins Cache's).
+						oc, om := c.Flush(), m.flush()
+						slices.Sort(oc)
+						slices.Sort(om)
+						if !slices.Equal(oc, om) {
+							t.Fatalf("mix=%d vic=%d op %d: flush orphans %v != model %v", mix, victims, op, oc, om)
+						}
 						for k := range pendingC {
 							delete(pendingC, k)
 						}

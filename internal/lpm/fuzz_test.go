@@ -37,23 +37,40 @@ func FuzzEnginesAgree(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 255, 255, 255, 255, 32, 1, 2, 3, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, addrs := decodeTable(data)
-		oracle := lpm.NewReference(tbl)
+		for _, r := range tbl.Routes() {
+			addrs = append(addrs, r.Prefix.FirstAddr(), r.Prefix.LastAddr())
+		}
+		// Where the batch pass cuts the list in two, so the engines' group
+		// edges move with the input.
+		split := 0
+		if len(data) > 0 {
+			split = int(data[len(data)-1]) % (len(addrs) + 1)
+		}
+		want, single, batch := make([]lpm.Result, len(addrs)), make([]lpm.Result, len(addrs)), make([]lpm.Result, len(addrs))
+		lpm.LookupAll(lpm.NewReference(tbl), addrs, want)
+		differ := func(got lpm.Result, i int) bool {
+			return got.OK != want[i].OK || (got.OK && got.NextHop != want[i].NextHop)
+		}
 		for _, build := range builders {
 			e := build(tbl)
-			probe := func(a ip.Addr) {
-				wNH, _, wOK := oracle.Lookup(a)
-				gNH, _, gOK := e.Lookup(a)
-				if wOK != gOK || (wOK && wNH != gNH) {
+			for i, a := range addrs {
+				nh, acc, ok := e.Lookup(a)
+				single[i] = lpm.Result{NextHop: nh, Accesses: int32(acc), OK: ok}
+				if differ(single[i], i) {
 					t.Fatalf("%s: Lookup(%s) = (%d,%v), want (%d,%v)",
-						e.Name(), ip.FormatAddr(a), gNH, gOK, wNH, wOK)
+						e.Name(), ip.FormatAddr(a), nh, ok, want[i].NextHop, want[i].OK)
 				}
 			}
-			for _, a := range addrs {
-				probe(a)
+			if _, ok := e.(lpm.BatchEngine); !ok {
+				continue
 			}
-			for _, r := range tbl.Routes() {
-				probe(r.Prefix.FirstAddr())
-				probe(r.Prefix.LastAddr())
+			lpm.LookupAll(e, addrs[:split], batch)
+			lpm.LookupAll(e, addrs[split:], batch[split:])
+			for i, a := range addrs {
+				if differ(batch[i], i) || batch[i].Accesses != single[i].Accesses {
+					t.Fatalf("%s: LookupAll[%d] for %s, split at %d = %+v, want (%d,%v) in %d accesses",
+						e.Name(), i, ip.FormatAddr(a), split, batch[i], want[i].NextHop, want[i].OK, single[i].Accesses)
+				}
 			}
 		}
 	})

@@ -16,35 +16,61 @@
 //     position, so pointer index = base + offset + maptable(...) - 1.
 //
 // Pointers are tagged: a leaf pointer carries the next hop (or "no route"),
-// a chunk pointer the index of a next-level chunk. Level 2/3 chunks come in
-// the paper's three densities: sparse (<= 8 heads: eight 1-byte offsets +
+// a chunk pointer names a next-level chunk. Level 2/3 chunks come in the
+// paper's three densities: sparse (<= 8 heads: eight 1-byte offsets +
 // pointers, 2 memory accesses), dense (<= 64 heads: codewords without base
 // indexes, 3 accesses) and very dense (codewords + base indexes, 4
 // accesses, same as level 1).
 //
-// Fidelity note: genuine Lulea encodes the 16-bit mask as a 10-bit index
-// into the table of 678 masks realizable by complete prune expansion; we
-// store the mask verbatim (the Go struct is wider) but model MemoryBytes
-// with the paper's on-chip sizes: 2-byte codewords, 2-byte base indexes,
-// 2-byte pointers, and one shared 5,424-byte maptable. Access counting
-// charges the maptable lookup as one memory access, as the original does.
+// Layout. A Trie is three flat arrays and nothing else: code1 (the 4,096
+// level-1 codewords), ptrs1 (the level-1 head pointers) and slab, one
+// []uint32 holding every level-2/3 chunk back to back. A chunk is
+// self-contained at the slab offset its pointer carries, and the pointer's
+// tag bits carry its kind, so descending a level reads no per-chunk header
+// and follows no slice: at most two dependent loads from the slab (offsets
+// or codeword, then the pointer) plus the 10.8 KB maptable.
+//
+//	sparse            2 words: eight head slots, one byte each, ascending
+//	                  8 words: their pointers
+//	dense, veryDense  16 words: the codewords
+//	                  n words: the n head pointers
+//
+// A sparse chunk with fewer than eight heads repeats its last head (slot
+// and pointer) into the unused places: every sparse chunk is ten words and
+// the scan for a slot's head runs over all eight places without a length
+// to load or test. A codeword counts the heads before its word from the
+// start of the level or chunk — at most 65,520, which fits its low 16 bits
+// — so the base index is folded in and no lookup reads one.
+//
+// Fidelity note: what is modelled stays modelled. MemoryBytes counts the
+// paper's on-chip sizes (Fig. 3) — 2-byte codewords with a 10-bit maptable
+// id and a 6-bit offset, a 2-byte base index per four codewords at level 1
+// and in very dense chunks, 2-byte pointers, eight offset bytes per sparse
+// chunk with pointers for its real heads only, and one shared 5,424-byte
+// maptable of 4-bit entries — where this process spends a 4-byte word on
+// each (about 1.9x the model, held by TestRealBytes) and a byte per
+// maptable entry. Access counting charges what the hardware performs
+// (Sec. 5.1): codeword, base index, maptable and pointer at level 1 and in
+// a very dense chunk, the same less the base index in a dense one, offsets
+// and pointer in a sparse one. The base-index reads — level 1's and a very
+// dense chunk's — are charged but no longer performed.
 package lulea
 
 import (
-	"math/bits"
-	"sort"
-
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/rtable"
 )
 
-// Tagged pointer: bit 31 set means "chunk index at the next level";
-// otherwise the payload is a next hop, with noRoute meaning no match.
+// Tagged pointer. Bit 31 clear is a leaf: the next hop in the low 16 bits,
+// or noRoute (whose low 16 bits are rtable.NoNextHop) for no match. Bit 31
+// set is a chunk: its encoding in bits 29..30, its slab offset below them.
 type pointer uint32
 
 const (
 	chunkTag         = pointer(1) << 31
+	kindShift        = 29
+	slabOffsetMask   = pointer(1)<<kindShift - 1
 	noRoute          = pointer(0x7fffffff)
 	maptableBytes    = 678 * 16 / 2 // 678 masks x 16 positions x 4 bits
 	codewordBytes    = 2
@@ -55,23 +81,32 @@ const (
 	denseChunkHeads  = 64
 	level1Slots      = 1 << 16
 	chunkSlots       = 256
-	wordsPerBase     = 4 // one base index anchors four codewords
+	wordsPerBase     = 4 // one (modelled) base index anchors four codewords
 	slotsPerWord     = 16
+	chunkWords       = chunkSlots / slotsPerWord
+	sparseWords      = sparseChunkHeads / 4 // eight 1-byte head offsets
+	// batchGroup is how many keys LookupBatch walks a level at a time: the
+	// router's sweeps are 64/ψ = 16 addresses at the benchmark's ψ = 4.
+	batchGroup = 16
 )
 
 func leaf(nh rtable.NextHop) pointer { return pointer(nh) }
 
 func (p pointer) isChunk() bool { return p&chunkTag != 0 }
 
-func (p pointer) payload() uint32 { return uint32(p &^ chunkTag) }
+// kind is a chunk pointer's encoding.
+func (p pointer) kind() chunkKind { return chunkKind(p >> kindShift & 3) }
 
-// codeword is the genuine 16-bit Lulea codeword: a 10-bit maptable id
-// naming the word's head mask (one of the 678 legal masks, see
-// maptable.go) plus the 6-bit head count since the enclosing base point.
-type codeword struct {
-	mask   maskID
-	offset uint16
+// result decodes a leaf after a walk that cost the given accesses.
+func (p pointer) result(accesses int32) lpm.Result {
+	return lpm.Result{NextHop: rtable.NextHop(p), Accesses: accesses, OK: p != noRoute}
 }
+
+// A codeword names its word's head mask by maptable id (bits 16..25: one of
+// the 678 legal masks, see maptable.go) and, in its low 16 bits, counts the
+// heads before the word from the start of the level or chunk — the genuine
+// 6-bit offset with its base index folded in.
+func codeword(mask uint16, before int) uint32 { return uint32(idOf(mask))<<16 | uint32(before) }
 
 // chunkKind selects the chunk encoding by head count.
 type chunkKind uint8
@@ -82,68 +117,27 @@ const (
 	veryDense
 )
 
-// chunk is a compressed 256-slot array at level 2 or 3.
-type chunk struct {
-	kind    chunkKind
-	offsets []uint8    // sparse: head slot positions, ascending
-	code    []codeword // dense/veryDense: 16 codewords
-	base    []uint32   // veryDense: 4 base indexes
-	ptrs    []pointer
-}
-
 // Trie is an immutable Lulea forwarding table built by New.
 type Trie struct {
-	code     []codeword // 4096 level-1 codewords
-	base     []uint32   // 1024 level-1 base indexes
-	ptrs     []pointer  // level-1 head pointers
-	l2, l3   []chunk
-	memBytes int
+	code1    []uint32  // 4096 level-1 codewords
+	ptrs1    []pointer // level-1 head pointers
+	slab     []uint32  // every level-2/3 chunk, at the offset its pointer carries
+	memBytes int       // modelled, see MemoryBytes
+	chunks2  int
+	chunks3  int
 }
 
-var _ lpm.Engine = (*Trie)(nil)
+var _ lpm.BatchEngine = (*Trie)(nil)
 
 // NewEngine adapts New to the lpm.Builder signature.
 func NewEngine(t *rtable.Table) lpm.Engine { return New(t) }
 
-// New builds the three-level structure from a table snapshot.
-func New(t *rtable.Table) *Trie {
-	b := builder{}
-	b.bucket(t)
-	tr := b.build()
-	tr.memBytes = tr.computeMemory()
-	return tr
-}
-
-// builder groups prefixes by level before painting slot arrays.
-type builder struct {
-	l1 []rtable.Route            // len <= 16
-	l2 map[uint32][]rtable.Route // len 17..24, keyed by top 16 bits
-	l3 map[uint32][]rtable.Route // len 25..32, keyed by top 24 bits
-}
-
-func (b *builder) bucket(t *rtable.Table) {
-	b.l2 = make(map[uint32][]rtable.Route)
-	b.l3 = make(map[uint32][]rtable.Route)
-	for _, r := range t.Routes() {
-		switch {
-		case r.Prefix.Len <= 16:
-			b.l1 = append(b.l1, r)
-		case r.Prefix.Len <= 24:
-			b.l2[r.Prefix.Value>>16] = append(b.l2[r.Prefix.Value>>16], r)
-		default:
-			b.l3[r.Prefix.Value>>8] = append(b.l3[r.Prefix.Value>>8], r)
-		}
-	}
-}
-
-// paint writes routes into a slot array in increasing prefix-length order,
-// so longer prefixes overwrite shorter ones. levelLen is the address depth
-// the level's last slot bit corresponds to (16, 24 or 32); the slot index
-// is the address bits ending at levelLen, modulo the array size.
+// paint writes routes into a slot array. Routes come in table order —
+// (value, length), so a prefix precedes every prefix nested in it — and
+// longer prefixes therefore overwrite shorter ones. levelLen is the address
+// depth the level's last slot bit corresponds to (16, 24 or 32); the slot
+// index is the address bits ending at levelLen, modulo the array size.
 func paint(vals []pointer, routes []rtable.Route, levelLen uint8) {
-	sort.SliceStable(routes, func(i, j int) bool {
-		return routes[i].Prefix.Len < routes[j].Prefix.Len
-	})
 	for _, r := range routes {
 		span := 1 << (levelLen - r.Prefix.Len)
 		start := int(r.Prefix.Value>>(32-levelLen)) & (len(vals) - 1)
@@ -153,134 +147,145 @@ func paint(vals []pointer, routes []rtable.Route, levelLen uint8) {
 	}
 }
 
-func (b *builder) build() *Trie {
-	tr := &Trie{}
+// under splits off the leading routes whose address bits above shift are key.
+func under(routes []rtable.Route, shift uint, key uint32) (head, rest []rtable.Route) {
+	n := 0
+	for n < len(routes) && routes[n].Prefix.Value>>shift == key {
+		n++
+	}
+	return routes[:n], routes[n:]
+}
+
+func fill(vals []pointer, p pointer) {
+	for i := range vals {
+		vals[i] = p
+	}
+}
+
+// New builds the three-level structure from a table snapshot.
+func New(t *rtable.Table) *Trie {
+	// Prefixes by the level that stores them, each list still in table order.
+	var short, mid, deep []rtable.Route // length <= 16, 17..24, 25..32
+	for _, r := range t.Routes() {
+		switch {
+		case r.Prefix.Len <= 16:
+			short = append(short, r)
+		case r.Prefix.Len <= 24:
+			mid = append(mid, r)
+		default:
+			deep = append(deep, r)
+		}
+	}
+	tr := &Trie{memBytes: maptableBytes}
 
 	// Level 1: paint the 2^16 genuine values.
 	vals := make([]pointer, level1Slots)
-	for i := range vals {
-		vals[i] = noRoute
-	}
-	paint(vals, b.l1, 16)
+	fill(vals, noRoute)
+	paint(vals, short, 16)
 
-	// Which /16 slots need a level-2 chunk: any with a 17..24-bit prefix,
-	// or with a deeper (25..32) prefix even when no mid-length one exists.
-	need2 := make(map[uint32]bool, len(b.l2))
-	for k := range b.l2 {
-		need2[k] = true
-	}
-	for k := range b.l3 {
-		need2[k>>8] = true
-	}
-	keys2 := make([]uint32, 0, len(need2))
-	for k := range need2 {
-		keys2 = append(keys2, k)
-	}
-	sort.Slice(keys2, func(i, j int) bool { return keys2[i] < keys2[j] })
-
-	for _, s := range keys2 {
-		def := vals[s] // genuine <=16 LPM for the whole /16
-		cvals := make([]pointer, chunkSlots)
-		for i := range cvals {
-			cvals[i] = def
+	// A /16 slot needs a level-2 chunk when it has a 17..24-bit prefix, or
+	// a deeper (25..32) one even when no mid-length one exists. Both lists
+	// ascend, so the next such slot is at the head of one of them.
+	var c2, c3 [chunkSlots]pointer
+	for len(mid)+len(deep) > 0 {
+		s := uint32(level1Slots)
+		if len(mid) > 0 {
+			s = mid[0].Prefix.Value >> 16
 		}
-		paint(cvals, b.l2[s], 24)
-
-		// Level-3 chunks nested under this /16.
-		for u := 0; u < chunkSlots; u++ {
-			key3 := s<<8 | uint32(u)
-			routes3, ok := b.l3[key3]
-			if !ok {
-				continue
-			}
-			def3 := cvals[u]
-			c3vals := make([]pointer, chunkSlots)
-			for i := range c3vals {
-				c3vals[i] = def3
-			}
-			paint(c3vals, routes3, 32)
-			tr.l3 = append(tr.l3, compress(c3vals))
-			cvals[u] = chunkTag | pointer(len(tr.l3)-1)
+		if len(deep) > 0 {
+			s = min(s, deep[0].Prefix.Value>>16)
 		}
-
-		tr.l2 = append(tr.l2, compress(cvals))
-		vals[s] = chunkTag | pointer(len(tr.l2)-1)
+		var m, d, d3 []rtable.Route
+		m, mid = under(mid, 16, s)
+		d, deep = under(deep, 16, s)
+		fill(c2[:], vals[s]) // genuine <=16 LPM for the whole /16
+		paint(c2[:], m, 24)
+		// Level-3 chunks nested under this /16: one per /24 with a deep prefix.
+		for len(d) > 0 {
+			u := d[0].Prefix.Value >> 8
+			d3, d = under(d, 8, u)
+			fill(c3[:], c2[u%chunkSlots])
+			paint(c3[:], d3, 32)
+			c2[u%chunkSlots] = tr.emit(c3[:])
+			tr.chunks3++
+		}
+		vals[s] = tr.emit(c2[:])
+		tr.chunks2++
 	}
-
-	// Compress level 1 into codewords / base indexes / pointers. Heads
-	// follow the complete-prune rule (aligned leaves), so every word's
-	// mask is one of the 678 legal maptable masks.
-	headBits := make([]bool, level1Slots)
-	markHeads(vals, headBits, 0, level1Slots)
-	tr.code = make([]codeword, level1Slots/slotsPerWord)
-	tr.base = make([]uint32, level1Slots/(slotsPerWord*wordsPerBase))
-	heads := 0
-	for w := 0; w < len(tr.code); w++ {
-		if w%wordsPerBase == 0 {
-			tr.base[w/wordsPerBase] = uint32(heads)
-		}
-		var mask uint16
-		for i := 0; i < slotsPerWord; i++ {
-			s := w*slotsPerWord + i
-			if headBits[s] {
-				mask |= 1 << (15 - uint(i))
-				tr.ptrs = append(tr.ptrs, vals[s])
-			}
-		}
-		tr.code[w] = codeword{mask: idOf(mask), offset: uint16(heads - int(tr.base[w/wordsPerBase]))}
-		heads += bits.OnesCount16(mask)
+	if len(tr.slab) > int(slabOffsetMask) {
+		panic("lulea: slab outgrew the chunk pointers' offset bits")
 	}
+	// Clip to the exact length: append's slack would live as long as the trie.
+	tr.slab = append(make([]uint32, 0, len(tr.slab)), tr.slab...)
+
+	// Compress level 1 into codewords and pointers. Heads follow the
+	// complete-prune rule (aligned leaves), so every word's mask is one of
+	// the 678 legal maptable masks.
+	heads := make([]bool, level1Slots)
+	tr.code1 = make([]uint32, level1Slots/slotsPerWord)
+	tr.ptrs1 = make([]pointer, markHeads(vals, heads, 0, level1Slots))
+	encode(vals, heads, tr.code1, tr.ptrs1)
+	tr.memBytes += len(tr.code1)*codewordBytes + len(tr.code1)/wordsPerBase*baseIndexBytes + len(tr.ptrs1)*pointerBytes
 	return tr
 }
 
-// compress encodes a 256-slot value array as a chunk, choosing the density
-// by head count. Heads follow the complete-prune rule so dense and very
-// dense chunks get legal maptable masks.
-func compress(vals []pointer) chunk {
-	headBits := make([]bool, len(vals))
-	markHeads(vals, headBits, 0, len(vals))
-	var headPos []uint8
-	var ptrs []pointer
-	for s := range vals {
-		if headBits[s] {
-			headPos = append(headPos, uint8(s))
-			ptrs = append(ptrs, vals[s])
-		}
-	}
-	switch {
-	case len(headPos) <= sparseChunkHeads:
-		return chunk{kind: sparse, offsets: headPos, ptrs: ptrs}
-	default:
-		c := chunk{ptrs: ptrs, code: make([]codeword, chunkSlots/slotsPerWord)}
-		heads := 0
-		if len(headPos) <= denseChunkHeads {
-			c.kind = dense
-		} else {
-			c.kind = veryDense
-			c.base = make([]uint32, len(c.code)/wordsPerBase)
-		}
-		hi := 0
-		for w := 0; w < len(c.code); w++ {
-			if c.kind == veryDense && w%wordsPerBase == 0 {
-				c.base[w/wordsPerBase] = uint32(heads)
+// encode compresses vals into one codeword per 16 slots and the head
+// pointers in slot order; the caller sizes code and ptrs.
+func encode[T ~uint32](vals []pointer, heads []bool, code []uint32, ptrs []T) {
+	n := 0
+	for w := range code {
+		var mask uint16
+		before := n
+		for i := 0; i < slotsPerWord; i++ {
+			if s := w*slotsPerWord + i; heads[s] {
+				mask |= 1 << (15 - uint(i))
+				ptrs[n] = T(vals[s])
+				n++
 			}
-			var mask uint16
-			for i := 0; i < slotsPerWord; i++ {
-				s := uint8(w*slotsPerWord + i)
-				if hi < len(headPos) && headPos[hi] == s {
-					mask |= 1 << (15 - uint(i))
-					hi++
+		}
+		code[w] = codeword(mask, before)
+	}
+}
+
+// emit appends a 256-slot value array to the slab as one self-contained
+// chunk, choosing the density by head count and charging the chunk's
+// modelled bytes, and returns the pointer to it. Heads follow the
+// complete-prune rule so dense and very dense chunks get legal maptable
+// masks.
+func (tr *Trie) emit(vals []pointer) pointer {
+	var heads [chunkSlots]bool
+	n, at := markHeads(vals, heads[:], 0, chunkSlots), len(tr.slab)
+	tr.memBytes += chunkHandleBytes + n*pointerBytes
+	if n <= sparseChunkHeads {
+		// Two words of head offsets, ascending from the low byte of the
+		// first, then the eight pointers. Places past the last head repeat
+		// it, so descend's scan needs no length.
+		tr.memBytes += sparseChunkHeads
+		tr.slab = append(tr.slab, make([]uint32, sparseWords+sparseChunkHeads)...)
+		c := tr.slab[at:]
+		s := 0 // slot 0 is always a head
+		for k := 0; k < sparseChunkHeads; k++ {
+			c[k/4] |= uint32(s) << (k % 4 * 8)
+			c[sparseWords+k] = uint32(vals[s])
+			for next := s + 1; next < chunkSlots; next++ {
+				if heads[next] {
+					s = next
+					break
 				}
 			}
-			off := heads
-			if c.kind == veryDense {
-				off -= int(c.base[w/wordsPerBase])
-			}
-			c.code[w] = codeword{mask: idOf(mask), offset: uint16(off)}
-			heads += bits.OnesCount16(mask)
 		}
-		return c
+		return chunkTag | pointer(sparse)<<kindShift | pointer(at)
 	}
+	// Sixteen codewords, then the pointers they index.
+	kind := dense
+	tr.memBytes += chunkWords * codewordBytes
+	if n > denseChunkHeads {
+		kind = veryDense
+		tr.memBytes += chunkWords / wordsPerBase * baseIndexBytes
+	}
+	tr.slab = append(tr.slab, make([]uint32, chunkWords+n)...)
+	encode(vals, heads[:], tr.slab[at:at+chunkWords], tr.slab[at+chunkWords:])
+	return chunkTag | pointer(kind)<<kindShift | pointer(at)
 }
 
 // headIndex is the maptable lookup: the number of heads at slot positions
@@ -290,82 +295,85 @@ func headIndex(id maskID, bit uint32) int {
 	return int(headCount[id][bit])
 }
 
-// lookup resolves one slot within a chunk, adding its memory accesses.
-func (c *chunk) lookup(slot uint8, accesses *int) pointer {
-	switch c.kind {
-	case sparse:
+// index is a codeword's pointer index for one of its word's slots.
+func index(cw, bit uint32) uint32 {
+	return cw&0xffff + uint32(headIndex(maskID(cw>>16), bit)) - 1
+}
+
+// level1 resolves the address's /16 slot: codeword, maptable, pointer.
+func (tr *Trie) level1(a ip.Addr) pointer {
+	ix := uint32(a) >> 16
+	return tr.ptrs1[index(tr.code1[ix/slotsPerWord], ix%slotsPerWord)]
+}
+
+// descend resolves one slot of the chunk p points to, returning what the
+// slot holds and the memory accesses Sec. 5.1 charges for the chunk's kind.
+func (tr *Trie) descend(p pointer, slot uint32) (pointer, int32) {
+	kind, c := p.kind(), tr.slab[p&slabOffsetMask:]
+	if kind == sparse {
 		// All eight offsets fit one 64-bit word: one access, plus the
-		// pointer fetch.
-		*accesses += 2
-		i := len(c.offsets) - 1
-		for i > 0 && c.offsets[i] > slot {
+		// pointer fetch. The first offset is 0, which ends the scan.
+		offs, i := uint64(c[1])<<32|uint64(c[0]), uint(sparseChunkHeads-1)
+		for uint32(offs>>(i*8))&0xff > slot {
 			i--
 		}
-		return c.ptrs[i]
-	case dense:
-		*accesses += 3 // codeword + maptable + pointer
-		w := slot / slotsPerWord
-		cw := c.code[w]
-		return c.ptrs[int(cw.offset)+headIndex(cw.mask, uint32(slot%slotsPerWord))-1]
-	default: // veryDense
-		*accesses += 4 // codeword + base + maptable + pointer
-		w := slot / slotsPerWord
-		cw := c.code[w]
-		base := c.base[w/wordsPerBase]
-		return c.ptrs[int(base)+int(cw.offset)+headIndex(cw.mask, uint32(slot%slotsPerWord))-1]
+		return pointer(c[sparseWords+i]), 2
 	}
+	// dense: codeword + maptable + pointer; veryDense charges its base
+	// index too.
+	return pointer(c[chunkWords+index(c[slot/slotsPerWord], slot%slotsPerWord)]), 2 + int32(kind)
 }
 
 // Lookup implements lpm.Engine. Level 1 always costs 4 accesses (codeword,
 // base index, maptable, pointer); each deeper level adds its chunk cost.
 func (tr *Trie) Lookup(a ip.Addr) (rtable.NextHop, int, bool) {
-	accesses := 4
-	ix := a >> 16
-	cw := tr.code[ix/slotsPerWord]
-	base := tr.base[ix/(slotsPerWord*wordsPerBase)]
-	p := tr.ptrs[int(base)+int(cw.offset)+headIndex(cw.mask, ix%slotsPerWord)-1]
-	if p.isChunk() {
-		p = tr.l2[p.payload()].lookup(uint8(a>>8), &accesses)
-		if p.isChunk() {
-			p = tr.l3[p.payload()].lookup(uint8(a), &accesses)
+	p, accesses := tr.level1(a), int32(4)
+	for shift := 8; p.isChunk(); shift -= 8 {
+		var n int32
+		p, n = tr.descend(p, uint32(a)>>shift&(chunkSlots-1))
+		accesses += n
+	}
+	r := p.result(accesses)
+	return r.NextHop, int(r.Accesses), r.OK
+}
+
+// LookupBatch implements lpm.BatchEngine a level per pass: batchGroup keys
+// take level 1, then those holding a chunk pointer level 2, then level 3,
+// so the group's loads are independent of one another and overlap where
+// Lookup's chain of three serialises. The group's state is two stack
+// arrays; nothing is kept on the trie.
+func (tr *Trie) LookupBatch(addrs []ip.Addr, out []lpm.Result) {
+	for len(addrs) > 0 {
+		n := min(len(addrs), batchGroup)
+		var p [batchGroup]pointer
+		var accesses [batchGroup]int32
+		for i, a := range addrs[:n] {
+			p[i], accesses[i] = tr.level1(a), 4
 		}
+		for _, shift := range [2]uint{8, 0} {
+			for i, a := range addrs[:n] {
+				if p[i].isChunk() {
+					var c int32
+					p[i], c = tr.descend(p[i], uint32(a)>>shift&(chunkSlots-1))
+					accesses[i] += c
+				}
+			}
+		}
+		for i := range addrs[:n] {
+			out[i] = p[i].result(accesses[i])
+		}
+		addrs, out = addrs[n:], out[n:]
 	}
-	if p == noRoute {
-		return rtable.NoNextHop, accesses, false
-	}
-	return rtable.NextHop(p.payload()), accesses, true
-}
-
-func (c *chunk) memory() int {
-	m := chunkHandleBytes + len(c.ptrs)*pointerBytes
-	switch c.kind {
-	case sparse:
-		m += sparseChunkHeads // eight 1-byte offsets
-	case dense:
-		m += len(c.code) * codewordBytes
-	default:
-		m += len(c.code)*codewordBytes + len(c.base)*baseIndexBytes
-	}
-	return m
-}
-
-func (tr *Trie) computeMemory() int {
-	m := maptableBytes
-	m += len(tr.code)*codewordBytes + len(tr.base)*baseIndexBytes + len(tr.ptrs)*pointerBytes
-	for i := range tr.l2 {
-		m += tr.l2[i].memory()
-	}
-	for i := range tr.l3 {
-		m += tr.l3[i].memory()
-	}
-	return m
 }
 
 // MemoryBytes reports the modelled on-chip footprint.
 func (tr *Trie) MemoryBytes() int { return tr.memBytes }
 
+// realBytes is what the three arrays occupy in this process.
+func (tr *Trie) realBytes() int { return (cap(tr.code1) + cap(tr.ptrs1) + cap(tr.slab)) * 4 }
+
 // Name implements lpm.Engine.
 func (tr *Trie) Name() string { return "lulea" }
 
 // Chunks returns the level-2 and level-3 chunk counts (structure stats).
-func (tr *Trie) Chunks() (l2, l3 int) { return len(tr.l2), len(tr.l3) }
+func (tr *Trie) Chunks() (l2, l3 int) { return tr.chunks2, tr.chunks3 }

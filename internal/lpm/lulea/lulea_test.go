@@ -1,10 +1,15 @@
 package lulea
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"spal/internal/ip"
+	"spal/internal/lpm"
+	"spal/internal/partition"
 	"spal/internal/rtable"
+	"spal/internal/stats"
 )
 
 func table(cidrs ...string) *rtable.Table {
@@ -125,13 +130,18 @@ func TestChunkDensities(t *testing.T) {
 	}))
 	denseT := New(alt(16))
 	vdenseT := New(alt(64))
-	if k := sparseT.l3[0].kind; k != sparse {
+	// The kind of the level-3 chunk level 2's slot for 10.1.2 points to.
+	l3kind := func(tr *Trie) chunkKind {
+		p, _ := tr.descend(tr.level1(0x0a010200), 2)
+		return p.kind()
+	}
+	if k := l3kind(sparseT); k != sparse {
 		t.Errorf("2 host routes: kind = %d, want sparse", k)
 	}
-	if k := denseT.l3[0].kind; k != dense {
+	if k := l3kind(denseT); k != dense {
 		t.Errorf("32 host routes: kind = %d, want dense", k)
 	}
-	if k := vdenseT.l3[0].kind; k != veryDense {
+	if k := l3kind(vdenseT); k != veryDense {
 		t.Errorf("128 host routes: kind = %d, want veryDense", k)
 	}
 	// All three must still answer correctly at every slot of the /24.
@@ -205,8 +215,8 @@ func TestMemoryAccounting(t *testing.T) {
 // produce very few level-1 pointers.
 func TestRunCompression(t *testing.T) {
 	tr := New(table("0.0.0.0/0"))
-	if len(tr.ptrs) != 1 {
-		t.Errorf("default route should compress to 1 head, got %d", len(tr.ptrs))
+	if len(tr.ptrs1) != 1 {
+		t.Errorf("default route should compress to 1 head, got %d", len(tr.ptrs1))
 	}
 }
 
@@ -220,6 +230,247 @@ func TestAccessBounds(t *testing.T) {
 		_, acc, _ := tr.Lookup(r.Prefix.FirstAddr())
 		if acc < 4 || acc > 12 {
 			t.Fatalf("accesses = %d outside [4,12] for %s", acc, r.Prefix)
+		}
+	}
+}
+
+// crafted builds a table with a level-2 chunk of every shape the slab
+// stores, each under its own 10.k.0.0/16 (next hop 1; every other route
+// gets a next hop of its own, so no two neighbouring leaves merge), and
+// returns the kind each /16's chunk must have. Head counts follow the
+// complete-prune rule.
+func crafted() (*rtable.Table, map[ip.Addr]chunkKind) {
+	var routes []rtable.Route
+	next := rtable.NextHop(1)
+	add := func(format string, args ...any) {
+		next++
+		routes = append(routes, rtable.Route{Prefix: ip.MustPrefix(fmt.Sprintf(format, args...)), NextHop: next})
+	}
+	kinds := map[ip.Addr]chunkKind{}
+	slash16 := func(k int, kind chunkKind) {
+		routes = append(routes, rtable.Route{Prefix: ip.MustPrefix(fmt.Sprintf("10.%d.0.0/16", k)), NextHop: 1})
+		kinds[ip.Addr(10<<24|k<<16)] = kind
+	}
+	// One head: a /17 that repeats the /16's next hop.
+	slash16(1, sparse)
+	routes = append(routes, rtable.Route{Prefix: ip.MustPrefix("10.1.128.0/17"), NextHop: 1})
+	// k = 2..9 heads: the upper half split k-1 times — heads at slots 0,
+	// 128, 192, ..., so eight heads end at slot 254 and the ninth lands on
+	// slot 255. A head at 255 takes all eight splits above it: the densest
+	// sparse chunk cannot have one, the sparsest dense chunk here does.
+	for k := 2; k <= 9; k++ {
+		kind := sparse
+		if k > sparseChunkHeads {
+			kind = dense
+		}
+		slash16(k, kind)
+		for split := 1; split < k; split++ {
+			add("10.%d.%d.0/%d", k, 256-256>>split, 16+split)
+		}
+	}
+	// 64 heads: 64 /22s. 65: the last of them as two /23s.
+	slash16(64, dense)
+	slash16(65, veryDense)
+	for i := 0; i < 63; i++ {
+		add("10.64.%d.0/22", 4*i)
+		add("10.65.%d.0/22", 4*i)
+	}
+	add("10.64.252.0/22")
+	add("10.65.252.0/23")
+	add("10.65.254.0/23")
+	// 256 heads: a /24 on every slot; one of them over a level-3 chunk of
+	// alternating host routes (35 heads: dense).
+	slash16(100, veryDense)
+	for u := 0; u < 256; u++ {
+		add("10.100.%d.0/24", u)
+	}
+	for i := 0; i < 16; i++ {
+		add("10.100.7.%d/32", 2*i)
+	}
+	// A level-3 chunk under a /16 that has no 17..24-bit prefix, and one
+	// whose /24 is the last slot of its level-2 chunk.
+	add("11.0.0.0/8")
+	add("11.1.2.240/28")
+	add("11.1.255.255/32")
+	return rtable.New(routes), kinds
+}
+
+// agree requires rtable.LongestMatch's verdict for every address from both
+// Lookup and LookupBatch, and the same access count from the two.
+func agree(t *testing.T, tbl *rtable.Table, tr *Trie, addrs []ip.Addr) {
+	t.Helper()
+	out := make([]lpm.Result, len(addrs))
+	tr.LookupBatch(addrs, out)
+	for i, a := range addrs {
+		want, wantOK := tbl.LongestMatch(a)
+		nh, acc, ok := tr.Lookup(a)
+		if ok != wantOK || nh != want.NextHop {
+			t.Fatalf("Lookup(%s) = (%d,%v), table says (%d,%v)", ip.FormatAddr(a), nh, ok, want.NextHop, wantOK)
+		}
+		if out[i] != (lpm.Result{NextHop: nh, Accesses: int32(acc), OK: ok}) {
+			t.Fatalf("LookupBatch[%d] for %s = %+v, Lookup says (%d,%d,%v)", i, ip.FormatAddr(a), out[i], nh, acc, ok)
+		}
+	}
+}
+
+// edges lists, for every prefix of the table, the addresses either side of
+// both its ends (wrapping at the ends of the address space, where the
+// neighbour is an address all the same): where a walk changes slot, word,
+// chunk or level.
+func edges(tbl *rtable.Table) []ip.Addr {
+	var addrs []ip.Addr
+	for _, r := range tbl.Routes() {
+		first, last := r.Prefix.FirstAddr(), r.Prefix.LastAddr()
+		addrs = append(addrs, first-1, first, last, last+1)
+	}
+	return addrs
+}
+
+func TestSlabEdges(t *testing.T) {
+	craftedTbl, _ := crafted()
+	tables := map[string]*rtable.Table{
+		"RT1":          rtable.RT1(),
+		"RT2/psi4/lc2": partition.Partition(rtable.RT2(), 4).Table(2),
+		"crafted":      craftedTbl,
+		"default-only": table("0.0.0.0/0"),
+		"empty":        rtable.New(nil),
+	}
+	if !testing.Short() {
+		tables["RT2"] = rtable.RT2()
+	}
+	for name, tbl := range tables {
+		agree(t, tbl, New(tbl), append(edges(tbl), 0, 1<<32-1))
+		if t.Failed() {
+			t.Fatalf("on %s", name)
+		}
+	}
+}
+
+// TestSlabChunkShapes checks that each crafted /16 got the encoding its
+// head count calls for, charges the accesses of that encoding, and answers
+// correctly on every slot — and every address of the two level-3 chunks.
+func TestSlabChunkShapes(t *testing.T) {
+	tbl, kinds := crafted()
+	tr := New(tbl)
+	var addrs []ip.Addr
+	for base, kind := range kinds {
+		p := tr.level1(base)
+		if !p.isChunk() || p.kind() != kind {
+			t.Errorf("%s/16: chunk %v kind %d, want kind %d", ip.FormatAddr(base), p.isChunk(), p.kind(), kind)
+		}
+		if _, acc, _ := tr.Lookup(base | 1<<8); acc != 4+2+int(kind) {
+			t.Errorf("%s/16: a level-2 leaf cost %d accesses, want %d", ip.FormatAddr(base), acc, 4+2+int(kind))
+		}
+		for u := ip.Addr(0); u < chunkSlots; u++ {
+			addrs = append(addrs, base|u<<8, base|u<<8|255)
+		}
+	}
+	for _, s := range []string{"10.100.7.0", "11.1.2.0", "11.1.255.0"} {
+		base, _ := ip.ParseAddr(s)
+		for u := ip.Addr(0); u < chunkSlots; u++ {
+			addrs = append(addrs, base|u)
+		}
+	}
+	agree(t, tbl, tr, addrs)
+	if l2, l3 := tr.Chunks(); l2 != len(kinds)+1 || l3 != 3 {
+		t.Errorf("chunks = %d/%d, want %d/3", l2, l3, len(kinds)+1)
+	}
+}
+
+// TestLookupBatchGroupEdges runs LookupBatch at lengths around the group
+// size and checks it writes out[:len(addrs)] and nothing past it.
+func TestLookupBatchGroupEdges(t *testing.T) {
+	tbl := rtable.Small(5000, 11)
+	tr := New(tbl)
+	rng := stats.NewRNG(12)
+	for _, n := range []int{0, 1, batchGroup - 1, batchGroup, batchGroup + 1, 2*batchGroup + 1, 1000} {
+		addrs := make([]ip.Addr, n)
+		for i := range addrs {
+			addrs[i] = tbl.RandomMatchedAddr(rng)
+			if i%3 == 0 {
+				addrs[i] = rng.Uint32()
+			}
+		}
+		guard := lpm.Result{NextHop: 0xbeef, Accesses: -1}
+		out := make([]lpm.Result, n+1)
+		out[n] = guard
+		tr.LookupBatch(addrs, out)
+		if out[n] != guard {
+			t.Fatalf("n = %d: LookupBatch wrote past len(addrs)", n)
+		}
+		agree(t, tbl, tr, addrs)
+	}
+}
+
+func TestLookupAllocs(t *testing.T) {
+	tbl := rtable.Small(5000, 11)
+	tr := New(tbl)
+	rng := stats.NewRNG(13)
+	addrs := make([]ip.Addr, 100)
+	for i := range addrs {
+		addrs[i] = tbl.RandomMatchedAddr(rng)
+	}
+	out := make([]lpm.Result, len(addrs))
+	if n := testing.AllocsPerRun(100, func() {
+		lpm.LookupAll(tr, addrs, out)
+		tr.Lookup(addrs[0])
+	}); n != 0 {
+		t.Fatalf("LookupBatch + Lookup allocate %.1f per run", n)
+	}
+}
+
+// TestConcurrentLookups shares one trie among four goroutines: LookupBatch
+// keeps its state on the stack, so -race must stay quiet and every
+// goroutine must read the answers a lone caller reads.
+func TestConcurrentLookups(t *testing.T) {
+	tbl := rtable.Small(5000, 11)
+	tr := New(tbl)
+	rng := stats.NewRNG(14)
+	addrs := make([]ip.Addr, 999)
+	for i := range addrs {
+		addrs[i] = tbl.RandomMatchedAddr(rng)
+	}
+	want := make([]lpm.Result, len(addrs))
+	tr.LookupBatch(addrs, want)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]lpm.Result, len(addrs))
+			for round := 0; round < 50; round++ {
+				tr.LookupBatch(addrs, out)
+				for i, a := range addrs {
+					nh, acc, ok := tr.Lookup(a)
+					if out[i] != want[i] || want[i] != (lpm.Result{NextHop: nh, Accesses: int32(acc), OK: ok}) {
+						t.Errorf("round %d: %s resolved differently under concurrency", round, ip.FormatAddr(a))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRealBytes gates the bytes the three arrays really occupy against the
+// bytes the paper's model counts (Fig. 3): a slab word is 4 bytes where the
+// model counts 2, so about 1.9x; the chunk-per-allocation layout before the
+// slab retained 7.2x.
+func TestRealBytes(t *testing.T) {
+	full := rtable.RT2()
+	parts := partition.Partition(full, 4)
+	tables := []*rtable.Table{full}
+	for lc := 0; lc < 4; lc++ {
+		tables = append(tables, parts.Table(lc))
+	}
+	for i, tbl := range tables {
+		tr := New(tbl)
+		if real, model := tr.realBytes(), tr.MemoryBytes(); float64(real) > 2.2*float64(model) {
+			t.Errorf("table %d: %d real bytes for %d modelled (%.2fx), want <= 2.2x", i, real, model, float64(real)/float64(model))
+		}
+		if cap(tr.slab) != len(tr.slab) {
+			t.Errorf("table %d: slab keeps %d words of slack", i, cap(tr.slab)-len(tr.slab))
 		}
 	}
 }
