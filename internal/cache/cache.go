@@ -22,10 +22,22 @@
 //   - Flush: a routing-table update invalidates every block (paper
 //     assumption); pending waiters are returned to the caller so the
 //     simulator can reissue them.
+//
+// On a general-purpose CPU an access costs the lines it touches and the
+// branches it misses, so the replacement decision reads a set — one line —
+// once: chooseVictim gathers in a single pass the valid blocks per class,
+// the first free block and each class's oldest complete block, and decides
+// from those. The victim cache is a recency list, oldest first: every write
+// to it makes a block its newest, so an eviction appends (replacing the
+// head when full) without a scan or a stamp. Blocks are written in place,
+// field by field or copied whole: a block assembled on the stack and then
+// copied is a wide load of narrow stores, which the store buffer cannot
+// forward.
 package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"spal/internal/ip"
 	"spal/internal/metrics"
@@ -143,13 +155,14 @@ type Cache struct {
 	cfg     Config
 	blocks  []entry // set s is blocks[s*Assoc : (s+1)*Assoc]
 	setMask int
+	quota   [2]int // blocks of a set devoted to each class, by Origin: γ's share to REM, the rest to LOC
 	// wait[i] is the list of packets parked on waiting block i, allocated
 	// by the first RecordMiss or AddWaiter (a caller that only Reserves
 	// never pays for it). Keeping the lists out of line is sound because a
 	// waiting block never moves: chooseVictim — and so promote, reserve and
 	// Fill's insert — invalidate and AuditEntries all skip W blocks.
 	wait   [][]int64
-	victim []entry
+	victim []entry // recency list, least recently written first; cap is VictimBlocks
 	clock  uint64
 	rng    *stats.RNG
 	stat   Stats
@@ -180,11 +193,16 @@ func NewErr(cfg Config) (*Cache, error) {
 	if cfg.MixPercent < 0 || cfg.MixPercent > 100 {
 		return nil, fmt.Errorf("cache: MixPercent %d out of range [0,100]", cfg.MixPercent)
 	}
+	if cfg.VictimBlocks < 0 {
+		return nil, fmt.Errorf("cache: VictimBlocks %d is negative", cfg.VictimBlocks)
+	}
+	rem := cfg.Assoc * cfg.MixPercent / 100
 	return &Cache{
 		cfg:     cfg,
 		blocks:  make([]entry, cfg.Blocks),
 		setMask: numSets - 1,
-		victim:  make([]entry, cfg.VictimBlocks),
+		quota:   [2]int{LOC: cfg.Assoc - rem, REM: rem},
+		victim:  make([]entry, 0, cfg.VictimBlocks),
 		rng:     stats.NewRNG(cfg.Seed ^ 0xcafe),
 	}, nil
 }
@@ -223,8 +241,7 @@ func (c *Cache) Probe(a ip.Addr) ProbeResult {
 		}
 	}
 	for i := range c.victim {
-		v := &c.victim[i]
-		if v.state != invalid && v.addr == a {
+		if v := &c.victim[i]; v.addr == a {
 			c.stat.HitVictims++
 			res := ProbeResult{Kind: HitVictim, NextHop: v.nextHop, Origin: v.origin}
 			c.promote(i)
@@ -235,43 +252,24 @@ func (c *Cache) Probe(a ip.Addr) ProbeResult {
 	return ProbeResult{Kind: Miss}
 }
 
-// promote swaps victim block vi back into its home set, demoting the
-// set's replacement choice into the victim slot.
+// promote moves victim block vi back into its home set and appends the
+// block the set gives up for it to the list. With no slot for its class
+// (zero quota, or every candidate waiting) the hit stays in the victim
+// cache, as its newest block.
 func (c *Cache) promote(vi int) {
 	v := c.victim[vi]
+	c.victim = slices.Delete(c.victim, vi, vi+1)
 	set, _ := c.setOf(v.addr)
 	slot := c.chooseVictim(set, v.origin)
 	if slot < 0 {
-		// No slot for this class (zero quota or all waiting): leave the
-		// entry in the victim cache but refresh its recency.
-		c.victim[vi].stamp = c.tick()
+		c.victim = append(c.victim, v)
 		return
 	}
-	evicted := set[slot]
-	v.stamp = c.tick()
+	if set[slot].state != invalid {
+		c.victim = append(c.victim, set[slot])
+	}
 	set[slot] = v
-	if evicted.state != invalid {
-		evicted.stamp = c.tick()
-		c.victim[vi] = evicted
-	} else {
-		c.victim[vi] = entry{}
-	}
-}
-
-// classCounts tallies valid blocks per M class, counting waiting blocks in
-// their tentative class (the caller declared the origin at RecordMiss).
-func classCounts(set []entry) (loc, rem int) {
-	for i := range set {
-		if set[i].state == invalid {
-			continue
-		}
-		if set[i].origin == LOC {
-			loc++
-		} else {
-			rem++
-		}
-	}
-	return loc, rem
+	set[slot].stamp = c.tick()
 }
 
 // chooseVictim picks the slot for inserting a block of the given class.
@@ -280,65 +278,56 @@ func classCounts(set []entry) (loc, rem int) {
 // share replaces within the class, even when free blocks remain, and a
 // class with zero quota is simply not cached. It returns -1 when no slot
 // is available (zero quota, or every candidate is waiting).
+//
+// One pass over the set gathers all it decides from, per class in arrays
+// indexed by the M bit — a block's class is a coin flip to the branch
+// predictor: n, the valid blocks (waiting ones in the tentative class their
+// reservation declared), oldest, the complete block with the smallest stamp
+// (what LRU and FIFO both evict), and the first free block. (The M bit is
+// masked where it indexes, which spares each access its bounds check.)
 func (c *Cache) chooseVictim(set []entry, class Origin) int {
-	loc, rem := classCounts(set)
-	remQuota := c.cfg.Assoc * c.cfg.MixPercent / 100
-	locQuota := c.cfg.Assoc - remQuota
-
-	candidate := func(class Origin, restrict bool) int {
-		best, seen := -1, 0
-		for i := range set {
-			e := &set[i]
-			if e.state != complete || (restrict && e.origin != class) {
-				continue
-			}
-			seen++
-			if best < 0 {
-				best = i
-				continue
-			}
-			switch c.cfg.Policy {
-			case Random:
-				// Reservoir sampling: the k-th candidate replaces the
-				// choice with probability 1/k, giving a uniform pick.
-				if c.rng.Intn(seen) == 0 {
-					best = i
-				}
-			default: // LRU and FIFO both evict the smallest stamp
-				if e.stamp < set[best].stamp {
-					best = i
-				}
-			}
-		}
-		return best
-	}
-
-	// Class at (or past) its allocation: replace within the class. With a
-	// zero quota there are no candidates and the insert is declined.
-	if class == REM && rem >= remQuota {
-		return candidate(REM, true)
-	}
-	if class == LOC && loc >= locQuota {
-		return candidate(LOC, true)
-	}
+	var n [2]int
+	oldest, stamp, free := [2]int{-1, -1}, [2]uint64{^uint64(0), ^uint64(0)}, -1
 	for i := range set {
-		if set[i].state == invalid {
-			return i
+		e := &set[i]
+		if e.state == invalid {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		o := e.origin & 1
+		n[o]++
+		if e.state == complete && e.stamp < stamp[o] {
+			oldest[o], stamp[o] = i, e.stamp
 		}
 	}
-	// Set full but this class is under quota: the other class must be
-	// over its share; evict from it.
-	if rem > remQuota {
-		if i := candidate(REM, true); i >= 0 {
-			return i
+	// A class at (or past) its allocation replaces within itself. Under it, a
+	// free block is taken first; in a full set the other class is then over
+	// its share and gives a block up, unless all of its blocks are waiting.
+	from := class & 1
+	if n[from] < c.quota[from] {
+		if free >= 0 {
+			return free
+		}
+		if oldest[from^1] >= 0 {
+			from ^= 1
 		}
 	}
-	if loc > locQuota {
-		if i := candidate(LOC, true); i >= 0 {
-			return i
+	if c.cfg.Policy != Random {
+		return oldest[from]
+	}
+	// Reservoir sampling over from's complete blocks: the k-th candidate
+	// replaces the choice with probability 1/k, giving a uniform pick.
+	best, seen := -1, 0
+	for i := range set {
+		if e := &set[i]; e.state == complete && e.origin == from {
+			if seen++; seen == 1 || c.rng.Intn(seen) == 0 {
+				best = i
+			}
 		}
 	}
-	return candidate(LOC, false)
+	return best
 }
 
 // Reserve records a waiting block for addr ("early cache block
@@ -386,34 +375,26 @@ func (c *Cache) reserve(a ip.Addr, origin Origin) int {
 		c.stat.Bypasses++
 		return -1
 	}
-	if set[slot].state != invalid {
-		c.evictToVictim(set, slot)
+	e := &set[slot]
+	if e.state != invalid {
+		c.evictToVictim(e)
 	}
-	set[slot] = entry{state: waiting, origin: origin, addr: a, stamp: c.tick()}
+	e.stamp, e.addr, e.nextHop, e.state, e.origin = c.tick(), a, 0, waiting, origin
 	c.stat.Recorded++
 	return base + slot
 }
 
-// evictToVictim moves a complete block into the victim cache (LRU among
-// victim slots).
-func (c *Cache) evictToVictim(set []entry, slot int) {
+// evictToVictim makes complete block e the victim cache's newest, in a
+// free block if there is one, else in place of the oldest.
+func (c *Cache) evictToVictim(e *entry) {
 	c.stat.Evictions++
-	if len(c.victim) == 0 {
+	if cap(c.victim) == 0 {
 		return
 	}
-	vslot := 0
-	for i := range c.victim {
-		if c.victim[i].state == invalid {
-			vslot = i
-			break
-		}
-		if c.victim[i].stamp < c.victim[vslot].stamp {
-			vslot = i
-		}
+	if len(c.victim) == cap(c.victim) {
+		c.victim = c.victim[:copy(c.victim, c.victim[1:])] // the oldest goes
 	}
-	e := set[slot]
-	e.stamp = c.tick()
-	c.victim[vslot] = e
+	c.victim = append(c.victim, *e)
 }
 
 // AddWaiter parks a packet on addr's waiting block (after Probe returned
@@ -452,7 +433,7 @@ func (c *Cache) Fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64 {
 			// a just-refreshed entry as the oldest in its set and evict it
 			// first.
 			wasWaiting := e.state == waiting
-			*e = entry{state: complete, origin: origin, addr: a, nextHop: nh, stamp: c.tick()}
+			e.stamp, e.nextHop, e.state, e.origin = c.tick(), nh, complete, origin
 			if !wasWaiting || c.wait == nil {
 				return nil
 			}
@@ -463,10 +444,11 @@ func (c *Cache) Fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64 {
 	}
 	// No reserved block: best-effort insert.
 	if slot := c.chooseVictim(set, origin); slot >= 0 {
-		if set[slot].state != invalid {
-			c.evictToVictim(set, slot)
+		e := &set[slot]
+		if e.state != invalid {
+			c.evictToVictim(e)
 		}
-		set[slot] = entry{state: complete, origin: origin, addr: a, nextHop: nh, stamp: c.tick()}
+		e.stamp, e.addr, e.nextHop, e.state, e.origin = c.tick(), a, nh, complete, origin
 	}
 	return nil
 }
@@ -481,7 +463,7 @@ func (c *Cache) Flush() []int64 {
 	}
 	clear(c.wait)
 	clear(c.blocks)
-	clear(c.victim)
+	c.victim = c.victim[:0]
 	return orphans
 }
 
@@ -511,14 +493,16 @@ func (c *Cache) invalidate(rs []rtable.Range, shift uint) int {
 	// Nothing outside the list's span [lo, hi] is covered, which spares a
 	// single range's scan the search for all but the entries it evicts.
 	lo, hi := rs[0].Lo>>shift, rs[len(rs)-1].Hi>>shift
-	n := 0
-	for _, es := range [2][]entry{c.blocks, c.victim} {
-		for i := range es {
-			e := &es[i]
-			if e.state == complete && e.addr >= lo && e.addr <= hi && covered(rs, shift, e.addr) {
-				*e = entry{}
-				n++
-			}
+	stale := func(e entry) bool {
+		return e.state == complete && e.addr >= lo && e.addr <= hi && covered(rs, shift, e.addr)
+	}
+	n := len(c.victim)
+	c.victim = slices.DeleteFunc(c.victim, stale)
+	n -= len(c.victim)
+	for i := range c.blocks {
+		if stale(c.blocks[i]) {
+			c.blocks[i] = entry{}
+			n++
 		}
 	}
 	c.stat.Invalidated += int64(n)
@@ -548,16 +532,15 @@ func covered(rs []rtable.Range, shift uint, a ip.Addr) bool {
 // number of entries evicted.
 func (c *Cache) AuditEntries(visit func(a ip.Addr, nh rtable.NextHop) bool) int {
 	n := 0
-	for _, es := range [2][]entry{c.blocks, c.victim} {
-		for i := range es {
-			e := &es[i]
-			if e.state == complete && !visit(e.addr, e.nextHop) {
-				*e = entry{}
-				n++
-			}
+	for i := range c.blocks {
+		if e := &c.blocks[i]; e.state == complete && !visit(e.addr, e.nextHop) {
+			*e = entry{}
+			n++
 		}
 	}
-	return n
+	kept := len(c.victim)
+	c.victim = slices.DeleteFunc(c.victim, func(v entry) bool { return !visit(v.addr, v.nextHop) })
+	return n + kept - len(c.victim)
 }
 
 // Stats returns the event counters.

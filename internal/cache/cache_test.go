@@ -2,6 +2,7 @@ package cache
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -368,6 +369,7 @@ func TestGeometryValidation(t *testing.T) {
 		{Blocks: 7, Assoc: 4},
 		{Blocks: 24, Assoc: 4}, // 6 sets: not a power of two
 		{Blocks: 8, Assoc: 4, MixPercent: 101},
+		{Blocks: 8, Assoc: 4, VictimBlocks: -1},
 	}
 	for _, cfg := range bad {
 		func() {
@@ -378,6 +380,39 @@ func TestGeometryValidation(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// TestNewErrGeometry: NewErr reports every bad organization as an error
+// naming the field at fault — it is the path operator-supplied flags take —
+// and never panics, a negative victim cache included.
+func TestNewErrGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		wantSub string
+	}{
+		{"no blocks", Config{Blocks: 0, Assoc: 4}, "bad geometry"},
+		{"zero assoc", Config{Blocks: 8, Assoc: 0}, "bad geometry"},
+		{"blocks not a multiple of assoc", Config{Blocks: 7, Assoc: 4}, "bad geometry"},
+		{"six sets", Config{Blocks: 24, Assoc: 4}, "not a power of two"},
+		{"250 sets", Config{Blocks: 1000, Assoc: 4, VictimBlocks: 8, MixPercent: 50}, "not a power of two"},
+		{"mix above 100", Config{Blocks: 8, Assoc: 4, MixPercent: 101}, "MixPercent"},
+		{"negative mix", Config{Blocks: 8, Assoc: 4, MixPercent: -1}, "MixPercent"},
+		{"negative victims", Config{Blocks: 8, Assoc: 4, VictimBlocks: -1}, "VictimBlocks"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewErr(tc.cfg)
+			if err == nil || c != nil {
+				t.Fatalf("NewErr(%+v) = %v, %v; want nil and an error", tc.cfg, c, err)
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+			}
+		})
+	}
+	if c, err := NewErr(Config{Blocks: 8, Assoc: 4, MixPercent: 50}); err != nil || c == nil {
+		t.Fatalf("a cache without a victim cache rejected: %v", err)
 	}
 }
 

@@ -215,6 +215,39 @@ func (m *model) fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64 {
 	return nil
 }
 
+// dropWhere removes every complete entry, in the sets and the victim cache,
+// that drop selects; waiting entries are never offered. It returns how many
+// went.
+func (m *model) dropWhere(drop func(a ip.Addr, nh rtable.NextHop) bool) int {
+	n := 0
+	for _, set := range m.sets {
+		for a, e := range set {
+			if !e.waiting && drop(a, e.nextHop) {
+				delete(set, a)
+				n++
+			}
+		}
+	}
+	kept := m.victim[:0]
+	for _, v := range m.victim {
+		if drop(v.addr, v.nextHop) {
+			n++
+		} else {
+			kept = append(kept, v)
+		}
+	}
+	m.victim = kept
+	return n
+}
+
+func (m *model) invalidateRange(lo, hi ip.Addr) int {
+	return m.dropWhere(func(a ip.Addr, _ rtable.NextHop) bool { return lo <= a && a <= hi })
+}
+
+func (m *model) auditEntries(visit func(a ip.Addr, nh rtable.NextHop) bool) int {
+	return m.dropWhere(func(a ip.Addr, nh rtable.NextHop) bool { return !visit(a, nh) })
+}
+
 func (m *model) flush() []int64 {
 	var orphans []int64
 	for i := range m.sets {
@@ -227,11 +260,21 @@ func (m *model) flush() []int64 {
 	return orphans
 }
 
+// audited is one AuditEntries visit.
+type audited struct {
+	a  ip.Addr
+	nh rtable.NextHop
+}
+
 // TestModelEquivalence drives Cache and the naive model with the same
-// random operation stream and demands identical observable outcomes.
+// random operation stream and demands identical observable outcomes. The
+// stream holds the miss protocol of both kinds of caller — reserve then fill
+// (RecordMiss here, for its waiting list), and the home LC's fill with no
+// reservation — and the two operations that take blocks out of the middle
+// of the victim cache, range invalidation and the audit's eviction.
 func TestModelEquivalence(t *testing.T) {
 	for _, mix := range []int{0, 25, 50, 100} {
-		for _, victims := range []int{0, 2} {
+		for _, victims := range []int{0, 1, 2, 8} {
 			cfg := Config{Blocks: 16, Assoc: 4, VictimBlocks: victims, MixPercent: mix, Policy: LRU}
 			c := New(cfg)
 			m := newModel(cfg)
@@ -241,6 +284,32 @@ func TestModelEquivalence(t *testing.T) {
 				a := ip.Addr(rng.Intn(48))
 				switch rng.Intn(10) {
 				case 9:
+					switch k := rng.Intn(50); {
+					case k < 4: // a range of up to eight addresses
+						lo := ip.Addr(rng.Intn(48))
+						hi := lo + ip.Addr(rng.Intn(8))
+						if nc, nm := c.InvalidateRange(lo, hi), m.invalidateRange(lo, hi); nc != nm {
+							t.Fatalf("mix=%d vic=%d op %d: InvalidateRange(%d, %d) dropped %d, model %d", mix, victims, op, lo, hi, nc, nm)
+						}
+						continue
+					case k < 7: // an audit that evicts about a fifth of what it sees
+						salt := rng.Intn(5)
+						var sawC, sawM []audited
+						visit := func(saw *[]audited) func(ip.Addr, rtable.NextHop) bool {
+							return func(a ip.Addr, nh rtable.NextHop) bool {
+								*saw = append(*saw, audited{a, nh})
+								return (int(a)+int(nh)+salt)%5 != 0
+							}
+						}
+						nc, nm := c.AuditEntries(visit(&sawC)), m.auditEntries(visit(&sawM))
+						byAddr := func(x, y audited) int { return int(x.a) - int(y.a) }
+						slices.SortFunc(sawC, byAddr)
+						slices.SortFunc(sawM, byAddr)
+						if nc != nm || !slices.Equal(sawC, sawM) {
+							t.Fatalf("mix=%d vic=%d op %d: audit evicted %d of %v, model %d of %v", mix, victims, op, nc, sawC, nm, sawM)
+						}
+						continue
+					}
 					if rng.Intn(50) == 0 { // occasional flush
 						// The same parked packets, as a multiset: the
 						// model's maps have no block order
@@ -267,6 +336,13 @@ func TestModelEquivalence(t *testing.T) {
 					switch rc.Kind {
 					case Miss:
 						origin := Origin(rng.Intn(2))
+						if rng.Intn(3) == 0 { // the home LC's path: no reservation
+							nh := rtable.NextHop(rng.Intn(9))
+							if wc, wm := c.Fill(a, nh, origin), m.fill(a, nh, origin); wc != nil || wm != nil {
+								t.Fatalf("mix=%d vic=%d op %d: unreserved fill released %v, model %v", mix, victims, op, wc, wm)
+							}
+							continue
+						}
 						okC := c.RecordMiss(a, origin, int64(op))
 						okM := m.recordMiss(a, origin, int64(op))
 						if okC != okM {

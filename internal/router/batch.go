@@ -91,9 +91,6 @@ func putBatchDesc(bd *batchDesc) {
 	batchPool.Put(bd)
 }
 
-// bdResolve retires one slot of a batch.
-func (r *Router) bdResolve(bd *batchDesc) { r.bdResolveN(bd, 1) }
-
 // bdResolveN retires n slots of a batch whose verdicts the caller has
 // written. The goroutine that retires the last slot either wakes the
 // waiting caller or — when the caller abandoned the batch — recycles the
@@ -128,7 +125,7 @@ func (r *Router) abandonBatch(bd *batchDesc) {
 func (r *Router) deliver(m message, v Verdict) {
 	if m.bd != nil {
 		m.bd.out[m.slot] = v
-		r.bdResolve(m.bd)
+		r.bdResolveN(m.bd, 1)
 		return
 	}
 	m.resp <- v
@@ -250,14 +247,12 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 				continue
 			}
 		}
-		// From here the slot is a miss, and travels as the single lookup it
+		// From here the slot is a miss. Coalesce onto an in-flight one (covers
+		// both HitWaiting and the cache-bypass case), as the single lookup it
 		// would have been.
-		sub := message{kind: mLookup, addr: addr, bd: bd, slot: slot, start: bd.start, tr: tr}
-		// Coalesce onto an in-flight miss (covers both HitWaiting and the
-		// cache-bypass case).
-		if wl, ok := lc.pending[addr]; ok {
+		if wl := lc.pending.get(addr); wl != nil {
 			tr.Record(tracing.EvProbe, int64(probeKind), 0)
-			r.joinLocal(lc, wl, &sub)
+			r.joinLocal(lc, wl, &message{kind: mLookup, addr: addr, bd: bd, slot: slot, start: bd.start, tr: tr})
 			continue
 		}
 		home := lc.homeOf(addr)
@@ -289,7 +284,7 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 		}
 		wl := r.park(lc, addr)
 		wl.tr = tr
-		lc.addLocal(wl, &sub)
+		lc.addLocal(wl, localWaiter{bd: bd, slot: slot, start: bd.start, tr: tr})
 		if !r.routeFor(lc, addr, home, wl, now) {
 			continue
 		}

@@ -132,6 +132,7 @@ func TestChaosBatchEquivalence(t *testing.T) {
 			if s.Sum(MetricBatchFabricRequests) == 0 {
 				t.Error("batch plane sent no coalesced fabric requests")
 			}
+			checkDrained(t, r)
 		})
 	}
 }
@@ -199,6 +200,7 @@ func TestChaosKillLCBatchEquivalence(t *testing.T) {
 			if s := r.Metrics(); s.Sum(MetricRehomes) < 1 {
 				t.Error("no re-homing recorded after the LC death")
 			}
+			checkDrained(t, r)
 		})
 	}
 }

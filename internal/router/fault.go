@@ -80,9 +80,11 @@ func splitmix64(x uint64) uint64 {
 // SeededFaults returns an injector whose decision stream is a pure
 // function of cfg.Seed: the i-th fabric message (in injector call order)
 // always receives the i-th decision. Which message draws which decision
-// still depends on goroutine interleaving, but the aggregate fault mix is
-// exactly reproducible, which is what the chaos tests and the
-// spal-router -fault-rate demo need.
+// depends on goroutine interleaving only — no longer on map order: a line
+// card's sweep, re-drive and crash replay visit its in-flight misses in an
+// order fixed by the operations performed (see pendingTable) — and the
+// aggregate fault mix is exactly reproducible, which is what the chaos
+// tests and the spal-router -fault-rate demo need.
 func SeededFaults(cfg FaultConfig) FaultInjector {
 	var n atomic.Uint64
 	return func(FabricMessage) FaultDecision {

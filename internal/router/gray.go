@@ -369,7 +369,7 @@ func (r *Router) hedgeDelay() time.Duration {
 func (r *Router) hedgeResolve(lc *lineCard, addr ip.Addr, wl *waitlist) {
 	nh, ok := r.fallbackLookup(addr)
 	lc.fill(addr, nh, cache.REM)
-	lc.waiters.Add(-int64(len(wl.locals) + len(wl.remotes)))
+	lc.nwaiters -= int64(len(wl.locals) + len(wl.remotes))
 	wl.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByHedge))
 	r.answer(lc, wl, Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByHedge}, 0, lc.gen)
 	wl.dropWaiters() // the entry lingers; it must not pin whom it answered
@@ -381,9 +381,7 @@ func (r *Router) hedgeResolve(lc *lineCard, addr ip.Addr, wl *waitlist) {
 // dropHedged retires a hedged pending entry once its primary reply
 // landed (suppressed) or its deadline passed (lost).
 func (r *Router) dropHedged(lc *lineCard, addr ip.Addr) {
-	lc.recycle(lc.pending[addr])
-	delete(lc.pending, addr)
-	lc.pendingDepth.Store(int64(len(lc.pending)))
+	lc.recycle(lc.pending.delete(addr))
 }
 
 // hedgeAnswerLocal serves a local lookup that would have coalesced onto a

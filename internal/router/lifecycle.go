@@ -228,10 +228,8 @@ func (r *Router) rehomeLocked(dead int) {
 	if lc.cache != nil {
 		lc.cache.Flush()
 	}
-	pend := lc.pending
-	lc.pending = make(map[ip.Addr]*waitlist)
-	lc.pendingDepth.Store(0)
-	lc.waiters.Store(0)
+	pend := lc.pending.take()
+	lc.nwaiters = 0
 
 	// Rebirth: a fresh incarnation of the slot, serving arrival traffic
 	// by forwarding to the new homes. healthLoop itself is a member of
@@ -252,7 +250,8 @@ func (r *Router) rehomeLocked(dead int) {
 	// deadline-armed waitlists, which the mRekey phase of the swap below
 	// re-drives.
 	replayed := 0
-	for addr, wl := range pend {
+	for _, e := range pend {
+		addr, wl := e.addr, e.wl
 		for _, w := range wl.locals {
 			// A re-homed lookup is always interesting: trace it even if
 			// head sampling skipped it. The waiter came out of the corpse
@@ -438,9 +437,9 @@ func (r *Router) DrainLC(lc int) error {
 func (r *Router) pendingAddrs(lc int) (map[ip.Addr]struct{}, error) {
 	out := make(chan map[ip.Addr]struct{}, 1)
 	ok := r.sendCtrl(lc, message{kind: mExec, do: func(lc *lineCard) {
-		m := make(map[ip.Addr]struct{}, len(lc.pending))
-		for a := range lc.pending {
-			m[a] = struct{}{}
+		m := make(map[ip.Addr]struct{}, lc.pending.len())
+		for _, e := range lc.pending.dense {
+			m[e.addr] = struct{}{}
 		}
 		out <- m
 	}})

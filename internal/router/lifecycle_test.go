@@ -100,6 +100,7 @@ func TestChaosKillLCUnderFaults(t *testing.T) {
 			if s.Sum(MetricRehomes) < 1 {
 				t.Error("no re-homing recorded after an LC death")
 			}
+			checkDrained(t, r)
 		})
 	}
 }

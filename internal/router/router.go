@@ -67,6 +67,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -335,8 +336,8 @@ type lineCard struct {
 	mu      sync.Mutex
 	engine  lpm.Engine
 	cache   cache.Store
-	pending map[ip.Addr]*waitlist
-	free    []*waitlist // released waitlists, reset, for park to reuse (see recycle)
+	pending pendingTable // in-flight misses: the waitlist of each address lookups are parked on
+	free    []*waitlist  // released waitlists, reset, for park to reuse (see recycle)
 	homeOf  func(ip.Addr) int
 	epoch   uint32
 	// gen is the table generation this LC's engine, and everything in its
@@ -358,6 +359,13 @@ type lineCard struct {
 	// done lists the local lookups answered since this ownership began, for
 	// leave to time with one clock reading (see finish).
 	done []finished
+	// nwaiters counts the lookups, local and remote, parked in pending: with
+	// pending's length, the gauges leave publishes (waiters, pendingDepth).
+	// resolved counts the slots of batch descriptor resolvedBD that this run
+	// has answered and not yet retired from its countdown (see answer).
+	nwaiters   int64
+	resolvedBD *batchDesc
+	resolved   int
 	// outbox holds the fabric messages the running handler has produced.
 	// They must not be delivered under mu — the peer may run them inline
 	// and answer straight back here — so whoever ran the handler takes
@@ -389,7 +397,7 @@ type lineCard struct {
 	handledInline, handledQueued atomic.Int64
 
 	lat          lcLatency
-	pendingDepth atomic.Int64
+	pendingDepth atomic.Int64 // these two: as of the last completed run (see leave)
 	waiters      atomic.Int64
 
 	// ov is the overload-control state (shed counters, retry bucket,
@@ -612,11 +620,12 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	// loops index r.life from their first tick, so the slices must
 	// never be appended to (reallocated) once a goroutine is running.
 	now := r.now()
+	hashSeed := rand.Uint64() // per router: see pendingTable
 	for i := 0; i < cfg.NumLCs; i++ {
 		lc := &lineCard{
 			id:      i,
 			engine:  r.buildEngine(r.part.Table(i)),
-			pending: make(map[ip.Addr]*waitlist),
+			pending: newPendingTable(hashSeed),
 			homeOf:  r.part.HomeLC,
 			stats:   &LCStats{},
 			done:    make([]finished, 0, maxFinished),
@@ -862,6 +871,18 @@ func (r *Router) leave(lc *lineCard, now int64) {
 		}
 		lc.observeDone(now)
 	}
+	// What the run changed is published once, here: the gauges, and — every
+	// slot write and latency record before it — the batch countdown.
+	if n := int64(lc.pending.len()); n != lc.pendingDepth.Load() {
+		lc.pendingDepth.Store(n)
+	}
+	if lc.nwaiters != lc.waiters.Load() {
+		lc.waiters.Store(lc.nwaiters)
+	}
+	if lc.resolvedBD != nil {
+		r.bdResolveN(lc.resolvedBD, lc.resolved)
+		lc.resolvedBD, lc.resolved = nil, 0
+	}
 	lc.depth = 0 // the next owner starts from its own stack
 	if len(lc.outbox) == 0 {
 		lc.mu.Unlock()
@@ -912,7 +933,8 @@ func (r *Router) tick(lc *lineCard, now int64) {
 // matter what the fabric lost.
 func (r *Router) checkDeadlines(lc *lineCard, at time.Time) {
 	now := int64(at.Sub(r.born)) // the reading at is; deadlines are readings
-	for addr, wl := range lc.pending {
+	lc.pending.walk()
+	for addr, wl, ok := lc.pending.next(); ok; addr, wl, ok = lc.pending.next() {
 		if wl.hedged {
 			// The waiters were already answered by a hedge (or an eject
 			// dispatch); the entry only tracks the primary reply. Past the
@@ -1059,12 +1081,10 @@ func (r *Router) handle(lc *lineCard, m message) {
 		}
 		// Re-drive pending lookups against the new table so nothing
 		// strands across the swap.
-		pend := lc.pending
-		lc.pending = make(map[ip.Addr]*waitlist)
-		lc.pendingDepth.Store(0)
-		lc.waiters.Store(0) // the re-drive below re-registers every waiter
-		for addr, wl := range pend {
-			r.redrive(lc, addr, wl.locals, wl.remotes)
+		lc.nwaiters = 0 // the re-drive below re-registers every waiter
+		for _, e := range lc.pending.take() {
+			wl := e.wl
+			r.redrive(lc, e.addr, wl.locals, wl.remotes)
 			if wl.trLate {
 				// A late trace rides the waitlist, not a waiter; the
 				// re-drive builds fresh waitlists, so close it out here
@@ -1131,7 +1151,7 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 	// hit, but a dispatch for this address is already outstanding (even for
 	// an address homed here: a hedged entry, or one parked before a swap). A
 	// second dispatch would duplicate the fabric request.
-	if wl, ok := lc.pending[m.addr]; ok {
+	if wl := lc.pending.get(m.addr); wl != nil {
 		m.needReply()
 		r.joinLocal(lc, wl, m)
 		return Verdict{}, false
@@ -1161,7 +1181,7 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 	m.needReply()
 	wl := r.park(lc, m.addr)
 	wl.tr = m.tr
-	lc.addLocal(wl, m)
+	lc.addLocal(wl, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr})
 	if now := r.now(); r.routeFor(lc, m.addr, home, wl, now) {
 		lc.stats.RequestsSent.Add(1)
 		lc.post(home, message{kind: mRequest, addr: m.addr, from: lc.id, epoch: lc.epoch, start: now})
@@ -1178,11 +1198,11 @@ func (m *message) needReply() {
 	}
 }
 
-// addLocal registers local lookup m (single or batch slot) as a waiter on
-// wl.
-func (lc *lineCard) addLocal(wl *waitlist, m *message) {
-	wl.locals = append(wl.locals, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr, gen: lc.gen})
-	lc.waiters.Add(1)
+// addLocal parks local lookup w on wl, stamped with this LC's generation.
+func (lc *lineCard) addLocal(wl *waitlist, w localWaiter) {
+	w.gen = lc.gen
+	wl.locals = append(wl.locals, w)
+	lc.nwaiters++
 }
 
 // joinLocal coalesces local lookup m onto wl, the waitlist of a miss
@@ -1208,7 +1228,7 @@ func (r *Router) joinLocal(lc *lineCard, wl *waitlist, m *message) {
 			wl.tr = m.tr
 		}
 	}
-	lc.addLocal(wl, m)
+	lc.addLocal(wl, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr})
 }
 
 // joinRemote is joinLocal for a peer's request arriving at the home LC. An
@@ -1227,7 +1247,7 @@ func (r *Router) joinRemote(lc *lineCard, wl *waitlist, rw remoteWaiter, addr ip
 	}
 	lc.stats.Coalesced.Add(1)
 	wl.remotes = append(wl.remotes, rw)
-	lc.waiters.Add(1)
+	lc.nwaiters++
 }
 
 // maxInlineDepth bounds how deep inline runs nest on one goroutine. A
@@ -1299,7 +1319,7 @@ func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw remoteWaiter, start
 	}
 	// In flight here from before a swap made this LC the address's home, or
 	// hedged: never dispatch twice for one address.
-	if wl, ok := lc.pending[addr]; ok {
+	if wl := lc.pending.get(addr); wl != nil {
 		r.joinRemote(lc, wl, rw, addr)
 		return
 	}
@@ -1319,8 +1339,7 @@ func (r *Router) park(lc *lineCard, addr ip.Addr) *waitlist {
 	} else {
 		wl = &waitlist{}
 	}
-	lc.pending[addr] = wl
-	lc.pendingDepth.Store(int64(len(lc.pending)))
+	lc.pending.put(addr, wl)
 	return wl
 }
 
@@ -1338,7 +1357,8 @@ func (wl *waitlist) dropWaiters() {
 func (lc *lineCard) recycle(wl *waitlist) {
 	if len(lc.free) < maxFreeWaitlists {
 		wl.dropWaiters()
-		*wl = waitlist{locals: wl.locals, remotes: wl.remotes}
+		wl.attempts, wl.deadline, wl.feNS, wl.sentAt = 0, 0, 0, 0
+		wl.tr, wl.trLate, wl.hedged = nil, false, false
 		lc.free = append(lc.free, wl)
 	}
 }
@@ -1433,7 +1453,7 @@ func (r *Router) replyArrived(lc *lineCard, from int, first ip.Addr) {
 		// to the responding home would drag every clean ring toward the
 		// brownout and mask the true outlier (its recovery is judged by
 		// other requesters' samples of it, not by its own observations).
-		if wl, ok := lc.pending[first]; ok && wl.attempts == 1 && wl.sentAt != 0 {
+		if wl := lc.pending.get(first); wl != nil && wl.attempts == 1 && wl.sentAt != 0 {
 			r.rtt[from].observe(r.now() - wl.sentAt)
 		}
 	}
@@ -1452,7 +1472,8 @@ func (r *Router) replyArrived(lc *lineCard, from int, first ip.Addr) {
 // reply m carries for addr answers whatever is parked on it here. The
 // epoch guard is per message and has already passed.
 func (r *Router) replyFor(lc *lineCard, m *message, addr ip.Addr, nh rtable.NextHop, ok bool) {
-	wl, pending := lc.pending[addr]
+	wl := lc.pending.get(addr)
+	pending := wl != nil
 	if pending && wl.hedged {
 		// A hedge (or an eject dispatch) already answered every waiter;
 		// this primary is the suppressed duplicate (exactly one owner
@@ -1526,13 +1547,11 @@ func (r *Router) fillStaleRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop,
 // the table generation the value reflects, echoed to remote waiters.
 // final suppresses the stale-value re-drive (see fillStaleRelease).
 func (r *Router) release(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool, origin cache.Origin, servedBy ServedBy, valueGen uint64, final bool) {
-	wl, present := lc.pending[addr]
-	if !present {
+	wl := lc.pending.delete(addr)
+	if wl == nil {
 		return
 	}
-	delete(lc.pending, addr)
-	lc.pendingDepth.Store(int64(len(lc.pending)))
-	lc.waiters.Add(-int64(len(wl.locals) + len(wl.remotes)))
+	lc.nwaiters -= int64(len(wl.locals) + len(wl.remotes))
 	if valueGen < lc.gen && !final {
 		// A generationally stale value may only answer waiters that
 		// parked before this LC applied the newer batch; later waiters
@@ -1580,7 +1599,10 @@ func (r *Router) redrive(lc *lineCard, addr ip.Addr, locals []localWaiter, remot
 
 // answer delivers v to every waiter on wl: each local lookup is noted for
 // its own latency sample (finish) and finishes its own span, remote waiters
-// get a reply stamped with gen, the generation the value reflects.
+// get a reply stamped with gen, the generation the value reflects. A batch
+// slot is written and counted; the count leaves the descriptor's countdown
+// when a slot of another descriptor turns up and in leave: one locked add a
+// reply batch, every slot write still ahead of the add that may complete it.
 func (r *Router) answer(lc *lineCard, wl *waitlist, v Verdict, feNS int64, gen uint64) {
 	for _, w := range wl.locals {
 		r.finish(lc, v.ServedBy, w.start, traceID(w.tr))
@@ -1589,7 +1611,11 @@ func (r *Router) answer(lc *lineCard, wl *waitlist, v Verdict, feNS int64, gen u
 		r.finishTrace(w.tr, v.ServedBy, v.OK)
 		if w.bd != nil {
 			w.bd.out[w.slot] = v
-			r.bdResolve(w.bd)
+			if w.bd != lc.resolvedBD {
+				r.bdResolveN(lc.resolvedBD, lc.resolved) // nothing, the first time
+				lc.resolvedBD, lc.resolved = w.bd, 0
+			}
+			lc.resolved++
 		} else {
 			w.ch <- v
 		}

@@ -92,7 +92,7 @@ func TestHedgedWaitlistPinsNothing(t *testing.T) {
 	var hedged *waitlist
 	asLC(r, 0, func(lc *lineCard) {
 		r.checkDeadlines(lc, time.Now().Add(time.Second)) // past the hedge delay, short of the deadline
-		hedged = lc.pending[addr]
+		hedged = lc.pending.get(addr)
 		if hedged == nil || !hedged.hedged || hedged.deadline == 0 {
 			t.Fatalf("no hedged entry tracking the primary: %+v", hedged)
 		}
@@ -106,8 +106,8 @@ func TestHedgedWaitlistPinsNothing(t *testing.T) {
 	}
 	asLC(r, 0, func(lc *lineCard) {
 		r.checkDeadlines(lc, time.Now().Add(2*time.Minute)) // the primary is lost
-		if len(lc.pending) != 0 || len(lc.free) != 1 || lc.free[0] != hedged {
-			t.Fatalf("retired hedged entry not recycled: %d pending, free list %v", len(lc.pending), lc.free)
+		if lc.pending.len() != 0 || len(lc.free) != 1 || lc.free[0] != hedged {
+			t.Fatalf("retired hedged entry not recycled: %d pending, free list %v", lc.pending.len(), lc.free)
 		}
 		checkBlank(t, hedged)
 	})
@@ -133,7 +133,7 @@ func TestParkRecyclesBlankWaitlist(t *testing.T) {
 
 	var used *waitlist
 	asLC(r, 0, func(lc *lineCard) {
-		used = lc.pending[addrs[0]]
+		used = lc.pending.get(addrs[0])
 		used.feNS = 7 // as a retry re-homed onto this LC would have left it
 		r.checkDeadlines(lc, time.Now().Add(2*time.Minute))
 		if used.attempts != 2 || used.deadline == 0 || used.sentAt == 0 || !used.trLate || used.tr == nil || len(used.locals) != 1 {
@@ -149,7 +149,7 @@ func TestParkRecyclesBlankWaitlist(t *testing.T) {
 			t.Fatalf("park allocated %p; the released waitlist %p was not recycled", got, used)
 		}
 		checkBlank(t, got)
-		delete(lc.pending, addrs[1])
+		lc.pending.delete(addrs[1])
 		lc.pendingDepth.Store(0)
 	})
 }

@@ -225,7 +225,9 @@ func New(cfg Config) (*Router, error) {
 		if cfg.CacheEnabled {
 			cc := cfg.Cache
 			cc.Seed = cfg.Seed + uint64(i)*977
-			l.cache = cache.New(cc)
+			if l.cache, err = cache.NewErr(cc); err != nil {
+				return nil, fmt.Errorf("sim: %w", err)
+			}
 		}
 		l.loadFactor = 1.0
 		if cfg.LoadFactors != nil {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
+	"spal/internal/cache"
 	"spal/internal/rtable"
 	"spal/internal/trace"
 )
@@ -387,6 +389,36 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d should fail validation", i)
 		}
+	}
+}
+
+// TestCacheGeometryIsAnError: a cache organization the LR-cache rejects —
+// what -beta, -assoc, -gamma, -victim or a JSON config can ask for — comes
+// back from New as an error naming the field, not as a panic.
+func TestCacheGeometryIsAnError(t *testing.T) {
+	tbl := rtable.Small(100, 1)
+	for _, tc := range []struct {
+		name    string
+		edit    func(*cache.Config)
+		wantSub string
+	}{
+		{"250 sets", func(c *cache.Config) { c.Blocks = 1000 }, "not a power of two"},
+		{"blocks below assoc", func(c *cache.Config) { c.Blocks = 2 }, "bad geometry"},
+		{"zero assoc", func(c *cache.Config) { c.Assoc = 0 }, "bad geometry"},
+		{"mix above 100", func(c *cache.Config) { c.MixPercent = 150 }, "MixPercent"},
+		{"negative victims", func(c *cache.Config) { c.VictimBlocks = -1 }, "VictimBlocks"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(tbl)
+			tc.edit(&cfg.Cache)
+			r, err := New(cfg)
+			if err == nil || r != nil {
+				t.Fatalf("New accepted cache %+v", cfg.Cache)
+			}
+			if !strings.Contains(err.Error(), "sim: cache: ") || !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not name the cache and %q", err, tc.wantSub)
+			}
+		})
 	}
 }
 
