@@ -96,6 +96,10 @@ func TestCommonLen(t *testing.T) {
 		{"10.0.0.0/8", "11.0.0.0/8", 7},
 		{"0.0.0.0/0", "255.0.0.0/8", 0},
 		{"128.0.0.0/1", "255.0.0.0/8", 1},
+		{"10.1.2.0/24", "10.1.2.0/24", 24},
+		{"10.1.2.3/32", "10.1.2.3/32", 32},
+		{"0.0.0.0/0", "0.0.0.0/0", 0},
+		{"10.1.2.0/24", "0.0.0.0/0", 0},
 	}
 	for _, c := range cases {
 		got := commonLen(ip.MustPrefix(c.p), ip.MustPrefix(c.q))

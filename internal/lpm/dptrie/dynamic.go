@@ -17,71 +17,71 @@ func (tr *Trie) Insert(p ip.Prefix, nh rtable.NextHop) {
 // whether the prefix was present.
 func (tr *Trie) Delete(p ip.Prefix) bool {
 	p = p.Canon()
-	// Walk down, remembering parents.
-	var path []step
-	n := tr.root
+	// Walk down, remembering parents: path lengths grow strictly from the
+	// root's 0 to at most 32, so the walk takes at most 32 steps.
+	var path [33]step
+	depth := 0
+	i := uint32(0)
 	for {
-		c := commonLen(n.path, p)
-		if c < n.path.Len {
+		n := tr.at(i)
+		if commonLen(n.path(), p) < n.plen {
 			return false // diverges mid-edge: not present
 		}
-		if n.path.Len == p.Len {
+		if n.plen == p.Len {
 			break
 		}
-		b := ip.AddrBit(p.Value, int(n.path.Len))
+		b := ip.AddrBit(p.Value, int(n.plen))
 		next := n.child[b]
-		if next == nil {
+		if next == 0 {
 			return false
 		}
-		path = append(path, step{parent: n, bit: b})
-		n = next
+		path[depth] = step{parent: i, bit: b}
+		depth++
+		i = next
 	}
-	if n.path != p || !n.hasRoute {
+	n := tr.at(i)
+	if n.path() != p || !n.hasRoute {
 		return false
 	}
 	n.hasRoute = false
 	n.nextHop = 0
-	tr.compress(n, path)
+	tr.compress(i, path[:depth])
 	return true
 }
 
-// compress merges or removes a routeless node, then re-examines its
-// parent (removing a child can leave the parent routeless with a single
-// child, which path compression must also fold).
-func (tr *Trie) compress(n *node, path []step) {
+// compress merges or removes the routeless node at i, then re-examines
+// its parent (removing a child can leave the parent routeless with a
+// single child, which path compression must also fold).
+func (tr *Trie) compress(i uint32, path []step) {
 	for {
+		n := tr.at(i)
 		if n.hasRoute {
 			return
 		}
 		left, right := n.child[0], n.child[1]
 		switch {
-		case left != nil && right != nil:
+		case left != 0 && right != 0:
 			return // genuine branch point stays
-		case left == nil && right == nil:
+		case left == 0 && right == 0:
 			// Routeless leaf: detach from parent (the root always stays).
 			if len(path) == 0 {
 				return
 			}
 			last := path[len(path)-1]
-			last.parent.child[last.bit] = nil
-			tr.nodes--
-			n = last.parent
+			tr.at(last.parent).child[last.bit] = 0
+			tr.release(i)
+			i = last.parent
 			path = path[:len(path)-1]
 		default:
-			// One child: merge it up, extending this node's edge. The
-			// root (path.Len == 0 with no route) also folds this way
-			// unless it IS the root sentinel — merging the root would
-			// re-root the trie, which parents elsewhere don't reference,
-			// so fold the child's payload into the node instead.
-			child := left
-			if child == nil {
-				child = right
+			// One child: fold its payload into this slot, extending the
+			// edge, and free the child's. The root stays an empty /0
+			// however few children it has: it is the entry point.
+			if i == 0 {
+				return
 			}
-			if n == tr.root {
-				return // keep the empty root as a stable entry point
-			}
-			*n = *child
-			tr.nodes--
+			child := left | right
+			*n = *tr.at(child)
+			tr.release(child)
 			return
 		}
 	}
@@ -89,6 +89,6 @@ func (tr *Trie) compress(n *node, path []step) {
 
 // step records one parent-to-child edge on a Delete walk.
 type step struct {
-	parent *node
+	parent uint32 // slab index
 	bit    uint32
 }

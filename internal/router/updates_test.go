@@ -832,10 +832,12 @@ func TestFallbackBatchAtomic(t *testing.T) {
 			}
 			defer r.Stop()
 			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			var reads atomic.Int64
+			var wg, warm sync.WaitGroup
+			var reads [4]atomic.Int64
 			reader := func(id int, lookup func(a ip.Addr) (rtable.NextHop, bool)) {
 				defer wg.Done()
+				var first sync.Once // a reader that fails must not strand the writer
+				defer first.Do(warm.Done)
 				for a := whole.FirstAddr() + ip.Addr(id); ; a = whole.FirstAddr() + (a+7)%256 {
 					select {
 					case <-stop:
@@ -846,11 +848,13 @@ func TestFallbackBatchAtomic(t *testing.T) {
 						t.Errorf("reader %d: %s answered %v/%d mid-batch, want %d", id, ip.FormatAddr(a), ok, nh, A)
 						return
 					}
-					reads.Add(1)
+					reads[id].Add(1)
+					first.Do(warm.Done)
 					runtime.Gosched() // let the LC goroutines acknowledge the writer
 				}
 			}
 			wg.Add(4)
+			warm.Add(4)
 			go reader(0, r.fallbackLookup)
 			go reader(1, r.fallbackLookup)
 			for lc := 0; lc < 2; lc++ {
@@ -862,21 +866,37 @@ func TestFallbackBatchAtomic(t *testing.T) {
 					return v.NextHop, v.OK
 				})
 			}
-			for i := 0; i < 400; i++ {
+			// The writer starts once every reader is looking up, and writes on
+			// past its 400 batches until each has completed a lookup beside
+			// it: 400 batches can take less time than the scheduler takes to
+			// run four readers.
+			warm.Wait()
+			for id := range reads {
+				reads[id].Store(0)
+			}
+			starved := func() int {
+				for id := range reads {
+					if reads[id].Load() == 0 {
+						return id
+					}
+				}
+				return -1
+			}
+			for i := 0; (i < 400 || starved() >= 0) && !t.Failed(); i++ {
+				if i == 100*400 {
+					t.Errorf("reader %d completed no lookup beside %d batches", starved(), i)
+					break
+				}
 				batch := split
 				if i%2 == 1 {
 					batch = join
 				}
 				if err := r.ApplyUpdates(batch); err != nil {
 					t.Error(err)
-					break
 				}
 			}
 			close(stop)
 			wg.Wait()
-			if reads.Load() == 0 {
-				t.Fatal("no lookup completed beside the writer")
-			}
 		})
 	}
 }
@@ -981,7 +1001,7 @@ func TestApplyUpdatesAllocCeiling(t *testing.T) {
 	if bytes > ceiling {
 		t.Errorf("ApplyUpdates allocated %d bytes, more than 1.5 copies of the %d routes it rewrites (%d bytes)", bytes, routes, ceiling)
 	}
-	if mallocs > 20_000 {
-		t.Errorf("ApplyUpdates made %d allocations for 1000 updates, want at most 20000", mallocs)
+	if mallocs > 250 {
+		t.Errorf("ApplyUpdates made %d allocations for 1000 updates, want at most 250", mallocs)
 	}
 }
