@@ -23,16 +23,15 @@ import (
 const NumBuckets = 65
 
 // Histogram is a lock-free histogram with power-of-two bucket boundaries.
-// Observe is safe for any number of concurrent writers (one atomic add per
-// field, three per call); Snapshot is safe concurrently with writers and
-// returns a near-consistent view (each counter is monotonic, so a snapshot
-// taken mid-Observe is at most one call torn — fine for monitoring, exact
-// once writers quiesce).
+// Observe is safe for any number of concurrent writers (two atomic adds a
+// call: the bucket and the sum); Snapshot is safe concurrently with writers
+// and derives its Count from the buckets it read, so Count is their total
+// in every snapshot, and Sum is at most one call per writer away from them
+// (exact once writers quiesce).
 //
 // The unit is the caller's choice; the router records nanoseconds, the
 // simulator records 5 ns cycles.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [NumBuckets]atomic.Uint64
 	// ex holds the last exemplar observed per bucket (OpenMetrics-style:
@@ -57,7 +56,6 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 	}
 	h.buckets[bits.Len64(uint64(v))].Add(n)
 	h.sum.Add(uint64(v) * n)
-	h.count.Add(n)
 }
 
 // ObserveDuration records a duration in nanoseconds.
@@ -73,7 +71,6 @@ func (h *Histogram) ObserveExemplar(v int64, traceID uint64) {
 	b := bits.Len64(uint64(v))
 	h.buckets[b].Add(1)
 	h.sum.Add(uint64(v))
-	h.count.Add(1)
 	if traceID != 0 {
 		h.ex[b].id.Store(traceID)
 		h.ex[b].val.Store(uint64(v))
@@ -90,11 +87,12 @@ type Exemplar struct {
 // Snapshot captures the current counts. Trailing empty buckets are
 // trimmed so snapshots of mostly-idle histograms stay small.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
+	s := HistogramSnapshot{Sum: h.sum.Load()}
 	top := -1
 	var raw [NumBuckets]uint64
 	for i := range h.buckets {
 		raw[i] = h.buckets[i].Load()
+		s.Count += raw[i]
 		if raw[i] > 0 {
 			top = i
 		}

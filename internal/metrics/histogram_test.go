@@ -248,10 +248,35 @@ func TestObserveNEqualsRepeatedObserve(t *testing.T) {
 
 // TestObserveNConcurrent mixes weighted and single observations with
 // snapshots from many goroutines: clean under -race, and exact at the end.
+// A scraper snapshots all the while: a histogram it could publish — one
+// whose buckets do not add up to its count, or whose count went down — is
+// not one Prometheus accepts, however briefly it was true.
 func TestObserveNConcurrent(t *testing.T) {
 	var h Histogram
 	const workers, perWorker, weight = 8, 5000, 3
 	var wg sync.WaitGroup
+	writing, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		var last uint64
+		for done := false; !done; {
+			select {
+			case <-writing:
+				done = true // one more, of the final state
+			default:
+			}
+			s := h.Snapshot()
+			var total uint64
+			for _, c := range s.Buckets {
+				total += c
+			}
+			if total != s.Count || s.Count < last {
+				t.Errorf("snapshot while writers run: buckets hold %d, Count %d, previous Count %d", total, s.Count, last)
+				return
+			}
+			last = s.Count
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -266,6 +291,8 @@ func TestObserveNConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(writing)
+	<-scraped
 	s := h.Snapshot()
 	if want := uint64(workers * perWorker * (weight + 1)); s.Count != want {
 		t.Fatalf("count = %d, want %d", s.Count, want)

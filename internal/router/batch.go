@@ -226,7 +226,8 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 		slot := int32(i)
 		var tr *tracing.LookupTrace
 		if r.tracer != nil {
-			if tr = r.tracer.Sample(lc.id, addr, r.at(bd.start)); tr != nil {
+			if tr = r.tracer.Sample(lc.id, addr); tr != nil {
+				tr.Start = r.at(bd.start)
 				tr.Record(tracing.EvArrival, int64(lc.id), 0)
 			}
 		}

@@ -13,20 +13,29 @@ import (
 
 // TestLookupClockReads is the data plane's clock budget, counted, not
 // timed: a handler run reads the clock at submission and once when it
-// ends, however many addresses it answered. The router's real clock is
+// ends, however many addresses it answered, and an inline cache hit reads
+// it at all one time in hitTimedEvery. The router's real clock is
 // wrapped in a counter (real readings, so deadlines and health behave),
 // the hour-long request timeout keeps every ticker out of the count, and
 // the test's goroutine is the only caller, so every handler runs inline on
-// it. Tracing may add its FE timers — two readings an engine run — and
-// nothing else: a traced hit costs what an untraced one does.
+// it. Tracing costs an unsampled lookup no reading; a sampled one is
+// stamped whatever it turns out to be — two readings a hit — and adds its
+// FE timers, two readings an engine run, and nothing else.
 func TestLookupClockReads(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	const lcs, batch = 4, 64
 	for _, tc := range []struct {
 		name string
 		opts []Option
+		hits int64 // clock readings for hitTimedEvery consecutive inline hits at one LC
+		next int64 // and for the one after them
 		fe   int64 // clock readings per engine run
-	}{{"untraced", nil, 0}, {"traced", []Option{WithTraceSampling(1)}, 2}} {
+	}{
+		{"untraced", nil, 2, 0, 0},
+		// Tracing on, nothing head-sampled: the FE timers run, the hit floor holds.
+		{"unsampled", []Option{WithTraceSampling(0)}, 2, 0, 2},
+		{"traced", []Option{WithTraceSampling(1)}, 2 * hitTimedEvery, 2, 2},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := New(tbl, append([]Option{WithLCs(lcs), WithDefaultCache(), WithEngineName("lulea"),
 				WithRequestTimeout(time.Hour)}, tc.opts...)...)
@@ -69,6 +78,14 @@ func TestLookupClockReads(t *testing.T) {
 			}
 			single(local[0], ServedByFE)()
 			batched(hot)()
+			// LC 0's first inline hit is timed, having none to go by. The
+			// sixteen below are then fifteen untimed and the next timed one.
+			single(local[0], ServedByCache)()
+			sixteen := func() {
+				for i := 0; i < hitTimedEvery; i++ {
+					single(local[0], ServedByCache)()
+				}
+			}
 
 			for _, step := range []struct {
 				name    string
@@ -76,9 +93,12 @@ func TestLookupClockReads(t *testing.T) {
 				ceiling int64
 				exact   bool
 			}{
-				{"single hit", single(local[0], ServedByCache), 2, true},
+				{"sixteen consecutive single hits", sixteen, tc.hits, true},
+				{"a seventeenth", single(local[0], ServedByCache), tc.next, true},
 				{"single local-home miss", single(local[1], ServedByFE), 2 + tc.fe, true},
-				{"single remote miss", single(remote[0], ServedByRemote), 3 + tc.fe, true},
+				// Its own stamp — at the miss, or at submission when sampled —
+				// dates the request too; the reply's run ends it.
+				{"single remote miss", single(remote[0], ServedByRemote), 2 + tc.fe, true},
 				{"all-hit batch", batched(hot), 3, true},
 				// Submission, the scan's send stamp and the arrival run's end,
 				// then one run's end per reply; an engine sweep here and one at

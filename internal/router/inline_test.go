@@ -187,7 +187,9 @@ func TestChaosInlineQueuesBehindBacklog(t *testing.T) {
 // so heartbeats and deadline sweeps must ride the callers' own inline runs
 // (tick-if-due in leave). Clean fabric: every LC stays Healthy. One link
 // dropping everything: the lookups crossing it still end in the fallback
-// engine, oracle-correct, while the other callers keep the P busy.
+// engine, oracle-correct, while the other callers keep the P busy. Nothing
+// but warmed cache hits: no miss ever brings a stamp, and the beat rides the
+// one hit in hitTimedEvery that is timed.
 func TestChaosInlineTicksWhileCallersHogP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tbl := rtable.Small(2000, 7)
@@ -196,6 +198,8 @@ func TestChaosInlineTicksWhileCallersHogP(t *testing.T) {
 		timeout      = 4 * time.Millisecond
 		suspectAfter = 20 * time.Millisecond
 	)
+	// What caller lc looks up next, and where: at its own LC, anything.
+	pick := func(lc int, rng *stats.RNG) (int, ip.Addr) { return lc, tbl.RandomMatchedAddr(rng) }
 	hog := func(t *testing.T, r *Router, d time.Duration, check func(lc int, a ip.Addr, v Verdict, took time.Duration)) {
 		var wg sync.WaitGroup
 		stop := time.Now().Add(d)
@@ -205,7 +209,7 @@ func TestChaosInlineTicksWhileCallersHogP(t *testing.T) {
 				defer wg.Done()
 				rng := stats.NewRNG(uint64(lc)*13 + 1)
 				for t0 := time.Now(); t0.Before(stop); {
-					a := tbl.RandomMatchedAddr(rng)
+					lc, a := pick(lc, rng)
 					v, err := r.Lookup(lc, a)
 					if err != nil {
 						t.Errorf("lookup at LC %d: %v", lc, err)
@@ -271,6 +275,46 @@ func TestChaosInlineTicksWhileCallersHogP(t *testing.T) {
 		}
 		if n := r.suspects.Load(); n != 0 {
 			t.Errorf("%d Healthy→Suspect demotions; states %v", n, r.LCStates())
+		}
+	})
+
+	t.Run("all-hit", func(t *testing.T) {
+		r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithRequestTimeout(timeout),
+			WithHealthThresholds(suspectAfter, 10*suspectAfter))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Stop()
+		const warmed = 8
+		addrs := distinctAddrs(tbl, stats.NewRNG(17), warmed*r.NumLCs())
+		for i, a := range addrs {
+			if _, err := r.Lookup(i/warmed, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Every caller goes round all the warmed addresses, so round the LCs:
+		// an LC is beaten by whoever holds the P, not only by a caller of its
+		// own that may be waiting a quantum or three for it.
+		next := make([]int, r.NumLCs()) // a cursor a caller
+		pick = func(caller int, _ *stats.RNG) (int, ip.Addr) {
+			next[caller]++
+			i := next[caller] % len(addrs)
+			return i / warmed, addrs[i]
+		}
+		// As long as the dead link's run: the LC goroutines do get the P at a
+		// preemption now and then, and over 3×suspectAfter that hides a beat
+		// no hit carries four runs in five.
+		hog(t, r, 10*suspectAfter, func(_ int, a ip.Addr, v Verdict, _ time.Duration) {
+			if v.ServedBy != ServedByCache {
+				t.Errorf("warmed %s served by %s", ip.FormatAddr(a), v.ServedBy)
+			}
+		})
+		if n := r.suspects.Load(); n != 0 {
+			t.Errorf("%d Healthy→Suspect demotions while callers that only ever hit hogged the P; states %v", n, r.LCStates())
+		}
+		inline, queued := handled(r)
+		if inline == 0 || queued > inline/10 {
+			t.Errorf("handlers: %d inline, %d queued — the callers were meant to run them", inline, queued)
 		}
 	})
 }

@@ -66,6 +66,13 @@ func (lc *lineCard) observeDone(now int64) {
 	lc.done = lc.done[:0]
 }
 
+// foldHits records lc's inline cache hits not recorded yet at what the last timed
+// one took: the nearest timed inline hit's value, never a batch slot's or a queued lookup's.
+func (lc *lineCard) foldHits() {
+	lc.lat.cache.ObserveN(lc.hitNS, lc.untimedHits)
+	lc.untimedHits = 0
+}
+
 func (l *lcLatency) hist(s ServedBy) *metrics.Histogram {
 	switch s {
 	case ServedByCache:
@@ -192,6 +199,8 @@ func (r *Router) Metrics() *metrics.Snapshot {
 			views[i], dones[i] = view, done
 			lbl := metrics.L("lc", strconv.Itoa(i))
 			ok := r.sendCtrl(i, message{kind: mExec, do: func(lc *lineCard) {
+				lc.foldHits()
+				lc.hitNS = 0 // the next inline hit is timed: a quiet LC's value is no older than a scrape
 				if lc.cache != nil {
 					lc.cache.MetricsInto(view, lbl)
 				}

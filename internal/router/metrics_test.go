@@ -3,8 +3,11 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,6 +190,121 @@ func TestBatchLatencyOneReadingOneWeight(t *testing.T) {
 	})
 }
 
+// checkLatencyCounts is the count contract of spal_router_lookup_latency_ns
+// on a quiescent router: per LC, every histogram's buckets add up to its
+// _count, served_by="cache" has counted every cache hit, and the classes
+// between them every lookup.
+func checkLatencyCounts(t *testing.T, r *Router, s *metrics.Snapshot) {
+	t.Helper()
+	for lc, st := range r.Stats() {
+		lbl := metrics.L("lc", strconv.Itoa(lc))
+		var all uint64
+		for _, class := range []string{"cache", "fe", "remote", "fallback"} {
+			h, ok := s.HistValue(MetricLatency, lbl, metrics.L("served_by", class))
+			if !ok {
+				t.Fatalf("missing latency histogram lc=%d served_by=%s", lc, class)
+			}
+			var inBuckets uint64
+			for _, c := range h.Buckets {
+				inBuckets += c
+			}
+			if inBuckets != h.Count {
+				t.Errorf("lc=%d served_by=%s: buckets hold %d samples, _count says %d", lc, class, inBuckets, h.Count)
+			}
+			if hits := st.CacheHits.Load(); class == "cache" && h.Count != uint64(hits) {
+				t.Errorf("lc=%d: %d cache-served latency samples, %d cache hits", lc, h.Count, hits)
+			}
+			all += h.Count
+		}
+		if n := st.Lookups.Load(); all != uint64(n) {
+			t.Errorf("lc=%d: %d latency samples, %d lookups", lc, all, n)
+		}
+	}
+}
+
+// TestHitLatencyCountsEveryHit: an inline cache hit reads the clock one
+// time in hitTimedEvery, and the latency histogram still counts every one of
+// them at every scrape — the untimed ones at what the nearest timed inline
+// hit took, never at what a batch slot did, which times a whole run — and
+// after Stop. The clock is the test's: every reading is one step on, so an
+// inline hit takes one step and a batch, read at submission, in the scan and
+// when its run ends, two.
+func TestHitLatencyCountsEveryHit(t *testing.T) {
+	tbl := rtable.Small(2000, 7)
+	const batch, hitStep, batchStep = 64, 100, 5000
+	addrs := distinctAddrs(tbl, stats.NewRNG(3), batch)
+	// One LC, so everything is homed where it arrives; the long timeout
+	// keeps the tickers off the clock.
+	r, err := New(tbl, WithLCs(1), WithDefaultCache(), WithRequestTimeout(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	if _, err := r.LookupBatch(0, addrs); err != nil { // warm: all FE
+		t.Fatal(err)
+	}
+	var now, step atomic.Int64
+	step.Store(hitStep)
+	r.clock = func() int64 { return now.Add(step.Load()) }
+	hit := func(i int) {
+		t.Helper()
+		if v, err := r.Lookup(0, addrs[i%batch]); err != nil || v.ServedBy != ServedByCache {
+			t.Fatalf("Lookup %d = %+v, %v; want a cache hit", i, v, err)
+		}
+	}
+	cacheLat := func(s *metrics.Snapshot) metrics.HistogramSnapshot {
+		h, _ := s.HistValue(MetricLatency, metrics.L("lc", "0"), metrics.L("served_by", "cache"))
+		return h
+	}
+
+	// A scrape after every hit, then after every seventh: whatever a scrape
+	// finds untimed, it finds counted.
+	for i := 0; i < 100; i++ {
+		hit(i)
+		if i < 20 || i%7 == 0 {
+			s := r.Metrics()
+			checkLatencyCounts(t, r, s)
+			if cacheLat(s).Sum == 0 {
+				t.Fatalf("hit %d: no latency recorded; the first inline hit at an LC is timed", i)
+			}
+		}
+	}
+
+	// One timed hit and five untimed ones still unrecorded when a batch two
+	// orders of magnitude slower is: they are recorded by the scrape after
+	// it, in their own bucket, not with its slots.
+	before := r.Metrics()
+	for i := 0; i < 6; i++ {
+		hit(i)
+	}
+	step.Store(batchStep)
+	out, err := r.LookupBatch(0, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range out {
+		if v.ServedBy != ServedByCache {
+			t.Fatalf("warmed batch slot served by %s", v.ServedBy)
+		}
+	}
+	step.Store(hitStep)
+	after := r.Metrics()
+	checkLatencyCounts(t, r, after)
+	d := cacheLat(after).Sub(cacheLat(before))
+	want := make([]uint64, len(d.Buckets))
+	want[bits.Len64(hitStep)], want[bits.Len64(2*batchStep)] = 6, batch
+	if !slices.Equal(d.Buckets, want) || d.Sum != 6*hitStep+batch*2*batchStep {
+		t.Errorf("six inline hits at %d ns and a %d-hit batch at %d ns recorded as %+v", hitStep, batch, 2*batchStep, d)
+	}
+
+	// Stop folds what no scrape will: the identity holds on the final counts.
+	for i := 0; i < 4; i++ {
+		hit(i)
+	}
+	r.Stop()
+	checkLatencyCounts(t, r, r.Metrics())
+}
+
 func TestMetricsIncludeCacheOccupancy(t *testing.T) {
 	r, tbl := newTestRouter(t, 2, true)
 	rng := stats.NewRNG(43)
@@ -241,6 +359,7 @@ func TestMetricsAfterStop(t *testing.T) {
 		if s.Sum(MetricLookups) != 50 {
 			t.Errorf("post-stop lookups = %v, want 50", s.Sum(MetricLookups))
 		}
+		checkLatencyCounts(t, r, s) // Stop recorded the inline hits left untimed
 		// Cache internals are unreachable once LC goroutines exit; the
 		// snapshot simply omits them rather than blocking.
 		if _, ok := s.Value(cache.MetricProbes, metrics.L("lc", "0")); ok {

@@ -359,6 +359,11 @@ type lineCard struct {
 	// done lists the local lookups answered since this ownership began, for
 	// leave to time with one clock reading (see finish).
 	done []finished
+	// One inline cache hit in hitTimedEvery is timed (see lookup): hitStart is
+	// the stamp of the one this run answered, hitNS what the last one took, and
+	// untimedHits how many the latency histogram has yet to be told of (foldHits).
+	untimedHits     uint64
+	hitStart, hitNS int64
 	// nwaiters counts the lookups, local and remote, parked in pending: with
 	// pending's length, the gauges leave publishes (waiters, pendingDepth).
 	// resolved counts the slots of batch descriptor resolvedBD that this run
@@ -825,8 +830,8 @@ func (r *Router) runInline(i int, m message) bool {
 // only (time.Since is one vDSO read where time.Now, which reads the wall
 // clock as well, is two), never 0. Every stamp a message, a waiter, a
 // waitlist or a line card carries is one of these readings, and a handler
-// run takes at most two of them however many addresses it answers: one
-// at submission, one in leave.
+// run takes at most two of them however many addresses it answers: one at
+// submission, one in leave (an inline hit, one time in sixteen: see lookup).
 func (r *Router) now() int64 { return r.clock() }
 
 // at is reading ns as a time.Time, for those that keep one: traces, and
@@ -853,8 +858,8 @@ func (r *Router) enter(i int) *lineCard {
 
 // leave ends an ownership of lc (lc.mu held) that ran a handler or a
 // tick, and takes the run's closing clock reading — when the run answered
-// local lookups (lc.done), or when now, a stamp the owner holds already
-// (its message's; zero for none), says a tick may be due. Ticks are due
+// local lookups (lc.done, lc.hitStart), or when now, a stamp the owner holds
+// already (its message's; zero for none), says a tick may be due. Ticks are due
 // work, not goroutine work: callers that never block can keep a P from the
 // LC goroutines for a whole preemption quantum, so an owner that knows the
 // time runs the tick itself when one is due. The same reading then ends
@@ -864,10 +869,14 @@ func (r *Router) enter(i int) *lineCard {
 // delivered: the peer may run them inline and answer straight back to
 // this LC, which it could not do while we held the lock.
 func (r *Router) leave(lc *lineCard, now int64) {
-	if len(lc.done) > 0 || (now != 0 && now-lc.lastTick >= int64(r.tickEvery)) {
+	if len(lc.done) > 0 || lc.hitStart != 0 || (now != 0 && now-lc.lastTick >= int64(r.tickEvery)) {
 		now = r.now()
 		if now-lc.lastTick >= int64(r.tickEvery) {
 			r.tick(lc, now)
+		}
+		if lc.hitStart != 0 { // a timed inline hit: what it took is the untimed ones' value too
+			lc.hitNS, lc.hitStart = now-lc.hitStart, 0
+			lc.foldHits()
 		}
 		lc.observeDone(now)
 	}
@@ -1111,6 +1120,7 @@ func (r *Router) handle(lc *lineCard, m message) {
 // lookup has to wait, and the caller reads the verdict from it.
 func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 	lc.stats.Lookups.Add(1)
+	inline := m.resp == nil && m.bd == nil // Router.lookup's own call: no destination, and a stamp, if any, of this instant
 	if lc.cache != nil {
 		switch res := lc.cache.Probe(m.addr); res.Kind {
 		case cache.Hit, cache.HitVictim:
@@ -1122,9 +1132,13 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 				// waits on the reply always finds its trace published.
 				r.finishTrace(m.tr, ServedByCache, ok)
 			}
-			r.finish(lc, ServedByCache, m.start, traceID(m.tr))
+			if inline && m.tr == nil { // timed by leave if it carries a stamp, else recorded at the last timed one's value
+				lc.untimedHits, lc.hitStart = lc.untimedHits+1, m.start
+			} else {
+				r.finish(lc, ServedByCache, m.start, traceID(m.tr))
+			}
 			v := Verdict{Addr: m.addr, NextHop: res.NextHop, OK: ok, ServedBy: ServedByCache}
-			if m.resp == nil && m.bd == nil {
+			if inline {
 				return v, true
 			}
 			r.deliver(*m, v)
@@ -1145,6 +1159,9 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 				}
 			}
 		}
+	}
+	if m.start == 0 {
+		m.start = r.now() // left unstamped in case it hit (see lookup): a miss is timed from here
 	}
 	// Coalesce onto an in-flight miss: the probe hit its W block, or — the
 	// bypass case — the set was fully waiting, so there is no W block to
@@ -1170,7 +1187,7 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 		}
 		r.finish(lc, ServedByFE, m.start, traceID(m.tr))
 		v := Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByFE}
-		if m.resp == nil && m.bd == nil {
+		if inline {
 			return v, true
 		}
 		r.deliver(*m, v)
@@ -1178,11 +1195,15 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 	}
 	// A fresh miss homed elsewhere parks and takes whatever routeFor
 	// decides — normally one request over the fabric.
+	now := m.start
+	if !inline { // queued or re-driven: its stamp is old, and routeFor needs the present
+		now = r.now()
+	}
 	m.needReply()
 	wl := r.park(lc, m.addr)
 	wl.tr = m.tr
 	lc.addLocal(wl, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr})
-	if now := r.now(); r.routeFor(lc, m.addr, home, wl, now) {
+	if r.routeFor(lc, m.addr, home, wl, now) {
 		lc.stats.RequestsSent.Add(1)
 		lc.post(home, message{kind: mRequest, addr: m.addr, from: lc.id, epoch: lc.epoch, start: now})
 	}
@@ -1675,19 +1696,26 @@ func (r *Router) LookupCtx(ctx context.Context, lc int, addr ip.Addr) (Verdict, 
 // caller runs the handler itself and a cache hit comes back as a return
 // value: no channel, no allocation, no goroutine switch. A lookup that has
 // to wait (a miss in flight) or to queue (a busy LC) gets its reply
-// channel at that moment.
+// channel at that moment. A hit needs neither deadline nor retry clock, so
+// an inline lookup is stamped here only if it is traced, has no cache to hit,
+// or the LC's hit timer is due: it has never timed an inline hit, or
+// hitTimedEvery-1 went untimed since. Else handleLookup stamps it at a miss.
 func (r *Router) lookup(ctx context.Context, i int, addr ip.Addr) (Verdict, error) {
 	if i < 0 || i >= r.cfg.NumLCs {
 		return Verdict{}, fmt.Errorf("router: no such LC %d", i)
 	}
-	m := r.newLookup(i, addr)
+	m := message{kind: mLookup, addr: addr, tr: r.tracer.Sample(i, addr)}
 	if lc := r.enter(i); lc != nil {
+		if m.tr != nil || lc.cache == nil || lc.hitNS == 0 || lc.untimedHits >= hitTimedEvery-1 {
+			r.stamp(&m, i)
+		}
 		v, done := r.handleLookup(lc, &m)
 		r.leave(lc, m.start)
 		if done {
 			return v, nil
 		}
 	} else {
+		r.stamp(&m, i)
 		m.needReply()
 		if err := r.admit(ctx, i, m); err != nil {
 			return Verdict{}, err
@@ -1706,16 +1734,17 @@ func (r *Router) lookup(ctx context.Context, i int, addr ip.Addr) (Verdict, erro
 	}
 }
 
-// newLookup stamps one lookup submitted at LC i: its submission time and,
-// when it is sampled, its trace.
-func (r *Router) newLookup(i int, addr ip.Addr) message {
-	m := message{kind: mLookup, addr: addr, start: r.now()}
-	if r.tracer != nil {
-		if m.tr = r.tracer.Sample(i, addr, r.at(m.start)); m.tr != nil {
-			m.tr.Record(tracing.EvArrival, int64(i), 0)
-		}
+// hitTimedEvery: one inline cache hit in this many at an LC is timed (see lineCard.untimedHits).
+const hitTimedEvery = 16
+
+// stamp gives lookup m, submitted at LC i, its submission time, which is
+// also where its trace, if it was sampled for one, starts.
+func (r *Router) stamp(m *message, i int) {
+	m.start = r.now()
+	if m.tr != nil {
+		m.tr.Start = r.at(m.start)
+		m.tr.Record(tracing.EvArrival, int64(i), 0)
 	}
-	return m
 }
 
 // LookupAsync submits a lookup and returns immediately with the channel
@@ -1733,7 +1762,8 @@ func (r *Router) LookupAsync(lc int, addr ip.Addr) (<-chan Verdict, error) {
 	if lc < 0 || lc >= r.cfg.NumLCs {
 		return nil, fmt.Errorf("router: no such LC %d", lc)
 	}
-	m := r.newLookup(lc, addr)
+	m := message{kind: mLookup, addr: addr, tr: r.tracer.Sample(lc, addr)}
+	r.stamp(&m, lc)
 	m.needReply()
 	if err := r.admit(context.Background(), lc, m); err != nil {
 		return nil, err
@@ -1906,4 +1936,9 @@ func (r *Router) Stop() {
 	}
 	r.wg.Wait()
 	r.delayWG.Wait()
+	for _, lc := range r.lcs { // no closure will run on an LC again: record what a scrape's would have
+		lc.mu.Lock()
+		lc.foldHits()
+		lc.mu.Unlock()
+	}
 }

@@ -71,19 +71,16 @@ func splitmix64(x uint64) uint64 {
 
 // Sample decides head sampling for one arriving lookup, returning a new
 // trace or nil. The decision is one atomic increment plus one hash — no
-// allocation on the unsampled path.
-func (r *Recorder) Sample(lc int, addr ip.Addr, start time.Time) *LookupTrace {
-	if r == nil || r.threshold == 0 {
-		return nil
-	}
-	if r.threshold != math.MaxUint64 && splitmix64(r.seq.Add(1)) > r.threshold {
+// allocation and no clock on the unsampled path: the caller sets Start, the
+// lookup's submission time, on the trace it gets, before it records on it.
+func (r *Recorder) Sample(lc int, addr ip.Addr) *LookupTrace {
+	if r == nil || r.threshold == 0 || (r.threshold != math.MaxUint64 && splitmix64(r.seq.Add(1)) > r.threshold) {
 		return nil
 	}
 	return &LookupTrace{
 		ID:        r.ids.Add(1),
 		Addr:      addr,
 		ArrivalLC: lc,
-		Start:     start,
 		Flags:     FlagSampled,
 	}
 }

@@ -71,7 +71,7 @@ func TestEventKindNames(t *testing.T) {
 
 func TestSampleRateZeroAndNil(t *testing.T) {
 	var nilRec *Recorder
-	if tr := nilRec.Sample(0, 1, time.Now()); tr != nil {
+	if tr := nilRec.Sample(0, 1); tr != nil {
 		t.Error("nil recorder sampled")
 	}
 	if got := nilRec.Snapshot(); got != nil {
@@ -81,7 +81,7 @@ func TestSampleRateZeroAndNil(t *testing.T) {
 
 	rec := New(Config{SampleRate: 0})
 	for i := 0; i < 1000; i++ {
-		if tr := rec.Sample(0, 1, time.Now()); tr != nil {
+		if tr := rec.Sample(0, 1); tr != nil {
 			t.Fatal("rate-0 recorder head-sampled a lookup")
 		}
 	}
@@ -95,7 +95,7 @@ func TestSampleRateOne(t *testing.T) {
 	rec := New(Config{SampleRate: 1})
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
-		tr := rec.Sample(2, 7, time.Now())
+		tr := rec.Sample(2, 7)
 		if tr == nil {
 			t.Fatal("rate-1 recorder skipped a lookup")
 		}
@@ -113,7 +113,7 @@ func TestSampleRateFractionBounds(t *testing.T) {
 	rec := New(Config{SampleRate: 0.5})
 	n, hits := 20000, 0
 	for i := 0; i < n; i++ {
-		if rec.Sample(0, 1, time.Now()) != nil {
+		if rec.Sample(0, 1) != nil {
 			hits++
 		}
 	}
@@ -126,7 +126,7 @@ func TestSampleRateFractionBounds(t *testing.T) {
 func TestJournalWrap(t *testing.T) {
 	rec := New(Config{SampleRate: 1, JournalSize: 8})
 	for i := 0; i < 20; i++ {
-		tr := rec.Sample(0, 1, time.Now())
+		tr := rec.Sample(0, 1)
 		rec.Finish(tr, "cache", true)
 	}
 	got := rec.Snapshot()
@@ -144,7 +144,8 @@ func TestJournalWrap(t *testing.T) {
 func TestFinishSealsAndLogs(t *testing.T) {
 	var buf bytes.Buffer
 	rec := New(Config{SampleRate: 1, Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
-	tr := rec.Sample(1, 0x0a000001, time.Now())
+	tr := rec.Sample(1, 0x0a000001)
+	tr.Start = time.Now() // the caller's stamp: Sample reads no clock
 	tr.Record(EvProbe, 0, 0)
 	rec.Finish(tr, "fe", true)
 
