@@ -358,24 +358,16 @@ func TestStaleHomeCacheAcrossSwap(t *testing.T) {
 		t.Fatalf("warm-up lookup: %+v, %v", v, err)
 	}
 
-	ctrl := func(lc int, m message) {
-		t.Helper()
-		done := make(chan struct{})
-		m.swapDone = done
-		if !r.sendCtrlSwap(lc, m) {
-			t.Fatal("router stopped")
-		}
-		<-done
-	}
 	r.mu.Lock()
 	r.fallback.Store(&fallbackEngine{eng: r.cfg.Engine(t2)})
 	r.gen++
-	for lc := 0; lc < 2; lc++ {
-		ctrl(lc, message{kind: mSwapEngine, engine: r.buildEngine(p2.Table(lc)), homeOf: p2.HomeLC, gen: r.gen})
+	for i := 0; i < 2; i++ {
+		engine := r.buildEngine(p2.Table(i))
+		r.install(i, func(lc *lineCard) { lc.installTable(engine, p2.HomeLC, r.gen) })
 	}
-	ctrl(req, message{kind: mRekey})
+	r.install(req, r.rekey)
 	v, err := r.Lookup(req, addr)
-	ctrl(home, message{kind: mRekey})
+	r.install(home, r.rekey)
 	r.part = p2
 	r.mu.Unlock()
 
@@ -452,11 +444,11 @@ func TestStaleRequestAfterRehomeForwarded(t *testing.T) {
 	}
 
 	// The old home's cache must not hold the address at all.
-	probeRes := make(chan cache.ProbeKind, 1)
-	r.push(1, message{kind: mExec, do: func(lc *lineCard) { probeRes <- lc.cache.Probe(addr).Kind }})
-	if k := <-probeRes; k != cache.Miss {
-		t.Errorf("old home cached the re-homed address (probe = %d), want miss", k)
-	}
+	r.own(1, func(lc *lineCard) {
+		if k := lc.cache.Probe(addr).Kind; k != cache.Miss {
+			t.Errorf("old home cached the re-homed address (probe = %d), want miss", k)
+		}
+	})
 
 	// And a local lookup at the old home agrees with the new table.
 	v, err := r.Lookup(1, addr)
@@ -500,16 +492,11 @@ func TestCacheBypassCoalescesSecondLookup(t *testing.T) {
 	fill, bypass := addrs[:4], addrs[4]
 
 	// Stall the home LC so the waiting blocks stay waiting.
-	release := make(chan struct{})
-	var once sync.Once
-	unstall := func() { once.Do(func() { close(release) }) }
+	unstall := gateLC(t, r, 1)
 	defer unstall()
-	r.push(1, message{kind: mExec, do: func(*lineCard) { <-release }})
 
 	syncLC0 := func() {
-		done := make(chan struct{})
-		r.push(0, message{kind: mExec, do: func(*lineCard) { close(done) }})
-		<-done
+		waitFor(t, "LC 0 to handle what it was sent", func() bool { return r.lcs[0].backlog.Load() == 0 })
 	}
 
 	var chans []<-chan Verdict

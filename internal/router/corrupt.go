@@ -90,9 +90,9 @@ func (r *Router) wrapCache(i int, s cache.Store) cache.Store {
 
 // maybeInjectLocked is the health ticker's engine-flip hook: one draw per
 // serving LC per tick; a firing draw poisons one partition prefix in that
-// LC's live engine with the wrong verdict. The poison is applied by the
-// LC itself (a control closure, run under lineCard.mu like any handler)
-// and the monitor waits for it, so the flip counter is exact. r.mu must be held.
+// LC's live engine with the wrong verdict. The poison is applied under
+// lineCard.mu like any handler's work (see install), so the flip counter
+// is exact. r.mu must be held.
 func (r *Router) maybeInjectLocked() {
 	p := r.corruptPol
 	if !p.Enabled || p.EngineFlipRate <= 0 {
@@ -123,17 +123,13 @@ func (r *Router) maybeInjectLocked() {
 		if rt, ok := tbl.LongestMatch(lo); ok {
 			nh = rt.NextHop ^ 1
 		}
-		// An LC that crashes before the poison lands is skipped; the reborn
-		// slot gets a fresh engine anyway.
-		poison := message{kind: mExec, do: func(lc *lineCard) {
+		// A dead slot is skipped; reborn, it gets a fresh engine anyway.
+		r.install(i, func(lc *lineCard) {
 			if c := lpm.AsCorrupt(lc.engine); c != nil {
 				c.Poison(lo, hi, nh)
 				r.engineFlips.Add(1)
 			}
-		}}
-		if _, ok := r.barrier([]int{i}, func(int) message { return poison }); !ok {
-			return
-		}
+		})
 	}
 }
 

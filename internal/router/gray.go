@@ -326,18 +326,17 @@ func (r *Router) ejectLocked(i int) {
 	r.gray[i].ejected.Store(true)
 	r.ejections.Add(1)
 	r.grayLog("eject", slog.Int("lc", i))
-	r.fenceLocked(i)
+	r.fenceLocked()
 }
 
-// restoreEjectedLocked lifts an ejection: the flag clears (replies carry
-// the LC's real generation again), then the LC catches up with the router
-// generation, after which its replies are cacheable again and dispatch
-// stops steering around it. r.mu must be held.
+// restoreEjectedLocked lifts an ejection: the flag clears, so the LC's
+// replies carry its real generation again — the router's, which the fence
+// never held it behind — and are cacheable, and dispatch stops steering
+// around it. r.mu must be held.
 func (r *Router) restoreEjectedLocked(i int) {
 	r.gray[i].ejected.Store(false)
 	r.restores.Add(1)
 	r.grayLog("restore", slog.Int("lc", i))
-	r.catchUpLocked(i)
 }
 
 // genPinned reports whether LC id is fenced behind the router's

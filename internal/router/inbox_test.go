@@ -1,5 +1,5 @@
-// Tests for the one inbox every LC has: a bounded data channel plus a
-// control channel. overload_test.go covers what WithOverload layers on
+// Tests for the one inbox every LC has: a bounded channel, the only one
+// into it. overload_test.go covers what WithOverload layers on
 // top; these cover the policy-off row — callers block on a full inbox and
 // are never shed, LC→LC sends shed instead of blocking and are recovered
 // by the deadline machinery — and the properties both rows share.
@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"spal/internal/ip"
 	"spal/internal/lpm"
@@ -150,12 +151,12 @@ func TestPolicyOffCallerBlocksOnFullInbox(t *testing.T) {
 
 // TestControlLandsWhileDataInboxFull: FlushCaches, Metrics and
 // UpdateTable must complete while the data inbox is still full, with or
-// without an overload policy. The inbox is packed with data-plane closures
-// that each block until the test releases them, and the test releases one
-// only after the control calls have had a millisecond to finish without
-// it — so they finish after a handful of data messages (the LC takes
-// pending control before each data message), or, if control queued behind
-// data, only once the whole inbox had drained.
+// without an overload policy. The inbox is packed with lookups whose FE
+// execution (steppedEngine) blocks until the test releases it, and the test
+// releases one only after the control calls have had a millisecond to
+// finish without it — so they finish after a handful of data messages (a
+// control caller waits for the LC's lock, not for its inbox), or, if control
+// queued behind data, only once the whole inbox had drained.
 func TestControlLandsWhileDataInboxFull(t *testing.T) {
 	for name, opts := range map[string][]Option{
 		"policy-on":  {WithOverload(OverloadPolicy{QueueDepth: 256})},
@@ -163,18 +164,20 @@ func TestControlLandsWhileDataInboxFull(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			tbl := rtable.Small(500, 3)
-			r, err := New(tbl, append([]Option{WithLCs(1), WithDefaultCache()}, opts...)...)
+			step := make(chan struct{})
+			stepped := func(tbl *rtable.Table) lpm.Engine { return steppedEngine{lpm.NewReferenceEngine(tbl), step} }
+			r, err := New(tbl, append([]Option{WithLCs(1), WithDefaultCache(), WithEngine(stepped)}, opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r.Stop()
 
-			step := make(chan struct{})
 			defer close(step)
 			depth := cap(r.inboxes[0])
-			// depth+1: the LC takes one closure off the inbox and blocks in it.
+			// depth+1: the LC takes one lookup off the inbox and blocks in it.
+			// Distinct addresses: every one misses and runs the FE.
 			for i := 0; i <= depth; i++ {
-				r.push(0, message{kind: mExec, do: func(*lineCard) { <-step }})
+				r.push(0, message{kind: mLookup, addr: ip.Addr(i), resp: make(chan Verdict, 1)})
 			}
 			ctrlDone := make(chan error, 1)
 			go func() {
@@ -199,6 +202,28 @@ func TestControlLandsWhileDataInboxFull(t *testing.T) {
 				t.Errorf("control calls only finished with the data inbox drained to %d of %d", left, depth)
 			}
 		})
+	}
+}
+
+// steppedEngine is an engine whose every lookup waits for a step (or for
+// step to be closed): a data message that holds its LC until the test lets
+// it go.
+type steppedEngine struct {
+	lpm.Engine
+	step <-chan struct{}
+}
+
+func (e steppedEngine) Lookup(a ip.Addr) (rtable.NextHop, int, bool) {
+	<-e.step
+	return e.Engine.Lookup(a)
+}
+
+// TestMessageSize: every miss copies its message four or five times — into
+// an outbox, through an inbox, into a handler — so it carries the fabric
+// traffic and nothing else, in under two cache lines.
+func TestMessageSize(t *testing.T) {
+	if got := unsafe.Sizeof(message{}); got > 112 {
+		t.Errorf("a message is %d bytes, want at most 112", got)
 	}
 }
 

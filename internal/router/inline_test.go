@@ -510,7 +510,7 @@ func inlineNesting() int {
 // TestChaosInlineDepthBounded: inline runs nest on the sender's stack, and
 // the protocol has one open-ended exchange — a requester that has swapped
 // to a new table re-drives every reply from a home that has not, for as
-// long as that home's swap has not reached its ctrl channel. Held in that
+// long as that home's install has not reached it. Held in that
 // state by hand, request and stale reply must go round through the inbox
 // every maxInlineDepth hand-offs instead of down one stack; and real
 // UpdateTable calls under load must stay inside the same bound.
@@ -539,23 +539,15 @@ func TestChaosInlineDepthBounded(t *testing.T) {
 			break
 		}
 	}
-	ctrl := func(lc int, m message) {
-		t.Helper()
-		done := make(chan struct{})
-		m.swapDone = done
-		if !r.sendCtrlSwap(lc, m) {
-			t.Fatal("router stopped")
-		}
-		<-done
-	}
-	swap := func(lc int) {
-		ctrl(lc, message{kind: mSwapEngine, engine: r.buildEngine(p2.Table(lc)), homeOf: p2.HomeLC, gen: r.gen})
+	swap := func(i int) {
+		engine := r.buildEngine(p2.Table(i))
+		r.install(i, func(lc *lineCard) { lc.installTable(engine, p2.HomeLC, r.gen) })
 	}
 
 	r.mu.Lock()
 	r.fallback.Store(&fallbackEngine{eng: r.cfg.Engine(t2)})
 	r.gen++
-	swap(req) // the requester is ahead; the home does not even have its swap queued
+	swap(req) // the requester is ahead; the home has yet to be reached
 	got := make(chan Verdict, 1)
 	go func() {
 		v, err := r.Lookup(req, addr)
@@ -569,8 +561,8 @@ func TestChaosInlineDepthBounded(t *testing.T) {
 		return stale.Load() >= 5000 || deepest.Load() > maxInlineDepth
 	})
 	swap(home)
-	ctrl(req, message{kind: mRekey})
-	ctrl(home, message{kind: mRekey})
+	r.install(req, r.rekey)
+	r.install(home, r.rekey)
 	r.part = p2
 	r.mu.Unlock()
 
@@ -620,14 +612,15 @@ func TestChaosInlineDepthBounded(t *testing.T) {
 }
 
 // TestHandledMetric reconciles spal_router_handled_total with the messages
-// the router handled: every lookup, fabric request, fabric reply and
-// control closure is one handler run, inline or queued, and which of the
-// two follows from whether the LC was idle.
+// the router handled: every lookup, fabric request and fabric reply is one
+// handler run, inline or queued, and which of the two follows from whether
+// the LC was idle. A scrape is no message and adds nothing, however many
+// there are.
 func TestHandledMetric(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	for _, tc := range []struct {
 		name  string
-		stall bool // LC 0 sits in a control closure while the lookups arrive
+		stall bool // LC 0 is wedged while the lookups arrive
 	}{
 		{"idle single caller", false},
 		{"stalled arrival LC", true},
@@ -638,11 +631,13 @@ func TestHandledMetric(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Stop()
-			var ctrl int64 // control closures sent so far (gate, Metrics)
+			r.Metrics()
+			r.Metrics()
+			var fabric int64
 			release := func() {}
 			if tc.stall {
 				release = gateLC(t, r, 0)
-				ctrl++
+				fabric++ // the gate's own message, an empty request
 			}
 
 			const n = 200
@@ -666,22 +661,20 @@ func TestHandledMetric(t *testing.T) {
 			}
 
 			s := r.Metrics()
-			ctrl += int64(r.NumLCs()) // the snapshot's own collection closures
-			var fabric int64
 			for _, st := range r.Stats() {
 				fabric += st.RequestsSent.Load() + st.RepliesSent.Load()
 			}
 			inline, queued := handled(r)
-			if inline+queued != n+fabric+ctrl {
-				t.Errorf("handled %d inline + %d queued = %d, want %d lookups + %d fabric messages + %d control closures",
-					inline, queued, inline+queued, n, fabric, ctrl)
+			if inline+queued != n+fabric {
+				t.Errorf("handled %d inline + %d queued = %d, want %d lookups + %d fabric messages",
+					inline, queued, inline+queued, n, fabric)
 			}
 			if tc.stall {
 				if in := r.lcs[0].handledInline.Load(); in != 0 {
 					t.Errorf("the stalled LC ran %d handlers inline, want all %d lookups and their replies queued", in, n)
 				}
-			} else if queued != ctrl {
-				t.Errorf("queued = %d, want only the %d control closures", queued, ctrl)
+			} else if queued != 0 {
+				t.Errorf("queued = %d on an idle router with one caller, want 0", queued)
 			}
 			for path, want := range map[string]int64{"inline": inline, "queued": queued} {
 				var got float64

@@ -218,9 +218,9 @@ func (r *Router) rehomeLocked(dead int) {
 	// and bump the epoch so replies computed for the dead incarnation
 	// cannot fill the flushed cache.
 	lc := r.lcs[dead]
+	engine := r.buildEngine(part.Table(dead)) // like every build, under no LC's lock
 	lc.mu.Lock()
-	r.discardStaleCtrl(lc)
-	lc.engine = r.buildEngine(part.Table(dead))
+	lc.engine = engine
 	lc.homeOf = part.HomeLC
 	lc.epoch++
 	lc.gen = r.gen // the shell's engine is built from the current table
@@ -240,14 +240,14 @@ func (r *Router) rehomeLocked(dead int) {
 	lc.lastTick = r.now()
 	l.lastBeat.Store(r.at(lc.lastTick))
 	lc.live.Store(true)
-	r.leave(lc, 0) // like any owner: a closure run above may have posted
+	r.leave(lc, 0)
 	r.wg.Add(1)
-	go r.lcLoop(lc, r.inboxes[dead], r.ctrls[dead], l.die, l.exited)
+	go r.lcLoop(lc, r.inboxes[dead], l.die, l.exited)
 
 	// Replay the lookups that were parked at the dead LC: re-submitted at
 	// the reborn slot, they re-dispatch against the new homeOf. Remote
 	// waiters need no replay — their requesters hold their own
-	// deadline-armed waitlists, which the mRekey phase of the swap below
+	// deadline-armed waitlists, which the rekey phase of the swap below
 	// re-drives.
 	replayed := 0
 	for _, e := range pend {
@@ -277,32 +277,6 @@ func (r *Router) rehomeLocked(dead int) {
 		return // stopping; the partial swap no longer matters
 	}
 	r.part = part
-}
-
-// discardStaleCtrl empties a crashed slot's control channel before its
-// adoption. A swap or update batch sent while the slot was dead may have
-// been buffered there rather than skipped (sendCtrlSwap takes whichever of
-// "room in ctrl" and "exited" it sees first), and its sender has long
-// stopped waiting. Applied by the reborn incarnation it would put an old
-// engine, or an old delta on top of the current one, under the current
-// generation stamp until the re-home's own swap lands — the adoption
-// installs the current table, so those are dropped, acked. Flushes and
-// closures are still run (a Metrics call may be waiting on one); the
-// adoption ends in leave, so anything one posted is delivered. r.mu and
-// lc.mu must be held and no incarnation may be running, which makes this
-// goroutine the channel's only receiver.
-func (r *Router) discardStaleCtrl(lc *lineCard) {
-	for ctrl := r.ctrls[lc.id]; len(ctrl) > 0; {
-		m := <-ctrl
-		lc.backlog.Add(-1)
-		switch m.kind {
-		case mSwapEngine, mRekey, mApplyUpdates:
-			close(m.swapDone)
-		default:
-			lc.handledQueued.Add(1)
-			r.handle(lc, m)
-		}
-	}
 }
 
 // aliveLCsLocked returns the LCs that currently own partitions (Healthy,
@@ -401,25 +375,19 @@ func (r *Router) DrainLC(lc int) error {
 	r.part = part
 	r.mu.Unlock()
 
-	// Quiesce: the swap's mRekey already re-drove every parked lookup
+	// Quiesce: the swap's rekey already re-drove every parked lookup
 	// against the new homes; wait until each address that was in the
 	// LC's waitlists has resolved at least once. Tracking the snapshot
 	// (not the live depth) keeps the drain bounded under continuous
 	// arrival traffic.
-	remaining, err := r.pendingAddrs(lc)
-	if err != nil {
-		return err
-	}
+	remaining := r.pendingAddrs(lc)
 	for len(remaining) > 0 {
 		select {
 		case <-r.quit:
 			return ErrStopped
 		case <-time.After(r.tickEvery):
 		}
-		cur, err := r.pendingAddrs(lc)
-		if err != nil {
-			return err
-		}
+		cur := r.pendingAddrs(lc)
 		for a := range remaining {
 			if _, still := cur[a]; !still {
 				delete(remaining, a)
@@ -431,27 +399,17 @@ func (r *Router) DrainLC(lc int) error {
 	return nil
 }
 
-// pendingAddrs snapshots the set of addresses with parked lookups at an
-// LC, collected by its own goroutine under lc.mu. Rides the control plane
-// so the snapshot lands even when the data inbox is at capacity.
-func (r *Router) pendingAddrs(lc int) (map[ip.Addr]struct{}, error) {
-	out := make(chan map[ip.Addr]struct{}, 1)
-	ok := r.sendCtrl(lc, message{kind: mExec, do: func(lc *lineCard) {
-		m := make(map[ip.Addr]struct{}, lc.pending.len())
+// pendingAddrs snapshots the set of addresses with parked lookups at LC i
+// (a corpse's too: its waiters stay parked until the adoption replays them).
+func (r *Router) pendingAddrs(i int) map[ip.Addr]struct{} {
+	var m map[ip.Addr]struct{}
+	r.own(i, func(lc *lineCard) {
+		m = make(map[ip.Addr]struct{}, lc.pending.len())
 		for _, e := range lc.pending.dense {
 			m[e.addr] = struct{}{}
 		}
-		out <- m
-	}})
-	if !ok {
-		return nil, ErrStopped
-	}
-	select {
-	case m := <-out:
-		return m, nil
-	case <-r.quit:
-		return nil, ErrStopped
-	}
+	})
+	return m
 }
 
 // RestoreLC returns a drained, down, or quarantined line card to

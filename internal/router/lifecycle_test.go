@@ -12,9 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"spal/internal/cache"
 	"spal/internal/ip"
 	"spal/internal/lpm"
-	"spal/internal/partition"
+	"spal/internal/metrics"
 	"spal/internal/rtable"
 	"spal/internal/stats"
 )
@@ -450,9 +451,7 @@ func TestLookupBatchCtxCancel(t *testing.T) {
 	defer r.Stop()
 
 	// A batch aimed at a stalled home LC cannot complete until released.
-	release := make(chan struct{})
-	defer close(release)
-	r.push(1, message{kind: mExec, do: func(*lineCard) { <-release }})
+	defer gateLC(t, r, 1)()
 
 	rng := stats.NewRNG(5)
 	var addrs []ip.Addr
@@ -494,8 +493,7 @@ func TestWaitersGauge(t *testing.T) {
 	}
 	defer r.Stop()
 
-	release := make(chan struct{})
-	r.push(1, message{kind: mExec, do: func(*lineCard) { <-release }})
+	release := gateLC(t, r, 1)
 
 	rng := stats.NewRNG(41)
 	var addrs []ip.Addr
@@ -515,7 +513,7 @@ func TestWaitersGauge(t *testing.T) {
 	waitFor(t, "waiters to park", func() bool {
 		return r.lcs[0].waiters.Load() == int64(len(addrs))
 	})
-	close(release)
+	release()
 	for _, ch := range chans {
 		<-ch
 	}
@@ -525,84 +523,99 @@ func TestWaitersGauge(t *testing.T) {
 	})
 }
 
-// TestRebirthDiscardsStaleCtrl: a swap sent to a slot between its crash and
-// its adoption may sit buffered in its ctrl channel (sendCtrlSwap takes
-// "room in ctrl" or "exited", whichever it sees first), its sender long
-// gone. The adoption installs the current table; the reborn incarnation
-// must not then apply the buffered swap on top of it and serve an older
-// table until the re-home's own swap arrives. The window is held open by an
-// engine builder that blocks the re-home's swap, with a stale swap and a
-// control closure planted in the dead slot's ctrl channel by hand.
-func TestRebirthDiscardsStaleCtrl(t *testing.T) {
+// crash kills LC i and waits for its goroutine to exit: a corpse, until the
+// monitor adopts it.
+func crash(t *testing.T, r *Router, i int) {
+	t.Helper()
+	if err := r.KillLC(i); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	exited := r.life[i].exited
+	r.mu.Unlock()
+	<-exited
+}
+
+// TestControlSkipsDeadSlot: a control action aimed at a slot between its
+// crash and its adoption is skipped on the spot — never buffered for the
+// reborn incarnation to apply on top of what the adoption installs, and
+// never waited for. UpdateTable and ApplyUpdates both return while the slot
+// is still a corpse, and once it is adopted it serves the table as it is by
+// then, both changes in it.
+func TestControlSkipsDeadSlot(t *testing.T) {
 	t1 := rtable.Small(1500, 7)
 	t2 := rtable.Small(1500, 8)
 	o1, o2 := lpm.NewReference(t1), lpm.NewReference(t2)
-	p1 := partition.Partition(t1, 2)
-
-	// Once armed, the builder lets one build through (the adoption's) and
-	// holds the rest (the re-home's swap) until released.
-	var armed atomic.Bool
-	var builds atomic.Int64
-	hold := make(chan struct{})
-	var release sync.Once
-	builder := func(tbl *rtable.Table) lpm.Engine {
-		if armed.Load() && builds.Add(1) > 1 {
-			<-hold
-		}
-		return lpm.NewReferenceEngine(tbl)
-	}
-	r, err := New(t1, WithLCs(2), WithEngine(builder), WithDefaultCache(),
-		WithHealthThresholds(5*time.Millisecond, 10*time.Millisecond))
+	r, err := New(t1, WithLCs(2), WithDefaultCache(),
+		WithHealthThresholds(300*time.Millisecond, 600*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Stop()
-	defer release.Do(func() { close(hold) })
-	if err := r.UpdateTable(t2); err != nil {
-		t.Fatal(err)
-	}
 
-	// An address the old table homes at the slot and routes differently.
+	// An address t2 routes, and neither t1 nor t2 the way the batch will.
 	const dead = 1
 	var addr ip.Addr
+	var changed rtable.Route
 	for rng := stats.NewRNG(31); ; {
 		addr = t2.RandomMatchedAddr(rng)
-		nh1, _, ok1 := o1.Lookup(addr)
-		nh2, _, _ := o2.Lookup(addr)
-		if p1.HomeLC(addr) == dead && (!ok1 || nh1 != nh2) {
+		changed, _ = t2.LongestMatch(addr)
+		changed.NextHop++
+		if nh1, _, ok1 := o1.Lookup(addr); !ok1 || nh1 != changed.NextHop {
 			break
 		}
 	}
+	if v, err := r.Lookup(dead, addr); err != nil || !verdictMatches(v, o1, addr) {
+		t.Fatalf("lookup before the crash: %+v, %v", v, err)
+	}
 
-	r.mu.Lock() // keeps the monitor off the corpse while the stage is set
-	r.lcs[dead].live.Store(false)
-	close(r.life[dead].die)
-	<-r.life[dead].exited
-	acked, ran := make(chan struct{}), make(chan struct{})
-	r.sendCtrl(dead, message{kind: mSwapEngine, engine: lpm.NewReferenceEngine(p1.Table(dead)),
-		homeOf: p1.HomeLC, gen: r.gen - 1, swapDone: acked})
-	r.sendCtrl(dead, message{kind: mExec, do: func(*lineCard) { close(ran) }})
-	armed.Store(true)
-	r.mu.Unlock()
+	crash(t, r, dead)
+	if err := r.UpdateTable(t2); err != nil {
+		t.Fatalf("UpdateTable with a dead slot: %v", err)
+	}
+	batch := []rtable.Update{{Kind: rtable.Announce, Route: changed}}
+	if err := r.ApplyUpdates(batch); err != nil {
+		t.Fatalf("ApplyUpdates with a dead slot: %v", err)
+	}
+	if r.lcs[dead].live.Load() || r.LCStates()[dead] == LCDown {
+		t.Fatal("the slot was adopted before the control calls returned: they were meant to find it dead")
+	}
 
 	waitFor(t, "the monitor to adopt the slot", func() bool {
 		return r.LCStates()[dead] == LCDown && r.lcs[dead].live.Load()
 	})
-	v, err := r.Lookup(dead, addr)
-	if err != nil || !verdictMatches(v, o2, addr) {
-		t.Errorf("lookup at the reborn slot before the re-home's swap: %+v (served by %s), %v; want the current table's verdict", v, v.ServedBy, err)
-	}
-	for what, ch := range map[string]chan struct{}{"stale swap was not acked": acked, "control closure did not run": ran} {
-		select {
-		case <-ch:
-		case <-time.After(5 * time.Second):
-			t.Errorf("the buffered %s", what)
+	cur := lpm.NewReference(t2.ApplyAll(batch))
+	for lc := 0; lc < 2; lc++ {
+		v, err := r.Lookup(lc, addr)
+		if err != nil || !verdictMatches(v, cur, addr) || verdictMatches(v, o2, addr) {
+			t.Errorf("lookup at LC %d after the adoption: %+v (served by %s), %v; want the current table's next hop %d",
+				lc, v, v.ServedBy, err, changed.NextHop)
 		}
 	}
-	release.Do(func() { close(hold) })
-	r.mu.Lock() // held by the monitor until the re-home's swap is done
-	r.mu.Unlock()
-	if v, err := r.Lookup(dead, addr); err != nil || !verdictMatches(v, o2, addr) {
-		t.Errorf("lookup after the re-home: %+v, %v", v, err)
+}
+
+// TestMetricsWhileLCDead: a scrape takes each LC's lock, which a dead LC's
+// goroutine is not needed for — Metrics returns at once with an LC crashed
+// and not yet declared Down (which is when an operator scrapes), the corpse's
+// cache counters in it.
+func TestMetricsWhileLCDead(t *testing.T) {
+	r, err := New(rtable.Small(1500, 7), WithLCs(2), WithDefaultCache(),
+		WithHealthThresholds(2*time.Second, 3*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	crash(t, r, 1)
+
+	start := time.Now()
+	s := r.Metrics()
+	if took := time.Since(start); took >= time.Second {
+		t.Errorf("Metrics took %v with an LC dead, want well under a second", took)
+	}
+	if st, ok := s.Value(MetricLCState, metrics.L("lc", "1")); !ok || LCState(st) == LCDown {
+		t.Errorf("%s{lc=1} = %v (present %v) at the scrape, want the slot dead and not yet Down", MetricLCState, st, ok)
+	}
+	if _, ok := s.Value(cache.MetricProbes, metrics.L("lc", "1")); !ok {
+		t.Errorf("%s{lc=1} missing: a corpse's cache is readable under its lock", cache.MetricProbes)
 	}
 }

@@ -138,9 +138,9 @@ const (
 	MetricInboxDepth = "spal_router_inbox_depth"
 	// MetricHandled splits an LC's handler runs by who ran them:
 	// path="inline" on the goroutine that held the message (the LC was
-	// idle), path="queued" on the LC's own goroutine via inbox or ctrl. A
+	// idle), path="queued" on the LC's own goroutine via its inbox. A
 	// growing queued share means contention is pushing traffic off the
-	// run-to-completion path.
+	// run-to-completion path. Messages only: control is not one (see own).
 	MetricHandled          = "spal_router_handled_total"
 	MetricWaitlistOverflow = "spal_router_waitlist_overflow_total"
 	MetricRetryBudget      = "spal_router_retry_budget"
@@ -178,47 +178,30 @@ const (
 // per-LC event counters (labeled lc="<id>"), lookup-latency histograms in
 // nanoseconds (labeled lc and served_by="cache"|"fe"|"remote"), the live
 // waitlist depth, and — while the router is running — each LR-cache's
-// counters and per-origin occupancy, collected by a control closure each
-// LC runs on itself, so Metrics never holds an LC's lock.
+// counters and per-origin occupancy, read under that LC's lock (see own):
+// one LC's at a time, for the length of a copy of its cache's counters,
+// a dead LC's included. A scrape is not a message and counts as none.
 //
 // Snapshots support Delta for interval rates and WritePrometheus for
 // export; see internal/metrics.
 func (r *Router) Metrics() *metrics.Snapshot {
 	s := metrics.NewSnapshot()
 
-	// LR-cache state belongs to the LC's lock holder: collect it by running
-	// a closure on each LC. Send to all LCs first, then gather, so
-	// collection is parallel. A stopped router skips this (the cache views
-	// are frozen anyway) and still reports every atomic counter.
+	// LR-cache state belongs to the LC's lock holder. A stopped router skips
+	// this (the cache views are frozen anyway) and still reports every
+	// atomic counter.
 	views := make([]*metrics.Snapshot, r.cfg.NumLCs)
 	if !r.stopped.Load() {
-		dones := make([]chan struct{}, r.cfg.NumLCs)
 		for i := range r.lcs {
-			view := metrics.NewSnapshot()
-			done := make(chan struct{})
-			views[i], dones[i] = view, done
+			views[i] = metrics.NewSnapshot()
 			lbl := metrics.L("lc", strconv.Itoa(i))
-			ok := r.sendCtrl(i, message{kind: mExec, do: func(lc *lineCard) {
+			r.own(i, func(lc *lineCard) {
 				lc.foldHits()
 				lc.hitNS = 0 // the next inline hit is timed: a quiet LC's value is no older than a scrape
 				if lc.cache != nil {
-					lc.cache.MetricsInto(view, lbl)
+					lc.cache.MetricsInto(views[i], lbl)
 				}
-				close(done)
-			}})
-			if !ok {
-				dones[i] = nil
-			}
-		}
-		for i, done := range dones {
-			if done == nil {
-				continue
-			}
-			select {
-			case <-done:
-			case <-r.quit:
-				views[i] = nil
-			}
+			})
 		}
 	}
 
@@ -296,7 +279,7 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		}
 		s.Gauge(MetricInboxDepth, "Messages queued in this LC's bounded inbox.",
 			float64(len(r.inboxes[i])), lbl)
-		handledHelp := "Messages handled at this LC, by who ran the handler: inline on the sender's goroutine, or queued through the LC's inbox/ctrl."
+		handledHelp := "Messages handled at this LC, by who ran the handler: inline on the sender's goroutine, or queued through the LC's inbox."
 		s.Counter(MetricHandled, handledHelp, float64(lc.handledInline.Load()), lbl, metrics.L("path", "inline"))
 		s.Counter(MetricHandled, handledHelp, float64(lc.handledQueued.Load()), lbl, metrics.L("path", "queued"))
 		if r.ov.Enabled {

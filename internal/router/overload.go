@@ -38,13 +38,11 @@
 //
 // Every structure here follows the package's ownership rules: token
 // buckets and breakers are mutated only by the LC's current owner (the
-// holder of lineCard.mu); Metrics reads atomic mirrors. Control messages
-// (cache flush, table swap, stats collection) bypass admission entirely
-// on a dedicated per-LC control channel, so drain/kill/UpdateTable keep
-// their no-lost-lookup guarantees under full data inboxes. Control may
-// therefore overtake data that was sent before it; data never overtakes
-// control sent before it (lcLoop takes pending control first, and a
-// pending control message keeps data off the inline path).
+// holder of lineCard.mu); Metrics reads atomic mirrors. Control (cache
+// flush, table swap, stats collection) bypasses admission entirely — its
+// caller takes the LC's lock, not a place in its inbox (see own) — so
+// drain/kill/UpdateTable keep their no-lost-lookup guarantees under full
+// inboxes. Control may therefore overtake data that was sent before it.
 package router
 
 import (
@@ -55,11 +53,6 @@ import (
 
 	"spal/internal/tracing"
 )
-
-// ctrlDepth sizes the per-LC control channel: the control plane's rate
-// is bounded by design (one flush/swap/exec in flight per admin call),
-// so a small buffer plus blocking sendCtrl semantics suffice.
-const ctrlDepth = 64
 
 // ErrOverloaded is returned by Lookup/LookupCtx (and delivered as a
 // ServedByShed verdict on async paths) when overload control refuses a
@@ -506,83 +499,4 @@ func (r *Router) deliverData(to int, m message) {
 			r.shedCount(to, shedRemoteFull)
 		}
 	}
-}
-
-// sendCtrl delivers a control message (flush, swap, rekey, exec) to an
-// LC. Control traffic bypasses admission: it rides a dedicated channel
-// sized for the control plane's bounded rate, and the send blocks (never
-// sheds) so lifecycle and update invariants hold even when the data inbox
-// is saturated. Control messages are never run inline; a pending one
-// counts in the LC's backlog, so data submitted after it queues behind it
-// rather than overtaking it on the caller's goroutine.
-func (r *Router) sendCtrl(lc int, m message) bool {
-	r.lcs[lc].backlog.Add(1)
-	select {
-	case r.ctrls[lc] <- m:
-		return true
-	case <-r.quit:
-		return false
-	}
-}
-
-// sendCtrlSwap is sendCtrl for senders that hold r.mu (barrier): it
-// additionally bails out when the target LC's goroutine has exited (a
-// crashed slot awaiting rebirth), because blocking there while holding the
-// mutex would also block the health monitor that performs the rebirth.
-// barrier's ack loop treats an exited LC as a skip too. r.mu must be held.
-func (r *Router) sendCtrlSwap(lc int, m message) bool {
-	backlog := &r.lcs[lc].backlog
-	backlog.Add(1)
-	select {
-	case r.ctrls[lc] <- m:
-		return true
-	case <-r.life[lc].exited:
-		backlog.Add(-1)
-		return true // skip: rehoming will re-install on the reborn slot
-	case <-r.quit:
-		return false
-	}
-}
-
-// barrier is the control plane's one synchronisation step: it sends mk(i)
-// to each LC in lcs (sendCtrlSwap, so a crashed slot is skipped, not
-// awaited) and waits until every one of them has been run and
-// acknowledged — the handlers of mSwapEngine, mRekey, mApplyUpdates and
-// mExec close the swapDone channel installed here. An LC that crashes
-// before acknowledging is skipped: its ack would never come, and the
-// adoption that follows (rehomeLocked) rebuilds the slot from the
-// then-current partitioning and generation, so the skip cannot leave stale
-// state serving. It reports how many LCs acknowledged; ok is false when the
-// router stopped first. r.mu must be held.
-func (r *Router) barrier(lcs []int, mk func(i int) message) (acks int, ok bool) {
-	dones := make([]chan struct{}, len(lcs))
-	for k, i := range lcs {
-		m := mk(i)
-		dones[k] = make(chan struct{})
-		m.swapDone = dones[k]
-		if !r.sendCtrlSwap(i, m) {
-			return 0, false
-		}
-	}
-	for k, i := range lcs {
-		select {
-		case <-dones[k]:
-			acks++
-		case <-r.life[i].exited:
-		case <-r.quit:
-			return acks, false
-		}
-	}
-	return acks, true
-}
-
-// lcsExcept lists every LC slot but skip (none when skip is negative).
-func (r *Router) lcsExcept(skip int) []int {
-	out := make([]int, 0, r.cfg.NumLCs)
-	for i := 0; i < r.cfg.NumLCs; i++ {
-		if i != skip {
-			out = append(out, i)
-		}
-	}
-	return out
 }

@@ -23,24 +23,41 @@ import (
 	"spal/internal/tracing"
 )
 
-// gateLC parks an LC's goroutine inside a control closure until the
-// returned release func is called (or the router stops), so tests can
-// fill its bounded inbox deterministically.
-func gateLC(t *testing.T, r *Router, lc int) (release func()) {
+// gateLC wedges an idle LC the way a handler that does not return would,
+// until the returned release func is called (or the router stops), so tests
+// can fill its bounded inbox deterministically. It takes lc.mu, so nothing
+// runs inline at the LC, and parks the LC's own goroutine on that lock with
+// a message in hand, so nothing leaves the inbox either: an empty batch
+// request, which serves and answers nothing when it is handled at last.
+func gateLC(t *testing.T, r *Router, i int) (release func()) {
 	t.Helper()
+	lc, inbox := r.lcs[i], r.inboxes[i]
+	for parked := false; !parked; {
+		lc.mu.Lock()
+		r.push(i, message{kind: mBatchRequest})
+		// An lcLoop waiting in its select is handed the message directly. One
+		// that is not is about to take it — or is parked on this lock already,
+		// with a tick: then the message comes back out, the tick goes through,
+		// and the gate starts again.
+		for wait := 0; len(inbox) > 0 && wait < 100; wait++ {
+			time.Sleep(100 * time.Microsecond)
+		}
+		select {
+		case <-inbox:
+			lc.backlog.Add(-1)
+			lc.mu.Unlock()
+		default:
+			parked = true
+		}
+	}
 	gate := make(chan struct{})
-	entered := make(chan struct{})
-	ok := r.sendCtrl(lc, message{kind: mExec, do: func(*lineCard) {
-		close(entered)
+	go func() {
 		select {
 		case <-gate:
 		case <-r.quit:
 		}
-	}})
-	if !ok {
-		t.Fatal("sendCtrl failed on a running router")
-	}
-	<-entered
+		lc.mu.Unlock()
+	}()
 	var once sync.Once
 	return func() { once.Do(func() { close(gate) }) }
 }
@@ -271,7 +288,7 @@ func TestStopWithFullInboxes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gateLC(t, r, 0) // never released: quit unblocks the closure
+			gateLC(t, r, 0) // never released: quit lets go of it
 			rng := stats.NewRNG(13)
 			for i := 0; i < cap(r.inboxes[0]); i++ {
 				if _, err := r.LookupAsync(0, tbl.RandomMatchedAddr(rng)); err != nil {

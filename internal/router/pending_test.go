@@ -492,13 +492,13 @@ func TestDeadlineSweepOrder(t *testing.T) {
 
 		// One tick just past every deadline: each address is retried once.
 		clock.Store(1 + int64(time.Hour) + 1)
-		asLC(r, 0, func(lc *lineCard) { r.tick(lc, r.now()) })
+		r.own(0, func(lc *lineCard) { r.tick(lc, r.now()) })
 		if sweeps[k] = rec.take(); len(sweeps[k]) != n {
 			t.Fatalf("router %d: the sweep retried %d addresses, want %d", k, len(sweeps[k]), n)
 		}
 
-		// The swap's mRekey re-drives everything still parked, on the LC's
-		// own goroutine, and acknowledges before it has left the handler.
+		// The swap's rekey re-drives everything still parked; its requests
+		// cross the fabric once the LC's lock is released.
 		if err := r.UpdateTable(tbl); err != nil {
 			t.Fatal(err)
 		}

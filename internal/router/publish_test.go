@@ -30,7 +30,7 @@ func checkDrained(t *testing.T, r *Router) {
 		return true
 	})
 	for i := range r.lcs {
-		asLC(r, i, func(lc *lineCard) {
+		r.own(i, func(lc *lineCard) {
 			if lc.pending.len() != 0 || lc.nwaiters != 0 || lc.resolvedBD != nil || lc.resolved != 0 {
 				t.Errorf("LC %d at rest: %d waitlists, %d waiters, %d slots of %p unretired",
 					i, lc.pending.len(), lc.nwaiters, lc.resolved, lc.resolvedBD)
@@ -155,6 +155,6 @@ func TestGaugesWhileParked(t *testing.T) {
 	}
 	// Past the deadline with retries disabled, the sweep answers every
 	// waitlist from the fallback engine.
-	asLC(r, 0, func(lc *lineCard) { r.tick(lc, r.now()+int64(2*time.Hour)) })
+	r.own(0, func(lc *lineCard) { r.tick(lc, r.now()+int64(2*time.Hour)) })
 	checkDrained(t, r)
 }

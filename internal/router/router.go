@@ -29,17 +29,18 @@
 // remote miss runs caller → arrival LC → home LC → arrival LC → caller
 // without a goroutine switch. Otherwise the message takes the LC's one
 // queued way in, exactly like the paper's line card behind its finite
-// fabric queues: a bounded data inbox, plus a small dedicated control
-// channel so flushes, swaps and stats collection land even when the data
-// inbox is full, both drained in FIFO order by the LC's own goroutine
-// (lcLoop), which takes the same lock around every handler. Which of the
-// two runs a handler is decided by observable state only, never by a
-// setting, and it is the same handler either way.
+// fabric queues: a bounded inbox, drained in FIFO order by the LC's own
+// goroutine (lcLoop), which takes the same lock around every handler.
+// Which of the two runs a handler is decided by observable state only,
+// never by a setting, and it is the same handler either way. Control — a
+// flush, a table swap, an update batch, a scrape — is not a message at
+// all: its caller waits for the LC's lock and does the work itself (see
+// own), so it lands however full the inbox is.
 //
-// Two rules keep this deadlock-free. Only TryLock is ever used across
-// LCs, so no goroutine waits for an LC's lock while holding another's;
-// and a handler never delivers a fabric message while holding its own
-// lock — it queues it on the LC's outbox, and whoever ran the handler
+// Two rules keep this deadlock-free. A goroutine that holds one LC's lock
+// takes another's only by TryLock, so none waits for a lock while holding
+// one; and a handler never delivers a fabric message while holding its
+// own lock — it queues it on the LC's outbox, and whoever ran the handler
 // delivers the outbox after unlocking (see leave). A caller submitting a
 // lookup blocks while the inbox is full; an LC sending to a peer never
 // does — a fabric message that finds the peer busy and its inbox full is
@@ -198,46 +199,33 @@ const (
 	mLookup = iota
 	mRequest
 	mReply
-	mFlush
-	mSwapEngine   // phase 1 of UpdateTable: install engine + homeOf
-	mRekey        // phase 2: bump epoch, flush cache, re-drive pending
-	mExec         // run a closure as the LC's owner (stats collection)
 	mBatch        // one pooled batch descriptor of local lookups (batch.go)
 	mBatchRequest // coalesced fabric request: many addresses, one home LC
 	mBatchReply   // coalesced fabric reply, scattered back positionally
-	mApplyUpdates // incremental route-update batch: engine delta + cache invalidation (updates.go)
 )
 
-// message is the fabric traffic plus local control.
+// message is the fabric traffic: a lookup on its way into an LC, a request
+// or a reply between two.
 type message struct {
-	kind     uint8
-	hops     uint8 // forwards survived (mRequest), echoed back on mReply
-	depth    uint8 // fabric messages: inline runs already nested above the one that would handle it (see lineCard.post)
-	addr     ip.Addr
-	nextHop  rtable.NextHop
-	ok       bool
-	from     int // requester LC (mRequest)
-	epoch    uint32
-	feNS     int64                // mReply: home-side FE execution time (0 = not measured)
-	start    int64                // a reading of Router.now. mLookup: submission, for latency histograms; mRequest/mBatchRequest: send. Also tells an inline run that a tick may be due (see leave)
-	resp     chan Verdict         // mLookup: made when the lookup first has to wait or queue (see handleLookup)
-	tr       *tracing.LookupTrace // mLookup: the trace riding this lookup, if sampled
-	bd       *batchDesc           // mBatch, or an mLookup riding a batch slot
-	slot     int32                // index into bd.out when bd != nil
-	fb       []fabricRow          // mBatchRequest / mBatchReply payload
-	engine   lpm.Engine           // mSwap
-	homeOf   func(ip.Addr) int
-	swapDone chan<- struct{} // control messages sent through barrier: closed once the message has been run
-	do       func(*lineCard) // mExec
-	// Incremental-update plumbing (see updates.go). gen rides every
-	// mSwapEngine / mApplyUpdates (the generation being installed) and
-	// every mReply / mBatchReply (the generation of the table the value
-	// was computed against, so the requester can spot values that predate
-	// an invalidation it has already run).
-	gen     uint64
-	updates []rtable.Update // mApplyUpdates: this LC's engine delta
-	ranges  []rtable.Range  // mApplyUpdates: coalesced invalidation ranges (whole batch)
-	table   *rtable.Table   // mApplyUpdates: rebuilt partition table (non-dynamic engines)
+	kind    uint8
+	hops    uint8 // forwards survived (mRequest), echoed back on mReply
+	depth   uint8 // fabric messages: inline runs already nested above the one that would handle it (see lineCard.post)
+	addr    ip.Addr
+	nextHop rtable.NextHop
+	ok      bool
+	from    int // requester LC (mRequest)
+	epoch   uint32
+	slot    int32                // index into bd.out when bd != nil
+	feNS    int64                // mReply: home-side FE execution time (0 = not measured)
+	start   int64                // a reading of Router.now. mLookup: submission, for latency histograms; mRequest/mBatchRequest: send. Also tells an inline run that a tick may be due (see leave)
+	resp    chan Verdict         // mLookup: made when the lookup first has to wait or queue (see handleLookup)
+	tr      *tracing.LookupTrace // mLookup: the trace riding this lookup, if sampled
+	bd      *batchDesc           // mBatch, or an mLookup riding a batch slot
+	fb      []fabricRow          // mBatchRequest / mBatchReply payload
+	// gen rides every mReply / mBatchReply: the generation of the table the
+	// value was computed against, so the requester can spot values that
+	// predate an invalidation it has already run (see updates.go).
+	gen uint64
 }
 
 // LCStats are per-line-card counters (atomically updated, readable live).
@@ -329,10 +317,11 @@ type lineCard struct {
 
 	// mu is the ownership of everything down to outbox: whoever holds it —
 	// the slot's lcLoop incarnation, a goroutine running a handler inline
-	// (runInline), or the health monitor adopting a crashed slot — is the
-	// LC for that long. Lock order is Router.mu → lineCard.mu; no handler
-	// takes Router.mu, nothing blocks while holding mu, and across LCs only
-	// TryLock is used.
+	// (runInline), a control caller (own), or the health monitor adopting a
+	// crashed slot — is the LC for that long. Lock order is Router.mu →
+	// lineCard.mu; no handler takes Router.mu, nothing blocks while holding
+	// mu, and a goroutine that holds one LC's mu takes another's only by
+	// TryLock.
 	mu      sync.Mutex
 	engine  lpm.Engine
 	cache   cache.Store
@@ -341,9 +330,9 @@ type lineCard struct {
 	homeOf  func(ip.Addr) int
 	epoch   uint32
 	// gen is the table generation this LC's engine, and everything in its
-	// cache, reflect: mSwapEngine installs the engine, flushes and sets it;
-	// mApplyUpdates applies the delta, invalidates and sets it. Both arrive
-	// over ctrl in send order, so it is monotonic.
+	// cache, reflect: installTable installs the engine, flushes and sets it;
+	// applyUpdates applies the delta, invalidates and sets it. Both run under
+	// Router.mu, which orders the generations, so it is monotonic.
 	gen   uint64
 	stats *LCStats
 	// scratch is this LC's reusable batch workspace (miss collection,
@@ -392,10 +381,10 @@ type lineCard struct {
 	// incarnation clears it on exit, rehomeLocked sets it under mu once it
 	// has adopted the corpse.
 	live atomic.Bool
-	// backlog counts messages sent to this LC's inbox or ctrl channel and
-	// not yet handled. The channels' len() cannot stand in for it: a send
-	// to a parked lcLoop hands the message over directly and leaves both
-	// lengths zero while the message is still unhandled.
+	// backlog counts messages sent to this LC's inbox and not yet handled.
+	// The channel's len() cannot stand in for it: a send to a parked lcLoop
+	// hands the message over directly and leaves the length zero while the
+	// message is still unhandled.
 	backlog atomic.Int32
 	// handledInline and handledQueued count handler runs by who ran them
 	// (spal_router_handled_total).
@@ -425,8 +414,7 @@ type fallbackEngine struct {
 // Router is a running SPAL forwarding plane.
 type Router struct {
 	cfg     config
-	inboxes []chan message // bounded data inboxes, one per LC
-	ctrls   []chan message // control-plane legs, one per LC
+	inboxes []chan message // bounded inboxes, one per LC: the only channel into it
 	quit    chan struct{}
 	stopped atomic.Bool
 	wg      sync.WaitGroup
@@ -666,19 +654,16 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 		r.gray = append(r.gray, &lcGray{})
 		life := &lcLife{die: make(chan struct{}), exited: make(chan struct{})}
 		life.lastBeat.Store(r.at(now))
-		// The inbox is the LC's queue, QueueDepth deep (that depth is the
-		// router's whole buffering budget); control traffic rides its own
-		// channel so lifecycle and update messages never contend with data
-		// admission.
+		// The inbox is the LC's queue, QueueDepth deep: that depth is the
+		// router's whole buffering budget.
 		r.inboxes = append(r.inboxes, make(chan message, r.ov.QueueDepth))
-		r.ctrls = append(r.ctrls, make(chan message, ctrlDepth))
 		r.lcs = append(r.lcs, lc)
 		r.stats = append(r.stats, lc.stats)
 		r.life = append(r.life, life)
 	}
 	for i := 0; i < cfg.NumLCs; i++ {
 		r.wg.Add(1)
-		go r.lcLoop(r.lcs[i], r.inboxes[i], r.ctrls[i], r.life[i].die, r.life[i].exited)
+		go r.lcLoop(r.lcs[i], r.inboxes[i], r.life[i].die, r.life[i].exited)
 	}
 	r.wg.Add(1)
 	go r.healthLoop()
@@ -686,9 +671,9 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 }
 
 // sendFabric delivers a request or reply across the (virtual) fabric,
-// routing it through the fault injector when one is installed. Control
-// messages never pass through here — only mRequest/mReply and their
-// batched forms can be dropped, delayed, or duplicated. A batch message
+// routing it through the fault injector when one is installed: mRequest,
+// mReply and their batched forms can be dropped, delayed, or duplicated
+// (a locally submitted lookup never passes through here). A batch message
 // is one fabric unit: the injector sees its first address and a verdict
 // applies to the whole batch (a dropped batch request is re-driven
 // per-address by the requesters' deadline machinery).
@@ -742,15 +727,15 @@ func (r *Router) sendDelayed(to int, m message, delay time.Duration) {
 }
 
 // lcLoop is one incarnation of one line card: the goroutine that drains
-// the slot's queues and, while nothing else does, drives its tick. It
+// the slot's inbox and, while nothing else does, drives its tick. It
 // takes lc.mu around every handler and every tick like any other owner
 // (see runInline). The tick is both the deadline clock for this LC's
 // outstanding fabric requests and its heartbeat — coarse (a quarter of
 // the request timeout) so the idle cost is negligible. die is the crash
 // switch (KillLC); exited announces this incarnation's death to the
 // health monitor, which may then adopt the lineCard and start a successor
-// incarnation (see lifecycle.go). ctrl is the control-plane leg.
-func (r *Router) lcLoop(lc *lineCard, inbox, ctrl <-chan message, die, exited chan struct{}) {
+// incarnation (see lifecycle.go).
+func (r *Router) lcLoop(lc *lineCard, inbox <-chan message, die, exited chan struct{}) {
 	defer r.wg.Done()
 	defer close(exited)
 	defer lc.live.Store(false)
@@ -759,17 +744,11 @@ func (r *Router) lcLoop(lc *lineCard, inbox, ctrl <-chan message, die, exited ch
 	for {
 		select {
 		case m := <-inbox:
-			// Control first: a control message sent before m is already in
-			// ctrl, and data must not overtake it here any more than it may
-			// inline (see lineCard.backlog) — a caller's FlushCaches is in
-			// force for its own next Lookup. This goroutine is ctrl's only
-			// receiver, so a non-zero length cannot block.
-			for len(ctrl) > 0 {
-				r.runQueued(lc, <-ctrl)
-			}
-			r.runQueued(lc, m)
-		case m := <-ctrl:
-			r.runQueued(lc, m)
+			lc.mu.Lock()
+			lc.handledQueued.Add(1)
+			r.handle(lc, m)
+			lc.backlog.Add(-1)
+			r.leave(lc, 0)
 		case <-tick.C:
 			// Not the tick's own timestamp: that is when it fired, and this
 			// goroutine may have waited a preemption quantum or more for a
@@ -787,23 +766,14 @@ func (r *Router) lcLoop(lc *lineCard, inbox, ctrl <-chan message, die, exited ch
 	}
 }
 
-// runQueued handles one message taken off lc's inbox or ctrl channel.
-func (r *Router) runQueued(lc *lineCard, m message) {
-	lc.mu.Lock()
-	lc.handledQueued.Add(1)
-	r.handle(lc, m)
-	lc.backlog.Add(-1)
-	r.leave(lc, 0)
-}
-
 // runInline is the run-to-completion hand-off, tried wherever a goroutine
-// holds a data message for LC i: when the LC is idle — everything sent to
-// it so far has been handled, its lock is free, an incarnation owns the
+// holds a message for LC i: when the LC is idle — everything sent to it
+// so far has been handled, its lock is free, an incarnation owns the
 // slot — the calling goroutine becomes the LC for the length of m's
 // handler and reports true. Otherwise it reports false and the caller
-// queues m, so a backlogged, control-pending, busy or killed LC sees its
-// traffic through the inbox in FIFO order. Only TryLock is used, so two
-// LCs handing messages to each other cannot deadlock.
+// queues m, so a backlogged, busy or killed LC sees its traffic through
+// the inbox in FIFO order. Only TryLock is used, so two LCs handing
+// messages to each other cannot deadlock.
 //
 // A message produced by an inline run is handled nested on that run's
 // stack, so one that is already maxInlineDepth hand-offs deep queues too:
@@ -856,15 +826,48 @@ func (r *Router) enter(i int) *lineCard {
 	return lc
 }
 
-// leave ends an ownership of lc (lc.mu held) that ran a handler or a
-// tick, and takes the run's closing clock reading — when the run answered
+// own makes the calling goroutine LC i's owner for the length of do. It is
+// how every control action reaches an LC's state — a flush, a table
+// install, an update batch, a scrape: a function run under the lock, not a
+// message. Where data may only TryLock, control waits: its caller holds no
+// LC's lock (at most Router.mu, which no handler takes), so the wait is one
+// handler run long and closes no cycle, and a mutex waiting longer than a
+// millisecond is handed the lock ahead of callers that spin on TryLock.
+// The ownership ends like any other, in leave: what do posted crosses the
+// fabric once the lock is released. do must not take Router.mu, block, or
+// build an engine.
+func (r *Router) own(i int, do func(*lineCard)) {
+	lc := r.lcs[i]
+	lc.mu.Lock()
+	defer r.leave(lc, 0) // deferred: a test's do may end its goroutine
+	do(lc)
+}
+
+// install is own for an action that installs state, as opposed to reading
+// it. A slot that is not live — killed, or exited and not yet adopted — is
+// skipped, reporting false: nothing is served from a corpse, and its
+// adoption rebuilds it from r.part and r.gen as they are by then (see
+// rehomeLocked). That is every slot once the router has stopped, so a caller
+// that must not report a skipped action as done checks r.stopped after it.
+// r.mu must be held.
+func (r *Router) install(i int, do func(*lineCard)) (ran bool) {
+	r.own(i, func(lc *lineCard) {
+		if ran = lc.live.Load(); ran {
+			do(lc)
+		}
+	})
+	return ran
+}
+
+// leave ends an ownership of lc (lc.mu held) that ran a handler, a tick or a
+// control action, and takes the run's closing clock reading — when the run answered
 // local lookups (lc.done, lc.hitStart), or when now, a stamp the owner holds
 // already (its message's; zero for none), says a tick may be due. Ticks are due
 // work, not goroutine work: callers that never block can keep a P from the
 // LC goroutines for a whole preemption quantum, so an owner that knows the
 // time runs the tick itself when one is due. The same reading then ends
 // every lookup the run answered, the tick's sweep included, before the lock
-// goes: whoever holds it next (Metrics' closure, say) finds them recorded.
+// goes: whoever holds it next (a scrape, say) finds them recorded.
 // Then the outbox is taken, the lock released, and only then the messages
 // delivered: the peer may run them inline and answer straight back to
 // this LC, which it could not do while we held the lock.
@@ -1063,51 +1066,6 @@ func (r *Router) handle(lc *lineCard, m message) {
 		}
 		r.replyArrived(lc, m.from, m.addr)
 		r.replyFor(lc, &m, m.addr, m.nextHop, m.ok)
-	case mFlush:
-		if lc.cache != nil {
-			lc.cache.Flush()
-		}
-	case mSwapEngine:
-		lc.engine = m.engine
-		lc.homeOf = m.homeOf
-		lc.gen = m.gen
-		// Nothing in the cache may predate lc.gen: from here on this LC
-		// stamps its replies with the new generation, and an entry of the
-		// old table served under that stamp would pass both the epoch and
-		// the generation guard of a requester that has already rekeyed.
-		// Replies from homes that have not swapped yet now arrive with
-		// m.gen < lc.gen and take the fillStaleRelease path.
-		if lc.cache != nil {
-			lc.cache.Flush()
-		}
-		close(m.swapDone)
-	case mApplyUpdates:
-		r.handleApplyUpdates(lc, m)
-	case mRekey:
-		lc.epoch++
-		if lc.cache != nil {
-			lc.cache.Flush()
-		}
-		// Re-drive pending lookups against the new table so nothing
-		// strands across the swap.
-		lc.nwaiters = 0 // the re-drive below re-registers every waiter
-		for _, e := range lc.pending.take() {
-			wl := e.wl
-			r.redrive(lc, e.addr, wl.locals, wl.remotes)
-			if wl.trLate {
-				// A late trace rides the waitlist, not a waiter; the
-				// re-drive builds fresh waitlists, so close it out here
-				// rather than leak it unfinished.
-				wl.tr.Record(tracing.EvRedrive, int64(lc.id), 0)
-				r.finishTrace(wl.tr, ServedByUnknown, false)
-			}
-		}
-		close(m.swapDone)
-	case mExec:
-		m.do(lc)
-		if m.swapDone != nil {
-			close(m.swapDone) // sent through barrier
-		}
 	}
 }
 
@@ -1276,17 +1234,17 @@ func (r *Router) joinRemote(lc *lineCard, wl *waitlist, rw remoteWaiter, addr ip
 // plus one per forward, so every exchange the protocol intends still runs
 // without a switch. What the bound stops is open-ended: a requester that
 // has swapped to a new table re-drives every reply from a home that has
-// not (fillStaleRelease → release), and while that home's swap is not yet
-// in its ctrl channel it is idle, so request and stale reply would
-// otherwise chase each other down one stack until the swap arrives.
+// not (fillStaleRelease → release), and that home is idle until its own
+// install reaches it, so request and stale reply would otherwise chase
+// each other down one stack until it does.
 const maxInlineDepth = maxForwardHops + 2
 
 // maxForwardHops bounds how often a request may be re-forwarded inside a
 // partitioning-swap window. Two LCs holding different homeOf functions
 // (one pre-swap, one post-swap) can bounce a request between them until
-// the trailing LC drains the swap message through its inbox backlog; the
-// cap breaks that ping-pong by resolving against the full-table fallback
-// engine, which is always current.
+// the trailing LC has its install; the cap breaks that ping-pong by
+// resolving against the full-table fallback engine, which is always
+// current.
 const maxForwardHops = 4
 
 // handleRequest serves a lookup request from a remote arrival LC with one
@@ -1823,21 +1781,26 @@ func (r *Router) NumLCs() int { return r.cfg.NumLCs }
 func (r *Router) Stats() []*LCStats { return r.stats }
 
 // FlushCaches invalidates every LR-cache (the paper's response to a
-// routing-table update). Flushes ride the control plane, so they land
-// even when every data inbox is at capacity.
+// routing-table update). It is synchronous — on return every cache has
+// been flushed — and lands even when every inbox is at capacity.
 func (r *Router) FlushCaches() {
-	for i := range r.inboxes {
-		r.sendCtrl(i, message{kind: mFlush})
+	for i := range r.lcs {
+		r.own(i, func(lc *lineCard) {
+			if lc.cache != nil {
+				lc.cache.Flush()
+			}
+		})
 	}
 }
 
-// UpdateTable swaps in a new routing table in two barrier-separated
-// phases: first every LC installs its new engine and home function, then
-// every LC bumps its reply epoch, flushes its LR-cache and re-drives its
-// pending lookups. The epoch guard drops replies computed before the
-// update, so once UpdateTable returns, every subsequent lookup (and every
-// cache fill) reflects the new table. Lookups concurrent with the update
-// window itself may observe either table.
+// UpdateTable swaps in a new routing table in two phases, the second
+// begun only when the first is complete everywhere: first every LC
+// installs its new engine and home function, then every LC bumps its
+// reply epoch, flushes its LR-cache and re-drives its pending lookups.
+// The epoch guard drops replies computed before the update, so once
+// UpdateTable returns, every subsequent lookup (and every cache fill)
+// reflects the new table. Lookups concurrent with the update window
+// itself may observe either table.
 //
 // The new partitioning is computed over the currently alive LCs (see
 // lifecycle.go): drained and down slots stay out of service across an
@@ -1871,32 +1834,29 @@ func (r *Router) UpdateTable(tbl *rtable.Table) error {
 	return nil
 }
 
-// swapPartitioning runs the two-phase engine/homeOf + rekey swap against
-// every LC, one barrier per phase (a crashed slot is skipped, see there).
-// r.mu must be held.
+// swapPartitioning runs the two-phase swap against every LC: installTable
+// everywhere, then rekey everywhere (a slot that is not live is skipped, see
+// install). r.mu must be held.
 func (r *Router) swapPartitioning(part *partition.Partitioning) error {
 	if r.stopped.Load() {
 		return ErrStopped
 	}
 	// Every engine is built before the first LC is told to swap: the LCs
-	// disagree about the table from the first phase-1 message to the last,
-	// and requests that cross that line are answered stale and re-driven
-	// until the trailing home has its swap, so the window must not also
+	// disagree about the table from the first install to the last, and
+	// requests that cross that line are answered stale and re-driven until
+	// the trailing home has its install, so the window must not also
 	// contain ψ engine builds.
 	engines := make([]lpm.Engine, r.cfg.NumLCs)
 	for i := range engines {
 		engines[i] = r.buildEngine(part.Table(i))
 	}
-	all := r.lcsExcept(-1)
-	if _, ok := r.barrier(all, func(i int) message {
-		return message{kind: mSwapEngine, engine: engines[i], homeOf: part.HomeLC, gen: r.gen}
-	}); !ok {
-		return ErrStopped
+	for i := range r.lcs {
+		r.install(i, func(lc *lineCard) { lc.installTable(engines[i], part.HomeLC, r.gen) })
 	}
-	if _, ok := r.barrier(all, func(int) message { return message{kind: mRekey} }); !ok {
-		return ErrStopped
+	for i := range r.lcs {
+		r.install(i, r.rekey)
 	}
-	// After Stop every exited channel is closed, so the phases above can
+	// Once the router has stopped no slot is live, so the phases above
 	// degenerate to all-skips; never report such a swap as a success.
 	if r.stopped.Load() {
 		return ErrStopped
@@ -1915,6 +1875,47 @@ func (r *Router) swapPartitioning(part *partition.Partitioning) error {
 		}
 	}
 	return nil
+}
+
+// installTable is phase 1 of a table swap at one LC: the engine built for
+// it, the new partitioning's home function and the generation, under one
+// ownership.
+func (lc *lineCard) installTable(engine lpm.Engine, homeOf func(ip.Addr) int, gen uint64) {
+	lc.engine = engine
+	lc.homeOf = homeOf
+	lc.gen = gen
+	// Nothing in the cache may predate lc.gen: from here on this LC
+	// stamps its replies with the new generation, and an entry of the
+	// old table served under that stamp would pass both the epoch and
+	// the generation guard of a requester that has already rekeyed.
+	// Replies from homes that have not swapped yet now arrive with
+	// m.gen < lc.gen and take the fillStaleRelease path.
+	if lc.cache != nil {
+		lc.cache.Flush()
+	}
+}
+
+// rekey is phase 2, run once every LC has its phase 1: the reply epoch
+// moves, so nothing computed before the swap can fill the flushed cache,
+// and the pending lookups are re-driven against the new table so nothing
+// strands across the swap.
+func (r *Router) rekey(lc *lineCard) {
+	lc.epoch++
+	if lc.cache != nil {
+		lc.cache.Flush()
+	}
+	lc.nwaiters = 0 // the re-drive below re-registers every waiter
+	for _, e := range lc.pending.take() {
+		wl := e.wl
+		r.redrive(lc, e.addr, wl.locals, wl.remotes)
+		if wl.trLate {
+			// A late trace rides the waitlist, not a waiter; the
+			// re-drive builds fresh waitlists, so close it out here
+			// rather than leak it unfinished.
+			wl.tr.Record(tracing.EvRedrive, int64(lc.id), 0)
+			r.finishTrace(wl.tr, ServedByUnknown, false)
+		}
+	}
 }
 
 // Stop shuts the router down and waits for every line-card goroutine to
@@ -1936,7 +1937,7 @@ func (r *Router) Stop() {
 	}
 	r.wg.Wait()
 	r.delayWG.Wait()
-	for _, lc := range r.lcs { // no closure will run on an LC again: record what a scrape's would have
+	for _, lc := range r.lcs { // no scrape will own an LC again: record what one would have
 		lc.mu.Lock()
 		lc.foldHits()
 		lc.mu.Unlock()

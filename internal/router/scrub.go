@@ -16,16 +16,17 @@
 //     every ceil(P/K) cycles, which bounds detection latency for any
 //     range-poisoning corruption of a table prefix.
 //
-//   - Cache audit: the same control message walks every complete entry
+//   - Cache audit: the same ownership walks every complete entry
 //     in the LC's LR-cache (cache.AuditEntries) and compares it against
 //     a router-wide full-table authority engine cached per generation.
 //     Mismatched entries are evicted on the spot — a wrong or stale
 //     cache line needs no rebuild, just removal — and counted.
 //
-// Both comparisons are generation-exact: the monitor snapshots r.gen
-// under r.mu, and the closure skips an LC whose engine reflects a
-// different generation (possible only across a crash/rebirth race; the
-// next cycle re-samples it).
+// Both comparisons are generation-exact: the monitor runs them holding
+// r.mu, under which every live LC's engine reflects r.gen and r.part (an
+// install skips only a dead slot, and so does the scrubber; its adoption
+// levels it). That includes an LC pinned behind the generation fence — an
+// ejected one is still in the scrub set.
 //
 // Self-healing: engine mismatches accumulate per LC since its last
 // rebuild; crossing QuarantineThreshold quarantines the LC. Quarantine
@@ -139,38 +140,31 @@ func (r *Router) scrubAuthorityLocked(gen uint64) lpm.Engine {
 // prefixes per serving LC against the canonical table, audits every
 // LR-cache entry against the full-table authority, and quarantines (and,
 // under AutoRepair, rebuilds) any LC whose mismatch streak crossed the
-// threshold. Runs synchronously — the monitor waits for every LC's
-// verification closure (barrier) so quarantine decisions see this cycle's
-// counters. r.mu must be held.
+// threshold. The monitor runs every LC's verification itself, under that
+// LC's lock (install), so quarantine decisions see this cycle's counters.
+// r.mu must be held.
 func (r *Router) maybeScrubLocked(now time.Time) {
 	if !r.scrubPol.Enabled || now.Sub(r.lastScrub) < r.scrubPol.Interval {
 		return
 	}
 	r.lastScrub = now
 	r.scrubCycles.Add(1)
-	gen := r.gen
-	auth := r.scrubAuthorityLocked(gen)
-	var lcs []int
+	auth := r.scrubAuthorityLocked(r.gen)
 	for i := range r.lcs {
 		st := r.life[i].state.Load()
-		if st != LCDown && st != LCDraining && st != LCQuarantined && r.part.Table(i).Len() > 0 {
-			lcs = append(lcs, i)
-		}
-	}
-	_, ok := r.barrier(lcs, func(i int) message {
 		tbl := r.part.Table(i)
 		n := tbl.Len()
-		k := r.scrubPol.SamplesPerLC
-		if k > n {
-			k = n
+		if st == LCDown || st == LCDraining || st == LCQuarantined || n == 0 {
+			continue
 		}
+		k := min(r.scrubPol.SamplesPerLC, n)
 		s := r.scrub[i]
 		start := s.cursor
 		s.cursor = (s.cursor + k) % n
 		// The sample set: each selected prefix's first address, with the
-		// authoritative verdict precomputed here from the canonical
-		// partition snapshot (allocation is fine — this is the cold
-		// monitor path, never a data path).
+		// authoritative verdict precomputed here, before the LC is owned,
+		// from the canonical partition snapshot (allocation is fine — this
+		// is the cold monitor path, never a data path).
 		addrs := make([]ip.Addr, k)
 		want := make([]rtable.NextHop, k)
 		routes := tbl.Routes()
@@ -183,13 +177,7 @@ func (r *Router) maybeScrubLocked(now time.Time) {
 			}
 			want[j] = nh
 		}
-		return message{kind: mExec, do: func(lc *lineCard) {
-			if lc.gen != gen {
-				// The engine reflects another generation (crash/rebirth
-				// race); comparing would report phantom mismatches. The
-				// next cycle re-samples.
-				return
-			}
+		r.install(i, func(lc *lineCard) {
 			mism := 0
 			for j, a := range addrs {
 				nh, _, ok := lc.engine.Lookup(a)
@@ -223,10 +211,7 @@ func (r *Router) maybeScrubLocked(now time.Time) {
 					s.cacheRepairs.Add(int64(repaired))
 				}
 			}
-		}}
-	})
-	if !ok {
-		return
+		})
 	}
 	thr := int64(r.scrubPol.QuarantineThreshold)
 	for i := range r.lcs {
@@ -250,25 +235,21 @@ func (r *Router) quarantineLocked(i int) {
 	r.life[i].state.Store(LCQuarantined)
 	r.quarantines.Add(1)
 	r.scrubLog("quarantine", slog.Int("lc", i), slog.Int64("engine_mismatches", r.scrub[i].streak.Load()))
-	r.fenceLocked(i)
+	r.fenceLocked()
 }
 
 // rebuildLocked restores a quarantined LC: phase 1 installs a freshly
 // built engine from the canonical partition table (with the current
-// homeOf and generation) via the same crash-safe swap message
-// UpdateTable uses; phase 2 rekeys — epoch bump, cache flush, parked-
-// lookup replay — so no lookup is lost and no pre-rebuild reply can
-// fill the fresh cache. Only this LC pays the flush. r.mu must be held.
+// homeOf and generation), exactly as UpdateTable's does; phase 2 rekeys —
+// epoch bump, cache flush, parked-lookup replay — so no lookup is lost and
+// no pre-rebuild reply can fill the fresh cache. Only this LC pays the
+// flush. r.mu must be held.
 func (r *Router) rebuildLocked(i int) {
-	// A phase the LC did not acknowledge ends the rebuild: it crashed, and
-	// rehomeLocked rebuilds the slot from scratch, an even stronger repair
-	// (or the router is stopping).
-	phase := func(m message) bool {
-		acks, _ := r.barrier([]int{i}, func(int) message { return m })
-		return acks == 1
-	}
-	if !phase(message{kind: mSwapEngine, engine: r.buildEngine(r.part.Table(i)), homeOf: r.part.HomeLC, gen: r.gen}) ||
-		!phase(message{kind: mRekey}) {
+	engine := r.buildEngine(r.part.Table(i))
+	// A dead slot ends the rebuild: rehomeLocked rebuilds it from scratch,
+	// an even stronger repair.
+	if !r.install(i, func(lc *lineCard) { lc.installTable(engine, r.part.HomeLC, r.gen) }) ||
+		!r.install(i, r.rekey) {
 		return
 	}
 	r.scrub[i].streak.Store(0)

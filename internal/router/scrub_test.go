@@ -352,10 +352,47 @@ func TestPinnedRequesterKeepsStaleGuard(t *testing.T) {
 	if got := r.Stats()[0].StaleGenReplies.Load(); got != 1 {
 		t.Errorf("pinned requester classified %d replies as generationally stale, want 1", got)
 	}
-	probe := make(chan cache.ProbeResult, 1)
-	r.push(0, message{kind: mExec, do: func(lc *lineCard) { probe <- lc.cache.Probe(addr) }})
-	if res := <-probe; res.Kind == cache.Hit && res.NextHop == route.NextHop {
-		t.Fatalf("pre-batch next hop %d survived the batch's invalidation in the pinned LC's cache", route.NextHop)
+	r.own(0, func(lc *lineCard) {
+		if res := lc.cache.Probe(addr); res.Kind == cache.Hit && res.NextHop == route.NextHop {
+			t.Fatalf("pre-batch next hop %d survived the batch's invalidation in the pinned LC's cache", route.NextHop)
+		}
+	})
+}
+
+// TestScrubChecksEjectedLC: the generation fence moves every LC's
+// generation, the pinned one's too — it is fenced where it sends — so an
+// ejected LC, which keeps serving and stays in the scrub set, is still
+// checked: one cycle samples it and finds a poisoned prefix.
+func TestScrubChecksEjectedLC(t *testing.T) {
+	tbl := rtable.Small(400, 7)
+	pol := fastScrub(false)
+	pol.Interval = time.Hour // one cycle at the monitor's first tick, the next by hand
+	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"), WithScrub(pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	waitFor(t, "the monitor's own scrub cycle", func() bool { return r.scrubCycles.Load() == 1 })
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ejectLocked(1)
+	part := r.part.Table(1)
+	pfx := part.Routes()[0].Prefix
+	good, _ := part.LongestMatch(pfx.FirstAddr())
+	r.own(1, func(lc *lineCard) {
+		lc.engine = lpm.NewCorrupt(lc.engine)
+		lpm.AsCorrupt(lc.engine).Poison(pfx.FirstAddr(), pfx.LastAddr(), good.NextHop^1)
+	})
+	sc := r.scrub[1]
+	samples, mism := sc.samples.Load(), sc.engineMism.Load()
+	r.lastScrub = time.Time{}
+	r.maybeScrubLocked(time.Now())
+	if got := sc.samples.Load() - samples; got != int64(part.Len()) {
+		t.Errorf("a scrub cycle took %d samples of the ejected LC, want its whole partition, %d", got, part.Len())
+	}
+	if got := sc.engineMism.Load() - mism; got < 1 {
+		t.Errorf("the ejected LC's poisoned prefix %s went unnoticed (%d engine mismatches)", pfx, got)
 	}
 }
 

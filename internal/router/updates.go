@@ -1,24 +1,25 @@
 // Incremental route updates: the churn-absorption plane.
 //
 // UpdateTable is the paper's answer to a routing-table change — rebuild
-// every partition, swap in two barrier phases, flush every LR-cache. That
-// is the right tool for a wholesale table replacement, but BGP churn is
-// not wholesale: a session flap touches a handful of prefixes per batch,
-// and paying a global barrier plus a full cache flush per batch collapses
-// the hit rate the LR-caches exist to provide.
+// every partition, swap in two phases, flush every LR-cache. That is the
+// right tool for a wholesale table replacement, but BGP churn is not
+// wholesale: a session flap touches a handful of prefixes per batch, and
+// paying a two-phase swap plus a full cache flush per batch collapses the
+// hit rate the LR-caches exist to provide.
 //
 // ApplyUpdates is the incremental path. The partitioning applies the
 // batch in place (same control bits, same pattern→LC folding; see
 // partition.ApplyUpdates), each LC receives exactly its own sub-batch to
 // stream into its engine — in place for lpm.DynamicEngine implementations
-// (the tries), by rebuilding only its own partition otherwise — and cache
+// (the tries), by a rebuild of only its own partition otherwise, made
+// before the LC's lock is taken and installed by pointer — and cache
 // coherence comes from targeted invalidation instead of a flush: a change
 // to prefix p can only affect verdicts for addresses in
 // [p.FirstAddr(), p.LastAddr()], so each LC invalidates the batch's
 // coalesced address ranges (rtable.UpdateRanges) in its LR-cache, LOC and
 // REM entries alike, and every other entry keeps serving.
 //
-// There is no barrier and the reply epoch does not move. Instead,
+// There is no second phase and the reply epoch does not move. Instead,
 // correctness across the propagation window rests on a generation guard:
 // every update batch advances the router-wide generation (r.gen, under
 // r.mu); each LC records the generation its engine reflects (lc.gen);
@@ -39,7 +40,7 @@
 // background rebalancer rides the health ticker, compares the live
 // partition stats against the baseline captured at the last full bit
 // re-selection, and triggers the existing two-phase swap — full
-// SelectBits, barrier, flush — only when drift crosses the policy's
+// SelectBits, install, rekey — only when drift crosses the policy's
 // thresholds. Steady churn therefore costs targeted invalidations only,
 // with an occasional amortized re-selection when the table has genuinely
 // changed shape.
@@ -47,6 +48,7 @@ package router
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"spal/internal/lpm"
@@ -96,7 +98,7 @@ func normalizeRebalance(p RebalancePolicy) RebalancePolicy {
 }
 
 // ApplyUpdates streams a batch of route announcements and withdrawals
-// into the running forwarding plane without a global barrier and without
+// into the running forwarding plane without a two-phase swap and without
 // flushing the LR-caches: each LC applies only its own partition's
 // sub-batch to its engine and invalidates only the batch's address ranges
 // in its cache. Lookups keep flowing throughout; ones concurrent with the
@@ -139,51 +141,57 @@ func (r *Router) ApplyUpdates(batch []rtable.Update) error {
 	}
 	r.part = np
 
-	// One control message per LC — including LCs with an empty sub-batch
-	// (a drained or distant LC still holds REM cache entries for the
-	// changed ranges) — acked individually, no cross-LC barrier: an LC
-	// resumes serving the moment its own delta is in.
-	// An LC that crashes mid-update is skipped; rehomeLocked rebuilds the
-	// reborn shell from r.part, which already reflects this batch.
-	_, ok := r.barrier(r.lcsExcept(-1), func(i int) message {
-		m := message{kind: mApplyUpdates, gen: r.gen, updates: sub[i], ranges: ranges}
-		if len(sub[i]) > 0 {
-			m.table = np.Table(i) // rebuild path for non-dynamic engines
+	// Every engine comes from the one builder, so what the fallback could
+	// not take in place no LC can: those LCs' engines are rebuilt here,
+	// under no LC's lock — an LC keeps answering for the length of its own
+	// build — and installed by pointer below. The builds share nothing and
+	// run side by side, at most ψ of them.
+	rebuilt := make([]lpm.Engine, r.cfg.NumLCs)
+	if !inPlace {
+		var wg sync.WaitGroup
+		for i, s := range sub {
+			if len(s) > 0 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rebuilt[i] = r.buildEngine(np.Table(i))
+				}()
+			}
 		}
-		return m
-	})
-	if !ok || r.stopped.Load() {
+		wg.Wait()
+	}
+	// One ownership per LC — including LCs with an empty sub-batch (a
+	// drained or distant LC still holds REM cache entries for the changed
+	// ranges) — and no second phase: an LC resumes serving the moment its
+	// own delta is in. A slot that is not live is skipped; rehomeLocked
+	// rebuilds the reborn shell from r.part, which already reflects this
+	// batch.
+	for i := range r.lcs {
+		r.install(i, func(lc *lineCard) { lc.applyUpdates(sub[i], ranges, r.gen, rebuilt[i]) })
+	}
+	if r.stopped.Load() {
 		return ErrStopped
 	}
 	return nil
 }
 
-// fenceLocked pins LC i behind the router's generation, the one way a home
-// LC's verdicts are kept out of every peer cache while it keeps serving
-// (quarantine, ejection): the router-wide generation advances and every
-// *other* LC adopts it via an empty mApplyUpdates — a pure bump, no route
-// changes, no invalidations, no flush — while i, flagged by its caller so
-// that genPinned reports it, stamps its replies with generation zero (see
-// stampGen). From that point the generation guard (m.gen < lc.gen) classes
-// every reply i sends as stale at the receiver: delivered to parked
-// lookups, never cached, and final (see fillStaleRelease). A peer that
-// crashes instead of acknowledging is reborn at the current generation.
-// r.mu must be held.
-func (r *Router) fenceLocked(i int) {
+// fenceLocked raises the generation fence behind which a home LC's verdicts
+// are kept out of every peer cache while it keeps serving (quarantine,
+// ejection): the router-wide generation advances and every LC adopts it —
+// a pure bump, no route changes, no invalidations, no flush — while the LC
+// its caller has flagged, so that genPinned reports it, stamps its replies
+// with generation zero (see stampGen). From that point the generation guard
+// (m.gen < lc.gen) classes every reply the pinned LC sends as stale at the
+// receiver: delivered to parked lookups, never cached, and final (see
+// fillStaleRelease). The pinned LC's own generation moves with everyone's:
+// it is fenced where it sends, so lifting the pin needs no catching up, and
+// the scrubber keeps checking it. A peer that is dead at the time is reborn
+// at the current generation. r.mu must be held.
+func (r *Router) fenceLocked() {
 	r.gen++
-	r.barrier(r.lcsExcept(i), r.genBump)
-}
-
-// catchUpLocked is fenceLocked's inverse for an LC whose pin has just been
-// lifted without a rebuild: it never received the fence's own bump, so it
-// adopts the current router generation now. r.mu must be held.
-func (r *Router) catchUpLocked(i int) {
-	r.barrier([]int{i}, r.genBump)
-}
-
-// genBump is the empty update batch that carries the router generation.
-func (r *Router) genBump(int) message {
-	return message{kind: mApplyUpdates, gen: r.gen}
+	for i := range r.lcs {
+		r.install(i, func(lc *lineCard) { lc.gen = r.gen })
+	}
 }
 
 // applyInPlace streams batch into eng when eng is dynamic; when it reports
@@ -203,15 +211,18 @@ func applyInPlace(eng lpm.Engine, batch []rtable.Update) bool {
 	return ok
 }
 
-// handleApplyUpdates applies one update batch at its LC:
-// engine delta (in place when the engine is dynamic, partition rebuild
-// otherwise), generation bump, targeted cache invalidation, ack.
-func (r *Router) handleApplyUpdates(lc *lineCard, m message) {
-	if len(m.updates) > 0 {
-		if !applyInPlace(lc.engine, m.updates) {
-			lc.engine = r.buildEngine(m.table)
+// applyUpdates applies one update batch at its LC, under one ownership so
+// that no lookup sees the new generation over the old engine: engine delta
+// (the engine rebuilt for it when there is one, else in place), generation,
+// targeted cache invalidation.
+func (lc *lineCard) applyUpdates(updates []rtable.Update, ranges []rtable.Range, gen uint64, rebuilt lpm.Engine) {
+	if len(updates) > 0 {
+		if rebuilt != nil {
+			lc.engine = rebuilt
+		} else {
+			applyInPlace(lc.engine, updates)
 		}
-		lc.stats.UpdatesApplied.Add(int64(len(m.updates)))
+		lc.stats.UpdatesApplied.Add(int64(len(updates)))
 	}
 	// Even a pinned (quarantined or ejected) LC records the generation: it
 	// has run this batch's invalidations, so its own stale-reply guard must
@@ -219,11 +230,10 @@ func (r *Router) handleApplyUpdates(lc *lineCard, m message) {
 	// be cached as fresh and outlive the invalidation. The fence that keeps
 	// a pinned LC's verdicts out of peer caches is applied where it sends
 	// them (see stampGen), not by holding this counter back.
-	lc.gen = m.gen
+	lc.gen = gen
 	if lc.cache != nil {
-		lc.cache.InvalidateRanges(m.ranges)
+		lc.cache.InvalidateRanges(ranges)
 	}
-	close(m.swapDone)
 }
 
 // maybeRebalanceLocked is the health ticker's rebalance hook: when the

@@ -523,7 +523,7 @@ func TestChaosChurn(t *testing.T) {
 			// The incremental plane must never have flushed a cache itself;
 			// the only flushes allowed are the re-home/restore swaps of the
 			// KillLC cycle: two swaps × 4 LC caches × two flushes each (one
-			// with the engine in mSwapEngine, one with the epoch in mRekey),
+			// with the engine in installTable, one with the epoch in rekey),
 			// plus the adopted corpse's flush.
 			if got := s.Sum("spal_lrcache_flushes_total"); got > 2*4*2+1 {
 				t.Fatalf("%v cache flushes; incremental churn must not flush", got)
@@ -904,7 +904,9 @@ func TestFallbackBatchAtomic(t *testing.T) {
 // TestApplyUpdatesEngineBuilds counts calls of the engine builder: ψ + 1 at
 // construction (one per LC, one for the fallback), and then none however
 // many batches a dynamic engine absorbs; an engine that cannot be written in
-// place is rebuilt for the fallback and for each LC whose table changed.
+// place is rebuilt for the fallback and for each LC whose table changed —
+// under no LC's lock: every build of an ApplyUpdates call waits, mid-build,
+// for a lookup at each LC to return, the LC it is for included.
 func TestApplyUpdatesEngineBuilds(t *testing.T) {
 	const numLCs = 4
 	for _, tc := range []struct {
@@ -917,9 +919,13 @@ func TestApplyUpdatesEngineBuilds(t *testing.T) {
 				t.Fatal(err)
 			}
 			var builds atomic.Int64
+			var midBuild func() // what a build stops to do, once the router runs
 			tbl := rtable.Small(1200, 37)
 			r, err := New(tbl, WithLCs(numLCs), WithDefaultCache(), WithEngine(func(t *rtable.Table) lpm.Engine {
 				builds.Add(1)
+				if midBuild != nil {
+					midBuild()
+				}
 				return build(t)
 			}))
 			if err != nil {
@@ -928,6 +934,23 @@ func TestApplyUpdatesEngineBuilds(t *testing.T) {
 			defer r.Stop()
 			if got := builds.Load(); got != numLCs+1 {
 				t.Fatalf("New built %d engines, want %d", got, numLCs+1)
+			}
+			midBuild = func() {
+				if t.Failed() {
+					return // said once
+				}
+				served := make(chan struct{})
+				go func() {
+					defer close(served)
+					for lc := 0; lc < numLCs; lc++ {
+						r.Lookup(lc, tbl.Routes()[0].Prefix.FirstAddr()) // answered at all is the point
+					}
+				}()
+				select {
+				case <-served:
+				case <-time.After(5 * time.Second):
+					t.Error("an LC answered nothing while an engine was being built: the build holds its lock")
+				}
 			}
 			rng := stats.NewRNG(5)
 			cur := tbl

@@ -20,15 +20,6 @@ import (
 	"spal/internal/stats"
 )
 
-// asLC runs f as LC i's owner, like a handler: under its lock, and
-// delivering afterwards whatever f posted.
-func asLC(r *Router, i int, f func(lc *lineCard)) {
-	lc := r.lcs[i]
-	lc.mu.Lock()
-	defer r.leave(lc, 0) // deferred: f may end the test
-	f(lc)
-}
-
 // parkOne submits a lookup of addr at LC 0 and waits until it is parked.
 func parkOne(t *testing.T, r *Router, addr ip.Addr) <-chan Verdict {
 	t.Helper()
@@ -90,7 +81,7 @@ func TestHedgedWaitlistPinsNothing(t *testing.T) {
 	ch := parkOne(t, r, addr)
 
 	var hedged *waitlist
-	asLC(r, 0, func(lc *lineCard) {
+	r.own(0, func(lc *lineCard) {
 		r.checkDeadlines(lc, time.Now().Add(time.Second)) // past the hedge delay, short of the deadline
 		hedged = lc.pending.get(addr)
 		if hedged == nil || !hedged.hedged || hedged.deadline == 0 {
@@ -104,7 +95,7 @@ func TestHedgedWaitlistPinsNothing(t *testing.T) {
 	if v := <-ch; v.ServedBy != ServedByHedge {
 		t.Fatalf("verdict %+v, want one served by the hedge", v)
 	}
-	asLC(r, 0, func(lc *lineCard) {
+	r.own(0, func(lc *lineCard) {
 		r.checkDeadlines(lc, time.Now().Add(2*time.Minute)) // the primary is lost
 		if lc.pending.len() != 0 || len(lc.free) != 1 || lc.free[0] != hedged {
 			t.Fatalf("retired hedged entry not recycled: %d pending, free list %v", lc.pending.len(), lc.free)
@@ -132,7 +123,7 @@ func TestParkRecyclesBlankWaitlist(t *testing.T) {
 	drop.Store(0)
 
 	var used *waitlist
-	asLC(r, 0, func(lc *lineCard) {
+	r.own(0, func(lc *lineCard) {
 		used = lc.pending.get(addrs[0])
 		used.feNS = 7 // as a retry re-homed onto this LC would have left it
 		r.checkDeadlines(lc, time.Now().Add(2*time.Minute))
@@ -143,7 +134,7 @@ func TestParkRecyclesBlankWaitlist(t *testing.T) {
 	if v := <-ch; v.ServedBy != ServedByRemote {
 		t.Fatalf("verdict %+v, want one served by the remote home", v)
 	}
-	asLC(r, 0, func(lc *lineCard) {
+	r.own(0, func(lc *lineCard) {
 		got := r.park(lc, addrs[1])
 		if got != used {
 			t.Fatalf("park allocated %p; the released waitlist %p was not recycled", got, used)
