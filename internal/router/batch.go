@@ -396,7 +396,7 @@ func (r *Router) handleBatchReply(lc *lineCard, m message) {
 		lc.stats.StaleReplies.Add(int64(len(m.fb)))
 		return
 	}
-	r.replyArrived(lc, m.from, m.fb[0].addr)
+	r.replyFrom(lc, m.from, m.fb[0].addr)
 	for _, row := range m.fb {
 		r.replyFor(lc, &m, row.addr, row.nextHop, row.ok)
 	}

@@ -7,6 +7,7 @@ package router
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -302,13 +303,15 @@ func TestLookupBatchSteadyStateAllocs(t *testing.T) {
 	})
 }
 
-// TestLookupMissAllocs is a ceiling on what one Lookup miss allocates: the
-// reply channel of a lookup that really waits — one homed at another LC —
-// and nothing for one the arrival LC answers itself, because the collector
-// paces churn_single and cold_batch. Without a cache every Lookup is a miss;
-// with one, every address is looked up once. The waitlist (recycled), the
-// W block (no waiter list) and the fabric messages (never moved to the
-// heap) must all stay off the list.
+// TestLookupMissAllocs is a ceiling on what one Lookup miss allocates:
+// nothing when its caller has the verdict on the spot — a miss the arrival
+// LC is home of, or one whose home is idle and is asked by function call —
+// and the reply channel, fresh and never pooled, of a lookup that really
+// waits: here for a home whose lock the test holds until the request is in
+// its inbox. The collector paces hot_single and churn_single on this.
+// Without a cache every Lookup is a miss; with one, every address is looked
+// up once. The waitlist (recycled), the W block (no waiter list) and the
+// fabric messages (never moved to the heap) must all stay off the list.
 func TestLookupMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the alloc gates run in the non-race CI jobs")
@@ -330,12 +333,45 @@ func TestLookupMissAllocs(t *testing.T) {
 		for _, tc := range []struct {
 			name    string
 			home    int
+			busy    bool // the home's lock is taken when the lookup is submitted
 			ceiling float64
-		}{{"remote-home", 1, 1}, {"local-home", 0, 0}} {
+		}{{"remote-home", 1, false, 0}, {"remote-home-busy", 1, true, 1}, {"local-home", 0, false, 0}} {
 			t.Run(prefix+tc.name, func(t *testing.T) {
-				addrs := remoteAddrs(t, r, tbl, stats.NewRNG(3), tc.home, runs+1)
+				addrs := remoteAddrs(t, r, tbl, stats.NewRNG(3), tc.home, 2*(runs+1))
+				h := r.lcs[tc.home]
+				var held atomic.Bool
+				if tc.busy {
+					addrs = addrs[runs+1:] // the idle row's are cached by now
+					// The lock goes once the request is in the home's inbox, so that
+					// its lcLoop can serve it: the lookup has had to wait by then.
+					letGo := func() {
+						if held.CompareAndSwap(true, false) {
+							h.mu.Unlock()
+						}
+					}
+					defer letGo() // a failed run must not leave it locked for Stop
+					stop := make(chan struct{})
+					defer close(stop)
+					go func() {
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							if h.backlog.Load() > 0 {
+								letGo()
+							}
+							runtime.Gosched()
+						}
+					}()
+				}
 				at := 0
 				n := testing.AllocsPerRun(runs, func() {
+					if tc.busy {
+						h.mu.Lock()
+						held.Store(true)
+					}
 					a := addrs[0]
 					if cached { // a new address every run, so it misses
 						a = addrs[at]

@@ -221,27 +221,44 @@ func BenchmarkLookupBatchSameHomeBurst(b *testing.B) {
 }
 
 // BenchmarkLookupMiss is ROADMAP 1(c)'s instrument: one Lookup miss on a
-// cache-less ψ = 2 lulea router, over one set of addresses homed either way
-// (all are homed at LC 1; "local" submits them there, "remote" at LC 0), so
-// that "why is a local-FE miss slower than a remote one" has a number that
-// does not pass through histogram buckets.
+// ψ = 2 lulea router, over one set of addresses homed either way (all are
+// homed at LC 1; "local" submits them there, "remote" at LC 0), so that
+// "why is a local-FE miss slower than a remote one" has a number that does
+// not pass through histogram buckets. Cache-less, every Lookup is a miss
+// and the home runs its FE. The cache=on rows are the miss hot_single
+// runs — Reserve and two fills, evictions included — over a cold pool eight
+// times the router's 2 × 4096 blocks, long evicted when its turn comes again.
+// The home is idle, so "remote" is a direct exchange: 0 allocs/op (CI gates
+// on the cache-less row).
 func BenchmarkLookupMiss(b *testing.B) {
 	tbl := rtable.Small(2000, 7)
-	r := benchRouter(b, tbl, WithLCs(2), WithoutCache(), WithEngineName("lulea"))
-	addrs := sameHomeBurst(b, r, tbl)
-	for _, tc := range []struct {
-		name string
-		lc   int
-	}{{"local", 1}, {"remote", 0}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Lookup(tc.lc, addrs[i%len(addrs)]); err != nil {
-					b.Fatal(err)
+	run := func(b *testing.B, r *Router, addrs []ip.Addr) {
+		for _, tc := range []struct {
+			name string
+			lc   int
+		}{{"local", 1}, {"remote", 0}} {
+			b.Run(tc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := r.Lookup(tc.lc, addrs[i%len(addrs)]); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
+	r := benchRouter(b, tbl, WithLCs(2), WithoutCache(), WithEngineName("lulea"))
+	run(b, r, sameHomeBurst(b, r, tbl))
+	b.Run("cache=on", func(b *testing.B) {
+		r := benchRouter(b, tbl, WithLCs(2), WithDefaultCache(), WithEngineName("lulea"))
+		var pool []ip.Addr
+		for _, a := range distinctAddrs(tbl, stats.NewRNG(3), 1<<17) {
+			if r.HomeLC(a) == 1 && len(pool) < 1<<16 {
+				pool = append(pool, a)
+			}
+		}
+		run(b, r, pool)
+	})
 }
 
 // BenchmarkLookupBatchColdRemote: 64-address batches that miss everywhere,

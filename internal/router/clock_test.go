@@ -20,7 +20,9 @@ import (
 // the test's goroutine is the only caller, so every handler runs inline on
 // it. Tracing costs an unsampled lookup no reading; a sampled one is
 // stamped whatever it turns out to be — two readings a hit — and adds its
-// FE timers, two readings an engine run, and nothing else.
+// FE timers, two readings an engine run, and nothing else. A router that
+// scores round trips (WithGray) reads the clock once more per answer from a
+// remote home, message or direct exchange alike, and nowhere else.
 func TestLookupClockReads(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	const lcs, batch = 4, 64
@@ -30,11 +32,13 @@ func TestLookupClockReads(t *testing.T) {
 		hits int64 // clock readings for hitTimedEvery consecutive inline hits at one LC
 		next int64 // and for the one after them
 		fe   int64 // clock readings per engine run
+		rtt  int64 // and per round trip to a remote home
 	}{
-		{"untraced", nil, 2, 0, 0},
+		{"untraced", nil, 2, 0, 0, 0},
 		// Tracing on, nothing head-sampled: the FE timers run, the hit floor holds.
-		{"unsampled", []Option{WithTraceSampling(0)}, 2, 0, 2},
-		{"traced", []Option{WithTraceSampling(1)}, 2 * hitTimedEvery, 2, 2},
+		{"unsampled", []Option{WithTraceSampling(0)}, 2, 0, 2, 0},
+		{"traced", []Option{WithTraceSampling(1)}, 2 * hitTimedEvery, 2, 2, 0},
+		{"gray", []Option{WithGray(DefaultGrayPolicy())}, 2, 0, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := New(tbl, append([]Option{WithLCs(lcs), WithDefaultCache(), WithEngineName("lulea"),
@@ -96,14 +100,16 @@ func TestLookupClockReads(t *testing.T) {
 				{"sixteen consecutive single hits", sixteen, tc.hits, true},
 				{"a seventeenth", single(local[0], ServedByCache), tc.next, true},
 				{"single local-home miss", single(local[1], ServedByFE), 2 + tc.fe, true},
-				// Its own stamp — at the miss, or at submission when sampled —
-				// dates the request too; the reply's run ends it.
-				{"single remote miss", single(remote[0], ServedByRemote), 2 + tc.fe, true},
+				// Its home is idle, so the exchange is a call (direct): its own stamp —
+				// at the miss, or at submission when sampled — dates the request and
+				// tells that the home's tick is not due, and the arrival run's end
+				// ends it.
+				{"single remote miss", single(remote[0], ServedByRemote), 2 + tc.fe + tc.rtt, true},
 				{"all-hit batch", batched(hot), 3, true},
 				// Submission, the scan's send stamp and the arrival run's end,
 				// then one run's end per reply; an engine sweep here and one at
 				// every home.
-				{"cold batch", batched(cold), 3 + h + tc.fe*(h+1), false},
+				{"cold batch", batched(cold), 3 + h + tc.fe*(h+1) + tc.rtt*h, false},
 			} {
 				before := reads.Load()
 				step.do()
@@ -119,6 +125,9 @@ func TestLookupClockReads(t *testing.T) {
 			}
 			if _, queued := handled(r); queued != 0 {
 				t.Errorf("%d handlers ran queued; the budgets are the inline path's", queued)
+			}
+			if direct := handledDirect(r); direct != 1 {
+				t.Errorf("%d exchanges were direct, want the single remote miss's and no batch's", direct)
 			}
 		})
 	}

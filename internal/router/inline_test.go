@@ -6,6 +6,7 @@
 package router
 
 import (
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -14,12 +15,15 @@ import (
 	"testing"
 	"time"
 
+	"spal/internal/cache"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/metrics"
 	"spal/internal/partition"
 	"spal/internal/rtable"
 	"spal/internal/stats"
+	"spal/internal/trace"
+	"spal/internal/tracing"
 )
 
 // handled sums the per-LC handler-run counters.
@@ -27,6 +31,15 @@ func handled(r *Router) (inline, queued int64) {
 	for _, lc := range r.lcs {
 		inline += lc.handledInline.Load()
 		queued += lc.handledQueued.Load()
+	}
+	return
+}
+
+// handledDirect sums the requests served at their home by their requester
+// (path="direct"): exchanges that never became messages.
+func handledDirect(r *Router) (direct int64) {
+	for _, lc := range r.lcs {
+		direct += lc.handledDirect.Load()
 	}
 	return
 }
@@ -614,8 +627,11 @@ func TestChaosInlineDepthBounded(t *testing.T) {
 // TestHandledMetric reconciles spal_router_handled_total with the messages
 // the router handled: every lookup, fabric request and fabric reply is one
 // handler run, inline or queued, and which of the two follows from whether
-// the LC was idle. A scrape is no message and adds nothing, however many
-// there are.
+// the LC was idle — except that a request whose home was idle too is served
+// there by its requester, one direct run standing for the request and the
+// reply that were counted and never sent: inline + queued + 2·direct =
+// lookups + requests + replies, exactly. A scrape is no message and adds
+// nothing, however many there are.
 func TestHandledMetric(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	for _, tc := range []struct {
@@ -648,7 +664,19 @@ func TestHandledMetric(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			lookups := int64(n)
 			if tc.stall {
+				// Misses homed at the stalled LC, submitted at an idle one: their
+				// requests wait in its inbox like everything else sent there.
+				toStalled := remoteAddrs(t, r, tbl, rng, 0, 8)
+				for _, a := range toStalled {
+					ch, err := r.LookupAsync(1, a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					chans = append(chans, ch)
+				}
+				lookups += int64(len(toStalled))
 				if in := r.lcs[0].handledInline.Load(); in != 0 {
 					t.Errorf("%d handlers ran inline at the stalled LC", in)
 				}
@@ -665,18 +693,27 @@ func TestHandledMetric(t *testing.T) {
 				fabric += st.RequestsSent.Load() + st.RepliesSent.Load()
 			}
 			inline, queued := handled(r)
-			if inline+queued != n+fabric {
-				t.Errorf("handled %d inline + %d queued = %d, want %d lookups + %d fabric messages",
-					inline, queued, inline+queued, n, fabric)
+			direct := handledDirect(r)
+			if inline+queued+2*direct != lookups+fabric {
+				t.Errorf("handled %d inline + %d queued + 2 × %d direct = %d, want %d lookups + %d fabric messages",
+					inline, queued, direct, inline+queued+2*direct, lookups, fabric)
 			}
 			if tc.stall {
 				if in := r.lcs[0].handledInline.Load(); in != 0 {
 					t.Errorf("the stalled LC ran %d handlers inline, want all %d lookups and their replies queued", in, n)
 				}
-			} else if queued != 0 {
-				t.Errorf("queued = %d on an idle router with one caller, want 0", queued)
+				if d := r.lcs[0].handledDirect.Load(); d != 0 {
+					t.Errorf("%d requests were served direct at the stalled home, want them all in its inbox", d)
+				}
+			} else {
+				if queued != 0 {
+					t.Errorf("queued = %d on an idle router with one caller, want 0", queued)
+				}
+				if direct == 0 || direct*2 != fabric {
+					t.Errorf("direct = %d of %d fabric messages counted on an idle router with one caller, want every exchange", direct, fabric)
+				}
 			}
-			for path, want := range map[string]int64{"inline": inline, "queued": queued} {
+			for path, want := range map[string]int64{"inline": inline, "queued": queued, "direct": direct} {
 				var got float64
 				for i := 0; i < r.NumLCs(); i++ {
 					v, ok := s.Value(MetricHandled, metrics.L("lc", strconv.Itoa(i)), metrics.L("path", path))
@@ -691,4 +728,437 @@ func TestHandledMetric(t *testing.T) {
 			}
 		})
 	}
+}
+
+// passThrough is the injector that changes nothing and thereby forces the
+// message path: an injector must see every exchange as a message, so a
+// router that has one never serves a request direct.
+func passThrough(FabricMessage) FaultDecision { return FaultDecision{} }
+
+// TestDirectMatchesFabric is the differential oracle of the direct exchange:
+// two routers that differ only in a pass-through injector, one goroutine,
+// one Zipf stream. Everything the router can be asked about itself — the
+// verdicts, every LCStats and LR-cache counter, occupancy, the event kinds of
+// every traced lookup, the latency histograms' counts — is equal, exactly;
+// what differs is that one router's remote misses were function calls and
+// allocated nothing, and the other's were messages and a channel each.
+func TestDirectMatchesFabric(t *testing.T) {
+	tbl := rtable.Small(2000, 7)
+	oracle := lpm.NewReference(tbl)
+	const lcs, n = 4, 50000
+	tc := trace.Config{PoolSize: 24000, ZipfS: 1.10, MeanTrain: 4, Seed: 0x75}
+	src := trace.NewSynthetic(trace.NewPool(tbl, tc), tc, 0)
+	stream := make([]ip.Addr, n)
+	for i := range stream {
+		stream[i], _ = src.Next()
+	}
+
+	type outcome struct {
+		r        *Router
+		verdicts []Verdict
+		mallocs  uint64
+		snap     *metrics.Snapshot
+		traces   map[uint64][]tracing.EventKind
+	}
+	drive := func(opts ...Option) outcome {
+		r, err := New(tbl, append([]Option{WithLCs(lcs), WithDefaultCache(), WithEngineName("lulea"),
+			WithRequestTimeout(time.Minute), WithTraceSampling(0.125), WithTraceJournal(n)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Stop)
+		o := outcome{r: r, verdicts: make([]Verdict, n), traces: map[uint64][]tracing.EventKind{}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, a := range stream {
+			if o.verdicts[i], err = r.Lookup(i%lcs, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		o.mallocs = after.Mallocs - before.Mallocs
+		o.snap = r.Metrics()
+		for _, tr := range r.Traces() {
+			var kinds []tracing.EventKind
+			for _, ev := range tr.EventSlice() {
+				kinds = append(kinds, ev.Kind)
+			}
+			o.traces[tr.ID] = kinds
+		}
+		return o
+	}
+	direct, fabric := drive(), drive(WithFaultInjector(passThrough))
+
+	var remote int64
+	for i, v := range direct.verdicts {
+		if v != fabric.verdicts[i] {
+			t.Fatalf("lookup %d: direct %+v, fabric %+v", i, v, fabric.verdicts[i])
+		}
+		if v.Addr != stream[i] || !verdictMatches(v, oracle, stream[i]) {
+			t.Fatalf("lookup %d of %s: wrong verdict %+v", i, ip.FormatAddr(stream[i]), v)
+		}
+		if v.ServedBy == ServedByRemote {
+			remote++
+		}
+	}
+	for i := 0; i < lcs; i++ {
+		d, f := reflect.ValueOf(direct.r.stats[i]).Elem(), reflect.ValueOf(fabric.r.stats[i]).Elem()
+		for k := 0; k < d.NumField(); k++ {
+			dv, fv := d.Field(k).Addr().Interface().(*atomic.Int64).Load(), f.Field(k).Addr().Interface().(*atomic.Int64).Load()
+			if dv != fv {
+				t.Errorf("LC %d %s: direct %d, fabric %d", i, d.Type().Field(k).Name, dv, fv)
+			}
+		}
+	}
+	lrcache := 0
+	for i, s := range direct.snap.Samples {
+		f := fabric.snap.Samples[i]
+		if s.Name != f.Name || !reflect.DeepEqual(s.Labels, f.Labels) {
+			t.Fatalf("sample %d: direct exports %s%v, fabric %s%v", i, s.Name, s.Labels, f.Name, f.Labels)
+		}
+		if strings.HasPrefix(s.Name, "spal_lrcache_") {
+			if lrcache++; s.Value != f.Value {
+				t.Errorf("%s%v: direct %v, fabric %v", s.Name, s.Labels, s.Value, f.Value)
+			}
+		}
+	}
+	if want := lcs * (12 + 3); lrcache < want { // its counters and three occupancy gauges an LC
+		t.Errorf("compared %d spal_lrcache_* samples, want at least %d", lrcache, want)
+	}
+	for i, h := range direct.snap.Hists {
+		if f := fabric.snap.Hists[i]; h.Name != f.Name || !reflect.DeepEqual(h.Labels, f.Labels) || h.Hist.Count != f.Hist.Count {
+			t.Errorf("%s%v: direct counts %d, fabric %s%v %d", h.Name, h.Labels, h.Hist.Count, f.Name, f.Labels, f.Hist.Count)
+		}
+	}
+	if len(direct.traces) < n/16 || len(direct.traces) != len(fabric.traces) {
+		t.Fatalf("%d lookups traced direct, %d fabric, want the same 1 in 8 of %d", len(direct.traces), len(fabric.traces), n)
+	}
+	for id, kinds := range direct.traces {
+		if !reflect.DeepEqual(kinds, fabric.traces[id]) {
+			t.Fatalf("trace %d: direct recorded %v, fabric %v", id, kinds, fabric.traces[id])
+		}
+	}
+
+	// And what is meant to differ.
+	if d := handledDirect(direct.r); d == 0 || d > remote {
+		t.Errorf("%d of %d remote misses were direct exchanges without an injector, want nearly all", d, remote)
+	}
+	if d := handledDirect(fabric.r); d != 0 {
+		t.Errorf("%d exchanges were direct past an injector, want 0", d)
+	}
+	if !raceEnabled {
+		// The traces and everything else are allocated alike; a remote miss
+		// that becomes messages makes its reply channel on top.
+		perMiss := float64(int64(fabric.mallocs)-int64(direct.mallocs)) / float64(remote)
+		if perMiss < 0.9 || perMiss > 1.1 {
+			t.Errorf("the message path allocated %.3f objects more per remote miss (%d vs %d over %d), want ~1",
+				perMiss, fabric.mallocs, direct.mallocs, remote)
+		}
+	}
+	evictions := direct.snap.Sum(cache.MetricEvictions)
+	if evictions == 0 {
+		t.Error("no LR-cache evicted a block: victim choice was not compared")
+	}
+	t.Logf("%d lookups, %d remote misses: %d direct; %v evictions; mallocs %d direct, %d fabric; %d traces",
+		n, remote, handledDirect(direct.r), evictions, direct.mallocs, fabric.mallocs, len(direct.traces))
+}
+
+// TestDirectPreconditions: every condition of the direct exchange, alone,
+// sends a remote miss down the message path — with the verdict, and the
+// home in the state, that path produces — and the same miss goes direct
+// once the obstacle is gone. The hour-long timeout keeps every ticker out:
+// what happens is what the row arranged.
+func TestDirectPreconditions(t *testing.T) {
+	tbl := rtable.Small(2000, 7)
+	oracle := lpm.NewReference(tbl)
+	const arrival, home = 0, 1
+	var skew atomic.Int64 // the clock seam: what every reading is ahead by
+	type obstacle struct {
+		// lift removes the obstacle; nil if the message path removed it. until,
+		// when set, says when: the lookup cannot end while the obstacle stands.
+		// redriven: it is put through handleLookup again once the obstacle has
+		// gone, and may find the home idle that time.
+		lift     func()
+		until    func() bool
+		redriven bool
+	}
+	underMu := func(r *Router, do func(lc int)) { // the health monitor's calls, made as it makes them
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		do(home)
+	}
+	for _, tc := range []struct {
+		name     string
+		opts     []Option
+		servedBy ServedBy // as the message path answers it
+		homeHas  bool     // and whether the home's cache holds the address afterwards
+		block    func(t *testing.T, r *Router, a ip.Addr) obstacle
+	}{
+		{"injector installed", []Option{WithFaultInjector(passThrough)}, ServedByRemote, true,
+			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
+				return obstacle{lift: func() { r.injector = nil }}
+			}},
+		{"breaker open", []Option{WithOverload(OverloadPolicy{})}, ServedByFallback, false,
+			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
+				b := &r.lcs[arrival].ov.breakers[home]
+				r.own(arrival, func(*lineCard) { b.openedAt = time.Now(); b.state.Store(breakerOpen) })
+				return obstacle{lift: func() { r.own(arrival, func(lc *lineCard) { r.breakerSuccess(lc, home) }) }}
+			}},
+		{"breaker half-open", []Option{WithOverload(OverloadPolicy{})}, ServedByRemote, true,
+			func(t *testing.T, r *Router, a ip.Addr) obstacle {
+				b := &r.lcs[arrival].ov.breakers[home]
+				r.own(arrival, func(lc *lineCard) {
+					b.state.Store(breakerHalfOpen)
+					// By hand, ahead of the lookup whose message path will claim the
+					// probe and close the breaker: the refusal itself claims nothing.
+					if _, _, done := r.direct(lc, &message{kind: mLookup, addr: a}, home, r.now()); done || b.probing {
+						t.Errorf("direct past a half-open breaker: done=%v, probe claimed=%v", done, b.probing)
+					}
+				})
+				return obstacle{}
+			}},
+		{"home ejected", []Option{WithGray(DefaultGrayPolicy())}, ServedByHedge, true,
+			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
+				underMu(r, r.ejectLocked)
+				return obstacle{lift: func() { underMu(r, r.restoreEjectedLocked) }}
+			}},
+		{"home quarantined", nil, ServedByRemote, true,
+			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
+				underMu(r, r.quarantineLocked)
+				return obstacle{lift: func() { r.life[home].state.Store(LCHealthy) }}
+			}},
+		{"home's lock held", nil, ServedByRemote, true,
+			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
+				h := r.lcs[home]
+				h.mu.Lock()
+				return obstacle{lift: h.mu.Unlock, until: func() bool { return h.backlog.Load() > 0 }}
+			}},
+		{"home backlogged", nil, ServedByRemote, true,
+			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
+				h := r.lcs[home]
+				h.backlog.Add(1) // a message on its way into the inbox
+				return obstacle{lift: func() { h.backlog.Add(-1) }}
+			}},
+		{"address in flight at the home", nil, ServedByRemote, true,
+			func(_ *testing.T, r *Router, a ip.Addr) obstacle {
+				var wl *waitlist
+				r.own(home, func(h *lineCard) { wl = r.park(h, a) })
+				joined := func() (n int) {
+					r.own(home, func(*lineCard) { n = len(wl.remotes) })
+					return n
+				}
+				return obstacle{
+					lift:  func() { r.own(home, func(h *lineCard) { r.runFE(h, a, wl) }) },
+					until: func() bool { return joined() == 1 },
+				}
+			}},
+		{"home disagrees it is the home", nil, ServedByRemote, false,
+			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
+				var homeOf func(ip.Addr) int
+				r.own(home, func(h *lineCard) { homeOf, h.homeOf = h.homeOf, func(ip.Addr) int { return arrival } })
+				return obstacle{lift: func() { r.own(home, func(h *lineCard) { h.homeOf = homeOf }) }}
+			}},
+		{"home a generation behind", nil, ServedByRemote, true,
+			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
+				r.own(arrival, func(lc *lineCard) { lc.gen++ })
+				// Request and stale reply chase each other until the home catches up.
+				return obstacle{
+					lift:     func() { r.own(home, func(h *lineCard) { h.gen++ }) },
+					until:    func() bool { return r.stats[arrival].StaleGenReplies.Load() > 0 },
+					redriven: true,
+				}
+			}},
+		{"home's tick due", nil, ServedByRemote, true,
+			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
+				skew.Add(int64(r.tickEvery))
+				return obstacle{} // the request's own run ticks the home on its way out
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := New(tbl, append([]Option{WithLCs(2), WithDefaultCache(), WithEngineName("lulea"),
+				WithRequestTimeout(time.Hour)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+			clock := r.clock
+			r.clock = func() int64 { return clock() + skew.Load() }
+			addrs := remoteAddrs(t, r, tbl, stats.NewRNG(31), home, 2)
+
+			ob := tc.block(t, r, addrs[0])
+			before := handledDirect(r)
+			got := make(chan Verdict, 1)
+			go func() {
+				v, err := r.Lookup(arrival, addrs[0])
+				if err != nil {
+					t.Error(err)
+				}
+				got <- v
+			}()
+			if ob.until != nil {
+				waitFor(t, "the lookup to be waiting behind the obstacle", ob.until)
+				select {
+				case v := <-got:
+					t.Fatalf("the lookup ended with the obstacle standing: %+v", v)
+				default:
+				}
+				if d := handledDirect(r) - before; d != 0 {
+					t.Errorf("%d direct exchanges with the obstacle standing, want 0", d)
+				}
+				ob.lift()
+				ob.lift = nil
+			}
+			select {
+			case v := <-got:
+				if v.Addr != addrs[0] || !verdictMatches(v, oracle, addrs[0]) || v.ServedBy != tc.servedBy {
+					t.Errorf("verdict %+v (served by %s), want the oracle's served by %s", v, v.ServedBy, tc.servedBy)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the lookup never ended")
+			}
+			if d := handledDirect(r) - before; d != 0 && !(ob.redriven && d == 1) {
+				t.Errorf("%d direct exchanges past the obstacle, want 0", d)
+			}
+			for i := range r.lcs {
+				r.own(i, func(lc *lineCard) {
+					if lc.pending.len() != 0 || lc.nwaiters != 0 || len(lc.outbox) != 0 {
+						t.Errorf("LC %d left with %d in flight, %d waiters, %d unsent", i, lc.pending.len(), lc.nwaiters, len(lc.outbox))
+					}
+					if i != home {
+						return
+					}
+					has := false
+					lc.cache.AuditEntries(func(a ip.Addr, _ rtable.NextHop) bool {
+						has = has || a == addrs[0]
+						return true
+					})
+					if has != tc.homeHas {
+						t.Errorf("the home's cache holds the address: %v, want %v", has, tc.homeHas)
+					}
+				})
+			}
+
+			if ob.lift != nil {
+				ob.lift()
+			}
+			before = handledDirect(r)
+			v, err := r.Lookup(arrival, addrs[1])
+			if err != nil || !verdictMatches(v, oracle, addrs[1]) || v.ServedBy != ServedByRemote {
+				t.Errorf("with the obstacle gone: %+v (served by %s), %v", v, v.ServedBy, err)
+			}
+			if d := handledDirect(r) - before; d != 1 {
+				t.Errorf("%d direct exchanges with the obstacle gone, want 1", d)
+			}
+			if n := len(r.lcs[home].outbox); n != 0 {
+				t.Errorf("the home was released with %d messages to send: a goroutine holding two LC locks sends nothing", n)
+			}
+		})
+	}
+}
+
+// TestChaosDirectCrossfire: callers crossing — two at LC 0 missing on
+// addresses homed at LC 1, two at LC 1 missing on LC 0's — each want the
+// other's lock while holding their own. Both lose the TryLock and both
+// take the message path, so nobody waits for anybody; beside them a writer
+// applies updates and flushes the caches, which waits for each LC's lock in
+// turn. It must end, every verdict must match a table version live during
+// its call, both ways of asking a home must have been taken, and nothing may
+// be left parked.
+func TestChaosDirectCrossfire(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	tbl := rtable.Small(1500, 71)
+	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"), WithRequestTimeout(20*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	oracle := newVersionedOracle(tbl)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var wrong, served, updates atomic.Int64
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := stats.NewRNG(chaosSeeds(t)[0] * 31)
+		for cur := tbl; ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.FlushCaches() // keeps the callers' addresses cold
+			stream := churnStream(cur, rng.Uint64())
+			next := cur.ApplyAll(stream)
+			if len(stream) == 0 || next.Len() == 0 {
+				continue
+			}
+			oracle.announce(next)
+			if r.ApplyUpdates(stream) != nil {
+				return // stopping
+			}
+			oracle.settle()
+			updates.Add(1)
+			cur = next
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		at := w % 2
+		addrs := remoteAddrs(t, r, tbl, stats.NewRNG(uint64(w)+3), 1-at, 1500)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				a := addrs[i%len(addrs)]
+				lo, _ := oracle.window()
+				v, err := r.Lookup(at, a)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, hi := oracle.window()
+				served.Add(1)
+				if !oracle.matches(v, a, lo, hi) {
+					wrong.Add(1)
+				}
+			}
+		}()
+	}
+	time.Sleep(300 * time.Millisecond)
+	close(stop)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("crossing callers never ended\n%s", buf[:runtime.Stack(buf, true)])
+	}
+
+	if w := wrong.Load(); w != 0 {
+		t.Errorf("%d wrong verdicts among %d served", w, served.Load())
+	}
+	var sent int64
+	for _, st := range r.Stats() {
+		sent += st.RequestsSent.Load()
+	}
+	direct := handledDirect(r)
+	if direct == 0 || sent <= direct || updates.Load() == 0 {
+		t.Errorf("%d requests counted, %d of them direct, over %d updates: both paths were meant to be taken", sent, direct, updates.Load())
+	}
+	waitFor(t, "every LC to be left with nothing parked", func() bool {
+		quiet := true
+		for i := range r.lcs {
+			r.own(i, func(lc *lineCard) { quiet = quiet && lc.pending.len() == 0 && lc.nwaiters == 0 })
+		}
+		return quiet
+	})
+	t.Logf("served=%d updates=%d requests=%d direct=%d", served.Load(), updates.Load(), sent, direct)
 }

@@ -26,9 +26,9 @@
 // is idle: nothing sent to it is still unhandled, its lock is free, and
 // an incarnation owns the slot (see runInline). A cache hit is then one
 // TryLock, one probe and one Unlock on the caller's goroutine, and a
-// remote miss runs caller → arrival LC → home LC → arrival LC → caller
-// without a goroutine switch. Otherwise the message takes the LC's one
-// queued way in, exactly like the paper's line card behind its finite
+// remote miss whose home is idle too a function call made holding both
+// locks (see direct), with no message. Otherwise the message takes the LC's
+// one queued way in, exactly like the paper's line card behind its finite
 // fabric queues: a bounded inbox, drained in FIFO order by the LC's own
 // goroutine (lcLoop), which takes the same lock around every handler.
 // Which of the two runs a handler is decided by observable state only,
@@ -39,15 +39,15 @@
 //
 // Two rules keep this deadlock-free. A goroutine that holds one LC's lock
 // takes another's only by TryLock, so none waits for a lock while holding
-// one; and a handler never delivers a fabric message while holding its
-// own lock — it queues it on the LC's outbox, and whoever ran the handler
-// delivers the outbox after unlocking (see leave). A caller submitting a
-// lookup blocks while the inbox is full; an LC sending to a peer never
-// does — a fabric message that finds the peer busy and its inbox full is
-// shed (and counted), and the requester's deadline machinery below
-// recovers the lookup, so mutually-full LCs cannot deadlock. WithOverload
-// layers a policy on the same inbox: refuse rather than block at
-// admission, retry budgets, circuit breakers (see overload.go).
+// one (nor sends anything while holding two); and a handler never delivers
+// a fabric message while holding its own lock — it queues it on the LC's
+// outbox, delivered by whoever ran the handler after unlocking (see
+// leave). A caller submitting a lookup blocks while the inbox is full; an
+// LC sending to a peer never does — a fabric message that finds the peer
+// busy and its inbox full is shed (and counted), and the requester's
+// deadline machinery below recovers the lookup, so mutually-full LCs cannot
+// deadlock. WithOverload layers a policy on the same inbox: refuse rather
+// than block at admission, retry budgets, circuit breakers (overload.go).
 //
 // Failure model: the paper assumes a lossless fabric; this package does
 // not. Every fabric request carries a deadline tracked by a coarse
@@ -218,7 +218,7 @@ type message struct {
 	slot    int32                // index into bd.out when bd != nil
 	feNS    int64                // mReply: home-side FE execution time (0 = not measured)
 	start   int64                // a reading of Router.now. mLookup: submission, for latency histograms; mRequest/mBatchRequest: send. Also tells an inline run that a tick may be due (see leave)
-	resp    chan Verdict         // mLookup: made when the lookup first has to wait or queue (see handleLookup)
+	resp    chan Verdict         // mLookup: made when the lookup first has to wait — for a busy LC, a reply, a miss in flight — or queue (see handleLookup)
 	tr      *tracing.LookupTrace // mLookup: the trace riding this lookup, if sampled
 	bd      *batchDesc           // mBatch, or an mLookup riding a batch slot
 	fb      []fabricRow          // mBatchRequest / mBatchReply payload
@@ -317,11 +317,11 @@ type lineCard struct {
 
 	// mu is the ownership of everything down to outbox: whoever holds it —
 	// the slot's lcLoop incarnation, a goroutine running a handler inline
-	// (runInline), a control caller (own), or the health monitor adopting a
-	// crashed slot — is the LC for that long. Lock order is Router.mu →
-	// lineCard.mu; no handler takes Router.mu, nothing blocks while holding
-	// mu, and a goroutine that holds one LC's mu takes another's only by
-	// TryLock.
+	// (runInline), an arrival LC's owner asking this home directly (direct), a
+	// control caller (own), or the health monitor adopting a crashed slot — is
+	// the LC for that long. Lock order is Router.mu → lineCard.mu; no handler
+	// takes Router.mu, nothing blocks while holding mu, and a goroutine that
+	// holds one LC's mu takes another's only by TryLock.
 	mu      sync.Mutex
 	engine  lpm.Engine
 	cache   cache.Store
@@ -386,9 +386,9 @@ type lineCard struct {
 	// hands the message over directly and leaves the length zero while the
 	// message is still unhandled.
 	backlog atomic.Int32
-	// handledInline and handledQueued count handler runs by who ran them
-	// (spal_router_handled_total).
-	handledInline, handledQueued atomic.Int64
+	// Handler runs by who ran them (spal_router_handled_total); handledDirect:
+	// requests their requester's owner served here, no message sent (see direct).
+	handledInline, handledQueued, handledDirect atomic.Int64
 
 	lat          lcLatency
 	pendingDepth atomic.Int64 // these two: as of the last completed run (see leave)
@@ -786,6 +786,7 @@ func (r *Router) runInline(i int, m message) bool {
 	if lc == nil {
 		return false
 	}
+	lc.handledInline.Add(1)
 	lc.depth = m.depth
 	r.handle(lc, m)
 	now := m.start
@@ -808,8 +809,8 @@ func (r *Router) now() int64 { return r.clock() }
 // the control plane's heartbeat and breaker state.
 func (r *Router) at(ns int64) time.Time { return r.born.Add(time.Duration(ns)) }
 
-// enter claims LC i for the calling goroutine if it is idle (see
-// runInline); nil otherwise. The claim ends with leave.
+// enter claims LC i for the calling goroutine if it is idle (see runInline);
+// nil otherwise. The claim ends with leave, and is the caller's to count.
 func (r *Router) enter(i int) *lineCard {
 	lc := r.lcs[i]
 	if lc.backlog.Load() != 0 || !lc.mu.TryLock() {
@@ -822,7 +823,6 @@ func (r *Router) enter(i int) *lineCard {
 		lc.mu.Unlock()
 		return nil
 	}
-	lc.handledInline.Add(1)
 	return lc
 }
 
@@ -1064,7 +1064,7 @@ func (r *Router) handle(lc *lineCard, m message) {
 			lc.stats.StaleReplies.Add(1)
 			return
 		}
-		r.replyArrived(lc, m.from, m.addr)
+		r.replyFrom(lc, m.from, m.addr)
 		r.replyFor(lc, &m, m.addr, m.nextHop, m.ok)
 	}
 }
@@ -1072,10 +1072,11 @@ func (r *Router) handle(lc *lineCard, m message) {
 // handleLookup serves a locally submitted packet. A lookup normally
 // carries its destination — a reply channel or a batch slot — and the
 // verdict is delivered there. An inline caller (Router.lookup) submits it
-// with neither: a verdict this LC has on the spot — a cache hit, or a miss
-// it is home of — is then returned as (verdict, true) and never needs a
-// channel; on every other path m.resp is created here, the moment the
-// lookup has to wait, and the caller reads the verdict from it.
+// with neither: a verdict this LC has on the spot — a cache hit, a miss it
+// is home of, or a miss whose home is idle and answers now (direct) — is
+// then returned as (verdict, true) and never needs a channel; on every
+// other path m.resp is created here, the moment the lookup has to wait, and
+// the caller reads the verdict from it.
 func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 	lc.stats.Lookups.Add(1)
 	inline := m.resp == nil && m.bd == nil // Router.lookup's own call: no destination, and a stamp, if any, of this instant
@@ -1144,18 +1145,17 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 			r.finishTrace(m.tr, ServedByFE, ok)
 		}
 		r.finish(lc, ServedByFE, m.start, traceID(m.tr))
-		v := Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByFE}
-		if inline {
-			return v, true
-		}
-		r.deliver(*m, v)
-		return Verdict{}, false
+		return r.hand(m, inline, Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByFE})
 	}
-	// A fresh miss homed elsewhere parks and takes whatever routeFor
-	// decides — normally one request over the fabric.
 	now := m.start
-	if !inline { // queued or re-driven: its stamp is old, and routeFor needs the present
+	if !inline { // queued or re-driven: its stamp is old, and the home's tick and routeFor need the present
 		now = r.now()
+	}
+	// A fresh miss homed elsewhere parks only when it has to wait. A home that can answer now
+	// is asked by function call; else routeFor decides — normally one request over the fabric.
+	if nh, ok, done := r.direct(lc, m, home, now); done {
+		r.finish(lc, ServedByRemote, m.start, traceID(m.tr))
+		return r.hand(m, inline, Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByRemote})
 	}
 	m.needReply()
 	wl := r.park(lc, m.addr)
@@ -1168,9 +1168,59 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 	return Verdict{}, false
 }
 
-// needReply gives a lookup that has to wait a destination if it has none
-// yet. A fresh channel every time, never a pooled one: a cancelled
-// LookupCtx or a replayed waiter may still deliver into an abandoned one.
+// hand gives a lookup its verdict the moment its LC has it: by value to an
+// inline caller, at its destination to any other.
+func (r *Router) hand(m *message, inline bool, v Verdict) (Verdict, bool) {
+	if inline {
+		return v, true
+	}
+	r.deliver(*m, v)
+	return Verdict{}, false
+}
+
+// direct is a remote miss that does not wait: lc's owner takes addr's home too
+// if nothing stands between them — an injector (it must see every exchange as a
+// message), a breaker not closed, a pinned or ejected home (routeFor's calls) —
+// and the home is idle (enter), agrees it is the home, has no such miss in
+// flight, is not behind lc and has no tick due: a tick posts retries, and a
+// goroutine holding two LC locks sends nothing. Then it is both line cards and
+// the exchange is a call: the home's answer as handleRequest computes it,
+// counted as the request and reply it stands for, filled REM as replyFor would.
+// Any no leaves the home untouched and reports !done: the message path's.
+func (r *Router) direct(lc *lineCard, m *message, home int, now int64) (nh rtable.NextHop, ok, done bool) {
+	if r.injector != nil || r.genPinned(home) || r.ov.Enabled && lc.ov.breakers[home].state.Load() != breakerClosed {
+		return
+	}
+	h := r.enter(home)
+	if h == nil {
+		return
+	}
+	if h.homeOf(m.addr) != home || h.pending.get(m.addr) != nil || h.gen < lc.gen || now-h.lastTick >= int64(r.tickEvery) {
+		r.leave(h, 0)
+		return
+	}
+	m.tr.Record(tracing.EvFabricSend, int64(home), 1)
+	nh, ok, feNS, _ := r.serveNow(h, m.addr, remoteWaiter{}, 0) // a hit or a fresh miss, by the tests above
+	h.stats.RepliesSent.Add(1)
+	h.handledDirect.Add(1)
+	r.leave(h, 0) // nothing posted, no tick run: the lock goes and that is all
+	lc.stats.RequestsSent.Add(1)
+	r.replyArrived(lc, home, now)
+	lc.fill(m.addr, nh, cache.REM)
+	if m.tr != nil { // the events of a reply's intake, in replyFor's order
+		m.tr.Record(tracing.EvFabricRecv, int64(home), 0)
+		if feNS > 0 {
+			m.tr.Record(tracing.EvFEExec, feNS, int64(home))
+		}
+		m.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByRemote))
+		r.finishTrace(m.tr, ServedByRemote, ok)
+	}
+	return nh, ok, true
+}
+
+// needReply gives a lookup that has to wait — for a busy LC, a reply over the
+// fabric, a miss in flight — a destination if it has none yet. A fresh channel,
+// never pooled: a cancelled LookupCtx or a replayed waiter may still deliver into it.
 func (m *message) needReply() {
 	if m.resp == nil && m.bd == nil {
 		m.resp = make(chan Verdict, 1)
@@ -1251,15 +1301,21 @@ const maxForwardHops = 4
 // reply: a hit from the cache, a fresh miss from an FE execution run now.
 func (r *Router) handleRequest(lc *lineCard, m message) {
 	rw := remoteWaiter{from: m.from, epoch: m.epoch, hops: m.hops, gen: lc.gen}
-	hit, nh, fresh := r.serveRequest(lc, m.addr, rw, m.start)
-	ok, feNS := nh != rtable.NoNextHop, int64(0)
-	if fresh {
-		nh, ok, feNS = r.execFE(lc, m.addr)
-		lc.fill(m.addr, nh, cache.LOC)
-	}
-	if hit || fresh {
+	if nh, ok, feNS, answered := r.serveNow(lc, m.addr, rw, m.start); answered {
 		r.sendReply(lc, rw, m.addr, nh, ok, feNS, lc.gen)
 	}
+}
+
+// serveNow is the single plane's serveRequest: a fresh miss runs the FE at once and fills
+// LOC, so the home has the answer when it returns (answered) or has passed the request on.
+func (r *Router) serveNow(lc *lineCard, addr ip.Addr, rw remoteWaiter, start int64) (nh rtable.NextHop, ok bool, feNS int64, answered bool) {
+	hit, nh, fresh := r.serveRequest(lc, addr, rw, start)
+	ok = nh != rtable.NoNextHop
+	if fresh {
+		nh, ok, feNS = r.execFE(lc, addr)
+		lc.fill(addr, nh, cache.LOC)
+	}
+	return nh, ok, feNS, hit || fresh
 }
 
 // serveRequest is the home LC's work for one requested address, up to the
@@ -1419,22 +1475,32 @@ func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, no
 	return true
 }
 
-// replyArrived is the per-message half of reply intake: one fabric reply
-// from home, single or batch, is one successful round trip. first is the
-// (first) address it answers, whose waitlist holds the send time.
-func (r *Router) replyArrived(lc *lineCard, from int, first ip.Addr) {
-	if r.grayPol.Enabled && !r.gray[lc.id].degraded.Load() {
-		// When exactly one request went out the round trip is unambiguous:
-		// attribute it to the responding home LC. Sampled before the
+// replyFrom is replyArrived for a reply that came as a message: the waitlist of
+// first, the (first) address it answers, holds the send time — unless a retry
+// made the round trip ambiguous, which then goes unsampled.
+func (r *Router) replyFrom(lc *lineCard, from int, first ip.Addr) {
+	var sent int64
+	if r.grayPol.Enabled {
+		if wl := lc.pending.get(first); wl != nil && wl.attempts == 1 {
+			sent = wl.sentAt
+		}
+	}
+	r.replyArrived(lc, from, sent)
+}
+
+// replyArrived is the per-message half of reply intake: one answer from
+// home — a fabric reply, single or batch, or a direct exchange's — is one
+// successful round trip. sent is when its request left, zero to go unsampled.
+func (r *Router) replyArrived(lc *lineCard, from int, sent int64) {
+	if sent != 0 && r.grayPol.Enabled && !r.gray[lc.id].degraded.Load() {
+		// Attributed to the responding home LC. Sampled before the
 		// generation and hedge guards so an ejected LC's recovery stays
 		// observable. A requester that is itself marked degraded abstains:
 		// its round trips ride its own browned-out links, so charging them
 		// to the responding home would drag every clean ring toward the
 		// brownout and mask the true outlier (its recovery is judged by
 		// other requesters' samples of it, not by its own observations).
-		if wl := lc.pending.get(first); wl != nil && wl.attempts == 1 && wl.sentAt != 0 {
-			r.rtt[from].observe(r.now() - wl.sentAt)
-		}
+		r.rtt[from].observe(r.now() - sent)
 	}
 	if r.ov.Enabled {
 		// It closes the responder's breaker and refills the retry bucket.
@@ -1664,6 +1730,7 @@ func (r *Router) lookup(ctx context.Context, i int, addr ip.Addr) (Verdict, erro
 	}
 	m := message{kind: mLookup, addr: addr, tr: r.tracer.Sample(i, addr)}
 	if lc := r.enter(i); lc != nil {
+		lc.handledInline.Add(1)
 		if m.tr != nil || lc.cache == nil || lc.hitNS == 0 || lc.untimedHits >= hitTimedEvery-1 {
 			r.stamp(&m, i)
 		}
