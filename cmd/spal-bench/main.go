@@ -12,7 +12,7 @@
 //	spal-bench -compare -fields BENCH_9.json fresh.json  # freshness gate
 //
 // The grid runner executes every cell of the JSON spec (router and
-// simulator experiments across engine/ψ/batch/shard/churn/corruption
+// simulator experiments across engine/ψ/batch/churn/corruption
 // axes, with warmup and measured repeats), writes records.csv,
 // summary.csv, cells.json, per-cell pprof profiles, and regenerated
 // figure CSVs under -grid-out, and optionally emits a BENCH snapshot.

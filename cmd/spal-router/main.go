@@ -17,7 +17,7 @@
 //	echo 10.1.2.3 | spal-router -i            # interactive lookups
 //	spal-router -metrics :9090 -n 1000000     # drive load, then serve /metrics
 //	spal-router -batch 64 -n 1000000          # batched submission, coalesced fabric messages
-//	spal-router -engine flat -cache-shards 8  # flat cache-line engine, sharded LR-caches
+//	spal-router -engine flat                  # flat cache-line engine
 //	spal-router -fault-rate 0.1 -n 100000     # chaos mode: drop 10% of fabric messages
 //	spal-router -kill-lc 2 -n 500000          # crash LC 2 mid-drive, watch the re-homing
 //	spal-router -drain-after 50ms -n 500000   # drain LC 0 mid-drive, restore after
@@ -66,7 +66,6 @@ func main() {
 	interactive := flag.Bool("i", false, "read addresses from stdin, print verdicts")
 	noCache := flag.Bool("no-cache", false, "disable LR-caches")
 	engineName := flag.String("engine", "lulea", "matching engine: "+strings.Join(spal.EngineNames(), "|"))
-	cacheShards := flag.Int("cache-shards", 0, "split each LR-cache into this many line-padded shards (power of two, 0 = unsharded)")
 	batchSize := flag.Int("batch", 0, "drive load through the batched data plane in batches of this size (0 = per-address lookups)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /healthz on this address (e.g. :9090)")
 	faultRate := flag.Float64("fault-rate", 0, "drop this fraction of fabric messages (chaos mode, 0..1)")
@@ -95,9 +94,6 @@ func main() {
 		router.WithLCs(*psi),
 		router.WithEngineName(*engineName),
 		router.WithCache(cache.Config{Blocks: *beta, Assoc: 4, VictimBlocks: 8, MixPercent: *gamma, Policy: cache.LRU}),
-	}
-	if *cacheShards > 0 {
-		opts = append(opts, router.WithCacheShards(*cacheShards))
 	}
 	if *noCache {
 		opts = append(opts, router.WithoutCache())

@@ -24,9 +24,6 @@ func runRouterCell(c *RouterCell, repeat int, slowdown time.Duration) (map[strin
 		router.WithDefaultCache(),
 		router.WithEngineName(c.Engine),
 	}
-	if c.CacheShards > 0 {
-		opts = append(opts, router.WithCacheShards(c.CacheShards))
-	}
 	if c.TimeoutMS > 0 {
 		opts = append(opts, router.WithRequestTimeout(time.Duration(c.TimeoutMS*float64(time.Millisecond))))
 	}

@@ -1,5 +1,5 @@
 // Package bench is the reproducible perf-observability harness: a
-// declarative experiment grid (engines × ψ × batch × shards × churn ×
+// declarative experiment grid (engines × ψ × batch × churn ×
 // corruption × repeats) whose cells run the real router and the cycle
 // simulator in-process, emitting machine-readable records, BENCH_*.json
 // snapshots, pprof profiles, and regression comparisons against prior
@@ -57,7 +57,6 @@ type RouterExp struct {
 	Engines      []string  `json:"engines,omitempty"`       // axis: engine (default bintrie)
 	LCs          []int     `json:"lcs,omitempty"`           // axis: lcs (default 4)
 	Batch        []int     `json:"batch,omitempty"`         // axis: batch; 0/1 = single-lookup path
-	CacheShards  []int     `json:"cache_shards,omitempty"`  // axis: shards; 0 = router default
 	UpdateRates  []float64 `json:"update_rates,omitempty"`  // axis: rate (updates/sec, 0 = no churn)
 	CorruptRates []float64 `json:"corrupt_rates,omitempty"` // axis: corrupt (fill corruption prob)
 	SlowLCs      []int     `json:"slow_lcs,omitempty"`      // axis: slow (browned-out LC id; -1 = none)
@@ -95,7 +94,6 @@ type RouterCell struct {
 	Engine        string
 	LCs           int
 	Batch         int
-	CacheShards   int
 	UpdateRate    float64
 	CorruptRate   float64
 	SlowLC        int // browned-out LC (-1 = none)
@@ -187,9 +185,6 @@ func (s *GridSpec) applyDefaults() {
 		}
 		if len(e.Batch) == 0 {
 			e.Batch = []int{0}
-		}
-		if len(e.CacheShards) == 0 {
-			e.CacheShards = []int{0}
 		}
 		if len(e.UpdateRates) == 0 {
 			e.UpdateRates = []float64{0}
@@ -396,59 +391,54 @@ func (e RouterExp) cells() []Cell {
 	for _, eng := range e.Engines {
 		for _, lcs := range e.LCs {
 			for _, batch := range e.Batch {
-				for _, shards := range e.CacheShards {
-					for _, rate := range e.UpdateRates {
-						for _, corrupt := range e.CorruptRates {
-							for _, slow := range e.SlowLCs {
-								for _, hedge := range e.Hedge {
-									var parts []string
-									add := func(axis, val string, multi bool) {
-										if multi {
-											parts = append(parts, axis+"="+val)
-										}
+				for _, rate := range e.UpdateRates {
+					for _, corrupt := range e.CorruptRates {
+						for _, slow := range e.SlowLCs {
+							for _, hedge := range e.Hedge {
+								var parts []string
+								add := func(axis, val string, multi bool) {
+									if multi {
+										parts = append(parts, axis+"="+val)
 									}
-									add("engine", eng, len(e.Engines) > 1)
-									add("lcs", axisVal(lcs), len(e.LCs) > 1)
-									add("batch", axisVal(batch), len(e.Batch) > 1)
-									add("shards", axisVal(shards), len(e.CacheShards) > 1)
-									add("rate", axisVal(rate), len(e.UpdateRates) > 1)
-									add("corrupt", axisVal(corrupt), len(e.CorruptRates) > 1)
-									add("slow", axisVal(slow), len(e.SlowLCs) > 1)
-									add("hedge", axisVal(hedge), len(e.Hedge) > 1)
-									rc := &RouterCell{
-										Name:          cellName(e.Name, parts),
-										Engine:        eng,
-										LCs:           lcs,
-										Batch:         batch,
-										CacheShards:   shards,
-										UpdateRate:    rate,
-										CorruptRate:   corrupt,
-										SlowLC:        slow,
-										Hedge:         hedge,
-										SlowFactor:    e.SlowFactor,
-										TimeoutMS:     e.TimeoutMS,
-										TablePrefixes: e.TablePrefixes,
-										WarmupLookups: e.WarmupLookups,
-										Lookups:       e.Lookups,
-										Seed:          e.Seed,
-									}
-									out = append(out, Cell{
-										Name: rc.Name,
-										Kind: "router",
-										Params: map[string]string{
-											"experiment": e.Name,
-											"engine":     eng,
-											"lcs":        axisVal(lcs),
-											"batch":      axisVal(batch),
-											"shards":     axisVal(shards),
-											"rate":       axisVal(rate),
-											"corrupt":    axisVal(corrupt),
-											"slow":       axisVal(slow),
-											"hedge":      axisVal(hedge),
-										},
-										Router: rc,
-									})
 								}
+								add("engine", eng, len(e.Engines) > 1)
+								add("lcs", axisVal(lcs), len(e.LCs) > 1)
+								add("batch", axisVal(batch), len(e.Batch) > 1)
+								add("rate", axisVal(rate), len(e.UpdateRates) > 1)
+								add("corrupt", axisVal(corrupt), len(e.CorruptRates) > 1)
+								add("slow", axisVal(slow), len(e.SlowLCs) > 1)
+								add("hedge", axisVal(hedge), len(e.Hedge) > 1)
+								rc := &RouterCell{
+									Name:          cellName(e.Name, parts),
+									Engine:        eng,
+									LCs:           lcs,
+									Batch:         batch,
+									UpdateRate:    rate,
+									CorruptRate:   corrupt,
+									SlowLC:        slow,
+									Hedge:         hedge,
+									SlowFactor:    e.SlowFactor,
+									TimeoutMS:     e.TimeoutMS,
+									TablePrefixes: e.TablePrefixes,
+									WarmupLookups: e.WarmupLookups,
+									Lookups:       e.Lookups,
+									Seed:          e.Seed,
+								}
+								out = append(out, Cell{
+									Name: rc.Name,
+									Kind: "router",
+									Params: map[string]string{
+										"experiment": e.Name,
+										"engine":     eng,
+										"lcs":        axisVal(lcs),
+										"batch":      axisVal(batch),
+										"rate":       axisVal(rate),
+										"corrupt":    axisVal(corrupt),
+										"slow":       axisVal(slow),
+										"hedge":      axisVal(hedge),
+									},
+									Router: rc,
+								})
 							}
 						}
 					}

@@ -86,6 +86,19 @@ func TestLoadSpecRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestLoadSpecRefusesCacheShards: a grid written before PR 25 that still
+// sweeps the deleted sharded cache layout fails loudly, with the field
+// named, instead of silently measuring the one layout twice.
+func TestLoadSpecRefusesCacheShards(t *testing.T) {
+	_, err := LoadSpec(strings.NewReader(`{
+		"name": "t",
+		"router": [{"name": "ShardedCache", "cache_shards": [1, 8], "lookups": 20000}]
+	}`))
+	if err == nil || !strings.Contains(err.Error(), "cache_shards") {
+		t.Fatalf("stale grid: err = %v, want an unknown-field error naming cache_shards", err)
+	}
+}
+
 func TestLoadSpecFigures(t *testing.T) {
 	spec, err := LoadSpec(strings.NewReader(`{"name": "t", "figures": ["fig4", "fig5", "fig6"]}`))
 	if err != nil {

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"strings"
 	"testing"
 
 	"spal/internal/ip"
@@ -83,78 +82,5 @@ func TestAuditEntriesVictimCache(t *testing.T) {
 		if got := c.Probe(a); got.Kind != Miss {
 			t.Fatalf("entry %v survived reject-all audit: %+v", a, got)
 		}
-	}
-}
-
-// TestShardedAuditReconstructsAddresses: the sharded store's audit must
-// report original (pre-shard-split) addresses, so the scrubber compares
-// the right oracle verdicts.
-func TestShardedAuditReconstructsAddresses(t *testing.T) {
-	s := NewSharded(DefaultConfig(), 4)
-	addrs := []ip.Addr{0x0a000000, 0x0a000001, 0x0a000002, 0x0a000003, 0x0bff1234}
-	for i, a := range addrs {
-		s.Fill(a, rtable.NextHop(i), LOC)
-	}
-	seen := map[ip.Addr]rtable.NextHop{}
-	s.AuditEntries(func(a ip.Addr, nh rtable.NextHop) bool {
-		seen[a] = nh
-		return true
-	})
-	if len(seen) != len(addrs) {
-		t.Fatalf("audit saw %d entries, want %d", len(seen), len(addrs))
-	}
-	for i, a := range addrs {
-		nh, ok := seen[a]
-		if !ok {
-			t.Fatalf("address %v missing from audit (shard bits not restored?)", a)
-		}
-		if nh != rtable.NextHop(i) {
-			t.Fatalf("audit saw %v -> %d, want %d", a, nh, i)
-		}
-	}
-	// Evicting through the audit works across shards.
-	if n := s.AuditEntries(func(a ip.Addr, nh rtable.NextHop) bool { return a != addrs[4] }); n != 1 {
-		t.Fatalf("sharded targeted evict removed %d, want 1", n)
-	}
-	if got := s.Probe(addrs[4]); got.Kind != Miss {
-		t.Fatalf("evicted sharded entry still resident: %+v", got)
-	}
-}
-
-// TestNewShardedErrGeometry: every bad-geometry path reports a diagnostic
-// error instead of panicking, and the messages identify the failure.
-func TestNewShardedErrGeometry(t *testing.T) {
-	base := DefaultConfig()
-	cases := []struct {
-		name    string
-		cfg     Config
-		shards  int
-		wantSub string
-	}{
-		{"zero shards", base, 0, "not a power of two"},
-		{"one shard", base, 1, "not a power of two"},
-		{"three shards", base, 3, "not a power of two"},
-		{"negative shards", base, -4, "not a power of two"},
-		{"blocks not divisible", Config{Blocks: 100, Assoc: 4, MixPercent: 50}, 8, "not divisible"},
-		{"per-shard geometry", Config{Blocks: 96, Assoc: 4, MixPercent: 50}, 8, "per-shard geometry"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewShardedErr(tc.cfg, tc.shards)
-			if err == nil {
-				t.Fatalf("NewShardedErr(%+v, %d) accepted bad geometry", tc.cfg, tc.shards)
-			}
-			if s != nil {
-				t.Fatal("non-nil store returned alongside an error")
-			}
-			if !strings.Contains(err.Error(), tc.wantSub) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
-			}
-		})
-	}
-	// And the happy path still works.
-	s, err := NewShardedErr(base, 4)
-	if err != nil || s == nil {
-		t.Fatalf("valid geometry rejected: %v", err)
 	}
 }

@@ -148,9 +148,10 @@ type Stats struct {
 	Parked, MaxWaitList int64
 }
 
-// Cache is one LR-cache instance. It is not safe for concurrent use: in
-// both the cycle simulator and the concurrent router each LC goroutine
-// owns its cache exclusively, mirroring the single cache port of Fig. 2.
+// Cache is one LR-cache instance. It is not safe for concurrent use: it
+// has one owner at a time, who alone calls its methods — the cycle
+// simulator's goroutine, or in the concurrent router whoever holds the
+// line card's lock — mirroring the single cache port of Fig. 2.
 type Cache struct {
 	cfg     Config
 	blocks  []entry // set s is blocks[s*Assoc : (s+1)*Assoc]
@@ -166,6 +167,7 @@ type Cache struct {
 	clock  uint64
 	rng    *stats.RNG
 	stat   Stats
+	hook   FaultHook // nil outside corruption injection; see corrupt.go
 }
 
 // New validates cfg and builds an empty cache. Blocks/Assoc must give a
@@ -422,6 +424,9 @@ func (c *Cache) AddWaiter(a ip.Addr, waiter int64) {
 // intervened — the result is inserted as a fresh complete block when
 // possible, and no waiters are returned.
 func (c *Cache) Fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64 {
+	if c.hook != nil {
+		nh = c.hook.FillValue(nh)
+	}
 	c.stat.Fills++
 	set, base := c.setOf(a)
 	for i := range set {
@@ -475,26 +480,26 @@ func (c *Cache) Flush() []int64 {
 // generation guard discards stale fills, so dropping the block would only
 // orphan its waiters. Returns the number of entries invalidated.
 func (c *Cache) InvalidateRange(lo, hi ip.Addr) int {
-	return c.invalidate([]rtable.Range{{Lo: lo, Hi: hi}}, 0)
+	return c.InvalidateRanges([]rtable.Range{{Lo: lo, Hi: hi}})
 }
 
 // InvalidateRanges is InvalidateRange over every range of rs — sorted and
 // disjoint, as rtable.UpdateRanges returns them — in one pass over the
-// cache instead of one per range, and counts as len(rs) calls of it.
-func (c *Cache) InvalidateRanges(rs []rtable.Range) int { return c.invalidate(rs, 0) }
-
-// invalidate is the scan behind both. Bounds are compared after a right
-// shift: Sharded's shards store shifted addresses and share one list.
-func (c *Cache) invalidate(rs []rtable.Range, shift uint) int {
+// cache instead of one per range, and counts as len(rs) calls of it. A
+// range the fault hook drops is neither scanned for nor counted.
+func (c *Cache) InvalidateRanges(rs []rtable.Range) int {
+	if c.hook != nil {
+		rs = c.hook.KeepRanges(rs)
+	}
 	c.stat.RangeInvalidations += int64(len(rs))
 	if len(rs) == 0 {
 		return 0
 	}
 	// Nothing outside the list's span [lo, hi] is covered, which spares a
 	// single range's scan the search for all but the entries it evicts.
-	lo, hi := rs[0].Lo>>shift, rs[len(rs)-1].Hi>>shift
+	lo, hi := rs[0].Lo, rs[len(rs)-1].Hi
 	stale := func(e entry) bool {
-		return e.state == complete && e.addr >= lo && e.addr <= hi && covered(rs, shift, e.addr)
+		return e.state == complete && e.addr >= lo && e.addr <= hi && covered(rs, e.addr)
 	}
 	n := len(c.victim)
 	c.victim = slices.DeleteFunc(c.victim, stale)
@@ -509,19 +514,18 @@ func (c *Cache) invalidate(rs []rtable.Range, shift uint) int {
 	return n
 }
 
-// covered reports whether a lies in one of rs, bounds shifted right: the
-// last range that starts at or below a is the only candidate, because ends
-// ascend with starts (and still do, weakly, after the shift).
-func covered(rs []rtable.Range, shift uint, a ip.Addr) bool {
+// covered reports whether a lies in one of rs: the last range that starts
+// at or below a is the only candidate, because ends ascend with starts.
+func covered(rs []rtable.Range, a ip.Addr) bool {
 	i, j := 0, len(rs)
 	for i < j {
-		if m := int(uint(i+j) >> 1); rs[m].Lo>>shift <= a {
+		if m := int(uint(i+j) >> 1); rs[m].Lo <= a {
 			i = m + 1
 		} else {
 			j = m
 		}
 	}
-	return i > 0 && a <= rs[i-1].Hi>>shift
+	return i > 0 && a <= rs[i-1].Hi
 }
 
 // AuditEntries visits every complete (valid, non-waiting) entry in the
@@ -577,18 +581,11 @@ const (
 
 // MetricsInto publishes the cache's event counters and per-origin
 // occupancy into a metrics snapshot, tagging every sample with the given
-// labels (the router adds lc="<id>"). Like every other method it must be
-// called from the goroutine owning the cache; the snapshot it fills is a
-// plain value the caller may then hand across goroutines.
+// labels (the router adds lc="<id>"). The snapshot it fills is a plain
+// value the caller may then hand across goroutines.
 func (c *Cache) MetricsInto(sn *metrics.Snapshot, labels ...metrics.Label) {
+	s := c.stat
 	loc, rem, waiting := c.Occupancy()
-	metricsInto(sn, c.stat, loc, rem, waiting, labels...)
-}
-
-// metricsInto emits one cache's (or one sharded aggregate's) stats and
-// occupancy under the shared metric names, so Cache and Sharded publish
-// an identical vocabulary.
-func metricsInto(sn *metrics.Snapshot, s Stats, loc, rem, waiting int, labels ...metrics.Label) {
 	sn.Counter(MetricProbes, "LR-cache probes.", float64(s.Probes), labels...)
 	sn.Counter(MetricHits, "LR-cache set hits (complete entries).", float64(s.Hits), labels...)
 	sn.Counter(MetricHitWaiting, "Probes that hit a W-bit (waiting) block.", float64(s.HitWaitings), labels...)

@@ -1,18 +1,31 @@
-// Corruption-injection wrapper for the LR-cache: a Store that, on a
-// seeded deterministic schedule, stamps a fill with a wrong next hop or
-// silently drops an InvalidateRange — the two cache-side failure modes the
-// integrity scrubber must catch (a wrong resident value, and a stale value
-// that should have been evicted by a route update). Everything else passes
-// through unchanged.
+// Corruption injection for the LR-cache: on a seeded deterministic
+// schedule, a fill is stamped with a wrong next hop or a range invalidation
+// silently dropped — the two cache-side failures the integrity scrubber
+// must catch (a wrong resident value, and a stale one a route update
+// should have evicted).
 package cache
 
 import (
 	"sync/atomic"
 
-	"spal/internal/ip"
-	"spal/internal/metrics"
 	"spal/internal/rtable"
 )
+
+// FaultHook is the cache's one seam, for faults: a cache with a hook asks
+// it for the value Fill is about to store and for the ranges
+// InvalidateRanges is about to scan for. Probes, reservations, flushes and
+// audits see the cache as it is, or the scrubber could never find what a
+// fault left behind.
+type FaultHook interface {
+	// FillValue returns the next hop to store in place of nh.
+	FillValue(nh rtable.NextHop) rtable.NextHop
+	// KeepRanges returns the ranges of rs still to invalidate, in order —
+	// rs itself when none is dropped. It must not retain rs.
+	KeepRanges(rs []rtable.Range) []rtable.Range
+}
+
+// SetFaultHook installs h on c; nil removes it.
+func (c *Cache) SetFaultHook(h FaultHook) { c.hook = h }
 
 // CorruptConfig parameterizes a CorruptStore. Rates are per-call
 // probabilities in [0, 1]; the same seed always produces the same
@@ -22,7 +35,7 @@ type CorruptConfig struct {
 	// WrongFillRate corrupts Fill values: the stored next hop is the true
 	// value XOR 1 (always different, never NoNextHop for small next hops).
 	WrongFillRate float64
-	// DropInvalidateRate silently swallows InvalidateRange calls.
+	// DropInvalidateRate silently drops invalidations, drawn per range.
 	DropInvalidateRate float64
 	// MaxEvents caps the corruptions injected per kind (wrong fills and
 	// dropped invalidations each get the full cap); 0 means unlimited. A
@@ -41,18 +54,18 @@ type corruptSite struct {
 	events atomic.Int64  // corruptions injected so far
 }
 
-// CorruptStore wraps a Store with seeded fill/invalidate corruption.
+// CorruptStore is the FaultHook that corrupts what one cache stores, on a
+// seeded schedule. Its counters are atomics because scrapes read them
+// without holding the cache.
 type CorruptStore struct {
-	inner Store
-	cfg   CorruptConfig
+	cfg CorruptConfig
 
 	fills, invalidates corruptSite
 }
 
-// NewCorrupt wraps inner with the given corruption schedule.
-func NewCorrupt(inner Store, cfg CorruptConfig) *CorruptStore {
+// NewCorrupt builds the hook for the given corruption schedule.
+func NewCorrupt(cfg CorruptConfig) *CorruptStore {
 	return &CorruptStore{
-		inner:       inner,
 		cfg:         cfg,
 		fills:       corruptSite{seed: cfg.Seed},
 		invalidates: corruptSite{seed: splitmix64(cfg.Seed)},
@@ -90,8 +103,7 @@ func (s *CorruptStore) draw(site *corruptSite, rate float64) bool {
 // WrongFills returns the number of fills stamped with a corrupted value.
 func (s *CorruptStore) WrongFills() int64 { return s.fills.events.Load() }
 
-// DroppedInvalidations returns the number of swallowed InvalidateRange
-// calls.
+// DroppedInvalidations returns the number of ranges dropped.
 func (s *CorruptStore) DroppedInvalidations() int64 { return s.invalidates.events.Load() }
 
 // Events returns the total corruptions injected.
@@ -105,65 +117,30 @@ func (s *CorruptStore) Exhausted() bool {
 		(s.cfg.DropInvalidateRate <= 0 || s.DroppedInvalidations() >= s.cfg.MaxEvents)
 }
 
-// Inner returns the wrapped store.
-func (s *CorruptStore) Inner() Store { return s.inner }
-
-// Probe implements Store.
-func (s *CorruptStore) Probe(a ip.Addr) ProbeResult { return s.inner.Probe(a) }
-
-// Reserve implements Store.
-func (s *CorruptStore) Reserve(a ip.Addr, origin Origin) bool { return s.inner.Reserve(a, origin) }
-
-// Fill implements Store, occasionally stamping the block with a wrong
-// next hop. Waiters still receive the correct value from the reply path —
-// the corruption poisons only what later probes will hit, which is
-// exactly the silent-wrong-verdict failure the scrubber exists for.
-func (s *CorruptStore) Fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64 {
+// FillValue implements FaultHook: one draw per Fill, a firing one stamping
+// the block with a wrong next hop. Waiters still receive the correct value
+// from the reply path — the corruption poisons only what later probes will
+// hit, which is exactly the silent-wrong-verdict failure the scrubber
+// exists for.
+func (s *CorruptStore) FillValue(nh rtable.NextHop) rtable.NextHop {
 	if s.draw(&s.fills, s.cfg.WrongFillRate) {
 		nh ^= 1
 	}
-	return s.inner.Fill(a, nh, origin)
+	return nh
 }
 
-// Flush implements Store.
-func (s *CorruptStore) Flush() []int64 { return s.inner.Flush() }
-
-// InvalidateRange implements Store, occasionally dropping the call so a
-// stale entry survives a route update.
-func (s *CorruptStore) InvalidateRange(lo, hi ip.Addr) int {
-	if s.draw(&s.invalidates, s.cfg.DropInvalidateRate) {
-		return 0
+// KeepRanges implements FaultHook: one draw per range in list order, a
+// firing one dropping the range so a stale entry survives a route update.
+// A fill-only schedule hands rs back and pays nothing here.
+func (s *CorruptStore) KeepRanges(rs []rtable.Range) []rtable.Range {
+	if s.cfg.DropInvalidateRate <= 0 {
+		return rs
 	}
-	return s.inner.InvalidateRange(lo, hi)
-}
-
-// InvalidateRanges implements Store: one draw per range in list order, as
-// a loop of InvalidateRange would take; the survivors go on in one call.
-func (s *CorruptStore) InvalidateRanges(rs []rtable.Range) int {
 	kept := make([]rtable.Range, 0, len(rs))
 	for _, rg := range rs {
 		if !s.draw(&s.invalidates, s.cfg.DropInvalidateRate) {
 			kept = append(kept, rg)
 		}
 	}
-	return s.inner.InvalidateRanges(kept)
+	return kept
 }
-
-// AuditEntries implements Store; audits pass through uncorrupted (the
-// scrubber must see the cache as it really is).
-func (s *CorruptStore) AuditEntries(visit func(a ip.Addr, nh rtable.NextHop) bool) int {
-	return s.inner.AuditEntries(visit)
-}
-
-// Stats implements Store.
-func (s *CorruptStore) Stats() Stats { return s.inner.Stats() }
-
-// Occupancy implements Store.
-func (s *CorruptStore) Occupancy() (loc, rem, waiting int) { return s.inner.Occupancy() }
-
-// MetricsInto implements Store.
-func (s *CorruptStore) MetricsInto(sn *metrics.Snapshot, labels ...metrics.Label) {
-	s.inner.MetricsInto(sn, labels...)
-}
-
-var _ Store = (*CorruptStore)(nil)

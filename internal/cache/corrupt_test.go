@@ -1,23 +1,37 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"spal/internal/ip"
 	"spal/internal/rtable"
 )
 
-// corruptTestConfig is a small, valid cache geometry for the wrapper
+// corruptTestConfig is a small, valid cache geometry for the corruption
 // tests.
 func corruptTestConfig() Config {
 	return Config{Blocks: 64, Assoc: 4, VictimBlocks: 4, MixPercent: 50, Policy: LRU}
+}
+
+// corrupted is a cache with its CorruptStore hook installed, and both
+// method sets: the tests drive the cache and read the hook's counters.
+type corrupted struct {
+	*Cache
+	*CorruptStore
+}
+
+func newCorrupted(c *Cache, cfg CorruptConfig) corrupted {
+	s := corrupted{c, NewCorrupt(cfg)}
+	c.SetFaultHook(s.CorruptStore)
+	return s
 }
 
 // TestCorruptStoreWrongFill: a firing draw stores value^1 (and delivers it
 // to any waiters — the silent-wrong-verdict failure mode), a quiet draw
 // stores the true value. Rate 1 makes every draw fire.
 func TestCorruptStoreWrongFill(t *testing.T) {
-	s := NewCorrupt(New(corruptTestConfig()), CorruptConfig{Seed: 1, WrongFillRate: 1})
+	s := newCorrupted(New(corruptTestConfig()), CorruptConfig{Seed: 1, WrongFillRate: 1})
 	a := ip.Addr(0x0a000001)
 	s.Fill(a, 6, LOC)
 	if got := s.Probe(a); got.Kind != Hit || got.NextHop != 7 {
@@ -31,7 +45,7 @@ func TestCorruptStoreWrongFill(t *testing.T) {
 // TestCorruptStoreDropInvalidate: a dropped InvalidateRange leaves the
 // stale entry resident and reports 0 evictions.
 func TestCorruptStoreDropInvalidate(t *testing.T) {
-	s := NewCorrupt(New(corruptTestConfig()), CorruptConfig{Seed: 1, DropInvalidateRate: 1})
+	s := newCorrupted(New(corruptTestConfig()), CorruptConfig{Seed: 1, DropInvalidateRate: 1})
 	a := ip.Addr(0x0a000001)
 	s.Fill(a, 6, LOC)
 	if n := s.InvalidateRange(a, a); n != 0 {
@@ -50,7 +64,7 @@ func TestCorruptStoreDropInvalidate(t *testing.T) {
 // eventually.
 func TestCorruptStoreDeterminism(t *testing.T) {
 	run := func(seed uint64) []bool {
-		s := NewCorrupt(New(corruptTestConfig()), CorruptConfig{Seed: seed, WrongFillRate: 0.5})
+		s := newCorrupted(New(corruptTestConfig()), CorruptConfig{Seed: seed, WrongFillRate: 0.5})
 		fired := make([]bool, 64)
 		for i := range fired {
 			a := ip.Addr(0x0a000000 + uint32(i))
@@ -83,7 +97,7 @@ func TestCorruptStoreDeterminism(t *testing.T) {
 // only once every enabled kind is dry, and post-cap calls pass through
 // uncorrupted.
 func TestCorruptStoreMaxEvents(t *testing.T) {
-	s := NewCorrupt(New(corruptTestConfig()), CorruptConfig{
+	s := newCorrupted(New(corruptTestConfig()), CorruptConfig{
 		Seed: 7, WrongFillRate: 1, DropInvalidateRate: 1, MaxEvents: 3,
 	})
 	if s.Exhausted() {
@@ -125,7 +139,7 @@ func TestCorruptStoreMaxEvents(t *testing.T) {
 // neither kind may spend the other's cap.
 func TestCorruptStoreKindsIndependent(t *testing.T) {
 	run := func(invalidatesPerFill int) []bool {
-		s := NewCorrupt(New(corruptTestConfig()), CorruptConfig{
+		s := newCorrupted(New(corruptTestConfig()), CorruptConfig{
 			Seed: 11, WrongFillRate: 0.3, DropInvalidateRate: 0.3, MaxEvents: 8,
 		})
 		fired := make([]bool, 200)
@@ -157,7 +171,7 @@ func TestCorruptStoreKindsIndependent(t *testing.T) {
 
 // TestCorruptStoreUncappedNeverExhausted: MaxEvents=0 means unlimited.
 func TestCorruptStoreUncappedNeverExhausted(t *testing.T) {
-	s := NewCorrupt(New(corruptTestConfig()), CorruptConfig{Seed: 7, WrongFillRate: 1})
+	s := newCorrupted(New(corruptTestConfig()), CorruptConfig{Seed: 7, WrongFillRate: 1})
 	for i := 0; i < 20; i++ {
 		s.Fill(ip.Addr(0x0a000000+uint32(i)), 6, LOC)
 	}
@@ -173,7 +187,7 @@ func TestCorruptStoreUncappedNeverExhausted(t *testing.T) {
 // as it really is — including corrupted values — or the scrubber could
 // never find them.
 func TestCorruptStoreAuditPassesThrough(t *testing.T) {
-	s := NewCorrupt(New(corruptTestConfig()), CorruptConfig{Seed: 1, WrongFillRate: 1})
+	s := newCorrupted(New(corruptTestConfig()), CorruptConfig{Seed: 1, WrongFillRate: 1})
 	a := ip.Addr(0x0a000001)
 	s.Fill(a, 6, LOC)
 	var sawAddr ip.Addr
@@ -187,5 +201,103 @@ func TestCorruptStoreAuditPassesThrough(t *testing.T) {
 	}
 	if sawAddr != a || sawNH != 7 {
 		t.Fatalf("audit saw (%v,%d), want the corrupted (%v,7)", sawAddr, sawNH, a)
+	}
+}
+
+// TestCorruptStoreScheduleGolden pins the schedule itself, which
+// TestCorruptStoreDeterminism cannot: which fills are corrupted and which
+// ranges dropped for a seed, as CorruptStore produced them at d7a459c when
+// it was still a wrapper around the cache. Every chaos seed in CI replays
+// a history that depends on these. The script is 256 fills; after fill i a
+// list of length 0 (i%4 = 0, 2), 1 (the address of fill i-1) or 3 (those of
+// fills i-2..i), so that range k of the run covers exactly address k and is
+// dropped if and only if the entry survives.
+func TestCorruptStoreScheduleGolden(t *testing.T) {
+	for _, tc := range []struct {
+		seed               uint64
+		wrong, dropped     []int
+		rangeInvalidations int64
+	}{
+		{
+			seed:               1,
+			wrong:              []int{1, 9, 15, 17, 21, 23, 25, 27, 31, 36, 40, 43, 46, 47, 48, 49, 51, 61, 62, 64, 69, 70, 71, 78, 79, 82, 83, 84, 87, 93, 96, 97, 98, 99, 101, 104, 105, 106, 109, 117, 129, 130, 132, 133, 145, 150, 153, 155, 163, 164, 169, 171, 175, 176, 177, 178, 187, 194, 200, 201, 203, 210, 215, 217, 218, 219, 222, 223, 225, 230, 231, 238, 241, 244, 245, 246, 251, 255},
+			dropped:            []int{3, 6, 13, 16, 18, 19, 23, 28, 33, 34, 35, 47, 51, 60, 62, 65, 70, 80, 83, 85, 94, 95, 106, 108, 115, 116, 117, 124, 128, 131, 136, 137, 139, 143, 144, 146, 148, 149, 152, 155, 161, 163, 168, 172, 175, 180, 184, 187, 188, 189, 191, 194, 195, 203, 207, 210, 214, 217, 223, 229, 231, 239, 243, 245, 247, 250, 255},
+			rangeInvalidations: 189,
+		},
+		{
+			seed:               1337,
+			wrong:              []int{1, 3, 9, 11, 14, 15, 19, 20, 23, 24, 36, 37, 38, 43, 52, 53, 58, 60, 61, 64, 72, 79, 81, 86, 89, 97, 102, 104, 111, 113, 117, 120, 122, 123, 126, 136, 144, 147, 154, 159, 161, 162, 165, 176, 178, 182, 189, 191, 192, 193, 198, 200, 202, 208, 214, 215, 216, 219, 222, 227, 239, 241, 247, 250, 254},
+			dropped:            []int{8, 21, 27, 28, 32, 34, 37, 39, 43, 54, 56, 59, 62, 67, 69, 74, 75, 77, 78, 79, 91, 97, 100, 101, 108, 109, 113, 120, 121, 141, 143, 149, 151, 159, 160, 166, 167, 169, 170, 171, 177, 183, 188, 193, 196, 201, 205, 206, 211, 215, 225, 226, 227, 237, 240, 241, 246, 254},
+			rangeInvalidations: 198,
+		},
+	} {
+		// 512 sets under 256 consecutive addresses: nothing is ever evicted
+		// but by an invalidation.
+		s := newCorrupted(New(Config{Blocks: 2048, Assoc: 4, VictimBlocks: 4, MixPercent: 50, Policy: LRU}),
+			CorruptConfig{Seed: tc.seed, WrongFillRate: 0.25, DropInvalidateRate: 0.25})
+		addr := func(i int) ip.Addr { return ip.Addr(0x0a000000 + uint32(i)) }
+		var wrong, dropped []int
+		invalidate := func(first, n int) {
+			rs := make([]rtable.Range, n)
+			for k := range rs {
+				rs[k] = rtable.Range{Lo: addr(first + k), Hi: addr(first + k)}
+			}
+			evicted := s.InvalidateRanges(rs)
+			for k := range rs {
+				if s.Probe(addr(first+k)).Kind == Hit {
+					dropped = append(dropped, first+k)
+					evicted++
+				}
+			}
+			if evicted != n {
+				t.Fatalf("seed %d, list at %d: evicted + surviving = %d, want %d", tc.seed, first, evicted, n)
+			}
+		}
+		for i := 0; i < 256; i++ {
+			s.Fill(addr(i), 6, LOC)
+			if s.Probe(addr(i)).NextHop == 7 {
+				wrong = append(wrong, i)
+			}
+			switch i % 4 {
+			case 0, 2:
+				invalidate(i, 0)
+			case 1:
+				invalidate(i-1, 1)
+			case 3:
+				invalidate(i-2, 3)
+			}
+		}
+		if !slices.Equal(wrong, tc.wrong) {
+			t.Errorf("seed %d: corrupted fills\n got %v\nwant %v", tc.seed, wrong, tc.wrong)
+		}
+		if !slices.Equal(dropped, tc.dropped) {
+			t.Errorf("seed %d: dropped ranges\n got %v\nwant %v", tc.seed, dropped, tc.dropped)
+		}
+		if got, want := s.WrongFills(), int64(len(tc.wrong)); got != want {
+			t.Errorf("seed %d: WrongFills = %d, want %d", tc.seed, got, want)
+		}
+		if got, want := s.DroppedInvalidations(), int64(len(tc.dropped)); got != want {
+			t.Errorf("seed %d: DroppedInvalidations = %d, want %d", tc.seed, got, want)
+		}
+		if got := s.Stats().RangeInvalidations; got != tc.rangeInvalidations {
+			t.Errorf("seed %d: RangeInvalidations = %d, want %d", tc.seed, got, tc.rangeInvalidations)
+		}
+	}
+}
+
+// TestInvalidateRangesAllocs: a list invalidation allocates only for the
+// ranges a hook may drop. A fill-only corruption policy cannot drop any, so
+// it gets the caller's list back.
+func TestInvalidateRangesAllocs(t *testing.T) {
+	rs := []rtable.Range{{Lo: 1, Hi: 2}, {Lo: 5, Hi: 9}}
+	plain := New(corruptTestConfig())
+	fillOnly := newCorrupted(New(corruptTestConfig()), CorruptConfig{Seed: 1, WrongFillRate: 0.5})
+	for name, c := range map[string]*Cache{"no hook": plain, "fill-only hook": fillOnly.Cache} {
+		if n := testing.AllocsPerRun(100, func() { c.InvalidateRanges(rs) }); n != 0 {
+			t.Errorf("%s: InvalidateRanges allocates %v times a call, want 0", name, n)
+		}
+	}
+	if got := fillOnly.DroppedInvalidations(); got != 0 {
+		t.Errorf("a fill-only policy dropped %d invalidations", got)
 	}
 }

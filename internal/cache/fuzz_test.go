@@ -9,12 +9,12 @@ import (
 	"spal/internal/rtable"
 )
 
-// FuzzInvalidateRange checks the range-invalidation boundary math on both
-// store shapes: after InvalidateRange(lo, hi), exactly the resident
-// entries with lo <= addr <= hi are gone, everything else survives with
-// its value intact, and the return value counts the evictions. An
-// inverted range (lo > hi) must evict nothing. The seeds cover the
-// boundary cases: inverted, full-range, and single-address. It then holds
+// FuzzInvalidateRange checks the range-invalidation boundary math: after
+// InvalidateRange(lo, hi), exactly the resident entries with lo <= addr <=
+// hi are gone, everything else survives with its value intact, and the
+// return value counts the evictions. An inverted range (lo > hi) must evict
+// nothing. The seeds cover the boundary cases: inverted, full-range, and
+// single-address. It then holds
 // InvalidateRanges, over a list drawn from the same inputs, to the
 // per-range loop (see checkRangesMatchLoop).
 func FuzzInvalidateRange(f *testing.F) {
@@ -24,64 +24,59 @@ func FuzzInvalidateRange(f *testing.F) {
 	f.Add(uint32(0x0a000000), uint32(0x0b000000), uint64(4))
 	f.Fuzz(func(t *testing.T, lo, hi uint32, seed uint64) {
 		cfg := cache.Config{Blocks: 64, Assoc: 4, VictimBlocks: 4, MixPercent: 50, Policy: cache.LRU, Seed: seed}
-		stores := map[string]cache.Store{
-			"single":  cache.New(cfg),
-			"sharded": cache.NewSharded(cfg, 4),
+		s := cache.New(cfg)
+		// Populate with a seed-derived working set, then snapshot what
+		// is actually resident (fills can evict one another).
+		x := seed
+		for i := 0; i < 48; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			s.Fill(ip.Addr(x>>32), rtable.NextHop(i), cache.LOC)
 		}
-		for name, s := range stores {
-			// Populate with a seed-derived working set, then snapshot what
-			// is actually resident (fills can evict one another).
-			x := seed
-			for i := 0; i < 48; i++ {
-				x = x*6364136223846793005 + 1442695040888963407
-				s.Fill(ip.Addr(x>>32), rtable.NextHop(i), cache.LOC)
-			}
-			before := map[ip.Addr]rtable.NextHop{}
-			s.AuditEntries(func(a ip.Addr, nh rtable.NextHop) bool {
-				before[a] = nh
-				return true
-			})
+		before := map[ip.Addr]rtable.NextHop{}
+		s.AuditEntries(func(a ip.Addr, nh rtable.NextHop) bool {
+			before[a] = nh
+			return true
+		})
 
-			evicted := s.InvalidateRange(lo, hi)
+		evicted := s.InvalidateRange(lo, hi)
 
-			after := map[ip.Addr]rtable.NextHop{}
-			s.AuditEntries(func(a ip.Addr, nh rtable.NextHop) bool {
-				after[a] = nh
-				return true
-			})
+		after := map[ip.Addr]rtable.NextHop{}
+		s.AuditEntries(func(a ip.Addr, nh rtable.NextHop) bool {
+			after[a] = nh
+			return true
+		})
 
-			wantEvicted := 0
-			for a, nh := range before {
-				inRange := lo <= hi && a >= ip.Addr(lo) && a <= ip.Addr(hi)
-				if inRange {
-					wantEvicted++
-					if _, still := after[a]; still {
-						t.Fatalf("%s: entry %v inside [%v,%v] survived", name, a, lo, hi)
-					}
-					continue
+		wantEvicted := 0
+		for a, nh := range before {
+			inRange := lo <= hi && a >= ip.Addr(lo) && a <= ip.Addr(hi)
+			if inRange {
+				wantEvicted++
+				if _, still := after[a]; still {
+					t.Fatalf("entry %v inside [%v,%v] survived", a, lo, hi)
 				}
-				got, ok := after[a]
-				if !ok {
-					t.Fatalf("%s: entry %v outside [%v,%v] was evicted", name, a, lo, hi)
-				}
-				if got != nh {
-					t.Fatalf("%s: entry %v changed value %d -> %d across invalidation", name, a, nh, got)
-				}
+				continue
 			}
-			if evicted != wantEvicted {
-				t.Fatalf("%s: InvalidateRange(%v,%v) returned %d, actual evictions %d",
-					name, lo, hi, evicted, wantEvicted)
+			got, ok := after[a]
+			if !ok {
+				t.Fatalf("entry %v outside [%v,%v] was evicted", a, lo, hi)
 			}
-			if len(after) != len(before)-wantEvicted {
-				t.Fatalf("%s: %d entries after, want %d", name, len(after), len(before)-wantEvicted)
+			if got != nh {
+				t.Fatalf("entry %v changed value %d -> %d across invalidation", a, nh, got)
 			}
+		}
+		if evicted != wantEvicted {
+			t.Fatalf("InvalidateRange(%v,%v) returned %d, actual evictions %d",
+				lo, hi, evicted, wantEvicted)
+		}
+		if len(after) != len(before)-wantEvicted {
+			t.Fatalf("%d entries after, want %d", len(after), len(before)-wantEvicted)
 		}
 
 		// A list around [lo, hi]: ranges of every width scattered by the
 		// seed, the narrow ones packed into the low addresses the fills
-		// below land on, so that neighbours meet inside one shard's shift.
+		// below land on.
 		rs := []rtable.Range{{Lo: lo, Hi: hi}}
-		x := seed
+		x = seed
 		for i := 0; i < int(seed%24); i++ {
 			x = x*6364136223846793005 + 1442695040888963407
 			l := ip.Addr(x >> 32 >> (i % 28))
@@ -93,8 +88,7 @@ func FuzzInvalidateRange(f *testing.F) {
 
 // disjoint sorts rs and merges the ranges that overlap, dropping inverted
 // ones. Ranges that merely touch stay apart: sorted and disjoint is all
-// InvalidateRanges asks for, and touching ranges are the ones whose shifted
-// images collide inside a shard.
+// InvalidateRanges asks for.
 func disjoint(rs []rtable.Range) []rtable.Range {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
 	var out []rtable.Range
@@ -110,22 +104,28 @@ func disjoint(rs []rtable.Range) []rtable.Range {
 	return out
 }
 
-// checkRangesMatchLoop builds every store shape twice — single, sharded,
-// and each under a CorruptStore that drops invalidations on a fixed seed —
-// gives both copies the same fills and the same waiting blocks, then
-// invalidates rs through one InvalidateRanges call on one copy and through
-// a loop of InvalidateRange on the other. Everything observable must agree:
-// the resident entries, the waiting blocks left alone, the return total,
-// Stats, and the corrupt wrapper's drop count.
+// checkRangesMatchLoop builds each cache shape twice — plain, and with a
+// CorruptStore hook that drops invalidations on a fixed seed — gives both
+// copies the same fills and the same waiting blocks, then invalidates rs
+// through one InvalidateRanges call on one copy and through a loop of
+// InvalidateRange on the other. Everything observable must agree: the
+// resident entries, the waiting blocks left alone, the return total, Stats,
+// and the hook's drop count.
 func checkRangesMatchLoop(t *testing.T, seed uint64, rs []rtable.Range) {
 	t.Helper()
 	cfg := cache.Config{Blocks: 64, Assoc: 4, VictimBlocks: 4, MixPercent: 50, Policy: cache.LRU, Seed: seed}
 	drop := cache.CorruptConfig{Seed: seed | 1, DropInvalidateRate: 0.3}
-	shapes := map[string]func() cache.Store{
-		"single":          func() cache.Store { return cache.New(cfg) },
-		"sharded":         func() cache.Store { return cache.NewSharded(cfg, 4) },
-		"corrupt/single":  func() cache.Store { return cache.NewCorrupt(cache.New(cfg), drop) },
-		"corrupt/sharded": func() cache.Store { return cache.NewCorrupt(cache.NewSharded(cfg, 4), drop) },
+	type shape struct {
+		*cache.Cache
+		hook *cache.CorruptStore // nil for the plain cache
+	}
+	shapes := map[string]func() shape{
+		"single": func() shape { return shape{Cache: cache.New(cfg)} },
+		"corrupt/single": func() shape {
+			s := shape{cache.New(cfg), cache.NewCorrupt(drop)}
+			s.SetFaultHook(s.hook)
+			return s
+		},
 	}
 	type state struct {
 		resident             map[ip.Addr]rtable.NextHop
@@ -133,24 +133,24 @@ func checkRangesMatchLoop(t *testing.T, seed uint64, rs []rtable.Range) {
 		stats                cache.Stats
 		dropped              int64
 	}
-	observe := func(s cache.Store, n int) state {
+	observe := func(s shape, n int) state {
 		st := state{resident: map[ip.Addr]rtable.NextHop{}, n: n, stats: s.Stats()}
 		s.AuditEntries(func(a ip.Addr, nh rtable.NextHop) bool {
 			st.resident[a] = nh
 			return true
 		})
 		st.loc, st.rem, st.waiting = s.Occupancy()
-		if cs, ok := s.(*cache.CorruptStore); ok {
-			st.dropped = cs.DroppedInvalidations()
+		if s.hook != nil {
+			st.dropped = s.hook.DroppedInvalidations()
 		}
 		return st
 	}
 	for name, build := range shapes {
 		batch, loop := build(), build()
-		for _, s := range []cache.Store{batch, loop} {
-			// Low addresses, so neighbouring ranges find entries on both
-			// sides of a shard's shift; every sixth one a waiting block, in
-			// range as often as not, that no invalidation may touch.
+		for _, s := range []shape{batch, loop} {
+			// Low addresses, where the narrow ranges are; every sixth one a
+			// waiting block, in range as often as not, that no invalidation
+			// may touch.
 			x := seed
 			for i := 0; i < 96; i++ {
 				x = x*6364136223846793005 + 1442695040888963407
@@ -197,8 +197,7 @@ func checkRangesMatchLoop(t *testing.T, seed uint64, rs []rtable.Range) {
 }
 
 // TestInvalidateRangesMatchesLoop runs the equivalence over the lists the
-// fuzz seeds do not pin down: none, everything, and ranges that touch
-// where four shards (two shift bits) fold them onto one shifted address.
+// fuzz seeds do not pin down: none, everything, and ranges that touch.
 func TestInvalidateRangesMatchesLoop(t *testing.T) {
 	top := ^ip.Addr(0)
 	for name, rs := range map[string][]rtable.Range{

@@ -15,20 +15,11 @@ import (
 	"testing"
 	"time"
 
-	"spal/internal/cache"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/rtable"
 	"spal/internal/stats"
 )
-
-// cacheConfigBlocks is the default cache organization with a different
-// total block count (for shard-geometry error cases).
-func cacheConfigBlocks(n int) cache.Config {
-	c := cache.DefaultConfig()
-	c.Blocks = n
-	return c
-}
 
 // batchAddrs builds one batch worth of addresses: matched, random (maybe
 // unmatched), and deliberate duplicates, the three shapes the positional
@@ -509,14 +500,13 @@ func TestLookupBatchDuringUpdateTable(t *testing.T) {
 	}
 }
 
-// TestWithEngineNameAndCacheShards covers the new construction surface:
-// registry-name resolution (including the error listing valid names) and
-// cache-shard geometry validation.
-func TestWithEngineNameAndCacheShards(t *testing.T) {
+// TestWithEngineName covers registry-name resolution, including the error
+// listing valid names.
+func TestWithEngineName(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	oracle := lpm.NewReference(tbl)
 
-	r, err := New(tbl, WithLCs(2), WithEngineName("flat"), WithCacheShards(8), WithDefaultCache())
+	r, err := New(tbl, WithLCs(2), WithEngineName("flat"), WithDefaultCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,23 +520,17 @@ func TestWithEngineNameAndCacheShards(t *testing.T) {
 	if msg := checkBatch(addrs, out, oracle); msg != "" {
 		t.Fatal(msg)
 	}
-	// Re-submit: the sharded cache must now serve hits.
+	// Re-submit: the cache must now serve hits.
 	if _, err := r.LookupBatch(0, addrs); err != nil {
 		t.Fatal(err)
 	}
 	if s := r.Metrics(); s.Sum(MetricCacheHits) == 0 {
-		t.Error("sharded cache served no hits on a repeated batch")
+		t.Error("cache served no hits on a repeated batch")
 	}
 
 	if _, err := New(tbl, WithEngineName("no-such-engine")); err == nil ||
 		!strings.Contains(err.Error(), "unknown engine") || !strings.Contains(err.Error(), "flat") {
 		t.Errorf("unknown engine name: err = %v, want the valid-name listing", err)
-	}
-	if _, err := New(tbl, WithDefaultCache(), WithCacheShards(3)); err == nil {
-		t.Error("CacheShards=3 accepted, want power-of-two error")
-	}
-	if _, err := New(tbl, WithCache(cacheConfigBlocks(4100)), WithCacheShards(8)); err == nil {
-		t.Error("indivisible Cache.Blocks accepted with CacheShards=8")
 	}
 }
 

@@ -27,8 +27,8 @@ import (
 )
 
 // CorruptionPolicy configures the state-corruption injector. The zero
-// value disables it entirely; a disabled policy leaves every engine and
-// cache unwrapped, so the production hot paths are untouched.
+// value disables it: no engine is wrapped and no cache gets a hook, so the
+// production path pays one nil test in Fill and one in InvalidateRanges.
 type CorruptionPolicy struct {
 	// Enabled turns the injector on.
 	Enabled bool
@@ -42,13 +42,13 @@ type CorruptionPolicy struct {
 	// WrongFillRate is the per-call probability that an LR-cache fill is
 	// stamped with the true next hop XOR 1 (see cache.CorruptStore).
 	WrongFillRate float64
-	// DropInvalidateRate is the per-call probability that an LR-cache
-	// InvalidateRange is silently swallowed, leaving stale entries behind
-	// a route update.
+	// DropInvalidateRate is the per-range probability that an LR-cache
+	// invalidation is silently swallowed, leaving stale entries behind a
+	// route update.
 	DropInvalidateRate float64
 	// MaxCorruptions caps injections per site: the engine flipper as a
 	// whole, and each kind (wrong fills, dropped invalidations) of each
-	// LC's cache store independently. 0 means unlimited.
+	// LC's cache independently. 0 means unlimited.
 	// A finite cap lets tests wait for CorruptionExhausted and then
 	// assert zero wrong verdicts after the final repair.
 	MaxCorruptions int64
@@ -69,23 +69,23 @@ func (r *Router) buildEngine(tbl *rtable.Table) lpm.Engine {
 	return e
 }
 
-// wrapCache wraps an LC's cache store with fill/invalidate corruption
-// when the policy asks for it. Construction-time only: caches survive
+// corruptCache installs the fill/invalidate corruption hook on LC i's
+// cache when the policy asks for it. Construction-time only: caches survive
 // crashes and rebuilds (they are flushed, never replaced), so the set of
 // corrupt stores is fixed for the router's lifetime.
-func (r *Router) wrapCache(i int, s cache.Store) cache.Store {
+func (r *Router) corruptCache(i int, c *cache.Cache) {
 	p := r.corruptPol
 	if !p.Enabled || (p.WrongFillRate <= 0 && p.DropInvalidateRate <= 0) {
-		return s
+		return
 	}
-	cs := cache.NewCorrupt(s, cache.CorruptConfig{
+	cs := cache.NewCorrupt(cache.CorruptConfig{
 		Seed:               splitmix64(p.Seed + uint64(i)),
 		WrongFillRate:      p.WrongFillRate,
 		DropInvalidateRate: p.DropInvalidateRate,
 		MaxEvents:          p.MaxCorruptions,
 	})
 	r.corruptStores = append(r.corruptStores, cs)
-	return cs
+	c.SetFaultHook(cs)
 }
 
 // maybeInjectLocked is the health ticker's engine-flip hook: one draw per

@@ -51,15 +51,6 @@ func WithoutCache() Option {
 	return func(c *config) { c.CacheEnabled = false }
 }
 
-// WithCacheShards splits each LC's LR-cache into n line-padded shards
-// selected by the low address bits, keeping total capacity unchanged
-// (Cache.Blocks is divided among the shards). n must be a power of two
-// that leaves the per-shard geometry valid — New validates and returns
-// an error otherwise. 0 and 1 mean unsharded.
-func WithCacheShards(n int) Option {
-	return func(c *config) { c.CacheShards = n }
-}
-
 // WithRebalance enables the background partition rebalancer: when
 // incremental updates (ApplyUpdates) drift the partitioning's replication
 // factor or per-LC size skew past the policy's thresholds, the router

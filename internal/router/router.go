@@ -116,12 +116,6 @@ type config struct {
 	// Cache is the LR-cache organization, used when CacheEnabled.
 	Cache        cache.Config
 	CacheEnabled bool
-	// CacheShards, when > 1, splits each LC's LR-cache into that many
-	// line-padded shards selected by the low address bits (total capacity
-	// unchanged: Cache.Blocks is divided among the shards). Must be a
-	// power of two that keeps the per-shard geometry valid; 0 and 1 mean
-	// unsharded. See WithCacheShards.
-	CacheShards int
 	// FaultInjector, when non-nil, intercepts every fabric request and
 	// reply; see fault.go. Nil is a perfect fabric.
 	FaultInjector FaultInjector
@@ -324,7 +318,7 @@ type lineCard struct {
 	// holds one LC's mu takes another's only by TryLock.
 	mu      sync.Mutex
 	engine  lpm.Engine
-	cache   cache.Store
+	cache   *cache.Cache
 	pending pendingTable // in-flight misses: the waitlist of each address lookups are parked on
 	free    []*waitlist  // released waitlists, reset, for park to reuse (see recycle)
 	homeOf  func(ip.Addr) int
@@ -544,9 +538,6 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	if cfg.Engine == nil {
 		cfg.Engine = lpm.NewReferenceEngine
 	}
-	if n := cfg.CacheShards; n > 1 && n&(n-1) != 0 {
-		return nil, fmt.Errorf("router: CacheShards must be a power of two, got %d", n)
-	}
 	r := &Router{cfg: cfg, quit: make(chan struct{})}
 	// A nanosecond in the past, so that no reading is 0: a zero stamp keeps
 	// meaning "none".
@@ -627,25 +618,17 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 		lc.lastTick = now
 		lc.live.Store(true)
 		if cfg.CacheEnabled {
-			// The error-returning constructors turn a mis-sized cache or
-			// shard geometry (an operator flag) into a construction error
-			// instead of a panic; no goroutine is running yet, so bailing
-			// out here leaks nothing.
+			// NewErr turns a mis-sized cache (an operator flag) into a
+			// construction error instead of a panic; no goroutine is
+			// running yet, so bailing out here leaks nothing.
 			cc := cfg.Cache
 			cc.Seed += uint64(i) * 31
-			if cfg.CacheShards > 1 {
-				sh, err := cache.NewShardedErr(cc, cfg.CacheShards)
-				if err != nil {
-					return nil, fmt.Errorf("router: %w", err)
-				}
-				lc.cache = r.wrapCache(i, sh)
-			} else {
-				c, err := cache.NewErr(cc)
-				if err != nil {
-					return nil, fmt.Errorf("router: %w", err)
-				}
-				lc.cache = r.wrapCache(i, c)
+			c, err := cache.NewErr(cc)
+			if err != nil {
+				return nil, fmt.Errorf("router: %w", err)
 			}
+			r.corruptCache(i, c)
+			lc.cache = c
 		}
 		lc.ov = newLCOverload(r.ov, cfg.NumLCs)
 		lc.hedge = newTokenBucket(r.grayPol.HedgeBudgetRatio, r.grayPol.HedgeBudgetBurst)

@@ -8,6 +8,7 @@ package router
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -311,15 +312,12 @@ func TestRebalancerTriggersOnDrift(t *testing.T) {
 	}
 }
 
-// TestCacheConfigErrors: a mis-sized -cache-shards flag (or a broken cache
-// geometry) must surface as a construction error, never a panic.
+// TestCacheConfigErrors: a broken cache geometry (an operator's -beta)
+// must surface as a construction error, never a panic.
 func TestCacheConfigErrors(t *testing.T) {
 	tbl := rtable.Small(100, 3)
 	for name, opts := range map[string][]Option{
-		"shards not power of two": {WithDefaultCache(), WithCacheShards(3)},
-		"per-shard sets not pow2": {WithCache(cache.Config{Blocks: 96, Assoc: 4, MixPercent: 50}), WithCacheShards(8)},
-		"blocks not divisible":    {WithCache(cache.Config{Blocks: 100, Assoc: 4, MixPercent: 50}), WithCacheShards(8)},
-		"unsharded bad geometry":  {WithCache(cache.Config{Blocks: 1000, Assoc: 3, MixPercent: 50})},
+		"bad geometry": {WithCache(cache.Config{Blocks: 1000, Assoc: 3, MixPercent: 50})},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -653,25 +651,23 @@ func TestUpdateSoak(t *testing.T) {
 		batches, s.Sum(MetricUpdateEvents), served.Load(), mid>>10, end>>10, s.Sum(MetricStaleGen))
 }
 
-// countingStore counts the two invalidation entry points of an LC's cache.
-type countingStore struct {
-	cache.Store
-	lists, singles int
-}
+// countingHook is a fault hook that injects nothing and records the length
+// of every range list its cache is asked to invalidate; an InvalidateRange
+// shows up as a list of one.
+type countingHook struct{ lists []int }
 
-func (c *countingStore) InvalidateRanges(rs []rtable.Range) int {
-	c.lists++
-	return c.Store.InvalidateRanges(rs)
-}
+func (h *countingHook) FillValue(nh rtable.NextHop) rtable.NextHop { return nh }
 
-func (c *countingStore) InvalidateRange(lo, hi ip.Addr) int {
-	c.singles++
-	return c.Store.InvalidateRange(lo, hi)
+func (h *countingHook) KeepRanges(rs []rtable.Range) []rtable.Range {
+	h.lists = append(h.lists, len(rs))
+	return rs
 }
 
 // TestApplyUpdatesInvalidatesOncePerLC: whatever the number of ranges in a
 // batch, every LC's cache — the LC whose sub-batch is empty included — sees
-// one InvalidateRanges call per ApplyUpdates and no InvalidateRange.
+// one InvalidateRanges call per ApplyUpdates, carrying the batch's whole
+// range list, and no InvalidateRange. (Stats could not tell: a loop of
+// single calls advances RangeInvalidations just as far.)
 func TestApplyUpdatesInvalidatesOncePerLC(t *testing.T) {
 	const numLCs = 4
 	tbl := rtable.Small(1500, 53)
@@ -680,11 +676,11 @@ func TestApplyUpdatesInvalidatesOncePerLC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Stop()
-	counts := make([]*countingStore, numLCs)
+	counts := make([]*countingHook, numLCs)
 	for i, lc := range r.lcs {
 		lc.mu.Lock()
-		counts[i] = &countingStore{Store: lc.cache}
-		lc.cache = counts[i]
+		counts[i] = &countingHook{}
+		lc.cache.SetFaultHook(counts[i])
 		lc.mu.Unlock()
 	}
 	// A /32 has every control bit concrete, so it lands in one partition
@@ -703,18 +699,20 @@ func TestApplyUpdatesInvalidatesOncePerLC(t *testing.T) {
 		cur = cur.ApplyAll(stream)
 		batches = append(batches, stream)
 	}
+	var want []int
 	for _, b := range batches {
+		want = append(want, len(rtable.UpdateRanges(b)))
 		if err := r.ApplyUpdates(b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, lc := range r.lcs {
 		lc.mu.Lock()
-		lists, singles := counts[i].lists, counts[i].singles
+		lists := counts[i].lists
 		lc.mu.Unlock()
-		if lists != len(batches) || singles != 0 {
-			t.Errorf("LC %d: %d InvalidateRanges and %d InvalidateRange calls over %d batches, want %d and 0",
-				i, lists, singles, len(batches), len(batches))
+		if !slices.Equal(lists, want) {
+			t.Errorf("LC %d: invalidation calls carried lists of %v ranges over %d batches, want one call a batch with %v",
+				i, lists, len(batches), want)
 		}
 	}
 }

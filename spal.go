@@ -274,12 +274,6 @@ func WithRouterEngine(b EngineBuilder) RouterOption { return router.WithEngine(b
 // with an error listing the valid names when the name is unknown.
 func WithRouterEngineName(name string) RouterOption { return router.WithEngineName(name) }
 
-// WithRouterCacheShards splits each LC's LR-cache into n line-padded
-// shards selected by the low address bits, keeping total capacity
-// unchanged. n must be a power of two that leaves the per-shard
-// geometry valid; 0 and 1 mean unsharded.
-func WithRouterCacheShards(n int) RouterOption { return router.WithCacheShards(n) }
-
 // WithRouterFaultInjector installs a chaos hook on the fabric message
 // path; see SeededFaults for a deterministic injector.
 func WithRouterFaultInjector(fi FaultInjector) RouterOption { return router.WithFaultInjector(fi) }

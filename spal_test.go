@@ -60,7 +60,7 @@ func TestFacadeRouter(t *testing.T) {
 func TestFacadeBatchLookup(t *testing.T) {
 	tbl := SynthesizeTable(1000, 7)
 	r, err := NewRouter(tbl, WithLCs(2), WithDefaultRouterCache(),
-		WithRouterEngineName("flat"), WithRouterCacheShards(4))
+		WithRouterEngineName("flat"))
 	if err != nil {
 		t.Fatal(err)
 	}
