@@ -98,6 +98,13 @@ type Result struct {
 
 // result assembles the Result after the run loop finishes.
 func (r *Router) result() *Result {
+	// Every packet has completed; the few a stale message, queue slot or
+	// FE job still names were not folded by a last drop.
+	for i := range r.packets {
+		if p := &r.packets[i]; p.refs > 0 {
+			r.fold(p)
+		}
+	}
 	res := &Result{
 		MeanLookupCycles:  r.lat.Mean(),
 		P50:               r.lat.Percentile(0.50),
@@ -122,24 +129,11 @@ func (r *Router) result() *Result {
 	if r.slowExtra > 0 {
 		res.SlowDelayedMessages = r.slowDelayed
 		res.SlowExtraCycles = r.slowExtra
-		var slowSum, slowN, cleanSum, cleanN int64
-		for i := range r.packets {
-			p := &r.packets[i]
-			if p.completeCycle < 0 {
-				continue
-			}
-			lat := p.completeCycle - p.arrivalCycle + 1
-			if int(p.homeLC) == r.cfg.SlowLC {
-				slowSum, slowN = slowSum+lat, slowN+1
-			} else {
-				cleanSum, cleanN = cleanSum+lat, cleanN+1
-			}
+		if n := r.homeLatN[1]; n > 0 {
+			res.SlowHomeMeanCycles = float64(r.homeLatSum[1]) / float64(n)
 		}
-		if slowN > 0 {
-			res.SlowHomeMeanCycles = float64(slowSum) / float64(slowN)
-		}
-		if cleanN > 0 {
-			res.CleanHomeMeanCycles = float64(cleanSum) / float64(cleanN)
+		if n := r.homeLatN[0]; n > 0 {
+			res.CleanHomeMeanCycles = float64(r.homeLatSum[0]) / float64(n)
 		}
 	}
 	if res.MeanLookupCycles > 0 {
@@ -157,21 +151,25 @@ func (r *Router) result() *Result {
 	var probes, hits int64
 	for _, l := range r.lcs {
 		ls := LCStats{
-			Generated:        l.counters.Value("generated"),
-			Completed:        l.counters.Value("completed"),
-			Shed:             l.counters.Value("shed"),
-			HitLoc:           l.counters.Value("hit.loc"),
-			HitRem:           l.counters.Value("hit.rem"),
-			MissLocal:        l.counters.Value("miss.local"),
-			RequestsSent:     l.counters.Value("request.sent"),
-			RepliesSent:      l.counters.Value("reply.sent"),
-			RequestsReceived: l.counters.Value("request.received"),
-			Reissued:         l.counters.Value("reissued"),
-			FELookups:        l.counters.Value("fe.lookups"),
+			Generated:        l.n[cGenerated],
+			Completed:        l.n[cCompleted],
+			Shed:             l.n[cShed],
+			HitLoc:           l.n[cHitLoc],
+			HitRem:           l.n[cHitRem],
+			MissLocal:        l.n[cMissLocal],
+			RequestsSent:     l.n[cRequestSent],
+			RepliesSent:      l.n[cReplySent],
+			RequestsReceived: l.n[cRequestReceived],
+			Reissued:         l.n[cReissued],
+			FELookups:        l.n[cFELookups],
 			PartitionSize:    -1,
 		}
 		if r.now > 0 {
-			ls.FEUtilization = float64(l.feBusyCy) / float64(r.now)
+			busy := l.feBusyCy
+			if l.feBusy { // the job the run ended under, up to the last cycle stepped
+				busy += r.now - 1 - l.feActive.startAt
+			}
+			ls.FEUtilization = float64(busy) / float64(r.now)
 			ls.MeanFEQueue = float64(l.sumFEQ) / float64(r.now)
 			ls.MeanInputQueue = float64(l.sumInputQ) / float64(r.now)
 		}

@@ -10,21 +10,13 @@ import (
 // deterministic (seeded), so the parallelism never changes any result —
 // it only shortens the wall time of parameter sweeps like Figs. 4-6.
 //
-// Concurrency is bounded below NumCPU because a paper-scale run holds
-// every packet record in memory (ψ=16 x 300k packets ≈ 250 MB).
+// One worker per CPU is safe at paper scale: a run holds its in-flight
+// packets (about 10 MiB at ψ=16 x 300k packets, most of it the tables),
+// not a record for every packet it ever generated.
 func RunMany(cfgs []Config) ([]*Result, []error) {
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
-	workers := runtime.NumCPU()
-	if workers > 4 {
-		workers = 4
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.NumCPU(), len(cfgs))
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for w := 0; w < workers; w++ {

@@ -14,7 +14,14 @@ import (
 	"spal/internal/trace"
 )
 
-// packet tracks one packet header through the router.
+// packet tracks one packet header through the router. Its record lives in
+// Router.packets only while something names it: refs counts the queue slots
+// (localQ, inputQ, feQ), the FE job, the fabric messages and the LR-cache
+// waiting-list entries that hold its id. A flush reissue or a bypassed
+// reservation leaves a second request, reply or FE job in flight for a
+// packet that has already completed, and that straggler still reads the
+// record and stamps it, so the record outlives completion by exactly as
+// long as it is named.
 type packet struct {
 	addr          ip.Addr
 	arrivalLC     int32
@@ -27,6 +34,9 @@ type packet struct {
 	// churn it drives the stale-fill guard and exact verification; it
 	// stays 0 when churn is off.
 	valueVersion int32
+	refs         int32
+	// stages is stamped only under StageAccounting (see stages.go).
+	stages stageStamp
 }
 
 // feJob is a lookup in flight at a forwarding engine.
@@ -35,6 +45,7 @@ type feJob struct {
 	addr     ip.Addr
 	nextHop  rtable.NextHop
 	ok       bool
+	startAt  int64
 	doneAt   int64
 }
 
@@ -67,8 +78,29 @@ type lineCard struct {
 	maxFEQ, sumFEQ       int64
 	maxInputQ, sumInputQ int64
 
-	counters *stats.Set
+	n [numCounters]int64
 }
+
+// Per-LC event counters: indices into lineCard.n.
+const (
+	cGenerated = iota
+	cCompleted
+	cShed
+	cHitLoc
+	cHitRem
+	cHitRemoteRequest
+	cMissLocal
+	cMissRemoteRequest
+	cParked
+	cRequestSent
+	cRequestReceived
+	cReplySent
+	cReplyReceived
+	cFabricSent
+	cFELookups
+	cReissued
+	numCounters
+)
 
 // drawGap samples one inter-arrival gap, scaled by the LC's load factor.
 func (l *lineCard) drawGap(gmin, gmax int) int64 {
@@ -131,8 +163,18 @@ type Router struct {
 	slowExtra   int64
 	slowDelayed int64
 
-	packets   []packet
-	stages    []stageStamp // parallel to packets; nil unless StageAccounting
+	// packets is a slab of the records in flight (see packet): free lists
+	// its unnamed slots, and a completed packet that loses its last name is
+	// folded into the running sums below — all the run report reads of a
+	// finished packet — so a run holds its in-flight population, not its
+	// length. homeLat is indexed by whether the packet's home is SlowLC.
+	packets               []packet
+	free                  []int64
+	homeLatSum, homeLatN  [2]int64
+	stageSum, stagePacket [len(stageDefs)]int64
+	// wake[i] is the next cycle at which LC i has anything to do; step
+	// passes it over until then.
+	wake      []int64
 	completed int64
 	shed      int64 // packets refused at arrival by AdmissionCap
 	lat       *stats.Hist
@@ -148,6 +190,68 @@ type WindowSample struct {
 	EndCycle  int64
 	Completed int64
 	MeanCy    float64
+}
+
+// alloc stores a freshly arrived packet, named once by the queue slot it
+// is about to enter, and returns its id.
+func (r *Router) alloc(p packet) int64 {
+	p.refs = 1
+	if n := len(r.free); n > 0 {
+		id := r.free[n-1]
+		r.free = r.free[:n-1]
+		r.packets[id] = p
+		return id
+	}
+	r.packets = append(r.packets, p)
+	return int64(len(r.packets) - 1)
+}
+
+// pkt is the one way to a packet's record. An id whose slot is free means
+// some site holds a name it never counted: fail the run rather than read
+// another packet's fields into a figure.
+func (r *Router) pkt(id int64) *packet {
+	p := &r.packets[id]
+	if p.refs == 0 {
+		panic("sim: packet record used after release")
+	}
+	return p
+}
+
+// drop gives up one name of packet id; the last one folds the packet into
+// the run's sums and frees its slot. Only a completed packet may lose its
+// last name: anything else would never complete.
+func (r *Router) drop(id int64) {
+	p := r.pkt(id)
+	if p.refs--; p.refs > 0 {
+		return
+	}
+	if p.completeCycle < 0 {
+		panic("sim: packet lost before completion")
+	}
+	r.fold(p)
+	r.free = append(r.free, id)
+}
+
+// fold adds a completed packet to the sums result and stageBreakdown
+// report from.
+func (r *Router) fold(p *packet) {
+	slow := 0
+	if int(p.homeLC) == r.cfg.SlowLC {
+		slow = 1
+	}
+	r.homeLatSum[slow] += p.completeCycle - p.arrivalCycle + 1
+	r.homeLatN[slow]++
+	if !r.cfg.StageAccounting {
+		return
+	}
+	for j, d := range stageDefs {
+		from, to := d.from(p, &p.stages), d.to(p, &p.stages)
+		if from < 0 || to < 0 {
+			continue
+		}
+		r.stagePacket[j]++
+		r.stageSum[j] += to - from
+	}
 }
 
 // rollWindow closes the current sampling window if the cycle counter has
@@ -208,7 +312,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.pool = trace.NewPool(cfg.Table, cfg.TraceConfig)
 	root := stats.NewRNG(cfg.Seed ^ 0x5e3d)
-	r.packets = make([]packet, 0, cfg.NumLCs*cfg.PacketsPerLC)
+	r.wake = make([]int64, cfg.NumLCs)
 	for i := 0; i < cfg.NumLCs; i++ {
 		tbl := cfg.Table
 		if r.part != nil {
@@ -220,7 +324,6 @@ func New(cfg Config) (*Router, error) {
 			src:        trace.NewSynthetic(r.pool, cfg.TraceConfig, uint64(i)),
 			rng:        root.Fork(uint64(i)),
 			toGenerate: cfg.PacketsPerLC,
-			counters:   stats.NewSet(),
 		}
 		if cfg.CacheEnabled {
 			cc := cfg.Cache
@@ -263,6 +366,18 @@ func (r *Router) Run() (*Result, error) {
 	return r.result(), nil
 }
 
+// route lands a fabric delivery in its destination queue and wakes the
+// destination.
+func (r *Router) route(m fabric.Message) {
+	dst := r.lcs[m.Dst]
+	if m.Kind == fabric.Request {
+		dst.inputQ.push(m.PacketID)
+	} else {
+		dst.replyQ.push(m)
+	}
+	r.wake[m.Dst] = r.now
+}
+
 // step advances one cycle for the whole router.
 func (r *Router) step() {
 	now := r.now
@@ -270,27 +385,18 @@ func (r *Router) step() {
 	// 1. Fabric deliveries land in the destination queues. Under
 	// FabricContention each LC's output port admits one message per
 	// cycle; otherwise arrivals demux immediately.
-	route := func(m fabric.Message) {
-		dst := r.lcs[m.Dst]
-		switch m.Kind {
-		case fabric.Request:
-			dst.inputQ.push(m.PacketID)
-		default:
-			dst.replyQ.push(m)
-		}
-	}
 	if r.cfg.FabricContention {
 		for _, m := range r.pipe.Deliver(now) {
 			r.lcs[m.Dst].deliQ.push(m)
 		}
 		for _, l := range r.lcs {
 			if m, ok := l.deliQ.pop(); ok {
-				route(m)
+				r.route(m)
 			}
 		}
 	} else {
 		for _, m := range r.pipe.Deliver(now) {
-			route(m)
+			r.route(m)
 		}
 	}
 
@@ -310,7 +416,15 @@ func (r *Router) step() {
 		r.scrubAll()
 	}
 
-	for _, l := range r.lcs {
+	// A line card with empty queues, no arrival due and no FE job ending
+	// would generate nothing, finish nothing and sample zero depths: it is
+	// passed over until its next event. At 40 Gbps a packet arrives at an
+	// LC one cycle in ten.
+	for i, l := range r.lcs {
+		if r.wake[i] > now {
+			continue
+		}
+
 		// 3. Packet arrivals. Under admission control a packet that finds
 		// the arrival queue at its cap is shed on the spot: counted, never
 		// enqueued, never completed — so everything that IS admitted still
@@ -318,33 +432,26 @@ func (r *Router) step() {
 		for l.toGenerate > 0 && l.nextArrival <= now {
 			a, _ := l.src.Next()
 			if r.cfg.AdmissionCap > 0 && l.localQ.len() >= r.cfg.AdmissionCap {
-				l.counters.Get("shed").Inc()
+				l.n[cShed]++
 				r.shed++
 				l.toGenerate--
 				l.nextArrival = now + l.drawGap(r.cfg.GapMin, r.cfg.GapMax)
 				continue
 			}
-			id := int64(len(r.packets))
-			r.packets = append(r.packets, packet{
+			l.localQ.push(r.alloc(packet{
 				addr:          a,
 				arrivalLC:     int32(l.id),
 				homeLC:        int32(r.homeOf(a, l.id)),
 				arrivalCycle:  now,
 				completeCycle: -1,
-			})
-			if r.cfg.StageAccounting {
-				r.stages = append(r.stages, stageStamp{probe: -1, reqSend: -1, reqRecv: -1, feStart: -1, feDone: -1})
-			}
-			l.localQ.push(id)
-			l.counters.Get("generated").Inc()
+				stages:        stageStamp{probe: -1, reqSend: -1, reqRecv: -1, feStart: -1, feDone: -1},
+			}))
+			l.n[cGenerated]++
 			l.toGenerate--
 			l.nextArrival = now + l.drawGap(r.cfg.GapMin, r.cfg.GapMax)
 		}
 
 		// 4. Forwarding engine: finish, then possibly start the next job.
-		if l.feBusy {
-			l.feBusyCy++
-		}
 		if l.feBusy && now >= l.feActive.doneAt {
 			r.finishFE(l)
 		}
@@ -360,14 +467,14 @@ func (r *Router) step() {
 
 		// 6. Occupancy sampling for the queue report.
 		l.sampleQueues()
-	}
 
-	// 7. Fabric injection: one message per LC per cycle. A browned-out
-	// LC (SlowFactor > 1) degrades every directed link touching it —
-	// both the requests it receives and the replies it sends — so the
-	// slowdown is asymmetric per flow but symmetric per card, matching
-	// the router's SlowLC injector.
-	for _, l := range r.lcs {
+		// 7. Fabric injection: one message per LC per cycle, sent from the
+		// LC's own step — the pipe is read only at the top of a step and
+		// sends stay in LC order. A browned-out LC (SlowFactor > 1)
+		// degrades every directed link touching it — both the requests it
+		// receives and the replies it sends — so the slowdown is asymmetric
+		// per flow but symmetric per card, matching the router's SlowLC
+		// injector.
 		if m, ok := l.outQ.pop(); ok {
 			var extra int64
 			if r.slowExtra > 0 && (m.Src == r.cfg.SlowLC || m.Dst == r.cfg.SlowLC) {
@@ -375,15 +482,36 @@ func (r *Router) step() {
 				r.slowDelayed++
 			}
 			r.pipe.SendDelayed(now, extra, m)
-			l.counters.Get("fabric.sent").Inc()
+			l.n[cFabricSent]++
 		}
+
+		r.wake[i] = l.nextEvent(now)
 	}
 }
 
+// nextEvent is the next cycle at which the LC must be stepped: the coming
+// one while any queue holds work, else its next arrival or the end of its
+// FE job, whichever is first. route and flushAll bring it forward when
+// they push into the LC.
+func (l *lineCard) nextEvent(now int64) int64 {
+	if l.replyQ.len()+l.inputQ.len()+l.localQ.len()+l.feQ.len()+l.outQ.len() > 0 {
+		return now + 1
+	}
+	next := int64(math.MaxInt64)
+	if l.toGenerate > 0 {
+		next = l.nextArrival
+	}
+	if l.feBusy && l.feActive.doneAt < next {
+		next = l.feActive.doneAt
+	}
+	return next
+}
+
 // startFE begins a lookup: the result and its cost are computed up front,
-// the completion is scheduled LookupCycles (or the dynamic cost) later.
+// the completion is scheduled LookupCycles (or the dynamic cost) later. The
+// job takes over the name the FE queue slot held.
 func (r *Router) startFE(l *lineCard, id int64) {
-	p := &r.packets[id]
+	p := r.pkt(id)
 	nh, accesses, ok := l.engine.Lookup(p.addr)
 	cycles := int64(r.cfg.LookupCycles)
 	if r.cfg.DynamicLookup {
@@ -392,14 +520,14 @@ func (r *Router) startFE(l *lineCard, id int64) {
 			cycles = 1
 		}
 	}
-	r.stamp(id, stFEStart)
+	r.stamp(p, stFEStart)
 	p.valueVersion = r.version // the value is bound to the table as of now
-	l.feActive = feJob{packetID: id, addr: p.addr, nextHop: nh, ok: ok, doneAt: r.now + cycles}
+	l.feActive = feJob{packetID: id, addr: p.addr, nextHop: nh, ok: ok, startAt: r.now, doneAt: r.now + cycles}
 	if !ok {
 		l.feActive.nextHop = rtable.NoNextHop
 	}
 	l.feBusy = true
-	l.counters.Get("fe.lookups").Inc()
+	l.n[cFELookups]++
 }
 
 // finishFE completes the active lookup: fill the LR-cache as LOC, then
@@ -410,8 +538,11 @@ func (r *Router) startFE(l *lineCard, id int64) {
 func (r *Router) finishFE(l *lineCard) {
 	job := l.feActive
 	l.feBusy = false
-	r.stamp(job.packetID, stFEDone)
-	v := r.packets[job.packetID].valueVersion
+	// The FE was busy every cycle after the one that started the job.
+	l.feBusyCy += r.now - job.startAt
+	p := r.pkt(job.packetID)
+	r.stamp(p, stFEDone)
+	v := p.valueVersion
 	nh := job.nextHop
 	var waiters []int64
 	if l.cache != nil {
@@ -428,7 +559,7 @@ func (r *Router) finishFE(l *lineCard) {
 // handleReply processes a fabric reply at the arrival LC: fill as REM,
 // release the parked packets.
 func (r *Router) handleReply(l *lineCard, m fabric.Message) {
-	v := r.packets[m.PacketID].valueVersion
+	v := r.pkt(m.PacketID).valueVersion
 	nh := m.NextHop
 	var waiters []int64
 	if l.cache != nil {
@@ -439,14 +570,15 @@ func (r *Router) handleReply(l *lineCard, m fabric.Message) {
 			r.churnStaleFills++
 		}
 	}
-	l.counters.Get("reply.received").Inc()
+	l.n[cReplyReceived]++
 	r.resolveAll(l, m.PacketID, waiters, nh, v)
 }
 
 // resolveAll routes a lookup result to the originating packet and all
 // waiters, exactly once each: local packets complete, remote requests get
 // a reply toward their arrival LC. v is the table version the value was
-// computed against.
+// computed against. It gives up the names it was handed: each waiting-list
+// entry, and last the finished FE job or consumed reply that named origin.
 func (r *Router) resolveAll(l *lineCard, origin int64, waiters []int64, nh rtable.NextHop, v int32) {
 	seen := false
 	for _, id := range waiters {
@@ -454,20 +586,23 @@ func (r *Router) resolveAll(l *lineCard, origin int64, waiters []int64, nh rtabl
 			seen = true
 		}
 		r.resolve(l, id, nh, v)
+		r.drop(id)
 	}
 	if !seen {
 		r.resolve(l, origin, nh, v)
 	}
+	r.drop(origin)
 }
 
 func (r *Router) resolve(l *lineCard, id int64, nh rtable.NextHop, v int32) {
-	p := &r.packets[id]
+	p := r.pkt(id)
 	p.valueVersion = v
 	if int(p.arrivalLC) == l.id {
-		r.complete(l, id, nh, v)
+		r.complete(l, p, id, nh, v)
 		return
 	}
 	// A remote request parked at the home LC: answer its arrival LC.
+	p.refs++
 	l.outQ.push(fabric.Message{
 		Kind:     fabric.Reply,
 		Src:      l.id,
@@ -476,22 +611,21 @@ func (r *Router) resolve(l *lineCard, id int64, nh rtable.NextHop, v int32) {
 		Addr:     p.addr,
 		NextHop:  nh,
 	})
-	l.counters.Get("reply.sent").Inc()
+	l.n[cReplySent]++
 }
 
 // complete finalizes a packet at its arrival LC; duplicate resolutions
 // (possible after a flush reissues an in-flight packet) are ignored.
 // Verification is exact even under churn: the served next hop must equal
 // the oracle of the table version the value was computed against.
-func (r *Router) complete(l *lineCard, id int64, nh rtable.NextHop, v int32) {
-	p := &r.packets[id]
+func (r *Router) complete(l *lineCard, p *packet, id int64, nh rtable.NextHop, v int32) {
 	if p.completeCycle >= 0 {
 		return
 	}
 	p.completeCycle = r.now
 	p.nextHop = nh
 	r.completed++
-	l.counters.Get("completed").Inc()
+	l.n[cCompleted]++
 	latency := p.completeCycle - p.arrivalCycle + 1
 	r.lat.Add(int(latency))
 	r.winSum += latency
@@ -527,51 +661,55 @@ func (r *Router) cachePortAction(l *lineCard) {
 	}
 }
 
-// probeLocal handles a freshly arrived packet at its arrival LC.
+// probeLocal handles a freshly arrived packet at its arrival LC. The name
+// the popped queue slot held passes to wherever the packet goes next — a
+// waiting list, the FE queue, a request — or is dropped on a hit.
 func (r *Router) probeLocal(l *lineCard, id int64) {
-	p := &r.packets[id]
-	r.stamp(id, stProbe)
+	p := r.pkt(id)
+	r.stamp(p, stProbe)
 	if l.cache == nil {
-		r.dispatchMiss(l, id)
+		r.dispatchMiss(l, p, id)
 		return
 	}
 	res := l.cache.Probe(p.addr)
 	switch res.Kind {
 	case cache.Hit, cache.HitVictim:
 		if res.Origin == cache.LOC {
-			l.counters.Get("hit.loc").Inc()
+			l.n[cHitLoc]++
 		} else {
-			l.counters.Get("hit.rem").Inc()
+			l.n[cHitRem]++
 		}
 		// A live (non-waiting) entry always matches the current table:
 		// churn invalidates every affected range and stale fills are
 		// point-invalidated, so hits verify against the current version.
-		r.complete(l, id, res.NextHop, r.version)
+		r.complete(l, p, id, res.NextHop, r.version)
+		r.drop(id)
 	case cache.HitWaiting:
 		l.cache.AddWaiter(p.addr, id)
-		l.counters.Get("parked").Inc()
+		l.n[cParked]++
 	default: // Miss
 		if !r.cfg.DisableEarlyRecording {
 			origin := cache.REM
 			if int(p.homeLC) == l.id {
 				origin = cache.LOC
 			}
-			l.cache.RecordMiss(p.addr, origin, id)
+			if l.cache.RecordMiss(p.addr, origin, id) {
+				p.refs++ // the new block's waiting list names it too
+			}
 		}
-		l.counters.Get("miss.local").Inc()
-		r.dispatchMiss(l, id)
+		l.n[cMissLocal]++
+		r.dispatchMiss(l, p, id)
 	}
 }
 
 // dispatchMiss sends a missed packet to its lookup site: the local FE when
 // this LC is home, otherwise a fabric request to the home LC.
-func (r *Router) dispatchMiss(l *lineCard, id int64) {
-	p := &r.packets[id]
+func (r *Router) dispatchMiss(l *lineCard, p *packet, id int64) {
 	if int(p.homeLC) == l.id {
 		l.feQ.push(id)
 		return
 	}
-	r.stamp(id, stReqSend)
+	r.stamp(p, stReqSend)
 	l.outQ.push(fabric.Message{
 		Kind:     fabric.Request,
 		Src:      l.id,
@@ -579,15 +717,15 @@ func (r *Router) dispatchMiss(l *lineCard, id int64) {
 		PacketID: id,
 		Addr:     p.addr,
 	})
-	l.counters.Get("request.sent").Inc()
+	l.n[cRequestSent]++
 }
 
 // probeRemoteRequest handles a request received from another LC at the
-// home LC.
+// home LC; the popped slot's name moves on as in probeLocal.
 func (r *Router) probeRemoteRequest(l *lineCard, id int64) {
-	p := &r.packets[id]
-	r.stamp(id, stReqRecv)
-	l.counters.Get("request.received").Inc()
+	p := r.pkt(id)
+	r.stamp(p, stReqRecv)
+	l.n[cRequestReceived]++
 	if l.cache == nil {
 		l.feQ.push(id)
 		return
@@ -595,16 +733,17 @@ func (r *Router) probeRemoteRequest(l *lineCard, id int64) {
 	res := l.cache.Probe(p.addr)
 	switch res.Kind {
 	case cache.Hit, cache.HitVictim:
-		l.counters.Get("hit.remote-request").Inc()
+		l.n[cHitRemoteRequest]++
 		r.resolve(l, id, res.NextHop, r.version)
+		r.drop(id)
 	case cache.HitWaiting:
 		l.cache.AddWaiter(p.addr, id)
-		l.counters.Get("parked").Inc()
+		l.n[cParked]++
 	default:
-		if !r.cfg.DisableEarlyRecording {
-			l.cache.RecordMiss(p.addr, cache.LOC, id)
+		if !r.cfg.DisableEarlyRecording && l.cache.RecordMiss(p.addr, cache.LOC, id) {
+			p.refs++
 		}
-		l.counters.Get("miss.remote-request").Inc()
+		l.n[cMissRemoteRequest]++
 		l.feQ.push(id)
 	}
 }
@@ -681,13 +820,14 @@ func (r *Router) updateEngine(l *lineCard, batch []rtable.Update, tbl *rtable.Ta
 // flushAll invalidates every LR-cache and reissues the orphaned waiters
 // through their original paths.
 func (r *Router) flushAll() {
-	for _, l := range r.lcs {
+	for i, l := range r.lcs {
 		if l.cache == nil {
 			continue
 		}
 		for _, id := range l.cache.Flush() {
-			p := &r.packets[id]
+			p := r.pkt(id)
 			if p.completeCycle >= 0 {
+				r.drop(id) // finished meanwhile: its waiting-list entry goes with the list
 				continue
 			}
 			if int(p.arrivalLC) == l.id {
@@ -695,7 +835,8 @@ func (r *Router) flushAll() {
 			} else {
 				l.inputQ.push(id)
 			}
-			l.counters.Get("reissued").Inc()
+			l.n[cReissued]++
+			r.wake[i] = r.now
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // stageStamp holds one packet's stage-boundary cycles; -1 = not reached.
-// Kept in a slice parallel to Router.packets so runs without accounting
-// pay nothing.
+// It is 40 bytes of a record that exists only while the packet is in
+// flight, so runs without accounting pay one untaken branch a stamp.
 type stageStamp struct {
 	probe   int64 // first LR-cache probe at the arrival LC
 	reqSend int64 // fabric request pushed toward the home LC
@@ -31,28 +31,28 @@ const (
 	stFEDone
 )
 
-// stamp records a stage boundary for packet id, first write wins (flush
+// stamp records a stage boundary for packet p, first write wins (flush
 // reissue can re-run a stage; the breakdown keeps the original pass).
-func (r *Router) stamp(id int64, stage int) {
-	if r.stages == nil {
+func (r *Router) stamp(p *packet, stage int) {
+	if !r.cfg.StageAccounting {
 		return
 	}
-	s := &r.stages[id]
-	var p *int64
+	s := &p.stages
+	var at *int64
 	switch stage {
 	case stProbe:
-		p = &s.probe
+		at = &s.probe
 	case stReqSend:
-		p = &s.reqSend
+		at = &s.reqSend
 	case stReqRecv:
-		p = &s.reqRecv
+		at = &s.reqRecv
 	case stFEStart:
-		p = &s.feStart
+		at = &s.feStart
 	case stFEDone:
-		p = &s.feDone
+		at = &s.feDone
 	}
-	if *p < 0 {
-		*p = r.now
+	if *at < 0 {
+		*at = r.now
 	}
 }
 
@@ -71,7 +71,7 @@ type StageStats struct {
 // stageDefs enumerates the reported intervals. fe_queue starts at the
 // request's arrival at the lookup site: reqRecv for remote lookups,
 // probe for local ones.
-var stageDefs = []struct {
+var stageDefs = [...]struct {
 	name     string
 	from, to func(p *packet, s *stageStamp) int64
 }{
@@ -87,31 +87,17 @@ var stageDefs = []struct {
 	{"fe_exec→verdict", func(p *packet, s *stageStamp) int64 { return s.feDone }, func(p *packet, s *stageStamp) int64 { return p.completeCycle }},
 }
 
-// stageBreakdown folds the stamps into per-stage means.
+// stageBreakdown turns the sums fold kept into per-stage means.
 func (r *Router) stageBreakdown() []StageStats {
-	if r.stages == nil {
+	if !r.cfg.StageAccounting {
 		return nil
 	}
 	out := make([]StageStats, len(stageDefs))
-	sums := make([]int64, len(stageDefs))
-	for i := range r.packets {
-		p, s := &r.packets[i], &r.stages[i]
-		if p.completeCycle < 0 {
-			continue
-		}
-		for j, d := range stageDefs {
-			from, to := d.from(p, s), d.to(p, s)
-			if from < 0 || to < 0 {
-				continue
-			}
-			out[j].Packets++
-			sums[j] += to - from
-		}
-	}
 	for j := range out {
 		out[j].Name = stageDefs[j].name
+		out[j].Packets = r.stagePacket[j]
 		if out[j].Packets > 0 {
-			out[j].MeanCycles = float64(sums[j]) / float64(out[j].Packets)
+			out[j].MeanCycles = float64(r.stageSum[j]) / float64(out[j].Packets)
 		}
 	}
 	return out

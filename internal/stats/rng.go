@@ -1,5 +1,5 @@
 // Package stats provides the deterministic random-number generator and the
-// light-weight statistics primitives (counters, running means, histograms,
+// light-weight statistics primitives (running means, histograms,
 // percentiles) shared by the trace generator, the routing-table synthesizer,
 // and the cycle simulator.
 //

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean is a running mean/variance accumulator (Welford's algorithm), used
@@ -144,60 +143,4 @@ func (h *Hist) Each(f func(value int, count int64)) {
 	if h.overflow > 0 {
 		f(len(h.bins), h.overflow)
 	}
-}
-
-// Counter is a named monotonically increasing event counter.
-type Counter struct {
-	Name string
-	N    int64
-}
-
-// Inc adds one event.
-func (c *Counter) Inc() { c.N++ }
-
-// Set is an ordered collection of named counters for report printing.
-type Set struct {
-	order []string
-	m     map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{m: make(map[string]*Counter)} }
-
-// Get returns (creating on first use) the counter with the given name.
-func (s *Set) Get(name string) *Counter {
-	if c, ok := s.m[name]; ok {
-		return c
-	}
-	c := &Counter{Name: name}
-	s.m[name] = c
-	s.order = append(s.order, name)
-	return c
-}
-
-// Names returns counter names in first-use order.
-func (s *Set) Names() []string { return append([]string(nil), s.order...) }
-
-// Value returns the count for name (0 when absent).
-func (s *Set) Value(name string) int64 {
-	if c, ok := s.m[name]; ok {
-		return c.N
-	}
-	return 0
-}
-
-// Ratio returns Value(num)/Value(den), or 0 when the denominator is zero.
-func (s *Set) Ratio(num, den string) float64 {
-	d := s.Value(den)
-	if d == 0 {
-		return 0
-	}
-	return float64(s.Value(num)) / float64(d)
-}
-
-// SortedNames returns counter names alphabetically, for stable reports.
-func (s *Set) SortedNames() []string {
-	names := s.Names()
-	sort.Strings(names)
-	return names
 }

@@ -167,27 +167,3 @@ func TestHistNegativePanics(t *testing.T) {
 	}()
 	NewHist(4).Add(-1)
 }
-
-func TestCounterSet(t *testing.T) {
-	s := NewSet()
-	s.Get("hits").Inc()
-	s.Get("hits").Inc()
-	s.Get("misses").Inc()
-	if s.Value("hits") != 2 || s.Value("misses") != 1 || s.Value("absent") != 0 {
-		t.Error("counter values wrong")
-	}
-	if r := s.Ratio("hits", "misses"); r != 2 {
-		t.Errorf("Ratio = %v", r)
-	}
-	if r := s.Ratio("hits", "absent"); r != 0 {
-		t.Errorf("Ratio with zero denominator = %v", r)
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "hits" || names[1] != "misses" {
-		t.Errorf("Names = %v", names)
-	}
-	sorted := s.SortedNames()
-	if sorted[0] != "hits" || sorted[1] != "misses" {
-		t.Errorf("SortedNames = %v", sorted)
-	}
-}
