@@ -205,16 +205,6 @@ func BenchmarkSurvey(b *testing.B) {
 	}
 }
 
-// BenchmarkIPv6Storage regenerates the IPv6 SRAM comparison.
-func BenchmarkIPv6Storage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.IPv6Storage(benchScale)
-		if i == 0 {
-			b.Log("\n" + tbl.String())
-		}
-	}
-}
-
 // BenchmarkHotspot regenerates the home-LC load-balance table.
 func BenchmarkHotspot(b *testing.B) {
 	for i := 0; i < b.N; i++ {

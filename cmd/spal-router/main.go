@@ -1,4 +1,4 @@
-// Command spal-router runs the concurrent goroutine-per-LC SPAL
+// Command spal-router runs the concurrent SPAL
 // forwarding plane and drives it with destination addresses — from a
 // trace file, from a synthetic generator, or interactively from stdin —
 // printing verdicts and per-LC statistics.

@@ -1,4 +1,4 @@
-// Router example: run the concurrent goroutine-per-LC SPAL forwarding
+// Router example: run the concurrent SPAL forwarding
 // plane, drive it with a locality-bearing workload from every line card,
 // and show how results migrate from FE executions to cache hits — then
 // apply a routing-table update and keep forwarding.

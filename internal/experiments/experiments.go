@@ -16,7 +16,6 @@ import (
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/lpm/bintrie"
-	"spal/internal/lpm/bintrie6"
 	"spal/internal/lpm/dptrie"
 	"spal/internal/lpm/lctrie"
 	"spal/internal/lpm/lulea"
@@ -604,74 +603,6 @@ func Rebuild(s Scale) *Table {
 			})
 		}
 	}
-	return out
-}
-
-// IPv6Storage supports the paper's IPv6 motivation ("the SRAM amount
-// needed is likely to be several times higher") and its closing claim
-// that SPAL applies to IPv6: binary-trie sizes for an IPv6 table, whole
-// versus partitioned, next to the equally sized IPv4 table.
-func IPv6Storage(s Scale) *Table {
-	out := &Table{
-		Title:   "IPv6: binary-trie SRAM, whole vs psi=16 partitions",
-		Headers: []string{"table", "prefixes", "whole KB", "max per-LC KB", "ratio v4"},
-	}
-	n := s.TableN
-	if n == 0 {
-		n = 41709 // RT_1-sized comparison
-	}
-	// IPv4 baseline.
-	t4 := rtable.Synthesize(rtable.SynthConfig{N: n, NextHops: 16, NestProb: 0.35, Seed: 0x5e3d_0001})
-	p4 := partition.Partition(t4, 16)
-	whole4 := bintrie.New(t4).MemoryBytes()
-	max4 := 0
-	for lc := 0; lc < 16; lc++ {
-		if m := bintrie.New(p4.Table(lc)).MemoryBytes(); m > max4 {
-			max4 = m
-		}
-	}
-	out.Rows = append(out.Rows, []string{
-		"IPv4", fmt.Sprint(n),
-		fmt.Sprintf("%.0f", float64(whole4)/1024),
-		fmt.Sprintf("%.0f", float64(max4)/1024),
-		"1.0",
-	})
-
-	// IPv6 table of the same size.
-	rng := stats.NewRNG(0x6666)
-	routes6 := make([]partition.Route6, n)
-	for i := range routes6 {
-		l := uint8(16 + rng.Intn(49))
-		v := ip.Addr6{Hi: 0x2000000000000000 | rng.Uint64()>>3, Lo: rng.Uint64()}
-		routes6[i] = partition.Route6{
-			Prefix:  ip.Prefix6{Value: v, Len: l}.Canon(),
-			NextHop: uint16(rng.Intn(16)),
-		}
-	}
-	toTrie := func(rs []partition.Route6) []bintrie6.Route {
-		out := make([]bintrie6.Route, len(rs))
-		for i, r := range rs {
-			out[i] = bintrie6.Route{Prefix: r.Prefix, NextHop: r.NextHop}
-		}
-		return out
-	}
-	whole6 := bintrie6.New(toTrie(routes6)).MemoryBytes()
-	p6 := partition.Partition6(routes6, 16)
-	max6 := 0
-	for lc := 0; lc < 16; lc++ {
-		if m := bintrie6.New(toTrie(p6.Routes(lc))).MemoryBytes(); m > max6 {
-			max6 = m
-		}
-	}
-	out.Rows = append(out.Rows, []string{
-		"IPv6", fmt.Sprint(n),
-		fmt.Sprintf("%.0f", float64(whole6)/1024),
-		fmt.Sprintf("%.0f", float64(max6)/1024),
-		fmt.Sprintf("%.1f", float64(whole6)/float64(whole4)),
-	})
-	out.Notes = append(out.Notes,
-		"the IPv6/IPv4 whole-trie ratio is the paper's 'several times higher' SRAM pressure",
-		"partitioning recovers the same ~psi x saving in both families")
 	return out
 }
 

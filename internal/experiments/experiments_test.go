@@ -229,25 +229,6 @@ func TestSurveyShapes(t *testing.T) {
 	}
 }
 
-func TestIPv6StorageSeveralTimesHigher(t *testing.T) {
-	tbl := IPv6Storage(tiny)
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	ratio := cell(t, tbl, 1, 4)
-	if ratio < 2 || ratio > 8 {
-		t.Errorf("IPv6/IPv4 ratio = %v, want 'several times higher'", ratio)
-	}
-	// Partitioning shrinks both families by roughly psi.
-	for i := range tbl.Rows {
-		whole := cell(t, tbl, i, 2)
-		perLC := cell(t, tbl, i, 3)
-		if perLC > whole/4 {
-			t.Errorf("%s: per-LC %v not a small fraction of %v", tbl.Rows[i][0], perLC, whole)
-		}
-	}
-}
-
 func TestHotspotBalance(t *testing.T) {
 	tbl, err := Hotspot(tiny)
 	if err != nil {

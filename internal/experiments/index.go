@@ -31,7 +31,6 @@ var index = []struct {
 	{"worstcase", wrapInfallible(WorstCase)},
 	{"rebuild", wrapInfallible(Rebuild)},
 	{"survey", wrapInfallible(Survey)},
-	{"ipv6", wrapInfallible(IPv6Storage)},
 	{"drift", Drift},
 	{"hotspot", Hotspot},
 	{"latency", LatencyDistribution},

@@ -22,21 +22,3 @@ func FuzzParsePrefix(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParsePrefix6 is the 128-bit counterpart.
-func FuzzParsePrefix6(f *testing.F) {
-	f.Add("2001:0db8:0000:0000:0000:0000:0000:0000/32")
-	f.Add("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128")
-	f.Add("::1/128")
-	f.Add("x:y:z/8")
-	f.Fuzz(func(t *testing.T, s string) {
-		p, err := ParsePrefix6(s)
-		if err != nil {
-			return
-		}
-		q, err := ParsePrefix6(p.String())
-		if err != nil || q != p {
-			t.Fatalf("round trip of %q -> %v failed: %v", s, p, err)
-		}
-	})
-}

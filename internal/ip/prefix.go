@@ -1,4 +1,4 @@
-// Package ip provides IPv4 (and 128-bit IPv6) prefix types and the bit
+// Package ip provides the IPv4 prefix type and the bit
 // utilities the SPAL partitioner and the longest-prefix-matching engines are
 // built on.
 //

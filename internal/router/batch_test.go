@@ -333,11 +333,11 @@ func TestLookupMissAllocs(t *testing.T) {
 				var held atomic.Bool
 				if tc.busy {
 					addrs = addrs[runs+1:] // the idle row's are cached by now
-					// The lock goes once the request is in the home's inbox, so that
-					// its lcLoop can serve it: the lookup has had to wait by then.
+					// The hold ends once the request is in the home's queue, and
+					// serves it: the lookup has had to wait by then.
 					letGo := func() {
 						if held.CompareAndSwap(true, false) {
-							h.mu.Unlock()
+							r.leave(h, 0)
 						}
 					}
 					defer letGo() // a failed run must not leave it locked for Stop

@@ -56,7 +56,7 @@ type CorruptionPolicy struct {
 
 // buildEngine constructs an LC's forwarding engine from a partition
 // table, wrapping it in the corruption overlay when engine-flip injection
-// is enabled. Every engine incarnation funnels through here —
+// is enabled. Every engine an LC ever holds funnels through here —
 // construction, two-phase swap, crash re-home, quarantine rebuild, and
 // the non-dynamic ApplyUpdates rebuild — so injected damage stays
 // coverable (and a rebuild, which constructs a fresh overlay, implicitly

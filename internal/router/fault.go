@@ -50,7 +50,7 @@ type FaultDecision struct {
 }
 
 // FaultInjector decides the fate of each fabric message. It is called
-// from line-card goroutines concurrently and must be safe for concurrent
+// by the line cards' owners concurrently and must be safe for concurrent
 // use. A nil injector (the default) is a perfect fabric.
 type FaultInjector func(FabricMessage) FaultDecision
 

@@ -32,7 +32,7 @@ import (
 // plane, neither endpoint may be demoted out of Healthy. The health
 // windows are set well above Go's 10 ms preemption quantum rather than
 // left at the 2 ms request timeout: the claim is about data-plane faults,
-// not about an LC goroutine never being descheduled for a few ms.
+// not about the monitor and the callers never being descheduled for a few ms.
 func TestGrayAsymmetricPartition(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	oracle := lpm.NewReference(tbl)
@@ -136,7 +136,7 @@ func TestGrayBrownoutHeadline(t *testing.T) {
 			var sawDown atomic.Bool
 
 			// Churn: seeded incremental batches, paced — an unpaced
-			// ApplyUpdates loop keeps every LC goroutine busy swapping
+			// ApplyUpdates loop keeps every LC busy swapping
 			// (engine rebuilds, two-phase barriers), which under -race
 			// inflates every home's RTT uniformly and hides the outlier.
 			wg.Add(1)

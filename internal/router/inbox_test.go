@@ -150,56 +150,94 @@ func TestPolicyOffCallerBlocksOnFullInbox(t *testing.T) {
 }
 
 // TestControlLandsWhileDataInboxFull: FlushCaches, Metrics and
-// UpdateTable must complete while the data inbox is still full, with or
-// without an overload policy. The inbox is packed with lookups whose FE
-// execution (steppedEngine) blocks until the test releases it, and the test
-// releases one only after the control calls have had a millisecond to
-// finish without it — so they finish after a handful of data messages (a
-// control caller waits for the LC's lock, not for its inbox), or, if control
-// queued behind data, only once the whole inbox had drained.
+// UpdateTable take effect while the data queue is still full, with or
+// without an overload policy: a control caller waits for the LC's lock, not
+// for its queue. The queue is packed with lookups whose FE execution
+// (steppedEngine) blocks until the test steps it, behind no owner — what a
+// flood leaves. The lookup at the queue's head tells that the control action
+// was in force before any of them ran: after a flush the warmed address
+// misses, after a table swap it has the new table's next hop. And since
+// whoever holds the lock is the LC, and an LC serves its queue before it
+// goes, the call returns once it has served the queue it found: at most
+// QueueDepth handler runs, however fast the queue refills.
 func TestControlLandsWhileDataInboxFull(t *testing.T) {
+	t1, t2 := rtable.Small(500, 3), rtable.Small(500, 4)
+	o1, o2 := lpm.NewReference(t1), lpm.NewReference(t2)
+	var addr ip.Addr // routed differently by the two tables
+	for rng := stats.NewRNG(5); ; {
+		addr = t1.RandomMatchedAddr(rng)
+		if nh, _, ok := o1.Lookup(addr); !verdictMatches(Verdict{Addr: addr, NextHop: nh, OK: ok}, o2, addr) {
+			break
+		}
+	}
 	for name, opts := range map[string][]Option{
 		"policy-on":  {WithOverload(OverloadPolicy{QueueDepth: 256})},
 		"policy-off": nil,
 	} {
 		t.Run(name, func(t *testing.T) {
-			tbl := rtable.Small(500, 3)
 			step := make(chan struct{})
 			stepped := func(tbl *rtable.Table) lpm.Engine { return steppedEngine{lpm.NewReferenceEngine(tbl), step} }
-			r, err := New(tbl, append([]Option{WithLCs(1), WithDefaultCache(), WithEngine(stepped)}, opts...)...)
+			// The hour keeps the monitor's sweep from owning the LC first.
+			r, err := New(t1, append([]Option{WithLCs(1), WithDefaultCache(), WithEngine(stepped), WithRequestTimeout(time.Hour)}, opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r.Stop()
-
 			defer close(step)
-			depth := cap(r.inboxes[0])
-			// depth+1: the LC takes one lookup off the inbox and blocks in it.
-			// Distinct addresses: every one misses and runs the FE.
-			for i := 0; i <= depth; i++ {
-				r.push(0, message{kind: mLookup, addr: ip.Addr(i), resp: make(chan Verdict, 1)})
-			}
-			ctrlDone := make(chan error, 1)
-			go func() {
-				r.FlushCaches()
-				r.Metrics()
-				ctrlDone <- r.UpdateTable(rtable.Small(500, 4))
-			}()
-			tick := time.NewTicker(time.Millisecond)
-			defer tick.Stop()
-			for pending := true; pending; {
-				select {
-				case err := <-ctrlDone:
-					if err != nil {
-						t.Fatalf("UpdateTable: %v", err)
+			lc, depth := r.lcs[0], cap(r.inboxes[0])
+
+			// during runs control while the test steps the handlers it unblocks
+			// one at a time, and reports how many it took and what the lookup
+			// at the head of the queue came back with.
+			during := func(control func() error) (steps int, head Verdict) {
+				t.Helper()
+				// Distinct addresses behind addr: every one misses and runs the FE.
+				resp := make(chan Verdict, 1)
+				r.inboxes[0] <- message{kind: mLookup, addr: addr, resp: resp}
+				for i := 1; i < depth; i++ {
+					r.inboxes[0] <- message{kind: mLookup, addr: ip.Addr(i), resp: make(chan Verdict, 1)}
+				}
+				lc.backlog.Add(int32(depth)) // counted, and every sender lost its TryLock to an owner now gone
+				done := make(chan error, 1)
+				go func() { done <- control() }()
+				for {
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Fatalf("control: %v", err)
+						}
+						if steps > depth {
+							t.Errorf("control returned after %d handler runs, want at most the %d queued", steps, depth)
+						}
+						return steps, head
+					case step <- struct{}{}:
+						if steps++; steps == 1 {
+							head = <-resp
+							if left := len(r.inboxes[0]); left < depth/2 {
+								t.Errorf("the head of the queue was served with %d of %d left", left, depth)
+							}
+						}
 					}
-					pending = false
-				case <-tick.C:
-					step <- struct{}{}
 				}
 			}
-			if left := len(r.inboxes[0]); left < depth/2 {
-				t.Errorf("control calls only finished with the data inbox drained to %d of %d", left, depth)
+
+			warm := make(chan Verdict)
+			go func() {
+				v, _ := r.Lookup(0, addr)
+				warm <- v
+			}()
+			step <- struct{}{}
+			if v := <-warm; !verdictMatches(v, o1, addr) {
+				t.Fatalf("warm-up: %+v", v)
+			}
+			if v, err := r.Lookup(0, addr); err != nil || v.ServedBy != ServedByCache {
+				t.Fatalf("warmed lookup: %+v, %v; want a cache hit", v, err)
+			}
+			if _, head := during(func() error { r.FlushCaches(); r.Metrics(); return nil }); head.ServedBy == ServedByCache || !verdictMatches(head, o1, addr) {
+				t.Errorf("queued behind a flush, the warmed lookup came back %+v (served by %s), want a miss", head, head.ServedBy)
+			}
+			if _, head := during(func() error { return r.UpdateTable(t2) }); !verdictMatches(head, o2, addr) {
+				t.Errorf("queued behind a table swap, the lookup came back %+v, want the new table's", head)
 			}
 		})
 	}
@@ -236,30 +274,41 @@ func routerGoroutines() int {
 		strings.Count(stacks, "created by spal/internal/router.(*Router).")
 }
 
-// TestGoroutinesAtRest: a ψ-LC router runs ψ LC loops and one health
-// monitor, nothing else, and Stop leaves none behind.
+// TestGoroutinesAtRest: a router runs one goroutine, the health monitor,
+// whatever ψ is — a line card is a lock and a queue — a crash and its
+// adoption neither end nor start one, and Stop leaves none behind.
 func TestGoroutinesAtRest(t *testing.T) {
-	const psi = 4
-	before := routerGoroutines()
-	r, err := New(rtable.Small(500, 3), WithLCs(psi), WithDefaultCache())
-	if err != nil {
-		t.Fatal(err)
+	for _, psi := range []int{1, 4, 16} {
+		before := routerGoroutines()
+		r, err := New(rtable.Small(500, 3), WithLCs(psi), WithDefaultCache(), WithRequestTimeout(4*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Lookup(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got := routerGoroutines() - before; got != 1 {
+			t.Errorf("a %d-LC router at rest runs %d goroutines, want 1", psi, got)
+		}
+		if dead := psi - 1; dead > 0 {
+			crash(t, r, dead)
+			waitFor(t, "the crashed LC to be adopted", func() bool { return r.LCStates()[dead] == LCDown && r.lcs[dead].live.Load() })
+			if err := r.RestoreLC(dead); err != nil {
+				t.Fatal(err)
+			}
+			if got := routerGoroutines() - before; got != 1 {
+				t.Errorf("a %d-LC router runs %d goroutines after a crash, its adoption and a restore, want 1", psi, got)
+			}
+		}
+		r.Stop()
+		// Stop waits for each goroutine's last deferred call, not its exit.
+		waitFor(t, "router goroutines to exit after Stop", func() bool { return routerGoroutines() == before })
 	}
-	if _, err := r.Lookup(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := routerGoroutines() - before; got != psi+1 {
-		t.Errorf("a %d-LC router at rest runs %d goroutines, want %d", psi, got, psi+1)
-	}
-	r.Stop()
-	// Stop waits for each goroutine's last deferred call, not its exit.
-	waitFor(t, "router goroutines to exit after Stop", func() bool { return routerGoroutines() == before })
 }
 
-// push queues m on LC i's data inbox the way every production sender
-// does — counted in the LC's backlog first, so nothing submitted after it
-// overtakes it by running inline.
+// push queues m at LC i the way every production sender does: pushed, then
+// counted, then served by the sender itself if the LC has come free.
 func (r *Router) push(i int, m message) {
-	r.lcs[i].backlog.Add(1)
 	r.inboxes[i] <- m
+	r.queued(i, 0)
 }

@@ -47,7 +47,7 @@ func handledDirect(r *Router) (direct int64) {
 // TestChaosInlineKilledLCQueues: from the moment KillLC returns nothing is
 // served inline at the dead slot — not even a warmed cache hit, which the
 // corpse could answer — and the lookups submitted there before the
-// rebirth buffer in its inbox, are handled by the reborn incarnation, and
+// rebirth buffer in its queue, are handled once it is adopted, and
 // come back oracle-correct.
 func TestChaosInlineKilledLCQueues(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
@@ -196,7 +196,7 @@ func TestChaosInlineQueuesBehindBacklog(t *testing.T) {
 }
 
 // TestChaosInlineTicksWhileCallersHogP: with one P and callers that never
-// block, the LC goroutines run only when the scheduler preempts a caller,
+// block, the monitor's sweep runs only when the scheduler preempts a caller,
 // so heartbeats and deadline sweeps must ride the callers' own inline runs
 // (tick-if-due in leave). Clean fabric: every LC stays Healthy. One link
 // dropping everything: the lookups crossing it still end in the fallback
@@ -314,7 +314,7 @@ func TestChaosInlineTicksWhileCallersHogP(t *testing.T) {
 			i := next[caller] % len(addrs)
 			return i / warmed, addrs[i]
 		}
-		// As long as the dead link's run: the LC goroutines do get the P at a
+		// As long as the dead link's run: the monitor does get the P at a
 		// preemption now and then, and over 3×suspectAfter that hides a beat
 		// no hit carries four runs in five.
 		hog(t, r, 10*suspectAfter, func(_ int, a ip.Addr, v Verdict, _ time.Duration) {
@@ -653,7 +653,6 @@ func TestHandledMetric(t *testing.T) {
 			release := func() {}
 			if tc.stall {
 				release = gateLC(t, r, 0)
-				fabric++ // the gate's own message, an empty request
 			}
 
 			const n = 200
@@ -930,14 +929,8 @@ func TestDirectPreconditions(t *testing.T) {
 		{"home's lock held", nil, ServedByRemote, true,
 			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
 				h := r.lcs[home]
-				h.mu.Lock()
-				return obstacle{lift: h.mu.Unlock, until: func() bool { return h.backlog.Load() > 0 }}
-			}},
-		{"home backlogged", nil, ServedByRemote, true,
-			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
-				h := r.lcs[home]
-				h.backlog.Add(1) // a message on its way into the inbox
-				return obstacle{lift: func() { h.backlog.Add(-1) }}
+				h.mu.Lock() // ended as every ownership is: the request queued behind it is served
+				return obstacle{lift: func() { r.leave(h, 0) }, until: func() bool { return h.backlog.Load() > 0 }}
 			}},
 		{"address in flight at the home", nil, ServedByRemote, true,
 			func(_ *testing.T, r *Router, a ip.Addr) obstacle {

@@ -17,17 +17,17 @@
 //	    │        RestoreLC            HEALTHY ─────────────────┘
 //	    └────────────────────────────▶
 //
-// Heartbeats piggyback on the per-LC deadline ticker and cross the
+// Heartbeats piggyback on the per-LC deadline tick and cross the
 // (virtual) fabric, so an installed FaultInjector can drop them: a few
 // consecutive losses demote the LC to Suspect, resumed beats heal it.
 // Down is deliberately stricter than Suspect: the health monitor only
-// declares an LC dead once its goroutine has provably exited (the
-// crash), never on missed beats alone — re-homing a partition away from
-// an owner that might still be running would be a split-brain.
+// declares an LC dead once it is not live (the crash) and the monitor has
+// had its lock, never on missed beats alone — re-homing a partition away
+// from an owner that might still be running would be a split-brain.
 //
 // When an LC goes Down the router recomputes the partitioning over the
 // survivors (partition.Subset, ψ−1 pattern folding), adopts the dead
-// LC's waitlists, restarts the slot as an empty shell that forwards its
+// LC's waitlists, revives the slot as an empty shell that forwards its
 // arrival traffic, replays the parked lookups against the new homes, and
 // runs the same two-phase swap UpdateTable uses so every LC installs the
 // new engine + homeOf pair and flushes the now-stale LOC/REM cache
@@ -59,13 +59,6 @@ type atomicLCState struct{ v atomic.Int32 }
 func (a *atomicLCState) Load() LCState   { return LCState(a.v.Load()) }
 func (a *atomicLCState) Store(s LCState) { a.v.Store(int32(s)) }
 
-// atomicTime is a wall-clock instant behind an atomic (an LC's owner
-// writes its heartbeat, the monitor reads).
-type atomicTime struct{ v atomic.Int64 }
-
-func (a *atomicTime) Load() time.Time   { return time.Unix(0, a.v.Load()) }
-func (a *atomicTime) Store(t time.Time) { a.v.Store(t.UnixNano()) }
-
 // LCState is one line card's lifecycle state.
 type LCState uint8
 
@@ -77,7 +70,7 @@ const (
 	// window. The LC keeps its partition (fabric loss can fake this);
 	// lookups homed on it ride the deadline/retry/fallback machinery.
 	LCSuspect
-	// LCDown: the LC crashed (its goroutine exited) and its partition has
+	// LCDown: the LC crashed (KillLC) and its partition has
 	// been re-homed onto the survivors. The slot keeps accepting arrival
 	// traffic as an empty forwarding shell until RestoreLC.
 	LCDown
@@ -107,29 +100,27 @@ func (s LCState) String() string {
 }
 
 // Lifecycle defaults: an LC is Suspect after one request-timeout without
-// a heartbeat (the ticker beats every timeout/4, so ~3 missed beats) and
+// a heartbeat (an LC is ticked every timeout/4, so ~3 missed beats) and
 // eligible for Down after two.
 const (
 	defaultSuspectFactor = 1 // × RequestTimeout
 	defaultDownFactor    = 2 // × RequestTimeout
 )
 
-// lcLife is the control-plane view of one line-card slot. state and
-// lastBeat are atomics (read by Metrics and the health monitor without
-// locks); die and exited belong to the current goroutine incarnation and
-// are replaced, under Router.mu, when a crashed slot is reborn.
+// lcLife is the control-plane view of one line-card slot, both atomics
+// (read by Metrics and the health monitor without locks). lastBeat is a
+// reading of Router.now, like every stamp the LC's owners hold: the monitor
+// ages it against the same clock, so a step of the wall clock moves nothing.
 type lcLife struct {
 	state    atomicLCState
-	lastBeat atomicTime
-	die      chan struct{} // closed by KillLC to crash this incarnation
-	exited   chan struct{} // closed when this incarnation's goroutine returns
+	lastBeat atomic.Int64
 }
 
 // beat records one heartbeat from an LC, routed through the fault
 // injector like any other fabric message (To == ControlLC): a dropped
 // beat is simply never recorded, and enough consecutive losses push the
 // LC to Suspect until beats resume.
-func (r *Router) beat(id int, now time.Time) {
+func (r *Router) beat(id int, now int64) {
 	if r.injector != nil {
 		if r.injector(FabricMessage{Heartbeat: true, From: id, To: ControlLC}).Drop {
 			return
@@ -138,25 +129,43 @@ func (r *Router) beat(id int, now time.Time) {
 	r.life[id].lastBeat.Store(now)
 }
 
-// healthLoop is the router's health monitor: every ticker period it
-// sweeps the heartbeat clocks, demotes silent LCs to Suspect, heals
-// Suspects whose beats resumed, and re-homes LCs that are both silent
-// and provably crashed.
+// healthLoop is the router's one goroutine and its only ticker: every period
+// it sweeps the LCs, then reads the clock and judges the beats. Not at the
+// tick's own timestamp: that is when it fired, and this goroutine may have
+// waited a preemption quantum or more for a P since, while owners went on
+// recording beats.
 func (r *Router) healthLoop() {
 	defer r.wg.Done()
 	tick := time.NewTicker(r.tickEvery)
 	defer tick.Stop()
 	for {
 		select {
-		case now := <-tick.C:
-			r.healthCheck(now)
+		case <-tick.C:
+			r.sweep()
+			r.healthCheck(r.now())
 		case <-r.quit:
 			return
 		}
 	}
 }
 
-func (r *Router) healthCheck(now time.Time) {
+// sweep owns each live LC it finds free, for what no caller came by to do:
+// leave ticks an idle LC (heartbeat, deadline sweep) and serves what a
+// departed owner left in its queue. It never waits for a lock — a wedged LC
+// is to go Suspect, not to wedge the monitor.
+func (r *Router) sweep() {
+	now := r.now()
+	for _, lc := range r.lcs {
+		if lc.live.Load() && lc.mu.TryLock() {
+			r.leave(lc, now)
+		}
+	}
+}
+
+// healthCheck sweeps the heartbeat clocks at now, a reading of Router.now:
+// it demotes silent LCs to Suspect, heals Suspects whose beats resumed, and
+// re-homes LCs that are both silent and crashed.
+func (r *Router) healthCheck(now int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.stopped.Load() {
@@ -168,13 +177,8 @@ func (r *Router) healthCheck(now time.Time) {
 		if st == LCDown {
 			continue
 		}
-		crashed := false
-		select {
-		case <-l.exited:
-			crashed = true
-		default:
-		}
-		age := now.Sub(l.lastBeat.Load())
+		crashed := !r.lcs[i].live.Load()
+		age := time.Duration(now - l.lastBeat.Load())
 		if age >= r.downAfter && crashed {
 			dead = append(dead, i)
 			continue
@@ -190,18 +194,18 @@ func (r *Router) healthCheck(now time.Time) {
 	for _, i := range dead {
 		r.rehomeLocked(i)
 	}
+	at := r.at(now)
 	r.maybeInjectLocked()
-	r.maybeScrubLocked(now)
-	r.maybeRebalanceLocked(now)
-	r.maybeGrayLocked(now)
+	r.maybeScrubLocked(at)
+	r.maybeRebalanceLocked(at)
+	r.maybeGrayLocked(at)
 }
 
 // rehomeLocked declares LC dead, re-homes its partition onto the
-// survivors, reboots the slot as an empty forwarding shell, and replays
-// its parked lookups. r.mu must be held and the LC's goroutine must have
-// exited, so the slot is not live: taking lc.mu waits out a handler some
-// caller may still be running inline from before the kill, and no new
-// one can start until the adoption below is complete.
+// survivors, revives the slot as an empty forwarding shell, and replays
+// its parked lookups. r.mu must be held and the slot not live: taking lc.mu
+// waits out a handler some caller may still be running from before the
+// kill, and no new one can start until the adoption below is complete.
 func (r *Router) rehomeLocked(dead int) {
 	l := r.life[dead]
 	l.state.Store(LCDown)
@@ -215,7 +219,7 @@ func (r *Router) rehomeLocked(dead int) {
 
 	// Adopt the corpse. The crash lost the LC's engine and cache; give
 	// the shell the new (empty, unless it is the sole survivor) partition
-	// and bump the epoch so replies computed for the dead incarnation
+	// and bump the epoch so replies computed for the LC that died
 	// cannot fill the flushed cache.
 	lc := r.lcs[dead]
 	engine := r.buildEngine(part.Table(dead)) // like every build, under no LC's lock
@@ -231,18 +235,16 @@ func (r *Router) rehomeLocked(dead int) {
 	pend := lc.pending.take()
 	lc.nwaiters = 0
 
-	// Rebirth: a fresh incarnation of the slot, serving arrival traffic
-	// by forwarding to the new homes. healthLoop itself is a member of
-	// r.wg, so the counter is provably non-zero here and Add cannot race
-	// Stop's Wait.
-	l.die = make(chan struct{})
-	l.exited = make(chan struct{})
+	// Rebirth: the slot is live again and forwards arrival traffic to the new
+	// homes — first what buffered in its queue since the crash, which this
+	// leave serves. Not past a Stop, which may have cleared live a moment ago.
 	lc.lastTick = r.now()
-	l.lastBeat.Store(r.at(lc.lastTick))
+	l.lastBeat.Store(lc.lastTick)
 	lc.live.Store(true)
+	if r.stopped.Load() {
+		lc.live.Store(false)
+	}
 	r.leave(lc, 0)
-	r.wg.Add(1)
-	go r.lcLoop(lc, r.inboxes[dead], l.die, l.exited)
 
 	// Replay the lookups that were parked at the dead LC: re-submitted at
 	// the reborn slot, they re-dispatch against the new homeOf. Remote
@@ -255,7 +257,7 @@ func (r *Router) rehomeLocked(dead int) {
 		for _, w := range wl.locals {
 			// A re-homed lookup is always interesting: trace it even if
 			// head sampling skipped it. The waiter came out of the corpse
-			// under lc.mu, and the trace hands off to the reborn LC inside
+			// under lc.mu, and the trace hands off to the revived LC inside
 			// the replayed message.
 			if w.tr == nil {
 				w.tr = r.lateTrace(dead, addr)
@@ -303,7 +305,7 @@ func (r *Router) LCStates() []LCState {
 	return out
 }
 
-// KillLC crashes line card lc: its goroutine exits mid-stream exactly as
+// KillLC crashes line card lc: it stops serving mid-stream exactly as
 // a hardware fault would stop a real card, losing its engine and cache
 // but not the fabric-buffered messages addressed to it. The health
 // monitor notices the missing heartbeats, declares the LC Down, re-homes
@@ -323,14 +325,9 @@ func (r *Router) KillLC(lc int) error {
 	if l.state.Load() == LCDown {
 		return fmt.Errorf("router: LC %d is already down", lc)
 	}
-	select {
-	case <-l.die:
-	default:
-		// From here nothing runs inline at this slot: arrivals buffer in
-		// its inbox until the reborn incarnation drains them.
-		r.lcs[lc].live.Store(false)
-		close(l.die)
-	}
+	// From here no handler starts at this slot, inline or from its queue:
+	// arrivals buffer there until the adoption serves them.
+	r.lcs[lc].live.Store(false)
 	return nil
 }
 
@@ -415,11 +412,10 @@ func (r *Router) pendingAddrs(i int) map[ip.Addr]struct{} {
 // RestoreLC returns a drained, down, or quarantined line card to
 // service: the partitioning is recomputed over the enlarged alive set
 // and swapped in two phases, after which the LC owns a ROT-partition
-// again. For a Down LC this restores the reborn shell (the slot's
-// goroutine keeps running across a crash), so no separate "replace card"
-// call is needed. For a Quarantined LC the swap rebuilds its engine from
-// the canonical table, which is exactly the manual repair path when
-// ScrubPolicy.AutoRepair is off.
+// again. For a Down LC this restores the shell its adoption revived, so
+// no separate "replace card" call is needed. For a Quarantined LC the swap
+// rebuilds its engine from the canonical table, which is exactly the manual
+// repair path when ScrubPolicy.AutoRepair is off.
 func (r *Router) RestoreLC(lc int) error {
 	if lc < 0 || lc >= r.cfg.NumLCs {
 		return fmt.Errorf("router: no such LC %d", lc)
@@ -433,7 +429,7 @@ func (r *Router) RestoreLC(lc int) error {
 	if st := l.state.Load(); st == LCHealthy || st == LCSuspect {
 		return fmt.Errorf("router: LC %d is %s, nothing to restore", lc, st)
 	}
-	l.lastBeat.Store(time.Now()) // fresh grace period before suspicion
+	l.lastBeat.Store(r.now()) // fresh grace period before suspicion
 	l.state.Store(LCHealthy)
 	part := partition.Subset(r.part.Full(), r.cfg.NumLCs, r.aliveLCsLocked())
 	if err := r.swapPartitioning(part); err != nil {

@@ -299,7 +299,7 @@ func TestLifecycleAdminErrors(t *testing.T) {
 
 // TestHeartbeatLossSuspectsButNeverDowns: a fabric that eats every
 // heartbeat pushes a *running* LC to Suspect — and no further, because
-// Down additionally requires the goroutine to have exited. Resumed beats
+// Down additionally requires the LC to have crashed. Resumed beats
 // heal the LC.
 func TestHeartbeatLossSuspectsButNeverDowns(t *testing.T) {
 	var eatBeats atomic.Bool
@@ -343,6 +343,55 @@ func TestHeartbeatLossSuspectsButNeverDowns(t *testing.T) {
 	}
 	if s.Sum(MetricRehomes) != 0 {
 		t.Errorf("rehomes = %v, want 0", s.Sum(MetricRehomes))
+	}
+}
+
+// TestHeartbeatClock: the monitor ages beats on the clock they were stamped
+// with, Router.now, and no other. The hour-long timeout keeps the monitor's
+// own ticker out; its period is run by hand against an injected clock. With
+// that clock frozen and real time passing nothing has aged, so no LC leaves
+// Healthy (stamped on one clock and aged on the wall's, all would go Suspect
+// — as they would for good after a wall-clock step). With it advanced past
+// DownAfter a killed LC is re-homed on the next check and the live ones, ticked
+// by the sweep first, stay Healthy; RestoreLC's grace period is stamped on the
+// same clock, so the restored LC is Healthy on the check after.
+func TestHeartbeatClock(t *testing.T) {
+	const suspectAfter, downAfter = 2 * time.Millisecond, 4 * time.Millisecond
+	r, err := New(rtable.Small(500, 5), WithLCs(3), WithRequestTimeout(time.Hour),
+		WithHealthThresholds(suspectAfter, downAfter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	frozen := r.now()
+	var ahead int64
+	r.clock = func() int64 { return frozen + ahead }
+	period := func(want ...LCState) {
+		t.Helper()
+		r.sweep()
+		r.healthCheck(r.now())
+		for i, st := range r.LCStates() {
+			if st != want[i] {
+				t.Fatalf("LC %d is %s, want %s; states %v", i, st, want[i], r.LCStates())
+			}
+		}
+	}
+	time.Sleep(3 * suspectAfter)
+	period(LCHealthy, LCHealthy, LCHealthy)
+	if n := r.suspects.Load(); n != 0 {
+		t.Errorf("%d Healthy→Suspect demotions with the router's clock standing still", n)
+	}
+
+	crash(t, r, 1)
+	period(LCHealthy, LCHealthy, LCHealthy) // crashed, but not silent for long enough
+	ahead = int64(time.Hour)
+	period(LCHealthy, LCDown, LCHealthy)
+	if err := r.RestoreLC(1); err != nil {
+		t.Fatal(err)
+	}
+	period(LCHealthy, LCHealthy, LCHealthy)
+	if n := r.suspects.Load(); n != 0 {
+		t.Errorf("%d Healthy→Suspect demotions, want none: every live LC is ticked before it is judged", n)
 	}
 }
 
@@ -523,22 +572,17 @@ func TestWaitersGauge(t *testing.T) {
 	})
 }
 
-// crash kills LC i and waits for its goroutine to exit: a corpse, until the
-// monitor adopts it.
+// crash kills LC i: a corpse, until the monitor adopts it.
 func crash(t *testing.T, r *Router, i int) {
 	t.Helper()
 	if err := r.KillLC(i); err != nil {
 		t.Fatal(err)
 	}
-	r.mu.Lock()
-	exited := r.life[i].exited
-	r.mu.Unlock()
-	<-exited
 }
 
 // TestControlSkipsDeadSlot: a control action aimed at a slot between its
 // crash and its adoption is skipped on the spot — never buffered for the
-// reborn incarnation to apply on top of what the adoption installs, and
+// revived slot to apply on top of what the adoption installs, and
 // never waited for. UpdateTable and ApplyUpdates both return while the slot
 // is still a corpse, and once it is adopted it serves the table as it is by
 // then, both changes in it.

@@ -138,7 +138,7 @@ const (
 	MetricInboxDepth = "spal_router_inbox_depth"
 	// MetricHandled splits an LC's handler runs by who ran them:
 	// path="inline" on the goroutine that held the message (the LC was
-	// idle), path="queued" on the LC's own goroutine via its inbox,
+	// idle), path="queued" from its inbox, by an owner on its way out,
 	// path="direct" by a requester that served its request at this idle home
 	// itself: one run for a request and a reply never sent. A growing queued
 	// share is contention pushing traffic off the run-to-completion path.
@@ -281,7 +281,7 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		}
 		s.Gauge(MetricInboxDepth, "Messages queued in this LC's bounded inbox.",
 			float64(len(r.inboxes[i])), lbl)
-		handledHelp := "Messages handled at this LC, by who ran the handler: inline on the sender's goroutine, queued through the LC's inbox, or direct: a request served by its requester holding this idle home's lock, request and reply never sent."
+		handledHelp := "Messages handled at this LC, by who ran the handler: inline on the sender's goroutine, queued through the LC's inbox (served by whoever holds its lock), or direct: a request served by its requester holding this idle home's lock, request and reply never sent."
 		s.Counter(MetricHandled, handledHelp, float64(lc.handledInline.Load()), lbl, metrics.L("path", "inline"))
 		s.Counter(MetricHandled, handledHelp, float64(lc.handledQueued.Load()), lbl, metrics.L("path", "queued"))
 		s.Counter(MetricHandled, handledHelp, float64(lc.handledDirect.Load()), lbl, metrics.L("path", "direct"))

@@ -360,7 +360,7 @@ func TestMetricsAfterStop(t *testing.T) {
 			t.Errorf("post-stop lookups = %v, want 50", s.Sum(MetricLookups))
 		}
 		checkLatencyCounts(t, r, s) // Stop recorded the inline hits left untimed
-		// Cache internals are unreachable once LC goroutines exit; the
+		// Cache internals are not read once the router has stopped; the
 		// snapshot simply omits them rather than blocking.
 		if _, ok := s.Value(cache.MetricProbes, metrics.L("lc", "0")); ok {
 			t.Log("note: cache counters present post-stop (send won a race); acceptable")

@@ -1,4 +1,4 @@
-// The per-LC inbox and its overload policy: admission, load shedding, an
+// The per-LC queue and its overload policy: admission, load shedding, an
 // adaptive per-LC retry budget, and per-home-LC circuit breakers.
 //
 // The paper sizes SPAL for line rate and treats the home LC's forwarding
@@ -40,9 +40,9 @@
 // buckets and breakers are mutated only by the LC's current owner (the
 // holder of lineCard.mu); Metrics reads atomic mirrors. Control (cache
 // flush, table swap, stats collection) bypasses admission entirely — its
-// caller takes the LC's lock, not a place in its inbox (see own) — so
+// caller takes the LC's lock, not a place in its queue (see own) — so
 // drain/kill/UpdateTable keep their no-lost-lookup guarantees under full
-// inboxes. Control may therefore overtake data that was sent before it.
+// queues. Control may therefore overtake data that was sent before it.
 package router
 
 import (
@@ -205,7 +205,7 @@ const (
 	shedReplyFull
 	// shedWaitlistOverflow: the per-address waitlist was at WaitlistCap.
 	shedWaitlistOverflow
-	// shedReplayDropped: a re-homed replay found the reborn slot's inbox
+	// shedReplayDropped: a re-homed replay found the adopted slot's inbox
 	// full; the parked caller received a ServedByShed verdict.
 	shedReplayDropped
 	numShedReasons
@@ -304,22 +304,20 @@ func (r *Router) shedCount(lc int, why shedReason) {
 
 // admit is the admission layer for a locally submitted lookup or batch
 // descriptor. An idle arrival LC runs it on the caller's goroutine
-// (runInline); otherwise it takes one inbox slot — a full inbox refuses
-// the whole batch. Without an overload policy, and under ShedBlock, the
-// caller waits for space, until ctx is cancelled or the router stops; the
-// drop modes refuse with ErrOverloaded instead.
+// (runInline); otherwise it takes one slot of the LC's queue (see queued) —
+// a full queue refuses the whole batch. Without an overload policy, and
+// under ShedBlock, the caller waits for space, until ctx is cancelled or the
+// router stops; the drop modes refuse with ErrOverloaded instead.
 func (r *Router) admit(ctx context.Context, lc int, m message) error {
 	if r.runInline(lc, m) {
 		return nil
 	}
-	backlog := &r.lcs[lc].backlog
-	backlog.Add(1)
 	if !r.ov.Enabled || r.ov.Mode == ShedBlock {
 		select {
 		case r.inboxes[lc] <- m:
+			r.queued(lc, 0)
 			return nil
 		case <-ctx.Done():
-			backlog.Add(-1)
 			return ctx.Err()
 		case <-r.quit:
 			return ErrStopped
@@ -327,12 +325,12 @@ func (r *Router) admit(ctx context.Context, lc int, m message) error {
 	}
 	select {
 	case r.inboxes[lc] <- m:
+		r.queued(lc, 0)
 		return nil
 	case <-r.quit:
 		return ErrStopped
 	default:
 	}
-	backlog.Add(-1)
 	r.shedCount(lc, shedInboxFull)
 	if m.tr != nil {
 		m.tr.Record(tracing.EvShed, int64(shedInboxFull), int64(lc))
@@ -356,29 +354,39 @@ func (r *Router) shedLocal(lc int, m message, why shedReason) {
 	r.deliver(m, Verdict{Addr: m.addr, ServedBy: ServedByShed})
 }
 
-// replaySend re-submits a lookup parked at a crashed LC into the reborn
-// slot's inbox. It runs on the health monitor with r.mu held. Without an
-// overload policy it waits for space like any caller (the reborn LC is
-// already draining its inbox, and LCs never block on each other). With
-// one it must not stall the monitor behind a flood: the replay is shed and
-// the parked caller receives a ServedByShed verdict — every lookup still
-// terminates, and the monitor stays free to keep re-homing.
+// replaySend re-submits a lookup parked at a crashed LC into the adopted
+// slot's queue, behind what buffered there. It runs on the health monitor
+// with r.mu held, and the monitor is the sweep: it must not wait for space
+// nobody else may come by to make. A full queue under an overload policy
+// sheds the replay and the parked caller receives a ServedByShed verdict —
+// every lookup still terminates. Without one no local lookup is ever shed:
+// the monitor takes the LC and runs the handler itself, ahead of the queue.
 func (r *Router) replaySend(lc int, m message) {
-	backlog := &r.lcs[lc].backlog
-	backlog.Add(1)
-	if !r.ov.Enabled {
-		select {
-		case r.inboxes[lc] <- m:
-		case <-r.quit:
-		}
-		return
-	}
 	select {
 	case r.inboxes[lc] <- m:
+		r.queued(lc, 0)
 	case <-r.quit:
 	default:
-		backlog.Add(-1)
-		r.shedLocal(lc, m, shedReplayDropped)
+		if r.ov.Enabled {
+			r.shedLocal(lc, m, shedReplayDropped)
+			return
+		}
+		r.own(lc, func(lc *lineCard) {
+			lc.handledInline.Add(1)
+			r.handle(lc, m)
+		})
+	}
+}
+
+// queued follows every push onto LC i's queue: the message is counted, and
+// its sender tries the lock once, to be the owner whose leave serves it if
+// whoever was in the way has gone (see leave). depth is the sender's nesting.
+func (r *Router) queued(i int, depth uint8) {
+	lc := r.lcs[i]
+	lc.backlog.Add(1)
+	if lc.mu.TryLock() {
+		lc.depth = depth
+		r.leave(lc, 0)
 	}
 }
 
@@ -471,9 +479,14 @@ func (r *Router) BreakerStates(lc int) []int32 {
 
 // deliverData is the final hop of a fabric send: it hands a request or
 // reply to the target LC without ever blocking the sender. An idle target
-// runs it right here (runInline); a busy one gets it through its inbox,
-// and a full inbox sheds the message (counted) — the requester-side
-// deadline machinery keeps the affected lookup terminating.
+// runs it right here (runInline); a busy one gets it through its queue,
+// and a full queue sheds the message (counted) — the requester-side
+// deadline machinery keeps the affected lookup terminating. A message
+// already maxInlineDepth hand-offs deep starts again on an empty stack, a
+// helper's (whose runInline is the one frame above it) — not through the
+// queue, which the frames of this very stack serve as they unwind: the
+// installer of a table swap would pick a request and its stale reply up
+// again and again, and the install that ends their chase never run.
 func (r *Router) deliverData(to int, m message) {
 	if (m.kind == mRequest || m.kind == mBatchRequest) && r.ov.Mode == ShedDropRemoteFirst {
 		// Soft limit: refuse remote work while headroom remains for
@@ -483,16 +496,19 @@ func (r *Router) deliverData(to int, m message) {
 			return
 		}
 	}
+	if m.depth > maxInlineDepth {
+		m.depth = 1
+		r.sendDelayed(to, m, 0)
+		return
+	}
 	if r.runInline(to, m) {
 		return
 	}
-	backlog := &r.lcs[to].backlog
-	backlog.Add(1)
 	select {
 	case r.inboxes[to] <- m:
+		r.queued(to, m.depth)
 	case <-r.quit:
 	default:
-		backlog.Add(-1)
 		if m.kind == mReply || m.kind == mBatchReply {
 			r.shedCount(to, shedReplyFull)
 		} else {

@@ -25,38 +25,20 @@ import (
 
 // gateLC wedges an idle LC the way a handler that does not return would,
 // until the returned release func is called (or the router stops), so tests
-// can fill its bounded inbox deterministically. It takes lc.mu, so nothing
-// runs inline at the LC, and parks the LC's own goroutine on that lock with
-// a message in hand, so nothing leaves the inbox either: an empty batch
-// request, which serves and answers nothing when it is handled at last.
+// can fill its bounded queue deterministically. It takes lc.mu: nothing runs
+// inline at the LC and nothing leaves its queue, until the hold ends the way
+// every ownership does, in leave, which serves what queued meanwhile.
 func gateLC(t *testing.T, r *Router, i int) (release func()) {
 	t.Helper()
-	lc, inbox := r.lcs[i], r.inboxes[i]
-	for parked := false; !parked; {
-		lc.mu.Lock()
-		r.push(i, message{kind: mBatchRequest})
-		// An lcLoop waiting in its select is handed the message directly. One
-		// that is not is about to take it — or is parked on this lock already,
-		// with a tick: then the message comes back out, the tick goes through,
-		// and the gate starts again.
-		for wait := 0; len(inbox) > 0 && wait < 100; wait++ {
-			time.Sleep(100 * time.Microsecond)
-		}
-		select {
-		case <-inbox:
-			lc.backlog.Add(-1)
-			lc.mu.Unlock()
-		default:
-			parked = true
-		}
-	}
+	lc := r.lcs[i]
+	lc.mu.Lock()
 	gate := make(chan struct{})
 	go func() {
 		select {
 		case <-gate:
 		case <-r.quit:
 		}
-		lc.mu.Unlock()
+		r.leave(lc, 0)
 	}()
 	var once sync.Once
 	return func() { once.Do(func() { close(gate) }) }
@@ -604,10 +586,13 @@ func TestOverloadSoak(t *testing.T) {
 		return ms.HeapAlloc
 	}
 
-	// Open-loop drive: per LC, a feeder submits lookups as fast as
-	// admission allows while a collector verifies verdicts behind it, so
-	// the offered rate is decoupled from the service rate and the
-	// bounded inbox is the actual bottleneck.
+	// Open-loop drive: per LC, two feeders submit lookups as fast as
+	// admission allows while a collector each verifies verdicts behind
+	// them, so the offered rate is decoupled from the service rate and the
+	// bounded queue is the actual bottleneck. Two, because one cannot
+	// overload its own LC: a submitter that finds a backlog and the lock
+	// free is the LC, and serves the backlog before it submits again —
+	// backpressure, not shedding.
 	const dur = 1500 * time.Millisecond
 	type inflight struct {
 		addr ip.Addr
@@ -617,13 +602,14 @@ func TestOverloadSoak(t *testing.T) {
 	var wrong atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for lc := 0; lc < 2; lc++ {
+	for feeder := 0; feeder < 4; feeder++ {
+		lc := feeder % 2
 		queue := make(chan inflight, 4096)
 		wg.Add(2)
 		go func(lc int, queue chan<- inflight) {
 			defer wg.Done()
 			defer close(queue)
-			rng := stats.NewRNG(uint64(lc) * 77)
+			rng := stats.NewRNG(uint64(feeder) * 77)
 			for {
 				select {
 				case <-stop:

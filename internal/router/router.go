@@ -1,7 +1,7 @@
 // Package router is a working concurrent implementation of a SPAL router:
-// one goroutine per line card, each owning its ROT-partition forwarding
-// engine and its LR-cache, exchanging lookup requests and replies over
-// channels that play the switching fabric's role.
+// one lock and one bounded queue per line card, each card holding its
+// ROT-partition forwarding engine and its LR-cache, exchanging lookup
+// requests and replies as messages that play the switching fabric's role.
 //
 // Where package sim models timing (cycles, queues, fabric latency), this
 // package provides the functional forwarding plane a downstream user would
@@ -18,35 +18,37 @@
 // them in the shared internal/metrics vocabulary, ready for Prometheus
 // export; see metrics.go.
 //
-// Concurrency design: run to completion. Each line card's cache, engine
-// and waitlists are single-owner state, and the owner is whoever holds
-// lineCard.mu — not a particular goroutine. A goroutine that holds a
-// message for an LC (a caller submitting a lookup, an LC handing a fabric
-// request or reply to a peer) runs that LC's handler itself when the LC
-// is idle: nothing sent to it is still unhandled, its lock is free, and
-// an incarnation owns the slot (see runInline). A cache hit is then one
-// TryLock, one probe and one Unlock on the caller's goroutine, and a
-// remote miss whose home is idle too a function call made holding both
-// locks (see direct), with no message. Otherwise the message takes the LC's
-// one queued way in, exactly like the paper's line card behind its finite
-// fabric queues: a bounded inbox, drained in FIFO order by the LC's own
-// goroutine (lcLoop), which takes the same lock around every handler.
-// Which of the two runs a handler is decided by observable state only,
-// never by a setting, and it is the same handler either way. Control — a
-// flush, a table swap, an update batch, a scrape — is not a message at
+// Concurrency design: run to completion, and no goroutine per line card.
+// Each line card's cache, engine and waitlists are single-owner state, and
+// the owner is whoever holds lineCard.mu. A goroutine that holds a message
+// for an LC (a caller submitting a lookup, an LC's owner handing a fabric
+// request or reply to a peer) runs that LC's handler itself when the LC is
+// idle: nothing sent to it is still unhandled, its lock is free, and it is
+// live (see runInline). A cache hit is then one TryLock, one probe and one
+// Unlock on the caller's goroutine, and a remote miss whose home is idle
+// too a function call made holding both locks (see direct), with no
+// message. Otherwise the message takes the LC's one queued way in, exactly
+// like the paper's line card behind its finite fabric queues: a bounded
+// queue, served in FIFO order by whoever holds the lock, on its way out
+// (see leave) — the owner that was in the way, or the sender itself if the
+// lock has come free. Who runs a handler is decided by observable state
+// only, never by a setting, and it is the same handler either way. Control
+// — a flush, a table swap, an update batch, a scrape — is not a message at
 // all: its caller waits for the LC's lock and does the work itself (see
-// own), so it lands however full the inbox is.
+// own), so it takes effect however full the queue is. The router's one
+// goroutine is the health monitor (healthLoop), which also owns every LC
+// once a tick for what no caller came by to do.
 //
 // Two rules keep this deadlock-free. A goroutine that holds one LC's lock
 // takes another's only by TryLock, so none waits for a lock while holding
 // one (nor sends anything while holding two); and a handler never delivers
 // a fabric message while holding its own lock — it queues it on the LC's
 // outbox, delivered by whoever ran the handler after unlocking (see
-// leave). A caller submitting a lookup blocks while the inbox is full; an
+// leave). A caller submitting a lookup blocks while the queue is full; an
 // LC sending to a peer never does — a fabric message that finds the peer
-// busy and its inbox full is shed (and counted), and the requester's
+// busy and its queue full is shed (and counted), and the requester's
 // deadline machinery below recovers the lookup, so mutually-full LCs cannot
-// deadlock. WithOverload layers a policy on the same inbox: refuse rather
+// deadlock. WithOverload layers a policy on the same queue: refuse rather
 // than block at admission, retry budgets, circuit breakers (overload.go).
 //
 // Failure model: the paper assumes a lossless fabric; this package does
@@ -122,7 +124,7 @@ type config struct {
 	// RequestTimeout is the per-attempt deadline on a fabric lookup
 	// request; an unanswered request is retried (with exponential
 	// backoff) once the deadline passes. Zero selects the default
-	// (50ms); deadlines are checked by a coarse per-LC ticker, so expiry
+	// (50ms); deadlines are checked by a coarse per-LC tick, so expiry
 	// is detected within about a quarter-timeout of the deadline.
 	RequestTimeout time.Duration
 	// MaxRetries bounds how many times a timed-out request is re-sent
@@ -133,9 +135,9 @@ type config struct {
 	// SuspectAfter is how long an LC may go without a recorded heartbeat
 	// before the health monitor demotes it to LCSuspect. Zero selects the
 	// default (one RequestTimeout, i.e. ~3 missed beats of the
-	// timeout/4 ticker).
+	// timeout/4 tick).
 	SuspectAfter time.Duration
-	// DownAfter is how long a *crashed* LC (goroutine exited) may go
+	// DownAfter is how long a *crashed* LC (not live) may go
 	// silent before it is declared LCDown and its partition is re-homed.
 	// Zero selects the default (2× RequestTimeout); values below
 	// SuspectAfter are raised to it.
@@ -309,13 +311,13 @@ type fabricSend struct {
 type lineCard struct {
 	id int
 
-	// mu is the ownership of everything down to outbox: whoever holds it —
-	// the slot's lcLoop incarnation, a goroutine running a handler inline
-	// (runInline), an arrival LC's owner asking this home directly (direct), a
-	// control caller (own), or the health monitor adopting a crashed slot — is
-	// the LC for that long. Lock order is Router.mu → lineCard.mu; no handler
-	// takes Router.mu, nothing blocks while holding mu, and a goroutine that
-	// holds one LC's mu takes another's only by TryLock.
+	// mu is the ownership of everything down to outbox: whoever holds it — a
+	// goroutine running a handler inline (runInline), an arrival LC's owner
+	// asking this home directly (direct), a control caller (own), or the health
+	// monitor sweeping or adopting a crashed slot — is the LC for that long, and
+	// gives it up through leave, which serves the queue. Lock order is Router.mu
+	// → lineCard.mu; no handler takes Router.mu, nothing blocks while holding
+	// mu, and a goroutine that holds one LC's mu takes another's only by TryLock.
 	mu      sync.Mutex
 	engine  lpm.Engine
 	cache   *cache.Cache
@@ -330,14 +332,15 @@ type lineCard struct {
 	gen   uint64
 	stats *LCStats
 	// scratch is this LC's reusable batch workspace (miss collection,
-	// batched FE results, per-home fabric accumulators), surviving across
-	// slot incarnations. See batch.go.
+	// batched FE results, per-home fabric accumulators), surviving a crash
+	// and its adoption. See batch.go.
 	scratch *lcScratch
 	// hedge is this LC's hedge budget (see gray.go): spent by ticker
 	// hedges, refilled by successful fabric round trips.
 	hedge tokenBucket
-	// lastTick is when tick last ran here, from the lcLoop ticker or from
-	// an owner that found it due on its way out (see leave).
+	// lastTick is when tick last ran here: an owner that finds it due runs it
+	// on its way out (see leave), the health monitor's sweep being the owner
+	// that comes by when nobody else does.
 	lastTick int64
 	// done lists the local lookups answered since this ownership began, for
 	// leave to time with one clock reading (see finish).
@@ -361,24 +364,25 @@ type lineCard struct {
 	// backing array is reused.
 	outbox []fabricSend
 	// depth is how many inline runs are nested on this owner's stack above
-	// the handler now running: zero for lcLoop and for a caller entering
-	// with its own lookup, the message's depth for runInline. post stamps
-	// depth+1 on what the handler sends, and runInline refuses past
+	// the handler now running: zero for a caller entering with its own lookup,
+	// a control caller and the monitor, the message's depth for runInline; what
+	// an owner serves from the queue runs at the depth it had. post stamps
+	// depth+1 on what the handler sends, and deliverData nests nothing past
 	// maxInlineDepth, which bounds the nesting whatever the protocol does.
 	depth uint8
 
 	// Everything below is atomic and may be touched without mu.
 
-	// live is true while an lcLoop incarnation owns the slot and has not
-	// been told to die; only a live LC runs handlers inline. KillLC clears
-	// it (without waiting for mu, which a wedged handler may hold), the
-	// incarnation clears it on exit, rehomeLocked sets it under mu once it
-	// has adopted the corpse.
+	// live is false from a crash to its adoption, and once the router has
+	// stopped: only a live LC runs handlers, inline or from its queue, so what
+	// arrives meanwhile buffers. KillLC clears it (without waiting for mu,
+	// which a wedged handler may hold), rehomeLocked sets it under mu once it
+	// has adopted the corpse, Stop clears every one.
 	live atomic.Bool
-	// backlog counts messages sent to this LC's inbox and not yet handled.
-	// The channel's len() cannot stand in for it: a send to a parked lcLoop
-	// hands the message over directly and leaves the length zero while the
-	// message is still unhandled.
+	// backlog counts the messages in this LC's queue, each added after its push
+	// and taken off, under mu, with its receive: an owner that reads it non-zero
+	// finds a message, and a sender that has counted has pushed. Hand-offs are
+	// decided on it (see enter and leave), never on the channel's len().
 	backlog atomic.Int32
 	// Handler runs by who ran them (spal_router_handled_total); handledDirect:
 	// requests their requester's owner served here, no message sent (see direct).
@@ -408,11 +412,11 @@ type fallbackEngine struct {
 // Router is a running SPAL forwarding plane.
 type Router struct {
 	cfg     config
-	inboxes []chan message // bounded inboxes, one per LC: the only channel into it
+	inboxes []chan message // bounded queues, one per LC: the only queued way in, received from only when non-empty
 	quit    chan struct{}
 	stopped atomic.Bool
-	wg      sync.WaitGroup
-	delayWG sync.WaitGroup // goroutines holding injector-delayed messages
+	wg      sync.WaitGroup // healthLoop
+	delayWG sync.WaitGroup // goroutines holding a delayed or too deeply nested message
 	delayMu sync.Mutex     // orders delayWG.Add against Stop setting stopped
 	lcs     []*lineCard
 	stats   []*LCStats
@@ -600,9 +604,9 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	}
 	r.baselineRepl = r.part.Stats().Replication
 	r.lastRebalance = time.Now()
-	// Build every per-LC structure before starting any goroutine: the LC
-	// loops index r.life from their first tick, so the slices must
-	// never be appended to (reallocated) once a goroutine is running.
+	// Build every per-LC structure before starting the monitor: it indexes
+	// the slices from its first tick, so they must never be appended to
+	// (reallocated) once it is running.
 	now := r.now()
 	hashSeed := rand.Uint64() // per router: see pendingTable
 	for i := 0; i < cfg.NumLCs; i++ {
@@ -619,7 +623,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 		lc.live.Store(true)
 		if cfg.CacheEnabled {
 			// NewErr turns a mis-sized cache (an operator flag) into a
-			// construction error instead of a panic; no goroutine is
+			// construction error instead of a panic; the monitor is not
 			// running yet, so bailing out here leaks nothing.
 			cc := cfg.Cache
 			cc.Seed += uint64(i) * 31
@@ -635,18 +639,14 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 		r.scrub = append(r.scrub, &lcScrub{})
 		r.rtt = append(r.rtt, &lcRTT{ring: make([]int64, max(r.grayPol.Window, 1))})
 		r.gray = append(r.gray, &lcGray{})
-		life := &lcLife{die: make(chan struct{}), exited: make(chan struct{})}
-		life.lastBeat.Store(r.at(now))
-		// The inbox is the LC's queue, QueueDepth deep: that depth is the
-		// router's whole buffering budget.
+		life := &lcLife{}
+		life.lastBeat.Store(now)
+		// The LC's queue is QueueDepth deep: that depth is the router's whole
+		// buffering budget.
 		r.inboxes = append(r.inboxes, make(chan message, r.ov.QueueDepth))
 		r.lcs = append(r.lcs, lc)
 		r.stats = append(r.stats, lc.stats)
 		r.life = append(r.life, life)
-	}
-	for i := 0; i < cfg.NumLCs; i++ {
-		r.wg.Add(1)
-		go r.lcLoop(r.lcs[i], r.inboxes[i], r.life[i].die, r.life[i].exited)
 	}
 	r.wg.Add(1)
 	go r.healthLoop()
@@ -682,13 +682,13 @@ func (r *Router) sendFabric(to int, m message) {
 	}
 }
 
-// sendDelayed holds an injector-delayed copy of m on a helper goroutine —
-// in a function of its own, so that the closure captures this m and does not
-// move sendFabric's, every fabric message there is, to the heap. Stop waits
-// for the helpers after the LC goroutines exit and a helper bails out on
-// quit, so a delayed message cannot outlive the router; the sender may be
-// finishing an inline run while Stop is in progress, so joining delayWG is
-// ordered against Stop setting stopped (see there).
+// sendDelayed carries a copy of m to LC to on a helper goroutine, after the
+// delay an injector asked for or, with none, from an empty stack (see
+// deliverData) — in a function of its own, so that the closure captures this
+// m and does not move sendFabric's, every fabric message there is, to the
+// heap. Stop waits for the helpers and a helper bails out on quit, so a held
+// message cannot outlive the router; the sender may be finishing an inline run
+// while Stop is in progress, so joining delayWG is ordered against Stop's (see there).
 func (r *Router) sendDelayed(to int, m message, delay time.Duration) {
 	r.delayMu.Lock()
 	if r.stopped.Load() {
@@ -709,62 +709,16 @@ func (r *Router) sendDelayed(to int, m message, delay time.Duration) {
 	}()
 }
 
-// lcLoop is one incarnation of one line card: the goroutine that drains
-// the slot's inbox and, while nothing else does, drives its tick. It
-// takes lc.mu around every handler and every tick like any other owner
-// (see runInline). The tick is both the deadline clock for this LC's
-// outstanding fabric requests and its heartbeat — coarse (a quarter of
-// the request timeout) so the idle cost is negligible. die is the crash
-// switch (KillLC); exited announces this incarnation's death to the
-// health monitor, which may then adopt the lineCard and start a successor
-// incarnation (see lifecycle.go).
-func (r *Router) lcLoop(lc *lineCard, inbox <-chan message, die, exited chan struct{}) {
-	defer r.wg.Done()
-	defer close(exited)
-	defer lc.live.Store(false)
-	tick := time.NewTicker(r.tickEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case m := <-inbox:
-			lc.mu.Lock()
-			lc.handledQueued.Add(1)
-			r.handle(lc, m)
-			lc.backlog.Add(-1)
-			r.leave(lc, 0)
-		case <-tick.C:
-			// Not the tick's own timestamp: that is when it fired, and this
-			// goroutine may have waited a preemption quantum or more for a
-			// P since. Recording a late beat as an old one would take the
-			// heartbeat back behind the beats inline owners have stored
-			// meanwhile.
-			lc.mu.Lock()
-			r.tick(lc, r.now())
-			r.leave(lc, 0)
-		case <-die:
-			return
-		case <-r.quit:
-			return
-		}
-	}
-}
-
 // runInline is the run-to-completion hand-off, tried wherever a goroutine
 // holds a message for LC i: when the LC is idle — everything sent to it
-// so far has been handled, its lock is free, an incarnation owns the
-// slot — the calling goroutine becomes the LC for the length of m's
-// handler and reports true. Otherwise it reports false and the caller
-// queues m, so a backlogged, busy or killed LC sees its traffic through
-// the inbox in FIFO order. Only TryLock is used, so two LCs handing
-// messages to each other cannot deadlock.
-//
-// A message produced by an inline run is handled nested on that run's
-// stack, so one that is already maxInlineDepth hand-offs deep queues too:
-// the lcLoop that takes it starts again from an empty stack.
+// so far has been handled, its lock is free, it is live — the calling
+// goroutine becomes the LC for the length of m's handler and reports true.
+// Otherwise it reports false and the caller queues m, so a backlogged, busy
+// or killed LC sees its traffic through its queue in FIFO order. Only
+// TryLock is used, so two LCs handing messages to each other cannot
+// deadlock. A message produced by an inline run is handled nested on that
+// run's stack, at the depth it carries.
 func (r *Router) runInline(i int, m message) bool {
-	if m.depth > maxInlineDepth {
-		return false
-	}
 	lc := r.enter(i)
 	if lc == nil {
 		return false
@@ -789,7 +743,7 @@ func (r *Router) runInline(i int, m message) bool {
 func (r *Router) now() int64 { return r.clock() }
 
 // at is reading ns as a time.Time, for those that keep one: traces, and
-// the control plane's heartbeat and breaker state.
+// the control plane's breaker, scrub and gray state.
 func (r *Router) at(ns int64) time.Time { return r.born.Add(time.Duration(ns)) }
 
 // enter claims LC i for the calling goroutine if it is idle (see runInline);
@@ -800,9 +754,10 @@ func (r *Router) enter(i int) *lineCard {
 		return nil
 	}
 	if !lc.live.Load() {
-		// Killed or exited: the slot is a corpse awaiting adoption, and
-		// nothing is served from a corpse. Checked under the lock, which
-		// the adoption holds until the slot is live again.
+		// Killed (or the router has stopped): the slot is a corpse awaiting
+		// adoption, and nothing is served from a corpse — what is queued at it
+		// waits for the adoption's leave. Checked under the lock, which the
+		// adoption holds until the slot is live again.
 		lc.mu.Unlock()
 		return nil
 	}
@@ -814,10 +769,11 @@ func (r *Router) enter(i int) *lineCard {
 // install, an update batch, a scrape: a function run under the lock, not a
 // message. Where data may only TryLock, control waits: its caller holds no
 // LC's lock (at most Router.mu, which no handler takes), so the wait is one
-// handler run long and closes no cycle, and a mutex waiting longer than a
+// ownership long and closes no cycle, and a mutex waiting longer than a
 // millisecond is handed the lock ahead of callers that spin on TryLock.
 // The ownership ends like any other, in leave: what do posted crosses the
-// fabric once the lock is released. do must not take Router.mu, block, or
+// fabric once the lock is released, and what has queued is served, so do has
+// taken effect well before own returns. do must not take Router.mu, block, or
 // build an engine.
 func (r *Router) own(i int, do func(*lineCard)) {
 	lc := r.lcs[i]
@@ -847,43 +803,69 @@ func (r *Router) install(i int, do func(*lineCard)) (ran bool) {
 // local lookups (lc.done, lc.hitStart), or when now, a stamp the owner holds
 // already (its message's; zero for none), says a tick may be due. Ticks are due
 // work, not goroutine work: callers that never block can keep a P from the
-// LC goroutines for a whole preemption quantum, so an owner that knows the
+// monitor for a whole preemption quantum, so an owner that knows the
 // time runs the tick itself when one is due. The same reading then ends
 // every lookup the run answered, the tick's sweep included, before the lock
 // goes: whoever holds it next (a scrape, say) finds them recorded.
 // Then the outbox is taken, the lock released, and only then the messages
 // delivered: the peer may run them inline and answer straight back to
 // this LC, which it could not do while we held the lock.
+//
+// Last, the queue: whoever held the lock serves what was queued behind it. A
+// sender pushes, then counts (backlog.Add), then tries the lock once (queued);
+// an owner unlocks, then reads the count, and if it is not zero and TryLock
+// succeeds it is the owner again, at the depth it had, and handles what is
+// queued before it goes through all of the above once more. No message is
+// left parked at an idle live LC: a sender whose TryLock failed had counted
+// before it tried, and the owner it lost to reads the count after unlocking,
+// so that owner sees the message — or loses its own TryLock to a third party,
+// which has the same reading ahead of it. One leave serves at most QueueDepth
+// messages: a control caller holding Router.mu is not to be kept here by a
+// flood. What it leaves, and what a full queue kept a blocked sender from
+// pushing, is served by the next sender's try or the monitor's sweep; a
+// killed LC's queue by its adoption's leave.
 func (r *Router) leave(lc *lineCard, now int64) {
-	if len(lc.done) > 0 || lc.hitStart != 0 || (now != 0 && now-lc.lastTick >= int64(r.tickEvery)) {
-		now = r.now()
-		if now-lc.lastTick >= int64(r.tickEvery) {
-			r.tick(lc, now)
+	depth := lc.depth
+	for served := 0; ; {
+		if len(lc.done) > 0 || lc.hitStart != 0 || (now != 0 && now-lc.lastTick >= int64(r.tickEvery)) {
+			now = r.now()
+			if now-lc.lastTick >= int64(r.tickEvery) {
+				r.tick(lc, now)
+			}
+			if lc.hitStart != 0 { // a timed inline hit: what it took is the untimed ones' value too
+				lc.hitNS, lc.hitStart = now-lc.hitStart, 0
+				lc.foldHits()
+			}
+			lc.observeDone(now)
 		}
-		if lc.hitStart != 0 { // a timed inline hit: what it took is the untimed ones' value too
-			lc.hitNS, lc.hitStart = now-lc.hitStart, 0
-			lc.foldHits()
+		// What the run changed is published once, here: the gauges, and — every
+		// slot write and latency record before it — the batch countdown.
+		if n := int64(lc.pending.len()); n != lc.pendingDepth.Load() {
+			lc.pendingDepth.Store(n)
 		}
-		lc.observeDone(now)
+		if lc.nwaiters != lc.waiters.Load() {
+			lc.waiters.Store(lc.nwaiters)
+		}
+		if lc.resolvedBD != nil {
+			r.bdResolveN(lc.resolvedBD, lc.resolved)
+			lc.resolvedBD, lc.resolved = nil, 0
+		}
+		lc.depth = 0 // the next owner starts from its own stack
+		if len(lc.outbox) == 0 {
+			lc.mu.Unlock()
+		} else {
+			r.unlockAndFlush(lc)
+		}
+		if lc.backlog.Load() == 0 || served >= r.ov.QueueDepth || !lc.live.Load() || !lc.mu.TryLock() {
+			return
+		}
+		for lc.depth, now = depth, 0; served < r.ov.QueueDepth && lc.backlog.Load() != 0 && lc.live.Load(); served++ {
+			m := <-r.inboxes[lc.id] // counted, so pushed: it never blocks
+			lc.backlog.Add(-1)
+			lc.handledQueued.Add(1)
+			r.handle(lc, m)
+		}
 	}
-	// What the run changed is published once, here: the gauges, and — every
-	// slot write and latency record before it — the batch countdown.
-	if n := int64(lc.pending.len()); n != lc.pendingDepth.Load() {
-		lc.pendingDepth.Store(n)
-	}
-	if lc.nwaiters != lc.waiters.Load() {
-		lc.waiters.Store(lc.nwaiters)
-	}
-	if lc.resolvedBD != nil {
-		r.bdResolveN(lc.resolvedBD, lc.resolved)
-		lc.resolvedBD, lc.resolved = nil, 0
-	}
-	lc.depth = 0 // the next owner starts from its own stack
-	if len(lc.outbox) == 0 {
-		lc.mu.Unlock()
-		return
-	}
-	r.unlockAndFlush(lc)
 }
 
 // unlockAndFlush is leave's send-after-unlock half. The messages move to
@@ -912,8 +894,8 @@ func (lc *lineCard) post(to int, m message) {
 // deadline sweep over its waitlists. lc.mu must be held.
 func (r *Router) tick(lc *lineCard, now int64) {
 	lc.lastTick = now
+	r.beat(lc.id, now)
 	at := r.at(now)
-	r.beat(lc.id, at)
 	if r.ov.Enabled {
 		r.breakerTick(lc, at)
 	}
@@ -1178,6 +1160,7 @@ func (r *Router) direct(lc *lineCard, m *message, home int, now int64) (nh rtabl
 	if h == nil {
 		return
 	}
+	h.depth = lc.depth + 1 // for what leave may find queued at h meanwhile: this run nests on lc's
 	if h.homeOf(m.addr) != home || h.pending.get(m.addr) != nil || h.gen < lc.gen || now-h.lastTick >= int64(r.tickEvery) {
 		r.leave(h, 0)
 		return
@@ -1186,7 +1169,7 @@ func (r *Router) direct(lc *lineCard, m *message, home int, now int64) (nh rtabl
 	nh, ok, feNS, _ := r.serveNow(h, m.addr, remoteWaiter{}, 0) // a hit or a fresh miss, by the tests above
 	h.stats.RepliesSent.Add(1)
 	h.handledDirect.Add(1)
-	r.leave(h, 0) // nothing posted, no tick run: the lock goes and that is all
+	r.leave(h, 0) // nothing posted, no tick run: the lock goes, and what queued behind it is served
 	lc.stats.RequestsSent.Add(1)
 	r.replyArrived(lc, home, now)
 	lc.fill(m.addr, nh, cache.REM)
@@ -1755,8 +1738,9 @@ func (r *Router) stamp(m *message, i int) {
 	}
 }
 
-// LookupAsync submits a lookup and returns immediately with the channel
-// its verdict will arrive on (buffered; the router never blocks on it).
+// LookupAsync submits a lookup and returns the channel its verdict will
+// arrive on (buffered; the router never blocks on it) without waiting for
+// it, though an idle LC's handler, or a free LC's queue, is run by the caller.
 // Use it to keep many lookups in flight from one caller — the pattern a
 // real ingress pipeline uses.
 //
@@ -1968,8 +1952,9 @@ func (r *Router) rekey(lc *lineCard) {
 	}
 }
 
-// Stop shuts the router down and waits for every line-card goroutine to
-// exit. It is idempotent: the first call tears the router down, every
+// Stop shuts the router down and waits for its goroutines (the health
+// monitor, any helper holding a delayed message) to exit. It is idempotent:
+// the first call tears the router down, every
 // subsequent call is a no-op that returns after the teardown completes.
 // In-flight and future Lookup/LookupCtx/LookupBatch/UpdateTable calls
 // return ErrStopped; Metrics keeps returning the final counter values.
@@ -1984,12 +1969,15 @@ func (r *Router) Stop() {
 	r.delayMu.Unlock()
 	if first {
 		close(r.quit)
+		// No LC serves anything from here on: callers that never block would
+		// otherwise keep winning enter, and keep the P from Stop's waits.
+		for _, lc := range r.lcs {
+			lc.live.Store(false)
+		}
 	}
 	r.wg.Wait()
 	r.delayWG.Wait()
-	for _, lc := range r.lcs { // no scrape will own an LC again: record what one would have
-		lc.mu.Lock()
-		lc.foldHits()
-		lc.mu.Unlock()
+	for i := range r.lcs { // no scrape will own an LC again: record what one would have
+		r.own(i, (*lineCard).foldHits)
 	}
 }

@@ -11,8 +11,8 @@
 //     selected by a rotating cursor; for each, the authoritative verdict
 //     at the prefix's first address is computed from the LC's canonical
 //     partition table (rtable.LongestMatch — binary search, no trie
-//     build) and compared against the LC's live engine on the owning
-//     goroutine. P partition prefixes are therefore fully re-verified
+//     build) and compared against the LC's live engine under its
+//     lock. P partition prefixes are therefore fully re-verified
 //     every ceil(P/K) cycles, which bounds detection latency for any
 //     range-poisoning corruption of a table prefix.
 //

@@ -4,9 +4,9 @@
 // Ownership protocol (the reason tracing adds no locks): a LookupTrace
 // is created at the arrival LC and only ever appended to by whichever
 // goroutine currently owns the lookup's state — the holder of the
-// lineCard.mu of the LC whose message or waitlist carries it (its lcLoop,
-// an inline caller, or the health monitor adopting a crashed slot, see
-// lifecycle.go). Home-LC detail returns inside
+// lineCard.mu of the LC whose message or waitlist carries it (an inline
+// caller, an owner serving the queue, or the health monitor adopting a
+// crashed slot, see lifecycle.go). Home-LC detail returns inside
 // the reply message as plain integers (hops, FE nanoseconds), never as a
 // shared pointer.
 //

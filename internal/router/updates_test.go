@@ -848,7 +848,7 @@ func TestFallbackBatchAtomic(t *testing.T) {
 					}
 					reads[id].Add(1)
 					first.Do(warm.Done)
-					runtime.Gosched() // let the LC goroutines acknowledge the writer
+					runtime.Gosched() // let the writer have the P
 				}
 			}
 			wg.Add(4)

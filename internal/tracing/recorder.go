@@ -30,7 +30,7 @@ const defaultJournalSize = 1024
 
 // Recorder owns trace-id allocation, head sampling, the completed-trace
 // journal, and the structured-log sink. All methods are safe for
-// concurrent use from every LC goroutine; a nil *Recorder is a valid
+// concurrent use by every LC's owner; a nil *Recorder is a valid
 // receiver that records nothing (the tracing-disabled fast path).
 type Recorder struct {
 	threshold uint64 // sampling cut on a splitmix64 hash; 0 = head sampling off

@@ -5,7 +5,7 @@
 // verdict — as a single flat LookupTrace of fixed-size SpanEvents.
 //
 // The design constraints come from the router's concurrency model (one
-// goroutine per line card, no shared mutable state on the hot path):
+// owner per line card at a time, no shared mutable state on the hot path):
 //
 //   - A trace is owned by exactly one goroutine at a time. It is created
 //     at the arrival LC, rides the lookup message to that LC's goroutine,

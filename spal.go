@@ -11,8 +11,8 @@
 //   - Partition / SelectBits: the table-fragmentation algorithm itself;
 //   - Simulate: the paper's trace-driven cycle simulator (Sec. 5), used by
 //     the benchmarks that regenerate every figure;
-//   - NewRouter: a working concurrent forwarding plane (goroutine per line
-//     card) built from the same parts.
+//   - NewRouter: a working concurrent forwarding plane (a lock and a queue
+//     per line card) built from the same parts.
 //
 // Sub-packages under internal/ hold the substrates: the DP, Lulea, LC and
 // 24/8 longest-prefix-matching engines, the LR-cache with its M/W bits and
