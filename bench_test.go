@@ -1,6 +1,7 @@
-// Benchmark harness: one benchmark per table/figure of the paper (the
+// Root benchmarks: one per table/figure of the paper (the
 // Benchmark*Fig*/Benchmark*Sec* functions regenerate and log the figure's
-// rows at bench scale) plus microbenchmarks of the substrates.
+// rows at bench scale) plus microbenchmarks of the substrates. Perf claims
+// are not made from these but from benchmark/ (BENCHMARK.json).
 //
 // Run everything:
 //

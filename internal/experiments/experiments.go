@@ -98,6 +98,10 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
+// CSVFile is the table as spal-bench -o writes it and figures/*.csv hold
+// it: the title as a leading '#' comment line, then CSV.
+func (t *Table) CSVFile() string { return "# " + t.Title + "\n" + t.CSV() }
+
 // Scale selects experiment fidelity: Full matches the paper's parameters
 // (RT_1/RT_2-sized tables, 300k packets per LC); Quick shrinks both for CI
 // and unit tests while preserving every qualitative shape.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -304,6 +306,31 @@ func TestCSVRendering(t *testing.T) {
 	want := "a,b\n1,\"has,comma\"\n2,\"has\"\"quote\"\n# n1\n"
 	if got != want {
 		t.Errorf("CSV = %q, want %q", got, want)
+	}
+}
+
+// figures/*.csv are what the code draws: the committed curves are the
+// simulator's equivalence oracle (ROADMAP 3(3)), so a result that moves
+// must move them in the same commit.
+func TestCommittedFiguresCurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three Quick-scale sweeps, ~6 s")
+	}
+	for _, name := range []string{"fig4", "fig5", "fig6"} {
+		run, _ := Get(name)
+		tbl, err := run(Quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("..", "..", "figures", name+".csv")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tbl.CSVFile(); got != string(want) {
+			t.Errorf("%s is not what %s draws at Quick; if the change is meant, refresh it and read git diff:\n\tgo run ./cmd/spal-bench -exp %s -scale quick -o figures",
+				path, name, name)
+		}
 	}
 }
 

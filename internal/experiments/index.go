@@ -10,9 +10,8 @@ func wrapInfallible(f func(Scale) *Table) Runner {
 }
 
 // index is the canonical experiment registry in presentation order.
-// cmd/spal-bench and the perf-grid harness (internal/bench) both resolve
-// experiment names here, so a new experiment only needs one registration
-// to be runnable, plottable, and grid-schedulable.
+// cmd/spal-bench resolves experiment names here, so a new experiment
+// needs one registration to be runnable and plottable.
 var index = []struct {
 	name string
 	run  Runner

@@ -9,9 +9,7 @@ import (
 // Process-gauge families. They describe the Go process hosting the
 // router, not the data plane itself, so they are opt-in: nothing in the
 // default Router.Metrics snapshot emits them (golden-file tests pin
-// that), and the perf-grid harness samples the same values around each
-// benchmark cell so CI artifacts and the /metrics endpoint speak one
-// vocabulary.
+// that).
 const (
 	MetricProcGoroutines  = "spal_process_goroutines"
 	MetricProcHeapBytes   = "spal_process_heap_bytes"
@@ -32,15 +30,14 @@ var procNames = []string{
 	"/gc/heap/objects:objects",
 }
 
-// ProcessUsage is one point-in-time reading of the process gauges the
-// perf harness records per benchmark repeat.
+// ProcessUsage is one point-in-time reading of the process gauges.
 type ProcessUsage struct {
-	Goroutines  int     `json:"goroutines"`
-	HeapBytes   uint64  `json:"heap_bytes"`
-	GCPauseNS   float64 `json:"gc_pause_ns_total"`
-	GCCycles    uint64  `json:"gc_cycles_total"`
-	AllocBytes  uint64  `json:"allocated_bytes_total"`
-	LiveObjects uint64  `json:"live_objects"`
+	Goroutines  int
+	HeapBytes   uint64
+	GCPauseNS   float64
+	GCCycles    uint64
+	AllocBytes  uint64
+	LiveObjects uint64
 }
 
 // ReadProcess samples the runtime: goroutine count, live heap bytes and

@@ -363,7 +363,10 @@ func TestHeartbeatClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Stop()
-	frozen := r.now()
+	// The frozen clock starts at the reading New stamped every LC's first
+	// beat with: a reading taken here instead would already be a beat's age
+	// later, more than suspectAfter when a busy host takes the CPU away.
+	frozen := r.life[0].lastBeat.Load()
 	var ahead int64
 	r.clock = func() int64 { return frozen + ahead }
 	period := func(want ...LCState) {

@@ -1,7 +1,6 @@
 // Package stats provides the deterministic random-number generator and the
-// light-weight statistics primitives (running means, histograms,
-// percentiles) shared by the trace generator, the routing-table synthesizer,
-// and the cycle simulator.
+// exact-percentile histogram shared by the trace generator, the
+// routing-table synthesizer, and the cycle simulator.
 //
 // All randomness in the repository flows through RNG so that every
 // experiment is reproducible from a single seed.

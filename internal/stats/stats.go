@@ -5,64 +5,6 @@ import (
 	"math"
 )
 
-// Mean is a running mean/variance accumulator (Welford's algorithm), used
-// for per-packet lookup latencies where storing every sample would be
-// wasteful.
-type Mean struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one sample.
-func (m *Mean) Add(x float64) {
-	m.n++
-	if m.n == 1 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-// N returns the number of samples recorded.
-func (m *Mean) N() int64 { return m.n }
-
-// Mean returns the arithmetic mean of the samples (0 when empty).
-func (m *Mean) Mean() float64 { return m.mean }
-
-// Var returns the population variance of the samples.
-func (m *Mean) Var() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// Std returns the population standard deviation.
-func (m *Mean) Std() float64 { return math.Sqrt(m.Var()) }
-
-// Min returns the smallest sample (0 when empty).
-func (m *Mean) Min() float64 { return m.min }
-
-// Max returns the largest sample (0 when empty).
-func (m *Mean) Max() float64 { return m.max }
-
-// String summarizes the accumulator for log lines.
-func (m *Mean) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.0f max=%.0f",
-		m.n, m.Mean(), m.Std(), m.min, m.max)
-}
-
 // Hist is an integer-valued histogram with unit-width bins up to a cap;
 // samples at or above the cap land in the overflow bin. It retains enough
 // to compute exact percentiles for bounded metrics such as lookup cycles.
