@@ -1,7 +1,10 @@
 package lulea
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"sync"
 	"testing"
 
@@ -188,6 +191,28 @@ func TestMaskRegistry(t *testing.T) {
 		if headIndex(0, slot) != 0 {
 			t.Error("zero mask must count no heads")
 		}
+	}
+	// The array marks exactly the zero mask and the enumerated masks legal,
+	// with ids in ascending mask order.
+	want := []uint16{0}
+	for _, m := range enumerateMasks(16) {
+		if !slices.Contains(want, uint16(m)) {
+			want = append(want, uint16(m))
+		}
+	}
+	slices.Sort(want)
+	var legal []uint16
+	for m, id := range maskTable {
+		if id == illegalMask {
+			continue
+		}
+		if int(id) != len(legal) {
+			t.Fatalf("mask %016b has id %d, want %d", m, id, len(legal))
+		}
+		legal = append(legal, uint16(m))
+	}
+	if !slices.Equal(legal, want) {
+		t.Fatalf("%d legal masks, want the %d enumerated", len(legal), len(want))
 	}
 	// An illegal mask (head at slot 3 without one at slot 0) panics.
 	defer func() {
@@ -471,6 +496,40 @@ func TestRealBytes(t *testing.T) {
 		}
 		if cap(tr.slab) != len(tr.slab) {
 			t.Errorf("table %d: slab keeps %d words of slack", i, cap(tr.slab)-len(tr.slab))
+		}
+	}
+}
+
+// TestBuildGolden pins what New builds for RT2 and its ψ = 4 partitions —
+// code1, ptrs1, slab, MemoryBytes and the chunk counts, by FNV-64a hash —
+// as the map-backed maptable built them.
+func TestBuildGolden(t *testing.T) {
+	full := rtable.RT2()
+	parts := partition.Partition(full, 4)
+	tables := []*rtable.Table{full}
+	for lc := 0; lc < 4; lc++ {
+		tables = append(tables, parts.Table(lc))
+	}
+	want := []uint64{0x3a762613f8f295b9, 0x35db663f5f20124f, 0xd1883cf1377bcca8, 0xb2061fd98d1ae9e8, 0x56c4ea6e32f90faf}
+	for i, tbl := range tables {
+		tr := New(tbl)
+		h := fnv.New64a()
+		put := func(v uint32) { h.Write(binary.LittleEndian.AppendUint32(nil, v)) }
+		for _, w := range tr.code1 {
+			put(w)
+		}
+		for _, p := range tr.ptrs1 {
+			put(uint32(p))
+		}
+		for _, w := range tr.slab {
+			put(w)
+		}
+		l2, l3 := tr.Chunks()
+		put(uint32(tr.MemoryBytes()))
+		put(uint32(l2))
+		put(uint32(l3))
+		if got := h.Sum64(); got != want[i] {
+			t.Errorf("table %d: build hash %#x, want %#x", i, got, want[i])
 		}
 	}
 }

@@ -21,10 +21,14 @@ import (
 
 type maskID uint16
 
+// illegalMask is maskTable's entry for a mask no pruned tree produces.
+const illegalMask = ^maskID(0)
+
 var (
-	// maskTable maps each legal mask to its id; ids are assigned in
-	// ascending mask order with id 0 reserved for the zero mask.
-	maskTable map[uint16]maskID
+	// maskTable maps every 16-bit mask to its id, or to illegalMask; ids
+	// are assigned in ascending mask order with id 0 reserved for the zero
+	// mask.
+	maskTable [1 << 16]maskID
 	// headCount[id][slot] = heads at positions <= slot within the word.
 	headCount [][16]uint8
 )
@@ -60,7 +64,9 @@ func init() {
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
-	maskTable = make(map[uint16]maskID, len(sorted)+1)
+	for m := range maskTable {
+		maskTable[m] = illegalMask
+	}
 	headCount = make([][16]uint8, len(sorted)+1)
 	maskTable[0] = 0 // zero mask: word fully covered by a wider leaf
 	for i, m := range sorted {
@@ -79,8 +85,8 @@ func MaskCount() int { return len(headCount) }
 // idOf returns the maptable id for a mask, panicking on an illegal mask —
 // that would mean head marking violated the complete-tree property.
 func idOf(mask uint16) maskID {
-	id, ok := maskTable[mask]
-	if !ok {
+	id := maskTable[mask]
+	if id == illegalMask {
 		panic(fmt.Sprintf("lulea: mask %016b is not a complete-prune mask", mask))
 	}
 	return id

@@ -30,6 +30,7 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
 
 	"spal/internal/ip"
 	"spal/internal/rtable"
@@ -268,58 +269,65 @@ func SelectBits(t *rtable.Table, eta int) []int {
 	// will be replicated across ROT-partitions.
 	groups := [][]ip.Prefix{t.Prefixes()}
 	var chosen []int
-	used := make(map[int]bool)
+	var used [32]bool
 	for k := 0; k < eta; k++ {
-		bestBit := -1
-		bestTotal := 0
-		bestSpread := 0
-		for pos := 0; pos < 32; pos++ {
-			if used[pos] {
-				continue
-			}
-			total, spread := scoreBit(groups, pos)
-			if bestBit < 0 || total < bestTotal ||
-				(total == bestTotal && spread < bestSpread) {
-				bestBit, bestTotal, bestSpread = pos, total, spread
+		scores, best := scoreBits(groups), -1
+		for pos, s := range scores {
+			if !used[pos] && (best < 0 || s.less(scores[best])) {
+				best = pos
 			}
 		}
-		chosen = append(chosen, bestBit)
-		used[bestBit] = true
-		groups = splitGroups(groups, bestBit)
+		chosen = append(chosen, best)
+		used[best] = true
+		if k < eta-1 {
+			groups = splitGroups(groups, best)
+		}
 	}
 	return chosen
 }
 
-// scoreBit evaluates splitting every current group at bit pos: total is
-// the prefix count after the split (criterion 1: Σ (Φ + Φ*)); spread is
+// bitScore rates splitting every current group at one bit: total is the
+// prefix count after the split (criterion 1: Σ (Φ + Φ*)); spread is
 // max−min over the resulting subgroup sizes (criterion 2 generalized).
-func scoreBit(groups [][]ip.Prefix, pos int) (total, spread int) {
-	minSz, maxSz := -1, 0
-	for _, g := range groups {
-		var n0, n1, nStar int
+type bitScore struct{ total, spread int }
+
+// less orders candidates: lower total first, then lower spread. Ties go to
+// the lower bit position, the order SelectBits scans them in.
+func (s bitScore) less(o bitScore) bool {
+	return s.total < o.total || (s.total == o.total && s.spread < o.spread)
+}
+
+// scoreBits scores all 32 bit positions in one pass over each group. A
+// prefix is "*" at every position from its length on, so a histogram of
+// lengths gives Φ* at each position; its set bits below its length add to
+// Φ1; and the 0-side subgroup, Φ0 + Φ*, is the rest: |g| − Φ1.
+func scoreBits(groups [][]ip.Prefix) [32]bitScore {
+	var total, minSz, maxSz [32]int
+	for gi, g := range groups {
+		var lens [33]int
+		var n1 [32]int
 		for _, pr := range g {
-			b, known := pr.Bit(pos)
-			switch {
-			case !known:
-				nStar++
-			case b == 0:
-				n0++
-			default:
-				n1++
+			lens[pr.Len]++
+			for v := pr.Value & ip.Mask(pr.Len); v != 0; v &= v - 1 {
+				n1[31-bits.TrailingZeros32(v)]++
 			}
 		}
-		s0, s1 := n0+nStar, n1+nStar
-		total += s0 + s1
-		for _, sz := range [2]int{s0, s1} {
-			if minSz < 0 || sz < minSz {
-				minSz = sz
+		nStar := 0
+		for pos := range n1 {
+			nStar += lens[pos] // prefixes no longer than pos
+			s0, s1 := len(g)-n1[pos], n1[pos]+nStar
+			total[pos] += s0 + s1
+			if lo := min(s0, s1); gi == 0 || lo < minSz[pos] {
+				minSz[pos] = lo
 			}
-			if sz > maxSz {
-				maxSz = sz
-			}
+			maxSz[pos] = max(maxSz[pos], s0, s1)
 		}
 	}
-	return total, maxSz - minSz
+	var out [32]bitScore
+	for pos := range out {
+		out[pos] = bitScore{total[pos], maxSz[pos] - minSz[pos]}
+	}
+	return out
 }
 
 // splitGroups applies the chosen bit, doubling the group list. The new

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"spal/internal/ip"
@@ -104,19 +103,25 @@ func PresetConfig(p Preset) Config {
 type Pool struct {
 	addrs []ip.Addr
 	cdf   []float64
+	guide []int32 // see cutpoints
 }
 
+// guideSize is the number of cutpoints, a power of two so that u·guideSize
+// is exact for every u a draw uses. 2^13 int32s is 32 KiB a pool.
+const guideSize = 1 << 13
+
 // NewPool draws cfg.PoolSize destinations from tbl (each guaranteed to
-// match a route) and precomputes the Zipf CDF.
+// match a route) and precomputes the Zipf CDF. It panics when tbl matches
+// fewer distinct addresses than that.
 func NewPool(tbl *rtable.Table, cfg Config) *Pool {
 	if cfg.PoolSize <= 0 {
 		panic("trace: PoolSize must be positive")
 	}
-	rng := stats.NewRNG(cfg.Seed*0x9e37 + 1)
-	p := &Pool{
-		addrs: make([]ip.Addr, cfg.PoolSize),
-		cdf:   make([]float64, cfg.PoolSize),
+	if n := matchedAddrs(tbl); n < uint64(cfg.PoolSize) {
+		panic(fmt.Sprintf("trace: the table matches %d distinct addresses, fewer than PoolSize %d", n, cfg.PoolSize))
 	}
+	rng := stats.NewRNG(cfg.Seed*0x9e37 + 1)
+	p := &Pool{addrs: make([]ip.Addr, cfg.PoolSize)}
 	seen := make(map[ip.Addr]bool, cfg.PoolSize)
 	for i := range p.addrs {
 		a := tbl.RandomMatchedAddr(rng)
@@ -126,28 +131,70 @@ func NewPool(tbl *rtable.Table, cfg Config) *Pool {
 		seen[a] = true
 		p.addrs[i] = a
 	}
-	// Zipf CDF over ranks 1..N. Rank order is the draw order, which is
-	// already random, so no extra shuffle is needed.
-	sum := 0.0
-	for i := range p.cdf {
-		sum += math.Pow(float64(i+1), -cfg.ZipfS)
-		p.cdf[i] = sum
-	}
-	for i := range p.cdf {
-		p.cdf[i] /= sum
-	}
+	// Rank order is the draw order, which is already random, so no extra
+	// shuffle is needed.
+	p.cdf = zipfCDF(cfg.PoolSize, cfg.ZipfS)
+	p.guide = cutpoints(p.cdf)
 	return p
+}
+
+// matchedAddrs counts the addresses some route of tbl matches: the union
+// of the routes' spans, in one pass over them in ascending start order.
+func matchedAddrs(tbl *rtable.Table) uint64 {
+	var n, end uint64 // end: one past the highest address counted
+	for _, r := range tbl.Routes() {
+		lo, hi := uint64(r.Prefix.FirstAddr()), uint64(r.Prefix.LastAddr())+1
+		if hi > end {
+			n += hi - max(lo, end)
+			end = hi
+		}
+	}
+	return n
+}
+
+// zipfCDF is the Zipf CDF over ranks 1..n: popularity of rank r ∝ r^-s.
+func zipfCDF(n int, s float64) []float64 {
+	cdf := make([]float64, n)
+	sum := 0.0
+	for i := range cdf {
+		sum += math.Pow(float64(i+1), -s)
+		cdf[i] = sum
+	}
+	for i := range cdf {
+		cdf[i] /= sum
+	}
+	return cdf
+}
+
+// cutpoints is Chen & Asau's guide table: guide[k] is the smallest rank i
+// with cdf[i] >= k/guideSize (the last rank if none is). A draw u has
+// k/guideSize <= u for k = floor(u·guideSize), so no rank below guide[k]
+// can be its answer and the scan from there is short.
+func cutpoints(cdf []float64) []int32 {
+	guide := make([]int32, guideSize)
+	i := 0
+	for k := range guide {
+		for i < len(cdf)-1 && cdf[i] < float64(k)/guideSize {
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return guide
 }
 
 // Size returns the pool population.
 func (p *Pool) Size() int { return len(p.addrs) }
 
 // drawIndex samples one popularity rank.
-func (p *Pool) drawIndex(rng *stats.RNG) int {
-	u := rng.Float64()
-	i := sort.SearchFloat64s(p.cdf, u)
-	if i >= len(p.addrs) {
-		i = len(p.addrs) - 1
+func (p *Pool) drawIndex(rng *stats.RNG) int { return p.index(rng.Float64()) }
+
+// index is the rank u in [0, 1) selects: the smallest i with cdf[i] >= u,
+// the last rank if none is — exactly sort.SearchFloat64s(cdf, u) clamped,
+// found from u's cutpoint instead of by bisection.
+func (p *Pool) index(u float64) int {
+	i := int(p.guide[int(u*guideSize)])
+	for i < len(p.cdf)-1 && p.cdf[i] < u {
+		i++
 	}
 	return i
 }

@@ -2,11 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
 	"spal/internal/ip"
 	"spal/internal/rtable"
+	"spal/internal/stats"
 )
 
 func testPool(t *testing.T, cfg Config) (*Pool, *rtable.Table) {
@@ -246,4 +251,103 @@ func TestNewPoolPanicsOnZeroSize(t *testing.T) {
 		}
 	}()
 	NewPool(rtable.Small(10, 1), Config{PoolSize: 0})
+}
+
+// A table that matches fewer distinct addresses than the pool holds used
+// to make NewPool redraw forever; now it panics naming both counts. One
+// that matches exactly enough still fills the pool.
+func TestNewPoolPanicsOnTooFewAddrs(t *testing.T) {
+	tbl := rtable.New([]rtable.Route{
+		{Prefix: ip.MustPrefix("10.0.0.0/24"), NextHop: 1},
+		{Prefix: ip.MustPrefix("10.0.0.128/25"), NextHop: 2}, // nested: adds no address
+		{Prefix: ip.MustPrefix("10.0.1.7/32"), NextHop: 3},
+	})
+	if n := matchedAddrs(tbl); n != 257 {
+		t.Fatalf("matchedAddrs = %d, want 257", n)
+	}
+	if p := NewPool(tbl, Config{PoolSize: 257, ZipfS: 1, Seed: 1}); p.Size() != 257 {
+		t.Fatalf("Size = %d, want 257", p.Size())
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "257") || !strings.Contains(msg, "24000") {
+			t.Errorf("panic %q, want one naming 257 addresses and PoolSize 24000", msg)
+		}
+	}()
+	NewPool(tbl, PresetConfig(D75))
+}
+
+// TestPoolDrawMatchesSearch holds the guide-table draw to the bisection it
+// replaced, sort.SearchFloat64s clamped to the last rank, at every CDF
+// value, its neighbours either side, both ends of [0, 1) and 10^6 random
+// draws, for the five presets and pool sizes around guideSize.
+func TestPoolDrawMatchesSearch(t *testing.T) {
+	search := func(cdf []float64, u float64) int {
+		return min(sort.SearchFloat64s(cdf, u), len(cdf)-1)
+	}
+	type shape struct {
+		n int
+		s float64
+	}
+	var shapes []shape
+	for _, p := range Presets {
+		cfg := PresetConfig(p)
+		shapes = append(shapes, shape{cfg.PoolSize, cfg.ZipfS})
+	}
+	for _, n := range []int{1, 2, 3, guideSize - 1, guideSize, guideSize + 1, 65537} {
+		shapes = append(shapes, shape{n, PresetConfig(D75).ZipfS})
+	}
+	rng := stats.NewRNG(1)
+	for _, sh := range shapes {
+		cdf := zipfCDF(sh.n, sh.s)
+		p := &Pool{cdf: cdf, guide: cutpoints(cdf)}
+		us := []float64{0, 1 - 0x1p-53}
+		for _, c := range cdf {
+			us = append(us, c, math.Nextafter(c, 0), math.Nextafter(c, 2))
+		}
+		for i := 0; i < 1e6; i++ {
+			us = append(us, rng.Float64())
+		}
+		for _, u := range us {
+			if u < 0 || u >= 1 {
+				continue
+			}
+			if got, want := p.index(u), search(cdf, u); got != want {
+				t.Fatalf("n=%d s=%v u=%v: index %d, search %d", sh.n, sh.s, u, got, want)
+			}
+		}
+	}
+}
+
+// TestStreamGolden pins the first 2^20 addresses of every preset's stream
+// (salt 0) over RT2 and a small table by their FNV-64a hash, as the
+// bisection draw produced them before the guide table replaced it.
+func TestStreamGolden(t *testing.T) {
+	want := map[string]map[Preset]uint64{
+		"RT2": {
+			D75: 0x6121f9cc4a4257b9, D81: 0x36249a4b67cbbf4b, L920: 0x2839bf93bbcff208,
+			L921: 0xe1b31692a487c040, BL: 0x2ede0d491a77e783,
+		},
+		"Small(5000,1)": {
+			D75: 0x1a8af8eda222b57f, D81: 0x321e47d529fb8e38, L920: 0xa5089edeb349868d,
+			L921: 0xe9b830bbb985a904, BL: 0xdfe331e737d48b4e,
+		},
+	}
+	tables := map[string]*rtable.Table{"RT2": rtable.RT2(), "Small(5000,1)": rtable.Small(5000, 1)}
+	for name, tbl := range tables {
+		for _, p := range Presets {
+			cfg := PresetConfig(p)
+			src := NewSynthetic(NewPool(tbl, cfg), cfg, 0)
+			h := fnv.New64a()
+			var b [4]byte
+			for i := 0; i < 1<<20; i++ {
+				a, _ := src.Next()
+				binary.BigEndian.PutUint32(b[:], uint32(a))
+				h.Write(b[:])
+			}
+			if got := h.Sum64(); got != want[name][p] {
+				t.Errorf("%s %s: stream hash %#x, want %#x", name, p, got, want[name][p])
+			}
+		}
+	}
 }

@@ -13,7 +13,9 @@
 # yardsticks are not comparable). "unresolved" rows — the runs spread wider
 # than the bound and their quartiles overlap — are printed and do not fail:
 # a shared runner produces them, above all at few or short rounds; read
-# them as "cannot tell", not as "unchanged".
+# them as "cannot tell", not as "unchanged". The runs are also summarized
+# into .bench_build/pair/summary.json, the shape of a committed
+# BENCH_<pr>.json (scripts/bench/summarize).
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 base="${1:?usage: pair.sh BASE [rounds] [seconds]}" rounds="${2:-10}" seconds="${3:-12}"
@@ -37,6 +39,7 @@ for ((round = 1; round <= rounds; round++)); do
 		done
 	done
 done
+go run ./scripts/bench/summarize "$out/base.jsonl" "$out/head.jsonl" >"$out/summary.json"
 # -compare exits 1 on a row that is not "ok", either kind; 2 is an error.
 status=0
 bash benchmark/run.sh -compare "$out/base.jsonl" "$out/head.jsonl" | tee "$out/compare.txt" || status=$?
