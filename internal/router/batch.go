@@ -1,29 +1,37 @@
 // The batched data plane: one pooled descriptor per LookupBatch call
-// instead of N messages and N reply channels, and one coalesced fabric
-// message per destination home LC per batch instead of one per address.
+// instead of N messages and N reply channels, and one exchange per
+// destination home LC per batch instead of one per address.
 //
 // Submission: LookupBatchInto copies the addresses into a batchDesc
 // drawn from a sync.Pool and sends a single mBatch message at the
 // arrival LC. The descriptor carries a verdict array indexed by
 // submission position and an atomic countdown of unresolved slots;
 // whoever resolves the last slot signals the (buffered) done channel.
-// Steady state a batch allocates two fabric payloads per remote home it
-// reaches (request and reply, see fabricRow) and nothing else: descriptor,
-// arrays, LC scratch and waitlists all recycle.
+// Steady state a batch allocates nothing when every remote home it
+// reaches is idle, and two fabric payloads (request and reply, see
+// fabricRow) per home that is not: descriptor, arrays, LC scratch and
+// waitlists all recycle.
 //
 // Inside the arrival LC, handleBatch classifies every address in one
 // pass: cache hits resolve inline; addresses with an in-flight miss
 // coalesce onto the existing waitlist as batch waiters (a localWaiter
 // whose bd/slot point back into the descriptor); same-home misses are
 // collected and resolved with one batched engine sweep after the scan —
-// no waitlist, no W block, no allocation; remote misses take the one
-// miss path (park, routeFor, then deadline/retry/fallback/re-home) and
-// only their fabric requests differ: they accumulate per home LC and go
-// out as a single mBatchRequest each when the scan ends. That
-// turns the fabric cost of a ψ-way scattered batch from O(addresses)
-// messages into O(ψ): the per-message constant (channel send, select
-// wakeup, injector call) is paid once per home instead of once per
-// address.
+// no waitlist, no W block, no allocation. A remote miss reserves its W
+// block and is held, unparked, for its home (a later row with the same
+// address joins it); after the sweep each home is asked once. An idle
+// home is asked by call, as a single lookup's is (direct): batchDirect
+// takes its lock too and serveRows — the home's side of every batch
+// exchange — answers the held rows on the caller's stack, with no
+// waitlist, pending entry, payload or reply scatter. Whatever stands in the
+// way (directable, askDirect, a row the home has in flight or no longer
+// homes) sends the rows concerned down the one miss path (park, routeFor,
+// then deadline/retry/fallback/re-home), whose fabric requests accumulate
+// per home LC and go out as a single mBatchRequest each. Either way the
+// cost of a ψ-way scattered batch is O(ψ) exchanges, not O(addresses)
+// messages: the per-exchange constant (channel send, select wakeup,
+// injector call, or the second lock) is paid once per home instead of
+// once per address.
 //
 // Cancellation: a caller whose context fires flips the descriptor's state
 // to abandoned and walks away; the last in-flight sub-lookup to land
@@ -141,21 +149,56 @@ type fabricRow struct {
 	ok      bool
 }
 
+// heldRow is a remote miss a batch holds for a direct exchange with its home:
+// the slot it answers, its trace, how many later rows of the batch share its
+// address (heldDup), and whether an exchange has answered it.
+type heldRow struct {
+	tr       *tracing.LookupTrace
+	slot     int32
+	dups     int32
+	answered bool
+}
+
+// heldDup is a later row of a batch whose address row row of home's held rows
+// already has: it joins that row, as joinLocal joins a waitlist.
+type heldDup struct {
+	tr              *tracing.LookupTrace
+	home, row, slot int32
+}
+
+// rowAnswer is a home's answer to row row of an exchange (see serveRows).
+type rowAnswer struct {
+	row int32
+	nh  rtable.NextHop
+	ok  bool
+}
+
 // lcScratch is a line card's private batch workspace, allocated once and
-// reused across batches: the pending local-FE sweep (addrs/slots/trs/res)
-// and the per-home fabric accumulators (byHome, indexed by LC id; homes
-// lists the active ones), each copied into its payload at send.
+// reused across batches: the pending local-FE sweep (addrs/slots/trs/res);
+// per home LC (indexed by LC id; homes lists the ones a batch reaches) the
+// rows held for a direct exchange — ask, the request's rows should it become
+// one, and held, who waits on each — and the fabric request accumulated
+// (byHome, copied into its payload at send); the held rows' duplicates; and
+// the answers of the exchange in progress (serveRows).
 type lcScratch struct {
-	addrs  []ip.Addr
-	slots  []int32
-	trs    []*tracing.LookupTrace
-	res    []lpm.Result
-	byHome [][]fabricRow
-	homes  []int
+	addrs   []ip.Addr
+	slots   []int32
+	trs     []*tracing.LookupTrace
+	res     []lpm.Result
+	ask     [][]fabricRow
+	held    [][]heldRow
+	byHome  [][]fabricRow
+	homes   []int
+	dups    []heldDup
+	answers []rowAnswer
 }
 
 func newLCScratch(numLCs int) *lcScratch {
-	return &lcScratch{byHome: make([][]fabricRow, numLCs)}
+	return &lcScratch{
+		ask:    make([][]fabricRow, numLCs),
+		held:   make([][]heldRow, numLCs),
+		byHome: make([][]fabricRow, numLCs),
+	}
 }
 
 // resetSweep clears the local-FE collection arrays, dropping trace
@@ -167,6 +210,35 @@ func (sc *lcScratch) resetSweep() {
 	sc.trs = sc.trs[:0]
 }
 
+// reach lists home among the homes this batch reaches, the first time.
+func (sc *lcScratch) reach(home int) {
+	if len(sc.ask[home]) == 0 && len(sc.byHome[home]) == 0 {
+		sc.homes = append(sc.homes, home)
+	}
+}
+
+// resetHomes empties the per-home lists and the duplicates, dropping trace
+// pointers, once every home has had its exchange.
+func (sc *lcScratch) resetHomes() {
+	for _, home := range sc.homes {
+		clear(sc.held[home])
+		sc.ask[home], sc.held[home], sc.byHome[home] = sc.ask[home][:0], sc.held[home][:0], sc.byHome[home][:0]
+	}
+	sc.homes = sc.homes[:0]
+	clear(sc.dups)
+	sc.dups = sc.dups[:0]
+}
+
+// heldIndex is the index of addr among home's held rows, -1 if none.
+func (sc *lcScratch) heldIndex(home int, addr ip.Addr) int {
+	for k, row := range sc.ask[home] {
+		if row.addr == addr {
+			return k
+		}
+	}
+	return -1
+}
+
 // LookupBatch pipelines a whole slice of destinations at one line card
 // and returns the verdicts in submission order; see LookupBatchCtx for
 // the ordering guarantee.
@@ -175,9 +247,10 @@ func (r *Router) LookupBatch(lc int, addrs []ip.Addr) ([]Verdict, error) {
 }
 
 // LookupBatchInto is LookupBatchCtx writing into a caller-provided verdict
-// slice (len(out) >= len(addrs)); warm, it allocates nothing but two fabric
-// payloads per remote home reached. On error the contents of out are
-// unspecified. The positional guarantee holds: out[i] answers addrs[i].
+// slice (len(out) >= len(addrs)); warm, it allocates nothing when the remote
+// homes it reaches are idle, and two fabric payloads per home that is busy.
+// On error the contents of out are unspecified. The positional guarantee
+// holds: out[i] answers addrs[i].
 func (r *Router) LookupBatchInto(ctx context.Context, lc int, addrs []ip.Addr, out []Verdict) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -212,16 +285,17 @@ func (r *Router) LookupBatchInto(ctx context.Context, lc int, addrs []ip.Addr, o
 
 // handleBatch classifies a batch at its arrival LC: inline cache hits,
 // waitlist coalescing, a single batched FE sweep for same-home misses,
-// and one accumulated fabric request per remote home LC.
+// and one exchange per remote home LC — a call when the home is idle
+// (batchDirect), else one accumulated fabric request.
 func (r *Router) handleBatch(lc *lineCard, m message) {
 	bd := m.bd
 	sc := lc.scratch
 	lc.stats.Lookups.Add(int64(len(bd.addrs)))
 	lc.stats.Batches.Add(1)
 	now := r.now()
-	// Slots this run resolves itself — cache hits, then the same-home sweep —
-	// are counted here and published once, after the fabric posts.
-	hits := 0
+	// Slots this run resolves itself — cache hits, the same-home sweep, the
+	// direct exchanges — are counted here and published once, at the end.
+	hits, bypassed := 0, false
 	for i, addr := range bd.addrs {
 		slot := int32(i)
 		var tr *tracing.LookupTrace
@@ -270,12 +344,20 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 			sc.trs = append(sc.trs, tr)
 			continue
 		}
-		// Remote miss: park a waitlist and let routeFor decide and arm it, so
-		// the shared robustness machinery (checkDeadlines, re-homing,
-		// breakers, ejection) treats batch sub-lookups like any single lookup
-		// — only the fabric send is deferred into the per-home accumulator.
+		// Remote miss. A row held for its home already has the address — its
+		// W block is what the probe hit, or there is none to hit — and this
+		// one joins it, as it would join that row's waitlist.
+		if len(sc.ask[home]) > 0 && (probeKind == cache.HitWaiting || lc.cache == nil || bypassed) {
+			if k := sc.heldIndex(home, addr); k >= 0 {
+				tr.Record(tracing.EvProbe, int64(probeKind), 0)
+				sc.held[home][k].dups++
+				sc.dups = append(sc.dups, heldDup{tr: tr, home: int32(home), row: int32(k), slot: slot})
+				continue
+			}
+		}
 		if lc.cache != nil {
 			recorded := lc.cache.Reserve(addr, cache.REM)
+			bypassed = bypassed || !recorded
 			if tr != nil {
 				tr.Record(tracing.EvProbe, int64(probeKind), int64(cache.REM))
 				if !recorded {
@@ -283,16 +365,14 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 				}
 			}
 		}
-		wl := r.park(lc, addr)
-		wl.tr = tr
-		lc.addLocal(wl, localWaiter{bd: bd, slot: slot, start: bd.start, tr: tr})
-		if !r.routeFor(lc, addr, home, wl, now) {
+		sc.reach(home)
+		if r.directable(lc, home) {
+			// Held, unparked, for the home's exchange after the sweep.
+			sc.ask[home] = append(sc.ask[home], fabricRow{addr: addr})
+			sc.held[home] = append(sc.held[home], heldRow{tr: tr, slot: slot})
 			continue
 		}
-		if len(sc.byHome[home]) == 0 {
-			sc.homes = append(sc.homes, home)
-		}
-		sc.byHome[home] = append(sc.byHome[home], fabricRow{addr: addr})
+		r.parkRow(lc, bd, addr, home, slot, tr, now)
 	}
 	// One engine sweep answers every same-home miss.
 	swept := len(sc.addrs)
@@ -311,20 +391,136 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 		}
 		sc.resetSweep()
 	}
-	// One fabric message per remote home with misses in this batch.
+	// One exchange per remote home with misses in this batch: a call for the
+	// rows an idle home answers, one fabric message for the rest.
+	direct := 0
 	for _, home := range sc.homes {
-		fb := slices.Clone(sc.byHome[home]) // the payload: one exact-size allocation
-		sc.byHome[home] = sc.byHome[home][:0]
-		lc.stats.RequestsSent.Add(1)
-		lc.stats.BatchRequestsSent.Add(1)
-		lc.post(home, message{kind: mBatchRequest, from: lc.id, epoch: lc.epoch, fb: fb, addr: fb[0].addr, start: now})
+		if len(sc.ask[home]) > 0 {
+			direct += r.batchDirect(lc, bd, home, now)
+		}
+		if len(sc.byHome[home]) > 0 {
+			fb := slices.Clone(sc.byHome[home]) // the payload: one exact-size allocation
+			lc.stats.RequestsSent.Add(1)
+			lc.stats.BatchRequestsSent.Add(1)
+			lc.post(home, message{kind: mBatchRequest, from: lc.id, epoch: lc.epoch, fb: fb, addr: fb[0].addr, start: now})
+		}
 	}
-	sc.homes = sc.homes[:0]
+	sc.resetHomes()
 	// The slot writes above precede this one RMW on the countdown, and the
 	// run's own share is subtracted last, so the batch cannot complete —
 	// and bd cannot be recycled — while this handler still reads it.
 	lc.stats.CacheHits.Add(int64(hits))
-	r.bdResolveN(bd, hits+swept)
+	r.bdResolveN(bd, hits+swept+direct)
+}
+
+// parkRow sends a batch's remote miss down the message path: it parks a
+// waitlist and lets routeFor decide and arm it, so the shared robustness
+// machinery (checkDeadlines, re-homing, breakers, ejection) treats batch
+// sub-lookups like any single lookup — only the fabric send is deferred, into
+// home's accumulated request.
+func (r *Router) parkRow(lc *lineCard, bd *batchDesc, addr ip.Addr, home int, slot int32, tr *tracing.LookupTrace, now int64) {
+	wl := r.park(lc, addr)
+	wl.tr = tr
+	lc.addLocal(wl, localWaiter{bd: bd, slot: slot, start: bd.start, tr: tr})
+	if r.routeFor(lc, addr, home, wl, now) {
+		sc := lc.scratch
+		sc.byHome[home] = append(sc.byHome[home], fabricRow{addr: addr})
+	}
+}
+
+// batchDirect is direct for the rows a batch holds for home: when home passes
+// askDirect, it answers every row it can (serveRows) on the caller's stack —
+// one exchange, counted as the batch request and reply it stands for — and
+// the arrival fills REM in the reply's row order and answers each row and its
+// duplicates as replyFor, release and joinLocal would have. The rows it did
+// not answer, or all of them, take the message path (parkRow), their
+// duplicates joining their waitlists. It reports the slots it answered.
+func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, now int64) (answered int) {
+	sc := lc.scratch
+	ask, held := sc.ask[home], sc.held[home]
+	ans := sc.answers[:0]
+	if h := r.askDirect(lc, home, now); h != nil {
+		if ans = r.serveRows(h, ask, nil, 0, ans); len(ans) > 0 {
+			h.stats.RepliesSent.Add(1)
+			h.stats.BatchRepliesSent.Add(1)
+			h.handledDirect.Add(1)
+		}
+		r.leave(h, 0)
+	}
+	if len(ans) > 0 {
+		lc.stats.RequestsSent.Add(1)
+		lc.stats.BatchRequestsSent.Add(1)
+		r.replyArrived(lc, home, now)
+	}
+	for _, a := range ans {
+		held[a.row].answered = true
+		answered += r.answerHeld(lc, bd, home, int(a.row), Verdict{Addr: ask[a.row].addr, NextHop: a.nh, OK: a.ok, ServedBy: ServedByRemote})
+	}
+	sc.answers = ans[:0]
+	if len(ans) == len(ask) {
+		return answered
+	}
+	for k, row := range ask {
+		if !held[k].answered {
+			r.parkRow(lc, bd, row.addr, home, held[k].slot, held[k].tr, now)
+		}
+	}
+	for _, d := range sc.dups {
+		if int(d.home) == home && !held[d.row].answered {
+			addr := ask[d.row].addr
+			r.joinLocal(lc, lc.pending.get(addr), &message{kind: mLookup, addr: addr, bd: bd, slot: d.slot, start: bd.start, tr: d.tr})
+		}
+	}
+	return answered
+}
+
+// answerHeld answers held row k of home and the duplicates that join it with
+// v: the events of a reply's intake on the row's waitlist trace (the first
+// traced of the row and its duplicates, as joinLocal picks it), the REM fill,
+// and each lookup's latency, trace and slot. It reports the slots answered; a
+// duplicate past the overload policy's waitlist cap is shed, as joinLocal
+// sheds it.
+func (r *Router) answerHeld(lc *lineCard, bd *batchDesc, home, k int, v Verdict) (answered int) {
+	w := &lc.scratch.held[home][k]
+	lc.fill(v.Addr, v.NextHop, cache.REM)
+	owner := w.tr
+	received := func(tr *tracing.LookupTrace) {
+		tr.Record(tracing.EvFabricRecv, int64(home), 0)
+		tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByRemote))
+	}
+	answer := func(tr *tracing.LookupTrace, slot int32) {
+		r.finish(lc, ServedByRemote, bd.start, traceID(tr))
+		r.finishTrace(tr, ServedByRemote, v.OK)
+		bd.out[slot] = v
+		answered++
+	}
+	if owner != nil {
+		owner.Record(tracing.EvFabricSend, int64(home), 1)
+		received(owner)
+	}
+	answer(w.tr, w.slot)
+	if w.dups == 0 {
+		return answered
+	}
+	joined := 1
+	for _, d := range lc.scratch.dups {
+		if int(d.home) != home || int(d.row) != k {
+			continue
+		}
+		if r.ov.Enabled && joined >= r.ov.WaitlistCap {
+			r.shedLocal(lc.id, message{kind: mLookup, addr: v.Addr, bd: bd, slot: d.slot, tr: d.tr}, shedWaitlistOverflow)
+			continue
+		}
+		lc.stats.Coalesced.Add(1)
+		d.tr.Record(tracing.EvCoalesce, int64(joined), 0)
+		joined++
+		if owner == nil && d.tr != nil {
+			owner = d.tr
+			received(owner)
+		}
+		answer(d.tr, d.slot)
+	}
+	return answered
 }
 
 // sweepFE runs this LC's engine over the addresses collected in its
@@ -349,41 +545,56 @@ func (r *Router) sweepFE(lc *lineCard) (res []lpm.Result, feNS int64) {
 	return res, r.elapsedNS(t0)
 }
 
-// handleBatchRequest serves a coalesced request at the home LC, address by
-// address like handleRequest (serveRequest), except that cache hits and
-// freshly computed results accumulate into one reply batch, sized from the
-// request, and the fresh misses share one FE sweep. Addresses already in
-// flight coalesce as remote waiters and ride individual replies instead
-// (their resolution happens later, outside this handler); re-homed
-// addresses are forwarded as individual requests.
-func (r *Router) handleBatchRequest(lc *lineCard, m message) {
+// serveRows is the home LC's half of a batch exchange, the one loop both ways
+// of asking share: a coalesced request (handleBatchRequest, rw its requester)
+// and a direct exchange (batchDirect, rw nil). Row by row like handleRequest
+// (serveRequest), every row the home has an answer for — a cache hit, or a
+// fresh miss, which one FE sweep answers and fills LOC — is appended to ans,
+// hits first and then the sweep's, each in row order: the reply's row order.
+// The rest are not answered here: asked by message, they joined a waitlist
+// or moved on (serveRequest); asked direct, they are left untouched.
+func (r *Router) serveRows(lc *lineCard, rows []fabricRow, rw *remoteWaiter, start int64, ans []rowAnswer) []rowAnswer {
 	sc := lc.scratch
-	rb := make([]fabricRow, 0, len(m.fb))
-	rw := remoteWaiter{from: m.from, epoch: m.epoch, gen: lc.gen}
-	for _, row := range m.fb {
-		hit, nh, fresh := r.serveRequest(lc, row.addr, rw, m.start)
+	for i, row := range rows {
+		hit, nh, fresh := r.serveRequest(lc, row.addr, rw, start)
 		switch {
 		case hit:
-			rb = append(rb, fabricRow{row.addr, nh, nh != rtable.NoNextHop})
+			ans = append(ans, rowAnswer{int32(i), nh, nh != rtable.NoNextHop})
 		case fresh:
 			sc.addrs = append(sc.addrs, row.addr)
+			sc.slots = append(sc.slots, int32(i))
 		}
 	}
 	if len(sc.addrs) > 0 {
-		res, _ := r.sweepFE(lc)
+		res, _ := r.sweepFE(lc) // batch-granular, and a batch's answer carries no FE timing
 		for k, addr := range sc.addrs {
 			lc.fill(addr, res[k].NextHop, cache.LOC)
-			rb = append(rb, fabricRow{addr, res[k].NextHop, res[k].OK})
+			ans = append(ans, rowAnswer{sc.slots[k], res[k].NextHop, res[k].OK})
 		}
-		sc.addrs = sc.addrs[:0]
+		sc.addrs, sc.slots = sc.addrs[:0], sc.slots[:0]
 	}
-	if len(rb) > 0 {
+	return ans
+}
+
+// handleBatchRequest serves a coalesced request at the home LC (serveRows)
+// and sends what it answered as one reply batch. Addresses already in flight
+// coalesce as remote waiters and ride individual replies instead (their
+// resolution happens later, outside this handler); re-homed addresses are
+// forwarded as individual requests.
+func (r *Router) handleBatchRequest(lc *lineCard, m message) {
+	sc := lc.scratch
+	rw := remoteWaiter{from: m.from, epoch: m.epoch, gen: lc.gen}
+	ans := r.serveRows(lc, m.fb, &rw, m.start, sc.answers[:0])
+	if len(ans) > 0 {
+		rb := make([]fabricRow, len(ans)) // the payload: one exact-size allocation
+		for k, a := range ans {
+			rb[k] = fabricRow{m.fb[a.row].addr, a.nh, a.ok}
+		}
 		lc.stats.RepliesSent.Add(1)
 		lc.stats.BatchRepliesSent.Add(1)
-		// Batch replies carry no per-address FE timing (feNS stays 0) —
-		// the home-side split isn't measured on this path.
 		lc.post(m.from, message{kind: mBatchReply, from: lc.id, epoch: m.epoch, gen: r.stampGen(lc, lc.gen), fb: rb, addr: rb[0].addr})
 	}
+	sc.answers = ans[:0]
 }
 
 // handleBatchReply scatters a coalesced reply back into the requester's

@@ -234,11 +234,11 @@ func TestLookupBatchCancelRecyclesDescriptor(t *testing.T) {
 }
 
 // TestLookupBatchSteadyStateAllocs is the batch plane's budget: once warm,
-// a batch served entirely from the LR-cache, and a batch resolved
-// entirely by the local home's batched FE sweep, must allocate nothing,
-// and a batch of cold addresses scattered over every home allocates its
-// fabric payloads — one request and one reply per remote home — and
-// nothing per address.
+// a batch served entirely from the LR-cache, a batch resolved entirely by
+// the local home's batched FE sweep, and a batch of cold addresses scattered
+// over idle homes (each exchange a call, batchDirect) must allocate nothing;
+// a home that is busy when the batch arrives costs its fabric payloads — one
+// request and one reply — and nothing per address.
 func TestLookupBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the zero-alloc gate runs in the non-race CI jobs")
@@ -286,11 +286,64 @@ func TestLookupBatchSteadyStateAllocs(t *testing.T) {
 		const lcs = 4
 		at := 0
 		fresh := func() []ip.Addr { at += batch; return pool[at-batch : at] }
-		n := measure(t, fresh, WithLCs(lcs), WithDefaultCache(), WithEngineName("lulea"))
-		if n > 2*(lcs-1) {
-			t.Errorf("cold batch over %d remote homes allocates %.2f/op, ceiling 2 per remote home", lcs-1, n)
+		if n := measure(t, fresh, WithLCs(lcs), WithDefaultCache(), WithEngineName("lulea")); n != 0 {
+			t.Errorf("cold batch over %d idle remote homes allocates %.2f/op, want 0: every exchange is a call", lcs-1, n)
+		}
+	})
+	t.Run("remote-home-busy", func(t *testing.T) {
+		// Every address homed at LC 1 of two, whose lock the test holds when
+		// the batch is submitted and gives up once the request is in its queue:
+		// the exchange is two messages, a request and a reply payload.
+		r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("lulea"), WithRequestTimeout(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Stop()
+		addrs := remoteAddrs(t, r, tbl, stats.NewRNG(5), 1, batch*(runs+warm+1))
+		h := r.lcs[1]
+		var held atomic.Bool
+		letGo := func() {
+			if held.CompareAndSwap(true, false) {
+				r.leave(h, 0)
+			}
+		}
+		defer letGo() // a failed run must not leave it locked for Stop
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() {
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if h.backlog.Load() > 0 {
+					letGo()
+				}
+				runtime.Gosched()
+			}
+		}()
+		at := 0
+		lookup := func() {
+			h.mu.Lock()
+			held.Store(true)
+			at += batch
+			if err := r.LookupBatchInto(context.Background(), 0, addrs[at-batch:at], out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < warm; i++ {
+			lookup()
+		}
+		before := handledDirect(r)
+		n := testing.AllocsPerRun(runs, lookup)
+		if n > 2 {
+			t.Errorf("cold batch to a busy remote home allocates %.2f/op, ceiling 2 per home", n)
 		}
 		t.Logf("%.2f allocs per batch", n)
+		if d := handledDirect(r) - before; d != 0 {
+			t.Errorf("%d exchanges with a held home were direct, want 0", d)
+		}
 	})
 }
 

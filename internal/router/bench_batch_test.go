@@ -265,6 +265,8 @@ func BenchmarkLookupMiss(b *testing.B) {
 // scattered over the homes of a ψ = 4 cached lulea router — the benchmark's
 // cold_batch in miniature. The pool is eight times the router's 4 × 4096
 // cache blocks, so an address is long evicted when its turn comes again.
+// The homes are idle, so every exchange is a call (batchDirect): 0 allocs/op
+// (CI gates on it).
 func BenchmarkLookupBatchColdRemote(b *testing.B) {
 	tbl := rtable.Small(2000, 7)
 	r := benchRouter(b, tbl, WithLCs(4), WithDefaultCache(), WithEngineName("lulea"))

@@ -6,6 +6,7 @@
 package router
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -625,21 +626,23 @@ func TestChaosInlineDepthBounded(t *testing.T) {
 }
 
 // TestHandledMetric reconciles spal_router_handled_total with the messages
-// the router handled: every lookup, fabric request and fabric reply is one
-// handler run, inline or queued, and which of the two follows from whether
-// the LC was idle — except that a request whose home was idle too is served
-// there by its requester, one direct run standing for the request and the
-// reply that were counted and never sent: inline + queued + 2·direct =
-// lookups + requests + replies, exactly. A scrape is no message and adds
-// nothing, however many there are.
+// the router handled: every lookup (a batch is one), fabric request and
+// fabric reply is one handler run, inline or queued, and which of the two
+// follows from whether the LC was idle — except that a request whose home was
+// idle too is served there by its requester, one direct run standing for the
+// request and the reply that were counted and never sent, a single lookup's
+// or a batch's: inline + queued + 2·direct = lookups + requests + replies,
+// exactly. A scrape is no message and adds nothing, however many there are.
 func TestHandledMetric(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	for _, tc := range []struct {
 		name  string
 		stall bool // LC 0 is wedged while the lookups arrive
+		batch bool // they arrive as batches of 64, each one handler run
 	}{
-		{"idle single caller", false},
-		{"stalled arrival LC", true},
+		{"idle single caller", false, false},
+		{"stalled arrival LC", true, false},
+		{"idle batch caller", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithRequestTimeout(time.Second))
@@ -657,13 +660,24 @@ func TestHandledMetric(t *testing.T) {
 
 			const n = 200
 			rng := stats.NewRNG(9)
-			chans := make([]<-chan Verdict, n)
-			for i := range chans {
-				if chans[i], err = r.LookupAsync(0, tbl.RandomMatchedAddr(rng)); err != nil {
-					t.Fatal(err)
+			var chans []<-chan Verdict
+			lookups := int64(n)
+			if tc.batch {
+				// At every LC in turn; an idle router asks each remote home by call.
+				out := make([]Verdict, 64)
+				for b := 0; b < n; b++ {
+					if err := r.LookupBatchInto(context.Background(), b%r.NumLCs(), batchAddrs(tbl, rng, len(out)), out); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				chans = make([]<-chan Verdict, n)
+				for i := range chans {
+					if chans[i], err = r.LookupAsync(0, tbl.RandomMatchedAddr(rng)); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			lookups := int64(n)
 			if tc.stall {
 				// Misses homed at the stalled LC, submitted at an idle one: their
 				// requests wait in its inbox like everything else sent there.

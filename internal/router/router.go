@@ -26,10 +26,11 @@
 // idle: nothing sent to it is still unhandled, its lock is free, and it is
 // live (see runInline). A cache hit is then one TryLock, one probe and one
 // Unlock on the caller's goroutine, and a remote miss whose home is idle
-// too a function call made holding both locks (see direct), with no
-// message. Otherwise the message takes the LC's one queued way in, exactly
-// like the paper's line card behind its finite fabric queues: a bounded
-// queue, served in FIFO order by whoever holds the lock, on its way out
+// too a function call made holding both locks (see direct; a batch's
+// misses, one call per home: batchDirect), with no message. Otherwise the
+// message takes the LC's one queued way in, exactly like the paper's line
+// card behind its finite fabric queues: a bounded queue, served in FIFO
+// order by whoever holds the lock, on its way out
 // (see leave) — the owner that was in the way, or the sender itself if the
 // lock has come free. Who runs a handler is decided by observable state
 // only, never by a setting, and it is the same handler either way. Control
@@ -1144,32 +1145,30 @@ func (r *Router) hand(m *message, inline bool, v Verdict) (Verdict, bool) {
 }
 
 // direct is a remote miss that does not wait: lc's owner takes addr's home too
-// if nothing stands between them — an injector (it must see every exchange as a
-// message), a breaker not closed, a pinned or ejected home (routeFor's calls) —
-// and the home is idle (enter), agrees it is the home, has no such miss in
-// flight, is not behind lc and has no tick due: a tick posts retries, and a
-// goroutine holding two LC locks sends nothing. Then it is both line cards and
-// the exchange is a call: the home's answer as handleRequest computes it,
-// counted as the request and reply it stands for, filled REM as replyFor would.
-// Any no leaves the home untouched and reports !done: the message path's.
+// if nothing stands between them (directable, askDirect) and the home agrees it
+// is the home and has no such miss in flight (serveRequest's direct asking).
+// Then it is both line cards and the exchange is a call: the home's answer as
+// handleRequest computes it, counted as the request and reply it stands for,
+// filled REM as replyFor would. Any no leaves the home untouched and reports
+// !done: the message path's. batchDirect is the same exchange for a batch's rows.
 func (r *Router) direct(lc *lineCard, m *message, home int, now int64) (nh rtable.NextHop, ok, done bool) {
-	if r.injector != nil || r.genPinned(home) || r.ov.Enabled && lc.ov.breakers[home].state.Load() != breakerClosed {
+	if !r.directable(lc, home) {
 		return
 	}
-	h := r.enter(home)
+	h := r.askDirect(lc, home, now)
 	if h == nil {
 		return
 	}
-	h.depth = lc.depth + 1 // for what leave may find queued at h meanwhile: this run nests on lc's
-	if h.homeOf(m.addr) != home || h.pending.get(m.addr) != nil || h.gen < lc.gen || now-h.lastTick >= int64(r.tickEvery) {
-		r.leave(h, 0)
+	nh, ok, feNS, answered := r.serveNow(h, m.addr, nil, 0)
+	if answered {
+		h.stats.RepliesSent.Add(1)
+		h.handledDirect.Add(1)
+	}
+	r.leave(h, 0) // nothing posted, no tick run: the lock goes, and what queued behind it is served
+	if !answered {
 		return
 	}
 	m.tr.Record(tracing.EvFabricSend, int64(home), 1)
-	nh, ok, feNS, _ := r.serveNow(h, m.addr, remoteWaiter{}, 0) // a hit or a fresh miss, by the tests above
-	h.stats.RepliesSent.Add(1)
-	h.handledDirect.Add(1)
-	r.leave(h, 0) // nothing posted, no tick run: the lock goes, and what queued behind it is served
 	lc.stats.RequestsSent.Add(1)
 	r.replyArrived(lc, home, now)
 	lc.fill(m.addr, nh, cache.REM)
@@ -1182,6 +1181,31 @@ func (r *Router) direct(lc *lineCard, m *message, home int, now int64) (nh rtabl
 		r.finishTrace(m.tr, ServedByRemote, ok)
 	}
 	return nh, ok, true
+}
+
+// directable reports whether nothing a direct exchange cannot get past stands
+// between lc and home: an injector (it must see every exchange as a message), a
+// pinned or ejected home, a breaker not closed (routeFor's calls). All of it
+// holds for as long as lc's owner does, short of a concurrent pin.
+func (r *Router) directable(lc *lineCard, home int) bool {
+	return r.injector == nil && !r.genPinned(home) && (!r.ov.Enabled || lc.ov.breakers[home].state.Load() == breakerClosed)
+}
+
+// askDirect makes lc's owner home's owner too, for a direct exchange, if home is
+// idle (enter), not behind lc and has no tick due: a tick posts retries, and a
+// goroutine holding two LC locks sends nothing. nil otherwise; the caller ends
+// the ownership with leave(h, 0).
+func (r *Router) askDirect(lc *lineCard, home int, now int64) *lineCard {
+	h := r.enter(home)
+	if h == nil {
+		return nil
+	}
+	h.depth = lc.depth + 1 // for what leave may find queued at h meanwhile: this run nests on lc's
+	if h.gen < lc.gen || now-h.lastTick >= int64(r.tickEvery) {
+		r.leave(h, 0)
+		return nil
+	}
+	return h
 }
 
 // needReply gives a lookup that has to wait — for a busy LC, a reply over the
@@ -1267,14 +1291,15 @@ const maxForwardHops = 4
 // reply: a hit from the cache, a fresh miss from an FE execution run now.
 func (r *Router) handleRequest(lc *lineCard, m message) {
 	rw := remoteWaiter{from: m.from, epoch: m.epoch, hops: m.hops, gen: lc.gen}
-	if nh, ok, feNS, answered := r.serveNow(lc, m.addr, rw, m.start); answered {
+	if nh, ok, feNS, answered := r.serveNow(lc, m.addr, &rw, m.start); answered {
 		r.sendReply(lc, rw, m.addr, nh, ok, feNS, lc.gen)
 	}
 }
 
 // serveNow is the single plane's serveRequest: a fresh miss runs the FE at once and fills
-// LOC, so the home has the answer when it returns (answered) or has passed the request on.
-func (r *Router) serveNow(lc *lineCard, addr ip.Addr, rw remoteWaiter, start int64) (nh rtable.NextHop, ok bool, feNS int64, answered bool) {
+// LOC, so the home has the answer when it returns (answered) or has passed the request on
+// (declined it, when asked direct).
+func (r *Router) serveNow(lc *lineCard, addr ip.Addr, rw *remoteWaiter, start int64) (nh rtable.NextHop, ok bool, feNS int64, answered bool) {
 	hit, nh, fresh := r.serveRequest(lc, addr, rw, start)
 	ok = nh != rtable.NoNextHop
 	if fresh {
@@ -1292,9 +1317,15 @@ func (r *Router) serveNow(lc *lineCard, addr ip.Addr, rw remoteWaiter, start int
 // and answers within its handler — nothing parks, and a duplicate request
 // finds the filled entry (cache-less, it runs the engine again). Everything
 // else is finished here: a request for an in-flight address joins its
-// waitlist, and one for an address this LC is no longer home of moves on.
-func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw remoteWaiter, start int64) (hit bool, nh rtable.NextHop, fresh bool) {
+// waitlist, and one for an address this LC is no longer home of moves on —
+// unless the home is asked direct (rw nil): a goroutine holding two LC locks
+// sends nothing and parks nobody, so such an address is reported neither hit
+// nor fresh, untouched (not even probed), and takes the message path.
+func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw *remoteWaiter, start int64) (hit bool, nh rtable.NextHop, fresh bool) {
 	if home := lc.homeOf(addr); home != lc.id {
+		if rw == nil {
+			return
+		}
 		// The address was re-homed while this request was in flight (a
 		// table update swapped the partitioning under it). Running LPM
 		// here would consult the wrong partition and could cache a bogus
@@ -1306,11 +1337,17 @@ func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw remoteWaiter, start
 			fnh, ok := r.fallbackLookup(addr)
 			// Answer from here without caching: this LC is not home, so
 			// the result must not enter its LOC quota.
-			r.sendReply(lc, rw, addr, fnh, ok, 0, lc.gen)
+			r.sendReply(lc, *rw, addr, fnh, ok, 0, lc.gen)
 			return
 		}
 		lc.stats.ForwardedRequests.Add(1)
 		lc.post(home, message{kind: mRequest, addr: addr, from: rw.from, epoch: rw.epoch, hops: rw.hops + 1, start: start})
+		return
+	}
+	// In flight here from before a swap made this LC the address's home, or
+	// hedged: never dispatch twice for one address.
+	wl := lc.pending.get(addr)
+	if wl != nil && rw == nil {
 		return
 	}
 	if lc.cache != nil {
@@ -1318,10 +1355,8 @@ func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw remoteWaiter, start
 			return true, res.NextHop, false
 		}
 	}
-	// In flight here from before a swap made this LC the address's home, or
-	// hedged: never dispatch twice for one address.
-	if wl := lc.pending.get(addr); wl != nil {
-		r.joinRemote(lc, wl, rw, addr)
+	if wl != nil {
+		r.joinRemote(lc, wl, *rw, addr)
 		return
 	}
 	return false, 0, true
