@@ -1,42 +1,22 @@
-// The batched data plane: one pooled descriptor per LookupBatch call
-// instead of N messages and N reply channels, and one exchange per
-// destination home LC per batch instead of one per address.
+// The miss path. Every miss past the arrival LC's probe — a LookupBatch
+// call's rows, or a single Lookup's, a batch of one — goes the one way
+// described here, and every fabric exchange is one mBatchRequest and one
+// mBatchReply, however many rows it carries.
 //
-// Submission: LookupBatchInto copies the addresses into a batchDesc
-// drawn from a sync.Pool and sends a single mBatch message at the
-// arrival LC. The descriptor carries a verdict array indexed by
-// submission position and an atomic countdown of unresolved slots;
-// whoever resolves the last slot signals the (buffered) done channel.
-// Steady state a batch allocates nothing when every remote home it
-// reaches is idle, and two fabric payloads (request and reply, see
-// fabricRow) per home that is not: descriptor, arrays, LC scratch and
-// waitlists all recycle.
+// A batch is one pooled descriptor (batchDesc): the addresses, a verdict
+// per submission position and a countdown of unresolved slots, whose last
+// resolver wakes the caller — or, if the caller has left (context, Stop),
+// returns it to the pool. A single lookup that has to wait waits on a
+// one-row descriptor.
 //
-// Inside the arrival LC, handleBatch classifies every address in one
-// pass: cache hits resolve inline; addresses with an in-flight miss
-// coalesce onto the existing waitlist as batch waiters (a localWaiter
-// whose bd/slot point back into the descriptor); same-home misses are
-// collected and resolved with one batched engine sweep after the scan —
-// no waitlist, no W block, no allocation. A remote miss reserves its W
-// block and is held, unparked, for its home (a later row with the same
-// address joins it); after the sweep each home is asked once. An idle
-// home is asked by call, as a single lookup's is (direct): batchDirect
-// takes its lock too and serveRows — the home's side of every batch
-// exchange — answers the held rows on the caller's stack, with no
-// waitlist, pending entry, payload or reply scatter. Whatever stands in the
-// way (directable, askDirect, a row the home has in flight or no longer
-// homes) sends the rows concerned down the one miss path (park, routeFor,
-// then deadline/retry/fallback/re-home), whose fabric requests accumulate
-// per home LC and go out as a single mBatchRequest each. Either way the
-// cost of a ψ-way scattered batch is O(ψ) exchanges, not O(addresses)
-// messages: the per-exchange constant (channel send, select wakeup,
-// injector call, or the second lock) is paid once per home instead of
-// once per address.
-//
-// Cancellation: a caller whose context fires flips the descriptor's state
-// to abandoned and walks away; the last in-flight sub-lookup to land
-// observes the state and returns the descriptor to the pool itself
-// (Router.batchRecycled counts these).
+// At the arrival LC (missRow) a miss coalesces onto one in flight, joins the
+// run's one engine sweep if homed here, or reserves its W block and is held,
+// unparked, for its remote home. Each home is then asked once: an idle one by
+// call (batchDirect, serveRows answering on the caller's stack: no waitlist,
+// pending entry or payload), any other by one request for the rows, which
+// park first (parkRow: deadline, retry, fallback, re-home). One row rides in
+// the message's own fields, more in a payload (fabricRow), so warm, a single
+// miss allocates nothing, nor does a batch whose homes are idle.
 package router
 
 import (
@@ -60,8 +40,8 @@ const (
 	bdAbandoned       // caller left (ctx/quit); last resolver recycles
 )
 
-// batchDesc is one in-flight LookupBatch call: the submitted addresses,
-// the positional verdict array, and the synchronization that hands the
+// batchDesc is one in-flight batch, a single lookup's of one row: the
+// addresses, the positional verdicts, and the synchronization that hands the
 // finished batch (or the abandoned descriptor) to exactly one owner.
 type batchDesc struct {
 	addrs   []ip.Addr
@@ -74,20 +54,20 @@ type batchDesc struct {
 
 var batchPool = sync.Pool{New: func() any { return &batchDesc{done: make(chan struct{}, 1)} }}
 
-// getBatchDesc draws a descriptor and loads it. The addresses are copied
-// (the caller may reuse its slice immediately); out is sized but not
-// cleared — every slot is written exactly once before it is read.
-func (r *Router) getBatchDesc(addrs []ip.Addr) *batchDesc {
+// getBatchDesc draws a descriptor of n slots submitted at start; a batch
+// copies its addresses in (the caller may reuse its slice immediately), a
+// single lookup's has none. out is sized but not cleared — every slot is
+// written exactly once before it is read.
+func getBatchDesc(n int, start int64) *batchDesc {
 	bd := batchPool.Get().(*batchDesc)
-	bd.addrs = append(bd.addrs[:0], addrs...)
-	if cap(bd.out) < len(addrs) {
-		bd.out = make([]Verdict, len(addrs))
+	if cap(bd.out) < n {
+		bd.out = make([]Verdict, n)
 	} else {
-		bd.out = bd.out[:len(addrs)]
+		bd.out = bd.out[:n]
 	}
 	bd.state.Store(bdRunning)
-	bd.pending.Store(int32(len(addrs)))
-	bd.start = r.now()
+	bd.pending.Store(int32(n))
+	bd.start = start
 	return bd
 }
 
@@ -99,12 +79,10 @@ func putBatchDesc(bd *batchDesc) {
 	batchPool.Put(bd)
 }
 
-// bdResolveN retires n slots of a batch whose verdicts the caller has
-// written. The goroutine that retires the last slot either wakes the
-// waiting caller or — when the caller abandoned the batch — recycles the
-// descriptor on its behalf. The atomic countdown orders every slot write
-// before the final signal, so the caller reads a fully written out array.
-// With nothing to retire the descriptor is not touched: it may be gone.
+// bdResolveN retires n slots of bd whose verdicts the caller has written;
+// whoever retires the last one wakes the caller, or recycles the descriptor
+// the caller abandoned. The countdown orders every slot write before the
+// signal. With nothing to retire bd is not touched: it may be gone.
 func (r *Router) bdResolveN(bd *batchDesc, n int) {
 	if n == 0 || bd.pending.Add(int32(-n)) != 0 {
 		return
@@ -115,6 +93,22 @@ func (r *Router) bdResolveN(bd *batchDesc, n int) {
 	}
 	r.batchRecycled.Add(1)
 	putBatchDesc(bd)
+}
+
+// wait blocks until every slot of bd is answered, the caller's context ends
+// or the router stops; in the last two cases the descriptor is abandoned to
+// whoever answers its last slot.
+func (r *Router) wait(ctx context.Context, bd *batchDesc) error {
+	select {
+	case <-bd.done:
+		return nil
+	case <-ctx.Done():
+		r.abandonBatch(bd)
+		return ctx.Err()
+	case <-r.quit:
+		r.abandonBatch(bd)
+		return ErrStopped
+	}
 }
 
 // abandonBatch detaches a cancelled caller from its descriptor. If the
@@ -128,21 +122,15 @@ func (r *Router) abandonBatch(bd *batchDesc) {
 	putBatchDesc(bd)
 }
 
-// deliver answers one lookup message's submitter: the descriptor slot
-// when the lookup rides a batch, the buffered reply channel otherwise.
-func (r *Router) deliver(m message, v Verdict) {
-	if m.bd != nil {
-		m.bd.out[m.slot] = v
-		r.bdResolveN(m.bd, 1)
-		return
-	}
-	m.resp <- v
+// deliver answers local lookup w in its descriptor slot.
+func (r *Router) deliver(w localWaiter, v Verdict) {
+	w.bd.out[w.slot] = v
+	r.bdResolveN(w.bd, 1)
 }
 
-// fabricRow is one address of a coalesced fabric payload and (on replies)
-// its verdict. A payload is a slice of rows: one allocation, made fresh per
-// send and never mutated afterwards, so that an injector-duplicated message
-// can share it safely — which is why payloads are not pooled.
+// fabricRow is one address of a fabric request and (on replies) its
+// verdict. A payload of them is one allocation, made fresh per send and never
+// mutated, so an injector-duplicated message may share it: hence no pooling.
 type fabricRow struct {
 	addr    ip.Addr
 	nextHop rtable.NextHop
@@ -173,70 +161,81 @@ type rowAnswer struct {
 	ok  bool
 }
 
-// lcScratch is a line card's private batch workspace, allocated once and
-// reused across batches: the pending local-FE sweep (addrs/slots/trs/res);
-// per home LC (indexed by LC id; homes lists the ones a batch reaches) the
-// rows held for a direct exchange — ask, the request's rows should it become
-// one, and held, who waits on each — and the fabric request accumulated
-// (byHome, copied into its payload at send); the held rows' duplicates; and
-// the answers of the exchange in progress (serveRows).
+// lcScratch is a line card's reusable miss workspace: the run's local-FE
+// sweep (addrs/slots/trs/res), what it has for each home LC (home, by LC id;
+// homes lists those reached), held rows' duplicates, and an exchange's answers.
 type lcScratch struct {
 	addrs   []ip.Addr
 	slots   []int32
 	trs     []*tracing.LookupTrace
 	res     []lpm.Result
-	ask     [][]fabricRow
-	held    [][]heldRow
-	byHome  [][]fabricRow
+	home    []homeRows
 	homes   []int
 	dups    []heldDup
 	answers []rowAnswer
+	// bypassed: a remote miss of this run found its set fully waiting and
+	// reserved no W block, so a later row's probe cannot tell that it is held.
+	bypassed bool
+}
+
+// homeRows is what a run has for one home LC: the rows held for a direct
+// exchange (ask, and held: who waits on each) and the fabric request
+// accumulated for the message path (req, copied into its payload at send).
+type homeRows struct {
+	ask, req []fabricRow
+	held     []heldRow
 }
 
 func newLCScratch(numLCs int) *lcScratch {
-	return &lcScratch{
-		ask:    make([][]fabricRow, numLCs),
-		held:   make([][]heldRow, numLCs),
-		byHome: make([][]fabricRow, numLCs),
-	}
+	return &lcScratch{home: make([]homeRows, numLCs)}
 }
 
-// resetSweep clears the local-FE collection arrays, dropping trace
-// pointers so the scratch pins nothing between batches.
-func (sc *lcScratch) resetSweep() {
-	sc.addrs = sc.addrs[:0]
-	sc.slots = sc.slots[:0]
-	clear(sc.trs)
-	sc.trs = sc.trs[:0]
-}
-
-// reach lists home among the homes this batch reaches, the first time.
-func (sc *lcScratch) reach(home int) {
-	if len(sc.ask[home]) == 0 && len(sc.byHome[home]) == 0 {
+// reach lists home among the homes this run reaches, the first time, and
+// returns what the run has for it.
+func (sc *lcScratch) reach(home int) *homeRows {
+	hr := &sc.home[home]
+	if len(hr.ask) == 0 && len(hr.req) == 0 {
 		sc.homes = append(sc.homes, home)
 	}
+	return hr
 }
 
-// resetHomes empties the per-home lists and the duplicates, dropping trace
-// pointers, once every home has had its exchange.
-func (sc *lcScratch) resetHomes() {
+// request puts addr on this run's request to home, sent by exchange.
+func (sc *lcScratch) request(home int, addr ip.Addr) {
+	hr := sc.reach(home)
+	hr.req = append(hr.req, fabricRow{addr: addr})
+}
+
+// exchange asks every home this run reaches once: by call for the rows it
+// holds (batchDirect, answering slots of bd), then one fabric message for
+// what is left on its request. It reports the slots of bd answered, and
+// empties the per-home lists and the duplicates.
+func (r *Router) exchange(lc *lineCard, bd *batchDesc, now int64) (direct int) {
+	sc := lc.scratch
 	for _, home := range sc.homes {
-		clear(sc.held[home])
-		sc.ask[home], sc.held[home], sc.byHome[home] = sc.ask[home][:0], sc.held[home][:0], sc.byHome[home][:0]
+		hr := &sc.home[home]
+		if len(hr.ask) > 0 {
+			direct += r.batchDirect(lc, bd, home, hr.ask, hr.held, now)
+		}
+		if len(hr.req) > 0 {
+			m := message{kind: mBatchRequest, addr: hr.req[0].addr, from: lc.id, epoch: lc.epoch, start: now}
+			if len(hr.req) > 1 {
+				m.fb = slices.Clone(hr.req) // the payload: see fabricRow
+			}
+			lc.stats.RequestsSent.Add(1)
+			lc.post(home, m)
+		}
+		if r.tracer != nil {
+			clear(hr.held)
+		}
+		hr.ask, hr.held, hr.req = hr.ask[:0], hr.held[:0], hr.req[:0]
 	}
 	sc.homes = sc.homes[:0]
-	clear(sc.dups)
-	sc.dups = sc.dups[:0]
-}
-
-// heldIndex is the index of addr among home's held rows, -1 if none.
-func (sc *lcScratch) heldIndex(home int, addr ip.Addr) int {
-	for k, row := range sc.ask[home] {
-		if row.addr == addr {
-			return k
-		}
+	if len(sc.dups) > 0 {
+		clear(sc.dups)
+		sc.dups = sc.dups[:0]
 	}
-	return -1
+	return direct
 }
 
 // LookupBatch pipelines a whole slice of destinations at one line card
@@ -264,40 +263,30 @@ func (r *Router) LookupBatchInto(ctx context.Context, lc int, addrs []ip.Addr, o
 	if len(addrs) == 0 {
 		return nil
 	}
-	bd := r.getBatchDesc(addrs)
+	bd := getBatchDesc(len(addrs), r.now())
+	bd.addrs = append(bd.addrs[:0], addrs...)
 	if err := r.admit(ctx, lc, message{kind: mBatch, bd: bd}); err != nil {
 		putBatchDesc(bd)
 		return err
 	}
-	select {
-	case <-bd.done:
-		copy(out, bd.out)
-		putBatchDesc(bd)
-		return nil
-	case <-ctx.Done():
-		r.abandonBatch(bd)
-		return ctx.Err()
-	case <-r.quit:
-		r.abandonBatch(bd)
-		return ErrStopped
+	if err := r.wait(ctx, bd); err != nil {
+		return err
 	}
+	copy(out, bd.out)
+	putBatchDesc(bd)
+	return nil
 }
 
-// handleBatch classifies a batch at its arrival LC: inline cache hits,
-// waitlist coalescing, a single batched FE sweep for same-home misses,
-// and one exchange per remote home LC — a call when the home is idle
-// (batchDirect), else one accumulated fabric request.
+// handleBatch classifies a batch at its arrival LC: inline cache hits, and
+// every miss as missRow takes it; settle then answers what this run can.
 func (r *Router) handleBatch(lc *lineCard, m message) {
 	bd := m.bd
-	sc := lc.scratch
 	lc.stats.Lookups.Add(int64(len(bd.addrs)))
 	lc.stats.Batches.Add(1)
 	now := r.now()
-	// Slots this run resolves itself — cache hits, the same-home sweep, the
-	// direct exchanges — are counted here and published once, at the end.
-	hits, bypassed := 0, false
+	hits := 0
+	lc.scratch.bypassed = false
 	for i, addr := range bd.addrs {
-		slot := int32(i)
 		var tr *tracing.LookupTrace
 		if r.tracer != nil {
 			if tr = r.tracer.Sample(lc.id, addr); tr != nil {
@@ -305,12 +294,10 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 				tr.Record(tracing.EvArrival, int64(lc.id), 0)
 			}
 		}
-		probeKind := cache.Miss
+		kind := cache.Miss
 		if lc.cache != nil {
 			res := lc.cache.Probe(addr)
-			probeKind = res.Kind
-			switch res.Kind {
-			case cache.Hit, cache.HitVictim:
+			if kind = res.Kind; kind == cache.Hit || kind == cache.HitVictim {
 				hits++
 				ok := res.NextHop != rtable.NoNextHop
 				if tr != nil {
@@ -318,63 +305,86 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 					r.finishTrace(tr, ServedByCache, ok)
 				}
 				r.finish(lc, ServedByCache, bd.start, traceID(tr))
-				bd.out[slot] = Verdict{Addr: addr, NextHop: res.NextHop, OK: ok, ServedBy: ServedByCache}
+				bd.out[i] = Verdict{Addr: addr, NextHop: res.NextHop, OK: ok, ServedBy: ServedByCache}
 				continue
 			}
 		}
-		// From here the slot is a miss. Coalesce onto an in-flight one (covers
-		// both HitWaiting and the cache-bypass case), as the single lookup it
-		// would have been.
-		if wl := lc.pending.get(addr); wl != nil {
-			tr.Record(tracing.EvProbe, int64(probeKind), 0)
-			r.joinLocal(lc, wl, &message{kind: mLookup, addr: addr, bd: bd, slot: slot, start: bd.start, tr: tr})
-			continue
+		if home := r.missRow(lc, localWaiter{bd: bd, slot: int32(i), tr: tr}, addr, kind, now); home >= 0 {
+			hr := lc.scratch.reach(home)
+			hr.ask = append(hr.ask, fabricRow{addr: addr})
+			hr.held = append(hr.held, heldRow{tr: tr, slot: int32(i)})
 		}
-		home := lc.homeOf(addr)
-		if home == lc.id {
-			// Same-home miss: no park, no W block — the batched FE
-			// sweep below answers it within this handler, so there is no
-			// in-flight window for anything to coalesce into. (Duplicates
-			// inside the batch simply run the engine twice.)
-			if tr != nil && lc.cache != nil {
-				tr.Record(tracing.EvProbe, int64(probeKind), int64(cache.LOC))
-			}
-			sc.addrs = append(sc.addrs, addr)
-			sc.slots = append(sc.slots, slot)
-			sc.trs = append(sc.trs, tr)
-			continue
-		}
-		// Remote miss. A row held for its home already has the address — its
-		// W block is what the probe hit, or there is none to hit — and this
-		// one joins it, as it would join that row's waitlist.
-		if len(sc.ask[home]) > 0 && (probeKind == cache.HitWaiting || lc.cache == nil || bypassed) {
-			if k := sc.heldIndex(home, addr); k >= 0 {
-				tr.Record(tracing.EvProbe, int64(probeKind), 0)
-				sc.held[home][k].dups++
-				sc.dups = append(sc.dups, heldDup{tr: tr, home: int32(home), row: int32(k), slot: slot})
-				continue
-			}
-		}
-		if lc.cache != nil {
-			recorded := lc.cache.Reserve(addr, cache.REM)
-			bypassed = bypassed || !recorded
-			if tr != nil {
-				tr.Record(tracing.EvProbe, int64(probeKind), int64(cache.REM))
-				if !recorded {
-					tr.Record(tracing.EvBypass, 0, 0)
-				}
-			}
-		}
-		sc.reach(home)
-		if r.directable(lc, home) {
-			// Held, unparked, for the home's exchange after the sweep.
-			sc.ask[home] = append(sc.ask[home], fabricRow{addr: addr})
-			sc.held[home] = append(sc.held[home], heldRow{tr: tr, slot: slot})
-			continue
-		}
-		r.parkRow(lc, bd, addr, home, slot, tr, now)
 	}
-	// One engine sweep answers every same-home miss.
+	// The slot writes precede this one RMW on the countdown, and the run's
+	// own share is subtracted last, so the batch cannot complete — and bd
+	// cannot be recycled — while this handler still reads it.
+	lc.stats.CacheHits.Add(int64(hits))
+	r.bdResolveN(bd, hits+r.settle(lc, bd, now))
+}
+
+// missRow takes slot slot of bd, a miss for addr (probe kind: cache.Miss
+// without a cache), the way every miss past the probe goes — a batch's rows
+// and a single lookup, a batch of one. It coalesces onto a miss in flight
+// (the probe hit its W block, or the set was fully waiting and there is none
+// to hit), is collected for the run's FE sweep when this LC is its home — no
+// park, no W block, so nothing can coalesce into it — or, homed elsewhere,
+// reserves its W block and is held, unparked, for its home's direct exchange
+// (a later row of a batch with the same address joins it) or parked and
+// requested. It reports the home to hold the row for, -1 when it took the row
+// itself: the caller holds it — a batch in its scratch, a single lookup on
+// its stack.
+func (r *Router) missRow(lc *lineCard, w localWaiter, addr ip.Addr, kind cache.ProbeKind, now int64) int {
+	sc, tr := lc.scratch, w.tr
+	if wl := lc.pending.get(addr); wl != nil {
+		tr.Record(tracing.EvProbe, int64(kind), 0)
+		r.joinLocal(lc, wl, addr, w)
+		return -1
+	}
+	home := lc.homeOf(addr)
+	if home == lc.id {
+		if tr != nil && lc.cache != nil {
+			tr.Record(tracing.EvProbe, int64(kind), int64(cache.LOC))
+		}
+		sc.addrs = append(sc.addrs, addr)
+		sc.slots = append(sc.slots, w.slot)
+		sc.trs = append(sc.trs, tr)
+		return -1
+	}
+	if hr := &sc.home[home]; len(sc.homes) > 0 && len(hr.ask) > 0 && (kind == cache.HitWaiting || lc.cache == nil || sc.bypassed) {
+		if k := slices.IndexFunc(hr.ask, func(row fabricRow) bool { return row.addr == addr }); k >= 0 {
+			tr.Record(tracing.EvProbe, int64(kind), 0)
+			hr.held[k].dups++
+			sc.dups = append(sc.dups, heldDup{tr: tr, home: int32(home), row: int32(k), slot: w.slot})
+			return -1
+		}
+	}
+	if lc.cache != nil {
+		recorded := lc.cache.Reserve(addr, cache.REM)
+		sc.bypassed = sc.bypassed || !recorded
+		if tr != nil {
+			tr.Record(tracing.EvProbe, int64(kind), int64(cache.REM))
+			if !recorded {
+				tr.Record(tracing.EvBypass, 0, 0)
+			}
+		}
+	}
+	// Nothing a direct exchange cannot get past may stand between lc and home:
+	// an injector (it must see every exchange as a message), a pinned or ejected
+	// home, a breaker not closed (routeFor's calls). All of it holds for as long
+	// as lc's owner does, short of a concurrent pin.
+	if r.injector == nil && !r.genPinned(home) && (!r.ov.Enabled || lc.ov.breakers[home].state.Load() == breakerClosed) {
+		return home
+	}
+	r.parkRow(lc, w, addr, home, now)
+	return -1
+}
+
+// settle ends a run's misses: one engine sweep answers every same-home one,
+// each remote home is asked once — by call for the rows an idle home answers
+// (batchDirect), one fabric message for the rest — and it reports the slots
+// of bd it answered, for the caller to retire.
+func (r *Router) settle(lc *lineCard, bd *batchDesc, now int64) int {
+	sc := lc.scratch
 	swept := len(sc.addrs)
 	if swept > 0 {
 		res, feNS := r.sweepFE(lc) // batch-granular; per-address splits aren't measured
@@ -389,72 +399,76 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 			r.finish(lc, ServedByFE, bd.start, traceID(sc.trs[k]))
 			bd.out[sc.slots[k]] = Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByFE}
 		}
-		sc.resetSweep()
-	}
-	// One exchange per remote home with misses in this batch: a call for the
-	// rows an idle home answers, one fabric message for the rest.
-	direct := 0
-	for _, home := range sc.homes {
-		if len(sc.ask[home]) > 0 {
-			direct += r.batchDirect(lc, bd, home, now)
+		if r.tracer != nil { // the scratch pins no trace between runs
+			clear(sc.trs)
 		}
-		if len(sc.byHome[home]) > 0 {
-			fb := slices.Clone(sc.byHome[home]) // the payload: one exact-size allocation
-			lc.stats.RequestsSent.Add(1)
-			lc.stats.BatchRequestsSent.Add(1)
-			lc.post(home, message{kind: mBatchRequest, from: lc.id, epoch: lc.epoch, fb: fb, addr: fb[0].addr, start: now})
-		}
+		sc.addrs, sc.slots, sc.trs = sc.addrs[:0], sc.slots[:0], sc.trs[:0]
 	}
-	sc.resetHomes()
-	// The slot writes above precede this one RMW on the countdown, and the
-	// run's own share is subtracted last, so the batch cannot complete —
-	// and bd cannot be recycled — while this handler still reads it.
-	lc.stats.CacheHits.Add(int64(hits))
-	r.bdResolveN(bd, hits+swept+direct)
+	if len(sc.homes) > 0 {
+		swept += r.exchange(lc, bd, now)
+	}
+	return swept
 }
 
-// parkRow sends a batch's remote miss down the message path: it parks a
-// waitlist and lets routeFor decide and arm it, so the shared robustness
-// machinery (checkDeadlines, re-homing, breakers, ejection) treats batch
-// sub-lookups like any single lookup — only the fabric send is deferred, into
-// home's accumulated request.
-func (r *Router) parkRow(lc *lineCard, bd *batchDesc, addr ip.Addr, home int, slot int32, tr *tracing.LookupTrace, now int64) {
+// parkRow sends a remote miss down the message path: it parks a waitlist
+// and lets routeFor decide and arm it, so the shared robustness machinery
+// (checkDeadlines, re-homing, breakers, ejection) treats every miss alike —
+// only the fabric send is deferred, into the run's request to home.
+func (r *Router) parkRow(lc *lineCard, w localWaiter, addr ip.Addr, home int, now int64) {
 	wl := r.park(lc, addr)
-	wl.tr = tr
-	lc.addLocal(wl, localWaiter{bd: bd, slot: slot, start: bd.start, tr: tr})
+	wl.tr = w.tr
+	lc.addLocal(wl, w)
 	if r.routeFor(lc, addr, home, wl, now) {
-		sc := lc.scratch
-		sc.byHome[home] = append(sc.byHome[home], fabricRow{addr: addr})
+		lc.scratch.request(home, addr)
 	}
 }
 
-// batchDirect is direct for the rows a batch holds for home: when home passes
-// askDirect, it answers every row it can (serveRows) on the caller's stack —
-// one exchange, counted as the batch request and reply it stands for — and
-// the arrival fills REM in the reply's row order and answers each row and its
-// duplicates as replyFor, release and joinLocal would have. The rows it did
-// not answer, or all of them, take the message path (parkRow), their
-// duplicates joining their waitlists. It reports the slots it answered.
-func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, now int64) (answered int) {
+// batchDirect is the direct exchange for the rows lc holds for home: when home
+// is idle (enter), not behind lc and has no tick due (a tick posts retries),
+// lc's owner becomes its owner too and it answers every row it can
+// (serveRows) on the caller's stack — one exchange, counted as the request and
+// reply it stands for — and the arrival fills REM in the reply's row order and
+// answers each row and its duplicates as handleBatchReply and joinLocal would
+// have. A goroutine holding both LCs' locks sends nothing and parks nobody, so
+// the rows it did not answer, or all of them, then take the message path
+// (parkRow), their duplicates joining their waitlists. It reports the slots it
+// answered.
+func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, ask []fabricRow, held []heldRow, now int64) (answered int) {
 	sc := lc.scratch
-	ask, held := sc.ask[home], sc.held[home]
-	ans := sc.answers[:0]
-	if h := r.askDirect(lc, home, now); h != nil {
-		if ans = r.serveRows(h, ask, nil, 0, ans); len(ans) > 0 {
-			h.stats.RepliesSent.Add(1)
-			h.stats.BatchRepliesSent.Add(1)
-			h.handledDirect.Add(1)
+	ans, feNS := sc.answers[:0], int64(0)
+	if h := r.enter(home); h != nil {
+		h.depth = lc.depth + 1 // for what leave may find queued at h meanwhile: this run nests on lc's
+		if h.gen >= lc.gen && now-h.lastTick < int64(r.tickEvery) {
+			if ans, feNS = r.serveRows(h, ask, nil, 0, ans); len(ans) > 0 {
+				h.stats.RepliesSent.Add(1)
+				h.handledDirect.Add(1)
+			}
 		}
 		r.leave(h, 0)
 	}
 	if len(ans) > 0 {
 		lc.stats.RequestsSent.Add(1)
-		lc.stats.BatchRequestsSent.Add(1)
 		r.replyArrived(lc, home, now)
 	}
+	if len(ans) != 1 {
+		feNS = 0 // as a reply, an answer of one row only carries its FE time
+	}
 	for _, a := range ans {
-		held[a.row].answered = true
-		answered += r.answerHeld(lc, bd, home, int(a.row), Verdict{Addr: ask[a.row].addr, NextHop: a.nh, OK: a.ok, ServedBy: ServedByRemote})
+		w := &held[a.row]
+		w.answered = true
+		v := Verdict{Addr: ask[a.row].addr, NextHop: a.nh, OK: a.ok, ServedBy: ServedByRemote}
+		lc.fill(v.Addr, v.NextHop, cache.REM)
+		r.finish(lc, ServedByRemote, bd.start, traceID(w.tr))
+		if w.tr != nil { // the events of a reply's intake, in handleBatchReply's order
+			w.tr.Record(tracing.EvFabricSend, int64(home), 1)
+			received(w.tr, home, feNS)
+			r.finishTrace(w.tr, ServedByRemote, v.OK)
+		}
+		bd.out[w.slot] = v
+		answered++
+		if w.dups > 0 {
+			answered += r.answerDups(lc, bd, home, a.row, w.tr, v, feNS)
+		}
 	}
 	sc.answers = ans[:0]
 	if len(ans) == len(ask) {
@@ -462,65 +476,55 @@ func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, now int64) (
 	}
 	for k, row := range ask {
 		if !held[k].answered {
-			r.parkRow(lc, bd, row.addr, home, held[k].slot, held[k].tr, now)
+			r.parkRow(lc, localWaiter{bd: bd, slot: held[k].slot, tr: held[k].tr}, row.addr, home, now)
 		}
 	}
 	for _, d := range sc.dups {
 		if int(d.home) == home && !held[d.row].answered {
 			addr := ask[d.row].addr
-			r.joinLocal(lc, lc.pending.get(addr), &message{kind: mLookup, addr: addr, bd: bd, slot: d.slot, start: bd.start, tr: d.tr})
+			r.joinLocal(lc, lc.pending.get(addr), addr, localWaiter{bd: bd, slot: d.slot, tr: d.tr})
 		}
 	}
 	return answered
 }
 
-// answerHeld answers held row k of home and the duplicates that join it with
-// v: the events of a reply's intake on the row's waitlist trace (the first
-// traced of the row and its duplicates, as joinLocal picks it), the REM fill,
-// and each lookup's latency, trace and slot. It reports the slots answered; a
-// duplicate past the overload policy's waitlist cap is shed, as joinLocal
-// sheds it.
-func (r *Router) answerHeld(lc *lineCard, bd *batchDesc, home, k int, v Verdict) (answered int) {
-	w := &lc.scratch.held[home][k]
-	lc.fill(v.Addr, v.NextHop, cache.REM)
-	owner := w.tr
-	received := func(tr *tracing.LookupTrace) {
-		tr.Record(tracing.EvFabricRecv, int64(home), 0)
-		tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByRemote))
-	}
-	answer := func(tr *tracing.LookupTrace, slot int32) {
-		r.finish(lc, ServedByRemote, bd.start, traceID(tr))
-		r.finishTrace(tr, ServedByRemote, v.OK)
-		bd.out[slot] = v
-		answered++
-	}
-	if owner != nil {
-		owner.Record(tracing.EvFabricSend, int64(home), 1)
-		received(owner)
-	}
-	answer(w.tr, w.slot)
-	if w.dups == 0 {
-		return answered
-	}
-	joined := 1
+// answerDups answers the duplicates of held row row of home with v, as
+// joinLocal and a reply would have: each is coalesced onto the row, and the
+// first traced one owns the reply's intake events if the row itself is not
+// traced (owner). A duplicate past the overload policy's waitlist cap is shed,
+// as joinLocal sheds it. It reports the slots answered.
+func (r *Router) answerDups(lc *lineCard, bd *batchDesc, home int, row int32, owner *tracing.LookupTrace, v Verdict, feNS int64) (answered int) {
 	for _, d := range lc.scratch.dups {
-		if int(d.home) != home || int(d.row) != k {
+		if int(d.home) != home || d.row != row {
 			continue
 		}
-		if r.ov.Enabled && joined >= r.ov.WaitlistCap {
-			r.shedLocal(lc.id, message{kind: mLookup, addr: v.Addr, bd: bd, slot: d.slot, tr: d.tr}, shedWaitlistOverflow)
+		if r.ov.Enabled && answered+1 >= r.ov.WaitlistCap {
+			r.shedLocal(lc.id, v.Addr, localWaiter{bd: bd, slot: d.slot, tr: d.tr}, shedWaitlistOverflow)
 			continue
 		}
 		lc.stats.Coalesced.Add(1)
-		d.tr.Record(tracing.EvCoalesce, int64(joined), 0)
-		joined++
-		if owner == nil && d.tr != nil {
-			owner = d.tr
-			received(owner)
+		answered++
+		if d.tr != nil {
+			d.tr.Record(tracing.EvCoalesce, int64(answered), 0)
+			if owner == nil {
+				owner = d.tr
+				received(owner, home, feNS)
+			}
+			r.finishTrace(d.tr, ServedByRemote, v.OK)
 		}
-		answer(d.tr, d.slot)
+		r.finish(lc, ServedByRemote, bd.start, traceID(d.tr))
+		bd.out[d.slot] = v
 	}
 	return answered
+}
+
+// received records a reply's intake from home on tr.
+func received(tr *tracing.LookupTrace, home int, feNS int64) {
+	tr.Record(tracing.EvFabricRecv, int64(home), 0)
+	if feNS > 0 {
+		tr.Record(tracing.EvFEExec, feNS, int64(home))
+	}
+	tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByRemote))
 }
 
 // sweepFE runs this LC's engine over the addresses collected in its
@@ -530,12 +534,16 @@ func (r *Router) answerHeld(lc *lineCard, bd *batchDesc, home, k int, v Verdict)
 func (r *Router) sweepFE(lc *lineCard) (res []lpm.Result, feNS int64) {
 	sc := lc.scratch
 	n := len(sc.addrs)
-	lc.stats.FEExecs.Add(int64(n))
-	t0 := r.feTimer()
 	if cap(sc.res) < n {
 		sc.res = make([]lpm.Result, n)
 	}
 	res = sc.res[:n]
+	if n == 1 { // without a batch engine's set-up
+		res[0].NextHop, res[0].OK, feNS = r.walk(lc, sc.addrs[0])
+		return res, feNS
+	}
+	lc.stats.FEExecs.Add(int64(n))
+	t0 := r.feTimer()
 	lpm.LookupAll(lc.engine, sc.addrs, res)
 	for k := range res {
 		if !res[k].OK {
@@ -545,70 +553,147 @@ func (r *Router) sweepFE(lc *lineCard) (res []lpm.Result, feNS int64) {
 	return res, r.elapsedNS(t0)
 }
 
-// serveRows is the home LC's half of a batch exchange, the one loop both ways
-// of asking share: a coalesced request (handleBatchRequest, rw its requester)
-// and a direct exchange (batchDirect, rw nil). Row by row like handleRequest
-// (serveRequest), every row the home has an answer for — a cache hit, or a
-// fresh miss, which one FE sweep answers and fills LOC — is appended to ans,
-// hits first and then the sweep's, each in row order: the reply's row order.
-// The rest are not answered here: asked by message, they joined a waitlist
-// or moved on (serveRequest); asked direct, they are left untouched.
-func (r *Router) serveRows(lc *lineCard, rows []fabricRow, rw *remoteWaiter, start int64, ans []rowAnswer) []rowAnswer {
+// walk is one FE execution, for a lone address: a miss normalised to
+// NoNextHop, feNS measured only while tracing.
+func (r *Router) walk(lc *lineCard, addr ip.Addr) (nh rtable.NextHop, ok bool, feNS int64) {
+	t0 := r.feTimer()
+	lc.stats.FEExecs.Add(1)
+	if nh, _, ok = lc.engine.Lookup(addr); !ok {
+		nh = rtable.NoNextHop
+	}
+	return nh, ok, r.elapsedNS(t0)
+}
+
+// serveRows is the home LC's half of every exchange, the one loop both ways
+// of asking share: a request (handleBatchRequest, rw its requester) and a
+// direct exchange (batchDirect, rw nil). Every row the home has an answer for
+// — a cache hit, or a fresh miss, which one FE sweep answers and fills LOC,
+// nothing parked — is appended to ans, hits first and then the sweep's, each
+// in row order: the reply's row order. feNS is the sweep's time, measured
+// only while tracing. Asked by message, a row in flight here joins its
+// waitlist and one this LC no longer homes moves on (forward). Asked direct —
+// a goroutine holding two LC locks sends nothing and parks nobody — such a row
+// is left untouched, not even probed, for the message path.
+func (r *Router) serveRows(lc *lineCard, rows []fabricRow, rw *remoteWaiter, start int64, ans []rowAnswer) (_ []rowAnswer, feNS int64) {
 	sc := lc.scratch
 	for i, row := range rows {
-		hit, nh, fresh := r.serveRequest(lc, row.addr, rw, start)
-		switch {
-		case hit:
-			ans = append(ans, rowAnswer{int32(i), nh, nh != rtable.NoNextHop})
-		case fresh:
+		if home := lc.homeOf(row.addr); home != lc.id {
+			if rw != nil {
+				r.forward(lc, row.addr, home, *rw, start)
+			}
+			continue
+		}
+		// In flight here from before a swap made this LC its home, or hedged:
+		// never dispatch twice for one address.
+		wl := lc.pending.get(row.addr)
+		if wl != nil && rw == nil {
+			continue
+		}
+		if lc.cache != nil {
+			if res := lc.cache.Probe(row.addr); res.Kind == cache.Hit || res.Kind == cache.HitVictim {
+				ans = append(ans, rowAnswer{int32(i), res.NextHop, res.NextHop != rtable.NoNextHop})
+				continue
+			}
+		}
+		if wl != nil {
+			r.joinRemote(lc, wl, *rw, row.addr)
+		} else if len(rows) == 1 { // a single lookup's: walked where it stands, no sweep to gather it for
+			nh, ok, feNS := r.walk(lc, row.addr)
+			lc.fill(row.addr, nh, cache.LOC)
+			return append(ans, rowAnswer{0, nh, ok}), feNS
+		} else {
 			sc.addrs = append(sc.addrs, row.addr)
 			sc.slots = append(sc.slots, int32(i))
 		}
 	}
 	if len(sc.addrs) > 0 {
-		res, _ := r.sweepFE(lc) // batch-granular, and a batch's answer carries no FE timing
+		var res []lpm.Result
+		res, feNS = r.sweepFE(lc)
 		for k, addr := range sc.addrs {
 			lc.fill(addr, res[k].NextHop, cache.LOC)
 			ans = append(ans, rowAnswer{sc.slots[k], res[k].NextHop, res[k].OK})
 		}
 		sc.addrs, sc.slots = sc.addrs[:0], sc.slots[:0]
 	}
-	return ans
+	return ans, feNS
 }
 
-// handleBatchRequest serves a coalesced request at the home LC (serveRows)
-// and sends what it answered as one reply batch. Addresses already in flight
-// coalesce as remote waiters and ride individual replies instead (their
-// resolution happens later, outside this handler); re-homed addresses are
-// forwarded as individual requests.
+// handleBatchRequest serves a request at the home LC (serveRows) and sends
+// what it answered as one reply, which carries the FE time of an answer of
+// one row. Addresses already in flight coalesce as remote waiters and ride
+// replies of their own instead (their resolution happens later, outside
+// this handler); re-homed addresses are forwarded as requests of their own.
 func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 	sc := lc.scratch
-	rw := remoteWaiter{from: m.from, epoch: m.epoch, gen: lc.gen}
-	ans := r.serveRows(lc, m.fb, &rw, m.start, sc.answers[:0])
+	var one [1]fabricRow
+	rows := m.rows(&one)
+	rw := remoteWaiter{from: m.from, epoch: m.epoch, hops: m.hops, gen: lc.gen}
+	ans, feNS := r.serveRows(lc, rows, &rw, m.start, sc.answers[:0])
 	if len(ans) > 0 {
-		rb := make([]fabricRow, len(ans)) // the payload: one exact-size allocation
-		for k, a := range ans {
-			rb[k] = fabricRow{m.fb[a.row].addr, a.nh, a.ok}
+		var reply message
+		if len(ans) == 1 {
+			reply = message{addr: rows[ans[0].row].addr, nextHop: ans[0].nh, ok: ans[0].ok, feNS: feNS}
+		} else {
+			rb := make([]fabricRow, len(ans)) // the payload: one exact-size allocation
+			for k, a := range ans {
+				rb[k] = fabricRow{rows[a.row].addr, a.nh, a.ok}
+			}
+			reply = message{addr: rb[0].addr, fb: rb}
 		}
+		reply.kind, reply.from, reply.epoch, reply.hops, reply.gen = mBatchReply, lc.id, m.epoch, m.hops, r.stampGen(lc, lc.gen)
 		lc.stats.RepliesSent.Add(1)
-		lc.stats.BatchRepliesSent.Add(1)
-		lc.post(m.from, message{kind: mBatchReply, from: lc.id, epoch: m.epoch, gen: r.stampGen(lc, lc.gen), fb: rb, addr: rb[0].addr})
+		lc.post(m.from, reply)
 	}
 	sc.answers = ans[:0]
 }
 
-// handleBatchReply scatters a coalesced reply back into the requester's
-// waitlists positionally. The batch is one message on the wire: the epoch
-// guard, the round-trip sample and the breaker/budget credit are taken
-// once, and every address carries the one generation the home computed
-// the batch against.
+// handleBatchReply scatters a reply back into the requester's waitlists. The
+// reply is one message on the wire: the epoch guard, the round-trip sample
+// and the breaker/budget credit are taken once, and every address carries
+// the one generation the home computed the reply against.
 func (r *Router) handleBatchReply(lc *lineCard, m message) {
+	var one [1]fabricRow
+	rows := m.rows(&one)
 	if m.epoch != lc.epoch {
-		lc.stats.StaleReplies.Add(int64(len(m.fb)))
+		// A reply computed before a table swap must not poison the freshly
+		// flushed cache; the swap already re-drove the lookups it was
+		// answering.
+		lc.stats.StaleReplies.Add(int64(len(rows)))
 		return
 	}
-	r.replyFrom(lc, m.from, m.fb[0].addr)
-	for _, row := range m.fb {
-		r.replyFor(lc, &m, row.addr, row.nextHop, row.ok)
+	var sent int64 // the round trip is sampled off the first row's waitlist, unless a retry made it ambiguous
+	if r.grayPol.Enabled {
+		if wl := lc.pending.get(rows[0].addr); wl != nil && wl.attempts == 1 {
+			sent = wl.sentAt
+		}
+	}
+	r.replyArrived(lc, m.from, sent)
+	for _, row := range rows { // each answers whatever is parked on its address here
+		wl := lc.pending.get(row.addr)
+		if wl != nil && wl.hedged {
+			// A hedge (or an eject dispatch) already answered every waiter: this
+			// primary is the suppressed duplicate.
+			r.hedgePrimaryLate.Add(1)
+			r.dropHedged(lc, row.addr)
+			continue
+		}
+		if r.tracer != nil && wl != nil && wl.tr != nil {
+			wl.tr.Record(tracing.EvFabricRecv, int64(m.from), int64(m.hops))
+			if m.feNS > 0 {
+				wl.tr.Record(tracing.EvFEExec, m.feNS, int64(m.from))
+			}
+		}
+		if m.gen < lc.gen {
+			// The responder computed this value before applying an update batch
+			// we have already applied (and invalidated for): the parked lookups
+			// may still observe it — they were in flight during the update
+			// window — but it must not survive as a cache entry. A pinned
+			// (quarantined or ejected) responder stays behind until it is
+			// rebuilt or restored, so its replies are final: delivered to every
+			// waiter rather than re-driven back at it.
+			r.fillStaleRelease(lc, row.addr, row.nextHop, row.ok, m.gen, r.genPinned(m.from))
+			continue
+		}
+		r.fillAndRelease(lc, row.addr, row.nextHop, row.ok, cache.REM, ServedByRemote)
 	}
 }

@@ -1,5 +1,5 @@
-// Tests for the batch plane's direct exchange (batchDirect): the rows a
-// batch holds for an idle home are answered by call, and the router is
+// Tests for the direct exchange (batchDirect): the rows a batch, or a single
+// lookup, holds for an idle home are answered by call, and the router is
 // indistinguishable from one whose every exchange is a message — except in
 // what it allocates and in spal_router_handled_total{path="direct"}.
 package router
@@ -25,26 +25,33 @@ import (
 	"spal/internal/tracing"
 )
 
-// TestBatchDirectMatchesFabric is TestDirectMatchesFabric for the batch
-// plane: two routers that differ only in a pass-through injector, one
+// passThrough is the injector that changes nothing and thereby forces the
+// message path: an injector must see every exchange as a message, so a
+// router that has one never serves a request direct.
+func passThrough(FabricMessage) FaultDecision { return FaultDecision{} }
+
+// TestBatchDirectMatchesFabric is the differential oracle of the direct
+// exchange: two routers that differ only in a pass-through injector, one
 // goroutine, a Zipf stream (trains, so a batch repeats its misses) and a cold
-// uniform one interleaved, through LookupBatchInto at batch 64 at every LC in
-// turn. The verdicts, every LCStats and LR-cache counter, occupancy, the event
+// uniform one, through LookupBatchInto at batch 64 at every LC in turn,
+// interleaved with runs of single Lookups — a single miss is a batch of one
+// row. The verdicts, every LCStats and LR-cache counter, occupancy, the event
 // kinds of every traced lookup and the latency histograms' counts are equal,
 // exactly; what differs is that one router's exchanges with remote homes were
-// calls, and the other's a request and a reply payload each.
+// calls, and the other's a request and a reply each, with a payload each
+// when they carry more than one row.
 func TestBatchDirectMatchesFabric(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	oracle := lpm.NewReference(tbl)
-	const lcs, batch, batches = 4, 64, 800
+	const lcs, batch, chunks = 4, 64, 1200
 	tc := trace.Config{PoolSize: 24000, ZipfS: 1.10, MeanTrain: 4, Seed: 0x75}
 	src := trace.NewSynthetic(trace.NewPool(tbl, tc), tc, 0)
 	rng := stats.NewRNG(0x76)
-	stream := make([]ip.Addr, batch*batches)
-	for b := 0; b < batches; b++ {
-		for i := b * batch; i < (b+1)*batch; i++ {
+	stream := make([]ip.Addr, batch*chunks)
+	for c := 0; c < chunks; c++ {
+		for i := c * batch; i < (c+1)*batch; i++ {
 			switch {
-			case b%4 != 3:
+			case c%6 != 5:
 				stream[i], _ = src.Next()
 			case i%2 == 0:
 				stream[i] = rng.Uint32() // cold and uniform, often unmatched
@@ -53,11 +60,14 @@ func TestBatchDirectMatchesFabric(t *testing.T) {
 			}
 		}
 	}
+	// Every third chunk is a run of single lookups, one LC after another.
+	singles := func(c int) bool { return c%3 == 1 }
 
 	type outcome struct {
 		r        *Router
 		verdicts []Verdict
-		mallocs  uint64
+		mallocs  [2]uint64 // batches', singles'
+		direct   [2]int64
 		snap     *metrics.Snapshot
 		traces   map[uint64][]tracing.EventKind
 	}
@@ -70,15 +80,24 @@ func TestBatchDirectMatchesFabric(t *testing.T) {
 		t.Cleanup(r.Stop)
 		o := outcome{r: r, verdicts: make([]Verdict, len(stream)), traces: map[uint64][]tracing.EventKind{}}
 		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for b := 0; b < batches; b++ {
-			at := b * batch
-			if err := r.LookupBatchInto(context.Background(), b%lcs, stream[at:at+batch], o.verdicts[at:at+batch]); err != nil {
+		for c := 0; c < chunks; c++ {
+			at, kind := c*batch, 0
+			d0 := handledDirect(r)
+			runtime.ReadMemStats(&before)
+			if singles(c) {
+				kind = 1
+				for i := at; i < at+batch; i++ {
+					if o.verdicts[i], err = r.Lookup(i%lcs, stream[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else if err := r.LookupBatchInto(context.Background(), c%lcs, stream[at:at+batch], o.verdicts[at:at+batch]); err != nil {
 				t.Fatal(err)
 			}
+			runtime.ReadMemStats(&after)
+			o.mallocs[kind] += after.Mallocs - before.Mallocs
+			o.direct[kind] += handledDirect(r) - d0
 		}
-		runtime.ReadMemStats(&after)
-		o.mallocs = after.Mallocs - before.Mallocs
 		o.snap = r.Metrics()
 		for _, tr := range r.Traces() {
 			var kinds []tracing.EventKind
@@ -91,7 +110,7 @@ func TestBatchDirectMatchesFabric(t *testing.T) {
 	}
 	direct, fabric := drive(), drive(WithFaultInjector(passThrough))
 
-	var remote int64
+	var remote [2]int64
 	for i, v := range direct.verdicts {
 		if v != fabric.verdicts[i] {
 			t.Fatalf("slot %d: direct %+v, fabric %+v", i, v, fabric.verdicts[i])
@@ -100,7 +119,11 @@ func TestBatchDirectMatchesFabric(t *testing.T) {
 			t.Fatalf("slot %d, %s: wrong verdict %+v", i, ip.FormatAddr(stream[i]), v)
 		}
 		if v.ServedBy == ServedByRemote {
-			remote++
+			if singles(i / batch) {
+				remote[1]++
+			} else {
+				remote[0]++
+			}
 		}
 	}
 	var coalesced int64
@@ -137,68 +160,90 @@ func TestBatchDirectMatchesFabric(t *testing.T) {
 	if len(direct.traces) < len(stream)/16 || len(direct.traces) != len(fabric.traces) {
 		t.Fatalf("%d lookups traced direct, %d fabric, want the same 1 in 8 of %d", len(direct.traces), len(fabric.traces), len(stream))
 	}
-	received := 0
+	received, feExecs := 0, 0
 	for id, kinds := range direct.traces {
 		if !reflect.DeepEqual(kinds, fabric.traces[id]) {
 			t.Fatalf("trace %d: direct recorded %v, fabric %v", id, kinds, fabric.traces[id])
 		}
-		for _, k := range kinds {
-			if k == tracing.EvFabricRecv {
+		for k, kind := range kinds {
+			if kind == tracing.EvFabricRecv {
 				received++
+				if k+1 < len(kinds) && kinds[k+1] == tracing.EvFEExec {
+					feExecs++ // a one-row answer the home's FE computed: its time rides the reply
+				}
 			}
 		}
 	}
 
 	// And what is meant to differ.
-	exchanges := handledDirect(direct.r)
-	if exchanges == 0 || exchanges > remote {
-		t.Errorf("%d exchanges were direct for %d remote-served slots without an injector, want nearly every one", exchanges, remote)
+	for kind, name := range []string{"batch", "single"} {
+		if d := direct.direct[kind]; d == 0 || d > remote[kind] {
+			t.Errorf("%d %s exchanges were direct for %d remote-served slots without an injector, want nearly every one", d, name, remote[kind])
+		}
 	}
 	if d := handledDirect(fabric.r); d != 0 {
 		t.Errorf("%d exchanges were direct past an injector, want 0", d)
 	}
-	if received == 0 || coalesced == 0 {
-		t.Errorf("%d traced lookups received an answer from a home and %d duplicate rows joined one: the exchange's trace and its duplicates were not compared", received, coalesced)
+	if received == 0 || feExecs == 0 || coalesced == 0 {
+		t.Errorf("%d traced lookups received an answer from a home, %d with its FE time, and %d duplicate rows joined one: the exchange's trace and its duplicates were not compared",
+			received, feExecs, coalesced)
 	}
 	if !raceEnabled {
 		// The traces and everything else are allocated alike; an exchange that
-		// becomes messages makes its request and reply payloads on top, and the
-		// message path the waitlists it parks on, once (they are recycled).
-		perExchange := float64(int64(fabric.mallocs)-int64(direct.mallocs)) / float64(exchanges)
-		if perExchange < 2 || perExchange > 2.25 {
-			t.Errorf("the message path allocated %.3f objects more per exchange (%d vs %d over %d), want 2 and its waitlists",
-				perExchange, fabric.mallocs, direct.mallocs, exchanges)
+		// becomes messages makes a request and a reply payload on top when it
+		// carries more than one row — nothing for one row, as every single
+		// lookup's does — and the message path the waitlists it parks on, once
+		// (they are recycled).
+		perBatch := float64(int64(fabric.mallocs[0])-int64(direct.mallocs[0])) / float64(direct.direct[0])
+		if perBatch < 1.5 || perBatch > 2.25 {
+			t.Errorf("batches: the message path allocated %.3f objects more per exchange (%d vs %d over %d), want 2 for most and their waitlists",
+				perBatch, fabric.mallocs[0], direct.mallocs[0], direct.direct[0])
+		}
+		perSingle := float64(int64(fabric.mallocs[1])-int64(direct.mallocs[1])) / float64(direct.direct[1])
+		if perSingle < -0.1 || perSingle > 0.1 {
+			t.Errorf("single lookups: the message path allocated %.3f objects more per exchange (%d vs %d over %d), want 0",
+				perSingle, fabric.mallocs[1], direct.mallocs[1], direct.direct[1])
 		}
 	}
 	evictions := direct.snap.Sum(cache.MetricEvictions)
 	if evictions == 0 {
 		t.Error("no LR-cache evicted a block: victim choice was not compared")
 	}
-	t.Logf("%d slots, %d served remote: %d direct exchanges; %d coalesced; %v evictions; mallocs %d direct, %d fabric; %d traces, %d received",
-		len(stream), remote, exchanges, coalesced, evictions, direct.mallocs, fabric.mallocs, len(direct.traces), received)
+	t.Logf("%d slots, %v served remote (batch, single): %v direct exchanges; %d coalesced; %v evictions; mallocs %v direct, %v fabric; %d traces, %d received, %d with FE time",
+		len(stream), remote, direct.direct, coalesced, evictions, direct.mallocs, fabric.mallocs, len(direct.traces), received, feExecs)
 }
 
-// TestBatchDirectPreconditions: every condition of the batch plane's direct
-// exchange, alone, sends the rows homed behind it down the message path —
-// with the verdicts, and the home in the state, that path produces — while
-// the batch's other home, ψ = 3, is asked by call as before; and the same
-// rows go direct once the obstacle is gone. An obstacle that is a row's, not
-// its home's (the address in flight there), sends that row alone. The
-// hour-long timeout keeps every ticker out: what happens is what the row
-// arranged.
-func TestBatchDirectPreconditions(t *testing.T) {
+// TestBatchDirectPreconditions: every condition of the direct exchange,
+// alone, sends the rows homed behind it down the message path — with the
+// verdicts, and the home in the state, that path produces — while the
+// batch's other home, ψ = 3, is asked by call as before; and the same rows
+// go direct once the obstacle is gone. An obstacle that is a row's, not its
+// home's (the address in flight there), sends that row alone.
+func TestBatchDirectPreconditions(t *testing.T) { testDirectPreconditions(t, false) }
+
+// TestDirectPreconditions is TestBatchDirectPreconditions' table asked by a
+// single lookup, a batch of one row: each obstacle sends it down the message
+// path, and the same miss goes direct once the obstacle is gone.
+func TestDirectPreconditions(t *testing.T) { testDirectPreconditions(t, true) }
+
+// testDirectPreconditions runs the table of obstacles, each row asked by a
+// batch of four (two rows for the obstructed home, two for a free one) or by
+// a single lookup of the first. The hour-long timeout keeps every ticker
+// out: what happens is what the row arranged.
+func testDirectPreconditions(t *testing.T, single bool) {
 	tbl := rtable.Small(2000, 7)
 	oracle := lpm.NewReference(tbl)
 	const arrival, home, free = 0, 1, 2
 	type obstacle struct {
-		// As in TestDirectPreconditions: lift removes it (nil if the message
-		// path did), until says when the batch is waiting behind it, and a
-		// redriven row may find the home idle once it is gone.
+		// lift removes the obstacle; nil if the message path removed it. until,
+		// when set, says when: the lookups cannot end while the obstacle stands.
+		// redriven: a row is put through the handlers again once the obstacle
+		// has gone, and may find the home idle that time.
 		lift     func()
 		until    func() bool
 		redriven bool
 	}
-	underMu := func(r *Router, do func(lc int)) {
+	underMu := func(r *Router, do func(lc int)) { // the health monitor's calls, made as it makes them
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		do(home)
@@ -242,7 +287,7 @@ func TestBatchDirectPreconditions(t *testing.T) {
 		{"home's lock held", nil, [2]ServedBy{ServedByRemote, ServedByRemote}, true, false, false,
 			func(r *Router, _ ip.Addr) obstacle {
 				h := r.lcs[home]
-				h.mu.Lock()
+				h.mu.Lock() // ended as every ownership is: the request queued behind it is served
 				return obstacle{lift: func() { r.leave(h, 0) }, until: func() bool { return h.backlog.Load() > 0 }}
 			}},
 		{"address in flight at the home", nil, [2]ServedBy{ServedByRemote, ServedByRemote}, true, true, false,
@@ -254,7 +299,12 @@ func TestBatchDirectPreconditions(t *testing.T) {
 					return n
 				}
 				return obstacle{
-					lift:  func() { r.own(home, func(h *lineCard) { r.runFE(h, a, wl) }) },
+					lift: func() {
+						r.own(home, func(h *lineCard) {
+							nh, ok, _ := r.walk(h, a)
+							r.fillAndRelease(h, a, nh, ok, cache.LOC, ServedByFE)
+						})
+					},
 					until: func() bool { return joined() == 1 },
 				}
 			}},
@@ -268,6 +318,7 @@ func TestBatchDirectPreconditions(t *testing.T) {
 			func(r *Router, _ ip.Addr) obstacle {
 				r.own(arrival, func(lc *lineCard) { lc.gen++ })
 				r.own(free, func(lc *lineCard) { lc.gen++ })
+				// Request and stale reply chase each other until the home catches up.
 				return obstacle{
 					lift:     func() { r.own(home, func(h *lineCard) { h.gen++ }) },
 					until:    func() bool { return r.stats[arrival].StaleGenReplies.Load() > 0 },
@@ -291,49 +342,65 @@ func TestBatchDirectPreconditions(t *testing.T) {
 			xs := remoteAddrs(t, r, tbl, stats.NewRNG(31), home, 4)
 			ys := remoteAddrs(t, r, tbl, stats.NewRNG(37), free, 4)
 			directs := func() (h, f int64) { return r.lcs[home].handledDirect.Load(), r.lcs[free].handledDirect.Load() }
+			// ask submits the batch of rows k and k+1 of each home, or the single
+			// lookup of row k of the obstructed one, and the served-by each
+			// slot is to come back with.
+			ask := func(k int, servedBy [2]ServedBy) ([]ip.Addr, []ServedBy, func() ([]Verdict, error)) {
+				if single {
+					return []ip.Addr{xs[k]}, servedBy[:1], func() ([]Verdict, error) {
+						v, err := r.Lookup(arrival, xs[k])
+						return []Verdict{v}, err
+					}
+				}
+				batch := []ip.Addr{xs[k], ys[k], xs[k+1], ys[k+1]}
+				return batch, []ServedBy{servedBy[0], ServedByRemote, servedBy[1], ServedByRemote},
+					func() ([]Verdict, error) { return r.LookupBatch(arrival, batch) }
+			}
+			check := func(what string, addrs []ip.Addr, want []ServedBy, out []Verdict) {
+				t.Helper()
+				if len(out) != len(addrs) {
+					t.Fatalf("%s: %d verdicts for %d addresses", what, len(out), len(addrs))
+				}
+				for i, v := range out {
+					if v.Addr != addrs[i] || !verdictMatches(v, oracle, addrs[i]) || v.ServedBy != want[i] {
+						t.Errorf("%s, slot %d: %+v (served by %s), want the oracle's served by %s", what, i, v, v.ServedBy, want[i])
+					}
+				}
+			}
 
+			h0, f0 := directs() // before the obstacle: the home's lock may be it
 			ob := tc.block(r, xs[0])
-			h0, f0 := directs()
-			batch := []ip.Addr{xs[0], ys[0], xs[1], ys[1]}
+			addrs, want, submit := ask(0, tc.servedBy)
 			got := make(chan []Verdict, 1)
 			go func() {
-				out, err := r.LookupBatch(arrival, batch)
+				out, err := submit()
 				if err != nil {
 					t.Error(err)
 				}
 				got <- out
 			}()
 			if ob.until != nil {
-				waitFor(t, "the batch to be waiting behind the obstacle", ob.until)
+				waitFor(t, "the lookups to be waiting behind the obstacle", ob.until)
 				select {
 				case out := <-got:
-					t.Fatalf("the batch ended with the obstacle standing: %+v", out)
+					t.Fatalf("the lookups ended with the obstacle standing: %+v", out)
 				default:
 				}
 				ob.lift()
 				ob.lift = nil
 			}
-			var out []Verdict
 			select {
-			case out = <-got:
+			case out := <-got:
+				check("with the obstacle standing", addrs, want, out)
 			case <-time.After(5 * time.Second):
-				t.Fatal("the batch never ended")
-			}
-			if len(out) != len(batch) {
-				t.Fatalf("%d verdicts for %d addresses", len(out), len(batch))
-			}
-			want := []ServedBy{tc.servedBy[0], ServedByRemote, tc.servedBy[1], ServedByRemote}
-			for i, v := range out {
-				if v.Addr != batch[i] || !verdictMatches(v, oracle, batch[i]) || v.ServedBy != want[i] {
-					t.Errorf("slot %d: %+v (served by %s), want the oracle's served by %s", i, v, v.ServedBy, want[i])
-				}
+				t.Fatal("the lookups never ended")
 			}
 			h1, f1 := directs()
 			wantH, wantF := int64(0), int64(1)
-			if tc.row {
+			if tc.row && !single {
 				wantH = 1
 			}
-			if tc.every {
+			if tc.every || single {
 				wantF = 0
 			}
 			if d := h1 - h0; d != wantH && !(ob.redriven && d <= 2) { // a re-driven row may go direct, once
@@ -365,17 +432,20 @@ func TestBatchDirectPreconditions(t *testing.T) {
 				ob.lift()
 			}
 			h0, f0 = directs()
-			batch = []ip.Addr{xs[2], ys[2], xs[3], ys[3]}
-			if out, err = r.LookupBatch(arrival, batch); err != nil {
+			addrs, want, submit = ask(2, [2]ServedBy{ServedByRemote, ServedByRemote})
+			out, err := submit()
+			if err != nil {
 				t.Fatal(err)
 			}
-			for i, v := range out {
-				if v.Addr != batch[i] || !verdictMatches(v, oracle, batch[i]) || v.ServedBy != ServedByRemote {
-					t.Errorf("with the obstacle gone, slot %d: %+v (served by %s)", i, v, v.ServedBy)
-				}
+			check("with the obstacle gone", addrs, want, out)
+			if wantF = 1; single {
+				wantF = 0
 			}
-			if h1, f1 = directs(); h1-h0 != 1 || f1-f0 != 1 {
-				t.Errorf("with the obstacle gone: %d and %d direct exchanges with the two homes, want 1 each", h1-h0, f1-f0)
+			if h1, f1 = directs(); h1-h0 != 1 || f1-f0 != wantF {
+				t.Errorf("with the obstacle gone: %d and %d direct exchanges with the two homes, want 1 and %d", h1-h0, f1-f0, wantF)
+			}
+			if n := len(r.lcs[home].outbox); n != 0 {
+				t.Errorf("the home was released with %d messages to send: a goroutine holding two LC locks sends nothing", n)
 			}
 		})
 	}

@@ -121,8 +121,8 @@ func TestChaosBatchEquivalence(t *testing.T) {
 			if s.Sum(MetricBatches) != 4*perLC {
 				t.Errorf("batches metric = %v, want %d", s.Sum(MetricBatches), 4*perLC)
 			}
-			if s.Sum(MetricBatchFabricRequests) == 0 {
-				t.Error("batch plane sent no coalesced fabric requests")
+			if s.Sum(MetricFabricRequests) == 0 {
+				t.Error("batch plane sent no fabric requests")
 			}
 			checkDrained(t, r)
 		})
@@ -350,12 +350,13 @@ func TestLookupBatchSteadyStateAllocs(t *testing.T) {
 // TestLookupMissAllocs is a ceiling on what one Lookup miss allocates:
 // nothing when its caller has the verdict on the spot — a miss the arrival
 // LC is home of, or one whose home is idle and is asked by function call —
-// and the reply channel, fresh and never pooled, of a lookup that really
-// waits: here for a home whose lock the test holds until the request is in
-// its inbox. The collector paces hot_single and churn_single on this.
-// Without a cache every Lookup is a miss; with one, every address is looked
-// up once. The waitlist (recycled), the W block (no waiter list) and the
-// fabric messages (never moved to the heap) must all stay off the list.
+// and nothing either for a lookup that really waits, here for a home whose
+// lock the test holds until the request is in its inbox: its one-row
+// descriptor is pooled and its one row rides the message's own fields. The
+// collector paces hot_single and churn_single on this. Without a cache
+// every Lookup is a miss; with one, every address is looked up once. The
+// waitlist (recycled), the W block (no waiter list) and the fabric messages
+// (never moved to the heap) must all stay off the list.
 func TestLookupMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the alloc gates run in the non-race CI jobs")
@@ -379,7 +380,7 @@ func TestLookupMissAllocs(t *testing.T) {
 			home    int
 			busy    bool // the home's lock is taken when the lookup is submitted
 			ceiling float64
-		}{{"remote-home", 1, false, 0}, {"remote-home-busy", 1, true, 1}, {"local-home", 0, false, 0}} {
+		}{{"remote-home", 1, false, 0}, {"remote-home-busy", 1, true, 0}, {"local-home", 0, false, 0}} {
 			t.Run(prefix+tc.name, func(t *testing.T) {
 				addrs := remoteAddrs(t, r, tbl, stats.NewRNG(3), tc.home, 2*(runs+1))
 				h := r.lcs[tc.home]

@@ -426,7 +426,7 @@ func TestStaleRequestAfterRehomeForwarded(t *testing.T) {
 
 	// Replay the in-flight request: sent to the old home (LC 1) by LC 0
 	// before the update, i.e. with the pre-update epoch 0.
-	r.push(1, message{kind: mRequest, addr: addr, from: 0, epoch: 0})
+	r.push(1, message{kind: mBatchRequest, addr: addr, from: 0, epoch: 0})
 
 	// LC 1 must forward it to the new home (LC 0), which executes the FE
 	// and replies to the original requester; the requester drops the
@@ -501,7 +501,7 @@ func TestCacheBypassCoalescesSecondLookup(t *testing.T) {
 
 	var chans []<-chan Verdict
 	lookup := func(a ip.Addr) {
-		ch, err := r.LookupAsync(0, a)
+		ch, err := lookupAsync(r, 0, a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -387,14 +387,14 @@ func (r *Router) dropHedged(lc *lineCard, addr ip.Addr) {
 // hedged waitlist (see joinLocal) from the fallback engine immediately.
 // Rare: the hedge fill put the value in the cache, so stragglers normally
 // hit there first.
-func (r *Router) hedgeAnswerLocal(lc *lineCard, m *message) {
-	nh, ok := r.fallbackLookup(m.addr)
-	if m.tr != nil {
-		m.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByHedge))
-		r.finishTrace(m.tr, ServedByHedge, ok)
+func (r *Router) hedgeAnswerLocal(lc *lineCard, addr ip.Addr, w localWaiter) {
+	nh, ok := r.fallbackLookup(addr)
+	if w.tr != nil {
+		w.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByHedge))
+		r.finishTrace(w.tr, ServedByHedge, ok)
 	}
-	r.finish(lc, ServedByHedge, m.start, traceID(m.tr))
-	r.deliver(*m, Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByHedge})
+	r.finish(lc, ServedByHedge, w.bd.start, traceID(w.tr))
+	r.deliver(w, Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByHedge})
 }
 
 // grayLog emits a gray-failure lifecycle record through the tracing

@@ -48,7 +48,7 @@ func TestNoMessageParksOnIdleLC(t *testing.T) {
 						var err error
 						if i%2 == 0 {
 							v, err = r.Lookup(c%2, a)
-						} else if ch, aerr := r.LookupAsync(c%2, a); aerr != nil {
+						} else if ch, aerr := lookupAsync(r, c%2, a); aerr != nil {
 							err = aerr
 						} else {
 							v = <-ch
@@ -91,7 +91,7 @@ type refillEngine struct {
 func (e refillEngine) Lookup(a ip.Addr) (rtable.NextHop, int, bool) {
 	e.runs.Add(1)
 	if e.on.Load() {
-		(*e.r).push(0, message{kind: mLookup, addr: a + 1, resp: make(chan Verdict, 1)})
+		(*e.r).push(0, message{kind: mLookup, addr: a + 1, bd: getBatchDesc(1, 0)})
 	}
 	return e.Engine.Lookup(a)
 }
@@ -119,7 +119,7 @@ func TestDrainBudget(t *testing.T) {
 	defer r.Stop()
 	lc := r.lcs[0]
 	for i := 0; i < depth; i++ {
-		r.inboxes[0] <- message{kind: mLookup, addr: ip.Addr(i) << 8, resp: make(chan Verdict, 1)}
+		r.inboxes[0] <- message{kind: mLookup, addr: ip.Addr(i) << 8, bd: getBatchDesc(1, 0)}
 	}
 	lc.backlog.Add(depth) // counted, and every sender lost its TryLock to an owner now gone
 	on.Store(true)
@@ -168,7 +168,7 @@ func TestKilledLCBuffersUntilAdopted(t *testing.T) {
 	var chans []<-chan Verdict
 	submit := func(at int, a ip.Addr) {
 		t.Helper()
-		ch, err := r.LookupAsync(at, a)
+		ch, err := lookupAsync(r, at, a)
 		if err != nil {
 			t.Fatal(err)
 		}

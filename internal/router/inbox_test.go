@@ -48,7 +48,7 @@ func TestPolicyOffPeerInboxFull(t *testing.T) {
 	results := make(chan result, n)
 	go func() {
 		for _, a := range addrs {
-			ch, err := r.LookupAsync(0, a)
+			ch, err := lookupAsync(r, 0, a)
 			results <- result{ch, err}
 		}
 	}()
@@ -65,7 +65,7 @@ func TestPolicyOffPeerInboxFull(t *testing.T) {
 	for i, a := range addrs {
 		res := <-results
 		if res.err != nil {
-			t.Fatalf("LookupAsync %d: %v", i, res.err)
+			t.Fatalf("lookupAsync %d: %v", i, res.err)
 		}
 		select {
 		case v := <-res.ch:
@@ -107,7 +107,7 @@ func TestPolicyOffCallerBlocksOnFullInbox(t *testing.T) {
 
 	rng := stats.NewRNG(9)
 	for i := 0; i < cap(r.inboxes[0]); i++ {
-		if _, err := r.LookupAsync(0, tbl.RandomMatchedAddr(rng)); err != nil {
+		if _, err := lookupAsync(r, 0, tbl.RandomMatchedAddr(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,10 +192,10 @@ func TestControlLandsWhileDataInboxFull(t *testing.T) {
 			during := func(control func() error) (steps int, head Verdict) {
 				t.Helper()
 				// Distinct addresses behind addr: every one misses and runs the FE.
-				resp := make(chan Verdict, 1)
-				r.inboxes[0] <- message{kind: mLookup, addr: addr, resp: resp}
+				hb := getBatchDesc(1, 0)
+				r.inboxes[0] <- message{kind: mLookup, addr: addr, bd: hb}
 				for i := 1; i < depth; i++ {
-					r.inboxes[0] <- message{kind: mLookup, addr: ip.Addr(i), resp: make(chan Verdict, 1)}
+					r.inboxes[0] <- message{kind: mLookup, addr: ip.Addr(i), bd: getBatchDesc(1, 0)}
 				}
 				lc.backlog.Add(int32(depth)) // counted, and every sender lost its TryLock to an owner now gone
 				done := make(chan error, 1)
@@ -212,7 +212,8 @@ func TestControlLandsWhileDataInboxFull(t *testing.T) {
 						return steps, head
 					case step <- struct{}{}:
 						if steps++; steps == 1 {
-							head = <-resp
+							<-hb.done
+							head = hb.out[0]
 							if left := len(r.inboxes[0]); left < depth/2 {
 								t.Errorf("the head of the queue was served with %d of %d left", left, depth)
 							}
@@ -260,8 +261,8 @@ func (e steppedEngine) Lookup(a ip.Addr) (rtable.NextHop, int, bool) {
 // an outbox, through an inbox, into a handler — so it carries the fabric
 // traffic and nothing else, in under two cache lines.
 func TestMessageSize(t *testing.T) {
-	if got := unsafe.Sizeof(message{}); got > 112 {
-		t.Errorf("a message is %d bytes, want at most 112", got)
+	if got := unsafe.Sizeof(message{}); got > 96 {
+		t.Errorf("a message is %d bytes, want at most 96", got)
 	}
 }
 

@@ -7,7 +7,6 @@ package router
 
 import (
 	"context"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -16,15 +15,12 @@ import (
 	"testing"
 	"time"
 
-	"spal/internal/cache"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/metrics"
 	"spal/internal/partition"
 	"spal/internal/rtable"
 	"spal/internal/stats"
-	"spal/internal/trace"
-	"spal/internal/tracing"
 )
 
 // handled sums the per-LC handler-run counters.
@@ -79,7 +75,7 @@ func TestChaosInlineKilledLCQueues(t *testing.T) {
 	inlineAtKill := r.lcs[dead].handledInline.Load()
 	chans := make([]<-chan Verdict, len(addrs))
 	for i, a := range addrs {
-		if chans[i], err = r.LookupAsync(dead, a); err != nil {
+		if chans[i], err = lookupAsync(r, dead, a); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +172,7 @@ func TestChaosInlineQueuesBehindBacklog(t *testing.T) {
 	inline0 := lc.handledInline.Load()
 	var chans []<-chan Verdict
 	for i := 0; i < 8; i++ {
-		ch, err := r.LookupAsync(0, addr)
+		ch, err := lookupAsync(r, 0, addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +477,7 @@ func TestChaosInlineStopUnderDelay(t *testing.T) {
 				defer wg.Done()
 				rng := stats.NewRNG(uint64(round*4+lc) + 1)
 				for {
-					if _, err := r.LookupAsync(lc, tbl.RandomMatchedAddr(rng)); err != nil {
+					if _, err := lookupAsync(r, lc, tbl.RandomMatchedAddr(rng)); err != nil {
 						return // stopped
 					}
 				}
@@ -673,7 +669,7 @@ func TestHandledMetric(t *testing.T) {
 			} else {
 				chans = make([]<-chan Verdict, n)
 				for i := range chans {
-					if chans[i], err = r.LookupAsync(0, tbl.RandomMatchedAddr(rng)); err != nil {
+					if chans[i], err = lookupAsync(r, 0, tbl.RandomMatchedAddr(rng)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -683,7 +679,7 @@ func TestHandledMetric(t *testing.T) {
 				// requests wait in its inbox like everything else sent there.
 				toStalled := remoteAddrs(t, r, tbl, rng, 0, 8)
 				for _, a := range toStalled {
-					ch, err := r.LookupAsync(1, a)
+					ch, err := lookupAsync(r, 1, a)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -738,326 +734,6 @@ func TestHandledMetric(t *testing.T) {
 				if int64(got) != want {
 					t.Errorf("%s{path=%q} sums to %v, want %d", MetricHandled, path, got, want)
 				}
-			}
-		})
-	}
-}
-
-// passThrough is the injector that changes nothing and thereby forces the
-// message path: an injector must see every exchange as a message, so a
-// router that has one never serves a request direct.
-func passThrough(FabricMessage) FaultDecision { return FaultDecision{} }
-
-// TestDirectMatchesFabric is the differential oracle of the direct exchange:
-// two routers that differ only in a pass-through injector, one goroutine,
-// one Zipf stream. Everything the router can be asked about itself — the
-// verdicts, every LCStats and LR-cache counter, occupancy, the event kinds of
-// every traced lookup, the latency histograms' counts — is equal, exactly;
-// what differs is that one router's remote misses were function calls and
-// allocated nothing, and the other's were messages and a channel each.
-func TestDirectMatchesFabric(t *testing.T) {
-	tbl := rtable.Small(2000, 7)
-	oracle := lpm.NewReference(tbl)
-	const lcs, n = 4, 50000
-	tc := trace.Config{PoolSize: 24000, ZipfS: 1.10, MeanTrain: 4, Seed: 0x75}
-	src := trace.NewSynthetic(trace.NewPool(tbl, tc), tc, 0)
-	stream := make([]ip.Addr, n)
-	for i := range stream {
-		stream[i], _ = src.Next()
-	}
-
-	type outcome struct {
-		r        *Router
-		verdicts []Verdict
-		mallocs  uint64
-		snap     *metrics.Snapshot
-		traces   map[uint64][]tracing.EventKind
-	}
-	drive := func(opts ...Option) outcome {
-		r, err := New(tbl, append([]Option{WithLCs(lcs), WithDefaultCache(), WithEngineName("lulea"),
-			WithRequestTimeout(time.Minute), WithTraceSampling(0.125), WithTraceJournal(n)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(r.Stop)
-		o := outcome{r: r, verdicts: make([]Verdict, n), traces: map[uint64][]tracing.EventKind{}}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i, a := range stream {
-			if o.verdicts[i], err = r.Lookup(i%lcs, a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		o.mallocs = after.Mallocs - before.Mallocs
-		o.snap = r.Metrics()
-		for _, tr := range r.Traces() {
-			var kinds []tracing.EventKind
-			for _, ev := range tr.EventSlice() {
-				kinds = append(kinds, ev.Kind)
-			}
-			o.traces[tr.ID] = kinds
-		}
-		return o
-	}
-	direct, fabric := drive(), drive(WithFaultInjector(passThrough))
-
-	var remote int64
-	for i, v := range direct.verdicts {
-		if v != fabric.verdicts[i] {
-			t.Fatalf("lookup %d: direct %+v, fabric %+v", i, v, fabric.verdicts[i])
-		}
-		if v.Addr != stream[i] || !verdictMatches(v, oracle, stream[i]) {
-			t.Fatalf("lookup %d of %s: wrong verdict %+v", i, ip.FormatAddr(stream[i]), v)
-		}
-		if v.ServedBy == ServedByRemote {
-			remote++
-		}
-	}
-	for i := 0; i < lcs; i++ {
-		d, f := reflect.ValueOf(direct.r.stats[i]).Elem(), reflect.ValueOf(fabric.r.stats[i]).Elem()
-		for k := 0; k < d.NumField(); k++ {
-			dv, fv := d.Field(k).Addr().Interface().(*atomic.Int64).Load(), f.Field(k).Addr().Interface().(*atomic.Int64).Load()
-			if dv != fv {
-				t.Errorf("LC %d %s: direct %d, fabric %d", i, d.Type().Field(k).Name, dv, fv)
-			}
-		}
-	}
-	lrcache := 0
-	for i, s := range direct.snap.Samples {
-		f := fabric.snap.Samples[i]
-		if s.Name != f.Name || !reflect.DeepEqual(s.Labels, f.Labels) {
-			t.Fatalf("sample %d: direct exports %s%v, fabric %s%v", i, s.Name, s.Labels, f.Name, f.Labels)
-		}
-		if strings.HasPrefix(s.Name, "spal_lrcache_") {
-			if lrcache++; s.Value != f.Value {
-				t.Errorf("%s%v: direct %v, fabric %v", s.Name, s.Labels, s.Value, f.Value)
-			}
-		}
-	}
-	if want := lcs * (12 + 3); lrcache < want { // its counters and three occupancy gauges an LC
-		t.Errorf("compared %d spal_lrcache_* samples, want at least %d", lrcache, want)
-	}
-	for i, h := range direct.snap.Hists {
-		if f := fabric.snap.Hists[i]; h.Name != f.Name || !reflect.DeepEqual(h.Labels, f.Labels) || h.Hist.Count != f.Hist.Count {
-			t.Errorf("%s%v: direct counts %d, fabric %s%v %d", h.Name, h.Labels, h.Hist.Count, f.Name, f.Labels, f.Hist.Count)
-		}
-	}
-	if len(direct.traces) < n/16 || len(direct.traces) != len(fabric.traces) {
-		t.Fatalf("%d lookups traced direct, %d fabric, want the same 1 in 8 of %d", len(direct.traces), len(fabric.traces), n)
-	}
-	for id, kinds := range direct.traces {
-		if !reflect.DeepEqual(kinds, fabric.traces[id]) {
-			t.Fatalf("trace %d: direct recorded %v, fabric %v", id, kinds, fabric.traces[id])
-		}
-	}
-
-	// And what is meant to differ.
-	if d := handledDirect(direct.r); d == 0 || d > remote {
-		t.Errorf("%d of %d remote misses were direct exchanges without an injector, want nearly all", d, remote)
-	}
-	if d := handledDirect(fabric.r); d != 0 {
-		t.Errorf("%d exchanges were direct past an injector, want 0", d)
-	}
-	if !raceEnabled {
-		// The traces and everything else are allocated alike; a remote miss
-		// that becomes messages makes its reply channel on top.
-		perMiss := float64(int64(fabric.mallocs)-int64(direct.mallocs)) / float64(remote)
-		if perMiss < 0.9 || perMiss > 1.1 {
-			t.Errorf("the message path allocated %.3f objects more per remote miss (%d vs %d over %d), want ~1",
-				perMiss, fabric.mallocs, direct.mallocs, remote)
-		}
-	}
-	evictions := direct.snap.Sum(cache.MetricEvictions)
-	if evictions == 0 {
-		t.Error("no LR-cache evicted a block: victim choice was not compared")
-	}
-	t.Logf("%d lookups, %d remote misses: %d direct; %v evictions; mallocs %d direct, %d fabric; %d traces",
-		n, remote, handledDirect(direct.r), evictions, direct.mallocs, fabric.mallocs, len(direct.traces))
-}
-
-// TestDirectPreconditions: every condition of the direct exchange, alone,
-// sends a remote miss down the message path — with the verdict, and the
-// home in the state, that path produces — and the same miss goes direct
-// once the obstacle is gone. The hour-long timeout keeps every ticker out:
-// what happens is what the row arranged.
-func TestDirectPreconditions(t *testing.T) {
-	tbl := rtable.Small(2000, 7)
-	oracle := lpm.NewReference(tbl)
-	const arrival, home = 0, 1
-	var skew atomic.Int64 // the clock seam: what every reading is ahead by
-	type obstacle struct {
-		// lift removes the obstacle; nil if the message path removed it. until,
-		// when set, says when: the lookup cannot end while the obstacle stands.
-		// redriven: it is put through handleLookup again once the obstacle has
-		// gone, and may find the home idle that time.
-		lift     func()
-		until    func() bool
-		redriven bool
-	}
-	underMu := func(r *Router, do func(lc int)) { // the health monitor's calls, made as it makes them
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		do(home)
-	}
-	for _, tc := range []struct {
-		name     string
-		opts     []Option
-		servedBy ServedBy // as the message path answers it
-		homeHas  bool     // and whether the home's cache holds the address afterwards
-		block    func(t *testing.T, r *Router, a ip.Addr) obstacle
-	}{
-		{"injector installed", []Option{WithFaultInjector(passThrough)}, ServedByRemote, true,
-			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
-				return obstacle{lift: func() { r.injector = nil }}
-			}},
-		{"breaker open", []Option{WithOverload(OverloadPolicy{})}, ServedByFallback, false,
-			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
-				b := &r.lcs[arrival].ov.breakers[home]
-				r.own(arrival, func(*lineCard) { b.openedAt = time.Now(); b.state.Store(breakerOpen) })
-				return obstacle{lift: func() { r.own(arrival, func(lc *lineCard) { r.breakerSuccess(lc, home) }) }}
-			}},
-		{"breaker half-open", []Option{WithOverload(OverloadPolicy{})}, ServedByRemote, true,
-			func(t *testing.T, r *Router, a ip.Addr) obstacle {
-				b := &r.lcs[arrival].ov.breakers[home]
-				r.own(arrival, func(lc *lineCard) {
-					b.state.Store(breakerHalfOpen)
-					// By hand, ahead of the lookup whose message path will claim the
-					// probe and close the breaker: the refusal itself claims nothing.
-					if _, _, done := r.direct(lc, &message{kind: mLookup, addr: a}, home, r.now()); done || b.probing {
-						t.Errorf("direct past a half-open breaker: done=%v, probe claimed=%v", done, b.probing)
-					}
-				})
-				return obstacle{}
-			}},
-		{"home ejected", []Option{WithGray(DefaultGrayPolicy())}, ServedByHedge, true,
-			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
-				underMu(r, r.ejectLocked)
-				return obstacle{lift: func() { underMu(r, r.restoreEjectedLocked) }}
-			}},
-		{"home quarantined", nil, ServedByRemote, true,
-			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
-				underMu(r, r.quarantineLocked)
-				return obstacle{lift: func() { r.life[home].state.Store(LCHealthy) }}
-			}},
-		{"home's lock held", nil, ServedByRemote, true,
-			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
-				h := r.lcs[home]
-				h.mu.Lock() // ended as every ownership is: the request queued behind it is served
-				return obstacle{lift: func() { r.leave(h, 0) }, until: func() bool { return h.backlog.Load() > 0 }}
-			}},
-		{"address in flight at the home", nil, ServedByRemote, true,
-			func(_ *testing.T, r *Router, a ip.Addr) obstacle {
-				var wl *waitlist
-				r.own(home, func(h *lineCard) { wl = r.park(h, a) })
-				joined := func() (n int) {
-					r.own(home, func(*lineCard) { n = len(wl.remotes) })
-					return n
-				}
-				return obstacle{
-					lift:  func() { r.own(home, func(h *lineCard) { r.runFE(h, a, wl) }) },
-					until: func() bool { return joined() == 1 },
-				}
-			}},
-		{"home disagrees it is the home", nil, ServedByRemote, false,
-			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
-				var homeOf func(ip.Addr) int
-				r.own(home, func(h *lineCard) { homeOf, h.homeOf = h.homeOf, func(ip.Addr) int { return arrival } })
-				return obstacle{lift: func() { r.own(home, func(h *lineCard) { h.homeOf = homeOf }) }}
-			}},
-		{"home a generation behind", nil, ServedByRemote, true,
-			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
-				r.own(arrival, func(lc *lineCard) { lc.gen++ })
-				// Request and stale reply chase each other until the home catches up.
-				return obstacle{
-					lift:     func() { r.own(home, func(h *lineCard) { h.gen++ }) },
-					until:    func() bool { return r.stats[arrival].StaleGenReplies.Load() > 0 },
-					redriven: true,
-				}
-			}},
-		{"home's tick due", nil, ServedByRemote, true,
-			func(_ *testing.T, r *Router, _ ip.Addr) obstacle {
-				skew.Add(int64(r.tickEvery))
-				return obstacle{} // the request's own run ticks the home on its way out
-			}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r, err := New(tbl, append([]Option{WithLCs(2), WithDefaultCache(), WithEngineName("lulea"),
-				WithRequestTimeout(time.Hour)}, tc.opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Stop()
-			clock := r.clock
-			r.clock = func() int64 { return clock() + skew.Load() }
-			addrs := remoteAddrs(t, r, tbl, stats.NewRNG(31), home, 2)
-
-			ob := tc.block(t, r, addrs[0])
-			before := handledDirect(r)
-			got := make(chan Verdict, 1)
-			go func() {
-				v, err := r.Lookup(arrival, addrs[0])
-				if err != nil {
-					t.Error(err)
-				}
-				got <- v
-			}()
-			if ob.until != nil {
-				waitFor(t, "the lookup to be waiting behind the obstacle", ob.until)
-				select {
-				case v := <-got:
-					t.Fatalf("the lookup ended with the obstacle standing: %+v", v)
-				default:
-				}
-				if d := handledDirect(r) - before; d != 0 {
-					t.Errorf("%d direct exchanges with the obstacle standing, want 0", d)
-				}
-				ob.lift()
-				ob.lift = nil
-			}
-			select {
-			case v := <-got:
-				if v.Addr != addrs[0] || !verdictMatches(v, oracle, addrs[0]) || v.ServedBy != tc.servedBy {
-					t.Errorf("verdict %+v (served by %s), want the oracle's served by %s", v, v.ServedBy, tc.servedBy)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("the lookup never ended")
-			}
-			if d := handledDirect(r) - before; d != 0 && !(ob.redriven && d == 1) {
-				t.Errorf("%d direct exchanges past the obstacle, want 0", d)
-			}
-			for i := range r.lcs {
-				r.own(i, func(lc *lineCard) {
-					if lc.pending.len() != 0 || lc.nwaiters != 0 || len(lc.outbox) != 0 {
-						t.Errorf("LC %d left with %d in flight, %d waiters, %d unsent", i, lc.pending.len(), lc.nwaiters, len(lc.outbox))
-					}
-					if i != home {
-						return
-					}
-					has := false
-					lc.cache.AuditEntries(func(a ip.Addr, _ rtable.NextHop) bool {
-						has = has || a == addrs[0]
-						return true
-					})
-					if has != tc.homeHas {
-						t.Errorf("the home's cache holds the address: %v, want %v", has, tc.homeHas)
-					}
-				})
-			}
-
-			if ob.lift != nil {
-				ob.lift()
-			}
-			before = handledDirect(r)
-			v, err := r.Lookup(arrival, addrs[1])
-			if err != nil || !verdictMatches(v, oracle, addrs[1]) || v.ServedBy != ServedByRemote {
-				t.Errorf("with the obstacle gone: %+v (served by %s), %v", v, v.ServedBy, err)
-			}
-			if d := handledDirect(r) - before; d != 1 {
-				t.Errorf("%d direct exchanges with the obstacle gone, want 1", d)
-			}
-			if n := len(r.lcs[home].outbox); n != 0 {
-				t.Errorf("the home was released with %d messages to send: a goroutine holding two LC locks sends nothing", n)
 			}
 		})
 	}

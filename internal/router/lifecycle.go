@@ -263,7 +263,7 @@ func (r *Router) rehomeLocked(dead int) {
 				w.tr = r.lateTrace(dead, addr)
 			}
 			w.tr.Record(tracing.EvRehome, int64(dead), 0)
-			r.replaySend(dead, message{kind: mLookup, addr: addr, resp: w.ch, bd: w.bd, slot: w.slot, start: w.start, tr: w.tr})
+			r.replaySend(dead, addr, w)
 			replayed++
 		}
 		if wl.trLate {

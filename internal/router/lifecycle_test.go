@@ -556,7 +556,7 @@ func TestWaitersGauge(t *testing.T) {
 	}
 	var chans []<-chan Verdict
 	for _, a := range addrs {
-		ch, err := r.LookupAsync(0, a)
+		ch, err := lookupAsync(r, 0, a)
 		if err != nil {
 			t.Fatal(err)
 		}

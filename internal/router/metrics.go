@@ -102,12 +102,8 @@ const (
 	MetricWaitlistDepth  = "spal_router_waitlist_depth"
 	MetricHitRatio       = "spal_router_cache_hit_ratio"
 	MetricLatency        = "spal_router_lookup_latency_ns"
-	// Batch data-plane metrics (see batch.go). RequestsSent/RepliesSent
-	// count fabric messages, so the batch counters below tell how many of
-	// those were coalesced multi-address batches.
-	MetricBatches             = "spal_router_batches_total"
-	MetricBatchFabricRequests = "spal_router_batch_fabric_requests_total"
-	MetricBatchFabricReplies  = "spal_router_batch_fabric_replies_total"
+	// Batch data-plane metrics (see batch.go).
+	MetricBatches = "spal_router_batches_total"
 	// Robustness metrics (failure model; see the package comment).
 	MetricRetries         = "spal_router_retries_total"
 	MetricFallbacks       = "spal_router_fallbacks_total"
@@ -217,8 +213,6 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		s.Counter(MetricFabricReplies, "Lookup replies this LC sent over the fabric.", float64(lc.stats.RepliesSent.Load()), lbl)
 		s.Counter(MetricCoalesced, "Lookups coalesced onto an in-flight miss.", float64(lc.stats.Coalesced.Load()), lbl)
 		s.Counter(MetricBatches, "Batch descriptors admitted at this LC.", float64(lc.stats.Batches.Load()), lbl)
-		s.Counter(MetricBatchFabricRequests, "Coalesced multi-address fabric requests sent by this LC.", float64(lc.stats.BatchRequestsSent.Load()), lbl)
-		s.Counter(MetricBatchFabricReplies, "Coalesced multi-address fabric replies sent by this LC.", float64(lc.stats.BatchRepliesSent.Load()), lbl)
 		s.Counter(MetricStaleReplies, "Fabric replies dropped by the table-update epoch guard.", float64(lc.stats.StaleReplies.Load()), lbl)
 		s.Counter(MetricRetries, "Fabric requests re-sent after a deadline expiry.", float64(lc.stats.Retries.Load()), lbl)
 		s.Counter(MetricFallbacks, "Lookups served by the full-table fallback engine.", float64(lc.stats.Fallbacks.Load()), lbl)

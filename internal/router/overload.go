@@ -51,6 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spal/internal/ip"
 	"spal/internal/tracing"
 )
 
@@ -342,16 +343,15 @@ func (r *Router) admit(ctx context.Context, lc int, m message) error {
 // shedLocal abandons an already-admitted local lookup (waitlist
 // overflow, replay shed): the parked caller receives a ServedByShed
 // verdict, which the synchronous Lookup wrappers convert to
-// ErrOverloaded. A batch sub-lookup keeps its position — the verdict
-// lands in its descriptor slot; a single lookup's resp channel is
-// buffered — either way this never blocks.
-func (r *Router) shedLocal(lc int, m message, why shedReason) {
+// ErrOverloaded. The verdict lands in the lookup's descriptor slot, so a
+// batch sub-lookup keeps its position, and this never blocks.
+func (r *Router) shedLocal(lc int, addr ip.Addr, w localWaiter, why shedReason) {
 	r.shedCount(lc, why)
-	if m.tr != nil {
-		m.tr.Record(tracing.EvShed, int64(why), int64(lc))
-		r.finishTrace(m.tr, ServedByShed, false)
+	if w.tr != nil {
+		w.tr.Record(tracing.EvShed, int64(why), int64(lc))
+		r.finishTrace(w.tr, ServedByShed, false)
 	}
-	r.deliver(m, Verdict{Addr: m.addr, ServedBy: ServedByShed})
+	r.deliver(w, Verdict{Addr: addr, ServedBy: ServedByShed})
 }
 
 // replaySend re-submits a lookup parked at a crashed LC into the adopted
@@ -361,14 +361,15 @@ func (r *Router) shedLocal(lc int, m message, why shedReason) {
 // sheds the replay and the parked caller receives a ServedByShed verdict —
 // every lookup still terminates. Without one no local lookup is ever shed:
 // the monitor takes the LC and runs the handler itself, ahead of the queue.
-func (r *Router) replaySend(lc int, m message) {
+func (r *Router) replaySend(lc int, addr ip.Addr, w localWaiter) {
+	m := message{kind: mLookup, addr: addr, bd: w.bd, slot: w.slot, start: w.bd.start, tr: w.tr}
 	select {
 	case r.inboxes[lc] <- m:
 		r.queued(lc, 0)
 	case <-r.quit:
 	default:
 		if r.ov.Enabled {
-			r.shedLocal(lc, m, shedReplayDropped)
+			r.shedLocal(lc, addr, w, shedReplayDropped)
 			return
 		}
 		r.own(lc, func(lc *lineCard) {
@@ -488,7 +489,7 @@ func (r *Router) BreakerStates(lc int) []int32 {
 // installer of a table swap would pick a request and its stale reply up
 // again and again, and the install that ends their chase never run.
 func (r *Router) deliverData(to int, m message) {
-	if (m.kind == mRequest || m.kind == mBatchRequest) && r.ov.Mode == ShedDropRemoteFirst {
+	if m.kind == mBatchRequest && r.ov.Mode == ShedDropRemoteFirst {
 		// Soft limit: refuse remote work while headroom remains for
 		// local arrivals at the target.
 		if len(r.inboxes[to]) >= r.remoteLimit {
@@ -509,7 +510,7 @@ func (r *Router) deliverData(to int, m message) {
 		r.queued(to, m.depth)
 	case <-r.quit:
 	default:
-		if m.kind == mReply || m.kind == mBatchReply {
+		if m.kind == mBatchReply {
 			r.shedCount(to, shedReplyFull)
 		} else {
 			r.shedCount(to, shedRemoteFull)

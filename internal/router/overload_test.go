@@ -115,13 +115,13 @@ func TestOverloadAdmissionShed(t *testing.T) {
 	addrs := []ip.Addr{tbl.RandomMatchedAddr(rng), tbl.RandomMatchedAddr(rng), tbl.RandomMatchedAddr(rng)}
 	var chans []<-chan Verdict
 	for _, a := range addrs[:2] {
-		ch, err := r.LookupAsync(0, a)
+		ch, err := lookupAsync(r, 0, a)
 		if err != nil {
 			t.Fatalf("admission refused with inbox space free: %v", err)
 		}
 		chans = append(chans, ch)
 	}
-	if _, err := r.LookupAsync(0, addrs[2]); err != ErrOverloaded {
+	if _, err := lookupAsync(r, 0, addrs[2]); err != ErrOverloaded {
 		t.Fatalf("full inbox: got err %v, want ErrOverloaded", err)
 	}
 	if _, err := r.Lookup(0, addrs[2]); err != ErrOverloaded {
@@ -153,7 +153,7 @@ func TestOverloadBlockMode(t *testing.T) {
 	release := gateLC(t, r, 0)
 	rng := stats.NewRNG(9)
 	first, second := tbl.RandomMatchedAddr(rng), tbl.RandomMatchedAddr(rng)
-	if _, err := r.LookupAsync(0, first); err != nil {
+	if _, err := lookupAsync(r, 0, first); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan Verdict, 1)
@@ -187,7 +187,7 @@ func TestOverloadBlockMode(t *testing.T) {
 // may coalesce only up to WaitlistCap waiters; the overflow sheds with
 // ServedByShed/ErrOverloaded and the waitlist-overflow counter
 // reconciles exactly with the shed verdicts. The storm is n lookups in
-// flight at once: n LookupAsync calls, or one batch of n.
+// flight at once: n lookupAsync calls, or one batch of n.
 func TestWaitlistOverflowSheds(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
@@ -195,7 +195,7 @@ func TestWaitlistOverflowSheds(t *testing.T) {
 	async := func(t *testing.T, r *Router, lc int, addrs []ip.Addr) []Verdict {
 		chans := make([]<-chan Verdict, len(addrs))
 		for i, a := range addrs {
-			ch, err := r.LookupAsync(lc, a)
+			ch, err := lookupAsync(r, lc, a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +273,7 @@ func TestStopWithFullInboxes(t *testing.T) {
 			gateLC(t, r, 0) // never released: quit lets go of it
 			rng := stats.NewRNG(13)
 			for i := 0; i < cap(r.inboxes[0]); i++ {
-				if _, err := r.LookupAsync(0, tbl.RandomMatchedAddr(rng)); err != nil {
+				if _, err := lookupAsync(r, 0, tbl.RandomMatchedAddr(rng)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -618,7 +618,7 @@ func TestOverloadSoak(t *testing.T) {
 				}
 				a := tbl.RandomMatchedAddr(rng)
 				attempts[lc].Add(1)
-				ch, err := r.LookupAsync(lc, a)
+				ch, err := lookupAsync(r, lc, a)
 				if err == ErrOverloaded {
 					shed[lc].Add(1)
 					continue

@@ -405,7 +405,7 @@ func TestDeadlineSweepAllocs(t *testing.T) {
 	defer r.Stop()
 	addrs := remoteAddrs(t, r, tbl, stats.NewRNG(3), 1, 256)
 	for _, a := range addrs {
-		if _, err := r.LookupAsync(0, a); err != nil {
+		if _, err := lookupAsync(r, 0, a); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -490,11 +490,23 @@ func TestDeadlineSweepOrder(t *testing.T) {
 			t.Fatalf("router %d: the batch request went out for %#x, want the batch's first address %#x", k, got[0], addrs[0])
 		}
 
-		// One tick just past every deadline: each address is retried once.
+		// One tick just past every deadline: each address is retried once, a
+		// row of the one request the sweep sends the home.
 		clock.Store(1 + int64(time.Hour) + 1)
-		r.own(0, func(lc *lineCard) { r.tick(lc, r.now()) })
-		if sweeps[k] = rec.take(); len(sweeps[k]) != n {
+		r.own(0, func(lc *lineCard) {
+			r.tick(lc, r.now())
+			for _, s := range lc.outbox {
+				var one [1]fabricRow
+				for _, row := range s.m.rows(&one) {
+					sweeps[k] = append(sweeps[k], row.addr)
+				}
+			}
+		})
+		if len(sweeps[k]) != n {
 			t.Fatalf("router %d: the sweep retried %d addresses, want %d", k, len(sweeps[k]), n)
+		}
+		if got := rec.take(); len(got) != 1 {
+			t.Fatalf("router %d: the sweep sent %d requests to one home, want 1", k, len(got))
 		}
 
 		// The swap's rekey re-drives everything still parked; its requests

@@ -98,7 +98,7 @@ func TestBatchReplyAnswersTwoDescriptors(t *testing.T) {
 		}
 	}
 	waitFor(t, "the abandoned descriptor to be recycled", func() bool { return r.batchRecycled.Load() == recycled+1 })
-	if got := r.Metrics().Sum(MetricBatchFabricReplies); got != 2 {
+	if got := r.Metrics().Sum(MetricFabricReplies); got != 2 {
 		t.Errorf("%v reply batches, want 2: one answering both descriptors, one the live batch alone", got)
 	}
 	checkDrained(t, r)

@@ -19,38 +19,29 @@
 // export; see metrics.go.
 //
 // Concurrency design: run to completion, and no goroutine per line card.
-// Each line card's cache, engine and waitlists are single-owner state, and
-// the owner is whoever holds lineCard.mu. A goroutine that holds a message
-// for an LC (a caller submitting a lookup, an LC's owner handing a fabric
-// request or reply to a peer) runs that LC's handler itself when the LC is
-// idle: nothing sent to it is still unhandled, its lock is free, and it is
-// live (see runInline). A cache hit is then one TryLock, one probe and one
-// Unlock on the caller's goroutine, and a remote miss whose home is idle
-// too a function call made holding both locks (see direct; a batch's
-// misses, one call per home: batchDirect), with no message. Otherwise the
-// message takes the LC's one queued way in, exactly like the paper's line
-// card behind its finite fabric queues: a bounded queue, served in FIFO
-// order by whoever holds the lock, on its way out
-// (see leave) — the owner that was in the way, or the sender itself if the
-// lock has come free. Who runs a handler is decided by observable state
-// only, never by a setting, and it is the same handler either way. Control
-// — a flush, a table swap, an update batch, a scrape — is not a message at
-// all: its caller waits for the LC's lock and does the work itself (see
-// own), so it takes effect however full the queue is. The router's one
-// goroutine is the health monitor (healthLoop), which also owns every LC
-// once a tick for what no caller came by to do.
+// Each line card's cache, engine and waitlists are owned by whoever holds
+// lineCard.mu. A goroutine holding a message for an idle LC — nothing sent
+// to it unhandled, its lock free, live — runs the handler itself (see
+// runInline): a cache hit is one TryLock, one probe and one Unlock on the
+// caller's goroutine. Every miss past the probe is a batch's rows (a single
+// lookup's a batch of one), and an idle home is asked by a call made
+// holding both locks (batchDirect), with no message. Otherwise the message
+// takes the LC's bounded FIFO queue, like the paper's line card behind its
+// fabric queues, served by whoever holds the lock on its way out (see
+// leave). Control — a flush, a table swap, an update batch, a scrape — is
+// no message: its caller waits for the lock and does the work (see own).
+// The router's one goroutine is the health monitor (healthLoop), which
+// owns every LC once a tick for what no caller came by to do.
 //
-// Two rules keep this deadlock-free. A goroutine that holds one LC's lock
-// takes another's only by TryLock, so none waits for a lock while holding
-// one (nor sends anything while holding two); and a handler never delivers
-// a fabric message while holding its own lock — it queues it on the LC's
-// outbox, delivered by whoever ran the handler after unlocking (see
-// leave). A caller submitting a lookup blocks while the queue is full; an
-// LC sending to a peer never does — a fabric message that finds the peer
-// busy and its queue full is shed (and counted), and the requester's
-// deadline machinery below recovers the lookup, so mutually-full LCs cannot
-// deadlock. WithOverload layers a policy on the same queue: refuse rather
-// than block at admission, retry budgets, circuit breakers (overload.go).
+// Two rules keep this deadlock-free: a goroutine holding one LC's lock
+// takes another's only by TryLock (and sends nothing while holding two),
+// and a handler never delivers a fabric message under its own lock — it
+// queues it on the outbox, delivered after unlocking (see leave). A caller
+// blocks while the queue is full; an LC sending to a peer never does — a
+// fabric message that finds the peer's queue full is shed and counted, and
+// the requester's deadline machinery recovers the lookup. WithOverload
+// layers a policy on the same queue: refuse rather than block at
+// admission, retry budgets, circuit breakers (overload.go).
 //
 // Failure model: the paper assumes a lossless fabric; this package does
 // not. Every fabric request carries a deadline tracked by a coarse
@@ -193,36 +184,44 @@ const (
 )
 
 const (
-	mLookup = iota
-	mRequest
-	mReply
+	mLookup       = iota
 	mBatch        // one pooled batch descriptor of local lookups (batch.go)
-	mBatchRequest // coalesced fabric request: many addresses, one home LC
-	mBatchReply   // coalesced fabric reply, scattered back positionally
+	mBatchRequest // fabric request: the rows one arrival LC asks one home LC
+	mBatchReply   // fabric reply: the rows the home answered, scattered back by address
 )
 
 // message is the fabric traffic: a lookup on its way into an LC, a request
-// or a reply between two.
+// or a reply between two. A request or reply of one row carries it in addr,
+// nextHop and ok, with no payload; more rows are a payload (fb). See rows.
 type message struct {
 	kind    uint8
-	hops    uint8 // forwards survived (mRequest), echoed back on mReply
+	hops    uint8 // forwards survived (mBatchRequest), echoed back on mBatchReply
 	depth   uint8 // fabric messages: inline runs already nested above the one that would handle it (see lineCard.post)
 	addr    ip.Addr
 	nextHop rtable.NextHop
 	ok      bool
-	from    int // requester LC (mRequest)
+	from    int // requester LC (mBatchRequest), responder (mBatchReply)
 	epoch   uint32
 	slot    int32                // index into bd.out when bd != nil
-	feNS    int64                // mReply: home-side FE execution time (0 = not measured)
-	start   int64                // a reading of Router.now. mLookup: submission, for latency histograms; mRequest/mBatchRequest: send. Also tells an inline run that a tick may be due (see leave)
-	resp    chan Verdict         // mLookup: made when the lookup first has to wait — for a busy LC, a reply, a miss in flight — or queue (see handleLookup)
+	feNS    int64                // mBatchReply of one row: home-side FE execution time (0 = not measured, or a hit)
+	start   int64                // a reading of Router.now. mLookup: submission, for latency histograms; mBatchRequest: send. Also tells an inline run that a tick may be due (see leave)
 	tr      *tracing.LookupTrace // mLookup: the trace riding this lookup, if sampled
-	bd      *batchDesc           // mBatch, or an mLookup riding a batch slot
-	fb      []fabricRow          // mBatchRequest / mBatchReply payload
-	// gen rides every mReply / mBatchReply: the generation of the table the
-	// value was computed against, so the requester can spot values that
-	// predate an invalidation it has already run (see updates.go).
+	bd      *batchDesc           // mBatch, or an mLookup's destination once it has to wait (a one-row descriptor)
+	fb      []fabricRow          // mBatchRequest / mBatchReply payload of more than one row
+	// gen rides every mBatchReply: the generation of the table the value
+	// was computed against, so the requester can spot values that predate
+	// an invalidation it has already run (see updates.go).
 	gen uint64
+}
+
+// rows is a request's or reply's rows: its payload, or the one row its own
+// fields carry, copied into one.
+func (m *message) rows(one *[1]fabricRow) []fabricRow {
+	if m.fb != nil {
+		return m.fb
+	}
+	one[0] = fabricRow{m.addr, m.nextHop, m.ok}
+	return one[:]
 }
 
 // LCStats are per-line-card counters (atomically updated, readable live).
@@ -231,12 +230,11 @@ type message struct {
 // including these counters plus latency histograms and cache occupancy.
 // LCStats remains for callers that want zero-allocation live reads.
 type LCStats struct {
+	// RequestsSent and RepliesSent count fabric exchanges, not addresses: a
+	// request covering 30 addresses increments each by exactly one.
 	Lookups, CacheHits, FEExecs, RequestsSent, RepliesSent, Coalesced, StaleReplies atomic.Int64
-	// Batch data-plane counters: batch descriptors admitted, and how many
-	// of RequestsSent / RepliesSent were coalesced multi-address fabric
-	// messages (RequestsSent counts fabric messages, so a batch request
-	// covering 30 addresses increments each by exactly one).
-	Batches, BatchRequestsSent, BatchRepliesSent atomic.Int64
+	// Batches counts the batch descriptors admitted.
+	Batches atomic.Int64
 	// Robustness counters: fabric requests re-sent after a deadline
 	// expiry, lookups answered by the full-table fallback engine,
 	// deadlines that exhausted their retry budget, and in-flight
@@ -260,18 +258,15 @@ type remoteWaiter struct {
 	gen uint64
 }
 
-// localWaiter is one parked local lookup: its reply destination plus its
-// submission stamp, so coalesced lookups each record their own latency,
-// and its trace, so each traced lookup finishes its own span. The
-// destination is either a reply channel (single lookups) or a slot in a
-// batch descriptor's verdict array (bd non-nil); see Router.deliver.
+// localWaiter is a local lookup past the probe: its slot in a batch
+// descriptor (a single lookup's is one row), whose stamp is its submission,
+// and its trace, so that coalesced lookups each record their own latency and
+// span.
 type localWaiter struct {
-	ch    chan Verdict
-	bd    *batchDesc
-	slot  int32
-	start int64
-	tr    *tracing.LookupTrace
-	gen   uint64 // LC generation at park time; see remoteWaiter.gen
+	bd   *batchDesc
+	slot int32
+	tr   *tracing.LookupTrace
+	gen  uint64 // LC generation at park time; see remoteWaiter.gen
 }
 
 type waitlist struct {
@@ -283,22 +278,18 @@ type waitlist struct {
 	// Router.now, like sentAt below; zero means none).
 	attempts int
 	deadline int64
-	// tr is the per-address span owner: the earliest traced lookup
-	// parked here records the shared events (fabric send/recv, retry,
-	// deadline, fill). When no parked lookup was head-sampled and the
-	// address turns interesting, a late trace is allocated and trLate
-	// marks that it is not owned by any localWaiter, so fillAndRelease
-	// must finish it separately. feNS is the local FE execution time,
-	// measured only while tracing, echoed to remote waiters in replies.
+	// tr is the per-address span owner: the earliest traced lookup parked
+	// here records the shared events (fabric send/recv, retry, deadline,
+	// fill); trLate marks a late trace no localWaiter owns, finished by
+	// answer. feNS is the local FE time, measured only while tracing, echoed
+	// to remote waiters in replies.
 	tr     *tracing.LookupTrace
 	trLate bool
 	feNS   int64
 	// Gray-failure bookkeeping (see gray.go). sentAt is when the first
-	// fabric request for this address left (zero when none did, or after
-	// a retry made the round trip ambiguous it simply stops being
-	// sampled via the attempts==1 guard). hedged means the waiters were
-	// already answered from the fallback engine and the entry only
-	// persists to recognize — and suppress — the primary reply.
+	// request left (zero when none did; sampled only while attempts == 1).
+	// hedged: the waiters were answered from the fallback engine and the
+	// entry persists only to suppress the primary reply.
 	sentAt int64
 	hedged bool
 }
@@ -312,13 +303,12 @@ type fabricSend struct {
 type lineCard struct {
 	id int
 
-	// mu is the ownership of everything down to outbox: whoever holds it — a
-	// goroutine running a handler inline (runInline), an arrival LC's owner
-	// asking this home directly (direct), a control caller (own), or the health
-	// monitor sweeping or adopting a crashed slot — is the LC for that long, and
-	// gives it up through leave, which serves the queue. Lock order is Router.mu
-	// → lineCard.mu; no handler takes Router.mu, nothing blocks while holding
-	// mu, and a goroutine that holds one LC's mu takes another's only by TryLock.
+	// mu is the ownership of everything down to outbox: whoever holds it — an
+	// inline run (runInline), an arrival LC's owner asking this home
+	// (batchDirect), a control caller (own), the health monitor — is the LC
+	// for that long, and gives it up through leave, which serves the queue.
+	// Lock order is Router.mu → lineCard.mu; nothing blocks while holding mu,
+	// and a holder of one LC's mu takes another's only by TryLock.
 	mu      sync.Mutex
 	engine  lpm.Engine
 	cache   *cache.Cache
@@ -330,12 +320,9 @@ type lineCard struct {
 	// cache, reflect: installTable installs the engine, flushes and sets it;
 	// applyUpdates applies the delta, invalidates and sets it. Both run under
 	// Router.mu, which orders the generations, so it is monotonic.
-	gen   uint64
-	stats *LCStats
-	// scratch is this LC's reusable batch workspace (miss collection,
-	// batched FE results, per-home fabric accumulators), surviving a crash
-	// and its adoption. See batch.go.
-	scratch *lcScratch
+	gen     uint64
+	stats   *LCStats
+	scratch *lcScratch // reusable miss workspace (see batch.go), surviving a crash
 	// hedge is this LC's hedge budget (see gray.go): spent by ticker
 	// hedges, refilled by successful fabric round trips.
 	hedge tokenBucket
@@ -343,6 +330,9 @@ type lineCard struct {
 	// on its way out (see leave), the health monitor's sweep being the owner
 	// that comes by when nobody else does.
 	lastTick int64
+	// spare is the one-row batch descriptor an inline miss is run in: kept
+	// while the run answers it, the caller's once it has to wait.
+	spare *batchDesc
 	// done lists the local lookups answered since this ownership began, for
 	// leave to time with one clock reading (see finish).
 	done []finished
@@ -358,11 +348,9 @@ type lineCard struct {
 	nwaiters   int64
 	resolvedBD *batchDesc
 	resolved   int
-	// outbox holds the fabric messages the running handler has produced.
-	// They must not be delivered under mu — the peer may run them inline
-	// and answer straight back here — so whoever ran the handler takes
-	// them before unlocking and delivers them afterwards (see leave). The
-	// backing array is reused.
+	// outbox holds the fabric messages the running handler has produced,
+	// delivered after unlocking (see leave): the peer may run them inline
+	// and answer straight back here.
 	outbox []fabricSend
 	// depth is how many inline runs are nested on this owner's stack above
 	// the handler now running: zero for a caller entering with its own lookup,
@@ -371,6 +359,9 @@ type lineCard struct {
 	// depth+1 on what the handler sends, and deliverData nests nothing past
 	// maxInlineDepth, which bounds the nesting whatever the protocol does.
 	depth uint8
+	// Handler runs by who ran them (spal_router_handled_total): inline,
+	// queued, and direct — exchanges a requester's owner served here by call.
+	handledInline, handledQueued, handledDirect atomic.Int64
 
 	// Everything below is atomic and may be touched without mu.
 
@@ -385,9 +376,6 @@ type lineCard struct {
 	// finds a message, and a sender that has counted has pushed. Hand-offs are
 	// decided on it (see enter and leave), never on the channel's len().
 	backlog atomic.Int32
-	// Handler runs by who ran them (spal_router_handled_total); handledDirect:
-	// requests their requester's owner served here, no message sent (see direct).
-	handledInline, handledQueued, handledDirect atomic.Int64
 
 	lat          lcLatency
 	pendingDepth atomic.Int64 // these two: as of the last completed run (see leave)
@@ -655,18 +643,18 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 }
 
 // sendFabric delivers a request or reply across the (virtual) fabric,
-// routing it through the fault injector when one is installed: mRequest,
-// mReply and their batched forms can be dropped, delayed, or duplicated
-// (a locally submitted lookup never passes through here). A batch message
-// is one fabric unit: the injector sees its first address and a verdict
-// applies to the whole batch (a dropped batch request is re-driven
-// per-address by the requesters' deadline machinery).
+// routing it through the fault injector when one is installed: either can
+// be dropped, delayed, or duplicated (a locally submitted lookup never
+// passes through here). A message is one fabric unit however many rows it
+// carries: the injector sees its first address and a verdict applies to the
+// whole message (a dropped request is re-driven per address by the
+// requesters' deadline machinery).
 func (r *Router) sendFabric(to int, m message) {
 	if r.injector == nil {
 		r.deliverData(to, m)
 		return
 	}
-	d := r.injector(FabricMessage{Reply: m.kind == mReply || m.kind == mBatchReply, From: m.from, To: to, Addr: m.addr})
+	d := r.injector(FabricMessage{Reply: m.kind == mBatchReply, From: m.from, To: to, Addr: m.addr})
 	if d.Drop {
 		return
 	}
@@ -906,9 +894,9 @@ func (r *Router) tick(lc *lineCard, now int64) {
 // checkDeadlines retries or degrades every pending lookup whose fabric
 // request went unanswered past its deadline. Retries re-derive the home
 // LC (the address may have been re-homed by a table update) and back off
-// exponentially; once the retry budget is spent, the lookup is answered
-// from the router-wide full-table fallback engine so it terminates no
-// matter what the fabric lost.
+// exponentially, one request per home a sweep; once the retry budget is
+// spent, the lookup is answered from the router-wide full-table fallback
+// engine so it terminates no matter what the fabric lost.
 func (r *Router) checkDeadlines(lc *lineCard, at time.Time) {
 	now := int64(at.Sub(r.born)) // the reading at is; deadlines are readings
 	lc.pending.walk()
@@ -985,12 +973,14 @@ func (r *Router) checkDeadlines(lc *lineCard, at time.Time) {
 			if home == lc.id {
 				// Re-homed onto this LC while the request was in
 				// flight: resolve locally against our own partition.
-				r.runFE(lc, addr, wl)
+				nh, ok, feNS := r.walk(lc, addr)
+				wl.feNS = feNS
+				wl.tr.Record(tracing.EvFEExec, feNS, int64(lc.id))
+				r.fillAndRelease(lc, addr, nh, ok, cache.LOC, ServedByFE)
 				continue
 			}
-			lc.stats.RequestsSent.Add(1)
 			wl.tr.Record(tracing.EvFabricSend, int64(home), int64(wl.attempts))
-			lc.post(home, message{kind: mRequest, addr: addr, from: lc.id, epoch: lc.epoch, start: now})
+			lc.scratch.request(home, addr)
 			continue
 		}
 		if wl.attempts > r.maxRetries {
@@ -1008,6 +998,7 @@ func (r *Router) checkDeadlines(lc *lineCard, at time.Time) {
 		}
 		r.fillAndRelease(lc, addr, nh, ok, origin, ServedByFallback)
 	}
+	r.exchange(lc, nil, now)
 }
 
 func (r *Router) handle(lc *lineCard, m message) {
@@ -1020,35 +1011,22 @@ func (r *Router) handle(lc *lineCard, m message) {
 		r.handleBatchRequest(lc, m)
 	case mBatchReply:
 		r.handleBatchReply(lc, m)
-	case mRequest:
-		r.handleRequest(lc, m)
-	case mReply:
-		if m.epoch != lc.epoch {
-			// A reply computed before a table swap must not poison the
-			// freshly flushed cache; the swap already re-drove the
-			// lookups it was answering.
-			lc.stats.StaleReplies.Add(1)
-			return
-		}
-		r.replyFrom(lc, m.from, m.addr)
-		r.replyFor(lc, &m, m.addr, m.nextHop, m.ok)
 	}
 }
 
-// handleLookup serves a locally submitted packet. A lookup normally
-// carries its destination — a reply channel or a batch slot — and the
-// verdict is delivered there. An inline caller (Router.lookup) submits it
-// with neither: a verdict this LC has on the spot — a cache hit, a miss it
-// is home of, or a miss whose home is idle and answers now (direct) — is
-// then returned as (verdict, true) and never needs a channel; on every
-// other path m.resp is created here, the moment the lookup has to wait, and
-// the caller reads the verdict from it.
+// handleLookup serves a locally submitted packet. A queued or re-driven
+// lookup carries its destination, a descriptor's slot, where its verdict is
+// delivered. An inline caller (Router.lookup) has none: a hit is returned as
+// (verdict, true); a miss is a batch of one row in the LC's spare one-row
+// descriptor, whose verdict, if this run has it, is returned the same way —
+// else the descriptor is the caller's to wait on.
 func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 	lc.stats.Lookups.Add(1)
-	inline := m.resp == nil && m.bd == nil // Router.lookup's own call: no destination, and a stamp, if any, of this instant
+	inline := m.bd == nil // Router.lookup's own call: no destination, and a stamp, if any, of this instant
+	kind := cache.Miss
 	if lc.cache != nil {
-		switch res := lc.cache.Probe(m.addr); res.Kind {
-		case cache.Hit, cache.HitVictim:
+		res := lc.cache.Probe(m.addr)
+		if kind = res.Kind; kind == cache.Hit || kind == cache.HitVictim {
 			lc.stats.CacheHits.Add(1)
 			ok := res.NextHop != rtable.NoNextHop
 			if m.tr != nil {
@@ -1066,155 +1044,39 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 			if inline {
 				return v, true
 			}
-			r.deliver(*m, v)
+			r.deliver(localWaiter{bd: m.bd, slot: m.slot}, v)
 			return Verdict{}, false
-		case cache.HitWaiting:
-			m.tr.Record(tracing.EvProbe, int64(res.Kind), int64(res.Origin))
-		default:
-			// Only a miss that leaves this LC is ever in flight and has a W
-			// block to reserve; see the local-home arm below.
-			origin, recorded := cache.LOC, true
-			if lc.homeOf(m.addr) != lc.id {
-				origin, recorded = cache.REM, lc.cache.Reserve(m.addr, cache.REM)
-			}
-			if m.tr != nil {
-				m.tr.Record(tracing.EvProbe, int64(res.Kind), int64(origin))
-				if !recorded {
-					m.tr.Record(tracing.EvBypass, 0, 0)
-				}
-			}
 		}
-	}
-	if m.start == 0 {
-		m.start = r.now() // left unstamped in case it hit (see lookup): a miss is timed from here
-	}
-	// Coalesce onto an in-flight miss: the probe hit its W block, or — the
-	// bypass case — the set was fully waiting, so there is no W block to
-	// hit, but a dispatch for this address is already outstanding (even for
-	// an address homed here: a hedged entry, or one parked before a swap). A
-	// second dispatch would duplicate the fabric request.
-	if wl := lc.pending.get(m.addr); wl != nil {
-		m.needReply()
-		r.joinLocal(lc, wl, m)
-		return Verdict{}, false
-	}
-	home := lc.homeOf(m.addr)
-	if home == lc.id {
-		// A fresh miss this LC resolves itself never parks: the FE runs now,
-		// under the lock, where no probe could observe a W block or waitlist
-		// opened for it, and an inline caller gets the verdict like a hit.
-		nh, ok, feNS := r.execFE(lc, m.addr)
-		lc.fill(m.addr, nh, cache.LOC)
-		if m.tr != nil {
-			m.tr.Record(tracing.EvFEExec, feNS, int64(lc.id))
-			m.tr.Record(tracing.EvFill, int64(cache.LOC), int64(ServedByFE))
-			r.finishTrace(m.tr, ServedByFE, ok)
-		}
-		r.finish(lc, ServedByFE, m.start, traceID(m.tr))
-		return r.hand(m, inline, Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByFE})
 	}
 	now := m.start
-	if !inline { // queued or re-driven: its stamp is old, and the home's tick and routeFor need the present
+	if now == 0 || !inline { // unstamped in case it hit (see lookup), or queued: the home's tick and routeFor need the present
 		now = r.now()
 	}
-	// A fresh miss homed elsewhere parks only when it has to wait. A home that can answer now
-	// is asked by function call; else routeFor decides — normally one request over the fabric.
-	if nh, ok, done := r.direct(lc, m, home, now); done {
-		r.finish(lc, ServedByRemote, m.start, traceID(m.tr))
-		return r.hand(m, inline, Verdict{Addr: m.addr, NextHop: nh, OK: ok, ServedBy: ServedByRemote})
+	if m.start == 0 {
+		m.start = now
 	}
-	m.needReply()
-	wl := r.park(lc, m.addr)
-	wl.tr = m.tr
-	lc.addLocal(wl, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr})
-	if r.routeFor(lc, m.addr, home, wl, now) {
-		lc.stats.RequestsSent.Add(1)
-		lc.post(home, message{kind: mRequest, addr: m.addr, from: lc.id, epoch: lc.epoch, start: now})
-	}
-	return Verdict{}, false
-}
-
-// hand gives a lookup its verdict the moment its LC has it: by value to an
-// inline caller, at its destination to any other.
-func (r *Router) hand(m *message, inline bool, v Verdict) (Verdict, bool) {
-	if inline {
-		return v, true
-	}
-	r.deliver(*m, v)
-	return Verdict{}, false
-}
-
-// direct is a remote miss that does not wait: lc's owner takes addr's home too
-// if nothing stands between them (directable, askDirect) and the home agrees it
-// is the home and has no such miss in flight (serveRequest's direct asking).
-// Then it is both line cards and the exchange is a call: the home's answer as
-// handleRequest computes it, counted as the request and reply it stands for,
-// filled REM as replyFor would. Any no leaves the home untouched and reports
-// !done: the message path's. batchDirect is the same exchange for a batch's rows.
-func (r *Router) direct(lc *lineCard, m *message, home int, now int64) (nh rtable.NextHop, ok, done bool) {
-	if !r.directable(lc, home) {
-		return
-	}
-	h := r.askDirect(lc, home, now)
-	if h == nil {
-		return
-	}
-	nh, ok, feNS, answered := r.serveNow(h, m.addr, nil, 0)
-	if answered {
-		h.stats.RepliesSent.Add(1)
-		h.handledDirect.Add(1)
-	}
-	r.leave(h, 0) // nothing posted, no tick run: the lock goes, and what queued behind it is served
-	if !answered {
-		return
-	}
-	m.tr.Record(tracing.EvFabricSend, int64(home), 1)
-	lc.stats.RequestsSent.Add(1)
-	r.replyArrived(lc, home, now)
-	lc.fill(m.addr, nh, cache.REM)
-	if m.tr != nil { // the events of a reply's intake, in replyFor's order
-		m.tr.Record(tracing.EvFabricRecv, int64(home), 0)
-		if feNS > 0 {
-			m.tr.Record(tracing.EvFEExec, feNS, int64(home))
+	if inline { // no pool round trip for a verdict this run has
+		if lc.spare == nil {
+			lc.spare = getBatchDesc(1, 0)
 		}
-		m.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByRemote))
-		r.finishTrace(m.tr, ServedByRemote, ok)
+		m.bd, m.slot, lc.spare.start = lc.spare, 0, m.start
 	}
-	return nh, ok, true
-}
-
-// directable reports whether nothing a direct exchange cannot get past stands
-// between lc and home: an injector (it must see every exchange as a message), a
-// pinned or ejected home, a breaker not closed (routeFor's calls). All of it
-// holds for as long as lc's owner does, short of a concurrent pin.
-func (r *Router) directable(lc *lineCard, home int) bool {
-	return r.injector == nil && !r.genPinned(home) && (!r.ov.Enabled || lc.ov.breakers[home].state.Load() == breakerClosed)
-}
-
-// askDirect makes lc's owner home's owner too, for a direct exchange, if home is
-// idle (enter), not behind lc and has no tick due: a tick posts retries, and a
-// goroutine holding two LC locks sends nothing. nil otherwise; the caller ends
-// the ownership with leave(h, 0).
-func (r *Router) askDirect(lc *lineCard, home int, now int64) *lineCard {
-	h := r.enter(home)
-	if h == nil {
-		return nil
+	n := 0
+	if home := r.missRow(lc, localWaiter{bd: m.bd, slot: m.slot, tr: m.tr}, m.addr, kind, now); home >= 0 { // held on the stack
+		ask, held := [1]fabricRow{{addr: m.addr}}, [1]heldRow{{tr: m.tr, slot: m.slot}}
+		n = r.batchDirect(lc, m.bd, home, ask[:], held[:], now)
 	}
-	h.depth = lc.depth + 1 // for what leave may find queued at h meanwhile: this run nests on lc's
-	if h.gen < lc.gen || now-h.lastTick >= int64(r.tickEvery) {
-		r.leave(h, 0)
-		return nil
+	if n == 0 { // a row answered direct leaves nothing to settle
+		n = r.settle(lc, m.bd, now)
 	}
-	return h
-}
-
-// needReply gives a lookup that has to wait — for a busy LC, a reply over the
-// fabric, a miss in flight — a destination if it has none yet. A fresh channel,
-// never pooled: a cancelled LookupCtx or a replayed waiter may still deliver into it.
-func (m *message) needReply() {
-	if m.resp == nil && m.bd == nil {
-		m.resp = make(chan Verdict, 1)
+	if inline {
+		if n == 1 { // the spare stays the LC's: its countdown was never touched
+			return m.bd.out[0], true
+		}
+		lc.spare = nil // the caller's, to wait on
 	}
+	r.bdResolveN(m.bd, n)
+	return Verdict{}, false
 }
 
 // addLocal parks local lookup w on wl, stamped with this LC's generation.
@@ -1224,30 +1086,30 @@ func (lc *lineCard) addLocal(wl *waitlist, w localWaiter) {
 	lc.nwaiters++
 }
 
-// joinLocal coalesces local lookup m onto wl, the waitlist of a miss
-// already in flight for its address, so the address costs one FE execution
-// and one fabric request however many lookups want it. Two things keep it
-// out. A hedged waitlist has already answered its waiters and persists only
-// to recognize the primary reply; parking there would strand the lookup, so
-// it is answered directly (hedgeAnswerLocal). A waitlist at the overload
+// joinLocal coalesces local lookup w of addr onto wl, the waitlist of a miss
+// already in flight for it, so the address costs one FE execution and one
+// fabric request however many lookups want it. Two things keep it out. A
+// hedged waitlist has already answered its waiters and persists only to
+// recognize the primary reply; parking there would strand the lookup, so it
+// is answered directly (hedgeAnswerLocal). A waitlist at the overload
 // policy's cap sheds it.
-func (r *Router) joinLocal(lc *lineCard, wl *waitlist, m *message) {
+func (r *Router) joinLocal(lc *lineCard, wl *waitlist, addr ip.Addr, w localWaiter) {
 	if wl.hedged {
-		r.hedgeAnswerLocal(lc, m)
+		r.hedgeAnswerLocal(lc, addr, w)
 		return
 	}
 	if r.waitlistFull(wl) {
-		r.shedLocal(lc.id, *m, shedWaitlistOverflow)
+		r.shedLocal(lc.id, addr, w, shedWaitlistOverflow)
 		return
 	}
 	lc.stats.Coalesced.Add(1)
-	if m.tr != nil {
-		m.tr.Record(tracing.EvCoalesce, int64(len(wl.locals)+len(wl.remotes)), 0)
+	if w.tr != nil {
+		w.tr.Record(tracing.EvCoalesce, int64(len(wl.locals)+len(wl.remotes)), 0)
 		if wl.tr == nil {
-			wl.tr = m.tr
+			wl.tr = w.tr
 		}
 	}
-	lc.addLocal(wl, localWaiter{ch: m.resp, bd: m.bd, slot: m.slot, start: m.start, tr: m.tr})
+	lc.addLocal(wl, w)
 }
 
 // joinRemote is joinLocal for a peer's request arriving at the home LC. An
@@ -1287,79 +1149,22 @@ const maxInlineDepth = maxForwardHops + 2
 // current.
 const maxForwardHops = 4
 
-// handleRequest serves a lookup request from a remote arrival LC with one
-// reply: a hit from the cache, a fresh miss from an FE execution run now.
-func (r *Router) handleRequest(lc *lineCard, m message) {
-	rw := remoteWaiter{from: m.from, epoch: m.epoch, hops: m.hops, gen: lc.gen}
-	if nh, ok, feNS, answered := r.serveNow(lc, m.addr, &rw, m.start); answered {
-		r.sendReply(lc, rw, m.addr, nh, ok, feNS, lc.gen)
-	}
-}
-
-// serveNow is the single plane's serveRequest: a fresh miss runs the FE at once and fills
-// LOC, so the home has the answer when it returns (answered) or has passed the request on
-// (declined it, when asked direct).
-func (r *Router) serveNow(lc *lineCard, addr ip.Addr, rw *remoteWaiter, start int64) (nh rtable.NextHop, ok bool, feNS int64, answered bool) {
-	hit, nh, fresh := r.serveRequest(lc, addr, rw, start)
-	ok = nh != rtable.NoNextHop
-	if fresh {
-		nh, ok, feNS = r.execFE(lc, addr)
-		lc.fill(addr, nh, cache.LOC)
-	}
-	return nh, ok, feNS, hit || fresh
-}
-
-// serveRequest is the home LC's work for one requested address, up to the
-// two points where the single and the batch plane differ. A cache hit is
-// reported with its next hop, and the caller sends the answer (one reply,
-// or a row of the reply batch). A miss nobody has in flight is reported as
-// fresh and the caller runs the FE (now, or in the batch sweep), fills LOC
-// and answers within its handler — nothing parks, and a duplicate request
-// finds the filled entry (cache-less, it runs the engine again). Everything
-// else is finished here: a request for an in-flight address joins its
-// waitlist, and one for an address this LC is no longer home of moves on —
-// unless the home is asked direct (rw nil): a goroutine holding two LC locks
-// sends nothing and parks nobody, so such an address is reported neither hit
-// nor fresh, untouched (not even probed), and takes the message path.
-func (r *Router) serveRequest(lc *lineCard, addr ip.Addr, rw *remoteWaiter, start int64) (hit bool, nh rtable.NextHop, fresh bool) {
-	if home := lc.homeOf(addr); home != lc.id {
-		if rw == nil {
-			return
-		}
-		// The address was re-homed while this request was in flight (a
-		// table update swapped the partitioning under it). Running LPM
-		// here would consult the wrong partition and could cache a bogus
-		// verdict — e.g. NoNextHop — as a LOC entry that later local
-		// lookups hit. Forward to the current home instead; the reply
-		// still carries the original requester and epoch.
-		if rw.hops >= maxForwardHops {
-			lc.stats.Fallbacks.Add(1)
-			fnh, ok := r.fallbackLookup(addr)
-			// Answer from here without caching: this LC is not home, so
-			// the result must not enter its LOC quota.
-			r.sendReply(lc, *rw, addr, fnh, ok, 0, lc.gen)
-			return
-		}
-		lc.stats.ForwardedRequests.Add(1)
-		lc.post(home, message{kind: mRequest, addr: addr, from: rw.from, epoch: rw.epoch, hops: rw.hops + 1, start: start})
+// forward moves a request's row for addr on to home, its home now: the
+// address was re-homed while the request was in flight (a table update
+// swapped the partitioning under it), and running LPM here would consult the
+// wrong partition and could cache a bogus verdict as a LOC entry. The reply
+// still carries the original requester and epoch. Past maxForwardHops the row
+// is answered from the fallback engine instead, uncached: this LC is not its
+// home, so the value must not enter its LOC quota.
+func (r *Router) forward(lc *lineCard, addr ip.Addr, home int, rw remoteWaiter, start int64) {
+	if rw.hops >= maxForwardHops {
+		lc.stats.Fallbacks.Add(1)
+		nh, ok := r.fallbackLookup(addr)
+		r.sendReply(lc, rw, addr, nh, ok, 0, lc.gen)
 		return
 	}
-	// In flight here from before a swap made this LC the address's home, or
-	// hedged: never dispatch twice for one address.
-	wl := lc.pending.get(addr)
-	if wl != nil && rw == nil {
-		return
-	}
-	if lc.cache != nil {
-		if res := lc.cache.Probe(addr); res.Kind == cache.Hit || res.Kind == cache.HitVictim {
-			return true, res.NextHop, false
-		}
-	}
-	if wl != nil {
-		r.joinRemote(lc, wl, *rw, addr)
-		return
-	}
-	return false, 0, true
+	lc.stats.ForwardedRequests.Add(1)
+	lc.post(home, message{kind: mBatchRequest, addr: addr, from: rw.from, epoch: rw.epoch, hops: rw.hops + 1, start: start})
 }
 
 // maxFreeWaitlists caps an LC's free list, so that a burst of in-flight
@@ -1381,8 +1186,7 @@ func (r *Router) park(lc *lineCard, addr ip.Addr) *waitlist {
 
 // dropWaiters empties wl's waiter lists. locals is cleared, not truncated,
 // to its capacity (release compacts it in place), so that a waitlist that
-// lingers — hedged, or on the free list — pins no reply channel, batchDesc
-// or trace; remote waiters hold no pointers.
+// lingers — hedged, or on the free list — pins no batchDesc or trace.
 func (wl *waitlist) dropWaiters() {
 	clear(wl.locals[:cap(wl.locals)])
 	wl.locals, wl.remotes = wl.locals[:0], wl.remotes[:0]
@@ -1397,27 +1201,6 @@ func (lc *lineCard) recycle(wl *waitlist) {
 		wl.tr, wl.trLate, wl.hedged = nil, false, false
 		lc.free = append(lc.free, wl)
 	}
-}
-
-// execFE is one FE execution: addr against this LC's own partition, a miss
-// normalised to NoNextHop, timed (feNS) only while tracing.
-func (r *Router) execFE(lc *lineCard, addr ip.Addr) (nh rtable.NextHop, ok bool, feNS int64) {
-	t0 := r.feTimer()
-	nh, _, ok = lc.engine.Lookup(addr)
-	lc.stats.FEExecs.Add(1)
-	if !ok {
-		nh = rtable.NoNextHop
-	}
-	return nh, ok, r.elapsedNS(t0)
-}
-
-// runFE answers wl, parked for a request in flight when the address was
-// re-homed onto this LC, from this LC's own FE.
-func (r *Router) runFE(lc *lineCard, addr ip.Addr, wl *waitlist) {
-	nh, ok, feNS := r.execFE(lc, addr)
-	wl.feNS = feNS
-	wl.tr.Record(tracing.EvFEExec, wl.feNS, int64(lc.id))
-	r.fillAndRelease(lc, addr, nh, ok, cache.LOC, ServedByFE)
 }
 
 // fallbackLookup resolves addr against the router-wide full-table engine,
@@ -1436,10 +1219,9 @@ func (r *Router) fallbackLookup(addr ip.Addr) (rtable.NextHop, bool) {
 
 // routeFor is the one place that decides whether a fresh miss parked on wl
 // may be sent to its remote home, consulting every protection plane once.
-// It reports whether the caller is to put the request on the fabric (one
-// mRequest, or a row of the batch's per-home accumulator), having armed
-// wl's deadline for it; the send itself is all that is left to the caller,
-// so nothing here knows which plane asked.
+// It reports whether the caller is to put the address on the fabric (a row
+// of the run's request to home), having armed wl's deadline for it; the
+// send itself is all that is left to the caller.
 //
 //   - Breaker open toward home (overload.go): the send is doomed, so the
 //     waiters are answered from the fallback engine without touching the
@@ -1476,31 +1258,15 @@ func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, no
 	return true
 }
 
-// replyFrom is replyArrived for a reply that came as a message: the waitlist of
-// first, the (first) address it answers, holds the send time — unless a retry
-// made the round trip ambiguous, which then goes unsampled.
-func (r *Router) replyFrom(lc *lineCard, from int, first ip.Addr) {
-	var sent int64
-	if r.grayPol.Enabled {
-		if wl := lc.pending.get(first); wl != nil && wl.attempts == 1 {
-			sent = wl.sentAt
-		}
-	}
-	r.replyArrived(lc, from, sent)
-}
-
 // replyArrived is the per-message half of reply intake: one answer from
-// home — a fabric reply, single or batch, or a direct exchange's — is one
-// successful round trip. sent is when its request left, zero to go unsampled.
+// home — a fabric reply or a direct exchange's — is one successful round
+// trip. sent is when its request left, zero to go unsampled.
 func (r *Router) replyArrived(lc *lineCard, from int, sent int64) {
 	if sent != 0 && r.grayPol.Enabled && !r.gray[lc.id].degraded.Load() {
-		// Attributed to the responding home LC. Sampled before the
-		// generation and hedge guards so an ejected LC's recovery stays
-		// observable. A requester that is itself marked degraded abstains:
-		// its round trips ride its own browned-out links, so charging them
-		// to the responding home would drag every clean ring toward the
-		// brownout and mask the true outlier (its recovery is judged by
-		// other requesters' samples of it, not by its own observations).
+		// Attributed to the responding home, before the generation and hedge
+		// guards, so an ejected LC's recovery stays observable. A degraded
+		// requester abstains: its round trips ride its own browned-out links,
+		// and charging them to the home would mask the true outlier.
 		r.rtt[from].observe(r.now() - sent)
 	}
 	if r.ov.Enabled {
@@ -1512,41 +1278,6 @@ func (r *Router) replyArrived(lc *lineCard, from int, sent int64) {
 	if r.grayPol.Hedge {
 		lc.hedge.refill()
 	}
-}
-
-// replyFor is the per-address half of reply intake: the value a fabric
-// reply m carries for addr answers whatever is parked on it here. The
-// epoch guard is per message and has already passed.
-func (r *Router) replyFor(lc *lineCard, m *message, addr ip.Addr, nh rtable.NextHop, ok bool) {
-	wl := lc.pending.get(addr)
-	pending := wl != nil
-	if pending && wl.hedged {
-		// A hedge (or an eject dispatch) already answered every waiter;
-		// this primary is the suppressed duplicate (exactly one owner
-		// delivers a verdict — the batch-descriptor rule applied to
-		// hedging).
-		r.hedgePrimaryLate.Add(1)
-		r.dropHedged(lc, addr)
-		return
-	}
-	if r.tracer != nil && pending && wl.tr != nil {
-		wl.tr.Record(tracing.EvFabricRecv, int64(m.from), int64(m.hops))
-		if m.feNS > 0 {
-			wl.tr.Record(tracing.EvFEExec, m.feNS, int64(m.from))
-		}
-	}
-	if m.gen < lc.gen {
-		// The responder computed this value before applying an update
-		// batch we have already applied (and invalidated for): the parked
-		// lookups may still observe it — they were in flight during the
-		// update window — but it must not survive as a cache entry. A
-		// pinned (quarantined or ejected) responder stays behind until it
-		// is rebuilt or restored, so its replies are final: delivered to
-		// every waiter rather than re-driven back at it.
-		r.fillStaleRelease(lc, addr, nh, ok, m.gen, r.genPinned(m.from))
-		return
-	}
-	r.fillAndRelease(lc, addr, nh, ok, cache.REM, ServedByRemote)
 }
 
 // fill installs a result in lc's cache, when it has one.
@@ -1562,24 +1293,20 @@ func (r *Router) fillAndRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop, o
 	r.release(lc, addr, nh, ok, origin, servedBy, lc.gen, false)
 }
 
-// fillStaleRelease handles a fabric reply whose value was computed against
-// a table generation older than the one this LC has already applied and
-// invalidated for. The parked lookups were in flight across the update
-// window, so delivering the older verdict to them is within the documented
-// window semantics — but the value must not outlive the window as a cache
-// entry, because the targeted invalidation covering it has already run
-// here. Fill still runs (it is what clears the W block so later probes
-// re-dispatch instead of parking forever); the point invalidation right
-// after drops the entry again. Remote waiters are answered with the
-// value's true generation, so the next hop applies the same rule.
+// fillStaleRelease handles a fabric reply whose value predates a table
+// generation this LC has already applied and invalidated for. The parked
+// lookups were in flight across the update window and may observe it, but
+// it must not outlive the window as a cache entry: Fill still runs (it
+// clears the W block, so later probes re-dispatch instead of parking
+// forever) and a point invalidation drops the entry again. Remote waiters
+// are answered with the value's true generation, so the next hop applies the
+// same rule.
 //
-// final marks staleness that will not resolve by waiting: the responder is
-// pinned behind the current generation until it is rebuilt or restored.
-// Re-driving such a lookup would park it, forward it to the same pinned
-// home, and draw another stale reply — forever — so final replies answer
-// every waiter, new-generation ones included. That is the documented
-// quarantine contract: the damaged LC keeps serving, its verdicts just
-// never enter a cache.
+// final marks staleness that waiting will not resolve: the responder is
+// pinned behind the current generation until rebuilt or restored, and a
+// re-driven lookup would draw another stale reply forever. Final replies
+// answer every waiter, new-generation ones included — the quarantine
+// contract: the damaged LC keeps serving, its verdicts never enter a cache.
 func (r *Router) fillStaleRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool, valueGen uint64, final bool) {
 	lc.stats.StaleGenReplies.Add(1)
 	if lc.cache != nil {
@@ -1599,12 +1326,10 @@ func (r *Router) release(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool,
 	}
 	lc.nwaiters -= int64(len(wl.locals) + len(wl.remotes))
 	if valueGen < lc.gen && !final {
-		// A generationally stale value may only answer waiters that
-		// parked before this LC applied the newer batch; later waiters
-		// were promised the updated table (ApplyUpdates had returned
-		// before they were submitted), so they are re-driven against the
-		// current engine instead. The pending entry is already cleared,
-		// so the re-drive parks a fresh waitlist and dispatches anew.
+		// A stale value answers only waiters that parked before this LC
+		// applied the newer batch; later ones were promised the updated
+		// table, so they are re-driven against the current engine (the entry
+		// is gone: the re-drive parks and dispatches anew).
 		keepL, keepR := wl.locals[:0], wl.remotes[:0]
 		var redriveL []localWaiter
 		var redriveR []remoteWaiter
@@ -1636,39 +1361,30 @@ func (r *Router) release(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool,
 func (r *Router) redrive(lc *lineCard, addr ip.Addr, locals []localWaiter, remotes []remoteWaiter) {
 	for _, w := range locals {
 		w.tr.Record(tracing.EvRedrive, int64(lc.id), 0)
-		r.handleLookup(lc, &message{kind: mLookup, addr: addr, resp: w.ch, bd: w.bd, slot: w.slot, start: w.start, tr: w.tr})
+		r.handleLookup(lc, &message{kind: mLookup, addr: addr, bd: w.bd, slot: w.slot, start: w.bd.start, tr: w.tr})
 	}
 	for _, rw := range remotes {
-		r.handleRequest(lc, message{kind: mRequest, addr: addr, from: rw.from, epoch: rw.epoch, hops: rw.hops})
+		r.handleBatchRequest(lc, message{kind: mBatchRequest, addr: addr, from: rw.from, epoch: rw.epoch, hops: rw.hops})
 	}
 }
 
-// answer delivers v to every waiter on wl: each local lookup is noted for
-// its own latency sample (finish) and finishes its own span, remote waiters
-// get a reply stamped with gen, the generation the value reflects. A batch
-// slot is written and counted; the count leaves the descriptor's countdown
-// when a slot of another descriptor turns up and in leave: one locked add a
-// reply batch, every slot write still ahead of the add that may complete it.
+// answer delivers v to every waiter on wl: each local lookup records its own
+// latency and span and has its slot written and counted — the count leaves
+// the descriptor's countdown when another descriptor's slot turns up, and in
+// leave, every slot write ahead of the add that may complete it — and remote
+// waiters get a reply stamped with gen, the generation the value reflects.
 func (r *Router) answer(lc *lineCard, wl *waitlist, v Verdict, feNS int64, gen uint64) {
 	for _, w := range wl.locals {
-		r.finish(lc, v.ServedBy, w.start, traceID(w.tr))
-		// Finish before delivering: a caller that waits on the verdict
-		// must find its trace already published.
+		r.finish(lc, v.ServedBy, w.bd.start, traceID(w.tr))
 		r.finishTrace(w.tr, v.ServedBy, v.OK)
-		if w.bd != nil {
-			w.bd.out[w.slot] = v
-			if w.bd != lc.resolvedBD {
-				r.bdResolveN(lc.resolvedBD, lc.resolved) // nothing, the first time
-				lc.resolvedBD, lc.resolved = w.bd, 0
-			}
-			lc.resolved++
-		} else {
-			w.ch <- v
+		w.bd.out[w.slot] = v
+		if w.bd != lc.resolvedBD {
+			r.bdResolveN(lc.resolvedBD, lc.resolved) // nothing, the first time
+			lc.resolvedBD, lc.resolved = w.bd, 0
 		}
+		lc.resolved++
 	}
-	if wl.trLate {
-		// The late trace belongs to the address, not to any waiter;
-		// close it with the same verdict.
+	if wl.trLate { // the address's, not any waiter's
 		r.finishTrace(wl.tr, v.ServedBy, v.OK)
 	}
 	for _, rw := range wl.remotes {
@@ -1676,13 +1392,13 @@ func (r *Router) answer(lc *lineCard, wl *waitlist, v Verdict, feNS int64, gen u
 	}
 }
 
-// sendReply answers a remote waiter. gen is the table generation the value
-// was computed against (usually lc.gen; older when relaying a stale-gen
-// fill), letting the requester keep generationally stale values out of its
-// cache.
+// sendReply answers a remote waiter with a reply of one row. gen is the
+// table generation the value was computed against (usually lc.gen; older
+// when relaying a stale-gen fill), letting the requester keep
+// generationally stale values out of its cache.
 func (r *Router) sendReply(lc *lineCard, rw remoteWaiter, addr ip.Addr, nh rtable.NextHop, ok bool, feNS int64, gen uint64) {
 	lc.stats.RepliesSent.Add(1)
-	lc.post(rw.from, message{kind: mReply, addr: addr, nextHop: nh, ok: ok, from: lc.id, epoch: rw.epoch, hops: rw.hops, feNS: feNS, gen: r.stampGen(lc, gen)})
+	lc.post(rw.from, message{kind: mBatchReply, addr: addr, nextHop: nh, ok: ok, from: lc.id, epoch: rw.epoch, hops: rw.hops, feNS: feNS, gen: r.stampGen(lc, gen)})
 }
 
 // stampGen is the generation a reply from lc leaves with. A pinned LC
@@ -1707,9 +1423,8 @@ func (r *Router) Lookup(lc int, addr ip.Addr) (Verdict, error) {
 
 // LookupCtx is Lookup honoring a context: it returns ctx.Err() as soon as
 // the context is cancelled or its deadline passes. The lookup itself is
-// not recalled from the forwarding plane — its result is discarded (the
-// reply channel is buffered, so the LC never blocks on an abandoned
-// caller).
+// not recalled from the forwarding plane — its result is discarded, and
+// whoever answers it last returns its descriptor to the pool.
 func (r *Router) LookupCtx(ctx context.Context, lc int, addr ip.Addr) (Verdict, error) {
 	if err := ctx.Err(); err != nil {
 		return Verdict{}, err
@@ -1717,14 +1432,15 @@ func (r *Router) LookupCtx(ctx context.Context, lc int, addr ip.Addr) (Verdict, 
 	return r.lookup(ctx, lc, addr)
 }
 
-// lookup is the synchronous lookup. When the arrival LC is idle the
-// caller runs the handler itself and a cache hit comes back as a return
-// value: no channel, no allocation, no goroutine switch. A lookup that has
-// to wait (a miss in flight) or to queue (a busy LC) gets its reply
-// channel at that moment. A hit needs neither deadline nor retry clock, so
-// an inline lookup is stamped here only if it is traced, has no cache to hit,
-// or the LC's hit timer is due: it has never timed an inline hit, or
-// hitTimedEvery-1 went untimed since. Else handleLookup stamps it at a miss.
+// lookup is the synchronous lookup. When the arrival LC is idle the caller
+// runs the handler itself and a verdict the LC has on the spot — a cache
+// hit, a miss it or an idle home answers — comes back as a return value: no
+// allocation, no goroutine switch. A lookup that has to wait (a miss in
+// flight) or to queue (a busy LC) waits on a one-row batch descriptor. A hit
+// needs neither deadline nor retry clock, so an inline lookup is stamped here
+// only if it is traced, has no cache to hit, or the LC's hit timer is due
+// (it has never timed an inline hit, or hitTimedEvery-1 went untimed since);
+// else handleLookup stamps it at a miss.
 func (r *Router) lookup(ctx context.Context, i int, addr ip.Addr) (Verdict, error) {
 	if i < 0 || i >= r.cfg.NumLCs {
 		return Verdict{}, fmt.Errorf("router: no such LC %d", i)
@@ -1740,24 +1456,34 @@ func (r *Router) lookup(ctx context.Context, i int, addr ip.Addr) (Verdict, erro
 		if done {
 			return v, nil
 		}
-	} else {
-		r.stamp(&m, i)
-		m.needReply()
-		if err := r.admit(ctx, i, m); err != nil {
-			return Verdict{}, err
-		}
+	} else if err := r.submit(ctx, i, &m); err != nil {
+		return Verdict{}, err
 	}
-	select {
-	case v := <-m.resp:
-		if v.ServedBy == ServedByShed {
-			return Verdict{}, ErrOverloaded
-		}
-		return v, nil
-	case <-ctx.Done():
-		return Verdict{}, ctx.Err()
-	case <-r.quit:
-		return Verdict{}, ErrStopped
+	if err := r.wait(ctx, m.bd); err != nil {
+		return Verdict{}, err
 	}
+	v := m.bd.out[0]
+	putBatchDesc(m.bd)
+	if v.ServedBy == ServedByShed {
+		return Verdict{}, ErrOverloaded
+	}
+	return v, nil
+}
+
+// submit stamps lookup m, gives it a pooled one-row descriptor to wait on
+// and admits it at LC i — synchronously: by default it blocks while the
+// LC's queue is full, and on a router built WithOverload a full queue
+// refuses it with ErrOverloaded (drop modes) or blocks until space frees
+// (ShedBlock). A lookup shed after admission is answered ServedByShed in
+// its slot.
+func (r *Router) submit(ctx context.Context, i int, m *message) error {
+	r.stamp(m, i)
+	m.bd, m.slot = getBatchDesc(1, m.start), 0
+	if err := r.admit(ctx, i, *m); err != nil {
+		putBatchDesc(m.bd)
+		return err
+	}
+	return nil
 }
 
 // hitTimedEvery: one inline cache hit in this many at an LC is timed (see lineCard.untimedHits).
@@ -1771,31 +1497,6 @@ func (r *Router) stamp(m *message, i int) {
 		m.tr.Start = r.at(m.start)
 		m.tr.Record(tracing.EvArrival, int64(i), 0)
 	}
-}
-
-// LookupAsync submits a lookup and returns the channel its verdict will
-// arrive on (buffered; the router never blocks on it) without waiting for
-// it, though an idle LC's handler, or a free LC's queue, is run by the caller.
-// Use it to keep many lookups in flight from one caller — the pattern a
-// real ingress pipeline uses.
-//
-// Admission happens here. By default the call blocks while the arrival
-// LC's inbox is full. On a router built WithOverload a full inbox
-// returns ErrOverloaded synchronously (drop modes) or blocks until space
-// frees (ShedBlock), and a lookup shed after admission — waitlist
-// overflow, replay shed — delivers a ServedByShed verdict on the channel;
-// the synchronous wrappers convert it to ErrOverloaded.
-func (r *Router) LookupAsync(lc int, addr ip.Addr) (<-chan Verdict, error) {
-	if lc < 0 || lc >= r.cfg.NumLCs {
-		return nil, fmt.Errorf("router: no such LC %d", lc)
-	}
-	m := message{kind: mLookup, addr: addr, tr: r.tracer.Sample(lc, addr)}
-	r.stamp(&m, lc)
-	m.needReply()
-	if err := r.admit(context.Background(), lc, m); err != nil {
-		return nil, err
-	}
-	return m.resp, nil
 }
 
 // LookupBatchCtx pipelines a whole slice of destinations at one line card

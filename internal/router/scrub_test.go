@@ -328,7 +328,7 @@ func TestPinnedRequesterKeepsStaleGuard(t *testing.T) {
 	}
 
 	// The lookup parks at LC 0; the home's reply is lost.
-	parked, err := r.LookupAsync(0, addr)
+	parked, err := lookupAsync(r, 0, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestPinnedRequesterKeepsStaleGuard(t *testing.T) {
 	}
 
 	// The lost reply, arriving late with the pre-batch value.
-	r.push(0, message{kind: mReply, addr: addr, nextHop: route.NextHop, ok: true, from: 1, gen: oldGen})
+	r.push(0, message{kind: mBatchReply, addr: addr, nextHop: route.NextHop, ok: true, from: 1, gen: oldGen})
 	if v := <-parked; v.NextHop != route.NextHop && v.NextHop != changed.NextHop {
 		t.Fatalf("in-flight lookup resolved %+v, want next hop %d or %d", v, route.NextHop, changed.NextHop)
 	}

@@ -28,7 +28,7 @@ const (
 	// ServedByShed: overload control refused or abandoned the lookup
 	// after admission (waitlist overflow, replay shed); the verdict
 	// carries no route. The synchronous Lookup wrappers convert this to
-	// ErrOverloaded; only batch/async callers observe it directly. Only
+	// ErrOverloaded; only batch callers observe it directly. Only
 	// routers built WithOverload ever produce it.
 	ServedByShed
 	// ServedByHedge: the gray-failure plane answered the lookup from the

@@ -175,7 +175,7 @@ func TestTracePropagationAcrossRehome(t *testing.T) {
 	if r.HomeLC(addr) == 1 {
 		t.Fatalf("test address homed at the LC under test") // rtable.Small(…,19) does not do this
 	}
-	resp, err := r.LookupAsync(1, addr)
+	resp, err := lookupAsync(r, 1, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 // parkOne submits a lookup of addr at LC 0 and waits until it is parked.
 func parkOne(t *testing.T, r *Router, addr ip.Addr) <-chan Verdict {
 	t.Helper()
-	ch, err := r.LookupAsync(0, addr)
+	ch, err := lookupAsync(r, 0, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
