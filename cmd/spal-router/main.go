@@ -26,7 +26,7 @@
 //	spal-router -overload-depth 256 -shed-mode drop-newest -n 1000000  # bounded inboxes, shed on overflow
 //	spal-router -churn-rate 1000 -n 1000000   # absorb 1000 route updates/s while forwarding
 //	spal-router -corrupt-rate 0.001 -scrub-interval 20ms -n 1000000  # inject state corruption, scrub and self-heal
-//	spal-router -slow-lc 1 -slow-factor 20 -n 1000000  # brown out LC 1, watch detection, hedging and ejection
+//	spal-router -slow-lc 1 -slow-factor 20 -n 1000000  # brown out LC 1, watch detection and ejection
 package main
 
 import (
@@ -84,9 +84,8 @@ func main() {
 	corruptSeed := flag.Uint64("corrupt-seed", 1, "seed for the deterministic corruption injector")
 	scrubInterval := flag.Duration("scrub-interval", 0, "run the online integrity scrubber this often, quarantining and rebuilding corrupted LCs (0 = off)")
 	processMetrics := flag.Bool("process-metrics", false, "also export Go process gauges (goroutines, heap bytes, GC pause) on /metrics")
-	slowLC := flag.Int("slow-lc", -1, "brown out this line card: its fabric links run at 1/slow-factor speed while heartbeats stay clean (gray-failure demo; enables detection+hedging)")
+	slowLC := flag.Int("slow-lc", -1, "brown out this line card: its fabric links run at 1/slow-factor speed while heartbeats stay clean (gray-failure demo; enables detection+ejection)")
 	slowFactor := flag.Float64("slow-factor", 10, "brownout severity for -slow-lc: fabric links at 1/factor of clean speed")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge remote lookups outstanding this long from the fallback engine (0 = adaptive from fleet p99; enables the gray-failure plane)")
 	flag.Parse()
 
 	tbl := rtable.Synthesize(rtable.SynthConfig{N: *tableN, NextHops: 16, NestProb: 0.35, Seed: 0x5e3d_0001})
@@ -107,7 +106,6 @@ func main() {
 			Seed: *faultSeed, DropRate: *faultRate,
 		})))
 	}
-	grayOn := *slowLC >= 0 || *hedgeAfter > 0
 	if *slowLC >= 0 {
 		if *slowLC >= *psi {
 			fmt.Fprintf(os.Stderr, "-slow-lc %d outside [0,%d)\n", *slowLC, *psi)
@@ -119,12 +117,7 @@ func main() {
 		}
 		lf := router.NewLinkFaults(*faultSeed)
 		lf.SlowLC(*slowLC, *slowFactor)
-		opts = append(opts, router.WithFaultInjector(lf.Injector()))
-	}
-	if grayOn {
-		gp := router.DefaultGrayPolicy()
-		gp.HedgeAfter = *hedgeAfter
-		opts = append(opts, router.WithGray(gp))
+		opts = append(opts, router.WithFaultInjector(lf.Injector()), router.WithGray(router.DefaultGrayPolicy()))
 	}
 	if *timeout != 0 {
 		opts = append(opts, router.WithRequestTimeout(*timeout))
@@ -230,11 +223,11 @@ func main() {
 		}
 	}
 
-	if grayOn {
+	if *slowLC >= 0 {
 		g := r.Gray()
-		fmt.Printf("gray failures: %d degrades / %d recoveries, %d ejections (%d restored); hedges: %d fired, %d eject-served, %d primary-late, %d primary-lost, %d budget-denied; hedge delay %v\n",
+		fmt.Printf("gray failures: %d degrades / %d recoveries, %d ejections (%d restored); %d eject-served, primaries %d late, %d lost\n",
 			g.Degrades, g.Recovers, g.Ejections, g.Restores,
-			g.Hedges, g.EjectServed, g.HedgePrimaryLate, g.HedgePrimaryLost, g.HedgeBudgetDenied, g.HedgeDelay)
+			g.EjectServed, g.PrimaryLate, g.PrimaryLost)
 		for _, l := range g.LCs {
 			if l.Degraded || l.Ejected || l.Samples > 0 {
 				fmt.Printf("  LC%-2d degraded=%v ejected=%v rtt-samples=%d p50=%v p99=%v ewma=%v\n",

@@ -583,7 +583,7 @@ func (r *Router) serveRows(lc *lineCard, rows []fabricRow, rw *remoteWaiter, sta
 			}
 			continue
 		}
-		// In flight here from before a swap made this LC its home, or hedged:
+		// In flight here from before a swap made this LC its home, or answered:
 		// never dispatch twice for one address.
 		wl := lc.pending.get(row.addr)
 		if wl != nil && rw == nil {
@@ -670,11 +670,11 @@ func (r *Router) handleBatchReply(lc *lineCard, m message) {
 	r.replyArrived(lc, m.from, sent)
 	for _, row := range rows { // each answers whatever is parked on its address here
 		wl := lc.pending.get(row.addr)
-		if wl != nil && wl.hedged {
-			// A hedge (or an eject dispatch) already answered every waiter: this
-			// primary is the suppressed duplicate.
-			r.hedgePrimaryLate.Add(1)
-			r.dropHedged(lc, row.addr)
+		if wl != nil && wl.answered {
+			// The eject dispatch already answered every waiter: this primary is
+			// the suppressed duplicate.
+			r.ejectLate.Add(1)
+			lc.recycle(lc.pending.delete(row.addr))
 			continue
 		}
 		if r.tracer != nil && wl != nil && wl.tr != nil {

@@ -274,7 +274,7 @@ func testDirectPreconditions(t *testing.T, single bool) {
 				r.own(arrival, func(*lineCard) { r.lcs[arrival].ov.breakers[home].state.Store(breakerHalfOpen) })
 				return obstacle{}
 			}},
-		{"home ejected", []Option{WithGray(DefaultGrayPolicy())}, [2]ServedBy{ServedByHedge, ServedByHedge}, true, false, false,
+		{"home ejected", []Option{WithGray(DefaultGrayPolicy())}, [2]ServedBy{ServedByFallback, ServedByFallback}, true, false, false,
 			func(r *Router, _ ip.Addr) obstacle {
 				underMu(r, r.ejectLocked)
 				return obstacle{lift: func() { underMu(r, r.restoreEjectedLocked) }}

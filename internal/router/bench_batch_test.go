@@ -112,7 +112,7 @@ func BenchmarkLookupBatchCacheHit(b *testing.B) {
 }
 
 // BenchmarkLookupBatchCacheHitGray: the same warmed cache-hit batch with
-// the gray-failure subsystem enabled — detection/hedging bookkeeping on
+// the gray-failure subsystem enabled — detection/ejection bookkeeping on
 // the hit path must stay free: 0 allocs/op (CI gates on it alongside the
 // plain cache-hit bench).
 func BenchmarkLookupBatchCacheHitGray(b *testing.B) {

@@ -1,12 +1,11 @@
-// Gray-failure immunity: brownout detection, hedged remote lookups, and
-// outlier ejection.
+// Gray-failure immunity: brownout detection and outlier ejection.
 //
 // The failure model here is the one the lifecycle and integrity planes
 // cannot see: a line card (or the fabric path to it) that is alive,
 // heartbeating, and answering *correctly* — just slowly. No deadline
 // necessarily fires (the brownout may sit well under RequestTimeout), no
 // scrub mismatch appears, yet every remote lookup homed on the browned
-// element drags the router-wide tail. Three mechanisms close the gap:
+// element drags the router-wide tail. Two mechanisms close the gap:
 //
 //   - Detection: every fabric reply whose request was sent exactly once
 //     carries an unambiguous round-trip sample, attributed to the home LC
@@ -21,31 +20,22 @@
 //     Degraded is a health *signal*, orthogonal to the lifecycle states —
 //     a degraded LC is never demoted toward Down by this plane.
 //
-//   - Hedging: a remote lookup still unanswered after the hedge delay
-//     (operator-fixed, or adaptively derived each cycle from the fleet's
-//     median p99) is answered immediately from the router-wide full-table
-//     fallback engine — the same always-current authority the
-//     deadline/retry plane already trusts — while the fabric request
-//     stays tracked. The waitlist flips to hedged: waiters are gone, but
-//     the entry remains so the primary reply is recognized when it lands
-//     (counted primary_late and suppressed — the duplicate-suppression
-//     rule the batch descriptors use: exactly one owner answers) or
-//     counted primary_lost when it never does. Hedges spend a per-LC
-//     tokenBucket refilled by successful fabric round trips — the retry
-//     budget's mechanism (overload.go) under its own sizing: a fabric
-//     already in trouble cannot be melted by its own mitigation.
-//
-//   - Ejection: when detection marks an LC degraded (and Eject is on),
-//     the router steers cacheable traffic off it using the machinery
-//     quarantine already proved: the generation fence (fenceLocked) pins
-//     the ejected LC's replies out of peer caches, while new remote
-//     lookups homed on it are answered from the fallback engine at
-//     dispatch time (routeFor; the request is still sent, so round-trip
-//     samples keep flowing and recovery stays observable). When the LC's
-//     score recovers for RecoverAfter consecutive cycles it is restored:
-//     the flag clears and a generation catch-up lifts the pin. No
-//     partition moves in either direction — ejection is deliberately
-//     cheaper and more reversible than re-homing.
+//   - Ejection: when detection marks an LC degraded, the router steers
+//     cacheable traffic off it using the machinery quarantine already
+//     proved: the generation fence (fenceLocked) pins the ejected LC's
+//     replies out of peer caches, while new remote lookups homed on it are
+//     answered from the router-wide full-table fallback engine — the same
+//     always-current authority the deadline/retry plane trusts — at
+//     dispatch time (routeFor). The request is still sent, so round-trip
+//     samples keep flowing and recovery stays observable: the waitlist
+//     flips to answered, its waiters gone but the entry kept so the
+//     primary reply is recognized when it lands (counted late and
+//     suppressed — exactly one owner answers) or counted lost when its
+//     deadline passes first. When the LC's score recovers for
+//     RecoverAfter consecutive cycles it is restored: the flag clears and
+//     a generation catch-up lifts the pin. No partition moves in either
+//     direction — ejection is deliberately cheaper and more reversible
+//     than re-homing.
 package router
 
 import (
@@ -63,11 +53,11 @@ import (
 
 // GrayPolicy configures the gray-failure subsystem. The zero value
 // disables it entirely: no round-trip sampling, no scorer work on the
-// health ticker, no hedging, no new metric families.
+// health ticker, no ejection, no new metric families.
 type GrayPolicy struct {
-	// Enabled turns on round-trip sampling and the per-home latency
-	// scorer (the degraded signal and the RTT metrics). Hedge and Eject
-	// are gated on it too.
+	// Enabled turns on round-trip sampling, the per-home latency scorer
+	// (the degraded signal and the RTT metrics) and the ejection of
+	// degraded home LCs.
 	Enabled bool
 	// Window is the per-home ring of retained round-trip samples the
 	// windowed quantiles are computed over. <= 0 selects the default (64).
@@ -89,31 +79,12 @@ type GrayPolicy struct {
 	// signal sets (resp. clears). <= 0 selects the defaults (3 and 3).
 	DegradeAfter int
 	RecoverAfter int
-	// Hedge enables hedged remote lookups.
-	Hedge bool
-	// HedgeAfter is the fixed hedge delay; 0 derives it adaptively each
-	// scorer cycle as HedgeMultiplier × the fleet median p99, clamped to
-	// [MinRTT, RequestTimeout]. Until the first adaptive value exists the
-	// delay sits at RequestTimeout, i.e. hedging is effectively off.
-	HedgeAfter time.Duration
-	// HedgeMultiplier scales the adaptive hedge delay. <= 0 selects the
-	// default (2).
-	HedgeMultiplier float64
-	// HedgeBudgetRatio is how many hedge tokens a successful fabric round
-	// trip refills (the retry-budget pattern: mitigation is paid for by
-	// evidence the fabric still works). <= 0 selects the default (0.5).
-	HedgeBudgetRatio float64
-	// HedgeBudgetBurst caps the per-LC hedge token bucket. <= 0 selects
-	// the default (32).
-	HedgeBudgetBurst float64
-	// Eject enables outlier ejection of degraded home LCs.
-	Eject bool
 }
 
-// DefaultGrayPolicy enables detection, hedging, and ejection with the
-// default thresholds.
+// DefaultGrayPolicy enables detection and ejection with the default
+// thresholds.
 func DefaultGrayPolicy() GrayPolicy {
-	return GrayPolicy{Enabled: true, Hedge: true, Eject: true}
+	return GrayPolicy{Enabled: true}
 }
 
 func normalizeGray(p GrayPolicy) GrayPolicy {
@@ -141,23 +112,13 @@ func normalizeGray(p GrayPolicy) GrayPolicy {
 	if p.RecoverAfter <= 0 {
 		p.RecoverAfter = 3
 	}
-	if p.HedgeMultiplier <= 0 {
-		p.HedgeMultiplier = 2
-	}
-	if p.HedgeBudgetRatio <= 0 {
-		p.HedgeBudgetRatio = 0.5
-	}
-	if p.HedgeBudgetBurst <= 0 {
-		p.HedgeBudgetBurst = 32
-	}
 	return p
 }
 
 // WithGray configures the gray-failure subsystem: per-home round-trip
-// scoring with a fleet-relative degraded signal, hedged remote lookups
-// against the full-table fallback engine, and outlier ejection of
-// browned-out home LCs. Pass DefaultGrayPolicy() for the defaults. See
-// gray.go.
+// scoring with a fleet-relative degraded signal, and outlier ejection of
+// browned-out home LCs, whose lookups the full-table fallback engine
+// answers. Pass DefaultGrayPolicy() for the defaults. See gray.go.
 func WithGray(p GrayPolicy) Option {
 	return func(c *config) { c.Gray = p }
 }
@@ -228,15 +189,15 @@ func quantileNS(sorted []int64, q float64) int64 {
 
 // maybeGrayLocked is the health ticker's gray-failure hook: recompute
 // every home LC's windowed quantiles, rescore them against the fleet
-// median, drive the degraded signal and its eject/restore side effects,
-// and refresh the adaptive hedge delay. r.mu must be held.
+// median, and drive the degraded signal and its eject/restore side
+// effects. r.mu must be held.
 func (r *Router) maybeGrayLocked(now time.Time) {
 	if !r.grayPol.Enabled {
 		return
 	}
 	type scored struct {
-		i        int
-		p50, p99 int64
+		i   int
+		p50 int64
 	}
 	var valid []scored
 	buf := make([]int64, 0, r.grayPol.Window)
@@ -255,7 +216,7 @@ func (r *Router) maybeGrayLocked(now time.Time) {
 		if st := r.life[i].state.Load(); st == LCDown || st == LCDraining {
 			continue
 		}
-		valid = append(valid, scored{i, p50, p99})
+		valid = append(valid, scored{i, p50})
 	}
 	if len(valid) < 2 {
 		// With fewer than two scored homes there is no fleet to compare
@@ -269,22 +230,6 @@ func (r *Router) maybeGrayLocked(now time.Time) {
 	}
 	sort.Slice(meds, func(a, b int) bool { return meds[a] < meds[b] })
 	fleetP50 := quantileNS(meds, 0.5)
-	for k, v := range valid {
-		meds[k] = v.p99
-	}
-	sort.Slice(meds, func(a, b int) bool { return meds[a] < meds[b] })
-	fleetP99 := quantileNS(meds, 0.5)
-
-	if r.grayPol.Hedge && r.grayPol.HedgeAfter <= 0 {
-		hd := int64(r.grayPol.HedgeMultiplier * float64(fleetP99))
-		if min := int64(r.grayPol.MinRTT); hd < min {
-			hd = min
-		}
-		if max := int64(r.timeout); hd > max {
-			hd = max
-		}
-		r.hedgeDelayNS.Store(hd)
-	}
 
 	for _, v := range valid {
 		g := r.gray[v.i]
@@ -298,7 +243,7 @@ func (r *Router) maybeGrayLocked(now time.Time) {
 				r.grayDegrades.Add(1)
 				r.grayLog("degraded", slog.Int("lc", v.i),
 					slog.Int64("p50_ns", v.p50), slog.Int64("fleet_p50_ns", fleetP50))
-				if r.grayPol.Eject && !g.ejected.Load() {
+				if !g.ejected.Load() {
 					r.ejectLocked(v.i)
 				}
 			}
@@ -352,49 +297,37 @@ func (r *Router) genPinned(id int) bool {
 	return r.grayPol.Enabled && r.gray[id].ejected.Load()
 }
 
-// hedgeDelay is the current delay after which an unanswered remote
-// lookup is hedged.
-func (r *Router) hedgeDelay() time.Duration {
-	return time.Duration(r.hedgeDelayNS.Load())
-}
-
-// hedgeResolve answers every waiter parked on addr from the full-table
-// fallback engine and flips the waitlist to hedged: waiters are emptied
-// (each delivered a ServedByHedge verdict) but the entry stays pending
-// with its deadline armed, so the primary fabric reply is recognized and
-// suppressed when it lands — or counted lost when the deadline passes
-// first. The fallback engine always reflects the current generation (see
-// fallbackLookup), so the verdict is correct under churn.
-func (r *Router) hedgeResolve(lc *lineCard, addr ip.Addr, wl *waitlist) {
+// ejectResolve answers every waiter parked on addr, whose home is ejected,
+// from the full-table fallback engine and flips the waitlist to answered:
+// waiters are emptied (each delivered a ServedByFallback verdict) but the
+// entry stays pending with its deadline armed, so the primary fabric reply
+// is recognized and suppressed when it lands — or counted lost when the
+// deadline passes first. The fallback engine always reflects the current
+// generation (see fallbackLookup), so the verdict is correct under churn.
+func (r *Router) ejectResolve(lc *lineCard, addr ip.Addr, wl *waitlist) {
 	nh, ok := r.fallbackLookup(addr)
 	lc.fill(addr, nh, cache.REM)
 	lc.nwaiters -= int64(len(wl.locals) + len(wl.remotes))
-	wl.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByHedge))
-	r.answer(lc, wl, Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByHedge}, 0, lc.gen)
+	wl.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByFallback))
+	r.answer(lc, wl, Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByFallback}, 0, lc.gen)
 	wl.dropWaiters() // the entry lingers; it must not pin whom it answered
 	wl.tr = nil
 	wl.trLate = false
-	wl.hedged = true
+	wl.answered = true
 }
 
-// dropHedged retires a hedged pending entry once its primary reply
-// landed (suppressed) or its deadline passed (lost).
-func (r *Router) dropHedged(lc *lineCard, addr ip.Addr) {
-	lc.recycle(lc.pending.delete(addr))
-}
-
-// hedgeAnswerLocal serves a local lookup that would have coalesced onto a
-// hedged waitlist (see joinLocal) from the fallback engine immediately.
-// Rare: the hedge fill put the value in the cache, so stragglers normally
-// hit there first.
-func (r *Router) hedgeAnswerLocal(lc *lineCard, addr ip.Addr, w localWaiter) {
+// ejectAnswerLocal serves a local lookup that would have coalesced onto an
+// answered waitlist (see joinLocal) from the fallback engine immediately.
+// Rare: ejectResolve's fill put the value in the cache, so stragglers
+// normally hit there first.
+func (r *Router) ejectAnswerLocal(lc *lineCard, addr ip.Addr, w localWaiter) {
 	nh, ok := r.fallbackLookup(addr)
 	if w.tr != nil {
-		w.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByHedge))
-		r.finishTrace(w.tr, ServedByHedge, ok)
+		w.tr.Record(tracing.EvFill, int64(cache.REM), int64(ServedByFallback))
+		r.finishTrace(w.tr, ServedByFallback, ok)
 	}
-	r.finish(lc, ServedByHedge, w.bd.start, traceID(w.tr))
-	r.deliver(w, Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByHedge})
+	r.finish(lc, ServedByFallback, w.bd.start, traceID(w.tr))
+	r.deliver(w, Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByFallback})
 }
 
 // grayLog emits a gray-failure lifecycle record through the tracing
@@ -421,8 +354,7 @@ type LCGrayStatus struct {
 }
 
 // GrayReport is the router-wide gray-failure snapshot behind the
-// spal_router_hedges_total / eject / degraded metrics and the CLI
-// summary line.
+// spal_router_eject_* / degraded metrics and the CLI summary line.
 type GrayReport struct {
 	// Degrades / Recovers count degraded-signal transitions; Ejections /
 	// Restores count the eject lifecycle (a restore requires a recover,
@@ -431,20 +363,14 @@ type GrayReport struct {
 	Recovers  int64
 	Ejections int64
 	Restores  int64
-	// Hedges counts hedge verdicts fired from the deadline ticker;
-	// HedgePrimaryLate are primaries that landed after their hedge (the
-	// suppressed duplicates), HedgePrimaryLost primaries that never
-	// landed, HedgeBudgetDenied hedges refused by the token bucket.
 	// EjectServed counts lookups answered at dispatch time because their
-	// home LC was ejected.
-	Hedges            int64
-	HedgePrimaryLate  int64
-	HedgePrimaryLost  int64
-	HedgeBudgetDenied int64
-	EjectServed       int64
-	// HedgeDelay is the current (fixed or adaptive) hedge delay.
-	HedgeDelay time.Duration
-	LCs        []LCGrayStatus
+	// home LC was ejected. Each left its fabric request in flight:
+	// PrimaryLate are those whose reply landed (the suppressed
+	// duplicates), PrimaryLost those whose deadline passed first.
+	EjectServed int64
+	PrimaryLate int64
+	PrimaryLost int64
+	LCs         []LCGrayStatus
 }
 
 // Gray returns the current gray-failure snapshot. Zero-valued when the
@@ -458,12 +384,9 @@ func (r *Router) Gray() GrayReport {
 	rep.Recovers = r.grayRecovers.Load()
 	rep.Ejections = r.ejections.Load()
 	rep.Restores = r.restores.Load()
-	rep.Hedges = r.hedges.Load()
-	rep.HedgePrimaryLate = r.hedgePrimaryLate.Load()
-	rep.HedgePrimaryLost = r.hedgePrimaryLost.Load()
-	rep.HedgeBudgetDenied = r.hedgeBudgetDenied.Load()
 	rep.EjectServed = r.ejectServed.Load()
-	rep.HedgeDelay = r.hedgeDelay()
+	rep.PrimaryLate = r.ejectLate.Load()
+	rep.PrimaryLost = r.ejectLost.Load()
 	for i := range r.lcs {
 		st := r.rtt[i]
 		rep.LCs = append(rep.LCs, LCGrayStatus{

@@ -1,9 +1,8 @@
 // Gray-failure chaos tests: a line card that is alive, heartbeating and
 // answering correctly — just slowly — must be detected by the RTT
-// scorer, mitigated by hedged lookups and outlier ejection, and must
-// never be confused with a dead LC (lifecycle) or a corrupted one
-// (integrity). CI's gray-chaos job runs this file under -race across the
-// SPAL_CHAOS_SEED matrix.
+// scorer, mitigated by outlier ejection, and must never be confused with
+// a dead LC (lifecycle) or a corrupted one (integrity). CI's gray-chaos
+// job runs this file under -race across the SPAL_CHAOS_SEED matrix.
 package router
 
 import (
@@ -27,9 +26,9 @@ import (
 
 // TestGrayAsymmetricPartition: the 0→1 directed link drops everything
 // while 1→0 stays clean — the classic one-way fiber fault. Every lookup
-// must still resolve to the oracle verdict (retry → fallback, or a hedge
-// ahead of the lost primary), and because heartbeats ride the control
-// plane, neither endpoint may be demoted out of Healthy. The health
+// must still resolve to the oracle verdict (retry → fallback), and because
+// heartbeats ride the control plane, neither endpoint may be demoted out of
+// Healthy. The health
 // windows are set well above Go's 10 ms preemption quantum rather than
 // left at the 2 ms request timeout: the claim is about data-plane faults,
 // not about the monitor and the callers never being descheduled for a few ms.
@@ -90,10 +89,8 @@ func TestGrayAsymmetricPartition(t *testing.T) {
 					t.Errorf("LC %d left Healthy (%s) under a data-plane-only partition", i, st)
 				}
 			}
-			g := r.Gray()
-			s := r.Metrics()
-			if g.HedgePrimaryLost == 0 && s.Sum(MetricFallbacks) == 0 {
-				t.Error("100% 0→1 drops produced neither lost hedged primaries nor fallbacks")
+			if r.Metrics().Sum(MetricFallbacks) == 0 {
+				t.Error("100% 0→1 drops produced no fallbacks")
 			}
 		})
 	}
@@ -273,21 +270,23 @@ func TestGrayBrownoutHeadline(t *testing.T) {
 			if sawDown.Load() {
 				t.Error("a browned-out (alive, correct) LC was demoted to Down")
 			}
-			if g.Hedges+g.EjectServed == 0 {
-				t.Error("detection fired but no hedge or eject-served mitigation did")
+			if g.EjectServed == 0 {
+				t.Error("detection fired but no lookup was eject-served")
 			}
-			t.Logf("served=%d shed=%d degrades=%d ejections=%d hedges=%d ejectServed=%d hedgeDelay=%v",
-				served.Load(), shed.Load(), g.Degrades, g.Ejections, g.Hedges, g.EjectServed, g.HedgeDelay)
+			t.Logf("served=%d shed=%d degrades=%d ejections=%d ejectServed=%d",
+				served.Load(), shed.Load(), g.Degrades, g.Ejections, g.EjectServed)
 		})
 	}
 }
 
-// TestGrayHedgeTraceReconciliation pins the observability contract: at
+// TestGrayEjectTraceReconciliation pins the observability contract: at
 // trace rate 1.0 with a journal large enough to hold every lookup, the
-// hedge and eject events recorded across all journaled traces must equal
-// the router's own counters exactly — Counts survive event-array
-// overflow, so this holds under retry storms too.
-func TestGrayHedgeTraceReconciliation(t *testing.T) {
+// eject events recorded across all journaled traces must equal the
+// router's own counter exactly — Counts survive event-array overflow, so
+// this holds under retry storms too. And every eject-served entry retires
+// exactly once: in a churn-free brownout, once the deadlines have passed,
+// each one's primary was either late or lost.
+func TestGrayEjectTraceReconciliation(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	oracle := lpm.NewReference(tbl)
 	for _, seed := range chaosSeeds(t) {
@@ -310,7 +309,9 @@ func TestGrayHedgeTraceReconciliation(t *testing.T) {
 				go func(lc int) {
 					defer wg.Done()
 					rng := stats.NewRNG(seed ^ uint64(lc)*977)
-					for i := 0; i < 500; i++ {
+					// On past 500 until something is eject-served, short of
+					// what the journal holds.
+					for i := 0; i < 500 || (r.ejectServed.Load() == 0 && i < 4000); i++ {
 						a := tbl.RandomMatchedAddr(rng)
 						v, err := r.Lookup(lc, a)
 						if err != nil {
@@ -325,21 +326,28 @@ func TestGrayHedgeTraceReconciliation(t *testing.T) {
 				}(lc)
 			}
 			wg.Wait()
+			waitFor(t, "every eject-served entry to retire", func() bool {
+				for _, lc := range r.lcs {
+					if lc.pendingDepth.Load() != 0 {
+						return false
+					}
+				}
+				return true
+			})
 
 			g := r.Gray()
-			var hedges, ejects int
+			var ejects int
 			for _, tr := range r.Traces() {
-				hedges += tr.CountKind(tracing.EvHedge)
 				ejects += tr.CountKind(tracing.EvEject)
-			}
-			if int64(hedges) != g.Hedges {
-				t.Errorf("traces record %d hedge events, counter says %d", hedges, g.Hedges)
 			}
 			if int64(ejects) != g.EjectServed {
 				t.Errorf("traces record %d eject events, counter says %d", ejects, g.EjectServed)
 			}
-			if g.Hedges+g.EjectServed == 0 {
-				t.Error("brownout produced no hedges or eject-serves; reconciliation is vacuous")
+			if g.EjectServed == 0 {
+				t.Error("brownout produced no eject-serves; reconciliation is vacuous")
+			}
+			if g.PrimaryLate+g.PrimaryLost != g.EjectServed {
+				t.Errorf("%d eject-served entries retired %d late + %d lost primaries", g.EjectServed, g.PrimaryLate, g.PrimaryLost)
 			}
 		})
 	}
@@ -453,27 +461,26 @@ func TestGrayEjectRestoreLifecycle(t *testing.T) {
 	// Eject-served, by either entry point: a fresh lookup homed on the
 	// ejected LC is answered from the fallback engine at dispatch, once per
 	// address, while its request still crosses the fabric. The traffic is
-	// stopped and LC 0's hedged entries are waited out so that the counter
-	// moves for these addresses only (a straggler onto a hedged entry is
-	// answered too, but not counted as eject-served).
+	// stopped and LC 0's answered entries are waited out so that the
+	// counters move for these addresses only (a straggler onto an answered
+	// entry is answered too, but not counted as eject-served).
 	homed := remoteAddrs(t, r, tbl, stats.NewRNG(seed+5), 1, 2*8)
 	for k, ep := range entryPoints {
 		t.Run("eject-served/"+ep.name, func(t *testing.T) {
-			waitFor(t, "LC 0 to retire its hedged entries", func() bool { return r.lcs[0].pendingDepth.Load() == 0 })
+			waitFor(t, "LC 0 to retire its answered entries", func() bool { return r.lcs[0].pendingDepth.Load() == 0 })
 			addrs := homed[k*8 : (k+1)*8]
 			before := r.Gray()
-			sent := r.Stats()[0].RequestsSent.Load()
+			sent, fallbacks := r.Stats()[0].RequestsSent.Load(), r.Stats()[0].Fallbacks.Load()
 			for i, v := range ep.lookup(t, r, 0, addrs) {
-				if v.ServedBy != ServedByHedge || !verdictMatches(v, oracle, addrs[i]) {
-					t.Errorf("lookup homed on the ejected LC: %+v, want a correct hedge verdict", v)
+				if v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, addrs[i]) {
+					t.Errorf("lookup homed on the ejected LC: %+v, want a correct fallback verdict", v)
 				}
 			}
-			after := r.Gray()
-			if got := after.EjectServed - before.EjectServed; got != int64(len(addrs)) {
+			if got := r.Gray().EjectServed - before.EjectServed; got != int64(len(addrs)) {
 				t.Errorf("eject-served counter moved by %d, want %d", got, len(addrs))
 			}
-			if after.Hedges != before.Hedges {
-				t.Errorf("eject-served lookups spent %d hedge tokens, want none", after.Hedges-before.Hedges)
+			if got := r.Stats()[0].Fallbacks.Load() - fallbacks; got != int64(len(addrs)) {
+				t.Errorf("fallback counter moved by %d, want %d: eject-served lookups are fallbacks", got, len(addrs))
 			}
 			if r.Stats()[0].RequestsSent.Load() == sent {
 				t.Error("no request crossed the fabric; an ejected home must still be sent to")
@@ -548,7 +555,7 @@ func TestGrayMetricsFamiliesGolden(t *testing.T) {
 		t.Errorf("default metric families drifted from %s:\n--- got ---\n%s--- want ---\n%s", goldenPath, got, want)
 	}
 	for _, f := range def {
-		if strings.Contains(f, "rtt") || strings.Contains(f, "hedge") || strings.Contains(f, "eject") || strings.Contains(f, "gray") || strings.Contains(f, "degraded") {
+		if strings.Contains(f, "rtt") || strings.Contains(f, "eject") || strings.Contains(f, "gray") || strings.Contains(f, "degraded") {
 			t.Errorf("gray family %q leaked into the default snapshot", f)
 		}
 	}
@@ -561,7 +568,7 @@ func TestGrayMetricsFamiliesGolden(t *testing.T) {
 		delete(grayOnly, f)
 	}
 	for _, f := range []string{MetricFabricRTTp50, MetricFabricRTTp99, MetricLCDegraded,
-		MetricHedges, MetricEjectServed, MetricEjections, MetricEjectRestores,
+		MetricEjectServed, MetricEjectPrimaries, MetricEjections, MetricEjectRestores,
 		MetricGrayDegrades, MetricGrayRecovers} {
 		if !grayOnly[f] {
 			t.Errorf("gray-enabled snapshot is missing family %q", f)

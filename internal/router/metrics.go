@@ -10,7 +10,7 @@ import (
 // the result came from. The histograms are lock-free: the LC's current
 // owner records, Metrics reads concurrently.
 type lcLatency struct {
-	cache, fe, remote, fallback, hedge metrics.Histogram
+	cache, fe, remote, fallback metrics.Histogram
 }
 
 // finished is one group of local lookups a handler run answered: n of them,
@@ -83,8 +83,6 @@ func (l *lcLatency) hist(s ServedBy) *metrics.Histogram {
 		return &l.remote
 	case ServedByFallback:
 		return &l.fallback
-	case ServedByHedge:
-		return &l.hedge
 	}
 	return nil
 }
@@ -161,15 +159,15 @@ const (
 	// Gray-failure metrics (see gray.go). Emitted only when the gray
 	// subsystem is enabled, so snapshots of a default router are
 	// byte-identical to earlier releases.
-	MetricFabricRTTp50  = "spal_router_fabric_rtt_p50_ns"
-	MetricFabricRTTp99  = "spal_router_fabric_rtt_p99_ns"
-	MetricLCDegraded    = "spal_router_lc_degraded"
-	MetricHedges        = "spal_router_hedges_total"
-	MetricEjectServed   = "spal_router_eject_served_total"
-	MetricEjections     = "spal_router_ejections_total"
-	MetricEjectRestores = "spal_router_eject_restores_total"
-	MetricGrayDegrades  = "spal_router_gray_degrades_total"
-	MetricGrayRecovers  = "spal_router_gray_recovers_total"
+	MetricFabricRTTp50   = "spal_router_fabric_rtt_p50_ns"
+	MetricFabricRTTp99   = "spal_router_fabric_rtt_p99_ns"
+	MetricLCDegraded     = "spal_router_lc_degraded"
+	MetricEjectServed    = "spal_router_eject_served_total"
+	MetricEjectPrimaries = "spal_router_eject_primaries_total"
+	MetricEjections      = "spal_router_ejections_total"
+	MetricEjectRestores  = "spal_router_eject_restores_total"
+	MetricGrayDegrades   = "spal_router_gray_degrades_total"
+	MetricGrayRecovers   = "spal_router_gray_recovers_total"
 )
 
 // Metrics returns an immutable snapshot of every router metric: the
@@ -253,7 +251,6 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		s.Hist(MetricLatency, latHelp, lc.lat.fallback.Snapshot(), lbl, metrics.L("served_by", "fallback"))
 
 		if r.grayPol.Enabled {
-			s.Hist(MetricLatency, latHelp, lc.lat.hedge.Snapshot(), lbl, metrics.L("served_by", "hedge"))
 			s.Gauge(MetricFabricRTTp50, "Windowed p50 fabric round trip to this home LC, nanoseconds.",
 				float64(r.rtt[i].p50.Load()), lbl)
 			s.Gauge(MetricFabricRTTp99, "Windowed p99 fabric round trip to this home LC, nanoseconds.",
@@ -332,13 +329,11 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		s.Counter(MetricCorruptions, corrHelp, droppedInv, metrics.L("kind", "dropped_invalidate"))
 	}
 	if r.grayPol.Enabled {
-		hedgeHelp := "Hedged remote lookups, by outcome."
-		s.Counter(MetricHedges, hedgeHelp, float64(r.hedges.Load()), metrics.L("outcome", "fired"))
-		s.Counter(MetricHedges, hedgeHelp, float64(r.hedgePrimaryLate.Load()), metrics.L("outcome", "primary_late"))
-		s.Counter(MetricHedges, hedgeHelp, float64(r.hedgePrimaryLost.Load()), metrics.L("outcome", "primary_lost"))
-		s.Counter(MetricHedges, hedgeHelp, float64(r.hedgeBudgetDenied.Load()), metrics.L("outcome", "budget_denied"))
 		s.Counter(MetricEjectServed, "Lookups answered from the fallback engine because their home LC was ejected.",
 			float64(r.ejectServed.Load()))
+		primHelp := "Fabric requests of eject-served lookups, by how they ended: reply suppressed (late) or deadline passed (lost)."
+		s.Counter(MetricEjectPrimaries, primHelp, float64(r.ejectLate.Load()), metrics.L("outcome", "late"))
+		s.Counter(MetricEjectPrimaries, primHelp, float64(r.ejectLost.Load()), metrics.L("outcome", "lost"))
 		s.Counter(MetricEjections, "Browned-out LC ejections (gen-pin steering engaged).", float64(r.ejections.Load()))
 		s.Counter(MetricEjectRestores, "Ejections lifted after the LC's RTT score recovered.", float64(r.restores.Load()))
 		s.Counter(MetricGrayDegrades, "Degraded-signal onsets across all LCs.", float64(r.grayDegrades.Load()))

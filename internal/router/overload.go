@@ -26,8 +26,7 @@
 //     client-side "retry budget" pattern). A deadline-driven retry
 //     spends one token; with the bucket empty the lookup goes straight
 //     to the full-table fallback engine, so retries cannot amplify an
-//     already-overloaded fabric. The hedge budget (gray.go) is the same
-//     mechanism with its own sizing.
+//     already-overloaded fabric.
 //   - Circuit breaker: each LC tracks one breaker per home LC, driven
 //     by the deadline ticker. Consecutive deadline expiries from one
 //     home open its breaker; while open, dispatches homed there
@@ -239,10 +238,10 @@ type breaker struct {
 	state    atomic.Int32
 }
 
-// tokenBucket is a budget for a mitigation that adds fabric load (a retry,
-// a hedge), paid for by evidence that the fabric still works: every
-// successful round trip refills it by ratio tokens up to burst, every use
-// takes one. It starts full. Guarded by the owning LC's lineCard.mu.
+// tokenBucket is the retry budget: retries add fabric load, so they are
+// paid for by evidence that the fabric still works. Every successful round
+// trip refills it by ratio tokens up to burst, every retry takes one. It
+// starts full. Guarded by the owning LC's lineCard.mu.
 type tokenBucket struct {
 	tokens, ratio, burst float64
 }

@@ -170,8 +170,8 @@ type config struct {
 	// unwrapped.
 	Corruption CorruptionPolicy
 	// Gray configures the gray-failure subsystem (per-home fabric RTT
-	// scoring, the degraded health signal, hedged remote lookups, outlier
-	// ejection; see gray.go). The zero value keeps it disabled.
+	// scoring, the degraded health signal, outlier ejection; see gray.go).
+	// The zero value keeps it disabled.
 	Gray GrayPolicy
 }
 
@@ -288,10 +288,11 @@ type waitlist struct {
 	feNS   int64
 	// Gray-failure bookkeeping (see gray.go). sentAt is when the first
 	// request left (zero when none did; sampled only while attempts == 1).
-	// hedged: the waiters were answered from the fallback engine and the
-	// entry persists only to suppress the primary reply.
-	sentAt int64
-	hedged bool
+	// answered: the home is ejected, the waiters were answered from the
+	// fallback engine and the entry persists only to suppress the primary
+	// reply.
+	sentAt   int64
+	answered bool
 }
 
 // fabricSend is one fabric message a handler queued on its LC's outbox.
@@ -323,9 +324,6 @@ type lineCard struct {
 	gen     uint64
 	stats   *LCStats
 	scratch *lcScratch // reusable miss workspace (see batch.go), surviving a crash
-	// hedge is this LC's hedge budget (see gray.go): spent by ticker
-	// hedges, refilled by successful fabric round trips.
-	hedge tokenBucket
 	// lastTick is when tick last ran here: an owner that finds it due runs it
 	// on its way out (see leave), the health monitor's sweep being the owner
 	// that comes by when nobody else does.
@@ -488,21 +486,18 @@ type Router struct {
 	scrubAuthGen  uint64
 
 	// Gray-failure plane (see gray.go): the normalized policy, per-home
-	// round-trip sample windows, per-LC degraded/ejected state, the
-	// current hedge delay, and the hedge/eject counters.
-	grayPol           GrayPolicy
-	rtt               []*lcRTT
-	gray              []*lcGray
-	hedgeDelayNS      atomic.Int64
-	hedges            atomic.Int64
-	hedgePrimaryLate  atomic.Int64
-	hedgePrimaryLost  atomic.Int64
-	hedgeBudgetDenied atomic.Int64
-	ejectServed       atomic.Int64
-	grayDegrades      atomic.Int64
-	grayRecovers      atomic.Int64
-	ejections         atomic.Int64
-	restores          atomic.Int64
+	// round-trip sample windows, per-LC degraded/ejected state, and the
+	// eject counters.
+	grayPol      GrayPolicy
+	rtt          []*lcRTT
+	gray         []*lcGray
+	ejectServed  atomic.Int64
+	ejectLate    atomic.Int64
+	ejectLost    atomic.Int64
+	grayDegrades atomic.Int64
+	grayRecovers atomic.Int64
+	ejections    atomic.Int64
+	restores     atomic.Int64
 }
 
 // New builds and starts a router over tbl. Defaults: one line card, the
@@ -581,16 +576,6 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	r.scrubPol = normalizeScrub(cfg.Scrub, r.tickEvery)
 	r.corruptPol = cfg.Corruption
 	r.grayPol = normalizeGray(cfg.Gray)
-	if r.grayPol.Hedge {
-		// The fixed delay applies immediately; the adaptive one starts at
-		// the timeout (effectively no hedging) until the scorer has a
-		// fleet p99 to derive it from.
-		if r.grayPol.HedgeAfter > 0 {
-			r.hedgeDelayNS.Store(int64(r.grayPol.HedgeAfter))
-		} else {
-			r.hedgeDelayNS.Store(int64(r.timeout))
-		}
-	}
 	r.baselineRepl = r.part.Stats().Replication
 	r.lastRebalance = time.Now()
 	// Build every per-LC structure before starting the monitor: it indexes
@@ -624,7 +609,6 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			lc.cache = c
 		}
 		lc.ov = newLCOverload(r.ov, cfg.NumLCs)
-		lc.hedge = newTokenBucket(r.grayPol.HedgeBudgetRatio, r.grayPol.HedgeBudgetBurst)
 		r.scrub = append(r.scrub, &lcScrub{})
 		r.rtt = append(r.rtt, &lcRTT{ring: make([]int64, max(r.grayPol.Window, 1))})
 		r.gray = append(r.gray, &lcGray{})
@@ -901,34 +885,16 @@ func (r *Router) checkDeadlines(lc *lineCard, at time.Time) {
 	now := int64(at.Sub(r.born)) // the reading at is; deadlines are readings
 	lc.pending.walk()
 	for addr, wl, ok := lc.pending.next(); ok; addr, wl, ok = lc.pending.next() {
-		if wl.hedged {
-			// The waiters were already answered by a hedge (or an eject
-			// dispatch); the entry only tracks the primary reply. Past the
+		if wl.answered {
+			// The waiters were already answered at dispatch (their home is
+			// ejected); the entry only tracks the primary reply. Past the
 			// deadline the primary is declared lost and the entry retired —
-			// hedged lookups are never retried, that is the point of them.
+			// nobody is left to retry for.
 			if wl.deadline != 0 && now >= wl.deadline {
-				r.hedgePrimaryLost.Add(1)
-				r.dropHedged(lc, addr)
+				r.ejectLost.Add(1)
+				lc.recycle(lc.pending.delete(addr))
 			}
 			continue
-		}
-		if r.grayPol.Hedge && wl.deadline != 0 && now < wl.deadline &&
-			wl.attempts >= 1 && wl.sentAt != 0 && now-wl.sentAt >= int64(r.hedgeDelay()) {
-			if home := lc.homeOf(addr); home != lc.id {
-				// The request has been in flight past the hedge delay:
-				// answer the waiters from the fallback engine now and keep
-				// tracking the primary — token-budgeted so hedges cannot
-				// melt a fabric that is merely overloaded.
-				if !lc.hedge.take() {
-					r.hedgeBudgetDenied.Add(1)
-				} else {
-					r.lateTraceFor(lc, addr, wl)
-					wl.tr.Record(tracing.EvHedge, int64(home), int64(wl.attempts))
-					r.hedges.Add(1)
-					r.hedgeResolve(lc, addr, wl)
-				}
-				continue
-			}
 		}
 		if wl.deadline == 0 || now < wl.deadline {
 			continue
@@ -1088,14 +1054,14 @@ func (lc *lineCard) addLocal(wl *waitlist, w localWaiter) {
 
 // joinLocal coalesces local lookup w of addr onto wl, the waitlist of a miss
 // already in flight for it, so the address costs one FE execution and one
-// fabric request however many lookups want it. Two things keep it out. A
-// hedged waitlist has already answered its waiters and persists only to
-// recognize the primary reply; parking there would strand the lookup, so it
-// is answered directly (hedgeAnswerLocal). A waitlist at the overload
-// policy's cap sheds it.
+// fabric request however many lookups want it. Two things keep it out. An
+// answered waitlist (its home is ejected) has already answered its waiters
+// and persists only to recognize the primary reply; parking there would
+// strand the lookup, so it is answered directly (ejectAnswerLocal). A
+// waitlist at the overload policy's cap sheds it.
 func (r *Router) joinLocal(lc *lineCard, wl *waitlist, addr ip.Addr, w localWaiter) {
-	if wl.hedged {
-		r.hedgeAnswerLocal(lc, addr, w)
+	if wl.answered {
+		r.ejectAnswerLocal(lc, addr, w)
 		return
 	}
 	if r.waitlistFull(wl) {
@@ -1117,7 +1083,7 @@ func (r *Router) joinLocal(lc *lineCard, wl *waitlist, addr ip.Addr, w localWait
 // deadline machinery retries or degrades, so the lookup still terminates
 // without this waitlist growing.
 func (r *Router) joinRemote(lc *lineCard, wl *waitlist, rw remoteWaiter, addr ip.Addr) {
-	if wl.hedged {
+	if wl.answered {
 		nh, ok := r.fallbackLookup(addr)
 		r.sendReply(lc, rw, addr, nh, ok, 0, lc.gen)
 		return
@@ -1186,7 +1152,7 @@ func (r *Router) park(lc *lineCard, addr ip.Addr) *waitlist {
 
 // dropWaiters empties wl's waiter lists. locals is cleared, not truncated,
 // to its capacity (release compacts it in place), so that a waitlist that
-// lingers — hedged, or on the free list — pins no batchDesc or trace.
+// lingers — answered, or on the free list — pins no batchDesc or trace.
 func (wl *waitlist) dropWaiters() {
 	clear(wl.locals[:cap(wl.locals)])
 	wl.locals, wl.remotes = wl.locals[:0], wl.remotes[:0]
@@ -1198,7 +1164,7 @@ func (lc *lineCard) recycle(wl *waitlist) {
 	if len(lc.free) < maxFreeWaitlists {
 		wl.dropWaiters()
 		wl.attempts, wl.deadline, wl.feNS, wl.sentAt = 0, 0, 0, 0
-		wl.tr, wl.trLate, wl.hedged = nil, false, false
+		wl.tr, wl.trLate, wl.answered = nil, false, false
 		lc.free = append(lc.free, wl)
 	}
 }
@@ -1229,9 +1195,7 @@ func (r *Router) fallbackLookup(addr ip.Addr) (rtable.NextHop, bool) {
 //   - Home ejected (gray.go): the waiters are answered from the fallback
 //     engine right now instead of paying its browned-out round trip, but
 //     the request still goes out — its reply keeps RTT samples flowing so
-//     recovery stays observable, and arrives as a suppressed hedged
-//     primary. No hedge token is spent: ejection is a scorer decision, not
-//     a per-lookup gamble.
+//     recovery stays observable, and arrives as a suppressed late primary.
 //
 // A retry is not a fresh miss: checkDeadlines has its own rule for those
 // and never claims a half-open probe.
@@ -1250,10 +1214,12 @@ func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, no
 	wl.sentAt = now
 	wl.deadline = now + int64(r.timeout)
 	wl.tr.Record(tracing.EvFabricSend, int64(home), 1)
-	if r.grayPol.Eject && r.gray[home].ejected.Load() {
-		wl.tr.Record(tracing.EvEject, int64(home), 0)
+	if r.grayPol.Enabled && r.gray[home].ejected.Load() {
+		lc.stats.Fallbacks.Add(1)
 		r.ejectServed.Add(1)
-		r.hedgeResolve(lc, addr, wl)
+		wl.tr.Record(tracing.EvEject, int64(home), 0)
+		wl.tr.Record(tracing.EvFallback, int64(lc.id), 0)
+		r.ejectResolve(lc, addr, wl)
 	}
 	return true
 }
@@ -1263,10 +1229,10 @@ func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, no
 // trip. sent is when its request left, zero to go unsampled.
 func (r *Router) replyArrived(lc *lineCard, from int, sent int64) {
 	if sent != 0 && r.grayPol.Enabled && !r.gray[lc.id].degraded.Load() {
-		// Attributed to the responding home, before the generation and hedge
-		// guards, so an ejected LC's recovery stays observable. A degraded
-		// requester abstains: its round trips ride its own browned-out links,
-		// and charging them to the home would mask the true outlier.
+		// Attributed to the responding home, before the generation and
+		// answered guards, so an ejected LC's recovery stays observable. A
+		// degraded requester abstains: its round trips ride its own browned-out
+		// links, and charging them to the home would mask the true outlier.
 		r.rtt[from].observe(r.now() - sent)
 	}
 	if r.ov.Enabled {
@@ -1274,9 +1240,6 @@ func (r *Router) replyArrived(lc *lineCard, from int, sent int64) {
 		r.breakerSuccess(lc, from)
 		lc.ov.retry.refill()
 		lc.ov.mirrorBudget()
-	}
-	if r.grayPol.Hedge {
-		lc.hedge.refill()
 	}
 }
 

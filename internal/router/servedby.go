@@ -19,11 +19,13 @@ const (
 	ServedByFE
 	// ServedByRemote: reply from the home LC over the fabric.
 	ServedByRemote
-	// ServedByFallback: fabric retries exhausted; the arrival LC
-	// resolved the address against the router-wide read-only full-table
-	// engine (the degraded slow path). The verdict is still correct —
-	// the fallback engine holds the complete current table — but the
-	// lookup paid the deadline/retry latency to get there.
+	// ServedByFallback: the address was resolved against the router-wide
+	// read-only full-table engine instead of its home LC, for one of four
+	// causes: fabric retries exhausted (or the retry budget), the breaker
+	// toward the home open, the forward-hop cap reached, or the home
+	// ejected as browned out (gray.go). The verdict is still correct —
+	// the fallback engine holds the complete current table. Only the first
+	// cause pays the deadline/retry latency to get there.
 	ServedByFallback
 	// ServedByShed: overload control refused or abandoned the lookup
 	// after admission (waitlist overflow, replay shed); the verdict
@@ -31,19 +33,11 @@ const (
 	// ErrOverloaded; only batch callers observe it directly. Only
 	// routers built WithOverload ever produce it.
 	ServedByShed
-	// ServedByHedge: the gray-failure plane answered the lookup from the
-	// full-table fallback engine ahead of a slow fabric primary — either
-	// a ticker hedge past the hedge delay or a dispatch-time answer for
-	// an ejected home LC (see gray.go). Like ServedByFallback the verdict
-	// is correct (same engine), but it was taken to *cut* latency rather
-	// than after paying the full deadline. Only routers built WithGray
-	// ever produce it.
-	ServedByHedge
 )
 
 // servedByNames are the wire/report names, aligned with the legacy
 // string constants.
-var servedByNames = [...]string{"unknown", "cache", "fe", "remote", "fallback", "shed", "hedge"}
+var servedByNames = [...]string{"unknown", "cache", "fe", "remote", "fallback", "shed"}
 
 // String implements fmt.Stringer with the legacy names.
 func (s ServedBy) String() string {

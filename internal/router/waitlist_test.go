@@ -1,10 +1,10 @@
-// Waitlist lifetime tests: a waitlist that lingers in lc.pending after a
-// hedge, or sits on the free list after its release, must reference
+// Waitlist lifetime tests: a waitlist that lingers in lc.pending after an
+// eject dispatch, or sits on the free list after its release, must reference
 // nothing it answered, a recycled one must be indistinguishable from a new
 // one, and a miss the home LC resolves itself must leave no waitlist at
 // all — whatever the fabric duplicates. The first two run the deadline
-// sweep by hand, with a request timeout far beyond the test's length, so
-// that nothing in them depends on when a ticker fires.
+// sweep (or deliver a reply) by hand, with a request timeout far beyond the
+// test's length, so that nothing in them depends on when a ticker fires.
 package router
 
 import (
@@ -62,46 +62,57 @@ func dropRequests(on *atomic.Int32) FaultInjector {
 	}
 }
 
-// TestHedgedWaitlistPinsNothing: the entry a hedge leaves behind to
-// recognize the primary reply has answered its waiters, and must not keep
-// their reply channels, descriptors or traces reachable until the primary
-// or its deadline turns up; retired, it reaches the free list blank.
-func TestHedgedWaitlistPinsNothing(t *testing.T) {
+// TestEjectedWaitlistPinsNothing: the entry an eject dispatch leaves behind
+// to recognize the primary reply has answered its waiters, and must not
+// keep their descriptors or traces reachable until the primary or its
+// deadline turns up; retired either way, it reaches the free list blank.
+func TestEjectedWaitlistPinsNothing(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
-	var drop atomic.Int32
-	drop.Store(1)
-	r, err := New(tbl, WithLCs(2), WithoutCache(), WithTraceSampling(1),
-		WithFaultInjector(dropRequests(&drop)), WithRequestTimeout(time.Minute),
-		WithGray(GrayPolicy{Enabled: true, Hedge: true, HedgeAfter: time.Millisecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Stop()
-	addr := remoteAddrs(t, r, tbl, stats.NewRNG(3), 1, 1)[0]
-	ch := parkOne(t, r, addr)
+	for _, end := range []string{"late", "lost"} {
+		t.Run(end, func(t *testing.T) {
+			var drop atomic.Int32
+			drop.Store(1)
+			r, err := New(tbl, WithLCs(2), WithoutCache(), WithTraceSampling(1),
+				WithFaultInjector(dropRequests(&drop)), WithRequestTimeout(time.Minute),
+				WithGray(DefaultGrayPolicy()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+			addr := remoteAddrs(t, r, tbl, stats.NewRNG(3), 1, 1)[0]
+			r.mu.Lock()
+			r.ejectLocked(1)
+			r.mu.Unlock()
+			ch := parkOne(t, r, addr) // answered at dispatch, the entry left pending
+			if v := <-ch; v.ServedBy != ServedByFallback {
+				t.Fatalf("verdict %+v, want one served by the fallback engine", v)
+			}
 
-	var hedged *waitlist
-	r.own(0, func(lc *lineCard) {
-		r.checkDeadlines(lc, time.Now().Add(time.Second)) // past the hedge delay, short of the deadline
-		hedged = lc.pending.get(addr)
-		if hedged == nil || !hedged.hedged || hedged.deadline == 0 {
-			t.Fatalf("no hedged entry tracking the primary: %+v", hedged)
-		}
-		checkUnpinned(t, hedged)
-		if hedged.tr != nil {
-			t.Error("hedged entry pins the answered lookup's trace")
-		}
-	})
-	if v := <-ch; v.ServedBy != ServedByHedge {
-		t.Fatalf("verdict %+v, want one served by the hedge", v)
+			var answered *waitlist
+			r.own(0, func(lc *lineCard) {
+				answered = lc.pending.get(addr)
+				if answered == nil || !answered.answered || answered.deadline == 0 {
+					t.Fatalf("no answered entry tracking the primary: %+v", answered)
+				}
+				checkUnpinned(t, answered)
+				if answered.tr != nil {
+					t.Error("answered entry pins the answered lookup's trace")
+				}
+				if end == "late" {
+					r.handleBatchReply(lc, message{kind: mBatchReply, addr: addr, ok: true, from: 1, epoch: lc.epoch, gen: lc.gen})
+				} else {
+					r.checkDeadlines(lc, time.Now().Add(2*time.Minute))
+				}
+				if lc.pending.len() != 0 || len(lc.free) != 1 || lc.free[0] != answered {
+					t.Fatalf("retired answered entry not recycled: %d pending, free list %v", lc.pending.len(), lc.free)
+				}
+				checkBlank(t, answered)
+			})
+			if g := r.Gray(); g.EjectServed != 1 || g.PrimaryLate+g.PrimaryLost != 1 || (end == "late") != (g.PrimaryLate == 1) {
+				t.Errorf("eject-served %d, primaries %d late + %d lost; want 1 and the primary %s", g.EjectServed, g.PrimaryLate, g.PrimaryLost, end)
+			}
+		})
 	}
-	r.own(0, func(lc *lineCard) {
-		r.checkDeadlines(lc, time.Now().Add(2*time.Minute)) // the primary is lost
-		if lc.pending.len() != 0 || len(lc.free) != 1 || lc.free[0] != hedged {
-			t.Fatalf("retired hedged entry not recycled: %d pending, free list %v", lc.pending.len(), lc.free)
-		}
-		checkBlank(t, hedged)
-	})
 }
 
 // TestParkRecyclesBlankWaitlist drives one address through a dropped

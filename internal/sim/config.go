@@ -136,7 +136,7 @@ type Config struct {
 	// targets. When SlowFactor > 1, every fabric message to or from
 	// SlowLC pays (SlowFactor-1) x FabricLatency extra cycles, so the
 	// card stays alive and correct but its remote lookups crawl. The
-	// cycle simulator has no hedging; these knobs measure the *exposure*
+	// cycle simulator has no ejection; these knobs measure the *exposure*
 	// a brownout creates (latency skew for traffic homed at the slow
 	// card), the baseline the router's mitigation is judged against.
 	// SlowFactor 0 (or 1) disables the model; SlowLC then is ignored.

@@ -79,7 +79,7 @@ type Result struct {
 	// the slow-link penalty, the penalty in cycles, and the latency skew
 	// the brownout created — mean lookup time of packets homed at the
 	// slow LC against the mean over everything else. The skew ratio is
-	// the exposure the concurrent router's hedging plane removes.
+	// the exposure the concurrent router's ejection removes.
 	SlowDelayedMessages int64
 	SlowExtraCycles     int64
 	SlowHomeMeanCycles  float64

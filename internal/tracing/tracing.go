@@ -85,12 +85,6 @@ const (
 	// without ever touching the fabric. A = the home LC whose breaker was
 	// open, B = breaker state observed (1 open, 2 half-open).
 	EvBreaker
-	// EvHedge: the fabric request outlived the hedge delay and the
-	// waiters were answered from the full-table fallback engine while the
-	// primary stayed tracked for duplicate suppression (see the router's
-	// gray.go). A = the home LC being hedged against, B = attempt number
-	// of the outstanding request.
-	EvHedge
 	// EvEject: the lookup's home LC was ejected (browned out) and the
 	// verdict came from the fallback engine at dispatch time; the fabric
 	// request was still sent to keep round-trip samples flowing. A = the
@@ -104,7 +98,7 @@ const NumEventKinds = int(EvEject) + 1
 var kindNames = [NumEventKinds]string{
 	"arrival", "probe", "coalesce", "bypass", "fabric_send", "fabric_recv",
 	"fe_exec", "retry", "deadline", "fallback", "rehome", "redrive",
-	"fill", "verdict", "shed", "breaker_short_circuit", "hedge", "eject",
+	"fill", "verdict", "shed", "breaker_short_circuit", "eject",
 }
 
 // String returns the stable wire name used by logs and the JSON export.
@@ -139,9 +133,8 @@ const (
 	// control; see the router's overload.go).
 	FlagShed
 	FlagBreaker
-	// FlagHedged and FlagEjected mirror EvHedge and EvEject (gray-failure
-	// mitigation; see the router's gray.go).
-	FlagHedged
+	// FlagEjected mirrors EvEject (gray-failure mitigation; see the
+	// router's gray.go).
 	FlagEjected
 )
 
@@ -155,7 +148,6 @@ var kindFlag = [NumEventKinds]Flag{
 	EvRedrive:  FlagRedriven,
 	EvShed:     FlagShed,
 	EvBreaker:  FlagBreaker,
-	EvHedge:    FlagHedged,
 	EvEject:    FlagEjected,
 }
 
@@ -173,7 +165,6 @@ var flagNames = []struct {
 	{FlagRedriven, "redriven"},
 	{FlagShed, "shed"},
 	{FlagBreaker, "breaker"},
-	{FlagHedged, "hedged"},
 	{FlagEjected, "ejected"},
 }
 
@@ -190,9 +181,9 @@ func (f Flag) Strings() []string {
 
 // Interesting reports whether the trace hit the always-capture criteria:
 // retried, deadline-expired, fallback-served, re-homed, shed,
-// breaker-short-circuited, hedged, or eject-served.
+// breaker-short-circuited, or eject-served.
 func (f Flag) Interesting() bool {
-	return f&(FlagRetried|FlagDeadline|FlagFallback|FlagRehomed|FlagShed|FlagBreaker|FlagHedged|FlagEjected) != 0
+	return f&(FlagRetried|FlagDeadline|FlagFallback|FlagRehomed|FlagShed|FlagBreaker|FlagEjected) != 0
 }
 
 // SpanEvent is one fixed-size lifecycle event. At is the offset from the

@@ -139,8 +139,8 @@ type (
 	// matrix.
 	LinkFaultConfig = router.LinkFaultConfig
 	// GrayPolicy configures gray-failure immunity: per-home fabric RTT
-	// scoring, the degraded signal, hedged remote lookups, and outlier
-	// ejection (see WithRouterGray).
+	// scoring, the degraded signal, and outlier ejection (see
+	// WithRouterGray).
 	GrayPolicy = router.GrayPolicy
 	// GrayReport is the router's gray-failure snapshot (see Router.Gray).
 	GrayReport = router.GrayReport
@@ -160,16 +160,12 @@ const (
 	ServedByFE     = router.ServedByFE
 	ServedByRemote = router.ServedByRemote
 	// ServedByFallback marks a verdict served by the router-wide read-only
-	// full-table engine after the home LC stayed unreachable through the
-	// whole retry budget.
+	// full-table engine instead of the home LC: retries exhausted, breaker
+	// open, forward-hop cap reached, or the home ejected as browned out.
 	ServedByFallback = router.ServedByFallback
 	// ServedByShed marks a lookup refused by overload control after
 	// admission; synchronous Lookup calls surface it as ErrOverloaded.
 	ServedByShed = router.ServedByShed
-	// ServedByHedge marks a verdict the gray-failure plane served from
-	// the fallback engine ahead of a slow fabric primary (hedge or
-	// ejection; see WithRouterGray).
-	ServedByHedge = router.ServedByHedge
 )
 
 // Shed modes for OverloadPolicy.Mode.
@@ -374,16 +370,14 @@ func NewLinkFaults(seed uint64) *LinkFaults { return router.NewLinkFaults(seed) 
 
 // WithRouterGray enables the gray-failure subsystem: per-home-LC fabric
 // round-trip scoring against the fleet median driving a degraded health
-// signal, hedged remote lookups answered from the full-table fallback
-// engine after an adaptive (or fixed) hedge delay, and outlier ejection
-// that steers cacheable traffic off a browned-out line card until its
-// score recovers. Pass DefaultGrayPolicy() for the defaults.
+// signal, and outlier ejection that steers traffic off a browned-out line
+// card — its lookups answered from the full-table fallback engine — until
+// its score recovers. Pass DefaultGrayPolicy() for the defaults.
 func WithRouterGray(p GrayPolicy) RouterOption { return router.WithGray(p) }
 
-// DefaultGrayPolicy returns the gray-failure defaults: detection, hedging
-// and ejection all enabled (64-sample windows, degrade at 3× the fleet
-// median p50 for 3 cycles, adaptive hedge delay of 2× the fleet p99,
-// hedge budget of 0.5 tokens per successful round trip, burst 32).
+// DefaultGrayPolicy returns the gray-failure defaults: detection and
+// ejection enabled (64-sample windows, degrade at 3× the fleet median p50
+// for 3 cycles, recover after 3).
 func DefaultGrayPolicy() GrayPolicy { return router.DefaultGrayPolicy() }
 
 // TracePresets lists the five paper traces.
