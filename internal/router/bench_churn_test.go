@@ -114,7 +114,8 @@ func BenchmarkLookupUnderChurn(b *testing.B) {
 // left idle, the next batch-many events of one seeded stream per call
 // (wrapping after 32 k events, past which withdraws start to miss). ns/op
 // is one call; ns/update divides it by the batch. A dynamic engine's call
-// should follow the batch; lulea's is ψ + 1 rebuilds whatever the batch.
+// should follow the batch; lulea's rebuilds every LC engine the batch
+// touches.
 func BenchmarkApplyUpdates(b *testing.B) {
 	const cycleNS = 5.0
 	tbl := rtable.RT2()

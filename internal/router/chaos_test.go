@@ -160,7 +160,7 @@ func TestChaosDelayDupDrop(t *testing.T) {
 
 // TestChaosDeadFabricFallback kills every request outright: the home LC
 // is unreachable, so after the retry budget each lookup must degrade to
-// the full-table fallback engine — still correct, marked
+// the full-table fallback — still correct, marked
 // ServedByFallback, and visible in the metrics.
 func TestChaosDeadFabricFallback(t *testing.T) {
 	tbl := rtable.Small(2000, 13)
@@ -359,7 +359,7 @@ func TestStaleHomeCacheAcrossSwap(t *testing.T) {
 	}
 
 	r.mu.Lock()
-	r.fallback.Store(&fallbackEngine{eng: r.cfg.Engine(t2)})
+	r.fallback.Store(rtable.NewIndex(t2))
 	r.gen++
 	for i := 0; i < 2; i++ {
 		engine := r.buildEngine(p2.Table(i))

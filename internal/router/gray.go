@@ -24,7 +24,7 @@
 //     cacheable traffic off it using the machinery quarantine already
 //     proved: the generation fence (fenceLocked) pins the ejected LC's
 //     replies out of peer caches, while new remote lookups homed on it are
-//     answered from the router-wide full-table fallback engine — the same
+//     answered from the router-wide full-table fallback — the same
 //     always-current authority the deadline/retry plane trusts — at
 //     dispatch time (routeFor). The request is still sent, so round-trip
 //     samples keep flowing and recovery stays observable: the waitlist
@@ -117,8 +117,7 @@ func normalizeGray(p GrayPolicy) GrayPolicy {
 
 // WithGray configures the gray-failure subsystem: per-home round-trip
 // scoring with a fleet-relative degraded signal, and outlier ejection of
-// browned-out home LCs, whose lookups the full-table fallback engine
-// answers. Pass DefaultGrayPolicy() for the defaults. See gray.go.
+// browned-out home LCs, whose lookups the full-table fallback answers. Pass DefaultGrayPolicy() for the defaults. See gray.go.
 func WithGray(p GrayPolicy) Option {
 	return func(c *config) { c.Gray = p }
 }
@@ -298,11 +297,11 @@ func (r *Router) genPinned(id int) bool {
 }
 
 // ejectResolve answers every waiter parked on addr, whose home is ejected,
-// from the full-table fallback engine and flips the waitlist to answered:
+// from the full-table fallback and flips the waitlist to answered:
 // waiters are emptied (each delivered a ServedByFallback verdict) but the
 // entry stays pending with its deadline armed, so the primary fabric reply
 // is recognized and suppressed when it lands — or counted lost when the
-// deadline passes first. The fallback engine always reflects the current
+// deadline passes first. The fallback always reflects the current
 // generation (see fallbackLookup), so the verdict is correct under churn.
 func (r *Router) ejectResolve(lc *lineCard, addr ip.Addr, wl *waitlist) {
 	nh, ok := r.fallbackLookup(addr)
@@ -317,7 +316,7 @@ func (r *Router) ejectResolve(lc *lineCard, addr ip.Addr, wl *waitlist) {
 }
 
 // ejectAnswerLocal serves a local lookup that would have coalesced onto an
-// answered waitlist (see joinLocal) from the fallback engine immediately.
+// answered waitlist (see joinLocal) from the fallback immediately.
 // Rare: ejectResolve's fill put the value in the cache, so stragglers
 // normally hit there first.
 func (r *Router) ejectAnswerLocal(lc *lineCard, addr ip.Addr, w localWaiter) {

@@ -459,7 +459,7 @@ func TestGrayEjectRestoreLifecycle(t *testing.T) {
 	stop()
 
 	// Eject-served, by either entry point: a fresh lookup homed on the
-	// ejected LC is answered from the fallback engine at dispatch, once per
+	// ejected LC is answered from the fallback at dispatch, once per
 	// address, while its request still crosses the fabric. The traffic is
 	// stopped and LC 0's answered entries are waited out so that the
 	// counters move for these addresses only (a straggler onto an answered

@@ -555,7 +555,7 @@ func TestChaosInlineDepthBounded(t *testing.T) {
 	}
 
 	r.mu.Lock()
-	r.fallback.Store(&fallbackEngine{eng: r.cfg.Engine(t2)})
+	r.fallback.Store(rtable.NewIndex(t2))
 	r.gen++
 	swap(req) // the requester is ahead; the home has yet to be reached
 	got := make(chan Verdict, 1)

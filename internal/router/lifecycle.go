@@ -3,8 +3,9 @@
 //
 // SPAL's premise is that each LC owns one ROT-partition, so a dead or
 // wedged line card black-holes every remote lookup homed on it until the
-// retry budget burns down into the full-table fallback. The lifecycle
-// subsystem turns LC failure and maintenance into first-class events:
+// retry budget burns down into the fallback, an index over the full-table
+// snapshot the router holds. The lifecycle subsystem turns LC failure and
+// maintenance into first-class events:
 //
 //	          beats resume
 //	    ┌─────────────────────┐

@@ -213,7 +213,7 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		s.Counter(MetricBatches, "Batch descriptors admitted at this LC.", float64(lc.stats.Batches.Load()), lbl)
 		s.Counter(MetricStaleReplies, "Fabric replies dropped by the table-update epoch guard.", float64(lc.stats.StaleReplies.Load()), lbl)
 		s.Counter(MetricRetries, "Fabric requests re-sent after a deadline expiry.", float64(lc.stats.Retries.Load()), lbl)
-		s.Counter(MetricFallbacks, "Lookups served by the full-table fallback engine.", float64(lc.stats.Fallbacks.Load()), lbl)
+		s.Counter(MetricFallbacks, "Lookups served by the full-table fallback.", float64(lc.stats.Fallbacks.Load()), lbl)
 		s.Counter(MetricDeadlineExpired, "Pending lookups whose fabric retry budget ran out.", float64(lc.stats.DeadlineExpired.Load()), lbl)
 		s.Counter(MetricForwarded, "In-flight requests forwarded because the address was re-homed.", float64(lc.stats.ForwardedRequests.Load()), lbl)
 		s.Counter(MetricUpdatesApplied, "Route updates this LC streamed into its forwarding engine.", float64(lc.stats.UpdatesApplied.Load()), lbl)
@@ -329,7 +329,7 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		s.Counter(MetricCorruptions, corrHelp, droppedInv, metrics.L("kind", "dropped_invalidate"))
 	}
 	if r.grayPol.Enabled {
-		s.Counter(MetricEjectServed, "Lookups answered from the fallback engine because their home LC was ejected.",
+		s.Counter(MetricEjectServed, "Lookups answered from the fallback because their home LC was ejected.",
 			float64(r.ejectServed.Load()))
 		primHelp := "Fabric requests of eject-served lookups, by how they ended: reply suppressed (late) or deadline passed (lost)."
 		s.Counter(MetricEjectPrimaries, primHelp, float64(r.ejectLate.Load()), metrics.L("outcome", "late"))

@@ -78,8 +78,8 @@ func WithRequestTimeout(d time.Duration) Option {
 }
 
 // WithMaxRetries bounds how many times a timed-out fabric request is
-// re-sent before the lookup degrades to the full-table fallback engine
-// (default 3; negative disables retries).
+// re-sent before the lookup degrades to the fallback, an index over the
+// full-table snapshot (default 3; negative disables retries).
 func WithMaxRetries(n int) Option {
 	return func(c *config) { c.MaxRetries = n }
 }

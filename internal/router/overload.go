@@ -25,7 +25,7 @@
 //     fabric replies (RetryBudgetRatio tokens per success, the
 //     client-side "retry budget" pattern). A deadline-driven retry
 //     spends one token; with the bucket empty the lookup goes straight
-//     to the full-table fallback engine, so retries cannot amplify an
+//     to the full-table fallback, so retries cannot amplify an
 //     already-overloaded fabric.
 //   - Circuit breaker: each LC tracks one breaker per home LC, driven
 //     by the deadline ticker. Consecutive deadline expiries from one

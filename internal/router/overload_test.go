@@ -309,7 +309,7 @@ func TestStopWithFullInboxes(t *testing.T) {
 // TestRetryBudgetExhaustion: with every fabric request dropped and no
 // successful replies to refill the bucket, retries stop once the seeded
 // burst is spent and subsequent deadline expiries degrade straight to
-// the fallback engine.
+// the fallback.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
@@ -347,7 +347,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 
 // TestBreakerOpensAndRecovers drives the full breaker state machine:
 // consecutive deadline expiries open it, an open breaker short-circuits
-// dispatches to the fallback engine without touching the fabric, the
+// dispatches to the fallback without touching the fabric, the
 // ticker arms a half-open probe after the cooldown, and a successful
 // probe closes the circuit again.
 func TestBreakerOpensAndRecovers(t *testing.T) {

@@ -110,7 +110,7 @@ func TestBatchReplyAnswersTwoDescriptors(t *testing.T) {
 // TestGaugesWhileParked: with the fabric dead, a blocked 64-address batch
 // reads on its arrival LC as what it parked — one waitlist per distinct
 // remote address, one waiter per remote slot — and as nothing anywhere else;
-// cancelled and degraded to the fallback engine, it reads as nothing at all.
+// cancelled and degraded to the fallback, it reads as nothing at all.
 func TestGaugesWhileParked(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	var drop atomic.Int32
@@ -154,7 +154,7 @@ func TestGaugesWhileParked(t *testing.T) {
 		t.Fatalf("blocked batch returned %v, want context.Canceled", err)
 	}
 	// Past the deadline with retries disabled, the sweep answers every
-	// waitlist from the fallback engine.
+	// waitlist from the fallback.
 	r.own(0, func(lc *lineCard) { r.tick(lc, r.now()+int64(2*time.Hour)) })
 	checkDrained(t, r)
 }

@@ -120,9 +120,9 @@ type config struct {
 	// is detected within about a quarter-timeout of the deadline.
 	RequestTimeout time.Duration
 	// MaxRetries bounds how many times a timed-out request is re-sent
-	// before the lookup degrades to the router-wide full-table fallback
-	// engine. Zero selects the default (3); negative disables retries
-	// (the first expiry goes straight to the fallback).
+	// before the lookup degrades to the router-wide fallback, an index over
+	// the full-table snapshot. Zero selects the default (3); negative
+	// disables retries (the first expiry goes straight to the fallback).
 	MaxRetries int
 	// SuspectAfter is how long an LC may go without a recorded heartbeat
 	// before the health monitor demotes it to LCSuspect. Zero selects the
@@ -236,7 +236,7 @@ type LCStats struct {
 	// Batches counts the batch descriptors admitted.
 	Batches atomic.Int64
 	// Robustness counters: fabric requests re-sent after a deadline
-	// expiry, lookups answered by the full-table fallback engine,
+	// expiry, lookups answered by the full-table fallback,
 	// deadlines that exhausted their retry budget, and in-flight
 	// requests forwarded because the address was re-homed.
 	Retries, Fallbacks, DeadlineExpired, ForwardedRequests atomic.Int64
@@ -289,7 +289,7 @@ type waitlist struct {
 	// Gray-failure bookkeeping (see gray.go). sentAt is when the first
 	// request left (zero when none did; sampled only while attempts == 1).
 	// answered: the home is ejected, the waiters were answered from the
-	// fallback engine and the entry persists only to suppress the primary
+	// fallback and the entry persists only to suppress the primary
 	// reply.
 	sentAt   int64
 	answered bool
@@ -387,15 +387,6 @@ type lineCard struct {
 	ov *lcOverload
 }
 
-// fallbackEngine boxes the router-wide full-table engine so it can sit
-// behind an atomic.Pointer (lpm.Engine is an interface). Lookups hold mu
-// shared; ApplyUpdates holds it exclusively while it writes a whole batch
-// into a dynamic engine in place, so no lookup sees part of one.
-type fallbackEngine struct {
-	mu  sync.RWMutex
-	eng lpm.Engine
-}
-
 // Router is a running SPAL forwarding plane.
 type Router struct {
 	cfg     config
@@ -446,11 +437,17 @@ type Router struct {
 	// disabled, which is the only cost the hot path pays (see trace.go).
 	tracer *tracing.Recorder
 
-	// fallback is the degraded slow path: a full-table engine every LC
-	// may consult read-only once fabric retries are exhausted. Swapped
-	// wholesale by UpdateTable; ApplyUpdates writes a dynamic engine in
-	// place and swaps any other.
-	fallback atomic.Pointer[fallbackEngine]
+	// fallback is the degraded slow path: an index over the current
+	// full-table snapshot, which r.part already holds, that every LC may
+	// consult once it has given up on an address's home. UpdateTable and
+	// ApplyUpdates publish a new one, a pointer store, before any LC
+	// installs the table it indexes.
+	fallback atomic.Pointer[rtable.Index]
+
+	// dynamic reports whether the builder's engines take updates in place
+	// (lpm.DynamicEngine); fixed in New from the first engine it built, so
+	// ApplyUpdates decides what to rebuild without reading an LC's engine.
+	dynamic bool
 
 	mu   sync.Mutex // guards part + lifecycle transitions, serializes swaps
 	part *partition.Partitioning
@@ -567,11 +564,11 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	if r.remoteLimit = r.ov.QueueDepth * 3 / 4; r.remoteLimit < 1 {
 		r.remoteLimit = 1
 	}
-	// The fallback engine is deliberately never corruption-wrapped: it is
-	// the degraded-path and repair authority, and must stay correct no
-	// matter what the injector does to the per-LC state.
-	r.fallback.Store(&fallbackEngine{eng: cfg.Engine(cfg.Table)})
 	r.part = partition.Partition(cfg.Table, cfg.NumLCs)
+	// The fallback reads the canonical snapshot itself, which the
+	// corruption injector never touches: it stays correct whatever is done
+	// to the per-LC state.
+	r.fallback.Store(rtable.NewIndex(r.part.Full()))
 	r.rebalance = normalizeRebalance(cfg.Rebalance)
 	r.scrubPol = normalizeScrub(cfg.Scrub, r.tickEvery)
 	r.corruptPol = cfg.Corruption
@@ -584,9 +581,13 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	now := r.now()
 	hashSeed := rand.Uint64() // per router: see pendingTable
 	for i := 0; i < cfg.NumLCs; i++ {
+		engine := r.buildEngine(r.part.Table(i))
+		if i == 0 {
+			_, r.dynamic = engine.(lpm.DynamicEngine)
+		}
 		lc := &lineCard{
 			id:      i,
-			engine:  r.buildEngine(r.part.Table(i)),
+			engine:  engine,
 			pending: newPendingTable(hashSeed),
 			homeOf:  r.part.HomeLC,
 			stats:   &LCStats{},
@@ -880,7 +881,7 @@ func (r *Router) tick(lc *lineCard, now int64) {
 // LC (the address may have been re-homed by a table update) and back off
 // exponentially, one request per home a sweep; once the retry budget is
 // spent, the lookup is answered from the router-wide full-table fallback
-// engine so it terminates no matter what the fabric lost.
+// (fallbackLookup) so it terminates no matter what the fabric lost.
 func (r *Router) checkDeadlines(lc *lineCard, at time.Time) {
 	now := int64(at.Sub(r.born)) // the reading at is; deadlines are readings
 	lc.pending.walk()
@@ -912,7 +913,7 @@ func (r *Router) checkDeadlines(lc *lineCard, at time.Time) {
 		retry := wl.attempts <= r.maxRetries
 		if retry && r.ov.Enabled && home != lc.id {
 			// An open breaker or an exhausted retry budget sends the
-			// lookup straight to the fallback engine: retries must not
+			// lookup straight to the fallback: retries must not
 			// amplify load on a fabric that is already failing.
 			if lc.ov.breakers[home].state.Load() == breakerOpen {
 				retry = false
@@ -1111,8 +1112,7 @@ const maxInlineDepth = maxForwardHops + 2
 // partitioning-swap window. Two LCs holding different homeOf functions
 // (one pre-swap, one post-swap) can bounce a request between them until
 // the trailing LC has its install; the cap breaks that ping-pong by
-// resolving against the full-table fallback engine, which is always
-// current.
+// resolving against the full-table fallback, which is always current.
 const maxForwardHops = 4
 
 // forward moves a request's row for addr on to home, its home now: the
@@ -1120,7 +1120,7 @@ const maxForwardHops = 4
 // swapped the partitioning under it), and running LPM here would consult the
 // wrong partition and could cache a bogus verdict as a LOC entry. The reply
 // still carries the original requester and epoch. Past maxForwardHops the row
-// is answered from the fallback engine instead, uncached: this LC is not its
+// is answered from the fallback instead, uncached: this LC is not its
 // home, so the value must not enter its LOC quota.
 func (r *Router) forward(lc *lineCard, addr ip.Addr, home int, rw remoteWaiter, start int64) {
 	if rw.hops >= maxForwardHops {
@@ -1169,18 +1169,12 @@ func (lc *lineCard) recycle(wl *waitlist) {
 	}
 }
 
-// fallbackLookup resolves addr against the router-wide full-table engine,
-// the authority of every degraded path: it always reflects the current
-// table (UpdateTable and ApplyUpdates refresh it before they return).
+// fallbackLookup resolves addr against the index of the current full-table
+// snapshot, the authority of every degraded path: it always reflects the
+// current table (UpdateTable and ApplyUpdates publish the new snapshot's
+// before they return), and a batch reaches it whole, in one pointer store.
 func (r *Router) fallbackLookup(addr ip.Addr) (rtable.NextHop, bool) {
-	fb := r.fallback.Load()
-	fb.mu.RLock()
-	nh, _, ok := fb.eng.Lookup(addr)
-	fb.mu.RUnlock()
-	if !ok {
-		nh = rtable.NoNextHop
-	}
-	return nh, ok
+	return r.fallback.Load().Lookup(addr)
 }
 
 // routeFor is the one place that decides whether a fresh miss parked on wl
@@ -1190,10 +1184,10 @@ func (r *Router) fallbackLookup(addr ip.Addr) (rtable.NextHop, bool) {
 // send itself is all that is left to the caller.
 //
 //   - Breaker open toward home (overload.go): the send is doomed, so the
-//     waiters are answered from the fallback engine without touching the
+//     waiters are answered from the fallback without touching the
 //     fabric. Always interesting, so traced late if nobody was sampled.
 //   - Home ejected (gray.go): the waiters are answered from the fallback
-//     engine right now instead of paying its browned-out round trip, but
+//     right now instead of paying its browned-out round trip, but
 //     the request still goes out — its reply keeps RTT samples flowing so
 //     recovery stays observable, and arrives as a suppressed late primary.
 //
@@ -1553,11 +1547,11 @@ func (r *Router) UpdateTable(tbl *rtable.Table) error {
 	}
 	part := partition.Subset(tbl, r.cfg.NumLCs, alive)
 
-	// Swap the degraded-path engine first: from here on a fallback
+	// Publish the degraded path's table first: from here on a fallback
 	// resolution may observe either table, which is within the documented
 	// update-window semantics, and once UpdateTable returns it is
 	// guaranteed to be the new one.
-	r.fallback.Store(&fallbackEngine{eng: r.cfg.Engine(tbl)})
+	r.fallback.Store(rtable.NewIndex(part.Full()))
 	r.gen++
 
 	if err := r.swapPartitioning(part); err != nil {

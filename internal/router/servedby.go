@@ -20,12 +20,12 @@ const (
 	// ServedByRemote: reply from the home LC over the fabric.
 	ServedByRemote
 	// ServedByFallback: the address was resolved against the router-wide
-	// read-only full-table engine instead of its home LC, for one of four
-	// causes: fabric retries exhausted (or the retry budget), the breaker
-	// toward the home open, the forward-hop cap reached, or the home
-	// ejected as browned out (gray.go). The verdict is still correct —
-	// the fallback engine holds the complete current table. Only the first
-	// cause pays the deadline/retry latency to get there.
+	// full-table snapshot (an rtable.Index over it) instead of its home
+	// LC, for one of four causes: fabric retries exhausted (or the retry
+	// budget), the breaker toward the home open, the forward-hop cap
+	// reached, or the home ejected as browned out (gray.go). The verdict is
+	// still correct — the snapshot is the complete current table. Only the
+	// first cause pays the deadline/retry latency to get there.
 	ServedByFallback
 	// ServedByShed: overload control refused or abandoned the lookup
 	// after admission (waitlist overflow, replay shed); the verdict

@@ -130,24 +130,17 @@ func (r *Router) ApplyUpdates(batch []rtable.Update) error {
 	r.updateEvents.Add(int64(len(batch)))
 	// Bring the degraded path up to date first, mirroring UpdateTable: a
 	// fallback resolution may observe either table inside the window, never
-	// part of the batch (the write lock spans it), and the new one once the
-	// call returns. Not lazily: the build would land on a degraded lookup.
-	fb := r.fallback.Load()
-	fb.mu.Lock()
-	inPlace := applyInPlace(fb.eng, batch)
-	fb.mu.Unlock()
-	if !inPlace {
-		r.fallback.Store(&fallbackEngine{eng: r.cfg.Engine(np.Full())})
-	}
+	// part of the batch (it is one pointer store), and the new one once the
+	// call returns.
+	r.fallback.Store(rtable.NewIndex(np.Full()))
 	r.part = np
 
-	// Every engine comes from the one builder, so what the fallback could
-	// not take in place no LC can: those LCs' engines are rebuilt here,
-	// under no LC's lock — an LC keeps answering for the length of its own
-	// build — and installed by pointer below. The builds share nothing and
-	// run side by side, at most ψ of them.
+	// An engine that does not take updates in place is rebuilt here for each
+	// LC whose table changed, under no LC's lock — an LC keeps answering for
+	// the length of its own build — and installed by pointer below. The
+	// builds share nothing and run side by side, at most ψ of them.
 	rebuilt := make([]lpm.Engine, r.cfg.NumLCs)
-	if !inPlace {
+	if !r.dynamic {
 		var wg sync.WaitGroup
 		for i, s := range sub {
 			if len(s) > 0 {
@@ -194,33 +187,23 @@ func (r *Router) fenceLocked() {
 	}
 }
 
-// applyInPlace streams batch into eng when eng is dynamic; when it reports
-// false eng is untouched, and its owner rebuilds it from the table the
-// batch has already been applied to.
-func applyInPlace(eng lpm.Engine, batch []rtable.Update) bool {
-	de, ok := eng.(lpm.DynamicEngine)
-	if ok {
-		for _, u := range batch {
-			if u.Kind == rtable.Withdraw {
-				de.Delete(u.Route.Prefix)
-			} else {
-				de.Insert(u.Route.Prefix, u.Route.NextHop)
-			}
-		}
-	}
-	return ok
-}
-
 // applyUpdates applies one update batch at its LC, under one ownership so
 // that no lookup sees the new generation over the old engine: engine delta
-// (the engine rebuilt for it when there is one, else in place), generation,
-// targeted cache invalidation.
+// (the engine rebuilt for it when there is one, else the batch streamed into
+// the dynamic engine in place), generation, targeted cache invalidation.
 func (lc *lineCard) applyUpdates(updates []rtable.Update, ranges []rtable.Range, gen uint64, rebuilt lpm.Engine) {
 	if len(updates) > 0 {
 		if rebuilt != nil {
 			lc.engine = rebuilt
 		} else {
-			applyInPlace(lc.engine, updates)
+			de := lc.engine.(lpm.DynamicEngine)
+			for _, u := range updates {
+				if u.Kind == rtable.Withdraw {
+					de.Delete(u.Route.Prefix)
+				} else {
+					de.Insert(u.Route.Prefix, u.Route.NextHop)
+				}
+			}
 		}
 		lc.stats.UpdatesApplied.Add(int64(len(updates)))
 	}

@@ -85,7 +85,7 @@ func TestEjectedWaitlistPinsNothing(t *testing.T) {
 			r.mu.Unlock()
 			ch := parkOne(t, r, addr) // answered at dispatch, the entry left pending
 			if v := <-ch; v.ServedBy != ServedByFallback {
-				t.Fatalf("verdict %+v, want one served by the fallback engine", v)
+				t.Fatalf("verdict %+v, want one served by the fallback", v)
 			}
 
 			var answered *waitlist

@@ -64,7 +64,7 @@ const (
 	// EvDeadline: the retry budget ran out. A = attempts spent.
 	EvDeadline
 	// EvFallback: the verdict came from the router-wide full-table
-	// fallback engine. A = arrival LC.
+	// fallback. A = arrival LC.
 	EvFallback
 	// EvRehome: the lookup was parked at a crashed LC and replayed at the
 	// reborn slot. A = the dead LC.
@@ -81,12 +81,12 @@ const (
 	// reason code (router shed-reason numbering), B = the LC that shed.
 	EvShed
 	// EvBreaker: an open per-home-LC circuit breaker short-circuited the
-	// fabric send; the verdict came from the full-table fallback engine
+	// fabric send; the verdict came from the full-table fallback
 	// without ever touching the fabric. A = the home LC whose breaker was
 	// open, B = breaker state observed (1 open, 2 half-open).
 	EvBreaker
 	// EvEject: the lookup's home LC was ejected (browned out) and the
-	// verdict came from the fallback engine at dispatch time; the fabric
+	// verdict came from the full-table fallback at dispatch time; the fabric
 	// request was still sent to keep round-trip samples flowing. A = the
 	// ejected home LC.
 	EvEject

@@ -279,7 +279,7 @@ func WithRouterFaultInjector(fi FaultInjector) RouterOption { return router.With
 func WithRouterRequestTimeout(d time.Duration) RouterOption { return router.WithRequestTimeout(d) }
 
 // WithRouterMaxRetries bounds timed-out request re-sends before a lookup
-// degrades to the full-table fallback engine (default 3).
+// degrades to the full-table fallback (default 3).
 func WithRouterMaxRetries(n int) RouterOption { return router.WithMaxRetries(n) }
 
 // WithRouterHealthThresholds sets the LC lifecycle windows: an LC with no
@@ -309,7 +309,7 @@ func WithRouterTraceJournal(size int) RouterOption { return router.WithTraceJour
 // on the bounded per-LC inboxes (Lookup returns ErrOverloaded instead of
 // blocking behind a full inbox), an adaptive retry budget, and per-home-LC
 // circuit breakers that short-circuit doomed fabric sends to the
-// fallback engine. Zero policy fields select defaults; see
+// full-table fallback. Zero policy fields select defaults; see
 // OverloadPolicy.
 func WithRouterOverload(p OverloadPolicy) RouterOption { return router.WithOverload(p) }
 
@@ -371,7 +371,7 @@ func NewLinkFaults(seed uint64) *LinkFaults { return router.NewLinkFaults(seed) 
 // WithRouterGray enables the gray-failure subsystem: per-home-LC fabric
 // round-trip scoring against the fleet median driving a degraded health
 // signal, and outlier ejection that steers traffic off a browned-out line
-// card — its lookups answered from the full-table fallback engine — until
+// card — its lookups answered from the full-table fallback — until
 // its score recovers. Pass DefaultGrayPolicy() for the defaults.
 func WithRouterGray(p GrayPolicy) RouterOption { return router.WithGray(p) }
 
