@@ -117,7 +117,7 @@ func main() {
 		}
 		lf := router.NewLinkFaults(*faultSeed)
 		lf.SlowLC(*slowLC, *slowFactor)
-		opts = append(opts, router.WithFaultInjector(lf.Injector()), router.WithGray(router.DefaultGrayPolicy()))
+		opts = append(opts, router.WithFaultInjector(lf.Injector()), router.WithGray())
 	}
 	if *timeout != 0 {
 		opts = append(opts, router.WithRequestTimeout(*timeout))
@@ -225,13 +225,12 @@ func main() {
 
 	if *slowLC >= 0 {
 		g := r.Gray()
-		fmt.Printf("gray failures: %d degrades / %d recoveries, %d ejections (%d restored); %d eject-served, primaries %d late, %d lost\n",
-			g.Degrades, g.Recovers, g.Ejections, g.Restores,
-			g.EjectServed, g.PrimaryLate, g.PrimaryLost)
+		fmt.Printf("gray failures: %d degrades / %d recoveries; %d eject-served\n",
+			g.Degrades, g.Recovers, g.EjectServed)
 		for _, l := range g.LCs {
-			if l.Degraded || l.Ejected || l.Samples > 0 {
-				fmt.Printf("  LC%-2d degraded=%v ejected=%v rtt-samples=%d p50=%v p99=%v ewma=%v\n",
-					l.LC, l.Degraded, l.Ejected, l.Samples, l.RTTp50, l.RTTp99, l.EWMA)
+			if l.Degraded || l.Samples > 0 {
+				fmt.Printf("  LC%-2d degraded=%v rtt-samples=%d p50=%v p99=%v\n",
+					l.LC, l.Degraded, l.Samples, l.RTTp50, l.RTTp99)
 			}
 		}
 	}

@@ -371,8 +371,8 @@ func (r *Router) missRow(lc *lineCard, w localWaiter, addr ip.Addr, kind cache.P
 	// Nothing a direct exchange cannot get past may stand between lc and home:
 	// an injector (it must see every exchange as a message), a pinned or ejected
 	// home, a breaker not closed (routeFor's calls). All of it holds for as long
-	// as lc's owner does, short of a concurrent pin.
-	if r.injector == nil && !r.genPinned(home) && (!r.ov.Enabled || lc.ov.breakers[home].state.Load() == breakerClosed) {
+	// as lc's owner does, short of a concurrent pin or ejection.
+	if r.injector == nil && !r.genPinned(home) && !r.ejected(home) && (!r.ov.Enabled || lc.ov.breakers[home].state.Load() == breakerClosed) {
 		return home
 	}
 	r.parkRow(lc, w, addr, home, now)
@@ -481,8 +481,12 @@ func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, ask []fabric
 	}
 	for _, d := range sc.dups {
 		if int(d.home) == home && !held[d.row].answered {
-			addr := ask[d.row].addr
-			r.joinLocal(lc, lc.pending.get(addr), addr, localWaiter{bd: bd, slot: d.slot, tr: d.tr})
+			addr, w := ask[d.row].addr, localWaiter{bd: bd, slot: d.slot, tr: d.tr}
+			if wl := lc.pending.get(addr); wl != nil {
+				r.joinLocal(lc, wl, addr, w)
+			} else { // its row was answered at dispatch: the home was ejected meanwhile
+				r.parkRow(lc, w, addr, home, now)
+			}
 		}
 	}
 	return answered
@@ -583,8 +587,8 @@ func (r *Router) serveRows(lc *lineCard, rows []fabricRow, rw *remoteWaiter, sta
 			}
 			continue
 		}
-		// In flight here from before a swap made this LC its home, or answered:
-		// never dispatch twice for one address.
+		// In flight here from before a swap made this LC its home: never
+		// dispatch twice for one address.
 		wl := lc.pending.get(row.addr)
 		if wl != nil && rw == nil {
 			continue
@@ -596,7 +600,7 @@ func (r *Router) serveRows(lc *lineCard, rows []fabricRow, rw *remoteWaiter, sta
 			}
 		}
 		if wl != nil {
-			r.joinRemote(lc, wl, *rw, row.addr)
+			r.joinRemote(lc, wl, *rw)
 		} else if len(rows) == 1 { // a single lookup's: walked where it stands, no sweep to gather it for
 			nh, ok, feNS := r.walk(lc, row.addr)
 			lc.fill(row.addr, nh, cache.LOC)
@@ -619,10 +623,11 @@ func (r *Router) serveRows(lc *lineCard, rows []fabricRow, rw *remoteWaiter, sta
 }
 
 // handleBatchRequest serves a request at the home LC (serveRows) and sends
-// what it answered as one reply, which carries the FE time of an answer of
-// one row. Addresses already in flight coalesce as remote waiters and ride
-// replies of their own instead (their resolution happens later, outside
-// this handler); re-homed addresses are forwarded as requests of their own.
+// what it answered as one reply, which carries the request's send stamp back
+// and the FE time of an answer of one row. Addresses already in flight
+// coalesce as remote waiters and ride replies of their own instead (their
+// resolution happens later, outside this handler); re-homed addresses are
+// forwarded as requests of their own.
 func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 	sc := lc.scratch
 	var one [1]fabricRow
@@ -640,7 +645,7 @@ func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 			}
 			reply = message{addr: rb[0].addr, fb: rb}
 		}
-		reply.kind, reply.from, reply.epoch, reply.hops, reply.gen = mBatchReply, lc.id, m.epoch, m.hops, r.stampGen(lc, lc.gen)
+		reply.kind, reply.from, reply.epoch, reply.hops, reply.start, reply.gen = mBatchReply, lc.id, m.epoch, m.hops, m.start, r.stampGen(lc, lc.gen)
 		lc.stats.RepliesSent.Add(1)
 		lc.post(m.from, reply)
 	}
@@ -661,26 +666,14 @@ func (r *Router) handleBatchReply(lc *lineCard, m message) {
 		lc.stats.StaleReplies.Add(int64(len(rows)))
 		return
 	}
-	var sent int64 // the round trip is sampled off the first row's waitlist, unless a retry made it ambiguous
-	if r.grayPol.Enabled {
-		if wl := lc.pending.get(rows[0].addr); wl != nil && wl.attempts == 1 {
-			sent = wl.sentAt
-		}
-	}
-	r.replyArrived(lc, m.from, sent)
-	for _, row := range rows { // each answers whatever is parked on its address here
-		wl := lc.pending.get(row.addr)
-		if wl != nil && wl.answered {
-			// The eject dispatch already answered every waiter: this primary is
-			// the suppressed duplicate.
-			r.ejectLate.Add(1)
-			lc.recycle(lc.pending.delete(row.addr))
-			continue
-		}
-		if r.tracer != nil && wl != nil && wl.tr != nil {
-			wl.tr.Record(tracing.EvFabricRecv, int64(m.from), int64(m.hops))
-			if m.feNS > 0 {
-				wl.tr.Record(tracing.EvFEExec, m.feNS, int64(m.from))
+	r.replyArrived(lc, m.from, m.start)
+	for _, row := range rows { // each answers whatever is parked on its address here, if anything
+		if r.tracer != nil {
+			if wl := lc.pending.get(row.addr); wl != nil && wl.tr != nil {
+				wl.tr.Record(tracing.EvFabricRecv, int64(m.from), int64(m.hops))
+				if m.feNS > 0 {
+					wl.tr.Record(tracing.EvFEExec, m.feNS, int64(m.from))
+				}
 			}
 		}
 		if m.gen < lc.gen {
@@ -688,9 +681,9 @@ func (r *Router) handleBatchReply(lc *lineCard, m message) {
 			// we have already applied (and invalidated for): the parked lookups
 			// may still observe it — they were in flight during the update
 			// window — but it must not survive as a cache entry. A pinned
-			// (quarantined or ejected) responder stays behind until it is
-			// rebuilt or restored, so its replies are final: delivered to every
-			// waiter rather than re-driven back at it.
+			// (quarantined) responder stays behind until it is rebuilt, so its
+			// replies are final: delivered to every waiter rather than re-driven
+			// back at it.
 			r.fillStaleRelease(lc, row.addr, row.nextHop, row.ok, m.gen, r.genPinned(m.from))
 			continue
 		}

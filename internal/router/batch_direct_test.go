@@ -274,10 +274,10 @@ func testDirectPreconditions(t *testing.T, single bool) {
 				r.own(arrival, func(*lineCard) { r.lcs[arrival].ov.breakers[home].state.Store(breakerHalfOpen) })
 				return obstacle{}
 			}},
-		{"home ejected", []Option{WithGray(DefaultGrayPolicy())}, [2]ServedBy{ServedByFallback, ServedByFallback}, true, false, false,
+		{"home ejected", []Option{WithGray()}, [2]ServedBy{ServedByFallback, ServedByFallback}, true, false, false,
 			func(r *Router, _ ip.Addr) obstacle {
-				underMu(r, r.ejectLocked)
-				return obstacle{lift: func() { underMu(r, r.restoreEjectedLocked) }}
+				r.gray[home].degraded.Store(true)
+				return obstacle{lift: func() { r.gray[home].degraded.Store(false) }}
 			}},
 		{"home quarantined", nil, [2]ServedBy{ServedByRemote, ServedByRemote}, true, false, false,
 			func(r *Router, _ ip.Addr) obstacle {

@@ -117,7 +117,7 @@ func BenchmarkLookupBatchCacheHit(b *testing.B) {
 // plain cache-hit bench).
 func BenchmarkLookupBatchCacheHitGray(b *testing.B) {
 	tbl := rtable.Small(2000, 7)
-	r := benchRouter(b, tbl, WithLCs(1), WithDefaultCache(), WithGray(DefaultGrayPolicy()))
+	r := benchRouter(b, tbl, WithLCs(1), WithDefaultCache(), WithGray())
 	addrs := benchAddrs(b, tbl, 3)
 	out := make([]Verdict, len(addrs))
 	ctx := context.Background()

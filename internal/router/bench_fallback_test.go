@@ -73,10 +73,8 @@ func BenchmarkEjectedHomeLookup(b *testing.B) {
 			lf := NewLinkFaults(seed)
 			lf.SlowLC(1, 10)
 			r := benchRouter(b, tbl, WithLCs(4), WithDefaultCache(), WithEngineName("lulea"),
-				WithFaultInjector(lf.Injector()), WithGray(DefaultGrayPolicy()))
-			r.mu.Lock()
-			r.ejectLocked(1)
-			r.mu.Unlock()
+				WithFaultInjector(lf.Injector()), WithGray())
+			r.gray[1].degraded.Store(true)
 			rng := stats.NewRNG(seed)
 			addrs := make([]ip.Addr, 0, b.N)
 			for len(addrs) < b.N {

@@ -39,7 +39,7 @@ func TestLookupClockReads(t *testing.T) {
 		// Tracing on, nothing head-sampled: the FE timers run, the hit floor holds.
 		{"unsampled", []Option{WithTraceSampling(0)}, 2, 0, 2, 0},
 		{"traced", []Option{WithTraceSampling(1)}, 2 * hitTimedEvery, 2, 2, 0},
-		{"gray", []Option{WithGray(DefaultGrayPolicy())}, 2, 0, 0, 1},
+		{"gray", []Option{WithGray()}, 2, 0, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := New(tbl, append([]Option{WithLCs(lcs), WithDefaultCache(), WithEngineName("lulea"),

@@ -199,7 +199,7 @@ func (r *Router) healthCheck(now int64) {
 	r.maybeInjectLocked()
 	r.maybeScrubLocked(at)
 	r.maybeRebalanceLocked(at)
-	r.maybeGrayLocked(at)
+	r.maybeGrayLocked()
 }
 
 // rehomeLocked declares LC dead, re-homes its partition onto the

@@ -159,15 +159,12 @@ const (
 	// Gray-failure metrics (see gray.go). Emitted only when the gray
 	// subsystem is enabled, so snapshots of a default router are
 	// byte-identical to earlier releases.
-	MetricFabricRTTp50   = "spal_router_fabric_rtt_p50_ns"
-	MetricFabricRTTp99   = "spal_router_fabric_rtt_p99_ns"
-	MetricLCDegraded     = "spal_router_lc_degraded"
-	MetricEjectServed    = "spal_router_eject_served_total"
-	MetricEjectPrimaries = "spal_router_eject_primaries_total"
-	MetricEjections      = "spal_router_ejections_total"
-	MetricEjectRestores  = "spal_router_eject_restores_total"
-	MetricGrayDegrades   = "spal_router_gray_degrades_total"
-	MetricGrayRecovers   = "spal_router_gray_recovers_total"
+	MetricFabricRTTp50 = "spal_router_fabric_rtt_p50_ns"
+	MetricFabricRTTp99 = "spal_router_fabric_rtt_p99_ns"
+	MetricLCDegraded   = "spal_router_lc_degraded"
+	MetricEjectServed  = "spal_router_eject_served_total"
+	MetricGrayDegrades = "spal_router_gray_degrades_total"
+	MetricGrayRecovers = "spal_router_gray_recovers_total"
 )
 
 // Metrics returns an immutable snapshot of every router metric: the
@@ -250,13 +247,14 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		s.Hist(MetricLatency, latHelp, lc.lat.remote.Snapshot(), lbl, metrics.L("served_by", "remote"))
 		s.Hist(MetricLatency, latHelp, lc.lat.fallback.Snapshot(), lbl, metrics.L("served_by", "fallback"))
 
-		if r.grayPol.Enabled {
+		if r.gray != nil {
+			g := r.gray[i]
 			s.Gauge(MetricFabricRTTp50, "Windowed p50 fabric round trip to this home LC, nanoseconds.",
-				float64(r.rtt[i].p50.Load()), lbl)
+				float64(g.p50.Load()), lbl)
 			s.Gauge(MetricFabricRTTp99, "Windowed p99 fabric round trip to this home LC, nanoseconds.",
-				float64(r.rtt[i].p99.Load()), lbl)
+				float64(g.p99.Load()), lbl)
 			degraded := 0.0
-			if r.gray[i].degraded.Load() {
+			if g.degraded.Load() {
 				degraded = 1
 			}
 			s.Gauge(MetricLCDegraded, "Gray-failure degraded signal: 1 while this LC's fabric RTT is an outlier.",
@@ -328,14 +326,9 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		s.Counter(MetricCorruptions, corrHelp, wrongFills, metrics.L("kind", "wrong_fill"))
 		s.Counter(MetricCorruptions, corrHelp, droppedInv, metrics.L("kind", "dropped_invalidate"))
 	}
-	if r.grayPol.Enabled {
+	if r.gray != nil {
 		s.Counter(MetricEjectServed, "Lookups answered from the fallback because their home LC was ejected.",
 			float64(r.ejectServed.Load()))
-		primHelp := "Fabric requests of eject-served lookups, by how they ended: reply suppressed (late) or deadline passed (lost)."
-		s.Counter(MetricEjectPrimaries, primHelp, float64(r.ejectLate.Load()), metrics.L("outcome", "late"))
-		s.Counter(MetricEjectPrimaries, primHelp, float64(r.ejectLost.Load()), metrics.L("outcome", "lost"))
-		s.Counter(MetricEjections, "Browned-out LC ejections (gen-pin steering engaged).", float64(r.ejections.Load()))
-		s.Counter(MetricEjectRestores, "Ejections lifted after the LC's RTT score recovered.", float64(r.restores.Load()))
 		s.Counter(MetricGrayDegrades, "Degraded-signal onsets across all LCs.", float64(r.grayDegrades.Load()))
 		s.Counter(MetricGrayRecovers, "Degraded-signal recoveries across all LCs.", float64(r.grayRecovers.Load()))
 	}

@@ -169,10 +169,9 @@ type config struct {
 	// zero value keeps it disabled and leaves every engine and cache
 	// unwrapped.
 	Corruption CorruptionPolicy
-	// Gray configures the gray-failure subsystem (per-home fabric RTT
-	// scoring, the degraded health signal, outlier ejection; see gray.go).
-	// The zero value keeps it disabled.
-	Gray GrayPolicy
+	// Gray enables the gray-failure plane (per-home fabric RTT scoring, the
+	// degraded health signal, outlier ejection; see gray.go).
+	Gray bool
 }
 
 // Robustness defaults, chosen so that a healthy in-process fabric (tens
@@ -204,7 +203,7 @@ type message struct {
 	epoch   uint32
 	slot    int32                // index into bd.out when bd != nil
 	feNS    int64                // mBatchReply of one row: home-side FE execution time (0 = not measured, or a hit)
-	start   int64                // a reading of Router.now. mLookup: submission, for latency histograms; mBatchRequest: send. Also tells an inline run that a tick may be due (see leave)
+	start   int64                // a reading of Router.now. mLookup: submission, for latency histograms; mBatchRequest: send, echoed back on its mBatchReply (a round-trip sample, see gray.go). Also tells an inline run that a tick may be due (see leave)
 	tr      *tracing.LookupTrace // mLookup: the trace riding this lookup, if sampled
 	bd      *batchDesc           // mBatch, or an mLookup's destination once it has to wait (a one-row descriptor)
 	fb      []fabricRow          // mBatchRequest / mBatchReply payload of more than one row
@@ -275,7 +274,7 @@ type waitlist struct {
 	// Fabric-request bookkeeping, owned with the rest of the waitlist by
 	// whoever holds the LC's lock: attempts counts requests sent so far,
 	// including the first, and deadline is the latest one's (a reading of
-	// Router.now, like sentAt below; zero means none).
+	// Router.now; zero means none).
 	attempts int
 	deadline int64
 	// tr is the per-address span owner: the earliest traced lookup parked
@@ -286,13 +285,6 @@ type waitlist struct {
 	tr     *tracing.LookupTrace
 	trLate bool
 	feNS   int64
-	// Gray-failure bookkeeping (see gray.go). sentAt is when the first
-	// request left (zero when none did; sampled only while attempts == 1).
-	// answered: the home is ejected, the waiters were answered from the
-	// fallback and the entry persists only to suppress the primary
-	// reply.
-	sentAt   int64
-	answered bool
 }
 
 // fabricSend is one fabric message a handler queued on its LC's outbox.
@@ -482,19 +474,10 @@ type Router struct {
 	scrubAuth     lpm.Engine
 	scrubAuthGen  uint64
 
-	// Gray-failure plane (see gray.go): the normalized policy, per-home
-	// round-trip sample windows, per-LC degraded/ejected state, and the
-	// eject counters.
-	grayPol      GrayPolicy
-	rtt          []*lcRTT
-	gray         []*lcGray
-	ejectServed  atomic.Int64
-	ejectLate    atomic.Int64
-	ejectLost    atomic.Int64
-	grayDegrades atomic.Int64
-	grayRecovers atomic.Int64
-	ejections    atomic.Int64
-	restores     atomic.Int64
+	// Gray-failure plane (see gray.go): one record per home LC, nil when the
+	// plane is disabled, and its counters.
+	gray                                    []*lcGray
+	ejectServed, grayDegrades, grayRecovers atomic.Int64
 }
 
 // New builds and starts a router over tbl. Defaults: one line card, the
@@ -572,7 +555,6 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	r.rebalance = normalizeRebalance(cfg.Rebalance)
 	r.scrubPol = normalizeScrub(cfg.Scrub, r.tickEvery)
 	r.corruptPol = cfg.Corruption
-	r.grayPol = normalizeGray(cfg.Gray)
 	r.baselineRepl = r.part.Stats().Replication
 	r.lastRebalance = time.Now()
 	// Build every per-LC structure before starting the monitor: it indexes
@@ -611,8 +593,9 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 		}
 		lc.ov = newLCOverload(r.ov, cfg.NumLCs)
 		r.scrub = append(r.scrub, &lcScrub{})
-		r.rtt = append(r.rtt, &lcRTT{ring: make([]int64, max(r.grayPol.Window, 1))})
-		r.gray = append(r.gray, &lcGray{})
+		if cfg.Gray {
+			r.gray = append(r.gray, &lcGray{})
+		}
 		life := &lcLife{}
 		life.lastBeat.Store(now)
 		// The LC's queue is QueueDepth deep: that depth is the router's whole
@@ -886,17 +869,6 @@ func (r *Router) checkDeadlines(lc *lineCard, at time.Time) {
 	now := int64(at.Sub(r.born)) // the reading at is; deadlines are readings
 	lc.pending.walk()
 	for addr, wl, ok := lc.pending.next(); ok; addr, wl, ok = lc.pending.next() {
-		if wl.answered {
-			// The waiters were already answered at dispatch (their home is
-			// ejected); the entry only tracks the primary reply. Past the
-			// deadline the primary is declared lost and the entry retired —
-			// nobody is left to retry for.
-			if wl.deadline != 0 && now >= wl.deadline {
-				r.ejectLost.Add(1)
-				lc.recycle(lc.pending.delete(addr))
-			}
-			continue
-		}
 		if wl.deadline == 0 || now < wl.deadline {
 			continue
 		}
@@ -1055,16 +1027,9 @@ func (lc *lineCard) addLocal(wl *waitlist, w localWaiter) {
 
 // joinLocal coalesces local lookup w of addr onto wl, the waitlist of a miss
 // already in flight for it, so the address costs one FE execution and one
-// fabric request however many lookups want it. Two things keep it out. An
-// answered waitlist (its home is ejected) has already answered its waiters
-// and persists only to recognize the primary reply; parking there would
-// strand the lookup, so it is answered directly (ejectAnswerLocal). A
-// waitlist at the overload policy's cap sheds it.
+// fabric request however many lookups want it. A waitlist at the overload
+// policy's cap sheds it instead.
 func (r *Router) joinLocal(lc *lineCard, wl *waitlist, addr ip.Addr, w localWaiter) {
-	if wl.answered {
-		r.ejectAnswerLocal(lc, addr, w)
-		return
-	}
 	if r.waitlistFull(wl) {
 		r.shedLocal(lc.id, addr, w, shedWaitlistOverflow)
 		return
@@ -1083,12 +1048,7 @@ func (r *Router) joinLocal(lc *lineCard, wl *waitlist, addr ip.Addr, w localWait
 // overflowing remote waiter is dropped, not answered: the requester's
 // deadline machinery retries or degrades, so the lookup still terminates
 // without this waitlist growing.
-func (r *Router) joinRemote(lc *lineCard, wl *waitlist, rw remoteWaiter, addr ip.Addr) {
-	if wl.answered {
-		nh, ok := r.fallbackLookup(addr)
-		r.sendReply(lc, rw, addr, nh, ok, 0, lc.gen)
-		return
-	}
+func (r *Router) joinRemote(lc *lineCard, wl *waitlist, rw remoteWaiter) {
 	if r.waitlistFull(wl) {
 		r.shedCount(lc.id, shedWaitlistOverflow)
 		return
@@ -1150,21 +1110,14 @@ func (r *Router) park(lc *lineCard, addr ip.Addr) *waitlist {
 	return wl
 }
 
-// dropWaiters empties wl's waiter lists. locals is cleared, not truncated,
-// to its capacity (release compacts it in place), so that a waitlist that
-// lingers — answered, or on the free list — pins no batchDesc or trace.
-func (wl *waitlist) dropWaiters() {
-	clear(wl.locals[:cap(wl.locals)])
-	wl.locals, wl.remotes = wl.locals[:0], wl.remotes[:0]
-}
-
 // recycle puts a waitlist just taken out of lc.pending on the free list,
-// indistinguishable from a new one except for slice capacity.
+// indistinguishable from a new one except for slice capacity. locals is
+// cleared, not truncated, to its capacity (release compacts it in place), so
+// that a waitlist on the free list pins no batchDesc or trace.
 func (lc *lineCard) recycle(wl *waitlist) {
 	if len(lc.free) < maxFreeWaitlists {
-		wl.dropWaiters()
-		wl.attempts, wl.deadline, wl.feNS, wl.sentAt = 0, 0, 0, 0
-		wl.tr, wl.trLate, wl.answered = nil, false, false
+		clear(wl.locals[:cap(wl.locals)])
+		*wl = waitlist{locals: wl.locals[:0], remotes: wl.remotes[:0]}
 		lc.free = append(lc.free, wl)
 	}
 }
@@ -1180,16 +1133,17 @@ func (r *Router) fallbackLookup(addr ip.Addr) (rtable.NextHop, bool) {
 // routeFor is the one place that decides whether a fresh miss parked on wl
 // may be sent to its remote home, consulting every protection plane once.
 // It reports whether the caller is to put the address on the fabric (a row
-// of the run's request to home), having armed wl's deadline for it; the
-// send itself is all that is left to the caller.
+// of the run's request to home), having armed wl's deadline for it or
+// released wl; the send itself is all that is left to the caller.
 //
 //   - Breaker open toward home (overload.go): the send is doomed, so the
 //     waiters are answered from the fallback without touching the
 //     fabric. Always interesting, so traced late if nobody was sampled.
 //   - Home ejected (gray.go): the waiters are answered from the fallback
-//     right now instead of paying its browned-out round trip, but
-//     the request still goes out — its reply keeps RTT samples flowing so
-//     recovery stays observable, and arrives as a suppressed late primary.
+//     the same way, instead of paying its browned-out round trip, but the
+//     address still goes on the request to home, as a probe nobody waits
+//     on: its reply keeps the home's round-trip samples flowing, so that its
+//     recovery is seen.
 //
 // A retry is not a fresh miss: checkDeadlines has its own rule for those
 // and never claims a half-open probe.
@@ -1204,30 +1158,31 @@ func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, no
 		r.fillAndRelease(lc, addr, nh, ok, cache.REM, ServedByFallback)
 		return false
 	}
-	wl.attempts = 1
-	wl.sentAt = now
-	wl.deadline = now + int64(r.timeout)
 	wl.tr.Record(tracing.EvFabricSend, int64(home), 1)
-	if r.grayPol.Enabled && r.gray[home].ejected.Load() {
+	if r.ejected(home) {
 		lc.stats.Fallbacks.Add(1)
 		r.ejectServed.Add(1)
 		wl.tr.Record(tracing.EvEject, int64(home), 0)
 		wl.tr.Record(tracing.EvFallback, int64(lc.id), 0)
-		r.ejectResolve(lc, addr, wl)
+		nh, ok := r.fallbackLookup(addr)
+		r.fillAndRelease(lc, addr, nh, ok, cache.REM, ServedByFallback)
+		return true
 	}
+	wl.attempts = 1
+	wl.deadline = now + int64(r.timeout)
 	return true
 }
 
 // replyArrived is the per-message half of reply intake: one answer from
 // home — a fabric reply or a direct exchange's — is one successful round
-// trip. sent is when its request left, zero to go unsampled.
+// trip. sent is its request's send stamp, zero to go unsampled.
 func (r *Router) replyArrived(lc *lineCard, from int, sent int64) {
-	if sent != 0 && r.grayPol.Enabled && !r.gray[lc.id].degraded.Load() {
-		// Attributed to the responding home, before the generation and
-		// answered guards, so an ejected LC's recovery stays observable. A
-		// degraded requester abstains: its round trips ride its own browned-out
-		// links, and charging them to the home would mask the true outlier.
-		r.rtt[from].observe(r.now() - sent)
+	if sent != 0 && r.gray != nil && !r.gray[lc.id].degraded.Load() {
+		// Attributed to the responding home, ejected or not, so that its
+		// recovery is seen. A degraded requester abstains: its round trips
+		// ride its own browned-out links, and charging them to the home would
+		// mask the true outlier.
+		r.gray[from].observe(r.now() - sent)
 	}
 	if r.ov.Enabled {
 		// It closes the responder's breaker and refills the retry bucket.
@@ -1359,7 +1314,7 @@ func (r *Router) sendReply(lc *lineCard, rw remoteWaiter, addr ip.Addr, nh rtabl
 }
 
 // stampGen is the generation a reply from lc leaves with. A pinned LC
-// (quarantined or ejected, see genPinned) stamps zero, older than any
+// (quarantined, see genPinned) stamps zero, older than any
 // generation a peer holds once the pin's own bump has reached it, so the
 // peer's guard delivers the value to its waiters and keeps it out of its
 // cache.

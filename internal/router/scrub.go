@@ -25,8 +25,8 @@
 // Both comparisons are generation-exact: the monitor runs them holding
 // r.mu, under which every live LC's engine reflects r.gen and r.part (an
 // install skips only a dead slot, and so does the scrubber; its adoption
-// levels it). That includes an LC pinned behind the generation fence — an
-// ejected one is still in the scrub set.
+// levels it). That includes an LC pinned behind the generation fence, and an
+// ejected one (gray.go), which nothing fences.
 //
 // Self-healing: engine mismatches accumulate per LC since its last
 // rebuild; crossing QuarantineThreshold quarantines the LC. Quarantine
@@ -236,6 +236,15 @@ func (r *Router) quarantineLocked(i int) {
 	r.quarantines.Add(1)
 	r.scrubLog("quarantine", slog.Int("lc", i), slog.Int64("engine_mismatches", r.scrub[i].streak.Load()))
 	r.fenceLocked()
+}
+
+// genPinned reports whether LC id is quarantined, and so fenced behind the
+// router's generation: its replies leave stamped with generation zero (see
+// stampGen), which is exactly how peers keep them out of their caches, and
+// they are final — the fence will not lift by re-driving (see
+// fillStaleRelease).
+func (r *Router) genPinned(id int) bool {
+	return r.life[id].state.Load() == LCQuarantined
 }
 
 // rebuildLocked restores a quarantined LC: phase 1 installs a freshly

@@ -304,7 +304,7 @@ func TestQuarantineManualRestore(t *testing.T) {
 	}
 }
 
-// TestPinnedRequesterKeepsStaleGuard: a quarantined (or ejected) LC is
+// TestPinnedRequesterKeepsStaleGuard: a quarantined LC is
 // fenced as a *responder*, but as a requester it still runs every update
 // batch's invalidations, so its own stale-reply guard has to move with
 // them. A reply computed before a batch and delivered after the pinned LC
@@ -359,15 +359,14 @@ func TestPinnedRequesterKeepsStaleGuard(t *testing.T) {
 	})
 }
 
-// TestScrubChecksEjectedLC: the generation fence moves every LC's
-// generation, the pinned one's too — it is fenced where it sends — so an
-// ejected LC, which keeps serving and stays in the scrub set, is still
-// checked: one cycle samples it and finds a poisoned prefix.
+// TestScrubChecksEjectedLC: an ejected LC keeps serving and stays in the
+// scrub set, so it is still checked: one cycle samples it and finds a
+// poisoned prefix.
 func TestScrubChecksEjectedLC(t *testing.T) {
 	tbl := rtable.Small(400, 7)
 	pol := fastScrub(false)
 	pol.Interval = time.Hour // one cycle at the monitor's first tick, the next by hand
-	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"), WithScrub(pol))
+	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"), WithScrub(pol), WithGray())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +375,7 @@ func TestScrubChecksEjectedLC(t *testing.T) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.ejectLocked(1)
+	r.gray[1].degraded.Store(true)
 	part := r.part.Table(1)
 	pfx := part.Routes()[0].Prefix
 	good, _ := part.LongestMatch(pfx.FirstAddr())

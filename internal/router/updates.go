@@ -169,8 +169,8 @@ func (r *Router) ApplyUpdates(batch []rtable.Update) error {
 }
 
 // fenceLocked raises the generation fence behind which a home LC's verdicts
-// are kept out of every peer cache while it keeps serving (quarantine,
-// ejection): the router-wide generation advances and every LC adopts it —
+// are kept out of every peer cache while it keeps serving (quarantine): the
+// router-wide generation advances and every LC adopts it —
 // a pure bump, no route changes, no invalidations, no flush — while the LC
 // its caller has flagged, so that genPinned reports it, stamps its replies
 // with generation zero (see stampGen). From that point the generation guard
@@ -207,7 +207,7 @@ func (lc *lineCard) applyUpdates(updates []rtable.Update, ranges []rtable.Range,
 		}
 		lc.stats.UpdatesApplied.Add(int64(len(updates)))
 	}
-	// Even a pinned (quarantined or ejected) LC records the generation: it
+	// Even a pinned (quarantined) LC records the generation: it
 	// has run this batch's invalidations, so its own stale-reply guard must
 	// move with them, or a pre-batch value still in flight toward it would
 	// be cached as fresh and outlive the invalidation. The fence that keeps

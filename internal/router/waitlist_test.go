@@ -1,20 +1,23 @@
-// Waitlist lifetime tests: a waitlist that lingers in lc.pending after an
-// eject dispatch, or sits on the free list after its release, must reference
-// nothing it answered, a recycled one must be indistinguishable from a new
-// one, and a miss the home LC resolves itself must leave no waitlist at
-// all — whatever the fabric duplicates. The first two run the deadline
-// sweep (or deliver a reply) by hand, with a request timeout far beyond the
-// test's length, so that nothing in them depends on when a ticker fires.
+// Waitlist lifetime tests: a miss answered at dispatch because its home is
+// ejected leaves no waitlist, one on the free list after its release must
+// reference nothing it answered, a recycled one must be indistinguishable
+// from a new one, and a miss the home LC resolves itself must leave no
+// waitlist at all — whatever the fabric duplicates. The first two drive the
+// scorer (or the deadline sweep) by hand, with a request timeout far beyond
+// the test's length, so that nothing in them depends on when a ticker fires.
 package router
 
 import (
+	"context"
 	"reflect"
 	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"spal/internal/cache"
 	"spal/internal/ip"
+	"spal/internal/lpm"
 	"spal/internal/metrics"
 	"spal/internal/rtable"
 	"spal/internal/stats"
@@ -62,56 +65,145 @@ func dropRequests(on *atomic.Int32) FaultInjector {
 	}
 }
 
-// TestEjectedWaitlistPinsNothing: the entry an eject dispatch leaves behind
-// to recognize the primary reply has answered its waiters, and must not
-// keep their descriptors or traces reachable until the primary or its
-// deadline turns up; retired either way, it reaches the free list blank.
-func TestEjectedWaitlistPinsNothing(t *testing.T) {
+// TestEjectProbe: a miss homed on an ejected LC is answered from the
+// fallback at dispatch and leaves no waitlist behind. Its address still goes
+// to the home, once, as a probe whose reply fills the requester's cache,
+// answers nobody and is one round-trip sample of the home. The scorer's
+// degrade and recover move no generation.
+func TestEjectProbe(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
-	for _, end := range []string{"late", "lost"} {
-		t.Run(end, func(t *testing.T) {
-			var drop atomic.Int32
-			drop.Store(1)
-			r, err := New(tbl, WithLCs(2), WithoutCache(), WithTraceSampling(1),
-				WithFaultInjector(dropRequests(&drop)), WithRequestTimeout(time.Minute),
-				WithGray(DefaultGrayPolicy()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Stop()
-			addr := remoteAddrs(t, r, tbl, stats.NewRNG(3), 1, 1)[0]
-			r.mu.Lock()
-			r.ejectLocked(1)
-			r.mu.Unlock()
-			ch := parkOne(t, r, addr) // answered at dispatch, the entry left pending
-			if v := <-ch; v.ServedBy != ServedByFallback {
-				t.Fatalf("verdict %+v, want one served by the fallback", v)
-			}
+	oracle := lpm.NewReference(tbl)
+	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithGray(), WithRequestTimeout(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	addr := remoteAddrs(t, r, tbl, stats.NewRNG(3), 1, 1)[0]
+	generation := func() uint64 {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.gen
+	}
+	gen := generation()
+	// score runs the scorer through a transition, LC 0 answering in 100µs
+	// and LC 1 in p50.
+	score := func(p50 time.Duration) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for i := 0; i < grayWindow; i++ {
+			r.gray[0].observe(int64(100 * time.Microsecond))
+			r.gray[1].observe(int64(p50))
+		}
+		for i := 0; i < max(grayDegradeAfter, grayRecoverAfter); i++ {
+			r.maybeGrayLocked()
+		}
+	}
+	score(10 * time.Millisecond)
+	if !r.ejected(1) {
+		t.Fatal("LC 1 answering at 100x the fleet's p50 is not ejected")
+	}
 
-			var answered *waitlist
-			r.own(0, func(lc *lineCard) {
-				answered = lc.pending.get(addr)
-				if answered == nil || !answered.answered || answered.deadline == 0 {
-					t.Fatalf("no answered entry tracking the primary: %+v", answered)
+	samples := r.gray[1].n.Load()
+	bd := getBatchDesc(1, r.now())
+	r.own(0, func(lc *lineCard) {
+		r.handleLookup(lc, &message{kind: mLookup, addr: addr, bd: bd, start: bd.start})
+		if n := lc.pending.len(); n != 0 {
+			t.Errorf("%d waitlists pending right after dispatch, want none", n)
+		}
+		if len(lc.outbox) != 1 || lc.outbox[0].to != 1 || lc.outbox[0].m.kind != mBatchRequest || lc.outbox[0].m.addr != addr {
+			t.Errorf("outbox %+v, want the one request for %s to LC 1", lc.outbox, ip.FormatAddr(addr))
+		}
+	}) // leaving sends the probe
+	if err := r.wait(context.Background(), bd); err != nil {
+		t.Fatal(err)
+	}
+	if v := bd.out[0]; v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, addr) {
+		t.Errorf("verdict %+v, want a correct one served by the fallback", v)
+	}
+	putBatchDesc(bd)
+
+	waitFor(t, "the probe's reply", func() bool { return r.gray[1].n.Load() > samples })
+	st := r.Stats()
+	if sent, answered := st[0].RequestsSent.Load(), st[1].RepliesSent.Load(); sent != 1 || answered != 1 {
+		t.Errorf("%d requests sent, %d answered by LC 1; want the one probe", sent, answered)
+	}
+	r.own(0, func(lc *lineCard) {
+		if res := lc.cache.Probe(addr); res.Kind != cache.Hit || res.Origin != cache.REM || !verdictMatches(Verdict{Addr: addr, NextHop: res.NextHop, OK: res.NextHop != rtable.NoNextHop}, oracle, addr) {
+			t.Errorf("LC 0 caches %+v for %s, want its REM entry", res, ip.FormatAddr(addr))
+		}
+		if lc.pending.len() != 0 || lc.nwaiters != 0 {
+			t.Errorf("the reply left %d waitlists, %d waiters", lc.pending.len(), lc.nwaiters)
+		}
+	})
+	if got := r.gray[1].n.Load() - samples; got != 1 {
+		t.Errorf("the probe added %d round-trip samples to LC 1, want 1", got)
+	}
+	if got := r.Metrics().Sum(MetricStaleGen); got != 0 {
+		t.Errorf("%v replies were generationally stale, want none", got)
+	}
+
+	score(100 * time.Microsecond)
+	if r.ejected(1) {
+		t.Fatal("LC 1 answering with the fleet is still ejected")
+	}
+	if g := r.Gray(); g.Degrades != 1 || g.Recovers != 1 || g.EjectServed != 1 {
+		t.Errorf("%+v, want one degrade, one recover and one eject-served lookup", g)
+	}
+	if got := generation(); got != gen {
+		t.Errorf("the generation moved %d -> %d across a degrade and a recover", gen, got)
+	}
+}
+
+// TestEjectedMidBatchDuplicates: a batch holds two rows of one address for
+// its home, and the home is ejected after the rows were classified (missRow)
+// and before the exchange (batchDirect), which finds the home busy. The first
+// row is answered at dispatch and its waitlist released, so the duplicate has
+// nothing to join: it is answered at dispatch too. handleBatch's steps are
+// taken by hand, the ejection between them.
+func TestEjectedMidBatchDuplicates(t *testing.T) {
+	tbl := rtable.Small(2000, 7)
+	oracle := lpm.NewReference(tbl)
+	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithGray(), WithRequestTimeout(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	addr := remoteAddrs(t, r, tbl, stats.NewRNG(3), 1, 1)[0]
+	bd := getBatchDesc(2, r.now())
+	bd.addrs = append(bd.addrs[:0], addr, addr)
+	func() {
+		h := r.lcs[1]
+		h.mu.Lock()         // busy: the exchange cannot be a call
+		defer r.leave(h, 0) // then serves the probes queued behind the lock
+		r.own(0, func(lc *lineCard) {
+			for i, a := range bd.addrs {
+				if home := r.missRow(lc, localWaiter{bd: bd, slot: int32(i)}, a, lc.cache.Probe(a).Kind, bd.start); home >= 0 {
+					hr := lc.scratch.reach(home)
+					hr.ask = append(hr.ask, fabricRow{addr: a})
+					hr.held = append(hr.held, heldRow{slot: int32(i)})
 				}
-				checkUnpinned(t, answered)
-				if answered.tr != nil {
-					t.Error("answered entry pins the answered lookup's trace")
-				}
-				if end == "late" {
-					r.handleBatchReply(lc, message{kind: mBatchReply, addr: addr, ok: true, from: 1, epoch: lc.epoch, gen: lc.gen})
-				} else {
-					r.checkDeadlines(lc, time.Now().Add(2*time.Minute))
-				}
-				if lc.pending.len() != 0 || len(lc.free) != 1 || lc.free[0] != answered {
-					t.Fatalf("retired answered entry not recycled: %d pending, free list %v", lc.pending.len(), lc.free)
-				}
-				checkBlank(t, answered)
-			})
-			if g := r.Gray(); g.EjectServed != 1 || g.PrimaryLate+g.PrimaryLost != 1 || (end == "late") != (g.PrimaryLate == 1) {
-				t.Errorf("eject-served %d, primaries %d late + %d lost; want 1 and the primary %s", g.EjectServed, g.PrimaryLate, g.PrimaryLost, end)
+			}
+			if n := len(lc.scratch.dups); n != 1 {
+				t.Fatalf("%d duplicate rows held, want 1", n)
+			}
+			r.gray[1].degraded.Store(true)
+			r.bdResolveN(bd, r.settle(lc, bd, bd.start))
+			if n := lc.pending.len(); n != 0 {
+				t.Errorf("%d waitlists pending after dispatch, want none", n)
 			}
 		})
+	}()
+	if err := r.wait(context.Background(), bd); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range bd.out {
+		if v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, addr) {
+			t.Errorf("row %d: %+v, want a correct verdict served by the fallback", i, v)
+		}
+	}
+	putBatchDesc(bd)
+	if got := r.Gray().EjectServed; got != 2 {
+		t.Errorf("%d lookups eject-served, want both rows", got)
 	}
 }
 
@@ -138,7 +230,7 @@ func TestParkRecyclesBlankWaitlist(t *testing.T) {
 		used = lc.pending.get(addrs[0])
 		used.feNS = 7 // as a retry re-homed onto this LC would have left it
 		r.checkDeadlines(lc, time.Now().Add(2*time.Minute))
-		if used.attempts != 2 || used.deadline == 0 || used.sentAt == 0 || !used.trLate || used.tr == nil || len(used.locals) != 1 {
+		if used.attempts != 2 || used.deadline == 0 || !used.trLate || used.tr == nil || len(used.locals) != 1 {
 			t.Fatalf("the retry left the waitlist at %+v", *used)
 		}
 	}) // leaving delivers the retry

@@ -138,10 +138,6 @@ type (
 	// LinkFaultConfig parameterizes one directed link of a LinkFaults
 	// matrix.
 	LinkFaultConfig = router.LinkFaultConfig
-	// GrayPolicy configures gray-failure immunity: per-home fabric RTT
-	// scoring, the degraded signal, and outlier ejection (see
-	// WithRouterGray).
-	GrayPolicy = router.GrayPolicy
 	// GrayReport is the router's gray-failure snapshot (see Router.Gray).
 	GrayReport = router.GrayReport
 	// LCGrayStatus is one line card's row in a GrayReport.
@@ -372,13 +368,9 @@ func NewLinkFaults(seed uint64) *LinkFaults { return router.NewLinkFaults(seed) 
 // round-trip scoring against the fleet median driving a degraded health
 // signal, and outlier ejection that steers traffic off a browned-out line
 // card — its lookups answered from the full-table fallback — until
-// its score recovers. Pass DefaultGrayPolicy() for the defaults.
-func WithRouterGray(p GrayPolicy) RouterOption { return router.WithGray(p) }
-
-// DefaultGrayPolicy returns the gray-failure defaults: detection and
-// ejection enabled (64-sample windows, degrade at 3× the fleet median p50
-// for 3 cycles, recover after 3).
-func DefaultGrayPolicy() GrayPolicy { return router.DefaultGrayPolicy() }
+// its score recovers (64-sample windows, degrade at 3× the fleet median
+// p50 for 3 cycles, recover after 3).
+func WithRouterGray() RouterOption { return router.WithGray() }
 
 // TracePresets lists the five paper traces.
 func TracePresets() []TracePreset { return trace.Presets }
