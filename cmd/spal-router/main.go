@@ -78,7 +78,7 @@ func main() {
 	traceDump := flag.Int("trace-dump", 0, "print the last N completed traces after the drive (implies tracing)")
 	traceLog := flag.Bool("trace-log", false, "emit one structured log line per finished trace (implies tracing)")
 	overloadDepth := flag.Int("overload-depth", 0, "enable overload control with each LC inbox bounded to this many messages, shedding on overflow (0 = no policy: inboxes hold 1024 and callers wait for space)")
-	shedMode := flag.String("shed-mode", "drop-newest", "shed policy under overload: drop-newest|drop-remote-first|block")
+	shedMode := flag.String("shed-mode", "drop-newest", "what -overload-depth does with a lookup that finds its inbox full: drop-newest (refuse it) or block (wait for space)")
 	churnRate := flag.Float64("churn-rate", 0, "stream BGP-style route updates at this rate (events/s) through ApplyUpdates while driving load (0 = off)")
 	corruptRate := flag.Float64("corrupt-rate", 0, "inject state corruption at this rate: engine verdict flips, wrong cache fills, dropped invalidations (0 = off)")
 	corruptSeed := flag.Uint64("corrupt-seed", 1, "seed for the deterministic corruption injector")
@@ -145,9 +145,7 @@ func main() {
 		}))
 	}
 	if *scrubInterval > 0 {
-		p := router.DefaultScrubPolicy()
-		p.Interval = *scrubInterval
-		opts = append(opts, router.WithScrub(p))
+		opts = append(opts, router.WithScrub(*scrubInterval))
 	}
 	if *overloadDepth > 0 {
 		mode, err := router.ParseShedMode(*shedMode)
@@ -155,7 +153,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		opts = append(opts, router.WithOverload(router.OverloadPolicy{QueueDepth: *overloadDepth, Mode: mode}))
+		opts = append(opts, router.WithOverload(*overloadDepth, mode))
 	}
 	r, err := router.New(tbl, opts...)
 	if err != nil {

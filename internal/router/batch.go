@@ -372,7 +372,7 @@ func (r *Router) missRow(lc *lineCard, w localWaiter, addr ip.Addr, kind cache.P
 	// an injector (it must see every exchange as a message), a pinned or ejected
 	// home, a breaker not closed (routeFor's calls). All of it holds for as long
 	// as lc's owner does, short of a concurrent pin or ejection.
-	if r.injector == nil && !r.genPinned(home) && !r.ejected(home) && (!r.ov.Enabled || lc.ov.breakers[home].state.Load() == breakerClosed) {
+	if r.injector == nil && !r.genPinned(home) && !r.ejected(home) && (!r.overload || lc.ov.breakers[home].state.Load() == breakerClosed) {
 		return home
 	}
 	r.parkRow(lc, w, addr, home, now)
@@ -495,14 +495,14 @@ func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, ask []fabric
 // answerDups answers the duplicates of held row row of home with v, as
 // joinLocal and a reply would have: each is coalesced onto the row, and the
 // first traced one owns the reply's intake events if the row itself is not
-// traced (owner). A duplicate past the overload policy's waitlist cap is shed,
+// traced (owner). A duplicate past the overload plane's waitlist cap is shed,
 // as joinLocal sheds it. It reports the slots answered.
 func (r *Router) answerDups(lc *lineCard, bd *batchDesc, home int, row int32, owner *tracing.LookupTrace, v Verdict, feNS int64) (answered int) {
 	for _, d := range lc.scratch.dups {
 		if int(d.home) != home || d.row != row {
 			continue
 		}
-		if r.ov.Enabled && answered+1 >= r.ov.WaitlistCap {
+		if r.overload && answered+1 >= waitlistCap {
 			r.shedLocal(lc.id, v.Addr, localWaiter{bd: bd, slot: d.slot, tr: d.tr}, shedWaitlistOverflow)
 			continue
 		}

@@ -261,15 +261,15 @@ func testDirectPreconditions(t *testing.T, single bool) {
 			func(r *Router, _ ip.Addr) obstacle {
 				return obstacle{lift: func() { r.injector = nil }}
 			}},
-		{"breaker open", []Option{WithOverload(OverloadPolicy{})}, [2]ServedBy{ServedByFallback, ServedByFallback}, false, false, false,
+		{"breaker open", []Option{WithOverload(0, ShedDropNewest)}, [2]ServedBy{ServedByFallback, ServedByFallback}, false, false, false,
 			func(r *Router, _ ip.Addr) obstacle {
 				b := &r.lcs[arrival].ov.breakers[home]
-				r.own(arrival, func(*lineCard) { b.openedAt = time.Now(); b.state.Store(breakerOpen) })
+				r.own(arrival, func(*lineCard) { b.openedAt = r.now(); b.state.Store(breakerOpen) })
 				return obstacle{lift: func() { r.own(arrival, func(lc *lineCard) { r.breakerSuccess(lc, home) }) }}
 			}},
 		// The first row claims the probe on the message path, the second finds
 		// it claimed; the probe's reply closes the breaker.
-		{"breaker half-open", []Option{WithOverload(OverloadPolicy{})}, [2]ServedBy{ServedByRemote, ServedByFallback}, true, false, false,
+		{"breaker half-open", []Option{WithOverload(0, ShedDropNewest)}, [2]ServedBy{ServedByRemote, ServedByFallback}, true, false, false,
 			func(r *Router, _ ip.Addr) obstacle {
 				r.own(arrival, func(*lineCard) { r.lcs[arrival].ov.breakers[home].state.Store(breakerHalfOpen) })
 				return obstacle{}

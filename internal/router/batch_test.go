@@ -442,7 +442,7 @@ func TestLookupBatchShedKeepsPositions(t *testing.T) {
 	tbl := rtable.Small(2000, 13)
 	oracle := lpm.NewReference(tbl)
 	r, err := New(tbl, WithLCs(2),
-		WithOverload(OverloadPolicy{WaitlistCap: 4}),
+		WithOverload(0, ShedDropNewest),
 		WithFaultInjector(SeededFaults(FaultConfig{Seed: 5, DropRate: 1})),
 		WithRequestTimeout(5*time.Millisecond), WithMaxRetries(-1))
 	if err != nil {
@@ -461,7 +461,7 @@ func TestLookupBatchShedKeepsPositions(t *testing.T) {
 			break
 		}
 	}
-	addrs := make([]ip.Addr, 12)
+	addrs := make([]ip.Addr, waitlistCap+64)
 	for i := range addrs {
 		addrs[i] = hot
 	}

@@ -119,7 +119,7 @@ func TestGrayBrownoutHeadline(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName("bintrie"),
 				WithFaultInjector(lf.Injector()),
 				WithRequestTimeout(15*time.Millisecond),
-				WithOverload(OverloadPolicy{QueueDepth: 512}),
+				WithOverload(512, ShedDropNewest),
 				WithGray())
 			if err != nil {
 				t.Fatal(err)

@@ -171,7 +171,7 @@ func TestControlLandsWhileDataInboxFull(t *testing.T) {
 		}
 	}
 	for name, opts := range map[string][]Option{
-		"policy-on":  {WithOverload(OverloadPolicy{QueueDepth: 256})},
+		"policy-on":  {WithOverload(256, ShedDropNewest)},
 		"policy-off": nil,
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -82,9 +82,9 @@ const (
 	// state disagreeing with the canonical table (see scrub.go). The LC
 	// keeps its partition and keeps serving — but its replies leave
 	// stamped with generation zero, so the generation guard keeps every
-	// one of them out of peer caches. A rebuild (automatic under
-	// ScrubPolicy.AutoRepair), RestoreLC, or any full partitioning swap
-	// returns it to LCHealthy.
+	// one of them out of peer caches. The scrubber's rebuild, which
+	// follows at once, RestoreLC, or any full partitioning swap returns it
+	// to LCHealthy.
 	LCQuarantined
 )
 
@@ -195,10 +195,9 @@ func (r *Router) healthCheck(now int64) {
 	for _, i := range dead {
 		r.rehomeLocked(i)
 	}
-	at := r.at(now)
 	r.maybeInjectLocked()
-	r.maybeScrubLocked(at)
-	r.maybeRebalanceLocked(at)
+	r.maybeScrubLocked(now)
+	r.maybeRebalanceLocked(now)
 	r.maybeGrayLocked()
 }
 
@@ -415,8 +414,7 @@ func (r *Router) pendingAddrs(i int) map[ip.Addr]struct{} {
 // and swapped in two phases, after which the LC owns a ROT-partition
 // again. For a Down LC this restores the shell its adoption revived, so
 // no separate "replace card" call is needed. For a Quarantined LC the swap
-// rebuilds its engine from the canonical table, which is exactly the manual
-// repair path when ScrubPolicy.AutoRepair is off.
+// rebuilds its engine from the canonical table: the manual repair path.
 func (r *Router) RestoreLC(lc int) error {
 	if lc < 0 || lc >= r.cfg.NumLCs {
 		return fmt.Errorf("router: no such LC %d", lc)

@@ -221,7 +221,7 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		hits += float64(lc.stats.CacheHits.Load())
 		probes += float64(lc.stats.Lookups.Load())
 
-		if r.scrubPol.Enabled || r.corruptPol.Enabled {
+		if r.scrubEvery != 0 || r.corruptPol.Enabled {
 			sc := r.scrub[i]
 			s.Counter(MetricScrubSamples, "Engine verdicts the integrity scrubber re-verified at this LC.",
 				float64(sc.samples.Load()), lbl)
@@ -262,8 +262,8 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		}
 
 		for why, name := range shedReasonNames {
-			// Without an overload policy only the fabric path can shed.
-			if r.ov.Enabled || why == int(shedRemoteFull) || why == int(shedReplyFull) {
+			// Without overload control only the fabric path can shed.
+			if r.overload || why == int(shedRemoteFull) || why == int(shedReplyFull) {
 				s.Counter(MetricShed, "Messages/lookups shed on a full inbox or by overload control, by reason.",
 					float64(lc.ov.shed[why].Load()), lbl, metrics.L("reason", name))
 			}
@@ -274,7 +274,7 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		s.Counter(MetricHandled, handledHelp, float64(lc.handledInline.Load()), lbl, metrics.L("path", "inline"))
 		s.Counter(MetricHandled, handledHelp, float64(lc.handledQueued.Load()), lbl, metrics.L("path", "queued"))
 		s.Counter(MetricHandled, handledHelp, float64(lc.handledDirect.Load()), lbl, metrics.L("path", "direct"))
-		if r.ov.Enabled {
+		if r.overload {
 			s.Counter(MetricWaitlistOverflow, "Waiters refused because the per-address waitlist hit its cap.",
 				float64(lc.ov.shed[shedWaitlistOverflow].Load()), lbl)
 			s.Gauge(MetricRetryBudget, "Retry tokens currently available at this LC.",
@@ -312,7 +312,7 @@ func (r *Router) Metrics() *metrics.Snapshot {
 	s.Counter(MetricReplayed, "Parked lookups replayed after a re-homing.", float64(r.replayed.Load()))
 	s.Counter(MetricDrains, "Completed administrative drains.", float64(r.drains.Load()))
 	s.Hist(MetricDrainDuration, "DrainLC wall time in nanoseconds, partition swap through quiescence.", r.drainDur.Snapshot())
-	if r.scrubPol.Enabled || r.corruptPol.Enabled {
+	if r.scrubEvery != 0 || r.corruptPol.Enabled {
 		s.Counter(MetricScrubCycles, "Completed integrity scrub cycles.", float64(r.scrubCycles.Load()))
 		s.Counter(MetricQuarantines, "Line cards quarantined by the integrity scrubber.", float64(r.quarantines.Load()))
 		s.Counter(MetricRebuilds, "Self-healing LC rebuilds (fresh engine + rekey) after quarantine.", float64(r.rebuilds.Load()))

@@ -53,12 +53,12 @@ func WithoutCache() Option {
 
 // WithRebalance enables the background partition rebalancer: when
 // incremental updates (ApplyUpdates) drift the partitioning's replication
-// factor or per-LC size skew past the policy's thresholds, the router
-// re-selects control bits over the current table and runs the full
-// two-phase swap. Pass DefaultRebalancePolicy() for the default
-// thresholds. See updates.go.
-func WithRebalance(p RebalancePolicy) Option {
-	return func(c *config) { c.Rebalance = p }
+// factor or per-LC size skew past its thresholds (1.15× the baseline Φ*, a
+// size spread of 1.0× the mean), the router re-selects control bits over
+// the current table and runs the full two-phase swap, at most once a
+// second. See updates.go.
+func WithRebalance() Option {
+	return func(c *config) { c.Rebalance = true }
 }
 
 // WithFaultInjector installs a chaos hook on the inter-LC message path:
@@ -84,14 +84,16 @@ func WithMaxRetries(n int) Option {
 	return func(c *config) { c.MaxRetries = n }
 }
 
-// WithScrub enables the online integrity scrubber: per health-ticker
-// cycle it re-verifies sampled engine verdicts and every LR-cache entry
-// against the canonical routing table, evicts mismatched cache entries,
-// and quarantines (and, under AutoRepair, rebuilds) line cards whose
-// engines disagree. Pass DefaultScrubPolicy() for the defaults. See
-// scrub.go.
-func WithScrub(p ScrubPolicy) Option {
-	return func(c *config) { c.Scrub = p }
+// WithScrub enables the online integrity scrubber: a cycle at most every
+// interval (<= 0 selects 4 health ticks) re-verifies 32 sampled engine
+// verdicts per line card and every LR-cache entry against the canonical
+// routing table, evicts mismatched cache entries, and quarantines and
+// rebuilds a line card whose engine disagrees. See scrub.go.
+func WithScrub(interval time.Duration) Option {
+	return func(c *config) {
+		c.Scrub = true
+		c.ScrubInterval = interval
+	}
 }
 
 // WithCorruption installs the seeded state-corruption injector: engine

@@ -1,4 +1,4 @@
-// The per-LC queue and its overload policy: admission, load shedding, an
+// The per-LC queue and its overload control: admission, load shedding, an
 // adaptive per-LC retry budget, and per-home-LC circuit breakers.
 //
 // The paper sizes SPAL for line rate and treats the home LC's forwarding
@@ -11,18 +11,15 @@
 //
 //   - Admission: a locally submitted lookup that finds the arrival LC's
 //     inbox full is refused immediately with ErrOverloaded
-//     (shed-at-arrival, mode ShedDropNewest), admitted only once space
-//     frees (ShedBlock — the only behaviour without WithOverload), or
-//     admitted while *fabric* traffic sheds first (ShedDropRemoteFirst:
-//     remote requests are refused at 3/4 of the target's depth,
-//     reserving headroom for local arrivals).
-//   - Fabric (every router, policy or not): requests and replies are
-//     never allowed to block the sending LC — a full target inbox sheds
-//     the message and the requester's existing deadline/retry/fallback
-//     machinery keeps the lookup terminating. Mutually-full LCs
-//     therefore cannot deadlock.
+//     (shed-at-arrival, mode ShedDropNewest), or admitted only once space
+//     frees (ShedBlock — the only behaviour without WithOverload).
+//   - Fabric (every router, overload control or not): requests and
+//     replies are never allowed to block the sending LC — a full target
+//     inbox sheds the message and the requester's existing
+//     deadline/retry/fallback machinery keeps the lookup terminating.
+//     Mutually-full LCs therefore cannot deadlock.
 //   - Retry budget: each LC holds a tokenBucket refilled by successful
-//     fabric replies (RetryBudgetRatio tokens per success, the
+//     fabric replies (retryBudgetRatio tokens per success, the
 //     client-side "retry budget" pattern). A deadline-driven retry
 //     spends one token; with the bucket empty the lookup goes straight
 //     to the full-table fallback, so retries cannot amplify an
@@ -31,7 +28,7 @@
 //     by the deadline ticker. Consecutive deadline expiries from one
 //     home open its breaker; while open, dispatches homed there
 //     short-circuit to ServedByFallback without touching the fabric.
-//     After BreakerCooldown the ticker arms a half-open probe: the next
+//     After breakerCooldown the ticker arms a half-open probe: the next
 //     dispatch crosses the fabric, and its success (reply) or failure
 //     (another expiry) closes or re-opens the breaker.
 //
@@ -70,12 +67,6 @@ type ShedMode uint8
 const (
 	// ShedDropNewest (default): refuse the new lookup with ErrOverloaded.
 	ShedDropNewest ShedMode = iota
-	// ShedDropRemoteFirst: like ShedDropNewest for local arrivals, but
-	// fabric requests are refused already at 3/4 of the target inbox's
-	// depth, reserving the remaining headroom for local arrivals — the
-	// remote traffic has retry/fallback machinery to absorb the shed,
-	// the local caller does not.
-	ShedDropRemoteFirst
 	// ShedBlock: block the Lookup caller until inbox space frees (or the
 	// router stops). Only local admission blocks; the fabric path always
 	// sheds, preserving the no-deadlock invariant.
@@ -83,7 +74,7 @@ const (
 )
 
 // shedModeNames are the flag/report names.
-var shedModeNames = [...]string{"drop-newest", "drop-remote-first", "block"}
+var shedModeNames = [...]string{"drop-newest", "block"}
 
 // String implements fmt.Stringer.
 func (m ShedMode) String() string {
@@ -103,85 +94,41 @@ func ParseShedMode(s string) (ShedMode, error) {
 	return 0, errors.New("router: unknown shed mode " + s)
 }
 
-// OverloadPolicy configures overload control; see WithOverload. The zero
-// value of every field selects a default, so WithOverload(OverloadPolicy{})
-// enables the subsystem with sane settings.
-type OverloadPolicy struct {
-	// Enabled turns the policy on; WithOverload sets it. When false (the
-	// default) only QueueDepth's default is in force: callers block on a
-	// full inbox, and breakers, the retry budget and WaitlistCap are off.
-	Enabled bool
-	// QueueDepth bounds each LC's inbox (default 1024 messages).
-	QueueDepth int
-	// Mode is the admission policy for a full inbox (default
-	// ShedDropNewest).
-	Mode ShedMode
-	// WaitlistCap bounds the waiters (local + remote) coalesced onto one
-	// in-flight address (default 256); overflow local lookups shed with
-	// ErrOverloaded, overflow remote requests are dropped back onto the
-	// requester's retry path. Bounds the W-bit waiting lists so a
-	// single-address storm cannot grow state without limit.
-	WaitlistCap int
-	// RetryBudgetRatio is the token-bucket refill per successful fabric
-	// reply (default 0.1: retries may consume 10% of recent successes).
-	RetryBudgetRatio float64
-	// RetryBudgetBurst caps the bucket and seeds it at construction
-	// (default 10 tokens).
-	RetryBudgetBurst float64
-	// BreakerThreshold is the consecutive deadline-expiry count from one
-	// home LC that opens its breaker (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before the
-	// ticker arms a half-open probe (default 4× the request timeout).
-	BreakerCooldown time.Duration
-}
-
-// Overload defaults. defaultQueueDepth is also the inbox depth of a router
-// without a policy: deep enough that no closed-loop caller in the
+// Overload settings. defaultQueueDepth is also the inbox depth of a router
+// without overload control: deep enough that no closed-loop caller in the
 // repository fills it (the widest async fan-out is a few hundred lookups),
-// shallow enough that ψ inboxes of it cost under a MiB at ψ=4.
+// shallow enough that ψ inboxes of it cost under a MiB at ψ=4. The rest
+// hold only under WithOverload:
+//
+//   - waitlistCap bounds the waiters (local + remote) coalesced onto one
+//     in-flight address; overflow local lookups shed with ErrOverloaded,
+//     overflow remote requests are dropped back onto the requester's retry
+//     path. Bounds the W-bit waiting lists so a single-address storm cannot
+//     grow state without limit.
+//   - retryBudgetRatio is the retry bucket's refill per successful fabric
+//     reply (retries may consume 10% of recent successes); retryBudgetBurst
+//     caps the bucket and seeds it at construction.
+//   - breakerThreshold is the consecutive deadline-expiry count from one home
+//     LC that opens its breaker; breakerCooldown is how long an open breaker
+//     waits before the ticker arms a half-open probe.
 const (
-	defaultQueueDepth       = 1024
-	defaultWaitlistCap      = 256
-	defaultRetryBudgetRatio = 0.1
-	defaultRetryBudgetBurst = 10
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = 4 // × RequestTimeout
+	defaultQueueDepth = 1024
+	waitlistCap       = 256
+	retryBudgetRatio  = 0.1
+	retryBudgetBurst  = 10
+	breakerThreshold  = 5
+	breakerCooldown   = 4 // × the request timeout
 )
 
-// normalizeOverload fills policy defaults; a disabled policy only gets
-// its inbox depth.
-func normalizeOverload(p OverloadPolicy, timeout time.Duration) OverloadPolicy {
-	if p.QueueDepth <= 0 {
-		p.QueueDepth = defaultQueueDepth
-	}
-	if !p.Enabled {
-		return p
-	}
-	if p.WaitlistCap <= 0 {
-		p.WaitlistCap = defaultWaitlistCap
-	}
-	if p.RetryBudgetRatio <= 0 {
-		p.RetryBudgetRatio = defaultRetryBudgetRatio
-	}
-	if p.RetryBudgetBurst <= 0 {
-		p.RetryBudgetBurst = defaultRetryBudgetBurst
-	}
-	if p.BreakerThreshold <= 0 {
-		p.BreakerThreshold = defaultBreakerThreshold
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = defaultBreakerCooldown * timeout
-	}
-	return p
-}
-
-// WithOverload enables overload control with the given policy. Zero
-// policy fields select defaults; see OverloadPolicy.
-func WithOverload(p OverloadPolicy) Option {
+// WithOverload enables overload control: each LC's inbox holds queueDepth
+// messages (<= 0 selects 1024), and mode is what admission does with a
+// lookup that finds it full. The waitlist cap, the retry budget and the
+// breakers come with it, at the constants above.
+func WithOverload(queueDepth int, mode ShedMode) Option {
 	return func(c *config) {
-		p.Enabled = true
-		c.Overload = p
+		c.Overload = true
+		c.QueueDepth = queueDepth
+		c.ShedMode = mode
 	}
 }
 
@@ -197,13 +144,10 @@ const (
 	// shedRemoteFull: a fabric request was dropped because the home LC's
 	// inbox was full. Attributed to the overloaded (target) LC.
 	shedRemoteFull
-	// shedRemotePressure: ShedDropRemoteFirst refused a fabric request at
-	// the 3/4-depth soft limit. Attributed to the target LC.
-	shedRemotePressure
 	// shedReplyFull: a fabric reply was dropped because the requester's
 	// inbox was full; the requester's deadline machinery re-resolves.
 	shedReplyFull
-	// shedWaitlistOverflow: the per-address waitlist was at WaitlistCap.
+	// shedWaitlistOverflow: the per-address waitlist was at waitlistCap.
 	shedWaitlistOverflow
 	// shedReplayDropped: a re-homed replay found the adopted slot's inbox
 	// full; the parked caller received a ServedByShed verdict.
@@ -213,8 +157,8 @@ const (
 
 // shedReasonNames are the reason="" label values.
 var shedReasonNames = [numShedReasons]string{
-	"inbox_full", "remote_inbox_full", "remote_pressure",
-	"reply_inbox_full", "waitlist_overflow", "replay_shed",
+	"inbox_full", "remote_inbox_full", "reply_inbox_full",
+	"waitlist_overflow", "replay_shed",
 }
 
 // Breaker states, mirrored into spal_router_breaker_state.
@@ -232,35 +176,29 @@ var breakerStateNames = [...]string{"closed", "open", "half_open"}
 // only, under lineCard.mu); state is the atomic mirror Metrics and tests
 // read.
 type breaker struct {
-	fails    int       // consecutive deadline expiries from this home
-	openedAt time.Time // when the breaker last opened
-	probing  bool      // half-open: the single probe is in flight
+	fails    int   // consecutive deadline expiries from this home
+	openedAt int64 // when the breaker last opened, a reading of Router.now
+	probing  bool  // half-open: the single probe is in flight
 	state    atomic.Int32
 }
 
 // tokenBucket is the retry budget: retries add fabric load, so they are
 // paid for by evidence that the fabric still works. Every successful round
-// trip refills it by ratio tokens up to burst, every retry takes one. It
-// starts full. Guarded by the owning LC's lineCard.mu.
-type tokenBucket struct {
-	tokens, ratio, burst float64
-}
-
-func newTokenBucket(ratio, burst float64) tokenBucket {
-	return tokenBucket{tokens: burst, ratio: ratio, burst: burst}
-}
+// trip refills it by retryBudgetRatio tokens up to retryBudgetBurst, every
+// retry takes one. It starts full. Guarded by the owning LC's lineCard.mu.
+type tokenBucket float64
 
 // refill credits one successful fabric round trip.
 func (b *tokenBucket) refill() {
-	b.tokens = min(b.tokens+b.ratio, b.burst)
+	*b = min(*b+retryBudgetRatio, retryBudgetBurst)
 }
 
 // take spends one token; false means the budget is exhausted.
 func (b *tokenBucket) take() bool {
-	if b.tokens < 1 {
+	if *b < 1 {
 		return false
 	}
-	b.tokens--
+	*b--
 	return true
 }
 
@@ -282,10 +220,10 @@ type lcOverload struct {
 
 // newLCOverload builds the per-LC state: a full retry bucket and one
 // closed breaker per peer slot.
-func newLCOverload(p OverloadPolicy, numLCs int) *lcOverload {
+func newLCOverload(enabled bool, numLCs int) *lcOverload {
 	ov := &lcOverload{breakers: make([]breaker, numLCs)}
-	if p.Enabled {
-		ov.retry = newTokenBucket(p.RetryBudgetRatio, p.RetryBudgetBurst)
+	if enabled {
+		ov.retry = retryBudgetBurst
 		ov.mirrorBudget()
 	}
 	return ov
@@ -294,7 +232,7 @@ func newLCOverload(p OverloadPolicy, numLCs int) *lcOverload {
 // mirrorBudget publishes the retry bucket's level for Metrics. lc.mu must
 // be held.
 func (ov *lcOverload) mirrorBudget() {
-	ov.budgetMilli.Store(int64(ov.retry.tokens * 1000))
+	ov.budgetMilli.Store(int64(ov.retry * 1000))
 }
 
 // shedCount increments one LC's shed counter for a reason.
@@ -305,14 +243,14 @@ func (r *Router) shedCount(lc int, why shedReason) {
 // admit is the admission layer for a locally submitted lookup or batch
 // descriptor. An idle arrival LC runs it on the caller's goroutine
 // (runInline); otherwise it takes one slot of the LC's queue (see queued) —
-// a full queue refuses the whole batch. Without an overload policy, and
+// a full queue refuses the whole batch. Without overload control, and
 // under ShedBlock, the caller waits for space, until ctx is cancelled or the
-// router stops; the drop modes refuse with ErrOverloaded instead.
+// router stops; ShedDropNewest refuses with ErrOverloaded instead.
 func (r *Router) admit(ctx context.Context, lc int, m message) error {
 	if r.runInline(lc, m) {
 		return nil
 	}
-	if !r.ov.Enabled || r.ov.Mode == ShedBlock {
+	if !r.overload || r.shedMode == ShedBlock {
 		select {
 		case r.inboxes[lc] <- m:
 			r.queued(lc, 0)
@@ -356,9 +294,9 @@ func (r *Router) shedLocal(lc int, addr ip.Addr, w localWaiter, why shedReason) 
 // replaySend re-submits a lookup parked at a crashed LC into the adopted
 // slot's queue, behind what buffered there. It runs on the health monitor
 // with r.mu held, and the monitor is the sweep: it must not wait for space
-// nobody else may come by to make. A full queue under an overload policy
+// nobody else may come by to make. A full queue under overload control
 // sheds the replay and the parked caller receives a ServedByShed verdict —
-// every lookup still terminates. Without one no local lookup is ever shed:
+// every lookup still terminates. Without it no local lookup is ever shed:
 // the monitor takes the LC and runs the handler itself, ahead of the queue.
 func (r *Router) replaySend(lc int, addr ip.Addr, w localWaiter) {
 	m := message{kind: mLookup, addr: addr, bd: w.bd, slot: w.slot, start: w.bd.start, tr: w.tr}
@@ -367,7 +305,7 @@ func (r *Router) replaySend(lc int, addr ip.Addr, w localWaiter) {
 		r.queued(lc, 0)
 	case <-r.quit:
 	default:
-		if r.ov.Enabled {
+		if r.overload {
 			r.shedLocal(lc, addr, w, shedReplayDropped)
 			return
 		}
@@ -391,15 +329,15 @@ func (r *Router) queued(i int, depth uint8) {
 }
 
 // waitlistFull reports whether one more waiter would push addr's
-// coalescing waitlist past the policy cap.
+// coalescing waitlist past waitlistCap.
 func (r *Router) waitlistFull(wl *waitlist) bool {
-	return r.ov.Enabled && len(wl.locals)+len(wl.remotes) >= r.ov.WaitlistCap
+	return r.overload && len(wl.locals)+len(wl.remotes) >= waitlistCap
 }
 
 // breakerFailure records one deadline expiry from home; enough
 // consecutive failures (or any failure of a half-open probe) open the
 // breaker. lc.mu must be held.
-func (r *Router) breakerFailure(lc *lineCard, home int, now time.Time) {
+func (r *Router) breakerFailure(lc *lineCard, home int, now int64) {
 	b := &lc.ov.breakers[home]
 	switch b.state.Load() {
 	case breakerOpen:
@@ -413,7 +351,7 @@ func (r *Router) breakerFailure(lc *lineCard, home int, now time.Time) {
 		return
 	}
 	b.fails++
-	if b.fails >= r.ov.BreakerThreshold {
+	if b.fails >= breakerThreshold {
 		b.openedAt = now
 		b.state.Store(breakerOpen)
 		lc.ov.breakerOpens.Add(1)
@@ -434,11 +372,12 @@ func (r *Router) breakerSuccess(lc *lineCard, home int) {
 
 // breakerTick arms half-open probes: an open breaker whose cooldown has
 // elapsed transitions to half-open, allowing the next dispatch through
-// as the probe. Runs on the LC's deadline ticker. lc.mu must be held.
-func (r *Router) breakerTick(lc *lineCard, now time.Time) {
+// as the probe. Runs on the LC's deadline ticker at now, a reading of
+// Router.now. lc.mu must be held.
+func (r *Router) breakerTick(lc *lineCard, now int64) {
 	for i := range lc.ov.breakers {
 		b := &lc.ov.breakers[i]
-		if b.state.Load() == breakerOpen && now.Sub(b.openedAt) >= r.ov.BreakerCooldown {
+		if b.state.Load() == breakerOpen && time.Duration(now-b.openedAt) >= breakerCooldown*r.timeout {
 			b.probing = false
 			b.state.Store(breakerHalfOpen)
 		}
@@ -463,20 +402,6 @@ func (r *Router) breakerAllows(lc *lineCard, home int) bool {
 	return false
 }
 
-// BreakerStates returns LC lc's per-home breaker states (0 closed,
-// 1 open, 2 half-open), indexed by home LC. Nil when overload control is
-// disabled. Diagnostic mirror of spal_router_breaker_state.
-func (r *Router) BreakerStates(lc int) []int32 {
-	if !r.ov.Enabled || lc < 0 || lc >= len(r.lcs) {
-		return nil
-	}
-	out := make([]int32, len(r.lcs[lc].ov.breakers))
-	for i := range out {
-		out[i] = r.lcs[lc].ov.breakers[i].state.Load()
-	}
-	return out
-}
-
 // deliverData is the final hop of a fabric send: it hands a request or
 // reply to the target LC without ever blocking the sender. An idle target
 // runs it right here (runInline); a busy one gets it through its queue,
@@ -488,14 +413,6 @@ func (r *Router) BreakerStates(lc int) []int32 {
 // installer of a table swap would pick a request and its stale reply up
 // again and again, and the install that ends their chase never run.
 func (r *Router) deliverData(to int, m message) {
-	if m.kind == mBatchRequest && r.ov.Mode == ShedDropRemoteFirst {
-		// Soft limit: refuse remote work while headroom remains for
-		// local arrivals at the target.
-		if len(r.inboxes[to]) >= r.remoteLimit {
-			r.shedCount(to, shedRemotePressure)
-			return
-		}
-	}
 	if m.depth > maxInlineDepth {
 		m.depth = 1
 		r.sendDelayed(to, m, 0)

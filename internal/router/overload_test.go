@@ -64,6 +64,21 @@ func remoteAddrs(t *testing.T, r *Router, tbl *rtable.Table, rng *stats.RNG, hom
 	return out
 }
 
+// breakerState reads LC lc's breaker toward home: 0 closed, 1 open,
+// 2 half-open.
+func breakerState(r *Router, lc, home int) int32 {
+	return r.lcs[lc].ov.breakers[home].state.Load()
+}
+
+// breakerStates reads every one of LC lc's breakers, indexed by home.
+func breakerStates(r *Router, lc int) []int32 {
+	out := make([]int32, len(r.lcs[lc].ov.breakers))
+	for home := range out {
+		out[home] = breakerState(r, lc, home)
+	}
+	return out
+}
+
 // entryPoints are the router's two ways in, as a table input for the tests
 // of a protection plane: the verdict class and the counters a plane
 // produces must not depend on which of them a lookup took. lookup resolves
@@ -104,7 +119,7 @@ var entryPoints = []struct {
 func TestOverloadAdmissionShed(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
-	r, err := New(tbl, WithLCs(1), WithOverload(OverloadPolicy{QueueDepth: 2}))
+	r, err := New(tbl, WithLCs(1), WithOverload(2, ShedDropNewest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +159,7 @@ func TestOverloadAdmissionShed(t *testing.T) {
 func TestOverloadBlockMode(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
-	r, err := New(tbl, WithLCs(1), WithOverload(OverloadPolicy{QueueDepth: 1, Mode: ShedBlock}))
+	r, err := New(tbl, WithLCs(1), WithOverload(1, ShedBlock))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,15 +198,44 @@ func TestOverloadBlockMode(t *testing.T) {
 	}
 }
 
+// TestParseShedMode: the two shed modes' names round-trip through
+// ParseShedMode and String; any other name, the old "drop-remote-first"
+// and the empty string among them, is refused.
+func TestParseShedMode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode ShedMode
+		ok   bool
+	}{
+		{"drop-newest", ShedDropNewest, true},
+		{"block", ShedBlock, true},
+		{"drop-remote-first", 0, false},
+		{"", 0, false},
+		{"Block", 0, false},
+	} {
+		m, err := ParseShedMode(tc.name)
+		switch {
+		case !tc.ok && err == nil:
+			t.Errorf("ParseShedMode(%q) = %v, want an error", tc.name, m)
+		case tc.ok && err != nil:
+			t.Errorf("ParseShedMode(%q): %v", tc.name, err)
+		case tc.ok && (m != tc.mode || m.String() != tc.name):
+			t.Errorf("ParseShedMode(%q) = %v (%d), want %d", tc.name, m, m, tc.mode)
+		}
+	}
+}
+
 // TestWaitlistOverflowSheds: a single-address storm over a dead fabric
-// may coalesce only up to WaitlistCap waiters; the overflow sheds with
+// may coalesce only up to waitlistCap waiters; the overflow sheds with
 // ServedByShed/ErrOverloaded and the waitlist-overflow counter
 // reconciles exactly with the shed verdicts. The storm is n lookups in
-// flight at once: n lookupAsync calls, or one batch of n.
+// flight at once: n lookupAsync calls, or one batch of n. The request
+// timeout outlasts the storm's submission, so all of it meets one
+// in-flight request.
 func TestWaitlistOverflowSheds(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
-	const cap, n = 4, 32
+	const cap, n = waitlistCap, 2 * waitlistCap
 	async := func(t *testing.T, r *Router, lc int, addrs []ip.Addr) []Verdict {
 		chans := make([]<-chan Verdict, len(addrs))
 		for i, a := range addrs {
@@ -218,8 +262,8 @@ func TestWaitlistOverflowSheds(t *testing.T) {
 		t.Run(ep.name, func(t *testing.T) {
 			drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: !m.Heartbeat} }
 			r, err := New(tbl, WithLCs(2), WithFaultInjector(drop),
-				WithRequestTimeout(5*time.Millisecond), WithMaxRetries(-1),
-				WithOverload(OverloadPolicy{WaitlistCap: cap, BreakerThreshold: 1 << 20}))
+				WithRequestTimeout(100*time.Millisecond), WithMaxRetries(-1),
+				WithOverload(0, ShedDropNewest))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +305,7 @@ func TestWaitlistOverflowSheds(t *testing.T) {
 // every pending caller must get a terminal verdict or error.
 func TestStopWithFullInboxes(t *testing.T) {
 	for name, opts := range map[string][]Option{
-		"block-mode": {WithOverload(OverloadPolicy{QueueDepth: 1, Mode: ShedBlock})},
+		"block-mode": {WithOverload(1, ShedBlock)},
 		"policy-off": nil,
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -309,22 +353,30 @@ func TestStopWithFullInboxes(t *testing.T) {
 // TestRetryBudgetExhaustion: with every fabric request dropped and no
 // successful replies to refill the bucket, retries stop once the seeded
 // burst is spent and subsequent deadline expiries degrade straight to
-// the fallback.
+// the fallback. Four addresses on each of three remote homes want twelve
+// retries before any home's breaker sees breakerThreshold expiries (a
+// batch's first expiries, four a home; or one address at a time, four
+// retries and the opening expiry a home): the retryBudgetBurst tokens run
+// out first, and the breakers take the rest.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
 	for _, ep := range entryPoints {
 		t.Run(ep.name, func(t *testing.T) {
 			drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: !m.Heartbeat && !m.Reply} }
-			r, err := New(tbl, WithLCs(2), WithFaultInjector(drop),
+			r, err := New(tbl, WithLCs(4), WithFaultInjector(drop),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(100),
-				WithOverload(OverloadPolicy{RetryBudgetBurst: 2, BreakerThreshold: 1 << 20}))
+				WithOverload(0, ShedDropNewest))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r.Stop()
 
-			addrs := remoteAddrs(t, r, tbl, stats.NewRNG(17), 1, 6)
+			rng := stats.NewRNG(17)
+			var addrs []ip.Addr
+			for home := 1; home < 4; home++ {
+				addrs = append(addrs, remoteAddrs(t, r, tbl, rng, home, 4)...)
+			}
 			for i, v := range ep.lookup(t, r, 0, addrs) {
 				if v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, addrs[i]) {
 					t.Fatalf("dead-fabric lookup: got %+v, want correct fallback verdict", v)
@@ -332,23 +384,23 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 			}
 			s := r.Metrics()
 			lbl := metrics.L("lc", "0")
-			if got, _ := s.Value(MetricBudgetExhausted, lbl); got < float64(len(addrs)-2) {
-				t.Fatalf("budget exhausted counter = %v, want >= %d", got, len(addrs)-2)
+			if got, _ := s.Value(MetricBudgetExhausted, lbl); got < float64(len(addrs)-retryBudgetBurst) {
+				t.Fatalf("budget exhausted counter = %v, want >= %d", got, len(addrs)-retryBudgetBurst)
 			}
 			if got, _ := s.Value(MetricRetryBudget, lbl); got >= 1 {
 				t.Fatalf("retry budget gauge = %v, want < 1 after exhaustion with no refills", got)
 			}
-			if got, _ := s.Value(MetricRetries, lbl); got != 2 {
-				t.Fatalf("retries = %v, want exactly the burst of 2", got)
+			if got, _ := s.Value(MetricRetries, lbl); got != retryBudgetBurst {
+				t.Fatalf("retries = %v, want exactly the burst of %d", got, retryBudgetBurst)
 			}
 		})
 	}
 }
 
 // TestBreakerOpensAndRecovers drives the full breaker state machine:
-// consecutive deadline expiries open it, an open breaker short-circuits
-// dispatches to the fallback without touching the fabric, the
-// ticker arms a half-open probe after the cooldown, and a successful
+// breakerThreshold consecutive deadline expiries open it, an open breaker
+// short-circuits dispatches to the fallback without touching the fabric,
+// the ticker arms a half-open probe after the cooldown, and a successful
 // probe closes the circuit again.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	tbl := rtable.Small(500, 3)
@@ -363,26 +415,27 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 			r, err := New(tbl, WithLCs(2), WithFaultInjector(inj),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(-1),
 				WithTraceSampling(0),
-				WithOverload(OverloadPolicy{BreakerThreshold: 3, BreakerCooldown: 5 * time.Millisecond}))
+				WithOverload(0, ShedDropNewest))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r.Stop()
 
-			addrs := remoteAddrs(t, r, tbl, stats.NewRNG(23), 1, 8)
-			// Three deadline expiries in a row open the breaker toward LC 1.
-			for _, a := range addrs[:3] {
+			addrs := remoteAddrs(t, r, tbl, stats.NewRNG(23), 1, breakerThreshold+5)
+			// breakerThreshold deadline expiries in a row open the breaker
+			// toward LC 1.
+			for _, a := range addrs[:breakerThreshold] {
 				if v, err := r.Lookup(0, a); err != nil || v.ServedBy != ServedByFallback {
 					t.Fatalf("dead-fabric lookup: v=%+v err=%v, want fallback", v, err)
 				}
 			}
-			if st := r.BreakerStates(0)[1]; st != breakerOpen {
-				t.Fatalf("breaker state after %d failures = %d, want open", 3, st)
+			if st := breakerState(r, 0, 1); st != breakerOpen {
+				t.Fatalf("breaker state after %d failures = %d, want open", breakerThreshold, st)
 			}
 			// While open, a dispatch homed at LC 1 short-circuits: fallback
 			// verdict without the deadline wait, counted and traced — each
 			// address of a batch like each single lookup.
-			shorted := addrs[3:7]
+			shorted := addrs[breakerThreshold : breakerThreshold+4]
 			start := time.Now()
 			for i, v := range ep.lookup(t, r, 0, shorted) {
 				if v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, shorted[i]) {
@@ -414,12 +467,12 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 			// Heal the fabric; the cooldown elapses, the ticker arms a half-open
 			// probe, and the next lookup's reply closes the breaker.
 			failing.Store(false)
-			waitFor(t, "breaker half-open", func() bool { return r.BreakerStates(0)[1] == breakerHalfOpen })
-			probe := addrs[7]
+			waitFor(t, "breaker half-open", func() bool { return breakerState(r, 0, 1) == breakerHalfOpen })
+			probe := addrs[breakerThreshold+4]
 			if v := ep.lookup(t, r, 0, []ip.Addr{probe})[0]; v.ServedBy != ServedByRemote || !verdictMatches(v, oracle, probe) {
 				t.Fatalf("probe lookup: v=%+v, want correct remote verdict", v)
 			}
-			if st := r.BreakerStates(0)[1]; st != breakerClosed {
+			if st := breakerState(r, 0, 1); st != breakerClosed {
 				t.Fatalf("breaker state after successful probe = %d, want closed", st)
 			}
 			if got, _ := r.Metrics().Value(MetricBreakerCloses, lbl); got < 1 {
@@ -444,7 +497,7 @@ func TestChaosOverloadKillLC(t *testing.T) {
 				WithFaultInjector(SeededFaults(FaultConfig{Seed: seed, DropRate: 0.05})),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2),
 				WithTraceSampling(0), WithTraceJournal(1<<15),
-				WithOverload(OverloadPolicy{QueueDepth: 64, BreakerThreshold: 3, BreakerCooldown: 4 * time.Millisecond}))
+				WithOverload(64, ShedDropNewest))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -500,18 +553,18 @@ func TestChaosOverloadKillLC(t *testing.T) {
 			var states [4][]int32
 			for try, stable := 0, false; !stable && try < 50; try++ {
 				for lc := range states {
-					states[lc] = r.BreakerStates(lc)
+					states[lc] = breakerStates(r, lc)
 				}
 				s = r.Metrics()
 				stable = true
 				for lc := range states {
-					stable = stable && slices.Equal(states[lc], r.BreakerStates(lc))
+					stable = stable && slices.Equal(states[lc], breakerStates(r, lc))
 				}
 			}
 			// Breaker reconciliation: every short-circuit left one
 			// EvBreaker trace event (sampling rate 0, but breaker traces
-			// are always captured late), the state gauge mirrors
-			// BreakerStates, and transition counters are consistent with
+			// are always captured late), the state gauge mirrors the
+			// breakers' states, and transition counters are consistent with
 			// the states the router ended in.
 			var evBreaker int
 			for _, tr := range r.Traces() {
@@ -573,7 +626,7 @@ func TestOverloadSoak(t *testing.T) {
 		return slowEngine{Engine: lpm.NewReferenceEngine(t), d: 20 * time.Microsecond}
 	}
 	r, err := New(tbl, WithLCs(2), WithEngine(slow),
-		WithOverload(OverloadPolicy{QueueDepth: 128}))
+		WithOverload(128, ShedDropNewest))
 	if err != nil {
 		t.Fatal(err)
 	}

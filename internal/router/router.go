@@ -148,22 +148,25 @@ type config struct {
 	// TraceLogger, when non-nil, receives one structured record per
 	// completed trace.
 	TraceLogger *slog.Logger
-	// Overload configures the overload-control policy (inbox depth,
-	// admission shedding, retry budgets, circuit breakers; see
-	// overload.go). The zero value keeps it off: callers block on a full
-	// inbox and the router never returns ErrOverloaded.
-	Overload OverloadPolicy
-	// Rebalance configures the background partition rebalancer that rides
+	// Overload turns on overload control (admission shedding, retry
+	// budgets, circuit breakers, the waitlist cap; see overload.go). Off,
+	// callers block on a full inbox and the router never returns
+	// ErrOverloaded. QueueDepth bounds each LC's inbox either way (<= 0
+	// selects 1024); ShedMode is what admission does with a full one.
+	Overload   bool
+	QueueDepth int
+	ShedMode   ShedMode
+	// Rebalance turns on the background partition rebalancer that rides
 	// the health ticker: when incremental updates (ApplyUpdates) drift the
-	// partitioning's replication factor or per-LC load skew past the
-	// policy's thresholds, the router re-selects control bits and runs a
-	// full two-phase swap. The zero value keeps it disabled. See
-	// WithRebalance and updates.go.
-	Rebalance RebalancePolicy
-	// Scrub configures the online integrity scrubber (engine sweeps,
-	// cache audits, quarantine + self-healing rebuild; see scrub.go). The
-	// zero value keeps it disabled.
-	Scrub ScrubPolicy
+	// partitioning's replication factor or per-LC load skew past its
+	// thresholds, the router re-selects control bits and runs a full
+	// two-phase swap. See WithRebalance and updates.go.
+	Rebalance bool
+	// Scrub turns on the online integrity scrubber (engine sweeps, cache
+	// audits, quarantine + self-healing rebuild; see scrub.go), a cycle at
+	// most every ScrubInterval (<= 0 selects 4 health ticks).
+	Scrub         bool
+	ScrubInterval time.Duration
 	// Corruption configures the state-corruption injector (seeded engine
 	// flips and cache fill/invalidate corruption; see corrupt.go). The
 	// zero value keeps it disabled and leaves every engine and cache
@@ -402,12 +405,12 @@ type Router struct {
 	maxRetries int
 	tickEvery  time.Duration
 
-	// Overload control (see overload.go): the normalized policy and the
-	// ShedDropRemoteFirst soft limit (3/4 of QueueDepth). ov.Enabled
-	// false leaves only the inbox depth in force: no admission shedding,
-	// breakers, retry budget or waitlist cap.
-	ov          OverloadPolicy
-	remoteLimit int
+	// Overload control (see overload.go). overload false leaves only the
+	// inbox depth in force: no admission shedding, breakers, retry budget
+	// or waitlist cap.
+	overload   bool
+	queueDepth int
+	shedMode   ShedMode
 
 	// LC lifecycle (see lifecycle.go): per-slot health records, the
 	// suspicion/death windows, and the lifecycle event counters.
@@ -447,21 +450,24 @@ type Router struct {
 	// Incremental-update plane (see updates.go). gen is the router-wide
 	// table generation, advanced under mu by ApplyUpdates and UpdateTable;
 	// the rebalancer fields track partition-quality drift against the
-	// baseline captured at the last full bit re-selection.
-	gen           uint64
-	rebalance     RebalancePolicy
-	baselineRepl  float64
-	lastRebalance time.Time
-	updateBatches atomic.Int64
-	updateEvents  atomic.Int64
-	rebalances    atomic.Int64
+	// baseline captured at the last full bit re-selection: rebalanceEvery
+	// is the minimum time between rebalances, 0 when the rebalancer is
+	// off, and lastRebalance a reading of now.
+	gen            uint64
+	rebalanceEvery time.Duration
+	baselineRepl   float64
+	lastRebalance  int64
+	updateBatches  atomic.Int64
+	updateEvents   atomic.Int64
+	rebalances     atomic.Int64
 
-	// Integrity plane (see scrub.go / corrupt.go): the normalized scrub
-	// and corruption policies, per-LC scrub bookkeeping, the corruption
-	// injector's draw counter and per-kind totals, and the cached
-	// full-table authority the cache audit compares against (rebuilt per
-	// generation, under mu like lastScrub).
-	scrubPol      ScrubPolicy
+	// Integrity plane (see scrub.go / corrupt.go): the scrub cadence (0
+	// when the scrubber is off) and the corruption policy, per-LC scrub
+	// bookkeeping, the corruption injector's draw counter and per-kind
+	// totals, and the cached full-table authority the cache audit compares
+	// against (rebuilt per generation, under mu like lastScrub, a reading
+	// of now, 0 before the first cycle).
+	scrubEvery    time.Duration
 	corruptPol    CorruptionPolicy
 	scrub         []*lcScrub
 	corruptStores []*cache.CorruptStore
@@ -470,7 +476,7 @@ type Router struct {
 	scrubCycles   atomic.Int64
 	quarantines   atomic.Int64
 	rebuilds      atomic.Int64
-	lastScrub     time.Time
+	lastScrub     int64
 	scrubAuth     lpm.Engine
 	scrubAuthGen  uint64
 
@@ -543,24 +549,30 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			Logger:      cfg.TraceLogger,
 		})
 	}
-	r.ov = normalizeOverload(cfg.Overload, r.timeout)
-	if r.remoteLimit = r.ov.QueueDepth * 3 / 4; r.remoteLimit < 1 {
-		r.remoteLimit = 1
+	r.overload, r.shedMode = cfg.Overload, cfg.ShedMode
+	if r.queueDepth = cfg.QueueDepth; r.queueDepth <= 0 {
+		r.queueDepth = defaultQueueDepth
 	}
 	r.part = partition.Partition(cfg.Table, cfg.NumLCs)
 	// The fallback reads the canonical snapshot itself, which the
 	// corruption injector never touches: it stays correct whatever is done
 	// to the per-LC state.
 	r.fallback.Store(rtable.NewIndex(r.part.Full()))
-	r.rebalance = normalizeRebalance(cfg.Rebalance)
-	r.scrubPol = normalizeScrub(cfg.Scrub, r.tickEvery)
+	if cfg.Rebalance {
+		r.rebalanceEvery = rebalanceEvery
+	}
+	if cfg.Scrub {
+		if r.scrubEvery = cfg.ScrubInterval; r.scrubEvery <= 0 {
+			r.scrubEvery = scrubTicks * r.tickEvery
+		}
+	}
 	r.corruptPol = cfg.Corruption
 	r.baselineRepl = r.part.Stats().Replication
-	r.lastRebalance = time.Now()
 	// Build every per-LC structure before starting the monitor: it indexes
 	// the slices from its first tick, so they must never be appended to
 	// (reallocated) once it is running.
 	now := r.now()
+	r.lastRebalance = now
 	hashSeed := rand.Uint64() // per router: see pendingTable
 	for i := 0; i < cfg.NumLCs; i++ {
 		engine := r.buildEngine(r.part.Table(i))
@@ -591,7 +603,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			r.corruptCache(i, c)
 			lc.cache = c
 		}
-		lc.ov = newLCOverload(r.ov, cfg.NumLCs)
+		lc.ov = newLCOverload(r.overload, cfg.NumLCs)
 		r.scrub = append(r.scrub, &lcScrub{})
 		if cfg.Gray {
 			r.gray = append(r.gray, &lcGray{})
@@ -600,7 +612,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 		life.lastBeat.Store(now)
 		// The LC's queue is QueueDepth deep: that depth is the router's whole
 		// buffering budget.
-		r.inboxes = append(r.inboxes, make(chan message, r.ov.QueueDepth))
+		r.inboxes = append(r.inboxes, make(chan message, r.queueDepth))
 		r.lcs = append(r.lcs, lc)
 		r.stats = append(r.stats, lc.stats)
 		r.life = append(r.life, life)
@@ -699,8 +711,7 @@ func (r *Router) runInline(i int, m message) bool {
 // submission, one in leave (an inline hit, one time in sixteen: see lookup).
 func (r *Router) now() int64 { return r.clock() }
 
-// at is reading ns as a time.Time, for those that keep one: traces, and
-// the control plane's breaker, scrub and gray state.
+// at is reading ns as a time.Time, for those that keep one: traces.
 func (r *Router) at(ns int64) time.Time { return r.born.Add(time.Duration(ns)) }
 
 // enter claims LC i for the calling goroutine if it is idle (see runInline);
@@ -813,10 +824,10 @@ func (r *Router) leave(lc *lineCard, now int64) {
 		} else {
 			r.unlockAndFlush(lc)
 		}
-		if lc.backlog.Load() == 0 || served >= r.ov.QueueDepth || !lc.live.Load() || !lc.mu.TryLock() {
+		if lc.backlog.Load() == 0 || served >= r.queueDepth || !lc.live.Load() || !lc.mu.TryLock() {
 			return
 		}
-		for lc.depth, now = depth, 0; served < r.ov.QueueDepth && lc.backlog.Load() != 0 && lc.live.Load(); served++ {
+		for lc.depth, now = depth, 0; served < r.queueDepth && lc.backlog.Load() != 0 && lc.live.Load(); served++ {
 			m := <-r.inboxes[lc.id] // counted, so pushed: it never blocks
 			lc.backlog.Add(-1)
 			lc.handledQueued.Add(1)
@@ -852,11 +863,10 @@ func (lc *lineCard) post(to int, m message) {
 func (r *Router) tick(lc *lineCard, now int64) {
 	lc.lastTick = now
 	r.beat(lc.id, now)
-	at := r.at(now)
-	if r.ov.Enabled {
-		r.breakerTick(lc, at)
+	if r.overload {
+		r.breakerTick(lc, now)
 	}
-	r.checkDeadlines(lc, at)
+	r.checkDeadlines(lc, now)
 }
 
 // checkDeadlines retries or degrades every pending lookup whose fabric
@@ -865,8 +875,7 @@ func (r *Router) tick(lc *lineCard, now int64) {
 // exponentially, one request per home a sweep; once the retry budget is
 // spent, the lookup is answered from the router-wide full-table fallback
 // (fallbackLookup) so it terminates no matter what the fabric lost.
-func (r *Router) checkDeadlines(lc *lineCard, at time.Time) {
-	now := int64(at.Sub(r.born)) // the reading at is; deadlines are readings
+func (r *Router) checkDeadlines(lc *lineCard, now int64) {
 	lc.pending.walk()
 	for addr, wl, ok := lc.pending.next(); ok; addr, wl, ok = lc.pending.next() {
 		if wl.deadline == 0 || now < wl.deadline {
@@ -877,13 +886,13 @@ func (r *Router) checkDeadlines(lc *lineCard, at time.Time) {
 		// relative to the timeout just paid.
 		r.lateTraceFor(lc, addr, wl)
 		home := lc.homeOf(addr)
-		if r.ov.Enabled && home != lc.id {
+		if r.overload && home != lc.id {
 			// A deadline expiry is the breaker's failure signal for this
 			// home; enough of them in a row open the circuit.
-			r.breakerFailure(lc, home, at)
+			r.breakerFailure(lc, home, now)
 		}
 		retry := wl.attempts <= r.maxRetries
-		if retry && r.ov.Enabled && home != lc.id {
+		if retry && r.overload && home != lc.id {
 			// An open breaker or an exhausted retry budget sends the
 			// lookup straight to the fallback: retries must not
 			// amplify load on a fabric that is already failing.
@@ -1027,8 +1036,8 @@ func (lc *lineCard) addLocal(wl *waitlist, w localWaiter) {
 
 // joinLocal coalesces local lookup w of addr onto wl, the waitlist of a miss
 // already in flight for it, so the address costs one FE execution and one
-// fabric request however many lookups want it. A waitlist at the overload
-// policy's cap sheds it instead.
+// fabric request however many lookups want it. A waitlist at waitlistCap
+// sheds it instead (overload control only).
 func (r *Router) joinLocal(lc *lineCard, wl *waitlist, addr ip.Addr, w localWaiter) {
 	if r.waitlistFull(wl) {
 		r.shedLocal(lc.id, addr, w, shedWaitlistOverflow)
@@ -1148,7 +1157,7 @@ func (r *Router) fallbackLookup(addr ip.Addr) (rtable.NextHop, bool) {
 // A retry is not a fresh miss: checkDeadlines has its own rule for those
 // and never claims a half-open probe.
 func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, now int64) bool {
-	if r.ov.Enabled && !r.breakerAllows(lc, home) {
+	if r.overload && !r.breakerAllows(lc, home) {
 		lc.ov.breakerShorts.Add(1)
 		lc.stats.Fallbacks.Add(1)
 		r.lateTraceFor(lc, addr, wl)
@@ -1184,7 +1193,7 @@ func (r *Router) replyArrived(lc *lineCard, from int, sent int64) {
 		// mask the true outlier.
 		r.gray[from].observe(r.now() - sent)
 	}
-	if r.ov.Enabled {
+	if r.overload {
 		// It closes the responder's breaker and refills the retry bucket.
 		r.breakerSuccess(lc, from)
 		lc.ov.retry.refill()
@@ -1546,7 +1555,7 @@ func (r *Router) swapPartitioning(part *partition.Partitioning) error {
 	// A successful full swap re-selected control bits over the current
 	// table, so it is the rebalancer's new quality baseline.
 	r.baselineRepl = part.Stats().Replication
-	r.lastRebalance = time.Now()
+	r.lastRebalance = r.now()
 	// It also rebuilt every LC's engine from the canonical table, which
 	// makes it an integrity repair: quarantines lift and mismatch streaks
 	// reset (see scrub.go).

@@ -29,7 +29,7 @@
 // ejected one (gray.go), which nothing fences.
 //
 // Self-healing: engine mismatches accumulate per LC since its last
-// rebuild; crossing QuarantineThreshold quarantines the LC. Quarantine
+// rebuild; crossing quarantineThreshold quarantines the LC. Quarantine
 // reuses the machinery this repo already trusts instead of inventing a
 // parallel path:
 //
@@ -61,54 +61,20 @@ import (
 	"spal/internal/rtable"
 )
 
-// ScrubPolicy configures the online integrity scrubber. The zero value
-// disables it; a disabled scrubber costs nothing anywhere (no wrapper, no
-// ticker work, no extra metrics).
-type ScrubPolicy struct {
-	// Enabled turns the scrubber on.
-	Enabled bool
-	// Interval is the minimum time between scrub cycles. The scrubber
-	// rides the health ticker, so the effective cadence is
-	// max(Interval, timeout/4). <= 0 selects the default (4 ticks).
-	Interval time.Duration
-	// SamplesPerLC is K: how many partition prefixes are re-verified
-	// against the canonical table per LC per cycle (rotating cursor, so
-	// a table of P prefixes is fully swept every ceil(P/K) cycles).
-	// <= 0 selects the default (32).
-	SamplesPerLC int
-	// QuarantineThreshold is the number of engine mismatches accumulated
-	// since the LC's last rebuild that trigger quarantine. <= 0 selects
-	// the default (1: any confirmed engine mismatch quarantines).
-	QuarantineThreshold int
-	// AutoRepair rebuilds a quarantined LC immediately (fresh engine from
-	// the canonical table, two-phase swap, parked-lookup replay). False
-	// leaves the LC quarantined — still serving, its replies fenced out
-	// of peer caches by the generation guard — until RestoreLC or the
-	// next full swap repairs it.
-	AutoRepair bool
-}
-
-// DefaultScrubPolicy enables scrubbing with the default cadence,
-// sampling width, single-mismatch quarantine, and automatic repair.
-func DefaultScrubPolicy() ScrubPolicy {
-	return ScrubPolicy{Enabled: true, AutoRepair: true}
-}
-
-func normalizeScrub(p ScrubPolicy, tick time.Duration) ScrubPolicy {
-	if !p.Enabled {
-		return p
-	}
-	if p.Interval <= 0 {
-		p.Interval = 4 * tick
-	}
-	if p.SamplesPerLC <= 0 {
-		p.SamplesPerLC = 32
-	}
-	if p.QuarantineThreshold <= 0 {
-		p.QuarantineThreshold = 1
-	}
-	return p
-}
+// Scrub settings: each cycle re-verifies scrubSamples partition prefixes
+// per LC against the canonical table (a rotating cursor, so a table of P
+// prefixes is fully swept every ceil(P/scrubSamples) cycles), and
+// quarantineThreshold engine mismatches accumulated since an LC's last
+// rebuild quarantine it (1: any confirmed mismatch) and rebuild it. The
+// scrubber rides the health ticker, so a cycle runs at most every
+// max(interval, tick); an interval <= 0 selects scrubTicks ticks. Off (the
+// default), the scrubber costs nothing anywhere: no ticker work, no extra
+// metrics.
+const (
+	scrubSamples        = 32
+	quarantineThreshold = 1
+	scrubTicks          = 4
+)
 
 // lcScrub is one LC's integrity bookkeeping. The counters are atomic
 // (written by the LC inside the scrub closure, read by
@@ -120,7 +86,7 @@ type lcScrub struct {
 	cacheMism    atomic.Int64
 	cacheRepairs atomic.Int64
 	// streak counts engine mismatches since the last rebuild; crossing
-	// the policy threshold quarantines the LC, a rebuild or full swap
+	// quarantineThreshold quarantines the LC, a rebuild or full swap
 	// resets it.
 	streak atomic.Int64
 }
@@ -136,15 +102,16 @@ func (r *Router) scrubAuthorityLocked(gen uint64) lpm.Engine {
 	return r.scrubAuth
 }
 
-// maybeScrubLocked is the health ticker's scrub hook: one cycle samples K
-// prefixes per serving LC against the canonical table, audits every
-// LR-cache entry against the full-table authority, and quarantines (and,
-// under AutoRepair, rebuilds) any LC whose mismatch streak crossed the
-// threshold. The monitor runs every LC's verification itself, under that
-// LC's lock (install), so quarantine decisions see this cycle's counters.
-// r.mu must be held.
-func (r *Router) maybeScrubLocked(now time.Time) {
-	if !r.scrubPol.Enabled || now.Sub(r.lastScrub) < r.scrubPol.Interval {
+// maybeScrubLocked is the health ticker's scrub hook at now, a reading of
+// Router.now: one cycle samples scrubSamples prefixes per serving LC against
+// the canonical table, audits every LR-cache entry against the full-table
+// authority, and quarantines and rebuilds any LC whose mismatch streak
+// crossed the threshold. The first cycle runs at the monitor's first tick.
+// The monitor runs every LC's verification itself, under that LC's lock
+// (install), so quarantine decisions see this cycle's counters. r.mu must
+// be held.
+func (r *Router) maybeScrubLocked(now int64) {
+	if r.scrubEvery == 0 || r.lastScrub != 0 && time.Duration(now-r.lastScrub) < r.scrubEvery {
 		return
 	}
 	r.lastScrub = now
@@ -157,7 +124,7 @@ func (r *Router) maybeScrubLocked(now time.Time) {
 		if st == LCDown || st == LCDraining || st == LCQuarantined || n == 0 {
 			continue
 		}
-		k := min(r.scrubPol.SamplesPerLC, n)
+		k := min(scrubSamples, n)
 		s := r.scrub[i]
 		start := s.cursor
 		s.cursor = (s.cursor + k) % n
@@ -213,18 +180,15 @@ func (r *Router) maybeScrubLocked(now time.Time) {
 			}
 		})
 	}
-	thr := int64(r.scrubPol.QuarantineThreshold)
 	for i := range r.lcs {
 		if st := r.life[i].state.Load(); st != LCHealthy && st != LCSuspect {
 			continue
 		}
-		if r.scrub[i].streak.Load() < thr {
+		if r.scrub[i].streak.Load() < quarantineThreshold {
 			continue
 		}
 		r.quarantineLocked(i)
-		if r.scrubPol.AutoRepair {
-			r.rebuildLocked(i)
-		}
+		r.rebuildLocked(i)
 	}
 }
 

@@ -20,17 +20,20 @@ import (
 	"spal/internal/stats"
 )
 
-// fastScrub is the test policy: full sweep every cycle (SamplesPerLC
-// larger than any per-LC partition below), 1 ms cadence, quarantine on
-// the first confirmed mismatch.
-func fastScrub(autoRepair bool) ScrubPolicy {
-	return ScrubPolicy{
-		Enabled:             true,
-		Interval:            time.Millisecond,
-		SamplesPerLC:        4096,
-		QuarantineThreshold: 1,
-		AutoRepair:          autoRepair,
+// waitFullSweep waits until the scrubber has re-verified every partition
+// prefix of every LC since the call: ceil(P/scrubSamples) cycles for the
+// largest partition P, plus the cycle that may be under way and one more,
+// which audits every cache after the sweep's last repair.
+func waitFullSweep(t *testing.T, r *Router) {
+	t.Helper()
+	r.mu.Lock()
+	p := 0
+	for i := range r.lcs {
+		p = max(p, r.part.Table(i).Len())
 	}
+	r.mu.Unlock()
+	want := r.scrubCycles.Load() + int64((p+scrubSamples-1)/scrubSamples) + 2
+	waitFor(t, "a full scrub sweep", func() bool { return r.scrubCycles.Load() >= want })
 }
 
 // TestScrubCleanNoFalsePositives: with the scrubber on but no injector,
@@ -42,7 +45,7 @@ func TestScrubCleanNoFalsePositives(t *testing.T) {
 	tbl := rtable.Small(1000, 7)
 	r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName("bintrie"),
 		WithRequestTimeout(2*time.Millisecond),
-		WithScrub(fastScrub(true)))
+		WithScrub(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,9 @@ func TestScrubCleanNoFalsePositives(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "10 scrub cycles", func() bool { return r.Integrity().ScrubCycles >= 10 })
+	for i := 0; i < 10; i++ { // every prefix re-verified ten times under churn
+		waitFullSweep(t, r)
+	}
 	close(stop)
 	wg.Wait()
 
@@ -108,7 +113,7 @@ func TestScrubDetectsAndRepairsEngineCorruption(t *testing.T) {
 	oracle := lpm.NewReference(tbl)
 	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"),
 		WithRequestTimeout(2*time.Millisecond),
-		WithScrub(fastScrub(true)),
+		WithScrub(time.Millisecond),
 		WithCorruption(CorruptionPolicy{
 			Enabled: true, Seed: 5, EngineFlipRate: 1, MaxCorruptions: 2,
 		}))
@@ -120,6 +125,7 @@ func TestScrubDetectsAndRepairsEngineCorruption(t *testing.T) {
 	waitFor(t, "engine flips to reach the cap", func() bool {
 		return r.Integrity().EngineFlips >= 2
 	})
+	waitFullSweep(t, r) // every flip sampled, so detected
 	waitFor(t, "detection and rebuild", func() bool {
 		rep := r.Integrity()
 		return rep.Rebuilds >= 1 && rep.Quarantines >= 1
@@ -166,7 +172,7 @@ func TestScrubRepairsCacheCorruption(t *testing.T) {
 	oracle := lpm.NewReference(tbl)
 	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"),
 		WithRequestTimeout(2*time.Millisecond),
-		WithScrub(fastScrub(true)),
+		WithScrub(time.Millisecond),
 		WithCorruption(CorruptionPolicy{
 			Enabled: true, Seed: 5, WrongFillRate: 0.5, MaxCorruptions: 4,
 		}))
@@ -214,39 +220,35 @@ func TestScrubRepairsCacheCorruption(t *testing.T) {
 	}
 }
 
-// TestQuarantineManualRestore: with AutoRepair off, a corrupted LC stays
-// quarantined — Healthy() reports it, its replies are fenced from peer
-// caches by the generation guard — until RestoreLC repairs it by full
-// swap.
+// TestQuarantineManualRestore: an LC quarantined by hand (its engine
+// clean, so its mismatch streak stays 0 and the scrubber never rebuilds
+// it) stays quarantined — Healthy() reports it, its replies are fenced
+// from peer caches by the generation guard — until RestoreLC repairs it
+// by full swap.
 func TestQuarantineManualRestore(t *testing.T) {
 	tbl := rtable.Small(400, 7)
 	oracle := lpm.NewReference(tbl)
 	r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName("bintrie"),
 		WithRequestTimeout(2*time.Millisecond),
-		WithScrub(fastScrub(false)),
-		WithCorruption(CorruptionPolicy{
-			Enabled: true, Seed: 5, EngineFlipRate: 1, MaxCorruptions: 1,
-		}))
+		WithScrub(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Stop()
 
-	var quarantined int
-	waitFor(t, "a quarantine", func() bool {
-		for i, s := range r.LCStates() {
-			if s == LCQuarantined {
-				quarantined = i
-				return true
-			}
-		}
-		return false
-	})
+	const quarantined = 2
+	r.mu.Lock()
+	r.quarantineLocked(quarantined)
+	r.mu.Unlock()
+	waitFullSweep(t, r)
+	if st := r.LCStates()[quarantined]; st != LCQuarantined {
+		t.Fatalf("LC %d is %s after a scrub sweep, want it still quarantined", quarantined, st)
+	}
 	if r.Healthy() {
 		t.Fatal("Healthy() true with a quarantined LC") // the satellite fix
 	}
 	if rep := r.Integrity(); rep.Rebuilds != 0 {
-		t.Fatalf("AutoRepair off but %d rebuilds ran", rep.Rebuilds)
+		t.Fatalf("a clean quarantined LC was rebuilt %d times", rep.Rebuilds)
 	}
 
 	// The quarantined LC keeps serving, but its replies must not be
@@ -360,13 +362,12 @@ func TestPinnedRequesterKeepsStaleGuard(t *testing.T) {
 }
 
 // TestScrubChecksEjectedLC: an ejected LC keeps serving and stays in the
-// scrub set, so it is still checked: one cycle samples it and finds a
-// poisoned prefix.
+// scrub set, so it is still checked: one cycle samples min(scrubSamples,
+// partition) of its prefixes and finds a poisoned one among them.
 func TestScrubChecksEjectedLC(t *testing.T) {
 	tbl := rtable.Small(400, 7)
-	pol := fastScrub(false)
-	pol.Interval = time.Hour // one cycle at the monitor's first tick, the next by hand
-	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"), WithScrub(pol), WithGray())
+	// One cycle at the monitor's first tick, the next by hand.
+	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"), WithScrub(time.Hour), WithGray())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,18 +378,20 @@ func TestScrubChecksEjectedLC(t *testing.T) {
 	defer r.mu.Unlock()
 	r.gray[1].degraded.Store(true)
 	part := r.part.Table(1)
-	pfx := part.Routes()[0].Prefix
+	sc := r.scrub[1]
+	// The last prefix of the window the next cycle samples.
+	want := min(scrubSamples, part.Len())
+	pfx := part.Routes()[(sc.cursor+want-1)%part.Len()].Prefix
 	good, _ := part.LongestMatch(pfx.FirstAddr())
 	r.own(1, func(lc *lineCard) {
 		lc.engine = lpm.NewCorrupt(lc.engine)
 		lpm.AsCorrupt(lc.engine).Poison(pfx.FirstAddr(), pfx.LastAddr(), good.NextHop^1)
 	})
-	sc := r.scrub[1]
 	samples, mism := sc.samples.Load(), sc.engineMism.Load()
-	r.lastScrub = time.Time{}
-	r.maybeScrubLocked(time.Now())
-	if got := sc.samples.Load() - samples; got != int64(part.Len()) {
-		t.Errorf("a scrub cycle took %d samples of the ejected LC, want its whole partition, %d", got, part.Len())
+	r.lastScrub = 0
+	r.maybeScrubLocked(r.now())
+	if got := sc.samples.Load() - samples; got != int64(want) {
+		t.Errorf("a scrub cycle took %d samples of the ejected LC, want min(%d, partition %d) = %d", got, scrubSamples, part.Len(), want)
 	}
 	if got := sc.engineMism.Load() - mism; got < 1 {
 		t.Errorf("the ejected LC's poisoned prefix %s went unnoticed (%d engine mismatches)", pfx, got)
@@ -409,8 +412,8 @@ func TestChaosScrubCorruption(t *testing.T) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName("bintrie"),
 				WithRequestTimeout(5*time.Millisecond),
-				WithOverload(OverloadPolicy{QueueDepth: 512}),
-				WithScrub(fastScrub(true)),
+				WithOverload(512, ShedDropNewest),
+				WithScrub(time.Millisecond),
 				WithCorruption(CorruptionPolicy{
 					Enabled:            true,
 					Seed:               seed,
@@ -505,10 +508,11 @@ func TestChaosScrubCorruption(t *testing.T) {
 			// Phase 1: run the full chaos mix until every injection site
 			// is dry (the load keeps drawing the fill/invalidate sites).
 			waitFor(t, "corruption exhaustion", func() bool { return r.CorruptionExhausted() })
-			// Phase 2: stop churn and load, let the scrubber finish: every
-			// LC healthy and two further full audit sweeps finding nothing.
+			// Phase 2: stop churn and load, let the scrubber finish: a full
+			// sweep over every prefix and cache entry, every LC healthy.
 			close(stop)
 			wg.Wait()
+			waitFullSweep(t, r) // every prefix re-verified, every cache audited
 			waitFor(t, "post-exhaustion repair convergence", func() bool {
 				for _, s := range r.LCStates() {
 					if s != LCHealthy {
@@ -516,10 +520,6 @@ func TestChaosScrubCorruption(t *testing.T) {
 					}
 				}
 				return true
-			})
-			c0 := r.Integrity().ScrubCycles
-			waitFor(t, "two clean scrub cycles", func() bool {
-				return r.Integrity().ScrubCycles >= c0+2
 			})
 
 			// Steady state: every verdict matches the final table exactly.
@@ -583,7 +583,7 @@ func TestScrubDisabledZeroAlloc(t *testing.T) {
 	}
 	out := make([]Verdict, len(addrs))
 	r, err := New(tbl, WithLCs(1), WithRequestTimeout(time.Second), WithDefaultCache(),
-		WithScrub(ScrubPolicy{}), WithCorruption(CorruptionPolicy{}))
+		WithCorruption(CorruptionPolicy{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,7 @@
 // background rebalancer rides the health ticker, compares the live
 // partition stats against the baseline captured at the last full bit
 // re-selection, and triggers the existing two-phase swap — full
-// SelectBits, install, rekey — only when drift crosses the policy's
-// thresholds. Steady churn therefore costs targeted invalidations only,
+// SelectBits, install, rekey — only when drift crosses its thresholds. Steady churn therefore costs targeted invalidations only,
 // with an occasional amortized re-selection when the table has genuinely
 // changed shape.
 package router
@@ -56,46 +55,16 @@ import (
 	"spal/internal/rtable"
 )
 
-// RebalancePolicy configures the background partition rebalancer (see the
-// package comment above). The zero value disables it; DefaultRebalancePolicy
-// returns sensible thresholds.
-type RebalancePolicy struct {
-	// Enabled turns the rebalancer on.
-	Enabled bool
-	// MaxReplicationGrowth triggers a rebalance when the partitioning's
-	// live replication factor exceeds baseline × this. <= 1 selects the
-	// default (1.15, i.e. 15% Φ* growth since the last bit selection).
-	MaxReplicationGrowth float64
-	// MaxSkew triggers a rebalance when (max − min) partition size exceeds
-	// this fraction of the mean partition size. <= 0 selects the default
-	// (1.0).
-	MaxSkew float64
-	// MinInterval rate-limits rebalances (and is also reset by any full
-	// swap: UpdateTable, re-homing, drain/restore). <= 0 selects the
-	// default (1s).
-	MinInterval time.Duration
-}
-
-// DefaultRebalancePolicy enables rebalancing with the default thresholds.
-func DefaultRebalancePolicy() RebalancePolicy {
-	return RebalancePolicy{Enabled: true}
-}
-
-func normalizeRebalance(p RebalancePolicy) RebalancePolicy {
-	if !p.Enabled {
-		return p
-	}
-	if p.MaxReplicationGrowth <= 1 {
-		p.MaxReplicationGrowth = 1.15
-	}
-	if p.MaxSkew <= 0 {
-		p.MaxSkew = 1.0
-	}
-	if p.MinInterval <= 0 {
-		p.MinInterval = time.Second
-	}
-	return p
-}
+// Rebalance thresholds: a rebalance runs when the partitioning's live
+// replication factor exceeds its baseline × maxReplicationGrowth (15% Φ*
+// growth since the last bit selection), or when (max − min) partition size
+// exceeds maxSkew × the mean, and at most every rebalanceEvery; any full
+// swap — UpdateTable, re-homing, drain/restore — restarts that interval.
+const (
+	maxReplicationGrowth = 1.15
+	maxSkew              = 1.0
+	rebalanceEvery       = time.Second
+)
 
 // ApplyUpdates streams a batch of route announcements and withdrawals
 // into the running forwarding plane without a two-phase swap and without
@@ -219,12 +188,12 @@ func (lc *lineCard) applyUpdates(updates []rtable.Update, ranges []rtable.Range,
 	}
 }
 
-// maybeRebalanceLocked is the health ticker's rebalance hook: when the
-// incremental plane has drifted the partition quality past the policy's
-// thresholds, re-select control bits over the current table and run the
-// full two-phase swap. r.mu must be held.
-func (r *Router) maybeRebalanceLocked(now time.Time) {
-	if !r.rebalance.Enabled || now.Sub(r.lastRebalance) < r.rebalance.MinInterval {
+// maybeRebalanceLocked is the health ticker's rebalance hook at now, a
+// reading of Router.now: when the incremental plane has drifted the
+// partition quality past the thresholds, re-select control bits over the
+// current table and run the full two-phase swap. r.mu must be held.
+func (r *Router) maybeRebalanceLocked(now int64) {
+	if r.rebalanceEvery == 0 || time.Duration(now-r.lastRebalance) < r.rebalanceEvery {
 		return
 	}
 	st := r.part.Stats()
@@ -246,8 +215,8 @@ func (r *Router) maybeRebalanceLocked(now time.Time) {
 		}
 	}
 	mean := float64(sum) / float64(len(alive))
-	skewed := mean > 0 && float64(max-min) > r.rebalance.MaxSkew*mean
-	replicated := st.Replication > r.baselineRepl*r.rebalance.MaxReplicationGrowth
+	skewed := mean > 0 && float64(max-min) > maxSkew*mean
+	replicated := st.Replication > r.baselineRepl*maxReplicationGrowth
 	if !skewed && !replicated {
 		return
 	}

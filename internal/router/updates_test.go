@@ -259,44 +259,42 @@ func TestTargetedInvalidationAccounting(t *testing.T) {
 		invalidated, flushLost, 100*invalidated/flushLost)
 }
 
-// TestRebalancerTriggersOnDrift floods the incremental plane with new
-// prefixes until partition quality drifts past a tight policy, and
+// withdrawPartition withdraws every route of LC lc's partition, leaving it
+// empty: the per-LC size spread then exceeds maxSkew × the mean, which is
+// drift the rebalancer repairs. It returns the table after the batch.
+func withdrawPartition(t *testing.T, r *Router, cur *rtable.Table, lc int) *rtable.Table {
+	t.Helper()
+	r.mu.Lock()
+	routes := r.part.Table(lc).Routes()
+	r.mu.Unlock()
+	batch := make([]rtable.Update, len(routes))
+	for i, rt := range routes {
+		batch[i] = rtable.Update{Kind: rtable.Withdraw, Route: rt}
+	}
+	if err := r.ApplyUpdates(batch); err != nil {
+		t.Fatal(err)
+	}
+	return cur.ApplyAll(batch)
+}
+
+// TestRebalancerTriggersOnDrift withdraws LC 0's whole partition through
+// the incremental plane, so that partition sizes drift past maxSkew, and
 // expects the health ticker to run a full bit re-selection — after which
 // verdicts must still be correct.
 func TestRebalancerTriggersOnDrift(t *testing.T) {
 	tbl := rtable.Small(600, 7)
 	r, err := New(tbl, WithLCs(4), WithEngineName("bintrie"),
-		WithRequestTimeout(4*time.Millisecond),
-		WithRebalance(RebalancePolicy{
-			Enabled:              true,
-			MaxReplicationGrowth: 1.001,
-			MaxSkew:              0.05,
-			MinInterval:          time.Millisecond,
-		}))
+		WithRequestTimeout(4*time.Millisecond), WithRebalance())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Stop()
 
-	rng := stats.NewRNG(123)
-	cur := tbl
-	for i := 0; i < 20 && r.Metrics().Sum(MetricRebalances) == 0; i++ {
-		stream := rtable.GenerateUpdates(cur, rtable.UpdateStreamConfig{
-			RatePerSecond: 4000, CycleNS: 5, Duration: 10_000_000,
-			WithdrawProb: 0.1, NewPrefixProb: 0.9, Seed: rng.Uint64(),
-		})
-		if len(stream) == 0 {
-			continue
-		}
-		cur = cur.ApplyAll(stream)
-		if err := r.ApplyUpdates(stream); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(3 * time.Millisecond) // let the health ticker observe the drift
-	}
+	cur := withdrawPartition(t, r, tbl, 0)
 	waitFor(t, "a drift-triggered rebalance", func() bool {
 		return r.Metrics().Sum(MetricRebalances) > 0
 	})
+	rng := stats.NewRNG(123)
 	ref := lpm.NewReference(cur)
 	for lc := 0; lc < 4; lc++ {
 		for i := 0; i < 50; i++ {
@@ -309,6 +307,47 @@ func TestRebalancerTriggersOnDrift(t *testing.T) {
 				t.Fatalf("post-rebalance wrong verdict for %s", ip.FormatAddr(a))
 			}
 		}
+	}
+}
+
+// TestRebalancerClock: the rebalancer's minimum interval is measured on
+// the clock its stamps are read from, Router.now, as the heartbeats are
+// (TestHeartbeatClock). The hour-long timeout keeps the monitor's own
+// ticker out; each period is run by hand against an injected clock. A
+// drifted table is not rebalanced a millisecond short of the interval
+// since the last stamp, and is rebalanced once at it — twice over, the
+// second time from the stamp the first rebalance left (stamped on the
+// wall clock and read on this one, the second interval would have passed
+// at once).
+func TestRebalancerClock(t *testing.T) {
+	tbl := rtable.Small(600, 7)
+	r, err := New(tbl, WithLCs(4), WithEngineName("bintrie"),
+		WithRequestTimeout(time.Hour), WithRebalance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	r.mu.Lock()
+	stamp := r.lastRebalance
+	r.mu.Unlock()
+	var ahead time.Duration
+	r.clock = func() int64 { return stamp + int64(ahead) }
+	const every, short = rebalanceEvery, time.Millisecond
+	period := func(at time.Duration, want int64) {
+		t.Helper()
+		ahead = at
+		r.sweep()
+		r.healthCheck(r.now())
+		if got := r.rebalances.Load(); got != want {
+			t.Fatalf("%v past New: %d rebalances, want %d", at, got, want)
+		}
+	}
+	cur := tbl
+	for round := int64(1); round <= 2; round++ {
+		cur = withdrawPartition(t, r, cur, 0)
+		last := time.Duration(round-1) * every
+		period(last+every-short, round-1)
+		period(last+every, round)
 	}
 }
 
@@ -400,7 +439,7 @@ func TestChaosChurn(t *testing.T) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName("bintrie"),
 				WithRequestTimeout(5*time.Millisecond),
-				WithOverload(OverloadPolicy{QueueDepth: 512}))
+				WithOverload(512, ShedDropNewest))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -229,7 +229,7 @@ func TestParkRecyclesBlankWaitlist(t *testing.T) {
 	r.own(0, func(lc *lineCard) {
 		used = lc.pending.get(addrs[0])
 		used.feNS = 7 // as a retry re-homed onto this LC would have left it
-		r.checkDeadlines(lc, time.Now().Add(2*time.Minute))
+		r.checkDeadlines(lc, r.now()+int64(2*time.Minute))
 		if used.attempts != 2 || used.deadline == 0 || !used.trLate || used.tr == nil || len(used.locals) != 1 {
 			t.Fatalf("the retry left the waitlist at %+v", *used)
 		}

@@ -95,11 +95,8 @@ type (
 	// LCState is one line card's lifecycle state (see Router.LCStates,
 	// Router.KillLC, Router.DrainLC, Router.RestoreLC).
 	LCState = router.LCState
-	// OverloadPolicy configures overload control: inbox depth, load
-	// shedding, retry budgets, circuit breakers (see WithRouterOverload).
-	OverloadPolicy = router.OverloadPolicy
 	// ShedMode selects what admission does with a full inbox
-	// (ShedDropNewest, ShedDropRemoteFirst, ShedBlock).
+	// (ShedDropNewest, ShedBlock; see WithRouterOverload).
 	ShedMode = router.ShedMode
 	// LookupTrace is one lookup's end-to-end span record (from
 	// Router.Traces when tracing is enabled; see WithRouterTraceSampling).
@@ -116,13 +113,6 @@ type (
 	UpdateKind = rtable.UpdateKind
 	// UpdateStreamConfig parameterizes GenerateUpdates.
 	UpdateStreamConfig = rtable.UpdateStreamConfig
-	// RebalancePolicy governs the background partition rebalancer that
-	// re-selects control bits when incremental updates drift replication
-	// or per-LC skew past its thresholds (see WithRouterRebalance).
-	RebalancePolicy = router.RebalancePolicy
-	// ScrubPolicy configures the online integrity scrubber that samples
-	// per-LC state against the canonical table (see WithRouterScrub).
-	ScrubPolicy = router.ScrubPolicy
 	// CorruptionPolicy configures the seeded state-corruption injector
 	// (see WithRouterCorruption).
 	CorruptionPolicy = router.CorruptionPolicy
@@ -164,11 +154,10 @@ const (
 	ServedByShed = router.ServedByShed
 )
 
-// Shed modes for OverloadPolicy.Mode.
+// Shed modes for WithRouterOverload.
 const (
-	ShedDropNewest      = router.ShedDropNewest
-	ShedDropRemoteFirst = router.ShedDropRemoteFirst
-	ShedBlock           = router.ShedBlock
+	ShedDropNewest = router.ShedDropNewest
+	ShedBlock      = router.ShedBlock
 )
 
 // ErrOverloaded is returned by Lookup on a router built
@@ -301,39 +290,31 @@ func WithRouterTraceLogger(l *slog.Logger) RouterOption { return router.WithLogg
 // (*Router).Traces (default 1024); implies tracing.
 func WithRouterTraceJournal(size int) RouterOption { return router.WithTraceJournal(size) }
 
-// WithRouterOverload enables overload control: shed-at-arrival admission
-// on the bounded per-LC inboxes (Lookup returns ErrOverloaded instead of
-// blocking behind a full inbox), an adaptive retry budget, and per-home-LC
-// circuit breakers that short-circuit doomed fabric sends to the
-// full-table fallback. Zero policy fields select defaults; see
-// OverloadPolicy.
-func WithRouterOverload(p OverloadPolicy) RouterOption { return router.WithOverload(p) }
+// WithRouterOverload enables overload control: each line card's inbox
+// holds queueDepth messages (<= 0 selects 1024), and mode is what
+// admission does with a lookup that finds it full — ShedDropNewest refuses
+// it (Lookup returns ErrOverloaded), ShedBlock waits for space. With it come
+// a 256-waiter cap per in-flight address, a retry budget (0.1 token per
+// successful reply, 10 at most) and per-home-LC circuit breakers that open
+// after 5 consecutive timeouts and probe again after 4 request timeouts.
+func WithRouterOverload(queueDepth int, mode ShedMode) RouterOption {
+	return router.WithOverload(queueDepth, mode)
+}
 
 // WithRouterRebalance enables the background partition rebalancer: when
-// ApplyUpdates drifts the partitioning's replication factor or per-LC
-// size skew past the policy's thresholds, the router re-selects control
-// bits over the current table and runs the full two-phase swap. Pass
-// DefaultRebalancePolicy() for the default thresholds.
-func WithRouterRebalance(p RebalancePolicy) RouterOption { return router.WithRebalance(p) }
+// ApplyUpdates drifts the partitioning's replication factor past 1.15× its
+// baseline, or per-LC sizes spread past 1.0× their mean, the router
+// re-selects control bits over the current table and runs the full
+// two-phase swap, at most once a second.
+func WithRouterRebalance() RouterOption { return router.WithRebalance() }
 
-// DefaultRebalancePolicy returns the rebalancer's default thresholds
-// (enabled, 15% replication growth, 1.0 relative size skew, 1 s minimum
-// interval between rebalances).
-func DefaultRebalancePolicy() RebalancePolicy { return router.DefaultRebalancePolicy() }
-
-// WithRouterScrub enables the online integrity scrubber: every Interval
-// it samples SamplesPerLC prefixes per line card with a rotating cursor,
-// recomputes authoritative verdicts from the canonical routing table,
-// compares them against the live engine walk and the resident cache
-// entries, evicts mismatched cache entries, and quarantines (and, with
-// AutoRepair, rebuilds) a line card whose engine keeps failing audits.
-// Pass DefaultScrubPolicy() for defaults.
-func WithRouterScrub(p ScrubPolicy) RouterOption { return router.WithScrub(p) }
-
-// DefaultScrubPolicy returns the scrubber's defaults: enabled, interval
-// of 4 health ticks, 32 samples per LC per cycle, quarantine after 1
-// confirmed engine mismatch, auto-repair on.
-func DefaultScrubPolicy() ScrubPolicy { return router.DefaultScrubPolicy() }
+// WithRouterScrub enables the online integrity scrubber: a cycle at most
+// every interval (<= 0 selects 4 health ticks) samples 32 prefixes per line
+// card with a rotating cursor, recomputes authoritative verdicts from the
+// canonical routing table, compares them against the live engine walk and
+// the resident cache entries, evicts mismatched cache entries, and
+// quarantines and rebuilds a line card whose engine fails an audit.
+func WithRouterScrub(interval time.Duration) RouterOption { return router.WithScrub(interval) }
 
 // WithRouterCorruption installs the seeded state-corruption injector:
 // engine verdict flips over poisoned address ranges, wrong values stored
