@@ -82,9 +82,9 @@ func main() {
 	churnRate := flag.Float64("churn-rate", 0, "stream BGP-style route updates at this rate (events/s) through ApplyUpdates while driving load (0 = off)")
 	corruptRate := flag.Float64("corrupt-rate", 0, "inject state corruption at this rate: engine verdict flips, wrong cache fills, dropped invalidations (0 = off)")
 	corruptSeed := flag.Uint64("corrupt-seed", 1, "seed for the deterministic corruption injector")
-	scrubInterval := flag.Duration("scrub-interval", 0, "run the online integrity scrubber this often, quarantining and rebuilding corrupted LCs (0 = off)")
+	scrubInterval := flag.Duration("scrub-interval", 0, "run the online integrity scrubber this often, replacing a corrupted LC's engine on the spot and rebuilding it (0 = off)")
 	processMetrics := flag.Bool("process-metrics", false, "also export Go process gauges (goroutines, heap bytes, GC pause) on /metrics")
-	slowLC := flag.Int("slow-lc", -1, "brown out this line card: its fabric links run at 1/slow-factor speed while heartbeats stay clean (gray-failure demo; enables detection+ejection)")
+	slowLC := flag.Int("slow-lc", -1, "brown out this line card: its fabric links run at 1/slow-factor speed while its own ticks keep it Healthy (gray-failure demo; enables detection+ejection)")
 	slowFactor := flag.Float64("slow-factor", 10, "brownout severity for -slow-lc: fabric links at 1/factor of clean speed")
 	flag.Parse()
 

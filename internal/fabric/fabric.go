@@ -72,21 +72,13 @@ func Latency(k Kind, numLCs int) int {
 	}
 }
 
-// MsgKind distinguishes lookup requests from replies and liveness
-// heartbeats.
+// MsgKind distinguishes lookup requests from replies.
 type MsgKind uint8
 
 // Message kinds.
 const (
 	Request MsgKind = iota // packet forwarded to its home LC for lookup
 	Reply                  // lookup result returned to the arrival LC
-	// Heartbeat is a liveness beat from a line card to the chassis
-	// control plane. The paper has no failure model, so it never needs
-	// one; the concurrent router's LC lifecycle machinery does — each LC
-	// emits a heartbeat per deadline-ticker period, and the health
-	// monitor demotes an LC to Suspect when several in a row go missing.
-	// Heartbeats carry no address or next hop.
-	Heartbeat
 )
 
 // String names the message kind.
@@ -96,8 +88,6 @@ func (k MsgKind) String() string {
 		return "request"
 	case Reply:
 		return "reply"
-	case Heartbeat:
-		return "heartbeat"
 	default:
 		return fmt.Sprintf("msgkind(%d)", uint8(k))
 	}

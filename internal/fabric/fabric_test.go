@@ -28,7 +28,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestMsgKindString(t *testing.T) {
-	if Request.String() != "request" || Reply.String() != "reply" || Heartbeat.String() != "heartbeat" {
+	if Request.String() != "request" || Reply.String() != "reply" {
 		t.Error("msg kind names wrong")
 	}
 	if MsgKind(9).String() == "" {

@@ -369,10 +369,10 @@ func (r *Router) missRow(lc *lineCard, w localWaiter, addr ip.Addr, kind cache.P
 		}
 	}
 	// Nothing a direct exchange cannot get past may stand between lc and home:
-	// an injector (it must see every exchange as a message), a pinned or ejected
-	// home, a breaker not closed (routeFor's calls). All of it holds for as long
-	// as lc's owner does, short of a concurrent pin or ejection.
-	if r.injector == nil && !r.genPinned(home) && !r.ejected(home) && (!r.overload || lc.ov.breakers[home].state.Load() == breakerClosed) {
+	// an injector (it must see every exchange as a message), an ejected home, a
+	// breaker not closed (routeFor's calls). All of it holds for as long as lc's
+	// owner does, short of a concurrent ejection.
+	if r.injector == nil && !r.ejected(home) && (!r.overload || lc.ov.breakers[home].state.Load() == breakerClosed) {
 		return home
 	}
 	r.parkRow(lc, w, addr, home, now)
@@ -438,7 +438,7 @@ func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, ask []fabric
 	ans, feNS := sc.answers[:0], int64(0)
 	if h := r.enter(home); h != nil {
 		h.depth = lc.depth + 1 // for what leave may find queued at h meanwhile: this run nests on lc's
-		if h.gen >= lc.gen && now-h.lastTick < int64(r.tickEvery) {
+		if h.gen >= lc.gen && now-h.lastTick.Load() < int64(r.tickEvery) {
 			if ans, feNS = r.serveRows(h, ask, nil, 0, ans); len(ans) > 0 {
 				h.stats.RepliesSent.Add(1)
 				h.handledDirect.Add(1)
@@ -645,7 +645,7 @@ func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 			}
 			reply = message{addr: rb[0].addr, fb: rb}
 		}
-		reply.kind, reply.from, reply.epoch, reply.hops, reply.start, reply.gen = mBatchReply, lc.id, m.epoch, m.hops, m.start, r.stampGen(lc, lc.gen)
+		reply.kind, reply.from, reply.epoch, reply.hops, reply.start, reply.gen = mBatchReply, lc.id, m.epoch, m.hops, m.start, lc.gen
 		lc.stats.RepliesSent.Add(1)
 		lc.post(m.from, reply)
 	}
@@ -680,11 +680,8 @@ func (r *Router) handleBatchReply(lc *lineCard, m message) {
 			// The responder computed this value before applying an update batch
 			// we have already applied (and invalidated for): the parked lookups
 			// may still observe it — they were in flight during the update
-			// window — but it must not survive as a cache entry. A pinned
-			// (quarantined) responder stays behind until it is rebuilt, so its
-			// replies are final: delivered to every waiter rather than re-driven
-			// back at it.
-			r.fillStaleRelease(lc, row.addr, row.nextHop, row.ok, m.gen, r.genPinned(m.from))
+			// window — but it must not survive as a cache entry.
+			r.fillStaleRelease(lc, row.addr, row.nextHop, row.ok, m.gen)
 			continue
 		}
 		r.fillAndRelease(lc, row.addr, row.nextHop, row.ok, cache.REM, ServedByRemote)

@@ -243,11 +243,6 @@ func testDirectPreconditions(t *testing.T, single bool) {
 		until    func() bool
 		redriven bool
 	}
-	underMu := func(r *Router, do func(lc int)) { // the health monitor's calls, made as it makes them
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		do(home)
-	}
 	for _, tc := range []struct {
 		name     string
 		opts     []Option
@@ -278,11 +273,6 @@ func testDirectPreconditions(t *testing.T, single bool) {
 			func(r *Router, _ ip.Addr) obstacle {
 				r.gray[home].degraded.Store(true)
 				return obstacle{lift: func() { r.gray[home].degraded.Store(false) }}
-			}},
-		{"home quarantined", nil, [2]ServedBy{ServedByRemote, ServedByRemote}, true, false, false,
-			func(r *Router, _ ip.Addr) obstacle {
-				underMu(r, r.quarantineLocked)
-				return obstacle{lift: func() { r.life[home].state.Store(LCHealthy) }}
 			}},
 		{"home's lock held", nil, [2]ServedBy{ServedByRemote, ServedByRemote}, true, false, false,
 			func(r *Router, _ ip.Addr) obstacle {
@@ -328,7 +318,7 @@ func testDirectPreconditions(t *testing.T, single bool) {
 		{"home's tick due", nil, [2]ServedBy{ServedByRemote, ServedByRemote}, true, false, false,
 			func(r *Router, _ ip.Addr) obstacle {
 				// Its own, not the free home's: the request's run ticks it on its way out.
-				r.own(home, func(h *lineCard) { h.lastTick = r.now() - int64(r.tickEvery) })
+				r.own(home, func(h *lineCard) { h.lastTick.Store(r.now() - int64(r.tickEvery)) })
 				return obstacle{}
 			}},
 	} {

@@ -141,8 +141,7 @@ func TestChaosKillLCBatchEquivalence(t *testing.T) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(),
 				WithFaultInjector(SeededFaults(FaultConfig{Seed: seed, DropRate: 0.10})),
-				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2),
-				WithHealthThresholds(4*time.Millisecond, 8*time.Millisecond))
+				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,7 +57,7 @@ type CorruptionPolicy struct {
 // buildEngine constructs an LC's forwarding engine from a partition
 // table, wrapping it in the corruption overlay when engine-flip injection
 // is enabled. Every engine an LC ever holds funnels through here —
-// construction, two-phase swap, crash re-home, quarantine rebuild, and
+// construction, two-phase swap, crash re-home, scrub rebuild, and
 // the non-dynamic ApplyUpdates rebuild — so injected damage stays
 // coverable (and a rebuild, which constructs a fresh overlay, implicitly
 // clears it, exactly like replacing a damaged SRAM bank).
@@ -99,7 +99,7 @@ func (r *Router) maybeInjectLocked() {
 		return
 	}
 	for i := range r.lcs {
-		if st := r.life[i].state.Load(); st == LCDown || st == LCDraining || st == LCQuarantined {
+		if st := r.health[i].state.Load(); st == LCDown || st == LCDraining {
 			continue
 		}
 		if p.MaxCorruptions > 0 && r.engineFlips.Load() >= p.MaxCorruptions {

@@ -16,21 +16,14 @@ import (
 	"spal/internal/ip"
 )
 
-// ControlLC is the pseudo line-card id of the chassis control plane, used
-// as the To of heartbeat messages seen by a FaultInjector.
-const ControlLC = -1
-
-// FabricMessage describes one message about to cross the fabric, as seen
-// by a FaultInjector.
+// FabricMessage describes one lookup message about to cross the fabric, as
+// seen by a FaultInjector. Only lookups cross it: the health monitor reads
+// each LC's tick stamp directly (see lifecycle.go), so no injector can make
+// a running LC look dead or a dead one alive.
 type FabricMessage struct {
 	// Reply is false for a lookup request travelling to a home LC, true
 	// for a result travelling back to the requester.
 	Reply bool
-	// Heartbeat marks a liveness beat from a line card to the health
-	// monitor (To == ControlLC, Addr unused). Dropping heartbeats starves
-	// the monitor and pushes the LC toward Suspect; Delay and Duplicate
-	// are ignored for beats.
-	Heartbeat bool
 	// From and To are line-card ids. For a request, From is the
 	// requester; for a reply, From is the responding home LC.
 	From, To int
@@ -118,10 +111,11 @@ type LinkFaultConfig struct {
 // LinkFaults is a per-directed-link fault matrix: each (from, to) pair
 // can carry its own drop/delay/jitter mix, so A→B can be fully
 // partitioned or browned out while B→A stays clean — the asymmetric
-// gray failures real fabrics exhibit. Decisions are drawn from a
-// seeded counter stream like SeededFaults, so a run is replayable in
-// aggregate. Safe for concurrent use; links and brownouts may be
-// reconfigured while the router is live.
+// gray failures real fabrics exhibit. Like any injector it sees lookup
+// messages only, never the health monitor's view of an LC. Decisions are
+// drawn from a seeded counter stream like SeededFaults, so a run is
+// replayable in aggregate. Safe for concurrent use; links and brownouts may
+// be reconfigured while the router is live.
 type LinkFaults struct {
 	// Nominal is the baseline one-way fabric latency used to scale
 	// SlowLC brownouts: a browned-out LC's links add
@@ -155,12 +149,11 @@ func (lf *LinkFaults) SetLink(from, to int, cfg LinkFaultConfig) {
 	lf.links[[2]int{from, to}] = cfg
 }
 
-// SlowLC puts line card i into a sustained brownout: every non-heartbeat
-// message to or from it is delayed by (factor − 1) × Nominal, i.e. its
-// fabric links run at 1/factor speed in both directions. factor ≤ 1
-// clears the brownout. Heartbeats are never slowed — a browned-out LC
-// still looks alive to the lifecycle monitor, which is exactly what
-// makes the failure "gray".
+// SlowLC puts line card i into a sustained brownout: every message to or
+// from it is delayed by (factor − 1) × Nominal, i.e. its fabric links run at
+// 1/factor speed in both directions. factor ≤ 1 clears the brownout. The
+// LC's own ticks are untouched — a browned-out LC still looks alive to the
+// lifecycle monitor, which is exactly what makes the failure "gray".
 func (lf *LinkFaults) SlowLC(i int, factor float64) {
 	lf.mu.Lock()
 	defer lf.mu.Unlock()
@@ -188,12 +181,6 @@ func (lf *LinkFaults) Injector() FaultInjector {
 		}
 		nominal := lf.Nominal
 		lf.mu.RUnlock()
-		if m.Heartbeat {
-			// Brownout spares heartbeats (see SlowLC); explicit link
-			// faults still apply so a heartbeat-starving partition
-			// remains expressible.
-			factor = 0
-		}
 		if !hasLink && factor == 0 {
 			return d
 		}

@@ -2,7 +2,7 @@
 //
 // The failure model here is the one the lifecycle and integrity planes
 // cannot see: a line card (or the fabric path to it) that is alive,
-// heartbeating, and answering *correctly* — just slowly. No deadline
+// ticking, and answering *correctly* — just slowly. No deadline
 // necessarily fires (the brownout may sit well under RequestTimeout), no
 // scrub mismatch appears, yet every remote lookup homed on the browned
 // element drags the router-wide tail. Two mechanisms close the gap:
@@ -124,7 +124,7 @@ func (r *Router) maybeGrayLocked() {
 		if len(buf) < grayMinSamples {
 			continue
 		}
-		if st := r.life[i].state.Load(); st == LCDown || st == LCDraining {
+		if st := r.health[i].state.Load(); st == LCDown || st == LCDraining {
 			continue
 		}
 		scored, p50s = append(scored, int64(i)), append(p50s, p50)

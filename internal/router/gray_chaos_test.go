@@ -1,4 +1,4 @@
-// Gray-failure chaos tests: a line card that is alive, heartbeating and
+// Gray-failure chaos tests: a line card that is alive, ticking and
 // answering correctly — just slowly — must be detected by the RTT
 // scorer, mitigated by outlier ejection, and must never be confused with
 // a dead LC (lifecycle) or a corrupted one (integrity). CI's gray-chaos
@@ -27,11 +27,11 @@ import (
 // TestGrayAsymmetricPartition: the 0→1 directed link drops everything
 // while 1→0 stays clean — the classic one-way fiber fault. Every lookup
 // must still resolve to the oracle verdict (retry → fallback), and because
-// heartbeats ride the control plane, neither endpoint may be demoted out of
-// Healthy. The health
-// windows are set well above Go's 10 ms preemption quantum rather than
-// left at the 2 ms request timeout: the claim is about data-plane faults,
-// not about the monitor and the callers never being descheduled for a few ms.
+// the monitor reads each LC's own tick stamp, neither endpoint may be demoted
+// out of Healthy. The suspect window is the 50 ms floor, well above Go's
+// 10 ms preemption quantum rather than the 2 ms request timeout: the claim is
+// about data-plane faults, not about the monitor and the callers never being
+// descheduled for a few ms.
 func TestGrayAsymmetricPartition(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	oracle := lpm.NewReference(tbl)
@@ -42,7 +42,6 @@ func TestGrayAsymmetricPartition(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(),
 				WithFaultInjector(lf.Injector()),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(1),
-				WithHealthThresholds(50*time.Millisecond, 100*time.Millisecond),
 				WithGray())
 			if err != nil {
 				t.Fatal(err)
@@ -83,7 +82,7 @@ func TestGrayAsymmetricPartition(t *testing.T) {
 
 			// The partition must have been survivable without demoting
 			// either endpoint: requests 0→1 (and replies 0→1) vanished,
-			// but both cards kept heartbeating over the control plane.
+			// but both cards kept ticking.
 			for i, st := range r.LCStates() {
 				if st != LCHealthy {
 					t.Errorf("LC %d left Healthy (%s) under a data-plane-only partition", i, st)
@@ -166,9 +165,9 @@ func TestGrayBrownoutHeadline(t *testing.T) {
 
 			// Lifecycle watchdog: a brownout must never read as a crash.
 			// Only Down counts — Suspect is the monitor's documented
-			// transient for late beats (a -race scheduler stall can fake
-			// one) and heals itself when beats resume; Down requires a
-			// provably exited goroutine, which a browned-out LC never is.
+			// transient for a late tick (a -race scheduler stall can fake
+			// one) and heals itself at the next; Down requires a crash,
+			// which a browned-out LC never is.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -407,9 +406,6 @@ func TestGrayEjectRestoreLifecycle(t *testing.T) {
 	r, err := New(tbl, WithLCs(4), WithoutCache(),
 		WithFaultInjector(lf.Injector()),
 		WithRequestTimeout(8*time.Millisecond),
-		// Above the scheduler's preemption quantum, as in
-		// TestGrayAsymmetricPartition: only a fault may demote an LC.
-		WithHealthThresholds(50*time.Millisecond, 100*time.Millisecond),
 		WithGray())
 	if err != nil {
 		t.Fatal(err)

@@ -35,17 +35,24 @@ func lcStateSeries(t *testing.T, s *metrics.Snapshot) map[string]float64 {
 }
 
 // TestLCStateGaugeReconciles pins the lifecycle gauge to the state
-// machine through kill, rebirth, drain and restore: exactly ψ series at
-// every step, each equal to the matching LCStates entry.
+// machine through a wedge, kill, rebirth, drain and restore: exactly ψ
+// series at every step, each equal to the matching LCStates entry. The
+// hour-long timeout keeps the monitor's ticker out; the test runs its
+// period by hand, against an injected clock for the wedge.
 func TestLCStateGaugeReconciles(t *testing.T) {
 	const psi = 4
-	r, err := New(rtable.Small(1000, 11), WithLCs(psi),
-		WithRequestTimeout(4*time.Millisecond),
-		WithHealthThresholds(4*time.Millisecond, 8*time.Millisecond))
+	r, err := New(rtable.Small(1000, 11), WithLCs(psi), WithRequestTimeout(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Stop()
+	base := r.now()
+	var ahead int64
+	r.clock = func() int64 { return base + ahead }
+	period := func() {
+		r.sweep()
+		r.healthCheck(r.now())
+	}
 
 	reconcile := func(step string) {
 		t.Helper()
@@ -67,16 +74,33 @@ func TestLCStateGaugeReconciles(t *testing.T) {
 
 	reconcile("fresh")
 
+	// LC 3 wedged past the window: the sweep cannot tick it.
+	h := r.lcs[3]
+	h.mu.Lock()
+	ahead += int64(r.suspectAfter)
+	period()
+	r.leave(h, 0)
+	if st := r.LCStates()[3]; st != LCSuspect {
+		t.Fatalf("wedged LC 3 is %s, want suspect", st)
+	}
+	reconcile("while suspect")
+	period()
+	if st := r.LCStates()[3]; st != LCHealthy {
+		t.Fatalf("LC 3 is %s once ticked again, want healthy", st)
+	}
+
 	if err := r.KillLC(2); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "LC 2 down", func() bool { return r.LCStates()[2] == LCDown })
+	period()
+	if st := r.LCStates()[2]; st != LCDown {
+		t.Fatalf("killed LC 2 is %s after a check, want down", st)
+	}
 	reconcile("after kill")
 
 	if err := r.RestoreLC(2); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "LC 2 reborn healthy", func() bool { return r.LCStates()[2] == LCHealthy })
 	reconcile("after rebirth")
 
 	if err := r.DrainLC(1); err != nil {
@@ -87,6 +111,5 @@ func TestLCStateGaugeReconciles(t *testing.T) {
 	if err := r.RestoreLC(1); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "LC 1 restored", func() bool { return r.LCStates()[1] == LCHealthy })
 	reconcile("after restore")
 }

@@ -7,10 +7,10 @@
 // snapshot the router holds. The lifecycle subsystem turns LC failure and
 // maintenance into first-class events:
 //
-//	          beats resume
+//	          tick fresh
 //	    ┌─────────────────────┐
 //	    ▼                     │
-//	HEALTHY ──beats missed──▶ SUSPECT ──missed ∧ crashed──▶ DOWN
+//	HEALTHY ──tick stale────▶ SUSPECT ──────not live──────▶ DOWN
 //	    │                         │                          │ ▲
 //	    │ DrainLC          DrainLC│        RestoreLC         │ │ KillLC /
 //	    ▼                         ▼      ┌───────────────────┘ │ crash
@@ -18,13 +18,16 @@
 //	    │        RestoreLC            HEALTHY ─────────────────┘
 //	    └────────────────────────────▶
 //
-// Heartbeats piggyback on the per-LC deadline tick and cross the
-// (virtual) fabric, so an installed FaultInjector can drop them: a few
-// consecutive losses demote the LC to Suspect, resumed beats heal it.
-// Down is deliberately stricter than Suspect: the health monitor only
-// declares an LC dead once it is not live (the crash) and the monitor has
-// had its lock, never on missed beats alone — re-homing a partition away
-// from an owner that might still be running would be a split-brain.
+// The monitor reads state the router already holds. Suspect ages each LC's
+// tick stamp (lineCard.lastTick): whoever owns a live LC ticks it when one is
+// due, the monitor's sweep included, so a stamp suspectAfter old means the
+// LC's lock has been held that long — a wedged handler. suspectAfter is the
+// request timeout, floored at 50 ms, five 10 ms preemption quanta: below
+// that, an LC the scheduler merely preempted would be suspected. A fresh
+// stamp heals it. Down waits for nothing but the live flag KillLC clears: the
+// first check that finds the slot not live declares it, and a stale stamp
+// alone never does — re-homing a partition away from an owner that might
+// still be running would be a split-brain.
 //
 // When an LC goes Down the router recomputes the partitioning over the
 // survivors (partition.Subset, ψ−1 pattern folding), adopts the dead
@@ -37,10 +40,8 @@
 // existed at drain time has resolved — no lookup is ever dropped or
 // expired by an admin drain.
 //
-// A fifth state, QUARANTINED, is entered from Healthy/Suspect by the
-// integrity scrubber rather than by the health monitor: the LC's
-// forwarding state disagreed with the canonical table. It leaves via a
-// self-healing rebuild, RestoreLC, or any full swap; see scrub.go.
+// Integrity repair (scrub.go) is an action, not a state: an LC whose engine
+// fails an audit has it replaced on the spot and rebuilt, and stays Healthy.
 package router
 
 import (
@@ -65,11 +66,12 @@ type LCState uint8
 
 // LC lifecycle states.
 const (
-	// LCHealthy: the LC heartbeats on time and owns its ROT-partition.
+	// LCHealthy: the LC is ticked on time and owns its ROT-partition.
 	LCHealthy LCState = iota
-	// LCSuspect: heartbeats have been missing for at least the suspect
-	// window. The LC keeps its partition (fabric loss can fake this);
-	// lookups homed on it ride the deadline/retry/fallback machinery.
+	// LCSuspect: the LC has not been ticked for at least the suspect
+	// window, its lock held all along. It keeps its partition (a long
+	// handler can look like this); lookups homed on it ride the
+	// deadline/retry/fallback machinery.
 	LCSuspect
 	// LCDown: the LC crashed (KillLC) and its partition has
 	// been re-homed onto the survivors. The slot keeps accepting arrival
@@ -78,19 +80,11 @@ const (
 	// LCDraining: an administrator called DrainLC; the partition has been
 	// re-homed and the LC is quiescing (or has quiesced) its waitlists.
 	LCDraining
-	// LCQuarantined: the integrity scrubber found the LC's forwarding
-	// state disagreeing with the canonical table (see scrub.go). The LC
-	// keeps its partition and keeps serving — but its replies leave
-	// stamped with generation zero, so the generation guard keeps every
-	// one of them out of peer caches. The scrubber's rebuild, which
-	// follows at once, RestoreLC, or any full partitioning swap returns it
-	// to LCHealthy.
-	LCQuarantined
 )
 
 // lcStateNames are the wire/report names, used by String and the
 // spal_router_lc_state gauge documentation.
-var lcStateNames = [...]string{"healthy", "suspect", "down", "draining", "quarantined"}
+var lcStateNames = [...]string{"healthy", "suspect", "down", "draining"}
 
 // String implements fmt.Stringer.
 func (s LCState) String() string {
@@ -100,41 +94,24 @@ func (s LCState) String() string {
 	return fmt.Sprintf("LCState(%d)", uint8(s))
 }
 
-// Lifecycle defaults: an LC is Suspect after one request-timeout without
-// a heartbeat (an LC is ticked every timeout/4, so ~3 missed beats) and
-// eligible for Down after two.
-const (
-	defaultSuspectFactor = 1 // × RequestTimeout
-	defaultDownFactor    = 2 // × RequestTimeout
-)
+// suspectFloor is the least suspect window: five 10 ms preemption quanta.
+// The window is max(RequestTimeout, suspectFloor).
+const suspectFloor = 50 * time.Millisecond
 
-// lcLife is the control-plane view of one line-card slot, both atomics
-// (read by Metrics and the health monitor without locks). lastBeat is a
-// reading of Router.now, like every stamp the LC's owners hold: the monitor
-// ages it against the same clock, so a step of the wall clock moves nothing.
-type lcLife struct {
-	state    atomicLCState
-	lastBeat atomic.Int64
-}
-
-// beat records one heartbeat from an LC, routed through the fault
-// injector like any other fabric message (To == ControlLC): a dropped
-// beat is simply never recorded, and enough consecutive losses push the
-// LC to Suspect until beats resume.
-func (r *Router) beat(id int, now int64) {
-	if r.injector != nil {
-		if r.injector(FabricMessage{Heartbeat: true, From: id, To: ControlLC}).Drop {
-			return
-		}
-	}
-	r.life[id].lastBeat.Store(now)
+// lcHealth is the control plane's record of one line-card slot: its
+// lifecycle state, written by the monitor and the admin calls under
+// Router.mu and read from anywhere, and its integrity bookkeeping (see
+// lcScrub).
+type lcHealth struct {
+	state atomicLCState
+	lcScrub
 }
 
 // healthLoop is the router's one goroutine and its only ticker: every period
-// it sweeps the LCs, then reads the clock and judges the beats. Not at the
-// tick's own timestamp: that is when it fired, and this goroutine may have
-// waited a preemption quantum or more for a P since, while owners went on
-// recording beats.
+// it sweeps the LCs, then reads the clock and judges the tick stamps. Not at
+// the ticker's own timestamp: that is when it fired, and this goroutine may
+// have waited a preemption quantum or more for a P since, while owners went
+// on ticking.
 func (r *Router) healthLoop() {
 	defer r.wg.Done()
 	tick := time.NewTicker(r.tickEvery)
@@ -151,7 +128,7 @@ func (r *Router) healthLoop() {
 }
 
 // sweep owns each live LC it finds free, for what no caller came by to do:
-// leave ticks an idle LC (heartbeat, deadline sweep) and serves what a
+// leave ticks an idle LC (deadline sweep, tick stamp) and serves what a
 // departed owner left in its queue. It never waits for a lock — a wedged LC
 // is to go Suspect, not to wedge the monitor.
 func (r *Router) sweep() {
@@ -163,9 +140,9 @@ func (r *Router) sweep() {
 	}
 }
 
-// healthCheck sweeps the heartbeat clocks at now, a reading of Router.now:
-// it demotes silent LCs to Suspect, heals Suspects whose beats resumed, and
-// re-homes LCs that are both silent and crashed.
+// healthCheck judges the LCs at now, a reading of Router.now: it demotes an
+// LC whose tick stamp is suspectAfter old to Suspect, heals a Suspect whose
+// stamp is fresh again, and re-homes every slot it finds not live.
 func (r *Router) healthCheck(now int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -173,23 +150,22 @@ func (r *Router) healthCheck(now int64) {
 		return
 	}
 	var dead []int
-	for i, l := range r.life {
-		st := l.state.Load()
+	for i, h := range r.health {
+		st := h.state.Load()
 		if st == LCDown {
 			continue
 		}
-		crashed := !r.lcs[i].live.Load()
-		age := time.Duration(now - l.lastBeat.Load())
-		if age >= r.downAfter && crashed {
+		if !r.lcs[i].live.Load() {
 			dead = append(dead, i)
 			continue
 		}
+		age := time.Duration(now - r.lcs[i].lastTick.Load())
 		switch {
 		case st == LCHealthy && age >= r.suspectAfter:
-			l.state.Store(LCSuspect)
+			h.state.Store(LCSuspect)
 			r.suspects.Add(1)
 		case st == LCSuspect && age < r.suspectAfter:
-			l.state.Store(LCHealthy)
+			h.state.Store(LCHealthy)
 		}
 	}
 	for _, i := range dead {
@@ -207,8 +183,7 @@ func (r *Router) healthCheck(now int64) {
 // waits out a handler some caller may still be running from before the
 // kill, and no new one can start until the adoption below is complete.
 func (r *Router) rehomeLocked(dead int) {
-	l := r.life[dead]
-	l.state.Store(LCDown)
+	r.health[dead].state.Store(LCDown)
 	alive := r.aliveLCsLocked()
 	if len(alive) == 0 {
 		// Everything else is down or draining: the reborn shell inherits
@@ -228,7 +203,6 @@ func (r *Router) rehomeLocked(dead int) {
 	lc.homeOf = part.HomeLC
 	lc.epoch++
 	lc.gen = r.gen // the shell's engine is built from the current table
-	r.scrub[dead].streak.Store(0)
 	if lc.cache != nil {
 		lc.cache.Flush()
 	}
@@ -238,8 +212,7 @@ func (r *Router) rehomeLocked(dead int) {
 	// Rebirth: the slot is live again and forwards arrival traffic to the new
 	// homes — first what buffered in its queue since the crash, which this
 	// leave serves. Not past a Stop, which may have cleared live a moment ago.
-	lc.lastTick = r.now()
-	l.lastBeat.Store(lc.lastTick)
+	lc.lastTick.Store(r.now())
 	lc.live.Store(true)
 	if r.stopped.Load() {
 		lc.live.Store(false)
@@ -281,14 +254,12 @@ func (r *Router) rehomeLocked(dead int) {
 	r.part = part
 }
 
-// aliveLCsLocked returns the LCs that currently own partitions (Healthy,
-// Suspect — a Suspect may just be behind a lossy fabric — or Quarantined,
-// which still serves while its replies are fenced out of peer caches).
-// r.mu must be held.
+// aliveLCsLocked returns the LCs that currently own partitions: Healthy or
+// Suspect, which may just be running a long handler. r.mu must be held.
 func (r *Router) aliveLCsLocked() []int {
 	var out []int
-	for i, l := range r.life {
-		if st := l.state.Load(); st == LCHealthy || st == LCSuspect || st == LCQuarantined {
+	for i, h := range r.health {
+		if st := h.state.Load(); st == LCHealthy || st == LCSuspect {
 			out = append(out, i)
 		}
 	}
@@ -298,9 +269,9 @@ func (r *Router) aliveLCsLocked() []int {
 // LCStates returns every line card's current lifecycle state, indexed by
 // LC id.
 func (r *Router) LCStates() []LCState {
-	out := make([]LCState, len(r.life))
-	for i, l := range r.life {
-		out[i] = l.state.Load()
+	out := make([]LCState, len(r.health))
+	for i, h := range r.health {
+		out[i] = h.state.Load()
 	}
 	return out
 }
@@ -308,10 +279,10 @@ func (r *Router) LCStates() []LCState {
 // KillLC crashes line card lc: it stops serving mid-stream exactly as
 // a hardware fault would stop a real card, losing its engine and cache
 // but not the fabric-buffered messages addressed to it. The health
-// monitor notices the missing heartbeats, declares the LC Down, re-homes
-// its partition onto the survivors and replays its parked lookups; every
-// in-flight lookup still terminates with a correct verdict. Chaos-test
-// hook first, admin tool second.
+// monitor's next check declares the LC Down, re-homes its partition onto
+// the survivors and replays its parked lookups; every in-flight lookup
+// still terminates with a correct verdict. Chaos-test hook first, admin
+// tool second.
 func (r *Router) KillLC(lc int) error {
 	if lc < 0 || lc >= r.cfg.NumLCs {
 		return fmt.Errorf("router: no such LC %d", lc)
@@ -321,8 +292,7 @@ func (r *Router) KillLC(lc int) error {
 	if r.stopped.Load() {
 		return ErrStopped
 	}
-	l := r.life[lc]
-	if l.state.Load() == LCDown {
+	if r.health[lc].state.Load() == LCDown {
 		return fmt.Errorf("router: LC %d is already down", lc)
 	}
 	// From here no handler starts at this slot, inline or from its queue:
@@ -347,8 +317,8 @@ func (r *Router) DrainLC(lc int) error {
 		r.mu.Unlock()
 		return ErrStopped
 	}
-	l := r.life[lc]
-	switch l.state.Load() {
+	h := r.health[lc]
+	switch h.state.Load() {
 	case LCDraining:
 		r.mu.Unlock()
 		return fmt.Errorf("router: LC %d is already draining", lc)
@@ -356,11 +326,11 @@ func (r *Router) DrainLC(lc int) error {
 		r.mu.Unlock()
 		return fmt.Errorf("router: LC %d is down", lc)
 	}
-	start := time.Now()
-	l.state.Store(LCDraining)
+	start := r.now()
+	h.state.Store(LCDraining)
 	alive := r.aliveLCsLocked()
 	if len(alive) == 0 {
-		l.state.Store(LCHealthy)
+		h.state.Store(LCHealthy)
 		r.mu.Unlock()
 		return fmt.Errorf("router: cannot drain LC %d, it is the last active LC", lc)
 	}
@@ -392,7 +362,7 @@ func (r *Router) DrainLC(lc int) error {
 		}
 	}
 	r.drains.Add(1)
-	r.drainDur.ObserveDuration(time.Since(start))
+	r.drainDur.ObserveDuration(time.Duration(r.now() - start))
 	return nil
 }
 
@@ -409,12 +379,11 @@ func (r *Router) pendingAddrs(i int) map[ip.Addr]struct{} {
 	return m
 }
 
-// RestoreLC returns a drained, down, or quarantined line card to
-// service: the partitioning is recomputed over the enlarged alive set
-// and swapped in two phases, after which the LC owns a ROT-partition
-// again. For a Down LC this restores the shell its adoption revived, so
-// no separate "replace card" call is needed. For a Quarantined LC the swap
-// rebuilds its engine from the canonical table: the manual repair path.
+// RestoreLC returns a drained or down line card to service: the
+// partitioning is recomputed over the enlarged alive set and swapped in two
+// phases, after which the LC owns a ROT-partition again. For a Down LC this
+// restores the shell its adoption revived, so no separate "replace card"
+// call is needed.
 func (r *Router) RestoreLC(lc int) error {
 	if lc < 0 || lc >= r.cfg.NumLCs {
 		return fmt.Errorf("router: no such LC %d", lc)
@@ -424,12 +393,11 @@ func (r *Router) RestoreLC(lc int) error {
 	if r.stopped.Load() {
 		return ErrStopped
 	}
-	l := r.life[lc]
-	if st := l.state.Load(); st == LCHealthy || st == LCSuspect {
+	h := r.health[lc]
+	if st := h.state.Load(); st == LCHealthy || st == LCSuspect {
 		return fmt.Errorf("router: LC %d is %s, nothing to restore", lc, st)
 	}
-	l.lastBeat.Store(r.now()) // fresh grace period before suspicion
-	l.state.Store(LCHealthy)
+	h.state.Store(LCHealthy)
 	part := partition.Subset(r.part.Full(), r.cfg.NumLCs, r.aliveLCsLocked())
 	if err := r.swapPartitioning(part); err != nil {
 		return err

@@ -22,7 +22,7 @@ import (
 
 // TestChaosKillLCUnderFaults is the lifecycle acceptance check: a line
 // card is crashed mid-traffic while a seeded injector drops 10% of fabric
-// messages (heartbeats included). Every lookup — submitted before, during
+// messages. Every lookup — submitted before, during
 // and after the crash, at every LC including the dead one — must still
 // return the reference-LPM verdict; none may be lost. Afterwards the
 // partition must be re-homed onto the survivors.
@@ -33,8 +33,7 @@ func TestChaosKillLCUnderFaults(t *testing.T) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(),
 				WithFaultInjector(SeededFaults(FaultConfig{Seed: seed, DropRate: 0.10})),
-				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2),
-				WithHealthThresholds(4*time.Millisecond, 8*time.Millisecond))
+				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,8 +113,7 @@ func TestKillLCRehomeProperty(t *testing.T) {
 	tbl := rtable.Small(2000, 19)
 	oracle := lpm.NewReference(tbl)
 	r, err := New(tbl, WithLCs(4),
-		WithRequestTimeout(4*time.Millisecond),
-		WithHealthThresholds(4*time.Millisecond, 8*time.Millisecond))
+		WithRequestTimeout(4*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +254,7 @@ func TestDrainLCGraceful(t *testing.T) {
 // TestLifecycleAdminErrors pins the admin API's error contract.
 func TestLifecycleAdminErrors(t *testing.T) {
 	tbl := rtable.Small(500, 3)
-	r, err := New(tbl, WithLCs(2), WithRequestTimeout(4*time.Millisecond),
-		WithHealthThresholds(4*time.Millisecond, 8*time.Millisecond))
+	r, err := New(tbl, WithLCs(2), WithRequestTimeout(4*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,76 +294,69 @@ func TestLifecycleAdminErrors(t *testing.T) {
 	}
 }
 
-// TestHeartbeatLossSuspectsButNeverDowns: a fabric that eats every
-// heartbeat pushes a *running* LC to Suspect — and no further, because
-// Down additionally requires the LC to have crashed. Resumed beats
-// heal the LC.
-func TestHeartbeatLossSuspectsButNeverDowns(t *testing.T) {
-	var eatBeats atomic.Bool
-	eatBeats.Store(true)
-	inj := func(m FabricMessage) FaultDecision {
-		return FaultDecision{Drop: m.Heartbeat && eatBeats.Load()}
-	}
+// TestWedgedLCSuspectsButNeverDowns: an LC whose lock is held past the
+// suspect window — a wedged handler, as the "home's lock held" row of
+// TestBatchDirectPreconditions holds it — goes Suspect and no further,
+// because Down requires a crash. A lookup at the other LC still answers
+// meanwhile, and once the lock goes the wedged LC heals.
+func TestWedgedLCSuspectsButNeverDowns(t *testing.T) {
 	tbl := rtable.Small(500, 5)
-	r, err := New(tbl, WithLCs(2), WithFaultInjector(inj),
-		WithRequestTimeout(4*time.Millisecond),
-		WithHealthThresholds(4*time.Millisecond, 8*time.Millisecond))
+	oracle := lpm.NewReference(tbl)
+	r, err := New(tbl, WithLCs(2), WithRequestTimeout(4*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Stop()
+	addr := remoteAddrs(t, r, tbl, stats.NewRNG(1), 0, 1)[0]
 
-	waitFor(t, "both LCs suspect", func() bool {
-		st := r.LCStates()
-		return st[0] == LCSuspect && st[1] == LCSuspect
-	})
-	// Starved long past downAfter, still only Suspect: lookups keep
-	// resolving and nothing is re-homed.
-	time.Sleep(20 * time.Millisecond)
-	for _, st := range r.LCStates() {
-		if st == LCDown {
-			t.Fatal("heartbeat loss alone must never declare an LC down")
-		}
+	h := r.lcs[0]
+	h.mu.Lock() // ended as every ownership is (leave), below
+	waitFor(t, "LC 0 suspect", func() bool { return r.LCStates()[0] == LCSuspect })
+	// Wedged for twice the window more, still only Suspect: the lookup homed
+	// on it answers (from the fallback) and nothing is re-homed.
+	time.Sleep(2 * r.suspectAfter)
+	if v, err := r.Lookup(1, addr); err != nil || !verdictMatches(v, oracle, addr) {
+		t.Fatalf("lookup at LC 1 while LC 0 is wedged: %+v, %v", v, err)
 	}
-	if v, err := r.Lookup(0, tbl.RandomMatchedAddr(stats.NewRNG(1))); err != nil || !v.OK {
-		t.Fatalf("suspect router lost a lookup: %+v, %v", v, err)
+	if st := r.LCStates(); st[0] != LCSuspect || st[1] != LCHealthy {
+		t.Fatalf("states %v while LC 0 is wedged, want [suspect healthy]", st)
+	}
+	if n := r.rehomes.Load(); n != 0 {
+		t.Fatalf("%d re-homes of a wedged LC: a stale tick alone must never declare it down", n)
 	}
 
-	eatBeats.Store(false)
-	waitFor(t, "both LCs healed", func() bool {
-		st := r.LCStates()
-		return st[0] == LCHealthy && st[1] == LCHealthy
-	})
+	r.leave(h, 0)
+	waitFor(t, "LC 0 healed", func() bool { return r.LCStates()[0] == LCHealthy })
 	s := r.Metrics()
-	if s.Sum(MetricSuspects) < 2 {
-		t.Errorf("suspect transitions = %v, want >= 2", s.Sum(MetricSuspects))
+	if s.Sum(MetricSuspects) < 1 {
+		t.Errorf("suspect transitions = %v, want >= 1", s.Sum(MetricSuspects))
 	}
 	if s.Sum(MetricRehomes) != 0 {
 		t.Errorf("rehomes = %v, want 0", s.Sum(MetricRehomes))
 	}
 }
 
-// TestHeartbeatClock: the monitor ages beats on the clock they were stamped
-// with, Router.now, and no other. The hour-long timeout keeps the monitor's
-// own ticker out; its period is run by hand against an injected clock. With
-// that clock frozen and real time passing nothing has aged, so no LC leaves
+// TestHealthCheckClock: the monitor ages tick stamps on the clock they were
+// stamped with, Router.now, and no other. The hour-long timeout keeps the
+// monitor's own ticker out; its period is run by hand against an injected
+// clock, and the suspect window is set by hand far below the real time the
+// test lets pass. With that clock frozen nothing has aged, so no LC leaves
 // Healthy (stamped on one clock and aged on the wall's, all would go Suspect
-// — as they would for good after a wall-clock step). With it advanced past
-// DownAfter a killed LC is re-homed on the next check and the live ones, ticked
-// by the sweep first, stay Healthy; RestoreLC's grace period is stamped on the
-// same clock, so the restored LC is Healthy on the check after.
-func TestHeartbeatClock(t *testing.T) {
-	const suspectAfter, downAfter = 2 * time.Millisecond, 4 * time.Millisecond
-	r, err := New(rtable.Small(500, 5), WithLCs(3), WithRequestTimeout(time.Hour),
-		WithHealthThresholds(suspectAfter, downAfter))
+// — as they would for good after a wall-clock step). A killed LC is re-homed
+// at the very next check, the clock still frozen; with it then advanced an
+// hour the live LCs, the restored one included, are ticked by the sweep
+// before they are judged, and stay Healthy.
+func TestHealthCheckClock(t *testing.T) {
+	r, err := New(rtable.Small(500, 5), WithLCs(3), WithRequestTimeout(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Stop()
+	r.suspectAfter = 2 * time.Millisecond
 	// The frozen clock starts at the reading New stamped every LC's first
-	// beat with: a reading taken here instead would already be a beat's age
-	// later, more than suspectAfter when a busy host takes the CPU away.
-	frozen := r.life[0].lastBeat.Load()
+	// tick with: a reading taken here instead would already be a stamp's age
+	// later, more than the window when a busy host takes the CPU away.
+	frozen := r.lcs[0].lastTick.Load()
 	var ahead int64
 	r.clock = func() int64 { return frozen + ahead }
 	period := func(want ...LCState) {
@@ -379,19 +369,18 @@ func TestHeartbeatClock(t *testing.T) {
 			}
 		}
 	}
-	time.Sleep(3 * suspectAfter)
+	time.Sleep(3 * r.suspectAfter)
 	period(LCHealthy, LCHealthy, LCHealthy)
 	if n := r.suspects.Load(); n != 0 {
 		t.Errorf("%d Healthy→Suspect demotions with the router's clock standing still", n)
 	}
 
 	crash(t, r, 1)
-	period(LCHealthy, LCHealthy, LCHealthy) // crashed, but not silent for long enough
-	ahead = int64(time.Hour)
 	period(LCHealthy, LCDown, LCHealthy)
 	if err := r.RestoreLC(1); err != nil {
 		t.Fatal(err)
 	}
+	ahead = int64(time.Hour)
 	period(LCHealthy, LCHealthy, LCHealthy)
 	if n := r.suspects.Load(); n != 0 {
 		t.Errorf("%d Healthy→Suspect demotions, want none: every live LC is ticked before it is judged", n)
@@ -588,13 +577,13 @@ func crash(t *testing.T, r *Router, i int) {
 // revived slot to apply on top of what the adoption installs, and
 // never waited for. UpdateTable and ApplyUpdates both return while the slot
 // is still a corpse, and once it is adopted it serves the table as it is by
-// then, both changes in it.
+// then, both changes in it. The hour-long timeout keeps the monitor's ticker
+// out: the test runs the check that adopts the slot itself.
 func TestControlSkipsDeadSlot(t *testing.T) {
 	t1 := rtable.Small(1500, 7)
 	t2 := rtable.Small(1500, 8)
 	o1, o2 := lpm.NewReference(t1), lpm.NewReference(t2)
-	r, err := New(t1, WithLCs(2), WithDefaultCache(),
-		WithHealthThresholds(300*time.Millisecond, 600*time.Millisecond))
+	r, err := New(t1, WithLCs(2), WithDefaultCache(), WithRequestTimeout(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,9 +617,10 @@ func TestControlSkipsDeadSlot(t *testing.T) {
 		t.Fatal("the slot was adopted before the control calls returned: they were meant to find it dead")
 	}
 
-	waitFor(t, "the monitor to adopt the slot", func() bool {
-		return r.LCStates()[dead] == LCDown && r.lcs[dead].live.Load()
-	})
+	r.healthCheck(r.now())
+	if r.LCStates()[dead] != LCDown || !r.lcs[dead].live.Load() {
+		t.Fatalf("LC %d is %s, live %v after the check: want it adopted", dead, r.LCStates()[dead], r.lcs[dead].live.Load())
+	}
 	cur := lpm.NewReference(t2.ApplyAll(batch))
 	for lc := 0; lc < 2; lc++ {
 		v, err := r.Lookup(lc, addr)
@@ -644,10 +634,10 @@ func TestControlSkipsDeadSlot(t *testing.T) {
 // TestMetricsWhileLCDead: a scrape takes each LC's lock, which a dead LC's
 // goroutine is not needed for — Metrics returns at once with an LC crashed
 // and not yet declared Down (which is when an operator scrapes), the corpse's
-// cache counters in it.
+// cache counters in it. The hour-long timeout keeps the monitor's ticker,
+// and so the adoption, out.
 func TestMetricsWhileLCDead(t *testing.T) {
-	r, err := New(rtable.Small(1500, 7), WithLCs(2), WithDefaultCache(),
-		WithHealthThresholds(2*time.Second, 3*time.Second))
+	r, err := New(rtable.Small(1500, 7), WithLCs(2), WithDefaultCache(), WithRequestTimeout(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,12 +217,12 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		s.Counter(MetricStaleGen, "Fabric replies delivered but kept out of the cache by the generation guard.", float64(lc.stats.StaleGenReplies.Load()), lbl)
 		s.Gauge(MetricWaitlistDepth, "Addresses with lookups parked awaiting a result.", float64(lc.pendingDepth.Load()), lbl)
 		s.Gauge(MetricWaiters, "Individual lookups (local + remote) parked in this LC's waitlists.", float64(lc.waiters.Load()), lbl)
-		s.Gauge(MetricLCState, "Line-card lifecycle state: 0=healthy 1=suspect 2=down 3=draining 4=quarantined.", float64(r.life[i].state.Load()), lbl)
+		s.Gauge(MetricLCState, "Line-card lifecycle state: 0=healthy 1=suspect 2=down 3=draining.", float64(r.health[i].state.Load()), lbl)
 		hits += float64(lc.stats.CacheHits.Load())
 		probes += float64(lc.stats.Lookups.Load())
 
 		if r.scrubEvery != 0 || r.corruptPol.Enabled {
-			sc := r.scrub[i]
+			sc := r.health[i]
 			s.Counter(MetricScrubSamples, "Engine verdicts the integrity scrubber re-verified at this LC.",
 				float64(sc.samples.Load()), lbl)
 			s.Counter(MetricIntegrityMismatches, "Scrub mismatches against the canonical table, by state kind.",
@@ -314,8 +314,8 @@ func (r *Router) Metrics() *metrics.Snapshot {
 	s.Hist(MetricDrainDuration, "DrainLC wall time in nanoseconds, partition swap through quiescence.", r.drainDur.Snapshot())
 	if r.scrubEvery != 0 || r.corruptPol.Enabled {
 		s.Counter(MetricScrubCycles, "Completed integrity scrub cycles.", float64(r.scrubCycles.Load()))
-		s.Counter(MetricQuarantines, "Line cards quarantined by the integrity scrubber.", float64(r.quarantines.Load()))
-		s.Counter(MetricRebuilds, "Self-healing LC rebuilds (fresh engine + rekey) after quarantine.", float64(r.rebuilds.Load()))
+		s.Counter(MetricQuarantines, "Damaged engines the integrity scrubber found, each replaced on the spot and rebuilt.", float64(r.quarantines.Load()))
+		s.Counter(MetricRebuilds, "Self-healing LC rebuilds (fresh engine + rekey) after a damaged engine was found.", float64(r.rebuilds.Load()))
 		var wrongFills, droppedInv float64
 		for _, cs := range r.corruptStores {
 			wrongFills += float64(cs.WrongFills())

@@ -87,8 +87,8 @@ func WithMaxRetries(n int) Option {
 // WithScrub enables the online integrity scrubber: a cycle at most every
 // interval (<= 0 selects 4 health ticks) re-verifies 32 sampled engine
 // verdicts per line card and every LR-cache entry against the canonical
-// routing table, evicts mismatched cache entries, and quarantines and
-// rebuilds a line card whose engine disagrees. See scrub.go.
+// routing table, evicts mismatched cache entries, and replaces and
+// rebuilds a line card's engine that disagrees. See scrub.go.
 func WithScrub(interval time.Duration) Option {
 	return func(c *config) {
 		c.Scrub = true
@@ -102,16 +102,4 @@ func WithScrub(interval time.Duration) Option {
 // scrubber; see corrupt.go.
 func WithCorruption(p CorruptionPolicy) Option {
 	return func(c *config) { c.Corruption = p }
-}
-
-// WithHealthThresholds sets the LC lifecycle windows (see lifecycle.go):
-// an LC with no recorded heartbeat for suspectAfter is demoted to Suspect,
-// and a crashed LC silent for downAfter is declared Down and re-homed.
-// Defaults are 1× and 2× the request timeout; downAfter is raised to
-// suspectAfter when smaller.
-func WithHealthThresholds(suspectAfter, downAfter time.Duration) Option {
-	return func(c *config) {
-		c.SuspectAfter = suspectAfter
-		c.DownAfter = downAfter
-	}
 }

@@ -168,9 +168,6 @@ const (
 	breakerHalfOpen
 )
 
-// breakerStateNames are the report names for the state gauge docs.
-var breakerStateNames = [...]string{"closed", "open", "half_open"}
-
 // breaker is one (arrival LC, home LC) circuit. fails, openedAt and
 // probing belong to the arrival LC (mutated from its handle/tick paths
 // only, under lineCard.mu); state is the atomic mirror Metrics and tests

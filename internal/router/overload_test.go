@@ -260,7 +260,7 @@ func TestWaitlistOverflowSheds(t *testing.T) {
 		lookup func(*testing.T, *Router, int, []ip.Addr) []Verdict
 	}{{"LookupAsync", async}, entryPoints[1]} {
 		t.Run(ep.name, func(t *testing.T) {
-			drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: !m.Heartbeat} }
+			drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: true} }
 			r, err := New(tbl, WithLCs(2), WithFaultInjector(drop),
 				WithRequestTimeout(100*time.Millisecond), WithMaxRetries(-1),
 				WithOverload(0, ShedDropNewest))
@@ -363,7 +363,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	oracle := lpm.NewReference(tbl)
 	for _, ep := range entryPoints {
 		t.Run(ep.name, func(t *testing.T) {
-			drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: !m.Heartbeat && !m.Reply} }
+			drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: !m.Reply} }
 			r, err := New(tbl, WithLCs(4), WithFaultInjector(drop),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(100),
 				WithOverload(0, ShedDropNewest))
@@ -410,7 +410,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 			var failing atomic.Bool
 			failing.Store(true)
 			inj := func(m FabricMessage) FaultDecision {
-				return FaultDecision{Drop: failing.Load() && !m.Heartbeat && !m.Reply && m.To == 1}
+				return FaultDecision{Drop: failing.Load() && !m.Reply && m.To == 1}
 			}
 			r, err := New(tbl, WithLCs(2), WithFaultInjector(inj),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(-1),

@@ -432,7 +432,7 @@ type recordRequests struct {
 }
 
 func (rr *recordRequests) inject(m FabricMessage) FaultDecision {
-	if m.Reply || m.Heartbeat {
+	if m.Reply {
 		return FaultDecision{}
 	}
 	rr.mu.Lock()

@@ -117,23 +117,15 @@ type config struct {
 	// request; an unanswered request is retried (with exponential
 	// backoff) once the deadline passes. Zero selects the default
 	// (50ms); deadlines are checked by a coarse per-LC tick, so expiry
-	// is detected within about a quarter-timeout of the deadline.
+	// is detected within about a quarter-timeout of the deadline. The
+	// health monitor suspects an LC not ticked for max(RequestTimeout,
+	// 50ms).
 	RequestTimeout time.Duration
 	// MaxRetries bounds how many times a timed-out request is re-sent
 	// before the lookup degrades to the router-wide fallback, an index over
 	// the full-table snapshot. Zero selects the default (3); negative
 	// disables retries (the first expiry goes straight to the fallback).
 	MaxRetries int
-	// SuspectAfter is how long an LC may go without a recorded heartbeat
-	// before the health monitor demotes it to LCSuspect. Zero selects the
-	// default (one RequestTimeout, i.e. ~3 missed beats of the
-	// timeout/4 tick).
-	SuspectAfter time.Duration
-	// DownAfter is how long a *crashed* LC (not live) may go
-	// silent before it is declared LCDown and its partition is re-homed.
-	// Zero selects the default (2× RequestTimeout); values below
-	// SuspectAfter are raised to it.
-	DownAfter time.Duration
 	// TracingEnabled turns on the per-lookup span recorder (see
 	// trace.go and internal/tracing). The WithTraceSampling /
 	// WithLogger / WithTraceJournal options set it implicitly.
@@ -163,7 +155,7 @@ type config struct {
 	// two-phase swap. See WithRebalance and updates.go.
 	Rebalance bool
 	// Scrub turns on the online integrity scrubber (engine sweeps, cache
-	// audits, quarantine + self-healing rebuild; see scrub.go), a cycle at
+	// audits, on-the-spot replacement + rebuild; see scrub.go), a cycle at
 	// most every ScrubInterval (<= 0 selects 4 health ticks).
 	Scrub         bool
 	ScrubInterval time.Duration
@@ -319,10 +311,11 @@ type lineCard struct {
 	gen     uint64
 	stats   *LCStats
 	scratch *lcScratch // reusable miss workspace (see batch.go), surviving a crash
-	// lastTick is when tick last ran here: an owner that finds it due runs it
-	// on its way out (see leave), the health monitor's sweep being the owner
-	// that comes by when nobody else does.
-	lastTick int64
+	// lastTick is when tick last ran here, a reading of Router.now: an owner
+	// that finds it due runs it on its way out (see leave), the health
+	// monitor's sweep being the owner that comes by when nobody else does.
+	// Written under mu; the monitor ages it without (see healthCheck).
+	lastTick atomic.Int64
 	// spare is the one-row batch descriptor an inline miss is run in: kept
 	// while the run answers it, the caller's once it has to wait.
 	spare *batchDesc
@@ -412,11 +405,11 @@ type Router struct {
 	queueDepth int
 	shedMode   ShedMode
 
-	// LC lifecycle (see lifecycle.go): per-slot health records, the
-	// suspicion/death windows, and the lifecycle event counters.
-	life         []*lcLife
+	// LC lifecycle (see lifecycle.go): per-slot health records (state and
+	// scrub bookkeeping), the suspicion window, and the lifecycle event
+	// counters.
+	health       []*lcHealth
 	suspectAfter time.Duration
-	downAfter    time.Duration
 	suspects     atomic.Int64
 	rehomes      atomic.Int64
 	replayed     atomic.Int64
@@ -462,14 +455,13 @@ type Router struct {
 	rebalances     atomic.Int64
 
 	// Integrity plane (see scrub.go / corrupt.go): the scrub cadence (0
-	// when the scrubber is off) and the corruption policy, per-LC scrub
-	// bookkeeping, the corruption injector's draw counter and per-kind
-	// totals, and the cached full-table authority the cache audit compares
-	// against (rebuilt per generation, under mu like lastScrub, a reading
+	// when the scrubber is off) and the corruption policy, the corruption
+	// injector's draw counter and per-kind totals, and the cached
+	// full-table authority the cache audit compares against and a repair
+	// installs (rebuilt per generation, under mu like lastScrub, a reading
 	// of now, 0 before the first cycle).
 	scrubEvery    time.Duration
 	corruptPol    CorruptionPolicy
-	scrub         []*lcScrub
 	corruptStores []*cache.CorruptStore
 	corruptN      atomic.Uint64
 	engineFlips   atomic.Int64
@@ -533,15 +525,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	if r.tickEvery = r.timeout / 4; r.tickEvery < 500*time.Microsecond {
 		r.tickEvery = 500 * time.Microsecond
 	}
-	if r.suspectAfter = cfg.SuspectAfter; r.suspectAfter <= 0 {
-		r.suspectAfter = defaultSuspectFactor * r.timeout
-	}
-	if r.downAfter = cfg.DownAfter; r.downAfter <= 0 {
-		r.downAfter = defaultDownFactor * r.timeout
-	}
-	if r.downAfter < r.suspectAfter {
-		r.downAfter = r.suspectAfter
-	}
+	r.suspectAfter = max(r.timeout, suspectFloor)
 	if cfg.TracingEnabled {
 		r.tracer = tracing.New(tracing.Config{
 			SampleRate:  cfg.TraceSampleRate,
@@ -588,7 +572,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			done:    make([]finished, 0, maxFinished),
 		}
 		lc.scratch = newLCScratch(cfg.NumLCs)
-		lc.lastTick = now
+		lc.lastTick.Store(now)
 		lc.live.Store(true)
 		if cfg.CacheEnabled {
 			// NewErr turns a mis-sized cache (an operator flag) into a
@@ -604,18 +588,15 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			lc.cache = c
 		}
 		lc.ov = newLCOverload(r.overload, cfg.NumLCs)
-		r.scrub = append(r.scrub, &lcScrub{})
 		if cfg.Gray {
 			r.gray = append(r.gray, &lcGray{})
 		}
-		life := &lcLife{}
-		life.lastBeat.Store(now)
 		// The LC's queue is QueueDepth deep: that depth is the router's whole
 		// buffering budget.
 		r.inboxes = append(r.inboxes, make(chan message, r.queueDepth))
 		r.lcs = append(r.lcs, lc)
 		r.stats = append(r.stats, lc.stats)
-		r.life = append(r.life, life)
+		r.health = append(r.health, &lcHealth{})
 	}
 	r.wg.Add(1)
 	go r.healthLoop()
@@ -795,9 +776,9 @@ func (r *Router) install(i int, do func(*lineCard)) (ran bool) {
 func (r *Router) leave(lc *lineCard, now int64) {
 	depth := lc.depth
 	for served := 0; ; {
-		if len(lc.done) > 0 || lc.hitStart != 0 || (now != 0 && now-lc.lastTick >= int64(r.tickEvery)) {
+		if len(lc.done) > 0 || lc.hitStart != 0 || (now != 0 && now-lc.lastTick.Load() >= int64(r.tickEvery)) {
 			now = r.now()
-			if now-lc.lastTick >= int64(r.tickEvery) {
+			if now-lc.lastTick.Load() >= int64(r.tickEvery) {
 				r.tick(lc, now)
 			}
 			if lc.hitStart != 0 { // a timed inline hit: what it took is the untimed ones' value too
@@ -858,11 +839,11 @@ func (lc *lineCard) post(to int, m message) {
 	lc.outbox = append(lc.outbox, fabricSend{to, m})
 }
 
-// tick is an LC's periodic due work: heartbeat, breaker probes, and the
-// deadline sweep over its waitlists. lc.mu must be held.
+// tick is an LC's periodic due work: the stamp the health monitor ages,
+// breaker probes, and the deadline sweep over its waitlists. lc.mu must be
+// held.
 func (r *Router) tick(lc *lineCard, now int64) {
-	lc.lastTick = now
-	r.beat(lc.id, now)
+	lc.lastTick.Store(now)
 	if r.overload {
 		r.breakerTick(lc, now)
 	}
@@ -1211,7 +1192,7 @@ func (lc *lineCard) fill(addr ip.Addr, nh rtable.NextHop, origin cache.Origin) {
 // fillAndRelease installs a result and answers everything parked on it.
 func (r *Router) fillAndRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool, origin cache.Origin, servedBy ServedBy) {
 	lc.fill(addr, nh, origin)
-	r.release(lc, addr, nh, ok, origin, servedBy, lc.gen, false)
+	r.release(lc, addr, nh, ok, origin, servedBy, lc.gen)
 }
 
 // fillStaleRelease handles a fabric reply whose value predates a table
@@ -1222,31 +1203,24 @@ func (r *Router) fillAndRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop, o
 // forever) and a point invalidation drops the entry again. Remote waiters
 // are answered with the value's true generation, so the next hop applies the
 // same rule.
-//
-// final marks staleness that waiting will not resolve: the responder is
-// pinned behind the current generation until rebuilt or restored, and a
-// re-driven lookup would draw another stale reply forever. Final replies
-// answer every waiter, new-generation ones included — the quarantine
-// contract: the damaged LC keeps serving, its verdicts never enter a cache.
-func (r *Router) fillStaleRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool, valueGen uint64, final bool) {
+func (r *Router) fillStaleRelease(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool, valueGen uint64) {
 	lc.stats.StaleGenReplies.Add(1)
 	if lc.cache != nil {
 		lc.cache.Fill(addr, nh, cache.REM)
 		lc.cache.InvalidateRange(addr, addr)
 	}
-	r.release(lc, addr, nh, ok, cache.REM, ServedByRemote, valueGen, final)
+	r.release(lc, addr, nh, ok, cache.REM, ServedByRemote, valueGen)
 }
 
 // release answers everything parked on addr with the verdict. valueGen is
 // the table generation the value reflects, echoed to remote waiters.
-// final suppresses the stale-value re-drive (see fillStaleRelease).
-func (r *Router) release(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool, origin cache.Origin, servedBy ServedBy, valueGen uint64, final bool) {
+func (r *Router) release(lc *lineCard, addr ip.Addr, nh rtable.NextHop, ok bool, origin cache.Origin, servedBy ServedBy, valueGen uint64) {
 	wl := lc.pending.delete(addr)
 	if wl == nil {
 		return
 	}
 	lc.nwaiters -= int64(len(wl.locals) + len(wl.remotes))
-	if valueGen < lc.gen && !final {
+	if valueGen < lc.gen {
 		// A stale value answers only waiters that parked before this LC
 		// applied the newer batch; later ones were promised the updated
 		// table, so they are re-driven against the current engine (the entry
@@ -1319,19 +1293,7 @@ func (r *Router) answer(lc *lineCard, wl *waitlist, v Verdict, feNS int64, gen u
 // generationally stale values out of its cache.
 func (r *Router) sendReply(lc *lineCard, rw remoteWaiter, addr ip.Addr, nh rtable.NextHop, ok bool, feNS int64, gen uint64) {
 	lc.stats.RepliesSent.Add(1)
-	lc.post(rw.from, message{kind: mBatchReply, addr: addr, nextHop: nh, ok: ok, from: lc.id, epoch: rw.epoch, hops: rw.hops, feNS: feNS, gen: r.stampGen(lc, gen)})
-}
-
-// stampGen is the generation a reply from lc leaves with. A pinned LC
-// (quarantined, see genPinned) stamps zero, older than any
-// generation a peer holds once the pin's own bump has reached it, so the
-// peer's guard delivers the value to its waiters and keeps it out of its
-// cache.
-func (r *Router) stampGen(lc *lineCard, gen uint64) uint64 {
-	if r.genPinned(lc.id) {
-		return 0
-	}
-	return gen
+	lc.post(rw.from, message{kind: mBatchReply, addr: addr, nextHop: nh, ok: ok, from: lc.id, epoch: rw.epoch, hops: rw.hops, feNS: feNS, gen: gen})
 }
 
 // Lookup submits a destination address at line card lc and waits for the
@@ -1556,15 +1518,6 @@ func (r *Router) swapPartitioning(part *partition.Partitioning) error {
 	// table, so it is the rebalancer's new quality baseline.
 	r.baselineRepl = part.Stats().Replication
 	r.lastRebalance = r.now()
-	// It also rebuilt every LC's engine from the canonical table, which
-	// makes it an integrity repair: quarantines lift and mismatch streaks
-	// reset (see scrub.go).
-	for i, l := range r.life {
-		r.scrub[i].streak.Store(0)
-		if l.state.Load() == LCQuarantined {
-			l.state.Store(LCHealthy)
-		}
-	}
 	return nil
 }
 

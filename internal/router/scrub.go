@@ -25,29 +25,33 @@
 // Both comparisons are generation-exact: the monitor runs them holding
 // r.mu, under which every live LC's engine reflects r.gen and r.part (an
 // install skips only a dead slot, and so does the scrubber; its adoption
-// levels it). That includes an LC pinned behind the generation fence, and an
-// ejected one (gray.go), which nothing fences.
+// levels it). That includes an ejected LC (gray.go), which nothing fences.
 //
-// Self-healing: engine mismatches accumulate per LC since its last
-// rebuild; crossing quarantineThreshold quarantines the LC. Quarantine
-// reuses the machinery this repo already trusts instead of inventing a
-// parallel path:
+// Self-healing: an engine mismatch is repaired in the cycle that finds it,
+// with the machinery this repo already trusts instead of a parallel path
+// (the Quarantines counter counts these detections):
 //
-//   - Uncacheable replies, via the generation fence (fenceLocked in
-//     updates.go): every reply the quarantined LC sends is delivered to
-//     the lookups parked on it but kept out of every peer cache.
+//   - Replacement, on the spot: still under the LC's lock, the damaged engine
+//     gives way to the cache audit's full-table authority. An address
+//     reaches an LC's engine only when the LC is its home, and the LC's
+//     ROT-partition holds every prefix that can match such an address, so
+//     the authority answers exactly as the rebuilt engine will.
+//
+//   - The generation fence (fenceLocked in updates.go), a pure bump: replies
+//     the damaged engine computed and sent before the replacement arrive
+//     stale everywhere — delivered to the lookups parked on them, never
+//     cached.
 //
 //   - Rebuild, via the crash-safe two-phase swap (router.go): phase 1
 //     installs a freshly built engine from the canonical partition table
 //     plus the current homeOf and generation; phase 2 rekeys — epoch
 //     bump, cache flush, parked-lookup replay — so no lookup is lost
 //     and no pre-rebuild reply can fill the fresh cache. Only the
-//     quarantined LC pays a flush; every other cache keeps serving.
+//     repaired LC pays a flush; every other cache keeps serving.
 //
 // A full partitioning swap (UpdateTable, re-home, drain/restore,
 // rebalance) rebuilds every engine from the canonical table, so it is
-// also an integrity repair: swapPartitioning clears quarantines and
-// mismatch streaks when it succeeds.
+// also an integrity repair.
 package router
 
 import (
@@ -63,21 +67,18 @@ import (
 
 // Scrub settings: each cycle re-verifies scrubSamples partition prefixes
 // per LC against the canonical table (a rotating cursor, so a table of P
-// prefixes is fully swept every ceil(P/scrubSamples) cycles), and
-// quarantineThreshold engine mismatches accumulated since an LC's last
-// rebuild quarantine it (1: any confirmed mismatch) and rebuild it. The
+// prefixes is fully swept every ceil(P/scrubSamples) cycles). The
 // scrubber rides the health ticker, so a cycle runs at most every
 // max(interval, tick); an interval <= 0 selects scrubTicks ticks. Off (the
 // default), the scrubber costs nothing anywhere: no ticker work, no extra
 // metrics.
 const (
-	scrubSamples        = 32
-	quarantineThreshold = 1
-	scrubTicks          = 4
+	scrubSamples = 32
+	scrubTicks   = 4
 )
 
-// lcScrub is one LC's integrity bookkeeping. The counters are atomic
-// (written by the LC inside the scrub closure, read by
+// lcScrub is one LC's integrity bookkeeping, part of its lcHealth. The
+// counters are atomic (written by the LC inside the scrub closure, read by
 // Metrics/Integrity from anywhere); cursor is monitor-only under r.mu.
 type lcScrub struct {
 	cursor       int // next partition-prefix index the engine sweep samples
@@ -85,10 +86,6 @@ type lcScrub struct {
 	engineMism   atomic.Int64
 	cacheMism    atomic.Int64
 	cacheRepairs atomic.Int64
-	// streak counts engine mismatches since the last rebuild; crossing
-	// quarantineThreshold quarantines the LC, a rebuild or full swap
-	// resets it.
-	streak atomic.Int64
 }
 
 // scrubAuthorityLocked returns the full-table authority engine the cache
@@ -105,11 +102,9 @@ func (r *Router) scrubAuthorityLocked(gen uint64) lpm.Engine {
 // maybeScrubLocked is the health ticker's scrub hook at now, a reading of
 // Router.now: one cycle samples scrubSamples prefixes per serving LC against
 // the canonical table, audits every LR-cache entry against the full-table
-// authority, and quarantines and rebuilds any LC whose mismatch streak
-// crossed the threshold. The first cycle runs at the monitor's first tick.
-// The monitor runs every LC's verification itself, under that LC's lock
-// (install), so quarantine decisions see this cycle's counters. r.mu must
-// be held.
+// authority, and repairs every LC whose engine disagreed: replaced by the
+// authority under its lock, fenced, rebuilt. The first cycle runs at the
+// monitor's first tick. r.mu must be held.
 func (r *Router) maybeScrubLocked(now int64) {
 	if r.scrubEvery == 0 || r.lastScrub != 0 && time.Duration(now-r.lastScrub) < r.scrubEvery {
 		return
@@ -117,15 +112,15 @@ func (r *Router) maybeScrubLocked(now int64) {
 	r.lastScrub = now
 	r.scrubCycles.Add(1)
 	auth := r.scrubAuthorityLocked(r.gen)
-	for i := range r.lcs {
-		st := r.life[i].state.Load()
+	var damaged []int
+	for i, s := range r.health {
+		st := s.state.Load()
 		tbl := r.part.Table(i)
 		n := tbl.Len()
-		if st == LCDown || st == LCDraining || st == LCQuarantined || n == 0 {
+		if st == LCDown || st == LCDraining || n == 0 {
 			continue
 		}
 		k := min(scrubSamples, n)
-		s := r.scrub[i]
 		start := s.cursor
 		s.cursor = (s.cursor + k) % n
 		// The sample set: each selected prefix's first address, with the
@@ -158,7 +153,8 @@ func (r *Router) maybeScrubLocked(now int64) {
 			s.samples.Add(int64(len(addrs)))
 			if mism > 0 {
 				s.engineMism.Add(int64(mism))
-				s.streak.Add(int64(mism))
+				lc.engine = auth // answers as the rebuilt engine will, from now
+				damaged = append(damaged, i)
 			}
 			if lc.cache != nil {
 				bad := 0
@@ -180,38 +176,18 @@ func (r *Router) maybeScrubLocked(now int64) {
 			}
 		})
 	}
-	for i := range r.lcs {
-		if st := r.life[i].state.Load(); st != LCHealthy && st != LCSuspect {
-			continue
-		}
-		if r.scrub[i].streak.Load() < quarantineThreshold {
-			continue
-		}
-		r.quarantineLocked(i)
+	if len(damaged) == 0 {
+		return
+	}
+	r.fenceLocked()
+	for _, i := range damaged {
+		r.quarantines.Add(1)
+		r.scrubLog("quarantine", slog.Int("lc", i))
 		r.rebuildLocked(i)
 	}
 }
 
-// quarantineLocked flags LC i as integrity-compromised and fences its
-// replies out of every peer cache until it is rebuilt (see fenceLocked).
-// r.mu must be held.
-func (r *Router) quarantineLocked(i int) {
-	r.life[i].state.Store(LCQuarantined)
-	r.quarantines.Add(1)
-	r.scrubLog("quarantine", slog.Int("lc", i), slog.Int64("engine_mismatches", r.scrub[i].streak.Load()))
-	r.fenceLocked()
-}
-
-// genPinned reports whether LC id is quarantined, and so fenced behind the
-// router's generation: its replies leave stamped with generation zero (see
-// stampGen), which is exactly how peers keep them out of their caches, and
-// they are final — the fence will not lift by re-driving (see
-// fillStaleRelease).
-func (r *Router) genPinned(id int) bool {
-	return r.life[id].state.Load() == LCQuarantined
-}
-
-// rebuildLocked restores a quarantined LC: phase 1 installs a freshly
+// rebuildLocked repairs LC i's engine: phase 1 installs a freshly
 // built engine from the canonical partition table (with the current
 // homeOf and generation), exactly as UpdateTable's does; phase 2 rekeys —
 // epoch bump, cache flush, parked-lookup replay — so no lookup is lost and
@@ -224,10 +200,6 @@ func (r *Router) rebuildLocked(i int) {
 	if !r.install(i, func(lc *lineCard) { lc.installTable(engine, r.part.HomeLC, r.gen) }) ||
 		!r.install(i, r.rekey) {
 		return
-	}
-	r.scrub[i].streak.Store(0)
-	if r.life[i].state.Load() == LCQuarantined {
-		r.life[i].state.Store(LCHealthy)
 	}
 	r.rebuilds.Add(1)
 	r.scrubLog("rebuild", slog.Int("lc", i))
@@ -286,10 +258,10 @@ func (r *Router) Integrity() IntegrityReport {
 		rep.WrongFills += cs.WrongFills()
 		rep.DroppedInvalidations += cs.DroppedInvalidations()
 	}
-	for i, s := range r.scrub {
+	for i, s := range r.health {
 		li := LCIntegrity{
 			LC:               i,
-			State:            r.life[i].state.Load(),
+			State:            s.state.Load(),
 			Samples:          s.samples.Load(),
 			EngineMismatches: s.engineMism.Load(),
 			CacheMismatches:  s.cacheMism.Load(),

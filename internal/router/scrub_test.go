@@ -1,5 +1,5 @@
-// Integrity-plane tests: the scrubber's detection bound, quarantine and
-// self-healing rebuild, the generation fence around a quarantined LC, and
+// Integrity-plane tests: the scrubber's detection bound, on-the-spot
+// replacement and self-healing rebuild of a damaged engine, and
 // the headline chaos scenario — corruption × route churn × overload —
 // ending in a provably clean steady state. CI runs the chaos test under
 // -race across a seed matrix (scrub-chaos job).
@@ -106,7 +106,7 @@ func TestScrubCleanNoFalsePositives(t *testing.T) {
 }
 
 // TestScrubDetectsAndRepairsEngineCorruption: every injected engine flip
-// is detected within the sweep bound, quarantined, and healed by a
+// is detected within the sweep bound, replaced, and healed by a
 // rebuild; afterwards every verdict matches the oracle again.
 func TestScrubDetectsAndRepairsEngineCorruption(t *testing.T) {
 	tbl := rtable.Small(400, 7)
@@ -220,101 +220,101 @@ func TestScrubRepairsCacheCorruption(t *testing.T) {
 	}
 }
 
-// TestQuarantineManualRestore: an LC quarantined by hand (its engine
-// clean, so its mismatch streak stays 0 and the scrubber never rebuilds
-// it) stays quarantined — Healthy() reports it, its replies are fenced
-// from peer caches by the generation guard — until RestoreLC repairs it
-// by full swap.
-func TestQuarantineManualRestore(t *testing.T) {
+// TestScrubDamagedEngineAnswersRightDuringRebuild: the cycle that finds a
+// damaged engine replaces it on the spot, so from then on its LC answers
+// right, while the rebuild is still under way. The builder is slowed to
+// make a rebuild take 100 ms; every lookup of the poisoned prefix made
+// meanwhile, at every LC, must match the oracle, and once the rebuild is in
+// no cache may hold the poisoned next hop. The hour-long timeout and scrub
+// interval keep the monitor out: the test runs the one cycle itself.
+func TestScrubDamagedEngineAnswersRightDuringRebuild(t *testing.T) {
 	tbl := rtable.Small(400, 7)
 	oracle := lpm.NewReference(tbl)
-	r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName("bintrie"),
-		WithRequestTimeout(2*time.Millisecond),
-		WithScrub(time.Millisecond))
+	var slow atomic.Bool
+	build := func(tbl *rtable.Table) lpm.Engine {
+		if slow.Load() {
+			time.Sleep(100 * time.Millisecond)
+		}
+		return lpm.NewReferenceEngine(tbl)
+	}
+	const psi, damaged = 4, 1
+	r, err := New(tbl, WithLCs(psi), WithDefaultCache(), WithEngine(build),
+		WithRequestTimeout(time.Hour), WithScrub(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Stop()
 
-	const quarantined = 2
+	// A partition prefix whose first address the damaged LC is home to,
+	// poisoned there with the wrong next hop, and the addresses of it homed
+	// there that the poison gets wrong.
+	part := r.part.Table(damaged)
+	k := 0
+	for r.HomeLC(part.Routes()[k].Prefix.FirstAddr()) != damaged {
+		k++
+	}
+	pfx := part.Routes()[k].Prefix
+	lo, hi := pfx.FirstAddr(), pfx.LastAddr()
+	good, _ := part.LongestMatch(lo)
+	bad := good.NextHop ^ 1
+	addrs := []ip.Addr{lo}
+	for rng := stats.NewRNG(3); len(addrs) < 8 && hi > lo; {
+		a := lo + ip.Addr(rng.Uint64()%uint64(hi-lo+1))
+		if nh, _, _ := oracle.Lookup(a); r.HomeLC(a) == damaged && nh != bad {
+			addrs = append(addrs, a)
+		}
+	}
 	r.mu.Lock()
-	r.quarantineLocked(quarantined)
+	r.health[damaged].cursor = k // the cycle below samples pfx
 	r.mu.Unlock()
-	waitFullSweep(t, r)
-	if st := r.LCStates()[quarantined]; st != LCQuarantined {
-		t.Fatalf("LC %d is %s after a scrub sweep, want it still quarantined", quarantined, st)
-	}
-	if r.Healthy() {
-		t.Fatal("Healthy() true with a quarantined LC") // the satellite fix
-	}
-	if rep := r.Integrity(); rep.Rebuilds != 0 {
-		t.Fatalf("a clean quarantined LC was rebuilt %d times", rep.Rebuilds)
-	}
+	r.own(damaged, func(lc *lineCard) {
+		lc.engine = lpm.NewCorrupt(lc.engine)
+		lpm.AsCorrupt(lc.engine).Poison(lo, hi, bad)
+	})
 
-	// The quarantined LC keeps serving, but its replies must not be
-	// cached by peers: the generation fence classifies them stale.
-	rng := stats.NewRNG(55)
-	arrival := (quarantined + 1) % 4
-	homed := remoteAddrs(t, r, tbl, rng, quarantined, 2*8)
-	for k, ep := range entryPoints {
-		t.Run("fence/"+ep.name, func(t *testing.T) {
-			before := r.Metrics().Sum(MetricStaleGen)
-			for lc := 0; lc < 4; lc++ {
-				if lc == quarantined {
-					continue
-				}
-				addrs := make([]ip.Addr, 500)
-				for i := range addrs {
-					addrs[i] = tbl.RandomMatchedAddr(rng)
-				}
-				ep.lookup(t, r, lc, addrs)
-			}
-			if after := r.Metrics().Sum(MetricStaleGen); after <= before {
-				t.Fatalf("no stale-generation fences recorded (%v -> %v); quarantined replies were cacheable", before, after)
-			}
-			// Delivered but uncached, address by address: asked twice, an
-			// address homed on the quarantined LC crosses the fabric twice
-			// and is fenced twice.
-			addrs := homed[k*8 : (k+1)*8]
-			fenced := r.Stats()[arrival].StaleGenReplies.Load()
-			for round := 0; round < 2; round++ {
-				for _, v := range ep.lookup(t, r, arrival, addrs) {
-					if v.ServedBy != ServedByRemote {
-						t.Fatalf("round %d: %+v, want a reply from the quarantined home both times", round, v)
-					}
+	slow.Store(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.maybeScrubLocked(r.now())
+	}()
+	waitFor(t, "the scrubber to find the damage", func() bool { return r.quarantines.Load() == 1 })
+	rounds := 0
+	for ; r.rebuilds.Load() == 0; rounds++ {
+		for lc := 0; lc < psi; lc++ {
+			for _, a := range addrs {
+				if v, err := r.Lookup(lc, a); err != nil || !verdictMatches(v, oracle, a) {
+					t.Fatalf("lookup of %s at LC %d during the rebuild: %+v, %v", ip.FormatAddr(a), lc, v, err)
 				}
 			}
-			if got := r.Stats()[arrival].StaleGenReplies.Load() - fenced; got < int64(2*len(addrs)) {
-				t.Fatalf("%d replies fenced for %d addresses asked twice", got, len(addrs))
+		}
+	}
+	<-done
+	if rounds == 0 {
+		t.Fatal("no lookup ran during the rebuild")
+	}
+	for lc := 0; lc < psi; lc++ {
+		r.own(lc, func(lc *lineCard) {
+			for _, a := range addrs {
+				if res := lc.cache.Probe(a); res.Kind == cache.Hit && res.NextHop == bad {
+					t.Errorf("LC %d caches the poisoned next hop %d for %s after the rebuild", lc.id, bad, ip.FormatAddr(a))
+				}
 			}
 		})
 	}
-
-	if err := r.RestoreLC(quarantined); err != nil {
-		t.Fatalf("RestoreLC(%d): %v", quarantined, err)
-	}
-	waitFor(t, "health restored", func() bool { return r.Healthy() })
-	for i := 0; i < 2000; i++ {
-		a := tbl.RandomMatchedAddr(rng)
-		v, err := r.Lookup(i%4, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !verdictMatches(v, oracle, a) {
-			t.Fatalf("wrong verdict for %s after manual restore", ip.FormatAddr(a))
-		}
+	if st := r.LCStates(); st[damaged] != LCHealthy {
+		t.Errorf("states %v after the rebuild, want LC %d healthy", st, damaged)
 	}
 }
 
-// TestPinnedRequesterKeepsStaleGuard: a quarantined LC is
-// fenced as a *responder*, but as a requester it still runs every update
-// batch's invalidations, so its own stale-reply guard has to move with
-// them. A reply computed before a batch and delivered after the pinned LC
-// invalidated for it may answer the lookups that were in flight, and must
-// not stay behind as a cache entry. (It did: the pin froze the guard's
-// generation, which TestGrayBrownoutHeadline caught as one wrong verdict
-// on about a quarter of runs at GOMAXPROCS=1.)
-func TestPinnedRequesterKeepsStaleGuard(t *testing.T) {
+// TestLateReplyKeepsStaleGuard: a requester runs every update batch's
+// invalidations, so its stale-reply guard has to move with them. A reply
+// computed before a batch and delivered after the requester invalidated for
+// it may answer the lookups that were in flight, and must not stay behind
+// as a cache entry.
+func TestLateReplyKeepsStaleGuard(t *testing.T) {
 	tbl := rtable.Small(400, 7)
 	dropReplies := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: m.Reply} }
 	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"),
@@ -337,7 +337,6 @@ func TestPinnedRequesterKeepsStaleGuard(t *testing.T) {
 	waitFor(t, "home LC to answer the request", func() bool { return r.Stats()[1].RepliesSent.Load() == 1 })
 
 	r.mu.Lock()
-	r.life[0].state.Store(LCQuarantined)
 	oldGen := r.gen
 	r.mu.Unlock()
 	changed := route
@@ -352,11 +351,11 @@ func TestPinnedRequesterKeepsStaleGuard(t *testing.T) {
 		t.Fatalf("in-flight lookup resolved %+v, want next hop %d or %d", v, route.NextHop, changed.NextHop)
 	}
 	if got := r.Stats()[0].StaleGenReplies.Load(); got != 1 {
-		t.Errorf("pinned requester classified %d replies as generationally stale, want 1", got)
+		t.Errorf("the requester classified %d replies as generationally stale, want 1", got)
 	}
 	r.own(0, func(lc *lineCard) {
 		if res := lc.cache.Probe(addr); res.Kind == cache.Hit && res.NextHop == route.NextHop {
-			t.Fatalf("pre-batch next hop %d survived the batch's invalidation in the pinned LC's cache", route.NextHop)
+			t.Fatalf("pre-batch next hop %d survived the batch's invalidation in the requester's cache", route.NextHop)
 		}
 	})
 }
@@ -378,7 +377,7 @@ func TestScrubChecksEjectedLC(t *testing.T) {
 	defer r.mu.Unlock()
 	r.gray[1].degraded.Store(true)
 	part := r.part.Table(1)
-	sc := r.scrub[1]
+	sc := r.health[1]
 	// The last prefix of the window the next cycle samples.
 	want := min(scrubSamples, part.Len())
 	pfx := part.Routes()[(sc.cursor+want-1)%part.Len()].Prefix

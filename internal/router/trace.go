@@ -66,17 +66,15 @@ func (r *Router) Traces() []tracing.LookupTrace {
 }
 
 // Healthy reports whether every line card currently owns its share of
-// the partition with trustworthy state: true iff no LC is Down,
-// Draining, or Quarantined (Suspect still serves — fabric loss can fake
-// it; a Quarantined LC also serves, but its forwarding state failed an
-// integrity check and is awaiting rebuild, so the router is degraded)
-// and the router is not stopped. This is the predicate behind /healthz.
+// the partition: true iff no LC is Down or Draining (Suspect still serves —
+// a long handler can look like it) and the router is not stopped. This is
+// the predicate behind /healthz.
 func (r *Router) Healthy() bool {
 	if r.stopped.Load() {
 		return false
 	}
-	for _, l := range r.life {
-		if st := l.state.Load(); st == LCDown || st == LCDraining || st == LCQuarantined {
+	for _, h := range r.health {
+		if st := h.state.Load(); st == LCDown || st == LCDraining {
 			return false
 		}
 	}

@@ -149,11 +149,11 @@ func TestTracePropagationAcrossRehome(t *testing.T) {
 	oracle := lpm.NewReference(tbl)
 
 	// Gate-controlled fabric: while closed, every lookup message touching
-	// LC 1 is dropped (heartbeats pass), so a lookup submitted at LC 1
+	// LC 1 is dropped, so a lookup submitted at LC 1
 	// for a remote home stays parked in LC 1's waitlist.
 	var gateOpen atomic.Bool
 	inj := func(m FabricMessage) FaultDecision {
-		if m.Heartbeat || gateOpen.Load() {
+		if gateOpen.Load() {
 			return FaultDecision{}
 		}
 		if m.From == 1 || m.To == 1 {
@@ -164,8 +164,7 @@ func TestTracePropagationAcrossRehome(t *testing.T) {
 	r, err := New(tbl, WithLCs(4),
 		WithFaultInjector(inj),
 		WithTraceSampling(1), WithTraceJournal(1<<12),
-		WithRequestTimeout(5*time.Millisecond), WithMaxRetries(100),
-		WithHealthThresholds(4*time.Millisecond, 8*time.Millisecond))
+		WithRequestTimeout(5*time.Millisecond), WithMaxRetries(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +248,6 @@ func TestChaosTracesReconcileWithMetrics(t *testing.T) {
 					Seed: seed, DropRate: 0.08, DupRate: 0.05, DelayRate: 0.1, MaxDelay: time.Millisecond,
 				})),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2),
-				WithHealthThresholds(4*time.Millisecond, 8*time.Millisecond),
 				WithTraceSampling(1), WithTraceJournal(1<<15))
 			if err != nil {
 				t.Fatal(err)
@@ -314,8 +312,7 @@ func TestChaosTracesReconcileWithMetrics(t *testing.T) {
 // TestHealthy exercises the /healthz predicate across the lifecycle.
 func TestHealthy(t *testing.T) {
 	r, err := New(rtable.Small(500, 3), WithLCs(2),
-		WithRequestTimeout(4*time.Millisecond),
-		WithHealthThresholds(4*time.Millisecond, 8*time.Millisecond))
+		WithRequestTimeout(4*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

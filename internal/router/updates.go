@@ -137,18 +137,13 @@ func (r *Router) ApplyUpdates(batch []rtable.Update) error {
 	return nil
 }
 
-// fenceLocked raises the generation fence behind which a home LC's verdicts
-// are kept out of every peer cache while it keeps serving (quarantine): the
-// router-wide generation advances and every LC adopts it —
-// a pure bump, no route changes, no invalidations, no flush — while the LC
-// its caller has flagged, so that genPinned reports it, stamps its replies
-// with generation zero (see stampGen). From that point the generation guard
-// (m.gen < lc.gen) classes every reply the pinned LC sends as stale at the
-// receiver: delivered to parked lookups, never cached, and final (see
-// fillStaleRelease). The pinned LC's own generation moves with everyone's:
-// it is fenced where it sends, so lifting the pin needs no catching up, and
-// the scrubber keeps checking it. A peer that is dead at the time is reborn
-// at the current generation. r.mu must be held.
+// fenceLocked raises the generation fence the scrubber puts behind a
+// damaged engine it has just replaced: the router-wide generation advances
+// and every LC adopts it — a pure bump, no route changes, no invalidations,
+// no flush. From that point the generation guard (m.gen < lc.gen) classes
+// every reply computed before the bump as stale at the receiver: delivered
+// to parked lookups, never cached (see fillStaleRelease). A peer that is
+// dead at the time is reborn at the current generation. r.mu must be held.
 func (r *Router) fenceLocked() {
 	r.gen++
 	for i := range r.lcs {
@@ -176,12 +171,6 @@ func (lc *lineCard) applyUpdates(updates []rtable.Update, ranges []rtable.Range,
 		}
 		lc.stats.UpdatesApplied.Add(int64(len(updates)))
 	}
-	// Even a pinned (quarantined) LC records the generation: it
-	// has run this batch's invalidations, so its own stale-reply guard must
-	// move with them, or a pre-batch value still in flight toward it would
-	// be cached as fresh and outlive the invalidation. The fence that keeps
-	// a pinned LC's verdicts out of peer caches is applied where it sends
-	// them (see stampGen), not by holding this counter back.
 	lc.gen = gen
 	if lc.cache != nil {
 		lc.cache.InvalidateRanges(ranges)

@@ -311,8 +311,8 @@ func TestRebalancerTriggersOnDrift(t *testing.T) {
 }
 
 // TestRebalancerClock: the rebalancer's minimum interval is measured on
-// the clock its stamps are read from, Router.now, as the heartbeats are
-// (TestHeartbeatClock). The hour-long timeout keeps the monitor's own
+// the clock its stamps are read from, Router.now, as the tick stamps are
+// (TestHealthCheckClock). The hour-long timeout keeps the monitor's own
 // ticker out; each period is run by hand against an injected clock. A
 // drifted table is not rebalanced a millisecond short of the interval
 // since the last stamp, and is rebalanced once at it — twice over, the

@@ -57,11 +57,11 @@ func checkBlank(t *testing.T, wl *waitlist) {
 	}
 }
 
-// dropRequests is an injector losing every request (replies and
-// heartbeats pass) while *on is non-zero.
+// dropRequests is an injector losing every request (replies pass) while
+// *on is non-zero.
 func dropRequests(on *atomic.Int32) FaultInjector {
 	return func(m FabricMessage) FaultDecision {
-		return FaultDecision{Drop: !m.Reply && !m.Heartbeat && on.Load() != 0}
+		return FaultDecision{Drop: !m.Reply && on.Load() != 0}
 	}
 }
 

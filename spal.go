@@ -165,13 +165,14 @@ const (
 // caller may retry later, ideally with backoff.
 var ErrOverloaded = router.ErrOverloaded
 
-// LC lifecycle states, re-exported for Router.LCStates.
+// LC lifecycle states, re-exported for Router.LCStates. An LC is Suspect
+// while it has gone max(request timeout, 50ms) without a tick, and Down from
+// the first health check after it crashed.
 const (
-	LCHealthy     = router.LCHealthy
-	LCSuspect     = router.LCSuspect
-	LCDown        = router.LCDown
-	LCDraining    = router.LCDraining
-	LCQuarantined = router.LCQuarantined
+	LCHealthy  = router.LCHealthy
+	LCSuspect  = router.LCSuspect
+	LCDown     = router.LCDown
+	LCDraining = router.LCDraining
 )
 
 // ParsePrefix parses CIDR notation ("10.0.0.0/8").
@@ -267,14 +268,6 @@ func WithRouterRequestTimeout(d time.Duration) RouterOption { return router.With
 // degrades to the full-table fallback (default 3).
 func WithRouterMaxRetries(n int) RouterOption { return router.WithMaxRetries(n) }
 
-// WithRouterHealthThresholds sets the LC lifecycle windows: an LC with no
-// recorded heartbeat for suspectAfter is demoted to Suspect, and a crashed
-// LC silent for downAfter is declared Down and its partition re-homed onto
-// the survivors (defaults: 1x and 2x the request timeout).
-func WithRouterHealthThresholds(suspectAfter, downAfter time.Duration) RouterOption {
-	return router.WithHealthThresholds(suspectAfter, downAfter)
-}
-
 // WithRouterTraceSampling enables per-lookup distributed tracing with
 // head-based probabilistic sampling (rate in 0..1). Interesting lookups
 // — retried, re-homed, fallback-served, deadline-expired — are captured
@@ -312,8 +305,8 @@ func WithRouterRebalance() RouterOption { return router.WithRebalance() }
 // every interval (<= 0 selects 4 health ticks) samples 32 prefixes per line
 // card with a rotating cursor, recomputes authoritative verdicts from the
 // canonical routing table, compares them against the live engine walk and
-// the resident cache entries, evicts mismatched cache entries, and
-// quarantines and rebuilds a line card whose engine fails an audit.
+// the resident cache entries, evicts mismatched cache entries, and replaces
+// a line card's engine that fails an audit on the spot, then rebuilds it.
 func WithRouterScrub(interval time.Duration) RouterOption { return router.WithScrub(interval) }
 
 // WithRouterCorruption installs the seeded state-corruption injector:
