@@ -51,6 +51,7 @@ import (
 	"spal/internal/metrics"
 	"spal/internal/router"
 	"spal/internal/rtable"
+	"spal/internal/sim"
 	"spal/internal/trace"
 	"spal/internal/tracing"
 )
@@ -437,7 +438,6 @@ func drive(r *router.Router, psi int, addrs []ip.Addr, batch, killLC int, drainA
 // per 50 ms tick until stop closes.
 func runChurn(r *router.Router, tbl *rtable.Table, rate float64, stop <-chan struct{}) {
 	const tick = 50 * time.Millisecond
-	const cycleNS = 5.0
 	cur := tbl
 	seed := uint64(0xc1124)
 	t := time.NewTicker(tick)
@@ -450,8 +450,8 @@ func runChurn(r *router.Router, tbl *rtable.Table, rate float64, stop <-chan str
 		}
 		batch := rtable.GenerateUpdates(cur, rtable.UpdateStreamConfig{
 			RatePerSecond: rate,
-			CycleNS:       cycleNS,
-			Duration:      int64(tick.Seconds() * 1e9 / cycleNS),
+			CycleNS:       sim.CycleNS,
+			Duration:      int64(tick.Seconds() * 1e9 / sim.CycleNS),
 			WithdrawProb:  0.3,
 			NewPrefixProb: 0.2,
 			Seed:          seed,

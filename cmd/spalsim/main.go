@@ -7,8 +7,7 @@
 //	spalsim -psi 1 -no-partition -no-cache          # conventional router
 //	spalsim -speed 10 -lookup 62                    # 10 Gbps, DP-trie FE
 //	spalsim -stages -packets 50000                  # per-stage latency breakdown
-//	spalsim -corrupt-rate 1e-4 -scrub-every 50000   # inject fill corruption, scrub it back out
-//	spalsim -slow-lc 3 -slow-factor 10              # brown out LC 3, measure the latency skew
+//	spalsim -updates-per-sec 20000                  # route churn, targeted cache invalidation
 package main
 
 import (
@@ -42,13 +41,6 @@ func main() {
 	flushMS := flag.Float64("flush-ms", 0, "flush caches every N milliseconds (0 = never)")
 	updatesPS := flag.Float64("updates-per-sec", 0, "stream BGP-style route updates at this rate, applied incrementally with targeted cache invalidation (0 = no churn)")
 	updateFlush := flag.Bool("update-full-flush", false, "flush every cache on each update batch instead of targeted range invalidation")
-	corruptRate := flag.Float64("corrupt-rate", 0, "corrupt each cache fill with this probability (bit-flipped next hop, 0 = off)")
-	corruptSeed := flag.Uint64("corrupt-seed", 0, "seed for the corruption injector (0 = derive from -seed)")
-	scrubEvery := flag.Int64("scrub-every", 0, "audit every LR-cache against the oracle every N cycles, evicting mismatches (0 = off)")
-	offered := flag.Float64("offered-load", 1.0, "scale every LC's packet rate (2.0 = twice nominal)")
-	admitCap := flag.Int("admit-cap", 0, "shed arrivals when the LC arrival queue holds this many packets (0 = unbounded)")
-	slowLC := flag.Int("slow-lc", -1, "brown out this line card: fabric messages touching it pay slow-factor x latency (gray-failure exposure baseline)")
-	slowFactor := flag.Float64("slow-factor", 10, "brownout severity for -slow-lc")
 	perLC := flag.Bool("per-lc", false, "print per-LC statistics")
 	stages := flag.Bool("stages", false, "print the per-stage lookup latency breakdown")
 	configPath := flag.String("config", "", "JSON config file (flags for table size still apply)")
@@ -91,24 +83,10 @@ func main() {
 			os.Exit(2)
 		}
 		if *flushMS > 0 {
-			cfg.FlushEveryCycles = int64(*flushMS * 1e6 / 5) // 5 ns cycles
+			cfg.FlushEveryCycles = int64(*flushMS * 1e6 / sim.CycleNS)
 		}
-		cfg.OfferedLoad = *offered
-		cfg.AdmissionCap = *admitCap
 		cfg.UpdatesPerSecond = *updatesPS
 		cfg.UpdateFullFlush = *updateFlush
-		cfg.CorruptRate = *corruptRate
-		cfg.CorruptSeed = *corruptSeed
-		cfg.ScrubEveryCycles = *scrubEvery
-		// With corruption on, verification is what turns a bad verdict
-		// into a counter instead of silence.
-		if *corruptRate > 0 {
-			cfg.VerifyNextHops = true
-		}
-		if *slowLC >= 0 {
-			cfg.SlowLC = *slowLC
-			cfg.SlowFactor = *slowFactor
-		}
 	}
 
 	if *engineName != "" {
@@ -172,8 +150,8 @@ func main() {
 	if *perLC {
 		fmt.Println("per-LC:")
 		for i, l := range res.PerLC {
-			fmt.Printf("  LC%-2d gen=%d shed=%d hitLOC=%d hitREM=%d miss=%d reqSent=%d feLookups=%d feUtil=%.3f part=%d\n",
-				i, l.Generated, l.Shed, l.HitLoc, l.HitRem, l.MissLocal, l.RequestsSent,
+			fmt.Printf("  LC%-2d gen=%d hitLOC=%d hitREM=%d miss=%d reqSent=%d feLookups=%d feUtil=%.3f part=%d\n",
+				i, l.Generated, l.HitLoc, l.HitRem, l.MissLocal, l.RequestsSent,
 				l.FELookups, l.FEUtilization, l.PartitionSize)
 		}
 	}

@@ -375,7 +375,7 @@ func Headline(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		convMpps := 1e3 / (convCycles * 5) * 16 // 5 Mpps/LC x 16
+		convMpps := 1e3 / (convCycles * sim.CycleNS) * 16 // 5 Mpps/LC x 16
 		out.Rows = append(out.Rows, []string{
 			string(preset),
 			fmt.Sprintf("%.2f", res.MeanLookupCycles),

@@ -129,38 +129,16 @@ func NewPipe(latencyCycles int) *Pipe {
 func (p *Pipe) Latency() int64 { return p.latency }
 
 // Send injects a message at cycle now; it will arrive at now+latency.
-// Sends must use non-decreasing timestamps; the guard compares against
-// the last Send directly (not the tail of the queue), so it also catches
-// a time-travelling send issued after the queue fully drained.
+// Sends must use non-decreasing timestamps, which keeps the queue in
+// arrival order; the guard compares against the last Send directly (not
+// the tail of the queue), so it also catches a time-travelling send
+// issued after the queue fully drained.
 func (p *Pipe) Send(now int64, m Message) {
-	p.SendDelayed(now, 0, m)
-}
-
-// SendDelayed injects a message at cycle now with extra cycles of added
-// latency beyond the pipe's base, modelling a degraded link to or from a
-// browned-out line card. Because the extra delay can land this message
-// behind later clean sends — and clean sends can in turn land ahead of
-// earlier delayed ones — every send is insertion-sorted into the queue
-// by arrival time so Deliver's in-order scan stays valid. The walk-back
-// is O(1) when no delayed traffic is in flight (arrivals are monotone)
-// and bounded by the number of queued slower messages otherwise. Equal
-// arrivals keep send order, so same-link FIFO behaviour is unchanged.
-func (p *Pipe) SendDelayed(now int64, extra int64, m Message) {
-	if extra < 0 {
-		extra = 0
-	}
 	if p.sent > 0 && now < p.lastSend {
 		panic("fabric: out-of-order send")
 	}
 	p.lastSend = now
-	in := inflight{arrival: now + p.latency + extra, msg: m}
-	p.queue = append(p.queue, in)
-	i := len(p.queue) - 1
-	for i > p.head && p.queue[i-1].arrival > in.arrival {
-		p.queue[i] = p.queue[i-1]
-		i--
-	}
-	p.queue[i] = in
+	p.queue = append(p.queue, inflight{arrival: now + p.latency, msg: m})
 	p.sent++
 }
 

@@ -78,57 +78,6 @@ func TestPipeCompaction(t *testing.T) {
 	}
 }
 
-// TestPipeSendDelayedReorders: a delayed (browned-out) message must not
-// block later clean sends — SendDelayed insertion-sorts by arrival so
-// Deliver's in-order head scan stays valid even when a slow message is
-// overtaken by faster ones sent after it.
-func TestPipeSendDelayedReorders(t *testing.T) {
-	p := NewPipe(2)
-	p.SendDelayed(10, 8, Message{PacketID: 1}) // arrives at 20
-	p.Send(11, Message{PacketID: 2})           // arrives at 13: overtakes
-	p.SendDelayed(12, 3, Message{PacketID: 3}) // arrives at 17: overtakes
-	got := p.Deliver(13)
-	if len(got) != 1 || got[0].PacketID != 2 {
-		t.Fatalf("at t=13: %v, want the clean overtaker", got)
-	}
-	got = p.Deliver(19)
-	if len(got) != 1 || got[0].PacketID != 3 {
-		t.Fatalf("at t=19: %v, want the lightly delayed message", got)
-	}
-	got = p.Deliver(20)
-	if len(got) != 1 || got[0].PacketID != 1 {
-		t.Fatalf("at t=20: %v, want the browned-out straggler", got)
-	}
-	if p.Pending() != 0 || p.Sent() != 3 {
-		t.Errorf("Pending=%d Sent=%d", p.Pending(), p.Sent())
-	}
-}
-
-// TestPipeSendDelayedTiesKeepFIFO: equal arrival times preserve send
-// order, so a same-link message pair never reorders.
-func TestPipeSendDelayedTiesKeepFIFO(t *testing.T) {
-	p := NewPipe(1)
-	p.SendDelayed(5, 2, Message{PacketID: 1}) // arrives at 8
-	p.SendDelayed(6, 1, Message{PacketID: 2}) // arrives at 8 too
-	p.Send(7, Message{PacketID: 3})           // arrives at 8 too
-	got := p.Deliver(8)
-	if len(got) != 3 || got[0].PacketID != 1 || got[1].PacketID != 2 || got[2].PacketID != 3 {
-		t.Fatalf("tied arrivals reordered: %v", got)
-	}
-}
-
-// TestPipeSendDelayedNegativeExtraClamped: negative extra behaves as 0.
-func TestPipeSendDelayedNegativeExtraClamped(t *testing.T) {
-	p := NewPipe(3)
-	p.SendDelayed(10, -5, Message{PacketID: 1})
-	if got := p.Deliver(12); len(got) != 0 {
-		t.Fatalf("negative extra delivered early: %v", got)
-	}
-	if got := p.Deliver(13); len(got) != 1 {
-		t.Fatal("negative extra must clamp to the base latency")
-	}
-}
-
 func TestPipeNegativeLatencyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -163,4 +112,17 @@ func TestPipeOutOfOrderSendAfterDrainPanics(t *testing.T) {
 		}
 	}()
 	p.Send(5, Message{})
+}
+
+// TestPipeTiesKeepFIFO: messages sent in one cycle arrive together and in
+// send order, so the simulator's LC-ordered sends replay identically.
+func TestPipeTiesKeepFIFO(t *testing.T) {
+	p := NewPipe(2)
+	for id := int64(1); id <= 3; id++ {
+		p.Send(5, Message{PacketID: id})
+	}
+	got := p.Deliver(7)
+	if len(got) != 3 || got[0].PacketID != 1 || got[1].PacketID != 2 || got[2].PacketID != 3 {
+		t.Fatalf("same-cycle sends reordered: %v", got)
+	}
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 
+	"spal/internal/ip"
+	"spal/internal/lpm"
 	"spal/internal/lpm/engines"
 	"spal/internal/rtable"
 )
@@ -82,4 +84,43 @@ func TestChurnTargetedBeatsFlush(t *testing.T) {
 	}
 	t.Logf("hit rate: targeted %.4f vs full-flush %.4f; mean lookup %.1f vs %.1f cycles",
 		targeted.HitRate, flushed.HitRate, targeted.MeanLookupCycles, flushed.MeanLookupCycles)
+}
+
+// TestChurnLeavesNoStaleEntry: after a churned run every complete entry
+// in every LR-cache agrees with the final table. VerifyNextHops checks
+// only the verdicts a run serves; an entry that churn should have
+// invalidated but no later packet probed shows up only here.
+func TestChurnLeavesNoStaleEntry(t *testing.T) {
+	cfg := churnConfig(rtable.Small(2000, 4), 500_000)
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ChurnEvents == 0 {
+		t.Fatal("no churn events applied; test is vacuous")
+	}
+	ref := lpm.NewReference(r.curTable)
+	var audited, stale int
+	for _, l := range r.lcs {
+		l.cache.AuditEntries(func(a ip.Addr, nh rtable.NextHop) bool {
+			audited++
+			want, _, ok := ref.Lookup(a)
+			if !ok {
+				want = rtable.NoNextHop
+			}
+			if nh != want {
+				stale++
+				t.Errorf("LC %d caches %s -> %d, final table says %d", l.id, ip.FormatAddr(a), nh, want)
+			}
+			return true
+		})
+	}
+	if audited == 0 {
+		t.Fatal("no cache entry audited; test is vacuous")
+	}
+	t.Logf("%d entries audited after %d churn events, %d stale", audited, res.ChurnEvents, stale)
 }

@@ -30,6 +30,20 @@ import (
 	"spal/internal/trace"
 )
 
+// The paper's timing model (Sec. 5): a 5 ns cycle, and the FE cost
+// DynamicLookup charges — 12 ns per memory access plus 120 ns of code.
+const (
+	CycleNS     = 5
+	memAccessNS = 12
+	execNS      = 120
+)
+
+// The churn stream's event mix (see Config.UpdatesPerSecond).
+const (
+	updateWithdrawProb  = 0.3
+	updateNewPrefixProb = 0.2
+)
+
 // Config describes one simulation run.
 type Config struct {
 	// NumLCs is ψ, the number of line cards (any integer >= 1).
@@ -38,13 +52,10 @@ type Config struct {
 	// Lulea trie, 62 for the DP trie). Ignored when DynamicLookup is set.
 	LookupCycles int
 	// DynamicLookup derives each lookup's FE time from the engine's
-	// reported memory accesses: ceil((accesses*MemAccessNS + ExecNS) /
+	// reported memory accesses: ceil((accesses*memAccessNS + execNS) /
 	// CycleNS), the formula behind the paper's 40-cycle figure
 	// (6.5 accesses x 12 ns + 120 ns of code ≈ 200 ns ≈ 40 cycles).
 	DynamicLookup bool
-	// MemAccessNS, ExecNS, CycleNS parameterize DynamicLookup and the
-	// throughput conversion; zero values default to 12, 120 and 5.
-	MemAccessNS, ExecNS, CycleNS float64
 
 	// Cache is the LR-cache organization; CacheEnabled false removes the
 	// caches entirely.
@@ -66,18 +77,6 @@ type Config struct {
 	// packet rate). The paper assumes uniform ingress; this knob measures
 	// SPAL under unbalanced line cards. Nil means uniform.
 	LoadFactors []float64
-	// OfferedLoad uniformly scales every LC's packet rate on top of
-	// LoadFactors (1.0 = nominal, 2.0 = twice the paper's offered load).
-	// Zero means 1.0. The overload experiments drive the router past
-	// saturation with this knob.
-	OfferedLoad float64
-	// AdmissionCap > 0 enables admission control: a freshly arrived local
-	// packet is shed (counted, never enqueued) when the LC's arrival queue
-	// already holds that many packets — the simulator analogue of the
-	// concurrent router's bounded inboxes. Remote requests and replies are
-	// never shed, so an admitted packet always completes. 0 disables
-	// shedding (legacy unbounded queues).
-	AdmissionCap int
 	// PacketsPerLC is the per-LC packet budget (paper: 300,000).
 	PacketsPerLC int
 
@@ -102,46 +101,14 @@ type Config struct {
 	// only the affected address ranges are invalidated in the LR-caches.
 	// This is the simulator analogue of the concurrent router's
 	// ApplyUpdates plane; FlushEveryCycles remains the legacy
-	// full-flush-on-a-timer model.
+	// full-flush-on-a-timer model. A share updateWithdrawProb of the
+	// events withdraw a route, and a share updateNewPrefixProb of the
+	// announcements introduce a prefix the table does not hold.
 	UpdatesPerSecond float64
-	// UpdateWithdrawProb and UpdateNewPrefixProb parameterize the churn
-	// stream; zero values default to 0.3 and 0.2.
-	UpdateWithdrawProb  float64
-	UpdateNewPrefixProb float64
 	// UpdateFullFlush switches churn invalidation from targeted ranges
 	// to whole-cache flushes — the conservative model the churn
 	// experiments compare targeted invalidation against.
 	UpdateFullFlush bool
-
-	// CorruptRate > 0 enables the seeded state-corruption injector: each
-	// LR-cache fill (LOC and REM alike) is independently corrupted with
-	// this probability — the stored and delivered next hop is bit-flipped
-	// — modelling soft errors on the fill path. With corruption on,
-	// completed packets that disagree with the verification oracle are
-	// counted (Result.WrongVerdicts) instead of failing the run, so the
-	// scrub experiments can measure exposure rather than crash.
-	CorruptRate float64
-	// CorruptSeed drives the corruption draws independently of the other
-	// random streams; 0 derives a seed from Seed.
-	CorruptSeed uint64
-	// ScrubEveryCycles > 0 enables the online integrity scrubber: every
-	// that many cycles each LR-cache is audited in full against the
-	// current table's oracle and mismatched entries are evicted
-	// (Result.ScrubMismatches / ScrubRepairs) — the simulator analogue of
-	// the concurrent router's scrub plane.
-	ScrubEveryCycles int64
-
-	// SlowLC and SlowFactor model a browned-out line card — the gray
-	// failure the concurrent router's detection plane (router/gray.go)
-	// targets. When SlowFactor > 1, every fabric message to or from
-	// SlowLC pays (SlowFactor-1) x FabricLatency extra cycles, so the
-	// card stays alive and correct but its remote lookups crawl. The
-	// cycle simulator has no ejection; these knobs measure the *exposure*
-	// a brownout creates (latency skew for traffic homed at the slow
-	// card), the baseline the router's mitigation is judged against.
-	// SlowFactor 0 (or 1) disables the model; SlowLC then is ignored.
-	SlowLC     int
-	SlowFactor float64
 
 	// DisableEarlyRecording turns off the paper's "early cache block
 	// recording" (Sec. 3.2): misses no longer reserve a W-bit block, so
@@ -168,8 +135,6 @@ type Config struct {
 
 	// Seed drives every random stream in the run.
 	Seed uint64
-	// MaxCycles caps the run as a safety net; 0 derives a generous bound.
-	MaxCycles int64
 	// VerifyNextHops cross-checks every completed packet against
 	// full-table LPM (invariant 3); meant for tests.
 	VerifyNextHops bool
@@ -227,52 +192,11 @@ func (c Config) normalize() (Config, error) {
 			}
 		}
 	}
-	if c.OfferedLoad < 0 {
-		return c, fmt.Errorf("sim: negative OfferedLoad %v", c.OfferedLoad)
-	}
-	if c.OfferedLoad == 0 {
-		c.OfferedLoad = 1.0
-	}
-	if c.AdmissionCap < 0 {
-		return c, fmt.Errorf("sim: negative AdmissionCap %d", c.AdmissionCap)
-	}
 	if c.UpdatesPerSecond < 0 {
 		return c, fmt.Errorf("sim: negative UpdatesPerSecond %v", c.UpdatesPerSecond)
 	}
-	if c.UpdatesPerSecond > 0 {
-		if c.UpdateWithdrawProb == 0 {
-			c.UpdateWithdrawProb = 0.3
-		}
-		if c.UpdateNewPrefixProb == 0 {
-			c.UpdateNewPrefixProb = 0.2
-		}
-	}
-	if c.SlowFactor < 0 {
-		return c, fmt.Errorf("sim: negative SlowFactor %v", c.SlowFactor)
-	}
-	if c.SlowFactor > 1 && (c.SlowLC < 0 || c.SlowLC >= c.NumLCs) {
-		return c, fmt.Errorf("sim: SlowLC %d outside [0,%d)", c.SlowLC, c.NumLCs)
-	}
-	if c.CorruptRate < 0 || c.CorruptRate > 1 {
-		return c, fmt.Errorf("sim: CorruptRate %v outside [0,1]", c.CorruptRate)
-	}
-	if c.ScrubEveryCycles < 0 {
-		return c, fmt.Errorf("sim: negative ScrubEveryCycles %d", c.ScrubEveryCycles)
-	}
-	if c.CorruptRate > 0 && c.CorruptSeed == 0 {
-		c.CorruptSeed = c.Seed ^ 0xbadf111
-	}
 	if !c.DynamicLookup && c.LookupCycles <= 0 {
 		return c, fmt.Errorf("sim: LookupCycles must be positive")
-	}
-	if c.MemAccessNS == 0 {
-		c.MemAccessNS = 12
-	}
-	if c.ExecNS == 0 {
-		c.ExecNS = 120
-	}
-	if c.CycleNS == 0 {
-		c.CycleNS = 5
 	}
 	if c.Engine == nil {
 		c.Engine = lpm.NewReferenceEngine
@@ -283,15 +207,17 @@ func (c Config) normalize() (Config, error) {
 	if c.FabricLatency == 0 {
 		c.FabricLatency = fabric.Latency(c.FabricKind, c.NumLCs)
 	}
-	if c.MaxCycles == 0 {
-		// Generation time plus worst-case FE drain, with headroom.
-		gen := int64(c.PacketsPerLC) * int64(c.GapMax)
-		feCycles := int64(c.LookupCycles)
-		if c.DynamicLookup {
-			feCycles = int64((32*c.MemAccessNS + c.ExecNS) / c.CycleNS)
-		}
-		drain := int64(c.PacketsPerLC) * feCycles * 2
-		c.MaxCycles = 4 * (gen + drain + 1_000_000)
-	}
 	return c, nil
+}
+
+// maxCycles caps a run as a safety net: generation time plus a
+// worst-case FE drain, with headroom.
+func (c Config) maxCycles() int64 {
+	gen := int64(c.PacketsPerLC) * int64(c.GapMax)
+	feCycles := int64(c.LookupCycles)
+	if c.DynamicLookup {
+		feCycles = (32*memAccessNS + execNS) / CycleNS
+	}
+	drain := int64(c.PacketsPerLC) * feCycles * 2
+	return 4 * (gen + drain + 1_000_000)
 }

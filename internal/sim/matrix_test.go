@@ -3,12 +3,15 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"spal/internal/fabric"
 	"spal/internal/lpm/engines"
 	"spal/internal/rtable"
 	"spal/internal/trace"
@@ -23,10 +26,11 @@ type matrixCell struct {
 }
 
 // matrixCells spans every Config switch internal/experiments and spalsim
-// set — eighteen variants × {D_75, B_L} × ψ ∈ {3, 16} — with VerifyNextHops
-// on throughout. Flush intervals stay at or above 3,000 cycles: at 2,000
-// and below at ψ = 3 reissued copies multiply and a run never finishes
-// (see EXPERIMENTS.md, "Flush faster than a lookup drains").
+// set (TestMatrixSpansConfig holds it to that) — each variant × {D_75,
+// B_L} × ψ ∈ {3, 16} — with VerifyNextHops on throughout. Flush
+// intervals stay at or above 3,000 cycles: at 2,000 and below at ψ = 3
+// reissued copies multiply and a run never finishes (see EXPERIMENTS.md,
+// "Flush faster than a lookup drains").
 func matrixCells(t *testing.T, tbl *rtable.Table, packets int) []matrixCell {
 	t.Helper()
 	engine := func(name string) func(*Config) {
@@ -46,23 +50,22 @@ func matrixCells(t *testing.T, tbl *rtable.Table, packets int) []matrixCell {
 		{"flush-3000", func(c *Config) { c.FlushEveryCycles = 3000 }},
 		{"churn-ranges", func(c *Config) { dptrie(c); c.UpdatesPerSecond = 100_000 }},
 		{"churn-full-flush", func(c *Config) { dptrie(c); c.UpdatesPerSecond = 100_000; c.UpdateFullFlush = true }},
-		{"corrupt-scrub", func(c *Config) { c.CorruptRate = 0.01; c.ScrubEveryCycles = 1000 }},
-		{"brownout", func(c *Config) { c.SlowLC = 1; c.SlowFactor = 8 }},
 		{"stages", func(c *Config) { c.StageAccounting = true }},
-		{"stages-flush-brownout", func(c *Config) {
-			c.StageAccounting = true
-			c.FlushEveryCycles = 3000
-			c.SlowLC = 2
-			c.SlowFactor = 5
-		}},
+		{"stages-flush", func(c *Config) { c.StageAccounting = true; c.FlushEveryCycles = 3000 }},
 		{"fabric-contention", func(c *Config) { c.FabricContention = true }},
+		{"bus-fabric", func(c *Config) { c.FabricKind = fabric.Bus }},
 		{"no-cache-10gbps", func(c *Config) { c.CacheEnabled = false; c.GapMin, c.GapMax = Gaps10Gbps() }},
 		{"no-partition", func(c *Config) { c.PartitionEnabled = false }},
 		{"no-early-recording", func(c *Config) { c.DisableEarlyRecording = true }},
-		{"overload-3x-cap-1", func(c *Config) { c.OfferedLoad = 3; c.AdmissionCap = 1 }},
+		{"lookup-62", func(c *Config) { c.LookupCycles = 62 }},
 		{"dynamic-fe", func(c *Config) { lulea(c); c.DynamicLookup = true }},
 		{"cache-64", func(c *Config) { c.Cache.Blocks = 64 }},
 		{"time-series", func(c *Config) { c.SampleWindowCycles = 2000 }},
+		{"trace-drift", func(c *Config) {
+			c.TraceConfig = trace.PresetConfig(c.Trace)
+			c.TraceConfig.DriftEvery = 500
+			c.TraceConfig.DriftFraction = 0.3
+		}},
 		{"skewed-ingress", func(c *Config) {
 			c.LoadFactors = make([]float64, c.NumLCs)
 			for i := range c.LoadFactors {
@@ -87,18 +90,30 @@ func matrixCells(t *testing.T, tbl *rtable.Table, packets int) []matrixCell {
 	return cells
 }
 
-// fingerprint is the SHA-256 of everything a run reports: the JSON report,
-// the per-LC breakdown (FE utilisation and mean queue depths included), the
-// stage table, the latency percentiles and the time series.
+// fingerprint is the SHA-256 of everything a run reports: the JSON report
+// (the per-LC breakdown with FE utilisation and mean queue depths, churn
+// counters, time series and stage rows) re-encoded with its keys sorted,
+// then the stage table, the latency percentiles and the time series.
 func fingerprint(t *testing.T, res *Result) string {
 	t.Helper()
-	var b bytes.Buffer
-	if err := res.WriteJSON(&b); err != nil {
+	var js bytes.Buffer
+	if err := res.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&b, "%+v\n%s%d %d %d %d\n%+v\n", res.PerLC, res.StageTable(),
+	dec := json.NewDecoder(&js)
+	dec.UseNumber() // numbers keep their exact encoding
+	var report map[string]any
+	if err := dec.Decode(&report); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(report) // map keys marshal sorted
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.NewBuffer(b)
+	fmt.Fprintf(buf, "\n%s%d %d %d %d\n%+v\n", res.StageTable(),
 		res.P50, res.P95, res.LatencyPercentile(0.99), res.WorstLookupCycles, res.Samples)
-	return fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))
+	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
 }
 
 // TestRunMatrixGolden is the simulator's exactness oracle: a change to how
@@ -128,6 +143,50 @@ func TestRunMatrixGolden(t *testing.T) {
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("cell moved:\n got  %s\n want %s", gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// matrixExempt names the Config fields no matrix cell changes from
+// DefaultConfig, each with why a cell would add nothing.
+var matrixExempt = map[string]string{
+	"FabricLatency": "an explicit latency reaches the same fabric.NewPipe the bus-fabric cells derive theirs for",
+	"Table":         "every cell runs one synthetic table; the table is the input, not a switch",
+	"Seed":          "every random stream derives from it; the cells hold it fixed so a fingerprint moves only with the code",
+}
+
+// TestMatrixSpansConfig holds matrixCells to its claim: every exported
+// Config field is changed from DefaultConfig by some cell, or is named in
+// matrixExempt. A new field fails here until a variant covers it or its
+// exemption says why none should.
+func TestMatrixSpansConfig(t *testing.T) {
+	tbl := rtable.Small(500, 1)
+	def := reflect.ValueOf(DefaultConfig(tbl))
+	typ := def.Type()
+	changed := map[string]bool{}
+	for _, c := range matrixCells(t, tbl, 1) {
+		v := reflect.ValueOf(c.cfg)
+		for i := 0; i < typ.NumField(); i++ {
+			// DeepEqual holds for funcs only when both are nil: any Engine is a change.
+			if typ.Field(i).IsExported() && !reflect.DeepEqual(v.Field(i).Interface(), def.Field(i).Interface()) {
+				changed[typ.Field(i).Name] = true
+			}
+		}
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		_, exempt := matrixExempt[name]
+		switch {
+		case !typ.Field(i).IsExported():
+		case changed[name] && exempt:
+			t.Errorf("Config.%s is changed by a cell and exempt; drop the exemption", name)
+		case !changed[name] && !exempt:
+			t.Errorf("Config.%s is changed by no matrix cell: add a variant, or exempt it with a reason", name)
+		}
+	}
+	for name := range matrixExempt {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("matrixExempt names Config.%s, which does not exist", name)
 		}
 	}
 }

@@ -12,10 +12,7 @@ import (
 
 // LCStats summarizes one line card after a run.
 type LCStats struct {
-	Generated, Completed int64
-	// Shed counts arrivals refused by AdmissionCap (0 when admission
-	// control is off). Shed packets are not in Generated.
-	Shed                       int64
+	Generated, Completed       int64
 	HitLoc, HitRem             int64
 	MissLocal                  int64
 	RequestsSent, RepliesSent  int64
@@ -52,14 +49,6 @@ type Result struct {
 	DerivedMppsRouter float64
 	// OfferedMppsRouter is the measured completion rate over the run.
 	OfferedMppsRouter float64
-	// Shed is the router-wide count of arrivals refused by AdmissionCap;
-	// ShedFraction is Shed over all offered packets (completed + shed).
-	Shed         int64
-	ShedFraction float64
-	// GoodputMppsRouter is the rate of packets that were admitted AND
-	// completed with a verified next hop — under overload this is the
-	// useful work, distinct from the offered rate.
-	GoodputMppsRouter float64
 	// HitRate is the aggregate LR-cache hit rate (0 when caches are off).
 	HitRate float64
 	// FabricMessages counts every request and reply crossed the fabric.
@@ -68,22 +57,6 @@ type Result struct {
 	// applied, targeted range invalidations issued across all caches,
 	// and stale fills caught by the version guard.
 	ChurnEvents, ChurnRangeInvalidations, ChurnStaleFills int64
-	// State-integrity accounting (CorruptRate / ScrubEveryCycles > 0):
-	// fills corrupted by the injector, scrub passes run, cache entries
-	// the scrubber found disagreeing with the oracle and evicted, and
-	// packets that completed with a wrong next hop (only counted when
-	// VerifyNextHops is set; without corruption a wrong verdict panics
-	// instead).
-	CorruptionsInjected, ScrubCycles, ScrubMismatches, ScrubRepairs, WrongVerdicts int64
-	// Brownout accounting (SlowFactor > 1): fabric messages that paid
-	// the slow-link penalty, the penalty in cycles, and the latency skew
-	// the brownout created — mean lookup time of packets homed at the
-	// slow LC against the mean over everything else. The skew ratio is
-	// the exposure the concurrent router's ejection removes.
-	SlowDelayedMessages int64
-	SlowExtraCycles     int64
-	SlowHomeMeanCycles  float64
-	CleanHomeMeanCycles float64
 	// PerLC holds per-line-card breakdowns.
 	PerLC []LCStats
 	// Samples is the latency time series (SampleWindowCycles > 0): the
@@ -121,39 +94,18 @@ func (r *Router) result() *Result {
 	res.ChurnEvents = r.churnEvents
 	res.ChurnRangeInvalidations = r.churnRangeInv
 	res.ChurnStaleFills = r.churnStaleFills
-	res.CorruptionsInjected = r.corruptions
-	res.ScrubCycles = r.scrubCycles
-	res.ScrubMismatches = r.scrubMismatches
-	res.ScrubRepairs = r.scrubRepairs
-	res.WrongVerdicts = r.wrongVerdicts
-	if r.slowExtra > 0 {
-		res.SlowDelayedMessages = r.slowDelayed
-		res.SlowExtraCycles = r.slowExtra
-		if n := r.homeLatN[1]; n > 0 {
-			res.SlowHomeMeanCycles = float64(r.homeLatSum[1]) / float64(n)
-		}
-		if n := r.homeLatN[0]; n > 0 {
-			res.CleanHomeMeanCycles = float64(r.homeLatSum[0]) / float64(n)
-		}
-	}
 	if res.MeanLookupCycles > 0 {
-		res.DerivedMppsPerLC = 1e3 / (res.MeanLookupCycles * r.cfg.CycleNS)
+		res.DerivedMppsPerLC = 1e3 / (res.MeanLookupCycles * CycleNS)
 		res.DerivedMppsRouter = res.DerivedMppsPerLC * float64(r.cfg.NumLCs)
 	}
 	if r.now > 0 {
-		res.OfferedMppsRouter = float64(r.completed) / (float64(r.now) * r.cfg.CycleNS * 1e-9) / 1e6
-		res.GoodputMppsRouter = res.OfferedMppsRouter
-	}
-	res.Shed = r.shed
-	if r.completed+r.shed > 0 {
-		res.ShedFraction = float64(r.shed) / float64(r.completed+r.shed)
+		res.OfferedMppsRouter = float64(r.completed) / (float64(r.now) * CycleNS * 1e-9) / 1e6
 	}
 	var probes, hits int64
 	for _, l := range r.lcs {
 		ls := LCStats{
 			Generated:        l.n[cGenerated],
 			Completed:        l.n[cCompleted],
-			Shed:             l.n[cShed],
 			HitLoc:           l.n[cHitLoc],
 			HitRem:           l.n[cHitRem],
 			MissLocal:        l.n[cMissLocal],
@@ -211,34 +163,15 @@ func (res *Result) Snapshot() *metrics.Snapshot {
 	s.Gauge("spal_sim_mean_lookup_cycles", "Mean per-packet lookup time in cycles.", res.MeanLookupCycles)
 	s.Gauge("spal_sim_cache_hit_ratio", "Aggregate LR-cache hit rate.", res.HitRate)
 	s.Gauge("spal_sim_derived_mpps_router", "Derived router throughput (Mpps).", res.DerivedMppsRouter)
-	if res.cfg.AdmissionCap > 0 {
-		s.Gauge("spal_sim_shed_fraction", "Shed packets over all offered packets.", res.ShedFraction)
-		s.Gauge("spal_sim_goodput_mpps_router", "Completion rate of admitted packets (Mpps).", res.GoodputMppsRouter)
-	}
 	if res.cfg.UpdatesPerSecond > 0 {
 		s.Counter("spal_sim_update_events_total", "Route-update events applied during the run.", float64(res.ChurnEvents))
 		s.Counter("spal_sim_range_invalidations_total", "Targeted cache range invalidations from churn.", float64(res.ChurnRangeInvalidations))
 		s.Counter("spal_sim_stale_fills_total", "Stale fills point-invalidated by the version guard.", float64(res.ChurnStaleFills))
 	}
-	if res.cfg.CorruptRate > 0 || res.cfg.ScrubEveryCycles > 0 {
-		s.Counter("spal_sim_corruptions_injected_total", "Cache fills corrupted by the injector.", float64(res.CorruptionsInjected))
-		s.Counter("spal_sim_scrub_cycles_total", "Full-cache scrub passes run.", float64(res.ScrubCycles))
-		s.Counter("spal_sim_scrub_mismatches_total", "Cache entries the scrubber found disagreeing with the oracle.", float64(res.ScrubMismatches))
-		s.Counter("spal_sim_scrub_repairs_total", "Mismatched cache entries evicted by the scrubber.", float64(res.ScrubRepairs))
-		s.Counter("spal_sim_wrong_verdicts_total", "Packets completed with a next hop the oracle rejects.", float64(res.WrongVerdicts))
-	}
-	if res.cfg.SlowFactor > 1 {
-		s.Counter("spal_sim_slow_messages_total", "Fabric messages that paid the brownout penalty.", float64(res.SlowDelayedMessages))
-		s.Gauge("spal_sim_slow_home_mean_cycles", "Mean lookup time of packets homed at the slow LC.", res.SlowHomeMeanCycles)
-		s.Gauge("spal_sim_clean_home_mean_cycles", "Mean lookup time of packets homed elsewhere.", res.CleanHomeMeanCycles)
-	}
 	for i, l := range res.PerLC {
 		lbl := metrics.L("lc", strconv.Itoa(i))
 		s.Counter("spal_sim_generated_total", "Packets generated at this LC.", float64(l.Generated), lbl)
 		s.Counter("spal_sim_completed_total", "Packets completed at this LC.", float64(l.Completed), lbl)
-		if res.cfg.AdmissionCap > 0 {
-			s.Counter("spal_sim_shed_total", "Arrivals refused by admission control at this LC.", float64(l.Shed), lbl)
-		}
 		s.Counter("spal_sim_hits_total", "LR-cache hits by origin class.", float64(l.HitLoc), lbl, metrics.L("origin", "loc"))
 		s.Counter("spal_sim_hits_total", "LR-cache hits by origin class.", float64(l.HitRem), lbl, metrics.L("origin", "rem"))
 		s.Counter("spal_sim_fe_lookups_total", "Forwarding-engine lookups at this LC.", float64(l.FELookups), lbl)
@@ -267,26 +200,9 @@ func (res *Result) String() string {
 		res.DerivedMppsPerLC, res.DerivedMppsRouter)
 	fmt.Fprintf(&b, "  cache hit rate = %.4f, fabric messages = %d, cycles = %d\n",
 		res.HitRate, res.FabricMessages, res.Cycles)
-	if res.cfg.AdmissionCap > 0 || res.Shed > 0 {
-		fmt.Fprintf(&b, "  offered load = %.2fx, shed = %d (%.2f%%), goodput = %.1f Mpps/router\n",
-			res.cfg.OfferedLoad, res.Shed, res.ShedFraction*100, res.GoodputMppsRouter)
-	}
 	if res.ChurnEvents > 0 {
 		fmt.Fprintf(&b, "  churn = %d updates (%.0f/s), %d range invalidations, %d stale fills guarded\n",
 			res.ChurnEvents, res.cfg.UpdatesPerSecond, res.ChurnRangeInvalidations, res.ChurnStaleFills)
-	}
-	if res.cfg.CorruptRate > 0 || res.cfg.ScrubEveryCycles > 0 {
-		fmt.Fprintf(&b, "  integrity = %d fills corrupted, %d scrubs found %d mismatches (%d evicted), %d wrong verdicts served\n",
-			res.CorruptionsInjected, res.ScrubCycles, res.ScrubMismatches, res.ScrubRepairs, res.WrongVerdicts)
-	}
-	if res.cfg.SlowFactor > 1 {
-		skew := 0.0
-		if res.CleanHomeMeanCycles > 0 {
-			skew = res.SlowHomeMeanCycles / res.CleanHomeMeanCycles
-		}
-		fmt.Fprintf(&b, "  brownout = LC %d at %.1fx fabric latency (+%d cycles/msg), %d messages delayed, home-LC mean %.1f vs %.1f cycles (%.2fx skew)\n",
-			res.cfg.SlowLC, res.cfg.SlowFactor, res.SlowExtraCycles, res.SlowDelayedMessages,
-			res.SlowHomeMeanCycles, res.CleanHomeMeanCycles, skew)
 	}
 	return b.String()
 }

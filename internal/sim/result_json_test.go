@@ -9,8 +9,8 @@ import (
 )
 
 // TestResultJSON runs a small churned simulation and checks the JSON
-// report is complete and self-consistent — the contract the perf-grid
-// harness consumes instead of parsing the human report.
+// report is complete and self-consistent — the contract a script reading
+// spalsim -json relies on instead of parsing the human report.
 func TestResultJSON(t *testing.T) {
 	tbl := rtable.Synthesize(rtable.SynthConfig{N: 3000, NextHops: 8, NestProb: 0.3, Seed: 5})
 	cfg := DefaultConfig(tbl)
@@ -61,7 +61,7 @@ func TestResultJSON(t *testing.T) {
 		t.Errorf("packets completed %d vs %d", j.PacketsCompleted, res.PacketsCompleted)
 	}
 
-	// Key harness-facing fields must exist under their wire names.
+	// Key fields must exist under their wire names.
 	for _, key := range []string{
 		"config", "mean_lookup_cycles", "p50_cycles", "p99_cycles",
 		"worst_cycles", "hit_rate", "derived_mpps_router", "per_lc",

@@ -85,7 +85,6 @@ type lineCard struct {
 const (
 	cGenerated = iota
 	cCompleted
-	cShed
 	cHitLoc
 	cHitRem
 	cHitRemoteRequest
@@ -150,33 +149,17 @@ type Router struct {
 
 	churnEvents, churnRangeInv, churnStaleFills int64
 
-	// State-integrity plane (see integrity.go): the corruption draw
-	// stream, the per-version scrub oracle, and the run counters.
-	corruptRNG   *stats.RNG
-	scrubAuth    *lpm.Reference
-	scrubAuthVer int32
-
-	corruptions, scrubCycles, scrubMismatches, scrubRepairs, wrongVerdicts int64
-
-	// Brownout model (SlowFactor > 1): the extra fabric cycles each
-	// message touching SlowLC pays, and how many messages paid it.
-	slowExtra   int64
-	slowDelayed int64
-
 	// packets is a slab of the records in flight (see packet): free lists
 	// its unnamed slots, and a completed packet that loses its last name is
-	// folded into the running sums below — all the run report reads of a
-	// finished packet — so a run holds its in-flight population, not its
-	// length. homeLat is indexed by whether the packet's home is SlowLC.
+	// folded into the stage sums below and its slot reused, so a run holds
+	// its in-flight population, not its length.
 	packets               []packet
 	free                  []int64
-	homeLatSum, homeLatN  [2]int64
 	stageSum, stagePacket [len(stageDefs)]int64
 	// wake[i] is the next cycle at which LC i has anything to do; step
 	// passes it over until then.
 	wake      []int64
 	completed int64
-	shed      int64 // packets refused at arrival by AdmissionCap
 	lat       *stats.Hist
 	now       int64
 
@@ -232,15 +215,8 @@ func (r *Router) drop(id int64) {
 	r.free = append(r.free, id)
 }
 
-// fold adds a completed packet to the sums result and stageBreakdown
-// report from.
+// fold adds a completed packet to the sums stageBreakdown reports from.
 func (r *Router) fold(p *packet) {
-	slow := 0
-	if int(p.homeLC) == r.cfg.SlowLC {
-		slow = 1
-	}
-	r.homeLatSum[slow] += p.completeCycle - p.arrivalCycle + 1
-	r.homeLatN[slow]++
 	if !r.cfg.StageAccounting {
 		return
 	}
@@ -288,27 +264,18 @@ func New(cfg Config) (*Router, error) {
 		r.refs = []*lpm.Reference{lpm.NewReference(cfg.Table)}
 	}
 	r.curTable = cfg.Table
-	if cfg.CorruptRate > 0 {
-		r.corruptRNG = stats.NewRNG(cfg.CorruptSeed)
-	}
 	if cfg.UpdatesPerSecond > 0 {
 		// The stream covers the packet-generation horizon; updates that
 		// would land after the last arrival change nothing observable.
 		horizon := int64(cfg.PacketsPerLC) * int64(cfg.GapMax)
 		r.updates = rtable.GenerateUpdates(cfg.Table, rtable.UpdateStreamConfig{
 			RatePerSecond: cfg.UpdatesPerSecond,
-			CycleNS:       cfg.CycleNS,
+			CycleNS:       CycleNS,
 			Duration:      horizon,
-			WithdrawProb:  cfg.UpdateWithdrawProb,
-			NewPrefixProb: cfg.UpdateNewPrefixProb,
+			WithdrawProb:  updateWithdrawProb,
+			NewPrefixProb: updateNewPrefixProb,
 			Seed:          cfg.Seed ^ 0xc1124,
 		})
-	}
-	if cfg.SlowFactor > 1 {
-		r.slowExtra = int64((cfg.SlowFactor - 1) * float64(cfg.FabricLatency))
-		if r.slowExtra < 1 {
-			r.slowExtra = 1 // a brownout must be observable even on a 1-cycle fabric
-		}
 	}
 	r.pool = trace.NewPool(cfg.Table, cfg.TraceConfig)
 	root := stats.NewRNG(cfg.Seed ^ 0x5e3d)
@@ -336,7 +303,6 @@ func New(cfg Config) (*Router, error) {
 		if cfg.LoadFactors != nil {
 			l.loadFactor = cfg.LoadFactors[i]
 		}
-		l.loadFactor *= cfg.OfferedLoad
 		l.nextArrival = l.drawGap(cfg.GapMin, cfg.GapMax)
 		r.lcs = append(r.lcs, l)
 	}
@@ -354,10 +320,11 @@ func (r *Router) homeOf(a ip.Addr, arrival int) int {
 // Run executes the simulation to completion and returns the results.
 func (r *Router) Run() (*Result, error) {
 	total := int64(r.cfg.NumLCs * r.cfg.PacketsPerLC)
-	for r.completed+r.shed < total {
-		if r.now > r.cfg.MaxCycles {
-			return nil, fmt.Errorf("sim: exceeded MaxCycles=%d with %d/%d packets done",
-				r.cfg.MaxCycles, r.completed+r.shed, total)
+	limit := r.cfg.maxCycles()
+	for r.completed < total {
+		if r.now > limit {
+			return nil, fmt.Errorf("sim: exceeded %d cycles with %d/%d packets done",
+				limit, r.completed, total)
 		}
 		r.step()
 		r.now++
@@ -410,12 +377,6 @@ func (r *Router) step() {
 		r.applyChurn(now)
 	}
 
-	// 2c. Online integrity scrub: audit every LR-cache against the
-	// current oracle, evicting corrupted entries (see integrity.go).
-	if r.cfg.ScrubEveryCycles > 0 && now > 0 && now%r.cfg.ScrubEveryCycles == 0 {
-		r.scrubAll()
-	}
-
 	// A line card with empty queues, no arrival due and no FE job ending
 	// would generate nothing, finish nothing and sample zero depths: it is
 	// passed over until its next event. At 40 Gbps a packet arrives at an
@@ -425,19 +386,9 @@ func (r *Router) step() {
 			continue
 		}
 
-		// 3. Packet arrivals. Under admission control a packet that finds
-		// the arrival queue at its cap is shed on the spot: counted, never
-		// enqueued, never completed — so everything that IS admitted still
-		// resolves to a verified next hop.
+		// 3. Packet arrivals.
 		for l.toGenerate > 0 && l.nextArrival <= now {
 			a, _ := l.src.Next()
-			if r.cfg.AdmissionCap > 0 && l.localQ.len() >= r.cfg.AdmissionCap {
-				l.n[cShed]++
-				r.shed++
-				l.toGenerate--
-				l.nextArrival = now + l.drawGap(r.cfg.GapMin, r.cfg.GapMax)
-				continue
-			}
 			l.localQ.push(r.alloc(packet{
 				addr:          a,
 				arrivalLC:     int32(l.id),
@@ -470,18 +421,9 @@ func (r *Router) step() {
 
 		// 7. Fabric injection: one message per LC per cycle, sent from the
 		// LC's own step — the pipe is read only at the top of a step and
-		// sends stay in LC order. A browned-out LC (SlowFactor > 1)
-		// degrades every directed link touching it — both the requests it
-		// receives and the replies it sends — so the slowdown is asymmetric
-		// per flow but symmetric per card, matching the router's SlowLC
-		// injector.
+		// sends stay in LC order.
 		if m, ok := l.outQ.pop(); ok {
-			var extra int64
-			if r.slowExtra > 0 && (m.Src == r.cfg.SlowLC || m.Dst == r.cfg.SlowLC) {
-				extra = r.slowExtra
-				r.slowDelayed++
-			}
-			r.pipe.SendDelayed(now, extra, m)
+			r.pipe.Send(now, m)
 			l.n[cFabricSent]++
 		}
 
@@ -515,7 +457,7 @@ func (r *Router) startFE(l *lineCard, id int64) {
 	nh, accesses, ok := l.engine.Lookup(p.addr)
 	cycles := int64(r.cfg.LookupCycles)
 	if r.cfg.DynamicLookup {
-		cycles = int64(math.Ceil((float64(accesses)*r.cfg.MemAccessNS + r.cfg.ExecNS) / r.cfg.CycleNS))
+		cycles = int64(math.Ceil((float64(accesses)*memAccessNS + execNS) / CycleNS))
 		if cycles < 1 {
 			cycles = 1
 		}
@@ -546,7 +488,6 @@ func (r *Router) finishFE(l *lineCard) {
 	nh := job.nextHop
 	var waiters []int64
 	if l.cache != nil {
-		nh = r.maybeCorrupt(nh)
 		waiters = l.cache.Fill(job.addr, nh, cache.LOC)
 		if v < r.version {
 			l.cache.InvalidateRange(job.addr, job.addr)
@@ -563,7 +504,6 @@ func (r *Router) handleReply(l *lineCard, m fabric.Message) {
 	nh := m.NextHop
 	var waiters []int64
 	if l.cache != nil {
-		nh = r.maybeCorrupt(nh)
 		waiters = l.cache.Fill(m.Addr, nh, cache.REM)
 		if v < r.version {
 			l.cache.InvalidateRange(m.Addr, m.Addr)
@@ -633,12 +573,6 @@ func (r *Router) complete(l *lineCard, p *packet, id int64, nh rtable.NextHop, v
 	if r.refs != nil {
 		wantNH, _, wantOK := r.refs[v].Lookup(p.addr)
 		if wantOK && nh != wantNH || !wantOK && nh != rtable.NoNextHop {
-			// With the corruption injector on, wrong verdicts are the
-			// phenomenon under measurement, not a simulator bug.
-			if r.cfg.CorruptRate > 0 {
-				r.wrongVerdicts++
-				return
-			}
 			panic(fmt.Sprintf("sim: packet %d addr %s completed with nh=%d, version-%d oracle says (%d,%v)",
 				id, ip.FormatAddr(p.addr), nh, v, wantNH, wantOK))
 		}

@@ -447,65 +447,3 @@ func TestResultReport(t *testing.T) {
 		t.Error("throughput figures missing")
 	}
 }
-
-// OfferedLoad scales arrivals and AdmissionCap sheds the excess: the run
-// terminates, shed+completed conserves the packet budget, admitted
-// packets still verify against the oracle, and the report/snapshot carry
-// the shed accounting.
-func TestOverloadSheddingConservation(t *testing.T) {
-	tbl := rtable.Small(3000, 9)
-	cfg := testConfig(tbl)
-	cfg.CacheEnabled = false // no hits: every packet queues for an FE
-	cfg.OfferedLoad = 4
-	cfg.AdmissionCap = 8
-	cfg.VerifyNextHops = true
-	res := run(t, cfg)
-
-	total := int64(cfg.NumLCs * cfg.PacketsPerLC)
-	if res.PacketsCompleted+res.Shed != total {
-		t.Fatalf("completed %d + shed %d != offered %d", res.PacketsCompleted, res.Shed, total)
-	}
-	if res.Shed == 0 {
-		t.Fatal("4x offered load with a tight admission cap shed nothing")
-	}
-	if res.PacketsCompleted == 0 {
-		t.Fatal("admission control shed everything")
-	}
-	var perLC int64
-	for i, l := range res.PerLC {
-		perLC += l.Shed
-		if l.Generated+l.Shed == 0 {
-			t.Errorf("LC %d saw no arrivals at all", i)
-		}
-	}
-	if perLC != res.Shed {
-		t.Errorf("per-LC sheds sum to %d, router-wide %d", perLC, res.Shed)
-	}
-	want := float64(res.Shed) / float64(total)
-	if res.ShedFraction != want {
-		t.Errorf("ShedFraction = %v, want %v", res.ShedFraction, want)
-	}
-	if res.GoodputMppsRouter <= 0 {
-		t.Errorf("goodput = %v", res.GoodputMppsRouter)
-	}
-	s := res.Snapshot()
-	if got := s.Sum("spal_sim_shed_total"); int64(got) != res.Shed {
-		t.Errorf("snapshot shed total %v, want %d", got, res.Shed)
-	}
-}
-
-// The overload knobs default off: a config that never sets them behaves
-// exactly like before (OfferedLoad treated as 1.0, nothing shed).
-func TestOverloadKnobsDefaultOff(t *testing.T) {
-	tbl := rtable.Small(2000, 3)
-	a := run(t, testConfig(tbl))
-	cfg := testConfig(tbl)
-	cfg.OfferedLoad = 1.0
-	b := run(t, cfg)
-	if a.Cycles != b.Cycles || a.MeanLookupCycles != b.MeanLookupCycles {
-		t.Errorf("OfferedLoad=1 diverged from default: cycles %d/%d", a.Cycles, b.Cycles)
-	}
-	if a.Shed != 0 || b.Shed != 0 {
-		t.Errorf("shed without admission control: %d/%d", a.Shed, b.Shed)
-	}
-}

@@ -23,9 +23,12 @@ func fig6Config(t *testing.T, packets int) Config {
 }
 
 // runSlab runs cfg to the end, checks what must hold of the packet slab
-// then, and returns its high-water mark in records.
+// then, and returns its high-water mark in records. It turns on stage
+// accounting, which moves no packet: every packet is probed, so fold's
+// arrival→probe count is then the number of packets folded.
 func runSlab(t *testing.T, cfg Config) int {
 	t.Helper()
+	cfg.StageAccounting = true
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +48,11 @@ func runSlab(t *testing.T, cfg Config) int {
 	if free != len(r.free) {
 		t.Errorf("%d records have no name, the free list holds %d", free, len(r.free))
 	}
-	// Every admitted packet was folded exactly once: by its last drop, or
-	// by result() when the run ended with something still naming it.
-	admitted := int64(cfg.NumLCs*cfg.PacketsPerLC) - r.shed
-	if folded := r.homeLatN[0] + r.homeLatN[1]; folded != admitted {
-		t.Errorf("folded %d packets, admitted %d", folded, admitted)
+	// Every packet was folded exactly once: by its last drop, or by
+	// result() when the run ended with something still naming it.
+	total := int64(cfg.NumLCs * cfg.PacketsPerLC)
+	if folded := r.stagePacket[0]; folded != total {
+		t.Errorf("folded %d packets of %d", folded, total)
 	}
 	return len(r.packets)
 }
