@@ -20,14 +20,10 @@ import (
 	"spal/internal/experiments"
 	"spal/internal/ip"
 	"spal/internal/lpm"
-	"spal/internal/lpm/bintrie"
 	"spal/internal/lpm/dptrie"
+	"spal/internal/lpm/engines"
 	"spal/internal/lpm/lctrie"
 	"spal/internal/lpm/lulea"
-	"spal/internal/lpm/multibit"
-	"spal/internal/lpm/rangebs"
-	"spal/internal/lpm/stride24"
-	"spal/internal/lpm/wbs"
 	"spal/internal/partition"
 	"spal/internal/router"
 	"spal/internal/rtable"
@@ -281,25 +277,25 @@ func benchAddrs(tbl *rtable.Table, n int) []ip.Addr {
 	return addrs
 }
 
-func benchLookup(b *testing.B, build lpm.Builder) {
+// engineSink keeps BenchmarkEngineLookup's results observable.
+var engineSink rtable.NextHop
+
+// BenchmarkEngineLookup times one single-key Lookup per registered
+// engine (engine=<name>).
+func BenchmarkEngineLookup(b *testing.B) {
 	tbl := benchTable()
 	addrs := benchAddrs(tbl, 1<<14)
-	e := build(tbl)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Lookup(addrs[i&(len(addrs)-1)])
+	builders := engines.Builders()
+	for _, name := range engines.Names() {
+		b.Run("engine="+name, func(b *testing.B) {
+			e := builders[name](tbl)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				engineSink, _, _ = e.Lookup(addrs[i&(len(addrs)-1)])
+			}
+		})
 	}
 }
-
-func BenchmarkLookupLulea(b *testing.B)    { benchLookup(b, lulea.NewEngine) }
-func BenchmarkLookupDPTrie(b *testing.B)   { benchLookup(b, dptrie.NewEngine) }
-func BenchmarkLookupLCTrie(b *testing.B)   { benchLookup(b, lctrie.NewEngine) }
-func BenchmarkLookupBinTrie(b *testing.B)  { benchLookup(b, bintrie.NewEngine) }
-func BenchmarkLookupStride24(b *testing.B) { benchLookup(b, stride24.NewEngine) }
-func BenchmarkLookupMultibit(b *testing.B) { benchLookup(b, multibit.NewEngine) }
-func BenchmarkLookupWBS(b *testing.B)      { benchLookup(b, wbs.NewEngine) }
-func BenchmarkLookupRangeBS(b *testing.B)  { benchLookup(b, rangebs.NewEngine) }
-func BenchmarkLookupOracle(b *testing.B)   { benchLookup(b, lpm.NewReferenceEngine) }
 
 func benchBuild(b *testing.B, build lpm.Builder) {
 	tbl := benchTable()

@@ -17,7 +17,7 @@
 //	echo 10.1.2.3 | spal-router -i            # interactive lookups
 //	spal-router -metrics :9090 -n 1000000     # drive load, then serve /metrics
 //	spal-router -batch 64 -n 1000000          # batched submission, coalesced fabric messages
-//	spal-router -engine flat                  # flat cache-line engine
+//	spal-router -engine stride24              # the 24/8 table: one or two reads a lookup
 //	spal-router -fault-rate 0.1 -n 100000     # chaos mode: drop 10% of fabric messages
 //	spal-router -kill-lc 2 -n 500000          # crash LC 2 mid-drive, watch the re-homing
 //	spal-router -drain-after 50ms -n 500000   # drain LC 0 mid-drive, restore after

@@ -9,6 +9,8 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -17,12 +19,9 @@ import (
 	"spal/internal/lpm"
 	"spal/internal/lpm/bintrie"
 	"spal/internal/lpm/dptrie"
+	"spal/internal/lpm/engines"
 	"spal/internal/lpm/lctrie"
 	"spal/internal/lpm/lulea"
-	"spal/internal/lpm/multibit"
-	"spal/internal/lpm/rangebs"
-	"spal/internal/lpm/stride24"
-	"spal/internal/lpm/wbs"
 	"spal/internal/partition"
 	"spal/internal/rtable"
 	"spal/internal/sim"
@@ -610,51 +609,136 @@ func Rebuild(s Scale) *Table {
 	return out
 }
 
-// Survey compares every implemented lookup structure on RT_2 — storage
-// and mean/worst accesses — extending the paper's three tries with the
-// other classics from the Ruiz-Sanchez survey it cites.
+// surveyPasses is how many timed passes a Survey ns cell is the median of.
+const surveyPasses = 5
+
+// surveySink keeps the Survey's timed lookups observable to the compiler.
+var surveySink rtable.NextHop
+
+// Survey is the engine table: every registered engine on RT_2, partitioned
+// for ψ = 1, 4 and 16, its LCs' engines built and measured one at a time
+// (an LC's FE has its own memory). Modelled and real KB are the largest
+// LC's engine — real KB is the heap its build retains, the HeapAlloc delta
+// across forced collections. Accesses are over the matched stream. Each ns
+// column is the median of five passes with every address looked up at its
+// home LC's engine: single keys on the matched-uniform and D_75 streams,
+// and lpm.LookupAll in bursts of 64 on the matched stream. The ψ = 1 row is
+// the whole-table build, so a partition engine beats it where its ψ > 1
+// ns is lower.
 func Survey(s Scale) *Table {
 	out := &Table{
-		Title:   "Survey: all lookup structures on RT_2",
-		Headers: []string{"structure", "KB", "mean acc", "worst acc"},
-		Notes:   []string{"wbs = binary search on prefix lengths; rangebs = binary search on ranges; stride24 = Gupta 24/8"},
+		Title:   "Survey: every registered engine on RT_2, per LC at psi = 1, 4, 16",
+		Headers: []string{"psi", "engine", "model KB", "real KB", "mean acc", "worst acc", "ns matched", "ns D_75", "LookupAll ns"},
+		Notes: []string{
+			"KB columns are the largest LC's engine; real KB is the heap one build retains",
+			"ns per address, median of 5 passes, each address at its home LC's engine; LookupAll in bursts of 64 on the matched stream",
+		},
 	}
 	tbl := tableRT2(s)
 	rng := stats.NewRNG(13)
-	addrs := make([]ip.Addr, 20000)
-	for i := range addrs {
-		addrs[i] = tbl.RandomMatchedAddr(rng)
+	matched := make([]ip.Addr, 20000)
+	for i := range matched {
+		matched[i] = tbl.RandomMatchedAddr(rng)
 	}
-	for _, es := range []struct {
-		label string
-		build lpm.Builder
-	}{
-		{"lulea", lulea.NewEngine},
-		{"dptrie", dptrie.NewEngine},
-		{"lctrie", lctrie.NewEngine},
-		{"bintrie", bintrie.NewEngine},
-		{"multibit 16/8/8", multibit.NewEngine},
-		{"wbs", wbs.NewEngine},
-		{"rangebs", rangebs.NewEngine},
-		{"stride24", stride24.NewEngine},
-	} {
-		e := es.build(tbl)
-		sum, worst := 0, 0
-		for _, a := range addrs {
-			_, acc, _ := e.Lookup(a)
-			sum += acc
-			if acc > worst {
-				worst = acc
+	cfg := trace.PresetConfig(trace.D75)
+	d75 := trace.Slice(trace.NewSynthetic(trace.NewPool(tbl, cfg), cfg, 13), len(matched))
+	builders := engines.Builders()
+	for _, psi := range []int{1, 4, 16} {
+		p := partition.Partition(tbl, psi)
+		largest := 0
+		for lc := range psi {
+			if p.Table(lc).Len() > p.Table(largest).Len() {
+				largest = lc
 			}
 		}
-		out.Rows = append(out.Rows, []string{
-			es.label,
-			fmt.Sprintf("%.0f", float64(e.MemoryBytes())/1024),
-			fmt.Sprintf("%.1f", float64(sum)/float64(len(addrs))),
-			fmt.Sprint(worst),
-		})
+		mHome, dHome := byHome(p, matched), byHome(p, d75)
+		for _, name := range engines.Names() {
+			var c surveyCell
+			for lc := range psi {
+				c.add(builders[name], p.Table(lc), lc == largest, mHome[lc], dHome[lc])
+			}
+			n := float64(len(matched))
+			out.Rows = append(out.Rows, []string{
+				fmt.Sprint(psi), name,
+				fmt.Sprintf("%.0f", float64(c.modelB)/1024),
+				fmt.Sprintf("%.0f", float64(c.realB)/1024),
+				fmt.Sprintf("%.1f", float64(c.accSum)/n),
+				fmt.Sprint(c.worst),
+				fmt.Sprintf("%.1f", medianNS(c.single)/n),
+				fmt.Sprintf("%.1f", medianNS(c.d75)/n),
+				fmt.Sprintf("%.1f", medianNS(c.all)/n),
+			})
+		}
 	}
 	return out
+}
+
+// byHome splits addrs by home LC, each LC's share in stream order.
+func byHome(p *partition.Partitioning, addrs []ip.Addr) [][]ip.Addr {
+	out := make([][]ip.Addr, p.NumLCs)
+	for _, a := range addrs {
+		h := p.HomeLC(a)
+		out[h] = append(out[h], a)
+	}
+	return out
+}
+
+// surveyCell accumulates one Survey row over a partitioning's LCs: each
+// pass's time is the sum of its LCs' times for that pass.
+type surveyCell struct {
+	modelB, realB    int
+	accSum, worst    int
+	single, d75, all [surveyPasses]time.Duration
+}
+
+// add builds one LC's engine and measures it on the addresses it is home
+// to; for the largest LC it also reads the heap the build retains.
+func (c *surveyCell) add(build lpm.Builder, t *rtable.Table, largest bool, matched, d75 []ip.Addr) {
+	var e lpm.Engine
+	if largest {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		e = build(t)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		c.modelB, c.realB = e.MemoryBytes(), int(after.HeapAlloc)-int(before.HeapAlloc)
+	} else {
+		e = build(t)
+	}
+	for _, a := range matched {
+		_, acc, _ := e.Lookup(a)
+		c.accSum += acc
+		c.worst = max(c.worst, acc)
+	}
+	res := make([]lpm.Result, 64)
+	for i := range surveyPasses {
+		c.single[i] += timeLookups(e, matched)
+		c.d75[i] += timeLookups(e, d75)
+		start := time.Now()
+		for as := matched; len(as) > 0; {
+			n := min(len(res), len(as))
+			lpm.LookupAll(e, as[:n], res)
+			as = as[n:]
+		}
+		c.all[i] += time.Since(start)
+	}
+}
+
+// timeLookups times one single-key pass of addrs through e.
+func timeLookups(e lpm.Engine, addrs []ip.Addr) time.Duration {
+	start := time.Now()
+	for _, a := range addrs {
+		nh, _, _ := e.Lookup(a)
+		surveySink += nh
+	}
+	return time.Since(start)
+}
+
+// medianNS is the median of a cell's pass times, in nanoseconds.
+func medianNS(passes [surveyPasses]time.Duration) float64 {
+	slices.Sort(passes[:])
+	return float64(passes[surveyPasses/2].Nanoseconds())
 }
 
 // Drift stresses the paper's locality premise: the popularity ranking

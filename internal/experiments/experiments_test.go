@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"spal/internal/lpm/engines"
 )
 
 // cell parses a numeric table cell.
@@ -203,31 +205,42 @@ func TestRebuildReportsTimes(t *testing.T) {
 
 func TestSurveyShapes(t *testing.T) {
 	tbl := Survey(tiny)
-	if len(tbl.Rows) != 8 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
+	names := engines.Names()
+	if len(tbl.Rows) != 3*len(names) {
+		t.Fatalf("rows = %d, want psi 1, 4, 16 x %d engines", len(tbl.Rows), len(names))
 	}
-	get := func(name string, col int) float64 {
+	get := func(psi, name string, col int) float64 {
 		for i, row := range tbl.Rows {
-			if row[0] == name {
+			if row[0] == psi && row[1] == name {
 				return cell(t, tbl, i, col)
 			}
 		}
-		t.Fatalf("row %q missing", name)
+		t.Fatalf("row psi=%s %q missing", psi, name)
 		return 0
 	}
-	// The canonical trade-offs: stride24 is the fastest and largest;
-	// rangebs is compact but logarithmic; lulea beats dptrie on both axes.
-	if get("stride24", 2) > 2 {
-		t.Error("stride24 should average <= 2 accesses")
+	for i := range tbl.Rows {
+		for col := 6; col <= 8; col++ {
+			if ns := cell(t, tbl, i, col); ns <= 0 {
+				t.Errorf("row %v: %s = %v ns, want > 0", tbl.Rows[i][:2], tbl.Headers[col], ns)
+			}
+		}
 	}
-	if get("stride24", 1) < 32*1024 {
-		t.Error("stride24 should cost >= 32 MB")
+	// The canonical trade-offs: stride24 is the fewest accesses and the
+	// largest at every psi; lulea beats dptrie on size and accesses; a
+	// partition engine is smaller than the whole-table one.
+	for _, psi := range []string{"1", "4", "16"} {
+		if get(psi, "stride24", 4) > 2 {
+			t.Errorf("psi=%s: stride24 should average <= 2 accesses", psi)
+		}
+		if get(psi, "stride24", 2) < 32*1024 || get(psi, "stride24", 3) < 32*1024 {
+			t.Errorf("psi=%s: stride24 should cost >= 32 MB, modelled and real", psi)
+		}
+		if get(psi, "lulea", 2) >= get(psi, "dptrie", 2) || get(psi, "lulea", 4) >= get(psi, "dptrie", 4) {
+			t.Errorf("psi=%s: lulea should beat dptrie on size and accesses", psi)
+		}
 	}
-	if get("lulea", 1) >= get("dptrie", 1) || get("lulea", 2) >= get("dptrie", 2) {
-		t.Error("lulea should beat dptrie on size and accesses")
-	}
-	if get("wbs", 3) > 6 {
-		t.Error("wbs worst case should be <= 6 probes")
+	if get("16", "lulea", 2) >= get("1", "lulea", 2) || get("16", "lulea", 3) >= get("1", "lulea", 3) {
+		t.Error("lulea's largest psi=16 partition should be smaller than the whole table, modelled and real")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
+
+	"spal/internal/lpm/engines"
 )
 
 // A doc may only cite an experiment that exists: every `-exp <name>` in
@@ -35,5 +37,39 @@ func TestDocsCiteRegisteredExperiments(t *testing.T) {
 	}
 	if cited == 0 {
 		t.Fatal("no `-exp <name>` found in any doc: the pattern or the paths are stale")
+	}
+}
+
+// A doc may only cite an engine that is registered: every `-engine <name>`,
+// `WithEngineName("<name>")`, `WithRouterEngineName("<name>")`,
+// `Engines()["<name>"]` and `engines.Lookup("<name>")` in the prose, the
+// examples and the commands resolves.
+func TestDocsCiteRegisteredEngines(t *testing.T) {
+	root := filepath.Join("..", "..")
+	var files []string
+	for _, pattern := range []string{"README.md", "DESIGN.md", "examples/*/main.go", "cmd/*/main.go"} {
+		m, err := filepath.Glob(filepath.Join(root, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	cite := regexp.MustCompile(`-engine[ =]([A-Za-z0-9_-]+)|(?:WithEngineName|WithRouterEngineName|engines\.Lookup)\("([^"]*)"\)|Engines\(\)\["([^"]*)"\]`)
+	cited := 0
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllSubmatch(text, -1) {
+			cited++
+			name := string(m[1]) + string(m[2]) + string(m[3])
+			if _, err := engines.Lookup(name); err != nil {
+				t.Errorf("%s cites %q: %v", f, m[0], err)
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no engine citation found in any doc: the pattern or the paths are stale")
 	}
 }

@@ -1,6 +1,6 @@
 // Batch-first engine surface. The per-key Engine interface forces one
-// virtual call and one full trie descent per address; engines with flat,
-// cache-line-sized nodes (stride24, flat) can do much better when handed
+// virtual call and one full trie descent per address; engines whose levels
+// are array reads (stride24, lulea) can do much better when handed
 // a whole burst at once — the traversal state of many keys fits in
 // registers/L1 and the next level's loads overlap instead of serializing.
 //

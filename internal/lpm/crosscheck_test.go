@@ -6,32 +6,29 @@ import (
 
 	"spal/internal/ip"
 	"spal/internal/lpm"
-	"spal/internal/lpm/bintrie"
-	"spal/internal/lpm/dptrie"
-	"spal/internal/lpm/flat"
-	"spal/internal/lpm/lctrie"
+	"spal/internal/lpm/engines"
 	"spal/internal/lpm/lulea"
-	"spal/internal/lpm/multibit"
-	"spal/internal/lpm/rangebs"
 	"spal/internal/lpm/stride24"
-	"spal/internal/lpm/wbs"
 	"spal/internal/rtable"
 	"spal/internal/stats"
 )
 
-// builders lists every engine under test. stride24 is excluded from the
-// high-volume sweeps (each instance allocates 32 MiB) and covered by its
-// own cross-check below.
-var builders = []lpm.Builder{
-	bintrie.NewEngine,
-	dptrie.NewEngine,
-	lctrie.NewEngine,
-	lulea.NewEngine,
-	multibit.NewEngine,
-	wbs.NewEngine,
-	rangebs.NewEngine,
-	flat.NewEngine,
-}
+// tooLargeToSweep is the one registered engine the high-volume sweeps
+// (the tests below that build an engine per table, and both fuzzers)
+// leave out: 32 MiB per build. Its own cross-checks below cover it.
+const tooLargeToSweep = "stride24"
+
+// builders is every other registered engine, in name order.
+var builders = func() []lpm.Builder {
+	all := engines.Builders()
+	var out []lpm.Builder
+	for _, name := range engines.Names() {
+		if name != tooLargeToSweep {
+			out = append(out, all[name])
+		}
+	}
+	return out
+}()
 
 // checkAgainstOracle verifies that an engine agrees with the hash oracle on
 // a mixed workload of matched and uniform-random addresses.
@@ -204,7 +201,7 @@ func TestBatchEngineMatchesSingle(t *testing.T) {
 	check := func(tbl *rtable.Table, e lpm.Engine, seed uint64) {
 		t.Helper()
 		rng := stats.NewRNG(seed)
-		// 200 addresses: crosses flat's 64-key chunk boundary, mixes
+		// 200 addresses: crosses lulea's 16-key group boundary, mixes
 		// matched, random, and duplicated keys.
 		addrs := make([]ip.Addr, 200)
 		for i := range addrs {
@@ -228,10 +225,9 @@ func TestBatchEngineMatchesSingle(t *testing.T) {
 			}
 		}
 	}
-	all := append(append([]lpm.Builder{}, builders...), lpm.NewReferenceEngine)
 	for _, size := range []int{1, 73, 5000} {
 		tbl := rtable.Small(size, uint64(size)*17+5)
-		for _, build := range all {
+		for _, build := range builders {
 			check(tbl, build(tbl), uint64(size)+101)
 		}
 	}

@@ -13,26 +13,21 @@ import (
 	"spal/internal/lpm"
 	"spal/internal/lpm/bintrie"
 	"spal/internal/lpm/dptrie"
-	"spal/internal/lpm/flat"
 	"spal/internal/lpm/lctrie"
 	"spal/internal/lpm/lulea"
-	"spal/internal/lpm/multibit"
-	"spal/internal/lpm/rangebs"
 	"spal/internal/lpm/stride24"
-	"spal/internal/lpm/wbs"
 )
 
+// registry holds the paper's three tries (lulea, dptrie, lctrie), the
+// binary trie (dynamic, and Fig. 3's BIN), the hash oracle, and stride24,
+// the fastest engine of the Survey table (EXPERIMENTS.md).
 var registry = map[string]lpm.Builder{
 	"reference": lpm.NewReferenceEngine,
 	"bintrie":   bintrie.NewEngine,
 	"dptrie":    dptrie.NewEngine,
 	"lctrie":    lctrie.NewEngine,
 	"lulea":     lulea.NewEngine,
-	"multibit":  multibit.NewEngine,
-	"wbs":       wbs.NewEngine,
-	"rangebs":   rangebs.NewEngine,
 	"stride24":  stride24.NewEngine,
-	"flat":      flat.NewEngine,
 }
 
 // dynamic names the engines whose built structures implement

@@ -277,7 +277,7 @@ func TestLookupBatchSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	t.Run("local-home", func(t *testing.T) {
-		if n := measure(t, same, WithLCs(1), WithoutCache(), WithEngineName("flat")); n != 0 {
+		if n := measure(t, same, WithLCs(1), WithoutCache(), WithEngineName("lulea")); n != 0 {
 			t.Errorf("local-home batch allocates %.2f/op, want 0", n)
 		}
 	})
@@ -559,7 +559,7 @@ func TestWithEngineName(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	oracle := lpm.NewReference(tbl)
 
-	r, err := New(tbl, WithLCs(2), WithEngineName("flat"), WithDefaultCache())
+	r, err := New(tbl, WithLCs(2), WithEngineName("lulea"), WithDefaultCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +582,7 @@ func TestWithEngineName(t *testing.T) {
 	}
 
 	if _, err := New(tbl, WithEngineName("no-such-engine")); err == nil ||
-		!strings.Contains(err.Error(), "unknown engine") || !strings.Contains(err.Error(), "flat") {
+		!strings.Contains(err.Error(), "unknown engine") || !strings.Contains(err.Error(), "lulea") {
 		t.Errorf("unknown engine name: err = %v, want the valid-name listing", err)
 	}
 }

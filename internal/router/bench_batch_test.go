@@ -138,10 +138,10 @@ func BenchmarkLookupBatchCacheHitGray(b *testing.B) {
 
 // BenchmarkLookupBatchLocalHome: a 64-address batch resolved by the
 // local home's batched FE sweep (no cache), per engine. Must report
-// 0 allocs/op (CI gates on the flat case).
+// 0 allocs/op (CI gates on the lulea case).
 func BenchmarkLookupBatchLocalHome(b *testing.B) {
 	tbl := rtable.Small(2000, 7)
-	for _, engine := range []string{"reference", "lulea", "stride24", "flat"} {
+	for _, engine := range []string{"reference", "lulea", "stride24"} {
 		b.Run("engine="+engine, func(b *testing.B) {
 			r := benchRouter(b, tbl, WithLCs(1), WithoutCache(), WithEngineName(engine))
 			addrs := benchAddrs(b, tbl, 5)

@@ -25,8 +25,8 @@ func WithEngine(b lpm.Builder) Option {
 	return func(c *config) { c.Engine = b }
 }
 
-// WithEngineName selects the per-LC engine by registry name ("flat",
-// "lulea", "stride24", ...; see internal/lpm/engines). New fails with an
+// WithEngineName selects the per-LC engine by registry name ("lulea",
+// "dptrie", "stride24", ...; see internal/lpm/engines). New fails with an
 // error listing the valid names when the name is unknown. A non-empty
 // name takes precedence over WithEngine.
 func WithEngineName(name string) Option {

@@ -102,8 +102,8 @@ type config struct {
 	// Builder, e.g. a test's fake engine). A non-empty EngineName replaces
 	// it; with neither set the hash-based reference engine is used.
 	Engine lpm.Builder
-	// EngineName selects the per-LC engine by registry name ("flat",
-	// "lulea", "stride24", ...). Empty falls back to Engine (or the
+	// EngineName selects the per-LC engine by registry name ("lulea",
+	// "dptrie", "stride24", ...). Empty falls back to Engine (or the
 	// reference engine); an unknown name fails construction with an error
 	// listing the valid names. See WithEngineName.
 	EngineName string

@@ -37,7 +37,7 @@ func churnStream(cur *rtable.Table, seed uint64) []rtable.Update {
 // must produce element-wise identical verdicts at every LC, for dynamic
 // (in-place trie update) and non-dynamic (partition rebuild) engines.
 func TestApplyUpdatesEquivalence(t *testing.T) {
-	for _, engine := range []string{"bintrie", "flat"} {
+	for _, engine := range []string{"bintrie", "lulea"} {
 		t.Run("engine="+engine, func(t *testing.T) {
 			tbl := rtable.Small(1200, 37)
 			inc, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName(engine))

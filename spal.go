@@ -252,7 +252,7 @@ func WithDefaultRouterCache() RouterOption { return router.WithDefaultCache() }
 func WithRouterEngine(b EngineBuilder) RouterOption { return router.WithEngine(b) }
 
 // WithRouterEngineName selects the per-LC engine by registry name
-// ("flat", "lulea", "stride24", ...; see EngineNames). NewRouter fails
+// ("lulea", "dptrie", "stride24", ...; see EngineNames). NewRouter fails
 // with an error listing the valid names when the name is unknown.
 func WithRouterEngineName(name string) RouterOption { return router.WithEngineName(name) }
 

@@ -14,7 +14,7 @@ func TestFacadePartitionAndLookup(t *testing.T) {
 		t.Fatalf("bits = %v", p.Bits)
 	}
 	engines := Engines()
-	if len(engines) != 10 {
+	if len(engines) != 6 {
 		t.Fatalf("Engines() has %d entries", len(engines))
 	}
 	if names := EngineNames(); len(names) != len(engines) {
@@ -60,7 +60,7 @@ func TestFacadeRouter(t *testing.T) {
 func TestFacadeBatchLookup(t *testing.T) {
 	tbl := SynthesizeTable(1000, 7)
 	r, err := NewRouter(tbl, WithLCs(2), WithDefaultRouterCache(),
-		WithRouterEngineName("flat"))
+		WithRouterEngineName("lulea"))
 	if err != nil {
 		t.Fatal(err)
 	}
