@@ -74,11 +74,12 @@ func main() {
 		}
 		fmt.Println("\ntrie storage (KB):")
 		fmt.Printf("%-8s  %10s  %12s  %12s\n", "trie", "whole", "max per-LC", "saving/LC")
+		tables := p.Tables()
 		for _, b := range builders {
 			whole := b.build(tbl).MemoryBytes()
 			maxLC := 0
-			for lc := 0; lc < *psi; lc++ {
-				if m := b.build(p.Table(lc)).MemoryBytes(); m > maxLC {
+			for _, lt := range tables {
+				if m := b.build(lt).MemoryBytes(); m > maxLC {
 					maxLC = m
 				}
 			}

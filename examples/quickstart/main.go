@@ -24,12 +24,14 @@ func main() {
 
 	// Build one Lulea trie per line card — each a fraction of the full
 	// table's size.
+	// The partitioning keeps one copy of the routes; Tables derives each
+	// LC's route list from it, for the build.
 	build := spal.Engines()["lulea"]
 	engines := make([]spal.Engine, numLCs)
-	for lc := 0; lc < numLCs; lc++ {
-		engines[lc] = build(part.Table(lc))
+	for lc, lt := range part.Tables() {
+		engines[lc] = build(lt)
 		fmt.Printf("LC %d: %d prefixes, %d KB Lulea trie\n",
-			lc, part.Table(lc).Len(), engines[lc].MemoryBytes()/1024)
+			lc, lt.Len(), engines[lc].MemoryBytes()/1024)
 	}
 	whole := build(table)
 	fmt.Printf("unpartitioned Lulea trie: %d KB\n", whole.MemoryBytes()/1024)

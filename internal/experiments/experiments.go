@@ -191,12 +191,12 @@ func Fig3Storage(s Scale) *Table {
 		tbl  *rtable.Table
 	}{{"RT_1", tableRT1(s)}, {"RT_2", tableRT2(s)}} {
 		for _, psi := range []int{4, 16} {
-			p := partition.Partition(tc.tbl, psi)
+			tables := partition.Partition(tc.tbl, psi).Tables()
 			for _, es := range engineSpecs {
 				whole := es.build(tc.tbl).MemoryBytes()
 				maxLC, total := 0, 0
-				for lc := 0; lc < psi; lc++ {
-					m := es.build(p.Table(lc)).MemoryBytes()
+				for _, lt := range tables {
+					m := es.build(lt).MemoryBytes()
 					total += m
 					if m > maxLC {
 						maxLC = m
@@ -532,6 +532,7 @@ func WorstCase(s Scale) *Table {
 	}
 	tbl := tableRT2(s)
 	p := partition.Partition(tbl, 16)
+	tables := p.Tables()
 	rng := stats.NewRNG(11)
 	addrs := make([]ip.Addr, 20000)
 	for i := range addrs {
@@ -540,8 +541,8 @@ func WorstCase(s Scale) *Table {
 	for _, es := range engineSpecs {
 		whole := es.build(tbl)
 		var lcs []lpm.Engine
-		for lc := 0; lc < 16; lc++ {
-			lcs = append(lcs, es.build(p.Table(lc)))
+		for _, lt := range tables {
+			lcs = append(lcs, es.build(lt))
 		}
 		wMax, wSum, pMax, pSum := 0, 0, 0, 0
 		for _, a := range addrs {
@@ -645,17 +646,18 @@ func Survey(s Scale) *Table {
 	builders := engines.Builders()
 	for _, psi := range []int{1, 4, 16} {
 		p := partition.Partition(tbl, psi)
+		tables := p.Tables()
 		largest := 0
-		for lc := range psi {
-			if p.Table(lc).Len() > p.Table(largest).Len() {
+		for lc, lt := range tables {
+			if lt.Len() > tables[largest].Len() {
 				largest = lc
 			}
 		}
 		mHome, dHome := byHome(p, matched), byHome(p, d75)
 		for _, name := range engines.Names() {
 			var c surveyCell
-			for lc := range psi {
-				c.add(builders[name], p.Table(lc), lc == largest, mHome[lc], dHome[lc])
+			for lc, lt := range tables {
+				c.add(builders[name], lt, lc == largest, mHome[lc], dHome[lc])
 			}
 			n := float64(len(matched))
 			out.Rows = append(out.Rows, []string{

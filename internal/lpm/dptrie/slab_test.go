@@ -89,8 +89,9 @@ func TestRealBytes(t *testing.T) {
 		updated *rtable.Table
 	}
 	cases := []history{{parts.Full(), stream, after.Full()}}
-	for lc := 0; lc < 4; lc++ {
-		cases = append(cases, history{parts.Table(lc), sub[lc], after.Table(lc)})
+	built, updated := parts.Tables(), after.Tables()
+	for lc := range built {
+		cases = append(cases, history{built[lc], sub[lc], updated[lc]})
 	}
 	for i, c := range cases {
 		tr := New(c.built)

@@ -23,10 +23,7 @@ func BenchmarkLuleaCold(b *testing.B) {
 	)
 	full := rtable.RT2()
 	parts := partition.Partition(full, 4)
-	tables := map[string][]*rtable.Table{"full": {full}}
-	for lc := 0; lc < 4; lc++ {
-		tables["part"] = append(tables["part"], parts.Table(lc))
-	}
+	tables := map[string][]*rtable.Table{"full": {full}, "part": parts.Tables()}
 	for _, which := range []string{"part", "full"} {
 		var tries []*Trie
 		var addrs [][]ip.Addr

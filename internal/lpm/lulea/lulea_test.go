@@ -485,10 +485,7 @@ func TestConcurrentLookups(t *testing.T) {
 func TestRealBytes(t *testing.T) {
 	full := rtable.RT2()
 	parts := partition.Partition(full, 4)
-	tables := []*rtable.Table{full}
-	for lc := 0; lc < 4; lc++ {
-		tables = append(tables, parts.Table(lc))
-	}
+	tables := append([]*rtable.Table{full}, parts.Tables()...)
 	for i, tbl := range tables {
 		tr := New(tbl)
 		if real, model := tr.realBytes(), tr.MemoryBytes(); float64(real) > 2.2*float64(model) {
@@ -506,10 +503,7 @@ func TestRealBytes(t *testing.T) {
 func TestBuildGolden(t *testing.T) {
 	full := rtable.RT2()
 	parts := partition.Partition(full, 4)
-	tables := []*rtable.Table{full}
-	for lc := 0; lc < 4; lc++ {
-		tables = append(tables, parts.Table(lc))
-	}
+	tables := append([]*rtable.Table{full}, parts.Tables()...)
 	want := []uint64{0x3a762613f8f295b9, 0x35db663f5f20124f, 0xd1883cf1377bcca8, 0xb2061fd98d1ae9e8, 0x56c4ea6e32f90faf}
 	for i, tbl := range tables {
 		tr := New(tbl)

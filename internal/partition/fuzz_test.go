@@ -48,5 +48,26 @@ func FuzzHomeInvariant(f *testing.F) {
 					psi, ip.FormatAddr(a), gNH, gOK, wNH, wOK)
 			}
 		}
+		// One batch of churn: a generated stream, then a withdrawal of every
+		// other fuzzed route, with its host bits set (not canonical) and
+		// repeats kept. The sizes the partitioning keeps must still be its
+		// tables' lengths.
+		batch := rtable.GenerateUpdates(tbl, rtable.UpdateStreamConfig{
+			RatePerSecond: 1000, CycleNS: 5, Duration: 40_000_000,
+			WithdrawProb: 0.4, NewPrefixProb: 0.3,
+			Seed: uint64(len(data))<<8 | uint64(psiSeed),
+		})
+		for j := 0; j < len(routes); j += 2 {
+			r := routes[j]
+			r.Prefix.Value |= ^ip.Mask(r.Prefix.Len)
+			batch = append(batch, rtable.Update{Kind: rtable.Withdraw, Route: r})
+		}
+		np, _ := p.ApplyUpdates(batch)
+		tables := np.Tables()
+		for lc, n := range np.Stats().Sizes {
+			if n != tables[lc].Len() {
+				t.Fatalf("psi=%d lc=%d: kept size %d after updates, table holds %d", psi, lc, n, tables[lc].Len())
+			}
+		}
 	})
 }

@@ -31,12 +31,17 @@ package partition
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"spal/internal/ip"
 	"spal/internal/rtable"
 )
 
-// Partitioning is the result of fragmenting a routing table for ψ LCs.
+// Partitioning is the result of fragmenting a routing table for ψ LCs. It
+// holds one copy of the routes, the full table: an LC's forwarding table is
+// the subset of it the control bits place there, derived on demand (Table,
+// Tables) for building that LC's engine and dropped after, so the routes are
+// never stored twice. What it keeps per LC is the size of that subset.
 type Partitioning struct {
 	// Bits holds the chosen control-bit positions in selection order; the
 	// first selected bit is the most significant bit of the pattern.
@@ -44,9 +49,30 @@ type Partitioning struct {
 	// NumLCs is ψ.
 	NumLCs int
 
-	tables      []*rtable.Table // one forwarding table per LC
-	patternToLC []int           // 2^η -> LC index
-	full        *rtable.Table
+	home  *home
+	free  [33]int // per prefix length: the pattern bits such a prefix leaves "*"
+	full  *rtable.Table
+	sizes []int // routes per LC: Table(lc).Len(), kept without the table
+}
+
+// home is the address → home-LC map of a partitioning and nothing else:
+// the control bits and the pattern → LC folding, no route.
+type home struct {
+	bits        []int
+	patternToLC []int // 2^η -> LC index
+}
+
+// lc returns a's home LC.
+func (h *home) lc(a ip.Addr) int { return h.patternToLC[h.pattern(a)] }
+
+// pattern returns a's control-bit pattern: the first chosen bit is its most
+// significant.
+func (h *home) pattern(a ip.Addr) int {
+	pat := 0
+	for i, pos := range h.bits {
+		pat |= int(ip.AddrBit(a, pos)) << (len(h.bits) - 1 - i)
+	}
+	return pat
 }
 
 // ceilLog2 returns the smallest η with 2^η >= n (η = 0 for n <= 1).
@@ -124,112 +150,141 @@ func SubsetWithBits(t *rtable.Table, numLCs int, alive []int, bits []int) *Parti
 		Bits:   append([]int(nil), bits...),
 		NumLCs: numLCs,
 		full:   t,
+		sizes:  make([]int, numLCs),
 	}
-	numPatterns := 1 << len(bits)
-	p.patternToLC = make([]int, numPatterns)
-	perLC := make([][]rtable.Route, numLCs)
-	for pat := 0; pat < numPatterns; pat++ {
-		p.patternToLC[pat] = alive[pat%len(alive)]
+	p.home = &home{bits: p.Bits, patternToLC: make([]int, 1<<len(bits))}
+	for pat := range p.home.patternToLC {
+		p.home.patternToLC[pat] = alive[pat%len(alive)]
 	}
-	// Each LC takes a route once, however many of its patterns fold onto
-	// that LC, so its slice keeps t's order: sorted and unique already.
-	var pats []int
-	seen := make([]bool, numLCs)
-	for _, r := range t.Routes() {
-		clear(seen)
-		pats = compatiblePatterns(pats[:0], r.Prefix, bits)
-		for _, pat := range pats {
-			if lc := p.patternToLC[pat]; !seen[lc] {
-				seen[lc] = true
-				perLC[lc] = append(perLC[lc], r)
+	for l := range p.free {
+		for i, pos := range bits {
+			if pos >= l {
+				p.free[l] |= 1 << (len(bits) - 1 - i)
 			}
 		}
 	}
-	p.tables = make([]*rtable.Table, numLCs)
-	for lc := range p.tables {
-		p.tables[lc] = rtable.NewSorted(perLC[lc])
-	}
+	p.place(func(lc int, _ rtable.Route) { p.sizes[lc]++ })
 	return p
+}
+
+// place is the one pass that decides where routes live: it calls add(lc,
+// r) for each route r of the full table, in table order, and each LC lc
+// whose forwarding table holds r — once per LC, however many of r's
+// patterns fold onto it.
+func (p *Partitioning) place(add func(lc int, r rtable.Route)) {
+	var lcs []int
+	for _, r := range p.full.Routes() {
+		lcs = p.lcsOf(lcs[:0], r.Prefix)
+		for _, lc := range lcs {
+			add(lc, r)
+		}
+	}
+}
+
+// lcsOf appends to dst, which the caller passes in empty, each LC whose
+// forwarding table holds prefix pr once: the LCs its compatible patterns
+// fold onto. A pattern is compatible when it agrees with pr on every
+// control bit pr fixes; a bit at or beyond pr's length is "*" and takes
+// both values.
+func (p *Partitioning) lcsOf(dst []int, pr ip.Prefix) []int {
+	free := p.free[pr.Len]
+	pat := p.home.pattern(pr.Value) &^ free
+	for sub := free; ; sub = (sub - 1) & free {
+		if lc := p.home.patternToLC[pat|sub]; !slices.Contains(dst, lc) {
+			dst = append(dst, lc)
+		}
+		if sub == 0 {
+			return dst
+		}
+	}
+}
+
+// Holds reports whether LC lc's forwarding table holds prefix pr, were pr
+// in the full table.
+func (p *Partitioning) Holds(lc int, pr ip.Prefix) bool {
+	var buf [8]int
+	return slices.Contains(p.lcsOf(buf[:0], pr), lc)
+}
+
+// Match returns the route LC lc's forwarding table matches a with — the
+// longest of the full table's routes that match a and that lc holds —
+// without materializing that table.
+func (p *Partitioning) Match(lc int, a ip.Addr) (rtable.Route, bool) {
+	return p.full.LongestMatchFunc(a, func(r rtable.Route) bool { return p.Holds(lc, r.Prefix) })
 }
 
 // ApplyUpdates returns a new Partitioning with the update batch applied
 // under the SAME control bits and pattern→LC folding — the incremental
 // path for route churn, where re-selecting bits (and re-homing every
 // address) would be a full two-phase swap. The home-LC invariant is
-// preserved by construction: an updated prefix lands in exactly the
-// pattern groups compatiblePatterns assigns it, the same rule the full
-// rebuild uses. The second result is the per-LC sub-batch: update i
-// appears in subBatches[lc] iff lc's forwarding table changes under it,
-// which is what the router streams into each LC's dynamic trie. LCs with
-// an empty sub-batch share the previous table snapshot.
+// preserved by construction: an updated prefix lands on exactly the LCs
+// lcsOf assigns it, the same rule the full rebuild uses. The second result
+// is the per-LC sub-batch: update i appears in subBatches[lc] iff lc's
+// forwarding table would hold its prefix, which is what the router streams
+// into each LC's dynamic trie. The only routes it copies are the full
+// table's; the per-LC sizes move by ±1 for each prefix the batch adds to or
+// removes from it.
 func (p *Partitioning) ApplyUpdates(batch []rtable.Update) (*Partitioning, [][]rtable.Update) {
 	perLC := make([][]rtable.Update, p.NumLCs)
-	var pats []int
-	seen := make([]bool, p.NumLCs)
+	var lcs []int
 	for _, u := range batch {
-		clear(seen)
-		pats = compatiblePatterns(pats[:0], u.Route.Prefix.Canon(), p.Bits)
-		for _, pat := range pats {
-			if lc := p.patternToLC[pat]; !seen[lc] {
-				seen[lc] = true
-				perLC[lc] = append(perLC[lc], u)
-			}
+		lcs = p.lcsOf(lcs[:0], u.Route.Prefix)
+		for _, lc := range lcs {
+			perLC[lc] = append(perLC[lc], u)
 		}
 	}
 	np := &Partitioning{
-		Bits:        p.Bits,
-		NumLCs:      p.NumLCs,
-		patternToLC: p.patternToLC,
-		full:        p.full.ApplyAll(batch),
-		tables:      make([]*rtable.Table, p.NumLCs),
+		Bits:   p.Bits,
+		NumLCs: p.NumLCs,
+		home:   p.home,
+		free:   p.free,
+		sizes:  slices.Clone(p.sizes),
 	}
-	for lc := range np.tables {
-		if len(perLC[lc]) == 0 {
-			np.tables[lc] = p.tables[lc]
-		} else {
-			np.tables[lc] = p.tables[lc].ApplyAll(perLC[lc])
+	np.full = p.full.ApplyAllFunc(batch, func(pr ip.Prefix, delta int) {
+		lcs = p.lcsOf(lcs[:0], pr)
+		for _, lc := range lcs {
+			np.sizes[lc] += delta
 		}
-	}
+	})
 	return np, perLC
-}
-
-// compatiblePatterns appends to pats, which the caller passes in empty,
-// every control-bit pattern the prefix must be stored under: a concrete bit
-// pins its pattern position, a "*" bit fans out to both values.
-func compatiblePatterns(pats []int, pr ip.Prefix, bits []int) []int {
-	pats = append(pats, 0)
-	for i, pos := range bits {
-		shift := len(bits) - 1 - i
-		if b, known := pr.Bit(pos); known {
-			for j := range pats {
-				pats[j] |= int(b) << shift
-			}
-		} else {
-			for _, p := range pats {
-				pats = append(pats, p|1<<shift)
-			}
-		}
-	}
-	return pats
-}
-
-// PatternOf extracts the control-bit pattern of an address.
-func (p *Partitioning) PatternOf(a ip.Addr) int {
-	pat := 0
-	for i, pos := range p.Bits {
-		pat |= int(ip.AddrBit(a, pos)) << (len(p.Bits) - 1 - i)
-	}
-	return pat
 }
 
 // HomeLC returns the home line card of an address: the LC whose forwarding
 // table is guaranteed to contain every prefix matching it.
-func (p *Partitioning) HomeLC(a ip.Addr) int {
-	return p.patternToLC[p.PatternOf(a)]
+func (p *Partitioning) HomeLC(a ip.Addr) int { return p.home.lc(a) }
+
+// Home returns HomeLC as a function bound to the control bits and the
+// pattern→LC map alone: a forwarding plane that keeps it keeps no route.
+// Partitionings derived by ApplyUpdates share it.
+func (p *Partitioning) Home() func(ip.Addr) int { return p.home.lc }
+
+// Table derives LC lc's forwarding table (its ROT-partition union) from
+// the full table: one pass over every route, and a fresh table each call.
+// To build several LCs' tables call Tables, which makes that pass once.
+func (p *Partitioning) Table(lc int) *rtable.Table {
+	routes := make([]rtable.Route, 0, p.sizes[lc])
+	p.place(func(l int, r rtable.Route) {
+		if l == lc {
+			routes = append(routes, r)
+		}
+	})
+	return rtable.NewSorted(routes)
 }
 
-// Table returns LC lc's forwarding table (its ROT-partition union).
-func (p *Partitioning) Table(lc int) *rtable.Table { return p.tables[lc] }
+// Tables derives every LC's forwarding table in one pass over the full
+// table: Tables()[lc] is Table(lc).
+func (p *Partitioning) Tables() []*rtable.Table {
+	perLC := make([][]rtable.Route, p.NumLCs)
+	for lc, n := range p.sizes {
+		perLC[lc] = make([]rtable.Route, 0, n)
+	}
+	p.place(func(lc int, r rtable.Route) { perLC[lc] = append(perLC[lc], r) })
+	tables := make([]*rtable.Table, p.NumLCs)
+	for lc, routes := range perLC {
+		tables[lc] = rtable.NewSorted(routes)
+	}
+	return tables
+}
 
 // Full returns the unpartitioned routing table.
 func (p *Partitioning) Full() *rtable.Table { return p.full }
@@ -241,13 +296,11 @@ type Stats struct {
 	Replication float64 // Σ sizes / original size (1.0 = no copies)
 }
 
-// Stats computes partition-quality measures.
+// Stats computes partition-quality measures from the kept sizes: O(ψ).
 func (p *Partitioning) Stats() Stats {
-	s := Stats{Sizes: make([]int, p.NumLCs)}
+	s := Stats{Sizes: slices.Clone(p.sizes)}
 	total := 0
-	for i, t := range p.tables {
-		n := t.Len()
-		s.Sizes[i] = n
+	for i, n := range p.sizes {
 		total += n
 		if i == 0 || n < s.Min {
 			s.Min = n
@@ -352,7 +405,7 @@ func splitGroups(groups [][]ip.Prefix, pos int) [][]ip.Prefix {
 		out = append(out, g0, g1)
 	}
 	// Reorder: splitGroups appends (g0,g1) per group, which makes the new
-	// bit the LEAST significant pattern bit — matching PatternOf, where
+	// bit the LEAST significant pattern bit — matching home.pattern, where
 	// later bits shift less. Pattern p's group is out[...]: for pattern
 	// numbering with earlier bits more significant, group order must be
 	// g(00), g(01), g(10), g(11): out already is [g0_0, g0_1, g1_0, g1_1]

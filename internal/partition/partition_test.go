@@ -74,8 +74,8 @@ func TestHomeInvariant(t *testing.T) {
 		p := Partition(tbl, psi)
 		oracle := lpm.NewReference(tbl)
 		engines := make([]*lpm.Reference, psi)
-		for lc := 0; lc < psi; lc++ {
-			engines[lc] = lpm.NewReference(p.Table(lc))
+		for lc, lt := range p.Tables() {
+			engines[lc] = lpm.NewReference(lt)
 		}
 		rng := stats.NewRNG(uint64(psi))
 		for i := 0; i < 3000; i++ {
@@ -135,8 +135,8 @@ func TestEveryPrefixInSomePartition(t *testing.T) {
 	tbl := rtable.Small(2000, 5)
 	p := Partition(tbl, 6)
 	seen := make(map[ip.Prefix]bool)
-	for lc := 0; lc < 6; lc++ {
-		for _, r := range p.Table(lc).Routes() {
+	for _, lt := range p.Tables() {
+		for _, r := range lt.Routes() {
 			seen[r.Prefix] = true
 		}
 	}
@@ -158,8 +158,8 @@ func TestStarPrefixReplication(t *testing.T) {
 		{Prefix: ip.MustPrefix("192.168.0.0/16"), NextHop: 4},
 	})
 	p := Partition(tbl, 4)
-	for lc := 0; lc < 4; lc++ {
-		if nh, ok := p.Table(lc).LookupLinear(0xf0000001); !ok || nh != 9 {
+	for lc, lt := range p.Tables() {
+		if nh, ok := lt.LookupLinear(0xf0000001); !ok || nh != 9 {
 			t.Errorf("LC %d lost the default route", lc)
 		}
 	}
@@ -174,7 +174,7 @@ func TestNonPowerOfTwoFolding(t *testing.T) {
 	// Patterns 0 and 3 share LC 0.
 	counts := make(map[int]int)
 	for pat := 0; pat < 4; pat++ {
-		counts[p.patternToLC[pat]]++
+		counts[p.home.patternToLC[pat]]++
 	}
 	if counts[0] != 2 || counts[1] != 1 || counts[2] != 1 {
 		t.Errorf("pattern folding = %v", counts)
@@ -328,6 +328,35 @@ func TestCeilLog2(t *testing.T) {
 	for n, want := range cases {
 		if got := ceilLog2(n); got != want {
 			t.Errorf("ceilLog2(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestMatchReadsTheLCTable: Holds and Match, which read an LC's table off
+// the full one, agree with the materialized table — membership for every
+// route, and the matched route at each route's first and last address,
+// which mostly belong to other LCs than the one asked.
+func TestMatchReadsTheLCTable(t *testing.T) {
+	tbl := rtable.Small(2000, 23)
+	for _, psi := range []int{1, 3, 4, 16} {
+		p := Partition(tbl, psi)
+		for lc, lt := range p.Tables() {
+			held := make(map[ip.Prefix]bool, lt.Len())
+			for _, r := range lt.Routes() {
+				held[r.Prefix] = true
+			}
+			for _, r := range tbl.Routes() {
+				if p.Holds(lc, r.Prefix) != held[r.Prefix] {
+					t.Fatalf("psi=%d lc=%d %v: Holds disagrees with the table (%v)", psi, lc, r.Prefix, held[r.Prefix])
+				}
+				for _, a := range []ip.Addr{r.Prefix.FirstAddr(), r.Prefix.LastAddr()} {
+					g, gok := p.Match(lc, a)
+					w, wok := lt.LongestMatch(a)
+					if g != w || gok != wok {
+						t.Fatalf("psi=%d lc=%d %s: Match = %v,%v, table says %v,%v", psi, lc, ip.FormatAddr(a), g, gok, w, wok)
+					}
+				}
+			}
 		}
 	}
 }

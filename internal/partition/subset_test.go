@@ -95,9 +95,10 @@ func TestSubsetFullSetMatchesPartition(t *testing.T) {
 			t.Fatalf("bits differ: %v vs %v", std.Bits, sub.Bits)
 		}
 	}
-	for lc := 0; lc < 4; lc++ {
-		if std.Table(lc).Len() != sub.Table(lc).Len() {
-			t.Errorf("LC %d sizes differ: %d vs %d", lc, std.Table(lc).Len(), sub.Table(lc).Len())
+	stdT, subT := std.Tables(), sub.Tables()
+	for lc := range stdT {
+		if stdT[lc].Len() != subT[lc].Len() {
+			t.Errorf("LC %d sizes differ: %d vs %d", lc, stdT[lc].Len(), subT[lc].Len())
 		}
 	}
 	rng := stats.NewRNG(11)
@@ -161,8 +162,8 @@ func TestSubsetTablesMatchDefinition(t *testing.T) {
 				}
 			}
 		}
-		for lc := range perLC {
-			if got, want := p.Table(lc).Routes(), rtable.New(perLC[lc]).Routes(); !slices.Equal(got, want) {
+		for lc, lt := range p.Tables() {
+			if got, want := lt.Routes(), rtable.New(perLC[lc]).Routes(); !slices.Equal(got, want) {
 				t.Errorf("ψ=%d alive=%v: LC %d holds %d routes, the definition gives %d", tc.numLCs, tc.alive, lc, len(got), len(want))
 			}
 		}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
 	"spal/internal/rtable"
@@ -40,24 +41,25 @@ func TestApplyUpdatesMatchesRebuild(t *testing.T) {
 				t.Fatalf("psi=%d round=%d: full table %d entries, want %d", tc.numLCs, round, got, want)
 			}
 			want := SubsetWithBits(cur, tc.numLCs, tc.alive, p.Bits)
+			tables, sizes := np.Tables(), np.Stats().Sizes
 			for lc := 0; lc < tc.numLCs; lc++ {
-				g, w := np.Table(lc).Routes(), want.Table(lc).Routes()
-				if len(g) != len(w) {
+				g := np.Table(lc).Routes()
+				if w := want.Table(lc).Routes(); !slices.Equal(g, w) {
 					t.Fatalf("psi=%d round=%d lc=%d: %d routes incremental vs %d rebuilt",
 						tc.numLCs, round, lc, len(g), len(w))
 				}
-				for i := range g {
-					if g[i] != w[i] {
-						t.Fatalf("psi=%d round=%d lc=%d route %d: %v != %v",
-							tc.numLCs, round, lc, i, g[i], w[i])
-					}
+				if !slices.Equal(tables[lc].Routes(), g) {
+					t.Fatalf("psi=%d round=%d lc=%d: Tables() and Table(lc) disagree", tc.numLCs, round, lc)
+				}
+				if sizes[lc] != len(g) {
+					t.Fatalf("psi=%d round=%d lc=%d: kept size %d, table holds %d", tc.numLCs, round, lc, sizes[lc], len(g))
 				}
 			}
-			// Sub-batches only name LCs whose table can change, and every
-			// changed LC got a sub-batch (an empty one shares the snapshot).
+			// Sub-batches name every LC whose table can change: one with an
+			// empty sub-batch holds the same routes as before.
 			for lc := range sub {
-				if len(sub[lc]) == 0 && np.Table(lc) != p.Table(lc) {
-					t.Fatalf("lc=%d: table replaced without a sub-batch", lc)
+				if len(sub[lc]) == 0 && !slices.Equal(np.Table(lc).Routes(), p.Table(lc).Routes()) {
+					t.Fatalf("lc=%d: table changed without a sub-batch", lc)
 				}
 			}
 			p = np

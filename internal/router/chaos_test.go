@@ -361,8 +361,9 @@ func TestStaleHomeCacheAcrossSwap(t *testing.T) {
 	r.mu.Lock()
 	r.fallback.Store(rtable.NewIndex(t2))
 	r.gen++
+	tables := p2.Tables()
 	for i := 0; i < 2; i++ {
-		engine := r.buildEngine(p2.Table(i))
+		engine := r.buildEngine(tables[i])
 		r.install(i, func(lc *lineCard) { lc.installTable(engine, p2.HomeLC, r.gen) })
 	}
 	r.install(req, r.rekey)

@@ -11,13 +11,14 @@
 //
 // Engine flips are driven from the health ticker rather than from the
 // lookup path: each tick, each LC draws against EngineFlipRate; a firing
-// draw picks one prefix from that LC's current partition table, computes
-// the authoritative verdict at the prefix's first address from the
-// canonical table, and poisons the prefix's whole address range in the
-// LC's live engine with that verdict XOR 1 (see lpm.Corrupt). Poisoning
-// table-derived ranges is what makes the scrubber's detection bound
-// provable: the scrub cursor sweeps exactly those prefixes' first
-// addresses, so an injected flip is re-sampled within ceil(P/K) cycles.
+// draw picks one prefix of that LC's current partition (the first it holds
+// from a drawn full-table position on), computes the authoritative verdict
+// at the prefix's first address from the canonical table, and poisons the
+// prefix's whole address range in the LC's live engine with that verdict
+// XOR 1 (see lpm.Corrupt). Poisoning table-derived ranges is what makes
+// the scrubber's detection bound provable: the scrub cursor sweeps
+// exactly those prefixes' first addresses, so an injected flip is
+// re-sampled within ceil(P/K) cycles.
 package router
 
 import (
@@ -109,18 +110,21 @@ func (r *Router) maybeInjectLocked() {
 		if float64(h&0x1f_ffff)/float64(1<<21) >= p.EngineFlipRate {
 			continue
 		}
-		tbl := r.part.Table(i)
-		n := tbl.Len()
-		if n == 0 {
+		if r.part.Stats().Sizes[i] == 0 {
 			continue
 		}
-		pfx := tbl.Routes()[int(splitmix64(h)%uint64(n))].Prefix
+		full := r.part.Full().Routes()
+		j := int(splitmix64(h) % uint64(len(full)))
+		for !r.part.Holds(i, full[j].Prefix) {
+			j = (j + 1) % len(full)
+		}
+		pfx := full[j].Prefix
 		lo, hi := pfx.FirstAddr(), pfx.LastAddr()
 		// The poison verdict is the authoritative answer at lo, flipped —
 		// guaranteed wrong at lo, which is exactly the address the scrub
 		// cursor will re-sample.
 		nh := rtable.NextHop(1)
-		if rt, ok := tbl.LongestMatch(lo); ok {
+		if rt, ok := r.part.Match(i, lo); ok {
 			nh = rt.NextHop ^ 1
 		}
 		// A dead slot is skipped; reborn, it gets a fresh engine anyway.

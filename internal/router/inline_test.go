@@ -559,8 +559,9 @@ func TestChaosInlineDepthBounded(t *testing.T) {
 			break
 		}
 	}
+	tables := p2.Tables()
 	swap := func(i int) {
-		engine := r.buildEngine(p2.Table(i))
+		engine := r.buildEngine(tables[i])
 		r.install(i, func(lc *lineCard) { lc.installTable(engine, p2.HomeLC, r.gen) })
 	}
 

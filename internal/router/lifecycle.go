@@ -197,10 +197,11 @@ func (r *Router) rehomeLocked(dead int) {
 	// and bump the epoch so replies computed for the LC that died
 	// cannot fill the flushed cache.
 	lc := r.lcs[dead]
-	engine := r.buildEngine(part.Table(dead)) // like every build, under no LC's lock
+	tables := part.Tables()
+	engine := r.buildEngine(tables[dead]) // like every build, under no LC's lock
 	lc.mu.Lock()
 	lc.engine = engine
-	lc.homeOf = part.HomeLC
+	lc.homeOf = part.Home()
 	lc.epoch++
 	lc.gen = r.gen // the shell's engine is built from the current table
 	if lc.cache != nil {
@@ -248,7 +249,7 @@ func (r *Router) rehomeLocked(dead int) {
 	r.rehomes.Add(1)
 	r.replayed.Add(int64(replayed))
 
-	if err := r.swapPartitioning(part); err != nil {
+	if err := r.swapPartitioning(part, tables); err != nil {
 		return // stopping; the partial swap no longer matters
 	}
 	r.part = part
@@ -335,7 +336,7 @@ func (r *Router) DrainLC(lc int) error {
 		return fmt.Errorf("router: cannot drain LC %d, it is the last active LC", lc)
 	}
 	part := partition.Subset(r.part.Full(), r.cfg.NumLCs, alive)
-	if err := r.swapPartitioning(part); err != nil {
+	if err := r.swapPartitioning(part, part.Tables()); err != nil {
 		r.mu.Unlock()
 		return err
 	}
@@ -399,7 +400,7 @@ func (r *Router) RestoreLC(lc int) error {
 	}
 	h.state.Store(LCHealthy)
 	part := partition.Subset(r.part.Full(), r.cfg.NumLCs, r.aliveLCsLocked())
-	if err := r.swapPartitioning(part); err != nil {
+	if err := r.swapPartitioning(part, part.Tables()); err != nil {
 		return err
 	}
 	r.part = part

@@ -96,8 +96,6 @@ type Verdict struct {
 type config struct {
 	// NumLCs is ψ.
 	NumLCs int
-	// Table is the routing table to partition.
-	Table *rtable.Table
 	// Engine builds each LC's matching structure (WithEngine: a custom
 	// Builder, e.g. a test's fake engine). A non-empty EngineName replaces
 	// it; with neither set the hash-based reference engine is used.
@@ -484,14 +482,14 @@ type Router struct {
 //
 //	router.New(tbl, router.WithLCs(16), router.WithDefaultCache())
 func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
-	cfg := config{NumLCs: 1, Table: tbl}
+	cfg := config{NumLCs: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.NumLCs < 1 {
 		return nil, fmt.Errorf("router: NumLCs must be >= 1, got %d", cfg.NumLCs)
 	}
-	if cfg.Table == nil || cfg.Table.Len() == 0 {
+	if tbl == nil || tbl.Len() == 0 {
 		return nil, errors.New("router: empty routing table")
 	}
 	if cfg.EngineName != "" {
@@ -537,7 +535,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	if r.queueDepth = cfg.QueueDepth; r.queueDepth <= 0 {
 		r.queueDepth = defaultQueueDepth
 	}
-	r.part = partition.Partition(cfg.Table, cfg.NumLCs)
+	r.part = partition.Partition(tbl, cfg.NumLCs)
 	// The fallback reads the canonical snapshot itself, which the
 	// corruption injector never touches: it stays correct whatever is done
 	// to the per-LC state.
@@ -558,8 +556,11 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	now := r.now()
 	r.lastRebalance = now
 	hashSeed := rand.Uint64() // per router: see pendingTable
+	// The LCs' route lists live only for their engines' builds.
+	tables := r.part.Tables()
 	for i := 0; i < cfg.NumLCs; i++ {
-		engine := r.buildEngine(r.part.Table(i))
+		engine := r.buildEngine(tables[i])
+		tables[i] = nil
 		if i == 0 {
 			_, r.dynamic = engine.(lpm.DynamicEngine)
 		}
@@ -567,7 +568,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			id:      i,
 			engine:  engine,
 			pending: newPendingTable(hashSeed),
-			homeOf:  r.part.HomeLC,
+			homeOf:  r.part.Home(),
 			stats:   &LCStats{},
 			done:    make([]finished, 0, maxFinished),
 		}
@@ -1480,7 +1481,7 @@ func (r *Router) UpdateTable(tbl *rtable.Table) error {
 	r.fallback.Store(rtable.NewIndex(part.Full()))
 	r.gen++
 
-	if err := r.swapPartitioning(part); err != nil {
+	if err := r.swapPartitioning(part, part.Tables()); err != nil {
 		return err
 	}
 	r.part = part
@@ -1489,8 +1490,9 @@ func (r *Router) UpdateTable(tbl *rtable.Table) error {
 
 // swapPartitioning runs the two-phase swap against every LC: installTable
 // everywhere, then rekey everywhere (a slot that is not live is skipped, see
-// install). r.mu must be held.
-func (r *Router) swapPartitioning(part *partition.Partitioning) error {
+// install). The engines are built from tables, part.Tables(), which it
+// empties as it goes. r.mu must be held.
+func (r *Router) swapPartitioning(part *partition.Partitioning, tables []*rtable.Table) error {
 	if r.stopped.Load() {
 		return ErrStopped
 	}
@@ -1501,10 +1503,12 @@ func (r *Router) swapPartitioning(part *partition.Partitioning) error {
 	// contain ψ engine builds.
 	engines := make([]lpm.Engine, r.cfg.NumLCs)
 	for i := range engines {
-		engines[i] = r.buildEngine(part.Table(i))
+		engines[i] = r.buildEngine(tables[i])
+		tables[i] = nil
 	}
+	homeOf := part.Home()
 	for i := range r.lcs {
-		r.install(i, func(lc *lineCard) { lc.installTable(engines[i], part.HomeLC, r.gen) })
+		r.install(i, func(lc *lineCard) { lc.installTable(engines[i], homeOf, r.gen) })
 	}
 	for i := range r.lcs {
 		r.install(i, r.rekey)

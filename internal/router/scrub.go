@@ -8,13 +8,14 @@
 // monitor already owns:
 //
 //   - Engine sweep: per cycle, per serving LC, K partition prefixes are
-//     selected by a rotating cursor; for each, the authoritative verdict
-//     at the prefix's first address is computed from the LC's canonical
-//     partition table (rtable.LongestMatch — binary search, no trie
-//     build) and compared against the LC's live engine under its
-//     lock. P partition prefixes are therefore fully re-verified
-//     every ceil(P/K) cycles, which bounds detection latency for any
-//     range-poisoning corruption of a table prefix.
+//     selected by a rotating cursor over the full table; for each, the
+//     authoritative verdict at the prefix's first address is what the
+//     LC's partition answers there (partition.Match — binary searches of
+//     the full table, no partition or trie built) and is compared against
+//     the LC's live engine under its lock. P partition prefixes are
+//     therefore fully re-verified every ceil(P/K) cycles, which bounds
+//     detection latency for any range-poisoning corruption of a table
+//     prefix.
 //
 //   - Cache audit: the same ownership walks every complete entry
 //     in the LC's LR-cache (cache.AuditEntries) and compares it against
@@ -81,7 +82,7 @@ const (
 // counters are atomic (written by the LC inside the scrub closure, read by
 // Metrics/Integrity from anywhere); cursor is monitor-only under r.mu.
 type lcScrub struct {
-	cursor       int // next partition-prefix index the engine sweep samples
+	cursor       int // full-table index the engine sweep samples from next
 	samples      atomic.Int64
 	engineMism   atomic.Int64
 	cacheMism    atomic.Int64
@@ -112,32 +113,33 @@ func (r *Router) maybeScrubLocked(now int64) {
 	r.lastScrub = now
 	r.scrubCycles.Add(1)
 	auth := r.scrubAuthorityLocked(r.gen)
+	full, sizes := r.part.Full().Routes(), r.part.Stats().Sizes
 	var damaged []int
 	for i, s := range r.health {
 		st := s.state.Load()
-		tbl := r.part.Table(i)
-		n := tbl.Len()
+		n := sizes[i]
 		if st == LCDown || st == LCDraining || n == 0 {
 			continue
 		}
+		// The sample set: the next k of the LC's partition prefixes from the
+		// cursor on, each's first address, with the verdict the partition
+		// gives there precomputed here, before the LC is owned (allocation
+		// is fine — this is the cold monitor path, never a data path).
 		k := min(scrubSamples, n)
-		start := s.cursor
-		s.cursor = (s.cursor + k) % n
-		// The sample set: each selected prefix's first address, with the
-		// authoritative verdict precomputed here, before the LC is owned,
-		// from the canonical partition snapshot (allocation is fine — this
-		// is the cold monitor path, never a data path).
-		addrs := make([]ip.Addr, k)
-		want := make([]rtable.NextHop, k)
-		routes := tbl.Routes()
-		for j := 0; j < k; j++ {
-			a := routes[(start+j)%n].Prefix.FirstAddr()
-			addrs[j] = a
+		addrs := make([]ip.Addr, 0, k)
+		want := make([]rtable.NextHop, 0, k)
+		for j := s.cursor % len(full); len(addrs) < k; j = (j + 1) % len(full) {
+			pfx := full[j].Prefix
+			if !r.part.Holds(i, pfx) {
+				continue
+			}
+			a := pfx.FirstAddr()
 			nh := rtable.NoNextHop
-			if rt, ok := tbl.LongestMatch(a); ok {
+			if rt, ok := r.part.Match(i, a); ok {
 				nh = rt.NextHop
 			}
-			want[j] = nh
+			addrs, want = append(addrs, a), append(want, nh)
+			s.cursor = j + 1
 		}
 		r.install(i, func(lc *lineCard) {
 			mism := 0
@@ -180,24 +182,25 @@ func (r *Router) maybeScrubLocked(now int64) {
 		return
 	}
 	r.fenceLocked()
+	tables := r.part.Tables()
 	for _, i := range damaged {
 		r.quarantines.Add(1)
 		r.scrubLog("quarantine", slog.Int("lc", i))
-		r.rebuildLocked(i)
+		r.rebuildLocked(i, tables[i])
 	}
 }
 
-// rebuildLocked repairs LC i's engine: phase 1 installs a freshly
-// built engine from the canonical partition table (with the current
+// rebuildLocked repairs LC i's engine: phase 1 installs a freshly built
+// engine from tbl, LC i's canonical partition table (with the current
 // homeOf and generation), exactly as UpdateTable's does; phase 2 rekeys —
 // epoch bump, cache flush, parked-lookup replay — so no lookup is lost and
 // no pre-rebuild reply can fill the fresh cache. Only this LC pays the
 // flush. r.mu must be held.
-func (r *Router) rebuildLocked(i int) {
-	engine := r.buildEngine(r.part.Table(i))
+func (r *Router) rebuildLocked(i int, tbl *rtable.Table) {
+	engine := r.buildEngine(tbl)
 	// A dead slot ends the rebuild: rehomeLocked rebuilds it from scratch,
 	// an even stronger repair.
-	if !r.install(i, func(lc *lineCard) { lc.installTable(engine, r.part.HomeLC, r.gen) }) ||
+	if !r.install(i, func(lc *lineCard) { lc.installTable(engine, r.part.Home(), r.gen) }) ||
 		!r.install(i, r.rekey) {
 		return
 	}

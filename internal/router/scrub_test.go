@@ -7,6 +7,7 @@ package router
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,10 +28,7 @@ import (
 func waitFullSweep(t *testing.T, r *Router) {
 	t.Helper()
 	r.mu.Lock()
-	p := 0
-	for i := range r.lcs {
-		p = max(p, r.part.Table(i).Len())
-	}
+	p := slices.Max(r.part.Stats().Sizes)
 	r.mu.Unlock()
 	want := r.scrubCycles.Load() + int64((p+scrubSamples-1)/scrubSamples) + 2
 	waitFor(t, "a full scrub sweep", func() bool { return r.scrubCycles.Load() >= want })
@@ -265,7 +263,8 @@ func TestScrubDamagedEngineAnswersRightDuringRebuild(t *testing.T) {
 		}
 	}
 	r.mu.Lock()
-	r.health[damaged].cursor = k // the cycle below samples pfx
+	// The cycle below samples pfx: the cursor runs over the full table.
+	r.health[damaged].cursor = slices.IndexFunc(tbl.Routes(), func(rt rtable.Route) bool { return rt.Prefix == pfx })
 	r.mu.Unlock()
 	r.own(damaged, func(lc *lineCard) {
 		lc.engine = lpm.NewCorrupt(lc.engine)
@@ -378,9 +377,20 @@ func TestScrubChecksEjectedLC(t *testing.T) {
 	r.gray[1].degraded.Store(true)
 	part := r.part.Table(1)
 	sc := r.health[1]
-	// The last prefix of the window the next cycle samples.
+	// The last prefix of the window the next cycle samples: the want-th
+	// prefix of LC 1's partition from the cursor's full-table index on.
 	want := min(scrubSamples, part.Len())
-	pfx := part.Routes()[(sc.cursor+want-1)%part.Len()].Prefix
+	full := r.part.Full().Routes()
+	held := make(map[ip.Prefix]bool, part.Len())
+	for _, rt := range part.Routes() {
+		held[rt.Prefix] = true
+	}
+	var pfx ip.Prefix
+	for j, seen := sc.cursor%len(full), 0; seen < want; j = (j + 1) % len(full) {
+		if held[full[j].Prefix] {
+			pfx, seen = full[j].Prefix, seen+1
+		}
+	}
 	good, _ := part.LongestMatch(pfx.FirstAddr())
 	r.own(1, func(lc *lineCard) {
 		lc.engine = lpm.NewCorrupt(lc.engine)

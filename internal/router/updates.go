@@ -8,13 +8,14 @@
 // hit rate the LR-caches exist to provide.
 //
 // ApplyUpdates is the incremental path. The partitioning applies the
-// batch in place (same control bits, same pattern→LC folding; see
-// partition.ApplyUpdates), each LC receives exactly its own sub-batch to
-// stream into its engine — in place for lpm.DynamicEngine implementations
-// (the tries), by a rebuild of only its own partition otherwise, made
-// before the LC's lock is taken and installed by pointer — and cache
-// coherence comes from targeted invalidation instead of a flush: a change
-// to prefix p can only affect verdicts for addresses in
+// batch to its one copy of the routes, the full table (same control bits,
+// same pattern→LC folding; see partition.ApplyUpdates), and each LC
+// receives exactly its own sub-batch to stream into its engine — in place
+// for lpm.DynamicEngine implementations (the tries), by a rebuild of only
+// its own partition otherwise, from a route list derived from the new full
+// table, made before the LC's lock is taken and installed by pointer — and
+// cache coherence comes from targeted invalidation instead of a flush: a
+// change to prefix p can only affect verdicts for addresses in
 // [p.FirstAddr(), p.LastAddr()], so each LC invalidates the batch's
 // coalesced address ranges (rtable.UpdateRanges) in its LR-cache, LOC and
 // REM entries alike, and every other entry keeps serving.
@@ -110,13 +111,14 @@ func (r *Router) ApplyUpdates(batch []rtable.Update) error {
 	// builds share nothing and run side by side, at most ψ of them.
 	rebuilt := make([]lpm.Engine, r.cfg.NumLCs)
 	if !r.dynamic {
+		tables := np.Tables()
 		var wg sync.WaitGroup
 		for i, s := range sub {
 			if len(s) > 0 {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					rebuilt[i] = r.buildEngine(np.Table(i))
+					rebuilt[i] = r.buildEngine(tables[i])
 				}()
 			}
 		}
@@ -210,7 +212,7 @@ func (r *Router) maybeRebalanceLocked(now int64) {
 		return
 	}
 	part := partition.Subset(r.part.Full(), r.cfg.NumLCs, alive)
-	if err := r.swapPartitioning(part); err != nil {
+	if err := r.swapPartitioning(part, part.Tables()); err != nil {
 		return // stopping; the partial swap no longer matters
 	}
 	r.part = part

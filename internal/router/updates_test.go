@@ -1035,10 +1035,11 @@ func TestApplyUpdatesEngineBuilds(t *testing.T) {
 }
 
 // TestApplyUpdatesAllocCeiling holds the update plane's memory to what the
-// design says it is: one copy of each route slice the batch touches — the
-// full table and the touched partitions — and small change per update (trie
-// nodes, sub-batches, the sorted copy of the batch), with no table-sized map
-// or engine beside them. No clock is read.
+// design says it is: one copy of the route slice the batch rewrites — the
+// full table, the only one the router keeps — and small change per update
+// (trie nodes, sub-batches, the sorted copies of the batch), with no
+// per-LC route list, table-sized map or engine beside it. No clock is
+// read.
 func TestApplyUpdatesAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -1057,13 +1058,7 @@ func TestApplyUpdatesAllocCeiling(t *testing.T) {
 		t.Fatalf("update stream has %d events, want 1000", len(stream))
 	}
 	batch := stream[:1000]
-	np, sub := r.part.ApplyUpdates(batch)
-	routes := np.Full().Len()
-	for i, s := range sub {
-		if len(s) > 0 {
-			routes += np.Table(i).Len()
-		}
-	}
+	routes := tbl.ApplyAll(batch).Len()
 	ceiling := uint64(routes) * uint64(unsafe.Sizeof(rtable.Route{})) * 3 / 2
 
 	var before, after runtime.MemStats
@@ -1074,10 +1069,10 @@ func TestApplyUpdatesAllocCeiling(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
-	t.Logf("1000 updates over %d routes (%d in the slices rewritten): %d bytes in %d allocations, ceiling %d bytes",
-		tbl.Len(), routes, bytes, mallocs, ceiling)
+	t.Logf("1000 updates over %d routes: %d bytes in %d allocations, ceiling %d bytes",
+		tbl.Len(), bytes, mallocs, ceiling)
 	if bytes > ceiling {
-		t.Errorf("ApplyUpdates allocated %d bytes, more than 1.5 copies of the %d routes it rewrites (%d bytes)", bytes, routes, ceiling)
+		t.Errorf("ApplyUpdates allocated %d bytes, more than 1.5 copies of the %d-route full table (%d bytes)", bytes, routes, ceiling)
 	}
 	if mallocs > 250 {
 		t.Errorf("ApplyUpdates made %d allocations for 1000 updates, want at most 250", mallocs)

@@ -61,16 +61,16 @@ func New(routes []Route) *Table {
 
 // NewSorted is New for routes the caller believes to be canonical, unique
 // and in table order already — a subsequence of another table's Routes —
-// which its one copying pass verifies; input that is not goes through New.
+// which its one pass verifies. Such input becomes the table's own slice,
+// not a copy: the caller hands it over and must not modify it. Input that
+// is not in table order goes through New.
 func NewSorted(routes []Route) *Table {
-	out := make([]Route, len(routes))
 	for i, r := range routes {
 		if r.Prefix != r.Prefix.Canon() || (i > 0 && !routes[i-1].Prefix.Less(r.Prefix)) {
 			return New(routes)
 		}
-		out[i] = r
 	}
-	return &Table{routes: out}
+	return &Table{routes: routes}
 }
 
 // Len returns the number of prefixes in the table.
@@ -111,13 +111,16 @@ func (t *Table) LookupLinear(a ip.Addr) (NextHop, bool) {
 // recompute authoritative verdicts against a canonical snapshot without
 // building a trie.
 func (t *Table) LongestMatch(a ip.Addr) (Route, bool) {
+	return t.LongestMatchFunc(a, func(Route) bool { return true })
+}
+
+// LongestMatchFunc is LongestMatch over the routes keep accepts: the
+// longest route matching a for which keep returns true.
+func (t *Table) LongestMatchFunc(a ip.Addr, keep func(Route) bool) (Route, bool) {
 	for l := 32; l >= 0; l-- {
-		v := a & ip.Mask(uint8(l))
-		i := sort.Search(len(t.routes), func(i int) bool {
-			r := t.routes[i].Prefix
-			return r.Value > v || (r.Value == v && int(r.Len) >= l)
-		})
-		if i < len(t.routes) && t.routes[i].Prefix.Value == v && int(t.routes[i].Prefix.Len) == l {
+		p := ip.Prefix{Value: a & ip.Mask(uint8(l)), Len: uint8(l)}
+		i := sort.Search(len(t.routes), func(i int) bool { return !t.routes[i].Prefix.Less(p) })
+		if i < len(t.routes) && t.routes[i].Prefix == p && keep(t.routes[i]) {
 			return t.routes[i], true
 		}
 	}

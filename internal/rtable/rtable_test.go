@@ -2,6 +2,7 @@ package rtable
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -361,13 +362,34 @@ func applyAllRebuild(t *Table, batch []Update) *Table {
 func checkApplyAll(t *testing.T, base *Table, batch []Update) *Table {
 	t.Helper()
 	in := slices.Clone(batch)
-	got, want := base.ApplyAll(batch), applyAllRebuild(base, batch)
+	reported := map[ip.Prefix]int{}
+	got := base.ApplyAllFunc(batch, func(p ip.Prefix, delta int) {
+		if _, twice := reported[p]; twice {
+			t.Fatalf("%v reported twice", p)
+		}
+		reported[p] = delta
+	})
+	want := applyAllRebuild(base, batch)
 	if !slices.Equal(batch, in) {
 		t.Fatal("ApplyAll reordered or rewrote the caller's batch")
 	}
 	if !slices.Equal(got.Routes(), want.Routes()) {
 		t.Fatalf("merge over %d routes, %d events: %d routes, rebuild has %d (first difference at %d)",
 			base.Len(), len(batch), got.Len(), want.Len(), firstDiff(got.Routes(), want.Routes()))
+	}
+	// The reports are the prefix sets' difference: +1 for each prefix only
+	// the result holds, −1 for each only base held.
+	diff := map[ip.Prefix]int{}
+	for _, r := range want.Routes() {
+		diff[r.Prefix]++
+	}
+	for _, r := range base.Routes() {
+		if diff[r.Prefix]--; diff[r.Prefix] == 0 {
+			delete(diff, r.Prefix)
+		}
+	}
+	if !maps.Equal(reported, diff) {
+		t.Fatalf("ApplyAllFunc reported %d prefix changes, the tables differ in %d", len(reported), len(diff))
 	}
 	return got
 }
@@ -500,8 +522,9 @@ func FuzzApplyAll(f *testing.F) {
 }
 
 // TestNewSorted: input already in table order comes back as New would build
-// it, copied rather than kept; anything else — out of order, a duplicate, a
-// prefix with bits set past its length — is handed to New.
+// it, in the caller's own slice rather than a copy; anything else — out of
+// order, a duplicate, a prefix with bits set past its length — is handed to
+// New.
 func TestNewSorted(t *testing.T) {
 	base := Small(500, 13)
 	in := slices.Clone(base.Routes())
@@ -509,11 +532,10 @@ func TestNewSorted(t *testing.T) {
 	if !slices.Equal(got.Routes(), base.Routes()) {
 		t.Fatal("sorted input changed on the way through")
 	}
-	in[0].NextHop++
-	if got.Routes()[0] == in[0] {
-		t.Fatal("NewSorted kept the caller's slice")
+	if &got.Routes()[0] != &in[0] {
+		t.Fatal("NewSorted copied the caller's slice")
 	}
-	in[0].NextHop--
+	in = slices.Clone(in)
 	if NewSorted(nil).Len() != 0 {
 		t.Fatal("empty input")
 	}

@@ -132,7 +132,12 @@ func randomNewPrefix(rng *stats.RNG, idx map[ip.Prefix]int) ip.Prefix {
 //
 // The batch is merged into the sorted route slice: O(batch · log table)
 // comparisons plus one copy of the routes, whatever the table's size.
-func (t *Table) ApplyAll(batch []Update) *Table {
+func (t *Table) ApplyAll(batch []Update) *Table { return t.ApplyAllFunc(batch, nil) }
+
+// ApplyAllFunc is ApplyAll that also reports, when changed is not nil, each
+// prefix the batch adds to the table (delta +1) or removes from it (−1),
+// once per prefix, as the merge finds it.
+func (t *Table) ApplyAllFunc(batch []Update, changed func(p ip.Prefix, delta int)) *Table {
 	if len(batch) == 0 {
 		return t
 	}
@@ -153,11 +158,20 @@ func (t *Table) ApplyAll(batch []Update) *Table {
 		}
 		k := sort.Search(len(rest), func(k int) bool { return !rest[k].Prefix.Less(p) })
 		routes = append(routes, rest[:k]...)
+		had := false
 		if rest = rest[k:]; len(rest) > 0 && rest[0].Prefix == p {
-			rest = rest[1:]
+			rest, had = rest[1:], true
 		}
-		if u.Kind != Withdraw {
+		has := u.Kind != Withdraw
+		if has {
 			routes = append(routes, u.Route)
+		}
+		if changed != nil && has != had {
+			if has {
+				changed(p, 1)
+			} else {
+				changed(p, -1)
+			}
 		}
 	}
 	return &Table{routes: append(routes, rest...)}

@@ -102,6 +102,10 @@ func (r *Router) result() *Result {
 		res.OfferedMppsRouter = float64(r.completed) / (float64(r.now) * CycleNS * 1e-9) / 1e6
 	}
 	var probes, hits int64
+	var sizes []int
+	if r.part != nil {
+		sizes = r.part.Stats().Sizes
+	}
 	for _, l := range r.lcs {
 		ls := LCStats{
 			Generated:        l.n[cGenerated],
@@ -135,8 +139,8 @@ func (r *Router) result() *Result {
 			probes += cs.Probes
 			hits += cs.Hits + cs.HitVictims
 		}
-		if r.part != nil {
-			ls.PartitionSize = r.part.Table(l.id).Len()
+		if sizes != nil {
+			ls.PartitionSize = sizes[l.id]
 		}
 		res.PerLC = append(res.PerLC, ls)
 	}

@@ -280,10 +280,14 @@ func New(cfg Config) (*Router, error) {
 	r.pool = trace.NewPool(cfg.Table, cfg.TraceConfig)
 	root := stats.NewRNG(cfg.Seed ^ 0x5e3d)
 	r.wake = make([]int64, cfg.NumLCs)
+	var tables []*rtable.Table // the LCs' route lists, for their engines' builds only
+	if r.part != nil {
+		tables = r.part.Tables()
+	}
 	for i := 0; i < cfg.NumLCs; i++ {
 		tbl := cfg.Table
-		if r.part != nil {
-			tbl = r.part.Table(i)
+		if tables != nil {
+			tbl = tables[i]
 		}
 		l := &lineCard{
 			id:         i,
@@ -697,23 +701,38 @@ func (r *Router) applyChurn(now int64) {
 		return
 	}
 	batch := r.updates[start:r.nextUpdate]
-	next := r.curTable.ApplyAll(batch)
+	// The partitioning applies the batch to the one full table it keeps.
+	var np *partition.Partitioning
+	var sub [][]rtable.Update
+	var next *rtable.Table
+	if r.part != nil {
+		np, sub = r.part.ApplyUpdates(batch)
+		next = np.Full()
+	} else {
+		next = r.curTable.ApplyAll(batch)
+	}
 	if next.Len() == 0 {
 		return // never let churn empty the table; drop the batch
 	}
 	r.curTable = next
 	r.churnEvents += int64(len(batch))
-	if r.part != nil {
-		np, sub := r.part.ApplyUpdates(batch)
+	if np != nil {
 		r.part = np
+		var tables []*rtable.Table // derived once, if some engine is rebuilt
 		for i, l := range r.lcs {
-			if len(sub[i]) > 0 {
-				r.updateEngine(l, sub[i], np.Table(i))
+			if len(sub[i]) == 0 || applyInPlace(l, sub[i]) {
+				continue
 			}
+			if tables == nil {
+				tables = np.Tables()
+			}
+			l.engine = r.cfg.Engine(tables[i])
 		}
 	} else {
 		for _, l := range r.lcs {
-			r.updateEngine(l, batch, next)
+			if !applyInPlace(l, batch) {
+				l.engine = r.cfg.Engine(next)
+			}
 		}
 	}
 	r.version++
@@ -734,21 +753,22 @@ func (r *Router) applyChurn(now int64) {
 	}
 }
 
-// updateEngine absorbs a sub-batch into one LC's matching structure:
-// in place for dynamic engines, by rebuild from the LC's new partition
-// otherwise.
-func (r *Router) updateEngine(l *lineCard, batch []rtable.Update, tbl *rtable.Table) {
-	if de, ok := l.engine.(lpm.DynamicEngine); ok {
-		for _, u := range batch {
-			if u.Kind == rtable.Withdraw {
-				de.Delete(u.Route.Prefix)
-			} else {
-				de.Insert(u.Route.Prefix, u.Route.NextHop)
-			}
-		}
-		return
+// applyInPlace absorbs a sub-batch into one LC's matching structure when
+// its engine is dynamic, and reports whether it was; any other engine is
+// rebuilt from the LC's new partition by the caller.
+func applyInPlace(l *lineCard, batch []rtable.Update) bool {
+	de, ok := l.engine.(lpm.DynamicEngine)
+	if !ok {
+		return false
 	}
-	l.engine = r.cfg.Engine(tbl)
+	for _, u := range batch {
+		if u.Kind == rtable.Withdraw {
+			de.Delete(u.Route.Prefix)
+		} else {
+			de.Insert(u.Route.Prefix, u.Route.NextHop)
+		}
+	}
+	return true
 }
 
 // flushAll invalidates every LR-cache and reissues the orphaned waiters
