@@ -25,7 +25,6 @@
 //	spal-router -trace-rate 1 -fault-rate 0.1 -trace-log -n 10000  # full tracing + JSON log per lookup
 //	spal-router -overload-depth 256 -shed-mode drop-newest -n 1000000  # bounded inboxes, shed on overflow
 //	spal-router -churn-rate 1000 -n 1000000   # absorb 1000 route updates/s while forwarding
-//	spal-router -corrupt-rate 0.001 -scrub-interval 20ms -n 1000000  # inject state corruption, scrub and self-heal
 //	spal-router -slow-lc 1 -slow-factor 20 -n 1000000  # brown out LC 1, watch detection and ejection
 package main
 
@@ -81,9 +80,6 @@ func main() {
 	overloadDepth := flag.Int("overload-depth", 0, "enable overload control with each LC inbox bounded to this many messages, shedding on overflow (0 = no policy: inboxes hold 1024 and callers wait for space)")
 	shedMode := flag.String("shed-mode", "drop-newest", "what -overload-depth does with a lookup that finds its inbox full: drop-newest (refuse it) or block (wait for space)")
 	churnRate := flag.Float64("churn-rate", 0, "stream BGP-style route updates at this rate (events/s) through ApplyUpdates while driving load (0 = off)")
-	corruptRate := flag.Float64("corrupt-rate", 0, "inject state corruption at this rate: engine verdict flips, wrong cache fills, dropped invalidations (0 = off)")
-	corruptSeed := flag.Uint64("corrupt-seed", 1, "seed for the deterministic corruption injector")
-	scrubInterval := flag.Duration("scrub-interval", 0, "run the online integrity scrubber this often, replacing a corrupted LC's engine on the spot and rebuilding it (0 = off)")
 	processMetrics := flag.Bool("process-metrics", false, "also export Go process gauges (goroutines, heap bytes, GC pause) on /metrics")
 	slowLC := flag.Int("slow-lc", -1, "brown out this line card: its fabric links run at 1/slow-factor speed while its own ticks keep it Healthy (gray-failure demo; enables detection+ejection)")
 	slowFactor := flag.Float64("slow-factor", 10, "brownout severity for -slow-lc: fabric links at 1/factor of clean speed")
@@ -136,18 +132,6 @@ func main() {
 	if *traceLog {
 		opts = append(opts, router.WithLogger(slog.New(slog.NewJSONHandler(os.Stderr, nil))))
 	}
-	if *corruptRate > 0 {
-		opts = append(opts, router.WithCorruption(router.CorruptionPolicy{
-			Enabled:            true,
-			Seed:               *corruptSeed,
-			EngineFlipRate:     *corruptRate,
-			WrongFillRate:      *corruptRate,
-			DropInvalidateRate: *corruptRate,
-		}))
-	}
-	if *scrubInterval > 0 {
-		opts = append(opts, router.WithScrub(*scrubInterval))
-	}
 	if *overloadDepth > 0 {
 		mode, err := router.ParseShedMode(*shedMode)
 		if err != nil {
@@ -178,10 +162,9 @@ func main() {
 		defer func() {
 			close(churnStop)
 			s := r.Metrics()
-			fmt.Printf("route churn: %.0f batches / %.0f events applied, %.0f rebalances, %.0f stale replies guarded, %.0f range invalidations\n",
+			fmt.Printf("route churn: %.0f batches / %.0f events applied, %.0f stale replies guarded, %.0f range invalidations\n",
 				s.Sum(router.MetricUpdateBatches), s.Sum(router.MetricUpdateEvents),
-				s.Sum(router.MetricRebalances), s.Sum(router.MetricStaleGen),
-				s.Sum(cache.MetricRangeInv))
+				s.Sum(router.MetricStaleGen), s.Sum(cache.MetricRangeInv))
 		}()
 	}
 
@@ -207,19 +190,6 @@ func main() {
 		pool := trace.NewPool(tbl, tc)
 		addrs := trace.Slice(trace.NewSynthetic(pool, tc, 0), *n)
 		drive(r, *psi, addrs, *batchSize, *killLC, *drainAfter)
-	}
-
-	if *corruptRate > 0 || *scrubInterval > 0 {
-		rep := r.Integrity()
-		fmt.Printf("integrity: %d scrub cycles, %d quarantines, %d rebuilds; injected %d engine flips, %d wrong fills, %d dropped invalidations\n",
-			rep.ScrubCycles, rep.Quarantines, rep.Rebuilds,
-			rep.EngineFlips, rep.WrongFills, rep.DroppedInvalidations)
-		for _, l := range rep.LCs {
-			if l.EngineMismatches+l.CacheMismatches > 0 {
-				fmt.Printf("  LC%-2d state=%s samples=%d engine-mismatches=%d cache-mismatches=%d repaired=%d score=%.4f\n",
-					l.LC, l.State, l.Samples, l.EngineMismatches, l.CacheMismatches, l.CacheRepairs, l.Score)
-			}
-		}
 	}
 
 	if *slowLC >= 0 {

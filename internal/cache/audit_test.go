@@ -11,7 +11,7 @@ import (
 // (sets and victim) with its stored value, skips waiting blocks, and
 // evicts exactly the entries the visitor rejects.
 func TestAuditEntriesVisitsAndEvicts(t *testing.T) {
-	c := New(corruptTestConfig())
+	c := New(Config{Blocks: 64, Assoc: 4, VictimBlocks: 4, MixPercent: 50, Policy: LRU})
 	addrs := []ip.Addr{0x0a000001, 0x0a000002, 0x0b000003}
 	for i, a := range addrs {
 		c.Fill(a, rtable.NextHop(10+i), LOC)

@@ -167,7 +167,6 @@ type Cache struct {
 	clock  uint64
 	rng    *stats.RNG
 	stat   Stats
-	hook   FaultHook // nil outside corruption injection; see corrupt.go
 }
 
 // New validates cfg and builds an empty cache. Blocks/Assoc must give a
@@ -424,9 +423,6 @@ func (c *Cache) AddWaiter(a ip.Addr, waiter int64) {
 // intervened — the result is inserted as a fresh complete block when
 // possible, and no waiters are returned.
 func (c *Cache) Fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64 {
-	if c.hook != nil {
-		nh = c.hook.FillValue(nh)
-	}
 	c.stat.Fills++
 	set, base := c.setOf(a)
 	for i := range set {
@@ -485,12 +481,8 @@ func (c *Cache) InvalidateRange(lo, hi ip.Addr) int {
 
 // InvalidateRanges is InvalidateRange over every range of rs — sorted and
 // disjoint, as rtable.UpdateRanges returns them — in one pass over the
-// cache instead of one per range, and counts as len(rs) calls of it. A
-// range the fault hook drops is neither scanned for nor counted.
+// cache instead of one per range, and counts as len(rs) calls of it.
 func (c *Cache) InvalidateRanges(rs []rtable.Range) int {
-	if c.hook != nil {
-		rs = c.hook.KeepRanges(rs)
-	}
 	c.stat.RangeInvalidations += int64(len(rs))
 	if len(rs) == 0 {
 		return 0
@@ -530,8 +522,7 @@ func covered(rs []rtable.Range, a ip.Addr) bool {
 
 // AuditEntries visits every complete (valid, non-waiting) entry in the
 // sets and the victim cache, passing its address and cached next hop.
-// Returning false evicts the entry on the spot — the integrity scrubber's
-// inline repair for a corrupted or stale value. Waiting blocks are skipped:
+// Returning false evicts the entry on the spot. Waiting blocks are skipped:
 // their result is still in flight and owned by the fill path. Returns the
 // number of entries evicted.
 func (c *Cache) AuditEntries(visit func(a ip.Addr, nh rtable.NextHop) bool) int {

@@ -569,3 +569,12 @@ func TestReserveNeverAllocatesWaitLists(t *testing.T) {
 		t.Fatal("a cache that only reserves allocated its waiting lists")
 	}
 }
+
+// TestInvalidateRangesAllocs: a list invalidation allocates nothing.
+func TestInvalidateRangesAllocs(t *testing.T) {
+	rs := []rtable.Range{{Lo: 1, Hi: 2}, {Lo: 5, Hi: 9}}
+	c := New(Config{Blocks: 64, Assoc: 4, VictimBlocks: 4, MixPercent: 50, Policy: LRU})
+	if n := testing.AllocsPerRun(100, func() { c.InvalidateRanges(rs) }); n != 0 {
+		t.Errorf("InvalidateRanges allocates %v times a call, want 0", n)
+	}
+}

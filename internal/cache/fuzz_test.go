@@ -104,95 +104,74 @@ func disjoint(rs []rtable.Range) []rtable.Range {
 	return out
 }
 
-// checkRangesMatchLoop builds each cache shape twice — plain, and with a
-// CorruptStore hook that drops invalidations on a fixed seed — gives both
-// copies the same fills and the same waiting blocks, then invalidates rs
-// through one InvalidateRanges call on one copy and through a loop of
-// InvalidateRange on the other. Everything observable must agree: the
-// resident entries, the waiting blocks left alone, the return total, Stats,
-// and the hook's drop count.
+// checkRangesMatchLoop builds a cache twice, gives both copies the same
+// fills and the same waiting blocks, then invalidates rs through one
+// InvalidateRanges call on one copy and through a loop of InvalidateRange on
+// the other. Everything observable must agree: the resident entries, the
+// waiting blocks left alone, the return total and Stats.
 func checkRangesMatchLoop(t *testing.T, seed uint64, rs []rtable.Range) {
 	t.Helper()
 	cfg := cache.Config{Blocks: 64, Assoc: 4, VictimBlocks: 4, MixPercent: 50, Policy: cache.LRU, Seed: seed}
-	drop := cache.CorruptConfig{Seed: seed | 1, DropInvalidateRate: 0.3}
-	type shape struct {
-		*cache.Cache
-		hook *cache.CorruptStore // nil for the plain cache
-	}
-	shapes := map[string]func() shape{
-		"single": func() shape { return shape{Cache: cache.New(cfg)} },
-		"corrupt/single": func() shape {
-			s := shape{cache.New(cfg), cache.NewCorrupt(drop)}
-			s.SetFaultHook(s.hook)
-			return s
-		},
-	}
 	type state struct {
 		resident             map[ip.Addr]rtable.NextHop
 		loc, rem, waiting, n int
 		stats                cache.Stats
-		dropped              int64
 	}
-	observe := func(s shape, n int) state {
+	observe := func(s *cache.Cache, n int) state {
 		st := state{resident: map[ip.Addr]rtable.NextHop{}, n: n, stats: s.Stats()}
 		s.AuditEntries(func(a ip.Addr, nh rtable.NextHop) bool {
 			st.resident[a] = nh
 			return true
 		})
 		st.loc, st.rem, st.waiting = s.Occupancy()
-		if s.hook != nil {
-			st.dropped = s.hook.DroppedInvalidations()
-		}
 		return st
 	}
-	for name, build := range shapes {
-		batch, loop := build(), build()
-		for _, s := range []shape{batch, loop} {
-			// Low addresses, where the narrow ranges are; every sixth one a
-			// waiting block, in range as often as not, that no invalidation
-			// may touch.
-			x := seed
-			for i := 0; i < 96; i++ {
-				x = x*6364136223846793005 + 1442695040888963407
-				a := ip.Addr(x >> 32 >> (i % 24))
-				switch {
-				case s.Probe(a).Kind != cache.Miss:
-				case i%6 == 5:
-					s.Reserve(a, cache.Origin(i%2))
-				default:
-					s.Fill(a, rtable.NextHop(i), cache.Origin(i%2))
-				}
+	batch, loop := cache.New(cfg), cache.New(cfg)
+	for _, s := range []*cache.Cache{batch, loop} {
+		// Low addresses, where the narrow ranges are; every sixth one a
+		// waiting block, in range as often as not, that no invalidation
+		// may touch.
+		x := seed
+		for i := 0; i < 96; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			a := ip.Addr(x >> 32 >> (i % 24))
+			switch {
+			case s.Probe(a).Kind != cache.Miss:
+			case i%6 == 5:
+				s.Reserve(a, cache.Origin(i%2))
+			default:
+				s.Fill(a, rtable.NextHop(i), cache.Origin(i%2))
 			}
 		}
-		before := observe(batch, 0)
-		if len(before.resident) == 0 || before.waiting == 0 {
-			t.Fatalf("%s: %d resident, %d waiting before invalidation; nothing to compare", name, len(before.resident), before.waiting)
+	}
+	before := observe(batch, 0)
+	if len(before.resident) == 0 || before.waiting == 0 {
+		t.Fatalf("%d resident, %d waiting before invalidation; nothing to compare", len(before.resident), before.waiting)
+	}
+	got := observe(batch, batch.InvalidateRanges(rs))
+	n := 0
+	for _, rg := range rs {
+		n += loop.InvalidateRange(rg.Lo, rg.Hi)
+	}
+	want := observe(loop, n)
+	if len(got.resident) != len(want.resident) {
+		t.Fatalf("%d ranges: %d entries resident after InvalidateRanges, %d after the loop", len(rs), len(got.resident), len(want.resident))
+	}
+	for a, nh := range want.resident {
+		if g, ok := got.resident[a]; !ok || g != nh {
+			t.Fatalf("entry %v survives the loop with %d; after InvalidateRanges present=%v value=%d", a, nh, ok, g)
 		}
-		got := observe(batch, batch.InvalidateRanges(rs))
-		n := 0
-		for _, rg := range rs {
-			n += loop.InvalidateRange(rg.Lo, rg.Hi)
-		}
-		want := observe(loop, n)
-		if len(got.resident) != len(want.resident) {
-			t.Fatalf("%s: %d ranges: %d entries resident after InvalidateRanges, %d after the loop", name, len(rs), len(got.resident), len(want.resident))
-		}
-		for a, nh := range want.resident {
-			if g, ok := got.resident[a]; !ok || g != nh {
-				t.Fatalf("%s: entry %v survives the loop with %d; after InvalidateRanges present=%v value=%d", name, a, nh, ok, g)
-			}
-		}
-		got.resident, want.resident = nil, nil
-		if got.n != want.n || got.stats != want.stats || got.dropped != want.dropped ||
-			got.loc != want.loc || got.rem != want.rem || got.waiting != want.waiting {
-			t.Fatalf("%s: %d ranges:\nInvalidateRanges %+v\nper-range loop   %+v", name, len(rs), got, want)
-		}
-		if got.waiting != before.waiting {
-			t.Fatalf("%s: %d waiting blocks before, %d after; invalidation must leave them", name, before.waiting, got.waiting)
-		}
-		if len(rs) == 0 && (got.n != 0 || got.stats != before.stats || got.loc != before.loc || got.rem != before.rem) {
-			t.Fatalf("%s: an empty list is not a no-op: %+v, before %+v", name, got, before)
-		}
+	}
+	got.resident, want.resident = nil, nil
+	if got.n != want.n || got.stats != want.stats ||
+		got.loc != want.loc || got.rem != want.rem || got.waiting != want.waiting {
+		t.Fatalf("%d ranges:\nInvalidateRanges %+v\nper-range loop   %+v", len(rs), got, want)
+	}
+	if got.waiting != before.waiting {
+		t.Fatalf("%d waiting blocks before, %d after; invalidation must leave them", before.waiting, got.waiting)
+	}
+	if len(rs) == 0 && (got.n != 0 || got.stats != before.stats || got.loc != before.loc || got.rem != before.rem) {
+		t.Fatalf("an empty list is not a no-op: %+v, before %+v", got, before)
 	}
 }
 

@@ -199,20 +199,6 @@ func (p *Partitioning) lcsOf(dst []int, pr ip.Prefix) []int {
 	}
 }
 
-// Holds reports whether LC lc's forwarding table holds prefix pr, were pr
-// in the full table.
-func (p *Partitioning) Holds(lc int, pr ip.Prefix) bool {
-	var buf [8]int
-	return slices.Contains(p.lcsOf(buf[:0], pr), lc)
-}
-
-// Match returns the route LC lc's forwarding table matches a with — the
-// longest of the full table's routes that match a and that lc holds —
-// without materializing that table.
-func (p *Partitioning) Match(lc int, a ip.Addr) (rtable.Route, bool) {
-	return p.full.LongestMatchFunc(a, func(r rtable.Route) bool { return p.Holds(lc, r.Prefix) })
-}
-
 // ApplyUpdates returns a new Partitioning with the update batch applied
 // under the SAME control bits and pattern→LC folding — the incremental
 // path for route churn, where re-selecting bits (and re-homing every

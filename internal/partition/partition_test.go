@@ -331,32 +331,3 @@ func TestCeilLog2(t *testing.T) {
 		}
 	}
 }
-
-// TestMatchReadsTheLCTable: Holds and Match, which read an LC's table off
-// the full one, agree with the materialized table — membership for every
-// route, and the matched route at each route's first and last address,
-// which mostly belong to other LCs than the one asked.
-func TestMatchReadsTheLCTable(t *testing.T) {
-	tbl := rtable.Small(2000, 23)
-	for _, psi := range []int{1, 3, 4, 16} {
-		p := Partition(tbl, psi)
-		for lc, lt := range p.Tables() {
-			held := make(map[ip.Prefix]bool, lt.Len())
-			for _, r := range lt.Routes() {
-				held[r.Prefix] = true
-			}
-			for _, r := range tbl.Routes() {
-				if p.Holds(lc, r.Prefix) != held[r.Prefix] {
-					t.Fatalf("psi=%d lc=%d %v: Holds disagrees with the table (%v)", psi, lc, r.Prefix, held[r.Prefix])
-				}
-				for _, a := range []ip.Addr{r.Prefix.FirstAddr(), r.Prefix.LastAddr()} {
-					g, gok := p.Match(lc, a)
-					w, wok := lt.LongestMatch(a)
-					if g != w || gok != wok {
-						t.Fatalf("psi=%d lc=%d %s: Match = %v,%v, table says %v,%v", psi, lc, ip.FormatAddr(a), g, gok, w, wok)
-					}
-				}
-			}
-		}
-	}
-}

@@ -363,7 +363,7 @@ func TestStaleHomeCacheAcrossSwap(t *testing.T) {
 	r.gen++
 	tables := p2.Tables()
 	for i := 0; i < 2; i++ {
-		engine := r.buildEngine(tables[i])
+		engine := r.cfg.Engine(tables[i])
 		r.install(i, func(lc *lineCard) { lc.installTable(engine, p2.HomeLC, r.gen) })
 	}
 	r.install(req, r.rekey)

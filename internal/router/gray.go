@@ -1,11 +1,10 @@
 // Gray-failure immunity: brownout detection and outlier ejection.
 //
-// The failure model here is the one the lifecycle and integrity planes
-// cannot see: a line card (or the fabric path to it) that is alive,
-// ticking, and answering *correctly* — just slowly. No deadline
-// necessarily fires (the brownout may sit well under RequestTimeout), no
-// scrub mismatch appears, yet every remote lookup homed on the browned
-// element drags the router-wide tail. Two mechanisms close the gap:
+// The failure model here is the one the lifecycle plane cannot see: a line
+// card (or the fabric path to it) that is alive, ticking, and answering
+// *correctly* — just slowly. No deadline necessarily fires (the brownout
+// may sit well under RequestTimeout), yet every remote lookup homed on the
+// browned element drags the router-wide tail. Two mechanisms close the gap:
 //
 //   - Detection: every answer from a remote home — a fabric reply, which
 //     carries its request's send stamp back, or a direct exchange — is one
@@ -124,7 +123,7 @@ func (r *Router) maybeGrayLocked() {
 		if len(buf) < grayMinSamples {
 			continue
 		}
-		if st := r.health[i].state.Load(); st == LCDown || st == LCDraining {
+		if st := r.health[i].Load(); st == LCDown || st == LCDraining {
 			continue
 		}
 		scored, p50s = append(scored, int64(i)), append(p50s, p50)

@@ -1,7 +1,7 @@
 // Gray-failure chaos tests: a line card that is alive, ticking and
 // answering correctly — just slowly — must be detected by the RTT
 // scorer, mitigated by outlier ejection, and must never be confused with
-// a dead LC (lifecycle) or a corrupted one (integrity). CI's gray-chaos
+// a dead LC (lifecycle). CI's gray-chaos
 // job runs this file under -race across the SPAL_CHAOS_SEED matrix.
 package router
 

@@ -561,7 +561,7 @@ func TestChaosInlineDepthBounded(t *testing.T) {
 	}
 	tables := p2.Tables()
 	swap := func(i int) {
-		engine := r.buildEngine(tables[i])
+		engine := r.cfg.Engine(tables[i])
 		r.install(i, func(lc *lineCard) { lc.installTable(engine, p2.HomeLC, r.gen) })
 	}
 

@@ -39,9 +39,6 @@
 // partition moves first, then the call blocks until every waitlist that
 // existed at drain time has resolved — no lookup is ever dropped or
 // expired by an admin drain.
-//
-// Integrity repair (scrub.go) is an action, not a state: an LC whose engine
-// fails an audit has it replaced on the spot and rebuilt, and stays Healthy.
 package router
 
 import (
@@ -98,15 +95,6 @@ func (s LCState) String() string {
 // The window is max(RequestTimeout, suspectFloor).
 const suspectFloor = 50 * time.Millisecond
 
-// lcHealth is the control plane's record of one line-card slot: its
-// lifecycle state, written by the monitor and the admin calls under
-// Router.mu and read from anywhere, and its integrity bookkeeping (see
-// lcScrub).
-type lcHealth struct {
-	state atomicLCState
-	lcScrub
-}
-
 // healthLoop is the router's one goroutine and its only ticker: every period
 // it sweeps the LCs, then reads the clock and judges the tick stamps. Not at
 // the ticker's own timestamp: that is when it fired, and this goroutine may
@@ -151,7 +139,7 @@ func (r *Router) healthCheck(now int64) {
 	}
 	var dead []int
 	for i, h := range r.health {
-		st := h.state.Load()
+		st := h.Load()
 		if st == LCDown {
 			continue
 		}
@@ -162,18 +150,15 @@ func (r *Router) healthCheck(now int64) {
 		age := time.Duration(now - r.lcs[i].lastTick.Load())
 		switch {
 		case st == LCHealthy && age >= r.suspectAfter:
-			h.state.Store(LCSuspect)
+			h.Store(LCSuspect)
 			r.suspects.Add(1)
 		case st == LCSuspect && age < r.suspectAfter:
-			h.state.Store(LCHealthy)
+			h.Store(LCHealthy)
 		}
 	}
 	for _, i := range dead {
 		r.rehomeLocked(i)
 	}
-	r.maybeInjectLocked()
-	r.maybeScrubLocked(now)
-	r.maybeRebalanceLocked(now)
 	r.maybeGrayLocked()
 }
 
@@ -183,7 +168,7 @@ func (r *Router) healthCheck(now int64) {
 // waits out a handler some caller may still be running from before the
 // kill, and no new one can start until the adoption below is complete.
 func (r *Router) rehomeLocked(dead int) {
-	r.health[dead].state.Store(LCDown)
+	r.health[dead].Store(LCDown)
 	alive := r.aliveLCsLocked()
 	if len(alive) == 0 {
 		// Everything else is down or draining: the reborn shell inherits
@@ -198,7 +183,7 @@ func (r *Router) rehomeLocked(dead int) {
 	// cannot fill the flushed cache.
 	lc := r.lcs[dead]
 	tables := part.Tables()
-	engine := r.buildEngine(tables[dead]) // like every build, under no LC's lock
+	engine := r.cfg.Engine(tables[dead]) // like every build, under no LC's lock
 	lc.mu.Lock()
 	lc.engine = engine
 	lc.homeOf = part.Home()
@@ -260,7 +245,7 @@ func (r *Router) rehomeLocked(dead int) {
 func (r *Router) aliveLCsLocked() []int {
 	var out []int
 	for i, h := range r.health {
-		if st := h.state.Load(); st == LCHealthy || st == LCSuspect {
+		if st := h.Load(); st == LCHealthy || st == LCSuspect {
 			out = append(out, i)
 		}
 	}
@@ -272,7 +257,7 @@ func (r *Router) aliveLCsLocked() []int {
 func (r *Router) LCStates() []LCState {
 	out := make([]LCState, len(r.health))
 	for i, h := range r.health {
-		out[i] = h.state.Load()
+		out[i] = h.Load()
 	}
 	return out
 }
@@ -293,7 +278,7 @@ func (r *Router) KillLC(lc int) error {
 	if r.stopped.Load() {
 		return ErrStopped
 	}
-	if r.health[lc].state.Load() == LCDown {
+	if r.health[lc].Load() == LCDown {
 		return fmt.Errorf("router: LC %d is already down", lc)
 	}
 	// From here no handler starts at this slot, inline or from its queue:
@@ -319,7 +304,7 @@ func (r *Router) DrainLC(lc int) error {
 		return ErrStopped
 	}
 	h := r.health[lc]
-	switch h.state.Load() {
+	switch h.Load() {
 	case LCDraining:
 		r.mu.Unlock()
 		return fmt.Errorf("router: LC %d is already draining", lc)
@@ -328,10 +313,10 @@ func (r *Router) DrainLC(lc int) error {
 		return fmt.Errorf("router: LC %d is down", lc)
 	}
 	start := r.now()
-	h.state.Store(LCDraining)
+	h.Store(LCDraining)
 	alive := r.aliveLCsLocked()
 	if len(alive) == 0 {
-		h.state.Store(LCHealthy)
+		h.Store(LCHealthy)
 		r.mu.Unlock()
 		return fmt.Errorf("router: cannot drain LC %d, it is the last active LC", lc)
 	}
@@ -395,10 +380,10 @@ func (r *Router) RestoreLC(lc int) error {
 		return ErrStopped
 	}
 	h := r.health[lc]
-	if st := h.state.Load(); st == LCHealthy || st == LCSuspect {
+	if st := h.Load(); st == LCHealthy || st == LCSuspect {
 		return fmt.Errorf("router: LC %d is %s, nothing to restore", lc, st)
 	}
-	h.state.Store(LCHealthy)
+	h.Store(LCHealthy)
 	part := partition.Subset(r.part.Full(), r.cfg.NumLCs, r.aliveLCsLocked())
 	if err := r.swapPartitioning(part, part.Tables()); err != nil {
 		return err

@@ -112,7 +112,6 @@ const (
 	MetricUpdateEvents   = "spal_router_update_events_total"
 	MetricUpdatesApplied = "spal_router_updates_applied_total"
 	MetricStaleGen       = "spal_router_stale_gen_replies_total"
-	MetricRebalances     = "spal_router_rebalances_total"
 	MetricGeneration     = "spal_router_table_generation"
 	MetricReplication    = "spal_router_partition_replication"
 	// Lifecycle metrics (see lifecycle.go).
@@ -145,17 +144,6 @@ const (
 	MetricBreakerShorts    = "spal_router_breaker_short_circuits_total"
 	MetricBreakerOpens     = "spal_router_breaker_opens_total"
 	MetricBreakerCloses    = "spal_router_breaker_closes_total"
-	// Integrity metrics (see scrub.go / corrupt.go). Emitted only when
-	// the scrubber or the corruption injector is enabled, so snapshots of
-	// a default router are byte-identical to earlier releases.
-	MetricScrubCycles         = "spal_router_scrub_cycles_total"
-	MetricScrubSamples        = "spal_router_scrub_samples_total"
-	MetricScrubRepairs        = "spal_router_scrub_repairs_total"
-	MetricIntegrityMismatches = "spal_router_integrity_mismatches_total"
-	MetricIntegrityScore      = "spal_router_integrity_score"
-	MetricQuarantines         = "spal_router_quarantines_total"
-	MetricRebuilds            = "spal_router_rebuilds_total"
-	MetricCorruptions         = "spal_router_corruptions_injected_total"
 	// Gray-failure metrics (see gray.go). Emitted only when the gray
 	// subsystem is enabled, so snapshots of a default router are
 	// byte-identical to earlier releases.
@@ -217,29 +205,9 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		s.Counter(MetricStaleGen, "Fabric replies delivered but kept out of the cache by the generation guard.", float64(lc.stats.StaleGenReplies.Load()), lbl)
 		s.Gauge(MetricWaitlistDepth, "Addresses with lookups parked awaiting a result.", float64(lc.pendingDepth.Load()), lbl)
 		s.Gauge(MetricWaiters, "Individual lookups (local + remote) parked in this LC's waitlists.", float64(lc.waiters.Load()), lbl)
-		s.Gauge(MetricLCState, "Line-card lifecycle state: 0=healthy 1=suspect 2=down 3=draining.", float64(r.health[i].state.Load()), lbl)
+		s.Gauge(MetricLCState, "Line-card lifecycle state: 0=healthy 1=suspect 2=down 3=draining.", float64(r.health[i].Load()), lbl)
 		hits += float64(lc.stats.CacheHits.Load())
 		probes += float64(lc.stats.Lookups.Load())
-
-		if r.scrubEvery != 0 || r.corruptPol.Enabled {
-			sc := r.health[i]
-			s.Counter(MetricScrubSamples, "Engine verdicts the integrity scrubber re-verified at this LC.",
-				float64(sc.samples.Load()), lbl)
-			s.Counter(MetricIntegrityMismatches, "Scrub mismatches against the canonical table, by state kind.",
-				float64(sc.engineMism.Load()), lbl, metrics.L("kind", "engine"))
-			s.Counter(MetricIntegrityMismatches, "Scrub mismatches against the canonical table, by state kind.",
-				float64(sc.cacheMism.Load()), lbl, metrics.L("kind", "cache"))
-			s.Counter(MetricScrubRepairs, "Mismatched LR-cache entries evicted by the scrub audit.",
-				float64(sc.cacheRepairs.Load()), lbl)
-			score := 1.0
-			if n := sc.samples.Load(); n > 0 {
-				if score = 1 - float64(sc.engineMism.Load())/float64(n); score < 0 {
-					score = 0
-				}
-			}
-			s.Gauge(MetricIntegrityScore, "Per-LC integrity score: 1 − engine-mismatch fraction over all scrub samples.",
-				score, lbl)
-		}
 
 		latHelp := "End-to-end lookup latency in nanoseconds, by result origin."
 		s.Hist(MetricLatency, latHelp, lc.lat.cache.Snapshot(), lbl, metrics.L("served_by", "cache"))
@@ -301,7 +269,6 @@ func (r *Router) Metrics() *metrics.Snapshot {
 	}
 	s.Counter(MetricUpdateBatches, "Incremental update batches applied (ApplyUpdates calls).", float64(r.updateBatches.Load()))
 	s.Counter(MetricUpdateEvents, "Individual route announce/withdraw events applied incrementally.", float64(r.updateEvents.Load()))
-	s.Counter(MetricRebalances, "Background partition rebalances (drift-triggered bit re-selections).", float64(r.rebalances.Load()))
 	r.mu.Lock()
 	gen, repl := r.gen, r.part.Stats().Replication
 	r.mu.Unlock()
@@ -312,20 +279,6 @@ func (r *Router) Metrics() *metrics.Snapshot {
 	s.Counter(MetricReplayed, "Parked lookups replayed after a re-homing.", float64(r.replayed.Load()))
 	s.Counter(MetricDrains, "Completed administrative drains.", float64(r.drains.Load()))
 	s.Hist(MetricDrainDuration, "DrainLC wall time in nanoseconds, partition swap through quiescence.", r.drainDur.Snapshot())
-	if r.scrubEvery != 0 || r.corruptPol.Enabled {
-		s.Counter(MetricScrubCycles, "Completed integrity scrub cycles.", float64(r.scrubCycles.Load()))
-		s.Counter(MetricQuarantines, "Damaged engines the integrity scrubber found, each replaced on the spot and rebuilt.", float64(r.quarantines.Load()))
-		s.Counter(MetricRebuilds, "Self-healing LC rebuilds (fresh engine + rekey) after a damaged engine was found.", float64(r.rebuilds.Load()))
-		var wrongFills, droppedInv float64
-		for _, cs := range r.corruptStores {
-			wrongFills += float64(cs.WrongFills())
-			droppedInv += float64(cs.DroppedInvalidations())
-		}
-		corrHelp := "Corruptions injected by the chaos injector, by kind."
-		s.Counter(MetricCorruptions, corrHelp, float64(r.engineFlips.Load()), metrics.L("kind", "engine_flip"))
-		s.Counter(MetricCorruptions, corrHelp, wrongFills, metrics.L("kind", "wrong_fill"))
-		s.Counter(MetricCorruptions, corrHelp, droppedInv, metrics.L("kind", "dropped_invalidate"))
-	}
 	if r.gray != nil {
 		s.Counter(MetricEjectServed, "Lookups answered from the fallback because their home LC was ejected.",
 			float64(r.ejectServed.Load()))

@@ -51,16 +51,6 @@ func WithoutCache() Option {
 	return func(c *config) { c.CacheEnabled = false }
 }
 
-// WithRebalance enables the background partition rebalancer: when
-// incremental updates (ApplyUpdates) drift the partitioning's replication
-// factor or per-LC size skew past its thresholds (1.15× the baseline Φ*, a
-// size spread of 1.0× the mean), the router re-selects control bits over
-// the current table and runs the full two-phase swap, at most once a
-// second. See updates.go.
-func WithRebalance() Option {
-	return func(c *config) { c.Rebalance = true }
-}
-
 // WithFaultInjector installs a chaos hook on the inter-LC message path:
 // every fabric request and reply is offered to fi, which may drop, delay,
 // or duplicate it (see SeededFaults for a deterministic injector). The
@@ -82,24 +72,4 @@ func WithRequestTimeout(d time.Duration) Option {
 // full-table snapshot (default 3; negative disables retries).
 func WithMaxRetries(n int) Option {
 	return func(c *config) { c.MaxRetries = n }
-}
-
-// WithScrub enables the online integrity scrubber: a cycle at most every
-// interval (<= 0 selects 4 health ticks) re-verifies 32 sampled engine
-// verdicts per line card and every LR-cache entry against the canonical
-// routing table, evicts mismatched cache entries, and replaces and
-// rebuilds a line card's engine that disagrees. See scrub.go.
-func WithScrub(interval time.Duration) Option {
-	return func(c *config) {
-		c.Scrub = true
-		c.ScrubInterval = interval
-	}
-}
-
-// WithCorruption installs the seeded state-corruption injector: engine
-// verdict flips, wrong-value cache fills, and dropped cache
-// invalidations, capped by MaxCorruptions. Chaos-test hook for the
-// scrubber; see corrupt.go.
-func WithCorruption(p CorruptionPolicy) Option {
-	return func(c *config) { c.Corruption = p }
 }

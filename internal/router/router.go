@@ -146,22 +146,6 @@ type config struct {
 	Overload   bool
 	QueueDepth int
 	ShedMode   ShedMode
-	// Rebalance turns on the background partition rebalancer that rides
-	// the health ticker: when incremental updates (ApplyUpdates) drift the
-	// partitioning's replication factor or per-LC load skew past its
-	// thresholds, the router re-selects control bits and runs a full
-	// two-phase swap. See WithRebalance and updates.go.
-	Rebalance bool
-	// Scrub turns on the online integrity scrubber (engine sweeps, cache
-	// audits, on-the-spot replacement + rebuild; see scrub.go), a cycle at
-	// most every ScrubInterval (<= 0 selects 4 health ticks).
-	Scrub         bool
-	ScrubInterval time.Duration
-	// Corruption configures the state-corruption injector (seeded engine
-	// flips and cache fill/invalidate corruption; see corrupt.go). The
-	// zero value keeps it disabled and leaves every engine and cache
-	// unwrapped.
-	Corruption CorruptionPolicy
 	// Gray enables the gray-failure plane (per-home fabric RTT scoring, the
 	// degraded health signal, outlier ejection; see gray.go).
 	Gray bool
@@ -403,10 +387,9 @@ type Router struct {
 	queueDepth int
 	shedMode   ShedMode
 
-	// LC lifecycle (see lifecycle.go): per-slot health records (state and
-	// scrub bookkeeping), the suspicion window, and the lifecycle event
-	// counters.
-	health       []*lcHealth
+	// LC lifecycle (see lifecycle.go): each slot's lifecycle state, the
+	// suspicion window, and the lifecycle event counters.
+	health       []*atomicLCState
 	suspectAfter time.Duration
 	suspects     atomic.Int64
 	rehomes      atomic.Int64
@@ -439,36 +422,10 @@ type Router struct {
 	part *partition.Partitioning
 
 	// Incremental-update plane (see updates.go). gen is the router-wide
-	// table generation, advanced under mu by ApplyUpdates and UpdateTable;
-	// the rebalancer fields track partition-quality drift against the
-	// baseline captured at the last full bit re-selection: rebalanceEvery
-	// is the minimum time between rebalances, 0 when the rebalancer is
-	// off, and lastRebalance a reading of now.
-	gen            uint64
-	rebalanceEvery time.Duration
-	baselineRepl   float64
-	lastRebalance  int64
-	updateBatches  atomic.Int64
-	updateEvents   atomic.Int64
-	rebalances     atomic.Int64
-
-	// Integrity plane (see scrub.go / corrupt.go): the scrub cadence (0
-	// when the scrubber is off) and the corruption policy, the corruption
-	// injector's draw counter and per-kind totals, and the cached
-	// full-table authority the cache audit compares against and a repair
-	// installs (rebuilt per generation, under mu like lastScrub, a reading
-	// of now, 0 before the first cycle).
-	scrubEvery    time.Duration
-	corruptPol    CorruptionPolicy
-	corruptStores []*cache.CorruptStore
-	corruptN      atomic.Uint64
-	engineFlips   atomic.Int64
-	scrubCycles   atomic.Int64
-	quarantines   atomic.Int64
-	rebuilds      atomic.Int64
-	lastScrub     int64
-	scrubAuth     lpm.Engine
-	scrubAuthGen  uint64
+	// table generation, advanced under mu by ApplyUpdates and UpdateTable.
+	gen           uint64
+	updateBatches atomic.Int64
+	updateEvents  atomic.Int64
 
 	// Gray-failure plane (see gray.go): one record per home LC, nil when the
 	// plane is disabled, and its counters.
@@ -536,30 +493,16 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 		r.queueDepth = defaultQueueDepth
 	}
 	r.part = partition.Partition(tbl, cfg.NumLCs)
-	// The fallback reads the canonical snapshot itself, which the
-	// corruption injector never touches: it stays correct whatever is done
-	// to the per-LC state.
 	r.fallback.Store(rtable.NewIndex(r.part.Full()))
-	if cfg.Rebalance {
-		r.rebalanceEvery = rebalanceEvery
-	}
-	if cfg.Scrub {
-		if r.scrubEvery = cfg.ScrubInterval; r.scrubEvery <= 0 {
-			r.scrubEvery = scrubTicks * r.tickEvery
-		}
-	}
-	r.corruptPol = cfg.Corruption
-	r.baselineRepl = r.part.Stats().Replication
 	// Build every per-LC structure before starting the monitor: it indexes
 	// the slices from its first tick, so they must never be appended to
 	// (reallocated) once it is running.
 	now := r.now()
-	r.lastRebalance = now
 	hashSeed := rand.Uint64() // per router: see pendingTable
 	// The LCs' route lists live only for their engines' builds.
 	tables := r.part.Tables()
 	for i := 0; i < cfg.NumLCs; i++ {
-		engine := r.buildEngine(tables[i])
+		engine := r.cfg.Engine(tables[i])
 		tables[i] = nil
 		if i == 0 {
 			_, r.dynamic = engine.(lpm.DynamicEngine)
@@ -585,7 +528,6 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			if err != nil {
 				return nil, fmt.Errorf("router: %w", err)
 			}
-			r.corruptCache(i, c)
 			lc.cache = c
 		}
 		lc.ov = newLCOverload(r.overload, cfg.NumLCs)
@@ -597,7 +539,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 		r.inboxes = append(r.inboxes, make(chan message, r.queueDepth))
 		r.lcs = append(r.lcs, lc)
 		r.stats = append(r.stats, lc.stats)
-		r.health = append(r.health, &lcHealth{})
+		r.health = append(r.health, &atomicLCState{})
 	}
 	r.wg.Add(1)
 	go r.healthLoop()
@@ -1503,7 +1445,7 @@ func (r *Router) swapPartitioning(part *partition.Partitioning, tables []*rtable
 	// contain ψ engine builds.
 	engines := make([]lpm.Engine, r.cfg.NumLCs)
 	for i := range engines {
-		engines[i] = r.buildEngine(tables[i])
+		engines[i] = r.cfg.Engine(tables[i])
 		tables[i] = nil
 	}
 	homeOf := part.Home()
@@ -1518,10 +1460,6 @@ func (r *Router) swapPartitioning(part *partition.Partitioning, tables []*rtable
 	if r.stopped.Load() {
 		return ErrStopped
 	}
-	// A successful full swap re-selected control bits over the current
-	// table, so it is the rebalancer's new quality baseline.
-	r.baselineRepl = part.Stats().Replication
-	r.lastRebalance = r.now()
 	return nil
 }
 

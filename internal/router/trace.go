@@ -74,7 +74,7 @@ func (r *Router) Healthy() bool {
 		return false
 	}
 	for _, h := range r.health {
-		if st := h.state.Load(); st == LCDown || st == LCDraining {
+		if st := h.Load(); st == LCDown || st == LCDraining {
 			return false
 		}
 	}

@@ -34,37 +34,17 @@
 // and invalidated its ranges, so every subsequent lookup reflects the
 // updated table.
 //
-// Incremental updates preserve the partitioning's control bits, so
-// sustained churn slowly drifts the partition quality the bits were
-// selected for: replication (Φ*) creeps as new prefixes fold into more
-// patterns than SelectBits would now choose, and per-LC load skews. The
-// background rebalancer rides the health ticker, compares the live
-// partition stats against the baseline captured at the last full bit
-// re-selection, and triggers the existing two-phase swap — full
-// SelectBits, install, rekey — only when drift crosses its thresholds. Steady churn therefore costs targeted invalidations only,
-// with an occasional amortized re-selection when the table has genuinely
-// changed shape.
+// Incremental updates preserve the partitioning's control bits; an
+// operator who wants them re-selected over the current table calls
+// UpdateTable, which re-partitions and runs the two-phase swap.
 package router
 
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"spal/internal/lpm"
-	"spal/internal/partition"
 	"spal/internal/rtable"
-)
-
-// Rebalance thresholds: a rebalance runs when the partitioning's live
-// replication factor exceeds its baseline × maxReplicationGrowth (15% Φ*
-// growth since the last bit selection), or when (max − min) partition size
-// exceeds maxSkew × the mean, and at most every rebalanceEvery; any full
-// swap — UpdateTable, re-homing, drain/restore — restarts that interval.
-const (
-	maxReplicationGrowth = 1.15
-	maxSkew              = 1.0
-	rebalanceEvery       = time.Second
 )
 
 // ApplyUpdates streams a batch of route announcements and withdrawals
@@ -118,7 +98,7 @@ func (r *Router) ApplyUpdates(batch []rtable.Update) error {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					rebuilt[i] = r.buildEngine(tables[i])
+					rebuilt[i] = r.cfg.Engine(tables[i])
 				}()
 			}
 		}
@@ -137,20 +117,6 @@ func (r *Router) ApplyUpdates(batch []rtable.Update) error {
 		return ErrStopped
 	}
 	return nil
-}
-
-// fenceLocked raises the generation fence the scrubber puts behind a
-// damaged engine it has just replaced: the router-wide generation advances
-// and every LC adopts it — a pure bump, no route changes, no invalidations,
-// no flush. From that point the generation guard (m.gen < lc.gen) classes
-// every reply computed before the bump as stale at the receiver: delivered
-// to parked lookups, never cached (see fillStaleRelease). A peer that is
-// dead at the time is reborn at the current generation. r.mu must be held.
-func (r *Router) fenceLocked() {
-	r.gen++
-	for i := range r.lcs {
-		r.install(i, func(lc *lineCard) { lc.gen = r.gen })
-	}
 }
 
 // applyUpdates applies one update batch at its LC, under one ownership so
@@ -177,44 +143,4 @@ func (lc *lineCard) applyUpdates(updates []rtable.Update, ranges []rtable.Range,
 	if lc.cache != nil {
 		lc.cache.InvalidateRanges(ranges)
 	}
-}
-
-// maybeRebalanceLocked is the health ticker's rebalance hook at now, a
-// reading of Router.now: when the incremental plane has drifted the
-// partition quality past the thresholds, re-select control bits over the
-// current table and run the full two-phase swap. r.mu must be held.
-func (r *Router) maybeRebalanceLocked(now int64) {
-	if r.rebalanceEvery == 0 || time.Duration(now-r.lastRebalance) < r.rebalanceEvery {
-		return
-	}
-	st := r.part.Stats()
-	alive := r.aliveLCsLocked()
-	if len(alive) == 0 {
-		return
-	}
-	// Skew is measured across the LCs that own partitions: a down or
-	// draining slot's empty table is policy, not drift.
-	sum, min, max := 0, -1, 0
-	for _, i := range alive {
-		n := st.Sizes[i]
-		sum += n
-		if min < 0 || n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
-	}
-	mean := float64(sum) / float64(len(alive))
-	skewed := mean > 0 && float64(max-min) > maxSkew*mean
-	replicated := st.Replication > r.baselineRepl*maxReplicationGrowth
-	if !skewed && !replicated {
-		return
-	}
-	part := partition.Subset(r.part.Full(), r.cfg.NumLCs, alive)
-	if err := r.swapPartitioning(part, part.Tables()); err != nil {
-		return // stopping; the partial swap no longer matters
-	}
-	r.part = part
-	r.rebalances.Add(1)
 }

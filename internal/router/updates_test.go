@@ -1,14 +1,12 @@
 // Tests for the incremental-update plane (updates.go): ApplyUpdates
 // equivalence against the full-rebuild oracle, targeted invalidation
 // accounting against the full-flush oracle, generation-guard behavior,
-// the drift-triggered rebalancer, and the churn chaos / soak scenarios
-// CI runs under -race.
+// and the churn chaos / soak scenarios CI runs under -race.
 package router
 
 import (
 	"context"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -259,96 +257,55 @@ func TestTargetedInvalidationAccounting(t *testing.T) {
 		invalidated, flushLost, 100*invalidated/flushLost)
 }
 
-// withdrawPartition withdraws every route of LC lc's partition, leaving it
-// empty: the per-LC size spread then exceeds maxSkew × the mean, which is
-// drift the rebalancer repairs. It returns the table after the batch.
-func withdrawPartition(t *testing.T, r *Router, cur *rtable.Table, lc int) *rtable.Table {
-	t.Helper()
-	r.mu.Lock()
-	routes := r.part.Table(lc).Routes()
-	r.mu.Unlock()
-	batch := make([]rtable.Update, len(routes))
-	for i, rt := range routes {
-		batch[i] = rtable.Update{Kind: rtable.Withdraw, Route: rt}
-	}
-	if err := r.ApplyUpdates(batch); err != nil {
-		t.Fatal(err)
-	}
-	return cur.ApplyAll(batch)
-}
-
-// TestRebalancerTriggersOnDrift withdraws LC 0's whole partition through
-// the incremental plane, so that partition sizes drift past maxSkew, and
-// expects the health ticker to run a full bit re-selection — after which
-// verdicts must still be correct.
-func TestRebalancerTriggersOnDrift(t *testing.T) {
-	tbl := rtable.Small(600, 7)
-	r, err := New(tbl, WithLCs(4), WithEngineName("bintrie"),
-		WithRequestTimeout(4*time.Millisecond), WithRebalance())
+// TestLateReplyKeepsStaleGuard: a requester runs every update batch's
+// invalidations, so its stale-reply guard has to move with them. A reply
+// computed before a batch and delivered after the requester invalidated for
+// it may answer the lookups that were in flight, and must not stay behind
+// as a cache entry.
+func TestLateReplyKeepsStaleGuard(t *testing.T) {
+	tbl := rtable.Small(400, 7)
+	dropReplies := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: m.Reply} }
+	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"),
+		WithFaultInjector(dropReplies), WithRequestTimeout(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Stop()
+	addr := remoteAddrs(t, r, tbl, stats.NewRNG(21), 1, 1)[0]
+	route, ok := tbl.LongestMatch(addr)
+	if !ok {
+		t.Fatal("picked an unmatched address")
+	}
 
-	cur := withdrawPartition(t, r, tbl, 0)
-	waitFor(t, "a drift-triggered rebalance", func() bool {
-		return r.Metrics().Sum(MetricRebalances) > 0
+	// The lookup parks at LC 0; the home's reply is lost.
+	parked, err := lookupAsync(r, 0, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "home LC to answer the request", func() bool { return r.Stats()[1].RepliesSent.Load() == 1 })
+
+	r.mu.Lock()
+	oldGen := r.gen
+	r.mu.Unlock()
+	changed := route
+	changed.NextHop++
+	if err := r.ApplyUpdates([]rtable.Update{{Kind: rtable.Announce, Route: changed}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The lost reply, arriving late with the pre-batch value.
+	r.push(0, message{kind: mBatchReply, addr: addr, nextHop: route.NextHop, ok: true, from: 1, gen: oldGen})
+	if v := <-parked; v.NextHop != route.NextHop && v.NextHop != changed.NextHop {
+		t.Fatalf("in-flight lookup resolved %+v, want next hop %d or %d", v, route.NextHop, changed.NextHop)
+	}
+	if got := r.Stats()[0].StaleGenReplies.Load(); got != 1 {
+		t.Errorf("the requester classified %d replies as generationally stale, want 1", got)
+	}
+	r.own(0, func(lc *lineCard) {
+		if res := lc.cache.Probe(addr); res.Kind == cache.Hit && res.NextHop == route.NextHop {
+			t.Fatalf("pre-batch next hop %d survived the batch's invalidation in the requester's cache", route.NextHop)
+		}
 	})
-	rng := stats.NewRNG(123)
-	ref := lpm.NewReference(cur)
-	for lc := 0; lc < 4; lc++ {
-		for i := 0; i < 50; i++ {
-			a := cur.RandomMatchedAddr(rng)
-			v, err := r.Lookup(lc, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !verdictMatches(v, ref, a) {
-				t.Fatalf("post-rebalance wrong verdict for %s", ip.FormatAddr(a))
-			}
-		}
-	}
-}
-
-// TestRebalancerClock: the rebalancer's minimum interval is measured on
-// the clock its stamps are read from, Router.now, as the tick stamps are
-// (TestHealthCheckClock). The hour-long timeout keeps the monitor's own
-// ticker out; each period is run by hand against an injected clock. A
-// drifted table is not rebalanced a millisecond short of the interval
-// since the last stamp, and is rebalanced once at it — twice over, the
-// second time from the stamp the first rebalance left (stamped on the
-// wall clock and read on this one, the second interval would have passed
-// at once).
-func TestRebalancerClock(t *testing.T) {
-	tbl := rtable.Small(600, 7)
-	r, err := New(tbl, WithLCs(4), WithEngineName("bintrie"),
-		WithRequestTimeout(time.Hour), WithRebalance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Stop()
-	r.mu.Lock()
-	stamp := r.lastRebalance
-	r.mu.Unlock()
-	var ahead time.Duration
-	r.clock = func() int64 { return stamp + int64(ahead) }
-	const every, short = rebalanceEvery, time.Millisecond
-	period := func(at time.Duration, want int64) {
-		t.Helper()
-		ahead = at
-		r.sweep()
-		r.healthCheck(r.now())
-		if got := r.rebalances.Load(); got != want {
-			t.Fatalf("%v past New: %d rebalances, want %d", at, got, want)
-		}
-	}
-	cur := tbl
-	for round := int64(1); round <= 2; round++ {
-		cur = withdrawPartition(t, r, cur, 0)
-		last := time.Duration(round-1) * every
-		period(last+every-short, round-1)
-		period(last+every, round)
-	}
 }
 
 // TestCacheConfigErrors: a broken cache geometry (an operator's -beta)
@@ -568,7 +525,58 @@ func TestChaosChurn(t *testing.T) {
 			t.Logf("served=%d shed=%d batches=%v staleGen=%v rangeInv=%v",
 				served.Load(), shed.Load(), s.Sum(MetricUpdateBatches),
 				s.Sum(MetricStaleGen), s.Sum("spal_lrcache_range_invalidations_total"))
+			checkCleanState(t, r)
 		})
+	}
+}
+
+// checkCleanState holds every live LC's state to the tables the router
+// holds once nothing is in flight: each resident LR-cache entry to the full
+// table's verdict, and its engine's verdict at the first address of each
+// prefix of its partition to that partition's.
+func checkCleanState(t *testing.T, r *Router) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	verdict := func(e lpm.Engine, a ip.Addr) rtable.NextHop {
+		if nh, _, ok := e.Lookup(a); ok {
+			return nh
+		}
+		return rtable.NoNextHop
+	}
+	full := lpm.NewReference(r.part.Full())
+	checked := 0
+	for i := range r.lcs {
+		tbl := r.part.Table(i)
+		part := lpm.NewReference(tbl)
+		entries, cacheWrong, engineWrong := 0, 0, 0
+		r.install(i, func(lc *lineCard) {
+			lc.cache.AuditEntries(func(a ip.Addr, nh rtable.NextHop) bool {
+				entries++
+				if want := verdict(full, a); nh != want {
+					if cacheWrong++; cacheWrong <= 3 {
+						t.Logf("LC %d caches %s -> %d, the table says %d", i, ip.FormatAddr(a), nh, want)
+					}
+				}
+				return true
+			})
+			for _, rt := range tbl.Routes() {
+				a := rt.Prefix.FirstAddr()
+				if got, want := verdict(lc.engine, a), verdict(part, a); got != want {
+					if engineWrong++; engineWrong <= 3 {
+						t.Logf("LC %d's engine answers %s -> %d, its partition says %d", i, ip.FormatAddr(a), got, want)
+					}
+				}
+			}
+		})
+		if cacheWrong != 0 || engineWrong != 0 {
+			t.Errorf("LC %d: %d of %d cache entries and %d of %d engine verdicts disagree with the tables",
+				i, cacheWrong, entries, engineWrong, tbl.Len())
+		}
+		checked += entries
+	}
+	if checked == 0 {
+		t.Error("no LR-cache entry resident: the cache check saw nothing")
 	}
 }
 
@@ -690,23 +698,10 @@ func TestUpdateSoak(t *testing.T) {
 		batches, s.Sum(MetricUpdateEvents), served.Load(), mid>>10, end>>10, s.Sum(MetricStaleGen))
 }
 
-// countingHook is a fault hook that injects nothing and records the length
-// of every range list its cache is asked to invalidate; an InvalidateRange
-// shows up as a list of one.
-type countingHook struct{ lists []int }
-
-func (h *countingHook) FillValue(nh rtable.NextHop) rtable.NextHop { return nh }
-
-func (h *countingHook) KeepRanges(rs []rtable.Range) []rtable.Range {
-	h.lists = append(h.lists, len(rs))
-	return rs
-}
-
 // TestApplyUpdatesInvalidatesOncePerLC: whatever the number of ranges in a
-// batch, every LC's cache — the LC whose sub-batch is empty included — sees
-// one InvalidateRanges call per ApplyUpdates, carrying the batch's whole
-// range list, and no InvalidateRange. (Stats could not tell: a loop of
-// single calls advances RangeInvalidations just as far.)
+// batch, every LC's cache — the LC whose sub-batch is empty included — is
+// asked to invalidate the batch's whole range list per ApplyUpdates, and
+// flushes nothing.
 func TestApplyUpdatesInvalidatesOncePerLC(t *testing.T) {
 	const numLCs = 4
 	tbl := rtable.Small(1500, 53)
@@ -715,13 +710,6 @@ func TestApplyUpdatesInvalidatesOncePerLC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Stop()
-	counts := make([]*countingHook, numLCs)
-	for i, lc := range r.lcs {
-		lc.mu.Lock()
-		counts[i] = &countingHook{}
-		lc.cache.SetFaultHook(counts[i])
-		lc.mu.Unlock()
-	}
 	// A /32 has every control bit concrete, so it lands in one partition
 	// and leaves the other three LCs an empty sub-batch.
 	one := []rtable.Update{{Kind: rtable.Announce, Route: rtable.Route{Prefix: mustPfx(t, "10.9.8.7/32"), NextHop: 3}}}
@@ -733,25 +721,32 @@ func TestApplyUpdatesInvalidatesOncePerLC(t *testing.T) {
 	for cur := tbl; len(batches) < 6; {
 		stream := churnStream(cur, rng.Uint64())
 		if len(rtable.UpdateRanges(stream)) < 2 {
-			t.Fatalf("churn batch of %d events coalesced to under 2 ranges; the test would not tell a list call from a loop", len(stream))
+			t.Fatalf("churn batch of %d events coalesced to under 2 ranges; the test would not tell the whole list from part of it", len(stream))
 		}
 		cur = cur.ApplyAll(stream)
 		batches = append(batches, stream)
 	}
-	var want []int
-	for _, b := range batches {
-		want = append(want, len(rtable.UpdateRanges(b)))
+	cacheStats := func(i int) (st cache.Stats) {
+		r.own(i, func(lc *lineCard) { st = lc.cache.Stats() })
+		return st
+	}
+	for n, b := range batches {
+		var before [numLCs]cache.Stats
+		for i := range before {
+			before[i] = cacheStats(i)
+		}
 		if err := r.ApplyUpdates(b); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i, lc := range r.lcs {
-		lc.mu.Lock()
-		lists := counts[i].lists
-		lc.mu.Unlock()
-		if !slices.Equal(lists, want) {
-			t.Errorf("LC %d: invalidation calls carried lists of %v ranges over %d batches, want one call a batch with %v",
-				i, lists, len(batches), want)
+		want := int64(len(rtable.UpdateRanges(b)))
+		for i := range before {
+			after := cacheStats(i)
+			if got := after.RangeInvalidations - before[i].RangeInvalidations; got != want {
+				t.Errorf("batch %d, LC %d: %d ranges invalidated, want the batch's %d", n, i, got, want)
+			}
+			if after.Flushes != before[i].Flushes {
+				t.Errorf("batch %d, LC %d: the cache flushed", n, i)
+			}
 		}
 	}
 }

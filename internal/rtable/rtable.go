@@ -107,20 +107,12 @@ func (t *Table) LookupLinear(a ip.Addr) (NextHop, bool) {
 // LongestMatch returns the longest-prefix-match route for a, exploiting
 // the (value, length) sort order: one binary search per candidate length,
 // longest first, so at most 33 O(log N) probes. It is exact (agrees with
-// LookupLinear everywhere) and fast enough for the integrity scrubber to
-// recompute authoritative verdicts against a canonical snapshot without
-// building a trie.
+// LookupLinear everywhere) and needs no trie.
 func (t *Table) LongestMatch(a ip.Addr) (Route, bool) {
-	return t.LongestMatchFunc(a, func(Route) bool { return true })
-}
-
-// LongestMatchFunc is LongestMatch over the routes keep accepts: the
-// longest route matching a for which keep returns true.
-func (t *Table) LongestMatchFunc(a ip.Addr, keep func(Route) bool) (Route, bool) {
 	for l := 32; l >= 0; l-- {
 		p := ip.Prefix{Value: a & ip.Mask(uint8(l)), Len: uint8(l)}
 		i := sort.Search(len(t.routes), func(i int) bool { return !t.routes[i].Prefix.Less(p) })
-		if i < len(t.routes) && t.routes[i].Prefix == p && keep(t.routes[i]) {
+		if i < len(t.routes) && t.routes[i].Prefix == p {
 			return t.routes[i], true
 		}
 	}

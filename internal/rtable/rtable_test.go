@@ -57,9 +57,8 @@ func TestLookupLinearLongestWins(t *testing.T) {
 	}
 }
 
-// TestLongestMatchAgainstLinear: the binary-search LongestMatch (the
-// scrubber's authoritative verdict) must agree with the O(N) linear scan
-// on every address — random probes plus every prefix boundary, over
+// TestLongestMatchAgainstLinear: the binary-search LongestMatch must
+// agree with the O(N) linear scan on every address — random probes plus every prefix boundary, over
 // synthesized tables with nested prefixes.
 func TestLongestMatchAgainstLinear(t *testing.T) {
 	rng := stats.NewRNG(0xa11d17)

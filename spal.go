@@ -113,14 +113,6 @@ type (
 	UpdateKind = rtable.UpdateKind
 	// UpdateStreamConfig parameterizes GenerateUpdates.
 	UpdateStreamConfig = rtable.UpdateStreamConfig
-	// CorruptionPolicy configures the seeded state-corruption injector
-	// (see WithRouterCorruption).
-	CorruptionPolicy = router.CorruptionPolicy
-	// IntegrityReport is the scrubber's cumulative view of detected and
-	// repaired state damage (see Router.Integrity).
-	IntegrityReport = router.IntegrityReport
-	// LCIntegrity is one line card's row in an IntegrityReport.
-	LCIntegrity = router.LCIntegrity
 	// LinkFaults is a per-directed-link fabric fault matrix supporting
 	// asymmetric drop/delay/jitter and sustained per-LC brownouts
 	// (SlowLC); see NewLinkFaults.
@@ -293,28 +285,6 @@ func WithRouterTraceJournal(size int) RouterOption { return router.WithTraceJour
 func WithRouterOverload(queueDepth int, mode ShedMode) RouterOption {
 	return router.WithOverload(queueDepth, mode)
 }
-
-// WithRouterRebalance enables the background partition rebalancer: when
-// ApplyUpdates drifts the partitioning's replication factor past 1.15× its
-// baseline, or per-LC sizes spread past 1.0× their mean, the router
-// re-selects control bits over the current table and runs the full
-// two-phase swap, at most once a second.
-func WithRouterRebalance() RouterOption { return router.WithRebalance() }
-
-// WithRouterScrub enables the online integrity scrubber: a cycle at most
-// every interval (<= 0 selects 4 health ticks) samples 32 prefixes per line
-// card with a rotating cursor, recomputes authoritative verdicts from the
-// canonical routing table, compares them against the live engine walk and
-// the resident cache entries, evicts mismatched cache entries, and replaces
-// a line card's engine that fails an audit on the spot, then rebuilds it.
-func WithRouterScrub(interval time.Duration) RouterOption { return router.WithScrub(interval) }
-
-// WithRouterCorruption installs the seeded state-corruption injector:
-// engine verdict flips over poisoned address ranges, wrong values stored
-// on cache fills, and dropped range invalidations, each drawn from a
-// counter-keyed hash of the seed so a corruption schedule replays
-// exactly. For chaos testing the scrub plane; never on by default.
-func WithRouterCorruption(p CorruptionPolicy) RouterOption { return router.WithCorruption(p) }
 
 // GenerateUpdates synthesizes a seeded BGP-style churn stream over tbl:
 // announces of new and existing prefixes mixed with withdraws, stamped
