@@ -13,6 +13,7 @@
 package spal_test
 
 import (
+	"fmt"
 	"testing"
 
 	"spal"
@@ -305,7 +306,24 @@ func benchBuild(b *testing.B, build lpm.Builder) {
 	}
 }
 
-func BenchmarkBuildLulea(b *testing.B)  { benchBuild(b, lulea.NewEngine) }
+// BenchmarkBuildLulea prices lulea.New on the bench table
+// (table=Small40000) and, as router.New and sim.New pay it, on every
+// partition of RT2 at ψ = 1, 4 and 16: one op builds all ψ tries.
+func BenchmarkBuildLulea(b *testing.B) {
+	b.Run("table=Small40000", func(b *testing.B) { benchBuild(b, lulea.NewEngine) })
+	full := rtable.RT2()
+	for _, psi := range []int{1, 4, 16} {
+		tables := partition.Partition(full, psi).Tables()
+		b.Run(fmt.Sprintf("table=RT2/psi=%d", psi), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, tbl := range tables {
+					lulea.New(tbl)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkBuildDPTrie(b *testing.B) { benchBuild(b, dptrie.NewEngine) }
 func BenchmarkBuildLCTrie(b *testing.B) { benchBuild(b, lctrie.NewEngine) }
 

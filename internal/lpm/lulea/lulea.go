@@ -42,6 +42,16 @@
 // start of the level or chunk — at most 65,520, which fits its low 16 bits
 // — so the base index is folded in and no lookup reads one.
 //
+// Build. New never lays a level's slots out. One sweep over the table, in
+// table order, paints each level as runs of equal pointers — a stack of
+// open prefixes, where a nested prefix overwrites its parent — and cuts each
+// run into its maximal aligned blocks, the heads of the complete-prune rule
+// that the maptable's 678 masks assume; codewords, sparse offsets and
+// pointers are written from that head list. The longer prefixes under a
+// slot follow the slot's own in table order, so the sweep builds the slot's
+// chunk from them, the same way, when it reaches the slot. A build costs
+// what its routes and heads cost, not 2^16 slots plus 256 a chunk.
+//
 // Fidelity note: what is modelled stays modelled. MemoryBytes counts the
 // paper's on-chip sizes (Fig. 3) — 2-byte codewords with a 10-bit maptable
 // id and a 6-bit offset, a 2-byte base index per four codewords at level 1
@@ -57,6 +67,8 @@
 package lulea
 
 import (
+	"math/bits"
+
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/rtable"
@@ -123,8 +135,7 @@ type Trie struct {
 	ptrs1    []pointer // level-1 head pointers
 	slab     []uint32  // every level-2/3 chunk, at the offset its pointer carries
 	memBytes int       // modelled, see MemoryBytes
-	chunks2  int
-	chunks3  int
+	chunks   [2]int    // level-2 and level-3 chunk counts
 }
 
 var _ lpm.BatchEngine = (*Trie)(nil)
@@ -132,19 +143,90 @@ var _ lpm.BatchEngine = (*Trie)(nil)
 // NewEngine adapts New to the lpm.Builder signature.
 func NewEngine(t *rtable.Table) lpm.Engine { return New(t) }
 
-// paint writes routes into a slot array. Routes come in table order —
-// (value, length), so a prefix precedes every prefix nested in it — and
-// longer prefixes therefore overwrite shorter ones. levelLen is the address
-// depth the level's last slot bit corresponds to (16, 24 or 32); the slot
-// index is the address bits ending at levelLen, modulo the array size.
-func paint(vals []pointer, routes []rtable.Route, levelLen uint8) {
-	for _, r := range routes {
-		span := 1 << (levelLen - r.Prefix.Len)
-		start := int(r.Prefix.Value>>(32-levelLen)) & (len(vals) - 1)
-		for s := start; s < start+span; s++ {
-			vals[s] = leaf(r.NextHop)
+// A run is a stretch of equal pointers from start to the next run's start
+// (or the level's end); a head is the run of one aligned block.
+type run struct {
+	start uint32
+	p     pointer
+}
+
+// A painter turns one level's routes into the maximal runs of its slots.
+// Routes come in table order — (value, length), so a prefix precedes every
+// prefix nested in it — and a nested prefix therefore overwrites its
+// parent: the open prefixes are a stack, innermost last.
+type painter struct {
+	size  uint32 // slots: 2^16 at level 1, 256 in a chunk
+	shift uint   // address bits below the level's last slot bit
+	runs  []run
+	open  []run // open prefixes: (first slot past the prefix, pointer)
+}
+
+// reset starts the level over def, which sits at the bottom of the open
+// stack for the whole level.
+func (lv *painter) reset(size uint32, shift uint, def pointer) {
+	lv.size, lv.shift = size, shift
+	lv.runs = append(lv.runs[:0], run{0, def})
+	lv.open = append(lv.open[:0], run{size, def})
+}
+
+// slot is the level's slot of an address.
+func (lv *painter) slot(a uint32) uint32 { return a >> lv.shift & (lv.size - 1) }
+
+// set starts a run of p at slot start, over an empty last run and onto a
+// last run of the same pointer.
+func (lv *painter) set(start uint32, p pointer) {
+	if n := len(lv.runs); lv.runs[n-1].start == start {
+		lv.runs = lv.runs[:n-1]
+	}
+	if n := len(lv.runs); n == 0 || lv.runs[n-1].p != p {
+		lv.runs = append(lv.runs, run{start, p})
+	}
+}
+
+// at closes the open prefixes that end at or before slot and returns the
+// pointer the slot holds.
+func (lv *painter) at(slot uint32) pointer {
+	n := len(lv.open)
+	for ; lv.open[n-1].start <= slot; n-- {
+		lv.set(lv.open[n-1].start, lv.open[n-2].p)
+	}
+	lv.open = lv.open[:n]
+	return lv.open[n-1].p
+}
+
+// cover paints span slots from start with p.
+func (lv *painter) cover(start, span uint32, p pointer) {
+	lv.at(start)
+	lv.set(start, p)
+	lv.open = append(lv.open, run{start + span, p})
+}
+
+// finish closes the open prefixes that end inside the level and returns
+// its runs.
+func (lv *painter) finish() []run {
+	lv.at(lv.size - 1)
+	return lv.runs
+}
+
+// heads appends the complete-prune heads of runs over size slots: each run
+// cut into its maximal aligned blocks, one head each, so that every word's
+// mask is one of the 678 legal maptable masks.
+func heads(dst, runs []run, size uint32) []run {
+	for i, r := range runs {
+		end := size
+		if i+1 < len(runs) {
+			end = runs[i+1].start
+		}
+		for x := r.start; x < end; {
+			k := uint32(1) << (bits.Len32(end-x) - 1) // the largest block that fits
+			if x != 0 {
+				k = min(k, x&-x) // and is aligned
+			}
+			dst = append(dst, run{x, r.p})
+			x += k
 		}
 	}
+	return dst
 }
 
 // under splits off the leading routes whose address bits above shift are key.
@@ -156,105 +238,94 @@ func under(routes []rtable.Route, shift uint, key uint32) (head, rest []rtable.R
 	return routes[:n], routes[n:]
 }
 
-func fill(vals []pointer, p pointer) {
-	for i := range vals {
-		vals[i] = p
-	}
+// builder holds one painter per level, reused from chunk to chunk, and the
+// head list of the level being encoded.
+type builder struct {
+	tr    *Trie
+	lv    [3]painter
+	heads []run
 }
 
 // New builds the three-level structure from a table snapshot.
 func New(t *rtable.Table) *Trie {
-	// Prefixes by the level that stores them, each list still in table order.
-	var short, mid, deep []rtable.Route // length <= 16, 17..24, 25..32
+	// Room for the slab up front: it comes to 7–9 words a prefix longer than
+	// /16 on RT1, RT2 and RT2's partitions, so it seldom has to grow.
+	long := 0
 	for _, r := range t.Routes() {
-		switch {
-		case r.Prefix.Len <= 16:
-			short = append(short, r)
-		case r.Prefix.Len <= 24:
-			mid = append(mid, r)
-		default:
-			deep = append(deep, r)
+		if r.Prefix.Len > 16 {
+			long++
 		}
 	}
-	tr := &Trie{memBytes: maptableBytes}
-
-	// Level 1: paint the 2^16 genuine values.
-	vals := make([]pointer, level1Slots)
-	fill(vals, noRoute)
-	paint(vals, short, 16)
-
-	// A /16 slot needs a level-2 chunk when it has a 17..24-bit prefix, or
-	// a deeper (25..32) one even when no mid-length one exists. Both lists
-	// ascend, so the next such slot is at the head of one of them.
-	var c2, c3 [chunkSlots]pointer
-	for len(mid)+len(deep) > 0 {
-		s := uint32(level1Slots)
-		if len(mid) > 0 {
-			s = mid[0].Prefix.Value >> 16
-		}
-		if len(deep) > 0 {
-			s = min(s, deep[0].Prefix.Value>>16)
-		}
-		var m, d, d3 []rtable.Route
-		m, mid = under(mid, 16, s)
-		d, deep = under(deep, 16, s)
-		fill(c2[:], vals[s]) // genuine <=16 LPM for the whole /16
-		paint(c2[:], m, 24)
-		// Level-3 chunks nested under this /16: one per /24 with a deep prefix.
-		for len(d) > 0 {
-			u := d[0].Prefix.Value >> 8
-			d3, d = under(d, 8, u)
-			fill(c3[:], c2[u%chunkSlots])
-			paint(c3[:], d3, 32)
-			c2[u%chunkSlots] = tr.emit(c3[:])
-			tr.chunks3++
-		}
-		vals[s] = tr.emit(c2[:])
-		tr.chunks2++
-	}
+	tr := &Trie{memBytes: maptableBytes, slab: make([]uint32, 0, 9*long)}
+	// The two buffers that grow with the table, level 1's runs and the head
+	// list, start past the small-object size classes (32 KiB). Grown through
+	// them, they shared spans with small arrays that outlive the build and
+	// kept those spans in use: sim_fig6's heap_mb read ~0.15 MiB higher.
+	b := &builder{tr: tr, heads: make([]run, 0, 1<<13)}
+	b.lv[0].runs = make([]run, 0, 1<<13)
+	b.heads = heads(b.heads[:0], b.level(0, noRoute, t.Routes()).finish(), level1Slots)
 	if len(tr.slab) > int(slabOffsetMask) {
 		panic("lulea: slab outgrew the chunk pointers' offset bits")
 	}
 	// Clip to the exact length: append's slack would live as long as the trie.
 	tr.slab = append(make([]uint32, 0, len(tr.slab)), tr.slab...)
-
-	// Compress level 1 into codewords and pointers. Heads follow the
-	// complete-prune rule (aligned leaves), so every word's mask is one of
-	// the 678 legal maptable masks.
-	heads := make([]bool, level1Slots)
 	tr.code1 = make([]uint32, level1Slots/slotsPerWord)
-	tr.ptrs1 = make([]pointer, markHeads(vals, heads, 0, level1Slots))
-	encode(vals, heads, tr.code1, tr.ptrs1)
+	tr.ptrs1 = make([]pointer, len(b.heads))
+	encode(b.heads, tr.code1, tr.ptrs1)
 	tr.memBytes += len(tr.code1)*codewordBytes + len(tr.code1)/wordsPerBase*baseIndexBytes + len(tr.ptrs1)*pointerBytes
 	return tr
 }
 
-// encode compresses vals into one codeword per 16 slots and the head
-// pointers in slot order; the caller sizes code and ptrs.
-func encode[T ~uint32](vals []pointer, heads []bool, code []uint32, ptrs []T) {
+// level paints level d (0 for level 1) of the region its routes share, in
+// table order, over def. In table order a slot's own prefixes come before
+// the longer ones under it, and those are contiguous: each such group
+// becomes the slot's chunk, built over the longest match the slot holds
+// and emitted to the slab as the sweep reaches it.
+func (b *builder) level(d int, def pointer, routes []rtable.Route) *painter {
+	lv, shift, size := &b.lv[d], uint(16-8*d), uint32(chunkSlots)
+	if d == 0 {
+		size = level1Slots
+	}
+	lv.reset(size, shift, def)
+	for len(routes) > 0 {
+		r := routes[0]
+		if r.Prefix.Len <= uint8(32-shift) {
+			lv.cover(lv.slot(r.Prefix.Value), 1<<(32-shift-uint(r.Prefix.Len)), leaf(r.NextHop))
+			routes = routes[1:]
+			continue
+		}
+		var longer []rtable.Route
+		longer, routes = under(routes, shift, r.Prefix.Value>>shift)
+		s := lv.slot(r.Prefix.Value)
+		lv.cover(s, 1, b.emit(b.level(d+1, lv.at(s), longer).finish()))
+		b.tr.chunks[d]++
+	}
+	return lv
+}
+
+// encode writes one codeword per 16 slots and the head pointers in slot
+// order; the caller sizes code and ptrs.
+func encode[T ~uint32](heads []run, code []uint32, ptrs []T) {
 	n := 0
 	for w := range code {
-		var mask uint16
 		before := n
-		for i := 0; i < slotsPerWord; i++ {
-			if s := w*slotsPerWord + i; heads[s] {
-				mask |= 1 << (15 - uint(i))
-				ptrs[n] = T(vals[s])
-				n++
-			}
+		var mask uint16
+		for ; n < len(heads) && heads[n].start < uint32(w+1)*slotsPerWord; n++ {
+			mask |= 1 << (15 - heads[n].start%slotsPerWord)
+			ptrs[n] = T(heads[n].p)
 		}
 		code[w] = codeword(mask, before)
 	}
 }
 
-// emit appends a 256-slot value array to the slab as one self-contained
-// chunk, choosing the density by head count and charging the chunk's
-// modelled bytes, and returns the pointer to it. Heads follow the
-// complete-prune rule so dense and very dense chunks get legal maptable
-// masks.
-func (tr *Trie) emit(vals []pointer) pointer {
-	var heads [chunkSlots]bool
-	n, at := markHeads(vals, heads[:], 0, chunkSlots), len(tr.slab)
+// emit appends a chunk's runs to the slab as one self-contained chunk,
+// choosing the density by head count and charging the chunk's modelled
+// bytes, and returns the pointer to it.
+func (b *builder) emit(runs []run) pointer {
+	tr := b.tr
+	b.heads = heads(b.heads[:0], runs, chunkSlots)
+	hs := b.heads
+	n, at := len(hs), len(tr.slab)
 	tr.memBytes += chunkHandleBytes + n*pointerBytes
 	if n <= sparseChunkHeads {
 		// Two words of head offsets, ascending from the low byte of the
@@ -263,16 +334,10 @@ func (tr *Trie) emit(vals []pointer) pointer {
 		tr.memBytes += sparseChunkHeads
 		tr.slab = append(tr.slab, make([]uint32, sparseWords+sparseChunkHeads)...)
 		c := tr.slab[at:]
-		s := 0 // slot 0 is always a head
 		for k := 0; k < sparseChunkHeads; k++ {
-			c[k/4] |= uint32(s) << (k % 4 * 8)
-			c[sparseWords+k] = uint32(vals[s])
-			for next := s + 1; next < chunkSlots; next++ {
-				if heads[next] {
-					s = next
-					break
-				}
-			}
+			h := hs[min(k, n-1)]
+			c[k/4] |= h.start << (k % 4 * 8)
+			c[sparseWords+k] = uint32(h.p)
 		}
 		return chunkTag | pointer(sparse)<<kindShift | pointer(at)
 	}
@@ -284,7 +349,7 @@ func (tr *Trie) emit(vals []pointer) pointer {
 		tr.memBytes += chunkWords / wordsPerBase * baseIndexBytes
 	}
 	tr.slab = append(tr.slab, make([]uint32, chunkWords+n)...)
-	encode(vals, heads[:], tr.slab[at:at+chunkWords], tr.slab[at+chunkWords:])
+	encode(hs, tr.slab[at:at+chunkWords], tr.slab[at+chunkWords:])
 	return chunkTag | pointer(kind)<<kindShift | pointer(at)
 }
 
@@ -376,4 +441,4 @@ func (tr *Trie) realBytes() int { return (cap(tr.code1) + cap(tr.ptrs1) + cap(tr
 func (tr *Trie) Name() string { return "lulea" }
 
 // Chunks returns the level-2 and level-3 chunk counts (structure stats).
-func (tr *Trie) Chunks() (l2, l3 int) { return tr.chunks2, tr.chunks3 }
+func (tr *Trie) Chunks() (l2, l3 int) { return tr.chunks[0], tr.chunks[1] }

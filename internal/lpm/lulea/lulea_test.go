@@ -527,3 +527,300 @@ func TestBuildGolden(t *testing.T) {
 		}
 	}
 }
+
+// paint writes routes into a slot array. Routes come in table order —
+// (value, length), so a prefix precedes every prefix nested in it — and
+// longer prefixes therefore overwrite shorter ones. levelLen is the address
+// depth the level's last slot bit corresponds to (16, 24 or 32); the slot
+// index is the address bits ending at levelLen, modulo the array size.
+func paint(vals []pointer, routes []rtable.Route, levelLen uint8) {
+	for _, r := range routes {
+		span := 1 << (levelLen - r.Prefix.Len)
+		start := int(r.Prefix.Value>>(32-levelLen)) & (len(vals) - 1)
+		for s := start; s < start+span; s++ {
+			vals[s] = leaf(r.NextHop)
+		}
+	}
+}
+
+func fill(vals []pointer, p pointer) {
+	for i := range vals {
+		vals[i] = p
+	}
+}
+
+// slotNew is the slot builder New replaced, kept as its oracle: each level
+// painted into a 2^16- or 256-slot value array, heads marked by markHeads
+// over the slots, codewords and pointers encoded from the marks.
+func slotNew(t *rtable.Table) *Trie {
+	// Prefixes by the level that stores them, each list still in table order.
+	var short, mid, deep []rtable.Route // length <= 16, 17..24, 25..32
+	for _, r := range t.Routes() {
+		switch {
+		case r.Prefix.Len <= 16:
+			short = append(short, r)
+		case r.Prefix.Len <= 24:
+			mid = append(mid, r)
+		default:
+			deep = append(deep, r)
+		}
+	}
+	tr := &Trie{memBytes: maptableBytes}
+
+	// Level 1: paint the 2^16 genuine values.
+	vals := make([]pointer, level1Slots)
+	fill(vals, noRoute)
+	paint(vals, short, 16)
+
+	// A /16 slot needs a level-2 chunk when it has a 17..24-bit prefix, or
+	// a deeper (25..32) one even when no mid-length one exists. Both lists
+	// ascend, so the next such slot is at the head of one of them.
+	var c2, c3 [chunkSlots]pointer
+	for len(mid)+len(deep) > 0 {
+		s := uint32(level1Slots)
+		if len(mid) > 0 {
+			s = mid[0].Prefix.Value >> 16
+		}
+		if len(deep) > 0 {
+			s = min(s, deep[0].Prefix.Value>>16)
+		}
+		var m, d, d3 []rtable.Route
+		m, mid = under(mid, 16, s)
+		d, deep = under(deep, 16, s)
+		fill(c2[:], vals[s]) // genuine <=16 LPM for the whole /16
+		paint(c2[:], m, 24)
+		// Level-3 chunks nested under this /16: one per /24 with a deep prefix.
+		for len(d) > 0 {
+			u := d[0].Prefix.Value >> 8
+			d3, d = under(d, 8, u)
+			fill(c3[:], c2[u%chunkSlots])
+			paint(c3[:], d3, 32)
+			c2[u%chunkSlots] = slotEmit(tr, c3[:])
+			tr.chunks[1]++
+		}
+		vals[s] = slotEmit(tr, c2[:])
+		tr.chunks[0]++
+	}
+	if len(tr.slab) > int(slabOffsetMask) {
+		panic("lulea: slab outgrew the chunk pointers' offset bits")
+	}
+	// Clip to the exact length: append's slack would live as long as the trie.
+	tr.slab = append(make([]uint32, 0, len(tr.slab)), tr.slab...)
+
+	// Compress level 1 into codewords and pointers. Heads follow the
+	// complete-prune rule (aligned leaves), so every word's mask is one of
+	// the 678 legal maptable masks.
+	heads := make([]bool, level1Slots)
+	tr.code1 = make([]uint32, level1Slots/slotsPerWord)
+	tr.ptrs1 = make([]pointer, markHeads(vals, heads, 0, level1Slots))
+	slotEncode(vals, heads, tr.code1, tr.ptrs1)
+	tr.memBytes += len(tr.code1)*codewordBytes + len(tr.code1)/wordsPerBase*baseIndexBytes + len(tr.ptrs1)*pointerBytes
+	return tr
+}
+
+// slotEncode compresses vals into one codeword per 16 slots and the head
+// pointers in slot order; the caller sizes code and ptrs.
+func slotEncode[T ~uint32](vals []pointer, heads []bool, code []uint32, ptrs []T) {
+	n := 0
+	for w := range code {
+		var mask uint16
+		before := n
+		for i := 0; i < slotsPerWord; i++ {
+			if s := w*slotsPerWord + i; heads[s] {
+				mask |= 1 << (15 - uint(i))
+				ptrs[n] = T(vals[s])
+				n++
+			}
+		}
+		code[w] = codeword(mask, before)
+	}
+}
+
+// slotEmit appends a 256-slot value array to the slab as one self-contained
+// chunk, choosing the density by head count and charging the chunk's
+// modelled bytes, and returns the pointer to it. Heads follow the
+// complete-prune rule so dense and very dense chunks get legal maptable
+// masks.
+func slotEmit(tr *Trie, vals []pointer) pointer {
+	var heads [chunkSlots]bool
+	n, at := markHeads(vals, heads[:], 0, chunkSlots), len(tr.slab)
+	tr.memBytes += chunkHandleBytes + n*pointerBytes
+	if n <= sparseChunkHeads {
+		// Two words of head offsets, ascending from the low byte of the
+		// first, then the eight pointers. Places past the last head repeat
+		// it, so descend's scan needs no length.
+		tr.memBytes += sparseChunkHeads
+		tr.slab = append(tr.slab, make([]uint32, sparseWords+sparseChunkHeads)...)
+		c := tr.slab[at:]
+		s := 0 // slot 0 is always a head
+		for k := 0; k < sparseChunkHeads; k++ {
+			c[k/4] |= uint32(s) << (k % 4 * 8)
+			c[sparseWords+k] = uint32(vals[s])
+			for next := s + 1; next < chunkSlots; next++ {
+				if heads[next] {
+					s = next
+					break
+				}
+			}
+		}
+		return chunkTag | pointer(sparse)<<kindShift | pointer(at)
+	}
+	// Sixteen codewords, then the pointers they index.
+	kind := dense
+	tr.memBytes += chunkWords * codewordBytes
+	if n > denseChunkHeads {
+		kind = veryDense
+		tr.memBytes += chunkWords / wordsPerBase * baseIndexBytes
+	}
+	tr.slab = append(tr.slab, make([]uint32, chunkWords+n)...)
+	slotEncode(vals, heads[:], tr.slab[at:at+chunkWords], tr.slab[at+chunkWords:])
+	return chunkTag | pointer(kind)<<kindShift | pointer(at)
+}
+
+// markHeads sets the head positions of vals[lo:lo+size] (size a power of
+// two) per the complete-prune rule: a region of equal pointers is one
+// leaf with a single head at its start; otherwise split in half and
+// recurse. heads must be pre-sized to len(vals). It returns the number of
+// heads it set.
+func markHeads(vals []pointer, heads []bool, lo, size int) int {
+	uniform := true
+	for i := lo + 1; i < lo+size; i++ {
+		if vals[i] != vals[lo] {
+			uniform = false
+			break
+		}
+	}
+	if uniform {
+		heads[lo] = true
+		return 1
+	}
+	return markHeads(vals, heads, lo, size/2) + markHeads(vals, heads, lo+size/2, size/2)
+}
+
+// sameBuild requires the trie New built to be the slot builder's, array for
+// array.
+func sameBuild(t *testing.T, tbl *rtable.Table) {
+	t.Helper()
+	got, want := New(tbl), slotNew(tbl)
+	gl2, gl3 := got.Chunks()
+	wl2, wl3 := want.Chunks()
+	switch {
+	case !slices.Equal(got.code1, want.code1):
+		t.Fatal("code1 differs from the slot builder's")
+	case !slices.Equal(got.ptrs1, want.ptrs1):
+		t.Fatalf("ptrs1: %d heads, the slot builder's %d", len(got.ptrs1), len(want.ptrs1))
+	case !slices.Equal(got.slab, want.slab):
+		t.Fatalf("slab: %d words, the slot builder's %d", len(got.slab), len(want.slab))
+	case got.MemoryBytes() != want.MemoryBytes():
+		t.Fatalf("MemoryBytes %d, the slot builder's %d", got.MemoryBytes(), want.MemoryBytes())
+	case gl2 != wl2 || gl3 != wl3:
+		t.Fatalf("chunks %d/%d, the slot builder's %d/%d", gl2, gl3, wl2, wl3)
+	}
+}
+
+// TestBuildMatchesSlotBuilder holds the run-based New to the slot builder
+// it replaced on the tables the router and the simulator build: RT1, RT2
+// and RT2's partitions at ψ = 1, 4 and 16, small synthetic tables and the
+// crafted chunk shapes.
+func TestBuildMatchesSlotBuilder(t *testing.T) {
+	craftedTbl, _ := crafted()
+	tables := map[string]*rtable.Table{
+		"RT1":          rtable.RT1(),
+		"RT2":          rtable.RT2(),
+		"crafted":      craftedTbl,
+		"default-only": table("0.0.0.0/0"),
+		"empty":        rtable.New(nil),
+	}
+	for _, seed := range []uint64{1, 2, 3} {
+		tables[fmt.Sprintf("Small/seed=%d", seed)] = rtable.Small(5000, seed)
+	}
+	for _, psi := range []int{1, 4, 16} {
+		for i, tbl := range partition.Partition(tables["RT2"], psi).Tables() {
+			tables[fmt.Sprintf("RT2/psi=%d/lc=%d", psi, i)] = tbl
+		}
+	}
+	for name, tbl := range tables {
+		t.Run(name, func(t *testing.T) { sameBuild(t, tbl) })
+	}
+}
+
+// fuzzTable decodes four bytes a route. Byte 0 gives the length (mod 33)
+// and one of three next hops, so neighbouring runs often share one; bytes
+// 1..3 the address, under 10.0.0.0/14 — a few /16s, so prefixes nest and
+// share chunks — or, when byte 1's top bit is set, anywhere from its top
+// 16 bits.
+func fuzzTable(data []byte) *rtable.Table {
+	var routes []rtable.Route
+	for ; len(data) >= 4; data = data[4:] {
+		a := 10<<24 | uint32(data[1]&3)<<16 | uint32(data[2])<<8 | uint32(data[3])
+		if data[1]&0x80 != 0 {
+			a = uint32(data[1])<<24 | uint32(data[2])<<16 | uint32(data[3])<<8
+		}
+		p := ip.Prefix{Value: a, Len: data[0] % 33}
+		routes = append(routes, rtable.Route{Prefix: p.Canon(), NextHop: rtable.NextHop(1 + data[0]/33%3)})
+	}
+	return rtable.New(routes)
+}
+
+// fuzzRoute is fuzzTable's encoding of a route under 10.0.0.0/14 with next
+// hop 1..3.
+func fuzzRoute(cidr string, nh int) []byte {
+	p := ip.MustPrefix(cidr)
+	return []byte{p.Len + 33*byte(nh-1), byte(p.Value >> 16 & 3), byte(p.Value >> 8), byte(p.Value)}
+}
+
+// fuzzSeeds are route sets around the levels' boundaries: /0, /16–/17 and
+// /24–/25, /32s, a chunk pointer between runs of one next hop, and chunks
+// of exactly 8, 9, 64 and 65 heads at both levels.
+func fuzzSeeds() (seeds [][]byte) {
+	seed := func(routes ...[]byte) { seeds = append(seeds, slices.Concat(routes...)) }
+	seed(fuzzRoute("0.0.0.0/0", 1), fuzzRoute("10.0.0.0/16", 2), fuzzRoute("10.0.128.0/17", 1),
+		fuzzRoute("10.0.1.0/24", 3), fuzzRoute("10.0.1.128/25", 2), fuzzRoute("10.0.1.255/32", 1),
+		fuzzRoute("10.1.255.255/32", 3), fuzzRoute("10.3.0.0/32", 2))
+	// A chunk pointer at 10.1/16 between /16s of its own next hop.
+	seed(fuzzRoute("10.0.0.0/16", 1), fuzzRoute("10.1.0.0/16", 1), fuzzRoute("10.1.7.0/24", 2),
+		fuzzRoute("10.2.0.0/15", 1))
+	// k heads: the upper half split k-1 times, next hops alternating.
+	splits := func(base string, k int) []byte {
+		p := ip.MustPrefix(base)
+		var b []byte
+		for split := 1; split < k; split++ {
+			q := ip.Prefix{Value: p.Value | (1<<(32-p.Len) - 1<<(32-p.Len-uint8(split))), Len: p.Len + uint8(split)}
+			b = append(b, fuzzRoute(q.String(), 1+split%2)...)
+		}
+		return b
+	}
+	for _, k := range []int{8, 9} {
+		seed(fuzzRoute("10.0.0.0/16", 3), splits("10.0.0.0/16", k), splits("10.1.4.0/24", k))
+	}
+	// 64 and 65 heads: 64 blocks of alternating next hops, the last split.
+	blocks := func(base string, l uint8, n int, last bool) []byte {
+		p := ip.MustPrefix(base)
+		var b []byte
+		for i := 0; i < n; i++ {
+			q := ip.Prefix{Value: p.Value + uint32(i)<<(32-l), Len: l}
+			nh := 1 + i%2
+			if i == n-1 && last {
+				b = append(b, fuzzRoute(ip.Prefix{Value: q.Value, Len: l + 1}.String(), nh)...)
+				q, nh = ip.Prefix{Value: q.Value | 1<<(31-l), Len: l + 1}, 3
+			}
+			b = append(b, fuzzRoute(q.String(), nh)...)
+		}
+		return b
+	}
+	for _, last := range []bool{false, true} {
+		seed(blocks("10.2.0.0/16", 22, 64, last), blocks("10.1.9.0/24", 30, 64, last))
+	}
+	return seeds
+}
+
+// FuzzBuildMatchesSlotBuilder holds New to the slot builder on fuzzTable's
+// route sets, starting from fuzzSeeds.
+func FuzzBuildMatchesSlotBuilder(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sameBuild(t, fuzzTable(data))
+	})
+}

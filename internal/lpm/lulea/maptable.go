@@ -91,23 +91,3 @@ func idOf(mask uint16) maskID {
 	}
 	return id
 }
-
-// markHeads sets the head positions of vals[lo:lo+size] (size a power of
-// two) per the complete-prune rule: a region of equal pointers is one
-// leaf with a single head at its start; otherwise split in half and
-// recurse. heads must be pre-sized to len(vals). It returns the number of
-// heads it set.
-func markHeads(vals []pointer, heads []bool, lo, size int) int {
-	uniform := true
-	for i := lo + 1; i < lo+size; i++ {
-		if vals[i] != vals[lo] {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		heads[lo] = true
-		return 1
-	}
-	return markHeads(vals, heads, lo, size/2) + markHeads(vals, heads, lo+size/2, size/2)
-}

@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,24 +41,38 @@ type Table struct {
 	routes []Route
 }
 
-// New builds a table from routes. Duplicate prefixes keep the last next hop
-// (BGP replace semantics). The input slice is not retained.
+// New builds a table from routes, at most 2^26 of them. Duplicate prefixes
+// keep the last next hop (BGP replace semantics). The input slice is not
+// retained.
 func New(routes []Route) *Table {
-	byPrefix := make(map[ip.Prefix]NextHop, len(routes))
-	for _, r := range routes {
-		byPrefix[r.Prefix.Canon()] = r.NextHop
+	if len(routes) > 1<<indexBits {
+		panic(fmt.Sprintf("rtable: %d routes, more than New's %d", len(routes), 1<<indexBits))
 	}
-	ps := make([]ip.Prefix, 0, len(byPrefix))
-	for p := range byPrefix {
-		ps = append(ps, p)
+	// One sort of packed (value, length, index) keys: equal prefixes end up
+	// adjacent in input order, so the last of each run is the one kept.
+	ks := make([]uint64, len(routes))
+	for i, r := range routes {
+		p := r.Prefix.Canon()
+		ks[i] = (uint64(p.Value)<<6|uint64(p.Len))<<indexBits | uint64(i)
 	}
-	ip.Sort(ps)
-	out := make([]Route, len(ps))
-	for i, p := range ps {
-		out[i] = Route{Prefix: p, NextHop: byPrefix[p]}
+	slices.Sort(ks)
+	uniq := ks[:0]
+	for i, k := range ks {
+		if i+1 == len(ks) || ks[i+1]>>indexBits != k>>indexBits {
+			uniq = append(uniq, k)
+		}
+	}
+	out := make([]Route, len(uniq))
+	for i, k := range uniq {
+		p := ip.Prefix{Value: uint32(k >> (indexBits + 6)), Len: uint8(k >> indexBits & 63)}
+		out[i] = Route{Prefix: p, NextHop: routes[k&(1<<indexBits-1)].NextHop}
 	}
 	return &Table{routes: out}
 }
+
+// indexBits is what New's sort key leaves for a route's input position
+// below its 32 value and 6 length bits.
+const indexBits = 26
 
 // NewSorted is New for routes the caller believes to be canonical, unique
 // and in table order already — a subsequence of another table's Routes —

@@ -548,3 +548,74 @@ func TestNewSorted(t *testing.T) {
 		}
 	}
 }
+
+// mapNew is the map-based New that the one-sort New replaced, kept as its
+// reference.
+func mapNew(routes []Route) *Table {
+	byPrefix := make(map[ip.Prefix]NextHop, len(routes))
+	for _, r := range routes {
+		byPrefix[r.Prefix.Canon()] = r.NextHop
+	}
+	ps := make([]ip.Prefix, 0, len(byPrefix))
+	for p := range byPrefix {
+		ps = append(ps, p)
+	}
+	ip.Sort(ps)
+	out := make([]Route, len(ps))
+	for i, p := range ps {
+		out[i] = Route{Prefix: p, NextHop: byPrefix[p]}
+	}
+	return &Table{routes: out}
+}
+
+// shuffled returns the table's routes in a seeded random order.
+func shuffled(t *Table, seed uint64) []Route {
+	routes := slices.Clone(t.Routes())
+	rng := stats.NewRNG(seed)
+	for i := len(routes) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		routes[i], routes[j] = routes[j], routes[i]
+	}
+	return routes
+}
+
+// TestNewMatchesMapReference holds New to mapNew — the last of equal
+// prefixes wins, non-canonical prefixes are cleared — and requires the
+// routes slice to be exactly as long as the table, so no set-up slack is
+// retained with it.
+func TestNewMatchesMapReference(t *testing.T) {
+	inputs := map[string][]Route{"empty": nil, "RT1": shuffled(RT1(), 1), "RT2": shuffled(RT2(), 2)}
+	rng := stats.NewRNG(3)
+	for k := 0; k < 20; k++ {
+		routes := make([]Route, rng.Intn(2000))
+		for i := range routes {
+			// Few values and lengths: many duplicates, most of them
+			// non-canonical.
+			p := ip.Prefix{Value: 10<<24 | uint32(rng.Intn(64))<<16 | uint32(rng.Intn(4)), Len: uint8(8 + rng.Intn(25))}
+			routes[i] = Route{Prefix: p, NextHop: NextHop(rng.Intn(1000))}
+		}
+		inputs["random/"+strconv.Itoa(k)] = routes
+	}
+	for name, routes := range inputs {
+		in := slices.Clone(routes)
+		got, want := New(routes), mapNew(routes)
+		if !slices.Equal(got.Routes(), want.Routes()) {
+			t.Errorf("%s: New differs from the map reference at route %d (%d routes, want %d)", name, firstDiff(got.Routes(), want.Routes()), got.Len(), want.Len())
+		}
+		if cap(got.Routes()) != got.Len() {
+			t.Errorf("%s: routes slice keeps %d entries of slack", name, cap(got.Routes())-got.Len())
+		}
+		if !slices.Equal(in, routes) {
+			t.Errorf("%s: New modified its input", name)
+		}
+	}
+}
+
+// BenchmarkTableNew prices New on RT2's routes in a shuffled order.
+func BenchmarkTableNew(b *testing.B) {
+	routes := shuffled(RT2(), 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(routes)
+	}
+}
