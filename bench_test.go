@@ -327,12 +327,22 @@ func BenchmarkBuildLulea(b *testing.B) {
 func BenchmarkBuildDPTrie(b *testing.B) { benchBuild(b, dptrie.NewEngine) }
 func BenchmarkBuildLCTrie(b *testing.B) { benchBuild(b, lctrie.NewEngine) }
 
-// BenchmarkPartitionSelect measures the Sec. 3.1 bit-selection algorithm.
+// BenchmarkPartitionSelect measures the Sec. 3.1 bit-selection algorithm
+// and the sizing pass after it — partition.Partition — on the bench table
+// at ψ = 16 and, as router.New and sim.New pay it, on RT2 at ψ = 4 and 16.
 func BenchmarkPartitionSelect(b *testing.B) {
-	tbl := benchTable()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		partition.Partition(tbl, 16)
+	run := func(name string, tbl *rtable.Table, psi int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				partition.Partition(tbl, psi)
+			}
+		})
+	}
+	run("table=Small40000", benchTable(), 16)
+	full := rtable.RT2()
+	for _, psi := range []int{4, 16} {
+		run(fmt.Sprintf("table=RT2/psi=%d", psi), full, psi)
 	}
 }
 

@@ -50,7 +50,8 @@ type Partitioning struct {
 	NumLCs int
 
 	home  *home
-	free  [33]int // per prefix length: the pattern bits such a prefix leaves "*"
+	pt    *patterns // home.pattern as a table, for the passes over routes
+	free  [33]int   // per prefix length: the pattern bits such a prefix leaves "*"
 	full  *rtable.Table
 	sizes []int // routes per LC: Table(lc).Len(), kept without the table
 }
@@ -153,6 +154,7 @@ func SubsetWithBits(t *rtable.Table, numLCs int, alive []int, bits []int) *Parti
 		sizes:  make([]int, numLCs),
 	}
 	p.home = &home{bits: p.Bits, patternToLC: make([]int, 1<<len(bits))}
+	p.pt = newPatterns(p.Bits)
 	for pat := range p.home.patternToLC {
 		p.home.patternToLC[pat] = alive[pat%len(alive)]
 	}
@@ -181,6 +183,28 @@ func (p *Partitioning) place(add func(lc int, r rtable.Route)) {
 	}
 }
 
+// patterns is home.pattern as a table, for the passes that take the
+// pattern of every route: entry [i][x] holds the pattern bits that byte i
+// of an address (the most significant first) sets when its value is x, so
+// an address's pattern is the OR of four loads, not a loop over the bits.
+type patterns [4][256]int
+
+func newPatterns(bits []int) *patterns {
+	pt := new(patterns)
+	for i, pos := range bits {
+		for x := range pt[pos/8] {
+			if x>>(7-pos%8)&1 == 1 {
+				pt[pos/8][x] |= 1 << (len(bits) - 1 - i)
+			}
+		}
+	}
+	return pt
+}
+
+func (pt *patterns) of(a ip.Addr) int {
+	return pt[0][a>>24] | pt[1][a>>16&0xff] | pt[2][a>>8&0xff] | pt[3][a&0xff]
+}
+
 // lcsOf appends to dst, which the caller passes in empty, each LC whose
 // forwarding table holds prefix pr once: the LCs its compatible patterns
 // fold onto. A pattern is compatible when it agrees with pr on every
@@ -188,7 +212,7 @@ func (p *Partitioning) place(add func(lc int, r rtable.Route)) {
 // both values.
 func (p *Partitioning) lcsOf(dst []int, pr ip.Prefix) []int {
 	free := p.free[pr.Len]
-	pat := p.home.pattern(pr.Value) &^ free
+	pat := p.pt.of(pr.Value) &^ free
 	for sub := free; ; sub = (sub - 1) & free {
 		if lc := p.home.patternToLC[pat|sub]; !slices.Contains(dst, lc) {
 			dst = append(dst, lc)
@@ -223,6 +247,7 @@ func (p *Partitioning) ApplyUpdates(batch []rtable.Update) (*Partitioning, [][]r
 		Bits:   p.Bits,
 		NumLCs: p.NumLCs,
 		home:   p.home,
+		pt:     p.pt,
 		free:   p.free,
 		sizes:  slices.Clone(p.sizes),
 	}
@@ -338,17 +363,28 @@ func (s bitScore) less(o bitScore) bool {
 
 // scoreBits scores all 32 bit positions in one pass over each group. A
 // prefix is "*" at every position from its length on, so a histogram of
-// lengths gives Φ* at each position; its set bits below its length add to
-// Φ1; and the 0-side subgroup, Φ0 + Φ*, is the rest: |g| − Φ1.
+// lengths gives Φ* at each position; its bits below its length, counted
+// a byte at a time in four 256-bin histograms, give Φ1 at each position;
+// and the 0-side subgroup, Φ0 + Φ*, is the rest: |g| − Φ1.
 func scoreBits(groups [][]ip.Prefix) [32]bitScore {
 	var total, minSz, maxSz [32]int
 	for gi, g := range groups {
 		var lens [33]int
-		var n1 [32]int
+		var bytes [4][256]int
 		for _, pr := range g {
 			lens[pr.Len]++
-			for v := pr.Value & ip.Mask(pr.Len); v != 0; v &= v - 1 {
-				n1[31-bits.TrailingZeros32(v)]++
+			v := pr.Value & ip.Mask(pr.Len)
+			bytes[0][v>>24]++
+			bytes[1][v>>16&0xff]++
+			bytes[2][v>>8&0xff]++
+			bytes[3][v&0xff]++
+		}
+		var n1 [32]int
+		for b := range bytes {
+			for x, c := range bytes[b] {
+				for m := uint8(x); m != 0; m &= m - 1 {
+					n1[8*b+7-bits.TrailingZeros8(m)] += c
+				}
 			}
 		}
 		nStar := 0
@@ -369,34 +405,45 @@ func scoreBits(groups [][]ip.Prefix) [32]bitScore {
 	return out
 }
 
-// splitGroups applies the chosen bit, doubling the group list. The new
-// group order keeps the pattern numbering convention: earlier-chosen bits
-// are more significant, and within this split bit value 0 precedes 1.
+// splitGroups applies the chosen bit, doubling the group list: each group g
+// becomes g0, its prefixes whose bit pos is 0 or "*", then g1, those whose
+// bit is 1 or "*". Earlier-chosen bits thus stay more significant in the
+// group order and the new bit is the least, as in home.pattern. A first
+// pass counts both sides, so every subgroup is cut at its exact size from
+// one allocation.
 func splitGroups(groups [][]ip.Prefix, pos int) [][]ip.Prefix {
-	out := make([][]ip.Prefix, 0, 2*len(groups))
-	for _, g := range groups {
-		var g0, g1 []ip.Prefix
+	sizes := make([]int, 2*len(groups))
+	total := 0
+	for i, g := range groups {
 		for _, pr := range g {
 			b, known := pr.Bit(pos)
-			switch {
-			case !known:
+			if !known || b == 0 {
+				sizes[2*i]++
+			}
+			if !known || b == 1 {
+				sizes[2*i+1]++
+			}
+		}
+		total += sizes[2*i] + sizes[2*i+1]
+	}
+	backing := make([]ip.Prefix, total)
+	out := make([][]ip.Prefix, 2*len(groups))
+	for i, n := range sizes {
+		out[i], backing = backing[:0:n], backing[n:]
+	}
+	for i, g := range groups {
+		g0, g1 := out[2*i], out[2*i+1]
+		for _, pr := range g {
+			b, known := pr.Bit(pos)
+			if !known || b == 0 {
 				g0 = append(g0, pr)
-				g1 = append(g1, pr)
-			case b == 0:
-				g0 = append(g0, pr)
-			default:
+			}
+			if !known || b == 1 {
 				g1 = append(g1, pr)
 			}
 		}
-		out = append(out, g0, g1)
+		out[2*i], out[2*i+1] = g0, g1
 	}
-	// Reorder: splitGroups appends (g0,g1) per group, which makes the new
-	// bit the LEAST significant pattern bit — matching home.pattern, where
-	// later bits shift less. Pattern p's group is out[...]: for pattern
-	// numbering with earlier bits more significant, group order must be
-	// g(00), g(01), g(10), g(11): out already is [g0_0, g0_1, g1_0, g1_1]
-	// when groups were ordered by earlier bits. That is exactly the
-	// convention, so no reorder is needed.
 	return out
 }
 

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -330,4 +331,46 @@ func TestCeilLog2(t *testing.T) {
 			t.Errorf("ceilLog2(%d) = %d, want %d", n, got, want)
 		}
 	}
+}
+
+// TestPatternsMatchHome: the byte-table pattern the route passes use is
+// home.pattern, the one HomeLC uses, for control bits in every byte and at
+// both ends of one, in selection orders that are not sorted.
+func TestPatternsMatchHome(t *testing.T) {
+	rng := stats.NewRNG(43)
+	for _, bits := range [][]int{nil, {0}, {31}, {7, 8}, {24, 3, 16, 0, 31}, {12, 13, 11, 14}} {
+		h, pt := home{bits: bits}, newPatterns(bits)
+		for i := 0; i < 2000; i++ {
+			a := rng.Uint32()
+			if got, want := pt.of(a), h.pattern(a); got != want {
+				t.Fatalf("bits %v: pattern of %s is %b, home.pattern %b", bits, ip.FormatAddr(a), got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkTables prices deriving every LC's forwarding table from RT2: in
+// one pass (Tables), as router.New builds its engines at ψ = 4 and sim.New
+// at ψ = 16, and one LC at a time (Table, a pass each), as the benchmark
+// harness's ladder builds its ψ = 16 engines.
+func BenchmarkTables(b *testing.B) {
+	full := rtable.RT2()
+	for _, psi := range []int{4, 16} {
+		p := Partition(full, psi)
+		b.Run(fmt.Sprintf("table=RT2/psi=%d", psi), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Tables()
+			}
+		})
+	}
+	p := Partition(full, 16)
+	b.Run("table=RT2/psi=16/each", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for lc := range p.NumLCs {
+				p.Table(lc)
+			}
+		}
+	})
 }

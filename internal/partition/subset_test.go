@@ -135,36 +135,63 @@ func TestSubsetValidation(t *testing.T) {
 // definition — a route belongs to every pattern that agrees with it on each
 // control bit it fixes, a pattern to the LC it folds onto, duplicates
 // resolved by rtable.New — and compares SubsetWithBits with it route for
-// route, on foldings where several of a route's patterns land on one LC
-// (ψ = 3, 5, and a chassis with dead slots) and ones where none do.
+// route, Tables and Table alike, and its kept sizes (Stats) with the
+// definition's counts. On a small
+// table it does so on foldings where several of a route's patterns land on
+// one LC (ψ = 3, 5, and a chassis with dead slots) and ones where none do;
+// on RT2 at the ψ the router and the simulator build.
 func TestSubsetTablesMatchDefinition(t *testing.T) {
-	tbl := rtable.Small(3000, 19)
-	for _, tc := range []struct {
+	type folding struct {
 		numLCs int
 		alive  []int
+	}
+	all := func(n int) folding {
+		f := folding{numLCs: n}
+		for lc := 0; lc < n; lc++ {
+			f.alive = append(f.alive, lc)
+		}
+		return f
+	}
+	for _, tc := range []struct {
+		name     string
+		tbl      *rtable.Table
+		foldings []folding
 	}{
-		{1, []int{0}}, {2, []int{0, 1}}, {3, []int{0, 1, 2}}, {4, []int{0, 1, 2, 3}},
-		{5, []int{0, 1, 2, 3, 4}}, {8, []int{1, 4, 6}}, {16, []int{0, 2, 3, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+		{"Small(3000,19)", rtable.Small(3000, 19), []folding{
+			all(1), all(2), all(3), all(4), all(5), {8, []int{1, 4, 6}},
+			{16, []int{0, 2, 3, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+		}},
+		{"RT2", rtable.RT2(), []folding{all(3), all(4), all(16)}},
 	} {
-		p := Subset(tbl, tc.numLCs, tc.alive)
-		perLC := make([][]rtable.Route, tc.numLCs)
-		for _, r := range tbl.Routes() {
-			for pat := 0; pat < 1<<len(p.Bits); pat++ {
-				agrees := true
-				for i, pos := range p.Bits {
-					if b, known := r.Prefix.Bit(pos); known && int(b) != pat>>(len(p.Bits)-1-i)&1 {
-						agrees = false
+		for _, f := range tc.foldings {
+			p := Subset(tc.tbl, f.numLCs, f.alive)
+			perLC := make([][]rtable.Route, f.numLCs)
+			for _, r := range tc.tbl.Routes() {
+				for pat := 0; pat < 1<<len(p.Bits); pat++ {
+					agrees := true
+					for i, pos := range p.Bits {
+						if b, known := r.Prefix.Bit(pos); known && int(b) != pat>>(len(p.Bits)-1-i)&1 {
+							agrees = false
+						}
+					}
+					if agrees {
+						lc := f.alive[pat%len(f.alive)]
+						perLC[lc] = append(perLC[lc], r)
 					}
 				}
-				if agrees {
-					lc := tc.alive[pat%len(tc.alive)]
-					perLC[lc] = append(perLC[lc], r)
-				}
 			}
-		}
-		for lc, lt := range p.Tables() {
-			if got, want := lt.Routes(), rtable.New(perLC[lc]).Routes(); !slices.Equal(got, want) {
-				t.Errorf("ψ=%d alive=%v: LC %d holds %d routes, the definition gives %d", tc.numLCs, tc.alive, lc, len(got), len(want))
+			sizes := p.Stats().Sizes
+			for lc, lt := range p.Tables() {
+				want := rtable.New(perLC[lc]).Routes()
+				if got := lt.Routes(); !slices.Equal(got, want) {
+					t.Errorf("%s ψ=%d alive=%v: LC %d holds %d routes, the definition gives %d", tc.name, f.numLCs, f.alive, lc, len(got), len(want))
+				}
+				if got := p.Table(lc).Routes(); !slices.Equal(got, want) {
+					t.Errorf("%s ψ=%d alive=%v: Table(%d) holds %d routes, the definition gives %d", tc.name, f.numLCs, f.alive, lc, len(got), len(want))
+				}
+				if sizes[lc] != len(want) {
+					t.Errorf("%s ψ=%d alive=%v: LC %d size %d, the definition gives %d", tc.name, f.numLCs, f.alive, lc, sizes[lc], len(want))
+				}
 			}
 		}
 	}

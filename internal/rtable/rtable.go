@@ -14,7 +14,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,7 +54,7 @@ func New(routes []Route) *Table {
 		p := r.Prefix.Canon()
 		ks[i] = (uint64(p.Value)<<6|uint64(p.Len))<<indexBits | uint64(i)
 	}
-	slices.Sort(ks)
+	ks = sortKeys(ks)
 	uniq := ks[:0]
 	for i, k := range ks {
 		if i+1 == len(ks) || ks[i+1]>>indexBits != k>>indexBits {
@@ -73,6 +72,30 @@ func New(routes []Route) *Table {
 // indexBits is what New's sort key leaves for a route's input position
 // below its 32 value and 6 length bits.
 const indexBits = 26
+
+// sortKeys returns New's keys sorted. Their index bits already ascend in
+// input order, so a stable LSD radix sort of the 38 bits above them, a
+// byte a pass, gives the order a full comparison sort would.
+func sortKeys(ks []uint64) []uint64 {
+	tmp := make([]uint64, len(ks))
+	for shift := indexBits; shift < 64; shift += 8 {
+		var start [256]int
+		for _, k := range ks {
+			start[k>>shift&0xff]++
+		}
+		sum := 0
+		for d, c := range start {
+			start[d], sum = sum, sum+c
+		}
+		for _, k := range ks {
+			d := k >> shift & 0xff
+			tmp[start[d]] = k
+			start[d]++
+		}
+		ks, tmp = tmp, ks
+	}
+	return ks
+}
 
 // NewSorted is New for routes the caller believes to be canonical, unique
 // and in table order already — a subsequence of another table's Routes —

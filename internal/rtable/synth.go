@@ -2,6 +2,7 @@ package rtable
 
 import (
 	"fmt"
+	"math/bits"
 
 	"spal/internal/ip"
 	"spal/internal/stats"
@@ -98,7 +99,7 @@ func Synthesize(cfg SynthConfig) *Table {
 		panic(fmt.Sprintf("rtable: table of %d prefixes exceeds generator capacity", cfg.N))
 	}
 
-	seen := make(map[ip.Prefix]bool, cfg.N)
+	seen := newPrefixSet(cfg.N)
 	// parents holds generated prefixes shorter than the one being generated,
 	// bucketed by length, so nesting can pick a random covering prefix.
 	var parents [33][]ip.Prefix
@@ -126,8 +127,7 @@ func Synthesize(cfg SynthConfig) *Table {
 	routes := make([]Route, 0, cfg.N)
 	for length := 1; length <= 32; length++ {
 		for k := 0; k < quota[length]; k++ {
-			p := genPrefix(rng, uint8(length), &parents, cfg.NestProb, seen, blocks)
-			seen[p] = true
+			p := genPrefix(rng, uint8(length), &parents, cfg.NestProb, &seen, blocks)
 			parents[length] = append(parents[length], p)
 			nh := NextHop(rng.Intn(cfg.NextHops))
 			if rng.Bool(cfg.NextHopLocality) {
@@ -156,9 +156,10 @@ func regionNextHop(v uint32, seed uint64, n int) NextHop {
 // genCapacity conservatively bounds how many distinct prefixes of a given
 // length the random path can produce: 2^len values, scaled by 3/4 for the
 // excluded class-D/E and zero-leading-octet space plus collision headroom.
+// Beyond /24 the bound is never reached: those quotas are a few per mille.
 func genCapacity(length uint8) int {
-	if length >= 16 {
-		return 1 << 30 // effectively unbounded for realistic table sizes
+	if length > 24 {
+		return 1 << 30
 	}
 	c := (1 << length) * 3 / 4
 	if c < 1 {
@@ -167,8 +168,9 @@ func genCapacity(length uint8) int {
 	return c
 }
 
-// genPrefix draws one new unique prefix of the given length.
-func genPrefix(rng *stats.RNG, length uint8, parents *[33][]ip.Prefix, nestProb float64, seen map[ip.Prefix]bool, blocks []uint32) ip.Prefix {
+// genPrefix draws one new unique prefix of the given length and adds it to
+// seen.
+func genPrefix(rng *stats.RNG, length uint8, parents *[33][]ip.Prefix, nestProb float64, seen *prefixSet, blocks []uint32) ip.Prefix {
 	for attempt := 0; ; attempt++ {
 		if attempt > 1<<22 {
 			panic(fmt.Sprintf("rtable: cannot find a fresh /%d prefix (capacity exhausted)", length))
@@ -197,10 +199,52 @@ func genPrefix(rng *stats.RNG, length uint8, parents *[33][]ip.Prefix, nestProb 
 			}
 		}
 		p := ip.Prefix{Value: v, Len: length}.Canon()
-		if !seen[p] {
+		if seen.insert(p) {
 			return p
 		}
 	}
+}
+
+// prefixSet is the set of prefixes a Synthesize call has drawn: open
+// addressing with linear probing over packed 1<<63 | value<<8 | length keys
+// (0 marks a free slot), sized once to a power of two of at least twice the
+// table, so it is never more than half full and never grows.
+type prefixSet struct {
+	slots []uint64
+	shift uint // 64 − log2(len(slots)): a key's home slot is its hash's top bits
+}
+
+func newPrefixSet(n int) prefixSet {
+	lg := bits.Len(uint(2*n - 1))
+	return prefixSet{slots: make([]uint64, 1<<lg), shift: uint(64 - lg)}
+}
+
+// find returns the slot holding key k, or the free slot where it would go.
+func (s *prefixSet) find(k uint64) int {
+	mask := len(s.slots) - 1
+	i := s.home(k)
+	for s.slots[i] != k && s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// home is k's first probe: the top bits of a Fibonacci hash, so keys that
+// differ only in their low bits spread over the table.
+func (s *prefixSet) home(k uint64) int { return int(k * 0x9e3779b97f4a7c15 >> s.shift) }
+
+func prefixKey(p ip.Prefix) uint64 { return 1<<63 | uint64(p.Value)<<8 | uint64(p.Len) }
+
+// insert adds p unless the set holds it already, and reports whether it
+// did. The set holds at most the n it was made for.
+func (s *prefixSet) insert(p ip.Prefix) bool {
+	k := prefixKey(p)
+	i := s.find(k)
+	if s.slots[i] != 0 {
+		return false
+	}
+	s.slots[i] = k
+	return true
 }
 
 // pickParent selects a random already-generated prefix strictly shorter
