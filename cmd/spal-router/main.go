@@ -46,6 +46,7 @@ import (
 
 	"spal"
 	"spal/internal/cache"
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/metrics"
 	"spal/internal/router"
@@ -94,15 +95,6 @@ func main() {
 	if *noCache {
 		opts = append(opts, router.WithoutCache())
 	}
-	if *faultRate > 0 && *slowLC >= 0 {
-		fmt.Fprintln(os.Stderr, "-fault-rate and -slow-lc both install a fault injector; pick one")
-		os.Exit(2)
-	}
-	if *faultRate > 0 {
-		opts = append(opts, router.WithFaultInjector(router.SeededFaults(router.FaultConfig{
-			Seed: *faultSeed, DropRate: *faultRate,
-		})))
-	}
 	if *slowLC >= 0 {
 		if *slowLC >= *psi {
 			fmt.Fprintf(os.Stderr, "-slow-lc %d outside [0,%d)\n", *slowLC, *psi)
@@ -112,9 +104,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-slow-factor must be > 1")
 			os.Exit(2)
 		}
-		lf := router.NewLinkFaults(*faultSeed)
-		lf.SlowLC(*slowLC, *slowFactor)
-		opts = append(opts, router.WithFaultInjector(lf.Injector()), router.WithGray())
+	}
+	if *faultRate > 0 || *slowLC >= 0 {
+		// One fault model: the drop rate on every link, the brownout on top.
+		faults := fabric.NewFaults(*faultSeed, fabric.LinkConfig{DropRate: *faultRate})
+		if *slowLC >= 0 {
+			faults.SlowLC(*slowLC, *slowFactor)
+			opts = append(opts, router.WithGray())
+		}
+		opts = append(opts, router.WithFaultInjector(faults.Decide))
 	}
 	if *timeout != 0 {
 		opts = append(opts, router.WithRequestTimeout(*timeout))

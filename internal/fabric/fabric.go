@@ -3,7 +3,9 @@
 // depends on its size — a few nanoseconds for recent crossbars, a
 // multistage structure for larger ψ — and that is what this package
 // provides: a latency model per fabric kind plus an in-order delay pipe
-// that carries request/reply messages between LCs.
+// that carries request/reply messages between LCs. The concurrent router,
+// whose fabric is not lossless, draws each message's fate from the fault
+// model in faults.go.
 //
 // Injection bandwidth (one message per cycle per port) is enforced by the
 // line card's outgoing queue in the simulator, not here; the pipe itself
@@ -93,7 +95,7 @@ func (k MsgKind) String() string {
 	}
 }
 
-// Message is one unit crossing the fabric.
+// Message is one unit crossing the fabric, and what an Injector decides on.
 type Message struct {
 	Kind     MsgKind
 	Src, Dst int

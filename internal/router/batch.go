@@ -13,10 +13,11 @@
 // run's one engine sweep if homed here, or reserves its W block and is held,
 // unparked, for its remote home. Each home is then asked once: an idle one by
 // call (batchDirect, serveRows answering on the caller's stack: no waitlist,
-// pending entry or payload), any other by one request for the rows, which
-// park first (parkRow: deadline, retry, fallback, re-home). One row rides in
-// the message's own fields, more in a payload (fabricRow), so warm, a single
-// miss allocates nothing, nor does a batch whose homes are idle.
+// pending entry or payload) while the fault decisions its request and reply
+// draw are clean, any other by one request for the rows, which park first
+// (parkRow: deadline, retry, fallback, re-home). One row rides in the
+// message's own fields, more in a payload (fabricRow), so warm, a single miss
+// allocates nothing, nor does a batch whose homes are idle.
 package router
 
 import (
@@ -27,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"spal/internal/cache"
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/rtable"
@@ -139,12 +141,13 @@ type fabricRow struct {
 
 // heldRow is a remote miss a batch holds for a direct exchange with its home:
 // the slot it answers, its trace, how many later rows of the batch share its
-// address (heldDup), and whether an exchange has answered it.
+// address (heldDup), and whether the exchange is done with it (answered it, or
+// parked it for the reply it posted).
 type heldRow struct {
-	tr       *tracing.LookupTrace
-	slot     int32
-	dups     int32
-	answered bool
+	tr   *tracing.LookupTrace
+	slot int32
+	dups int32
+	done bool
 }
 
 // heldDup is a later row of a batch whose address row row of home's held rows
@@ -180,10 +183,13 @@ type lcScratch struct {
 
 // homeRows is what a run has for one home LC: the rows held for a direct
 // exchange (ask, and held: who waits on each) and the fabric request
-// accumulated for the message path (req, copied into its payload at send).
+// accumulated for the message path (req, copied into its payload at send; its
+// fault decision, if the exchange drew it).
 type homeRows struct {
 	ask, req []fabricRow
 	held     []heldRow
+	fault    fabric.Decision
+	drawn    bool
 }
 
 func newLCScratch(numLCs int) *lcScratch {
@@ -223,12 +229,13 @@ func (r *Router) exchange(lc *lineCard, bd *batchDesc, now int64) (direct int) {
 				m.fb = slices.Clone(hr.req) // the payload: see fabricRow
 			}
 			lc.stats.RequestsSent.Add(1)
-			lc.post(home, m)
+			s := lc.post(home, m)
+			s.fault, s.drawn = hr.fault, hr.drawn
 		}
 		if r.tracer != nil {
 			clear(hr.held)
 		}
-		hr.ask, hr.held, hr.req = hr.ask[:0], hr.held[:0], hr.req[:0]
+		hr.ask, hr.held, hr.req, hr.drawn = hr.ask[:0], hr.held[:0], hr.req[:0], false
 	}
 	sc.homes = sc.homes[:0]
 	if len(sc.dups) > 0 {
@@ -369,13 +376,12 @@ func (r *Router) missRow(lc *lineCard, w localWaiter, addr ip.Addr, kind cache.P
 		}
 	}
 	// Nothing a direct exchange cannot get past may stand between lc and home:
-	// an injector (it must see every exchange as a message), an ejected home, a
-	// breaker not closed (routeFor's calls). All of it holds for as long as lc's
-	// owner does, short of a concurrent ejection.
-	if r.injector == nil && !r.ejected(home) && (!r.overload || lc.ov.breakers[home].state.Load() == breakerClosed) {
+	// an ejected home, a breaker not closed (routeFor's calls). Both hold for
+	// as long as lc's owner does, short of a concurrent ejection.
+	if !r.ejected(home) && (!r.overload || lc.ov.breakers[home].state.Load() == breakerClosed) {
 		return home
 	}
-	r.parkRow(lc, w, addr, home, now)
+	r.parkRow(lc, w, addr, home, now, false)
 	return -1
 }
 
@@ -413,41 +419,56 @@ func (r *Router) settle(lc *lineCard, bd *batchDesc, now int64) int {
 // parkRow sends a remote miss down the message path: it parks a waitlist
 // and lets routeFor decide and arm it, so the shared robustness machinery
 // (checkDeadlines, re-homing, breakers, ejection) treats every miss alike —
-// only the fabric send is deferred, into the run's request to home.
-func (r *Router) parkRow(lc *lineCard, w localWaiter, addr ip.Addr, home int, now int64) {
+// only the fabric send is deferred, into the run's request to home — unless
+// sent, the row's request having gone (batchDirect).
+func (r *Router) parkRow(lc *lineCard, w localWaiter, addr ip.Addr, home int, now int64, sent bool) {
 	wl := r.park(lc, addr)
 	wl.tr = w.tr
 	lc.addLocal(wl, w)
-	if r.routeFor(lc, addr, home, wl, now) {
+	if r.routeFor(lc, addr, home, wl, now) && !sent {
 		lc.scratch.request(home, addr)
 	}
 }
 
 // batchDirect is the direct exchange for the rows lc holds for home: when home
 // is idle (enter), not behind lc and has no tick due (a tick posts retries),
-// lc's owner becomes its owner too and it answers every row it can
-// (serveRows) on the caller's stack — one exchange, counted as the request and
-// reply it stands for — and the arrival fills REM in the reply's row order and
-// answers each row and its duplicates as handleBatchReply and joinLocal would
-// have. A goroutine holding both LCs' locks sends nothing and parks nobody, so
-// the rows it did not answer, or all of them, then take the message path
-// (parkRow), their duplicates joining their waitlists. It reports the slots it
-// answered.
+// lc's owner becomes its owner too and asks it by call (serveRows, on the
+// caller's stack) — one exchange, counted and fault-decided as the request
+// and reply it stands for. Both clean, the arrival fills REM in the reply's
+// row order and answers each row and its duplicates as handleBatchReply and
+// joinLocal would have. A goroutine holding both LCs' locks sends nothing and
+// parks nobody, so the rest then takes the message path (parkRow), duplicates
+// joining their rows' waitlists: a reply not clean is posted under its
+// decision, the rows it answers parked as if their request had gone; the rows
+// home did not answer — all, under the request's decision if drawn — go on a
+// request. It reports the slots it answered.
 func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, ask []fabricRow, held []heldRow, now int64) (answered int) {
 	sc := lc.scratch
 	ans, feNS := sc.answers[:0], int64(0)
+	var fault fabric.Decision // the request's until home has answered a row, then the reply's
+	drawn, posted := false, false
 	if h := r.enter(home); h != nil {
 		h.depth = lc.depth + 1 // for what leave may find queued at h meanwhile: this run nests on lc's
 		if h.gen >= lc.gen && now-h.lastTick.Load() < int64(r.tickEvery) {
-			if ans, feNS = r.serveRows(h, ask, nil, 0, ans); len(ans) > 0 {
-				h.stats.RepliesSent.Add(1)
-				h.handledDirect.Add(1)
+			if fault, drawn = r.fault(false, lc.id, home, ask[0].addr), true; fault == (fabric.Decision{}) {
+				if ans, feNS = r.serveRows(h, ask, nil, 0, ans); len(ans) > 0 {
+					lc.stats.RequestsSent.Add(1)
+					h.stats.RepliesSent.Add(1)
+					if fault = r.fault(true, home, lc.id, ask[ans[0].row].addr); fault == (fabric.Decision{}) {
+						h.handledDirect.Add(1)
+					} else { // the request ran on the sender's goroutine; its reply is a message
+						h.handledInline.Add(1)
+						m := replyOf(ask, ans, feNS)
+						m.kind, m.from, m.epoch, m.start, m.gen = mBatchReply, home, lc.epoch, now, h.gen
+						s := lc.post(lc.id, m)
+						s.fault, s.drawn, posted = fault, true, true
+					}
+				}
 			}
 		}
 		r.leave(h, 0)
 	}
-	if len(ans) > 0 {
-		lc.stats.RequestsSent.Add(1)
+	if len(ans) > 0 && !posted {
 		r.replyArrived(lc, home, now)
 	}
 	if len(ans) != 1 {
@@ -455,7 +476,11 @@ func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, ask []fabric
 	}
 	for _, a := range ans {
 		w := &held[a.row]
-		w.answered = true
+		w.done = true
+		if posted {
+			r.parkRow(lc, localWaiter{bd: bd, slot: w.slot, tr: w.tr}, ask[a.row].addr, home, now, true)
+			continue
+		}
 		v := Verdict{Addr: ask[a.row].addr, NextHop: a.nh, OK: a.ok, ServedBy: ServedByRemote}
 		lc.fill(v.Addr, v.NextHop, cache.REM)
 		r.finish(lc, ServedByRemote, bd.start, traceID(w.tr))
@@ -471,21 +496,24 @@ func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, ask []fabric
 		}
 	}
 	sc.answers = ans[:0]
-	if len(ans) == len(ask) {
+	if len(ans) == len(ask) && !posted {
 		return answered
 	}
 	for k, row := range ask {
-		if !held[k].answered {
-			r.parkRow(lc, localWaiter{bd: bd, slot: held[k].slot, tr: held[k].tr}, row.addr, home, now)
+		if !held[k].done {
+			r.parkRow(lc, localWaiter{bd: bd, slot: held[k].slot, tr: held[k].tr}, row.addr, home, now, false)
 		}
 	}
+	if hr := &sc.home[home]; drawn && len(ans) == 0 && len(hr.req) > 0 {
+		hr.fault, hr.drawn = fault, true
+	}
 	for _, d := range sc.dups {
-		if int(d.home) == home && !held[d.row].answered {
+		if int(d.home) == home && (posted || !held[d.row].done) {
 			addr, w := ask[d.row].addr, localWaiter{bd: bd, slot: d.slot, tr: d.tr}
 			if wl := lc.pending.get(addr); wl != nil {
 				r.joinLocal(lc, wl, addr, w)
 			} else { // its row was answered at dispatch: the home was ejected meanwhile
-				r.parkRow(lc, w, addr, home, now)
+				r.parkRow(lc, w, addr, home, now, false)
 			}
 		}
 	}
@@ -635,21 +663,25 @@ func (r *Router) handleBatchRequest(lc *lineCard, m message) {
 	rw := remoteWaiter{from: m.from, epoch: m.epoch, hops: m.hops, gen: lc.gen}
 	ans, feNS := r.serveRows(lc, rows, &rw, m.start, sc.answers[:0])
 	if len(ans) > 0 {
-		var reply message
-		if len(ans) == 1 {
-			reply = message{addr: rows[ans[0].row].addr, nextHop: ans[0].nh, ok: ans[0].ok, feNS: feNS}
-		} else {
-			rb := make([]fabricRow, len(ans)) // the payload: one exact-size allocation
-			for k, a := range ans {
-				rb[k] = fabricRow{rows[a.row].addr, a.nh, a.ok}
-			}
-			reply = message{addr: rb[0].addr, fb: rb}
-		}
+		reply := replyOf(rows, ans, feNS)
 		reply.kind, reply.from, reply.epoch, reply.hops, reply.start, reply.gen = mBatchReply, lc.id, m.epoch, m.hops, m.start, lc.gen
 		lc.stats.RepliesSent.Add(1)
 		lc.post(m.from, reply)
 	}
 	sc.answers = ans[:0]
+}
+
+// replyOf is the reply's body for answers ans to rows: the one row in its own
+// fields, with home's FE time feNS, or a payload. The header is the caller's.
+func replyOf(rows []fabricRow, ans []rowAnswer, feNS int64) message {
+	if len(ans) == 1 {
+		return message{addr: rows[ans[0].row].addr, nextHop: ans[0].nh, ok: ans[0].ok, feNS: feNS}
+	}
+	rb := make([]fabricRow, len(ans)) // the payload: one exact-size allocation
+	for k, a := range ans {
+		rb[k] = fabricRow{rows[a.row].addr, a.nh, a.ok}
+	}
+	return message{addr: rb[0].addr, fb: rb}
 }
 
 // handleBatchReply scatters a reply back into the requester's waitlists. The

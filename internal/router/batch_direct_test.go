@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"spal/internal/cache"
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/metrics"
@@ -25,25 +26,32 @@ import (
 	"spal/internal/tracing"
 )
 
-// passThrough is the injector that changes nothing and thereby forces the
-// message path: an injector must see every exchange as a message, so a
-// router that has one never serves a request direct.
-func passThrough(FabricMessage) FaultDecision { return FaultDecision{} }
+// delayRequests is the injector that forces the message path and changes
+// nothing else: a request delayed by a nanosecond is not clean, so no
+// exchange goes direct, and a run's requests, which leave together on one
+// helper, reach their homes in the order a clean fabric delivers them.
+func delayRequests(m fabric.Message) fabric.Decision {
+	if m.Kind == fabric.Request {
+		return fabric.Decision{Delay: time.Nanosecond}
+	}
+	return fabric.Decision{}
+}
 
-// TestBatchDirectMatchesFabric is the differential oracle of the direct
-// exchange: two routers that differ only in a pass-through injector, one
+// exchangeStream is the stream the direct exchange is checked on: one
 // goroutine, a Zipf stream (trains, so a batch repeats its misses) and a cold
 // uniform one, through LookupBatchInto at batch 64 at every LC in turn,
 // interleaved with runs of single Lookups — a single miss is a batch of one
-// row. The verdicts, every LCStats and LR-cache counter, occupancy, the event
-// kinds of every traced lookup and the latency histograms' counts are equal,
-// exactly; what differs is that one router's exchanges with remote homes were
-// calls, and the other's a request and a reply each, with a payload each
-// when they carry more than one row.
-func TestBatchDirectMatchesFabric(t *testing.T) {
+// row.
+type exchangeStream struct {
+	tbl    *rtable.Table
+	stream []ip.Addr
+}
+
+const streamLCs, streamBatch, streamChunks = 4, 64, 1200
+
+func newExchangeStream() exchangeStream {
 	tbl := rtable.Small(2000, 7)
-	oracle := lpm.NewReference(tbl)
-	const lcs, batch, chunks = 4, 64, 1200
+	const batch, chunks = streamBatch, streamChunks
 	tc := trace.Config{PoolSize: 24000, ZipfS: 1.10, MeanTrain: 4, Seed: 0x75}
 	src := trace.NewSynthetic(trace.NewPool(tbl, tc), tc, 0)
 	rng := stats.NewRNG(0x76)
@@ -60,55 +68,83 @@ func TestBatchDirectMatchesFabric(t *testing.T) {
 			}
 		}
 	}
-	// Every third chunk is a run of single lookups, one LC after another.
-	singles := func(c int) bool { return c%3 == 1 }
+	return exchangeStream{tbl: tbl, stream: stream}
+}
 
-	type outcome struct {
-		r        *Router
-		verdicts []Verdict
-		mallocs  [2]uint64 // batches', singles'
-		direct   [2]int64
-		snap     *metrics.Snapshot
-		traces   map[uint64][]tracing.EventKind
+// singles: every third chunk is a run of single lookups, one LC after another.
+func (exchangeStream) singles(c int) bool { return c%3 == 1 }
+
+// streamOutcome is what a router made of the stream.
+type streamOutcome struct {
+	r        *Router
+	verdicts []Verdict
+	mallocs  [2]uint64 // batches', singles'
+	direct   [2]int64
+	flushes  [2]int64 // runs that sent a fabric request: a batch's one, a single lookup's each
+	snap     *metrics.Snapshot
+	traces   map[uint64][]tracing.EventKind
+}
+
+// drive runs the stream through a router built with opts.
+func (xs exchangeStream) drive(t *testing.T, opts ...Option) streamOutcome {
+	const lcs, batch, chunks = streamLCs, streamBatch, streamChunks
+	stream := xs.stream
+	r, err := New(xs.tbl, append([]Option{WithLCs(lcs), WithDefaultCache(), WithEngineName("lulea"),
+		WithRequestTimeout(time.Minute), WithTraceSampling(0.125), WithTraceJournal(len(stream))}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	drive := func(opts ...Option) outcome {
-		r, err := New(tbl, append([]Option{WithLCs(lcs), WithDefaultCache(), WithEngineName("lulea"),
-			WithRequestTimeout(time.Minute), WithTraceSampling(0.125), WithTraceJournal(len(stream))}, opts...)...)
-		if err != nil {
+	t.Cleanup(r.Stop)
+	o := streamOutcome{r: r, verdicts: make([]Verdict, len(stream)), traces: map[uint64][]tracing.EventKind{}}
+	var before, after runtime.MemStats
+	for c := 0; c < chunks; c++ {
+		at, kind := c*batch, 0
+		d0, q0 := handledDirect(r), requestsSent(r)
+		runtime.ReadMemStats(&before)
+		if xs.singles(c) {
+			kind = 1
+			for i := at; i < at+batch; i++ {
+				if o.verdicts[i], err = r.Lookup(i%lcs, stream[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if err := r.LookupBatchInto(context.Background(), c%lcs, stream[at:at+batch], o.verdicts[at:at+batch]); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(r.Stop)
-		o := outcome{r: r, verdicts: make([]Verdict, len(stream)), traces: map[uint64][]tracing.EventKind{}}
-		var before, after runtime.MemStats
-		for c := 0; c < chunks; c++ {
-			at, kind := c*batch, 0
-			d0 := handledDirect(r)
-			runtime.ReadMemStats(&before)
-			if singles(c) {
-				kind = 1
-				for i := at; i < at+batch; i++ {
-					if o.verdicts[i], err = r.Lookup(i%lcs, stream[i]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			} else if err := r.LookupBatchInto(context.Background(), c%lcs, stream[at:at+batch], o.verdicts[at:at+batch]); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			o.mallocs[kind] += after.Mallocs - before.Mallocs
-			o.direct[kind] += handledDirect(r) - d0
+		runtime.ReadMemStats(&after)
+		o.mallocs[kind] += after.Mallocs - before.Mallocs
+		o.direct[kind] += handledDirect(r) - d0
+		if q := requestsSent(r) - q0; kind == 1 {
+			o.flushes[kind] += q
+		} else if q > 0 {
+			o.flushes[kind]++
 		}
-		o.snap = r.Metrics()
-		for _, tr := range r.Traces() {
-			var kinds []tracing.EventKind
-			for _, ev := range tr.EventSlice() {
-				kinds = append(kinds, ev.Kind)
-			}
-			o.traces[tr.ID] = kinds
-		}
-		return o
 	}
-	direct, fabric := drive(), drive(WithFaultInjector(passThrough))
+	o.snap = r.Metrics()
+	for _, tr := range r.Traces() {
+		var kinds []tracing.EventKind
+		for _, ev := range tr.EventSlice() {
+			kinds = append(kinds, ev.Kind)
+		}
+		o.traces[tr.ID] = kinds
+	}
+	return o
+}
+
+// TestBatchDirectMatchesFabric is the differential oracle of the direct
+// exchange: two routers that differ only in an injector delaying every
+// request by a nanosecond, which sends every exchange down the message path,
+// drive exchangeStream. The verdicts, every LCStats and LR-cache counter,
+// occupancy, the event kinds of every traced lookup and the latency
+// histograms' counts are equal, exactly; what differs is that one router's
+// exchanges with remote homes were calls, and the other's a request and a
+// reply each, with a payload each when they carry more than one row.
+func TestBatchDirectMatchesFabric(t *testing.T) {
+	xs := newExchangeStream()
+	tbl, stream, singles := xs.tbl, xs.stream, xs.singles
+	oracle := lpm.NewReference(tbl)
+	const lcs, batch = streamLCs, streamBatch
+	direct, fabric := xs.drive(t), xs.drive(t, WithFaultInjector(delayRequests))
 
 	var remote [2]int64
 	for i, v := range direct.verdicts {
@@ -193,7 +229,11 @@ func TestBatchDirectMatchesFabric(t *testing.T) {
 		// becomes messages makes a request and a reply payload on top when it
 		// carries more than one row — nothing for one row, as every single
 		// lookup's does — and the message path the waitlists it parks on, once
-		// (they are recycled).
+		// (they are recycled). What delaying a run's requests allocates for
+		// itself (their helper) is the injector's, not the path's: it is taken off.
+		delay := delayedSendAllocs(t)
+		fabric.mallocs[0] -= uint64(delay * float64(fabric.flushes[0]))
+		fabric.mallocs[1] -= uint64(delay * float64(fabric.flushes[1]))
 		perBatch := float64(int64(fabric.mallocs[0])-int64(direct.mallocs[0])) / float64(direct.direct[0])
 		if perBatch < 1.5 || perBatch > 2.25 {
 			t.Errorf("batches: the message path allocated %.3f objects more per exchange (%d vs %d over %d), want 2 for most and their waitlists",
@@ -211,6 +251,87 @@ func TestBatchDirectMatchesFabric(t *testing.T) {
 	}
 	t.Logf("%d slots, %v served remote (batch, single): %v direct exchanges; %d coalesced; %v evictions; mallocs %v direct, %v fabric; %d traces, %d received, %d with FE time",
 		len(stream), remote, direct.direct, coalesced, evictions, direct.mallocs, fabric.mallocs, len(direct.traces), received, feExecs)
+}
+
+// requestsSent sums the fabric requests r's line cards have counted.
+func requestsSent(r *Router) (n int64) {
+	for _, st := range r.stats {
+		n += st.RequestsSent.Load()
+	}
+	return n
+}
+
+// delayedSendAllocs is what delaying the messages of one flush allocates for
+// itself, flushed and delivered one at a time: a reply nobody waits for,
+// which its handling allocates nothing for.
+func delayedSendAllocs(t *testing.T) float64 {
+	r, err := New(rtable.Small(100, 7), WithLCs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		r.sendFabric([]fabricSend{{to: 1, m: message{kind: mBatchReply}, fault: fabric.Decision{Delay: time.Nanosecond}, drawn: true}})
+		r.delayWG.Wait()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / n
+}
+
+// linkFault is an injector that applies d to the messages of one kind from
+// LC from to LC to while on, counting them, and leaves the rest clean.
+type linkFault struct {
+	kind     fabric.MsgKind
+	from, to int
+	d        fabric.Decision
+	on       atomic.Bool
+	applied  atomic.Int64
+}
+
+func (f *linkFault) decide(m fabric.Message) fabric.Decision {
+	if m.Kind != f.kind || m.Src != f.from || m.Dst != f.to || !f.on.Load() {
+		return fabric.Decision{}
+	}
+	f.applied.Add(1)
+	return f.d
+}
+
+// TestInjectorSeesEveryExchange: an injector is offered every exchange, a
+// direct one as the request and the reply it stands for, and one that finds
+// them all clean changes nothing. On exchangeStream its calls number the
+// requests and replies the line cards count, every LC answers as many
+// exchanges direct as without it, and every verdict is the same.
+func TestInjectorSeesEveryExchange(t *testing.T) {
+	xs := newExchangeStream()
+	var calls atomic.Int64
+	counting := func(fabric.Message) fabric.Decision {
+		calls.Add(1)
+		return fabric.Decision{}
+	}
+	plain, seen := xs.drive(t), xs.drive(t, WithFaultInjector(counting))
+	var sent int64
+	for _, st := range seen.r.Stats() {
+		sent += st.RequestsSent.Load() + st.RepliesSent.Load()
+	}
+	if c := calls.Load(); c != sent || c == 0 {
+		t.Errorf("the injector was called %d times for %d requests and replies sent", c, sent)
+	}
+	for i := 0; i < streamLCs; i++ {
+		lbl, path := metrics.L("lc", strconv.Itoa(i)), metrics.L("path", "direct")
+		p, _ := plain.snap.Value(MetricHandled, lbl, path)
+		s, ok := seen.snap.Value(MetricHandled, lbl, path)
+		if !ok || p != s || p == 0 {
+			t.Errorf("%s{lc=%d,path=\"direct\"}: %v with the injector, %v without", MetricHandled, i, s, p)
+		}
+	}
+	for i, v := range seen.verdicts {
+		if v != plain.verdicts[i] {
+			t.Fatalf("slot %d: %+v with the injector, %+v without", i, v, plain.verdicts[i])
+		}
+	}
 }
 
 // TestBatchDirectPreconditions: every condition of the direct exchange,
@@ -238,11 +359,32 @@ func testDirectPreconditions(t *testing.T, single bool) {
 		// lift removes the obstacle; nil if the message path removed it. until,
 		// when set, says when: the lookups cannot end while the obstacle stands.
 		// redriven: a row is put through the handlers again once the obstacle
-		// has gone, and may find the home idle that time.
+		// has gone, and may find the home idle that time. applied, when set,
+		// counts the messages a fault decision was applied to: exactly one.
 		lift     func()
 		until    func() bool
 		redriven bool
+		applied  *atomic.Int64
 	}
+	// A fault on the link between the arrival and the home stands until it
+	// is lifted; a lost message's rows wait for their deadline, which lifting
+	// brings forward.
+	fault := func(r *Router, f *linkFault, lost bool) obstacle {
+		f.on.Store(true)
+		return obstacle{
+			lift: func() {
+				f.on.Store(false)
+				if lost {
+					r.own(arrival, func(lc *lineCard) { r.checkDeadlines(lc, r.now()+int64(time.Hour)) })
+				}
+			},
+			until:   func() bool { return f.applied.Load() > 0 },
+			applied: &f.applied,
+		}
+	}
+	reqDropped := &linkFault{kind: fabric.Request, from: arrival, to: home, d: fabric.Decision{Drop: true}}
+	reqDelayed := &linkFault{kind: fabric.Request, from: arrival, to: home, d: fabric.Decision{Delay: 100 * time.Millisecond}}
+	repDropped := &linkFault{kind: fabric.Reply, from: home, to: arrival, d: fabric.Decision{Drop: true}}
 	for _, tc := range []struct {
 		name     string
 		opts     []Option
@@ -252,10 +394,13 @@ func testDirectPreconditions(t *testing.T, single bool) {
 		every    bool        // it stands between the arrival and every home
 		block    func(r *Router, a ip.Addr) obstacle
 	}{
-		{"injector installed", []Option{WithFaultInjector(passThrough)}, [2]ServedBy{ServedByRemote, ServedByRemote}, true, false, true,
-			func(r *Router, _ ip.Addr) obstacle {
-				return obstacle{lift: func() { r.injector = nil }}
-			}},
+		{"request dropped", []Option{WithFaultInjector(reqDropped.decide)}, [2]ServedBy{ServedByRemote, ServedByRemote}, true, false, false,
+			func(r *Router, _ ip.Addr) obstacle { return fault(r, reqDropped, true) }},
+		{"request delayed", []Option{WithFaultInjector(reqDelayed.decide)}, [2]ServedBy{ServedByRemote, ServedByRemote}, true, false, false,
+			func(r *Router, _ ip.Addr) obstacle { return fault(r, reqDelayed, false) }},
+		// The home answers by call; its reply is the message lost.
+		{"reply dropped", []Option{WithFaultInjector(repDropped.decide)}, [2]ServedBy{ServedByRemote, ServedByRemote}, true, false, false,
+			func(r *Router, _ ip.Addr) obstacle { return fault(r, repDropped, true) }},
 		{"breaker open", []Option{WithOverload(0, ShedDropNewest)}, [2]ServedBy{ServedByFallback, ServedByFallback}, false, false, false,
 			func(r *Router, _ ip.Addr) obstacle {
 				b := &r.lcs[arrival].ov.breakers[home]
@@ -398,6 +543,9 @@ func testDirectPreconditions(t *testing.T, single bool) {
 			}
 			if d := f1 - f0; d != wantF {
 				t.Errorf("%d direct exchanges with the free home, want %d", d, wantF)
+			}
+			if ob.applied != nil && ob.applied.Load() != 1 {
+				t.Errorf("the fault decision was applied to %d messages, want 1", ob.applied.Load())
 			}
 			for i := range r.lcs {
 				r.own(i, func(lc *lineCard) {

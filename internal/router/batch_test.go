@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/rtable"
@@ -81,10 +82,10 @@ func TestChaosBatchEquivalence(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(),
-				WithFaultInjector(SeededFaults(FaultConfig{
-					Seed: seed, DropRate: 0.05, DupRate: 0.10,
-					DelayRate: 0.10, MaxDelay: 2 * time.Millisecond,
-				})),
+				WithFaultInjector(fabric.NewFaults(seed, fabric.LinkConfig{
+					DropRate: 0.05, DupRate: 0.10,
+					DelayRate: 0.10, Jitter: 2 * time.Millisecond,
+				}).Decide),
 				WithRequestTimeout(3*time.Millisecond), WithMaxRetries(2))
 			if err != nil {
 				t.Fatal(err)
@@ -140,7 +141,7 @@ func TestChaosKillLCBatchEquivalence(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(),
-				WithFaultInjector(SeededFaults(FaultConfig{Seed: seed, DropRate: 0.10})),
+				WithFaultInjector(fabric.NewFaults(seed, fabric.LinkConfig{DropRate: 0.10}).Decide),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2))
 			if err != nil {
 				t.Fatal(err)
@@ -206,7 +207,7 @@ func TestLookupBatchCancelRecyclesDescriptor(t *testing.T) {
 	// hang for one full request timeout, then resolve via fallback —
 	// comfortably after the caller's context has fired.
 	r, err := New(tbl, WithLCs(2),
-		WithFaultInjector(SeededFaults(FaultConfig{Seed: 1, DropRate: 1})),
+		WithFaultInjector(fabric.NewFaults(1, fabric.LinkConfig{DropRate: 1}).Decide),
 		WithRequestTimeout(20*time.Millisecond), WithMaxRetries(-1))
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +443,7 @@ func TestLookupBatchShedKeepsPositions(t *testing.T) {
 	oracle := lpm.NewReference(tbl)
 	r, err := New(tbl, WithLCs(2),
 		WithOverload(0, ShedDropNewest),
-		WithFaultInjector(SeededFaults(FaultConfig{Seed: 5, DropRate: 1})),
+		WithFaultInjector(fabric.NewFaults(5, fabric.LinkConfig{DropRate: 1}).Decide),
 		WithRequestTimeout(5*time.Millisecond), WithMaxRetries(-1))
 	if err != nil {
 		t.Fatal(err)

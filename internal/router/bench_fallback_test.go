@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm/engines"
 	"spal/internal/rtable"
@@ -70,10 +71,10 @@ func BenchmarkEjectedHomeLookup(b *testing.B) {
 	tbl := rtable.RT2()
 	for _, seed := range []uint64{1, 2, 3} {
 		b.Run("seed="+strconv.FormatUint(seed, 10), func(b *testing.B) {
-			lf := NewLinkFaults(seed)
+			lf := fabric.NewFaults(seed, fabric.LinkConfig{})
 			lf.SlowLC(1, 10)
 			r := benchRouter(b, tbl, WithLCs(4), WithDefaultCache(), WithEngineName("lulea"),
-				WithFaultInjector(lf.Injector()), WithGray())
+				WithFaultInjector(lf.Decide), WithGray())
 			r.gray[1].degraded.Store(true)
 			rng := stats.NewRNG(seed)
 			addrs := make([]ip.Addr, 0, b.N)

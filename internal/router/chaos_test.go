@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"spal/internal/cache"
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/metrics"
@@ -62,7 +63,7 @@ func TestChaosDroppedMessagesStillResolve(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4),
-				WithFaultInjector(SeededFaults(FaultConfig{Seed: seed, DropRate: 0.10})),
+				WithFaultInjector(fabric.NewFaults(seed, fabric.LinkConfig{DropRate: 0.10}).Decide),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2))
 			if err != nil {
 				t.Fatal(err)
@@ -118,10 +119,10 @@ func TestChaosDelayDupDrop(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(),
-				WithFaultInjector(SeededFaults(FaultConfig{
-					Seed: seed, DropRate: 0.05, DupRate: 0.10,
-					DelayRate: 0.20, MaxDelay: 2 * time.Millisecond,
-				})),
+				WithFaultInjector(fabric.NewFaults(seed, fabric.LinkConfig{
+					DropRate: 0.05, DupRate: 0.10,
+					DelayRate: 0.20, Jitter: 2 * time.Millisecond,
+				}).Decide),
 				WithRequestTimeout(3*time.Millisecond), WithMaxRetries(2))
 			if err != nil {
 				t.Fatal(err)
@@ -165,8 +166,8 @@ func TestChaosDelayDupDrop(t *testing.T) {
 func TestChaosDeadFabricFallback(t *testing.T) {
 	tbl := rtable.Small(2000, 13)
 	oracle := lpm.NewReference(tbl)
-	dropRequests := func(m FabricMessage) FaultDecision {
-		return FaultDecision{Drop: !m.Reply}
+	dropRequests := func(m fabric.Message) fabric.Decision {
+		return fabric.Decision{Drop: m.Kind == fabric.Request}
 	}
 	r, err := New(tbl, WithLCs(2), WithDefaultCache(),
 		WithFaultInjector(dropRequests),
@@ -308,10 +309,10 @@ func TestChaosUpdateHammer(t *testing.T) {
 	t.Run("clean", func(t *testing.T) { run(t) })
 	t.Run("faulty", func(t *testing.T) {
 		run(t,
-			WithFaultInjector(SeededFaults(FaultConfig{
-				Seed: chaosSeeds(t)[0], DropRate: 0.05, DupRate: 0.05,
-				DelayRate: 0.15, MaxDelay: time.Millisecond,
-			})),
+			WithFaultInjector(fabric.NewFaults(chaosSeeds(t)[0], fabric.LinkConfig{
+				DropRate: 0.05, DupRate: 0.05,
+				DelayRate: 0.15, Jitter: time.Millisecond,
+			}).Decide),
 			WithRequestTimeout(2*time.Millisecond), WithMaxRetries(1))
 	})
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/rtable"
@@ -37,10 +38,10 @@ func TestGrayAsymmetricPartition(t *testing.T) {
 	oracle := lpm.NewReference(tbl)
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
-			lf := NewLinkFaults(seed)
-			lf.SetLink(0, 1, LinkFaultConfig{DropRate: 1})
+			lf := fabric.NewFaults(seed, fabric.LinkConfig{})
+			lf.SetLink(0, 1, fabric.LinkConfig{DropRate: 1})
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(),
-				WithFaultInjector(lf.Injector()),
+				WithFaultInjector(lf.Decide),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(1),
 				WithGray())
 			if err != nil {
@@ -105,7 +106,7 @@ func TestGrayBrownoutHeadline(t *testing.T) {
 	tbl := rtable.Small(1500, 71)
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
-			lf := NewLinkFaults(seed)
+			lf := fabric.NewFaults(seed, fabric.LinkConfig{})
 			// Batched round trips include the home's 64-address FE sweep,
 			// so the clean baseline is hundreds of microseconds (more
 			// under -race); scale the 10x brownout against a matching
@@ -116,7 +117,7 @@ func TestGrayBrownoutHeadline(t *testing.T) {
 			lf.Nominal = 300 * time.Microsecond
 			lf.SlowLC(1, 10)
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName("bintrie"),
-				WithFaultInjector(lf.Injector()),
+				WithFaultInjector(lf.Decide),
 				WithRequestTimeout(15*time.Millisecond),
 				WithOverload(512, ShedDropNewest),
 				WithGray())
@@ -288,10 +289,10 @@ func TestGrayEjectTraceReconciliation(t *testing.T) {
 	oracle := lpm.NewReference(tbl)
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
-			lf := NewLinkFaults(seed)
+			lf := fabric.NewFaults(seed, fabric.LinkConfig{})
 			lf.SlowLC(1, 10)
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(),
-				WithFaultInjector(lf.Injector()),
+				WithFaultInjector(lf.Decide),
 				WithRequestTimeout(8*time.Millisecond),
 				WithGray(),
 				WithTraceSampling(1), WithTraceJournal(1<<15))
@@ -346,16 +347,16 @@ func TestGrayEjectTraceReconciliation(t *testing.T) {
 func TestGrayGlobalOverloadNoFalsePositive(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	seed := chaosSeeds(t)[0]
-	lf := NewLinkFaults(seed)
+	lf := fabric.NewFaults(seed, fabric.LinkConfig{})
 	for from := 0; from < 4; from++ {
 		for to := 0; to < 4; to++ {
 			if from != to {
-				lf.SetLink(from, to, LinkFaultConfig{Delay: time.Millisecond})
+				lf.SetLink(from, to, fabric.LinkConfig{Delay: time.Millisecond})
 			}
 		}
 	}
 	r, err := New(tbl, WithLCs(4), WithoutCache(),
-		WithFaultInjector(lf.Injector()),
+		WithFaultInjector(lf.Decide),
 		WithRequestTimeout(10*time.Millisecond),
 		WithGray())
 	if err != nil {
@@ -401,10 +402,10 @@ func TestGrayEjectRestoreLifecycle(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	oracle := lpm.NewReference(tbl)
 	seed := chaosSeeds(t)[0]
-	lf := NewLinkFaults(seed)
+	lf := fabric.NewFaults(seed, fabric.LinkConfig{})
 	lf.SlowLC(1, 10)
 	r, err := New(tbl, WithLCs(4), WithoutCache(),
-		WithFaultInjector(lf.Injector()),
+		WithFaultInjector(lf.Decide),
 		WithRequestTimeout(8*time.Millisecond),
 		WithGray())
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/metrics"
@@ -272,8 +273,8 @@ func TestChaosInlineTicksWhileCallersHogP(t *testing.T) {
 	})
 
 	t.Run("dead-link", func(t *testing.T) {
-		dropped := func(m FabricMessage) FaultDecision {
-			return FaultDecision{Drop: m.From == 0 && m.To == 1}
+		dropped := func(m fabric.Message) fabric.Decision {
+			return fabric.Decision{Drop: m.Src == 0 && m.Dst == 1}
 		}
 		r, err := New(tbl, WithLCs(4), WithoutCache(), WithRequestTimeout(timeout), WithMaxRetries(1),
 			WithFaultInjector(dropped))
@@ -470,7 +471,7 @@ func TestChaosInlineRaceStress(t *testing.T) {
 // Stop must not hold anything that send needs.
 func TestChaosInlineStopUnderDelay(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
-	delayed := func(FabricMessage) FaultDecision { return FaultDecision{Delay: 20 * time.Microsecond} }
+	delayed := func(fabric.Message) fabric.Decision { return fabric.Decision{Delay: 20 * time.Microsecond} }
 	rounds := 150
 	if testing.Short() {
 		rounds = 50
@@ -540,11 +541,11 @@ func TestChaosInlineDepthBounded(t *testing.T) {
 	o2 := lpm.NewReference(t2)
 	p2 := partition.Partition(t2, 2)
 	var deepest atomic.Int64
-	probe := func(FabricMessage) FaultDecision {
+	probe := func(fabric.Message) fabric.Decision {
 		if n := int64(inlineNesting()); n > deepest.Load() {
 			deepest.Store(n) // racy max is fine: any excess trips the check
 		}
-		return FaultDecision{}
+		return fabric.Decision{}
 	}
 	r, err := New(t1, WithLCs(2), WithDefaultCache(), WithFaultInjector(probe), WithRequestTimeout(time.Second))
 	if err != nil {

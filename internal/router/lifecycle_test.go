@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"spal/internal/cache"
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/metrics"
@@ -32,7 +33,7 @@ func TestChaosKillLCUnderFaults(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(),
-				WithFaultInjector(SeededFaults(FaultConfig{Seed: seed, DropRate: 0.10})),
+				WithFaultInjector(fabric.NewFaults(seed, fabric.LinkConfig{DropRate: 0.10}).Decide),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2))
 			if err != nil {
 				t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"spal/internal/cache"
+	"spal/internal/fabric"
 	"spal/internal/lpm"
 )
 
@@ -51,12 +52,12 @@ func WithoutCache() Option {
 	return func(c *config) { c.CacheEnabled = false }
 }
 
-// WithFaultInjector installs a chaos hook on the inter-LC message path:
-// every fabric request and reply is offered to fi, which may drop, delay,
-// or duplicate it (see SeededFaults for a deterministic injector). The
+// WithFaultInjector installs a chaos hook on the fabric: every request and
+// reply, a direct exchange's two included, is offered to fi, which may drop,
+// delay or duplicate it (fabric.Faults' Decide is the seeded one). The
 // deadline/retry/fallback machinery guarantees every lookup still
 // terminates with a correct verdict.
-func WithFaultInjector(fi FaultInjector) Option {
+func WithFaultInjector(fi fabric.Injector) Option {
 	return func(c *config) { c.FaultInjector = fi }
 }
 

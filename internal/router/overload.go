@@ -412,7 +412,7 @@ func (r *Router) breakerAllows(lc *lineCard, home int) bool {
 func (r *Router) deliverData(to int, m message) {
 	if m.depth > maxInlineDepth {
 		m.depth = 1
-		r.sendDelayed(to, m, 0)
+		r.sendDelayed([]fabricSend{{to: to, m: m}})
 		return
 	}
 	if r.runInline(to, m) {

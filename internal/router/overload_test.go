@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/metrics"
@@ -260,7 +261,7 @@ func TestWaitlistOverflowSheds(t *testing.T) {
 		lookup func(*testing.T, *Router, int, []ip.Addr) []Verdict
 	}{{"LookupAsync", async}, entryPoints[1]} {
 		t.Run(ep.name, func(t *testing.T) {
-			drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: true} }
+			drop := func(m fabric.Message) fabric.Decision { return fabric.Decision{Drop: true} }
 			r, err := New(tbl, WithLCs(2), WithFaultInjector(drop),
 				WithRequestTimeout(100*time.Millisecond), WithMaxRetries(-1),
 				WithOverload(0, ShedDropNewest))
@@ -363,7 +364,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	oracle := lpm.NewReference(tbl)
 	for _, ep := range entryPoints {
 		t.Run(ep.name, func(t *testing.T) {
-			drop := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: !m.Reply} }
+			drop := func(m fabric.Message) fabric.Decision { return fabric.Decision{Drop: m.Kind == fabric.Request} }
 			r, err := New(tbl, WithLCs(4), WithFaultInjector(drop),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(100),
 				WithOverload(0, ShedDropNewest))
@@ -409,8 +410,8 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Run(ep.name, func(t *testing.T) {
 			var failing atomic.Bool
 			failing.Store(true)
-			inj := func(m FabricMessage) FaultDecision {
-				return FaultDecision{Drop: failing.Load() && !m.Reply && m.To == 1}
+			inj := func(m fabric.Message) fabric.Decision {
+				return fabric.Decision{Drop: failing.Load() && m.Kind == fabric.Request && m.Dst == 1}
 			}
 			r, err := New(tbl, WithLCs(2), WithFaultInjector(inj),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(-1),
@@ -494,7 +495,7 @@ func TestChaosOverloadKillLC(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4),
-				WithFaultInjector(SeededFaults(FaultConfig{Seed: seed, DropRate: 0.05})),
+				WithFaultInjector(fabric.NewFaults(seed, fabric.LinkConfig{DropRate: 0.05}).Decide),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2),
 				WithTraceSampling(0), WithTraceJournal(1<<15),
 				WithOverload(64, ShedDropNewest))

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/rtable"
 	"spal/internal/stats"
@@ -431,14 +432,14 @@ type recordRequests struct {
 	addrs []ip.Addr
 }
 
-func (rr *recordRequests) inject(m FabricMessage) FaultDecision {
-	if m.Reply {
-		return FaultDecision{}
+func (rr *recordRequests) inject(m fabric.Message) fabric.Decision {
+	if m.Kind == fabric.Reply {
+		return fabric.Decision{}
 	}
 	rr.mu.Lock()
 	rr.addrs = append(rr.addrs, m.Addr)
 	rr.mu.Unlock()
-	return FaultDecision{Drop: true}
+	return fabric.Decision{Drop: true}
 }
 
 // take returns what has been recorded so far and starts over.

@@ -53,8 +53,7 @@
 // read-only full-table engine and the verdict is marked
 // ServedByFallback, so every lookup terminates even over a fabric that
 // drops, delays, or duplicates messages. WithFaultInjector installs a
-// deterministic chaos hook on the fabric path to prove exactly that;
-// see fault.go.
+// fabric.Injector to prove exactly that, direct exchanges included.
 package router
 
 import (
@@ -63,11 +62,13 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"spal/internal/cache"
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/lpm/engines"
@@ -108,9 +109,9 @@ type config struct {
 	// Cache is the LR-cache organization, used when CacheEnabled.
 	Cache        cache.Config
 	CacheEnabled bool
-	// FaultInjector, when non-nil, intercepts every fabric request and
-	// reply; see fault.go. Nil is a perfect fabric.
-	FaultInjector FaultInjector
+	// FaultInjector, when non-nil, decides every fabric request and reply
+	// (see fault). Nil is a perfect fabric.
+	FaultInjector fabric.Injector
 	// RequestTimeout is the per-attempt deadline on a fabric lookup
 	// request; an unanswered request is retried (with exponential
 	// backoff) once the deadline passes. Zero selects the default
@@ -264,10 +265,13 @@ type waitlist struct {
 	feNS   int64
 }
 
-// fabricSend is one fabric message a handler queued on its LC's outbox.
+// fabricSend is one fabric message a handler queued on its LC's outbox and,
+// if drawn, the fault decision a direct exchange drew for it (batchDirect).
 type fabricSend struct {
-	to int
-	m  message
+	to    int
+	m     message
+	fault fabric.Decision
+	drawn bool
 }
 
 type lineCard struct {
@@ -375,7 +379,6 @@ type Router struct {
 	clock func() int64
 
 	// Robustness knobs, fixed at construction.
-	injector   FaultInjector
 	timeout    time.Duration
 	maxRetries int
 	tickEvery  time.Duration
@@ -464,7 +467,6 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	// meaning "none".
 	born := time.Now().Add(-time.Nanosecond)
 	r.born, r.clock = born, func() int64 { return int64(time.Since(born)) }
-	r.injector = cfg.FaultInjector
 	r.timeout = cfg.RequestTimeout
 	if r.timeout <= 0 {
 		r.timeout = defaultRequestTimeout
@@ -546,43 +548,55 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 	return r, nil
 }
 
-// sendFabric delivers a request or reply across the (virtual) fabric,
-// routing it through the fault injector when one is installed: either can
-// be dropped, delayed, or duplicated (a locally submitted lookup never
-// passes through here). A message is one fabric unit however many rows it
-// carries: the injector sees its first address and a verdict applies to the
-// whole message (a dropped request is re-driven per address by the
-// requesters' deadline machinery).
-func (r *Router) sendFabric(to int, m message) {
-	if r.injector == nil {
-		r.deliverData(to, m)
-		return
-	}
-	d := r.injector(FabricMessage{Reply: m.kind == mBatchReply, From: m.from, To: to, Addr: m.addr})
-	if d.Drop {
-		return
-	}
-	copies := 1
-	if d.Duplicate {
-		copies = 2
-	}
-	for i := 0; i < copies; i++ {
-		if d.Delay > 0 {
-			r.sendDelayed(to, m, d.Delay)
-		} else {
-			r.deliverData(to, m)
+// sendFabric carries one flush's messages across the (virtual) fabric, each
+// under its fault decision (the one drawn for it, else the injector's, which
+// sees its first row): it may be dropped, duplicated or delayed — what is
+// delayed leaves on one helper. A message is one fabric unit however many
+// rows it carries; a dropped request is re-driven per address by the
+// requesters' deadline machinery.
+func (r *Router) sendFabric(out []fabricSend) {
+	var held []fabricSend
+	for i, s := range out {
+		if !s.drawn {
+			s.fault = r.fault(s.m.kind == mBatchReply, s.m.from, s.to, s.m.addr)
 		}
+		if s.fault.Drop {
+			continue
+		}
+		for n := 0; n == 0 || n == 1 && s.fault.Duplicate; n++ {
+			if s.fault.Delay <= 0 {
+				r.deliverData(s.to, s.m)
+			} else {
+				held = append(slices.Grow(held, len(out)-i), s)
+			}
+		}
+	}
+	if held != nil {
+		r.sendDelayed(held)
 	}
 }
 
-// sendDelayed carries a copy of m to LC to on a helper goroutine, after the
-// delay an injector asked for or, with none, from an empty stack (see
-// deliverData) — in a function of its own, so that the closure captures this
-// m and does not move sendFabric's, every fabric message there is, to the
-// heap. Stop waits for the helpers and a helper bails out on quit, so a held
-// message cannot outlive the router; the sender may be finishing an inline run
-// while Stop is in progress, so joining delayWG is ordered against Stop's (see there).
-func (r *Router) sendDelayed(to int, m message, delay time.Duration) {
+// fault draws the injector's decision on a request (reply: a reply) from LC
+// from to LC to, first row addr; without one, a clean message.
+func (r *Router) fault(reply bool, from, to int, addr ip.Addr) fabric.Decision {
+	if r.cfg.FaultInjector == nil {
+		return fabric.Decision{}
+	}
+	kind := fabric.Request
+	if reply {
+		kind = fabric.Reply
+	}
+	return r.cfg.FaultInjector(fabric.Message{Kind: kind, Src: from, Dst: to, Addr: addr})
+}
+
+// sendDelayed carries held to their LCs on a helper goroutine, in the order
+// they were sent (a link keeps it), each once its delay from now has passed:
+// undelayed, from an empty stack (deliverData). Stop waits for the helpers
+// and a helper bails out on quit, so a held message cannot outlive the
+// router; the sender may be finishing an inline run while Stop is in
+// progress, so joining delayWG is ordered against Stop's.
+func (r *Router) sendDelayed(held []fabricSend) {
+	sent := r.now()
 	r.delayMu.Lock()
 	if r.stopped.Load() {
 		r.delayMu.Unlock()
@@ -592,12 +606,15 @@ func (r *Router) sendDelayed(to int, m message, delay time.Duration) {
 	r.delayMu.Unlock()
 	go func() {
 		defer r.delayWG.Done()
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-			r.deliverData(to, m)
-		case <-r.quit:
+		for _, h := range held {
+			if wait := time.Duration(sent-r.now()) + h.fault.Delay; wait > 0 {
+				select {
+				case <-time.After(wait):
+				case <-r.quit:
+					return
+				}
+			}
+			r.deliverData(h.to, h.m)
 		}
 	}()
 }
@@ -770,16 +787,15 @@ func (r *Router) unlockAndFlush(lc *lineCard) {
 	clear(lc.outbox) // drop payload and trace pointers
 	lc.outbox = lc.outbox[:0]
 	lc.mu.Unlock()
-	for i := range out {
-		r.sendFabric(out[i].to, out[i].m)
-	}
+	r.sendFabric(out)
 }
 
-// post queues a fabric message produced by the handler running on lc; it
-// crosses the fabric (sendFabric) once the handler's owner has unlocked.
-func (lc *lineCard) post(to int, m message) {
+// post queues a fabric message produced by the handler running on lc, and
+// returns its outbox entry; it crosses the fabric once the owner unlocks.
+func (lc *lineCard) post(to int, m message) *fabricSend {
 	m.depth = lc.depth + 1
-	lc.outbox = append(lc.outbox, fabricSend{to, m})
+	lc.outbox = append(lc.outbox, fabricSend{to: to, m: m})
+	return &lc.outbox[len(lc.outbox)-1]
 }
 
 // tick is an LC's periodic due work: the stamp the health monitor ages,

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/metrics"
@@ -152,14 +153,14 @@ func TestTracePropagationAcrossRehome(t *testing.T) {
 	// LC 1 is dropped, so a lookup submitted at LC 1
 	// for a remote home stays parked in LC 1's waitlist.
 	var gateOpen atomic.Bool
-	inj := func(m FabricMessage) FaultDecision {
+	inj := func(m fabric.Message) fabric.Decision {
 		if gateOpen.Load() {
-			return FaultDecision{}
+			return fabric.Decision{}
 		}
-		if m.From == 1 || m.To == 1 {
-			return FaultDecision{Drop: true}
+		if m.Src == 1 || m.Dst == 1 {
+			return fabric.Decision{Drop: true}
 		}
-		return FaultDecision{}
+		return fabric.Decision{}
 	}
 	r, err := New(tbl, WithLCs(4),
 		WithFaultInjector(inj),
@@ -244,9 +245,9 @@ func TestChaosTracesReconcileWithMetrics(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(psi), WithDefaultCache(),
-				WithFaultInjector(SeededFaults(FaultConfig{
-					Seed: seed, DropRate: 0.08, DupRate: 0.05, DelayRate: 0.1, MaxDelay: time.Millisecond,
-				})),
+				WithFaultInjector(fabric.NewFaults(seed, fabric.LinkConfig{
+					DropRate: 0.08, DupRate: 0.05, DelayRate: 0.1, Jitter: time.Millisecond,
+				}).Decide),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2),
 				WithTraceSampling(1), WithTraceJournal(1<<15))
 			if err != nil {

@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"spal/internal/cache"
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/lpm/engines"
@@ -264,7 +265,7 @@ func TestTargetedInvalidationAccounting(t *testing.T) {
 // as a cache entry.
 func TestLateReplyKeepsStaleGuard(t *testing.T) {
 	tbl := rtable.Small(400, 7)
-	dropReplies := func(m FabricMessage) FaultDecision { return FaultDecision{Drop: m.Reply} }
+	dropReplies := func(m fabric.Message) fabric.Decision { return fabric.Decision{Drop: m.Kind == fabric.Reply} }
 	r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithEngineName("bintrie"),
 		WithFaultInjector(dropReplies), WithRequestTimeout(time.Minute))
 	if err != nil {
@@ -756,7 +757,7 @@ func TestApplyUpdatesInvalidatesOncePerLC(t *testing.T) {
 // fallback.
 func dropAll() []Option {
 	return []Option{
-		WithFaultInjector(SeededFaults(FaultConfig{Seed: 1, DropRate: 1})),
+		WithFaultInjector(fabric.NewFaults(1, fabric.LinkConfig{DropRate: 1}).Decide),
 		WithRequestTimeout(2 * time.Millisecond), WithMaxRetries(-1),
 	}
 }

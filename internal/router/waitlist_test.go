@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"spal/internal/cache"
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/metrics"
@@ -59,9 +60,9 @@ func checkBlank(t *testing.T, wl *waitlist) {
 
 // dropRequests is an injector losing every request (replies pass) while
 // *on is non-zero.
-func dropRequests(on *atomic.Int32) FaultInjector {
-	return func(m FabricMessage) FaultDecision {
-		return FaultDecision{Drop: !m.Reply && on.Load() != 0}
+func dropRequests(on *atomic.Int32) fabric.Injector {
+	return func(m fabric.Message) fabric.Decision {
+		return fabric.Decision{Drop: m.Kind == fabric.Request && on.Load() != 0}
 	}
 }
 
@@ -258,7 +259,7 @@ func TestHomeAnswersDuplicatesWithoutParking(t *testing.T) {
 	for _, ep := range entryPoints {
 		t.Run(ep.name, func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(),
-				WithFaultInjector(SeededFaults(FaultConfig{Seed: chaosSeeds(t)[0], DupRate: 1})))
+				WithFaultInjector(fabric.NewFaults(chaosSeeds(t)[0], fabric.LinkConfig{DupRate: 1}).Decide))
 			if err != nil {
 				t.Fatal(err)
 			}

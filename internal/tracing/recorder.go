@@ -61,7 +61,8 @@ func New(cfg Config) *Recorder {
 
 // splitmix64 is the finalizer of the splitmix64 generator: a cheap
 // counter-keyed hash whose output is uniform over uint64, matching the
-// router's fault injector so sampled runs stay deterministic per seed.
+// fabric fault model's (fabric.Faults), so sampled runs stay deterministic
+// per seed.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

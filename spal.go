@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"spal/internal/cache"
+	"spal/internal/fabric"
 	"spal/internal/ip"
 	"spal/internal/lpm"
 	"spal/internal/lpm/engines"
@@ -83,15 +84,22 @@ type (
 	MetricsSnapshot = metrics.Snapshot
 	// MetricsLabel is one metric dimension, e.g. {"lc", "3"}.
 	MetricsLabel = metrics.Label
-	// FaultInjector decides the fate of each inter-LC fabric message
-	// (chaos testing; see SeededFaults).
-	FaultInjector = router.FaultInjector
-	// FaultConfig parameterizes SeededFaults.
-	FaultConfig = router.FaultConfig
+	// FaultInjector decides the fate of each inter-LC fabric message,
+	// a direct exchange's request and reply included (chaos testing; see
+	// NewFaults).
+	FaultInjector = fabric.Injector
 	// FaultDecision is one injector verdict: drop, delay and/or duplicate.
-	FaultDecision = router.FaultDecision
-	// FabricMessage describes the message a FaultInjector is deciding on.
-	FabricMessage = router.FabricMessage
+	// The zero value delivers the message once, at once.
+	FaultDecision = fabric.Decision
+	// FabricMessage is the message a FaultInjector is deciding on: its Kind
+	// (a request, or FabricReply), Src, Dst and first address.
+	FabricMessage = fabric.Message
+	// Faults is the seeded fabric fault matrix: a fault mix on every
+	// directed link, a link's own where SetLink gave it one (A→B can be
+	// partitioned while B→A is clean), and per-LC brownouts (SlowLC).
+	Faults = fabric.Faults
+	// LinkFaultConfig is one directed link's fault mix in a Faults matrix.
+	LinkFaultConfig = fabric.LinkConfig
 	// LCState is one line card's lifecycle state (see Router.LCStates,
 	// Router.KillLC, Router.DrainLC, Router.RestoreLC).
 	LCState = router.LCState
@@ -113,13 +121,6 @@ type (
 	UpdateKind = rtable.UpdateKind
 	// UpdateStreamConfig parameterizes GenerateUpdates.
 	UpdateStreamConfig = rtable.UpdateStreamConfig
-	// LinkFaults is a per-directed-link fabric fault matrix supporting
-	// asymmetric drop/delay/jitter and sustained per-LC brownouts
-	// (SlowLC); see NewLinkFaults.
-	LinkFaults = router.LinkFaults
-	// LinkFaultConfig parameterizes one directed link of a LinkFaults
-	// matrix.
-	LinkFaultConfig = router.LinkFaultConfig
 	// GrayReport is the router's gray-failure snapshot (see Router.Gray).
 	GrayReport = router.GrayReport
 	// LCGrayStatus is one line card's row in a GrayReport.
@@ -145,6 +146,10 @@ const (
 	// admission; synchronous Lookup calls surface it as ErrOverloaded.
 	ServedByShed = router.ServedByShed
 )
+
+// FabricReply is the Kind of a FabricMessage carrying a reply; a request's
+// is the zero Kind.
+const FabricReply = fabric.Reply
 
 // Shed modes for WithRouterOverload.
 const (
@@ -248,8 +253,9 @@ func WithRouterEngine(b EngineBuilder) RouterOption { return router.WithEngine(b
 // with an error listing the valid names when the name is unknown.
 func WithRouterEngineName(name string) RouterOption { return router.WithEngineName(name) }
 
-// WithRouterFaultInjector installs a chaos hook on the fabric message
-// path; see SeededFaults for a deterministic injector.
+// WithRouterFaultInjector installs a chaos hook on the fabric: every
+// request and reply, and every direct exchange as the two it stands for,
+// is offered to fi. NewFaults builds the deterministic one.
 func WithRouterFaultInjector(fi FaultInjector) RouterOption { return router.WithFaultInjector(fi) }
 
 // WithRouterRequestTimeout sets the per-attempt deadline on fabric lookup
@@ -294,19 +300,11 @@ func GenerateUpdates(tbl *Table, cfg UpdateStreamConfig) []Update {
 	return rtable.GenerateUpdates(tbl, cfg)
 }
 
-// SeededFaults builds a deterministic fault injector: every fabric
-// message independently draws drop/duplicate/delay outcomes from a
-// counter-keyed hash of cfg.Seed, so a chaos run is reproducible from its
-// seed alone.
-func SeededFaults(cfg FaultConfig) FaultInjector { return router.SeededFaults(cfg) }
-
-// NewLinkFaults builds an empty per-directed-link fault matrix drawing
-// its decisions from a SeededFaults-style counter stream. Configure
-// individual links with SetLink (asymmetric drop/delay/jitter — A→B can
-// be partitioned while B→A is clean) or brown out a whole line card with
-// SlowLC, then install the matrix via
-// WithRouterFaultInjector(lf.Injector()).
-func NewLinkFaults(seed uint64) *LinkFaults { return router.NewLinkFaults(seed) }
+// NewFaults builds a fabric fault matrix whose every directed link carries
+// all and whose decisions are drawn from a counter-keyed hash of seed, so a
+// chaos run is reproducible from its seed alone. SetLink and SlowLC refine
+// it; install its Decide via WithRouterFaultInjector.
+func NewFaults(seed uint64, all LinkFaultConfig) *Faults { return fabric.NewFaults(seed, all) }
 
 // WithRouterGray enables the gray-failure subsystem: per-home-LC fabric
 // round-trip scoring against the fleet median driving a degraded health

@@ -103,7 +103,7 @@ func TestFacadeParsersAndPresets(t *testing.T) {
 func TestFacadeFaultInjection(t *testing.T) {
 	tbl := SynthesizeTable(1000, 9)
 	r, err := NewRouter(tbl, WithLCs(2), WithDefaultRouterCache(),
-		WithRouterFaultInjector(SeededFaults(FaultConfig{Seed: 7, DropRate: 0.2})),
+		WithRouterFaultInjector(NewFaults(7, LinkFaultConfig{DropRate: 0.2}).Decide),
 		WithRouterRequestTimeout(2*time.Millisecond),
 		WithRouterMaxRetries(1))
 	if err != nil {
