@@ -400,16 +400,25 @@ func BenchmarkRouterLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceGeneration measures the synthetic trace stream.
+// BenchmarkTraceGeneration measures the synthetic trace stream: one
+// address a Next call, and one Slice of 2^22 addresses (a benchmark
+// workload's client stream, buffer included) an op.
 func BenchmarkTraceGeneration(b *testing.B) {
 	tbl := benchTable()
 	cfg := trace.PresetConfig(trace.D75)
 	pool := trace.NewPool(tbl, cfg)
-	src := trace.NewSynthetic(pool, cfg, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src.Next()
-	}
+	b.Run("Next", func(b *testing.B) {
+		src := trace.NewSynthetic(pool, cfg, 1)
+		for i := 0; i < b.N; i++ {
+			src.Next()
+		}
+	})
+	b.Run("Slice", func(b *testing.B) {
+		src := trace.NewSynthetic(pool, cfg, 1)
+		for i := 0; i < b.N; i++ {
+			trace.Slice(src, 1<<22)
+		}
+	})
 }
 
 // BenchmarkFacadeSimulate exercises the public API end to end.

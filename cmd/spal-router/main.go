@@ -326,12 +326,12 @@ func drive(r *router.Router, psi int, addrs []ip.Addr, batch, killLC int, drainA
 	wg.Wait()
 	elapsed := time.Since(start)
 	served := int64(len(addrs)) - shed.Load()
-	fmt.Printf("forwarded %d packets in %.2fs (%.2f Mpps software)\n",
-		len(addrs), elapsed.Seconds(), float64(len(addrs))/elapsed.Seconds()/1e6)
+	fmt.Printf("forwarded %d packets in %.2fs (%s software)\n",
+		len(addrs), elapsed.Seconds(), formatRate(float64(len(addrs))/elapsed.Seconds()))
 	if shed.Load() > 0 {
-		fmt.Printf("overload: shed %d of %d lookups (%.2f%%), goodput %.2f Mpps\n",
+		fmt.Printf("overload: shed %d of %d lookups (%.2f%%), goodput %s\n",
 			shed.Load(), len(addrs), 100*float64(shed.Load())/float64(len(addrs)),
-			float64(served)/elapsed.Seconds()/1e6)
+			formatRate(float64(served)/elapsed.Seconds()))
 	}
 	fmt.Printf("%-4s %10s %10s %8s %9s %9s %10s %12s\n",
 		"LC", "lookups", "hits", "FE", "reqSent", "repSent", "coalesced", "p95 cache")
@@ -397,6 +397,20 @@ func drive(r *router.Router, psi int, addrs []ip.Addr, batch, killLC int, drainA
 			parts[i] = fmt.Sprintf("%d=%s", i, s)
 		}
 		fmt.Printf("lc states: %s\n", strings.Join(parts, " "))
+	}
+}
+
+// formatRate prints a packet rate in the unit that keeps its leading
+// digits: a chaos run's few thousand lookups a second reads in kpps, not
+// as 0.00 Mpps.
+func formatRate(perSecond float64) string {
+	switch {
+	case perSecond >= 1e6:
+		return fmt.Sprintf("%.2f Mpps", perSecond/1e6)
+	case perSecond >= 1e3:
+		return fmt.Sprintf("%.2f kpps", perSecond/1e3)
+	default:
+		return fmt.Sprintf("%.0f pps", perSecond)
 	}
 }
 

@@ -50,6 +50,10 @@ type UpdateStreamConfig struct {
 // from the live set, and NewPrefixProb introduces genuinely new prefixes.
 // A table that churns down to zero routes only emits announces until
 // routes exist again.
+//
+// The live set is t's routes plus an overlay of what the stream changed
+// (liveSet), so a stream costs O(events · log t.Len()), not a copy and an
+// index of the table.
 func GenerateUpdates(t *Table, cfg UpdateStreamConfig) []Update {
 	if cfg.RatePerSecond <= 0 || cfg.Duration <= 0 {
 		return nil
@@ -57,42 +61,46 @@ func GenerateUpdates(t *Table, cfg UpdateStreamConfig) []Update {
 	rng := stats.NewRNG(cfg.Seed)
 	// Mean inter-arrival gap in cycles.
 	gap := 1e9 / cfg.RatePerSecond / cfg.CycleNS
-	live := append([]Route(nil), t.Routes()...)
-	idx := make(map[ip.Prefix]int, len(live))
-	for i, r := range live {
-		idx[r.Prefix] = i
-	}
-	var out []Update
+	// The expected event count, capped: a size hint for the output and the
+	// overlays, as each event writes one position and flips one prefix.
+	events := int(min(max(float64(cfg.Duration)/gap, 0), 1<<20)) + 1
+	live := liveSet{base: t.Routes(), n: t.Len(), moved: make(map[int]Route, events), flipped: make(map[uint64]bool, events)}
+	out := make([]Update, 0, events)
 	// Exponential-ish arrivals via uniform [0.5, 1.5) * gap; BGP churn is
 	// bursty but the simulator only cares about the invalidation points.
 	at := int64(gap * (0.5 + rng.Float64()))
 	for at < cfg.Duration {
 		var u Update
 		switch {
-		case len(live) > 0 && rng.Bool(cfg.WithdrawProb):
-			i := rng.Intn(len(live))
-			r := live[i]
-			last := len(live) - 1
-			live[i] = live[last]
-			idx[live[i].Prefix] = i
-			live = live[:last]
-			delete(idx, r.Prefix)
+		case live.n > 0 && rng.Bool(cfg.WithdrawProb):
+			i := rng.Intn(live.n)
+			r := live.at(i)
+			live.n--
+			live.moved[i] = live.at(live.n)
+			live.flipped[prefixKey(r.Prefix)] = false
 			u = Update{Kind: Withdraw, Route: r, AtCycle: at}
-		case len(live) == 0 || rng.Bool(cfg.NewPrefixProb):
-			p := randomNewPrefix(rng, idx)
-			nh := NextHop(rng.Intn(64))
-			if j, ok := idx[p]; ok {
+		case live.n == 0 || rng.Bool(cfg.NewPrefixProb):
+			p, fresh := randomNewPrefix(rng, live.has)
+			r := Route{Prefix: p, NextHop: NextHop(rng.Intn(64))}
+			if !fresh {
 				// Retry budget exhausted: announce degrades to a replace.
-				live[j].NextHop = nh
+				i := 0
+				for live.at(i).Prefix != p {
+					i++
+				}
+				live.moved[i] = r
 			} else {
-				idx[p] = len(live)
-				live = append(live, Route{Prefix: p, NextHop: nh})
+				live.moved[live.n] = r
+				live.n++
+				live.flipped[prefixKey(p)] = true
 			}
-			u = Update{Kind: Announce, Route: Route{Prefix: p, NextHop: nh}, AtCycle: at}
+			u = Update{Kind: Announce, Route: r, AtCycle: at}
 		default:
-			i := rng.Intn(len(live))
-			live[i].NextHop = NextHop(rng.Intn(64))
-			u = Update{Kind: Announce, Route: live[i], AtCycle: at}
+			i := rng.Intn(live.n)
+			r := live.at(i)
+			r.NextHop = NextHop(rng.Intn(64))
+			live.moved[i] = r
+			u = Update{Kind: Announce, Route: r, AtCycle: at}
 		}
 		out = append(out, u)
 		at += int64(gap * (0.5 + rng.Float64()))
@@ -100,14 +108,48 @@ func GenerateUpdates(t *Table, cfg UpdateStreamConfig) []Update {
 	return out
 }
 
-// randomNewPrefix draws a canonical prefix not present in idx, sampling the
-// length from the same 2003-era distribution the synthetic tables use. The
-// address space at every sampled length dwarfs any real table, so a handful
-// of retries suffices; on exhaustion the (existing) candidate is returned
-// and the announce degrades to a replace.
-func randomNewPrefix(rng *stats.RNG, idx map[ip.Prefix]int) ip.Prefix {
-	var p ip.Prefix
-	for try := 0; try < 32; try++ {
+// liveSet is a route list as an update stream edits it — a withdraw moves
+// the last route into the withdrawn one's position, an announce of a new
+// prefix appends — held as the table's sorted routes, never written, and
+// two overlays: moved, each position the stream wrote (every one from
+// len(base) on), and flipped, each prefix it withdrew or added.
+type liveSet struct {
+	base    []Route
+	n       int
+	moved   map[int]Route
+	flipped map[uint64]bool // by prefixKey
+}
+
+// at is the route at position i < n.
+func (s *liveSet) at(i int) Route {
+	if r, ok := s.moved[i]; ok {
+		return r
+	}
+	return s.base[i]
+}
+
+// has reports whether p is live: as the stream last set it, or else
+// whether the table holds it.
+func (s *liveSet) has(p ip.Prefix) bool {
+	if live, ok := s.flipped[prefixKey(p)]; ok {
+		return live
+	}
+	k := sort.Search(len(s.base), func(k int) bool { return !s.base[k].Prefix.Less(p) })
+	return k < len(s.base) && s.base[k].Prefix == p
+}
+
+// newPrefixTries is randomNewPrefix's retry budget (a variable so a test
+// can exhaust it).
+var newPrefixTries = 32
+
+// randomNewPrefix draws a canonical prefix for which live is false,
+// sampling the length from the same 2003-era distribution the synthetic
+// tables use. The address space at every sampled length dwarfs any real
+// table, so a handful of retries suffices; on exhaustion the (live)
+// candidate is returned with fresh false and the announce degrades to a
+// replace.
+func randomNewPrefix(rng *stats.RNG, live func(ip.Prefix) bool) (p ip.Prefix, fresh bool) {
+	for try := 0; try < newPrefixTries; try++ {
 		r := rng.Intn(1000)
 		ln := 24 // distribution mode, also the fallback
 		for l, share := range lengthDistribution {
@@ -118,11 +160,11 @@ func randomNewPrefix(rng *stats.RNG, idx map[ip.Prefix]int) ip.Prefix {
 			r -= share
 		}
 		p = ip.Prefix{Value: ip.Addr(rng.Uint64()), Len: uint8(ln)}.Canon()
-		if _, ok := idx[p]; !ok {
-			return p
+		if !live(p) {
+			return p, true
 		}
 	}
-	return p
+	return p, false
 }
 
 // ApplyAll returns a new table with the whole batch applied, in order.
@@ -186,8 +228,9 @@ func (t *Table) Apply(u Update) *Table {
 // for building lookup workloads with a bounded miss (no-route) fraction.
 func (t *Table) RandomMatchedAddr(rng *stats.RNG) ip.Addr {
 	r := t.routes[rng.Intn(len(t.routes))]
-	span := uint64(r.Prefix.LastAddr()-r.Prefix.FirstAddr()) + 1
-	return r.Prefix.FirstAddr() + ip.Addr(rng.Uint64()%span)
+	// A prefix's span is a power of two, so the mask is the modulus.
+	mask := uint64(r.Prefix.LastAddr() - r.Prefix.FirstAddr())
+	return r.Prefix.FirstAddr() + ip.Addr(rng.Uint64()&mask)
 }
 
 // Range is an inclusive address interval [Lo, Hi].

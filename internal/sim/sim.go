@@ -54,8 +54,12 @@ type lineCard struct {
 	id     int
 	cache  *cache.Cache // nil when caches are disabled
 	engine lpm.Engine
-	src    trace.Source
+	src    *trace.Synthetic
 	rng    *stats.RNG
+	// dsts is the next destinations, filled from src a chunk at a time
+	// into buf: one Fill call per 64 arrivals, not one each.
+	dsts []ip.Addr
+	buf  [64]ip.Addr
 
 	nextArrival int64
 	toGenerate  int
@@ -392,7 +396,12 @@ func (r *Router) step() {
 
 		// 3. Packet arrivals.
 		for l.toGenerate > 0 && l.nextArrival <= now {
-			a, _ := l.src.Next()
+			if len(l.dsts) == 0 {
+				l.dsts = l.buf[:min(len(l.buf), l.toGenerate)]
+				l.src.Fill(l.dsts)
+			}
+			a := l.dsts[0]
+			l.dsts = l.dsts[1:]
 			l.localQ.push(r.alloc(packet{
 				addr:          a,
 				arrivalLC:     int32(l.id),

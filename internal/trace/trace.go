@@ -185,9 +185,6 @@ func cutpoints(cdf []float64) []int32 {
 // Size returns the pool population.
 func (p *Pool) Size() int { return len(p.addrs) }
 
-// drawIndex samples one popularity rank.
-func (p *Pool) drawIndex(rng *stats.RNG) int { return p.index(rng.Float64()) }
-
 // index is the rank u in [0, 1) selects: the smallest i with cdf[i] >= u,
 // the last rank if none is — exactly sort.SearchFloat64s(cdf, u) clamped,
 // found from u's cutpoint instead of by bisection.
@@ -202,7 +199,7 @@ func (p *Pool) index(u float64) int {
 // Draw samples one destination by popularity (exposed for custom
 // generators built on the pool).
 func (p *Pool) Draw(rng *stats.RNG) ip.Addr {
-	return p.addrs[p.drawIndex(rng)]
+	return p.addrs[p.index(rng.Float64())]
 }
 
 // Synthetic is a deterministic, never-ending trace stream over a Pool.
@@ -210,7 +207,7 @@ type Synthetic struct {
 	pool      *Pool
 	cfg       Config
 	rng       *stats.RNG
-	repeatP   float64
+	trainCut  uint64 // a train continues when a draw's top 53 bits are below it
 	current   ip.Addr
 	started   bool
 	generated int64
@@ -231,35 +228,66 @@ func NewSynthetic(pool *Pool, cfg Config, salt uint64) *Synthetic {
 		cfg.DriftFraction = 0.1
 	}
 	return &Synthetic{
-		pool:    pool,
-		cfg:     cfg,
-		rng:     stats.NewRNG(cfg.Seed ^ (salt+1)*0x9e3779b97f4a7c15),
-		repeatP: repeatP,
+		pool: pool,
+		cfg:  cfg,
+		rng:  stats.NewRNG(cfg.Seed ^ (salt+1)*0x9e3779b97f4a7c15),
+		// u = m/2^53 < repeatP, for the integer m = x>>11 that
+		// stats.RNG.Float64 scales, is exactly m < ⌈repeatP·2^53⌉.
+		trainCut: uint64(math.Ceil(repeatP * (1 << 53))),
 	}
 }
 
-// Next implements Source: continue the current packet train with
-// probability 1-1/MeanTrain, otherwise start a new flow by popularity.
+// Next implements Source: a Fill of one.
 func (s *Synthetic) Next() (ip.Addr, bool) {
-	s.generated++
-	if s.started && s.rng.Float64() < s.repeatP {
-		return s.current, true
-	}
-	i := s.pool.drawIndex(s.rng)
-	if s.cfg.DriftEvery > 0 {
-		s.maybeDrift()
-		i = int(s.remap[i])
-	}
-	s.current = s.pool.addrs[i]
-	s.started = true
-	return s.current, true
+	var a [1]ip.Addr
+	s.Fill(a[:])
+	return a[0], true
 }
 
-// maybeDrift rebuilds the rank remap when the stream enters a new drift
-// epoch. The shuffle depends only on (pool seed, epoch), so all per-LC
-// streams agree on the hot set at equal epochs.
-func (s *Synthetic) maybeDrift() {
-	epoch := s.generated / s.cfg.DriftEvery
+// Fill writes the stream's next len(dst) destinations to dst. Each packet
+// continues the current packet train with probability 1-1/MeanTrain, and
+// otherwise starts a new flow by popularity, through the drift epoch's
+// rank remap when the popularity drifts. Fill is the model: Next and
+// Slice call it.
+func (s *Synthetic) Fill(dst []ip.Addr) {
+	rng, cut, pool := *s.rng, s.trainCut, s.pool
+	cur, started := s.current, s.started
+	for len(dst) > 0 {
+		// Packet g (counted from 1) is in drift epoch g/DriftEvery: cut
+		// the chunk at the first packet of the next epoch.
+		seg := dst
+		var remap []int32
+		if d := s.cfg.DriftEvery; d > 0 {
+			g := s.generated + 1
+			s.maybeDrift(g / d)
+			remap = s.remap
+			if left := d - g%d; int64(len(seg)) > left {
+				seg = seg[:left]
+			}
+		}
+		for k := range seg {
+			if started && rng.Uint64()>>11 < cut {
+				seg[k] = cur
+				continue
+			}
+			i := pool.index(rng.Float64())
+			if remap != nil {
+				i = int(remap[i])
+			}
+			cur, started = pool.addrs[i], true
+			seg[k] = cur
+		}
+		s.generated += int64(len(seg))
+		dst = dst[len(seg):]
+	}
+	*s.rng = rng
+	s.current, s.started = cur, started
+}
+
+// maybeDrift brings the rank remap to drift epoch epoch. The shuffle
+// depends only on (pool seed, epoch), so all per-LC streams agree on the
+// hot set at equal epochs.
+func (s *Synthetic) maybeDrift(epoch int64) {
 	n := s.pool.Size()
 	if s.remap == nil {
 		s.remap = make([]int32, n)
@@ -285,8 +313,14 @@ func (s *Synthetic) maybeDrift() {
 // Generated returns how many packets the stream has produced.
 func (s *Synthetic) Generated() int64 { return s.generated }
 
-// Slice materializes the next n destinations (testing and file export).
+// Slice materializes the next n destinations (testing and file export); a
+// *Synthetic fills them in one call.
 func Slice(src Source, n int) []ip.Addr {
+	if s, ok := src.(*Synthetic); ok {
+		out := make([]ip.Addr, n)
+		s.Fill(out)
+		return out
+	}
 	out := make([]ip.Addr, 0, n)
 	for i := 0; i < n; i++ {
 		a, ok := src.Next()
