@@ -17,7 +17,7 @@ import (
 	"spal/internal/trace"
 )
 
-var updateMatrix = flag.Bool("update", false, "rewrite testdata/run_matrix.golden")
+var updateMatrix = flag.Bool("update", false, "rewrite testdata/run_matrix.golden and testdata/run_wide.golden")
 
 // matrixCell is one configuration of the run matrix.
 type matrixCell struct {
@@ -144,6 +144,49 @@ func TestRunMatrixGolden(t *testing.T) {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("cell moved:\n got  %s\n want %s", gotLines[i], wantLines[i])
 		}
+	}
+}
+
+// TestRunWideGolden holds the ψ the matrix does not reach to
+// testdata/run_wide.golden as TestRunMatrixGolden holds its cells: ψ = 1,
+// where every lookup is local, and ψ = 65, whose last LC is the first of a
+// second 64-LC word — each under stage accounting, a flush every 3,000
+// cycles, fabric contention, and all three at once. -update rewrites it.
+func TestRunWideGolden(t *testing.T) {
+	const path = "testdata/run_wide.golden"
+	tbl := rtable.Small(12000, 26)
+	variants := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"stages", func(c *Config) { c.StageAccounting = true }},
+		{"flush-3000", func(c *Config) { c.FlushEveryCycles = 3000 }},
+		{"fabric-contention", func(c *Config) { c.FabricContention = true }},
+		{"all-three", func(c *Config) { c.StageAccounting, c.FlushEveryCycles, c.FabricContention = true, 3000, true }},
+	}
+	var got strings.Builder
+	for _, psi := range []int{1, 65} {
+		for _, v := range variants {
+			cfg := DefaultConfig(tbl)
+			cfg.NumLCs = psi
+			cfg.PacketsPerLC = 4000
+			cfg.VerifyNextHops = true
+			v.mutate(&cfg)
+			fmt.Fprintf(&got, "%s/psi=%d %s\n", v.name, psi, fingerprint(t, run(t, cfg)))
+		}
+	}
+	if *updateMatrix {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("a cell moved:\n got\n%s want\n%s", got.String(), want)
 	}
 }
 
