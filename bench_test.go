@@ -362,24 +362,35 @@ func BenchmarkCacheProbeHit(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorCycles measures raw simulator speed (simulated packets
-// per wall second at the headline configuration).
+// BenchmarkSimulatorCycles measures raw simulator speed: the wall time of
+// sim.Router.Run per simulated packet at the paper's default point (ψ=16,
+// RT2, D_75, lulea at 40 cycles), the configuration benchmark/'s sim_fig6
+// times, at 50,000 packets an LC. sim.New (partitioning, engine builds) is
+// outside the timer.
 func BenchmarkSimulatorCycles(b *testing.B) {
-	tbl := benchTable()
+	build, err := engines.Lookup("lulea")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(rtable.RT2())
+	cfg.Engine = build
+	cfg.PacketsPerLC = 50000
+	var packets int64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig(tbl)
-		cfg.NumLCs = 16
-		cfg.PacketsPerLC = 5000
+		b.StopTimer()
 		r, err := sim.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		res, err := r.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.PacketsCompleted), "packets/op")
+		packets += res.PacketsCompleted
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(packets), "ns/packet")
 }
 
 // BenchmarkRouterLookup measures the concurrent forwarding plane

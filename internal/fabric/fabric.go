@@ -144,17 +144,27 @@ func (p *Pipe) Send(now int64, m Message) {
 	p.sent++
 }
 
-// Deliver pops every message whose arrival time is <= now.
-func (p *Pipe) Deliver(now int64) []Message {
-	var out []Message
-	for p.head < len(p.queue) && p.queue[p.head].arrival <= now {
-		out = append(out, p.queue[p.head].msg)
-		p.head++
+// Next pops the oldest message whose arrival time is <= now, if there is
+// one: a consumer drains a cycle's arrivals with no slice built for them.
+func (p *Pipe) Next(now int64) (Message, bool) {
+	if p.head == len(p.queue) || p.queue[p.head].arrival > now {
+		return Message{}, false
 	}
+	m := p.queue[p.head].msg
+	p.head++
 	// Compact once the consumed prefix dominates, keeping amortized O(1).
 	if p.head > 1024 && p.head*2 > len(p.queue) {
 		p.queue = append(p.queue[:0], p.queue[p.head:]...)
 		p.head = 0
+	}
+	return m, true
+}
+
+// Deliver pops every message whose arrival time is <= now.
+func (p *Pipe) Deliver(now int64) []Message {
+	var out []Message
+	for m, ok := p.Next(now); ok; m, ok = p.Next(now) {
+		out = append(out, m)
 	}
 	return out
 }

@@ -1,6 +1,11 @@
 package fabric
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"spal/internal/stats"
+)
 
 func TestLatencyModels(t *testing.T) {
 	if Latency(Crossbar, 1) != 0 || Latency(Bus, 1) != 0 {
@@ -124,5 +129,39 @@ func TestPipeTiesKeepFIFO(t *testing.T) {
 	got := p.Deliver(7)
 	if len(got) != 3 || got[0].PacketID != 1 || got[1].PacketID != 2 || got[2].PacketID != 3 {
 		t.Fatalf("same-cycle sends reordered: %v", got)
+	}
+}
+
+// TestNextDrainsWhatDeliverDrains: two pipes fed the same sends, one
+// drained by Deliver and one by Next, hand over the same messages in the
+// same cycles and order, across the compaction that follows 1,024 pops.
+func TestNextDrainsWhatDeliverDrains(t *testing.T) {
+	byDeliver, byNext := NewPipe(7), NewPipe(7)
+	rng := stats.NewRNG(3)
+	var id int64
+	compacted := false
+	for now := int64(0); now < 4000; now++ {
+		for n := rng.Range(0, 3); n > 0; n-- {
+			id++
+			m := Message{Kind: MsgKind(id & 1), Src: int(id % 5), Dst: int(id % 3), PacketID: id}
+			byDeliver.Send(now, m)
+			byNext.Send(now, m)
+		}
+		want := byDeliver.Deliver(now)
+		var got []Message
+		head := byNext.head
+		for m, ok := byNext.Next(now); ok; m, ok = byNext.Next(now) {
+			got = append(got, m)
+		}
+		compacted = compacted || byNext.head < head
+		if !slices.Equal(got, want) {
+			t.Fatalf("cycle %d: Next drained %v, Deliver %v", now, got, want)
+		}
+		if byNext.Pending() != byDeliver.Pending() {
+			t.Fatalf("cycle %d: %d pending after Next, %d after Deliver", now, byNext.Pending(), byDeliver.Pending())
+		}
+	}
+	if !compacted {
+		t.Error("the run never reached the compaction")
 	}
 }

@@ -74,8 +74,8 @@ func (r *Router) result() *Result {
 	// Every packet has completed; the few a stale message, queue slot or
 	// FE job still names were not folded by a last drop.
 	for i := range r.packets {
-		if p := &r.packets[i]; p.refs > 0 {
-			r.fold(p)
+		if r.packets[i].refs > 0 {
+			r.fold(int64(i))
 		}
 	}
 	res := &Result{

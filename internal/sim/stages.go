@@ -12,46 +12,30 @@ import (
 	"strings"
 )
 
-// stageStamp holds one packet's stage-boundary cycles; -1 = not reached.
-// It is 40 bytes of a record that exists only while the packet is in
-// flight, so runs without accounting pay one untaken branch a stamp.
-type stageStamp struct {
-	probe   int64 // first LR-cache probe at the arrival LC
-	reqSend int64 // fabric request pushed toward the home LC
-	reqRecv int64 // request popped from the home LC's input queue
-	feStart int64 // forwarding engine began the lookup
-	feDone  int64 // forwarding engine finished
-}
+// stageStamp holds one packet's stage-boundary cycles, indexed by stage;
+// -1 = not reached. The stamps live in Router.stages, a slab beside the
+// packet records that exists only under StageAccounting, so a run without
+// accounting keeps none and pays one untaken branch a stamp.
+type stageStamp [5]int64
 
 const (
-	stProbe = iota
-	stReqSend
-	stReqRecv
-	stFEStart
-	stFEDone
+	stProbe   = iota // first LR-cache probe at the arrival LC
+	stReqSend        // fabric request pushed toward the home LC
+	stReqRecv        // request popped from the home LC's input queue
+	stFEStart        // forwarding engine began the lookup
+	stFEDone         // forwarding engine finished
 )
 
-// stamp records a stage boundary for packet p, first write wins (flush
+// unstamped is a fresh packet's stamps.
+var unstamped = stageStamp{-1, -1, -1, -1, -1}
+
+// stamp records a stage boundary for packet id, first write wins (flush
 // reissue can re-run a stage; the breakdown keeps the original pass).
-func (r *Router) stamp(p *packet, stage int) {
+func (r *Router) stamp(id int64, stage int) {
 	if !r.cfg.StageAccounting {
 		return
 	}
-	s := &p.stages
-	var at *int64
-	switch stage {
-	case stProbe:
-		at = &s.probe
-	case stReqSend:
-		at = &s.reqSend
-	case stReqRecv:
-		at = &s.reqRecv
-	case stFEStart:
-		at = &s.feStart
-	case stFEDone:
-		at = &s.feDone
-	}
-	if *at < 0 {
+	if at := &r.stages[id][stage]; *at < 0 {
 		*at = r.now
 	}
 }
@@ -75,16 +59,16 @@ var stageDefs = [...]struct {
 	name     string
 	from, to func(p *packet, s *stageStamp) int64
 }{
-	{"arrival→probe", func(p *packet, s *stageStamp) int64 { return p.arrivalCycle }, func(p *packet, s *stageStamp) int64 { return s.probe }},
-	{"fabric_send→fabric_recv", func(p *packet, s *stageStamp) int64 { return s.reqSend }, func(p *packet, s *stageStamp) int64 { return s.reqRecv }},
+	{"arrival→probe", func(p *packet, s *stageStamp) int64 { return p.arrivalCycle }, func(p *packet, s *stageStamp) int64 { return s[stProbe] }},
+	{"fabric_send→fabric_recv", func(p *packet, s *stageStamp) int64 { return s[stReqSend] }, func(p *packet, s *stageStamp) int64 { return s[stReqRecv] }},
 	{"fe_queue", func(p *packet, s *stageStamp) int64 {
-		if s.reqRecv >= 0 {
-			return s.reqRecv
+		if s[stReqRecv] >= 0 {
+			return s[stReqRecv]
 		}
-		return s.probe
-	}, func(p *packet, s *stageStamp) int64 { return s.feStart }},
-	{"fe_exec", func(p *packet, s *stageStamp) int64 { return s.feStart }, func(p *packet, s *stageStamp) int64 { return s.feDone }},
-	{"fe_exec→verdict", func(p *packet, s *stageStamp) int64 { return s.feDone }, func(p *packet, s *stageStamp) int64 { return p.completeCycle }},
+		return s[stProbe]
+	}, func(p *packet, s *stageStamp) int64 { return s[stFEStart] }},
+	{"fe_exec", func(p *packet, s *stageStamp) int64 { return s[stFEStart] }, func(p *packet, s *stageStamp) int64 { return s[stFEDone] }},
+	{"fe_exec→verdict", func(p *packet, s *stageStamp) int64 { return s[stFEDone] }, func(p *packet, s *stageStamp) int64 { return p.completeCycle }},
 }
 
 // stageBreakdown turns the sums fold kept into per-stage means.
