@@ -151,7 +151,9 @@ func TestRunMatrixGolden(t *testing.T) {
 // testdata/run_wide.golden as TestRunMatrixGolden holds its cells: ψ = 1,
 // where every lookup is local, and ψ = 65, whose last LC is the first of a
 // second 64-LC word — each under stage accounting, a flush every 3,000
-// cycles, fabric contention, and all three at once. -update rewrites it.
+// cycles, fabric contention, and all three at once — and a 10 Gbps run
+// sampled every 16 cycles, alone and with all three, where most cycles
+// have nothing due and many windows close empty. -update rewrites it.
 func TestRunWideGolden(t *testing.T) {
 	const path = "testdata/run_wide.golden"
 	tbl := rtable.Small(12000, 26)
@@ -163,6 +165,12 @@ func TestRunWideGolden(t *testing.T) {
 		{"flush-3000", func(c *Config) { c.FlushEveryCycles = 3000 }},
 		{"fabric-contention", func(c *Config) { c.FabricContention = true }},
 		{"all-three", func(c *Config) { c.StageAccounting, c.FlushEveryCycles, c.FabricContention = true, 3000, true }},
+		{"10gbps-windows-16", func(c *Config) { c.GapMin, c.GapMax = Gaps10Gbps(); c.SampleWindowCycles = 16 }},
+		{"10gbps-windows-16-all-three", func(c *Config) {
+			c.GapMin, c.GapMax = Gaps10Gbps()
+			c.SampleWindowCycles = 16
+			c.StageAccounting, c.FlushEveryCycles, c.FabricContention = true, 3000, true
+		}},
 	}
 	var got strings.Builder
 	for _, psi := range []int{1, 65} {
