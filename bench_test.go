@@ -368,6 +368,17 @@ func BenchmarkCacheProbeHit(b *testing.B) {
 // times, at 50,000 packets an LC. sim.New (partitioning, engine builds) is
 // outside the timer.
 func BenchmarkSimulatorCycles(b *testing.B) {
+	benchSimulatorCycles(b, sim.Gaps40Gbps)
+}
+
+// BenchmarkSimulatorCycles10G is BenchmarkSimulatorCycles at the 10 Gbps
+// gaps (6..74 cycles), where a packet arrives at an LC one cycle in forty
+// and most cycles have nothing due.
+func BenchmarkSimulatorCycles10G(b *testing.B) {
+	benchSimulatorCycles(b, sim.Gaps10Gbps)
+}
+
+func benchSimulatorCycles(b *testing.B, gaps func() (int, int)) {
 	build, err := engines.Lookup("lulea")
 	if err != nil {
 		b.Fatal(err)
@@ -375,6 +386,7 @@ func BenchmarkSimulatorCycles(b *testing.B) {
 	cfg := sim.DefaultConfig(rtable.RT2())
 	cfg.Engine = build
 	cfg.PacketsPerLC = 50000
+	cfg.GapMin, cfg.GapMax = gaps()
 	var packets int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -160,6 +160,16 @@ func (p *Pipe) Next(now int64) (Message, bool) {
 	return m, true
 }
 
+// NextArrival returns the arrival cycle of the oldest undelivered message,
+// the first cycle at which Next returns one, and false when none is in
+// flight. It pops nothing.
+func (p *Pipe) NextArrival() (int64, bool) {
+	if p.head == len(p.queue) {
+		return 0, false
+	}
+	return p.queue[p.head].arrival, true
+}
+
 // Deliver pops every message whose arrival time is <= now.
 func (p *Pipe) Deliver(now int64) []Message {
 	var out []Message

@@ -165,3 +165,34 @@ func TestNextDrainsWhatDeliverDrains(t *testing.T) {
 		t.Error("the run never reached the compaction")
 	}
 }
+
+// TestNextArrival holds NextArrival to Next: the first cycle at which Next
+// returns a message, found without popping one, across the compaction.
+func TestNextArrival(t *testing.T) {
+	p := NewPipe(5)
+	if _, ok := p.NextArrival(); ok {
+		t.Fatal("an empty pipe has an arrival")
+	}
+	rng := stats.NewRNG(9)
+	var id int64
+	for now := int64(0); now < 4000; now++ {
+		for n := rng.Range(0, 2) * rng.Range(0, 1); n > 0; n-- {
+			id++
+			p.Send(now, Message{PacketID: id})
+		}
+		at, ok := p.NextArrival()
+		if ok != (p.Pending() > 0) {
+			t.Fatalf("cycle %d: NextArrival ok %v with %d pending", now, ok, p.Pending())
+		}
+		pending := p.Pending()
+		if _, got := p.Next(at - 1); ok && got {
+			t.Fatalf("cycle %d: Next popped a message before %d", now, at)
+		}
+		if p.Pending() != pending {
+			t.Fatalf("cycle %d: NextArrival popped", now)
+		}
+		if _, got := p.Next(at); ok && !got {
+			t.Fatalf("cycle %d: no message at %d", now, at)
+		}
+	}
+}

@@ -77,7 +77,9 @@ type lineCard struct {
 
 	loadFactor float64 // ingress rate multiplier (1.0 = nominal)
 
-	// Queue-occupancy accounting, sampled once per cycle.
+	// Queue-occupancy accounting, sampled in each cycle the LC steps. A
+	// cycle it skips would sample two empty queues, so the sums divided by
+	// the run's cycles are the per-cycle means all the same.
 	maxFEQ, sumFEQ       int64
 	maxInputQ, sumInputQ int64
 
@@ -116,7 +118,8 @@ func (l *lineCard) drawGap(gmin, gmax int) int64 {
 	return int64(g)
 }
 
-// sampleQueues records per-cycle queue depths for the occupancy report.
+// sampleQueues records the queue depths of a cycle the LC steps in, for
+// the occupancy report.
 func (l *lineCard) sampleQueues() {
 	fq, iq := int64(l.feQ.len()), int64(l.inputQ.len())
 	if fq > l.maxFEQ {
@@ -162,10 +165,13 @@ type Router struct {
 	// is kept only under StageAccounting (nil otherwise).
 	stages                []stageStamp
 	stageSum, stagePacket [len(stageDefs)]int64
-	// wake[i] is the next cycle at which LC i has anything to do. step
-	// reads the LCs due this cycle off it, 64 to a word, and steps those
-	// alone.
-	wake      []int64
+	// cal files each LC under the next cycle at which it has anything to
+	// do: step pops the LCs due in its cycle, and Run jumps to the next
+	// cycle in which anything is.
+	cal calendar
+	// ports is the set of LCs whose deliQ holds an arrival, 64 to a word
+	// (FabricContention only).
+	ports     []uint64
 	completed int64
 	lat       *stats.Hist
 	now       int64
@@ -298,7 +304,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.pool = trace.NewPool(cfg.Table, cfg.TraceConfig)
 	root := stats.NewRNG(cfg.Seed ^ 0x5e3d)
-	r.wake = make([]int64, cfg.NumLCs)
+	r.cal = newCalendar(cfg.NumLCs)
+	if cfg.FabricContention {
+		r.ports = make([]uint64, r.cal.words())
+	}
 	var tables []*rtable.Table // the LCs' route lists, for their engines' builds only
 	if r.part != nil {
 		tables = r.part.Tables()
@@ -342,7 +351,11 @@ func (r *Router) homeOf(a ip.Addr, arrival int) int {
 	return r.part.HomeLC(a)
 }
 
-// Run executes the simulation to completion and returns the results.
+// Run executes the simulation to completion and returns the results. A
+// cycle in which nothing is due changes nothing but the window series, so
+// Run goes from a stepped cycle straight to the next cycle with an event
+// or a window edge. With no event left before the cycle limit, the limit
+// is hit at once: the skipped cycles would complete nothing.
 func (r *Router) Run() (*Result, error) {
 	total := int64(r.cfg.NumLCs * r.cfg.PacketsPerLC)
 	limit := r.cfg.maxCycles()
@@ -354,8 +367,51 @@ func (r *Router) Run() (*Result, error) {
 		r.step()
 		r.now++
 		r.rollWindow()
+		if r.completed < total && !r.cal.filedAt(r.now) {
+			r.skipIdle(limit)
+		}
 	}
 	return r.result(), nil
+}
+
+// skipIdle moves now on to the next cycle with an event, or to the window
+// edge before it, or past limit when no event comes by then.
+func (r *Router) skipIdle(limit int64) {
+	next := r.nextEvent()
+	if next > limit {
+		r.now = limit + 1
+		return
+	}
+	if w := r.cfg.SampleWindowCycles; w > 0 {
+		next = min(next, (r.now/w+1)*w)
+	}
+	if next > r.now {
+		r.now = next
+		r.rollWindow()
+	}
+}
+
+// nextEvent is the first cycle from now on in which step has anything to
+// do: an LC due, a fabric arrival, a flush, a route update, or a port's
+// next admission while a deliQ holds arrivals.
+func (r *Router) nextEvent() int64 {
+	now := r.now
+	for _, w := range r.ports {
+		if w != 0 {
+			return now
+		}
+	}
+	next := int64(math.MaxInt64)
+	if t, ok := r.pipe.NextArrival(); ok {
+		next = max(t, now)
+	}
+	if f := r.cfg.FlushEveryCycles; f > 0 {
+		next = min(next, (now+f-1)/f*f)
+	}
+	if r.nextUpdate < len(r.updates) {
+		next = min(next, max(r.updates[r.nextUpdate].AtCycle, now))
+	}
+	return r.cal.next(now, next)
 }
 
 // route lands a fabric delivery in its destination queue and wakes the
@@ -367,23 +423,31 @@ func (r *Router) route(m fabric.Message) {
 	} else {
 		dst.replyQ.push(m)
 	}
-	r.wake[m.Dst] = r.now
+	r.cal.setWake(m.Dst, r.now)
 }
 
 // step advances one cycle for the whole router.
 func (r *Router) step() {
 	now := r.now
+	r.cal.advance(now)
 
 	// 1. Fabric deliveries land in the destination queues. Under
 	// FabricContention each LC's output port admits one message per
-	// cycle; otherwise arrivals demux immediately.
+	// cycle, in LC order over the ports holding arrivals; otherwise
+	// arrivals demux immediately.
 	if r.cfg.FabricContention {
 		for m, ok := r.pipe.Next(now); ok; m, ok = r.pipe.Next(now) {
 			r.lcs[m.Dst].deliQ.push(m)
+			r.ports[m.Dst>>6] |= 1 << (m.Dst & 63)
 		}
-		for _, l := range r.lcs {
-			if m, ok := l.deliQ.pop(); ok {
+		for w, port := range r.ports {
+			for ; port != 0; port &= port - 1 {
+				l := r.lcs[w<<6+bits.TrailingZeros64(port)]
+				m, _ := l.deliQ.pop()
 				r.route(m)
+				if l.deliQ.len() == 0 {
+					r.ports[w] &^= 1 << (l.id & 63)
+				}
 			}
 		}
 	} else {
@@ -404,18 +468,11 @@ func (r *Router) step() {
 
 	// A line card with empty queues, no arrival due and no FE job ending
 	// would generate nothing, finish nothing and sample zero depths: only
-	// the LCs due, wake[i] <= now, are stepped, in LC order. Bit j of a
-	// word is the sign of wake-(now+1) for LC base+j, so the set costs no
-	// branch an LC. Stepping one LC moves no other LC's wake, so each word
-	// can be read just before its LCs step. At 40 Gbps a packet arrives at
-	// an LC one cycle in ten.
-	for base, next := 0, now+1; base < len(r.wake); base += 64 {
-		var due uint64
-		for j, w := range r.wake[base:min(base+64, len(r.wake))] {
-			due |= uint64(w-next) >> 63 << (j & 63)
-		}
-		for ; due != 0; due &= due - 1 {
-			r.stepLC(r.lcs[base+bits.TrailingZeros64(due)], now)
+	// the LCs due now are stepped, in LC order. At 40 Gbps a packet
+	// arrives at an LC one cycle in ten.
+	for w := range r.cal.words() {
+		for due := r.cal.take(w); due != 0; due &= due - 1 {
+			r.stepLC(r.lcs[w<<6+bits.TrailingZeros64(due)], now)
 		}
 	}
 }
@@ -461,25 +518,22 @@ func (r *Router) stepLC(l *lineCard, now int64) {
 		l.n[cFabricSent]++
 	}
 
-	r.wake[l.id] = l.nextEvent(now)
-}
-
-// nextEvent is the next cycle at which the LC must be stepped: the coming
-// one while any queue holds work, else its next arrival or the end of its
-// FE job, whichever is first. route and flushAll bring it forward when
-// they push into the LC.
-func (l *lineCard) nextEvent(now int64) int64 {
-	if l.replyQ.len()+l.inputQ.len()+l.localQ.len()+l.feQ.len()+l.outQ.len() > 0 {
-		return now + 1
+	// 8. The next cycle at which the LC must be stepped: the coming one
+	// while any queue holds work, else its next arrival or the end of its
+	// FE job, whichever is first. route and flushAll bring it forward when
+	// they push into the LC. (Written out in place: as a method it is over
+	// the inliner's budget, and a call each step.)
+	next := now + 1
+	if l.replyQ.len()+l.inputQ.len()+l.localQ.len()+l.feQ.len()+l.outQ.len() == 0 {
+		next = math.MaxInt64
+		if l.toGenerate > 0 {
+			next = l.nextArrival
+		}
+		if l.feBusy {
+			next = min(next, l.feActive.doneAt)
+		}
 	}
-	next := int64(math.MaxInt64)
-	if l.toGenerate > 0 {
-		next = l.nextArrival
-	}
-	if l.feBusy && l.feActive.doneAt < next {
-		next = l.feActive.doneAt
-	}
-	return next
+	r.cal.file(l.id, next)
 }
 
 // startFE begins a lookup: the result and its cost are computed up front,
@@ -801,7 +855,7 @@ func applyInPlace(l *lineCard, batch []rtable.Update) bool {
 // flushAll invalidates every LR-cache and reissues the orphaned waiters
 // through their original paths.
 func (r *Router) flushAll() {
-	for i, l := range r.lcs {
+	for _, l := range r.lcs {
 		if l.cache == nil {
 			continue
 		}
@@ -817,7 +871,7 @@ func (r *Router) flushAll() {
 				l.inputQ.push(id)
 			}
 			l.n[cReissued]++
-			r.wake[i] = r.now
+			r.cal.setWake(l.id, r.now)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -445,5 +447,49 @@ func TestResultReport(t *testing.T) {
 	}
 	if res.DerivedMppsPerLC <= 0 || res.OfferedMppsRouter <= 0 {
 		t.Error("throughput figures missing")
+	}
+}
+
+// TestRunLimitError holds the cycle cap where a loop over every cycle had
+// it. A remote lookup here crosses a 2.1 M-cycle fabric twice, past the
+// cap a 50-packet run derives (4,019,600 cycles), and a flush reissues it
+// faster than it drains: the run fails with the cap and the packets done
+// that stepping each cycle reported (51 of 100: no remote lookup
+// returns), though Run skips every cycle between its events. A
+// flush on the cap's own cycle is still stepped. A run with nothing left
+// due — no arrival, lookup, message, flush or update to come — fails at
+// once, at a cap of 10^14 cycles no walk would reach.
+func TestRunLimitError(t *testing.T) {
+	base := DefaultConfig(rtable.Small(2000, 26))
+	base.NumLCs = 2
+	base.PacketsPerLC = 50
+	base.Cache = cache.Config{Blocks: 8, Assoc: 4, MixPercent: 50, Policy: cache.LRU}
+	base.FabricLatency = 2_100_000
+	const want = "sim: exceeded 4019600 cycles with 51/100 packets done"
+	for _, flush := range []int64{1_000_000, 4_019_600} {
+		cfg := base
+		cfg.FlushEveryCycles = flush
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err == nil || err.Error() != want {
+			t.Errorf("flush every %d: got %v, want %q", flush, err, want)
+		}
+	}
+
+	cfg := base
+	cfg.PacketsPerLC = 1 << 40
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range r.lcs {
+		l.toGenerate = 0
+		r.cal.setWake(i, math.MaxInt64)
+	}
+	wantIdle := fmt.Sprintf("sim: exceeded %d cycles with 0/%d packets done", r.cfg.maxCycles(), 2<<40)
+	if _, err := r.Run(); err == nil || err.Error() != wantIdle {
+		t.Errorf("nothing due: got %v, want %q", err, wantIdle)
 	}
 }
