@@ -1,7 +1,7 @@
 // Batch data-plane tests: the batch plane must return oracle-correct,
 // positionally ordered verdicts under fabric chaos and LC crashes,
 // recycle abandoned descriptors instead of leaking, and hold the
-// zero-allocation budget on its steady-state paths. The Chaos* tests here ride the CI chaos matrix
+// zero-allocation budget on its steady-state paths. The Chaos* tests here ride CI's chaos seed matrix
 // (they honor SPAL_CHAOS_SEED).
 package router
 
@@ -241,7 +241,7 @@ func TestLookupBatchCancelRecyclesDescriptor(t *testing.T) {
 // request and one reply — and nothing per address.
 func TestLookupBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; the zero-alloc gate runs in the non-race CI jobs")
+		t.Skip("race-detector instrumentation allocates; the zero-alloc gate runs in CI's nonrace job")
 	}
 	tbl := rtable.Small(2000, 7)
 	const batch, runs, warm = 64, 1000, 5
@@ -359,7 +359,7 @@ func TestLookupBatchSteadyStateAllocs(t *testing.T) {
 // (never moved to the heap) must all stay off the list.
 func TestLookupMissAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; the alloc gates run in the non-race CI jobs")
+		t.Skip("race-detector instrumentation allocates; the alloc gates run in CI's nonrace job")
 	}
 	tbl := rtable.Small(2000, 7)
 	const runs = 2000

@@ -1,4 +1,4 @@
-// Batch data-plane benchmarks. CI's bench-guard job runs the LookupBatch
+// Batch data-plane benchmarks. CI's nonrace job runs the LookupBatch
 // benches with -benchmem and gates on the allocs/op column (must be 0);
 // BENCH_6.json commits representative numbers, including the same-home
 // burst where the coalesced plane's O(ψ) fabric messaging shows up as

@@ -1,8 +1,8 @@
 // Chaos tests: the forwarding plane must produce a correct verdict for
 // every lookup even when the fabric drops, delays, or duplicates
 // messages, and even while the routing table is being swapped under
-// load. CI runs this file under -race with several SPAL_CHAOS_SEED
-// values; locally the seed list below is used.
+// load. CI's chaos job runs this file under -race with several
+// SPAL_CHAOS_SEED values; locally the seed list below is used.
 package router
 
 import (

@@ -1,6 +1,6 @@
 // Tests for the queue hand-off (leave, queued): whoever holds an LC's lock
 // serves what was queued behind it, within a budget, and only while the LC
-// is live. CI runs them at GOMAXPROCS 1, 2 and 8 (job chaos-procs).
+// is live. CI runs them at GOMAXPROCS 1, 2 and 8 (job chaos-procs) as well.
 package router
 
 import (

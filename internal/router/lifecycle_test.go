@@ -1,6 +1,6 @@
 // Lifecycle tests: LC health monitoring, crash re-homing, admin drain,
-// and the Stop/UpdateTable interleaving contract. The ChaosKillLC test is
-// part of the CI chaos matrix (it honors SPAL_CHAOS_SEED).
+// and the Stop/UpdateTable interleaving contract. The ChaosKillLC tests are
+// part of CI's chaos seed matrix (they honor SPAL_CHAOS_SEED).
 package router
 
 import (

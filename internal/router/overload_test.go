@@ -1,8 +1,8 @@
 // Overload-control tests: admission shedding, block mode, waitlist caps,
 // retry budgets, circuit breakers, Stop under full inboxes, and the
-// chaos/soak runs the CI overload job drives. What a router without
-// WithOverload does with the same bounded inbox is covered in
-// inbox_test.go.
+// chaos/soak runs CI drives in its chaos and chaos-procs jobs. What a
+// router without WithOverload does with the same bounded inbox is covered
+// in inbox_test.go.
 package router
 
 import (
@@ -613,7 +613,8 @@ func (s slowEngine) Lookup(a ip.Addr) (rtable.NextHop, int, bool) {
 	return s.Engine.Lookup(a)
 }
 
-// TestOverloadSoak is the CI overload-soak scenario: roughly 2× offered
+// TestOverloadSoak is the overload soak CI runs under -race (job test) and
+// at GOMAXPROCS 1, 2 and 8 (job chaos-procs): roughly 2× offered
 // load against slowed-down engines for a sustained window. Queues are
 // bounded, so heap usage must stay flat while a nonzero, steady shed
 // rate absorbs the excess; every served verdict must still be correct.

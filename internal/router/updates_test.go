@@ -1,7 +1,8 @@
 // Tests for the incremental-update plane (updates.go): ApplyUpdates
 // equivalence against the full-rebuild oracle, targeted invalidation
 // accounting against the full-flush oracle, generation-guard behavior,
-// and the churn chaos / soak scenarios CI runs under -race.
+// and the churn chaos / soak scenarios CI runs under -race (jobs test and
+// chaos).
 package router
 
 import (
@@ -581,7 +582,8 @@ func checkCleanState(t *testing.T, r *Router) {
 	}
 }
 
-// TestUpdateSoak is the CI update-soak scenario: a 30-second sim-time
+// TestUpdateSoak is the update soak CI runs under -race (job test) and at
+// GOMAXPROCS 1, 2 and 8 (job chaos-procs): a 30-second sim-time
 // stream at 1000 updates/s (30k events) pushed through ApplyUpdates in
 // batches while the batch data plane keeps serving, with a flat heap and
 // zero wrong verdicts.
