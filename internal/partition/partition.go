@@ -50,31 +50,20 @@ type Partitioning struct {
 	NumLCs int
 
 	home  *home
-	pt    *patterns // home.pattern as a table, for the passes over routes
-	free  [33]int   // per prefix length: the pattern bits such a prefix leaves "*"
+	free  [33]int // per prefix length: the pattern bits such a prefix leaves "*"
 	full  *rtable.Table
 	sizes []int // routes per LC: Table(lc).Len(), kept without the table
 }
 
 // home is the address → home-LC map of a partitioning and nothing else:
-// the control bits and the pattern → LC folding, no route.
+// the control-bit patterns and the pattern → LC folding, no route.
 type home struct {
-	bits        []int
+	pt          *patterns
 	patternToLC []int // 2^η -> LC index
 }
 
 // lc returns a's home LC.
-func (h *home) lc(a ip.Addr) int { return h.patternToLC[h.pattern(a)] }
-
-// pattern returns a's control-bit pattern: the first chosen bit is its most
-// significant.
-func (h *home) pattern(a ip.Addr) int {
-	pat := 0
-	for i, pos := range h.bits {
-		pat |= int(ip.AddrBit(a, pos)) << (len(h.bits) - 1 - i)
-	}
-	return pat
-}
+func (h *home) lc(a ip.Addr) int { return h.patternToLC[h.pt.of(a)] }
 
 // ceilLog2 returns the smallest η with 2^η >= n (η = 0 for n <= 1).
 func ceilLog2(n int) int {
@@ -153,8 +142,7 @@ func SubsetWithBits(t *rtable.Table, numLCs int, alive []int, bits []int) *Parti
 		full:   t,
 		sizes:  make([]int, numLCs),
 	}
-	p.home = &home{bits: p.Bits, patternToLC: make([]int, 1<<len(bits))}
-	p.pt = newPatterns(p.Bits)
+	p.home = &home{pt: newPatterns(p.Bits), patternToLC: make([]int, 1<<len(bits))}
 	for pat := range p.home.patternToLC {
 		p.home.patternToLC[pat] = alive[pat%len(alive)]
 	}
@@ -183,10 +171,10 @@ func (p *Partitioning) place(add func(lc int, r rtable.Route)) {
 	}
 }
 
-// patterns is home.pattern as a table, for the passes that take the
-// pattern of every route: entry [i][x] holds the pattern bits that byte i
-// of an address (the most significant first) sets when its value is x, so
-// an address's pattern is the OR of four loads, not a loop over the bits.
+// patterns gives an address its control-bit pattern, the first chosen bit
+// its most significant: entry [i][x] holds the pattern bits that byte i of
+// an address (the most significant first) sets when its value is x, so a
+// pattern is the OR of four loads, not a loop over the bits.
 type patterns [4][256]int
 
 func newPatterns(bits []int) *patterns {
@@ -212,7 +200,7 @@ func (pt *patterns) of(a ip.Addr) int {
 // both values.
 func (p *Partitioning) lcsOf(dst []int, pr ip.Prefix) []int {
 	free := p.free[pr.Len]
-	pat := p.pt.of(pr.Value) &^ free
+	pat := p.home.pt.of(pr.Value) &^ free
 	for sub := free; ; sub = (sub - 1) & free {
 		if lc := p.home.patternToLC[pat|sub]; !slices.Contains(dst, lc) {
 			dst = append(dst, lc)
@@ -247,7 +235,6 @@ func (p *Partitioning) ApplyUpdates(batch []rtable.Update) (*Partitioning, [][]r
 		Bits:   p.Bits,
 		NumLCs: p.NumLCs,
 		home:   p.home,
-		pt:     p.pt,
 		free:   p.free,
 		sizes:  slices.Clone(p.sizes),
 	}
@@ -408,7 +395,7 @@ func scoreBits(groups [][]ip.Prefix) [32]bitScore {
 // splitGroups applies the chosen bit, doubling the group list: each group g
 // becomes g0, its prefixes whose bit pos is 0 or "*", then g1, those whose
 // bit is 1 or "*". Earlier-chosen bits thus stay more significant in the
-// group order and the new bit is the least, as in home.pattern. A first
+// group order and the new bit is the least, as in patterns.of. A first
 // pass counts both sides, so every subgroup is cut at its exact size from
 // one allocation.
 func splitGroups(groups [][]ip.Prefix, pos int) [][]ip.Prefix {

@@ -333,17 +333,33 @@ func TestCeilLog2(t *testing.T) {
 	}
 }
 
-// TestPatternsMatchHome: the byte-table pattern the route passes use is
-// home.pattern, the one HomeLC uses, for control bits in every byte and at
-// both ends of one, in selection orders that are not sorted.
+// patternOf is an address's control-bit pattern by its definition, a bit
+// at a time, the first chosen bit its most significant: the reference the
+// byte tables of patterns are checked against.
+func patternOf(bits []int, a ip.Addr) int {
+	pat := 0
+	for i, pos := range bits {
+		pat |= int(ip.AddrBit(a, pos)) << (len(bits) - 1 - i)
+	}
+	return pat
+}
+
+// TestPatternsMatchHome: the byte-table pattern that HomeLC and the route
+// passes use is patternOf's, for control bits in every byte and at both
+// ends of one, in selection orders that are not sorted; and HomeLC is the
+// LC that pattern folds onto.
 func TestPatternsMatchHome(t *testing.T) {
 	rng := stats.NewRNG(43)
 	for _, bits := range [][]int{nil, {0}, {31}, {7, 8}, {24, 3, 16, 0, 31}, {12, 13, 11, 14}} {
-		h, pt := home{bits: bits}, newPatterns(bits)
+		p := WithBits(rtable.New(nil), max(1<<len(bits)-1, 1), bits)
 		for i := 0; i < 2000; i++ {
 			a := rng.Uint32()
-			if got, want := pt.of(a), h.pattern(a); got != want {
-				t.Fatalf("bits %v: pattern of %s is %b, home.pattern %b", bits, ip.FormatAddr(a), got, want)
+			want := patternOf(bits, a)
+			if got := p.home.pt.of(a); got != want {
+				t.Fatalf("bits %v: pattern of %s is %b, patternOf %b", bits, ip.FormatAddr(a), got, want)
+			}
+			if got := p.HomeLC(a); got != p.home.patternToLC[want] || got != want%p.NumLCs {
+				t.Fatalf("bits %v: HomeLC(%s) = %d, pattern %b folds onto %d", bits, ip.FormatAddr(a), got, want, want%p.NumLCs)
 			}
 		}
 	}
