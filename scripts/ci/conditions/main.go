@@ -132,10 +132,14 @@ func combos(m map[string]any) []map[string]string {
 		if k == "exclude" {
 			fatal(fmt.Errorf("matrix exclude is not supported"))
 		}
+		list, ok := vs.([]any)
+		if !ok {
+			fatal(fmt.Errorf("matrix %s: want a list, have %v", k, vs))
+		}
 		listed = append(listed, k)
 		var next []map[string]string
 		for _, c := range out {
-			for _, v := range vs.([]any) {
+			for _, v := range list {
 				c := maps.Clone(c)
 				c[k] = fmt.Sprint(v)
 				next = append(next, c)
@@ -149,8 +153,12 @@ func combos(m map[string]any) []map[string]string {
 	base := len(out)
 	inc, _ := m["include"].([]any)
 	for _, e := range inc {
+		fields, ok := e.(map[string]any)
+		if !ok {
+			fatal(fmt.Errorf("matrix include: want a map, have %v", e))
+		}
 		entry := map[string]string{}
-		for k, v := range e.(map[string]any) {
+		for k, v := range fields {
 			entry[k] = fmt.Sprint(v)
 		}
 		added := false
@@ -354,7 +362,11 @@ func match(pattern, name string) []string {
 	var out []string
 	for _, alt := range split(pattern, '|') {
 		levels := split(alt, '/')
-		if !regexp.MustCompile(levels[0]).MatchString(name) {
+		re, err := regexp.Compile(levels[0])
+		if err != nil {
+			fatal(err)
+		}
+		if !re.MatchString(name) {
 			continue
 		}
 		n := name
@@ -458,18 +470,22 @@ func commands(script string, env map[string]string) [][]string {
 		kept = append(kept, l)
 	}
 	s = strings.Join(kept, "\n")
+	unterminated := func(what string) { fatal(fmt.Errorf("unterminated %s in %q", what, script)) }
 	for i := 0; i < len(s); {
 		c := s[i]
 		switch {
 		case c == '\'':
 			j := strings.IndexByte(s[i+1:], '\'')
+			if j < 0 {
+				unterminated("'")
+			}
 			w.WriteString(s[i+1 : i+1+j])
 			inWord, i = true, i+j+2
 		case c == '"':
 			inWord = true
-			for i++; s[i] != '"'; {
+			for i++; i < len(s) && s[i] != '"'; {
 				switch {
-				case s[i] == '\\' && strings.IndexByte("$\"\\`", s[i+1]) >= 0:
+				case s[i] == '\\' && i+1 < len(s) && strings.IndexByte("$\"\\`", s[i+1]) >= 0:
 					w.WriteByte(s[i+1])
 					i += 2
 				case s[i] == '$':
@@ -479,11 +495,17 @@ func commands(script string, env map[string]string) [][]string {
 					i++
 				}
 			}
+			if i >= len(s) {
+				unterminated(`"`)
+			}
 			i++
 		case c == '$' && i+1 < len(s) && s[i+1] == '(':
 			depth, j := 1, i+2
-			for ; depth > 0; j++ {
+			for ; depth > 0 && j < len(s); j++ {
 				depth += map[byte]int{'(': 1, ')': -1}[s[j]]
+			}
+			if depth > 0 {
+				unterminated("$(")
 			}
 			out = append(out, commands(s[i+2:j-1], env)...)
 			w.WriteString(s[i:j])
