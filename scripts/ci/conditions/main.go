@@ -55,19 +55,20 @@ type workflow struct {
 	} `json:"jobs"`
 }
 
+const workflowFile = ".github/workflows/ci.yml"
+
 // line is one output line; its key is everything but the count.
 type line struct{ module, pkg, name, cond string }
 
 func main() {
-	path := flag.String("workflow", ".github/workflows/ci.yml", "the workflow to read")
 	lost := flag.String("lost", "", "a listing of an earlier workflow: print its lines this one does not cover")
 	flag.Parse()
-	out, err := exec.Command("yq", "-o=json", *path).Output()
+	out, err := exec.Command("yq", "-o=json", workflowFile).Output()
 	if err != nil {
-		out, err = exec.Command("yq", ".", *path).Output()
+		out, err = exec.Command("yq", ".", workflowFile).Output()
 	}
 	if err != nil {
-		fatal(fmt.Errorf("yq %s: %v", *path, err))
+		fatal(fmt.Errorf("yq %s: %v", workflowFile, err))
 	}
 	var wf workflow
 	if err := json.Unmarshal(out, &wf); err != nil {
@@ -208,10 +209,7 @@ type stepRun struct {
 	loop   [2]string   // the variables a while read binds to them
 }
 
-var (
-	assignment = regexp.MustCompile(`^\w+=`)
-	redirect   = regexp.MustCompile(`^[0-9]*(<|>|>>)$`) // a redirection whose file is the next word
-)
+var assignment = regexp.MustCompile(`^\w+=`)
 
 var keywords = map[string]bool{"if": true, "then": true, "do": true, "while": true}
 
@@ -227,9 +225,6 @@ func (st *stepRun) script(s string) {
 		for len(words) > 0 && assignment.MatchString(words[0]) {
 			k, v, _ := strings.Cut(words[0], "=")
 			env[k], words = v, words[1:]
-		}
-		for i := slices.IndexFunc(words, redirect.MatchString); i >= 0 && i+1 < len(words); i = slices.IndexFunc(words, redirect.MatchString) {
-			words = slices.Delete(words, i, i+2)
 		}
 		if i := slices.Index(words, "-tags"); i >= 0 && i+1 < len(words) && words[i+1] == "" {
 			words = slices.Delete(words, i, i+2) // an empty tag set is no tag set
