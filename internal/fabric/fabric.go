@@ -3,9 +3,11 @@
 // depends on its size — a few nanoseconds for recent crossbars, a
 // multistage structure for larger ψ — and that is what this package
 // provides: a latency model per fabric kind plus an in-order delay pipe
-// that carries request/reply messages between LCs. The concurrent router,
-// whose fabric is not lossless, draws each message's fate from the fault
-// model in faults.go.
+// that carries messages of any type between LCs. A Message copies what it
+// carries; the simulator's message is a packet name (an id, a destination
+// and a reply's next hop), the packet's fields staying in its record. The
+// concurrent router, whose fabric is not lossless, draws each message's
+// fate from the fault model in faults.go.
 //
 // Injection bandwidth (one message per cycle per port) is enforced by the
 // line card's outgoing queue in the simulator, not here; the pipe itself
@@ -104,51 +106,58 @@ type Message struct {
 	NextHop  rtable.NextHop // valid for Reply
 }
 
-type inflight struct {
+type inflight[M any] struct {
 	arrival int64
-	msg     Message
+	msg     M
 }
 
-// Pipe is a fixed-latency, in-order message channel. Sends must use
+// Pipe is a fixed-latency, in-order channel of messages of any type M, a
+// Message or the simulator's 16-byte packet name. Each value is copied in
+// and out whole, so a small M makes a cheap pipe. Sends must use
 // non-decreasing timestamps (the simulator's cycle counter).
-type Pipe struct {
+type Pipe[M any] struct {
 	latency  int64
-	queue    []inflight // FIFO; arrival times are non-decreasing
+	queue    []inflight[M] // FIFO; arrival times are non-decreasing
 	head     int
 	sent     int64
 	lastSend int64 // timestamp of the most recent Send, for the order guard
 }
 
-// NewPipe builds a pipe with the given one-way latency in cycles.
-func NewPipe(latencyCycles int) *Pipe {
+// NewPipe builds a pipe of Messages with the given one-way latency in
+// cycles.
+func NewPipe(latencyCycles int) *Pipe[Message] { return NewPipeOf[Message](latencyCycles) }
+
+// NewPipeOf builds a pipe of M with the given one-way latency in cycles.
+func NewPipeOf[M any](latencyCycles int) *Pipe[M] {
 	if latencyCycles < 0 {
 		panic("fabric: negative latency")
 	}
-	return &Pipe{latency: int64(latencyCycles)}
+	return &Pipe[M]{latency: int64(latencyCycles)}
 }
 
 // Latency returns the pipe's one-way latency in cycles.
-func (p *Pipe) Latency() int64 { return p.latency }
+func (p *Pipe[M]) Latency() int64 { return p.latency }
 
 // Send injects a message at cycle now; it will arrive at now+latency.
 // Sends must use non-decreasing timestamps, which keeps the queue in
 // arrival order; the guard compares against the last Send directly (not
 // the tail of the queue), so it also catches a time-travelling send
 // issued after the queue fully drained.
-func (p *Pipe) Send(now int64, m Message) {
+func (p *Pipe[M]) Send(now int64, m M) {
 	if p.sent > 0 && now < p.lastSend {
 		panic("fabric: out-of-order send")
 	}
 	p.lastSend = now
-	p.queue = append(p.queue, inflight{arrival: now + p.latency, msg: m})
+	p.queue = append(p.queue, inflight[M]{arrival: now + p.latency, msg: m})
 	p.sent++
 }
 
 // Next pops the oldest message whose arrival time is <= now, if there is
 // one: a consumer drains a cycle's arrivals with no slice built for them.
-func (p *Pipe) Next(now int64) (Message, bool) {
+func (p *Pipe[M]) Next(now int64) (M, bool) {
 	if p.head == len(p.queue) || p.queue[p.head].arrival > now {
-		return Message{}, false
+		var zero M
+		return zero, false
 	}
 	m := p.queue[p.head].msg
 	p.head++
@@ -163,7 +172,7 @@ func (p *Pipe) Next(now int64) (Message, bool) {
 // NextArrival returns the arrival cycle of the oldest undelivered message,
 // the first cycle at which Next returns one, and false when none is in
 // flight. It pops nothing.
-func (p *Pipe) NextArrival() (int64, bool) {
+func (p *Pipe[M]) NextArrival() (int64, bool) {
 	if p.head == len(p.queue) {
 		return 0, false
 	}
@@ -171,8 +180,8 @@ func (p *Pipe) NextArrival() (int64, bool) {
 }
 
 // Deliver pops every message whose arrival time is <= now.
-func (p *Pipe) Deliver(now int64) []Message {
-	var out []Message
+func (p *Pipe[M]) Deliver(now int64) []M {
+	var out []M
 	for m, ok := p.Next(now); ok; m, ok = p.Next(now) {
 		out = append(out, m)
 	}
@@ -180,7 +189,7 @@ func (p *Pipe) Deliver(now int64) []Message {
 }
 
 // Pending returns the number of undelivered messages.
-func (p *Pipe) Pending() int { return len(p.queue) - p.head }
+func (p *Pipe[M]) Pending() int { return len(p.queue) - p.head }
 
 // Sent returns the total number of messages injected.
-func (p *Pipe) Sent() int64 { return p.sent }
+func (p *Pipe[M]) Sent() int64 { return p.sent }

@@ -196,3 +196,77 @@ func TestNextArrival(t *testing.T) {
 		}
 	}
 }
+
+// name is a 16-byte message of a type other than Message, the shape of the
+// simulator's packet name.
+type name struct {
+	id    int64
+	dst   int32
+	hop   uint16
+	reply bool
+}
+
+// TestPipeOf holds a pipe of another message type to Pipe's contract: in
+// order, ties in send order, NextArrival the first cycle Next returns one
+// (across the compaction), and an out-of-order send panics.
+func TestPipeOf(t *testing.T) {
+	p := NewPipeOf[name](4)
+	if _, ok := p.Next(1 << 40); ok {
+		t.Fatal("an empty pipe delivered")
+	}
+	rng := stats.NewRNG(5)
+	var sent, got int64
+	for now := int64(0); now < 4000; now++ {
+		for n := rng.Range(0, 2); n > 0; n-- {
+			sent++
+			p.Send(now, name{id: sent, dst: int32(sent % 7), hop: uint16(sent), reply: sent&1 == 1})
+		}
+		at, ok := p.NextArrival()
+		if ok != (p.Pending() > 0) {
+			t.Fatalf("cycle %d: NextArrival ok %v with %d pending", now, ok, p.Pending())
+		}
+		if ok && at > now+4 {
+			t.Fatalf("cycle %d: next arrival %d is past a latency away", now, at)
+		}
+		if _, early := p.Next(at - 1); ok && early {
+			t.Fatalf("cycle %d: Next popped a message before %d", now, at)
+		}
+		for m, ok := p.Next(now); ok; m, ok = p.Next(now) {
+			got++
+			if want := (name{id: got, dst: int32(got % 7), hop: uint16(got), reply: got&1 == 1}); m != want {
+				t.Fatalf("cycle %d: got %+v, want %+v", now, m, want)
+			}
+		}
+	}
+	if got+int64(p.Pending()) != sent || p.Sent() != sent {
+		t.Fatalf("%d delivered + %d pending, %d sent (Sent %d)", got, p.Pending(), sent, p.Sent())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("want panic on an out-of-order send")
+		}
+	}()
+	p.Send(3, name{})
+}
+
+// BenchmarkPipeSendNext times one Send and one Next, the simulator's use of
+// a pipe, for a Message (40 bytes) and for a 16-byte packet name: what the
+// copies of a message cost.
+func BenchmarkPipeSendNext(b *testing.B) {
+	b.Run("msg=Message", func(b *testing.B) {
+		p := NewPipe(3)
+		for i := 0; i < b.N; i++ {
+			now := int64(i)
+			p.Send(now, Message{Kind: Reply, Src: i & 15, Dst: (i + 1) & 15, PacketID: now, Addr: uint32(i), NextHop: 7})
+			p.Next(now)
+		}
+	})
+	b.Run("msg=name16", func(b *testing.B) {
+		p := NewPipeOf[name](3)
+		for i := 0; i < b.N; i++ {
+			now := int64(i)
+			p.Send(now, name{id: now, dst: int32(i & 15), hop: 7, reply: true})
+			p.Next(now)
+		}
+	})
+}

@@ -201,7 +201,7 @@ func TestRunWideGolden(t *testing.T) {
 // matrixExempt names the Config fields no matrix cell changes from
 // DefaultConfig, each with why a cell would add nothing.
 var matrixExempt = map[string]string{
-	"FabricLatency": "an explicit latency reaches the same fabric.NewPipe the bus-fabric cells derive theirs for",
+	"FabricLatency": "an explicit latency reaches the same fabric.NewPipeOf the bus-fabric cells derive theirs for",
 	"Table":         "every cell runs one synthetic table; the table is the input, not a switch",
 	"Seed":          "every random stream derives from it; the cells hold it fixed so a fingerprint moves only with the code",
 }

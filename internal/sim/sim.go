@@ -38,6 +38,17 @@ type packet struct {
 	refs         int32
 }
 
+// msg is one simulated fabric message: the name of a packet, not a copy of
+// it. It holds a ref, so the packet's record, the address included, stays
+// put while the message is in flight. A reply carries its next hop: a flush
+// reissue can leave two replies in flight for one packet.
+type msg struct {
+	id    int64
+	dst   int32
+	nh    rtable.NextHop // valid for a reply
+	reply bool
+}
+
 // feJob is a lookup in flight at a forwarding engine.
 type feJob struct {
 	packetID int64
@@ -63,11 +74,13 @@ type lineCard struct {
 	nextArrival int64
 	toGenerate  int
 
-	localQ fifo[int64]          // freshly arrived local packets
-	inputQ fifo[int64]          // remote requests received over the fabric
-	replyQ fifo[fabric.Message] // replies received over the fabric
-	outQ   fifo[fabric.Message] // messages awaiting fabric injection
-	deliQ  fifo[fabric.Message] // fabric arrivals awaiting the output port
+	localQ fifo[int64] // freshly arrived local packets
+	inputQ fifo[int64] // remote requests received over the fabric
+	// replyQ, outQ and deliQ hold msgs: a packet id, its destination LC and,
+	// for a reply, the next hop.
+	replyQ fifo[msg] // replies received over the fabric
+	outQ   fifo[msg] // requests and replies awaiting fabric injection
+	deliQ  fifo[msg] // fabric arrivals awaiting the output port
 	// (used only under FabricContention)
 
 	feQ      fifo[int64]
@@ -107,15 +120,19 @@ const (
 )
 
 // drawGap samples one inter-arrival gap, scaled by the LC's load factor.
-func (l *lineCard) drawGap(gmin, gmax int) int64 {
-	g := float64(l.rng.Range(gmin, gmax))
-	if l.loadFactor != 1.0 {
-		g /= l.loadFactor
+// It draws what stats.(*RNG).Range(GapMin, GapMax) would, the modulo by the
+// span taken as multiplies (gapMod). At the nominal load the gap is that
+// integer, at least GapMin ≥ 1; any other load factor scales it in float64.
+func (l *lineCard) drawGap(gmin int, span *gapMod) int64 {
+	g := int64(gmin) + int64(span.mod(l.rng.Uint64()))
+	if l.loadFactor == 1.0 {
+		return g
 	}
-	if g < 1 {
-		g = 1
+	f := float64(g) / l.loadFactor
+	if f < 1 {
+		f = 1
 	}
-	return int64(g)
+	return int64(f)
 }
 
 // sampleQueues records the queue depths of a cycle the LC steps in, for
@@ -137,8 +154,11 @@ type Router struct {
 	cfg  Config
 	part *partition.Partitioning
 	lcs  []*lineCard
-	pipe *fabric.Pipe
+	pipe *fabric.Pipe[msg]
 	pool *trace.Pool
+	// gaps takes x mod GapMax−GapMin+1, the number of gaps an arrival
+	// draws from.
+	gaps gapMod
 	// refs is the table-version history for VerifyNextHops: refs[v] is
 	// the reference oracle of version v. Without churn it holds one
 	// entry; nil when verification is off.
@@ -279,7 +299,8 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:  cfg,
-		pipe: fabric.NewPipe(cfg.FabricLatency),
+		pipe: fabric.NewPipeOf[msg](cfg.FabricLatency),
+		gaps: newGapMod(uint64(cfg.GapMax - cfg.GapMin + 1)),
 		lat:  stats.NewHist(4096),
 	}
 	if cfg.PartitionEnabled {
@@ -335,7 +356,7 @@ func New(cfg Config) (*Router, error) {
 		if cfg.LoadFactors != nil {
 			l.loadFactor = cfg.LoadFactors[i]
 		}
-		l.nextArrival = l.drawGap(cfg.GapMin, cfg.GapMax)
+		l.nextArrival = l.drawGap(cfg.GapMin, &r.gaps)
 		r.lcs = append(r.lcs, l)
 	}
 	return r, nil
@@ -416,14 +437,14 @@ func (r *Router) nextEvent() int64 {
 
 // route lands a fabric delivery in its destination queue and wakes the
 // destination.
-func (r *Router) route(m fabric.Message) {
-	dst := r.lcs[m.Dst]
-	if m.Kind == fabric.Request {
-		dst.inputQ.push(m.PacketID)
-	} else {
+func (r *Router) route(m msg) {
+	dst := r.lcs[m.dst]
+	if m.reply {
 		dst.replyQ.push(m)
+	} else {
+		dst.inputQ.push(m.id)
 	}
-	r.cal.setWake(m.Dst, r.now)
+	r.cal.setWake(int(m.dst), r.now)
 }
 
 // step advances one cycle for the whole router.
@@ -437,8 +458,8 @@ func (r *Router) step() {
 	// arrivals demux immediately.
 	if r.cfg.FabricContention {
 		for m, ok := r.pipe.Next(now); ok; m, ok = r.pipe.Next(now) {
-			r.lcs[m.Dst].deliQ.push(m)
-			r.ports[m.Dst>>6] |= 1 << (m.Dst & 63)
+			r.lcs[m.dst].deliQ.push(m)
+			r.ports[m.dst>>6] |= 1 << (m.dst & 63)
 		}
 		for w, port := range r.ports {
 			for ; port != 0; port &= port - 1 {
@@ -490,7 +511,7 @@ func (r *Router) stepLC(l *lineCard, now int64) {
 		l.localQ.push(r.alloc(a, l.id, now))
 		l.n[cGenerated]++
 		l.toGenerate--
-		l.nextArrival = now + l.drawGap(r.cfg.GapMin, r.cfg.GapMax)
+		l.nextArrival = now + l.drawGap(r.cfg.GapMin, &r.gaps)
 	}
 
 	// 4. Forwarding engine: finish, then possibly start the next job.
@@ -585,19 +606,19 @@ func (r *Router) finishFE(l *lineCard) {
 
 // handleReply processes a fabric reply at the arrival LC: fill as REM,
 // release the parked packets.
-func (r *Router) handleReply(l *lineCard, m fabric.Message) {
-	v := r.pkt(m.PacketID).valueVersion
-	nh := m.NextHop
+func (r *Router) handleReply(l *lineCard, m msg) {
+	p := r.pkt(m.id)
+	v, a := p.valueVersion, p.addr
 	var waiters []int64
 	if l.cache != nil {
-		waiters = l.cache.Fill(m.Addr, nh, cache.REM)
+		waiters = l.cache.Fill(a, m.nh, cache.REM)
 		if v < r.version {
-			l.cache.InvalidateRange(m.Addr, m.Addr)
+			l.cache.InvalidateRange(a, a)
 			r.churnStaleFills++
 		}
 	}
 	l.n[cReplyReceived]++
-	r.resolveAll(l, m.PacketID, waiters, nh, v)
+	r.resolveAll(l, m.id, waiters, m.nh, v)
 }
 
 // resolveAll routes a lookup result to the originating packet and all
@@ -629,14 +650,7 @@ func (r *Router) resolve(l *lineCard, id int64, nh rtable.NextHop, v int32) {
 	}
 	// A remote request parked at the home LC: answer its arrival LC.
 	p.refs++
-	l.outQ.push(fabric.Message{
-		Kind:     fabric.Reply,
-		Src:      l.id,
-		Dst:      int(p.arrivalLC),
-		PacketID: id,
-		Addr:     p.addr,
-		NextHop:  nh,
-	})
+	l.outQ.push(msg{id: id, dst: p.arrivalLC, nh: nh, reply: true})
 	l.n[cReplySent]++
 }
 
@@ -687,7 +701,7 @@ func (r *Router) probeLocal(l *lineCard, id int64) {
 	p := r.pkt(id)
 	r.stamp(id, stProbe)
 	if l.cache == nil {
-		r.dispatchMiss(l, p, id, r.homeOf(p.addr, l.id))
+		r.dispatchMiss(l, id, r.homeOf(p.addr, l.id))
 		return
 	}
 	res := l.cache.Probe(p.addr)
@@ -718,25 +732,19 @@ func (r *Router) probeLocal(l *lineCard, id int64) {
 			}
 		}
 		l.n[cMissLocal]++
-		r.dispatchMiss(l, p, id, home)
+		r.dispatchMiss(l, id, home)
 	}
 }
 
 // dispatchMiss sends a missed packet to its lookup site: the local FE when
 // this LC is home, otherwise a fabric request to the home LC.
-func (r *Router) dispatchMiss(l *lineCard, p *packet, id int64, home int) {
+func (r *Router) dispatchMiss(l *lineCard, id int64, home int) {
 	if home == l.id {
 		l.feQ.push(id)
 		return
 	}
 	r.stamp(id, stReqSend)
-	l.outQ.push(fabric.Message{
-		Kind:     fabric.Request,
-		Src:      l.id,
-		Dst:      home,
-		PacketID: id,
-		Addr:     p.addr,
-	})
+	l.outQ.push(msg{id: id, dst: int32(home)})
 	l.n[cRequestSent]++
 }
 

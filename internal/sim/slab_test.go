@@ -95,6 +95,16 @@ func TestPacketRecordSize(t *testing.T) {
 	}
 }
 
+// TestSimMessageSize: a fabric message names its packet (id, destination,
+// a reply's next hop) in 16 bytes; a fabric.Message copy of the packet was
+// 40, copied into outQ, out of it, into the pipe, out of it and, for a
+// reply, into replyQ.
+func TestSimMessageSize(t *testing.T) {
+	if got := unsafe.Sizeof(msg{}); got > 16 {
+		t.Errorf("a sim message is %d bytes, want <= 16", got)
+	}
+}
+
 // TestRunAllocsPerPacket: what Run allocates is a waiting list a miss and
 // queue growth — 0.228 a packet over a run this short, which is mostly cold
 // misses. The slab adds none (a record a packet would add 1.0), and
