@@ -23,7 +23,7 @@
 //	spal-router -drain-after 50ms -n 500000   # drain LC 0 mid-drive, restore after
 //	spal-router -trace-rate 0.01 -n 100000 -trace-dump 3  # sample 1% of lookups, dump the last 3 traces
 //	spal-router -trace-rate 1 -fault-rate 0.1 -trace-log -n 10000  # full tracing + JSON log per lookup
-//	spal-router -overload-depth 256 -shed-mode drop-newest -n 1000000  # bounded inboxes, shed on overflow
+//	spal-router -overload-depth 256 -n 1000000  # bounded inboxes, shed on overflow
 //	spal-router -churn-rate 1000 -n 1000000   # absorb 1000 route updates/s while forwarding
 //	spal-router -slow-lc 1 -slow-factor 20 -n 1000000  # brown out LC 1, watch detection and ejection
 package main
@@ -79,7 +79,6 @@ func main() {
 	traceDump := flag.Int("trace-dump", 0, "print the last N completed traces after the drive (implies tracing)")
 	traceLog := flag.Bool("trace-log", false, "emit one structured log line per finished trace (implies tracing)")
 	overloadDepth := flag.Int("overload-depth", 0, "enable overload control with each LC inbox bounded to this many messages, shedding on overflow (0 = no policy: inboxes hold 1024 and callers wait for space)")
-	shedMode := flag.String("shed-mode", "drop-newest", "what -overload-depth does with a lookup that finds its inbox full: drop-newest (refuse it) or block (wait for space)")
 	churnRate := flag.Float64("churn-rate", 0, "stream BGP-style route updates at this rate (events/s) through ApplyUpdates while driving load (0 = off)")
 	processMetrics := flag.Bool("process-metrics", false, "also export Go process gauges (goroutines, heap bytes, GC pause) on /metrics")
 	slowLC := flag.Int("slow-lc", -1, "brown out this line card: its fabric links run at 1/slow-factor speed while its own ticks keep it Healthy (gray-failure demo; enables detection+ejection)")
@@ -131,12 +130,7 @@ func main() {
 		opts = append(opts, router.WithLogger(slog.New(slog.NewJSONHandler(os.Stderr, nil))))
 	}
 	if *overloadDepth > 0 {
-		mode, err := router.ParseShedMode(*shedMode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		opts = append(opts, router.WithOverload(*overloadDepth, mode))
+		opts = append(opts, router.WithOverload(*overloadDepth))
 	}
 	r, err := router.New(tbl, opts...)
 	if err != nil {

@@ -261,3 +261,47 @@ func TestReferenceMemoryAndName(t *testing.T) {
 		t.Errorf("got %s/%d", r.Name(), r.MemoryBytes())
 	}
 }
+
+// TestApplyInPlace: a dynamic engine takes an update stream in place and
+// then answers as the table the stream leaves; any other engine reports
+// false and is left answering as the table it was built from.
+func TestApplyInPlace(t *testing.T) {
+	initial := rtable.Small(800, 21)
+	batch := rtable.GenerateUpdates(initial, rtable.UpdateStreamConfig{
+		RatePerSecond: 1e6, CycleNS: 5, Duration: 60000, WithdrawProb: 0.4, NewPrefixProb: 0.5, Seed: 3,
+	})
+	if len(batch) == 0 {
+		t.Fatal("empty update stream")
+	}
+	final := initial.ApplyAll(batch)
+	rng := stats.NewRNG(5)
+	var addrs []ip.Addr
+	for i := 0; i < 2000; i++ {
+		addrs = append(addrs, rng.Uint32())
+	}
+	for _, u := range batch {
+		addrs = append(addrs, u.Route.Prefix.FirstAddr(), u.Route.Prefix.LastAddr())
+	}
+	kinds := map[bool]int{}
+	for _, build := range builders {
+		e := build(initial)
+		_, dynamic := e.(lpm.DynamicEngine)
+		kinds[dynamic]++
+		if got := lpm.ApplyInPlace(e, batch); got != dynamic {
+			t.Fatalf("%s: ApplyInPlace = %v, want %v (dynamic)", e.Name(), got, dynamic)
+		}
+		want := lpm.NewReference(initial)
+		if dynamic {
+			want = lpm.NewReference(final)
+		}
+		for _, a := range addrs {
+			wantNH, _, wantOK := want.Lookup(a)
+			if nh, _, ok := e.Lookup(a); ok != wantOK || (ok && nh != wantNH) {
+				t.Fatalf("%s (dynamic %v): Lookup(%s) = (%d,%v), want (%d,%v)", e.Name(), dynamic, ip.FormatAddr(a), nh, ok, wantNH, wantOK)
+			}
+		}
+	}
+	if kinds[true] == 0 || kinds[false] == 0 {
+		t.Fatalf("engines swept: %d dynamic, %d not; want some of each", kinds[true], kinds[false])
+	}
+}

@@ -49,6 +49,24 @@ type DynamicEngine interface {
 	Delete(p ip.Prefix) bool
 }
 
+// ApplyInPlace streams an update batch into e when it is a DynamicEngine —
+// announces as Insert, withdraws as Delete, in order — and reports whether
+// it was; any other engine is left as it is, for the caller to rebuild.
+func ApplyInPlace(e Engine, updates []rtable.Update) bool {
+	de, ok := e.(DynamicEngine)
+	if !ok {
+		return false
+	}
+	for _, u := range updates {
+		if u.Kind == rtable.Withdraw {
+			de.Delete(u.Route.Prefix)
+		} else {
+			de.Insert(u.Route.Prefix, u.Route.NextHop)
+		}
+	}
+	return true
+}
+
 // Builder constructs an engine from a routing table snapshot.
 type Builder func(t *rtable.Table) Engine
 

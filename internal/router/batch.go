@@ -531,7 +531,7 @@ func (r *Router) answerDups(lc *lineCard, bd *batchDesc, home int, row int32, ow
 			continue
 		}
 		if r.overload && answered+1 >= waitlistCap {
-			r.shedLocal(lc.id, v.Addr, localWaiter{bd: bd, slot: d.slot, tr: d.tr}, shedWaitlistOverflow)
+			r.shedLocal(lc.id, v.Addr, localWaiter{bd: bd, slot: d.slot, tr: d.tr})
 			continue
 		}
 		lc.stats.Coalesced.Add(1)

@@ -401,7 +401,7 @@ func testDirectPreconditions(t *testing.T, single bool) {
 		// The home answers by call; its reply is the message lost.
 		{"reply dropped", []Option{WithFaultInjector(repDropped.decide)}, [2]ServedBy{ServedByRemote, ServedByRemote}, true, false, false,
 			func(r *Router, _ ip.Addr) obstacle { return fault(r, repDropped, true) }},
-		{"breaker open", []Option{WithOverload(0, ShedDropNewest)}, [2]ServedBy{ServedByFallback, ServedByFallback}, false, false, false,
+		{"breaker open", []Option{WithOverload(0)}, [2]ServedBy{ServedByFallback, ServedByFallback}, false, false, false,
 			func(r *Router, _ ip.Addr) obstacle {
 				b := &r.lcs[arrival].ov.breakers[home]
 				r.own(arrival, func(*lineCard) { b.openedAt = r.now(); b.state.Store(breakerOpen) })
@@ -409,7 +409,7 @@ func testDirectPreconditions(t *testing.T, single bool) {
 			}},
 		// The first row claims the probe on the message path, the second finds
 		// it claimed; the probe's reply closes the breaker.
-		{"breaker half-open", []Option{WithOverload(0, ShedDropNewest)}, [2]ServedBy{ServedByRemote, ServedByFallback}, true, false, false,
+		{"breaker half-open", []Option{WithOverload(0)}, [2]ServedBy{ServedByRemote, ServedByFallback}, true, false, false,
 			func(r *Router, _ ip.Addr) obstacle {
 				r.own(arrival, func(*lineCard) { r.lcs[arrival].ov.breakers[home].state.Store(breakerHalfOpen) })
 				return obstacle{}

@@ -442,7 +442,7 @@ func TestLookupBatchShedKeepsPositions(t *testing.T) {
 	tbl := rtable.Small(2000, 13)
 	oracle := lpm.NewReference(tbl)
 	r, err := New(tbl, WithLCs(2),
-		WithOverload(0, ShedDropNewest),
+		WithOverload(0),
 		WithFaultInjector(fabric.NewFaults(5, fabric.LinkConfig{DropRate: 1}).Decide),
 		WithRequestTimeout(5*time.Millisecond), WithMaxRetries(-1))
 	if err != nil {

@@ -119,7 +119,7 @@ func TestGrayBrownoutHeadline(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName("bintrie"),
 				WithFaultInjector(lf.Decide),
 				WithRequestTimeout(15*time.Millisecond),
-				WithOverload(512, ShedDropNewest),
+				WithOverload(512),
 				WithGray())
 			if err != nil {
 				t.Fatal(err)

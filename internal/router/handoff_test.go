@@ -112,7 +112,7 @@ func TestDrainBudget(t *testing.T) {
 	}
 	// The hour keeps the monitor out: the sweep below is the test's own call.
 	r, err := New(rtable.Small(500, 3), WithLCs(1), WithoutCache(), WithEngine(refill),
-		WithRequestTimeout(time.Hour), WithOverload(depth, ShedBlock))
+		WithRequestTimeout(time.Hour), withQueueDepth(depth))
 	if err != nil {
 		t.Fatal(err)
 	}

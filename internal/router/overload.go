@@ -11,8 +11,7 @@
 //
 //   - Admission: a locally submitted lookup that finds the arrival LC's
 //     inbox full is refused immediately with ErrOverloaded
-//     (shed-at-arrival, mode ShedDropNewest), or admitted only once space
-//     frees (ShedBlock — the only behaviour without WithOverload).
+//     (shed-at-arrival). Without WithOverload it waits for space.
 //   - Fabric (every router, overload control or not): requests and
 //     replies are never allowed to block the sending LC — a full target
 //     inbox sheds the message and the requester's existing
@@ -59,41 +58,6 @@ import (
 // ever return it.
 var ErrOverloaded = errors.New("router: overloaded")
 
-// ShedMode selects what the admission layer does with a locally
-// submitted lookup when the arrival LC's inbox is full.
-type ShedMode uint8
-
-// Shed modes.
-const (
-	// ShedDropNewest (default): refuse the new lookup with ErrOverloaded.
-	ShedDropNewest ShedMode = iota
-	// ShedBlock: block the Lookup caller until inbox space frees (or the
-	// router stops). Only local admission blocks; the fabric path always
-	// sheds, preserving the no-deadlock invariant.
-	ShedBlock
-)
-
-// shedModeNames are the flag/report names.
-var shedModeNames = [...]string{"drop-newest", "block"}
-
-// String implements fmt.Stringer.
-func (m ShedMode) String() string {
-	if int(m) < len(shedModeNames) {
-		return shedModeNames[m]
-	}
-	return "ShedMode(?)"
-}
-
-// ParseShedMode maps a flag string onto a ShedMode.
-func ParseShedMode(s string) (ShedMode, error) {
-	for i, n := range shedModeNames {
-		if s == n {
-			return ShedMode(i), nil
-		}
-	}
-	return 0, errors.New("router: unknown shed mode " + s)
-}
-
 // Overload settings. defaultQueueDepth is also the inbox depth of a router
 // without overload control: deep enough that no closed-loop caller in the
 // repository fills it (the widest async fan-out is a few hundred lookups),
@@ -121,14 +85,13 @@ const (
 )
 
 // WithOverload enables overload control: each LC's inbox holds queueDepth
-// messages (<= 0 selects 1024), and mode is what admission does with a
-// lookup that finds it full. The waitlist cap, the retry budget and the
-// breakers come with it, at the constants above.
-func WithOverload(queueDepth int, mode ShedMode) Option {
+// messages (<= 0 selects 1024), and a lookup that finds it full is refused
+// with ErrOverloaded. The waitlist cap, the retry budget and the breakers
+// come with it, at the constants above.
+func WithOverload(queueDepth int) Option {
 	return func(c *config) {
 		c.Overload = true
 		c.QueueDepth = queueDepth
-		c.ShedMode = mode
 	}
 }
 
@@ -149,16 +112,13 @@ const (
 	shedReplyFull
 	// shedWaitlistOverflow: the per-address waitlist was at waitlistCap.
 	shedWaitlistOverflow
-	// shedReplayDropped: a re-homed replay found the adopted slot's inbox
-	// full; the parked caller received a ServedByShed verdict.
-	shedReplayDropped
 	numShedReasons
 )
 
 // shedReasonNames are the reason="" label values.
 var shedReasonNames = [numShedReasons]string{
 	"inbox_full", "remote_inbox_full", "reply_inbox_full",
-	"waitlist_overflow", "replay_shed",
+	"waitlist_overflow",
 }
 
 // Breaker states, mirrored into spal_router_breaker_state.
@@ -240,14 +200,14 @@ func (r *Router) shedCount(lc int, why shedReason) {
 // admit is the admission layer for a locally submitted lookup or batch
 // descriptor. An idle arrival LC runs it on the caller's goroutine
 // (runInline); otherwise it takes one slot of the LC's queue (see queued) —
-// a full queue refuses the whole batch. Without overload control, and
-// under ShedBlock, the caller waits for space, until ctx is cancelled or the
-// router stops; ShedDropNewest refuses with ErrOverloaded instead.
+// a full queue refuses the whole batch. Without overload control the caller
+// waits for space, until ctx is cancelled or the router stops; with it a
+// full queue refuses the lookup with ErrOverloaded.
 func (r *Router) admit(ctx context.Context, lc int, m message) error {
 	if r.runInline(lc, m) {
 		return nil
 	}
-	if !r.overload || r.shedMode == ShedBlock {
+	if !r.overload {
 		select {
 		case r.inboxes[lc] <- m:
 			r.queued(lc, 0)
@@ -274,15 +234,15 @@ func (r *Router) admit(ctx context.Context, lc int, m message) error {
 	return ErrOverloaded
 }
 
-// shedLocal abandons an already-admitted local lookup (waitlist
-// overflow, replay shed): the parked caller receives a ServedByShed
-// verdict, which the synchronous Lookup wrappers convert to
-// ErrOverloaded. The verdict lands in the lookup's descriptor slot, so a
-// batch sub-lookup keeps its position, and this never blocks.
-func (r *Router) shedLocal(lc int, addr ip.Addr, w localWaiter, why shedReason) {
-	r.shedCount(lc, why)
+// shedLocal abandons an already-admitted local lookup whose waitlist is
+// full: the parked caller receives a ServedByShed verdict, which the
+// synchronous Lookup wrappers convert to ErrOverloaded. The verdict lands in
+// the lookup's descriptor slot, so a batch sub-lookup keeps its position,
+// and this never blocks.
+func (r *Router) shedLocal(lc int, addr ip.Addr, w localWaiter) {
+	r.shedCount(lc, shedWaitlistOverflow)
 	if w.tr != nil {
-		w.tr.Record(tracing.EvShed, int64(why), int64(lc))
+		w.tr.Record(tracing.EvShed, int64(shedWaitlistOverflow), int64(lc))
 		r.finishTrace(w.tr, ServedByShed, false)
 	}
 	r.deliver(w, Verdict{Addr: addr, ServedBy: ServedByShed})
@@ -291,10 +251,9 @@ func (r *Router) shedLocal(lc int, addr ip.Addr, w localWaiter, why shedReason) 
 // replaySend re-submits a lookup parked at a crashed LC into the adopted
 // slot's queue, behind what buffered there. It runs on the health monitor
 // with r.mu held, and the monitor is the sweep: it must not wait for space
-// nobody else may come by to make. A full queue under overload control
-// sheds the replay and the parked caller receives a ServedByShed verdict —
-// every lookup still terminates. Without it no local lookup is ever shed:
-// the monitor takes the LC and runs the handler itself, ahead of the queue.
+// nobody else may come by to make. On a full queue the monitor takes the LC
+// and runs the handler itself, ahead of the queue: a replay is never shed,
+// with overload control or without.
 func (r *Router) replaySend(lc int, addr ip.Addr, w localWaiter) {
 	m := message{kind: mLookup, addr: addr, bd: w.bd, slot: w.slot, start: w.bd.start, tr: w.tr}
 	select {
@@ -302,10 +261,6 @@ func (r *Router) replaySend(lc int, addr ip.Addr, w localWaiter) {
 		r.queued(lc, 0)
 	case <-r.quit:
 	default:
-		if r.overload {
-			r.shedLocal(lc, addr, w, shedReplayDropped)
-			return
-		}
 		r.own(lc, func(lc *lineCard) {
 			lc.handledInline.Add(1)
 			r.handle(lc, m)

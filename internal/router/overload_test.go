@@ -45,6 +45,13 @@ func gateLC(t *testing.T, r *Router, i int) (release func()) {
 	return func() { once.Do(func() { close(gate) }) }
 }
 
+// withQueueDepth bounds each LC's queue at n with overload control off, so
+// a lookup that finds the queue full blocks until space frees: the admission
+// of every router without WithOverload, at a depth a test can fill.
+func withQueueDepth(n int) Option {
+	return func(c *config) { c.QueueDepth = n }
+}
+
 // remoteAddrs returns n distinct table-matched addresses whose home LC is
 // home but that are submitted elsewhere (arrival != home exercises the
 // fabric path).
@@ -120,7 +127,7 @@ var entryPoints = []struct {
 func TestOverloadAdmissionShed(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
-	r, err := New(tbl, WithLCs(1), WithOverload(2, ShedDropNewest))
+	r, err := New(tbl, WithLCs(1), WithOverload(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +162,13 @@ func TestOverloadAdmissionShed(t *testing.T) {
 	}
 }
 
-// TestOverloadBlockMode: ShedBlock admission parks the caller instead of
-// shedding, and the lookup completes once inbox space frees.
+// TestOverloadBlockMode: without overload control, admission to a full
+// bounded queue parks the caller instead of shedding, and the lookup
+// completes once inbox space frees.
 func TestOverloadBlockMode(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
-	r, err := New(tbl, WithLCs(1), WithOverload(1, ShedBlock))
+	r, err := New(tbl, WithLCs(1), withQueueDepth(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +190,7 @@ func TestOverloadBlockMode(t *testing.T) {
 	}()
 	select {
 	case <-got:
-		t.Fatal("ShedBlock lookup completed while the inbox was full")
+		t.Fatal("blocking lookup completed while the inbox was full")
 	case <-time.After(20 * time.Millisecond):
 	}
 	release()
@@ -199,30 +207,62 @@ func TestOverloadBlockMode(t *testing.T) {
 	}
 }
 
-// TestParseShedMode: the two shed modes' names round-trip through
-// ParseShedMode and String; any other name, the old "drop-remote-first"
-// and the empty string among them, is refused.
-func TestParseShedMode(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mode ShedMode
-		ok   bool
-	}{
-		{"drop-newest", ShedDropNewest, true},
-		{"block", ShedBlock, true},
-		{"drop-remote-first", 0, false},
-		{"", 0, false},
-		{"Block", 0, false},
-	} {
-		m, err := ParseShedMode(tc.name)
-		switch {
-		case !tc.ok && err == nil:
-			t.Errorf("ParseShedMode(%q) = %v, want an error", tc.name, m)
-		case tc.ok && err != nil:
-			t.Errorf("ParseShedMode(%q): %v", tc.name, err)
-		case tc.ok && (m != tc.mode || m.String() != tc.name):
-			t.Errorf("ParseShedMode(%q) = %v (%d), want %d", tc.name, m, m, tc.mode)
+// TestReplayNotShedOnFullQueue: a lookup replayed after a crash is served
+// even when overload control is on and the adopted slot's queue is full. The
+// replay runs on the health monitor under Router.mu, which must not wait for
+// space, so it runs the handler itself, ahead of the queue, as it does
+// without overload control; it never answers ServedByShed.
+func TestReplayNotShedOnFullQueue(t *testing.T) {
+	tbl := rtable.Small(500, 3)
+	oracle := lpm.NewReference(tbl)
+	// The hour keeps the monitor out: the adoption below is the test's own call.
+	r, err := New(tbl, WithLCs(1), WithOverload(2), WithRequestTimeout(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	if err := r.KillLC(0); err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(17)
+	var queued []<-chan Verdict
+	for i := 0; i < cap(r.inboxes[0]); i++ { // arrivals buffer at a killed slot
+		ch, err := lookupAsync(r, 0, tbl.RandomMatchedAddr(rng))
+		if err != nil {
+			t.Fatal(err)
 		}
+		queued = append(queued, ch)
+	}
+	if n := len(r.inboxes[0]); n != cap(r.inboxes[0]) {
+		t.Fatalf("killed LC's queue holds %d, want it full (%d)", n, cap(r.inboxes[0]))
+	}
+
+	addr := tbl.RandomMatchedAddr(rng)
+	w := localWaiter{bd: getBatchDesc(1, r.now())}
+	r.mu.Lock() // as the monitor holds it: no adoption meanwhile
+	r.replaySend(0, addr, w)
+	r.mu.Unlock()
+	if err := r.wait(context.Background(), w.bd); err != nil {
+		t.Fatal(err)
+	}
+	if v := w.bd.out[0]; v.ServedBy == ServedByShed || !verdictMatches(v, oracle, addr) {
+		t.Fatalf("replayed lookup answered %+v, want it served with the oracle's verdict", v)
+	}
+	putBatchDesc(w.bd)
+
+	r.healthCheck(r.now()) // adopt the slot: its leave serves the queue
+	for i, ch := range queued {
+		select {
+		case v := <-ch:
+			if v.ServedBy == ServedByShed || !verdictMatches(v, oracle, v.Addr) {
+				t.Errorf("buffered lookup %d answered %+v after adoption, want the oracle's verdict", i, v)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("buffered lookup %d never answered after adoption", i)
+		}
+	}
+	if s := r.Metrics(); s.Sum(MetricShed) != 0 {
+		t.Fatalf("shed %v messages or lookups, want 0", s.Sum(MetricShed))
 	}
 }
 
@@ -264,7 +304,7 @@ func TestWaitlistOverflowSheds(t *testing.T) {
 			drop := func(m fabric.Message) fabric.Decision { return fabric.Decision{Drop: true} }
 			r, err := New(tbl, WithLCs(2), WithFaultInjector(drop),
 				WithRequestTimeout(100*time.Millisecond), WithMaxRetries(-1),
-				WithOverload(0, ShedDropNewest))
+				WithOverload(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,12 +341,12 @@ func TestWaitlistOverflowSheds(t *testing.T) {
 }
 
 // TestStopWithFullInboxes is the Stop-vs-full-inbox regression: with the
-// inbox at capacity and callers blocked in admission (ShedBlock under a
-// policy, the only behaviour without one), Stop must return promptly and
-// every pending caller must get a terminal verdict or error.
+// inbox at capacity and callers blocked in admission (a one-slot queue, or
+// the default depth), Stop must return promptly and every pending caller
+// must get a terminal verdict or error.
 func TestStopWithFullInboxes(t *testing.T) {
 	for name, opts := range map[string][]Option{
-		"block-mode": {WithOverload(1, ShedBlock)},
+		"block-mode": {withQueueDepth(1)},
 		"policy-off": nil,
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -367,7 +407,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 			drop := func(m fabric.Message) fabric.Decision { return fabric.Decision{Drop: m.Kind == fabric.Request} }
 			r, err := New(tbl, WithLCs(4), WithFaultInjector(drop),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(100),
-				WithOverload(0, ShedDropNewest))
+				WithOverload(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,7 +456,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 			r, err := New(tbl, WithLCs(2), WithFaultInjector(inj),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(-1),
 				WithTraceSampling(0),
-				WithOverload(0, ShedDropNewest))
+				WithOverload(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -498,7 +538,7 @@ func TestChaosOverloadKillLC(t *testing.T) {
 				WithFaultInjector(fabric.NewFaults(seed, fabric.LinkConfig{DropRate: 0.05}).Decide),
 				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(2),
 				WithTraceSampling(0), WithTraceJournal(1<<15),
-				WithOverload(64, ShedDropNewest))
+				WithOverload(64))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -628,7 +668,7 @@ func TestOverloadSoak(t *testing.T) {
 		return slowEngine{Engine: lpm.NewReferenceEngine(t), d: 20 * time.Microsecond}
 	}
 	r, err := New(tbl, WithLCs(2), WithEngine(slow),
-		WithOverload(128, ShedDropNewest))
+		WithOverload(128))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,10 +143,9 @@ type config struct {
 	// budgets, circuit breakers, the waitlist cap; see overload.go). Off,
 	// callers block on a full inbox and the router never returns
 	// ErrOverloaded. QueueDepth bounds each LC's inbox either way (<= 0
-	// selects 1024); ShedMode is what admission does with a full one.
+	// selects 1024); with Overload a lookup that finds it full is refused.
 	Overload   bool
 	QueueDepth int
-	ShedMode   ShedMode
 	// Gray enables the gray-failure plane (per-home fabric RTT scoring, the
 	// degraded health signal, outlier ejection; see gray.go).
 	Gray bool
@@ -388,7 +387,6 @@ type Router struct {
 	// or waitlist cap.
 	overload   bool
 	queueDepth int
-	shedMode   ShedMode
 
 	// LC lifecycle (see lifecycle.go): each slot's lifecycle state, the
 	// suspicion window, and the lifecycle event counters.
@@ -490,7 +488,7 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			Logger:      cfg.TraceLogger,
 		})
 	}
-	r.overload, r.shedMode = cfg.Overload, cfg.ShedMode
+	r.overload = cfg.Overload
 	if r.queueDepth = cfg.QueueDepth; r.queueDepth <= 0 {
 		r.queueDepth = defaultQueueDepth
 	}
@@ -980,7 +978,7 @@ func (lc *lineCard) addLocal(wl *waitlist, w localWaiter) {
 // sheds it instead (overload control only).
 func (r *Router) joinLocal(lc *lineCard, wl *waitlist, addr ip.Addr, w localWaiter) {
 	if r.waitlistFull(wl) {
-		r.shedLocal(lc.id, addr, w, shedWaitlistOverflow)
+		r.shedLocal(lc.id, addr, w)
 		return
 	}
 	lc.stats.Coalesced.Add(1)
@@ -1315,9 +1313,8 @@ func (r *Router) lookup(ctx context.Context, i int, addr ip.Addr) (Verdict, erro
 // submit stamps lookup m, gives it a pooled one-row descriptor to wait on
 // and admits it at LC i — synchronously: by default it blocks while the
 // LC's queue is full, and on a router built WithOverload a full queue
-// refuses it with ErrOverloaded (drop modes) or blocks until space frees
-// (ShedBlock). A lookup shed after admission is answered ServedByShed in
-// its slot.
+// refuses it with ErrOverloaded. A lookup shed after admission is answered
+// ServedByShed in its slot.
 func (r *Router) submit(ctx context.Context, i int, m *message) error {
 	r.stamp(m, i)
 	m.bd, m.slot = getBatchDesc(1, m.start), 0

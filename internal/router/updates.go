@@ -121,21 +121,12 @@ func (r *Router) ApplyUpdates(batch []rtable.Update) error {
 
 // applyUpdates applies one update batch at its LC, under one ownership so
 // that no lookup sees the new generation over the old engine: engine delta
-// (the engine rebuilt for it when there is one, else the batch streamed into
-// the dynamic engine in place), generation, targeted cache invalidation.
+// (the batch streamed into a dynamic engine in place, else the engine rebuilt
+// for it), generation, targeted cache invalidation.
 func (lc *lineCard) applyUpdates(updates []rtable.Update, ranges []rtable.Range, gen uint64, rebuilt lpm.Engine) {
 	if len(updates) > 0 {
-		if rebuilt != nil {
+		if !lpm.ApplyInPlace(lc.engine, updates) {
 			lc.engine = rebuilt
-		} else {
-			de := lc.engine.(lpm.DynamicEngine)
-			for _, u := range updates {
-				if u.Kind == rtable.Withdraw {
-					de.Delete(u.Route.Prefix)
-				} else {
-					de.Insert(u.Route.Prefix, u.Route.NextHop)
-				}
-			}
 		}
 		lc.stats.UpdatesApplied.Add(int64(len(updates)))
 	}

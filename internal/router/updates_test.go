@@ -398,7 +398,7 @@ func TestChaosChurn(t *testing.T) {
 		t.Run("seed="+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			r, err := New(tbl, WithLCs(4), WithDefaultCache(), WithEngineName("bintrie"),
 				WithRequestTimeout(5*time.Millisecond),
-				WithOverload(512, ShedDropNewest))
+				WithOverload(512))
 			if err != nil {
 				t.Fatal(err)
 			}

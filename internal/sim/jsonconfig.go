@@ -52,19 +52,7 @@ func LoadConfig(r io.Reader) (Config, error) {
 
 // ToConfig converts the file form, validating enumerations.
 func (fc FileConfig) ToConfig() (Config, error) {
-	cfg := Config{
-		NumLCs:           16,
-		LookupCycles:     40,
-		Cache:            cache.DefaultConfig(),
-		CacheEnabled:     true,
-		PartitionEnabled: true,
-		FabricKind:       fabric.Multistage,
-		PacketsPerLC:     300000,
-		Trace:            trace.D75,
-		Seed:             1,
-	}
-	cfg.GapMin, cfg.GapMax = Gaps40Gbps()
-
+	cfg := DefaultConfig(nil)
 	if fc.NumLCs > 0 {
 		cfg.NumLCs = fc.NumLCs
 	}
@@ -78,7 +66,7 @@ func (fc FileConfig) ToConfig() (Config, error) {
 	if fc.CacheAssoc > 0 {
 		cfg.Cache.Assoc = fc.CacheAssoc
 	}
-	if fc.VictimBlocks >= 0 && fc.VictimBlocks != 0 {
+	if fc.VictimBlocks > 0 {
 		cfg.Cache.VictimBlocks = fc.VictimBlocks
 	}
 	if fc.MixPercent > 0 {

@@ -809,7 +809,7 @@ func (r *Router) applyChurn(now int64) {
 		r.part = np
 		var tables []*rtable.Table // derived once, if some engine is rebuilt
 		for i, l := range r.lcs {
-			if len(sub[i]) == 0 || applyInPlace(l, sub[i]) {
+			if len(sub[i]) == 0 || lpm.ApplyInPlace(l.engine, sub[i]) {
 				continue
 			}
 			if tables == nil {
@@ -819,7 +819,7 @@ func (r *Router) applyChurn(now int64) {
 		}
 	} else {
 		for _, l := range r.lcs {
-			if !applyInPlace(l, batch) {
+			if !lpm.ApplyInPlace(l.engine, batch) {
 				l.engine = r.cfg.Engine(next)
 			}
 		}
@@ -840,24 +840,6 @@ func (r *Router) applyChurn(now int64) {
 			}
 		}
 	}
-}
-
-// applyInPlace absorbs a sub-batch into one LC's matching structure when
-// its engine is dynamic, and reports whether it was; any other engine is
-// rebuilt from the LC's new partition by the caller.
-func applyInPlace(l *lineCard, batch []rtable.Update) bool {
-	de, ok := l.engine.(lpm.DynamicEngine)
-	if !ok {
-		return false
-	}
-	for _, u := range batch {
-		if u.Kind == rtable.Withdraw {
-			de.Delete(u.Route.Prefix)
-		} else {
-			de.Insert(u.Route.Prefix, u.Route.NextHop)
-		}
-	}
-	return true
 }
 
 // flushAll invalidates every LR-cache and reissues the orphaned waiters

@@ -103,9 +103,6 @@ type (
 	// LCState is one line card's lifecycle state (see Router.LCStates,
 	// Router.KillLC, Router.DrainLC, Router.RestoreLC).
 	LCState = router.LCState
-	// ShedMode selects what admission does with a full inbox
-	// (ShedDropNewest, ShedBlock; see WithRouterOverload).
-	ShedMode = router.ShedMode
 	// LookupTrace is one lookup's end-to-end span record (from
 	// Router.Traces when tracing is enabled; see WithRouterTraceSampling).
 	LookupTrace = tracing.LookupTrace
@@ -150,12 +147,6 @@ const (
 // FabricReply is the Kind of a FabricMessage carrying a reply; a request's
 // is the zero Kind.
 const FabricReply = fabric.Reply
-
-// Shed modes for WithRouterOverload.
-const (
-	ShedDropNewest = router.ShedDropNewest
-	ShedBlock      = router.ShedBlock
-)
 
 // ErrOverloaded is returned by Lookup on a router built
 // WithRouterOverload when the lookup was shed instead of executed; the
@@ -282,14 +273,12 @@ func WithRouterTraceLogger(l *slog.Logger) RouterOption { return router.WithLogg
 func WithRouterTraceJournal(size int) RouterOption { return router.WithTraceJournal(size) }
 
 // WithRouterOverload enables overload control: each line card's inbox
-// holds queueDepth messages (<= 0 selects 1024), and mode is what
-// admission does with a lookup that finds it full — ShedDropNewest refuses
-// it (Lookup returns ErrOverloaded), ShedBlock waits for space. With it come
-// a 256-waiter cap per in-flight address, a retry budget (0.1 token per
-// successful reply, 10 at most) and per-home-LC circuit breakers that open
-// after 5 consecutive timeouts and probe again after 4 request timeouts.
-func WithRouterOverload(queueDepth int, mode ShedMode) RouterOption {
-	return router.WithOverload(queueDepth, mode)
+// holds queueDepth messages (<= 0 selects 1024), and a lookup that finds it
+// full is refused (Lookup returns ErrOverloaded) instead of waiting for
+// space. A waitlist cap, a retry budget and per-home-LC circuit breakers
+// come with it; router.WithOverload documents their settings.
+func WithRouterOverload(queueDepth int) RouterOption {
+	return router.WithOverload(queueDepth)
 }
 
 // GenerateUpdates synthesizes a seeded BGP-style churn stream over tbl:
