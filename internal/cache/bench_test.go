@@ -7,9 +7,8 @@ import (
 	"spal/internal/rtable"
 )
 
-// The benchmarks visit four default caches in bursts of 16, as a ψ = 4
-// router's batch plane does, so one cache's lines are not simply left hot
-// by the previous operation.
+// The benchmarks visit four default caches, as a ψ = 4 router does, so one
+// cache's lines are not simply left hot by the previous operation.
 const (
 	benchCaches = 4
 	benchBurst  = 16
@@ -23,26 +22,44 @@ func benchCacheSet() []*Cache {
 	return cs
 }
 
-// BenchmarkCacheMissFill is the router's miss protocol on one address:
-// Probe (miss), Reserve, Fill — over 2^21 distinct addresses, so every
-// Reserve past the first few thousand evicts to the victim cache.
+// BenchmarkCacheMissFill is a ψ = 4 router's miss traffic over 2^21
+// distinct addresses, so every insert past the first few thousand evicts.
+// Each operation draws its arrival and home caches from an xorshift. A
+// remote miss is the arrival's Probe and Reserve(REM), the home's Probe and
+// Fill(LOC), then the arrival's Fill(REM); a miss homed at its arrival is
+// Probe and Fill(LOC). The class of the block a set gives up is then as
+// unpredictable as on the router's cold traffic. An earlier form switched
+// the class once every 64 operations: the predictor learned
+// chooseVictim's branches, and the benchmark ranked a branch-free decision
+// below the branchy one that ran slower end to end.
 func BenchmarkCacheMissFill(b *testing.B) {
 	cs := benchCacheSet()
+	x := uint64(0x9e3779b97f4a7c15)
 	for i := 0; i < b.N; i++ {
-		c := cs[i/benchBurst%benchCaches]
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		arrival, home := cs[x&(benchCaches-1)], cs[x>>2&(benchCaches-1)]
 		a := ip.Addr(uint32(i&(1<<21-1)) * 2654435761) // odd multiplier: distinct
-		origin := Origin(i >> 6 & 1)                   // alternates per rotation over the caches
-		if c.Probe(a).Kind != Miss {
+		if arrival.Probe(a).Kind != Miss {
 			b.Fatalf("address %#x resident", a)
 		}
-		if c.Reserve(a, origin) {
-			c.Fill(a, rtable.NextHop(i), origin)
+		if arrival == home {
+			arrival.Fill(a, rtable.NextHop(i), LOC)
+			continue
+		}
+		reserved := arrival.Reserve(a, REM)
+		home.Probe(a)
+		home.Fill(a, rtable.NextHop(i), LOC)
+		if reserved {
+			arrival.Fill(a, rtable.NextHop(i), REM)
 		}
 	}
 }
 
 // BenchmarkCacheProbeHit probes addresses that are all resident: every
-// set of every cache holds two LOC and two REM results.
+// set of every cache holds two LOC and two REM results. It visits the
+// caches in bursts of 16, as a ψ = 4 router's batch plane does.
 func BenchmarkCacheProbeHit(b *testing.B) {
 	cs := benchCacheSet()
 	blocks := DefaultConfig().Blocks

@@ -27,12 +27,15 @@
 // branches it misses, so the replacement decision reads a set — one line —
 // once: chooseVictim gathers in a single pass the valid blocks per class,
 // the first free block and each class's oldest complete block, and decides
-// from those. The victim cache is a recency list, oldest first: every write
-// to it makes a block its newest, so an eviction appends (replacing the
-// head when full) without a scan or a stamp. Blocks are written in place,
-// field by field or copied whole: a block assembled on the stack and then
-// copied is a wide load of narrow stores, which the store buffer cannot
-// forward.
+// from those. On cold traffic a block's class and its stamp order are coin
+// flips to the branch predictor, so that pass is written as selects, not
+// branches: the compiler turns each of its assignments into a conditional
+// move (CMOVQ), and the loop's one jump is its own. The victim cache is a
+// recency list, oldest first: every write to it makes a block its newest,
+// so an eviction appends (replacing the head when full) without a scan or a
+// stamp. Blocks are written in place, field by field or copied whole: a
+// block assembled on the stack and then copied is a wide load of narrow
+// stores, which the store buffer cannot forward.
 package cache
 
 import (
@@ -280,29 +283,55 @@ func (c *Cache) promote(vi int) {
 // class with zero quota is simply not cached. It returns -1 when no slot
 // is available (zero quota, or every candidate is waiting).
 //
-// One pass over the set gathers all it decides from, per class in arrays
-// indexed by the M bit — a block's class is a coin flip to the branch
-// predictor: n, the valid blocks (waiting ones in the tentative class their
-// reservation declared), oldest, the complete block with the smallest stamp
-// (what LRU and FIFO both evict), and the first free block. (The M bit is
-// masked where it indexes, which spares each access its bounds check.)
+// One pass over the set gathers all it decides from: per class the valid
+// blocks (waiting ones in the tentative class their reservation declared)
+// and the complete block with the smallest stamp (what LRU and FIFO both
+// evict), and the first free block. The pass has no jump on block data, as
+// a hardware LR-cache decides in one cycle: it walks the set downward, so
+// the first free block and, with <=, the lowest-indexed oldest are plain
+// overwrites; a block's key is its stamp when it is a complete block of
+// the class, else none, so the oldest is a compare and two selects; and
+// the counts add the 0 or 1 that the state and M bits compute. Each class
+// keeps its own locals: arrays indexed by the M bit, or a && in the loop,
+// bring the jumps back (go build -gcflags=-S shows them). The counts share
+// one word, and both keys come from one masked stamp, because the loop is
+// short of registers: a form with two counters and a mask per class spills
+// more on every block and gains cold_batch a third as much (EXPERIMENTS.md).
 func (c *Cache) chooseVictim(set []entry, class Origin) int {
-	var n [2]int
-	oldest, stamp, free := [2]int{-1, -1}, [2]uint64{^uint64(0), ^uint64(0)}, -1
-	for i := range set {
+	const none = ^uint64(0)
+	counts, free := uint64(0), -1 // counts: valid blocks in the low half, REM ones in the high
+	oldLoc, oldRem, stampLoc, stampRem := -1, -1, none, none
+	for i := len(set) - 1; i >= 0; i-- {
 		e := &set[i]
-		if e.state == invalid {
-			if free < 0 {
-				free = i
-			}
-			continue
+		s, rem := uint64(e.state), uint64(e.origin&1)
+		valid := (s + 1) >> 1 // complete (1) or waiting (2)
+		counts += valid + (valid&rem)<<32
+		// A key is the stamp of a complete block of its class, else none:
+		// a mask of all ones covers the stamp of any other block.
+		k := e.stamp | (s&1 - 1)
+		kLoc, kRem := k|-rem, k|(rem-1)
+		if kLoc <= stampLoc {
+			oldLoc = i
 		}
-		o := e.origin & 1
-		n[o]++
-		if e.state == complete && e.stamp < stamp[o] {
-			oldest[o], stamp[o] = i, e.stamp
+		if kRem <= stampRem {
+			oldRem = i
+		}
+		stampLoc, stampRem = min(stampLoc, kLoc), min(stampRem, kRem)
+		if s == uint64(invalid) {
+			free = i
 		}
 	}
+	// Downward with <=, a tie goes to the lowest index; a class whose every
+	// key is none (no complete block, or only stamps of none) has no oldest.
+	if stampLoc == none {
+		oldLoc = -1
+	}
+	if stampRem == none {
+		oldRem = -1
+	}
+	nRem := int(counts >> 32)
+	n := [2]int{LOC: int(uint32(counts)) - nRem, REM: nRem}
+	oldest := [2]int{LOC: oldLoc, REM: oldRem}
 	// A class at (or past) its allocation replaces within itself. Under it, a
 	// free block is taken first; in a full set the other class is then over
 	// its share and gives a block up, unless all of its blocks are waiting.
