@@ -66,11 +66,31 @@ func (lc *lineCard) observeDone(now int64) {
 	lc.done = lc.done[:0]
 }
 
-// foldHits records lc's inline cache hits not recorded yet at what the last timed
-// one took: the nearest timed inline hit's value, never a batch slot's or a queued lookup's.
+// foldHits counts lc's untraced inline cache hits not counted yet — Lookups
+// first, so a reader that loads CacheHits before Lookups never sees more hits
+// than lookups — and records them at what the last timed one took: the
+// nearest timed inline hit's value, never a batch slot's or a queued
+// lookup's. When it runs: see lineCard.untimedHits.
 func (lc *lineCard) foldHits() {
-	lc.lat.cache.ObserveN(lc.hitNS, lc.untimedHits)
+	n := lc.untimedHits
+	if n == 0 {
+		return
+	}
+	lc.stats.Lookups.Add(int64(n))
+	lc.stats.CacheHits.Add(int64(n))
+	lc.handledInline.Add(int64(n))
+	lc.lat.cache.ObserveN(lc.hitNS, n)
 	lc.untimedHits = 0
+	lc.unfolded.Store(false)
+}
+
+// count counts a lookup handled at lc that foldHits does not, which is every
+// one but an untraced inline hit; inline says Router.lookup's caller runs it.
+func (lc *lineCard) count(inline bool) {
+	lc.stats.Lookups.Add(1)
+	if inline {
+		lc.handledInline.Add(1)
+	}
 }
 
 func (l *lcLatency) hist(s ServedBy) *metrics.Histogram {

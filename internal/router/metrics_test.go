@@ -4,14 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"math/bits"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"spal/internal/cache"
+	"spal/internal/ip"
 	"spal/internal/metrics"
 	"spal/internal/rtable"
 	"spal/internal/stats"
@@ -462,4 +465,131 @@ func TestVerdictJSONStable(t *testing.T) {
 	if !strings.Contains(string(b), `"ServedBy":"cache"`) {
 		t.Errorf("JSON = %s, want ServedBy encoded as \"cache\"", b)
 	}
+}
+
+// TestInlineHitCountersExact: an untraced inline cache hit bumps no shared
+// counter — its lookup, its cache hit and its inline handler run are counted
+// by foldHits — and still Stats and Metrics each read them exact; a held
+// Stats slice never shows more hits than lookups or a count going back while
+// callers hit, and is exact within one tick of the last hit without another
+// Stats call; Stats allocates nothing.
+func TestInlineHitCountersExact(t *testing.T) {
+	tbl := rtable.Small(2000, 7)
+	// warm returns a ψ = 2 router whose LC 0 has addr's answer cached and has
+	// counted no lookup and no inline run: LC 1 looked addr up, and asked LC 0,
+	// its idle home, by call (path="direct"). The timeout sets the tick.
+	warm := func(t *testing.T, timeout time.Duration) (*Router, ip.Addr) {
+		t.Helper()
+		r, err := New(tbl, WithLCs(2), WithDefaultCache(), WithRequestTimeout(timeout))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Stop)
+		rng := stats.NewRNG(5)
+		addr := tbl.RandomMatchedAddr(rng)
+		for r.HomeLC(addr) != 0 {
+			addr = tbl.RandomMatchedAddr(rng)
+		}
+		if _, err := r.Lookup(1, addr); err != nil {
+			t.Fatal(err)
+		}
+		return r, addr
+	}
+	hit := func(t *testing.T, r *Router, addr ip.Addr, n int) {
+		for i := 0; i < n; i++ {
+			if v, err := r.Lookup(0, addr); err != nil || v.ServedBy != ServedByCache {
+				t.Errorf("lookup %d: %+v, %v; want a cache hit", i, v, err)
+				return
+			}
+		}
+	}
+	const hits = 37 // not a multiple of hitTimedEvery: the timed hits' folds leave four to the read
+	lbl := metrics.L("lc", "0")
+
+	// The hour-long timeout keeps ticks out: only the read itself folds.
+	t.Run("Stats", func(t *testing.T) {
+		r, addr := warm(t, time.Hour)
+		hit(t, r, addr, hits)
+		st := r.Stats()[0]
+		if l, h, in := st.Lookups.Load(), st.CacheHits.Load(), r.lcs[0].handledInline.Load(); l != hits || h != hits || in != hits {
+			t.Errorf("after %d hits Stats reads %d lookups, %d cache hits, %d inline runs", hits, l, h, in)
+		}
+	})
+	t.Run("Metrics", func(t *testing.T) {
+		r, addr := warm(t, time.Hour)
+		hit(t, r, addr, hits)
+		s := r.Metrics()
+		for _, c := range []struct {
+			name string
+			lbls []metrics.Label
+		}{
+			{MetricLookups, []metrics.Label{lbl}},
+			{MetricCacheHits, []metrics.Label{lbl}},
+			{MetricHandled, []metrics.Label{lbl, metrics.L("path", "inline")}},
+		} {
+			if got, ok := s.Value(c.name, c.lbls...); !ok || got != hits {
+				t.Errorf("after %d hits %s%v = %v (ok=%v)", hits, c.name, c.lbls, got, ok)
+			}
+		}
+	})
+
+	// A one-millisecond tick. The reader loads CacheHits before Lookups: a
+	// lookup is counted before its hit, live or folded, so hits ≤ lookups.
+	t.Run("held", func(t *testing.T) {
+		r, addr := warm(t, 4*time.Millisecond)
+		st := r.Stats()[0]
+		const callers, each = 2, 3000
+		stop, read := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(read)
+			var lastL, lastH int64
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h := st.CacheHits.Load()
+				l := st.Lookups.Load()
+				if h > l || l < lastL || h < lastH {
+					t.Errorf("read %d: %d lookups, %d cache hits after %d, %d", n, l, h, lastL, lastH)
+					return
+				}
+				lastL, lastH = l, h
+				runtime.Gosched()
+			}
+		}()
+		var wg sync.WaitGroup
+		for range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				hit(t, r, addr, each)
+			}()
+		}
+		wg.Wait()
+		// A tick that stamps after the last hit folded after it (see tick).
+		lc := r.lcs[0]
+		t0 := lc.lastTick.Load()
+		waitFor(t, "a tick after the last hit", func() bool { return lc.lastTick.Load() != t0 })
+		close(stop)
+		<-read
+		if l, h := st.Lookups.Load(), st.CacheHits.Load(); l != callers*each || h != callers*each {
+			t.Errorf("a tick after %d hits the held slice reads %d lookups, %d cache hits", callers*each, l, h)
+		}
+	})
+
+	t.Run("allocs", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("race-detector instrumentation allocates; the zero-alloc gate runs in CI's nonrace job")
+		}
+		r, addr := warm(t, time.Hour)
+		// A hit first, so that every Stats has a fold to run under the lock.
+		if n := testing.AllocsPerRun(200, func() {
+			hit(t, r, addr, 1)
+			r.Stats()
+		}); n != 0 {
+			t.Errorf("a hit and a Stats allocate %.2f/op, want 0", n)
+		}
+	})
 }

@@ -309,9 +309,17 @@ type lineCard struct {
 	done []finished
 	// One inline cache hit in hitTimedEvery is timed (see lookup): hitStart is
 	// the stamp of the one this run answered, hitNS what the last one took, and
-	// untimedHits how many the latency histogram has yet to be told of (foldHits).
+	// untimedHits how many untraced inline hits, timed or not, neither the
+	// latency histogram nor Lookups, CacheHits and handled{inline} have been
+	// told of: a plain count that foldHits adds to all four at the timed hit
+	// (leave), every tick, and in Stats, Metrics and Stop, so a lock-free
+	// reader is at most hitTimedEvery-1 hits or one tick behind.
 	untimedHits     uint64
 	hitStart, hitNS int64
+	// unfolded is untimedHits != 0, set at the first untimed hit after a fold
+	// and cleared by the fold: what Stats reads to own only an LC it has a
+	// fold to run at, so a reader waits for no LC that has none.
+	unfolded atomic.Bool
 	// nwaiters counts the lookups, local and remote, parked in pending: with
 	// pending's length, the gauges leave publishes (waiters, pendingDepth).
 	// resolved counts the slots of batch descriptor resolvedBD that this run
@@ -736,12 +744,12 @@ func (r *Router) leave(lc *lineCard, now int64) {
 	for served := 0; ; {
 		if len(lc.done) > 0 || lc.hitStart != 0 || (now != 0 && now-lc.lastTick.Load() >= int64(r.tickEvery)) {
 			now = r.now()
-			if now-lc.lastTick.Load() >= int64(r.tickEvery) {
-				r.tick(lc, now)
-			}
-			if lc.hitStart != 0 { // a timed inline hit: what it took is the untimed ones' value too
+			if lc.hitStart != 0 { // a timed inline hit: what it took is the untimed ones' value too, before tick folds them
 				lc.hitNS, lc.hitStart = now-lc.hitStart, 0
 				lc.foldHits()
+			}
+			if now-lc.lastTick.Load() >= int64(r.tickEvery) {
+				r.tick(lc, now)
 			}
 			lc.observeDone(now)
 		}
@@ -796,10 +804,12 @@ func (lc *lineCard) post(to int, m message) *fabricSend {
 	return &lc.outbox[len(lc.outbox)-1]
 }
 
-// tick is an LC's periodic due work: the stamp the health monitor ages,
-// breaker probes, and the deadline sweep over its waitlists. lc.mu must be
-// held.
+// tick is an LC's periodic due work: the untimed hits' fold, the stamp the
+// health monitor ages — after the fold, so a reader that sees the stamp move
+// sees the fold — breaker probes, and the deadline sweep over its waitlists.
+// lc.mu must be held.
 func (r *Router) tick(lc *lineCard, now int64) {
+	lc.foldHits()
 	lc.lastTick.Store(now)
 	if r.overload {
 		r.breakerTick(lc, now)
@@ -907,26 +917,29 @@ func (r *Router) handle(lc *lineCard, m message) {
 // descriptor, whose verdict, if this run has it, is returned the same way —
 // else the descriptor is the caller's to wait on.
 func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
-	lc.stats.Lookups.Add(1)
 	inline := m.bd == nil // Router.lookup's own call: no destination, and a stamp, if any, of this instant
 	kind := cache.Miss
 	if lc.cache != nil {
 		res := lc.cache.Probe(m.addr)
 		if kind = res.Kind; kind == cache.Hit || kind == cache.HitVictim {
-			lc.stats.CacheHits.Add(1)
 			ok := res.NextHop != rtable.NoNextHop
+			v := Verdict{Addr: m.addr, NextHop: res.NextHop, OK: ok, ServedBy: ServedByCache}
+			if inline && m.tr == nil { // counted by foldHits; timed by leave if it carries a stamp, else recorded at the last timed one's value
+				if lc.untimedHits == 0 {
+					lc.unfolded.Store(true)
+				}
+				lc.untimedHits, lc.hitStart = lc.untimedHits+1, m.start
+				return v, true
+			}
+			lc.count(inline)
+			lc.stats.CacheHits.Add(1)
 			if m.tr != nil {
 				m.tr.Record(tracing.EvProbe, int64(res.Kind), int64(res.Origin))
 				// Finish before delivering the verdict so a caller that
 				// waits on the reply always finds its trace published.
 				r.finishTrace(m.tr, ServedByCache, ok)
 			}
-			if inline && m.tr == nil { // timed by leave if it carries a stamp, else recorded at the last timed one's value
-				lc.untimedHits, lc.hitStart = lc.untimedHits+1, m.start
-			} else {
-				r.finish(lc, ServedByCache, m.start, traceID(m.tr))
-			}
-			v := Verdict{Addr: m.addr, NextHop: res.NextHop, OK: ok, ServedBy: ServedByCache}
+			r.finish(lc, ServedByCache, m.start, traceID(m.tr))
 			if inline {
 				return v, true
 			}
@@ -934,6 +947,7 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 			return Verdict{}, false
 		}
 	}
+	lc.count(inline)
 	now := m.start
 	if now == 0 || !inline { // unstamped in case it hit (see lookup), or queued: the home's tick and routeFor need the present
 		now = r.now()
@@ -1287,7 +1301,6 @@ func (r *Router) lookup(ctx context.Context, i int, addr ip.Addr) (Verdict, erro
 	}
 	m := message{kind: mLookup, addr: addr, tr: r.tracer.Sample(i, addr)}
 	if lc := r.enter(i); lc != nil {
-		lc.handledInline.Add(1)
 		if m.tr != nil || lc.cache == nil || lc.hitNS == 0 || lc.untimedHits >= hitTimedEvery-1 {
 			r.stamp(&m, i)
 		}
@@ -1381,13 +1394,24 @@ func (r *Router) PartitionBits() []int {
 // NumLCs returns ψ.
 func (r *Router) NumLCs() int { return r.cfg.NumLCs }
 
-// Stats returns the live per-LC counters.
+// Stats returns the live per-LC counters, exact as it returns for every live
+// LC: it first folds the LC's untraced inline cache hits into them under its
+// lock (see lineCard.untimedHits), allocating nothing. A held slice stays
+// live and lags an LC by at most 15 such hits or one tick; a reader that
+// loads CacheHits before Lookups never reads more hits than lookups.
 //
 // Deprecated: use Metrics, which returns an immutable snapshot covering
 // these counters plus latency histograms and LR-cache occupancy, and
 // supports Delta for interval rates. Stats remains for zero-allocation
-// live reads.
-func (r *Router) Stats() []*LCStats { return r.stats }
+// reads.
+func (r *Router) Stats() []*LCStats {
+	for i, lc := range r.lcs {
+		if lc.live.Load() && lc.unfolded.Load() {
+			r.own(i, (*lineCard).foldHits)
+		}
+	}
+	return r.stats
+}
 
 // FlushCaches invalidates every LR-cache (the paper's response to a
 // routing-table update). It is synchronous — on return every cache has
