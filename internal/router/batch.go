@@ -9,6 +9,9 @@
 // returns it to the pool. A single lookup that has to wait waits on a
 // one-row descriptor.
 //
+// A packet train, rows with one address, is answered once: its later rows
+// follow its first, unprobed, and the LR-cache sees every train as one row.
+//
 // At the arrival LC (missRow) a miss coalesces onto one in flight, joins the
 // run's one engine sweep if homed here, or reserves its W block and is held,
 // unparked, for its remote home. Each home is then asked once: an idle one by
@@ -140,21 +143,21 @@ type fabricRow struct {
 }
 
 // heldRow is a remote miss a batch holds for a direct exchange with its home:
-// the slot it answers, its trace, how many later rows of the batch share its
-// address (heldDup), and whether the exchange is done with it (answered it, or
-// parked it for the reply it posted).
+// the slot it answers, its trace, and whether the exchange is done with it
+// (answered it, or parked it for the reply it posted).
 type heldRow struct {
 	tr   *tracing.LookupTrace
 	slot int32
-	dups int32
 	done bool
 }
 
-// heldDup is a later row of a batch whose address row row of home's held rows
-// already has: it joins that row, as joinLocal joins a waitlist.
-type heldDup struct {
-	tr              *tracing.LookupTrace
-	home, row, slot int32
+// follower is a row of a batch answered as its lead, an earlier row with its
+// address: the train's first, or the row held for its home (missRow); traced
+// says the lead is.
+type follower struct {
+	tr         *tracing.LookupTrace
+	lead, slot int32
+	traced     bool
 }
 
 // rowAnswer is a home's answer to row row of an exchange (see serveRows).
@@ -166,7 +169,7 @@ type rowAnswer struct {
 
 // lcScratch is a line card's reusable miss workspace: the run's local-FE
 // sweep (addrs/slots/trs/res), what it has for each home LC (home, by LC id;
-// homes lists those reached), held rows' duplicates, and an exchange's answers.
+// homes lists those reached), its followers, and an exchange's answers.
 type lcScratch struct {
 	addrs   []ip.Addr
 	slots   []int32
@@ -174,7 +177,7 @@ type lcScratch struct {
 	res     []lpm.Result
 	home    []homeRows
 	homes   []int
-	dups    []heldDup
+	follow  []follower
 	answers []rowAnswer
 	// bypassed: a remote miss of this run found its set fully waiting and
 	// reserved no W block, so a later row's probe cannot tell that it is held.
@@ -184,12 +187,13 @@ type lcScratch struct {
 // homeRows is what a run has for one home LC: the rows held for a direct
 // exchange (ask, and held: who waits on each) and the fabric request
 // accumulated for the message path (req, copied into its payload at send; its
-// fault decision, if the exchange drew it).
+// fault decision, if the exchange drew it), and a direct answer's feNS.
 type homeRows struct {
 	ask, req []fabricRow
 	held     []heldRow
 	fault    fabric.Decision
 	drawn    bool
+	feNS     int64
 }
 
 func newLCScratch(numLCs int) *lcScratch {
@@ -215,7 +219,7 @@ func (sc *lcScratch) request(home int, addr ip.Addr) {
 // exchange asks every home this run reaches once: by call for the rows it
 // holds (batchDirect, answering slots of bd), then one fabric message for
 // what is left on its request. It reports the slots of bd answered, and
-// empties the per-home lists and the duplicates.
+// empties the per-home lists.
 func (r *Router) exchange(lc *lineCard, bd *batchDesc, now int64) (direct int) {
 	sc := lc.scratch
 	for _, home := range sc.homes {
@@ -238,10 +242,6 @@ func (r *Router) exchange(lc *lineCard, bd *batchDesc, now int64) (direct int) {
 		hr.ask, hr.held, hr.req, hr.drawn = hr.ask[:0], hr.held[:0], hr.req[:0], false
 	}
 	sc.homes = sc.homes[:0]
-	if len(sc.dups) > 0 {
-		clear(sc.dups)
-		sc.dups = sc.dups[:0]
-	}
 	return direct
 }
 
@@ -284,16 +284,20 @@ func (r *Router) LookupBatchInto(ctx context.Context, lc int, addrs []ip.Addr, o
 	return nil
 }
 
-// handleBatch classifies a batch at its arrival LC: inline cache hits, and
-// every miss as missRow takes it; settle then answers what this run can.
+// handleBatch classifies a batch at its arrival LC a train at a time: a hit
+// answers the train, a miss goes as missRow takes it; settle does the rest.
 func (r *Router) handleBatch(lc *lineCard, m message) {
-	bd := m.bd
-	lc.stats.Lookups.Add(int64(len(bd.addrs)))
+	bd, sc := m.bd, lc.scratch
+	addrs, out := bd.addrs, bd.out[:len(bd.addrs)]
+	lc.stats.Lookups.Add(int64(len(addrs)))
 	lc.stats.Batches.Add(1)
 	now := r.now()
-	hits := 0
-	lc.scratch.bypassed = false
-	for i, addr := range bd.addrs {
+	hits, untimed := 0, uint32(0)
+	sc.bypassed = false
+	var v Verdict  // the train's, if it hit
+	var lead int32 // the train's first row
+	hit, traced := false, false
+	for i, addr := range addrs {
 		var tr *tracing.LookupTrace
 		if r.tracer != nil {
 			if tr = r.tracer.Sample(lc.id, addr); tr != nil {
@@ -301,27 +305,38 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 				tr.Record(tracing.EvArrival, int64(lc.id), 0)
 			}
 		}
-		kind := cache.Miss
-		if lc.cache != nil {
-			res := lc.cache.Probe(addr)
-			if kind = res.Kind; kind == cache.Hit || kind == cache.HitVictim {
-				hits++
-				ok := res.NextHop != rtable.NoNextHop
-				if tr != nil {
-					tr.Record(tracing.EvProbe, int64(res.Kind), int64(res.Origin))
-					r.finishTrace(tr, ServedByCache, ok)
+		if i == 0 || addr != addrs[i-1] { // a train's lead
+			lead, hit, traced = int32(i), false, tr != nil
+			kind := cache.Miss
+			if lc.cache != nil {
+				res := lc.cache.Probe(addr)
+				if kind = res.Kind; kind == cache.Hit || kind == cache.HitVictim {
+					hit, v = true, Verdict{Addr: addr, NextHop: res.NextHop, OK: res.NextHop != rtable.NoNextHop, ServedBy: ServedByCache}
+					if tr != nil {
+						tr.Record(tracing.EvProbe, int64(kind), int64(res.Origin))
+					}
 				}
-				r.finish(lc, ServedByCache, bd.start, traceID(tr))
-				bd.out[i] = Verdict{Addr: addr, NextHop: res.NextHop, OK: ok, ServedBy: ServedByCache}
+			}
+			if !hit {
+				r.missRow(lc, localWaiter{bd: bd, slot: int32(i), tr: tr}, addr, kind, now)
 				continue
 			}
+		} else if !hit { // a follower of a miss: see follow
+			sc.follow = append(sc.follow, follower{tr: tr, lead: lead, slot: int32(i), traced: traced})
+			continue
+		} else if tr != nil {
+			tr.Record(tracing.EvCoalesce, 0, 0)
 		}
-		if home := r.missRow(lc, localWaiter{bd: bd, slot: int32(i), tr: tr}, addr, kind, now); home >= 0 {
-			hr := lc.scratch.reach(home)
-			hr.ask = append(hr.ask, fabricRow{addr: addr})
-			hr.held = append(hr.held, heldRow{tr: tr, slot: int32(i)})
+		hits++
+		out[i] = v
+		if tr == nil {
+			untimed++
+			continue
 		}
+		r.finishTrace(tr, ServedByCache, v.OK)
+		r.finish(lc, ServedByCache, bd.start, traceID(tr), 1)
 	}
+	r.finish(lc, ServedByCache, bd.start, 0, untimed) // one latency entry
 	// The slot writes precede this one RMW on the countdown, and the run's
 	// own share is subtracted last, so the batch cannot complete — and bd
 	// cannot be recycled — while this handler still reads it.
@@ -335,17 +350,15 @@ func (r *Router) handleBatch(lc *lineCard, m message) {
 // (the probe hit its W block, or the set was fully waiting and there is none
 // to hit), is collected for the run's FE sweep when this LC is its home — no
 // park, no W block, so nothing can coalesce into it — or, homed elsewhere,
-// reserves its W block and is held, unparked, for its home's direct exchange
-// (a later row of a batch with the same address joins it) or parked and
-// requested. It reports the home to hold the row for, -1 when it took the row
-// itself: the caller holds it — a batch in its scratch, a single lookup on
-// its stack.
-func (r *Router) missRow(lc *lineCard, w localWaiter, addr ip.Addr, kind cache.ProbeKind, now int64) int {
+// reserves its W block and is held in the run's scratch, unparked, for its
+// home's direct exchange (a later row of a batch with the same address
+// follows it) or parked and requested.
+func (r *Router) missRow(lc *lineCard, w localWaiter, addr ip.Addr, kind cache.ProbeKind, now int64) {
 	sc, tr := lc.scratch, w.tr
 	if wl := lc.pending.get(addr); wl != nil {
 		tr.Record(tracing.EvProbe, int64(kind), 0)
 		r.joinLocal(lc, wl, addr, w)
-		return -1
+		return
 	}
 	home := lc.homeOf(addr)
 	if home == lc.id {
@@ -355,14 +368,13 @@ func (r *Router) missRow(lc *lineCard, w localWaiter, addr ip.Addr, kind cache.P
 		sc.addrs = append(sc.addrs, addr)
 		sc.slots = append(sc.slots, w.slot)
 		sc.trs = append(sc.trs, tr)
-		return -1
+		return
 	}
 	if hr := &sc.home[home]; len(sc.homes) > 0 && len(hr.ask) > 0 && (kind == cache.HitWaiting || lc.cache == nil || sc.bypassed) {
 		if k := slices.IndexFunc(hr.ask, func(row fabricRow) bool { return row.addr == addr }); k >= 0 {
 			tr.Record(tracing.EvProbe, int64(kind), 0)
-			hr.held[k].dups++
-			sc.dups = append(sc.dups, heldDup{tr: tr, home: int32(home), row: int32(k), slot: w.slot})
-			return -1
+			sc.follow = append(sc.follow, follower{tr: tr, lead: hr.held[k].slot, slot: w.slot, traced: hr.held[k].tr != nil})
+			return
 		}
 	}
 	if lc.cache != nil {
@@ -379,16 +391,18 @@ func (r *Router) missRow(lc *lineCard, w localWaiter, addr ip.Addr, kind cache.P
 	// an ejected home, a breaker not closed (routeFor's calls). Both hold for
 	// as long as lc's owner does, short of a concurrent ejection.
 	if !r.ejected(home) && (!r.overload || lc.ov.breakers[home].state.Load() == breakerClosed) {
-		return home
+		hr := sc.reach(home)
+		hr.ask = append(hr.ask, fabricRow{addr: addr})
+		hr.held = append(hr.held, heldRow{tr: tr, slot: w.slot})
+		return
 	}
 	r.parkRow(lc, w, addr, home, now, false)
-	return -1
 }
 
 // settle ends a run's misses: one engine sweep answers every same-home one,
 // each remote home is asked once — by call for the rows an idle home answers
-// (batchDirect), one fabric message for the rest — and it reports the slots
-// of bd it answered, for the caller to retire.
+// (batchDirect), one fabric message for the rest — then the followers. It
+// reports the slots of bd it answered, for the caller to retire.
 func (r *Router) settle(lc *lineCard, bd *batchDesc, now int64) int {
 	sc := lc.scratch
 	swept := len(sc.addrs)
@@ -402,7 +416,7 @@ func (r *Router) settle(lc *lineCard, bd *batchDesc, now int64) int {
 				tr.Record(tracing.EvFill, int64(cache.LOC), int64(ServedByFE))
 				r.finishTrace(tr, ServedByFE, ok)
 			}
-			r.finish(lc, ServedByFE, bd.start, traceID(sc.trs[k]))
+			r.finish(lc, ServedByFE, bd.start, traceID(sc.trs[k]), 1)
 			bd.out[sc.slots[k]] = Verdict{Addr: addr, NextHop: nh, OK: ok, ServedBy: ServedByFE}
 		}
 		if r.tracer != nil { // the scratch pins no trace between runs
@@ -413,7 +427,56 @@ func (r *Router) settle(lc *lineCard, bd *batchDesc, now int64) int {
 	if len(sc.homes) > 0 {
 		swept += r.exchange(lc, bd, now)
 	}
+	if len(sc.follow) > 0 {
+		swept += r.follow(lc, bd)
+	}
 	return swept
+}
+
+// follow answers a run's followers once their leads are answered or parked:
+// each joins its lead's waitlist or takes its verdict — coalesced, shed with
+// a shed lead, counted as a fallback's row with a fallback's. The first
+// traced row of an address held untraced records the intake it would own on
+// a waitlist. It reports the slots of bd answered.
+func (r *Router) follow(lc *lineCard, bd *batchDesc) (answered int) {
+	sc, coalesced := lc.scratch, int64(0)
+	for k, f := range sc.follow {
+		addr, w := bd.addrs[f.slot], localWaiter{bd: bd, slot: f.slot, tr: f.tr}
+		if wl := lc.pending.get(addr); wl != nil {
+			r.joinLocal(lc, wl, addr, w)
+			continue
+		}
+		v := bd.out[f.lead] // not shed: a shed lead's waitlist sheds its followers
+		switch v.ServedBy {
+		case ServedByFallback: // see routeFor
+			lc.stats.Fallbacks.Add(1)
+			if home := lc.homeOf(addr); r.ejected(home) {
+				r.ejectServed.Add(1)
+				f.tr.Record(tracing.EvEject, int64(home), 0)
+			}
+			f.tr.Record(tracing.EvFallback, int64(lc.id), 0)
+		default:
+			coalesced++
+			if f.tr == nil {
+				break
+			}
+			f.tr.Record(tracing.EvCoalesce, 0, 0)
+			if v.ServedBy == ServedByRemote && !f.traced && !slices.ContainsFunc(sc.follow[:k], func(e follower) bool { return bd.addrs[e.slot] == addr && (e.tr != nil || e.traced) }) {
+				home := lc.homeOf(addr)
+				received(f.tr, home, sc.home[home].feNS)
+			}
+		}
+		r.finishTrace(f.tr, v.ServedBy, v.OK)
+		r.finish(lc, v.ServedBy, bd.start, traceID(f.tr), 1)
+		bd.out[f.slot] = v
+		answered++
+	}
+	lc.stats.Coalesced.Add(coalesced)
+	if r.tracer != nil { // the scratch pins no trace between runs
+		clear(sc.follow)
+	}
+	sc.follow = sc.follow[:0]
+	return answered
 }
 
 // parkRow sends a remote miss down the message path: it parks a waitlist
@@ -435,10 +498,9 @@ func (r *Router) parkRow(lc *lineCard, w localWaiter, addr ip.Addr, home int, no
 // lc's owner becomes its owner too and asks it by call (serveRows, on the
 // caller's stack) — one exchange, counted and fault-decided as the request
 // and reply it stands for. Both clean, the arrival fills REM in the reply's
-// row order and answers each row and its duplicates as handleBatchReply and
-// joinLocal would have. A goroutine holding both LCs' locks sends nothing and
-// parks nobody, so the rest then takes the message path (parkRow), duplicates
-// joining their rows' waitlists: a reply not clean is posted under its
+// row order and answers each row as handleBatchReply would have. A goroutine
+// holding both LCs' locks sends nothing and parks nobody, so the rest then
+// takes the message path (parkRow): a reply not clean is posted under its
 // decision, the rows it answers parked as if their request had gone; the rows
 // home did not answer — all, under the request's decision if drawn — go on a
 // request. It reports the slots it answered.
@@ -474,6 +536,7 @@ func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, ask []fabric
 	if len(ans) != 1 {
 		feNS = 0 // as a reply, an answer of one row only carries its FE time
 	}
+	sc.home[home].feNS = feNS
 	for _, a := range ans {
 		w := &held[a.row]
 		w.done = true
@@ -483,7 +546,7 @@ func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, ask []fabric
 		}
 		v := Verdict{Addr: ask[a.row].addr, NextHop: a.nh, OK: a.ok, ServedBy: ServedByRemote}
 		lc.fill(v.Addr, v.NextHop, cache.REM)
-		r.finish(lc, ServedByRemote, bd.start, traceID(w.tr))
+		r.finish(lc, ServedByRemote, bd.start, traceID(w.tr), 1)
 		if w.tr != nil { // the events of a reply's intake, in handleBatchReply's order
 			w.tr.Record(tracing.EvFabricSend, int64(home), 1)
 			received(w.tr, home, feNS)
@@ -491,14 +554,8 @@ func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, ask []fabric
 		}
 		bd.out[w.slot] = v
 		answered++
-		if w.dups > 0 {
-			answered += r.answerDups(lc, bd, home, a.row, w.tr, v, feNS)
-		}
 	}
 	sc.answers = ans[:0]
-	if len(ans) == len(ask) && !posted {
-		return answered
-	}
 	for k, row := range ask {
 		if !held[k].done {
 			r.parkRow(lc, localWaiter{bd: bd, slot: held[k].slot, tr: held[k].tr}, row.addr, home, now, false)
@@ -506,46 +563,6 @@ func (r *Router) batchDirect(lc *lineCard, bd *batchDesc, home int, ask []fabric
 	}
 	if hr := &sc.home[home]; drawn && len(ans) == 0 && len(hr.req) > 0 {
 		hr.fault, hr.drawn = fault, true
-	}
-	for _, d := range sc.dups {
-		if int(d.home) == home && (posted || !held[d.row].done) {
-			addr, w := ask[d.row].addr, localWaiter{bd: bd, slot: d.slot, tr: d.tr}
-			if wl := lc.pending.get(addr); wl != nil {
-				r.joinLocal(lc, wl, addr, w)
-			} else { // its row was answered at dispatch: the home was ejected meanwhile
-				r.parkRow(lc, w, addr, home, now, false)
-			}
-		}
-	}
-	return answered
-}
-
-// answerDups answers the duplicates of held row row of home with v, as
-// joinLocal and a reply would have: each is coalesced onto the row, and the
-// first traced one owns the reply's intake events if the row itself is not
-// traced (owner). A duplicate past the overload plane's waitlist cap is shed,
-// as joinLocal sheds it. It reports the slots answered.
-func (r *Router) answerDups(lc *lineCard, bd *batchDesc, home int, row int32, owner *tracing.LookupTrace, v Verdict, feNS int64) (answered int) {
-	for _, d := range lc.scratch.dups {
-		if int(d.home) != home || d.row != row {
-			continue
-		}
-		if r.overload && answered+1 >= waitlistCap {
-			r.shedLocal(lc.id, v.Addr, localWaiter{bd: bd, slot: d.slot, tr: d.tr})
-			continue
-		}
-		lc.stats.Coalesced.Add(1)
-		answered++
-		if d.tr != nil {
-			d.tr.Record(tracing.EvCoalesce, int64(answered), 0)
-			if owner == nil {
-				owner = d.tr
-				received(owner, home, feNS)
-			}
-			r.finishTrace(d.tr, ServedByRemote, v.OK)
-		}
-		r.finish(lc, ServedByRemote, bd.start, traceID(d.tr))
-		bd.out[d.slot] = v
 	}
 	return answered
 }

@@ -13,6 +13,7 @@ import (
 	"spal/internal/ip"
 	"spal/internal/rtable"
 	"spal/internal/stats"
+	"spal/internal/trace"
 )
 
 const benchBatchLen = 64
@@ -134,6 +135,36 @@ func BenchmarkLookupBatchCacheHitGray(b *testing.B) {
 		}
 	}
 	reportPerAddr(b, len(addrs))
+}
+
+// BenchmarkLookupBatchTrains: 64-row batches of a D_75 stream (mean train
+// 4), the benchmark's hot_batch in miniature, on a ψ = 4 cached lulea
+// router whose caches the stream has warmed, submitted at every LC in turn.
+// A train is answered once: its followers take its first row's verdict. The
+// homes are idle, so a miss's exchange is a call: 0 allocs/op (CI gates on
+// it).
+func BenchmarkLookupBatchTrains(b *testing.B) {
+	tbl := rtable.Small(2000, 7)
+	r := benchRouter(b, tbl, WithLCs(4), WithDefaultCache(), WithEngineName("lulea"))
+	tc := trace.PresetConfig(trace.D75)
+	stream := trace.Slice(trace.NewSynthetic(trace.NewPool(tbl, tc), tc, 0), 512*benchBatchLen)
+	out := make([]Verdict, benchBatchLen)
+	ctx := context.Background()
+	run := func(i int) {
+		at := i * benchBatchLen % len(stream)
+		if err := r.LookupBatchInto(ctx, i%4, stream[at:at+benchBatchLen], out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*len(stream)/benchBatchLen; i++ {
+		run(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i)
+	}
+	reportPerAddr(b, benchBatchLen)
 }
 
 // BenchmarkLookupBatchLocalHome: a 64-address batch resolved by the

@@ -27,29 +27,29 @@ type finished struct {
 // release thousands of waiters): a full list is recorded on the spot.
 const maxFinished = 64
 
-// finish notes that lc's running handler answered a local lookup submitted
-// at start; leave records its latency when the run ends, with the one clock
+// finish notes that lc's running handler answered n local lookups submitted
+// at start; leave records their latency when the run ends, with the one clock
 // reading that ends every lookup the run answered. Lookups that share start
 // and servedBy — a batch's hits, a batch's sweep — share both ends of the
 // interval, so they are one entry and one weighted observation: the weight
 // is exact, and the histogram's count stays the number of lookups. A zero
-// start (no submission stamp) is skipped. A non-zero traceID pins the
-// sample's trace as the histogram bucket's exemplar, linking /metrics to
-// /debug/spal/traces.
-func (r *Router) finish(lc *lineCard, s ServedBy, start int64, traceID uint64) {
-	if start == 0 {
+// start (no submission stamp) is skipped. A non-zero traceID, whose entry is
+// a lookup of its own (n = 1), pins the sample's trace as the histogram
+// bucket's exemplar, linking /metrics to /debug/spal/traces.
+func (r *Router) finish(lc *lineCard, s ServedBy, start int64, traceID uint64, n uint32) {
+	if start == 0 || n == 0 {
 		return
 	}
-	if n := len(lc.done); n > 0 && traceID == 0 {
-		if last := &lc.done[n-1]; last.servedBy == s && last.start == start && last.traceID == 0 {
-			last.n++
+	if k := len(lc.done); k > 0 && traceID == 0 {
+		if last := &lc.done[k-1]; last.servedBy == s && last.start == start && last.traceID == 0 {
+			last.n += n
 			return
 		}
 	}
 	if len(lc.done) == maxFinished {
 		lc.observeDone(r.now())
 	}
-	lc.done = append(lc.done, finished{start: start, traceID: traceID, n: 1, servedBy: s})
+	lc.done = append(lc.done, finished{start: start, traceID: traceID, n: n, servedBy: s})
 }
 
 // observeDone records every lookup on lc.done as having ended at now.

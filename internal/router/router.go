@@ -939,7 +939,7 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 				// waits on the reply always finds its trace published.
 				r.finishTrace(m.tr, ServedByCache, ok)
 			}
-			r.finish(lc, ServedByCache, m.start, traceID(m.tr))
+			r.finish(lc, ServedByCache, m.start, traceID(m.tr), 1)
 			if inline {
 				return v, true
 			}
@@ -961,14 +961,8 @@ func (r *Router) handleLookup(lc *lineCard, m *message) (Verdict, bool) {
 		}
 		m.bd, m.slot, lc.spare.start = lc.spare, 0, m.start
 	}
-	n := 0
-	if home := r.missRow(lc, localWaiter{bd: m.bd, slot: m.slot, tr: m.tr}, m.addr, kind, now); home >= 0 { // held on the stack
-		ask, held := [1]fabricRow{{addr: m.addr}}, [1]heldRow{{tr: m.tr, slot: m.slot}}
-		n = r.batchDirect(lc, m.bd, home, ask[:], held[:], now)
-	}
-	if n == 0 { // a row answered direct leaves nothing to settle
-		n = r.settle(lc, m.bd, now)
-	}
+	r.missRow(lc, localWaiter{bd: m.bd, slot: m.slot, tr: m.tr}, m.addr, kind, now)
+	n := r.settle(lc, m.bd, now)
 	if inline {
 		if n == 1 { // the spare stays the LC's: its countdown was never touched
 			return m.bd.out[0], true
@@ -1241,7 +1235,7 @@ func (r *Router) redrive(lc *lineCard, addr ip.Addr, locals []localWaiter, remot
 // waiters get a reply stamped with gen, the generation the value reflects.
 func (r *Router) answer(lc *lineCard, wl *waitlist, v Verdict, feNS int64, gen uint64) {
 	for _, w := range wl.locals {
-		r.finish(lc, v.ServedBy, w.bd.start, traceID(w.tr))
+		r.finish(lc, v.ServedBy, w.bd.start, traceID(w.tr), 1)
 		r.finishTrace(w.tr, v.ServedBy, v.OK)
 		w.bd.out[w.slot] = v
 		if w.bd != lc.resolvedBD {

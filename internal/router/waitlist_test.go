@@ -158,9 +158,10 @@ func TestEjectProbe(t *testing.T) {
 // TestEjectedMidBatchDuplicates: a batch holds two rows of one address for
 // its home, and the home is ejected after the rows were classified (missRow)
 // and before the exchange (batchDirect), which finds the home busy. The first
-// row is answered at dispatch and its waitlist released, so the duplicate has
-// nothing to join: it is answered at dispatch too. handleBatch's steps are
-// taken by hand, the ejection between them.
+// row is answered at dispatch and its waitlist released, so the duplicate, its
+// follower, has nothing to join: it takes the fallback verdict and is counted
+// as eject-served too. handleBatch's steps are taken by hand, the ejection
+// between them.
 func TestEjectedMidBatchDuplicates(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	oracle := lpm.NewReference(tbl)
@@ -178,14 +179,10 @@ func TestEjectedMidBatchDuplicates(t *testing.T) {
 		defer r.leave(h, 0) // then serves the probes queued behind the lock
 		r.own(0, func(lc *lineCard) {
 			for i, a := range bd.addrs {
-				if home := r.missRow(lc, localWaiter{bd: bd, slot: int32(i)}, a, lc.cache.Probe(a).Kind, bd.start); home >= 0 {
-					hr := lc.scratch.reach(home)
-					hr.ask = append(hr.ask, fabricRow{addr: a})
-					hr.held = append(hr.held, heldRow{slot: int32(i)})
-				}
+				r.missRow(lc, localWaiter{bd: bd, slot: int32(i)}, a, lc.cache.Probe(a).Kind, bd.start)
 			}
-			if n := len(lc.scratch.dups); n != 1 {
-				t.Fatalf("%d duplicate rows held, want 1", n)
+			if n := len(lc.scratch.follow); n != 1 {
+				t.Fatalf("%d duplicate rows follow a held row, want 1", n)
 			}
 			r.gray[1].degraded.Store(true)
 			r.bdResolveN(bd, r.settle(lc, bd, bd.start))
@@ -205,6 +202,9 @@ func TestEjectedMidBatchDuplicates(t *testing.T) {
 	putBatchDesc(bd)
 	if got := r.Gray().EjectServed; got != 2 {
 		t.Errorf("%d lookups eject-served, want both rows", got)
+	}
+	if got := r.Stats()[0].Fallbacks.Load(); got != 2 {
+		t.Errorf("%d lookups counted as fallbacks, want both rows", got)
 	}
 }
 
