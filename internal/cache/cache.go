@@ -19,9 +19,10 @@
 //     reply fills the block. Waiting blocks are never evicted; when every
 //     block of a set is waiting, the requester bypasses the cache
 //     (counted in Stats.Bypasses).
-//   - Flush: a routing-table update invalidates every block (paper
-//     assumption); pending waiters are returned to the caller so the
-//     simulator can reissue them.
+//   - Flush: a routing-table update invalidates every complete entry
+//     (paper assumption): InvalidateRanges over the whole address space
+//     keeps the W blocks, so each pending fill still answers its list
+//     once. Flush drops the W blocks and their lists too.
 //
 // On a general-purpose CPU an access costs the lines it touches and the
 // branches it misses, so the replacement decision reads a set — one line —
@@ -483,18 +484,16 @@ func (c *Cache) Fill(a ip.Addr, nh rtable.NextHop, origin Origin) []int64 {
 	return nil
 }
 
-// Flush invalidates every block (routing-table update, Sec. 3.2) and
-// returns all parked packets so the caller can reissue their lookups.
-func (c *Cache) Flush() []int64 {
+// Flush drops every block, W blocks and their waiting lists included: it is
+// for an owner that re-drives its own pending lookups, as the router does.
+// An owner whose waiters live only on the lists invalidates every address
+// instead (InvalidateRanges), which keeps the W blocks so each fill answers
+// its list once.
+func (c *Cache) Flush() {
 	c.stat.Flushes++
-	var orphans []int64
-	for _, w := range c.wait { // block order, which is set-major
-		orphans = append(orphans, w...)
-	}
 	clear(c.wait)
 	clear(c.blocks)
 	c.victim = c.victim[:0]
-	return orphans
 }
 
 // InvalidateRange drops every complete entry whose address falls in the

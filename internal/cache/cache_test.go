@@ -307,33 +307,42 @@ func TestWaitListStats(t *testing.T) {
 	}
 }
 
-func TestFlushReturnsOrphans(t *testing.T) {
+// TestFlushDropsEverything: Flush leaves nothing behind, W blocks and
+// their waiting lists included, where a whole-space InvalidateRanges keeps
+// the W blocks so their fills still answer the lists.
+func TestFlushDropsEverything(t *testing.T) {
 	c := tiny()
 	a, b := ip.Addr(1), ip.Addr(2)
 	c.RecordMiss(a, LOC, 10)
 	c.AddWaiter(a, 11)
 	c.RecordMiss(b, REM, 20)
 	c.Fill(b, 1, REM)
-	// Orphans come back set-major, blocks in slot order within a set — the
-	// order the simulator reissues them in: set 0 holds b (complete) and
-	// then d, set 1 holds a and then e, whatever order they were parked in.
-	d, e := ip.Addr(4), ip.Addr(3)
-	c.RecordMiss(e, REM, 40)
-	c.RecordMiss(d, LOC, 30)
-	c.AddWaiter(d, 31)
-	orphans := c.Flush()
-	if want := []int64{30, 31, 10, 11, 40}; !slices.Equal(orphans, want) {
-		t.Fatalf("orphans = %v, want %v", orphans, want)
-	}
-	if again := c.Flush(); len(again) != 0 {
-		t.Fatalf("second flush returned %v", again)
-	}
+	c.Flush()
 	if c.Probe(a).Kind != Miss || c.Probe(b).Kind != Miss {
 		t.Error("flush must invalidate everything")
 	}
 	loc, rem, waiting := c.Occupancy()
 	if loc != 0 || rem != 0 || waiting != 0 {
 		t.Errorf("occupancy after flush = %d/%d/%d", loc, rem, waiting)
+	}
+	if got := c.Fill(a, 7, LOC); got != nil {
+		t.Errorf("a fill after the flush answered %v; the flushed list must be gone", got)
+	}
+
+	c = tiny()
+	c.RecordMiss(a, LOC, 10)
+	c.AddWaiter(a, 11)
+	c.RecordMiss(b, REM, 20)
+	c.Fill(b, 1, REM)
+	c.InvalidateRanges([]rtable.Range{{Lo: 0, Hi: ^ip.Addr(0)}})
+	if c.Probe(b).Kind != Miss {
+		t.Error("a whole-space invalidation must drop the complete entry")
+	}
+	if c.Probe(a).Kind != HitWaiting {
+		t.Error("a whole-space invalidation must keep the W block")
+	}
+	if got := c.Fill(a, 7, LOC); !slices.Equal(got, []int64{10, 11}) {
+		t.Errorf("fill after the invalidation answered %v, want [10 11]", got)
 	}
 }
 

@@ -35,7 +35,7 @@ var calendarPsi = []int{1, 63, 64, 65, 130}
 // cycle, with data choosing the moves, and fails t wherever it and the
 // scan of its wakes disagree. A cycle:
 //   - moves some LCs to the cycle itself before its slot is taken, as
-//     route and flushAll do, or to a later cycle;
+//     route does, or to a later cycle;
 //   - takes the slot, which must hold exactly scanDue's LCs, in order;
 //   - files each LC taken at a later cycle: inside the ring, past it, or
 //     never (math.MaxInt64);

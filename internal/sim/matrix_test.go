@@ -27,10 +27,7 @@ type matrixCell struct {
 
 // matrixCells spans every Config switch internal/experiments and spalsim
 // set (TestMatrixSpansConfig holds it to that) — each variant × {D_75,
-// B_L} × ψ ∈ {3, 16} — with VerifyNextHops on throughout. Flush
-// intervals stay at or above 3,000 cycles: at 2,000 and below at ψ = 3
-// reissued copies multiply and a run never finishes (see EXPERIMENTS.md,
-// "Flush faster than a lookup drains").
+// B_L} × ψ ∈ {3, 16} — with VerifyNextHops on throughout.
 func matrixCells(t *testing.T, tbl *rtable.Table, packets int) []matrixCell {
 	t.Helper()
 	engine := func(name string) func(*Config) {

@@ -12,15 +12,14 @@ import (
 
 // LCStats summarizes one line card after a run.
 type LCStats struct {
-	Generated, Completed       int64
-	HitLoc, HitRem             int64
-	MissLocal                  int64
-	RequestsSent, RepliesSent  int64
-	RequestsReceived, Reissued int64
-	FELookups                  int64
-	FEUtilization              float64
-	CacheHitRate               float64
-	PartitionSize              int
+	Generated, Completed        int64
+	HitLoc, HitRem              int64
+	MissLocal                   int64
+	RequestsSent, RepliesSent   int64
+	RequestsReceived, FELookups int64
+	FEUtilization               float64
+	CacheHitRate                float64
+	PartitionSize               int
 	// Queue occupancy: worst and mean depths of the FE request queue and
 	// the fabric input queue, sampled per cycle.
 	MaxFEQueue, MaxInputQueue   int64
@@ -116,7 +115,6 @@ func (r *Router) result() *Result {
 			RequestsSent:     l.n[cRequestSent],
 			RepliesSent:      l.n[cReplySent],
 			RequestsReceived: l.n[cRequestReceived],
-			Reissued:         l.n[cReissued],
 			FELookups:        l.n[cFELookups],
 			PartitionSize:    -1,
 		}

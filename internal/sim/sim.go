@@ -18,13 +18,13 @@ import (
 // packet tracks one packet header through the router. Its record lives in
 // Router.packets only while something names it: refs counts the queue slots
 // (localQ, inputQ, feQ), the FE job, the fabric messages and the LR-cache
-// waiting-list entries that hold its id. A flush reissue or a bypassed
-// reservation leaves a second request, reply or FE job in flight for a
-// packet that has already completed, and that straggler still reads the
-// record and stamps it, so the record outlives completion by exactly as
-// long as it is named. Its home LC is not stored: a miss computes it (see
-// homeOf), and churn never moves it. Its stage stamps, when kept, are in
-// Router.stages under the same id.
+// waiting-list entries that hold its id. A bypassed reservation leaves a
+// second request, reply or FE job in flight for a packet that has already
+// completed, and that straggler still reads the record and stamps it, so
+// the record outlives completion by exactly as long as it is named. Its
+// home LC is not stored: a miss computes it (see homeOf), and churn never
+// moves it. Its stage stamps, when kept, are in Router.stages under the
+// same id.
 type packet struct {
 	addr          ip.Addr
 	arrivalLC     int32
@@ -40,8 +40,8 @@ type packet struct {
 
 // msg is one simulated fabric message: the name of a packet, not a copy of
 // it. It holds a ref, so the packet's record, the address included, stays
-// put while the message is in flight. A reply carries its next hop: a flush
-// reissue can leave two replies in flight for one packet.
+// put while the message is in flight. A reply carries its next hop: a
+// bypassed reservation can leave two replies in flight for one packet.
 type msg struct {
 	id    int64
 	dst   int32
@@ -115,7 +115,6 @@ const (
 	cReplyReceived
 	cFabricSent
 	cFELookups
-	cReissued
 	numCounters
 )
 
@@ -479,7 +478,7 @@ func (r *Router) step() {
 
 	// 2. Periodic cache flush (route-update model).
 	if r.cfg.FlushEveryCycles > 0 && now > 0 && now%r.cfg.FlushEveryCycles == 0 {
-		r.flushAll()
+		r.invalidate(allAddrs)
 	}
 
 	// 2b. Route churn: apply every update event due this cycle.
@@ -541,8 +540,8 @@ func (r *Router) stepLC(l *lineCard, now int64) {
 
 	// 8. The next cycle at which the LC must be stepped: the coming one
 	// while any queue holds work, else its next arrival or the end of its
-	// FE job, whichever is first. route and flushAll bring it forward when
-	// they push into the LC. (Written out in place: as a method it is over
+	// FE job, whichever is first. route brings it forward when it pushes
+	// into the LC. (Written out in place: as a method it is over
 	// the inliner's budget, and a call each step.)
 	next := now + 1
 	if l.replyQ.len()+l.inputQ.len()+l.localQ.len()+l.feQ.len()+l.outQ.len() == 0 {
@@ -654,8 +653,11 @@ func (r *Router) resolve(l *lineCard, id int64, nh rtable.NextHop, v int32) {
 	l.n[cReplySent]++
 }
 
-// complete finalizes a packet at its arrival LC; duplicate resolutions
-// (possible after a flush reissues an in-flight packet) are ignored.
+// complete finalizes a packet at its arrival LC; duplicate resolutions are
+// ignored. They follow a bypassed reservation: a packet that found its set
+// all waiting looks up unrecorded, its fill answers the list of a block
+// reserved for the same address meanwhile, and that block's own lookup
+// then answers its packet again.
 // Verification is exact even under churn: the served next hop must equal
 // the oracle of the table version the value was computed against.
 func (r *Router) complete(l *lineCard, p *packet, id int64, nh rtable.NextHop, v int32) {
@@ -778,9 +780,9 @@ func (r *Router) probeRemoteRequest(l *lineCard, id int64) {
 
 // applyChurn applies every pending route update scheduled at or before
 // now: the evolving table and the ROT-partitioning advance (control bits
-// and the pattern→LC map are kept, so no packet's home moves), engines update in place when dynamic, and the LR-caches see
-// either targeted range invalidation or — under UpdateFullFlush — a full
-// flush.
+// and the pattern→LC map are kept, so no packet's home moves), engines
+// update in place when dynamic, and the LR-caches invalidate the ranges
+// the batch changed or — under UpdateFullFlush — the whole address space.
 func (r *Router) applyChurn(now int64) {
 	start := r.nextUpdate
 	for r.nextUpdate < len(r.updates) && r.updates[r.nextUpdate].AtCycle <= now {
@@ -829,39 +831,28 @@ func (r *Router) applyChurn(now int64) {
 		r.refs = append(r.refs, lpm.NewReference(next))
 	}
 	if r.cfg.UpdateFullFlush {
-		r.flushAll()
+		r.invalidate(allAddrs)
 		return
 	}
-	for _, rg := range rtable.UpdateRanges(batch) {
-		for _, l := range r.lcs {
-			if l.cache != nil {
-				l.cache.InvalidateRange(rg.Lo, rg.Hi)
-				r.churnRangeInv++
-			}
-		}
-	}
+	r.churnRangeInv += r.invalidate(rtable.UpdateRanges(batch))
 }
 
-// flushAll invalidates every LR-cache and reissues the orphaned waiters
-// through their original paths.
-func (r *Router) flushAll() {
+// allAddrs is the whole address space: invalidating it is the paper's flush.
+var allAddrs = []rtable.Range{{Lo: 0, Hi: math.MaxUint32}}
+
+// invalidate drops the complete entries in rs from every LR-cache and
+// returns the range invalidations issued, len(rs) per cache. W blocks stay
+// with their waiting lists (cache.InvalidateRanges): a lookup in flight
+// fills its block once and answers its list once, and a value computed
+// against an older table is point-invalidated by the version guard in
+// finishFE and handleReply.
+func (r *Router) invalidate(rs []rtable.Range) int64 {
+	var n int64
 	for _, l := range r.lcs {
-		if l.cache == nil {
-			continue
-		}
-		for _, id := range l.cache.Flush() {
-			p := r.pkt(id)
-			if p.completeCycle >= 0 {
-				r.drop(id) // finished meanwhile: its waiting-list entry goes with the list
-				continue
-			}
-			if int(p.arrivalLC) == l.id {
-				l.localQ.push(id)
-			} else {
-				l.inputQ.push(id)
-			}
-			l.n[cReissued]++
-			r.cal.setWake(l.id, r.now)
+		if l.cache != nil {
+			l.cache.InvalidateRanges(rs)
+			n += int64(len(rs))
 		}
 	}
+	return n
 }

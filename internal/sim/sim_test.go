@@ -179,21 +179,52 @@ func TestWaitingCoalescing(t *testing.T) {
 	}
 }
 
-func TestFlushReissue(t *testing.T) {
-	tbl := rtable.Small(2000, 17)
-	cfg := testConfig(tbl)
-	cfg.FlushEveryCycles = 2000
-	cfg.VerifyNextHops = true
-	res := run(t, cfg)
-	if res.PacketsCompleted != int64(cfg.NumLCs*cfg.PacketsPerLC) {
-		t.Fatalf("flushes lost packets: %d", res.PacketsCompleted)
-	}
-	// Flushing must hurt the hit rate versus the flush-free run.
-	noFlush := testConfig(tbl)
-	base := run(t, noFlush)
-	if res.HitRate >= base.HitRate {
-		t.Errorf("hit rate with flushes (%.4f) should be below without (%.4f)",
-			res.HitRate, base.HitRate)
+// TestFlushCompletesOnce: a flush is an invalidation (Sec. 3.2), so no
+// flush interval multiplies a lookup — not one every cycle, nor one every
+// 300, shorter than a remote lookup. Each run finishes, every packet
+// completes at its arrival LC, the forwarding engines run at most once a
+// packet, every slab record still named belongs to a completed packet, and
+// flushing every 3,000 cycles costs hit rate against never.
+func TestFlushCompletesOnce(t *testing.T) {
+	tbl := rtable.Small(12000, 26)
+	for _, psi := range []int{3, 16} {
+		hitRate := map[int64]float64{}
+		for _, flush := range []int64{1, 300, 3000, 0} {
+			cfg := DefaultConfig(tbl)
+			cfg.NumLCs = psi
+			cfg.PacketsPerLC = 500
+			cfg.VerifyNextHops = true
+			cfg.FlushEveryCycles = flush
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Run()
+			if err != nil {
+				t.Fatalf("psi=%d flush every %d: %v", psi, flush, err)
+			}
+			var generated, feLookups int64
+			for i, l := range res.PerLC {
+				if l.Completed != l.Generated {
+					t.Errorf("psi=%d flush every %d: LC %d completed %d of %d", psi, flush, i, l.Completed, l.Generated)
+				}
+				generated += l.Generated
+				feLookups += l.FELookups
+			}
+			if feLookups > generated {
+				t.Errorf("psi=%d flush every %d: %d FE lookups for %d packets", psi, flush, feLookups, generated)
+			}
+			for i := range r.packets {
+				if p := &r.packets[i]; p.refs > 0 && p.completeCycle < 0 {
+					t.Errorf("psi=%d flush every %d: record %d is named and never completed", psi, flush, i)
+				}
+			}
+			hitRate[flush] = res.HitRate
+		}
+		if hitRate[3000] >= hitRate[0] {
+			t.Errorf("psi=%d: hit rate with a flush every 3,000 cycles (%.4f) should be below without (%.4f)",
+				psi, hitRate[3000], hitRate[0])
+		}
 	}
 }
 
@@ -451,14 +482,14 @@ func TestResultReport(t *testing.T) {
 }
 
 // TestRunLimitError holds the cycle cap where a loop over every cycle had
-// it. A remote lookup here crosses a 2.1 M-cycle fabric twice, past the
-// cap a 50-packet run derives (4,019,600 cycles), and a flush reissues it
-// faster than it drains: the run fails with the cap and the packets done
-// that stepping each cycle reported (51 of 100: no remote lookup
-// returns), though Run skips every cycle between its events. A
-// flush on the cap's own cycle is still stepped. A run with nothing left
-// due — no arrival, lookup, message, flush or update to come — fails at
-// once, at a cap of 10^14 cycles no walk would reach.
+// it. A remote lookup here crosses a 2.1 M-cycle fabric twice, and that
+// round trip alone is past the cap a 50-packet run derives (4,019,600
+// cycles): the run fails with the cap and the packets done that stepping
+// each cycle reported (51 of 100, the ones homed at their arrival LC), though
+// Run skips every cycle between its events. The flushes in between, the last
+// on the cap's own cycle, are stepped and change no count. A run with
+// nothing left due — no arrival, lookup, message, flush or update to come —
+// fails at once, at a cap of 10^14 cycles no walk would reach.
 func TestRunLimitError(t *testing.T) {
 	base := DefaultConfig(rtable.Small(2000, 26))
 	base.NumLCs = 2

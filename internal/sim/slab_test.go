@@ -60,9 +60,9 @@ func runSlab(t *testing.T, cfg Config) int {
 
 // TestPacketSlabBounded: the slab holds the in-flight population, not the
 // run. Its high-water mark is bounded at the Fig. 6 point and does not
-// follow the run length; on the duplicate-heavy cells — where flush
-// reissues, unrecorded misses and bypassed reservations leave stragglers
-// that outlive their packet's completion — every name is still counted (a
+// follow the run length; on the duplicate-heavy cells — where unrecorded
+// misses and bypassed reservations leave stragglers that outlive their
+// packet's completion — every name is still counted (a
 // miscounted site panics "used after release" or "lost before completion"
 // inside the run).
 func TestPacketSlabBounded(t *testing.T) {

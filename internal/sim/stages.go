@@ -29,8 +29,9 @@ const (
 // unstamped is a fresh packet's stamps.
 var unstamped = stageStamp{-1, -1, -1, -1, -1}
 
-// stamp records a stage boundary for packet id, first write wins (flush
-// reissue can re-run a stage; the breakdown keeps the original pass).
+// stamp records a stage boundary for packet id, first write wins (a
+// bypassed reservation can re-run a stage; the breakdown keeps the first
+// pass).
 func (r *Router) stamp(id int64, stage int) {
 	if !r.cfg.StageAccounting {
 		return
