@@ -356,11 +356,9 @@ func drive(r *router.Router, psi int, addrs []ip.Addr, batch, killLC int, drainA
 			retries, expired, fallbacks, forwarded)
 	}
 	sheds := delta.Sum(router.MetricShed)
-	shorts := delta.Sum(router.MetricBreakerShorts)
-	exhausted := delta.Sum(router.MetricBudgetExhausted)
-	if sheds+shorts+exhausted > 0 {
-		fmt.Printf("overload control: %.0f sheds, %.0f breaker short-circuits, %.0f budget-exhausted retries\n",
-			sheds, shorts, exhausted)
+	untrusted := delta.Sum(router.MetricStreakServed)
+	if sheds+untrusted > 0 {
+		fmt.Printf("overload control: %.0f sheds, %.0f streak-served fallbacks\n", sheds, untrusted)
 	}
 
 	// Lifecycle summary: admin drain completion, crash re-homings, and the

@@ -361,3 +361,20 @@ func TestLengthPartitionComparison(t *testing.T) {
 		t.Errorf("SPAL psi=16 share %v should be far below comparator %v", spal16Share, comparatorShare)
 	}
 }
+
+// The planes table at Quick: one seed, every fault class, and no verdict in
+// any cell that differs from the reference.
+func TestPlanesNoWrongVerdicts(t *testing.T) {
+	tbl, err := Planes(Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != len(planeFaults) {
+		t.Fatalf("%d rows, want one per fault class (%d)", len(tbl.Rows), len(planeFaults))
+	}
+	for _, row := range tbl.Rows {
+		if row[1] != "0 (0-0)" {
+			t.Errorf("%s: wrong verdicts %s, want 0", row[0], row[1])
+		}
+	}
+}

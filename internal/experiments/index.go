@@ -35,6 +35,7 @@ var index = []struct {
 	{"latency", LatencyDistribution},
 	{"warmup", Warmup},
 	{"comparator", wrapInfallible(LengthPartitionComparison)},
+	{"planes", Planes},
 }
 
 // Names lists every registered experiment in presentation order.

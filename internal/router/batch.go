@@ -388,9 +388,9 @@ func (r *Router) missRow(lc *lineCard, w localWaiter, addr ip.Addr, kind cache.P
 		}
 	}
 	// Nothing a direct exchange cannot get past may stand between lc and home:
-	// an ejected home, a breaker not closed (routeFor's calls). Both hold for
-	// as long as lc's owner does, short of a concurrent ejection.
-	if !r.ejected(home) && (!r.overload || lc.ov.breakers[home].state.Load() == breakerClosed) {
+	// an untrusted home (routeFor's call). That holds for as long as lc's
+	// owner does, short of a concurrent ejection.
+	if !r.untrusted(lc, home) {
 		hr := sc.reach(home)
 		hr.ask = append(hr.ask, fabricRow{addr: addr})
 		hr.held = append(hr.held, heldRow{tr: tr, slot: w.slot})
@@ -481,14 +481,15 @@ func (r *Router) follow(lc *lineCard, bd *batchDesc) (answered int) {
 
 // parkRow sends a remote miss down the message path: it parks a waitlist
 // and lets routeFor decide and arm it, so the shared robustness machinery
-// (checkDeadlines, re-homing, breakers, ejection) treats every miss alike —
+// (checkDeadlines, re-homing, home trust) treats every miss alike —
 // only the fabric send is deferred, into the run's request to home — unless
 // sent, the row's request having gone (batchDirect).
 func (r *Router) parkRow(lc *lineCard, w localWaiter, addr ip.Addr, home int, now int64, sent bool) {
 	wl := r.park(lc, addr)
 	wl.tr = w.tr
 	lc.addLocal(wl, w)
-	if r.routeFor(lc, addr, home, wl, now) && !sent {
+	r.routeFor(lc, addr, home, wl, now)
+	if !sent {
 		lc.scratch.request(home, addr)
 	}
 }
@@ -703,7 +704,7 @@ func replyOf(rows []fabricRow, ans []rowAnswer, feNS int64) message {
 
 // handleBatchReply scatters a reply back into the requester's waitlists. The
 // reply is one message on the wire: the epoch guard, the round-trip sample
-// and the breaker/budget credit are taken once, and every address carries
+// and the trust reset are taken once, and every address carries
 // the one generation the home computed the reply against.
 func (r *Router) handleBatchReply(lc *lineCard, m message) {
 	var one [1]fabricRow

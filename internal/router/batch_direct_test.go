@@ -401,17 +401,10 @@ func testDirectPreconditions(t *testing.T, single bool) {
 		// The home answers by call; its reply is the message lost.
 		{"reply dropped", []Option{WithFaultInjector(repDropped.decide)}, [2]ServedBy{ServedByRemote, ServedByRemote}, true, false, false,
 			func(r *Router, _ ip.Addr) obstacle { return fault(r, repDropped, true) }},
-		{"breaker open", []Option{WithOverload(0)}, [2]ServedBy{ServedByFallback, ServedByFallback}, false, false, false,
+		// The probe's reply restores trust.
+		{"streak untrusted", []Option{WithOverload(0)}, [2]ServedBy{ServedByFallback, ServedByFallback}, true, false, false,
 			func(r *Router, _ ip.Addr) obstacle {
-				b := &r.lcs[arrival].ov.breakers[home]
-				r.own(arrival, func(*lineCard) { b.openedAt = r.now(); b.state.Store(breakerOpen) })
-				return obstacle{lift: func() { r.own(arrival, func(lc *lineCard) { r.breakerSuccess(lc, home) }) }}
-			}},
-		// The first row claims the probe on the message path, the second finds
-		// it claimed; the probe's reply closes the breaker.
-		{"breaker half-open", []Option{WithOverload(0)}, [2]ServedBy{ServedByRemote, ServedByFallback}, true, false, false,
-			func(r *Router, _ ip.Addr) obstacle {
-				r.own(arrival, func(*lineCard) { r.lcs[arrival].ov.breakers[home].state.Store(breakerHalfOpen) })
+				r.own(arrival, func(lc *lineCard) { lc.ov.streak[home] = trustAfter })
 				return obstacle{}
 			}},
 		{"home ejected", []Option{WithGray()}, [2]ServedBy{ServedByFallback, ServedByFallback}, true, false, false,

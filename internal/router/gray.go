@@ -21,12 +21,13 @@
 //     demoted toward Down by this plane.
 //
 //   - Ejection: a degraded home is ejected, which is a dispatch decision and
-//     nothing else. routeFor answers a fresh miss homed on it from the
-//     full-table fallback, as it answers one behind an open breaker, and
-//     still puts the address on the request to the home as a probe nobody
-//     waits on: its reply fills the requester's cache like any duplicate,
-//     answers nobody, and keeps the home's samples flowing so that its
-//     recovery is seen. The direct exchange skips an ejected home. No
+//     nothing else: it is untrusted (overload.go), as a home behind a
+//     streak of deadline expiries is. routeFor answers a fresh miss homed on
+//     it from the full-table fallback and still puts the address on the
+//     request to the home as a probe nobody waits on: its reply fills the
+//     requester's cache like any duplicate, answers nobody, and keeps the
+//     home's samples flowing so that its recovery is seen. The direct
+//     exchange skips an ejected home, and its expiries are not retried. No
 //     partition moves and no generation changes: by this failure model the
 //     home's verdicts are correct, only slow.
 package router

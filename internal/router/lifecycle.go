@@ -2,10 +2,11 @@
 // and automatic partition re-homing.
 //
 // SPAL's premise is that each LC owns one ROT-partition, so a dead or
-// wedged line card black-holes every remote lookup homed on it until the
-// retry budget burns down into the fallback, an index over the full-table
-// snapshot the router holds. The lifecycle subsystem turns LC failure and
-// maintenance into first-class events:
+// wedged line card black-holes every remote lookup homed on it until its
+// retries run out, or the home turns untrusted (overload.go), into the
+// fallback, an index over the full-table snapshot the router holds. The
+// lifecycle subsystem turns LC failure and maintenance into first-class
+// events:
 //
 //	          tick fresh
 //	    ┌─────────────────────┐

@@ -158,12 +158,7 @@ const (
 	// Messages only: control is not one (see own).
 	MetricHandled          = "spal_router_handled_total"
 	MetricWaitlistOverflow = "spal_router_waitlist_overflow_total"
-	MetricRetryBudget      = "spal_router_retry_budget"
-	MetricBudgetExhausted  = "spal_router_retry_budget_exhausted_total"
-	MetricBreakerState     = "spal_router_breaker_state"
-	MetricBreakerShorts    = "spal_router_breaker_short_circuits_total"
-	MetricBreakerOpens     = "spal_router_breaker_opens_total"
-	MetricBreakerCloses    = "spal_router_breaker_closes_total"
+	MetricStreakServed     = "spal_router_streak_served_total"
 	// Gray-failure metrics (see gray.go). Emitted only when the gray
 	// subsystem is enabled, so snapshots of a default router are
 	// byte-identical to earlier releases.
@@ -219,7 +214,7 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		s.Counter(MetricStaleReplies, "Fabric replies dropped by the table-update epoch guard.", float64(lc.stats.StaleReplies.Load()), lbl)
 		s.Counter(MetricRetries, "Fabric requests re-sent after a deadline expiry.", float64(lc.stats.Retries.Load()), lbl)
 		s.Counter(MetricFallbacks, "Lookups served by the full-table fallback.", float64(lc.stats.Fallbacks.Load()), lbl)
-		s.Counter(MetricDeadlineExpired, "Pending lookups whose fabric retry budget ran out.", float64(lc.stats.DeadlineExpired.Load()), lbl)
+		s.Counter(MetricDeadlineExpired, "Pending lookups whose fabric retries ran out.", float64(lc.stats.DeadlineExpired.Load()), lbl)
 		s.Counter(MetricForwarded, "In-flight requests forwarded because the address was re-homed.", float64(lc.stats.ForwardedRequests.Load()), lbl)
 		s.Counter(MetricUpdatesApplied, "Route updates this LC streamed into its forwarding engine.", float64(lc.stats.UpdatesApplied.Load()), lbl)
 		s.Counter(MetricStaleGen, "Fabric replies delivered but kept out of the cache by the generation guard.", float64(lc.stats.StaleGenReplies.Load()), lbl)
@@ -265,23 +260,8 @@ func (r *Router) Metrics() *metrics.Snapshot {
 		if r.overload {
 			s.Counter(MetricWaitlistOverflow, "Waiters refused because the per-address waitlist hit its cap.",
 				float64(lc.ov.shed[shedWaitlistOverflow].Load()), lbl)
-			s.Gauge(MetricRetryBudget, "Retry tokens currently available at this LC.",
-				float64(lc.ov.budgetMilli.Load())/1000, lbl)
-			s.Counter(MetricBudgetExhausted, "Retries refused for lack of budget (lookup went straight to fallback).",
-				float64(lc.ov.budgetExhausted.Load()), lbl)
-			s.Counter(MetricBreakerShorts, "Fabric sends short-circuited to fallback by an open breaker.",
-				float64(lc.ov.breakerShorts.Load()), lbl)
-			s.Counter(MetricBreakerOpens, "Per-home breaker transitions into open at this LC.",
-				float64(lc.ov.breakerOpens.Load()), lbl)
-			s.Counter(MetricBreakerCloses, "Per-home breaker transitions back to closed at this LC.",
-				float64(lc.ov.breakerCloses.Load()), lbl)
-			for h := range lc.ov.breakers {
-				if h == i {
-					continue
-				}
-				s.Gauge(MetricBreakerState, "Circuit breaker toward home LC: 0=closed 1=open 2=half-open.",
-					float64(lc.ov.breakers[h].state.Load()), lbl, metrics.L("home", strconv.Itoa(h)))
-			}
+			s.Counter(MetricStreakServed, "Lookups answered from the fallback because their home LC's deadline expiries in a row reached the trust threshold.",
+				float64(lc.ov.streakServed.Load()), lbl)
 		}
 	}
 	if probes > 0 {

@@ -1,5 +1,5 @@
-// The per-LC queue and its overload control: admission, load shedding, an
-// adaptive per-LC retry budget, and per-home-LC circuit breakers.
+// The per-LC queue and its overload control: admission, load shedding, and
+// the home-trust streak.
 //
 // The paper sizes SPAL for line rate and treats the home LC's forwarding
 // engine as the contended resource; bit selection bounds *table*
@@ -7,7 +7,7 @@
 // its memory with the inbox depth and keeps the fabric path
 // non-blocking; by default a hot home LC or a retry storm then simply
 // backs callers up behind full inboxes, and nothing tells them to back
-// off. With WithOverload the router defends itself at four points:
+// off. With WithOverload the router defends itself at three points:
 //
 //   - Admission: a locally submitted lookup that finds the arrival LC's
 //     inbox full is refused immediately with ErrOverloaded
@@ -17,23 +17,16 @@
 //     inbox sheds the message and the requester's existing
 //     deadline/retry/fallback machinery keeps the lookup terminating.
 //     Mutually-full LCs therefore cannot deadlock.
-//   - Retry budget: each LC holds a tokenBucket refilled by successful
-//     fabric replies (retryBudgetRatio tokens per success, the
-//     client-side "retry budget" pattern). A deadline-driven retry
-//     spends one token; with the bucket empty the lookup goes straight
-//     to the full-table fallback, so retries cannot amplify an
-//     already-overloaded fabric.
-//   - Circuit breaker: each LC tracks one breaker per home LC, driven
-//     by the deadline ticker. Consecutive deadline expiries from one
-//     home open its breaker; while open, dispatches homed there
-//     short-circuit to ServedByFallback without touching the fabric.
-//     After breakerCooldown the ticker arms a half-open probe: the next
-//     dispatch crosses the fabric, and its success (reply) or failure
-//     (another expiry) closes or re-opens the breaker.
+//   - Home trust: each LC counts, per home LC, the deadline expiries in a
+//     row toward it. At trustAfter the home is untrusted, as an ejected one
+//     is (gray.go): its fresh misses are answered from the full-table
+//     fallback and still asked of it as probes nobody waits on, and its
+//     expiries are not retried, so retries cannot amplify load on a
+//     failing fabric. Any answer from the home ends the streak.
 //
-// Every structure here follows the package's ownership rules: token
-// buckets and breakers are mutated only by the LC's current owner (the
-// holder of lineCard.mu); Metrics reads atomic mirrors. Control (cache
+// Every structure here follows the package's ownership rules: the streaks
+// are mutated only by the LC's current owner (the holder of lineCard.mu);
+// Metrics reads atomic counters. Control (cache
 // flush, table swap, stats collection) bypasses admission entirely — its
 // caller takes the LC's lock, not a place in its queue (see own) — so
 // drain/kill/UpdateTable keep their no-lost-lookup guarantees under full
@@ -44,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"spal/internal/ip"
 	"spal/internal/tracing"
@@ -69,25 +61,18 @@ var ErrOverloaded = errors.New("router: overloaded")
 //     overflow remote requests are dropped back onto the requester's retry
 //     path. Bounds the W-bit waiting lists so a single-address storm cannot
 //     grow state without limit.
-//   - retryBudgetRatio is the retry bucket's refill per successful fabric
-//     reply (retries may consume 10% of recent successes); retryBudgetBurst
-//     caps the bucket and seeds it at construction.
-//   - breakerThreshold is the consecutive deadline-expiry count from one home
-//     LC that opens its breaker; breakerCooldown is how long an open breaker
-//     waits before the ticker arms a half-open probe.
+//   - trustAfter is the consecutive deadline-expiry count from one home LC
+//     that makes it untrusted.
 const (
 	defaultQueueDepth = 1024
 	waitlistCap       = 256
-	retryBudgetRatio  = 0.1
-	retryBudgetBurst  = 10
-	breakerThreshold  = 5
-	breakerCooldown   = 4 // × the request timeout
+	trustAfter        = 5
 )
 
 // WithOverload enables overload control: each LC's inbox holds queueDepth
 // messages (<= 0 selects 1024), and a lookup that finds it full is refused
-// with ErrOverloaded. The waitlist cap, the retry budget and the breakers
-// come with it, at the constants above.
+// with ErrOverloaded. The waitlist cap and the home-trust streak come with
+// it, at the constants above.
 func WithOverload(queueDepth int) Option {
 	return func(c *config) {
 		c.Overload = true
@@ -121,75 +106,15 @@ var shedReasonNames = [numShedReasons]string{
 	"waitlist_overflow",
 }
 
-// Breaker states, mirrored into spal_router_breaker_state.
-const (
-	breakerClosed int32 = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// breaker is one (arrival LC, home LC) circuit. fails, openedAt and
-// probing belong to the arrival LC (mutated from its handle/tick paths
-// only, under lineCard.mu); state is the atomic mirror Metrics and tests
-// read.
-type breaker struct {
-	fails    int   // consecutive deadline expiries from this home
-	openedAt int64 // when the breaker last opened, a reading of Router.now
-	probing  bool  // half-open: the single probe is in flight
-	state    atomic.Int32
-}
-
-// tokenBucket is the retry budget: retries add fabric load, so they are
-// paid for by evidence that the fabric still works. Every successful round
-// trip refills it by retryBudgetRatio tokens up to retryBudgetBurst, every
-// retry takes one. It starts full. Guarded by the owning LC's lineCard.mu.
-type tokenBucket float64
-
-// refill credits one successful fabric round trip.
-func (b *tokenBucket) refill() {
-	*b = min(*b+retryBudgetRatio, retryBudgetBurst)
-}
-
-// take spends one token; false means the budget is exhausted.
-func (b *tokenBucket) take() bool {
-	if *b < 1 {
-		return false
-	}
-	*b--
-	return true
-}
-
 // lcOverload is one LC's overload-control state. The atomic counters are
 // written from whatever goroutine observes the event (admission and
-// fabric sheds happen outside the target LC's lock); the retry bucket and
-// the breakers are guarded by the owning LC's lineCard.mu.
+// fabric sheds happen outside the target LC's lock); streak is guarded by
+// the owning LC's lineCard.mu.
 type lcOverload struct {
-	shed            [numShedReasons]atomic.Int64
-	budgetExhausted atomic.Int64
-	breakerShorts   atomic.Int64
-	breakerOpens    atomic.Int64
-	breakerCloses   atomic.Int64
-	budgetMilli     atomic.Int64 // retry tokens × 1000, for the gauge
+	shed         [numShedReasons]atomic.Int64
+	streakServed atomic.Int64
 
-	retry    tokenBucket
-	breakers []breaker
-}
-
-// newLCOverload builds the per-LC state: a full retry bucket and one
-// closed breaker per peer slot.
-func newLCOverload(enabled bool, numLCs int) *lcOverload {
-	ov := &lcOverload{breakers: make([]breaker, numLCs)}
-	if enabled {
-		ov.retry = retryBudgetBurst
-		ov.mirrorBudget()
-	}
-	return ov
-}
-
-// mirrorBudget publishes the retry bucket's level for Metrics. lc.mu must
-// be held.
-func (ov *lcOverload) mirrorBudget() {
-	ov.budgetMilli.Store(int64(ov.retry * 1000))
+	streak []uint8 // per home: deadline expiries in a row, at most trustAfter; nil without overload control
 }
 
 // shedCount increments one LC's shed counter for a reason.
@@ -286,72 +211,27 @@ func (r *Router) waitlistFull(wl *waitlist) bool {
 	return r.overload && len(wl.locals)+len(wl.remotes) >= waitlistCap
 }
 
-// breakerFailure records one deadline expiry from home; enough
-// consecutive failures (or any failure of a half-open probe) open the
-// breaker. lc.mu must be held.
-func (r *Router) breakerFailure(lc *lineCard, home int, now int64) {
-	b := &lc.ov.breakers[home]
-	switch b.state.Load() {
-	case breakerOpen:
-		return // already open; the cooldown clock keeps running
-	case breakerHalfOpen:
-		// The probe failed: re-open with a fresh cooldown.
-		b.probing = false
-		b.openedAt = now
-		b.state.Store(breakerOpen)
-		lc.ov.breakerOpens.Add(1)
+// untrusted reports whether lc is not to wait for home: trustAfter deadline
+// expiries in a row toward it (overload control), or home ejected as browned
+// out (gray.go). A fresh miss homed there is answered from the fallback and
+// still asked of home as a probe (routeFor), an expiry toward it is not
+// retried (checkDeadlines), and the direct exchange skips it (missRow).
+// lc.mu must be held.
+func (r *Router) untrusted(lc *lineCard, home int) bool {
+	return r.overload && lc.ov.streak[home] >= trustAfter || r.ejected(home)
+}
+
+// servedUntrusted counts and traces one lookup answered from the fallback
+// because home is untrusted: as ejection's when home is ejected, else as the
+// streak's, B the streak. lc.mu must be held.
+func (r *Router) servedUntrusted(lc *lineCard, home int, tr *tracing.LookupTrace) {
+	if r.ejected(home) {
+		r.ejectServed.Add(1)
+		tr.Record(tracing.EvEject, int64(home), 0)
 		return
 	}
-	b.fails++
-	if b.fails >= breakerThreshold {
-		b.openedAt = now
-		b.state.Store(breakerOpen)
-		lc.ov.breakerOpens.Add(1)
-	}
-}
-
-// breakerSuccess records a fabric reply from home: any success fully
-// closes the circuit. lc.mu must be held.
-func (r *Router) breakerSuccess(lc *lineCard, home int) {
-	b := &lc.ov.breakers[home]
-	b.fails = 0
-	b.probing = false
-	if b.state.Load() != breakerClosed {
-		b.state.Store(breakerClosed)
-		lc.ov.breakerCloses.Add(1)
-	}
-}
-
-// breakerTick arms half-open probes: an open breaker whose cooldown has
-// elapsed transitions to half-open, allowing the next dispatch through
-// as the probe. Runs on the LC's deadline ticker at now, a reading of
-// Router.now. lc.mu must be held.
-func (r *Router) breakerTick(lc *lineCard, now int64) {
-	for i := range lc.ov.breakers {
-		b := &lc.ov.breakers[i]
-		if b.state.Load() == breakerOpen && time.Duration(now-b.openedAt) >= breakerCooldown*r.timeout {
-			b.probing = false
-			b.state.Store(breakerHalfOpen)
-		}
-	}
-}
-
-// breakerAllows reports whether a dispatch homed at home may cross the
-// fabric right now: closed always may; half-open admits exactly one
-// in-flight probe; open admits nothing until the ticker arms a probe.
-// lc.mu must be held.
-func (r *Router) breakerAllows(lc *lineCard, home int) bool {
-	b := &lc.ov.breakers[home]
-	switch b.state.Load() {
-	case breakerClosed:
-		return true
-	case breakerHalfOpen:
-		if !b.probing {
-			b.probing = true
-			return true
-		}
-	}
-	return false
+	lc.ov.streakServed.Add(1)
+	tr.Record(tracing.EvStreak, int64(home), int64(lc.ov.streak[home]))
 }
 
 // deliverData is the final hop of a fabric send: it hands a request or

@@ -1,5 +1,5 @@
 // Overload-control tests: admission shedding, block mode, waitlist caps,
-// retry budgets, circuit breakers, Stop under full inboxes, and the
+// the home-trust streak, Stop under full inboxes, and the
 // chaos/soak runs CI drives in its chaos and chaos-procs jobs. What a
 // router without WithOverload does with the same bounded inbox is covered
 // in inbox_test.go.
@@ -8,7 +8,6 @@ package router
 import (
 	"context"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -68,21 +67,6 @@ func remoteAddrs(t *testing.T, r *Router, tbl *rtable.Table, rng *stats.RNG, hom
 	}
 	if len(out) < n {
 		t.Fatalf("could not find %d addresses homed at LC %d", n, home)
-	}
-	return out
-}
-
-// breakerState reads LC lc's breaker toward home: 0 closed, 1 open,
-// 2 half-open.
-func breakerState(r *Router, lc, home int) int32 {
-	return r.lcs[lc].ov.breakers[home].state.Load()
-}
-
-// breakerStates reads every one of LC lc's breakers, indexed by home.
-func breakerStates(r *Router, lc int) []int32 {
-	out := make([]int32, len(r.lcs[lc].ov.breakers))
-	for home := range out {
-		out[home] = breakerState(r, lc, home)
 	}
 	return out
 }
@@ -391,133 +375,73 @@ func TestStopWithFullInboxes(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetExhaustion: with every fabric request dropped and no
-// successful replies to refill the bucket, retries stop once the seeded
-// burst is spent and subsequent deadline expiries degrade straight to
-// the fallback. Four addresses on each of three remote homes want twelve
-// retries before any home's breaker sees breakerThreshold expiries (a
-// batch's first expiries, four a home; or one address at a time, four
-// retries and the opening expiry a home): the retryBudgetBurst tokens run
-// out first, and the breakers take the rest.
-func TestRetryBudgetExhaustion(t *testing.T) {
+// TestTrustStreakFallsBackAndRecovers: with LC 1's replies to LC 0 lost,
+// trustAfter deadline expiries in a row make LC 1 untrusted at LC 0. Fresh
+// misses homed there are then answered from the fallback without waiting out
+// a deadline, counted and traced once each, and still asked of LC 1 as
+// probes. Once the link heals, the first probe's reply restores trust, and
+// the next miss is answered by LC 1.
+func TestTrustStreakFallsBackAndRecovers(t *testing.T) {
 	tbl := rtable.Small(500, 3)
 	oracle := lpm.NewReference(tbl)
 	for _, ep := range entryPoints {
 		t.Run(ep.name, func(t *testing.T) {
-			drop := func(m fabric.Message) fabric.Decision { return fabric.Decision{Drop: m.Kind == fabric.Request} }
-			r, err := New(tbl, WithLCs(4), WithFaultInjector(drop),
-				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(100),
-				WithOverload(0))
+			f := fabric.NewFaults(1, fabric.LinkConfig{})
+			f.SetLink(1, 0, fabric.LinkConfig{DropRate: 1})
+			r, err := New(tbl, WithLCs(2), WithFaultInjector(f.Decide),
+				WithRequestTimeout(5*time.Millisecond), WithMaxRetries(-1),
+				WithTraceSampling(0), WithOverload(0))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r.Stop()
 
-			rng := stats.NewRNG(17)
-			var addrs []ip.Addr
-			for home := 1; home < 4; home++ {
-				addrs = append(addrs, remoteAddrs(t, r, tbl, rng, home, 4)...)
-			}
-			for i, v := range ep.lookup(t, r, 0, addrs) {
-				if v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, addrs[i]) {
-					t.Fatalf("dead-fabric lookup: got %+v, want correct fallback verdict", v)
+			addrs := remoteAddrs(t, r, tbl, stats.NewRNG(23), 1, trustAfter+6)
+			for _, a := range addrs[:trustAfter] {
+				if v, err := r.Lookup(0, a); err != nil || v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, a) {
+					t.Fatalf("lookup over the dead link: v=%+v err=%v, want a correct fallback verdict", v, err)
 				}
 			}
-			s := r.Metrics()
-			lbl := metrics.L("lc", "0")
-			if got, _ := s.Value(MetricBudgetExhausted, lbl); got < float64(len(addrs)-retryBudgetBurst) {
-				t.Fatalf("budget exhausted counter = %v, want >= %d", got, len(addrs)-retryBudgetBurst)
-			}
-			if got, _ := s.Value(MetricRetryBudget, lbl); got >= 1 {
-				t.Fatalf("retry budget gauge = %v, want < 1 after exhaustion with no refills", got)
-			}
-			if got, _ := s.Value(MetricRetries, lbl); got != retryBudgetBurst {
-				t.Fatalf("retries = %v, want exactly the burst of %d", got, retryBudgetBurst)
-			}
-		})
-	}
-}
-
-// TestBreakerOpensAndRecovers drives the full breaker state machine:
-// breakerThreshold consecutive deadline expiries open it, an open breaker
-// short-circuits dispatches to the fallback without touching the fabric,
-// the ticker arms a half-open probe after the cooldown, and a successful
-// probe closes the circuit again.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	tbl := rtable.Small(500, 3)
-	oracle := lpm.NewReference(tbl)
-	for _, ep := range entryPoints {
-		t.Run(ep.name, func(t *testing.T) {
-			var failing atomic.Bool
-			failing.Store(true)
-			inj := func(m fabric.Message) fabric.Decision {
-				return fabric.Decision{Drop: failing.Load() && m.Kind == fabric.Request && m.Dst == 1}
-			}
-			r, err := New(tbl, WithLCs(2), WithFaultInjector(inj),
-				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(-1),
-				WithTraceSampling(0),
-				WithOverload(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Stop()
-
-			addrs := remoteAddrs(t, r, tbl, stats.NewRNG(23), 1, breakerThreshold+5)
-			// breakerThreshold deadline expiries in a row open the breaker
-			// toward LC 1.
-			for _, a := range addrs[:breakerThreshold] {
-				if v, err := r.Lookup(0, a); err != nil || v.ServedBy != ServedByFallback {
-					t.Fatalf("dead-fabric lookup: v=%+v err=%v, want fallback", v, err)
+			st := r.Stats()[0]
+			expired, sent := st.DeadlineExpired.Load(), st.RequestsSent.Load()
+			untrusted := addrs[trustAfter : trustAfter+4]
+			for i, v := range ep.lookup(t, r, 0, untrusted) {
+				if v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, untrusted[i]) {
+					t.Fatalf("lookup homed at the untrusted LC: v=%+v, want a correct fallback verdict", v)
 				}
 			}
-			if st := breakerState(r, 0, 1); st != breakerOpen {
-				t.Fatalf("breaker state after %d failures = %d, want open", breakerThreshold, st)
+			if got := st.DeadlineExpired.Load() - expired; got != 0 {
+				t.Errorf("%d deadlines waited out toward an untrusted home, want 0", got)
 			}
-			// While open, a dispatch homed at LC 1 short-circuits: fallback
-			// verdict without the deadline wait, counted and traced — each
-			// address of a batch like each single lookup.
-			shorted := addrs[breakerThreshold : breakerThreshold+4]
-			start := time.Now()
-			for i, v := range ep.lookup(t, r, 0, shorted) {
-				if v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, shorted[i]) {
-					t.Fatalf("short-circuit lookup: v=%+v", v)
-				}
+			if st.RequestsSent.Load() == sent {
+				t.Error("no probe crossed the fabric; an untrusted home must still be asked")
 			}
-			if d := time.Since(start); d > 50*time.Millisecond {
-				t.Fatalf("short-circuit took %v, should not wait out a deadline", d)
+			served, _ := r.Metrics().Value(MetricStreakServed, metrics.L("lc", "0"))
+			if served != float64(len(untrusted)) {
+				t.Errorf("streak-served counter = %v, want %d", served, len(untrusted))
 			}
-			s := r.Metrics()
-			lbl := metrics.L("lc", "0")
-			if got, _ := s.Value(MetricBreakerShorts, lbl); got < 1 {
-				t.Fatalf("breaker short-circuit counter = %v, want >= 1", got)
-			}
-			if got, _ := s.Value(MetricBreakerState, lbl, metrics.L("home", "1")); got != float64(breakerOpen) {
-				t.Fatalf("breaker state gauge = %v, want open", got)
-			}
-			if got, _ := s.Value(MetricBreakerOpens, lbl); got < 1 {
-				t.Fatalf("breaker opens counter = %v, want >= 1", got)
-			}
-			var shorts int
+			var events int
 			for _, tr := range r.Traces() {
-				shorts += tr.CountKind(tracing.EvBreaker)
+				events += tr.CountKind(tracing.EvStreak)
 			}
-			if want, _ := s.Value(MetricBreakerShorts, lbl); float64(shorts) != want {
-				t.Fatalf("EvBreaker trace events = %d, counter = %v, want equal", shorts, want)
+			if float64(events) != served {
+				t.Errorf("EvStreak trace events = %d, counter = %v, want equal", events, served)
 			}
 
-			// Heal the fabric; the cooldown elapses, the ticker arms a half-open
-			// probe, and the next lookup's reply closes the breaker.
-			failing.Store(false)
-			waitFor(t, "breaker half-open", func() bool { return breakerState(r, 0, 1) == breakerHalfOpen })
-			probe := addrs[breakerThreshold+4]
-			if v := ep.lookup(t, r, 0, []ip.Addr{probe})[0]; v.ServedBy != ServedByRemote || !verdictMatches(v, oracle, probe) {
-				t.Fatalf("probe lookup: v=%+v, want correct remote verdict", v)
+			// Heal the link: the next miss still finds LC 1 untrusted, and its
+			// probe's reply restores trust.
+			f.SetLink(1, 0, fabric.LinkConfig{})
+			probe := addrs[trustAfter+4]
+			if v, err := r.Lookup(0, probe); err != nil || v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, probe) {
+				t.Fatalf("probe lookup: v=%+v err=%v, want a correct fallback verdict", v, err)
 			}
-			if st := breakerState(r, 0, 1); st != breakerClosed {
-				t.Fatalf("breaker state after successful probe = %d, want closed", st)
-			}
-			if got, _ := r.Metrics().Value(MetricBreakerCloses, lbl); got < 1 {
-				t.Fatalf("breaker closes counter = %v, want >= 1", got)
+			waitFor(t, "LC 1 trusted again", func() (trusted bool) {
+				r.own(0, func(lc *lineCard) { trusted = !r.untrusted(lc, 1) })
+				return trusted
+			})
+			next := addrs[trustAfter+5]
+			if v := ep.lookup(t, r, 0, []ip.Addr{next})[0]; v.ServedBy != ServedByRemote || !verdictMatches(v, oracle, next) {
+				t.Fatalf("lookup after the heal: v=%+v, want a correct remote verdict", v)
 			}
 		})
 	}
@@ -527,8 +451,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 // overload aimed at one home LC, a lossy fabric, and a mid-run KillLC of
 // that same home. Every admitted lookup must resolve to the reference
 // verdict, shed+served must reconcile exactly with attempts, and the
-// breaker bookkeeping (counters, state gauge, trace events) must agree
-// with itself.
+// streak-served counter must agree with its trace events.
 func TestChaosOverloadKillLC(t *testing.T) {
 	tbl := rtable.Small(2000, 7)
 	oracle := lpm.NewReference(tbl)
@@ -587,52 +510,15 @@ func TestChaosOverloadKillLC(t *testing.T) {
 				t.Fatalf("shed(%d)+served(%d) = %d, want attempts %d", shed.Load(), served.Load(), got, attempts.Load())
 			}
 
-			// The ticker keeps arming half-open probes after the load stops,
-			// so a breaker can move between reading its gauge and reading
-			// its state: take the snapshot between two equal state reads.
-			var s *metrics.Snapshot
-			var states [4][]int32
-			for try, stable := 0, false; !stable && try < 50; try++ {
-				for lc := range states {
-					states[lc] = breakerStates(r, lc)
-				}
-				s = r.Metrics()
-				stable = true
-				for lc := range states {
-					stable = stable && slices.Equal(states[lc], breakerStates(r, lc))
-				}
-			}
-			// Breaker reconciliation: every short-circuit left one
-			// EvBreaker trace event (sampling rate 0, but breaker traces
-			// are always captured late), the state gauge mirrors the
-			// breakers' states, and transition counters are consistent with
-			// the states the router ended in.
-			var evBreaker int
+			// Every streak-served lookup left one EvStreak trace event
+			// (sampling rate 0, but such lookups are always traced late).
+			s := r.Metrics()
+			var events int
 			for _, tr := range r.Traces() {
-				evBreaker += tr.CountKind(tracing.EvBreaker)
+				events += tr.CountKind(tracing.EvStreak)
 			}
-			if shorts := s.Sum(MetricBreakerShorts); float64(evBreaker) != shorts {
-				t.Fatalf("EvBreaker trace events = %d, short-circuit counter = %v, want equal", evBreaker, shorts)
-			}
-			for lc := 0; lc < 4; lc++ {
-				lbl := metrics.L("lc", strconv.Itoa(lc))
-				nonClosed := 0.0
-				for home, st := range states[lc] {
-					if home == lc {
-						continue
-					}
-					if g, ok := s.Value(MetricBreakerState, lbl, metrics.L("home", strconv.Itoa(home))); !ok || g != float64(st) {
-						t.Fatalf("lc %d home %d: gauge %v != state %d", lc, home, g, st)
-					}
-					if st != breakerClosed {
-						nonClosed++
-					}
-				}
-				opens, _ := s.Value(MetricBreakerOpens, lbl)
-				closes, _ := s.Value(MetricBreakerCloses, lbl)
-				if opens < closes+nonClosed {
-					t.Fatalf("lc %d: opens %v < closes %v + non-closed %v", lc, opens, closes, nonClosed)
-				}
+			if served := s.Sum(MetricStreakServed); float64(events) != served {
+				t.Fatalf("EvStreak trace events = %d, streak-served counter = %v, want equal", events, served)
 			}
 			if s.Sum(MetricRetries)+s.Sum(MetricFallbacks) == 0 {
 				t.Error("lossy overloaded run produced neither retries nor fallbacks")

@@ -41,7 +41,7 @@
 // fabric message that finds the peer's queue full is shed and counted, and
 // the requester's deadline machinery recovers the lookup. WithOverload
 // layers a policy on the same queue: refuse rather than block at
-// admission, retry budgets, circuit breakers (overload.go).
+// admission and a per-home trust streak (overload.go).
 //
 // Failure model: the paper assumes a lossless fabric; this package does
 // not. Every fabric request carries a deadline tracked by a coarse
@@ -139,8 +139,8 @@ type config struct {
 	// TraceLogger, when non-nil, receives one structured record per
 	// completed trace.
 	TraceLogger *slog.Logger
-	// Overload turns on overload control (admission shedding, retry
-	// budgets, circuit breakers, the waitlist cap; see overload.go). Off,
+	// Overload turns on overload control (admission shedding, the
+	// home-trust streak, the waitlist cap; see overload.go). Off,
 	// callers block on a full inbox and the router never returns
 	// ErrOverloaded. QueueDepth bounds each LC's inbox either way (<= 0
 	// selects 1024); with Overload a lookup that finds it full is refused.
@@ -213,7 +213,7 @@ type LCStats struct {
 	Batches atomic.Int64
 	// Robustness counters: fabric requests re-sent after a deadline
 	// expiry, lookups answered by the full-table fallback,
-	// deadlines that exhausted their retry budget, and in-flight
+	// deadlines that exhausted their retries, and in-flight
 	// requests forwarded because the address was re-homed.
 	Retries, Fallbacks, DeadlineExpired, ForwardedRequests atomic.Int64
 	// Incremental-update counters (see updates.go): route updates this
@@ -360,11 +360,10 @@ type lineCard struct {
 	pendingDepth atomic.Int64 // these two: as of the last completed run (see leave)
 	waiters      atomic.Int64
 
-	// ov is the overload-control state (shed counters, retry bucket,
-	// per-home breakers; see overload.go). The fabric shed counters are
-	// live on every router, the rest only under an overload policy. Its
-	// counters are atomic; its token bucket and breaker bookkeeping are
-	// guarded by mu like pending above.
+	// ov is the overload-control state (shed counters, per-home trust
+	// streaks; see overload.go). The fabric shed counters are live on every
+	// router, the rest only under an overload policy. Its counters are
+	// atomic; its streaks are guarded by mu like pending above.
 	ov *lcOverload
 }
 
@@ -391,8 +390,8 @@ type Router struct {
 	tickEvery  time.Duration
 
 	// Overload control (see overload.go). overload false leaves only the
-	// inbox depth in force: no admission shedding, breakers, retry budget
-	// or waitlist cap.
+	// inbox depth in force: no admission shedding, trust streak or
+	// waitlist cap.
 	overload   bool
 	queueDepth int
 
@@ -538,7 +537,10 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 			}
 			lc.cache = c
 		}
-		lc.ov = newLCOverload(r.overload, cfg.NumLCs)
+		lc.ov = &lcOverload{}
+		if r.overload {
+			lc.ov.streak = make([]uint8, cfg.NumLCs)
+		}
 		if cfg.Gray {
 			r.gray = append(r.gray, &lcGray{})
 		}
@@ -806,23 +808,21 @@ func (lc *lineCard) post(to int, m message) *fabricSend {
 
 // tick is an LC's periodic due work: the untimed hits' fold, the stamp the
 // health monitor ages — after the fold, so a reader that sees the stamp move
-// sees the fold — breaker probes, and the deadline sweep over its waitlists.
-// lc.mu must be held.
+// sees the fold — and the deadline sweep over its waitlists. lc.mu must be
+// held.
 func (r *Router) tick(lc *lineCard, now int64) {
 	lc.foldHits()
 	lc.lastTick.Store(now)
-	if r.overload {
-		r.breakerTick(lc, now)
-	}
 	r.checkDeadlines(lc, now)
 }
 
 // checkDeadlines retries or degrades every pending lookup whose fabric
 // request went unanswered past its deadline. Retries re-derive the home
 // LC (the address may have been re-homed by a table update) and back off
-// exponentially, one request per home a sweep; once the retry budget is
-// spent, the lookup is answered from the router-wide full-table fallback
-// (fallbackLookup) so it terminates no matter what the fabric lost.
+// exponentially, one request per home a sweep; once the retries are spent,
+// or the home is untrusted, the lookup is answered from the router-wide
+// full-table fallback (fallbackLookup) so it terminates no matter what the
+// fabric lost.
 func (r *Router) checkDeadlines(lc *lineCard, now int64) {
 	lc.pending.walk()
 	for addr, wl, ok := lc.pending.next(); ok; addr, wl, ok = lc.pending.next() {
@@ -835,26 +835,13 @@ func (r *Router) checkDeadlines(lc *lineCard, now int64) {
 		r.lateTraceFor(lc, addr, wl)
 		home := lc.homeOf(addr)
 		if r.overload && home != lc.id {
-			// A deadline expiry is the breaker's failure signal for this
-			// home; enough of them in a row open the circuit.
-			r.breakerFailure(lc, home, now)
+			lc.ov.streak[home] = min(lc.ov.streak[home]+1, trustAfter)
 		}
 		retry := wl.attempts <= r.maxRetries
-		if retry && r.overload && home != lc.id {
-			// An open breaker or an exhausted retry budget sends the
-			// lookup straight to the fallback: retries must not
-			// amplify load on a fabric that is already failing.
-			if lc.ov.breakers[home].state.Load() == breakerOpen {
-				retry = false
-				lc.ov.breakerShorts.Add(1)
-				wl.tr.Record(tracing.EvBreaker, int64(home), int64(breakerOpen))
-			} else {
-				if !lc.ov.retry.take() {
-					retry = false
-					lc.ov.budgetExhausted.Add(1)
-				}
-				lc.ov.mirrorBudget()
-			}
+		if retry && home != lc.id && r.untrusted(lc, home) {
+			// Retries must not amplify load on a home that is failing.
+			retry = false
+			r.servedUntrusted(lc, home, wl.tr)
 		}
 		if retry {
 			lc.stats.Retries.Add(1)
@@ -880,8 +867,8 @@ func (r *Router) checkDeadlines(lc *lineCard, now int64) {
 			continue
 		}
 		if wl.attempts > r.maxRetries {
-			// The classic path: every retry was spent. Budget- and
-			// breaker-stopped lookups keep their own counters instead.
+			// The classic path: every retry was spent. Lookups stopped by
+			// an untrusted home keep their own counters instead.
 			lc.stats.DeadlineExpired.Add(1)
 			wl.tr.Record(tracing.EvDeadline, int64(wl.attempts), 0)
 		}
@@ -1085,47 +1072,31 @@ func (r *Router) fallbackLookup(addr ip.Addr) (rtable.NextHop, bool) {
 	return r.fallback.Load().Lookup(addr)
 }
 
-// routeFor is the one place that decides whether a fresh miss parked on wl
-// may be sent to its remote home, consulting every protection plane once.
-// It reports whether the caller is to put the address on the fabric (a row
-// of the run's request to home), having armed wl's deadline for it or
-// released wl; the send itself is all that is left to the caller.
+// routeFor is the one place that decides how a fresh miss parked on wl is
+// sent to its remote home: the caller puts the address on the fabric (a row
+// of the run's request to home) once routeFor has armed wl's deadline for it
+// or released wl. An untrusted home (see untrusted) is not waited for: the
+// waiters are answered from the fallback, always traced, but the address
+// still goes on the request to home, as a probe nobody waits on. Its reply
+// fills the cache like any duplicate and, as any answer from home, restores
+// trust (replyArrived); an ejected home's keeps its round-trip samples
+// flowing, so that its recovery is seen.
 //
-//   - Breaker open toward home (overload.go): the send is doomed, so the
-//     waiters are answered from the fallback without touching the
-//     fabric. Always interesting, so traced late if nobody was sampled.
-//   - Home ejected (gray.go): the waiters are answered from the fallback
-//     the same way, instead of paying its browned-out round trip, but the
-//     address still goes on the request to home, as a probe nobody waits
-//     on: its reply keeps the home's round-trip samples flowing, so that its
-//     recovery is seen.
-//
-// A retry is not a fresh miss: checkDeadlines has its own rule for those
-// and never claims a half-open probe.
-func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, now int64) bool {
-	if r.overload && !r.breakerAllows(lc, home) {
-		lc.ov.breakerShorts.Add(1)
-		lc.stats.Fallbacks.Add(1)
-		r.lateTraceFor(lc, addr, wl)
-		wl.tr.Record(tracing.EvBreaker, int64(home), int64(lc.ov.breakers[home].state.Load()))
-		wl.tr.Record(tracing.EvFallback, int64(lc.id), 0)
-		nh, ok := r.fallbackLookup(addr)
-		r.fillAndRelease(lc, addr, nh, ok, cache.REM, ServedByFallback)
-		return false
+// A retry is not a fresh miss: checkDeadlines has its own rule for those.
+func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, now int64) {
+	if !r.untrusted(lc, home) {
+		wl.tr.Record(tracing.EvFabricSend, int64(home), 1)
+		wl.attempts = 1
+		wl.deadline = now + int64(r.timeout)
+		return
 	}
+	lc.stats.Fallbacks.Add(1)
+	r.lateTraceFor(lc, addr, wl)
 	wl.tr.Record(tracing.EvFabricSend, int64(home), 1)
-	if r.ejected(home) {
-		lc.stats.Fallbacks.Add(1)
-		r.ejectServed.Add(1)
-		wl.tr.Record(tracing.EvEject, int64(home), 0)
-		wl.tr.Record(tracing.EvFallback, int64(lc.id), 0)
-		nh, ok := r.fallbackLookup(addr)
-		r.fillAndRelease(lc, addr, nh, ok, cache.REM, ServedByFallback)
-		return true
-	}
-	wl.attempts = 1
-	wl.deadline = now + int64(r.timeout)
-	return true
+	r.servedUntrusted(lc, home, wl.tr)
+	wl.tr.Record(tracing.EvFallback, int64(lc.id), 0)
+	nh, ok := r.fallbackLookup(addr)
+	r.fillAndRelease(lc, addr, nh, ok, cache.REM, ServedByFallback)
 }
 
 // replyArrived is the per-message half of reply intake: one answer from
@@ -1140,10 +1111,7 @@ func (r *Router) replyArrived(lc *lineCard, from int, sent int64) {
 		r.gray[from].observe(r.now() - sent)
 	}
 	if r.overload {
-		// It closes the responder's breaker and refills the retry bucket.
-		r.breakerSuccess(lc, from)
-		lc.ov.retry.refill()
-		lc.ov.mirrorBudget()
+		lc.ov.streak[from] = 0 // any answer restores trust
 	}
 }
 

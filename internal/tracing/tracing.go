@@ -61,7 +61,7 @@ const (
 	// EvRetry: the fabric request deadline expired and the request was
 	// re-sent. A = attempt that expired, B = next backoff in nanoseconds.
 	EvRetry
-	// EvDeadline: the retry budget ran out. A = attempts spent.
+	// EvDeadline: the fabric retries ran out. A = attempts spent.
 	EvDeadline
 	// EvFallback: the verdict came from the router-wide full-table
 	// fallback. A = arrival LC.
@@ -80,11 +80,10 @@ const (
 	// EvShed: overload control refused or abandoned this lookup. A = shed
 	// reason code (router shed-reason numbering), B = the LC that shed.
 	EvShed
-	// EvBreaker: an open per-home-LC circuit breaker short-circuited the
-	// fabric send; the verdict came from the full-table fallback
-	// without ever touching the fabric. A = the home LC whose breaker was
-	// open, B = breaker state observed (1 open, 2 half-open).
-	EvBreaker
+	// EvStreak: the lookup's home LC was untrusted for a streak of deadline
+	// expiries toward it, and the verdict came from the full-table fallback
+	// without waiting for the home. A = the home LC, B = the streak.
+	EvStreak
 	// EvEject: the lookup's home LC was ejected (browned out) and the
 	// verdict came from the full-table fallback at dispatch time; the fabric
 	// request was still sent to keep round-trip samples flowing. A = the
@@ -98,7 +97,7 @@ const NumEventKinds = int(EvEject) + 1
 var kindNames = [NumEventKinds]string{
 	"arrival", "probe", "coalesce", "bypass", "fabric_send", "fabric_recv",
 	"fe_exec", "retry", "deadline", "fallback", "rehome", "redrive",
-	"fill", "verdict", "shed", "breaker_short_circuit", "eject",
+	"fill", "verdict", "shed", "streak_fallback", "eject",
 }
 
 // String returns the stable wire name used by logs and the JSON export.
@@ -129,10 +128,10 @@ const (
 	FlagFallback
 	FlagRehomed
 	FlagRedriven
-	// FlagShed and FlagBreaker mirror EvShed and EvBreaker (overload
+	// FlagShed and FlagStreak mirror EvShed and EvStreak (overload
 	// control; see the router's overload.go).
 	FlagShed
-	FlagBreaker
+	FlagStreak
 	// FlagEjected mirrors EvEject (gray-failure mitigation; see the
 	// router's gray.go).
 	FlagEjected
@@ -147,7 +146,7 @@ var kindFlag = [NumEventKinds]Flag{
 	EvRehome:   FlagRehomed,
 	EvRedrive:  FlagRedriven,
 	EvShed:     FlagShed,
-	EvBreaker:  FlagBreaker,
+	EvStreak:   FlagStreak,
 	EvEject:    FlagEjected,
 }
 
@@ -164,7 +163,7 @@ var flagNames = []struct {
 	{FlagRehomed, "rehomed"},
 	{FlagRedriven, "redriven"},
 	{FlagShed, "shed"},
-	{FlagBreaker, "breaker"},
+	{FlagStreak, "streak"},
 	{FlagEjected, "ejected"},
 }
 
@@ -181,9 +180,9 @@ func (f Flag) Strings() []string {
 
 // Interesting reports whether the trace hit the always-capture criteria:
 // retried, deadline-expired, fallback-served, re-homed, shed,
-// breaker-short-circuited, or eject-served.
+// streak-served, or eject-served.
 func (f Flag) Interesting() bool {
-	return f&(FlagRetried|FlagDeadline|FlagFallback|FlagRehomed|FlagShed|FlagBreaker|FlagEjected) != 0
+	return f&(FlagRetried|FlagDeadline|FlagFallback|FlagRehomed|FlagShed|FlagStreak|FlagEjected) != 0
 }
 
 // SpanEvent is one fixed-size lifecycle event. At is the offset from the

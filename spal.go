@@ -136,8 +136,9 @@ const (
 	ServedByFE     = router.ServedByFE
 	ServedByRemote = router.ServedByRemote
 	// ServedByFallback marks a verdict served by the router-wide read-only
-	// full-table engine instead of the home LC: retries exhausted, breaker
-	// open, forward-hop cap reached, or the home ejected as browned out.
+	// full-table engine instead of the home LC: retries exhausted, the home
+	// untrusted (a streak of deadline expiries toward it, or ejected as
+	// browned out), or the forward-hop cap reached.
 	ServedByFallback = router.ServedByFallback
 	// ServedByShed marks a lookup refused by overload control after
 	// admission; synchronous Lookup calls surface it as ErrOverloaded.
@@ -275,8 +276,9 @@ func WithRouterTraceJournal(size int) RouterOption { return router.WithTraceJour
 // WithRouterOverload enables overload control: each line card's inbox
 // holds queueDepth messages (<= 0 selects 1024), and a lookup that finds it
 // full is refused (Lookup returns ErrOverloaded) instead of waiting for
-// space. A waitlist cap, a retry budget and per-home-LC circuit breakers
-// come with it; router.WithOverload documents their settings.
+// space. A waitlist cap and the home-trust streak come with it: a home LC
+// with five deadline expiries in a row toward it is not waited for until it
+// answers again. router.WithOverload documents their settings.
 func WithRouterOverload(queueDepth int) RouterOption {
 	return router.WithOverload(queueDepth)
 }
