@@ -356,9 +356,11 @@ func drive(r *router.Router, psi int, addrs []ip.Addr, batch, killLC int, drainA
 			retries, expired, fallbacks, forwarded)
 	}
 	sheds := delta.Sum(router.MetricShed)
-	untrusted := delta.Sum(router.MetricStreakServed)
-	if sheds+untrusted > 0 {
-		fmt.Printf("overload control: %.0f sheds, %.0f streak-served fallbacks\n", sheds, untrusted)
+	streakServed := delta.Sum(router.MetricStreakServed)
+	exhausted := delta.Sum(router.MetricBudgetExhausted)
+	if sheds+streakServed+exhausted > 0 {
+		fmt.Printf("overload control: %.0f sheds, %.0f streak-served fallbacks, %.0f budget-exhausted retries\n",
+			sheds, streakServed, exhausted)
 	}
 
 	// Lifecycle summary: admin drain completion, crash re-homings, and the

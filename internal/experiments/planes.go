@@ -21,41 +21,36 @@ const (
 )
 
 // planeFaults is the grid: each fault the router's home-trust rule is for,
-// set (on) and lifted (off) on a running router, with the queue depth under
-// WithOverload and the clients per line card while the fault stands.
+// set (on 1) and lifted (on 0) on a running router, with the queue depth
+// under WithOverload and the clients per line card while the fault stands.
 var planeFaults = []struct {
 	name           string
 	depth, clients int
-	set            func(f *fabric.Faults, on bool)
+	set            func(f *fabric.Faults, on float64)
 }{
-	{"dead link LC 1 → LC 0", 0, 1, func(f *fabric.Faults, on bool) { f.SetLink(1, 0, dropAll(on)) }},
-	{"every link into LC 1 drops", 0, 1, func(f *fabric.Faults, on bool) {
-		for i := 0; i < planeLCs; i++ {
-			if i != 1 {
-				f.SetLink(i, 1, dropAll(on))
-			}
-		}
-	}},
-	{"LC 1 browned out ×10", 0, 1, func(f *fabric.Faults, on bool) {
-		if f.SlowLC(1, 1); on {
-			f.SlowLC(1, 10)
-		}
-	}},
-	{"2× offered load, queue depth 2", 2, 2, func(*fabric.Faults, bool) {}},
+	{"dead link LC 1 → LC 0", 0, 1, func(f *fabric.Faults, on float64) { lossy(f, on, func(i, j int) bool { return i == 1 && j == 0 }) }},
+	{"every link into LC 1 drops", 0, 1, func(f *fabric.Faults, on float64) { lossy(f, on, func(_, j int) bool { return j == 1 }) }},
+	{"30 % loss on every link", 0, 1, func(f *fabric.Faults, on float64) { lossy(f, 0.3*on, func(int, int) bool { return true }) }},
+	{"LC 1 browned out ×10", 0, 1, func(f *fabric.Faults, on float64) { f.SlowLC(1, 10*on) }}, // a factor <= 1 clears it
+	{"2× offered load, queue depth 2", 2, 2, func(*fabric.Faults, float64) {}},
 }
 
-// dropAll is a link that loses every message while on, a clean one after.
-func dropAll(on bool) fabric.LinkConfig {
-	if on {
-		return fabric.LinkConfig{DropRate: 1}
+// lossy makes every link i → j that pick admits lose rate of its messages.
+func lossy(f *fabric.Faults, rate float64, pick func(i, j int) bool) {
+	l := fabric.LinkConfig{DropRate: rate}
+	for i := 0; i < planeLCs; i++ {
+		for j := 0; j < planeLCs; j++ {
+			if i != j && pick(i, j) {
+				f.SetLink(i, j, l)
+			}
+		}
 	}
-	return fabric.LinkConfig{}
 }
 
 // planePhase is what one phase of a run saw.
 type planePhase struct {
-	lookups, failed, wrong, requests, fallbacks int64
-	lat                                         []int64 // every call's latency, ns
+	lookups, failed, wrong, requests, retries, fallbacks int64
+	lat                                                  []int64 // every call's latency, ns
 }
 
 // Planes runs each fault of planeFaults on a router with overload control
@@ -72,11 +67,11 @@ func Planes(s Scale) (*Table, error) {
 	ref := lpm.NewReference(tbl)
 	out := &Table{
 		Title:   fmt.Sprintf("Home trust under fabric faults (psi=%d, timeout %v, %d seeds, %v a phase)", planeLCs, planeTimeout, seeds, phase),
-		Headers: []string{"fault", "wrong verdicts", "failed share", "p99 in fault (us)", "requests / lookup in fault", "fallback share after lift"},
+		Headers: []string{"fault", "wrong verdicts", "failed share", "p99 in fault (us)", "requests / lookup in fault", "retries / lookup in fault", "fallback share after lift"},
 		Notes:   []string{"cell: median over seeds (min-max); failed = ErrOverloaded or another error, over both phases"},
 	}
 	for _, c := range planeFaults {
-		var cells [5][]float64
+		var cells [6][]float64
 		for seed := uint64(1); seed <= uint64(seeds); seed++ {
 			f := fabric.NewFaults(seed, fabric.LinkConfig{})
 			r, err := router.New(tbl, router.WithLCs(planeLCs), router.WithFaultInjector(f.Decide),
@@ -84,9 +79,9 @@ func Planes(s Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			c.set(f, true)
+			c.set(f, 1)
 			fault := drivePhase(r, tbl, ref, seed, c.clients, phase)
-			c.set(f, false)
+			c.set(f, 0)
 			lift := drivePhase(r, tbl, ref, seed<<32, 1, phase)
 			r.Stop()
 			slices.Sort(fault.lat)
@@ -94,10 +89,11 @@ func Planes(s Scale) (*Table, error) {
 			cells[1] = append(cells[1], float64(fault.failed+lift.failed)/float64(fault.lookups+lift.lookups))
 			cells[2] = append(cells[2], float64(fault.lat[len(fault.lat)*99/100])/1e3)
 			cells[3] = append(cells[3], float64(fault.requests)/float64(fault.lookups))
-			cells[4] = append(cells[4], float64(lift.fallbacks)/float64(lift.lookups))
+			cells[4] = append(cells[4], float64(fault.retries)/float64(fault.lookups))
+			cells[5] = append(cells[5], float64(lift.fallbacks)/float64(lift.lookups))
 		}
 		row := []string{c.name}
-		for k, format := range []string{"%.0f", "%.4f", "%.0f", "%.3f", "%.4f"} {
+		for k, format := range []string{"%.0f", "%.4f", "%.0f", "%.3f", "%.3f", "%.4f"} {
 			slices.Sort(cells[k])
 			v := cells[k]
 			row = append(row, fmt.Sprintf(format+" ("+format+"-"+format+")", v[len(v)/2], v[0], v[len(v)-1]))
@@ -112,16 +108,18 @@ func Planes(s Scale) (*Table, error) {
 
 // drivePhase runs clients closed-loop callers per line card for d, each
 // looking up table-matched addresses at its own arrival LC, and reports what
-// they saw and the fabric requests and fallbacks the router counted, summed
-// over every line card.
+// they saw and the fabric requests, retries and fallbacks the router
+// counted, summed over every line card.
 func drivePhase(r *router.Router, tbl *rtable.Table, ref *lpm.Reference, seed uint64, clients int, d time.Duration) planePhase {
-	counts := func() (requests, fallbacks int64) {
+	counts := func() (n planePhase) {
 		for _, st := range r.Stats() {
-			requests, fallbacks = requests+st.RequestsSent.Load(), fallbacks+st.Fallbacks.Load()
+			n.requests += st.RequestsSent.Load()
+			n.retries += st.Retries.Load()
+			n.fallbacks += st.Fallbacks.Load()
 		}
-		return requests, fallbacks
+		return n
 	}
-	requests, fallbacks := counts()
+	before := counts()
 	var mu sync.Mutex
 	var sum planePhase
 	var wg sync.WaitGroup
@@ -136,9 +134,8 @@ func drivePhase(r *router.Router, tbl *rtable.Table, ref *lpm.Reference, seed ui
 				a := tbl.RandomMatchedAddr(rng)
 				t0 := time.Now()
 				v, err := r.Lookup(g%planeLCs, a)
-				ns := int64(time.Since(t0))
+				p.lat = append(p.lat, int64(time.Since(t0)))
 				p.lookups++
-				p.lat = append(p.lat, ns)
 				if nh, _, ok := ref.Lookup(a); err != nil {
 					p.failed++
 				} else if v.OK != ok || ok && v.NextHop != nh {
@@ -152,7 +149,8 @@ func drivePhase(r *router.Router, tbl *rtable.Table, ref *lpm.Reference, seed ui
 		}(g)
 	}
 	wg.Wait()
-	req, fb := counts()
-	sum.requests, sum.fallbacks = req-requests, fb-fallbacks
+	after := counts()
+	sum.requests, sum.retries = after.requests-before.requests, after.retries-before.retries
+	sum.fallbacks = after.fallbacks - before.fallbacks
 	return sum
 }

@@ -390,7 +390,7 @@ func (r *Router) missRow(lc *lineCard, w localWaiter, addr ip.Addr, kind cache.P
 	// Nothing a direct exchange cannot get past may stand between lc and home:
 	// an untrusted home (routeFor's call). That holds for as long as lc's
 	// owner does, short of a concurrent ejection.
-	if !r.untrusted(lc, home) {
+	if r.untrusted(lc, home) == trusted {
 		hr := sc.reach(home)
 		hr.ask = append(hr.ask, fabricRow{addr: addr})
 		hr.held = append(hr.held, heldRow{tr: tr, slot: w.slot})

@@ -184,8 +184,8 @@ type GrayReport struct {
 	// Degrades / Recovers count degraded-signal transitions: a home is
 	// ejected from one to the next.
 	Degrades, Recovers int64
-	// EjectServed counts lookups answered from the fallback at dispatch
-	// because their home LC was ejected.
+	// EjectServed counts lookups answered from the fallback, at dispatch or
+	// at a deadline expiry, because their home LC was ejected.
 	EjectServed int64
 	LCs         []LCGrayStatus
 }

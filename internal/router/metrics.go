@@ -159,6 +159,8 @@ const (
 	MetricHandled          = "spal_router_handled_total"
 	MetricWaitlistOverflow = "spal_router_waitlist_overflow_total"
 	MetricStreakServed     = "spal_router_streak_served_total"
+	MetricRetryBudget      = "spal_router_retry_budget"
+	MetricBudgetExhausted  = "spal_router_retry_budget_exhausted_total"
 	// Gray-failure metrics (see gray.go). Emitted only when the gray
 	// subsystem is enabled, so snapshots of a default router are
 	// byte-identical to earlier releases.
@@ -262,6 +264,10 @@ func (r *Router) Metrics() *metrics.Snapshot {
 				float64(lc.ov.shed[shedWaitlistOverflow].Load()), lbl)
 			s.Counter(MetricStreakServed, "Lookups answered from the fallback because their home LC's deadline expiries in a row reached the trust threshold.",
 				float64(lc.ov.streakServed.Load()), lbl)
+			s.Gauge(MetricRetryBudget, "Retry tokens currently available at this LC.",
+				float64(lc.ov.budgetMilli.Load())/1000, lbl)
+			s.Counter(MetricBudgetExhausted, "Retries refused for lack of budget (lookup went straight to fallback).",
+				float64(lc.ov.budgetExhausted.Load()), lbl)
 		}
 	}
 	if probes > 0 {

@@ -1,5 +1,5 @@
-// The per-LC queue and its overload control: admission, load shedding, and
-// the home-trust streak.
+// The per-LC queue and its overload control: admission, load shedding, the
+// home-trust streak and an adaptive per-LC retry budget.
 //
 // The paper sizes SPAL for line rate and treats the home LC's forwarding
 // engine as the contended resource; bit selection bounds *table*
@@ -7,7 +7,7 @@
 // its memory with the inbox depth and keeps the fabric path
 // non-blocking; by default a hot home LC or a retry storm then simply
 // backs callers up behind full inboxes, and nothing tells them to back
-// off. With WithOverload the router defends itself at three points:
+// off. With WithOverload the router defends itself at four points:
 //
 //   - Admission: a locally submitted lookup that finds the arrival LC's
 //     inbox full is refused immediately with ErrOverloaded
@@ -22,11 +22,18 @@
 //     is (gray.go): its fresh misses are answered from the full-table
 //     fallback and still asked of it as probes nobody waits on, and its
 //     expiries are not retried, so retries cannot amplify load on a
-//     failing fabric. Any answer from the home ends the streak.
+//     failing home. Any answer from the home ends the streak.
+//   - Retry budget: each LC holds a tokenBucket refilled by successful
+//     fabric replies (retryBudgetRatio tokens per success, the
+//     client-side "retry budget" pattern). A deadline-driven retry toward
+//     a trusted home spends one token; with the bucket empty the lookup
+//     goes straight to the full-table fallback. It answers loss spread
+//     over every link, which breaks no home's streak often enough to end
+//     trust in it but would have each lookup retried.
 //
 // Every structure here follows the package's ownership rules: the streaks
-// are mutated only by the LC's current owner (the holder of lineCard.mu);
-// Metrics reads atomic counters. Control (cache
+// and the bucket are mutated only by the LC's current owner (the holder of
+// lineCard.mu); Metrics reads atomic mirrors. Control (cache
 // flush, table swap, stats collection) bypasses admission entirely — its
 // caller takes the LC's lock, not a place in its queue (see own) — so
 // drain/kill/UpdateTable keep their no-lost-lookup guarantees under full
@@ -63,16 +70,21 @@ var ErrOverloaded = errors.New("router: overloaded")
 //     grow state without limit.
 //   - trustAfter is the consecutive deadline-expiry count from one home LC
 //     that makes it untrusted.
+//   - retryBudgetRatio is the retry bucket's refill per successful fabric
+//     reply (retries may consume 10% of recent successes); retryBudgetBurst
+//     caps the bucket and seeds it at construction.
 const (
 	defaultQueueDepth = 1024
 	waitlistCap       = 256
 	trustAfter        = 5
+	retryBudgetRatio  = 0.1
+	retryBudgetBurst  = 10
 )
 
 // WithOverload enables overload control: each LC's inbox holds queueDepth
 // messages (<= 0 selects 1024), and a lookup that finds it full is refused
-// with ErrOverloaded. The waitlist cap and the home-trust streak come with
-// it, at the constants above.
+// with ErrOverloaded. The waitlist cap, the home-trust streak and the retry
+// budget come with it, at the constants above.
 func WithOverload(queueDepth int) Option {
 	return func(c *config) {
 		c.Overload = true
@@ -106,15 +118,44 @@ var shedReasonNames = [numShedReasons]string{
 	"waitlist_overflow",
 }
 
+// tokenBucket is the retry budget: retries add fabric load, so they are
+// paid for by evidence that the fabric still works. Every successful round
+// trip refills it by retryBudgetRatio tokens up to retryBudgetBurst, every
+// retry takes one. It starts full. Guarded by the owning LC's lineCard.mu.
+type tokenBucket float64
+
+// refill credits one successful fabric round trip.
+func (b *tokenBucket) refill() {
+	*b = min(*b+retryBudgetRatio, retryBudgetBurst)
+}
+
+// take spends one token; false means the budget is exhausted.
+func (b *tokenBucket) take() bool {
+	if *b < 1 {
+		return false
+	}
+	*b--
+	return true
+}
+
 // lcOverload is one LC's overload-control state. The atomic counters are
 // written from whatever goroutine observes the event (admission and
-// fabric sheds happen outside the target LC's lock); streak is guarded by
-// the owning LC's lineCard.mu.
+// fabric sheds happen outside the target LC's lock); streak and the retry
+// bucket are guarded by the owning LC's lineCard.mu.
 type lcOverload struct {
-	shed         [numShedReasons]atomic.Int64
-	streakServed atomic.Int64
+	shed            [numShedReasons]atomic.Int64
+	streakServed    atomic.Int64
+	budgetExhausted atomic.Int64
+	budgetMilli     atomic.Int64 // retry tokens × 1000, for the gauge
 
 	streak []uint8 // per home: deadline expiries in a row, at most trustAfter; nil without overload control
+	retry  tokenBucket
+}
+
+// mirrorBudget publishes the retry bucket's level for Metrics. lc.mu must
+// be held.
+func (ov *lcOverload) mirrorBudget() {
+	ov.budgetMilli.Store(int64(ov.retry * 1000))
 }
 
 // shedCount increments one LC's shed counter for a reason.
@@ -211,21 +252,38 @@ func (r *Router) waitlistFull(wl *waitlist) bool {
 	return r.overload && len(wl.locals)+len(wl.remotes) >= waitlistCap
 }
 
-// untrusted reports whether lc is not to wait for home: trustAfter deadline
-// expiries in a row toward it (overload control), or home ejected as browned
-// out (gray.go). A fresh miss homed there is answered from the fallback and
-// still asked of home as a probe (routeFor), an expiry toward it is not
-// retried (checkDeadlines), and the direct exchange skips it (missRow).
-// lc.mu must be held.
-func (r *Router) untrusted(lc *lineCard, home int) bool {
-	return r.overload && lc.ov.streak[home] >= trustAfter || r.ejected(home)
+// distrust is untrusted's answer: why lc does not wait for a home, or
+// trusted. It is read once per decision and handed on, because ejection can
+// end between two reads of it (the health ticker runs under r.mu, not lc.mu).
+type distrust uint8
+
+const (
+	trusted     distrust = iota
+	ejectedHome          // home ejected as browned out (gray.go)
+	streakHome           // trustAfter deadline expiries in a row toward home
+)
+
+// untrusted reports whether lc is not to wait for home, and why: home
+// ejected as browned out (gray.go), or trustAfter deadline expiries in a row
+// toward it (overload control). A fresh miss homed there is answered from
+// the fallback and still asked of home as a probe (routeFor), an expiry
+// toward it is not retried (checkDeadlines), and the direct exchange skips
+// it (missRow). lc.mu must be held.
+func (r *Router) untrusted(lc *lineCard, home int) distrust {
+	switch {
+	case r.ejected(home):
+		return ejectedHome
+	case r.overload && lc.ov.streak[home] >= trustAfter:
+		return streakHome
+	}
+	return trusted
 }
 
 // servedUntrusted counts and traces one lookup answered from the fallback
-// because home is untrusted: as ejection's when home is ejected, else as the
-// streak's, B the streak. lc.mu must be held.
-func (r *Router) servedUntrusted(lc *lineCard, home int, tr *tracing.LookupTrace) {
-	if r.ejected(home) {
+// because home is untrusted for why: as ejection's, or as the streak's, B
+// the streak. lc.mu must be held.
+func (r *Router) servedUntrusted(lc *lineCard, home int, why distrust, tr *tracing.LookupTrace) {
+	if why == ejectedHome {
 		r.ejectServed.Add(1)
 		tr.Record(tracing.EvEject, int64(home), 0)
 		return

@@ -375,6 +375,93 @@ func TestStopWithFullInboxes(t *testing.T) {
 	}
 }
 
+// TestRetryBudgetExhaustion: with every fabric request dropped and no
+// successful replies to refill the bucket, retries stop once the seeded
+// burst is spent and subsequent deadline expiries degrade straight to
+// the fallback. Four addresses on each of three remote homes want twelve
+// retries before any home's streak reaches trustAfter (a batch's first
+// expiries, four a home; or one address at a time, four retries and the
+// untrusting expiry a home): the retryBudgetBurst tokens run out first,
+// and the streaks take the rest.
+func TestRetryBudgetExhaustion(t *testing.T) {
+	tbl := rtable.Small(500, 3)
+	oracle := lpm.NewReference(tbl)
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			drop := func(m fabric.Message) fabric.Decision { return fabric.Decision{Drop: m.Kind == fabric.Request} }
+			r, err := New(tbl, WithLCs(4), WithFaultInjector(drop),
+				WithRequestTimeout(2*time.Millisecond), WithMaxRetries(100),
+				WithOverload(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+
+			rng := stats.NewRNG(17)
+			var addrs []ip.Addr
+			for home := 1; home < 4; home++ {
+				addrs = append(addrs, remoteAddrs(t, r, tbl, rng, home, 4)...)
+			}
+			for i, v := range ep.lookup(t, r, 0, addrs) {
+				if v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, addrs[i]) {
+					t.Fatalf("dead-fabric lookup: got %+v, want correct fallback verdict", v)
+				}
+			}
+			s := r.Metrics()
+			lbl := metrics.L("lc", "0")
+			if got, _ := s.Value(MetricBudgetExhausted, lbl); got < float64(len(addrs)-retryBudgetBurst) {
+				t.Fatalf("budget exhausted counter = %v, want >= %d", got, len(addrs)-retryBudgetBurst)
+			}
+			if got, _ := s.Value(MetricRetryBudget, lbl); got >= 1 {
+				t.Fatalf("retry budget gauge = %v, want < 1 after exhaustion with no refills", got)
+			}
+			if got, _ := s.Value(MetricRetries, lbl); got != retryBudgetBurst {
+				t.Fatalf("retries = %v, want exactly the burst of %d", got, retryBudgetBurst)
+			}
+		})
+	}
+}
+
+// TestUntrustedReadsEjectionOnce: the health ticker flips a home's ejection
+// under the router's lock, not the line card's, so a home ejected when
+// untrusted is read may have recovered by the time the fallback is counted.
+// The count follows the verdict read, on a gray-only router (no streaks) and
+// on one with overload control too (a streak short of trustAfter).
+func TestUntrustedReadsEjectionOnce(t *testing.T) {
+	tbl := rtable.Small(500, 3)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"gray", []Option{WithGray()}},
+		{"gray+overload", []Option{WithGray(), WithOverload(0)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := New(tbl, append(tc.opts, WithLCs(2))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+			var why distrust
+			r.own(0, func(lc *lineCard) {
+				r.gray[1].degraded.Store(true)
+				why = r.untrusted(lc, 1)
+				r.gray[1].degraded.Store(false) // the home recovers in between
+				r.servedUntrusted(lc, 1, why, nil)
+			})
+			if why != ejectedHome {
+				t.Fatalf("untrusted = %d, want ejectedHome", why)
+			}
+			if got := r.ejectServed.Load(); got != 1 {
+				t.Errorf("eject-served = %d, want 1", got)
+			}
+			if got := r.lcs[0].ov.streakServed.Load(); got != 0 {
+				t.Errorf("streak-served = %d, want 0", got)
+			}
+		})
+	}
+}
+
 // TestTrustStreakFallsBackAndRecovers: with LC 1's replies to LC 0 lost,
 // trustAfter deadline expiries in a row make LC 1 untrusted at LC 0. Fresh
 // misses homed there are then answered from the fallback without waiting out
@@ -435,9 +522,9 @@ func TestTrustStreakFallsBackAndRecovers(t *testing.T) {
 			if v, err := r.Lookup(0, probe); err != nil || v.ServedBy != ServedByFallback || !verdictMatches(v, oracle, probe) {
 				t.Fatalf("probe lookup: v=%+v err=%v, want a correct fallback verdict", v, err)
 			}
-			waitFor(t, "LC 1 trusted again", func() (trusted bool) {
-				r.own(0, func(lc *lineCard) { trusted = !r.untrusted(lc, 1) })
-				return trusted
+			waitFor(t, "LC 1 trusted again", func() (ok bool) {
+				r.own(0, func(lc *lineCard) { ok = r.untrusted(lc, 1) == trusted })
+				return ok
 			})
 			next := addrs[trustAfter+5]
 			if v := ep.lookup(t, r, 0, []ip.Addr{next})[0]; v.ServedBy != ServedByRemote || !verdictMatches(v, oracle, next) {

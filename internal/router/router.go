@@ -41,7 +41,7 @@
 // fabric message that finds the peer's queue full is shed and counted, and
 // the requester's deadline machinery recovers the lookup. WithOverload
 // layers a policy on the same queue: refuse rather than block at
-// admission and a per-home trust streak (overload.go).
+// admission, a per-home trust streak and a retry budget (overload.go).
 //
 // Failure model: the paper assumes a lossless fabric; this package does
 // not. Every fabric request carries a deadline tracked by a coarse
@@ -140,9 +140,9 @@ type config struct {
 	// completed trace.
 	TraceLogger *slog.Logger
 	// Overload turns on overload control (admission shedding, the
-	// home-trust streak, the waitlist cap; see overload.go). Off,
-	// callers block on a full inbox and the router never returns
-	// ErrOverloaded. QueueDepth bounds each LC's inbox either way (<= 0
+	// home-trust streak, the retry budget, the waitlist cap; see
+	// overload.go). Off, callers block on a full inbox and the router
+	// never returns ErrOverloaded. QueueDepth bounds each LC's inbox either way (<= 0
 	// selects 1024); with Overload a lookup that finds it full is refused.
 	Overload   bool
 	QueueDepth int
@@ -361,9 +361,10 @@ type lineCard struct {
 	waiters      atomic.Int64
 
 	// ov is the overload-control state (shed counters, per-home trust
-	// streaks; see overload.go). The fabric shed counters are live on every
-	// router, the rest only under an overload policy. Its counters are
-	// atomic; its streaks are guarded by mu like pending above.
+	// streaks, retry bucket; see overload.go). The fabric shed counters are
+	// live on every router, the rest only under an overload policy. Its
+	// counters are atomic; its streaks and bucket are guarded by mu like
+	// pending above.
 	ov *lcOverload
 }
 
@@ -390,8 +391,8 @@ type Router struct {
 	tickEvery  time.Duration
 
 	// Overload control (see overload.go). overload false leaves only the
-	// inbox depth in force: no admission shedding, trust streak or
-	// waitlist cap.
+	// inbox depth in force: no admission shedding, trust streak, retry
+	// budget or waitlist cap.
 	overload   bool
 	queueDepth int
 
@@ -540,6 +541,8 @@ func New(tbl *rtable.Table, opts ...Option) (*Router, error) {
 		lc.ov = &lcOverload{}
 		if r.overload {
 			lc.ov.streak = make([]uint8, cfg.NumLCs)
+			lc.ov.retry = retryBudgetBurst
+			lc.ov.mirrorBudget()
 		}
 		if cfg.Gray {
 			r.gray = append(r.gray, &lcGray{})
@@ -838,10 +841,18 @@ func (r *Router) checkDeadlines(lc *lineCard, now int64) {
 			lc.ov.streak[home] = min(lc.ov.streak[home]+1, trustAfter)
 		}
 		retry := wl.attempts <= r.maxRetries
-		if retry && home != lc.id && r.untrusted(lc, home) {
-			// Retries must not amplify load on a home that is failing.
-			retry = false
-			r.servedUntrusted(lc, home, wl.tr)
+		if retry && home != lc.id {
+			// Retries must not amplify load on a home that is failing, nor,
+			// past the budget, on a fabric that fails everywhere a little.
+			if why := r.untrusted(lc, home); why != trusted {
+				retry = false
+				r.servedUntrusted(lc, home, why, wl.tr)
+			} else if r.overload {
+				if retry = lc.ov.retry.take(); !retry {
+					lc.ov.budgetExhausted.Add(1)
+				}
+				lc.ov.mirrorBudget()
+			}
 		}
 		if retry {
 			lc.stats.Retries.Add(1)
@@ -868,7 +879,7 @@ func (r *Router) checkDeadlines(lc *lineCard, now int64) {
 		}
 		if wl.attempts > r.maxRetries {
 			// The classic path: every retry was spent. Lookups stopped by
-			// an untrusted home keep their own counters instead.
+			// an untrusted home or the budget keep their own counters instead.
 			lc.stats.DeadlineExpired.Add(1)
 			wl.tr.Record(tracing.EvDeadline, int64(wl.attempts), 0)
 		}
@@ -1084,7 +1095,8 @@ func (r *Router) fallbackLookup(addr ip.Addr) (rtable.NextHop, bool) {
 //
 // A retry is not a fresh miss: checkDeadlines has its own rule for those.
 func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, now int64) {
-	if !r.untrusted(lc, home) {
+	why := r.untrusted(lc, home)
+	if why == trusted {
 		wl.tr.Record(tracing.EvFabricSend, int64(home), 1)
 		wl.attempts = 1
 		wl.deadline = now + int64(r.timeout)
@@ -1093,7 +1105,7 @@ func (r *Router) routeFor(lc *lineCard, addr ip.Addr, home int, wl *waitlist, no
 	lc.stats.Fallbacks.Add(1)
 	r.lateTraceFor(lc, addr, wl)
 	wl.tr.Record(tracing.EvFabricSend, int64(home), 1)
-	r.servedUntrusted(lc, home, wl.tr)
+	r.servedUntrusted(lc, home, why, wl.tr)
 	wl.tr.Record(tracing.EvFallback, int64(lc.id), 0)
 	nh, ok := r.fallbackLookup(addr)
 	r.fillAndRelease(lc, addr, nh, ok, cache.REM, ServedByFallback)
@@ -1111,7 +1123,10 @@ func (r *Router) replyArrived(lc *lineCard, from int, sent int64) {
 		r.gray[from].observe(r.now() - sent)
 	}
 	if r.overload {
-		lc.ov.streak[from] = 0 // any answer restores trust
+		// Any answer restores trust and refills the retry bucket.
+		lc.ov.streak[from] = 0
+		lc.ov.retry.refill()
+		lc.ov.mirrorBudget()
 	}
 }
 

@@ -21,11 +21,12 @@ const (
 	ServedByRemote
 	// ServedByFallback: the address was resolved against the router-wide
 	// full-table snapshot (an rtable.Index over it) instead of its home
-	// LC, for one of three causes: fabric retries exhausted, the home
-	// untrusted — a streak of deadline expiries toward it (overload.go) or
-	// ejected as browned out (gray.go) — or the forward-hop cap reached. The
-	// verdict is still correct — the snapshot is the complete current table.
-	// Only the first cause pays the deadline/retry latency to get there.
+	// LC, for one of three causes: fabric retries (or the retry budget)
+	// exhausted, the home untrusted — a streak of deadline expiries toward
+	// it (overload.go) or ejected as browned out (gray.go) — or the
+	// forward-hop cap reached. The verdict is still correct — the snapshot
+	// is the complete current table. Only the first cause pays the
+	// deadline/retry latency to get there.
 	ServedByFallback
 	// ServedByShed: overload control refused or abandoned the lookup
 	// after admission (waitlist overflow, replay shed); the verdict

@@ -85,9 +85,9 @@ const (
 	// without waiting for the home. A = the home LC, B = the streak.
 	EvStreak
 	// EvEject: the lookup's home LC was ejected (browned out) and the
-	// verdict came from the full-table fallback at dispatch time; the fabric
-	// request was still sent to keep round-trip samples flowing. A = the
-	// ejected home LC.
+	// verdict came from the full-table fallback: at dispatch time, with the
+	// fabric request still sent to keep round-trip samples flowing, or at a
+	// deadline expiry, which is then not retried. A = the ejected home LC.
 	EvEject
 )
 

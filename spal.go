@@ -276,9 +276,10 @@ func WithRouterTraceJournal(size int) RouterOption { return router.WithTraceJour
 // WithRouterOverload enables overload control: each line card's inbox
 // holds queueDepth messages (<= 0 selects 1024), and a lookup that finds it
 // full is refused (Lookup returns ErrOverloaded) instead of waiting for
-// space. A waitlist cap and the home-trust streak come with it: a home LC
-// with five deadline expiries in a row toward it is not waited for until it
-// answers again. router.WithOverload documents their settings.
+// space. A waitlist cap, the home-trust streak and a retry budget come with
+// it: a home LC with five deadline expiries in a row toward it is not waited
+// for until it answers again, and retries are paid from a budget that
+// successful replies refill. router.WithOverload documents their settings.
 func WithRouterOverload(queueDepth int) RouterOption {
 	return router.WithOverload(queueDepth)
 }
