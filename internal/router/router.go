@@ -142,8 +142,9 @@ type config struct {
 	// Overload turns on overload control (admission shedding, the
 	// home-trust streak, the retry budget, the waitlist cap; see
 	// overload.go). Off, callers block on a full inbox and the router
-	// never returns ErrOverloaded. QueueDepth bounds each LC's inbox either way (<= 0
-	// selects 1024); with Overload a lookup that finds it full is refused.
+	// never returns ErrOverloaded. QueueDepth bounds each LC's inbox
+	// either way (<= 0 selects 1024); with Overload a lookup that finds it
+	// full is refused.
 	Overload   bool
 	QueueDepth int
 	// Gray enables the gray-failure plane (per-home fabric RTT scoring, the
